@@ -65,7 +65,7 @@ func BenchmarkX5_IncrementalServing(b *testing.B) { benchExperiment(b, "X5") }
 
 // BenchmarkX6 regenerates the hot-path cache experiment and reports its
 // headline numbers — the repeated-query (bfs, hot-mix) cached-vs-uncached
-// speedup and the cache hit ratio — as benchmark metrics, so BENCH_ci.json
+// speedup and the cache hit ratio — as benchmark metrics, so the benchmark output
 // tracks the cache's measured payoff from this PR on.
 func BenchmarkX6(b *testing.B) {
 	var speedup, hitRatio float64
@@ -84,7 +84,7 @@ func BenchmarkX6_HotPathCache(b *testing.B) { benchExperiment(b, "X6") }
 
 // BenchmarkX7 regenerates the serving-envelope load experiment and reports
 // its headline numbers — the admitted p99 latency and the rejection rate
-// over the overload zipf mix — as benchmark metrics, so BENCH_ci.json
+// over the overload zipf mix — as benchmark metrics, so the benchmark output
 // tracks how the envelope degrades under pressure from this PR on.
 func BenchmarkX7(b *testing.B) {
 	var p99Ms, rejectedRate float64
@@ -103,7 +103,7 @@ func BenchmarkX7_Envelope(b *testing.B) { benchExperiment(b, "X7") }
 
 // BenchmarkX8 regenerates the observability-overhead experiment and
 // reports its headline numbers — the relative QPS cost of instrumentation
-// and the instrumented QPS — as benchmark metrics, so BENCH_ci.json tracks
+// and the instrumented QPS — as benchmark metrics, so the benchmark output tracks
 // what the metrics layer itself costs from this PR on.
 func BenchmarkX8(b *testing.B) {
 	var overheadPct, qps float64
@@ -123,7 +123,7 @@ func BenchmarkX8_ObsOverhead(b *testing.B) { benchExperiment(b, "X8") }
 // BenchmarkX9 regenerates the full-dynamism experiment and reports its
 // headline numbers — the delete-heavy maintain-vs-rebuild speedup and the
 // delta-log crash-replay wall time — as benchmark metrics, so
-// BENCH_ci.json tracks what dynamism costs (and saves) from this PR on.
+// the benchmark output tracks what dynamism costs (and saves) from this PR on.
 func BenchmarkX9(b *testing.B) {
 	var speedup, replayMs float64
 	for i := 0; i < b.N; i++ {
@@ -142,7 +142,7 @@ func BenchmarkX9_FullDynamism(b *testing.B) { benchExperiment(b, "X9") }
 // BenchmarkX10 regenerates the succinct-Π experiment and reports its
 // headline numbers — the dense/labels snapshot-bytes ratio and the
 // labeled-probe latency next to the dense probe it replaces — as benchmark
-// metrics, so BENCH_ci.json tracks what the compressed artifact costs (and
+// metrics, so the benchmark output tracks what the compressed artifact costs (and
 // saves) from this PR on.
 func BenchmarkX10(b *testing.B) {
 	var snapRatio, labelNs, denseNs float64
@@ -163,7 +163,7 @@ func BenchmarkX10_Succinct(b *testing.B) { benchExperiment(b, "X10") }
 // BenchmarkX11 regenerates the serve-path chaos experiment and reports its
 // headline numbers — how long a tripped breaker took to serve again after
 // the fault cleared, and the degraded-answer rate while the fallback
-// carried the traffic — as benchmark metrics, so BENCH_ci.json tracks
+// carried the traffic — as benchmark metrics, so the benchmark output tracks
 // recovery behavior from this PR on.
 func BenchmarkX11(b *testing.B) {
 	var recoveryMs, degradedRate float64
@@ -181,7 +181,7 @@ func BenchmarkX11(b *testing.B) {
 func BenchmarkX11_Chaos(b *testing.B) { benchExperiment(b, "X11") }
 
 // BenchmarkOpShardedReachAnswer measures one sharded reachability answer
-// (4 range-partitioned shards, fan-out + portal merge) against the same
+// (4 range-partitioned shards, portal reach rows merge) against the same
 // query mix BenchmarkOpReachabilityAnswer-style benchmarks use, so the
 // sharding overhead per query is visible next to the O(1) unsharded read.
 func BenchmarkOpShardedReachAnswer(b *testing.B) {
@@ -207,7 +207,7 @@ func BenchmarkOpShardedReachAnswer(b *testing.B) {
 // the prepared (decoded-once) store path — the hot-path sibling of
 // BenchmarkOpReachabilityAnswer's raw Scheme.Answer, so the payoff of
 // hoisting the per-query header parse and validation is visible in
-// BENCH_ci.json.
+// the benchmark output.
 func BenchmarkOpPreparedReachAnswer(b *testing.B) {
 	g := RandomDirected(1<<11, 4<<11, 5)
 	reg := NewStoreRegistry("")

@@ -56,18 +56,28 @@ func EncodeUint64(vs ...uint64) []byte {
 
 // DecodeUint64 parses exactly want unsigned integers.
 func DecodeUint64(x []byte, want int) ([]uint64, error) {
-	out := make([]uint64, 0, want)
-	off := 0
-	for i := 0; i < want; i++ {
-		v, k := binary.Uvarint(x[off:])
-		if k <= 0 {
-			return nil, fmt.Errorf("core: corrupt uint at %d", off)
-		}
-		off += k
-		out = append(out, v)
-	}
-	if off != len(x) {
-		return nil, fmt.Errorf("core: %d trailing bytes", len(x)-off)
+	out := make([]uint64, want)
+	if err := DecodeUint64Into(x, out); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// DecodeUint64Into parses exactly len(out) unsigned integers into out — the
+// slice-free form the query decoders on the probe path use (a fixed-size
+// array on the caller's stack, so decoding a query allocates nothing).
+func DecodeUint64Into(x []byte, out []uint64) error {
+	off := 0
+	for i := range out {
+		v, k := binary.Uvarint(x[off:])
+		if k <= 0 {
+			return fmt.Errorf("core: corrupt uint at %d", off)
+		}
+		off += k
+		out[i] = v
+	}
+	if off != len(x) {
+		return fmt.Errorf("core: %d trailing bytes", len(x)-off)
+	}
+	return nil
 }

@@ -58,22 +58,55 @@ func NewClosure(g *Graph) *Closure {
 	c := &Closure{n: n, words: words, bits: make([]uint64, n*words)}
 	stack := make([]int32, 0, n)
 	for s := 0; s < n; s++ {
-		row := c.bits[s*words : (s+1)*words]
-		row[s/64] |= 1 << (s % 64)
-		stack = append(stack[:0], int32(s))
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, v := range g.adj[u] {
-				w, b := int(v)/64, uint64(1)<<(int(v)%64)
-				if row[w]&b == 0 {
-					row[w] |= b
-					stack = append(stack, v)
-				}
+		stack = g.markReachable(s, c.bits[s*words:(s+1)*words], stack)
+	}
+	return c
+}
+
+// markReachable sets the bit of every vertex reachable from s (s included)
+// in row and returns the emptied scratch stack for reuse. The graph must be
+// normalized.
+func (g *Graph) markReachable(s int, row []uint64, stack []int32) []int32 {
+	row[s/64] |= 1 << (s % 64)
+	stack = append(stack[:0], int32(s))
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, v := range g.adj[u] {
+			w, b := int(v)/64, uint64(1)<<(int(v)%64)
+			if row[w]&b == 0 {
+				row[w] |= b
+				stack = append(stack, v)
 			}
 		}
 	}
-	return c
+	return stack
+}
+
+// ReachSet sets bit v of row (⌈n/64⌉ words) for every vertex v reachable
+// from src, src included — one traversal for a whole closure row.
+func (g *Graph) ReachSet(src int, row []uint64) {
+	g.Normalize()
+	g.markReachable(src, row, nil)
+}
+
+// Reversed returns the graph with every arc flipped; an undirected graph
+// is its own reverse.
+func (g *Graph) Reversed() *Graph {
+	g.Normalize()
+	if !g.directed {
+		return g
+	}
+	r := New(g.n, true)
+	for u, l := range g.adj {
+		for _, v := range l {
+			r.adj[v] = append(r.adj[v], int32(u))
+		}
+	}
+	// Arcs were appended in ascending source order, so every list is
+	// already sorted and duplicate-free.
+	r.m = g.m
+	return r
 }
 
 // Reach answers a reachability query in O(1).

@@ -498,7 +498,7 @@ func X11Chaos(s Scale) (*Table, error) {
 // X11ChaosMetrics reports the headline chaos numbers — how long the
 // tripped breaker took to serve again once the fault cleared, and the
 // degraded-answer rate while the fallback carried the traffic — for
-// BenchmarkX11, so BENCH_ci.json tracks recovery behavior from this PR on.
+// BenchmarkX11, so the benchmark output tracks recovery behavior from this PR on.
 func X11ChaosMetrics(s Scale) (recoveryMs, degradedRate float64, err error) {
 	_, recoveryMs, degradedRate, err = x11Measure(s)
 	return recoveryMs, degradedRate, err

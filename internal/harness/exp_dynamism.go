@@ -243,7 +243,7 @@ func X9FullDynamism(s Scale) (*Table, error) {
 }
 
 // X9DynamismMetrics regenerates X9's point-selection workload at the given
-// scale and returns the headline numbers for BENCH_ci.json: the
+// scale and returns the headline numbers for the benchmark output: the
 // delete-maintain speedup over rebuilding and the crash-replay wall time.
 func X9DynamismMetrics(s Scale) (speedup, replayMs float64, err error) {
 	n := s.sizes([]int{512}, []int{16384})[0]

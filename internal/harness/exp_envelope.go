@@ -340,7 +340,7 @@ func X7Envelope(s Scale) (*Table, error) {
 
 // X7EnvelopeMetrics reports the headline overload numbers — the admitted
 // p99 latency (ms) and the rejection rate over the overload zipf mix —
-// for BenchmarkX7's metrics, so BENCH_ci.json tracks the envelope's
+// for BenchmarkX7's metrics, so the benchmark output tracks the envelope's
 // behavior under pressure from this PR on.
 func X7EnvelopeMetrics(s Scale) (p99Ms, rejectedRate float64, err error) {
 	rows, err := x7Measure(s)

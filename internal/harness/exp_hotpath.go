@@ -158,7 +158,7 @@ func X6HotPath(s Scale) (*Table, error) {
 
 // X6CachedSpeedup reports the headline repeated-query numbers — the
 // BFS-per-query hot-mix speedup and its cache hit ratio — for
-// BenchmarkX6's metrics, so BENCH_ci.json tracks them from this PR on.
+// BenchmarkX6's metrics, so the benchmark output tracks them from this PR on.
 func X6CachedSpeedup(s Scale) (speedup, hitRatio float64, err error) {
 	rows, err := x6Measure(s)
 	if err != nil {

@@ -157,7 +157,7 @@ func X8ObsOverhead(s Scale) (*Table, error) {
 
 // X8OverheadMetrics reports the headline numbers — the relative QPS
 // overhead of instrumentation and the instrumented QPS — for BenchmarkX8,
-// so BENCH_ci.json tracks the cost of the observability layer from this
+// so the benchmark output tracks the cost of the observability layer from this
 // PR on.
 func X8OverheadMetrics(s Scale) (overheadPct, instrumentedQPS float64, err error) {
 	on, off, err := x8Measure(s)

@@ -127,7 +127,7 @@ func X10Succinct(s Scale) (*Table, error) {
 }
 
 // X10SuccinctMetrics regenerates X10's largest workload at the given scale
-// and returns the headline numbers for BENCH_ci.json: the dense/labels
+// and returns the headline numbers for the benchmark output: the dense/labels
 // snapshot-bytes ratio and the labeled-probe latency next to the dense
 // probe it replaces.
 func X10SuccinctMetrics(s Scale) (snapRatio, labelProbeNs, denseProbeNs float64, err error) {

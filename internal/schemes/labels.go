@@ -494,6 +494,30 @@ func (a *labelsAnswerer) Answer(q []byte) (bool, error) {
 	return a.rl.reach(u, v), nil
 }
 
+// Nodes implements LocalReach.
+func (a *labelsAnswerer) Nodes() int { return a.rl.n }
+
+// Reach implements LocalReach: one label intersection.
+func (a *labelsAnswerer) Reach(u, v int) bool { return a.rl.reach(u, v) }
+
+// ReachFrom implements LocalReach: n label probes, none of them encoded.
+func (a *labelsAnswerer) ReachFrom(u int, row []uint64) {
+	for v := 0; v < a.rl.n; v++ {
+		if a.rl.reach(u, v) {
+			row[v>>6] |= 1 << (v & 63)
+		}
+	}
+}
+
+// ReachTo implements LocalReach, like ReachFrom with the roles swapped.
+func (a *labelsAnswerer) ReachTo(v int, col []uint64) {
+	for u := 0; u < a.rl.n; u++ {
+		if a.rl.reach(u, v) {
+			col[u>>6] |= 1 << (u & 63)
+		}
+	}
+}
+
 // prepareLabels decodes the payload once (same errors as the raw path).
 func prepareLabels(pd []byte) (core.Answerer, error) {
 	rl, err := decodeLabels(pd)

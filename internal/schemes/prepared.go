@@ -23,6 +23,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync"
 
 	"pitract/internal/core"
 	"pitract/internal/graph"
@@ -87,6 +88,27 @@ func prepareSortedKeysRange(pd []byte) (core.Answerer, error) {
 	return &sortedKeysAnswerer{keys: decodeSortedKeys(pd), rangeQueries: true}, nil
 }
 
+// --- local reach: the typed seam under sharded reachability ---------------------
+
+// LocalReach is the typed, allocation-free face of a prepared reachability
+// answerer (closure, labels, BFS): the same verdicts as Answer, without a
+// query to encode, decode, or range-check. internal/shard reads it — the
+// same-shard verdict through Reach, the per-vertex portal reach rows and
+// the portal overlay through the two bulk reads — so sharded reachability
+// never issues an encoded local probe. Vertex arguments must lie in
+// [0, Nodes()); bulk reads set bits in a caller-zeroed bitset of
+// ⌈Nodes()/64⌉ words.
+type LocalReach interface {
+	// Nodes reports the vertex count.
+	Nodes() int
+	// Reach reports whether u reaches v (reflexively).
+	Reach(u, v int) bool
+	// ReachFrom sets bit v of row for every v that u reaches.
+	ReachFrom(u int, row []uint64)
+	// ReachTo sets bit u of col for every u that reaches v.
+	ReachTo(v int, col []uint64)
+}
+
 // --- reachability closure matrix ---------------------------------------------
 
 // closureAnswerer is the validated closure: the header is parsed once, the
@@ -106,8 +128,41 @@ func (a *closureAnswerer) Answer(q []byte) (bool, error) {
 	if u < 0 || u >= a.n || v < 0 || v >= a.n {
 		return false, fmt.Errorf("schemes: node pair (%d,%d) out of range [0,%d)", u, v, a.n)
 	}
+	return a.Reach(u, v), nil
+}
+
+// Nodes implements LocalReach.
+func (a *closureAnswerer) Nodes() int { return a.n }
+
+// Reach implements LocalReach: one word read.
+func (a *closureAnswerer) Reach(u, v int) bool {
 	bit := u*a.n + v
-	return a.words[bit>>6]>>(bit&63)&1 != 0, nil
+	return a.words[bit>>6]>>(bit&63)&1 != 0
+}
+
+// ReachFrom implements LocalReach: row u of the matrix, realigned to bit 0.
+func (a *closureAnswerer) ReachFrom(u int, row []uint64) {
+	off := u * a.n
+	w, s := off>>6, uint(off&63)
+	for i := 0; i*64 < a.n; i++ {
+		x := a.words[w+i] >> s
+		if s != 0 && w+i+1 < len(a.words) {
+			x |= a.words[w+i+1] << (64 - s)
+		}
+		row[i] = x
+	}
+	if r := uint(a.n & 63); r != 0 {
+		row[a.n>>6] &= 1<<r - 1
+	}
+}
+
+// ReachTo implements LocalReach: column v, one strided bit read per row.
+func (a *closureAnswerer) ReachTo(v int, col []uint64) {
+	for u := 0; u < a.n; u++ {
+		if a.Reach(u, v) {
+			col[u>>6] |= 1 << (u & 63)
+		}
+	}
 }
 
 // prepareClosure validates the closure header once (same errors as the raw
@@ -129,8 +184,12 @@ func prepareClosure(pd []byte) (core.Answerer, error) {
 // bfsAnswerer holds the graph decoded once; each query is a fresh traversal
 // over the in-memory adjacency instead of a decode plus a traversal. The
 // graph is normalized at Prepare so concurrent searches never mutate it.
+// rev is the arc-reversed graph behind ReachTo, derived on first use — a
+// plain (unsharded) BFS store never asks for it.
 type bfsAnswerer struct {
-	g *graph.Graph
+	g       *graph.Graph
+	revOnce sync.Once
+	rev     *graph.Graph
 }
 
 // Answer implements core.Answerer.
@@ -143,6 +202,21 @@ func (a *bfsAnswerer) Answer(q []byte) (bool, error) {
 		return false, fmt.Errorf("schemes: node pair (%d,%d) out of range", u, v)
 	}
 	return a.g.Reachable(u, v), nil
+}
+
+// Nodes implements LocalReach.
+func (a *bfsAnswerer) Nodes() int { return a.g.N() }
+
+// Reach implements LocalReach: one traversal.
+func (a *bfsAnswerer) Reach(u, v int) bool { return a.g.Reachable(u, v) }
+
+// ReachFrom implements LocalReach: one traversal marks the whole row.
+func (a *bfsAnswerer) ReachFrom(u int, row []uint64) { a.g.ReachSet(u, row) }
+
+// ReachTo implements LocalReach: one traversal of the reversed graph.
+func (a *bfsAnswerer) ReachTo(v int, col []uint64) {
+	a.revOnce.Do(func() { a.rev = a.g.Reversed() })
+	a.rev.ReachSet(v, col)
 }
 
 // prepareBFS decodes the graph once — the whole point for a baseline whose

@@ -162,3 +162,82 @@ func TestPreparedFallbackCoversEveryScheme(t *testing.T) {
 		t.Fatalf("fallback diverged: raw %v, prepared %v", rawGot, prepGot)
 	}
 }
+
+// TestPreparedProbeAllocs pins the zero-allocation probe: decoding the
+// query (slice-free since core.DecodeUint64Into) and probing the decoded Π
+// allocate nothing for the O(1)/O(log n) schemes.
+func TestPreparedProbeAllocs(t *testing.T) {
+	cases := preparedCases(t)
+	for _, name := range []string{"point-sorted", "range", "list", "closure-dir", "closure-und", "labels-dir", "labels-und", "bds"} {
+		tc := cases[name]
+		pd, err := tc.scheme.Preprocess(tc.data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ans, err := tc.scheme.Prepare(pd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := tc.queries[1]
+		if allocs := testing.AllocsPerRun(200, func() {
+			if _, err := ans.Answer(q); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: prepared probe allocates %.1f times per query, want 0", name, allocs)
+		}
+	}
+}
+
+// TestLocalReachMatchesAnswer pins the typed seam under sharded
+// reachability against the Answer it shadows: Reach, and every bit of
+// every ReachFrom row and ReachTo column, equals the encoded-query verdict
+// — for all three reachability answerers, directed and undirected.
+func TestLocalReachMatchesAnswer(t *testing.T) {
+	cases := preparedCases(t)
+	// Rows longer than one word, at a width that is not a multiple of 64:
+	// the closure's realigning row copy crosses word boundaries.
+	cases["closure-wide"] = preparedCase{scheme: ReachabilityScheme(), data: graph.RandomDirected(130, 170, 4).Encode()}
+	for _, name := range []string{"closure-dir", "closure-und", "closure-wide", "labels-dir", "labels-und", "bfs"} {
+		tc := cases[name]
+		pd, err := tc.scheme.Preprocess(tc.data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ans, err := tc.scheme.Prepare(pd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lr, ok := ans.(LocalReach)
+		if !ok {
+			t.Fatalf("%s: prepared answerer %T is not a LocalReach", name, ans)
+		}
+		n := lr.Nodes()
+		words := (n + 63) / 64
+		for u := 0; u < n; u++ {
+			row, col := make([]uint64, words), make([]uint64, words)
+			lr.ReachFrom(u, row)
+			lr.ReachTo(u, col)
+			for v := 0; v < n; v++ {
+				fwd, err := ans.Answer(NodePairQuery(u, v))
+				if err != nil {
+					t.Fatal(err)
+				}
+				bwd, err := ans.Answer(NodePairQuery(v, u))
+				if err != nil {
+					t.Fatal(err)
+				}
+				bit := func(set []uint64) bool { return set[v>>6]>>(v&63)&1 != 0 }
+				if lr.Reach(u, v) != fwd || bit(row) != fwd || bit(col) != bwd {
+					t.Fatalf("%s: (%d,%d): Answer %v/%v, Reach %v, ReachFrom bit %v, ReachTo bit %v",
+						name, u, v, fwd, bwd, lr.Reach(u, v), bit(row), bit(col))
+				}
+			}
+			for i := n; i < words*64; i++ {
+				if (row[i>>6]|col[i>>6])>>(i&63)&1 != 0 {
+					t.Fatalf("%s: bulk read of vertex %d set bit %d beyond the %d vertices", name, u, i, n)
+				}
+			}
+		}
+	}
+}

@@ -57,8 +57,8 @@ func PointQuery(c int64) []byte { return core.EncodeUint64(uint64(c) + (1 << 63)
 // other half, exported so routing layers (internal/shard) can inspect
 // queries without re-specifying the wire format.
 func DecodePointQuery(q []byte) (int64, error) {
-	vs, err := core.DecodeUint64(q, 1)
-	if err != nil {
+	var vs [1]uint64
+	if err := core.DecodeUint64Into(q, vs[:]); err != nil {
 		return 0, err
 	}
 	return int64(vs[0] - (1 << 63)), nil
@@ -71,8 +71,8 @@ func RangeQuery(lo, hi int64) []byte {
 
 // DecodeRangeQuery parses a RangeQuery back into its bounds.
 func DecodeRangeQuery(q []byte) (lo, hi int64, err error) {
-	vs, err := core.DecodeUint64(q, 2)
-	if err != nil {
+	var vs [2]uint64
+	if err := core.DecodeUint64Into(q, vs[:]); err != nil {
 		return 0, 0, err
 	}
 	return int64(vs[0] - (1 << 63)), int64(vs[1] - (1 << 63)), nil
@@ -310,8 +310,8 @@ func NodePairQuery(u, v int) []byte { return core.EncodeUint64(uint64(u), uint64
 
 // DecodeNodePairQuery parses a NodePairQuery back into (u, v).
 func DecodeNodePairQuery(q []byte) (int, int, error) {
-	vs, err := core.DecodeUint64(q, 2)
-	if err != nil {
+	var vs [2]uint64
+	if err := core.DecodeUint64Into(q, vs[:]); err != nil {
 		return 0, 0, err
 	}
 	return int(vs[0]), int(vs[1]), nil

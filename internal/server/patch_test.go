@@ -19,6 +19,7 @@ import (
 
 	"pitract/internal/graph"
 	"pitract/internal/schemes"
+	"pitract/internal/shard"
 	"pitract/internal/store"
 )
 
@@ -524,4 +525,66 @@ func TestDatasetByIDEscaping(t *testing.T) {
 // smallGraph builds a tiny directed graph for registration fixtures.
 func smallGraph() *graph.Graph {
 	return graph.CommunityGraph(2, 4, 6, 3)
+}
+
+// TestStatsSnapshotBytesTracksPatch pins /v1/stats' snapshot_bytes as a
+// live figure that scraping does not recompute: it is the exact encoded
+// size of every dataset's current snapshot (plain and sharded), a repeated
+// scrape reports the same bytes, and a PATCH to either kind of dataset
+// moves it to the new exact size.
+func TestStatsSnapshotBytesTracksPatch(t *testing.T) {
+	srv := New(store.NewRegistry(""), nil)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	client := ts.Client()
+	keys := make([]int64, 512)
+	for i := range keys {
+		keys[i] = int64(5 * i)
+	}
+	for id, q := range map[string]string{"plain": "", "sharded": "?shards=3"} {
+		if code := postJSON(t, client, ts.URL+"/v1/datasets"+q, RegisterRequest{
+			ID: id, Scheme: "list-membership/sorted", Data: schemes.EncodeList(keys),
+		}, nil); code != http.StatusOK {
+			t.Fatalf("register %s: status %d", id, code)
+		}
+	}
+	// exact re-derives the figure from the artifacts themselves.
+	exact := func() int64 {
+		var total int64
+		for _, id := range []string{"plain", "sharded"} {
+			ds, _ := srv.Registry().GetDataset(id)
+			switch d := ds.(type) {
+			case *store.Store:
+				total += int64(len(store.EncodeSnapshot(d.Snapshot())))
+			case *shard.ShardedStore:
+				total += int64(len(d.Summary))
+				for _, st := range d.Stores {
+					total += int64(len(store.EncodeSnapshot(st.Snapshot())))
+				}
+			}
+		}
+		return total
+	}
+	scrape := func() int64 {
+		var stats StatsResponse
+		if code := getJSON(t, client, ts.URL+"/v1/stats", &stats); code != http.StatusOK {
+			t.Fatalf("stats: status %d", code)
+		}
+		return stats.SnapshotBytes
+	}
+	last := scrape()
+	if last != exact() || scrape() != last {
+		t.Fatalf("snapshot_bytes = %d then %d, the encoded snapshots total %d", last, scrape(), exact())
+	}
+	for _, id := range []string{"plain", "sharded"} {
+		if code := patchJSON(t, client, ts.URL+"/v1/datasets/"+id,
+			[][]byte{schemes.KeysDelta([]int64{1, 2, 3, 4, 6, 7, 8, 9})}, nil); code != http.StatusOK {
+			t.Fatalf("patch %s: status %d", id, code)
+		}
+		got := scrape()
+		if got == last || got != exact() {
+			t.Fatalf("after patching %s snapshot_bytes = %d (was %d), the encoded snapshots total %d", id, got, last, exact())
+		}
+		last = got
+	}
 }

@@ -8,6 +8,7 @@ package shard
 // sharded forms without delta routing.
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"os"
@@ -473,5 +474,77 @@ func TestShardedConcurrentMixedDeltasAndQueries(t *testing.T) {
 		if !ans[1] {
 			t.Fatalf("inserted key %d lost after the race", 1001+2*i)
 		}
+	}
+}
+
+// TestShardedConcurrentMixedReachDeltasAndQueries is the same race on the
+// one sharded form that carries a summary: mixed edge batches against
+// reachability queries. Batch k inserts the chain edge k→k+1, upserts the
+// back edge k+1→0 and deletes batch k-1's back edge k→0 — creating and
+// retiring portals as it goes — so at the version batch j committed,
+// 0 ⇝ k+1 and k+1 ⇝ 0 hold exactly for k ≤ j. A query bracketed by two
+// equal version reads must match that exactly, and at every instant the
+// served view must be the one derived from the served summary: a reader
+// pairing a new summary with old rows (or the reverse) sees them disagree.
+func TestShardedConcurrentMixedReachDeltasAndQueries(t *testing.T) {
+	const nv, batches = 20, 18
+	reg := store.NewRegistry("")
+	ss, err := RegisterSharded(reg, "g", schemes.ReachabilityScheme(), HashPartitioner{}, 3, graph.New(nv, true).Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed := func(j int) uint64 { return uint64(2 + 3*j) } // version after batch j
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for k := 0; k < batches; k++ {
+			batch := [][]byte{schemes.EdgeDelta(k, k+1), schemes.EdgeUpsertDelta(k+1, 0)}
+			if k > 0 {
+				batch = append(batch, schemes.EdgeDeleteDelta(k, 0))
+			}
+			if v, err := reg.ApplyDelta("g", batch); err != nil || v != committed(k) {
+				t.Errorf("batch %d: version %d, %v (want %d)", k, v, err, committed(k))
+				return
+			}
+		}
+	}()
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r) + 5))
+			for j := 0; j < 300; j++ {
+				k := rng.Intn(batches)
+				before := ss.Version()
+				ans, err := ss.AnswerBatch([][]byte{schemes.NodePairQuery(0, k+1), schemes.NodePairQuery(k+1, 0)}, 2)
+				if err != nil {
+					t.Errorf("query: %v", err)
+					return
+				}
+				if before >= committed(k) && !ans[0] {
+					t.Errorf("version %d has batch %d applied but 0 does not reach %d", before, k, k+1)
+					return
+				}
+				if before == ss.Version() {
+					want := before >= committed(k) // k ≤ j for the batch j at this version
+					if ans[0] != want || ans[1] != want {
+						t.Errorf("at version %d: 0⇝%d = %v, %d⇝0 = %v, want both %v", before, k+1, ans[0], k+1, ans[1], want)
+						return
+					}
+				}
+				ss.mu.RLock()
+				paired := bytes.Equal(encodeReachSummary(ss.view.(*reachSummary)), ss.Summary)
+				ss.mu.RUnlock()
+				if !paired {
+					t.Error("the served rows were not derived from the served summary")
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	if got := ss.Version(); got != committed(batches-1) {
+		t.Fatalf("final version %d, want %d", got, committed(batches-1))
 	}
 }

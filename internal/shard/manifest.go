@@ -394,6 +394,7 @@ func LoadShardedFS(fsys store.FS, dir, id string, scheme *core.Scheme) (*Sharded
 		}(st)
 	}
 	wg.Wait()
+	ss.refreshView()
 	return ss, nil
 }
 

@@ -10,7 +10,7 @@ package shard
 //   - the overlay graph has one node per portal, an edge for every cross
 //     edge, and an edge p→q for every same-shard portal pair with p
 //     reaching q inside its shard;
-//   - the overlay's transitive closure is stored in the summary.
+//   - the overlay's reflexive transitive closure is stored in the summary.
 //
 // Any path u ⇝ v decomposes into within-shard segments joined at cross
 // edges, so
@@ -18,15 +18,44 @@ package shard
 //	reach(u, v)  ⇔  same-shard reach(u, v)
 //	              ∨ ∃ portals p, q: reach_local(u, p) ∧ overlay(p, q) ∧ reach_local(q, v).
 //
-// Merge therefore ORs the same-shard verdict with the portal check, using
-// O(|portals|) local probes (each an O(1) closure read on its shard) plus
-// bitset lookups in the overlay closure — comfortably inside the NC
-// answering budget as long as the cross-edge cut stays small, which is the
-// same locality assumption every graph partitioner lives on.
+// Π does the merge. Preparing the summary precomputes, for every vertex,
+// two bitsets over overlay portal indices, ⌈P/64⌉ words each:
+//
+//	out[u] = { q : ∃ p, reach_local(u, p) ∧ overlay(p, q) }
+//	in[v]  = { q : q is a portal of v's shard ∧ reach_local(q, v) }
+//
+// and the second disjunct above is exactly out[u] ∩ in[v] ≠ ∅. A query is
+// therefore one decode, a range check, the same-shard verdict (one typed
+// probe, asked only when both endpoints share a shard), and a word-AND —
+// no local probes, no allocations, whatever the cut size.
+//
+// Persisted vs derived. The summary bytes — vertex relabelling, cross-edge
+// list, portal set, overlay closure — are what the manifest carries and
+// PrepBytes counts; they are unchanged by this design. The rows are derived
+// state, rebuilt from the summary and the per-shard prepared answerers
+// (schemes.LocalReach, bulk row and column reads — never per-pair encoded
+// probes) wherever a summary is prepared: Build, LoadSharded, RetryPrepare,
+// and once per PATCH batch in ApplyDeltas' staging phase, outside the
+// reader lock; they commit in the same critical section as ⟨Π, summary,
+// version⟩, so no query pairs a new summary with old rows.
+//
+// Memory. Vertices of one local SCC share both rows, and rows are interned
+// per shard, so the heap holds 12 bytes per vertex of indices plus
+// distinct·⌈P/64⌉ words, where distinct ≤ 2·(local SCC count) + 1. The
+// worst case (every vertex its own SCC with its own portal set) is 2·n·P
+// bits, next to the P² bits of the overlay closure itself; building them
+// costs O(Σ_s n_s·P_s) bit operations (P_s bulk reads of n_s bits each way
+// per shard) plus one OR of ≤ P_s closure rows per distinct out row.
+//
+// Failure isolation. A shard whose Prepare failed contributes no rows;
+// queries with an endpoint in it fail with that shard's error and every
+// other query is answered — the overlay closure already carries the failed
+// shard's portal-to-portal connectivity from the last successful build.
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"pitract/internal/core"
 	"pitract/internal/graph"
@@ -37,7 +66,9 @@ import (
 // Besides the overlay closure the answer path needs, it carries the
 // cross-shard edge list and the graph's orientation — the inputs delta
 // maintenance needs to rebuild the overlay when an edge insert changes
-// portal-to-portal connectivity.
+// portal-to-portal connectivity. Prepared through prepareReach it is also
+// the dataset's answerer (core.Answerer): the derived fields below hold the
+// portal reach rows.
 type reachSummary struct {
 	n           int      // global vertex count
 	directed    bool     // orientation of the sharded graph
@@ -46,15 +77,19 @@ type reachSummary struct {
 	portals     []int    // ascending global ids of cross-edge endpoints
 	portalShard []int    // portalShard[i] = shard owning portals[i]
 	portal      map[int]int
-	// byShard groups portal global ids per shard, precomputed at decode
-	// time so Merge touches only the two relevant shards' portals instead
-	// of scanning (and re-hashing) every portal per query.
+	// byShard groups portal global ids per shard, so row building and the
+	// overlay rebuild touch each shard's own portals only.
 	byShard map[int][]int
 	closure []byte // reflexive overlay closure bitset, row-major over portals
-}
 
-// portalsFor returns the portals owned by shard s (nil when none).
-func (rs *reachSummary) portalsFor(s int) []int { return rs.byShard[s] }
+	// Derived by buildRows, never persisted: the answer path's state.
+	shardOf  []int32              // shardOf[v] = shard owning v
+	reach    []schemes.LocalReach // per shard; nil where shardErr is set
+	shardErr []error              // per shard: why it has no rows
+	words    int                  // ⌈len(portals)/64⌉, the row stride
+	rows     []uint64             // interned rows; row 0 is all-zero
+	out, in  []uint32             // per vertex: index of its row in rows
+}
 
 // index rebuilds the derived lookup structures from portals+portalShard.
 func (rs *reachSummary) index() {
@@ -70,6 +105,194 @@ func (rs *reachSummary) index() {
 func (rs *reachSummary) overlayReach(pi, qi int) bool {
 	bit := pi*len(rs.portals) + qi
 	return rs.closure[bit/8]&(1<<(bit%8)) != 0
+}
+
+// Answer implements core.Answerer — the whole sharded merge: decode once,
+// range-check, same-shard verdict, then out[u] ∩ in[v] over ⌈P/64⌉ words.
+func (rs *reachSummary) Answer(q []byte) (bool, error) {
+	u, v, err := schemes.DecodeNodePairQuery(q)
+	if err != nil {
+		return false, err
+	}
+	if u < 0 || u >= rs.n || v < 0 || v >= rs.n {
+		return false, fmt.Errorf("shard: node pair (%d,%d) out of range [0,%d)", u, v, rs.n)
+	}
+	su, sv := rs.shardOf[u], rs.shardOf[v]
+	if err := rs.shardErr[su]; err != nil {
+		return false, err
+	}
+	if err := rs.shardErr[sv]; err != nil {
+		return false, err
+	}
+	if su == sv && rs.reach[su].Reach(int(rs.local[u]), int(rs.local[v])) {
+		return true, nil
+	}
+	from := rs.rows[int(rs.out[u])*rs.words:][:rs.words]
+	to := rs.rows[int(rs.in[v])*rs.words:][:rs.words]
+	for i, w := range from {
+		if w&to[i] != 0 {
+			return true, nil
+		}
+	}
+	return false, nil
+}
+
+// localReach returns shard s's typed reach form over nodes vertices, or why
+// it has none: its Prepare failed, or its answerer is not a reachability
+// form of the expected size (a manifest paired with foreign shard files).
+func localReach(shards []PreparedShard, s, nodes int) (schemes.LocalReach, error) {
+	if shards[s].Err != nil {
+		return nil, shards[s].Err
+	}
+	lr, ok := shards[s].Answerer.(schemes.LocalReach)
+	if !ok || lr.Nodes() != nodes {
+		return nil, fmt.Errorf("shard: shard %d has no local-reach form over %d vertices", s, nodes)
+	}
+	return lr, nil
+}
+
+// scatterBit sets bit j of row v (stride bytes wide, in dst) for every
+// vertex v whose bit is set in set.
+func scatterBit(set []uint64, dst []byte, stride, j int) {
+	for wi, w := range set {
+		for ; w != 0; w &= w - 1 {
+			v := wi<<6 + bits.TrailingZeros64(w)
+			dst[v*stride+j>>3] |= 1 << (j & 7)
+		}
+	}
+}
+
+// buildRows derives the answer-path state: shard membership, the typed
+// per-shard reach forms, and the interned out/in portal rows (see the file
+// comment for the formulas and the cost bound). A shard without a reach
+// form is recorded in shardErr and skipped; its vertices keep the zero row,
+// which Answer never reads because it checks shardErr first.
+func (rs *reachSummary) buildRows(asn Assignment, shards []PreparedShard) error {
+	// The summary's relabelling and portal placement are re-derived from
+	// the assignment and compared, so everything below may index by them: a
+	// manifest whose summary disagrees with its own assignment is refused
+	// here instead of panicking in a row read.
+	shardOf, local, counts := vertexShards(rs.n, asn)
+	if len(shards) != len(counts) {
+		return fmt.Errorf("shard: %d shard answerers for an assignment over %d shards", len(shards), len(counts))
+	}
+	rs.shardOf = make([]int32, rs.n)
+	members := make([][]int32, len(counts)) // members[s][l] = global id of local vertex l
+	for s, c := range counts {
+		members[s] = make([]int32, 0, c)
+	}
+	for v, s := range shardOf {
+		if rs.local[v] != local[v] {
+			return fmt.Errorf("shard: reachability summary relabels vertex %d as %d, the assignment as %d", v, rs.local[v], local[v])
+		}
+		rs.shardOf[v] = int32(s)
+		members[s] = append(members[s], int32(v))
+	}
+	for i, p := range rs.portals {
+		if rs.portalShard[i] != shardOf[p] {
+			return fmt.Errorf("shard: reachability summary places portal %d on shard %d, the assignment on %d", p, rs.portalShard[i], shardOf[p])
+		}
+	}
+	P := len(rs.portals)
+	rs.words = (P + 63) / 64
+	rs.reach = make([]schemes.LocalReach, len(counts))
+	rs.shardErr = make([]error, len(counts))
+	rs.rows = make([]uint64, rs.words) // row 0: reaches no portal
+	rs.out = make([]uint32, rs.n)
+	rs.in = make([]uint32, rs.n)
+
+	// The overlay closure, re-packed one word-aligned row per portal.
+	overlay := make([]uint64, P*rs.words)
+	for pi := 0; pi < P; pi++ {
+		row := overlay[pi*rs.words:]
+		for qi := 0; qi < P; qi++ {
+			if rs.overlayReach(pi, qi) {
+				row[qi>>6] |= 1 << (qi & 63)
+			}
+		}
+	}
+
+	for s, ns := range counts {
+		lr, err := localReach(shards, s, ns)
+		if err != nil {
+			rs.shardErr[s] = err
+			continue
+		}
+		rs.reach[s] = lr
+		ps := rs.byShard[s]
+		if len(ps) == 0 {
+			continue
+		}
+		// Local rows over this shard's own portals, one bit per portal:
+		// outL[u] = portals u reaches, inL[v] = portals reaching v — filled by
+		// one column and one row read per portal.
+		stride := (len(ps) + 7) / 8
+		outL, inL := make([]byte, ns*stride), make([]byte, ns*stride)
+		set := make([]uint64, (ns+63)/64)
+		for j, p := range ps {
+			clear(set)
+			lr.ReachTo(int(rs.local[p]), set)
+			scatterBit(set, outL, stride, j)
+			clear(set)
+			lr.ReachFrom(int(rs.local[p]), set)
+			scatterBit(set, inL, stride, j)
+		}
+		// Intern: vertices of one local SCC share both local rows, so each
+		// distinct local row is widened to a global row exactly once — an out
+		// row by OR-ing the overlay rows of its portals, an in row by setting
+		// its portals' own bits.
+		widenOut := func(row []uint64, j int) {
+			for i, w := range overlay[rs.portal[ps[j]]*rs.words:][:rs.words] {
+				row[i] |= w
+			}
+		}
+		widenIn := func(row []uint64, j int) {
+			qi := rs.portal[ps[j]]
+			row[qi>>6] |= 1 << (qi & 63)
+		}
+		outIdx, inIdx := map[string]uint32{}, map[string]uint32{}
+		for l, v := range members[s] {
+			rs.out[v] = rs.internRow(outIdx, outL[l*stride:(l+1)*stride], widenOut)
+			rs.in[v] = rs.internRow(inIdx, inL[l*stride:(l+1)*stride], widenIn)
+		}
+	}
+	return nil
+}
+
+// internRow returns the index of the global row for one local row (key),
+// building it on first sight by calling widen for every local portal bit
+// set in key; the empty key is row 0.
+func (rs *reachSummary) internRow(seen map[string]uint32, key []byte, widen func(row []uint64, j int)) uint32 {
+	if idx, ok := seen[string(key)]; ok {
+		return idx
+	}
+	idx := uint32(0)
+	var row []uint64
+	for bi, b := range key {
+		for ; b != 0; b &= b - 1 {
+			if row == nil {
+				idx = uint32(len(rs.rows) / rs.words)
+				rs.rows = append(rs.rows, make([]uint64, rs.words)...)
+				row = rs.rows[int(idx)*rs.words:]
+			}
+			widen(row, bi<<3+bits.TrailingZeros8(b))
+		}
+	}
+	seen[string(key)] = idx
+	return idx
+}
+
+// prepareReach is the Sharding.Prepare hook: decode the summary once and
+// derive the rows from the per-shard prepared answerers.
+func prepareReach(summary []byte, asn Assignment, shards []PreparedShard) (core.Answerer, error) {
+	rs, err := decodeReachSummary(summary)
+	if err != nil {
+		return nil, err
+	}
+	if err := rs.buildRows(asn, shards); err != nil {
+		return nil, err
+	}
+	return rs, nil
 }
 
 func encodeReachSummary(rs *reachSummary) []byte {
@@ -334,25 +557,31 @@ func buildReachSummary(g *graph.Graph, shardOf []int, local []uint32, counts []i
 		}
 	}
 
-	// The overlay closure (reflexive, like the per-shard closures).
-	c := graph.NewClosure(overlay)
-	bits := make([]byte, (len(portals)*len(portals)+7)/8)
-	for i := range portals {
-		for j := range portals {
-			if c.Reach(i, j) {
-				bit := i*len(portals) + j
-				bits[bit/8] |= 1 << (bit % 8)
-			}
-		}
-	}
 	portalShard := make([]int, len(portals))
 	for i, p := range portals {
 		portalShard[i] = shardOf[p]
 	}
 	return encodeReachSummary(&reachSummary{
 		n: n, directed: g.Directed(), local: local, cross: cross,
-		portals: portals, portalShard: portalShard, closure: bits,
+		portals: portals, portalShard: portalShard, closure: packClosure(overlay),
 	}), nil
+}
+
+// packClosure computes the overlay's reflexive transitive closure (like the
+// per-shard closures) as the summary's row-major bitset.
+func packClosure(overlay *graph.Graph) []byte {
+	c := graph.NewClosure(overlay)
+	n := overlay.N()
+	packed := make([]byte, (n*n+7)/8)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if c.Reach(i, j) {
+				bit := i*n + j
+				packed[bit/8] |= 1 << (bit % 8)
+			}
+		}
+	}
+	return packed
 }
 
 // recomputePortals rederives the portal set (ascending global ids), the
@@ -378,11 +607,12 @@ func (rs *reachSummary) recomputePortals(asn Assignment) {
 }
 
 // rebuildClosure recomputes the overlay transitive closure from the
-// cross-edge list plus within-shard portal reachability, probed against
-// the (already maintained) per-shard stores: O(Σ_s |portals_s|²) probes,
-// each an O(1) closure read, then one closure computation on the
-// |portals|-node overlay — far below re-preprocessing the dataset.
-func (rs *reachSummary) rebuildClosure(probe Probe) error {
+// cross-edge list plus within-shard portal reachability, read from the
+// (already maintained) per-shard answerers: one bulk row read per portal,
+// then one closure computation on the |portals|-node overlay — far below
+// re-preprocessing the dataset. A shard that must be read (two or more
+// portals) but has no reach form fails the rebuild.
+func (rs *reachSummary) rebuildClosure(asn Assignment, shards []PreparedShard) error {
 	overlay := graph.New(len(rs.portals), true)
 	for _, e := range rs.cross {
 		overlay.MustAddEdge(rs.portal[e[0]], rs.portal[e[1]])
@@ -390,33 +620,27 @@ func (rs *reachSummary) rebuildClosure(probe Probe) error {
 			overlay.MustAddEdge(rs.portal[e[1]], rs.portal[e[0]])
 		}
 	}
+	_, _, counts := vertexShards(rs.n, asn)
 	for s, ps := range rs.byShard {
+		if len(ps) < 2 {
+			continue
+		}
+		lr, err := localReach(shards, s, counts[s])
+		if err != nil {
+			return err
+		}
+		set := make([]uint64, (counts[s]+63)/64)
 		for _, p := range ps {
+			clear(set)
+			lr.ReachFrom(int(rs.local[p]), set)
 			for _, q := range ps {
-				if p == q {
-					continue
-				}
-				ok, err := probe(s, schemes.NodePairQuery(int(rs.local[p]), int(rs.local[q])))
-				if err != nil {
-					return err
-				}
-				if ok {
+				if lq := rs.local[q]; p != q && set[lq>>6]>>(lq&63)&1 != 0 {
 					overlay.MustAddEdge(rs.portal[p], rs.portal[q])
 				}
 			}
 		}
 	}
-	c := graph.NewClosure(overlay)
-	bits := make([]byte, (len(rs.portals)*len(rs.portals)+7)/8)
-	for i := range rs.portals {
-		for j := range rs.portals {
-			if c.Reach(i, j) {
-				bit := i*len(rs.portals) + j
-				bits[bit/8] |= 1 << (bit % 8)
-			}
-		}
-	}
-	rs.closure = bits
+	rs.closure = packClosure(overlay)
 	return nil
 }
 
@@ -465,8 +689,8 @@ func decodeEdgeDelta(delta []byte, rs *reachSummary) (u, v int, err error) {
 // now that the scheme's AddEdge stores both arcs); deletes send exactly
 // one local delta, because the scheme's RemoveEdge drops both arcs and a
 // second delete would error as edge-not-present.
-func splitReachDelta(delta []byte, asn Assignment, summary interface{}) (map[int][][]byte, error) {
-	rs := summary.(*reachSummary)
+func splitReachDelta(delta []byte, asn Assignment, view core.Answerer) (map[int][][]byte, error) {
+	rs := view.(*reachSummary)
 	kind, payload, err := core.DeltaParts(delta)
 	if err != nil {
 		return nil, err
@@ -498,7 +722,7 @@ func splitReachDelta(delta []byte, asn Assignment, summary interface{}) (map[int
 // nothing inside the batch reads it: splitReachDelta only needs the vertex
 // universe and local relabelling, and queries keep serving the committed
 // (pre-batch) summary until the batch commits.
-func updateReachSummary(delta []byte, asn Assignment, summary []byte, probe Probe) ([]byte, error) {
+func updateReachSummary(delta []byte, asn Assignment, summary []byte) ([]byte, error) {
 	kind, payload, err := core.DeltaParts(delta)
 	if err != nil {
 		return nil, err
@@ -538,32 +762,33 @@ func updateReachSummary(delta []byte, asn Assignment, summary []byte, probe Prob
 }
 
 // finishReachSummary rebuilds the overlay closure from the (batch-final)
-// cross-edge list and the maintained per-shard closures — a same-shard
+// cross-edge list and the maintained per-shard answerers — a same-shard
 // insert can connect two portals locally, which changes cross-shard
 // answers too, so the rebuild runs even when no cross edge was added.
-func finishReachSummary(asn Assignment, summary []byte, probe Probe) ([]byte, error) {
+func finishReachSummary(asn Assignment, summary []byte, shards []PreparedShard) ([]byte, error) {
 	rs, err := decodeReachSummary(summary)
 	if err != nil {
 		return nil, err
 	}
-	if err := rs.rebuildClosure(probe); err != nil {
+	if err := rs.rebuildClosure(asn, shards); err != nil {
 		return nil, err
 	}
 	return encodeReachSummary(rs), nil
 }
 
-// reachabilitySharding wires the graph split, the portal overlay, the
-// per-shard query rewrite, and the cross-shard merge. It serves both the
-// closure-matrix scheme and the BFS-per-query baseline: the merge only
-// needs local reach probes, which either scheme answers.
+// reachabilitySharding wires the graph split, the portal overlay, and the
+// prepared view that answers every query (prepareReach). It serves the
+// closure-matrix scheme, the labels scheme and the BFS-per-query baseline
+// alike: the view only needs schemes.LocalReach, which all three prepared
+// answerers implement.
 //
-// withDeltas enables sharded edge-insert maintenance. It is on for the
-// closure-matrix scheme, whose per-shard maintenance (§4(7) ancestor-row
-// OR-ing) and overlay rebuild (O(1) closure probes) both stay far below a
-// re-preprocess. The BFS baseline keeps it off: its "preprocessed" shard
-// artifact is the raw subgraph, so every overlay rebuild probe is a full
-// O(|V|+|E|) BFS and maintenance would cost more than re-registering —
-// the bounded-incrementality contract the delta path exists for does not
+// withDeltas enables sharded edge-delta maintenance. It is on for the
+// closure-matrix and labels schemes, whose per-shard maintenance and
+// overlay rebuild both stay far below a re-preprocess. The BFS baseline
+// keeps it off: its "preprocessed" shard artifact is the raw subgraph, so
+// every overlay rebuild read is a full O(|V|+|E|) traversal and
+// maintenance would cost more than re-registering — the
+// bounded-incrementality contract the delta path exists for does not
 // hold, and PATCH refuses with a clean conflict instead.
 func reachabilitySharding(withDeltas bool) *Sharding {
 	sh := &Sharding{
@@ -581,79 +806,7 @@ func reachabilitySharding(withDeltas bool) *Sharding {
 		Split:          splitGraph,
 		Summarize:      summarizeGraph,
 		SplitSummarize: splitSummarizeGraph,
-		Prepare: func(summary []byte) (interface{}, error) {
-			return decodeReachSummary(summary)
-		},
-		Route: func(q []byte, asn Assignment) (int, error) {
-			// Validate the query shape here (malformed queries must error
-			// exactly as they do unsharded), then always fan out: even a
-			// same-shard pair may be connected through other shards.
-			if _, _, err := schemes.DecodeNodePairQuery(q); err != nil {
-				return 0, err
-			}
-			return -1, nil
-		},
-		Fanout: func(q []byte, shardIdx int, asn Assignment, summary interface{}) ([]byte, bool, error) {
-			u, v, err := schemes.DecodeNodePairQuery(q)
-			if err != nil {
-				return nil, false, err
-			}
-			rs := summary.(*reachSummary)
-			if u < 0 || u >= rs.n || v < 0 || v >= rs.n {
-				return nil, false, fmt.Errorf("shard: node pair (%d,%d) out of range [0,%d)", u, v, rs.n)
-			}
-			if asn.Shard(int64(u)) != shardIdx || asn.Shard(int64(v)) != shardIdx {
-				return nil, false, nil // this shard holds at most one endpoint
-			}
-			return schemes.NodePairQuery(int(rs.local[u]), int(rs.local[v])), true, nil
-		},
-		Merge: func(q []byte, verdicts []bool, asn Assignment, summary interface{}, probe Probe) (bool, error) {
-			u, v, err := schemes.DecodeNodePairQuery(q)
-			if err != nil {
-				return false, err
-			}
-			rs := summary.(*reachSummary)
-			if u < 0 || u >= rs.n || v < 0 || v >= rs.n {
-				return false, fmt.Errorf("shard: node pair (%d,%d) out of range [0,%d)", u, v, rs.n)
-			}
-			su, sv := asn.Shard(int64(u)), asn.Shard(int64(v))
-			if su == sv && verdicts[su] {
-				return true, nil
-			}
-			// A = portals u reaches inside its shard; B = portals reaching v
-			// inside its shard; connected iff the overlay closure joins them.
-			// The per-shard portal lists are precomputed at summary decode.
-			var from, to []int // overlay indices
-			for _, p := range rs.portalsFor(su) {
-				ok, err := probe(su, schemes.NodePairQuery(int(rs.local[u]), int(rs.local[p])))
-				if err != nil {
-					return false, err
-				}
-				if ok {
-					from = append(from, rs.portal[p])
-				}
-			}
-			if len(from) == 0 {
-				return false, nil
-			}
-			for _, p := range rs.portalsFor(sv) {
-				ok, err := probe(sv, schemes.NodePairQuery(int(rs.local[p]), int(rs.local[v])))
-				if err != nil {
-					return false, err
-				}
-				if ok {
-					to = append(to, rs.portal[p])
-				}
-			}
-			for _, pi := range from {
-				for _, qi := range to {
-					if rs.overlayReach(pi, qi) {
-						return true, nil
-					}
-				}
-			}
-			return false, nil
-		},
+		Prepare:        prepareReach,
 	}
 	if withDeltas {
 		sh.SplitDelta = splitReachDelta

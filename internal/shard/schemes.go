@@ -125,7 +125,7 @@ func splitRelation(data []byte, asn Assignment) ([][]byte, error) {
 // Each shard receives one local batch of its own keys carrying the same
 // delta kind, applied through the same sorted-file merge (or tombstone
 // merge) an unsharded store uses.
-func splitKeysDelta(delta []byte, asn Assignment, _ interface{}) (map[int][][]byte, error) {
+func splitKeysDelta(delta []byte, asn Assignment, _ core.Answerer) (map[int][][]byte, error) {
 	kind, payload, err := core.DeltaParts(delta)
 	if err != nil {
 		return nil, err

@@ -14,9 +14,10 @@
 //     shards.
 //   - Sharding is the per-scheme hook bundle: Keys extracts partition keys,
 //     Split re-encodes the dataset as n valid sub-datasets, Route finds a
-//     query's owning shard, Fanout rewrites a query per shard, Summarize
-//     builds cross-shard state (e.g. the reachability portal overlay), and
-//     Merge reduces fan-out verdicts (default: OR).
+//     query's owning shard (or fans it out unchanged, verdicts ORed),
+//     Summarize builds cross-shard state (e.g. the reachability portal
+//     overlay), and Prepare turns that state plus the per-shard prepared
+//     answerers into one answerer for the whole dataset.
 //   - ShardedStore holds the n per-shard stores plus the assignment and
 //     summary, and answers exactly like a plain store.Store — differential
 //     tests pin sharded answers byte-identical to unsharded ones.
@@ -33,7 +34,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pitract/internal/core"
@@ -42,9 +42,9 @@ import (
 )
 
 // Stage histograms for the sharded answer and maintenance paths, resolved
-// once at init. Fan-out and merge are timed separately: fan-out cost scales
-// with shard count, merge cost with the scheme's reducer (reachability
-// probes O(|portals|) local queries per merge).
+// once at init. Fan-out times a query sent to every shard (cost scales with
+// shard count); merge times answering through the prepared summary view
+// (reachability: a word-AND over the portal reach rows).
 var (
 	obsShardFanout  = obs.Stage(obs.StageShardFanout)
 	obsShardMerge   = obs.Stage(obs.StageShardMerge)
@@ -60,14 +60,19 @@ var (
 		"Checkpoint (snapshot rewrite + log truncate) failures after a durable log append.")
 )
 
-// Probe answers a follow-up local query against one shard during Merge —
-// e.g. reachability's "does u reach portal p inside its shard".
-type Probe func(shard int, localQuery []byte) (bool, error)
+// PreparedShard is one member store's prepared answerer as the summary
+// hooks see it: Answerer is nil exactly when Err — the shard's sticky
+// Prepare failure — is set.
+type PreparedShard struct {
+	Answerer core.Answerer
+	Err      error
+}
 
 // Sharding adapts one scheme to partitioned stores. Split/Keys/Summarize
-// run once at preprocessing time; Route/Fanout/Merge sit on the answer path
-// and must stay within the scheme's NC answering budget (they do constant
-// or polylog work over the assignment and summary, never touch raw data).
+// run once at preprocessing time; Route and the prepared view sit on the
+// answer path and must stay within the scheme's NC answering budget (they
+// do constant or polylog work over the assignment and summary, never touch
+// raw data).
 type Sharding struct {
 	// Keys extracts every element's partition key, in element order, from
 	// an encoded dataset.
@@ -86,22 +91,16 @@ type Sharding struct {
 	// the graph and builds the induced subgraphs for both) do that work
 	// once per registration instead of once per hook.
 	SplitSummarize func(data []byte, asn Assignment) (parts [][]byte, summary []byte, err error)
-	// Prepare decodes the summary once per opened store; the result is
-	// what Fanout and Merge receive, so per-query work never re-parses the
-	// O(|D|)-sized summary (that would smuggle linear work into the NC
-	// answering budget). Nil passes the raw summary bytes through.
-	Prepare func(summary []byte) (interface{}, error)
+	// Prepare builds the dataset's prepared view from the summary and the
+	// per-shard prepared answerers — once per committed ⟨summary, Π⟩, never
+	// per query (that would smuggle O(|D|) work into the NC answering
+	// budget). Schemes that set it answer every query through the returned
+	// Answerer and Route is not consulted; the view is derived state, never
+	// persisted. Nil for schemes whose queries Route alone can place.
+	Prepare func(summary []byte, asn Assignment, shards []PreparedShard) (core.Answerer, error)
 	// Route returns the single shard that alone owns q's answer, or -1 to
-	// fan out to every shard.
+	// send q unchanged to every shard and OR the verdicts.
 	Route func(q []byte, asn Assignment) (int, error)
-	// Fanout rewrites q for one shard during fan-out; keep=false means the
-	// shard is known to contribute a false verdict without being asked.
-	// summary is Prepare's output (or the raw bytes without Prepare). Nil
-	// sends q unchanged to every shard.
-	Fanout func(q []byte, shardIdx int, asn Assignment, summary interface{}) (local []byte, keep bool, err error)
-	// Merge reduces the fan-out verdicts (verdicts[i] is false for shards
-	// Fanout dropped); probe allows follow-up local queries. Nil means OR.
-	Merge func(q []byte, verdicts []bool, asn Assignment, summary interface{}, probe Probe) (bool, error)
 
 	// SplitDelta routes one dataset delta to the shards it lands on: the
 	// result maps a shard index to the local deltas (in application order)
@@ -109,30 +108,30 @@ type Sharding struct {
 	// e.g. a key-insertion batch splits by partitioner into one per-shard
 	// batch, and a same-shard edge insert becomes one relabelled local
 	// edge. An empty map is valid (a purely cross-shard delta touches only
-	// the summary). summary is Prepare's output *as of the start of the
-	// delta batch* — SplitDelta must only depend on summary state deltas
-	// cannot change (the vertex universe and relabelling, not derived
-	// connectivity). Nil SplitDelta means the sharded form has no delta
-	// routing: PATCH/ApplyDeltas is refused with a clean error and the
-	// dataset stays exactly as it was.
-	SplitDelta func(delta []byte, asn Assignment, summary interface{}) (map[int][][]byte, error)
+	// the summary). view is Prepare's output *as of the start of the
+	// delta batch* (nil without Prepare) — SplitDelta must only depend on
+	// summary state deltas cannot change (the vertex universe and
+	// relabelling, not derived connectivity). Nil SplitDelta means the
+	// sharded form has no delta routing: PATCH/ApplyDeltas is refused with
+	// a clean error and the dataset stays exactly as it was.
+	SplitDelta func(delta []byte, asn Assignment, view core.Answerer) (map[int][][]byte, error)
 	// UpdateSummary maintains the cross-shard summary's *structure* after
 	// one delta's local deltas have been applied (e.g. extends the
 	// reachability cross-edge list and portal set). Derived state that is
 	// expensive to recompute belongs in FinishSummary, which runs once per
-	// batch. probe answers local queries against the updated (pending, not
-	// yet committed) per-shard stores. Nil means the summary never changes
-	// under deltas (schemes without summaries). The []byte-in/[]byte-out
-	// shape keeps the hook scheme-agnostic at the cost of a summary
-	// decode/encode per structure-changing delta; schemes should
-	// short-circuit deltas that provably leave the structure unchanged
-	// (reachability returns the input summary for same-shard edges).
-	UpdateSummary func(delta []byte, asn Assignment, summary []byte, probe Probe) ([]byte, error)
+	// batch. Nil means the summary never changes under deltas (schemes
+	// without summaries). The []byte-in/[]byte-out shape keeps the hook
+	// scheme-agnostic at the cost of a summary decode/encode per
+	// structure-changing delta; schemes should short-circuit deltas that
+	// provably leave the structure unchanged (reachability returns the
+	// input summary for same-shard edges).
+	UpdateSummary func(delta []byte, asn Assignment, summary []byte) ([]byte, error)
 	// FinishSummary recomputes the summary's derived state once after the
-	// whole delta batch (e.g. the reachability overlay closure, which
-	// costs portal² probes — paying it per delta would waste k-1 of k
-	// rebuilds). Nil when UpdateSummary leaves nothing deferred.
-	FinishSummary func(asn Assignment, summary []byte, probe Probe) ([]byte, error)
+	// whole delta batch (e.g. the reachability overlay closure — paying it
+	// per delta would waste k-1 of k rebuilds), reading the staged (pending,
+	// not yet committed) per-shard answerers. Nil when UpdateSummary leaves
+	// nothing deferred.
+	FinishSummary func(asn Assignment, summary []byte, shards []PreparedShard) ([]byte, error)
 }
 
 // ShardedStore is one dataset served from n per-shard preprocessed stores
@@ -180,28 +179,52 @@ type ShardedStore struct {
 	// medium's cadence a new generation is written and the log truncated.
 	walRecords int
 
-	// prepared memoizes Sharding.Prepare(Summary) for the answer paths;
-	// ApplyDeltas refreshes it when a delta changes the summary.
-	prepMu   sync.Mutex
-	prepDone bool
-	prepared interface{}
-	prepErr  error
+	// view is Sharding.Prepare's output for the committed ⟨Summary, per-shard
+	// Π⟩ (nil for schemes without Prepare), viewErr its sticky failure.
+	// Both are guarded by mu and swapped in the same critical section as
+	// Summary and the per-shard stores, so a query never pairs a new
+	// summary with a view derived from the old one. Build and LoadSharded
+	// prepare it eagerly — the first query never pays for it.
+	view    core.Answerer
+	viewErr error
 }
 
-// summaryView returns the decoded summary, preparing it once per summary
-// value. Callers hold ss.mu (read or write), which orders it against
-// ApplyDeltas' refresh.
-func (ss *ShardedStore) summaryView() (interface{}, error) {
+// preparedShards snapshots every member store's prepared answerer.
+func (ss *ShardedStore) preparedShards() []PreparedShard {
+	shards := make([]PreparedShard, len(ss.Stores))
+	for i, st := range ss.Stores {
+		shards[i].Answerer, shards[i].Err = st.Prepared()
+	}
+	return shards
+}
+
+// refreshView rebuilds the prepared view from the committed summary and the
+// member stores' current answerers. Callers hold maintMu or own the store
+// exclusively (Build, LoadSharded), which is what orders the Summary read.
+func (ss *ShardedStore) refreshView() error {
 	if ss.Sharding.Prepare == nil {
-		return ss.Summary, nil
+		return nil
 	}
-	ss.prepMu.Lock()
-	defer ss.prepMu.Unlock()
-	if !ss.prepDone {
-		ss.prepared, ss.prepErr = ss.Sharding.Prepare(ss.Summary)
-		ss.prepDone = true
+	start := obs.Start()
+	view, err := ss.Sharding.Prepare(ss.Summary, ss.Asn, ss.preparedShards())
+	obsWarm.Since(start)
+	ss.mu.Lock()
+	ss.view, ss.viewErr = view, err
+	ss.mu.Unlock()
+	return err
+}
+
+// answerView returns the prepared view for the answer paths; callers hold
+// mu. A store without one reports why: the sticky Prepare failure, or that
+// it was assembled by hand rather than by Build or LoadSharded.
+func (ss *ShardedStore) answerView() (core.Answerer, error) {
+	if ss.view != nil {
+		return ss.view, nil
 	}
-	return ss.prepared, ss.prepErr
+	if ss.viewErr != nil {
+		return nil, ss.viewErr
+	}
+	return nil, fmt.Errorf("shard: dataset %q has no prepared summary view", ss.ID)
 }
 
 // DatasetID implements store.Dataset.
@@ -257,31 +280,32 @@ func (ss *ShardedStore) Version() uint64 {
 // once the store is shared; ApplyDeltas is the concurrent-safe mutation.
 func (ss *ShardedStore) SetVersion(v uint64) { ss.version = v }
 
-// probe answers one follow-up local query for Merge.
-func (ss *ShardedStore) probe(shardIdx int, localQuery []byte) (bool, error) {
-	if shardIdx < 0 || shardIdx >= len(ss.Stores) {
-		return false, fmt.Errorf("shard: probe shard %d out of range [0,%d)", shardIdx, len(ss.Stores))
-	}
-	return ss.Stores[shardIdx].Answer(localQuery)
-}
-
-// Answer decides one query: routed queries hit their owning shard
-// unchanged; everything else fans out and merges. The read lock is held
-// for the whole call, so every shard probe and summary read within one
-// query sees the same maintenance version.
+// Answer decides one query: through the prepared view when the scheme has
+// one; otherwise routed queries hit their owning shard and the rest go to
+// every shard unchanged, verdicts ORed. The read lock is held for the whole
+// call, so every read within one query sees the same maintenance version.
 func (ss *ShardedStore) Answer(q []byte) (bool, error) {
 	return ss.AnswerContext(context.Background(), q)
 }
 
 // AnswerContext implements store.ContextAnswerer: Answer with the
-// context threaded through the fan-out, checked before every per-shard
-// probe, so an expired query budget stops paying shards it can no
-// longer use.
+// context checked up front and before every per-shard probe of a fan-out,
+// so an expired query budget stops paying shards it can no longer use.
 func (ss *ShardedStore) AnswerContext(ctx context.Context, q []byte) (bool, error) {
 	ss.mu.RLock()
 	defer ss.mu.RUnlock()
 	if err := ctx.Err(); err != nil {
 		return false, err
+	}
+	if ss.Sharding.Prepare != nil {
+		view, err := ss.answerView()
+		if err != nil {
+			return false, err
+		}
+		mergeStart := obs.Start()
+		v, err := view.Answer(q)
+		obsShardMerge.Since(mergeStart)
+		return v, err
 	}
 	owner, err := ss.Sharding.Route(q, ss.Asn)
 	if err != nil {
@@ -294,94 +318,68 @@ func (ss *ShardedStore) AnswerContext(ctx context.Context, q []byte) (bool, erro
 		return ss.Stores[owner].AnswerContext(ctx, q)
 	}
 	fanStart := obs.Start()
-	verdicts := make([]bool, len(ss.Stores))
-	for i := range ss.Stores {
-		if err := ctx.Err(); err != nil {
-			return false, err
-		}
-		local, keep, err := ss.fanout(q, i)
+	found := false
+	for _, st := range ss.Stores {
+		v, err := st.AnswerContext(ctx, q)
 		if err != nil {
 			return false, err
 		}
-		if !keep {
-			continue
-		}
-		verdicts[i], err = ss.Stores[i].Answer(local)
-		if err != nil {
-			return false, err
-		}
+		found = found || v
 	}
 	obsShardFanout.Since(fanStart)
-	mergeStart := obs.Start()
-	v, err := ss.merge(q, verdicts)
-	obsShardMerge.Since(mergeStart)
-	return v, err
+	return found, nil
 }
 
-// RetryPrepare implements store.PrepareRetrier: every member store
-// drops and rebuilds its prepared answerer (the half-open probe's heal
-// hook); the first failure is reported after all shards have retried.
+// RetryPrepare implements store.PrepareRetrier: every member store drops
+// and rebuilds its prepared answerer (the half-open probe's heal hook),
+// then the summary view is rebuilt from the healed answerers — so the
+// shard that was failing gets its rows back. The first failure is reported
+// after all shards have retried. It serializes with maintenance: a PATCH
+// stages and commits its own view.
 func (ss *ShardedStore) RetryPrepare() error {
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
+	ss.maintMu.Lock()
+	defer ss.maintMu.Unlock()
 	var firstErr error
 	for _, st := range ss.Stores {
 		if err := st.RetryPrepare(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
+	if err := ss.refreshView(); err != nil && firstErr == nil {
+		firstErr = err
+	}
 	return firstErr
 }
 
-// fanout applies Sharding.Fanout with the identity default.
-func (ss *ShardedStore) fanout(q []byte, shardIdx int) ([]byte, bool, error) {
-	if ss.Sharding.Fanout == nil {
-		return q, true, nil
-	}
-	sv, err := ss.summaryView()
-	if err != nil {
-		return nil, false, err
-	}
-	return ss.Sharding.Fanout(q, shardIdx, ss.Asn, sv)
-}
-
-// merge applies Sharding.Merge with the OR default.
-func (ss *ShardedStore) merge(q []byte, verdicts []bool) (bool, error) {
-	if ss.Sharding.Merge == nil {
-		for _, v := range verdicts {
-			if v {
-				return true, nil
-			}
-		}
-		return false, nil
-	}
-	sv, err := ss.summaryView()
-	if err != nil {
-		return false, err
-	}
-	return ss.Sharding.Merge(q, verdicts, ss.Asn, sv, ss.probe)
-}
-
 // AnswerBatch answers queries concurrently, in query order, riding the
-// same per-scheme AnswerBatch worker pools a plain store uses: routed
-// queries are grouped into one batch per owning shard, fan-out queries
-// into one rewritten batch per shard, then merged per query. The first
-// error aborts the batch, matching core.Scheme.AnswerBatch semantics. The
-// read lock is held across the whole batch, so all verdicts come from one
-// maintenance version.
+// same worker pools a plain store uses: through the prepared view when the
+// scheme has one; otherwise routed queries are grouped into one batch per
+// owning shard and fan-out queries join every shard's batch unchanged. The
+// first error aborts the batch, matching core.Scheme.AnswerBatch
+// semantics. The read lock is held across the whole batch, so all verdicts
+// come from one maintenance version.
 func (ss *ShardedStore) AnswerBatch(queries [][]byte, parallelism int) ([]bool, error) {
 	return ss.AnswerBatchContext(context.Background(), queries, parallelism)
 }
 
 // AnswerBatchContext implements store.ContextAnswerer: AnswerBatch with
-// the context threaded through the per-shard sub-batches and the merge
-// pool, so an expired query budget abandons the remaining work instead
-// of paying every shard.
+// the context threaded through the worker pools, so an expired query
+// budget abandons the remaining work instead of paying every shard.
 func (ss *ShardedStore) AnswerBatchContext(ctx context.Context, queries [][]byte, parallelism int) ([]bool, error) {
 	ss.mu.RLock()
 	defer ss.mu.RUnlock()
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if ss.Sharding.Prepare != nil {
+		view, err := ss.answerView()
+		if err != nil {
+			return nil, fmt.Errorf("shard: batch query 0: %w", err)
+		}
+		mergeStart := obs.Start()
+		results, err := core.AnswerBatchPreparedContext(ctx, ss.Scheme.Name(), view, queries, parallelism)
+		obsShardMerge.Since(mergeStart)
+		return results, err
 	}
 	n := len(ss.Stores)
 	results := make([]bool, len(queries))
@@ -431,18 +429,9 @@ func (ss *ShardedStore) AnswerBatchContext(ctx context.Context, queries [][]byte
 		mu       sync.Mutex
 		firstErr error
 	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	// verdicts[j][i] is shard i's verdict for fan-out query fanned[j].
-	verdicts := make([][]bool, len(fanned))
-	for j := range verdicts {
-		verdicts[j] = make([]bool, n)
-	}
+	// fanVerdicts[i*len(fanned)+j] is shard i's verdict for fan-out query
+	// fanned[j]: one flat buffer, each shard writing its own stripe.
+	fanVerdicts := make([]bool, n*len(fanned))
 	// One observation covers the whole concurrent fan-out section: with
 	// per-shard batches in flight simultaneously, the meaningful latency is
 	// the section's wall time, not the sum of per-shard times.
@@ -458,48 +447,28 @@ func (ss *ShardedStore) AnswerBatchContext(ctx context.Context, queries [][]byte
 		wg.Add(1)
 		go func(i int, idxs []int) {
 			defer wg.Done()
-			// Routed queries travel unchanged.
-			if len(idxs) > 0 {
-				batch := make([][]byte, len(idxs))
-				for k, qi := range idxs {
-					batch[k] = queries[qi]
-				}
-				ans, err := ss.Stores[i].AnswerBatchContext(ctx, batch, perShard)
-				if err != nil {
-					fail(err)
-					return
-				}
-				for k, qi := range idxs {
-					results[qi] = ans[k]
-				}
+			// Routed and fan-out queries alike travel unchanged, so one
+			// batch per shard carries both.
+			batch := make([][]byte, 0, len(idxs)+len(fanned))
+			for _, qi := range idxs {
+				batch = append(batch, queries[qi])
 			}
-			// Fan-out queries are rewritten for this shard; dropped ones
-			// keep their false verdict.
-			if len(fanned) > 0 {
-				var batch [][]byte
-				var owners []int // j index into fanned/verdicts
-				for j, qi := range fanned {
-					local, keep, err := ss.fanout(queries[qi], i)
-					if err != nil {
-						fail(fmt.Errorf("shard: batch query %d: %w", qi, err))
-						return
-					}
-					if keep {
-						batch = append(batch, local)
-						owners = append(owners, j)
-					}
-				}
-				if len(batch) > 0 {
-					ans, err := ss.Stores[i].AnswerBatchContext(ctx, batch, perShard)
-					if err != nil {
-						fail(err)
-						return
-					}
-					for k, j := range owners {
-						verdicts[j][i] = ans[k]
-					}
-				}
+			for _, qi := range fanned {
+				batch = append(batch, queries[qi])
 			}
+			ans, err := ss.Stores[i].AnswerBatchContext(ctx, batch, perShard)
+			if err != nil {
+				mu.Lock()
+				if firstErr == nil {
+					firstErr = err
+				}
+				mu.Unlock()
+				return
+			}
+			for k, qi := range idxs {
+				results[qi] = ans[k]
+			}
+			copy(fanVerdicts[i*len(fanned):], ans[len(idxs):])
 		}(i, idxs)
 	}
 	wg.Wait()
@@ -507,53 +476,9 @@ func (ss *ShardedStore) AnswerBatchContext(ctx context.Context, queries [][]byte
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	if len(fanned) > 0 {
-		mergeStart := obs.Start()
-		// Merges can be the expensive half of a fan-out batch (reachability
-		// probes O(|portals|) local queries per merge), so they ride their
-		// own bounded pool instead of serializing on the calling goroutine;
-		// the first failing merge (lowest query index) aborts the batch,
-		// matching core.Scheme.AnswerBatch.
-		workers := parallelism
-		if workers > len(fanned) {
-			workers = len(fanned)
-		}
-		var (
-			next   atomic.Int64
-			failed atomic.Bool
-			mwg    sync.WaitGroup
-		)
-		mergeErrs := make([]error, len(fanned))
-		mwg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer mwg.Done()
-				for !failed.Load() {
-					j := int(next.Add(1)) - 1
-					if j >= len(fanned) {
-						return
-					}
-					if err := ctx.Err(); err != nil {
-						mergeErrs[j] = err
-						failed.Store(true)
-						return
-					}
-					got, err := ss.merge(queries[fanned[j]], verdicts[j])
-					if err != nil {
-						mergeErrs[j] = err
-						failed.Store(true)
-						return
-					}
-					results[fanned[j]] = got
-				}
-			}()
-		}
-		mwg.Wait()
-		obsShardMerge.Since(mergeStart)
-		for j, err := range mergeErrs {
-			if err != nil {
-				return nil, fmt.Errorf("shard: batch query %d: %w", fanned[j], err)
-			}
+	for j, qi := range fanned {
+		for i := 0; i < n && !results[qi]; i++ {
+			results[qi] = fanVerdicts[i*len(fanned)+j]
 		}
 	}
 	return results, nil
@@ -565,10 +490,12 @@ func (ss *ShardedStore) AnswerBatchContext(ctx context.Context, queries [][]byte
 // the scheme's incremental form, exactly as an unsharded store would), and
 // the cross-shard summary is maintained by UpdateSummary (with derived
 // state like the reachability overlay closure rebuilt once per batch by
-// FinishSummary), probing the pending post-delta shard state. The whole
-// batch is staged outside the served state — under the maintenance mutex,
-// never the reader-blocking lock — and committed at once: per-shard
-// strings, summary, and version swap together under the writer lock.
+// FinishSummary, reading the staged post-delta shard answerers, and the
+// prepared view — the portal reach rows — rebuilt once after it). The
+// whole batch is staged outside the served state — under the maintenance
+// mutex, never the reader-blocking lock — and committed at once: per-shard
+// strings, answerers, summary, view, and version swap together under the
+// writer lock.
 //
 // With a persistent medium the commit protocol is write-ahead, exactly as
 // for a plain store: the original (top-level) deltas are appended to the
@@ -611,26 +538,18 @@ func (ss *ShardedStore) ApplyDeltas(ctx context.Context, inc *core.IncrementalSc
 	for i, st := range ss.Stores {
 		pending[i], _ = st.View()
 	}
-	// Summary is only written by maintainers (serialized on maintMu), so
-	// reading it here without ss.mu is ordered with every past commit.
+	// Summary and view are only written by maintainers (serialized on
+	// maintMu), so reading them here without ss.mu is ordered with every
+	// past commit.
 	summary := ss.Summary
 	oldVersion := ss.Version()
-	// probe answers local queries against the staged shard state, so
-	// summary maintenance for delta k sees deltas 1..k already applied.
-	probe := func(s int, q []byte) (bool, error) {
-		if s < 0 || s >= n {
-			return false, fmt.Errorf("shard: probe shard %d out of range [0,%d)", s, n)
-		}
-		return ss.Scheme.Answer(pending[s], q)
-	}
-	// SplitDelta receives the summary view as of the start of the batch —
-	// its contract only depends on delta-invariant summary state (vertex
-	// universe, local relabelling), so one Prepare serves the whole batch
-	// instead of one full summary decode per delta.
-	sv := interface{}(summary)
+	// SplitDelta receives the committed view — its contract only depends on
+	// delta-invariant summary state (vertex universe, local relabelling),
+	// so the batch needs no summary decode of its own.
+	var view core.Answerer
 	if ss.Sharding.Prepare != nil {
 		var err error
-		if sv, err = ss.Sharding.Prepare(summary); err != nil {
+		if view, err = ss.answerView(); err != nil {
 			return oldVersion, fmt.Errorf("shard: prepare summary: %w (nothing applied)", err)
 		}
 	}
@@ -640,7 +559,7 @@ func (ss *ShardedStore) ApplyDeltas(ctx context.Context, inc *core.IncrementalSc
 		if err := ctx.Err(); err != nil {
 			return oldVersion, fmt.Errorf("shard: delta %d: %w (nothing applied)", di, err)
 		}
-		locals, err := ss.Sharding.SplitDelta(delta, ss.Asn, sv)
+		locals, err := ss.Sharding.SplitDelta(delta, ss.Asn, view)
 		if err != nil {
 			return oldVersion, fmt.Errorf("shard: delta %d: %w (nothing applied)", di, err)
 		}
@@ -658,16 +577,46 @@ func (ss *ShardedStore) ApplyDeltas(ctx context.Context, inc *core.IncrementalSc
 			}
 		}
 		if ss.Sharding.UpdateSummary != nil {
-			if summary, err = ss.Sharding.UpdateSummary(delta, ss.Asn, summary, probe); err != nil {
+			if summary, err = ss.Sharding.UpdateSummary(delta, ss.Asn, summary); err != nil {
 				return oldVersion, fmt.Errorf("shard: delta %d: summary: %w (nothing applied)", di, err)
 			}
 		}
 	}
+	// Stage the touched shards' prepared answerers outside the
+	// reader-blocking lock, so the commit below swaps ⟨Π, version,
+	// prepared⟩ per shard without decoding anything while queries wait —
+	// concurrently, as Build and LoadSharded warm, so PATCH latency grows
+	// with the slowest touched shard's decode, not the sum of all n.
+	// Untouched shards (pending[i] is still the slice View returned) keep
+	// their current Π and its still-valid answerer; only the version
+	// advances. Prepare failures are carried into the stores and surface
+	// per answer, like the raw path's per-query validation (the
+	// maintained bytes are the committed truth). The summary hooks below
+	// read the same staged answerers.
+	shards := make([]PreparedShard, n)
+	var stageWG sync.WaitGroup
+	for i := range pending {
+		if !touched[i] {
+			shards[i].Answerer, shards[i].Err = ss.Stores[i].Prepared()
+			continue
+		}
+		stageWG.Add(1)
+		go func(i int) {
+			defer stageWG.Done()
+			a, err := ss.Scheme.Prepare(pending[i])
+			if err != nil {
+				shards[i].Err = &store.PrepareError{Err: err}
+				return
+			}
+			shards[i].Answerer = a
+		}(i)
+	}
+	stageWG.Wait()
 	// Derived summary state (e.g. the reachability overlay closure) is
 	// rebuilt once for the whole batch, not once per delta.
 	if ss.Sharding.FinishSummary != nil {
 		var err error
-		if summary, err = ss.Sharding.FinishSummary(ss.Asn, summary, probe); err != nil {
+		if summary, err = ss.Sharding.FinishSummary(ss.Asn, summary, shards); err != nil {
 			return oldVersion, fmt.Errorf("shard: finish summary: %w (nothing applied)", err)
 		}
 	}
@@ -698,52 +647,25 @@ func (ss *ShardedStore) ApplyDeltas(ctx context.Context, inc *core.IncrementalSc
 			}
 		}
 	}
-	var prepared interface{}
-	var prepErr error
+	// The new view (for reachability: the portal reach rows) is derived
+	// here, once per batch and still outside the reader-blocking lock.
+	var viewErr error
 	if ss.Sharding.Prepare != nil {
-		prepared, prepErr = ss.Sharding.Prepare(summary)
+		view, viewErr = ss.Sharding.Prepare(summary, ss.Asn, shards)
 	}
-	// Stage the touched shards' prepared answerers outside the
-	// reader-blocking lock, so the commit below swaps ⟨Π, version,
-	// prepared⟩ per shard without decoding anything while queries wait —
-	// concurrently, as Build and LoadSharded warm, so PATCH latency grows
-	// with the slowest touched shard's decode, not the sum of all n.
-	// Untouched shards (pending[i] is still the slice View returned) keep
-	// their current Π and its still-valid answerer; only the version
-	// advances. Prepare failures are carried into the stores and surface
-	// per answer, like the raw path's per-query validation (the
-	// maintained bytes are the committed truth).
-	staged := make([]core.Answerer, n)
-	stagedErr := make([]error, n)
-	var stageWG sync.WaitGroup
-	for i := range pending {
-		if !touched[i] {
-			continue
-		}
-		stageWG.Add(1)
-		go func(i int) {
-			defer stageWG.Done()
-			staged[i], stagedErr[i] = ss.Scheme.Prepare(pending[i])
-		}(i)
-	}
-	stageWG.Wait()
-	// Commit: everything swaps inside one writer-lock critical section,
-	// including the memoized prepared summary (refreshed under prepMu
-	// while still holding mu, so no reader can pair the new summary with
-	// the old prepared view).
+	// Commit: everything swaps inside one writer-lock critical section, so
+	// no reader can pair the new summary or shard Π with the old view.
 	ss.mu.Lock()
 	for i, st := range ss.Stores {
 		if touched[i] {
-			st.ReplacePrepared(pending[i], newVersion, staged[i], stagedErr[i])
+			st.ReplacePrepared(pending[i], newVersion, shards[i].Answerer, shards[i].Err)
 		} else {
 			st.BumpVersion(newVersion)
 		}
 	}
 	ss.Summary = summary
 	ss.version = newVersion
-	ss.prepMu.Lock()
-	ss.prepared, ss.prepErr, ss.prepDone = prepared, prepErr, ss.Sharding.Prepare != nil
-	ss.prepMu.Unlock()
+	ss.view, ss.viewErr = view, viewErr
 	ss.mu.Unlock()
 	// Sweep only after a successful checkpoint: between checkpoints the
 	// manifest still names the previous generation's files, which must
@@ -842,5 +764,9 @@ func Build(id string, scheme *core.Scheme, sh *Sharding, p Partitioner, n int, d
 			return nil, err
 		}
 	}
+	// The summary view (reachability: the portal reach rows) is part of
+	// registration, not of the first query. A failure is sticky per answer,
+	// like a member store's failed Prepare.
+	ss.refreshView()
 	return ss, nil
 }

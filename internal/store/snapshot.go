@@ -400,6 +400,10 @@ type Store struct {
 	// failure. Both are guarded by mu like ans/ansErr.
 	fb    core.Answerer
 	fbErr error
+	// snapSize memoizes SnapshotBytes for the committed ⟨Π, version⟩ (0 =
+	// not computed yet); every commit that changes either resets it, so a
+	// /v1/stats scrape encodes a snapshot at most once per version.
+	snapSize int
 }
 
 // PrepareError marks a failed Scheme.Prepare — the answerer build —
@@ -458,7 +462,7 @@ func (st *Store) Replace(prep []byte, version uint64) {
 // aerr may both be nil to defer preparation to the first answer.
 func (st *Store) ReplacePrepared(prep []byte, version uint64, a core.Answerer, aerr error) {
 	st.mu.Lock()
-	st.Prep, st.version = prep, version
+	st.Prep, st.version, st.snapSize = prep, version, 0
 	st.ans, st.ansErr = a, wrapPrepareErr(aerr)
 	// The fallback answerer decodes the same Π: a maintenance commit
 	// invalidates it too (rebuilt lazily on the next degraded answer).
@@ -473,7 +477,7 @@ func (st *Store) ReplacePrepared(prep []byte, version uint64, a core.Answerer, a
 // decode for nothing.
 func (st *Store) BumpVersion(version uint64) {
 	st.mu.Lock()
-	st.version = version
+	st.version, st.snapSize = version, 0
 	st.mu.Unlock()
 }
 
@@ -482,14 +486,15 @@ func (st *Store) BumpVersion(version uint64) {
 // reloads call it; stores assembled by hand fall back to the same build on
 // their first answer. Prepare failures are not fatal here — they surface,
 // with the identical message, on every subsequent Answer.
-func (st *Store) Warm() { st.answerer() }
+func (st *Store) Warm() { st.Prepared() }
 
-// answerer returns the prepared answerer for the current Π, building and
-// installing it on first use. The double-check under the write lock keeps
-// a racing maintenance commit authoritative: if the version moved while we
+// Prepared returns the prepared answerer for the current Π, building and
+// installing it on first use (composite datasets read their member stores'
+// typed forms through it). The double-check under the write lock keeps a
+// racing maintenance commit authoritative: if the version moved while we
 // prepared, the freshly built form still matches the Π this call read, so
 // it is used for this answer and discarded.
-func (st *Store) answerer() (core.Answerer, error) {
+func (st *Store) Prepared() (core.Answerer, error) {
 	st.mu.RLock()
 	a, aerr, pd, v := st.ans, st.ansErr, st.Prep, st.version
 	st.mu.RUnlock()
@@ -517,7 +522,7 @@ func (st *Store) RetryPrepare() error {
 	st.ans, st.ansErr = nil, nil
 	st.fb, st.fbErr = nil, nil
 	st.mu.Unlock()
-	_, err := st.answerer()
+	_, err := st.Prepared()
 	return err
 }
 
@@ -649,8 +654,27 @@ func (st *Store) ShardCount() int { return 1 }
 
 // SnapshotBytes implements SnapshotSizer: the encoded size of the store's
 // snapshot at its current version — what a checkpoint would write, whether
-// or not the store is persisted.
-func (st *Store) SnapshotBytes() int { return len(EncodeSnapshot(st.Snapshot())) }
+// or not the store is persisted. The size is encoded once per committed
+// ⟨Π, version⟩ and memoized: a stats scrape must not re-encode Π.
+func (st *Store) SnapshotBytes() int {
+	st.mu.RLock()
+	size, pd, v := st.snapSize, st.Prep, st.version
+	st.mu.RUnlock()
+	if size != 0 {
+		return size
+	}
+	snap := st.snapshotSkeleton()
+	snap.Prep, snap.Version = pd, v
+	size = len(EncodeSnapshot(snap))
+	st.mu.Lock()
+	// A commit that raced the encode reset snapSize for its own ⟨Π,
+	// version⟩; only a size computed from the still-current pair is kept.
+	if st.version == v && len(st.Prep) == len(pd) && (len(pd) == 0 || &st.Prep[0] == &pd[0]) {
+		st.snapSize = size
+	}
+	st.mu.Unlock()
+	return size
+}
 
 // WasLoaded implements Dataset.
 func (st *Store) WasLoaded() bool { return st.Loaded }
@@ -659,7 +683,7 @@ func (st *Store) WasLoaded() bool { return st.Loaded }
 // scheme's prepared (decoded-once) form — the raw Scheme.Answer stays
 // available as the differential oracle.
 func (st *Store) Answer(q []byte) (bool, error) {
-	a, err := st.answerer()
+	a, err := st.Prepared()
 	if err != nil {
 		return false, err
 	}
@@ -676,7 +700,7 @@ func (st *Store) AnswerBatch(queries [][]byte, parallelism int) ([]bool, error) 
 		// a corrupt Π (it never calls Answer); match it.
 		return []bool{}, nil
 	}
-	a, err := st.answerer()
+	a, err := st.Prepared()
 	if err != nil {
 		// A corrupt Π fails the raw path at its first query; report the
 		// sticky Prepare error in exactly that shape.
@@ -702,7 +726,7 @@ func (st *Store) AnswerBatchContext(ctx context.Context, queries [][]byte, paral
 	if len(queries) == 0 {
 		return []bool{}, nil
 	}
-	a, err := st.answerer()
+	a, err := st.Prepared()
 	if err != nil {
 		return nil, fmt.Errorf("scheme %s: batch query %d: %w", st.Scheme.Name(), 0, err)
 	}
@@ -773,7 +797,7 @@ func (st *Store) AnswerBatchDegradable(ctx context.Context, queries [][]byte, pa
 	if len(queries) == 0 {
 		return []bool{}, 0, nil
 	}
-	a, err := st.answerer()
+	a, err := st.Prepared()
 	if err != nil {
 		return nil, 0, fmt.Errorf("scheme %s: batch query %d: %w", st.Scheme.Name(), 0, err)
 	}

@@ -150,3 +150,39 @@ func TestOpen(t *testing.T) {
 		t.Fatalf("changed data: loaded=%v prepCalls=%d, want re-preprocess", st3.Loaded, prepCalls)
 	}
 }
+
+// TestSnapshotBytesMemoized pins the /v1/stats footprint: SnapshotBytes
+// reports the exact encoded size, a PATCH changes it, and a scrape of an
+// unchanged ⟨Π, version⟩ does not run the encoder (an encode allocates the
+// whole artifact; the memoized read allocates nothing).
+func TestSnapshotBytesMemoized(t *testing.T) {
+	reg := NewRegistry("")
+	keys := make([]int64, 4096)
+	for i := range keys {
+		keys[i] = int64(3 * i)
+	}
+	st, err := reg.Register("d", schemes.PointSelectionScheme(), schemes.RelationFromKeys(keys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := func() int { return len(EncodeSnapshot(st.Snapshot())) }
+	before := st.SnapshotBytes()
+	if before != exact() {
+		t.Fatalf("SnapshotBytes = %d, encoded snapshot is %d bytes", before, exact())
+	}
+	if allocs := testing.AllocsPerRun(20, func() { st.SnapshotBytes() }); allocs != 0 {
+		t.Fatalf("a repeated scrape allocates %.0f times: it re-encodes Π", allocs)
+	}
+	if _, err := reg.ApplyDelta("d", [][]byte{schemes.KeysDelta([]int64{1, 2, 4, 5})}); err != nil {
+		t.Fatal(err)
+	}
+	after := st.SnapshotBytes()
+	if after == before || after != exact() {
+		t.Fatalf("after a PATCH SnapshotBytes = %d (was %d), encoded snapshot is %d bytes", after, before, exact())
+	}
+	// The version is part of the encoding: bumping it alone invalidates too.
+	st.BumpVersion(1 << 40)
+	if got := st.SnapshotBytes(); got != exact() {
+		t.Fatalf("after a version bump SnapshotBytes = %d, encoded snapshot is %d bytes", got, exact())
+	}
+}
