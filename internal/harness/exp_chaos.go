@@ -21,12 +21,9 @@ package harness
 //     log replayed, ending at the exact acknowledged version.
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"net"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -98,42 +95,16 @@ type x11Row struct {
 
 // x11Reply is one request's decoded outcome.
 type x11Reply struct {
-	code       int
-	answer     bool
-	degraded   bool
-	retryAfter bool
-	latency    time.Duration
-	errBody    string
+	reply
+	answer   bool
+	degraded bool
 }
 
 // x11Post issues one query and decodes whatever came back.
 func x11Post(client *http.Client, base, dataset string, query []byte) (x11Reply, error) {
-	body, err := json.Marshal(server.QueryRequest{Dataset: dataset, Query: query})
-	if err != nil {
-		return x11Reply{}, err
-	}
-	start := time.Now()
-	resp, err := client.Post(base+"/v1/query", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return x11Reply{}, err
-	}
-	defer resp.Body.Close()
-	rep := x11Reply{code: resp.StatusCode, latency: time.Since(start),
-		retryAfter: resp.Header.Get("Retry-After") != ""}
-	if resp.StatusCode == http.StatusOK {
-		var qr server.QueryResponse
-		if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
-			return x11Reply{}, err
-		}
-		rep.answer, rep.degraded = qr.Answer, qr.Degraded
-	} else {
-		var e struct {
-			Error string `json:"error"`
-		}
-		json.NewDecoder(resp.Body).Decode(&e)
-		rep.errBody = e.Error
-	}
-	return rep, nil
+	var qr server.QueryResponse
+	rep, err := sendJSON(client, http.MethodPost, base+"/v1/query", server.QueryRequest{Dataset: dataset, Query: query}, &qr)
+	return x11Reply{reply: rep, answer: qr.Answer, degraded: qr.Degraded}, err
 }
 
 // x11Healthz fetches the verbose health map.
@@ -170,13 +141,11 @@ func x11Measure(s Scale) (rows []x11Row, recoveryMs, degradedRate float64, err e
 	reg.SetBreakerConfig(cfg)
 	srv := server.New(reg, nil)
 	srv.SetLimits(server.Limits{QueryBudget: x11Budget})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	base, client, stop, err := liveServer(srv)
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("X11: listen: %w", err)
+		return nil, 0, 0, fmt.Errorf("X11: %w", err)
 	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-	base := "http://" + ln.Addr().String()
+	client.Timeout = 10 * time.Second
 
 	// Dataset A declares a fallback (labels → dense closure probe), so it
 	// can degrade; dataset B (BFS per query) declares none, so it can only
@@ -204,7 +173,6 @@ func x11Measure(s Scale) (rows []x11Row, recoveryMs, degradedRate float64, err e
 			return nil, 0, 0, fmt.Errorf("X11: oracle: %w", err)
 		}
 	}
-	client := &http.Client{Timeout: 10 * time.Second}
 
 	// Phase 1 — healthy: both datasets answer exact, on budget, correct.
 	healthy := x11Row{phase: "healthy"}
@@ -371,14 +339,8 @@ func x11Measure(s Scale) (rows []x11Row, recoveryMs, degradedRate float64, err e
 	}
 	rows = append(rows, heal)
 
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	err = srv.Shutdown(shutdownCtx)
-	cancel()
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("X11: shutdown: %w", err)
-	}
-	if err := <-serveErr; err != nil {
-		return nil, 0, 0, fmt.Errorf("X11: serve: %w", err)
+	if err := stop(); err != nil {
+		return nil, 0, 0, fmt.Errorf("X11: %w", err)
 	}
 
 	// Phase 6 — quarantine-and-heal behind a chaotic medium: a snapshot

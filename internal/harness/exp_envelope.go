@@ -12,12 +12,8 @@ package harness
 // dropped the Retry-After advertisement, or mis-answered under pressure.
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"net"
 	"net/http"
 	"sort"
 	"sync"
@@ -117,13 +113,12 @@ func x7Measure(s Scale) ([]x7Row, error) {
 		MaxInFlight: inFlightCap,
 		RetryAfter:  time.Second,
 	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	// Each load level below builds its own client (sized and timed for that
+	// level), so the helper's is unused.
+	base, _, stop, err := liveServer(srv)
 	if err != nil {
-		return nil, fmt.Errorf("X7: listen: %w", err)
+		return nil, fmt.Errorf("X7: %w", err)
 	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-	base := "http://" + ln.Addr().String()
 
 	const id = "x7-graph"
 	if _, err := reg.Register(id, x7Scheme(), g.Encode()); err != nil {
@@ -252,14 +247,8 @@ func x7Measure(s Scale) ([]x7Row, error) {
 		}
 	}
 
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	err = srv.Shutdown(shutdownCtx)
-	cancel()
-	if err != nil {
-		return nil, fmt.Errorf("X7: shutdown: %w", err)
-	}
-	if err := <-serveErr; err != nil {
-		return nil, fmt.Errorf("X7: serve: %w", err)
+	if err := stop(); err != nil {
+		return nil, fmt.Errorf("X7: %w", err)
 	}
 	return rows, nil
 }
@@ -268,32 +257,19 @@ func x7Measure(s Scale) ([]x7Row, error) {
 // 429 is backpressure (recording whether Retry-After rode along), and
 // anything else is an experiment failure.
 func x7Post(client *http.Client, base, dataset string, query []byte, queryIdx int) (x7Result, error) {
-	body, err := json.Marshal(server.QueryRequest{Dataset: dataset, Query: query})
+	var qr server.QueryResponse
+	rep, err := sendJSON(client, http.MethodPost, base+"/v1/query", server.QueryRequest{Dataset: dataset, Query: query}, &qr)
 	if err != nil {
 		return x7Result{}, err
 	}
-	start := time.Now()
-	resp, err := client.Post(base+"/v1/query", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return x7Result{}, err
-	}
-	defer resp.Body.Close()
-	res := x7Result{latency: time.Since(start), queryIdx: queryIdx}
-	switch resp.StatusCode {
+	res := x7Result{latency: rep.latency, queryIdx: queryIdx}
+	switch rep.code {
 	case http.StatusOK:
-		var qr server.QueryResponse
-		if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
-			return x7Result{}, err
-		}
 		res.admitted, res.answer = true, qr.Answer
 	case http.StatusTooManyRequests:
-		res.retryAfter = resp.Header.Get("Retry-After") != ""
+		res.retryAfter = rep.retryAfter
 	default:
-		var e struct {
-			Error string `json:"error"`
-		}
-		json.NewDecoder(resp.Body).Decode(&e)
-		return x7Result{}, fmt.Errorf("unexpected status %d: %s", resp.StatusCode, e.Error)
+		return x7Result{}, fmt.Errorf("unexpected status %d: %s", rep.code, rep.errBody)
 	}
 	return res, nil
 }

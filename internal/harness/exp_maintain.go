@@ -11,15 +11,10 @@ package harness
 // against a from-scratch preprocessing of the updated data.
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"net"
 	"net/http"
 	"os"
-	"time"
 
 	"pitract/internal/core"
 	"pitract/internal/graph"
@@ -27,34 +22,6 @@ import (
 	"pitract/internal/server"
 	"pitract/internal/store"
 )
-
-// patchX5 issues one PATCH /v1/datasets/{id} with a delta batch.
-func patchX5(client *http.Client, url string, deltas [][]byte, out interface{}) error {
-	body, err := json.Marshal(server.PatchRequest{Deltas: deltas})
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequest(http.MethodPatch, url, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var e struct {
-			Error string `json:"error"`
-		}
-		json.NewDecoder(resp.Body).Decode(&e)
-		return fmt.Errorf("%s: status %d: %s", url, resp.StatusCode, e.Error)
-	}
-	if out == nil {
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
 
 // x5Workload is one maintained-scheme scenario.
 type x5Workload struct {
@@ -149,19 +116,14 @@ func X5IncrementalServing(s Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		srv := server.New(store.NewRegistry(dir), nil)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		base, client, stop, err := liveServer(server.New(store.NewRegistry(dir), nil))
 		if err != nil {
 			os.RemoveAll(dir)
-			return nil, fmt.Errorf("X5: listen: %w", err)
+			return nil, fmt.Errorf("X5: %w", err)
 		}
-		serveErr := make(chan error, 1)
-		go func() { serveErr <- srv.Serve(ln) }()
-		base := "http://" + ln.Addr().String()
-		client := &http.Client{}
 
 		row, err := func() ([]interface{}, error) {
-			if err := postX3(client, base+"/v1/datasets",
+			if err := requestOK(client, http.MethodPost, base+"/v1/datasets",
 				server.RegisterRequest{ID: "d", Scheme: wl.scheme, Data: wl.data}, nil); err != nil {
 				return nil, fmt.Errorf("X5: register: %w", err)
 			}
@@ -170,7 +132,7 @@ func X5IncrementalServing(s Scale) (*Table, error) {
 			// Preprocess and one snapshot write of the re-register baseline.
 			var info server.DatasetInfo
 			maintainNs := timeOp(1, func() {
-				err = patchX5(client, base+"/v1/datasets/d", wl.deltas, &info)
+				err = requestOK(client, http.MethodPatch, base+"/v1/datasets/d", server.PatchRequest{Deltas: wl.deltas}, &info)
 			})
 			if err != nil {
 				return nil, fmt.Errorf("X5: patch: %w", err)
@@ -181,7 +143,7 @@ func X5IncrementalServing(s Scale) (*Table, error) {
 			// Re-register baseline: the updated dataset preprocessed from
 			// scratch (and snapshotted), under a fresh id.
 			reregisterNs := timeOp(1, func() {
-				err = postX3(client, base+"/v1/datasets",
+				err = requestOK(client, http.MethodPost, base+"/v1/datasets",
 					server.RegisterRequest{ID: "d-rebuilt", Scheme: wl.scheme, Data: updated}, nil)
 			})
 			if err != nil {
@@ -190,11 +152,11 @@ func X5IncrementalServing(s Scale) (*Table, error) {
 			// Differential check: the maintained store must answer every
 			// probe exactly like the from-scratch store of the updated data.
 			var got, want server.BatchResponse
-			if err := postX3(client, base+"/v1/query/batch",
+			if err := requestOK(client, http.MethodPost, base+"/v1/query/batch",
 				server.BatchRequest{Dataset: "d", Queries: wl.queries}, &got); err != nil {
 				return nil, fmt.Errorf("X5: query maintained: %w", err)
 			}
-			if err := postX3(client, base+"/v1/query/batch",
+			if err := requestOK(client, http.MethodPost, base+"/v1/query/batch",
 				server.BatchRequest{Dataset: "d-rebuilt", Queries: wl.queries}, &want); err != nil {
 				return nil, fmt.Errorf("X5: query rebuilt: %w", err)
 			}
@@ -209,18 +171,13 @@ func X5IncrementalServing(s Scale) (*Table, error) {
 				reregisterNs / 1e6, reregisterNs / maintainNs, info.Version, len(wl.queries)}, nil
 		}()
 
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		sdErr := srv.Shutdown(ctx)
-		cancel()
+		stopErr := stop()
 		os.RemoveAll(dir)
 		if err != nil {
 			return nil, err
 		}
-		if sdErr != nil {
-			return nil, fmt.Errorf("X5: shutdown: %w", sdErr)
-		}
-		if err := <-serveErr; err != nil {
-			return nil, fmt.Errorf("X5: serve: %w", err)
+		if stopErr != nil {
+			return nil, fmt.Errorf("X5: %w", stopErr)
 		}
 		t.AddRow(row...)
 	}

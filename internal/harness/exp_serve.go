@@ -8,14 +8,9 @@ package harness
 // batch recovers most of the in-process throughput.
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"net"
 	"net/http"
-	"time"
 
 	"pitract/internal/graph"
 	"pitract/internal/schemes"
@@ -41,18 +36,13 @@ func X3Serving(s Scale) (*Table, error) {
 	for _, n := range s.sizes([]int{128, 256}, []int{256, 512, 1024}) {
 		g := graph.RandomDirected(n, 4*n, int64(n))
 		reg := store.NewRegistry("")
-		srv := server.New(reg, nil)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		base, client, stop, err := liveServer(server.New(reg, nil))
 		if err != nil {
-			return nil, fmt.Errorf("X3: listen: %w", err)
+			return nil, fmt.Errorf("X3: %w", err)
 		}
-		serveErr := make(chan error, 1)
-		go func() { serveErr <- srv.Serve(ln) }()
-		base := "http://" + ln.Addr().String()
-		client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: workers + 1}}
 
 		id := fmt.Sprintf("graph-%d", n)
-		if err := postX3(client, base+"/v1/datasets", server.RegisterRequest{
+		if err := requestOK(client, http.MethodPost, base+"/v1/datasets", server.RegisterRequest{
 			ID: id, Scheme: "reachability/closure-matrix", Data: g.Encode(),
 		}, nil); err != nil {
 			return nil, fmt.Errorf("X3: register: %w", err)
@@ -87,7 +77,7 @@ func X3Serving(s Scale) (*Table, error) {
 		singleNs := timeOp(1, func() {
 			for i, q := range queries {
 				var resp server.QueryResponse
-				if err = postX3(client, base+"/v1/query",
+				if err = requestOK(client, http.MethodPost, base+"/v1/query",
 					server.QueryRequest{Dataset: id, Query: q}, &resp); err != nil {
 					return
 				}
@@ -102,7 +92,7 @@ func X3Serving(s Scale) (*Table, error) {
 		var batch []bool
 		batchNs := timeOp(1, func() {
 			var resp server.BatchResponse
-			if err = postX3(client, base+"/v1/query/batch", server.BatchRequest{
+			if err = requestOK(client, http.MethodPost, base+"/v1/query/batch", server.BatchRequest{
 				Dataset: id, Queries: queries, Parallelism: workers,
 			}, &resp); err != nil {
 				return
@@ -133,43 +123,11 @@ func X3Serving(s Scale) (*Table, error) {
 				1e9*float64(queryCount)/row.ns, row.ns/directNs)
 		}
 
-		client.CloseIdleConnections()
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		err = srv.Shutdown(shutdownCtx)
-		cancel()
-		if err != nil {
-			return nil, fmt.Errorf("X3: shutdown: %w", err)
-		}
-		if err := <-serveErr; err != nil {
-			return nil, fmt.Errorf("X3: serve: %w", err)
+		if err := stop(); err != nil {
+			return nil, fmt.Errorf("X3: %w", err)
 		}
 	}
 	t.Note("all three paths verified to return identical verdicts from one preprocessed store")
 	t.Note("HTTP single pays the per-request envelope; HTTP batch amortizes it across the batch")
 	return t, nil
-}
-
-// postX3 posts v as JSON and decodes the response into out (ignored when
-// nil); non-200 statuses become errors carrying the server's message.
-func postX3(client *http.Client, url string, v, out interface{}) error {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	resp, err := client.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var e struct {
-			Error string `json:"error"`
-		}
-		json.NewDecoder(resp.Body).Decode(&e)
-		return fmt.Errorf("%s: status %d: %s", url, resp.StatusCode, e.Error)
-	}
-	if out == nil {
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
 }

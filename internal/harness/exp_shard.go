@@ -9,12 +9,9 @@ package harness
 // sharded verdict is differentially checked against it in-line.
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
-	"net"
 	"net/http"
-	"time"
 
 	"pitract/internal/graph"
 	"pitract/internal/schemes"
@@ -51,20 +48,14 @@ func X4Sharding(s Scale) (*Table, error) {
 		var baseBytes, baseQPS float64
 		var baseline []bool
 		for _, shards := range []int{1, 2, 4} {
-			reg := store.NewRegistry("")
-			srv := server.New(reg, nil)
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			base, client, stop, err := liveServer(server.New(store.NewRegistry(""), nil))
 			if err != nil {
-				return nil, fmt.Errorf("X4: listen: %w", err)
+				return nil, fmt.Errorf("X4: %w", err)
 			}
-			serveErr := make(chan error, 1)
-			go func() { serveErr <- srv.Serve(ln) }()
-			base := "http://" + ln.Addr().String()
-			client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: workers + 1}}
 
 			var info server.DatasetInfo
 			prepNs := timeOp(1, func() {
-				err = postX3(client, fmt.Sprintf("%s/v1/datasets?shards=%d&partitioner=range", base, shards),
+				err = requestOK(client, http.MethodPost, fmt.Sprintf("%s/v1/datasets?shards=%d&partitioner=range", base, shards),
 					server.RegisterRequest{ID: "g", Scheme: "reachability/closure-matrix", Data: data}, &info)
 			})
 			if err != nil {
@@ -77,7 +68,7 @@ func X4Sharding(s Scale) (*Table, error) {
 			var answers []bool
 			batchNs := timeOp(1, func() {
 				var resp server.BatchResponse
-				if err = postX3(client, base+"/v1/query/batch", server.BatchRequest{
+				if err = requestOK(client, http.MethodPost, base+"/v1/query/batch", server.BatchRequest{
 					Dataset: "g", Queries: queries, Parallelism: workers,
 				}, &resp); err != nil {
 					return
@@ -100,15 +91,8 @@ func X4Sharding(s Scale) (*Table, error) {
 			t.AddRow(g.N(), shards, prepNs/1e6, info.PrepBytes,
 				float64(info.PrepBytes)/baseBytes, queryCount, batchNs/1e6, qps, qps/baseQPS)
 
-			client.CloseIdleConnections()
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			err = srv.Shutdown(ctx)
-			cancel()
-			if err != nil {
-				return nil, fmt.Errorf("X4: shutdown: %w", err)
-			}
-			if err := <-serveErr; err != nil {
-				return nil, fmt.Errorf("X4: serve: %w", err)
+			if err := stop(); err != nil {
+				return nil, fmt.Errorf("X4: %w", err)
 			}
 		}
 	}

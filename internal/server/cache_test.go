@@ -17,11 +17,13 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	"pitract/internal/cache"
 	"pitract/internal/circuit"
 	"pitract/internal/core"
 	"pitract/internal/graph"
+	"pitract/internal/obs"
 	"pitract/internal/relation"
 	"pitract/internal/schemes"
 	"pitract/internal/shard"
@@ -218,12 +220,14 @@ func shardedDeltaCapable(name string) bool {
 }
 
 // TestCacheRaceWithPatch hammers one cached dataset with concurrent
-// queries while deltas commit, and pins the staleness contract end to end:
-// a response carrying version v must never hold a verdict computed against
-// a version older than v. The workload makes that observable — vertex k
-// becomes reachable from 0 exactly at version k — so any response with
-// version ≥ k and answer false for (0, k) is a stale-cache bug. Run under
-// -race in CI.
+// queries and batches while deltas commit, and pins the version contract
+// end to end: a response carrying version v holds verdicts computed
+// against exactly v — cache hits included, and all of a batch's verdicts
+// against that one v. The workload makes that observable in both
+// directions — vertex k becomes reachable from 0 exactly at version k — so
+// any response whose answer for (0, k) differs from k <= version is either
+// a stale-cache bug (false at version ≥ k) or a verdict filed under an
+// older version's label (true at version < k). Run under -race in CI.
 func TestCacheRaceWithPatch(t *testing.T) {
 	const n = 24 // vertices; deltas chain 0→1→…→n-1
 	g := graph.New(n, true)
@@ -265,6 +269,26 @@ func TestCacheRaceWithPatch(t *testing.T) {
 		return qr.Answer, qr.Version
 	}
 
+	batch := func(tt *testing.T, ks []int) ([]bool, uint64) {
+		req := BatchRequest{Dataset: "chain"}
+		for _, k := range ks {
+			req.Queries = append(req.Queries, schemes.NodePairQuery(0, k))
+		}
+		b, _ := json.Marshal(req)
+		resp, err := http.Post(ts.URL+"/v1/query/batch", "application/json", bytes.NewReader(b))
+		if err != nil {
+			tt.Error(err)
+			return nil, 0
+		}
+		defer resp.Body.Close()
+		var br BatchResponse
+		if err := json.NewDecoder(resp.Body).Decode(&br); err != nil || resp.StatusCode != http.StatusOK || len(br.Answers) != len(ks) {
+			tt.Errorf("batch: status %d, %d answers, decode %v", resp.StatusCode, len(br.Answers), err)
+			return nil, 0
+		}
+		return br.Answers, br.Version
+	}
+
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < 4; w++ {
@@ -280,19 +304,26 @@ func TestCacheRaceWithPatch(t *testing.T) {
 				default:
 				}
 				k := 1 + rng.Intn(n-1)
-				ans, version := query(t, 0, k)
+				ks, answers, version := []int{k}, []bool(nil), uint64(0)
+				if rng.Intn(2) == 0 {
+					var ans bool
+					ans, version = query(t, 0, k)
+					answers = []bool{ans}
+				} else {
+					ks = append(ks, 1+rng.Intn(n-1), 1+rng.Intn(n-1))
+					answers, version = batch(t, ks)
+				}
 				if version < lastVersion {
 					t.Errorf("version regressed: %d after %d", version, lastVersion)
 				}
 				lastVersion = version
-				// Version v means deltas 1..v are visible: edges 0→1→…→v, so
-				// (0,k) is reachable iff k <= v. A response claiming v ≥ k
-				// with answer false served a stale verdict.
-				if uint64(k) <= version && !ans {
-					t.Errorf("stale verdict: (0,%d) false at version %d", k, version)
+				// Version v means exactly deltas 1..v are visible: edges
+				// 0→1→…→v, so (0,k) is reachable iff k <= v.
+				for i, ans := range answers {
+					if ans != (uint64(ks[i]) <= version) {
+						t.Errorf("(0,%d) = %v labelled version %d: not the verdict of that version", ks[i], ans, version)
+					}
 				}
-				// The answer may be computed at a newer version than reported
-				// (documented); true with version < k is therefore legal.
 			}
 		}(w)
 	}
@@ -381,5 +412,43 @@ func TestStatsCacheCounters(t *testing.T) {
 	}
 	if _, ok := raw["cache"]; ok {
 		t.Fatal("stats.cache present without a cache")
+	}
+}
+
+// TestCacheStagesRecordedUnderQueryBudget pins that the cache × deadline
+// combination is one path, not a fork: with both -cache-bytes and
+// -query-budget-ms set, single queries still record the cache_hit /
+// cache_miss stage histograms (the metric behind
+// pitract_stage_duration_seconds{stage="cache_hit"|"cache_miss"}) and are
+// still served from — and labelled by — the cache.
+func TestCacheStagesRecordedUnderQueryBudget(t *testing.T) {
+	srv := New(store.NewRegistry(""), nil)
+	srv.SetAnswerCache(cache.New(1 << 20))
+	srv.SetLimits(Limits{QueryBudget: 5 * time.Second})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	if code := postJSON(t, ts.Client(), ts.URL+"/v1/datasets", RegisterRequest{
+		ID: "m", Scheme: "list-membership/sorted", Data: schemes.EncodeList([]int64{2, 4, 6}),
+	}, nil); code != http.StatusOK {
+		t.Fatalf("register status %d", code)
+	}
+	hit, miss := obs.Stage(obs.StageCacheHit), obs.Stage(obs.StageCacheMiss)
+	hits, misses := hit.Snapshot().Count, miss.Snapshot().Count
+	for i := 0; i < 3; i++ { // one miss, two hits
+		var qr QueryResponse
+		if code := postJSON(t, ts.Client(), ts.URL+"/v1/query", QueryRequest{
+			Dataset: "m", Query: schemes.PointQuery(4),
+		}, &qr); code != http.StatusOK || !qr.Answer || qr.Version != 0 {
+			t.Fatalf("query %d = status %d %+v, want 200 true at version 0", i, code, qr)
+		}
+	}
+	// Other tests in the package share the process-wide histograms, so the
+	// counts may move by more than this test's own three queries — never less.
+	if got := miss.Snapshot().Count - misses; got < 1 {
+		t.Fatalf("cache_miss stage moved by %d under a query budget, want >= 1", got)
+	}
+	if got := hit.Snapshot().Count - hits; got < 2 {
+		t.Fatalf("cache_hit stage moved by %d under a query budget, want >= 2", got)
 	}
 }

@@ -473,10 +473,10 @@ type QueryRequest struct {
 	Query   []byte `json:"query"`
 }
 
-// QueryResponse is one verdict. Version is the dataset maintenance version
-// observed when the query was admitted; the answer reflects that version
-// or a newer one (never an older or partially applied state), and versions
-// reported to one client never regress.
+// QueryResponse is one verdict. Version is exactly the dataset maintenance
+// version the verdict was computed at (store.Verdict.Version — read with
+// the answerer, cache hits included; never an older or partially applied
+// state), and versions reported to one client never regress.
 type QueryResponse struct {
 	Answer  bool   `json:"answer"`
 	Version uint64 `json:"version"`
@@ -950,7 +950,7 @@ func (s *Server) workContext(r *http.Request) (context.Context, context.CancelFu
 // queryContext derives the context one answer request runs under: the
 // request context (a disconnected client abandons its own query) bounded
 // by QueryBudget when one is configured. Without a budget it returns a
-// non-cancellable context, so AnswerWithin degenerates to the plain
+// non-cancellable context, so AskWithin degenerates to the plain
 // answer call and the hot path stays guard-free.
 func (s *Server) queryContext(r *http.Request) (context.Context, context.CancelFunc) {
 	if b := s.env.limits.QueryBudget; b > 0 {
@@ -1024,71 +1024,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	release, reason, admitted := s.env.admit(req.Dataset)
-	if !admitted {
-		s.env.reject429(w, r, reason)
-		return
-	}
-	defer release()
-	ds, ok := s.lookup(w, r, req.Dataset)
-	if !ok {
-		return
-	}
-	// The breaker is consulted only after a successful lookup, so hostile
-	// unknown ids can never grow the breaker map.
-	br := s.reg.Breaker(req.Dataset)
-	dec := br.Allow()
-	if !dec.Admit {
-		s.rejectBreaker(w, r, req.Dataset, dec.RetryAfter)
-		return
-	}
-	path := s.answerPath(ds)
-	if dec.Probe {
-		// Half-open probe: retry a previously failed Prepare first, so a
-		// healed filesystem (or a transient decode fault) closes the
-		// breaker. The retry's outcome surfaces through the answer below.
-		if pr, ok := path.(store.PrepareRetrier); ok {
-			pr.RetryPrepare()
-		}
-	}
-	// The version is read before the answer, so the verdict reflects this
-	// version or newer — reported versions are monotonic and never label an
-	// answer with a state it has not seen. The cache (when enabled) keys on
-	// its own admission-time version read, which obeys the same bound.
-	version := ds.Version()
-	start := time.Now()
-	var ans bool
-	var err error
-	degraded := false
-	if dd, ok := path.(store.DegradedDataset); dec.Degrade && ok && dd.CanDegrade() {
-		ans, err = dd.AnswerDegraded(req.Query)
-		degraded = err == nil
-	} else if dec.Degrade && !dec.ExactFallback {
-		// A probe is already in flight and this dataset declares no
-		// fallback: shedding is the only way to keep the half-open window
-		// single-probe.
-		s.rejectBreaker(w, r, req.Dataset, dec.RetryAfter)
-		return
-	} else {
-		ctx, cancel := s.queryContext(r)
-		defer cancel()
-		ans, err = store.AnswerWithin(ctx, path, req.Query)
-	}
-	served, failed := 1, 0
-	if err != nil {
-		served, failed = 0, 1 // match the batch path: failed queries count as failed, not served
-	}
-	s.record(ds.SchemeName(), served, failed, time.Since(start), err)
-	if err != nil {
-		s.answerFailure(w, r, br, dec.Probe, err)
-		return
-	}
-	br.OnSuccess(dec.Probe)
-	if degraded {
-		s.degradedAnswers.Add(1)
-		obsDegradedAnswers.Inc()
-	}
-	writeJSON(w, http.StatusOK, QueryResponse{Answer: ans, Version: version, Degraded: degraded})
+	s.serveAnswer(w, r, req.Dataset, 1, func(ctx context.Context, ds store.Dataset, mode store.Mode) (interface{}, bool, error) {
+		v, err := store.AskWithin(ctx, ds, req.Query, mode)
+		return QueryResponse{Answer: v.Answer, Version: v.Version, Degraded: v.Degraded}, v.Degraded, err
+	})
 }
 
 func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
@@ -1108,61 +1047,79 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 			"batch of %d queries exceeds the %d-query limit", len(req.Queries), max)
 		return
 	}
-	release, reason, admitted := s.env.admit(req.Dataset)
+	parallelism := req.Parallelism
+	if parallelism > maxBatchParallelism {
+		parallelism = maxBatchParallelism
+	}
+	s.serveAnswer(w, r, req.Dataset, len(req.Queries), func(ctx context.Context, ds store.Dataset, mode store.Mode) (interface{}, bool, error) {
+		vs, err := store.AskBatchWithin(ctx, ds, req.Queries, parallelism, mode)
+		// A batch that took the fallback — as a whole, or mid-flight with
+		// the budget nearly spent — is degraded as a whole: clients see one
+		// flag, not a per-verdict split, because every verdict is exact
+		// either way.
+		degraded := vs.Degraded > 0
+		return BatchResponse{Answers: vs.Answers, Version: vs.Version, Degraded: degraded}, degraded, err
+	})
+}
+
+// serveAnswer is the one path both answer endpoints take once the body is
+// decoded: admit → look up → breaker → mode → ask → classify. ask runs the
+// request's n queries through ds in the chosen mode under ctx and returns
+// the response body (whose version is the one the verdicts were computed
+// at) and whether the fallback answered.
+func (s *Server) serveAnswer(w http.ResponseWriter, r *http.Request, dataset string, n int,
+	ask func(ctx context.Context, ds store.Dataset, mode store.Mode) (body interface{}, degraded bool, err error)) {
+	release, reason, admitted := s.env.admit(dataset)
 	if !admitted {
 		s.env.reject429(w, r, reason)
 		return
 	}
 	defer release()
-	ds, ok := s.lookup(w, r, req.Dataset)
+	ds, ok := s.lookup(w, r, dataset)
 	if !ok {
 		return
 	}
-	br := s.reg.Breaker(req.Dataset) // after lookup: see handleQuery
+	// The breaker is consulted only after a successful lookup, so hostile
+	// unknown ids can never grow the breaker map.
+	br := s.reg.Breaker(dataset)
 	dec := br.Allow()
 	if !dec.Admit {
-		s.rejectBreaker(w, r, req.Dataset, dec.RetryAfter)
+		s.rejectBreaker(w, r, dataset, dec.RetryAfter)
 		return
 	}
-	path := s.answerPath(ds)
+	ds = s.answerPath(ds)
 	if dec.Probe {
-		if pr, ok := path.(store.PrepareRetrier); ok {
-			pr.RetryPrepare() // see handleQuery
-		}
+		// Half-open probe: retry a previously failed Prepare first, so a
+		// healed filesystem (or a transient decode fault) closes the
+		// breaker. The retry's outcome surfaces through the ask below.
+		ds.RetryPrepare()
 	}
-	parallelism := req.Parallelism
-	if parallelism > maxBatchParallelism {
-		parallelism = maxBatchParallelism
-	}
-	version := ds.Version() // before the batch: see handleQuery
-	start := time.Now()
-	var answers []bool
-	var err error
-	degraded := false
-	if dd, ok := path.(store.DegradedDataset); dec.Degrade && ok && dd.CanDegrade() {
-		answers, err = dd.AnswerBatchDegraded(req.Queries, parallelism)
-		degraded = err == nil && len(req.Queries) > 0
-	} else if dec.Degrade && !dec.ExactFallback {
-		s.rejectBreaker(w, r, req.Dataset, dec.RetryAfter)
+	mode, ctx := store.Exact, context.Background()
+	switch {
+	case dec.Degrade && ds.CanDegrade():
+		// Degraded answers run without the query budget: the fallback is
+		// what the dataset serves *because* the exact path is unhealthy.
+		mode = store.Degraded
+	case dec.Degrade && !dec.ExactFallback:
+		// A probe is already in flight and this dataset declares no
+		// fallback: shedding is the only way to keep the half-open window
+		// single-probe.
+		s.rejectBreaker(w, r, dataset, dec.RetryAfter)
 		return
-	} else {
-		ctx, cancel := s.queryContext(r)
+	default:
+		var cancel context.CancelFunc
+		ctx, cancel = s.queryContext(r)
 		defer cancel()
-		var ndeg int
-		answers, ndeg, err = store.AnswerBatchWithin(ctx, path, req.Queries, parallelism)
-		// A batch that switched to the fallback mid-flight (budget nearly
-		// spent) is degraded as a whole — clients see one flag, not a
-		// per-verdict split, because every verdict is exact either way.
-		degraded = err == nil && ndeg > 0
 	}
-	// Count only queries actually answered: AnswerBatch fails fast and
-	// returns no answers on error, so a failed batch must not inflate the
-	// served-query counter — the whole batch counts as failed instead.
-	failed := 0
+	start := time.Now()
+	body, degraded, err := ask(ctx, ds, mode)
+	// Count only queries actually answered: a failed ask returns no
+	// answers, so its queries count as failed, not served.
+	served, failed := n, 0
 	if err != nil {
-		failed = len(req.Queries)
+		served, failed = 0, n
 	}
-	s.record(ds.SchemeName(), len(answers), failed, time.Since(start), err)
+	s.record(ds.SchemeName(), served, failed, time.Since(start), err)
 	if err != nil {
 		s.answerFailure(w, r, br, dec.Probe, err)
 		return
@@ -1172,7 +1129,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		s.degradedAnswers.Add(1)
 		obsDegradedAnswers.Inc()
 	}
-	writeJSON(w, http.StatusOK, BatchResponse{Answers: answers, Version: version, Degraded: degraded})
+	writeJSON(w, http.StatusOK, body)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -115,7 +115,9 @@ func (rs *reachSummary) Answer(q []byte) (bool, error) {
 		return false, err
 	}
 	if u < 0 || u >= rs.n || v < 0 || v >= rs.n {
-		return false, fmt.Errorf("shard: node pair (%d,%d) out of range [0,%d)", u, v, rs.n)
+		// The unsharded reachability schemes' bytes: a malformed query gets
+		// the same refusal however the dataset is served.
+		return false, fmt.Errorf("schemes: node pair (%d,%d) out of range [0,%d)", u, v, rs.n)
 	}
 	su, sv := rs.shardOf[u], rs.shardOf[v]
 	if err := rs.shardErr[su]; err != nil {

@@ -17,7 +17,9 @@
 //     query's owning shard (or fans it out unchanged, verdicts ORed),
 //     Summarize builds cross-shard state (e.g. the reachability portal
 //     overlay), and Prepare turns that state plus the per-shard prepared
-//     answerers into one answerer for the whole dataset.
+//     answerers into one answerer for the whole dataset — the view every
+//     query answers through; a scheme without its own Prepare gets the
+//     router over Route as its view.
 //   - ShardedStore holds the n per-shard stores plus the assignment and
 //     summary, and answers exactly like a plain store.Store — differential
 //     tests pin sharded answers byte-identical to unsharded ones.
@@ -32,7 +34,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -96,7 +97,8 @@ type Sharding struct {
 	// per query (that would smuggle O(|D|) work into the NC answering
 	// budget). Schemes that set it answer every query through the returned
 	// Answerer and Route is not consulted; the view is derived state, never
-	// persisted. Nil for schemes whose queries Route alone can place.
+	// persisted. Nil for schemes whose queries Route alone can place: their
+	// view is the router.
 	Prepare func(summary []byte, asn Assignment, shards []PreparedShard) (core.Answerer, error)
 	// Route returns the single shard that alone owns q's answer, or -1 to
 	// send q unchanged to every shard and OR the verdicts.
@@ -108,8 +110,8 @@ type Sharding struct {
 	// e.g. a key-insertion batch splits by partitioner into one per-shard
 	// batch, and a same-shard edge insert becomes one relabelled local
 	// edge. An empty map is valid (a purely cross-shard delta touches only
-	// the summary). view is Prepare's output *as of the start of the
-	// delta batch* (nil without Prepare) — SplitDelta must only depend on
+	// the summary). view is the dataset's prepared view *as of the start of
+	// the delta batch* — SplitDelta must only depend on
 	// summary state deltas cannot change (the vertex universe and
 	// relabelling, not derived connectivity). Nil SplitDelta means the
 	// sharded form has no delta routing: PATCH/ApplyDeltas is refused with
@@ -136,8 +138,8 @@ type Sharding struct {
 
 // ShardedStore is one dataset served from n per-shard preprocessed stores
 // behind a single catalog entry. It implements store.Dataset, so the HTTP
-// server and the registry treat it exactly like a plain store; Answer and
-// AnswerBatch route or fan out per query.
+// server and the registry treat it exactly like a plain store; every query
+// answers through the committed view.
 type ShardedStore struct {
 	// ID is the dataset identifier the store was registered under.
 	ID string
@@ -162,12 +164,12 @@ type ShardedStore struct {
 	Partitioner string
 
 	// mu guards the mutable answer state — the per-shard preprocessed
-	// strings, Summary, and version — against ApplyDeltas. Answer and
-	// AnswerBatch hold the read lock for the whole call, so a query (even a
-	// fan-out touching every shard plus the summary) always observes one
-	// fully applied version, never shard i old and shard j new. The write
-	// lock is held only for the commit swap — staging and snapshot I/O run
-	// under maintMu — so queries never wait on maintenance work.
+	// strings, Summary, version, and view — against ApplyDeltas. Ask and
+	// AskBatch pin ⟨view, version⟩ under the read lock and answer outside
+	// it: the view is immutable, so a query (even a fan-out touching every
+	// shard plus the summary) always observes one fully applied version,
+	// never shard i old and shard j new, and neither queries nor the commit
+	// swap ever wait on each other's work.
 	mu sync.RWMutex
 	// maintMu serializes maintainers; see store.Store.
 	maintMu sync.Mutex
@@ -179,14 +181,58 @@ type ShardedStore struct {
 	// medium's cadence a new generation is written and the log truncated.
 	walRecords int
 
-	// view is Sharding.Prepare's output for the committed ⟨Summary, per-shard
-	// Π⟩ (nil for schemes without Prepare), viewErr its sticky failure.
-	// Both are guarded by mu and swapped in the same critical section as
-	// Summary and the per-shard stores, so a query never pairs a new
+	// view answers for the committed ⟨Summary, per-shard Π⟩ — the scheme's
+	// Prepare output, or the router — immutable once published; viewErr is
+	// the sticky Prepare failure (view is nil exactly then, or when the
+	// store was assembled by hand rather than by Build/LoadSharded). Both
+	// are guarded by mu and swapped in the same critical section as Summary,
+	// version and the per-shard stores, so a query never pairs a new
 	// summary with a view derived from the old one. Build and LoadSharded
 	// prepare it eagerly — the first query never pays for it.
 	view    core.Answerer
 	viewErr error
+}
+
+// router is the view of a scheme without its own Prepare: Route places a
+// query on its owning shard's pinned answerer, or the query goes unchanged
+// to every shard and the verdicts are ORed.
+type router struct {
+	route  func(q []byte, asn Assignment) (int, error)
+	asn    Assignment
+	shards []PreparedShard
+}
+
+// Answer implements core.Answerer.
+func (r *router) Answer(q []byte) (bool, error) {
+	owner, err := r.route(q, r.asn)
+	if err != nil {
+		return false, err
+	}
+	if owner >= len(r.shards) {
+		return false, fmt.Errorf("shard: route to shard %d out of range [0,%d)", owner, len(r.shards))
+	}
+	if owner >= 0 {
+		return r.shards[owner].answer(q)
+	}
+	fanStart := obs.Start()
+	found := false
+	for _, sh := range r.shards {
+		v, err := sh.answer(q)
+		if err != nil {
+			return false, err
+		}
+		found = found || v
+	}
+	obsShardFanout.Since(fanStart)
+	return found, nil
+}
+
+// answer probes the shard, or reports its sticky Prepare failure.
+func (p PreparedShard) answer(q []byte) (bool, error) {
+	if p.Err != nil {
+		return false, p.Err
+	}
+	return p.Answerer.Answer(q)
 }
 
 // preparedShards snapshots every member store's prepared answerer.
@@ -198,15 +244,21 @@ func (ss *ShardedStore) preparedShards() []PreparedShard {
 	return shards
 }
 
-// refreshView rebuilds the prepared view from the committed summary and the
-// member stores' current answerers. Callers hold maintMu or own the store
+// prepareView builds the dataset's view for ⟨summary, shards⟩: the scheme's
+// own Prepare output, or the router.
+func (sh *Sharding) prepareView(summary []byte, asn Assignment, shards []PreparedShard) (core.Answerer, error) {
+	if sh.Prepare == nil {
+		return &router{route: sh.Route, asn: asn, shards: shards}, nil
+	}
+	return sh.Prepare(summary, asn, shards)
+}
+
+// refreshView rebuilds the view from the committed summary and the member
+// stores' current answerers. Callers hold maintMu or own the store
 // exclusively (Build, LoadSharded), which is what orders the Summary read.
 func (ss *ShardedStore) refreshView() error {
-	if ss.Sharding.Prepare == nil {
-		return nil
-	}
 	start := obs.Start()
-	view, err := ss.Sharding.Prepare(ss.Summary, ss.Asn, ss.preparedShards())
+	view, err := ss.Sharding.prepareView(ss.Summary, ss.Asn, ss.preparedShards())
 	obsWarm.Since(start)
 	ss.mu.Lock()
 	ss.view, ss.viewErr = view, err
@@ -214,17 +266,36 @@ func (ss *ShardedStore) refreshView() error {
 	return err
 }
 
-// answerView returns the prepared view for the answer paths; callers hold
-// mu. A store without one reports why: the sticky Prepare failure, or that
-// it was assembled by hand rather than by Build or LoadSharded.
-func (ss *ShardedStore) answerView() (core.Answerer, error) {
-	if ss.view != nil {
-		return ss.view, nil
+// pinned is the committed answer state one ask reads: the view and the
+// version it answers at.
+type pinned struct {
+	core.Answerer
+	err     error
+	version uint64
+}
+
+// pin reads the committed answer state in one critical section. A store
+// without a view reports why: the sticky Prepare failure, or that it was
+// assembled by hand rather than by Build or LoadSharded.
+func (ss *ShardedStore) pin() pinned {
+	ss.mu.RLock()
+	p := pinned{ss.view, ss.viewErr, ss.version}
+	ss.mu.RUnlock()
+	if p.Answerer == nil && p.err == nil {
+		p.err = fmt.Errorf("shard: dataset %q has no prepared summary view", ss.ID)
 	}
-	if ss.viewErr != nil {
-		return nil, ss.viewErr
+	return p
+}
+
+// mergeStart starts the shard_merge clock for one call — a single, or a
+// whole batch — through a scheme's own Prepare output. The router is not
+// timed here (the zero Time makes Since a no-op): its routed singles must
+// not pay a clock pair per probe, and its fan-outs time themselves.
+func (p pinned) mergeStart() time.Time {
+	if _, routed := p.Answerer.(*router); routed {
+		return time.Time{}
 	}
-	return nil, fmt.Errorf("shard: dataset %q has no prepared summary view", ss.ID)
+	return obs.Start()
 }
 
 // DatasetID implements store.Dataset.
@@ -251,7 +322,7 @@ func (ss *ShardedStore) PrepBytes() int {
 // ShardCount implements store.Dataset.
 func (ss *ShardedStore) ShardCount() int { return len(ss.Stores) }
 
-// SnapshotBytes implements store.SnapshotSizer: the summed encoded sizes
+// SnapshotBytes implements store.Dataset: the summed encoded sizes
 // of the per-shard snapshots plus the cross-shard summary the manifest
 // carries — what a generation checkpoint would write.
 func (ss *ShardedStore) SnapshotBytes() int {
@@ -280,62 +351,77 @@ func (ss *ShardedStore) Version() uint64 {
 // once the store is shared; ApplyDeltas is the concurrent-safe mutation.
 func (ss *ShardedStore) SetVersion(v uint64) { ss.version = v }
 
-// Answer decides one query: through the prepared view when the scheme has
-// one; otherwise routed queries hit their owning shard and the rest go to
-// every shard unchanged, verdicts ORed. The read lock is held for the whole
-// call, so every read within one query sees the same maintenance version.
+// CanDegrade implements store.Dataset: a sharded dataset has no degraded
+// form (the view is derived from the per-shard exact answerers).
+func (ss *ShardedStore) CanDegrade() bool { return false }
+
+// askable refuses an ask before any work: a mode the dataset cannot serve,
+// or a cancelled ctx.
+func (ss *ShardedStore) askable(ctx context.Context, mode store.Mode) error {
+	if mode != store.Exact {
+		return fmt.Errorf("scheme %s: %w", ss.Scheme.Name(), store.ErrNoFallback)
+	}
+	return ctx.Err()
+}
+
+// Ask implements store.Dataset: one query through the pinned view, at the
+// version pinned with it.
+func (ss *ShardedStore) Ask(ctx context.Context, q []byte, mode store.Mode) (store.Verdict, error) {
+	if err := ss.askable(ctx, mode); err != nil {
+		return store.Verdict{}, err
+	}
+	p := ss.pin()
+	if p.err != nil {
+		return store.Verdict{Version: p.version}, p.err
+	}
+	start := p.mergeStart()
+	ans, err := p.Answer(q)
+	obsShardMerge.Since(start)
+	return store.Verdict{Answer: ans, Version: p.version}, err
+}
+
+// AskBatch implements store.Dataset: the batch rides the shared worker pool
+// over the pinned view, so all verdicts come from one maintenance version,
+// ctx is consulted before every probe, and errors carry the caller's own
+// query index.
+func (ss *ShardedStore) AskBatch(ctx context.Context, queries [][]byte, parallelism int, mode store.Mode) (store.Verdicts, error) {
+	if err := ss.askable(ctx, mode); err != nil {
+		return store.Verdicts{}, err
+	}
+	p := ss.pin()
+	vs := store.Verdicts{Answers: []bool{}, Version: p.version}
+	if len(queries) == 0 {
+		return vs, nil
+	}
+	if p.err != nil {
+		return vs, fmt.Errorf("scheme %s: batch query %d: %w", ss.Scheme.Name(), 0, p.err)
+	}
+	start := p.mergeStart()
+	var err error
+	vs.Answers, err = core.AnswerBatchPreparedContext(ctx, ss.Scheme.Name(), p.Answerer, queries, parallelism)
+	obsShardMerge.Since(start)
+	return vs, err
+}
+
+// Answer implements store.Dataset: Ask in Exact mode with no deadline.
 func (ss *ShardedStore) Answer(q []byte) (bool, error) {
-	return ss.AnswerContext(context.Background(), q)
+	v, err := ss.Ask(context.Background(), q, store.Exact)
+	return v.Answer, err
 }
 
-// AnswerContext implements store.ContextAnswerer: Answer with the
-// context checked up front and before every per-shard probe of a fan-out,
-// so an expired query budget stops paying shards it can no longer use.
-func (ss *ShardedStore) AnswerContext(ctx context.Context, q []byte) (bool, error) {
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	if ss.Sharding.Prepare != nil {
-		view, err := ss.answerView()
-		if err != nil {
-			return false, err
-		}
-		mergeStart := obs.Start()
-		v, err := view.Answer(q)
-		obsShardMerge.Since(mergeStart)
-		return v, err
-	}
-	owner, err := ss.Sharding.Route(q, ss.Asn)
-	if err != nil {
-		return false, err
-	}
-	if owner >= 0 {
-		if owner >= len(ss.Stores) {
-			return false, fmt.Errorf("shard: route to shard %d out of range [0,%d)", owner, len(ss.Stores))
-		}
-		return ss.Stores[owner].AnswerContext(ctx, q)
-	}
-	fanStart := obs.Start()
-	found := false
-	for _, st := range ss.Stores {
-		v, err := st.AnswerContext(ctx, q)
-		if err != nil {
-			return false, err
-		}
-		found = found || v
-	}
-	obsShardFanout.Since(fanStart)
-	return found, nil
+// AnswerBatch implements store.Dataset: AskBatch in Exact mode with no
+// deadline.
+func (ss *ShardedStore) AnswerBatch(queries [][]byte, parallelism int) ([]bool, error) {
+	vs, err := ss.AskBatch(context.Background(), queries, parallelism, store.Exact)
+	return vs.Answers, err
 }
 
-// RetryPrepare implements store.PrepareRetrier: every member store drops
-// and rebuilds its prepared answerer (the half-open probe's heal hook),
-// then the summary view is rebuilt from the healed answerers — so the
-// shard that was failing gets its rows back. The first failure is reported
-// after all shards have retried. It serializes with maintenance: a PATCH
-// stages and commits its own view.
+// RetryPrepare implements store.Dataset: every member store drops and
+// rebuilds its prepared answerer (the half-open probe's heal hook), then
+// the view is rebuilt from the healed answerers — so the shard that was
+// failing gets its rows back. The first failure is reported after all
+// shards have retried. It serializes with maintenance: a PATCH stages and
+// commits its own view.
 func (ss *ShardedStore) RetryPrepare() error {
 	ss.maintMu.Lock()
 	defer ss.maintMu.Unlock()
@@ -351,139 +437,6 @@ func (ss *ShardedStore) RetryPrepare() error {
 	return firstErr
 }
 
-// AnswerBatch answers queries concurrently, in query order, riding the
-// same worker pools a plain store uses: through the prepared view when the
-// scheme has one; otherwise routed queries are grouped into one batch per
-// owning shard and fan-out queries join every shard's batch unchanged. The
-// first error aborts the batch, matching core.Scheme.AnswerBatch
-// semantics. The read lock is held across the whole batch, so all verdicts
-// come from one maintenance version.
-func (ss *ShardedStore) AnswerBatch(queries [][]byte, parallelism int) ([]bool, error) {
-	return ss.AnswerBatchContext(context.Background(), queries, parallelism)
-}
-
-// AnswerBatchContext implements store.ContextAnswerer: AnswerBatch with
-// the context threaded through the worker pools, so an expired query
-// budget abandons the remaining work instead of paying every shard.
-func (ss *ShardedStore) AnswerBatchContext(ctx context.Context, queries [][]byte, parallelism int) ([]bool, error) {
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if ss.Sharding.Prepare != nil {
-		view, err := ss.answerView()
-		if err != nil {
-			return nil, fmt.Errorf("shard: batch query 0: %w", err)
-		}
-		mergeStart := obs.Start()
-		results, err := core.AnswerBatchPreparedContext(ctx, ss.Scheme.Name(), view, queries, parallelism)
-		obsShardMerge.Since(mergeStart)
-		return results, err
-	}
-	n := len(ss.Stores)
-	results := make([]bool, len(queries))
-
-	// Plan every query: routed ones group by owning shard, the rest fan
-	// out.
-	routed := make([][]int, n) // shard -> indices of queries routed there
-	var fanned []int           // indices of fan-out queries
-	for i, q := range queries {
-		owner, err := ss.Sharding.Route(q, ss.Asn)
-		if err != nil {
-			return nil, fmt.Errorf("shard: batch query %d: %w", i, err)
-		}
-		if owner >= 0 {
-			if owner >= n {
-				return nil, fmt.Errorf("shard: batch query %d: route to shard %d out of range [0,%d)", i, owner, n)
-			}
-			routed[owner] = append(routed[owner], i)
-		} else {
-			fanned = append(fanned, i)
-		}
-	}
-
-	// Per-shard batches run concurrently across shards; inside each shard
-	// the scheme's AnswerBatch worker pool spreads the queries. The
-	// caller's parallelism budget is divided across the shards with work,
-	// so the total worker count stays what the caller (and the server's
-	// maxBatchParallelism cap) asked for instead of multiplying by n.
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	active := 0
-	for i := 0; i < n; i++ {
-		if len(routed[i]) > 0 || len(fanned) > 0 {
-			active++
-		}
-	}
-	perShard := parallelism
-	if active > 1 {
-		perShard = parallelism / active
-		if perShard < 1 {
-			perShard = 1
-		}
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	// fanVerdicts[i*len(fanned)+j] is shard i's verdict for fan-out query
-	// fanned[j]: one flat buffer, each shard writing its own stripe.
-	fanVerdicts := make([]bool, n*len(fanned))
-	// One observation covers the whole concurrent fan-out section: with
-	// per-shard batches in flight simultaneously, the meaningful latency is
-	// the section's wall time, not the sum of per-shard times.
-	var fanStart time.Time
-	if len(fanned) > 0 {
-		fanStart = obs.Start()
-	}
-	for i := 0; i < n; i++ {
-		idxs := routed[i]
-		if len(idxs) == 0 && len(fanned) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, idxs []int) {
-			defer wg.Done()
-			// Routed and fan-out queries alike travel unchanged, so one
-			// batch per shard carries both.
-			batch := make([][]byte, 0, len(idxs)+len(fanned))
-			for _, qi := range idxs {
-				batch = append(batch, queries[qi])
-			}
-			for _, qi := range fanned {
-				batch = append(batch, queries[qi])
-			}
-			ans, err := ss.Stores[i].AnswerBatchContext(ctx, batch, perShard)
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			for k, qi := range idxs {
-				results[qi] = ans[k]
-			}
-			copy(fanVerdicts[i*len(fanned):], ans[len(idxs):])
-		}(i, idxs)
-	}
-	wg.Wait()
-	obsShardFanout.Since(fanStart)
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	for j, qi := range fanned {
-		for i := 0; i < n && !results[qi]; i++ {
-			results[qi] = fanVerdicts[i*len(fanned)+j]
-		}
-	}
-	return results, nil
-}
-
 // ApplyDeltas implements store.DeltaDataset: it maintains the sharded
 // dataset under a batch of deltas. Each delta is routed by the scheme's
 // SplitDelta hook to the shards it lands on (local deltas applied through
@@ -491,7 +444,7 @@ func (ss *ShardedStore) AnswerBatchContext(ctx context.Context, queries [][]byte
 // the cross-shard summary is maintained by UpdateSummary (with derived
 // state like the reachability overlay closure rebuilt once per batch by
 // FinishSummary, reading the staged post-delta shard answerers, and the
-// prepared view — the portal reach rows — rebuilt once after it). The
+// view — for reachability the portal reach rows — rebuilt once after it). The
 // whole batch is staged outside the served state — under the maintenance
 // mutex, never the reader-blocking lock — and committed at once: per-shard
 // strings, answerers, summary, view, and version swap together under the
@@ -546,12 +499,9 @@ func (ss *ShardedStore) ApplyDeltas(ctx context.Context, inc *core.IncrementalSc
 	// SplitDelta receives the committed view — its contract only depends on
 	// delta-invariant summary state (vertex universe, local relabelling),
 	// so the batch needs no summary decode of its own.
-	var view core.Answerer
-	if ss.Sharding.Prepare != nil {
-		var err error
-		if view, err = ss.answerView(); err != nil {
-			return oldVersion, fmt.Errorf("shard: prepare summary: %w (nothing applied)", err)
-		}
+	cur := ss.pin()
+	if cur.err != nil {
+		return oldVersion, fmt.Errorf("shard: prepare summary: %w (nothing applied)", cur.err)
 	}
 	applyStart := obs.Start()
 	touched := make([]bool, n)
@@ -559,7 +509,7 @@ func (ss *ShardedStore) ApplyDeltas(ctx context.Context, inc *core.IncrementalSc
 		if err := ctx.Err(); err != nil {
 			return oldVersion, fmt.Errorf("shard: delta %d: %w (nothing applied)", di, err)
 		}
-		locals, err := ss.Sharding.SplitDelta(delta, ss.Asn, view)
+		locals, err := ss.Sharding.SplitDelta(delta, ss.Asn, cur.Answerer)
 		if err != nil {
 			return oldVersion, fmt.Errorf("shard: delta %d: %w (nothing applied)", di, err)
 		}
@@ -649,10 +599,7 @@ func (ss *ShardedStore) ApplyDeltas(ctx context.Context, inc *core.IncrementalSc
 	}
 	// The new view (for reachability: the portal reach rows) is derived
 	// here, once per batch and still outside the reader-blocking lock.
-	var viewErr error
-	if ss.Sharding.Prepare != nil {
-		view, viewErr = ss.Sharding.Prepare(summary, ss.Asn, shards)
-	}
+	view, viewErr := ss.Sharding.prepareView(summary, ss.Asn, shards)
 	// Commit: everything swaps inside one writer-lock critical section, so
 	// no reader can pair the new summary or shard Π with the old view.
 	ss.mu.Lock()

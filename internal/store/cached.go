@@ -2,7 +2,7 @@ package store
 
 import (
 	"context"
-	"fmt"
+	"errors"
 
 	"pitract/internal/cache"
 	"pitract/internal/obs"
@@ -17,19 +17,20 @@ var (
 )
 
 // cachedDataset fronts one Dataset with a verdict cache. It implements
-// Dataset by delegation, intercepting only the answer paths.
+// Dataset by delegation, intercepting only Exact-mode asks.
 type cachedDataset struct {
 	Dataset
 	c *cache.Cache
 }
 
-// NewCachedDataset wraps ds so Answer and AnswerBatch consult (and fill) c
-// before touching the underlying answering path. The cache key is
-// ⟨ds.DatasetID(), ds.Version(), query⟩ with the version read at admission
-// — the same read the HTTP layer reports — so a hit can only ever serve a
-// verdict computed against that version or a newer one, exactly the
-// staleness contract the uncached path already documents, and a committed
-// delta invalidates every prior entry by moving traffic to new keys.
+// NewCachedDataset wraps ds so Exact asks consult (and fill) c before
+// touching the underlying answering path; Degraded asks bypass it in both
+// directions. The cache key is ⟨ds.DatasetID(), ds.Version(), query⟩ with
+// the version read at admission, and an entry is only ever filled from a
+// verdict the underlying dataset computed at exactly that version — so a
+// hit serves a verdict of exactly the version it is labelled with, and a
+// committed delta invalidates every prior entry by moving traffic to new
+// keys.
 //
 // The wrapper is an answer-path view: registration and maintenance keep
 // going through the registry (or the underlying dataset), which is also
@@ -42,21 +43,31 @@ func NewCachedDataset(ds Dataset, c *cache.Cache) Dataset {
 	return &cachedDataset{Dataset: ds, c: c}
 }
 
-// Answer implements Dataset: a cache hit returns immediately; a cold key
-// runs the underlying answer once, with concurrent callers of the same key
+// errNewerVersion aborts a cache fill whose verdict was computed at a
+// newer version than the key it was admitted under (a delta committed in
+// between). Errors are never cached, so the key stays empty.
+var errNewerVersion = errors.New("store: verdict computed past its cache key's version")
+
+// Ask implements Dataset: a cache hit returns immediately; a cold key runs
+// the underlying ask once, with concurrent callers of the same key
 // coalesced onto that one run (singleflight).
-func (cd *cachedDataset) Answer(q []byte) (bool, error) {
+func (cd *cachedDataset) Ask(ctx context.Context, q []byte, mode Mode) (Verdict, error) {
+	if mode != Exact {
+		return cd.Dataset.Ask(ctx, q, mode)
+	}
+	if err := ctx.Err(); err != nil {
+		return Verdict{}, err
+	}
 	version := cd.Dataset.Version()
 	start := obs.Start()
-	if start.IsZero() { // metrics disabled: skip the outcome bookkeeping
-		return cd.c.Do(cd.Dataset.DatasetID(), version, q, func() (bool, error) {
-			return cd.Dataset.Answer(q)
-		})
-	}
 	ran := false
-	v, err := cd.c.Do(cd.Dataset.DatasetID(), version, q, func() (bool, error) {
+	ans, err := cd.c.Do(cd.Dataset.DatasetID(), version, q, func() (bool, error) {
 		ran = true
-		return cd.Dataset.Answer(q)
+		v, err := cd.Dataset.Ask(ctx, q, Exact)
+		if err == nil && v.Version != version {
+			err = errNewerVersion
+		}
+		return v.Answer, err
 	})
 	if ran {
 		obsCacheMiss.Since(start)
@@ -65,123 +76,69 @@ func (cd *cachedDataset) Answer(q []byte) (bool, error) {
 		// from the caller's side both are "served from the cache layer".
 		obsCacheHit.Since(start)
 	}
-	return v, err
+	if errors.Is(err, errNewerVersion) {
+		return cd.Dataset.Ask(ctx, q, Exact)
+	}
+	return Verdict{Answer: ans, Version: version}, err
 }
 
-// AnswerBatch implements Dataset: cached verdicts are filled in directly
-// and only the misses ride the underlying AnswerBatch worker pool (then
-// populate the cache). The whole batch is keyed at one admission version.
-// Misses are answered as one sub-batch rather than coalesced per key.
-func (cd *cachedDataset) AnswerBatch(queries [][]byte, parallelism int) ([]bool, error) {
+// AskBatch implements Dataset: cached verdicts are filled in directly — one
+// sequential lookup pass; running the lookups through the worker pool only
+// ping-pongs the cache shards' locks — and only the misses ride the
+// underlying AskBatch worker pool (then populate the cache). The whole
+// batch is keyed at one admission version. Misses are answered as one
+// sub-batch rather than coalesced per key.
+func (cd *cachedDataset) AskBatch(ctx context.Context, queries [][]byte, parallelism int, mode Mode) (Verdicts, error) {
+	if mode != Exact {
+		return cd.Dataset.AskBatch(ctx, queries, parallelism, mode)
+	}
+	if err := ctx.Err(); err != nil {
+		return Verdicts{}, err
+	}
 	id := cd.Dataset.DatasetID()
 	version := cd.Dataset.Version()
-	results := make([]bool, len(queries))
+	vs := Verdicts{Answers: make([]bool, len(queries)), Version: version}
 	var missIdx []int
 	var missQueries [][]byte
 	for i, q := range queries {
 		if v, ok := cd.c.Lookup(id, version, q); ok {
-			results[i] = v
+			vs.Answers[i] = v
 		} else {
 			missIdx = append(missIdx, i)
 			missQueries = append(missQueries, q)
 		}
 	}
-	var answers []bool
-	if len(missIdx) > 0 {
-		var err error
-		answers, err = cd.Dataset.AnswerBatch(missQueries, parallelism)
-		if err != nil {
-			// The sub-batch error names the failing query's index *within
-			// the misses*, which would be wrong (and cache-state-dependent)
-			// for the caller. Errors abort the whole batch anyway, so
-			// re-run the full original batch: same deterministic failure,
-			// and the error carries the caller's own lowest failing index —
-			// identical bytes to what the uncached path reports.
-			return cd.Dataset.AnswerBatch(queries, parallelism)
-		}
+	if len(missIdx) == 0 {
+		return vs, nil
 	}
-	if cd.Dataset.Version() != version {
-		// A delta committed since admission: mixing entries keyed at the
-		// admission version (whose verdicts may span the commit — a
-		// single-query writer admitted at v may legally cache a verdict
-		// computed at v+1) with the sub-batch's newer answers could
-		// return a combination no single Π produces. Versions are
-		// monotonic, so an unchanged version here certifies the whole
-		// batch consistent at the admission version; on a change, fall
-		// back to one uncached batch — which answers against a single Π,
-		// preserving the batch consistency contract the uncached path
-		// documents. This guards the all-hit path too, not just misses.
-		return cd.Dataset.AnswerBatch(queries, parallelism)
+	sub, err := cd.Dataset.AskBatch(ctx, missQueries, parallelism, Exact)
+	if err != nil || sub.Version != version {
+		// An error names the failing query's index *within the misses*,
+		// which would be wrong (and cache-state-dependent) for the caller;
+		// and after a commit since admission the sub-batch's newer answers
+		// must neither mix with hits of the admission version nor be filed
+		// under its keys. Either way re-ask the full original batch
+		// uncached: it answers against a single Π, an error carries the
+		// caller's own lowest failing index — identical bytes to what the
+		// uncached path reports — and an expired ctx returns at once.
+		return cd.Dataset.AskBatch(ctx, queries, parallelism, Exact)
 	}
 	for k, i := range missIdx {
-		results[i] = answers[k]
-		cd.c.Put(id, version, queries[i], answers[k])
+		vs.Answers[i] = sub.Answers[k]
+		cd.c.Put(id, version, queries[i], sub.Answers[k])
 	}
-	return results, nil
+	vs.Degraded = sub.Degraded
+	return vs, nil
 }
 
-// AnswerContext implements ContextAnswerer: the cache is still
-// consulted (hits beat deadlines for free); a cold key runs the
-// underlying context-aware path so an expired budget aborts the probe.
-func (cd *cachedDataset) AnswerContext(ctx context.Context, q []byte) (bool, error) {
-	ca, ok := cd.Dataset.(ContextAnswerer)
-	if !ok {
-		return cd.Answer(q)
-	}
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	return cd.c.Do(cd.Dataset.DatasetID(), cd.Dataset.Version(), q, func() (bool, error) {
-		return ca.AnswerContext(ctx, q)
-	})
+// Answer implements Dataset: Ask in Exact mode with no deadline.
+func (cd *cachedDataset) Answer(q []byte) (bool, error) {
+	v, err := cd.Ask(context.Background(), q, Exact)
+	return v.Answer, err
 }
 
-// AnswerBatchContext implements ContextAnswerer with entry-point
-// cancellation; mid-batch expiry is handled by the hard deadline guard
-// (AnswerBatchWithin), which abandons the batch and drops its result.
-func (cd *cachedDataset) AnswerBatchContext(ctx context.Context, queries [][]byte, parallelism int) ([]bool, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return cd.AnswerBatch(queries, parallelism)
-}
-
-// CanDegrade implements DegradedDataset by delegation.
-func (cd *cachedDataset) CanDegrade() bool {
-	if dd, ok := cd.Dataset.(DegradedDataset); ok {
-		return dd.CanDegrade()
-	}
-	return false
-}
-
-// AnswerDegraded implements DegradedDataset by delegation, bypassing
-// the cache entirely: degraded-mode traffic must not populate (or be
-// served from) the exact path's cache — verdicts are exact either way,
-// but keeping the flows separate keeps the cache's hit accounting an
-// exact-path signal.
-func (cd *cachedDataset) AnswerDegraded(q []byte) (bool, error) {
-	dd, ok := cd.Dataset.(DegradedDataset)
-	if !ok {
-		return false, fmt.Errorf("store: dataset %q declares no degraded fallback", cd.Dataset.DatasetID())
-	}
-	return dd.AnswerDegraded(q)
-}
-
-// AnswerBatchDegraded implements DegradedDataset by delegation,
-// bypassing the cache (see AnswerDegraded).
-func (cd *cachedDataset) AnswerBatchDegraded(queries [][]byte, parallelism int) ([]bool, error) {
-	dd, ok := cd.Dataset.(DegradedDataset)
-	if !ok {
-		return nil, fmt.Errorf("store: dataset %q declares no degraded fallback", cd.Dataset.DatasetID())
-	}
-	return dd.AnswerBatchDegraded(queries, parallelism)
-}
-
-// RetryPrepare implements PrepareRetrier by delegation (a no-op for
-// datasets that cannot rebuild their prepared form).
-func (cd *cachedDataset) RetryPrepare() error {
-	if pr, ok := cd.Dataset.(PrepareRetrier); ok {
-		return pr.RetryPrepare()
-	}
-	return nil
+// AnswerBatch implements Dataset: AskBatch in Exact mode with no deadline.
+func (cd *cachedDataset) AnswerBatch(queries [][]byte, parallelism int) ([]bool, error) {
+	vs, err := cd.AskBatch(context.Background(), queries, parallelism, Exact)
+	return vs.Answers, err
 }

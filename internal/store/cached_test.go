@@ -5,6 +5,7 @@ package store
 // internal/server/cache_test.go.
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 
@@ -15,32 +16,49 @@ import (
 // scripted verdicts, for racing the wrapper against "maintenance".
 type scriptedDataset struct {
 	version atomic.Uint64
-	// onBatch runs inside AnswerBatch before answering — the hook a test
-	// uses to commit a "delta" mid-batch. Every verdict is simply
-	// "version > 0", so pre- and post-delta worlds are distinguishable.
-	onBatch func()
+	// onAsk and onBatch run inside Ask / AskBatch before answering — the
+	// hooks a test uses to commit a "delta" between the wrapper's admission
+	// and the answer. Every verdict is simply "version > 0", labelled with
+	// the version read after the hook, so pre- and post-delta worlds are
+	// distinguishable.
+	onAsk, onBatch func()
 }
 
 func (d *scriptedDataset) DatasetID() string        { return "scripted" }
 func (d *scriptedDataset) SchemeName() string       { return "scripted/scheme" }
 func (d *scriptedDataset) DataDigest() DataChecksum { return DataChecksum{} }
 func (d *scriptedDataset) PrepBytes() int           { return 0 }
+func (d *scriptedDataset) SnapshotBytes() int       { return 0 }
 func (d *scriptedDataset) ShardCount() int          { return 1 }
 func (d *scriptedDataset) WasLoaded() bool          { return false }
 func (d *scriptedDataset) Version() uint64          { return d.version.Load() }
-func (d *scriptedDataset) Answer(q []byte) (bool, error) {
-	return d.version.Load() > 0, nil
+func (d *scriptedDataset) CanDegrade() bool         { return false }
+func (d *scriptedDataset) RetryPrepare() error      { return nil }
+func (d *scriptedDataset) Ask(ctx context.Context, q []byte, mode Mode) (Verdict, error) {
+	if d.onAsk != nil {
+		d.onAsk()
+	}
+	v := d.version.Load()
+	return Verdict{Answer: v > 0, Version: v}, nil
 }
-func (d *scriptedDataset) AnswerBatch(queries [][]byte, parallelism int) ([]bool, error) {
+func (d *scriptedDataset) AskBatch(ctx context.Context, queries [][]byte, parallelism int, mode Mode) (Verdicts, error) {
 	if d.onBatch != nil {
 		d.onBatch()
 	}
+	v := d.version.Load()
 	out := make([]bool, len(queries))
-	v := d.version.Load() > 0
 	for i := range out {
-		out[i] = v
+		out[i] = v > 0
 	}
-	return out, nil
+	return Verdicts{Answers: out, Version: v}, nil
+}
+func (d *scriptedDataset) Answer(q []byte) (bool, error) {
+	v, err := d.Ask(context.Background(), q, Exact)
+	return v.Answer, err
+}
+func (d *scriptedDataset) AnswerBatch(queries [][]byte, parallelism int) ([]bool, error) {
+	vs, err := d.AskBatch(context.Background(), queries, parallelism, Exact)
+	return vs.Answers, err
 }
 
 // TestCachedBatchConsistentAcrossMidBatchCommit pins the batch
@@ -70,10 +88,16 @@ func TestCachedBatchConsistentAcrossMidBatchCommit(t *testing.T) {
 	if !got[0] {
 		t.Fatalf("batch = %v, want the post-commit verdicts", got)
 	}
-	// And the stale v0 entry must not have been refreshed under v1 keys:
-	// a fresh lookup at v1 misses (the fallback skips cache fills).
-	if _, ok := c.Lookup("scripted", 1, q2); ok {
-		t.Fatal("fallback path filled the cache despite the version change")
+	// And nothing was filled: the sub-batch's version-1 verdict for q2 is
+	// under neither the admission (v0) key nor a v1 key — the cache still
+	// holds exactly the one entry the warm-up put there.
+	for _, version := range []uint64{0, 1} {
+		if _, ok := c.Lookup("scripted", version, q2); ok {
+			t.Fatalf("fallback path filled the cache under version %d despite the version change", version)
+		}
+	}
+	if st := c.Stats(); st.Entries != 1 {
+		t.Fatalf("cache holds %d entries, want only the warm-up's", st.Entries)
 	}
 }
 

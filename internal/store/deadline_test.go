@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"pitract/internal/cache"
 	"pitract/internal/core"
 	"pitract/internal/schemes"
 )
@@ -124,59 +125,67 @@ func verdictOf(q []byte) bool { return len(q) > 0 && q[0]%2 == 0 }
 // switches to the scheme's declared fallback for the remainder, the
 // reported degraded count matches the fallback probes, and — the part
 // that makes degradation admissible at all — every verdict is identical
-// to the exact path's.
+// to the exact path's. The cache wrapper is the same seam: its miss
+// sub-batch receives the deadline and the mode like any other batch.
 func TestAnswerBatchWithinDegradesMidBatch(t *testing.T) {
-	var exactCalls, fbCalls atomic.Int64
-	sch := &core.Scheme{
-		SchemeName: "test/degradable",
-		Preprocess: func(d []byte) ([]byte, error) { return append([]byte(nil), d...), nil },
-		Answer: func(pd, q []byte) (bool, error) {
-			// The first exact probe eats ~80% of the 800ms budget, so the
-			// degradable batch must finish the rest through the fallback.
-			if exactCalls.Add(1) == 1 {
-				time.Sleep(650 * time.Millisecond)
+	for name, front := range map[string]func(Dataset) Dataset{
+		"plain":  func(ds Dataset) Dataset { return ds },
+		"cached": func(ds Dataset) Dataset { return NewCachedDataset(ds, cache.New(1<<20)) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			var exactCalls, fbCalls atomic.Int64
+			sch := &core.Scheme{
+				SchemeName: "test/degradable",
+				Preprocess: func(d []byte) ([]byte, error) { return append([]byte(nil), d...), nil },
+				Answer: func(pd, q []byte) (bool, error) {
+					// The first exact probe eats ~80% of the 800ms budget, so the
+					// degradable batch must finish the rest through the fallback.
+					if exactCalls.Add(1) == 1 {
+						time.Sleep(650 * time.Millisecond)
+					}
+					return verdictOf(q), nil
+				},
+				PrepareFallback: func(pd []byte) (core.Answerer, error) {
+					return core.AnswererFunc(func(q []byte) (bool, error) {
+						fbCalls.Add(1)
+						return verdictOf(q), nil
+					}), nil
+				},
 			}
-			return verdictOf(q), nil
-		},
-		PrepareFallback: func(pd []byte) (core.Answerer, error) {
-			return core.AnswererFunc(func(q []byte) (bool, error) {
-				fbCalls.Add(1)
-				return verdictOf(q), nil
-			}), nil
-		},
-	}
-	st := &Store{ID: "d", Scheme: sch, Prep: []byte{1}}
-	queries := [][]byte{{2}, {3}, {4}, {5}, {6}, {7}}
+			ds := front(&Store{ID: "d", Scheme: sch, Prep: []byte{1}})
+			queries := [][]byte{{2}, {3}, {4}, {5}, {6}, {7}}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 800*time.Millisecond)
-	defer cancel()
-	answers, degraded, err := AnswerBatchWithin(ctx, st, queries, 1)
-	if err != nil {
-		t.Fatalf("degradable batch failed: %v", err)
-	}
-	if len(answers) != len(queries) {
-		t.Fatalf("batch returned %d answers for %d queries", len(answers), len(queries))
-	}
-	for i, q := range queries {
-		if answers[i] != verdictOf(q) {
-			t.Fatalf("query %d: degraded batch says %v, exact verdict is %v — degradation changed an answer", i, answers[i], verdictOf(q))
-		}
-	}
-	if degraded < 1 {
-		t.Fatalf("degraded count %d after the exact path ate the budget, want >= 1", degraded)
-	}
-	if int64(degraded) != fbCalls.Load() {
-		t.Fatalf("degraded count %d but the fallback answered %d probes", degraded, fbCalls.Load())
-	}
+			ctx, cancel := context.WithTimeout(context.Background(), 800*time.Millisecond)
+			defer cancel()
+			answers, degraded, err := AnswerBatchWithin(ctx, ds, queries, 1)
+			if err != nil {
+				t.Fatalf("degradable batch failed: %v", err)
+			}
+			if len(answers) != len(queries) {
+				t.Fatalf("batch returned %d answers for %d queries", len(answers), len(queries))
+			}
+			for i, q := range queries {
+				if answers[i] != verdictOf(q) {
+					t.Fatalf("query %d: degraded batch says %v, exact verdict is %v — degradation changed an answer", i, answers[i], verdictOf(q))
+				}
+			}
+			if degraded < 1 {
+				t.Fatalf("degraded count %d after the exact path ate the budget, want >= 1", degraded)
+			}
+			if int64(degraded) != fbCalls.Load() {
+				t.Fatalf("degraded count %d but the fallback answered %d probes", degraded, fbCalls.Load())
+			}
 
-	// Without a deadline the same store takes the exact path only.
-	fbBefore := fbCalls.Load()
-	answers, degraded, err = AnswerBatchWithin(context.Background(), st, [][]byte{{8}, {9}}, 1)
-	if err != nil || degraded != 0 || !answers[0] || answers[1] {
-		t.Fatalf("deadline-free batch = (%v, %d, %v), want exact ([true false], 0, nil)", answers, degraded, err)
-	}
-	if fbCalls.Load() != fbBefore {
-		t.Fatal("deadline-free batch touched the fallback answerer")
+			// Without a deadline the same store takes the exact path only.
+			fbBefore := fbCalls.Load()
+			answers, degraded, err = AnswerBatchWithin(context.Background(), ds, [][]byte{{8}, {9}}, 1)
+			if err != nil || degraded != 0 || !answers[0] || answers[1] {
+				t.Fatalf("deadline-free batch = (%v, %d, %v), want exact ([true false], 0, nil)", answers, degraded, err)
+			}
+			if fbCalls.Load() != fbBefore {
+				t.Fatal("deadline-free batch touched the fallback answerer")
+			}
+		})
 	}
 }
 

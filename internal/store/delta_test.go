@@ -10,9 +10,7 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"math/rand"
 	"os"
 	"sync"
@@ -517,9 +515,9 @@ func TestConcurrentMixedDeltasAndQueries(t *testing.T) {
 	}
 }
 
-// TestSnapshotVersionRoundTrip pins the v2 snapshot format: the
-// maintenance version survives encode/decode, and the pre-delta v1 layout
-// still decodes as version 0.
+// TestSnapshotVersionRoundTrip pins that the maintenance version survives
+// encode/decode. (The pre-delta v1 layout is an unknown format now; see
+// TestSnapshotLegacyVersionsAreUnknownFormats.)
 func TestSnapshotVersionRoundTrip(t *testing.T) {
 	s := &Snapshot{SchemeName: "s", Notes: "n", DataSum: SumData([]byte("d")), Version: 7, Prep: []byte{1, 2, 3}}
 	got, err := DecodeSnapshot(EncodeSnapshot(s))
@@ -528,20 +526,5 @@ func TestSnapshotVersionRoundTrip(t *testing.T) {
 	}
 	if got.Version != 7 || got.SchemeName != "s" || !bytes.Equal(got.Prep, s.Prep) || got.DataSum != s.DataSum {
 		t.Fatalf("round trip mismatch: %+v", got)
-	}
-
-	// A v1 file: same framing, no version field, old magic.
-	header := core.PadPair([]byte(s.SchemeName), []byte(s.Notes))
-	body := core.PadPair(s.DataSum[:], s.Prep)
-	payload := core.PadPair(header, body)
-	v1 := []byte("PITRACTS\x01")
-	v1 = binary.BigEndian.AppendUint32(v1, crc32.ChecksumIEEE(payload))
-	v1 = append(v1, payload...)
-	old, err := DecodeSnapshot(v1)
-	if err != nil {
-		t.Fatalf("v1 snapshot rejected: %v", err)
-	}
-	if old.Version != 0 || !bytes.Equal(old.Prep, s.Prep) || old.DataSum != s.DataSum {
-		t.Fatalf("v1 decode mismatch: %+v", old)
 	}
 }

@@ -40,10 +40,14 @@ var (
 )
 
 // Dataset is anything the registry can serve queries from: a plain Store
-// (one preprocessed artifact) or a composite such as internal/shard's
-// ShardedStore (n per-shard artifacts behind one catalog entry). The
-// answer-path methods must be safe for concurrent use; the descriptive
-// methods must be cheap and never block.
+// (one preprocessed artifact), a composite such as internal/shard's
+// ShardedStore (n per-shard artifacts behind one catalog entry), or either
+// behind the answer cache (NewCachedDataset). Answering is one seam — Ask
+// and AskBatch, with the context and the Mode as arguments and the version
+// in the result — identical for every kind; Answer and AnswerBatch are its
+// background-context, Exact-mode faces. The answer-path methods must be
+// safe for concurrent use; the descriptive methods must be cheap and never
+// block.
 type Dataset interface {
 	// DatasetID is the registry identifier the dataset was registered under.
 	DatasetID() string
@@ -55,6 +59,10 @@ type Dataset interface {
 	DataDigest() DataChecksum
 	// PrepBytes reports the total size of the preprocessed artifact(s).
 	PrepBytes() int
+	// SnapshotBytes reports the total encoded size of the dataset's
+	// snapshot artifact(s) at its current version — the on-disk footprint
+	// /v1/stats sets against PrepBytes.
+	SnapshotBytes() int
 	// ShardCount reports how many preprocessed stores back the dataset
 	// (1 for a plain Store).
 	ShardCount() int
@@ -66,10 +74,27 @@ type Dataset interface {
 	// Restarts restore it from the snapshot, so it never goes backwards
 	// over the lifetime of the persisted dataset.
 	Version() uint64
-	// Answer decides one query.
+	// CanDegrade reports whether Degraded asks can be answered — the
+	// scheme declares a cheaper fallback answerer.
+	CanDegrade() bool
+	// RetryPrepare drops the prepared answerer(s), successful or failed,
+	// and rebuilds them from the current Π — the hook a breaker's half-open
+	// probe uses to retry a transient Prepare failure.
+	RetryPrepare() error
+	// Ask decides one query in the given mode. The verdict carries the
+	// maintenance version of the Π that decided it, read together with the
+	// answerer. A cancelled ctx returns its error before any probe; a
+	// Degraded ask of a dataset that cannot degrade is ErrNoFallback.
+	Ask(ctx context.Context, q []byte, mode Mode) (Verdict, error)
+	// AskBatch answers queries concurrently through worker pools
+	// (parallelism <= 0 selects GOMAXPROCS), all against the one Π at the
+	// returned version, consulting ctx before every probe. The first error
+	// by lowest query index aborts the batch, reported as
+	// "scheme <name>: batch query <index>: <cause>".
+	AskBatch(ctx context.Context, queries [][]byte, parallelism int, mode Mode) (Verdicts, error)
+	// Answer is Ask in Exact mode under a background context.
 	Answer(q []byte) (bool, error)
-	// AnswerBatch answers queries concurrently through worker pools;
-	// parallelism <= 0 selects GOMAXPROCS.
+	// AnswerBatch is AskBatch in Exact mode under a background context.
 	AnswerBatch(queries [][]byte, parallelism int) ([]bool, error)
 }
 
@@ -785,28 +810,14 @@ func (r *Registry) Len() int {
 	return n
 }
 
-// SnapshotSizer is an optional Dataset capability: datasets that can report
-// the encoded size of their current snapshot artifact(s) implement it so
-// /v1/stats can expose the on-disk footprint (and the snapshot compression
-// ratio) next to the in-memory artifact bytes. Store and internal/shard's
-// ShardedStore both do; the registry's ArtifactStats type-asserts rather
-// than requiring it, so foreign Dataset implementations stay valid.
-type SnapshotSizer interface {
-	// SnapshotBytes reports the total encoded size of the dataset's
-	// snapshot artifact(s) at its current version.
-	SnapshotBytes() int
-}
-
 // ArtifactStats sums, over completed datasets, the in-memory preprocessed
-// artifact bytes (PrepBytes) and the encoded snapshot bytes (for datasets
-// implementing SnapshotSizer). Registrations still in flight are skipped,
-// as in Len, so stats never block behind a Preprocess.
+// artifact bytes (PrepBytes) and the encoded snapshot bytes
+// (SnapshotBytes). Registrations still in flight are skipped, as in Len, so
+// stats never block behind a Preprocess.
 func (r *Registry) ArtifactStats() (prepBytes, snapshotBytes int64) {
 	for _, ds := range r.completed() {
 		prepBytes += int64(ds.PrepBytes())
-		if sz, ok := ds.(SnapshotSizer); ok {
-			snapshotBytes += int64(sz.SnapshotBytes())
-		}
+		snapshotBytes += int64(ds.SnapshotBytes())
 	}
 	return prepBytes, snapshotBytes
 }

@@ -50,16 +50,12 @@ var (
 )
 
 // snapshotMagic opens every snapshot file. The trailing byte is the format
-// version; bump it when the payload layout changes. Version 2 added the
-// maintenance version counter (incremental serving); version 3 wrapped the
-// preprocessed bytes in a compressed, stream-decodable section (see
-// encodePrepSection). Version-1 and version-2 files are still decoded —
-// v1 as version-0 datasets, v2 with its raw prep bytes.
-var (
-	snapshotMagic   = []byte("PITRACTS\x03")
-	snapshotMagicV2 = []byte("PITRACTS\x02")
-	snapshotMagicV1 = []byte("PITRACTS\x01")
-)
+// version; bump it when the payload layout changes. Version 3 carries the
+// maintenance version counter and wraps the preprocessed bytes in a
+// compressed, stream-decodable section (see encodePrepSection). Any other
+// version byte is an unknown format: the registry quarantines the file and
+// rebuilds.
+var snapshotMagic = []byte("PITRACTS\x03")
 
 // Prep-section codecs (the first byte of a v3 snapshot's prep section).
 const (
@@ -123,7 +119,7 @@ func deltaEncodeRecords(prep []byte) []byte {
 	return out
 }
 
-// decodePrepSection parses a v3 prep section. Hostile sections fail
+// decodePrepSection parses a snapshot's prep section. Hostile sections fail
 // closed: the record count is bounded by the remaining bytes before any
 // allocation, accumulator overflow is rejected, and trailing bytes are an
 // error — never a panic, never an unbounded allocation.
@@ -215,11 +211,9 @@ func EncodeSnapshot(s *Snapshot) []byte {
 	return append(out, payload...)
 }
 
-// DecodeSnapshot parses the versioned format — current (v3, compressed
-// prep section), v2 (raw prep), and the pre-delta v1 layout, which decodes
-// as maintenance version 0. Any deviation — wrong magic, unknown version,
-// bad checksum, truncated or malformed payload or prep section — is an
-// error; DecodeSnapshot never panics on hostile input.
+// DecodeSnapshot parses the versioned format. Any deviation — wrong magic,
+// unknown version, bad checksum, truncated or malformed payload or prep
+// section — is an error; DecodeSnapshot never panics on hostile input.
 func DecodeSnapshot(b []byte) (*Snapshot, error) {
 	if len(b) < len(snapshotMagic)+4 {
 		return nil, fmt.Errorf("store: snapshot too short (%d bytes)", len(b))
@@ -229,14 +223,9 @@ func DecodeSnapshot(b []byte) (*Snapshot, error) {
 			return nil, fmt.Errorf("store: bad snapshot magic (offset %d)", i)
 		}
 	}
-	verByte := b[len(snapshotMagic)-1]
-	if verByte != snapshotMagic[len(snapshotMagic)-1] &&
-		verByte != snapshotMagicV2[len(snapshotMagicV2)-1] &&
-		verByte != snapshotMagicV1[len(snapshotMagicV1)-1] {
+	if verByte := b[len(snapshotMagic)-1]; verByte != snapshotMagic[len(snapshotMagic)-1] {
 		return nil, fmt.Errorf("store: unknown snapshot format version %d", verByte)
 	}
-	v1 := verByte == snapshotMagicV1[len(snapshotMagicV1)-1]
-	v3 := verByte == snapshotMagic[len(snapshotMagic)-1]
 	want := binary.BigEndian.Uint32(b[len(snapshotMagic):])
 	payload := b[len(snapshotMagic)+4:]
 	if got := crc32.ChecksumIEEE(payload); got != want {
@@ -258,24 +247,14 @@ func DecodeSnapshot(b []byte) (*Snapshot, error) {
 		SchemeName: string(scheme),
 		Notes:      string(notes),
 	}
-	if v3 {
-		if s.Prep, err = decodePrepSection(prep); err != nil {
-			return nil, err
-		}
-	} else {
-		s.Prep = append([]byte(nil), prep...)
+	if s.Prep, err = decodePrepSection(prep); err != nil {
+		return nil, err
 	}
 	if len(meta) < len(s.DataSum) {
 		return nil, fmt.Errorf("store: data checksum is %d bytes, want %d", len(meta), len(s.DataSum))
 	}
 	copy(s.DataSum[:], meta)
 	rest := meta[len(s.DataSum):]
-	if v1 {
-		if len(rest) != 0 {
-			return nil, fmt.Errorf("store: %d trailing snapshot metadata bytes", len(rest))
-		}
-		return s, nil
-	}
 	ver, k := binary.Uvarint(rest)
 	if k <= 0 || k != len(rest) {
 		return nil, fmt.Errorf("store: corrupt snapshot maintenance version")
@@ -383,23 +362,17 @@ type Store struct {
 	// checkpoint (guarded by maintMu); when it reaches the medium's
 	// CheckpointEvery the snapshot is rewritten and the log truncated.
 	walRecords int
-	// ans is the prepared answerer for the current Π (core.PreparedScheme):
-	// the scheme's typed decoded form, built once per Π — eagerly by Warm at
-	// registration/load, or lazily on the first answer for stores assembled
-	// by hand — and refreshed as part of the same commit that swaps Prep and
-	// version, so a query never pairs a new Π with an old prepared form.
-	// ansErr is the sticky Prepare failure for the current Π (a corrupt
+	// forms holds, per Mode, the answerer decoded from the current Π: the
+	// scheme's typed prepared form (Exact, core.PreparedScheme) and its
+	// declared fallback (Degraded, Scheme.PrepareFallback). Each is built
+	// once per Π — the exact form eagerly by Warm at registration/load, or
+	// lazily on the first ask for stores assembled by hand; the fallback on
+	// the first degraded ask — and both are reset by the same commit that
+	// swaps Prep and version, so a query never pairs a new Π with an old
+	// form. A failed build is sticky for the current Π (a corrupt
 	// preprocessed string errors once at preparation; every answer surfaces
-	// it, matching the raw path's per-query validation error). Both are nil
-	// while the answerer is unbuilt.
-	ans    core.Answerer
-	ansErr error
-	// fb is the degraded-mode fallback answerer for the current Π (built
-	// from Scheme.PrepareFallback on first degraded answer, invalidated
-	// with ans on every maintenance commit); fbErr is its sticky build
-	// failure. Both are guarded by mu like ans/ansErr.
-	fb    core.Answerer
-	fbErr error
+	// it, matching the raw path's per-query validation error).
+	forms [2]prepared
 	// snapSize memoizes SnapshotBytes for the committed ⟨Π, version⟩ (0 =
 	// not computed yet); every commit that changes either resets it, so a
 	// /v1/stats scrape encodes a snapshot at most once per version.
@@ -463,10 +436,9 @@ func (st *Store) Replace(prep []byte, version uint64) {
 func (st *Store) ReplacePrepared(prep []byte, version uint64, a core.Answerer, aerr error) {
 	st.mu.Lock()
 	st.Prep, st.version, st.snapSize = prep, version, 0
-	st.ans, st.ansErr = a, wrapPrepareErr(aerr)
 	// The fallback answerer decodes the same Π: a maintenance commit
-	// invalidates it too (rebuilt lazily on the next degraded answer).
-	st.fb, st.fbErr = nil, nil
+	// invalidates it too (rebuilt lazily on the next degraded ask).
+	st.forms = [2]prepared{Exact: {a, wrapPrepareErr(aerr)}}
 	st.mu.Unlock()
 }
 
@@ -486,41 +458,63 @@ func (st *Store) BumpVersion(version uint64) {
 // reloads call it; stores assembled by hand fall back to the same build on
 // their first answer. Prepare failures are not fatal here — they surface,
 // with the identical message, on every subsequent Answer.
-func (st *Store) Warm() { st.Prepared() }
+func (st *Store) Warm() { st.pin(Exact) }
 
-// Prepared returns the prepared answerer for the current Π, building and
-// installing it on first use (composite datasets read their member stores'
-// typed forms through it). The double-check under the write lock keeps a
-// racing maintenance commit authoritative: if the version moved while we
-// prepared, the freshly built form still matches the Π this call read, so
-// it is used for this answer and discarded.
-func (st *Store) Prepared() (core.Answerer, error) {
-	st.mu.RLock()
-	a, aerr, pd, v := st.ans, st.ansErr, st.Prep, st.version
-	st.mu.RUnlock()
-	if a != nil || aerr != nil {
-		return a, aerr
-	}
-	a, aerr = st.Scheme.Prepare(pd)
-	aerr = wrapPrepareErr(aerr)
-	st.mu.Lock()
-	if st.ans == nil && st.ansErr == nil && st.version == v {
-		st.ans, st.ansErr = a, aerr
-	}
-	st.mu.Unlock()
-	return a, aerr
+// prepared is one decoded form of a Π, or the sticky failure to build it;
+// both nil while unbuilt.
+type prepared struct {
+	a   core.Answerer
+	err error
 }
 
-// RetryPrepare implements PrepareRetrier: it drops the cached prepared
-// answerer (successful or failed) and rebuilds it from the current Π.
-// This is the heal path for a Prepare that failed transiently (e.g. an
-// injected I/O fault inside a scheme's decode): without it the first
-// failure would poison the store until restart. Called by a health
-// breaker's half-open probe.
+// pin returns the answerer mode selects for the current Π together with
+// the maintenance version of that Π — one consistent pair, read in one
+// critical section — building and installing the form on first use. The
+// double-check under the write lock keeps a racing maintenance commit
+// authoritative: if the version moved while we built, the fresh form still
+// matches the ⟨Π, version⟩ this call read, so it is used for this ask and
+// discarded.
+func (st *Store) pin(mode Mode) (core.Answerer, uint64, error) {
+	st.mu.RLock()
+	f, pd, v := st.forms[mode], st.Prep, st.version
+	st.mu.RUnlock()
+	if f.a != nil || f.err != nil {
+		return f.a, v, f.err
+	}
+	switch {
+	case mode == Exact:
+		f.a, f.err = st.Scheme.Prepare(pd)
+		f.err = wrapPrepareErr(f.err)
+	case st.CanDegrade():
+		f.a, f.err = st.Scheme.PrepareFallback(pd)
+	default:
+		return nil, v, fmt.Errorf("scheme %s: %w", st.Scheme.Name(), ErrNoFallback)
+	}
+	st.mu.Lock()
+	if cur := st.forms[mode]; cur.a == nil && cur.err == nil && st.version == v {
+		st.forms[mode] = f
+	}
+	st.mu.Unlock()
+	return f.a, v, f.err
+}
+
+// Prepared returns the prepared answerer for the current Π, building it on
+// first use (composite datasets read their member stores' typed forms
+// through it).
+func (st *Store) Prepared() (core.Answerer, error) {
+	a, _, err := st.pin(Exact)
+	return a, err
+}
+
+// RetryPrepare implements Dataset: it drops the prepared forms (successful
+// or failed) and rebuilds the exact one from the current Π. This is the
+// heal path for a Prepare that failed transiently (e.g. an injected I/O
+// fault inside a scheme's decode): without it the first failure would
+// poison the store until restart. Called by a health breaker's half-open
+// probe.
 func (st *Store) RetryPrepare() error {
 	st.mu.Lock()
-	st.ans, st.ansErr = nil, nil
-	st.fb, st.fbErr = nil, nil
+	st.forms = [2]prepared{}
 	st.mu.Unlock()
 	_, err := st.Prepared()
 	return err
@@ -652,7 +646,7 @@ func (st *Store) PrepBytes() int {
 // ShardCount implements Dataset: a plain store is its own single shard.
 func (st *Store) ShardCount() int { return 1 }
 
-// SnapshotBytes implements SnapshotSizer: the encoded size of the store's
+// SnapshotBytes implements Dataset: the encoded size of the store's
 // snapshot at its current version — what a checkpoint would write, whether
 // or not the store is persisted. The size is encoded once per committed
 // ⟨Π, version⟩ and memoized: a stats scrape must not re-encode Π.
@@ -679,145 +673,100 @@ func (st *Store) SnapshotBytes() int {
 // WasLoaded implements Dataset.
 func (st *Store) WasLoaded() bool { return st.Loaded }
 
-// Answer decides one query against the preprocessed store, through the
-// scheme's prepared (decoded-once) form — the raw Scheme.Answer stays
-// available as the differential oracle.
-func (st *Store) Answer(q []byte) (bool, error) {
-	a, err := st.Prepared()
-	if err != nil {
-		return false, err
+// CanDegrade implements Dataset: whether the scheme declares a cheaper
+// fallback answerer.
+func (st *Store) CanDegrade() bool { return st.Scheme.PrepareFallback != nil }
+
+// Ask implements Dataset: one query through the answerer mode selects —
+// the scheme's prepared (decoded-once) form, or its declared fallback; the
+// raw Scheme.Answer stays available as the differential oracle. ctx is
+// checked up front (a single prepared probe is too fine-grained to
+// interrupt mid-flight).
+func (st *Store) Ask(ctx context.Context, q []byte, mode Mode) (Verdict, error) {
+	if err := ctx.Err(); err != nil {
+		return Verdict{}, err
 	}
-	return a.Answer(q)
+	a, v, err := st.pin(mode)
+	if err != nil {
+		return Verdict{Version: v}, err
+	}
+	ans, err := a.Answer(q)
+	return Verdict{Answer: ans, Version: v, Degraded: mode == Degraded}, err
 }
 
-// AnswerBatch answers queries concurrently through the scheme's worker
-// pool; parallelism <= 0 selects GOMAXPROCS. The whole batch answers
-// against one consistent Π — the prepared form is snapshot once up front,
-// even if a delta commits mid-batch.
-func (st *Store) AnswerBatch(queries [][]byte, parallelism int) ([]bool, error) {
+// AskBatch implements Dataset: queries answered concurrently through the
+// scheme's worker pool (parallelism <= 0 selects GOMAXPROCS), ctx consulted
+// before every probe so an expired deadline abandons the remainder of the
+// batch instead of paying it. The whole batch answers against one
+// consistent Π — the form is pinned once up front, even if a delta commits
+// mid-batch. An Exact batch under a deadline starts on the prepared form
+// and switches to the scheme's declared fallback (when it has one) once
+// less than a quarter of the budget remains.
+func (st *Store) AskBatch(ctx context.Context, queries [][]byte, parallelism int, mode Mode) (Verdicts, error) {
+	if err := ctx.Err(); err != nil {
+		return Verdicts{}, err
+	}
+	a, v, err := st.pin(mode)
 	if len(queries) == 0 {
 		// The raw batch path returns no error on an empty batch even over
 		// a corrupt Π (it never calls Answer); match it.
-		return []bool{}, nil
+		return Verdicts{Answers: []bool{}, Version: v}, nil
 	}
-	a, err := st.Prepared()
 	if err != nil {
 		// A corrupt Π fails the raw path at its first query; report the
-		// sticky Prepare error in exactly that shape.
-		return nil, fmt.Errorf("scheme %s: batch query %d: %w", st.Scheme.Name(), 0, err)
+		// sticky build error in exactly that shape.
+		return Verdicts{Version: v}, fmt.Errorf("scheme %s: batch query %d: %w", st.Scheme.Name(), 0, err)
 	}
-	return core.AnswerBatchPrepared(st.Scheme.Name(), a, queries, parallelism)
+	vs := Verdicts{Version: v}
+	var fallbacks *atomic.Int64
+	if mode == Degraded {
+		vs.Degraded = len(queries)
+	} else if deadline, ok := ctx.Deadline(); ok && st.CanDegrade() {
+		fallbacks = new(atomic.Int64)
+		a = st.fallbackWhenLow(a, v, deadline, fallbacks)
+	}
+	vs.Answers, err = core.AnswerBatchPreparedContext(ctx, st.Scheme.Name(), a, queries, parallelism)
+	if fallbacks != nil {
+		vs.Degraded = int(fallbacks.Load())
+	}
+	return vs, err
 }
 
-// AnswerContext implements ContextAnswerer: Answer with a cancellation
-// check up front (a single prepared probe is too fine-grained to
-// interrupt mid-flight).
-func (st *Store) AnswerContext(ctx context.Context, q []byte) (bool, error) {
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	return st.Answer(q)
-}
-
-// AnswerBatchContext implements ContextAnswerer: AnswerBatch with the
-// context consulted before every probe, so an expired deadline abandons
-// the remainder of the batch instead of paying it.
-func (st *Store) AnswerBatchContext(ctx context.Context, queries [][]byte, parallelism int) ([]bool, error) {
-	if len(queries) == 0 {
-		return []bool{}, nil
-	}
-	a, err := st.Prepared()
-	if err != nil {
-		return nil, fmt.Errorf("scheme %s: batch query %d: %w", st.Scheme.Name(), 0, err)
-	}
-	return core.AnswerBatchPreparedContext(ctx, st.Scheme.Name(), a, queries, parallelism)
-}
-
-// fallbackAnswerer returns the degraded-mode answerer for the current
-// Π, building and installing it on first use with the same
-// version-checked double-install discipline as answerer.
-func (st *Store) fallbackAnswerer() (core.Answerer, error) {
-	if st.Scheme.PrepareFallback == nil {
-		return nil, fmt.Errorf("store: scheme %s declares no degraded fallback", st.Scheme.Name())
-	}
-	st.mu.RLock()
-	fb, fbErr, pd, v := st.fb, st.fbErr, st.Prep, st.version
-	st.mu.RUnlock()
-	if fb != nil || fbErr != nil {
-		return fb, fbErr
-	}
-	fb, fbErr = st.Scheme.PrepareFallback(pd)
-	st.mu.Lock()
-	if st.fb == nil && st.fbErr == nil && st.version == v {
-		st.fb, st.fbErr = fb, fbErr
-	}
-	st.mu.Unlock()
-	return fb, fbErr
-}
-
-// CanDegrade implements DegradedDataset: whether the scheme declares a
-// cheaper fallback answerer.
-func (st *Store) CanDegrade() bool { return st.Scheme.PrepareFallback != nil }
-
-// AnswerDegraded implements DegradedDataset: one query through the
-// scheme's declared fallback. Verdicts are exact — the fallback trades
-// probe cost and build cost, not correctness.
-func (st *Store) AnswerDegraded(q []byte) (bool, error) {
-	fb, err := st.fallbackAnswerer()
-	if err != nil {
-		return false, err
-	}
-	return fb.Answer(q)
-}
-
-// AnswerBatchDegraded implements DegradedDataset: a whole batch through
-// the fallback, with the usual batch error shape.
-func (st *Store) AnswerBatchDegraded(queries [][]byte, parallelism int) ([]bool, error) {
-	if len(queries) == 0 {
-		return []bool{}, nil
-	}
-	fb, err := st.fallbackAnswerer()
-	if err != nil {
-		return nil, fmt.Errorf("scheme %s: batch query %d: %w", st.Scheme.Name(), 0, err)
-	}
-	return core.AnswerBatchPrepared(st.Scheme.Name(), fb, queries, parallelism)
-}
-
-// AnswerBatchDegradable implements DegradableBatcher: the batch starts
-// on the exact path and switches to the scheme's declared fallback once
-// less than a quarter of the deadline budget remains, reporting how
-// many queries answered degraded. Without a deadline or a fallback it
-// is the plain context batch.
-func (st *Store) AnswerBatchDegradable(ctx context.Context, queries [][]byte, parallelism int) ([]bool, int, error) {
-	deadline, hasDeadline := ctx.Deadline()
-	if !hasDeadline || !st.CanDegrade() {
-		ans, err := st.AnswerBatchContext(ctx, queries, parallelism)
-		return ans, 0, err
-	}
-	if len(queries) == 0 {
-		return []bool{}, 0, nil
-	}
-	a, err := st.Prepared()
-	if err != nil {
-		return nil, 0, fmt.Errorf("scheme %s: batch query %d: %w", st.Scheme.Name(), 0, err)
-	}
+// fallbackWhenLow wraps a batch's pinned exact answerer: once less than a
+// quarter of the budget measured from now remains before deadline, the
+// remaining probes go to the scheme's declared fallback, counted in taken.
+// Only a fallback decoded from the Π pinned at version v may answer — one
+// batch, one version — so a commit that raced the batch keeps it exact.
+func (st *Store) fallbackWhenLow(exact core.Answerer, v uint64, deadline time.Time, taken *atomic.Int64) core.Answerer {
 	start := time.Now()
-	var degraded atomic.Int64
-	var fbOnce sync.Once
+	var once sync.Once
 	var fb core.Answerer
-	var fbErr error
-	wrapped := core.AnswererFunc(func(q []byte) (bool, error) {
+	return core.AnswererFunc(func(q []byte) (bool, error) {
 		if budgetLow(start, deadline) {
-			fbOnce.Do(func() { fb, fbErr = st.fallbackAnswerer() })
-			if fbErr == nil && fb != nil {
-				degraded.Add(1)
+			once.Do(func() {
+				if a, fv, err := st.pin(Degraded); err == nil && fv == v {
+					fb = a
+				}
+			})
+			if fb != nil {
+				taken.Add(1)
 				return fb.Answer(q)
 			}
 		}
-		return a.Answer(q)
+		return exact.Answer(q)
 	})
-	ans, err := core.AnswerBatchPreparedContext(ctx, st.Scheme.Name(), wrapped, queries, parallelism)
-	return ans, int(degraded.Load()), err
+}
+
+// Answer implements Dataset: Ask in Exact mode with no deadline.
+func (st *Store) Answer(q []byte) (bool, error) {
+	v, err := st.Ask(context.Background(), q, Exact)
+	return v.Answer, err
+}
+
+// AnswerBatch implements Dataset: AskBatch in Exact mode with no deadline.
+func (st *Store) AnswerBatch(queries [][]byte, parallelism int) ([]bool, error) {
+	vs, err := st.AskBatch(context.Background(), queries, parallelism, Exact)
+	return vs.Answers, err
 }
 
 // Snapshot renders the store as a persistable snapshot.

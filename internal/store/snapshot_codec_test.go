@@ -2,13 +2,17 @@ package store
 
 // Tests for the v3 compressed prep section: the delta-varint codec must
 // fire exactly on sorted-key artifacts, shrink them, and round-trip
-// byte-identically; unsorted or odd-length artifacts ship raw; legacy v2
-// and v1 files still decode; hostile sections fail closed.
+// byte-identically; unsorted or odd-length artifacts ship raw; the
+// never-deployed v2 and v1 layouts are unknown formats (quarantined and
+// rebuilt, not decoded); hostile sections fail closed.
 
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
+	"os"
+	"strings"
 	"testing"
 
 	"pitract/internal/core"
@@ -93,8 +97,15 @@ func TestSnapshotV3ShrinksSortedKeys(t *testing.T) {
 	}
 }
 
-// encodeLegacySnapshot renders the v1/v2 layouts (raw prep, no codec byte)
-// so the compat path is pinned against real bytes, not the current encoder.
+// The pre-v3 magics. No deployed artifact carries them; they survive here
+// only as characteristic "well-formed file of another format" inputs.
+var (
+	snapshotMagicV2 = []byte("PITRACTS\x02")
+	snapshotMagicV1 = []byte("PITRACTS\x01")
+)
+
+// encodeLegacySnapshot renders the v1/v2 layouts (raw prep, no codec byte):
+// CRC-valid files the current decoder must refuse by version byte alone.
 func encodeLegacySnapshot(s *Snapshot, magic []byte, withVersion bool) []byte {
 	header := core.PadPair([]byte(s.SchemeName), []byte(s.Notes))
 	meta := append([]byte(nil), s.DataSum[:]...)
@@ -107,39 +118,53 @@ func encodeLegacySnapshot(s *Snapshot, magic []byte, withVersion bool) []byte {
 	return append(out, payload...)
 }
 
-func TestSnapshotLegacyVersionsStillDecode(t *testing.T) {
-	s := testSnapshot()
-	s.Version = 7
-
-	t.Run("v2", func(t *testing.T) {
-		got, err := DecodeSnapshot(encodeLegacySnapshot(s, snapshotMagicV2, true))
-		if err != nil {
-			t.Fatalf("v2 decode: %v", err)
-		}
-		if got.SchemeName != s.SchemeName || got.Version != 7 || !bytes.Equal(got.Prep, s.Prep) {
-			t.Fatalf("v2 decode changed fields: %+v", got)
-		}
-	})
-	t.Run("v1", func(t *testing.T) {
-		got, err := DecodeSnapshot(encodeLegacySnapshot(s, snapshotMagicV1, false))
-		if err != nil {
-			t.Fatalf("v1 decode: %v", err)
-		}
-		if got.SchemeName != s.SchemeName || got.Version != 0 || !bytes.Equal(got.Prep, s.Prep) {
-			t.Fatalf("v1 decode changed fields: %+v", got)
-		}
-	})
-	// Re-encoding a legacy snapshot writes the current (v3) format.
-	got, err := DecodeSnapshot(encodeLegacySnapshot(s, snapshotMagicV2, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	re := EncodeSnapshot(got)
-	if !bytes.HasPrefix(re, snapshotMagic) {
-		t.Fatal("re-encoded legacy snapshot is not v3")
-	}
-	if got2, err := DecodeSnapshot(re); err != nil || !bytes.Equal(got2.Prep, s.Prep) {
-		t.Fatalf("v2→v3 rewrite round trip: %v", err)
+// TestSnapshotLegacyVersionsAreUnknownFormats pins the deletion of the
+// v1/v2 decoders: an old magic is an unknown format version — a
+// CorruptArtifactError on load — so a registry that finds one quarantines
+// the file and rebuilds Π from source instead of serving (or wedging on)
+// it.
+func TestSnapshotLegacyVersionsAreUnknownFormats(t *testing.T) {
+	scheme := schemes.PointSelectionScheme()
+	data := schemes.RelationFromKeys([]int64{2, 4, 6})
+	legacy := &Snapshot{SchemeName: scheme.Name(), DataSum: SumData(data), Version: 7, Prep: sortedPrep([]int64{2, 4, 6})}
+	for name, enc := range map[string][]byte{
+		"v2": encodeLegacySnapshot(legacy, snapshotMagicV2, true),
+		"v1": encodeLegacySnapshot(legacy, snapshotMagicV1, false),
+	} {
+		t.Run(name, func(t *testing.T) {
+			if s, err := DecodeSnapshot(enc); err == nil || !strings.Contains(err.Error(), "unknown snapshot format version") {
+				t.Fatalf("decode = (%+v, %v), want an unknown-format-version error", s, err)
+			}
+			dir := t.TempDir()
+			path := SnapshotPath(dir, "d")
+			if err := os.WriteFile(path, enc, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var ce *CorruptArtifactError
+			if _, err := Load(path); !errors.As(err, &ce) {
+				t.Fatalf("load = %v, want a CorruptArtifactError", err)
+			}
+			reg := NewRegistry(dir)
+			st, err := reg.Register("d", scheme, data)
+			if err != nil {
+				t.Fatalf("register over an old-format snapshot: %v", err)
+			}
+			if st.WasLoaded() || st.Version() != 0 || reg.PreprocessCount() != 1 || reg.QuarantineCount() != 1 {
+				t.Fatalf("loaded=%v version=%d preprocess=%d quarantines=%d, want a rebuild from source with one quarantine",
+					st.WasLoaded(), st.Version(), reg.PreprocessCount(), reg.QuarantineCount())
+			}
+			if got, err := st.Answer(schemes.PointQuery(4)); err != nil || !got {
+				t.Fatalf("rebuilt dataset: key 4 = (%v, %v), want (true, nil)", got, err)
+			}
+			if kept, err := os.ReadFile(QuarantinePath(path)); err != nil || !bytes.Equal(kept, enc) {
+				t.Fatalf("quarantined artifact = (%d bytes, %v), want the old-format bytes verbatim", len(kept), err)
+			}
+			// The rebuild rewrote a current-format snapshot: the next
+			// restart is a clean load.
+			if st2, err := NewRegistry(dir).Register("d", scheme, data); err != nil || !st2.WasLoaded() {
+				t.Fatalf("restart after the rebuild: loaded=%v err=%v", st2 != nil && st2.WasLoaded(), err)
+			}
+		})
 	}
 }
 

@@ -45,9 +45,10 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(append(append([]byte(nil), valid...), 0xFF))
 
 	// v3 compressed-section seeds: a snapshot whose Π is a sorted-key
-	// artifact (triggers the delta-varint codec), the same snapshot under
-	// the legacy raw layout, and snapshots whose prep sections carry hostile
-	// codec bytes or record counts.
+	// artifact (triggers the delta-varint codec), CRC-valid files of the
+	// never-deployed v2/v1 layouts (unknown format versions now), and
+	// snapshots whose prep sections carry hostile codec bytes or record
+	// counts.
 	sorted := sortedPrep([]int64{1, 2, 3, 500, 1 << 40})
 	compressed := EncodeSnapshot(&Snapshot{SchemeName: "point-selection/sorted-keys", Prep: sorted})
 	f.Add(compressed)

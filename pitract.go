@@ -83,7 +83,7 @@
 // kill switch; experiment X8 measures the instrumentation's overhead.
 //
 // The serving path degrades gracefully instead of falling over: every
-// query can carry a deadline (AnswerWithin, `pitract serve
+// query can carry a deadline (AskWithin, `pitract serve
 // -query-budget-ms`; overruns are abandoned with 504 and the late worker's
 // result dropped), each dataset is fronted by a health circuit breaker
 // (HealthBreaker — repeated serve-path failures trip it open and traffic
@@ -339,15 +339,49 @@ const (
 	HealthQuarantined = store.HealthQuarantined
 )
 
+// The answer seam: every Dataset answers through Ask / AskBatch, which take
+// the caller's context and an AnswerMode and return the verdict(s) together
+// with the maintenance version they were computed at.
+type (
+	// AnswerMode selects which of a dataset's answerers decides a query.
+	AnswerMode = store.Mode
+	// Verdict is one answer, the version of the Π that decided it, and
+	// whether the degraded-mode fallback did.
+	Verdict = store.Verdict
+	// Verdicts is one batch's answers, all decided at one version, with the
+	// count the fallback decided.
+	Verdicts = store.Verdicts
+)
+
+const (
+	// ModeExact answers through the scheme's prepared form.
+	ModeExact = store.Exact
+	// ModeDegraded answers through the scheme's declared fallback
+	// (exact verdicts, cheaper to serve); datasets without one refuse with
+	// ErrNoFallback.
+	ModeDegraded = store.Degraded
+)
+
+// ErrNoFallback reports a ModeDegraded ask of a dataset that cannot
+// degrade (Dataset.CanDegrade).
+var ErrNoFallback = store.ErrNoFallback
+
 // Deadline-bounded answering and quarantine helpers.
 var (
-	// AnswerWithin answers one query against a dataset under a context
-	// deadline: expiry abandons the in-flight answer (its worker's late
-	// result is dropped) and returns a *StoreDeadlineError.
-	AnswerWithin = store.AnswerWithin
-	// AnswerBatchWithin is AnswerWithin for batches; it also reports how
-	// many verdicts were served through the scheme's degraded fallback
+	// AskWithin asks one query of a dataset under a context deadline:
+	// expiry abandons the in-flight answer (its worker's late result is
+	// dropped) and returns a *StoreDeadlineError. A context that can never
+	// expire costs nothing — it is exactly Dataset.Ask.
+	AskWithin = store.AskWithin
+	// AskBatchWithin is AskWithin for batches; Verdicts.Degraded reports
+	// how many verdicts were served through the scheme's degraded fallback
 	// when the budget ran low mid-batch.
+	AskBatchWithin = store.AskBatchWithin
+	// AnswerWithin is AskWithin in ModeExact, returning the bare
+	// verdict.
+	AnswerWithin = store.AnswerWithin
+	// AnswerBatchWithin is AskBatchWithin in ModeExact, returning
+	// the bare verdicts and the degraded count.
 	AnswerBatchWithin = store.AnswerBatchWithin
 	// QuarantinePath maps an artifact path to its quarantine name (the
 	// ".quarantine" suffix a corrupt snapshot or log is renamed to).
@@ -435,8 +469,10 @@ var (
 	// NewAnswerCache returns an answer cache bounded by a byte budget.
 	NewAnswerCache = cache.New
 	// NewCachedDataset fronts one dataset (plain or sharded) with an
-	// answer cache: Answer and AnswerBatch consult and fill the cache,
-	// keyed at the admission-time maintenance version.
+	// answer cache: ModeExact asks consult and fill the cache, keyed at
+	// the admission-time maintenance version, and an entry is only ever a
+	// verdict computed at exactly its key's version; ModeDegraded asks
+	// bypass it.
 	NewCachedDataset = store.NewCachedDataset
 )
 
@@ -444,8 +480,9 @@ var (
 
 type (
 	// Dataset is the registry's answer-path interface: a plain Store or a
-	// ShardedStore, served identically (see StoreRegistry.GetDataset and
-	// the HTTP server's query paths).
+	// ShardedStore (or either behind NewCachedDataset), served identically
+	// through Ask / AskBatch (see StoreRegistry.GetDataset and the HTTP
+	// server's query paths).
 	Dataset = store.Dataset
 	// DeltaDataset is the registry's mutation seam: datasets that maintain
 	// Π(D ⊕ ∆D) in place under StoreRegistry.ApplyDelta (and the server's
