@@ -22,7 +22,7 @@ const (
 	StageSnapshotLoad = "snapshot_load" // reading + verifying a Π snapshot from disk
 	StageSnapshotSave = "snapshot_save" // atomic snapshot write (including fsync)
 	StageWarm         = "warm"          // decoding Π into its prepared in-memory form
-	StagePatchApply   = "patch_apply"   // incremental ApplyDelta over a PATCH batch
+	StagePatchApply   = "patch_apply"   // staging a PATCH batch: incremental ApplyDelta + preparing the maintained Π's answerer(s)
 	StagePatchPersist = "patch_persist" // checkpointing the maintained Π after a PATCH
 	StageLogAppend    = "log_append"    // CRC-framed delta-log append + fsync (the PATCH commit point)
 	StageLogReplay    = "log_replay"    // replaying the delta-log tail over a loaded snapshot at open

@@ -108,7 +108,7 @@ func FuzzApplyDelta(f *testing.F) {
 		}
 
 		// The snapshot on disk must decode and hold exactly the served Π.
-		snap, err := store.Load(store.SnapshotPath(dir, "d"))
+		snap, err := store.LoadFS(store.OSFS, store.SnapshotPath(dir, "d"))
 		if err != nil {
 			t.Fatalf("snapshot corrupted by hostile PATCH: %v", err)
 		}

@@ -9,6 +9,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -586,5 +587,61 @@ func TestStatsSnapshotBytesTracksPatch(t *testing.T) {
 			t.Fatalf("after patching %s snapshot_bytes = %d (was %d), the encoded snapshots total %d", id, got, last, exact())
 		}
 		last = got
+	}
+}
+
+// TestPatchAcknowledgesOwnVersion: N concurrent single-delta PATCHes are
+// acknowledged with exactly the versions {1…N} — each ack carries the
+// version its own batch committed at, never a later read that under
+// concurrent writers is another request's.
+func TestPatchAcknowledgesOwnVersion(t *testing.T) {
+	srv := New(store.NewRegistry(""), nil)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	client := ts.Client()
+	if code := postJSON(t, client, ts.URL+"/v1/datasets", RegisterRequest{
+		ID: "m", Scheme: "list-membership/sorted", Data: schemes.EncodeList([]int64{1, 2, 3}),
+	}, nil); code != http.StatusOK {
+		t.Fatalf("register: status %d", code)
+	}
+
+	const n = 48
+	acked := make([]uint64, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			defer wg.Done()
+			body, _ := json.Marshal(PatchRequest{Deltas: [][]byte{schemes.KeysDelta([]int64{int64(100 + i)})}})
+			req, err := http.NewRequest(http.MethodPatch, ts.URL+"/v1/datasets/m", bytes.NewReader(body))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			resp, err := client.Do(req)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer resp.Body.Close()
+			var info DatasetInfo
+			if err := json.NewDecoder(resp.Body).Decode(&info); err != nil || resp.StatusCode != http.StatusOK {
+				errs[i] = fmt.Errorf("status %d, decode %v", resp.StatusCode, err)
+				return
+			}
+			acked[i] = info.Version
+		}(i)
+	}
+	wg.Wait()
+	seen := make(map[uint64]bool, n)
+	for i, v := range acked {
+		if errs[i] != nil {
+			t.Fatalf("patch %d: %v", i, errs[i])
+		}
+		if v < 1 || v > n || seen[v] {
+			t.Fatalf("patch %d acknowledged version %d; acks %v are not exactly {1…%d}", i, v, acked, n)
+		}
+		seen[v] = true
 	}
 }

@@ -798,7 +798,8 @@ func (s *Server) handleDatasetByID(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel := s.workContext(r)
 		defer cancel()
 		start := time.Now()
-		if _, err := s.reg.ApplyDeltaContext(ctx, id, req.Deltas); err != nil {
+		version, err := s.reg.ApplyDeltaContext(ctx, id, req.Deltas)
+		if err != nil {
 			var nf *store.NotFoundError
 			var pe *store.PersistError
 			var be *store.BudgetError
@@ -827,7 +828,12 @@ func (s *Server) handleDatasetByID(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.recordMaintenance(time.Since(start))
-		writeJSON(w, http.StatusOK, datasetInfo(ds))
+		// The ack carries the version this batch committed at — not a later
+		// ds.Version() read, which under concurrent writers is another
+		// request's.
+		info := datasetInfo(ds)
+		info.Version = version
+		writeJSON(w, http.StatusOK, info)
 	default:
 		writeError(w, r, http.StatusMethodNotAllowed, "use GET or PATCH")
 	}

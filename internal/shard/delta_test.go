@@ -319,11 +319,11 @@ func TestShardedEmptyBatchIsNoOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := ss.ApplyDeltas(context.Background(), inc, nil, store.DiskMedium(dir))
+	v, err := store.ApplyDeltas(context.Background(), ss, inc, nil, store.DiskMedium(dir))
 	if err != nil || v != 0 {
 		t.Fatalf("empty batch: version %d, err %v (want 0, nil)", v, err)
 	}
-	if _, err := LoadSharded(dir, "d", inc.Scheme); err != nil {
+	if _, err := LoadShardedFS(store.OSFS, dir, "d", inc.Scheme); err != nil {
 		t.Fatalf("empty batch broke the persisted generation: %v", err)
 	}
 }

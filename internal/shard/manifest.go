@@ -14,8 +14,10 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"net/url"
 	"path/filepath"
 	"strconv"
@@ -23,7 +25,6 @@ import (
 	"sync"
 
 	"pitract/internal/core"
-	"pitract/internal/obs"
 	"pitract/internal/store"
 )
 
@@ -187,7 +188,7 @@ func ShardSnapshotPath(dir, id string, i int) string {
 // references a complete, self-consistent generation. Superseded or
 // orphaned generations (including those left by a crash between the
 // manifest rename and the cleanup) are reclaimed by sweepShardGenerations
-// on the next successful maintenance.
+// on the next successful checkpoint.
 func shardSnapshotPathGen(dir, id string, i int, gen uint64) string {
 	if gen == 0 {
 		return filepath.Join(dir, fmt.Sprintf("%s.shard%03d.pitract-shard", url.PathEscape(id), i))
@@ -263,18 +264,18 @@ func writeShardGeneration(fsys store.FS, dir, id string, m *Manifest, encs [][]b
 	return nil
 }
 
-// SaveSharded persists a sharded store under dir on the real disk (see
-// writeShardGeneration for the commit discipline).
-func SaveSharded(dir, id string, ss *ShardedStore, partitioner string) error {
-	return SaveShardedFS(store.OSFS, dir, id, ss, partitioner)
-}
-
-// SaveShardedFS is SaveSharded on an explicit file layer.
-func SaveShardedFS(fsys store.FS, dir, id string, ss *ShardedStore, partitioner string) error {
+// Checkpoint implements store.DeltaDataset: the committed state written as
+// generation Version() (see writeShardGeneration for the commit
+// discipline), then every other generation swept. The sweep runs only after
+// the manifest rename succeeded: until then the manifest on disk still
+// names the previous generation's files, which must survive for
+// replay-over-manifest recovery. It reads Summary without ss.mu, which is
+// why the caller holds Maint().Mu (or owns the store exclusively).
+func (ss *ShardedStore) Checkpoint(fsys store.FS, dir string) error {
 	m := &Manifest{
 		SchemeName:  ss.Scheme.Name(),
 		DataSum:     ss.DataSum,
-		Partitioner: partitioner,
+		Partitioner: ss.Partitioner,
 		Assignment:  ss.Asn.Encode(),
 		Summary:     ss.Summary,
 		Version:     ss.Version(),
@@ -283,65 +284,47 @@ func SaveShardedFS(fsys store.FS, dir, id string, ss *ShardedStore, partitioner 
 	for i, st := range ss.Stores {
 		encs[i] = store.EncodeSnapshot(st.Snapshot())
 	}
-	return writeShardGeneration(fsys, dir, id, m, encs)
+	if err := writeShardGeneration(fsys, dir, ss.ID, m, encs); err != nil {
+		return err
+	}
+	sweepShardGenerations(fsys, dir, ss.ID, m.Version)
+	return nil
 }
 
-// saveMaintainedStaged persists the staged (pending) maintenance state as
-// generation newVersion, leaving the previous generation intact until the
-// manifest rename commits the new one. Called by ApplyDeltas under the
-// maintenance mutex, before the in-memory commit.
-func (ss *ShardedStore) saveMaintainedStaged(fsys store.FS, dir string, pending [][]byte, summary []byte, newVersion uint64) error {
-	m := &Manifest{
-		SchemeName:  ss.Scheme.Name(),
-		DataSum:     ss.DataSum,
-		Partitioner: ss.Partitioner,
-		Assignment:  ss.Asn.Encode(),
-		Summary:     summary,
-		Version:     newVersion,
-	}
-	encs := make([][]byte, len(pending))
-	for i, prep := range pending {
-		snap := ss.Stores[i].Snapshot()
-		snap.Prep, snap.Version = prep, newVersion
-		encs[i] = store.EncodeSnapshot(snap)
-	}
-	return writeShardGeneration(fsys, dir, ss.ID, m, encs)
-}
-
-// LoadSharded reopens a persisted sharded dataset: read and validate the
+// LoadShardedFS reopens a persisted sharded dataset: read and validate the
 // manifest, verify every shard snapshot file against its manifest SHA-256,
-// decode each, and reassemble the sharded store. A missing or corrupt
-// manifest, a missing or corrupt shard file, a digest mismatch, or a
-// scheme-name mismatch each fail with a clean error — never a panic and
-// never a store quietly missing shards.
-func LoadSharded(dir, id string, scheme *core.Scheme) (*ShardedStore, error) {
-	return LoadShardedFS(store.OSFS, dir, id, scheme)
-}
-
-// LoadShardedFS is LoadSharded on an explicit file layer.
+// decode each, and reassemble the sharded store — never a panic and never a
+// store quietly missing shards. Failures are typed for
+// store.Registry.Recover: an unreadable manifest is the I/O error (missing:
+// nothing persisted); a manifest naming another scheme is store.ErrStale;
+// and everything the manifest itself vouches for — its own CRC and
+// decoding, its assignment, every shard file it names being present,
+// matching its SHA-256 and decoding — is a *store.CorruptArtifactError at
+// the manifest's path, the one file whose quarantine retires the whole
+// generation.
 func LoadShardedFS(fsys store.FS, dir, id string, scheme *core.Scheme) (*ShardedStore, error) {
-	mb, err := fsys.ReadFile(ManifestPath(dir, id))
+	maniPath := ManifestPath(dir, id)
+	mb, err := fsys.ReadFile(maniPath)
 	if err != nil {
 		return nil, fmt.Errorf("shard: open %q: %w", id, err)
+	}
+	corrupt := func(err error) error {
+		return &store.CorruptArtifactError{Path: maniPath, Err: fmt.Errorf("shard: open %q: %w", id, err)}
 	}
 	m, err := DecodeManifest(mb)
 	if err != nil {
-		return nil, fmt.Errorf("shard: open %q: %w", id, err)
-	}
-	if m.SchemeName != scheme.Name() {
-		return nil, fmt.Errorf("shard: open %q: manifest scheme %s, want %s", id, m.SchemeName, scheme.Name())
+		return nil, corrupt(err)
 	}
 	sh := ForScheme(m.SchemeName)
-	if sh == nil {
-		return nil, fmt.Errorf("shard: open %q: scheme %s has no sharded form", id, m.SchemeName)
+	if m.SchemeName != scheme.Name() || sh == nil {
+		return nil, fmt.Errorf("shard: open %q: manifest scheme %s, want %s in sharded form: %w", id, m.SchemeName, scheme.Name(), store.ErrStale)
 	}
 	asn, err := DecodeAssignment(m.Assignment)
 	if err != nil {
-		return nil, fmt.Errorf("shard: open %q: %w", id, err)
+		return nil, corrupt(err)
 	}
 	if asn.Shards() != len(m.ShardSums) {
-		return nil, fmt.Errorf("shard: open %q: assignment has %d shards, manifest %d",
-			id, asn.Shards(), len(m.ShardSums))
+		return nil, corrupt(fmt.Errorf("assignment has %d shards, manifest %d", asn.Shards(), len(m.ShardSums)))
 	}
 	ss := &ShardedStore{
 		ID:          id,
@@ -360,19 +343,21 @@ func LoadShardedFS(fsys store.FS, dir, id string, scheme *core.Scheme) (*Sharded
 		// can never mix pre- and post-maintenance artifacts.
 		path := shardSnapshotPathGen(dir, id, i, m.Version)
 		enc, err := fsys.ReadFile(path)
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil, corrupt(fmt.Errorf("shard %d: %w", i, err))
+		}
 		if err != nil {
 			return nil, fmt.Errorf("shard: open %q: shard %d: %w", id, i, err)
 		}
 		if got := sha256.Sum256(enc); got != want {
-			return nil, fmt.Errorf("shard: open %q: shard %d snapshot %s fails its manifest SHA-256", id, i, path)
+			return nil, corrupt(fmt.Errorf("shard %d snapshot %s fails its manifest SHA-256", i, path))
 		}
 		snap, err := store.DecodeSnapshot(enc)
 		if err != nil {
-			return nil, fmt.Errorf("shard: open %q: shard %d: %w", id, i, err)
+			return nil, corrupt(fmt.Errorf("shard %d: %w", i, err))
 		}
 		if snap.SchemeName != scheme.Name() {
-			return nil, fmt.Errorf("shard: open %q: shard %d preprocessed by %s, want %s",
-				id, i, snap.SchemeName, scheme.Name())
+			return nil, corrupt(fmt.Errorf("shard %d preprocessed by %s, want %s", i, snap.SchemeName, scheme.Name()))
 		}
 		ss.Stores[i] = &store.Store{
 			ID:      fmt.Sprintf("%s/shard%d", id, i),
@@ -455,42 +440,24 @@ func RegisterShardedContext(ctx context.Context, r *store.Registry, id string, s
 			return nil
 		},
 		func() (store.Dataset, error) {
-			med := r.Medium()
-			if med.Persistent() {
-				ss, err := LoadShardedFS(med.Files(), med.Path(), id, scheme)
-				if err == nil && ss.DataSum == sum && ss.ShardCount() == n && ss.Partitioner == p.Name() {
-					for range ss.Stores {
-						r.NoteLoad()
+			return r.Recover(id,
+				func(fsys store.FS, dir string) (store.DeltaDataset, error) {
+					ss, err := LoadShardedFS(fsys, dir, id, scheme)
+					if err != nil {
+						return nil, err
 					}
-					// A crash between a durable log append and the generation
-					// checkpoint leaves acknowledged batches only in the log:
-					// replay them so the restart resumes at the exact applied
-					// version, just like a plain store.
-					if err := replayShardedLog(r, med, ss); err != nil {
-						return nil, fmt.Errorf("shard: register %q: %w", id, err)
+					if ss.DataSum != sum || ss.ShardCount() != n || ss.Partitioner != p.Name() {
+						return nil, store.ErrStale
 					}
 					return ss, nil
-				}
-			}
-			ss, err := Build(id, scheme, sh, p, n, data)
-			if err != nil {
-				return nil, err
-			}
-			ss.Partitioner = p.Name()
-			for range ss.Stores {
-				r.NotePreprocess()
-			}
-			if med.Persistent() {
-				if err := SaveShardedFS(med.Files(), med.Path(), id, ss, p.Name()); err != nil {
-					return nil, err
-				}
-				// A fresh build supersedes any delta log a previous
-				// incarnation of this ID left behind.
-				if err := store.RemoveLog(med.Files(), store.LogPath(med.Path(), id)); err != nil {
-					return nil, err
-				}
-			}
-			return ss, nil
+				},
+				func() (store.DeltaDataset, error) {
+					ss, err := Build(id, scheme, sh, p, n, data)
+					if err != nil {
+						return nil, err
+					}
+					return ss, nil
+				})
 		})
 	if err != nil {
 		return nil, err
@@ -500,62 +467,4 @@ func RegisterShardedContext(ctx context.Context, r *store.Registry, id string, s
 		return nil, fmt.Errorf("shard: dataset %q is not a sharded store", id)
 	}
 	return ss, nil
-}
-
-// replayShardedLog applies the delta-log tail to a manifest-loaded sharded
-// store — the sharded twin of the registry's plain-store replay, with the
-// same alignment rules: records wholly inside the loaded generation skip,
-// the record starting exactly at the loaded version applies (memory-only —
-// the log already holds it durably), and a gap or straddle means an
-// acknowledged batch vanished and errors. A non-empty replay is folded
-// into a fresh generation checkpoint; a failed checkpoint is not fatal —
-// the log stays authoritative and the next restart replays again.
-func replayShardedLog(r *store.Registry, med *store.Medium, ss *ShardedStore) error {
-	fsys := med.Files()
-	logPath := store.LogPath(med.Path(), ss.ID)
-	records, err := store.ReadLog(fsys, logPath)
-	if err != nil {
-		return err
-	}
-	if len(records) == 0 {
-		return nil
-	}
-	inc := r.IncrementalFor(ss.Scheme.Name())
-	replayStart := obs.Start()
-	replayed := 0
-	for i, rec := range records {
-		v := ss.Version()
-		end := rec.FromVersion + uint64(len(rec.Deltas))
-		if end <= v {
-			continue // fully inside the checkpointed generation
-		}
-		if rec.FromVersion != v {
-			return fmt.Errorf("replay log %s: record %d covers versions [%d,%d) but the manifest is at %d — an acknowledged batch is missing",
-				logPath, i, rec.FromVersion, end, v)
-		}
-		if inc == nil {
-			return fmt.Errorf("replay log %s: scheme %s has no incremental form to replay %d logged deltas",
-				logPath, ss.Scheme.Name(), len(rec.Deltas))
-		}
-		if _, err := ss.ApplyDeltas(context.Background(), inc, rec.Deltas, nil); err != nil {
-			return fmt.Errorf("replay log %s: record %d: %w", logPath, i, err)
-		}
-		replayed++
-		r.NoteReplay()
-	}
-	obsLogReplay.Since(replayStart)
-	// Fold the replayed state into a checkpoint (or drop a log that was
-	// entirely stale). Save-then-remove: losing the log before a generation
-	// holds its records would lose acknowledged batches.
-	if replayed > 0 {
-		if err := SaveShardedFS(fsys, med.Path(), ss.ID, ss, ss.Partitioner); err != nil {
-			obsCheckpointFails.Inc()
-			return nil
-		}
-		sweepShardGenerations(fsys, med.Path(), ss.ID, ss.Version())
-	}
-	if err := store.RemoveLog(fsys, logPath); err != nil {
-		obsCheckpointFails.Inc()
-	}
-	return nil
 }

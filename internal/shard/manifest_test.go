@@ -174,10 +174,10 @@ func TestShardedRegistrationAtomicity(t *testing.T) {
 	// snapshot files must be invisible (no manifest = no dataset) and the
 	// next registration rebuilds cleanly over them.
 	stray := store.EncodeSnapshot(&store.Snapshot{SchemeName: "reachability/closure-matrix"})
-	if err := store.WriteFileAtomic(ShardSnapshotPath(dir, "g", 0), stray); err != nil {
+	if err := store.WriteFileAtomicFS(store.OSFS, ShardSnapshotPath(dir, "g", 0), stray); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSharded(dir, "g", schemes.ReachabilityScheme()); err == nil {
+	if _, err := LoadShardedFS(store.OSFS, dir, "g", schemes.ReachabilityScheme()); err == nil {
 		t.Fatal("LoadSharded without a manifest must fail")
 	}
 	ss, err := RegisterSharded(reg, "g", schemes.ReachabilityScheme(), RangePartitioner{}, 3, g.Encode())
@@ -289,7 +289,7 @@ func TestShardedCorruptSnapshotFailsOpen(t *testing.T) {
 			dir, g, scheme := shardedFixture(t)
 			tamper.do(t, ShardSnapshotPath(dir, "g", 1))
 
-			_, err := LoadSharded(dir, "g", scheme)
+			_, err := LoadShardedFS(store.OSFS, dir, "g", scheme)
 			if err == nil {
 				t.Fatal("LoadSharded must fail on a damaged shard snapshot")
 			}
@@ -327,7 +327,7 @@ func TestShardedCorruptSnapshotFailsOpen(t *testing.T) {
 	if err := os.WriteFile(ManifestPath(dir, "g"), mb, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSharded(dir, "g", scheme); err == nil {
+	if _, err := LoadShardedFS(store.OSFS, dir, "g", scheme); err == nil {
 		t.Fatal("LoadSharded must fail on a corrupt manifest")
 	}
 }

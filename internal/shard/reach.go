@@ -34,10 +34,10 @@ package shard
 // PrepBytes counts; they are unchanged by this design. The rows are derived
 // state, rebuilt from the summary and the per-shard prepared answerers
 // (schemes.LocalReach, bulk row and column reads — never per-pair encoded
-// probes) wherever a summary is prepared: Build, LoadSharded, RetryPrepare,
-// and once per PATCH batch in ApplyDeltas' staging phase, outside the
-// reader lock; they commit in the same critical section as ⟨Π, summary,
-// version⟩, so no query pairs a new summary with old rows.
+// probes) wherever a summary is prepared: Build, LoadShardedFS, RetryPrepare,
+// and once per PATCH batch in Stage, outside the reader lock; they commit in
+// the same critical section as ⟨Π, summary, version⟩, so no query pairs a
+// new summary with old rows.
 //
 // Memory. Vertices of one local SCC share both rows, and rows are interned
 // per shard, so the heap holds 12 bytes per vertex of indices plus

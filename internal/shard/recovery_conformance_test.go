@@ -1,0 +1,106 @@
+package shard
+
+// One conformance table for recovery, over the write-side kinds
+// (write_conformance_test.go): after any single corrupt artifact or delta
+// log, a plain, a routed-sharded and a view-sharded dataset all restart at
+// the version the surviving durable state determines — never silently
+// behind an acknowledged PATCH — with the damaged bytes kept for forensics,
+// the quarantine counted and reported as the dataset's health, and the next
+// restart clean. Recovery is store.Registry.Recover for every kind, so the
+// kinds cannot disagree on what corruption costs.
+
+import (
+	"encoding/binary"
+	"hash/crc32"
+	"testing"
+
+	"pitract/internal/store"
+	"pitract/internal/store/faultfs"
+)
+
+func TestCorruptionRecoveryConformance(t *testing.T) {
+	logPath := store.LogPath(shardCrashDir, shardCrashID)
+	// Two hostile logs a torn crash cannot produce: a foreign file under the
+	// log's name, and a CRC-valid record whose body does not parse.
+	hostileBody := []byte{0x00, 0x05} // count 5, zero bytes remain
+	unparseable := append([]byte("PITRACTL\x01"), binary.BigEndian.AppendUint32(nil, crc32.ChecksumIEEE(hostileBody))...)
+	unparseable = append(binary.AppendUvarint(unparseable, uint64(len(hostileBody))), hostileBody...)
+	hostileLogs := []struct {
+		name  string
+		bytes []byte
+	}{{"foreign-magic-log", []byte("SQLite format 3\x00 — not ours")}, {"unparseable-log-record", unparseable}}
+
+	for _, k := range writeKinds() {
+		t.Run(k.name, func(t *testing.T) {
+			states := shardOracleStates(t, k.cs)
+			acked := uint64(len(k.cs.batches[0]) + len(k.cs.batches[1]))
+
+			// serve registers the dataset at the given cadence and applies
+			// the scenario's first two batches, both acknowledged.
+			serve := func(t *testing.T, cadence int) *faultfs.FS {
+				t.Helper()
+				f := faultfs.New()
+				reg, _ := k.open(t, f, cadence)
+				for _, b := range k.cs.batches[:2] {
+					if _, err := reg.ApplyDelta(shardCrashID, b); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return f
+			}
+			// heals restarts over the damaged medium and checks the recovered
+			// dataset, the quarantine, and that a second restart is clean.
+			heals := func(t *testing.T, f *faultfs.FS, quarantined string, want []byte, loaded bool, replays int64) {
+				t.Helper()
+				f.Restart()
+				reg, ds := k.open(t, f, 100)
+				if ds.Version() != acked || ds.WasLoaded() != loaded {
+					t.Fatalf("restart: version %d loaded=%v, want %d loaded=%v", ds.Version(), ds.WasLoaded(), acked, loaded)
+				}
+				assertShardOracle(t, k.cs, ds, states[acked], "restart over the damage")
+				if q, r := reg.QuarantineCount(), reg.ReplayCount(); q != 1 || r != replays {
+					t.Fatalf("restart: %d quarantines, %d replays; want 1, %d", q, r, replays)
+				}
+				if st := reg.HealthStates()[shardCrashID]; st != store.HealthQuarantined {
+					t.Fatalf("restart: health %v, want quarantined", st)
+				}
+				if got, ok := f.DurableBytes(store.QuarantinePath(quarantined)); !ok || string(got) != string(want) {
+					t.Fatalf("%s does not hold the quarantined bytes verbatim (present=%v)", store.QuarantinePath(quarantined), ok)
+				}
+				f.Restart()
+				reg2, ds2 := k.open(t, f, 100)
+				if !ds2.WasLoaded() || ds2.Version() != acked || reg2.ReplayCount() != 0 || reg2.QuarantineCount() != 0 {
+					t.Fatalf("second restart: loaded=%v version=%d replays=%d quarantines=%d; want true, %d, 0, 0",
+						ds2.WasLoaded(), ds2.Version(), reg2.ReplayCount(), reg2.QuarantineCount(), acked)
+				}
+				assertShardOracle(t, k.cs, ds2, states[acked], "second restart")
+			}
+
+			// A damaged checkpoint under a log holding both acknowledged
+			// batches: the artifact is set aside, Π rebuilt from source and
+			// the surviving log replayed on top.
+			for _, a := range k.artifacts {
+				t.Run("flipped-"+a.name, func(t *testing.T) {
+					f := serve(t, 100)
+					b, ok := f.DurableBytes(a.path)
+					if !ok || !f.CorruptByte(a.path, len(b)/2) {
+						t.Fatalf("no durable %s to corrupt", a.path)
+					}
+					want, _ := f.DurableBytes(a.quarantined)
+					heals(t, f, a.quarantined, want, false, 2)
+				})
+			}
+			// A hostile log beside a checkpoint holding both batches: the log
+			// is set aside and the checkpoint served.
+			for _, h := range hostileLogs {
+				t.Run(h.name, func(t *testing.T) {
+					f := serve(t, 1)
+					if err := store.WriteFileAtomicFS(f, logPath, h.bytes); err != nil {
+						t.Fatal(err)
+					}
+					heals(t, f, logPath, h.bytes, true, 0)
+				})
+			}
+		})
+	}
+}

@@ -42,23 +42,16 @@ import (
 	"pitract/internal/store"
 )
 
-// Stage histograms for the sharded answer and maintenance paths, resolved
-// once at init. Fan-out times a query sent to every shard (cost scales with
-// shard count); merge times answering through the prepared summary view
-// (reachability: a word-AND over the portal reach rows).
+// Stage histograms for the sharded answer and build paths, resolved once at
+// init. Fan-out times a query sent to every shard (cost scales with shard
+// count); merge times answering through the prepared summary view
+// (reachability: a word-AND over the portal reach rows). The maintenance
+// stages are store.ApplyDeltas', for every dataset kind.
 var (
-	obsShardFanout  = obs.Stage(obs.StageShardFanout)
-	obsShardMerge   = obs.Stage(obs.StageShardMerge)
-	obsPreprocess   = obs.Stage(obs.StagePreprocess)
-	obsWarm         = obs.Stage(obs.StageWarm)
-	obsPatchApply   = obs.Stage(obs.StagePatchApply)
-	obsPatchPersist = obs.Stage(obs.StagePatchPersist)
-	obsLogAppend    = obs.Stage(obs.StageLogAppend)
-	obsLogReplay    = obs.Stage(obs.StageLogReplay)
-	// Same family the plain store reports into — the obs registry returns
-	// the one shared counter for the name.
-	obsCheckpointFails = obs.Default.Counter("pitract_checkpoint_failures_total",
-		"Checkpoint (snapshot rewrite + log truncate) failures after a durable log append.")
+	obsShardFanout = obs.Stage(obs.StageShardFanout)
+	obsShardMerge  = obs.Stage(obs.StageShardMerge)
+	obsPreprocess  = obs.Stage(obs.StagePreprocess)
+	obsWarm        = obs.Stage(obs.StageWarm)
 )
 
 // PreparedShard is one member store's prepared answerer as the summary
@@ -114,8 +107,8 @@ type Sharding struct {
 	// the delta batch* — SplitDelta must only depend on
 	// summary state deltas cannot change (the vertex universe and
 	// relabelling, not derived connectivity). Nil SplitDelta means the
-	// sharded form has no delta routing: PATCH/ApplyDeltas is refused with
-	// a clean error and the dataset stays exactly as it was.
+	// sharded form has no delta routing: PATCH is refused with a clean error
+	// and the dataset stays exactly as it was.
 	SplitDelta func(delta []byte, asn Assignment, view core.Answerer) (map[int][][]byte, error)
 	// UpdateSummary maintains the cross-shard summary's *structure* after
 	// one delta's local deltas have been applied (e.g. extends the
@@ -163,31 +156,27 @@ type ShardedStore struct {
 	// snapshots.
 	Partitioner string
 
+	// Maintenance serializes maintainers; see store.ApplyDeltas.
+	store.Maintenance
 	// mu guards the mutable answer state — the per-shard preprocessed
-	// strings, Summary, version, and view — against ApplyDeltas. Ask and
+	// strings, Summary, version, and view — against a Stage commit. Ask and
 	// AskBatch pin ⟨view, version⟩ under the read lock and answer outside
 	// it: the view is immutable, so a query (even a fan-out touching every
 	// shard plus the summary) always observes one fully applied version,
 	// never shard i old and shard j new, and neither queries nor the commit
 	// swap ever wait on each other's work.
 	mu sync.RWMutex
-	// maintMu serializes maintainers; see store.Store.
-	maintMu sync.Mutex
 	// version counts the deltas applied since registration (restored from
 	// the manifest on reload).
 	version uint64
-	// walRecords counts delta-log records appended since the last
-	// generation checkpoint (guarded by maintMu); when it reaches the
-	// medium's cadence a new generation is written and the log truncated.
-	walRecords int
 
 	// view answers for the committed ⟨Summary, per-shard Π⟩ — the scheme's
 	// Prepare output, or the router — immutable once published; viewErr is
 	// the sticky Prepare failure (view is nil exactly then, or when the
-	// store was assembled by hand rather than by Build/LoadSharded). Both
+	// store was assembled by hand rather than by Build/LoadShardedFS). Both
 	// are guarded by mu and swapped in the same critical section as Summary,
 	// version and the per-shard stores, so a query never pairs a new
-	// summary with a view derived from the old one. Build and LoadSharded
+	// summary with a view derived from the old one. Build and LoadShardedFS
 	// prepare it eagerly — the first query never pays for it.
 	view    core.Answerer
 	viewErr error
@@ -254,8 +243,8 @@ func (sh *Sharding) prepareView(summary []byte, asn Assignment, shards []Prepare
 }
 
 // refreshView rebuilds the view from the committed summary and the member
-// stores' current answerers. Callers hold maintMu or own the store
-// exclusively (Build, LoadSharded), which is what orders the Summary read.
+// stores' current answerers. Callers hold Maint().Mu or own the store
+// exclusively (Build, LoadShardedFS), which is what orders the Summary read.
 func (ss *ShardedStore) refreshView() error {
 	start := obs.Start()
 	view, err := ss.Sharding.prepareView(ss.Summary, ss.Asn, ss.preparedShards())
@@ -276,7 +265,7 @@ type pinned struct {
 
 // pin reads the committed answer state in one critical section. A store
 // without a view reports why: the sticky Prepare failure, or that it was
-// assembled by hand rather than by Build or LoadSharded.
+// assembled by hand rather than by Build or LoadShardedFS.
 func (ss *ShardedStore) pin() pinned {
 	ss.mu.RLock()
 	p := pinned{ss.view, ss.viewErr, ss.version}
@@ -348,7 +337,8 @@ func (ss *ShardedStore) Version() uint64 {
 
 // SetVersion stamps the maintenance version on a freshly constructed store
 // (manifest reloads restore the persisted counter). It must not be called
-// once the store is shared; ApplyDeltas is the concurrent-safe mutation.
+// once the store is shared; store.ApplyDeltas is the concurrent-safe
+// mutation.
 func (ss *ShardedStore) SetVersion(v uint64) { ss.version = v }
 
 // CanDegrade implements store.Dataset: a sharded dataset has no degraded
@@ -423,8 +413,8 @@ func (ss *ShardedStore) AnswerBatch(queries [][]byte, parallelism int) ([]bool, 
 // shards have retried. It serializes with maintenance: a PATCH stages and
 // commits its own view.
 func (ss *ShardedStore) RetryPrepare() error {
-	ss.maintMu.Lock()
-	defer ss.maintMu.Unlock()
+	ss.Maintenance.Mu.Lock()
+	defer ss.Maintenance.Mu.Unlock()
 	var firstErr error
 	for _, st := range ss.Stores {
 		if err := st.RetryPrepare(); err != nil && firstErr == nil {
@@ -437,105 +427,72 @@ func (ss *ShardedStore) RetryPrepare() error {
 	return firstErr
 }
 
-// ApplyDeltas implements store.DeltaDataset: it maintains the sharded
-// dataset under a batch of deltas. Each delta is routed by the scheme's
+// Stage implements store.DeltaDataset. Each delta is routed by the scheme's
 // SplitDelta hook to the shards it lands on (local deltas applied through
 // the scheme's incremental form, exactly as an unsharded store would), and
 // the cross-shard summary is maintained by UpdateSummary (with derived
 // state like the reachability overlay closure rebuilt once per batch by
 // FinishSummary, reading the staged post-delta shard answerers, and the
-// view — for reachability the portal reach rows — rebuilt once after it). The
-// whole batch is staged outside the served state — under the maintenance
-// mutex, never the reader-blocking lock — and committed at once: per-shard
-// strings, answerers, summary, view, and version swap together under the
-// writer lock.
-//
-// With a persistent medium the commit protocol is write-ahead, exactly as
-// for a plain store: the original (top-level) deltas are appended to the
-// dataset's delta log — CRC-framed and fsynced — before any served state
-// changes. The log append is the commit point: a failure there aborts the
-// batch with nothing applied (PersistError); once the record is durable
-// the batch commits unconditionally. On the medium's checkpoint cadence a
-// fresh shard generation is written (new generation files first, manifest
-// rename as the atomic commit point) and the log truncated; a checkpoint
-// failure after a durable append is counted and retried on the next batch
-// — the log stays authoritative and a restart replays it on top of the
-// manifest's generation.
-//
-// ctx bounds the batch (checked before each delta and before the commit
-// point): a budget that expires mid-batch aborts with nothing applied.
+// view — for reachability the portal reach rows — rebuilt once after it).
+// The commit swaps per-shard strings, answerers, summary, view, and version
+// together under the writer lock. The delta log records the original
+// (top-level) deltas, so replay re-routes them through this same path.
 //
 // Schemes whose sharded form has no delta routing (SplitDelta == nil)
 // refuse cleanly; the HTTP layer surfaces that as a 409.
-func (ss *ShardedStore) ApplyDeltas(ctx context.Context, inc *core.IncrementalScheme, deltas [][]byte, med *store.Medium) (uint64, error) {
+func (ss *ShardedStore) Stage(ctx context.Context, inc *core.IncrementalScheme, deltas [][]byte) (func(version uint64), error) {
 	if ss.Sharding.SplitDelta == nil {
-		return ss.Version(), fmt.Errorf("shard: scheme %s has no sharded delta routing; re-register unsharded to maintain it",
+		return nil, fmt.Errorf("shard: scheme %s has no sharded delta routing; re-register unsharded to maintain it",
 			ss.Scheme.Name())
 	}
-	if inc == nil || inc.ApplyDelta == nil {
-		return ss.Version(), fmt.Errorf("shard: scheme %s has no incremental form", ss.Scheme.Name())
-	}
-	if med.Persistent() && ss.ID == "" {
-		return ss.Version(), fmt.Errorf("shard: cannot persist deltas for a store with no dataset ID")
-	}
-	// An empty batch is a no-op, never a persistence round-trip: writing
-	// generation v over itself and then "removing the old generation"
-	// would delete the files the manifest still names.
-	if len(deltas) == 0 {
-		return ss.Version(), nil
-	}
-	ss.maintMu.Lock()
-	defer ss.maintMu.Unlock()
 	n := len(ss.Stores)
 	pending := make([][]byte, n)
 	for i, st := range ss.Stores {
 		pending[i], _ = st.View()
 	}
 	// Summary and view are only written by maintainers (serialized on
-	// maintMu), so reading them here without ss.mu is ordered with every
+	// Maint().Mu), so reading them here without ss.mu is ordered with every
 	// past commit.
 	summary := ss.Summary
-	oldVersion := ss.Version()
 	// SplitDelta receives the committed view — its contract only depends on
 	// delta-invariant summary state (vertex universe, local relabelling),
 	// so the batch needs no summary decode of its own.
 	cur := ss.pin()
 	if cur.err != nil {
-		return oldVersion, fmt.Errorf("shard: prepare summary: %w (nothing applied)", cur.err)
+		return nil, fmt.Errorf("shard: prepare summary: %w (nothing applied)", cur.err)
 	}
-	applyStart := obs.Start()
 	touched := make([]bool, n)
 	for di, delta := range deltas {
 		if err := ctx.Err(); err != nil {
-			return oldVersion, fmt.Errorf("shard: delta %d: %w (nothing applied)", di, err)
+			return nil, fmt.Errorf("shard: delta %d: %w (nothing applied)", di, err)
 		}
 		locals, err := ss.Sharding.SplitDelta(delta, ss.Asn, cur.Answerer)
 		if err != nil {
-			return oldVersion, fmt.Errorf("shard: delta %d: %w (nothing applied)", di, err)
+			return nil, fmt.Errorf("shard: delta %d: %w (nothing applied)", di, err)
 		}
 		for s, lds := range locals {
 			if s < 0 || s >= n {
-				return oldVersion, fmt.Errorf("shard: delta %d routed to shard %d out of range [0,%d) (nothing applied)", di, s, n)
+				return nil, fmt.Errorf("shard: delta %d routed to shard %d out of range [0,%d) (nothing applied)", di, s, n)
 			}
 			if len(lds) > 0 {
 				touched[s] = true
 			}
 			for _, ld := range lds {
 				if pending[s], err = inc.ApplyDelta(pending[s], ld); err != nil {
-					return oldVersion, fmt.Errorf("shard: delta %d on shard %d: %w (nothing applied)", di, s, err)
+					return nil, fmt.Errorf("shard: delta %d on shard %d: %w (nothing applied)", di, s, err)
 				}
 			}
 		}
 		if ss.Sharding.UpdateSummary != nil {
 			if summary, err = ss.Sharding.UpdateSummary(delta, ss.Asn, summary); err != nil {
-				return oldVersion, fmt.Errorf("shard: delta %d: summary: %w (nothing applied)", di, err)
+				return nil, fmt.Errorf("shard: delta %d: summary: %w (nothing applied)", di, err)
 			}
 		}
 	}
 	// Stage the touched shards' prepared answerers outside the
 	// reader-blocking lock, so the commit below swaps ⟨Π, version,
 	// prepared⟩ per shard without decoding anything while queries wait —
-	// concurrently, as Build and LoadSharded warm, so PATCH latency grows
+	// concurrently, as Build and LoadShardedFS warm, so PATCH latency grows
 	// with the slowest touched shard's decode, not the sum of all n.
 	// Untouched shards (pending[i] is still the slice View returned) keep
 	// their current Π and its still-valid answerer; only the version
@@ -567,34 +524,7 @@ func (ss *ShardedStore) ApplyDeltas(ctx context.Context, inc *core.IncrementalSc
 	if ss.Sharding.FinishSummary != nil {
 		var err error
 		if summary, err = ss.Sharding.FinishSummary(ss.Asn, summary, shards); err != nil {
-			return oldVersion, fmt.Errorf("shard: finish summary: %w (nothing applied)", err)
-		}
-	}
-	obsPatchApply.Since(applyStart)
-	newVersion := oldVersion + uint64(len(deltas))
-	if err := ctx.Err(); err != nil {
-		return oldVersion, fmt.Errorf("shard: %w (nothing applied)", err)
-	}
-	checkpointed := false
-	if med.Persistent() {
-		fsys := med.Files()
-		appendStart := obs.Start()
-		if err := store.AppendLogRecord(fsys, store.LogPath(med.Path(), ss.ID), oldVersion, deltas); err != nil {
-			return oldVersion, &store.PersistError{Err: fmt.Errorf("shard: log delta batch: %w (nothing applied)", err)}
-		}
-		obsLogAppend.Since(appendStart)
-		ss.walRecords++
-		if ss.walRecords >= med.Cadence() {
-			persistStart := obs.Start()
-			if err := ss.saveMaintainedStaged(fsys, med.Path(), pending, summary, newVersion); err != nil {
-				obsCheckpointFails.Inc()
-			} else if err := store.RemoveLog(fsys, store.LogPath(med.Path(), ss.ID)); err != nil {
-				obsCheckpointFails.Inc()
-			} else {
-				ss.walRecords = 0
-				checkpointed = true
-				obsPatchPersist.Since(persistStart)
-			}
+			return nil, fmt.Errorf("shard: finish summary: %w (nothing applied)", err)
 		}
 	}
 	// The new view (for reachability: the portal reach rows) is derived
@@ -602,25 +532,20 @@ func (ss *ShardedStore) ApplyDeltas(ctx context.Context, inc *core.IncrementalSc
 	view, viewErr := ss.Sharding.prepareView(summary, ss.Asn, shards)
 	// Commit: everything swaps inside one writer-lock critical section, so
 	// no reader can pair the new summary or shard Π with the old view.
-	ss.mu.Lock()
-	for i, st := range ss.Stores {
-		if touched[i] {
-			st.ReplacePrepared(pending[i], newVersion, shards[i].Answerer, shards[i].Err)
-		} else {
-			st.BumpVersion(newVersion)
+	return func(version uint64) {
+		ss.mu.Lock()
+		for i, st := range ss.Stores {
+			if touched[i] {
+				st.ReplacePrepared(pending[i], version, shards[i].Answerer, shards[i].Err)
+			} else {
+				st.BumpVersion(version)
+			}
 		}
-	}
-	ss.Summary = summary
-	ss.version = newVersion
-	ss.view, ss.viewErr = view, viewErr
-	ss.mu.Unlock()
-	// Sweep only after a successful checkpoint: between checkpoints the
-	// manifest still names the previous generation's files, which must
-	// survive for replay-over-manifest recovery.
-	if checkpointed {
-		sweepShardGenerations(med.Files(), med.Path(), ss.ID, newVersion)
-	}
-	return newVersion, nil
+		ss.Summary = summary
+		ss.version = version
+		ss.view, ss.viewErr = view, viewErr
+		ss.mu.Unlock()
+	}, nil
 }
 
 // Build cuts data into n parts with the partitioner, preprocesses every
@@ -664,13 +589,14 @@ func Build(id string, scheme *core.Scheme, sh *Sharding, p Partitioner, n int, d
 		return nil, fmt.Errorf("shard: build %q: split produced %d parts, want %d", id, len(parts), n)
 	}
 	ss := &ShardedStore{
-		ID:       id,
-		Scheme:   scheme,
-		Sharding: sh,
-		Asn:      asn,
-		Summary:  summary,
-		Stores:   make([]*store.Store, n),
-		DataSum:  store.SumData(data),
+		ID:          id,
+		Scheme:      scheme,
+		Sharding:    sh,
+		Asn:         asn,
+		Summary:     summary,
+		Stores:      make([]*store.Store, n),
+		DataSum:     store.SumData(data),
+		Partitioner: p.Name(),
 	}
 	// Preprocess the parts concurrently: the per-part PTIME cost is the
 	// thing sharding scales out.

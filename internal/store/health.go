@@ -315,9 +315,8 @@ func (r *Registry) HealthStates() map[string]HealthState {
 // QuarantineCount reports how many artifacts this registry quarantined.
 func (r *Registry) QuarantineCount() int64 { return r.quarantineCount.Load() }
 
-// NoteQuarantine counts an externally performed quarantine (composite
-// registrations report through this seam, like NoteLoad/NotePreprocess)
-// and marks the dataset's breaker.
+// NoteQuarantine counts one quarantined artifact and marks the dataset's
+// breaker (quarantineArtifact is its only caller outside tests).
 func (r *Registry) NoteQuarantine(id string) {
 	r.quarantineCount.Add(1)
 	obsQuarantines.Inc()

@@ -4,14 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io/fs"
-	"math/rand"
 	"net/url"
 	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pitract/internal/core"
 	"pitract/internal/obs"
@@ -34,9 +31,6 @@ var (
 		"Deltas applied through incremental maintenance.")
 	obsDeltasDeletedTotal = obs.Default.Counter("pitract_deltas_deleted_total",
 		"Delete-kind deltas applied through incremental maintenance.")
-	obsLogReplay        = obs.Stage(obs.StageLogReplay)
-	obsLogReplayedTotal = obs.Default.Counter("pitract_log_records_replayed_total",
-		"Delta-log records replayed over loaded snapshots at registry open.")
 )
 
 // Dataset is anything the registry can serve queries from: a plain Store
@@ -47,7 +41,8 @@ var (
 // in the result — identical for every kind; Answer and AnswerBatch are its
 // background-context, Exact-mode faces. The answer-path methods must be
 // safe for concurrent use; the descriptive methods must be cheap and never
-// block.
+// block. Mutation is a seam of its own: a dataset that can be maintained in
+// place is also a DeltaDataset (maintain.go).
 type Dataset interface {
 	// DatasetID is the registry identifier the dataset was registered under.
 	DatasetID() string
@@ -96,26 +91,6 @@ type Dataset interface {
 	Answer(q []byte) (bool, error)
 	// AnswerBatch is AskBatch in Exact mode under a background context.
 	AnswerBatch(queries [][]byte, parallelism int) ([]bool, error)
-}
-
-// DeltaDataset is the registry's mutation seam: datasets that can maintain
-// Π(D ⊕ ∆D) in place implement it — a plain Store for any scheme with an
-// incremental form, and internal/shard's ShardedStore for schemes with
-// sharded delta routing. ApplyDeltas must be atomic (all deltas and the
-// persisted artifact commit together, or nothing changes) and must never
-// let a concurrent query observe a partially applied Π.
-type DeltaDataset interface {
-	Dataset
-	// ApplyDeltas applies the deltas in order through the scheme's
-	// incremental form, persisting the maintained artifact on med (nil or
-	// zero Medium = memory only), and returns the new maintenance version.
-	// With a persistent medium the batch is appended to the dataset's
-	// write-ahead delta log (fsynced) before any served state changes — the
-	// durable commit point — and checkpointed on the medium's cadence. ctx
-	// bounds the work: a deadline or cancellation between deltas aborts the
-	// whole batch with nothing applied (deltas are the cancellation
-	// granularity — a single delta application is never torn).
-	ApplyDeltas(ctx context.Context, inc *core.IncrementalScheme, deltas [][]byte, med *Medium) (uint64, error)
 }
 
 // Registry maps dataset IDs to preprocessed datasets. Registering a dataset
@@ -190,11 +165,6 @@ func NewRegistryMedium(med *Medium) *Registry {
 	return &Registry{med: med, entries: map[string]*regEntry{}}
 }
 
-// Medium exposes the registry's persistence medium, so composite
-// registrations (internal/shard) persist through the same file layer and
-// checkpoint cadence the registry itself uses.
-func (r *Registry) Medium() *Medium { return r.med }
-
 // SetCheckpointEvery sets how many delta-log records may accumulate per
 // dataset before its snapshot is rewritten and the log truncated (values
 // < 1 mean 1 — checkpoint on every PATCH). Set it before serving traffic;
@@ -211,12 +181,11 @@ func (r *Registry) SetIncrementalResolver(f func(string) *core.IncrementalScheme
 	r.mu.Unlock()
 }
 
-// IncrementalFor resolves a scheme's incremental form through the
+// incrementalFor resolves a scheme's incremental form through the
 // registry's resolver (the built-in schemes catalog unless
-// SetIncrementalResolver overrode it). Composite registrations
-// (internal/shard) use it to replay a sharded dataset's delta log with the
-// same resolution ApplyDelta will serve with.
-func (r *Registry) IncrementalFor(name string) *core.IncrementalScheme {
+// SetIncrementalResolver overrode it) — one resolution for ApplyDelta and
+// for log replay.
+func (r *Registry) incrementalFor(name string) *core.IncrementalScheme {
 	r.mu.Lock()
 	f := r.incResolver
 	r.mu.Unlock()
@@ -231,16 +200,10 @@ func (r *Registry) Dir() string { return r.med.Dir }
 
 // SnapshotPath maps a dataset ID to its snapshot file under dir. IDs are
 // arbitrary strings, so the filename is the ID path-escaped (keeps readable
-// IDs readable, makes hostile ones safe). It is exported so the delta
-// maintenance path (Store.ApplyDeltas) re-snapshots to exactly the file a
-// restarted registry will reload.
+// IDs readable, makes hostile ones safe). Store.Checkpoint writes exactly
+// the file a restarted registry will reload.
 func SnapshotPath(dir, id string) string {
 	return filepath.Join(dir, url.PathEscape(id)+".pitract")
-}
-
-// snapshotPath is SnapshotPath under the registry's own directory.
-func (r *Registry) snapshotPath(id string) string {
-	return SnapshotPath(r.med.Dir, id)
 }
 
 // RegisterDataset returns the dataset registered under id, building it on
@@ -398,11 +361,39 @@ func (r *Registry) RegisterContext(ctx context.Context, id string, scheme *core.
 			return nil
 		},
 		func() (Dataset, error) {
-			st, err := r.build(id, scheme, data)
+			ds, err := r.Recover(id,
+				func(fsys FS, dir string) (DeltaDataset, error) {
+					snap, err := LoadFS(fsys, SnapshotPath(dir, id))
+					if err != nil {
+						return nil, err
+					}
+					if snap.SchemeName != scheme.Name() || snap.DataSum != sum {
+						return nil, ErrStale
+					}
+					// A snapshot with Version > 0 is the maintained
+					// Π(D ⊕ ∆D…): resuming from it (not from a re-preprocess
+					// of D) is the whole point of persisting maintenance.
+					return &Store{ID: id, Scheme: scheme, Prep: snap.Prep, DataSum: sum, Loaded: true, version: snap.Version}, nil
+				},
+				func() (DeltaDataset, error) {
+					ppStart := obs.Start()
+					pd, err := scheme.Preprocess(data)
+					if err != nil {
+						return nil, fmt.Errorf("store: register %q: preprocess (%s): %w", id, scheme.Name(), err)
+					}
+					obsPreprocess.Since(ppStart)
+					return &Store{ID: id, Scheme: scheme, Prep: pd, DataSum: sum}, nil
+				})
 			if err != nil {
 				return nil, err
 			}
-			return st, nil
+			// Decode Π into its prepared form — after any replay, which
+			// prepares its own — while still inside the one build this
+			// registration runs: queries then pay only probes.
+			warmStart := obs.Start()
+			ds.(*Store).Warm()
+			obsWarm.Since(warmStart)
+			return ds, nil
 		})
 	if err != nil {
 		return nil, err
@@ -414,207 +405,10 @@ func (r *Registry) RegisterContext(ctx context.Context, id string, scheme *core.
 	return st, nil
 }
 
-// rebuildAttempts bounds the jittered-backoff retry loop around
-// persistence I/O on the quarantine-and-heal rebuild path (and the
-// transient-read retry before declaring a snapshot unreadable).
-const rebuildAttempts = 3
-
-// rebuildBackoff sleeps before retry attempt (1-based), with ±50%
-// jitter so concurrent rebuilds don't hammer a recovering medium in
-// lockstep: 5ms, 10ms, 20ms… before jitter.
-func rebuildBackoff(attempt int) {
-	base := 5 * time.Millisecond << (attempt - 1)
-	time.Sleep(time.Duration(float64(base) * (0.5 + rand.Float64())))
-}
-
-// loadSnapshot reads the dataset's snapshot, retrying transient I/O
-// errors with jittered backoff. A missing file and a corrupt artifact
-// (typed CorruptArtifactError) return immediately — neither gets better
-// by retrying.
-func (r *Registry) loadSnapshot(fsys FS, id string) (*Snapshot, error) {
-	var err error
-	for attempt := 1; ; attempt++ {
-		var snap *Snapshot
-		snap, err = LoadFS(fsys, r.snapshotPath(id))
-		if err == nil {
-			return snap, nil
-		}
-		var ce *CorruptArtifactError
-		if errors.Is(err, fs.ErrNotExist) || errors.As(err, &ce) || attempt >= rebuildAttempts {
-			return nil, err
-		}
-		rebuildBackoff(attempt)
-	}
-}
-
-// build produces the store for one first-time registration.
-func (r *Registry) build(id string, scheme *core.Scheme, data []byte) (*Store, error) {
-	sum := SumData(data)
-	// quarantined marks a registration that found its persisted snapshot
-	// corrupt: the artifact was renamed aside and the store is rebuilt
-	// from source — but the delta log (if any) survives and is replayed,
-	// because its records are acknowledged batches for this same data.
-	quarantined := false
-	if r.med.persistent() {
-		fsys := r.med.fs()
-		loadStart := obs.Start()
-		snap, lerr := r.loadSnapshot(fsys, id)
-		if lerr == nil && snap.SchemeName == scheme.Name() && snap.DataSum == sum {
-			obsSnapshotLoad.Since(loadStart)
-			r.loadCount.Add(1)
-			obsSnapshotLoadTotal.Inc()
-			st := &Store{ID: id, Scheme: scheme, Prep: snap.Prep, DataSum: sum, Loaded: true}
-			// A snapshot with Version > 0 is the maintained Π(D ⊕ ∆D…):
-			// resuming from it (not from a re-preprocess of D) is the whole
-			// point of persisting maintenance.
-			st.SetVersion(snap.Version)
-			// A crash between a durable log append and the checkpoint leaves
-			// acknowledged batches only in the log: replay them on top of the
-			// snapshot so the restart resumes at the exact applied version.
-			if err := r.replayLog(st); err != nil {
-				return nil, fmt.Errorf("store: register %q: %w", id, err)
-			}
-			// Decode Π into its prepared form while still inside the one
-			// build this registration runs — queries then pay only probes.
-			warmStart := obs.Start()
-			st.Warm()
-			obsWarm.Since(warmStart)
-			return st, nil
-		}
-		var ce *CorruptArtifactError
-		if errors.As(lerr, &ce) {
-			// The snapshot failed CRC or decode: keep the bytes for
-			// forensics under *.quarantine and rebuild Π from source
-			// instead of erroring the dataset permanently.
-			r.quarantineArtifact(fsys, r.snapshotPath(id), id)
-			quarantined = true
-		}
-	}
-	ppStart := obs.Start()
-	pd, err := scheme.Preprocess(data)
-	if err != nil {
-		return nil, fmt.Errorf("store: register %q: preprocess (%s): %w", id, scheme.Name(), err)
-	}
-	obsPreprocess.Since(ppStart)
-	r.preprocessCount.Add(1)
-	obsPreprocessTotal.Inc()
-	st := &Store{ID: id, Scheme: scheme, Prep: pd, DataSum: sum}
-	if r.med.persistent() {
-		fsys := r.med.fs()
-		saveStart := obs.Start()
-		saveErr := SaveFS(fsys, r.snapshotPath(id), st.Snapshot())
-		for attempt := 1; saveErr != nil && quarantined && attempt < rebuildAttempts; attempt++ {
-			// The heal path tolerates a still-flaky medium: retry the
-			// rebuild's persistence with jittered backoff before giving up.
-			rebuildBackoff(attempt)
-			saveErr = SaveFS(fsys, r.snapshotPath(id), st.Snapshot())
-		}
-		if saveErr != nil {
-			return nil, saveErr
-		}
-		obsSnapshotSave.Since(saveStart)
-		if quarantined {
-			// The surviving delta log holds acknowledged batches for this
-			// same data digest, starting at the rebuilt version 0: replay
-			// them instead of discarding acknowledged state.
-			if err := r.replayLog(st); err != nil {
-				return nil, fmt.Errorf("store: register %q: %w", id, err)
-			}
-		} else if err := RemoveLog(fsys, LogPath(r.med.Dir, id)); err != nil {
-			// A fresh preprocess supersedes any delta log a previous
-			// incarnation of this ID left behind (different data or
-			// scheme): its records apply to a Π that no longer exists.
-			return nil, err
-		}
-	}
-	warmStart := obs.Start()
-	st.Warm()
-	obsWarm.Since(warmStart)
-	return st, nil
-}
-
-// replayLog applies the delta-log tail to a snapshot-loaded store. Records
-// wholly at or below the snapshot version are already checkpointed and
-// skip; the record starting exactly at the loaded version applies
-// (memory-only — the log already holds it durably); a gap or straddle
-// means an acknowledged batch vanished (lying fsync, foreign truncation)
-// and errors rather than silently resuming behind acknowledged state.
-// After a non-empty replay the store checkpoints: snapshot rewritten at
-// the replayed version, log truncated. A failed checkpoint here is not
-// fatal — the log stays authoritative and the next restart replays again.
-func (r *Registry) replayLog(st *Store) error {
-	fsys := r.med.fs()
-	logPath := LogPath(r.med.Dir, st.ID)
-	records, err := ReadLog(fsys, logPath)
-	if err != nil {
-		var ce *CorruptArtifactError
-		if errors.As(err, &ce) {
-			// The log is structurally corrupt (foreign magic or a
-			// CRC-valid-but-unparseable body — hostility, not a torn
-			// crash). Its tail is unrecoverable either way: quarantine the
-			// bytes for forensics and serve the checkpointed snapshot
-			// rather than wedging the dataset.
-			r.quarantineArtifact(fsys, logPath, st.ID)
-			return nil
-		}
-		return err
-	}
-	if len(records) == 0 {
-		return nil
-	}
-	inc := r.IncrementalFor(st.Scheme.Name())
-	replayStart := obs.Start()
-	replayed := 0
-	for i, rec := range records {
-		v := st.Version()
-		end := rec.FromVersion + uint64(len(rec.Deltas))
-		if end <= v {
-			continue // fully inside the checkpoint
-		}
-		if rec.FromVersion != v {
-			return fmt.Errorf("replay log %s: record %d covers versions [%d,%d) but the snapshot is at %d — an acknowledged batch is missing",
-				logPath, i, rec.FromVersion, end, v)
-		}
-		if inc == nil {
-			return fmt.Errorf("replay log %s: scheme %s has no incremental form to replay %d logged deltas",
-				logPath, st.Scheme.Name(), len(rec.Deltas))
-		}
-		if _, err := st.ApplyDeltas(context.Background(), inc, rec.Deltas, nil); err != nil {
-			return fmt.Errorf("replay log %s: record %d: %w", logPath, i, err)
-		}
-		replayed++
-		r.replayCount.Add(1)
-		obsLogReplayedTotal.Inc()
-	}
-	obsLogReplay.Since(replayStart)
-	// Fold the replayed state into a checkpoint (or drop a log that was
-	// entirely stale). Save-then-remove: losing the log before the snapshot
-	// holds its records would lose acknowledged batches.
-	if replayed > 0 {
-		if err := SaveFS(fsys, r.snapshotPath(st.ID), st.Snapshot()); err != nil {
-			obsCheckpointFails.Inc()
-			return nil
-		}
-	}
-	if err := RemoveLog(fsys, logPath); err != nil {
-		obsCheckpointFails.Inc()
-	}
-	return nil
-}
-
 // ReplayCount reports how many delta-log records this registry has
 // replayed over loaded snapshots — non-zero after a restart that recovered
 // acknowledged-but-not-checkpointed batches.
 func (r *Registry) ReplayCount() int64 { return r.replayCount.Load() }
-
-// NoteReplay folds an externally replayed delta-log record into the
-// registry's replay counters (one call per record); internal/shard's
-// sharded replay reports through it, as NotePreprocess/NoteLoad do for
-// builds and reloads.
-func (r *Registry) NoteReplay() {
-	r.replayCount.Add(1)
-	obsLogReplayedTotal.Inc()
-}
 
 // NotFoundError reports an ApplyDelta against an id with no completed
 // registration — the HTTP layer maps it to 404 where every other delta
@@ -685,7 +479,7 @@ func (r *Registry) ApplyDelta(id string, deltas [][]byte) (uint64, error) {
 }
 
 // ApplyDeltaContext is ApplyDelta under a request budget: ctx is threaded
-// into the dataset's ApplyDeltas, which checks it between deltas — a batch
+// into ApplyDeltas, which checks it between deltas — a batch
 // that runs past its deadline aborts with a *BudgetError and nothing
 // applied (the served Π, the version, and the snapshot are untouched). The
 // HTTP PATCH handler threads each request's deadline through here.
@@ -697,7 +491,7 @@ func (r *Registry) ApplyDeltaContext(ctx context.Context, id string, deltas [][]
 	if len(deltas) == 0 {
 		return ds.Version(), fmt.Errorf("store: dataset %q: empty delta batch", id)
 	}
-	inc := r.IncrementalFor(ds.SchemeName())
+	inc := r.incrementalFor(ds.SchemeName())
 	if inc == nil {
 		return ds.Version(), fmt.Errorf("store: dataset %q: scheme %s has no incremental form (maintainable: %v)",
 			id, ds.SchemeName(), schemes.MaintainableSchemes())
@@ -706,7 +500,7 @@ func (r *Registry) ApplyDeltaContext(ctx context.Context, id string, deltas [][]
 	if !ok {
 		return ds.Version(), fmt.Errorf("store: dataset %q does not support in-place maintenance", id)
 	}
-	v, err := dd.ApplyDeltas(ctx, inc, deltas, r.med)
+	v, err := ApplyDeltas(ctx, dd, inc, deltas, r.med)
 	if err != nil {
 		var be *BudgetError
 		if errors.As(err, &be) {
@@ -865,17 +659,3 @@ func (r *Registry) PreprocessCount() int64 { return r.preprocessCount.Load() }
 // LoadCount reports how many stores were reloaded from snapshots instead of
 // preprocessed (one per shard for sharded datasets).
 func (r *Registry) LoadCount() int64 { return r.loadCount.Load() }
-
-// NotePreprocess folds an externally run Preprocess call into the
-// registry's counters. Composite registrations (internal/shard) preprocess
-// their parts outside build and report here so /v1/stats stays truthful.
-func (r *Registry) NotePreprocess() {
-	r.preprocessCount.Add(1)
-	obsPreprocessTotal.Inc()
-}
-
-// NoteLoad is NotePreprocess for snapshot reloads.
-func (r *Registry) NoteLoad() {
-	r.loadCount.Add(1)
-	obsSnapshotLoadTotal.Inc()
-}

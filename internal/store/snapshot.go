@@ -32,21 +32,6 @@ import (
 	"time"
 
 	"pitract/internal/core"
-	"pitract/internal/obs"
-)
-
-// PATCH-maintenance stage histograms: the incremental in-memory apply, the
-// log append (the commit point), and the checkpoint rewrite are timed
-// separately so dashboards can tell CPU-bound maintenance apart from
-// fsync-bound persistence. Checkpoint failures after a durable log append
-// are counted, not fatal — the log stays authoritative and the next batch
-// retries the checkpoint.
-var (
-	obsPatchApply      = obs.Stage(obs.StagePatchApply)
-	obsPatchPersist    = obs.Stage(obs.StagePatchPersist)
-	obsLogAppend       = obs.Stage(obs.StageLogAppend)
-	obsCheckpointFails = obs.Default.Counter("pitract_checkpoint_failures_total",
-		"Checkpoint (snapshot rewrite + log truncate) failures after a durable log append.")
 )
 
 // snapshotMagic opens every snapshot file. The trailing byte is the format
@@ -263,27 +248,13 @@ func DecodeSnapshot(b []byte) (*Snapshot, error) {
 	return s, nil
 }
 
-// WriteFileAtomic is WriteFileAtomicFS on the real disk (see fs.go for the
-// crash-safety contract, including the closing directory fsync).
-func WriteFileAtomic(path string, b []byte) error {
-	return WriteFileAtomicFS(OSFS, path, b)
-}
-
-// Save writes a snapshot atomically (see WriteFileAtomicFS); the checksum
+// SaveFS writes a snapshot atomically (see WriteFileAtomicFS); the checksum
 // in the encoding catches torn files from less careful writers.
-func Save(path string, s *Snapshot) error {
-	return WriteFileAtomic(path, EncodeSnapshot(s))
-}
-
-// SaveFS is Save on an explicit file layer.
 func SaveFS(fsys FS, path string, s *Snapshot) error {
 	return WriteFileAtomicFS(fsys, path, EncodeSnapshot(s))
 }
 
-// Load reads and validates a snapshot file.
-func Load(path string) (*Snapshot, error) { return LoadFS(OSFS, path) }
-
-// LoadFS is Load on an explicit file layer.
+// LoadFS reads and validates a snapshot file.
 func LoadFS(fsys FS, path string) (*Snapshot, error) {
 	b, err := fsys.ReadFile(path)
 	if err != nil {
@@ -300,12 +271,12 @@ func LoadFS(fsys FS, path string) (*Snapshot, error) {
 	return s, nil
 }
 
-// CorruptArtifactError marks a persisted artifact (snapshot or delta
-// log) that failed structural validation — wrong magic, checksum
-// mismatch, or an undecodable body — as opposed to a transient I/O
-// error reading it. The registry responds by renaming the artifact to
-// *.quarantine and rebuilding from source (see Registry build) rather
-// than wedging the dataset. The message is the underlying error's,
+// CorruptArtifactError marks a persisted artifact (snapshot, shard
+// manifest or delta log) that failed structural validation — wrong magic,
+// checksum mismatch, or an undecodable body — as opposed to a transient
+// I/O error reading it. The registry responds by renaming the artifact at
+// Path to *.quarantine and rebuilding from source (see Registry.Recover)
+// rather than wedging the dataset. The message is the underlying error's,
 // unchanged.
 type CorruptArtifactError struct {
 	Path string
@@ -323,9 +294,9 @@ func SumData(data []byte) DataChecksum { return sha256.Sum256(data) }
 // its Π(D). Any number of goroutines may call Answer or AnswerBatch
 // concurrently (the scheme concurrency contract, core/batch.go), and —
 // when the scheme has an incremental form — ApplyDeltas maintains Π(D ⊕ ∆D)
-// in place under a writer lock: the preprocessed string is replaced
-// wholesale, so a concurrent query always answers against a fully applied
-// Π (old or new), never a torn one.
+// in place through Stage: the preprocessed string is replaced wholesale
+// under a writer lock, so a concurrent query always answers against a fully
+// applied Π (old or new), never a torn one.
 type Store struct {
 	// ID is the dataset identifier the store was registered under ("" for
 	// stores opened directly from a path).
@@ -345,23 +316,18 @@ type Store struct {
 	// fresh Preprocess call (false).
 	Loaded bool
 
-	// mu guards Prep, version, and the prepared answerer: ApplyDeltas swaps
-	// them under the write lock, answer paths snapshot them under the read
-	// lock. The write lock is held only for the pointer swap — never across
-	// delta application, answerer preparation, or snapshot I/O — so queries
-	// are never blocked on maintenance work.
+	// Maintenance serializes maintainers (see ApplyDeltas), so the staged
+	// state and the snapshot on disk are built outside mu.
+	Maintenance
+	// mu guards Prep, version, and the prepared answerer: a Stage commit
+	// swaps them under the write lock, answer paths snapshot them under the
+	// read lock. The write lock is held only for the pointer swap — never
+	// across delta application, answerer preparation, or snapshot I/O — so
+	// queries are never blocked on maintenance work.
 	mu sync.RWMutex
-	// maintMu serializes maintainers (ApplyDeltas/Replace callers), so the
-	// staged state and the snapshot on disk can be built outside mu
-	// without a later writer overwriting a newer version with a stale one.
-	maintMu sync.Mutex
 	// version counts the deltas applied since registration; it only ever
 	// grows, and every applied delta bumps it by one.
 	version uint64
-	// walRecords counts delta-log records appended since the last
-	// checkpoint (guarded by maintMu); when it reaches the medium's
-	// CheckpointEvery the snapshot is rewritten and the log truncated.
-	walRecords int
 	// forms holds, per Mode, the answerer decoded from the current Π: the
 	// scheme's typed prepared form (Exact, core.PreparedScheme) and its
 	// declared fallback (Degraded, Scheme.PrepareFallback). Each is built
@@ -419,20 +385,12 @@ func (st *Store) View() ([]byte, uint64) {
 	return st.Prep, st.version
 }
 
-// Replace swaps the preprocessed string and maintenance version under the
-// writer lock — the commit step of composite (sharded) maintenance, which
-// stages per-shard strings outside the store and swaps them in wholesale
-// once every shard's maintenance has succeeded. The prepared answerer is
-// reset and rebuilt lazily; maintainers that have already prepared the new
-// Π outside the lock use ReplacePrepared to swap all three at once.
-func (st *Store) Replace(prep []byte, version uint64) {
-	st.ReplacePrepared(prep, version, nil, nil)
-}
-
-// ReplacePrepared is Replace with a pre-staged prepared answerer: ⟨Π,
-// version, prepared⟩ commit in one writer-lock critical section, so the
-// reader-blocking lock is never held across Prepare's decode work. a and
-// aerr may both be nil to defer preparation to the first answer.
+// ReplacePrepared swaps ⟨Π, version, prepared⟩ in one writer-lock critical
+// section — the commit step of maintenance, plain or composite (a sharded
+// dataset stages per-shard strings outside its member stores and swaps them
+// in wholesale) — so the reader-blocking lock is never held across
+// Prepare's decode work. a and aerr may both be nil to defer preparation to
+// the first answer.
 func (st *Store) ReplacePrepared(prep []byte, version uint64, a core.Answerer, aerr error) {
 	st.mu.Lock()
 	st.Prep, st.version, st.snapSize = prep, version, 0
@@ -528,104 +486,31 @@ func (st *Store) Version() uint64 {
 	return st.version
 }
 
-// ApplyDeltas implements DeltaDataset: it maintains the store under a
-// batch of deltas using the scheme's incremental form,
-// Π ← ApplyDelta(…ApplyDelta(Π, ∆D₁)…, ∆Dₖ), applied atomically — either
-// every delta commits and the version grows by k, or none do and the store
-// (and its durable state) are untouched.
-//
-// With a persistent medium the commit protocol is write-ahead: the batch
-// is appended to the dataset's delta log — CRC-framed and fsynced — before
-// any in-memory state changes, so the durable artifact is never behind a
-// state a query has already observed. The log append is the commit point:
-// a failure there aborts the batch with nothing applied (PersistError);
-// once the record is durable the batch commits unconditionally. When the
-// medium's checkpoint cadence is due, the maintained snapshot is rewritten
-// atomically and the log truncated; a checkpoint failure after a durable
-// append is counted and retried on the next batch — the log stays
-// authoritative and a restart replays it (see wal.go).
-//
-// ctx bounds the batch: it is checked before each delta and before the
-// commit point, so a budget that expires mid-batch aborts with nothing
-// applied — individual delta applications are the cancellation granularity
-// and are never torn.
-//
-// Delta application and persistence I/O run under the maintenance mutex
-// only — the reader-blocking write lock is taken just for the final
-// pointer swap, so concurrent queries never wait on maintenance work.
-//
-// Registry.ApplyDelta is the catalog-level entry point; it resolves inc by
-// scheme name and supplies its medium.
-func (st *Store) ApplyDeltas(ctx context.Context, inc *core.IncrementalScheme, deltas [][]byte, med *Medium) (uint64, error) {
-	if inc == nil || inc.ApplyDelta == nil {
-		return st.Version(), fmt.Errorf("store: scheme %s has no incremental form", st.Scheme.Name())
-	}
-	if med.persistent() && st.ID == "" {
-		return st.Version(), fmt.Errorf("store: cannot persist deltas for a store with no dataset ID")
-	}
-	if len(deltas) == 0 {
-		return st.Version(), nil // no-op, no log record
-	}
-	st.maintMu.Lock()
-	defer st.maintMu.Unlock()
-	// maintMu is the only writer seam, so the view cannot move under us.
-	cur, oldVersion := st.View()
-	applyStart := obs.Start()
+// Stage implements DeltaDataset: Π ← ApplyDelta(…ApplyDelta(Π, ∆D₁)…, ∆Dₖ)
+// on a private copy, the maintained Π's prepared answerer built here —
+// outside the reader-blocking lock — and committed with ⟨Π, version⟩ in one
+// swap.
+func (st *Store) Stage(ctx context.Context, inc *core.IncrementalScheme, deltas [][]byte) (func(version uint64), error) {
+	cur, _ := st.View()
 	for i, delta := range deltas {
 		if err := ctx.Err(); err != nil {
-			return oldVersion, fmt.Errorf("store: delta %d: %w (nothing applied)", i, err)
+			return nil, fmt.Errorf("store: delta %d: %w (nothing applied)", i, err)
 		}
 		next, err := inc.ApplyDelta(cur, delta)
 		if err != nil {
-			return oldVersion, fmt.Errorf("store: delta %d: %w (nothing applied)", i, err)
+			return nil, fmt.Errorf("store: delta %d: %w (nothing applied)", i, err)
 		}
 		cur = next
 	}
-	obsPatchApply.Since(applyStart)
-	if err := ctx.Err(); err != nil {
-		return oldVersion, fmt.Errorf("store: %w (nothing applied)", err)
-	}
-	newVersion := oldVersion + uint64(len(deltas))
-	if med.persistent() {
-		fsys := med.fs()
-		appendStart := obs.Start()
-		if err := AppendLogRecord(fsys, LogPath(med.Dir, st.ID), oldVersion, deltas); err != nil {
-			return oldVersion, &PersistError{Err: fmt.Errorf("store: log delta batch: %w (nothing applied)", err)}
-		}
-		obsLogAppend.Since(appendStart)
-		st.walRecords++
-		if st.walRecords >= med.checkpointEvery() {
-			persistStart := obs.Start()
-			snap := st.snapshotSkeleton()
-			snap.Prep, snap.Version = cur, newVersion
-			if err := st.checkpoint(fsys, med.Dir, snap); err != nil {
-				obsCheckpointFails.Inc()
-			} else {
-				st.walRecords = 0
-				obsPatchPersist.Since(persistStart)
-			}
-		}
-	}
-	// The maintained Π's prepared answerer is built here, outside the
-	// reader-blocking lock, and committed with ⟨Π, version⟩ in one swap. A
-	// Prepare failure does not abort the batch — the maintained bytes are
-	// the committed truth, and answers surface the same validation error
-	// the raw path would report per query.
 	a, aerr := st.Scheme.Prepare(cur)
-	st.ReplacePrepared(cur, newVersion, a, aerr)
-	return newVersion, nil
+	return func(version uint64) { st.ReplacePrepared(cur, version, a, aerr) }, nil
 }
 
-// checkpoint rewrites the durable snapshot and truncates the delta log —
-// the snapshot write is the checkpoint's commit (atomic rename + directory
-// fsync), after which every log record is at or below the snapshot version
-// and the log is dead weight. A crash between the two steps leaves a stale
-// log whose records replay as no-ops.
-func (st *Store) checkpoint(fsys FS, dir string, snap *Snapshot) error {
-	if err := SaveFS(fsys, SnapshotPath(dir, st.ID), snap); err != nil {
-		return err
-	}
-	return RemoveLog(fsys, LogPath(dir, st.ID))
+// Checkpoint implements DeltaDataset: the committed ⟨Π, version⟩ rewritten
+// as the snapshot a restarted registry reloads (atomic rename + directory
+// fsync).
+func (st *Store) Checkpoint(fsys FS, dir string) error {
+	return SaveFS(fsys, SnapshotPath(dir, st.ID), st.Snapshot())
 }
 
 // DatasetID implements Dataset.
@@ -793,7 +678,7 @@ func (st *Store) snapshotSkeleton() *Snapshot {
 // preprocess-once contract; Registry does the same per dataset ID.
 func Open(path string, scheme *core.Scheme, data []byte) (*Store, error) {
 	sum := SumData(data)
-	if snap, err := Load(path); err == nil &&
+	if snap, err := LoadFS(OSFS, path); err == nil &&
 		snap.SchemeName == scheme.Name() && snap.DataSum == sum {
 		st := &Store{Scheme: scheme, Prep: snap.Prep, DataSum: sum, Loaded: true, version: snap.Version}
 		st.Warm()
@@ -804,7 +689,7 @@ func Open(path string, scheme *core.Scheme, data []byte) (*Store, error) {
 		return nil, fmt.Errorf("store: open %s: preprocess (%s): %w", path, scheme.Name(), err)
 	}
 	st := &Store{Scheme: scheme, Prep: pd, DataSum: sum}
-	if err := Save(path, st.Snapshot()); err != nil {
+	if err := SaveFS(OSFS, path, st.Snapshot()); err != nil {
 		return nil, err
 	}
 	st.Warm()

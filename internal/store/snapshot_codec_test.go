@@ -141,7 +141,7 @@ func TestSnapshotLegacyVersionsAreUnknownFormats(t *testing.T) {
 				t.Fatal(err)
 			}
 			var ce *CorruptArtifactError
-			if _, err := Load(path); !errors.As(err, &ce) {
+			if _, err := LoadFS(OSFS, path); !errors.As(err, &ce) {
 				t.Fatalf("load = %v, want a CorruptArtifactError", err)
 			}
 			reg := NewRegistry(dir)

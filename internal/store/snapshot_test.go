@@ -37,10 +37,10 @@ func TestSnapshotRoundTripBytesIdentical(t *testing.T) {
 func TestSnapshotSaveLoad(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "nested", "dir", "d.pitract")
 	s := testSnapshot()
-	if err := Save(path, s); err != nil {
+	if err := SaveFS(OSFS, path, s); err != nil {
 		t.Fatalf("save: %v", err)
 	}
-	got, err := Load(path)
+	got, err := LoadFS(OSFS, path)
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -92,7 +92,7 @@ func TestSnapshotCorruptionRejected(t *testing.T) {
 
 func TestLoadCorruptFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "d.pitract")
-	if err := Save(path, testSnapshot()); err != nil {
+	if err := SaveFS(OSFS, path, testSnapshot()); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(path)
@@ -103,7 +103,7 @@ func TestLoadCorruptFile(t *testing.T) {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(path); err == nil {
+	if _, err := LoadFS(OSFS, path); err == nil {
 		t.Fatal("corrupt file loaded without error")
 	}
 }

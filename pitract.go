@@ -397,10 +397,6 @@ var (
 	// NewStoreRegistry returns a registry persisting snapshots under dir
 	// ("" = in-memory only).
 	NewStoreRegistry = store.NewRegistry
-	// SaveSnapshot writes a snapshot atomically.
-	SaveSnapshot = store.Save
-	// LoadSnapshot reads and validates a snapshot file.
-	LoadSnapshot = store.Load
 	// NewServer returns an HTTP server over a registry; a nil catalog
 	// selects ServeCatalog.
 	NewServer = server.New
@@ -486,7 +482,10 @@ type (
 	Dataset = store.Dataset
 	// DeltaDataset is the registry's mutation seam: datasets that maintain
 	// Π(D ⊕ ∆D) in place under StoreRegistry.ApplyDelta (and the server's
-	// PATCH /v1/datasets/{id}).
+	// PATCH /v1/datasets/{id}). A kind supplies Stage (apply a batch to a
+	// private copy, return the swap) and Checkpoint (write the committed
+	// state); the write-ahead protocol and its recovery around them are the
+	// store's, one copy for every kind.
 	DeltaDataset = store.DeltaDataset
 	// ShardedStore serves one dataset from n partitioned preprocessed
 	// stores behind a single catalog entry, routing each query to its
@@ -545,11 +544,17 @@ var (
 	// PartitionerByName resolves "hash"/"range" (the HTTP API's
 	// ?partitioner values and the CLI's -partitioner flag).
 	PartitionerByName = shard.PartitionerByName
-	// LoadShardedStore reopens a persisted sharded dataset, verifying the
-	// manifest and every shard snapshot's SHA-256; damage fails with a
-	// clean error.
-	LoadShardedStore = shard.LoadSharded
 )
+
+// LoadSnapshot reads and validates a snapshot file on the real disk.
+func LoadSnapshot(path string) (*StoreSnapshot, error) { return store.LoadFS(store.OSFS, path) }
+
+// LoadShardedStore reopens a sharded dataset persisted under dir on the real
+// disk, verifying the manifest and every shard snapshot's SHA-256; damage
+// fails with a clean error.
+func LoadShardedStore(dir, id string, scheme *Scheme) (*ShardedStore, error) {
+	return shard.LoadShardedFS(store.OSFS, dir, id, scheme)
+}
 
 // --- the PRAM engine (internal/pram) -------------------------------------------
 
