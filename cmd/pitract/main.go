@@ -155,7 +155,7 @@ func cmdServe(args []string) int {
 	data := fs.String("data", "", "snapshot directory for preprocessed stores (empty = in-memory only)")
 	shards := fs.Int("shards", 0, "default shard count for registered datasets (0 or 1 = unsharded; per-request ?shards=N overrides)")
 	partitioner := fs.String("partitioner", "hash", "default partitioner for sharded datasets: hash or range")
-	cacheBytes := fs.Int64("cache-bytes", 0, "answer-cache budget in bytes: memoize hot (dataset, version, query) verdicts (0 = no cache)")
+	cacheBytes := fs.Int64("cache-bytes", 0, "answer-cache budget in bytes: memoize hot verdicts of traversal schemes (0 = no cache)")
 	maxInFlight := fs.Int("max-inflight", 0, "admitted work requests across the server; beyond it requests get 429 + Retry-After (0 = unlimited)")
 	maxInFlightDS := fs.Int("max-inflight-dataset", 0, "admitted work requests per dataset id (0 = unlimited)")
 	maxBodyBytes := fs.Int64("max-body-bytes", 0, "request-body byte cap; larger bodies get 413 (0 = the 64 MiB default)")
@@ -388,10 +388,13 @@ serving:
   preprocessed stores and queries are routed to the owning shard or fanned
   out and merged. PATCH /v1/datasets/{id} maintains registered datasets in
   place under deltas (Π(D ⊕ ∆D), versioned, re-snapshotted atomically).
-  With -cache-bytes N, hot (dataset, version, query) verdicts are served
-  from a sharded in-memory LRU with singleflight coalescing — version-keyed,
-  so a PATCH invalidates stale entries for free; hit/miss/coalesced counters
-  appear in /v1/stats. The serving envelope bounds what one request or one
+  With -cache-bytes N, the server memoizes hot verdicts of traversal
+  schemes — the ones whose answer step walks D (reachability/bfs-per-query,
+  point-selection/scan) — in a sharded in-memory LRU with singleflight
+  coalescing, keyed by (dataset, version, query) so a PATCH invalidates
+  stale entries for free; schemes answered by an index probe of Π are not
+  fronted (the probe is cheaper than the lookup). Hit/miss/coalesced
+  counters appear in /v1/stats and /metrics. The serving envelope bounds what one request or one
   burst can cost: -max-body-bytes and -max-batch refuse oversized work with
   413, -max-inflight/-max-inflight-dataset refuse work beyond the
   concurrency limits with 429 + Retry-After (tune the advertised delay with

@@ -143,17 +143,6 @@ var apiExamples = []apiExample{
 		wantBody:   `{"answer":true,"version":1}`,
 	},
 	{
-		// The identical query again: with the answer cache enabled this is
-		// served as a ⟨dataset, version, query⟩ hit — same bytes on the
-		// wire, and the /v1/stats check below sees exactly one cache hit.
-		name:       "query-repeat-cached",
-		method:     http.MethodPost,
-		path:       "/v1/query",
-		reqBody:    `{"dataset":"m","query":"iYCAgICAgICAAQ=="}`,
-		wantStatus: http.StatusOK,
-		wantBody:   `{"answer":true,"version":1}`,
-	},
-	{
 		name:       "get-dataset",
 		method:     http.MethodGet,
 		path:       "/v1/datasets/m",
@@ -207,6 +196,35 @@ var apiExamples = []apiExample{
 		reqBody:    `{"dataset":"m2","queries":["goCAgICAgICAAQ==","iYCAgICAgICAAQ=="],"parallelism":2}`,
 		wantStatus: http.StatusOK,
 		wantBody:   `{"answers":[true,false],"version":0}`,
+	},
+	{
+		// A scheme that declares a per-query traversal (BFS over the path
+		// 0→1→2→3): the answer cache fronts it, and says so.
+		name:       "register-traversal",
+		method:     http.MethodPost,
+		path:       "/v1/datasets",
+		reqBody:    `{"id":"g","scheme":"reachability/bfs-per-query","data":"BAEDAAEBAgID"}`,
+		wantStatus: http.StatusOK,
+		wantBody:   `{"id":"g","scheme":"reachability/bfs-per-query","prep_bytes":9,"loaded":false,"shards":1,"version":0,"cached":true}`,
+	},
+	{
+		name:       "query-traversal",
+		method:     http.MethodPost,
+		path:       "/v1/query",
+		reqBody:    `{"dataset":"g","query":"AAM="}`,
+		wantStatus: http.StatusOK,
+		wantBody:   `{"answer":true,"version":0}`,
+	},
+	{
+		// The identical query again: served as a ⟨dataset, version, query⟩
+		// hit — same bytes on the wire, and the /v1/stats check below sees
+		// exactly one cache miss and one cache hit.
+		name:       "query-repeat-cached",
+		method:     http.MethodPost,
+		path:       "/v1/query",
+		reqBody:    `{"dataset":"g","query":"AAM="}`,
+		wantStatus: http.StatusOK,
+		wantBody:   `{"answer":true,"version":0}`,
 	},
 }
 
@@ -312,7 +330,7 @@ func TestAPIDocMatchesServer(t *testing.T) {
 	if err := json.Unmarshal(rawStats, &stats); err != nil {
 		t.Fatalf("stats response does not match the documented shape: %v", err)
 	}
-	if stats.Datasets != 2 || stats.PreprocessCalls != 3 || stats.Queries != 7 {
+	if stats.Datasets != 3 || stats.PreprocessCalls != 4 || stats.Queries != 8 {
 		t.Fatalf("stats counters diverge from the documented example: %+v", stats)
 	}
 	if stats.DeltasApplied != 3 || stats.MaintenanceNs <= 0 {
@@ -335,16 +353,19 @@ func TestAPIDocMatchesServer(t *testing.T) {
 		t.Fatalf("snapshot_compression_ratio = %v, want %v", stats.SnapshotRatio, want)
 	}
 	ss, ok := stats.PerScheme["list-membership/sorted"]
-	if !ok || ss.Queries != 7 || ss.Errors != 0 {
+	if !ok || ss.Queries != 6 || ss.Errors != 0 {
 		t.Fatalf("per-scheme stats diverge from the documented example: %+v", stats.PerScheme)
 	}
-	// The cache counters: 6 distinct ⟨dataset, version, query⟩ keys missed
-	// and were filled (q2@v0, q9@v0, q9@v1, q9@v2, and the two batch
-	// queries on m2@v0); the repeated query-after-patch body hit.
+	// The cache counters: only "g" is fronted (its scheme declares a
+	// per-query traversal), so its first query missed and was filled and its
+	// repeat hit; the six list-membership queries never touched the cache.
+	if bfs := stats.PerScheme["reachability/bfs-per-query"]; bfs.Queries != 2 || bfs.Errors != 0 {
+		t.Fatalf("per-scheme stats diverge from the documented example: %+v", stats.PerScheme)
+	}
 	if stats.Cache == nil {
 		t.Fatalf("stats response carries no cache block with the cache enabled")
 	}
-	if stats.Cache.Hits != 1 || stats.Cache.Misses != 6 || stats.Cache.Entries != 6 {
+	if stats.Cache.Hits != 1 || stats.Cache.Misses != 1 || stats.Cache.Entries != 1 {
 		t.Fatalf("cache counters diverge from the documented example: %+v", *stats.Cache)
 	}
 	if stats.Cache.BudgetBytes != 1<<20 || stats.Cache.Bytes <= 0 {

@@ -43,6 +43,12 @@ type Scheme struct {
 	// e.g. "O(|D| log |D|)" and "O(log |D|)".
 	PreprocessNote string
 	AnswerNote     string
+	// Traversal declares that Answer's work grows with |D| — a traversal,
+	// scan or evaluation per query, the baselines the paper uses to show
+	// what Π avoids; the serving layer memoises verdicts only for these.
+	// The zero value is an index probe: Π already made the answer cheaper
+	// than a cache lookup, so there is nothing left for a memo table to save.
+	Traversal bool
 }
 
 // Name identifies the scheme.

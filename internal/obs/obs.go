@@ -49,27 +49,34 @@ type Label struct {
 	Value string
 }
 
-// Counter is a monotonically increasing named value.
+// Counter is a monotonically increasing named value. A counter created
+// with Registry.CounterFunc reads its value from a callback at render time
+// instead (see Gauge).
 type Counter struct {
-	v atomic.Int64
+	v  atomic.Int64
+	fn func() int64
 }
 
 // Inc adds one to the counter.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Add adds n to the counter. It is a no-op when recording is disabled or the
-// receiver is nil, so call sites never need their own guard.
+// Add adds n to the counter. It is a no-op when recording is disabled, the
+// receiver is nil or the counter is a callback, so call sites never need
+// their own guard.
 func (c *Counter) Add(n int64) {
-	if c == nil || disabled.Load() {
+	if c == nil || c.fn != nil || disabled.Load() {
 		return
 	}
 	c.v.Add(n)
 }
 
-// Value returns the current counter value.
+// Value returns the current counter value, consulting the callback if set.
 func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
+	}
+	if c.fn != nil {
+		return c.fn()
 	}
 	return c.v.Load()
 }

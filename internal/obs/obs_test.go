@@ -174,6 +174,7 @@ func TestWritePrometheusConformance(t *testing.T) {
 	r.Counter("t_requests_total", "Total requests.", Label{"endpoint", "/v1/query"}).Add(2)
 	r.Gauge("t_in_flight", "In-flight requests.").Set(3)
 	r.GaugeFunc("t_goroutines", "Callback-valued gauge.", func() int64 { return 42 })
+	r.CounterFunc("t_evictions_total", "Callback-valued counter.", func() int64 { return 7 })
 	h := r.Histogram("t_latency_seconds", "Latency with tricky labels.",
 		Label{"path", `a\b"c` + "\n" + "d"})
 	h.Observe(time.Microsecond)
@@ -200,6 +201,7 @@ func TestWritePrometheusConformance(t *testing.T) {
 		`path="a\\b\"c\nd"`,
 		`le="+Inf"`,
 		"t_goroutines 42\n",
+		"# TYPE t_evictions_total counter\nt_evictions_total 7\n",
 		"t_in_flight 3\n",
 	} {
 		if !strings.Contains(out, want) {

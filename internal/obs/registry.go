@@ -121,6 +121,13 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return r.family(name, help, counterKind).get(labels).counter
 }
 
+// CounterFunc registers a counter whose value is read from fn at render
+// time — for monotonic counts another package already keeps.
+// Re-registering the same name + labels replaces the callback.
+func (r *Registry) CounterFunc(name, help string, fn func() int64, labels ...Label) {
+	r.family(name, help, counterKind).get(labels).counter.fn = fn
+}
+
 // Gauge returns the gauge for name + labels, creating it on first use.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	return r.family(name, help, gaugeKind).get(labels).gauge

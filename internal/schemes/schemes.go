@@ -146,6 +146,7 @@ func PointSelectionScanScheme() *core.Scheme {
 		PrepareFallback: prepareScanFallback,
 		PreprocessNote:  "O(1)",
 		AnswerNote:      "O(|D|) per query",
+		Traversal:       true,
 	}
 }
 
@@ -490,6 +491,7 @@ func ReachabilityBFSScheme() *core.Scheme {
 		PrepareAnswerer: prepareBFS,
 		PreprocessNote:  "O(1)",
 		AnswerNote:      "O(|V|+|E|) per query",
+		Traversal:       true,
 	}
 }
 

@@ -1,7 +1,12 @@
 package schemes
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pitract/internal/circuit"
@@ -234,5 +239,56 @@ func TestTMProblemRejectsBadBytes(t *testing.T) {
 	p := TMProblem(tm.Parity())
 	if _, err := p.Member([]byte{0, 1, 7}); err == nil {
 		t.Fatal("byte 7 accepted as an input bit")
+	}
+}
+
+// TestTraversalDeclarations pins which schemes declare that answering walks
+// Π(D) — the fact the serving layer places its verdict cache by: exactly the
+// two no-preprocessing baselines whose data part is D itself. The ε-data
+// schemes (bds/no-preprocessing, cvp/empty-data) are linear in the *query*,
+// the same order as hashing a cache key, and do not declare it. The
+// constructor list is checked against the package source, so a new scheme
+// must be entered here (a scheme that forgets to declare is served
+// uncached: correct, never wrong).
+func TestTraversalDeclarations(t *testing.T) {
+	constructors := map[string]func() *core.Scheme{
+		"PointSelectionScheme":     PointSelectionScheme,
+		"PointSelectionScanScheme": PointSelectionScanScheme,
+		"RangeSelectionScheme":     RangeSelectionScheme,
+		"ListMembershipScheme":     ListMembershipScheme,
+		"ReachabilityScheme":       ReachabilityScheme,
+		"ReachabilityLabelsScheme": ReachabilityLabelsScheme,
+		"ReachabilityBFSScheme":    ReachabilityBFSScheme,
+		"BDSScheme":                BDSScheme,
+		"BDSNoPreprocessScheme":    BDSNoPreprocessScheme,
+		"CVPGateValueScheme":       CVPGateValueScheme,
+		"CVPNoPreprocessScheme":    CVPNoPreprocessScheme,
+	}
+	declaring := map[string]bool{"reachability/bfs-per-query": true, "point-selection/scan": true}
+	for fn, mk := range constructors {
+		if s := mk(); s.Traversal != declaring[s.Name()] {
+			t.Errorf("%s: scheme %q declares Traversal=%v, want %v", fn, s.Name(), s.Traversal, declaring[s.Name()])
+		}
+	}
+
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range pkgs["schemes"].Files {
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Recv != nil || !fn.Name.IsExported() || fn.Type.Params.NumFields() != 0 ||
+				fn.Type.Results.NumFields() != 1 {
+				continue
+			}
+			if star, ok := fn.Type.Results.List[0].Type.(*ast.StarExpr); ok {
+				if sel, ok := star.X.(*ast.SelectorExpr); ok && sel.Sel.Name == "Scheme" && constructors[fn.Name.Name] == nil {
+					t.Errorf("scheme constructor %s is not covered by this test", fn.Name.Name)
+				}
+			}
+		}
 	}
 }

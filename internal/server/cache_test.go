@@ -362,7 +362,8 @@ func TestStatsCacheCounters(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	body, _ := json.Marshal(RegisterRequest{ID: "m", Scheme: "list-membership/sorted", Data: schemes.EncodeList([]int64{2, 4, 6})})
+	// A traversal scheme: the cache fronts only those (see answerPath).
+	body, _ := json.Marshal(RegisterRequest{ID: "g", Scheme: "reachability/bfs-per-query", Data: graph.Path(4, true).Encode()})
 	resp, err := http.Post(ts.URL+"/v1/datasets", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -370,7 +371,7 @@ func TestStatsCacheCounters(t *testing.T) {
 	resp.Body.Close()
 
 	for i := 0; i < 3; i++ { // one miss, two hits
-		b, _ := json.Marshal(QueryRequest{Dataset: "m", Query: schemes.PointQuery(4)})
+		b, _ := json.Marshal(QueryRequest{Dataset: "g", Query: schemes.NodePairQuery(0, 3)})
 		resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(b))
 		if err != nil {
 			t.Fatal(err)
@@ -429,7 +430,7 @@ func TestCacheStagesRecordedUnderQueryBudget(t *testing.T) {
 	defer ts.Close()
 
 	if code := postJSON(t, ts.Client(), ts.URL+"/v1/datasets", RegisterRequest{
-		ID: "m", Scheme: "list-membership/sorted", Data: schemes.EncodeList([]int64{2, 4, 6}),
+		ID: "g", Scheme: "reachability/bfs-per-query", Data: graph.Path(4, true).Encode(),
 	}, nil); code != http.StatusOK {
 		t.Fatalf("register status %d", code)
 	}
@@ -438,7 +439,7 @@ func TestCacheStagesRecordedUnderQueryBudget(t *testing.T) {
 	for i := 0; i < 3; i++ { // one miss, two hits
 		var qr QueryResponse
 		if code := postJSON(t, ts.Client(), ts.URL+"/v1/query", QueryRequest{
-			Dataset: "m", Query: schemes.PointQuery(4),
+			Dataset: "g", Query: schemes.NodePairQuery(0, 3),
 		}, &qr); code != http.StatusOK || !qr.Answer || qr.Version != 0 {
 			t.Fatalf("query %d = status %d %+v, want 200 true at version 0", i, code, qr)
 		}
@@ -450,5 +451,74 @@ func TestCacheStagesRecordedUnderQueryBudget(t *testing.T) {
 	}
 	if got := hit.Snapshot().Count - hits; got < 2 {
 		t.Fatalf("cache_hit stage moved by %d under a query budget, want >= 2", got)
+	}
+}
+
+// TestCachePlacementFollowsTheScheme pins the placement rule over the whole
+// catalog, plain and sharded: the answer cache fronts a dataset iff its
+// scheme declares a per-query traversal. A repeat query on an index-probe
+// dataset moves no cache counter — it is answered by the prepared probe,
+// which costs less than the lookup would — and a repeat query on a
+// traversal dataset is a hit. DatasetInfo.cached reports the same decision.
+func TestCachePlacementFollowsTheScheme(t *testing.T) {
+	cases := hotPathCases(t)
+	closure := cases["reachability/closure-matrix"]
+	cases["reachability/labels"] = hotPathCase{scheme: schemes.ReachabilityLabelsScheme(), data: closure.data, queries: closure.queries}
+	for name, sch := range Catalog() {
+		tc, ok := cases[name]
+		if !ok {
+			t.Fatalf("catalog scheme %q has no workload in this test", name)
+		}
+		for _, shards := range []int{1, 2} {
+			if shards > 1 && shard.ForScheme(name) == nil {
+				continue
+			}
+			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
+				srv := New(store.NewRegistry(""), nil)
+				c := cache.New(1 << 20)
+				srv.SetAnswerCache(c)
+				ts := httptest.NewServer(srv)
+				defer ts.Close()
+				var info DatasetInfo
+				if code := postJSON(t, ts.Client(), fmt.Sprintf("%s/v1/datasets?shards=%d", ts.URL, shards),
+					RegisterRequest{ID: "d", Scheme: name, Data: tc.data}, &info); code != http.StatusOK {
+					t.Fatalf("register status %d", code)
+				}
+				ds, _ := srv.Registry().GetDataset("d")
+				if fronted := srv.answerPath(ds) != ds; fronted != sch.Traversal {
+					t.Fatalf("answerPath fronts the dataset: %v; scheme declares Traversal: %v", fronted, sch.Traversal)
+				}
+				if info.Cached != sch.Traversal {
+					t.Fatalf("registration reports cached=%v, scheme declares Traversal=%v", info.Cached, sch.Traversal)
+				}
+				if code := getJSON(t, ts.Client(), ts.URL+"/v1/datasets/d", &info); code != http.StatusOK || info.Cached != sch.Traversal {
+					t.Fatalf("GET reports status %d cached=%v, scheme declares Traversal=%v", code, info.Cached, sch.Traversal)
+				}
+
+				q := tc.queries[0]
+				for i := 0; i < 2; i++ {
+					if code := postJSON(t, ts.Client(), ts.URL+"/v1/query", QueryRequest{Dataset: "d", Query: q}, nil); code != http.StatusOK {
+						t.Fatalf("query %d: status %d", i, code)
+					}
+				}
+				for i := 0; i < 2; i++ {
+					if code := postJSON(t, ts.Client(), ts.URL+"/v1/query/batch", BatchRequest{Dataset: "d", Queries: [][]byte{q, tc.queries[1]}}, nil); code != http.StatusOK {
+						t.Fatalf("batch %d: status %d", i, code)
+					}
+				}
+				st := c.Stats()
+				if !sch.Traversal {
+					if st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
+						t.Fatalf("index-probe dataset moved the cache: %+v", st)
+					}
+					return
+				}
+				// Single: miss, hit. First batch: q hits, its neighbour misses.
+				// Second batch: both hit.
+				if st.Hits != 4 || st.Misses != 2 || st.Entries != 2 {
+					t.Fatalf("traversal dataset: %+v, want 4 hits / 2 misses / 2 entries", st)
+				}
+			})
+		}
 	}
 }

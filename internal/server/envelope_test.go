@@ -5,7 +5,7 @@ package server
 // under saturated concurrency (global and per-dataset), 503 for budget
 // exhaustion with no catalog side effects, and the envelope stats block
 // that accounts for every one of them. Plus the answer-path memoization
-// pin: the cache-fronted view is built once per dataset, not per request.
+// pin: a cache-fronted view is built once per dataset, not per request.
 
 import (
 	"bytes"
@@ -20,6 +20,7 @@ import (
 
 	"pitract/internal/cache"
 	"pitract/internal/core"
+	"pitract/internal/graph"
 	"pitract/internal/schemes"
 	"pitract/internal/store"
 )
@@ -394,12 +395,12 @@ func TestEnvelopePatchBudget(t *testing.T) {
 }
 
 // TestAnswerPathMemoized pins the hot-path fix: with a cache configured,
-// the cache-fronted view is built once per dataset and reused across
-// requests, and swapping the cache rebuilds it.
+// the cache-fronted view of a traversal dataset is built once and reused
+// across requests, and swapping the cache rebuilds it.
 func TestAnswerPathMemoized(t *testing.T) {
 	reg := store.NewRegistry("")
 	srv := New(reg, nil)
-	if _, err := reg.Register("d", schemes.PointSelectionScheme(), schemes.RelationFromKeys([]int64{2})); err != nil {
+	if _, err := reg.Register("d", schemes.ReachabilityBFSScheme(), graph.Path(4, true).Encode()); err != nil {
 		t.Fatal(err)
 	}
 	ds, _ := reg.GetDataset("d")

@@ -9,6 +9,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -18,6 +19,8 @@ import (
 	"testing"
 	"time"
 
+	"pitract/internal/cache"
+	"pitract/internal/graph"
 	"pitract/internal/obs"
 	"pitract/internal/schemes"
 	"pitract/internal/store"
@@ -315,4 +318,45 @@ func (lw *lockedWriter) Write(p []byte) (int, error) {
 	lw.mu.Lock()
 	defer lw.mu.Unlock()
 	return lw.w.Write(p)
+}
+
+// TestMetricsAnswerCache: with a cache set, /metrics carries the cache's
+// counters and residency — read from cache.Stats() at render time — so
+// cache placement is visible to a scraper: two identical queries on a
+// traversal dataset read as one miss and one hit. (The registry is
+// process-wide, so their absence without a cache is pinned at the obs
+// layer and by CI's live smoke, not here.)
+func TestMetricsAnswerCache(t *testing.T) {
+	srv := New(store.NewRegistry(""), nil)
+	c := cache.New(1 << 20)
+	srv.SetAnswerCache(c)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	client := ts.Client()
+
+	if code := postJSON(t, client, ts.URL+"/v1/datasets", RegisterRequest{
+		ID: "g", Scheme: "reachability/bfs-per-query", Data: graph.Path(4, true).Encode(),
+	}, nil); code != http.StatusOK {
+		t.Fatalf("register status %d", code)
+	}
+	for i := 0; i < 2; i++ {
+		if code := postJSON(t, client, ts.URL+"/v1/query", QueryRequest{Dataset: "g", Query: schemes.NodePairQuery(0, 3)}, nil); code != http.StatusOK {
+			t.Fatalf("query %d: status %d", i, code)
+		}
+	}
+	body := string(scrapeMetrics(t, client, ts.URL))
+	for _, want := range []string{
+		"# TYPE pitract_answer_cache_hits_total counter\npitract_answer_cache_hits_total 1\n",
+		"# TYPE pitract_answer_cache_misses_total counter\npitract_answer_cache_misses_total 1\n",
+		"# TYPE pitract_answer_cache_coalesced_total counter\npitract_answer_cache_coalesced_total 0\n",
+		"# TYPE pitract_answer_cache_evictions_total counter\npitract_answer_cache_evictions_total 0\n",
+		fmt.Sprintf("# TYPE pitract_answer_cache_resident_bytes gauge\npitract_answer_cache_resident_bytes %d\n", c.Stats().Bytes),
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
+	}
+	if c.Stats().Bytes <= 0 {
+		t.Fatalf("one resident verdict reads as %d bytes", c.Stats().Bytes)
+	}
 }

@@ -38,7 +38,11 @@
 // DatasetInfo. Every store answers through its prepared (decoded-once)
 // form, and with SetAnswerCache (the -cache-bytes flag) a version-keyed
 // verdict cache with singleflight coalescing sits in front of both answer
-// paths.
+// paths of the datasets whose scheme declares a per-query traversal —
+// everything else answers through the probe Π prepared, which is cheaper
+// than a cache lookup (see answerPath). A batch body is read once and
+// decoded in one pass into one backing array (batchdecode.go), with
+// encoding/json as the reference for anything outside the canonical shape.
 //
 // A serving envelope (see Limits and SetLimits) bounds what one request
 // or one burst can cost: oversized bodies and batches are refused with
@@ -60,6 +64,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -189,11 +194,12 @@ type Server struct {
 	degradedAnswers atomic.Int64
 
 	// cache, when non-nil, memoizes ⟨dataset, version, query⟩ verdicts in
-	// front of the answer paths (see SetAnswerCache).
+	// front of the datasets whose scheme declares a per-query traversal
+	// (see SetAnswerCache).
 	cache *cache.Cache
-	// cachedViews memoizes the cache-fronted view per dataset id, so the
-	// answer paths stop allocating a fresh wrapper per request (see
-	// answerPath). Values are *cachedView; SetAnswerCache clears it.
+	// cachedViews memoizes, per dataset id, the view answerPath chose — the
+	// cache-fronted wrapper or the dataset itself. Values are *cachedView;
+	// SetAnswerCache clears it.
 	cachedViews sync.Map
 
 	// env enforces the serving envelope: body/batch caps, admission
@@ -328,13 +334,15 @@ func (s *Server) applyTimeouts() {
 // Registry returns the registry the server answers from.
 func (s *Server) Registry() *store.Registry { return s.reg }
 
-// SetAnswerCache puts c in front of the single and batch answer paths: hot
-// ⟨dataset, version, query⟩ verdicts are served from memory, cold keys run
-// the underlying (prepared) answer once per thundering herd, and a PATCH
-// invalidates by version bump (stale keys age out of the LRU). nil
-// disables caching. Set it before serving traffic — the server face of the
-// CLI's -cache-bytes flag. Cache counters appear in /v1/stats while
-// enabled.
+// SetAnswerCache gives the server a verdict cache and c's byte budget to
+// spend on the datasets whose scheme declares a per-query traversal
+// (core.Scheme.Traversal): their hot ⟨dataset, version, query⟩ verdicts are
+// served from memory, cold keys run the traversal once per thundering
+// herd, and a PATCH invalidates by version bump (stale keys age out of the
+// LRU). Every other dataset keeps answering through its prepared probe,
+// which is cheaper than a cache lookup. nil disables caching. Set it before
+// serving traffic — the server face of the CLI's -cache-bytes flag. Cache
+// counters appear in /v1/stats and /metrics while enabled.
 func (s *Server) SetAnswerCache(c *cache.Cache) {
 	s.cache = c
 	// Memoized views wrap the previous cache; drop them so answerPath
@@ -343,21 +351,42 @@ func (s *Server) SetAnswerCache(c *cache.Cache) {
 		s.cachedViews.Delete(k)
 		return true
 	})
+	if c == nil {
+		return
+	}
+	// Render-time callbacks over c.Stats(): no hot-path bookkeeping. The
+	// registry is process-wide, so the most recently cached Server owns them.
+	for _, m := range []struct {
+		name, help string
+		read       func(cache.Stats) int64
+	}{
+		{"hits_total", "Verdicts served from the answer cache.", func(st cache.Stats) int64 { return st.Hits }},
+		{"misses_total", "Verdicts that ran the answering path and filled the answer cache.", func(st cache.Stats) int64 { return st.Misses }},
+		{"coalesced_total", "Requests that waited on another request's in-flight answer for the same key.", func(st cache.Stats) int64 { return st.Coalesced }},
+		{"evictions_total", "Entries dropped by the answer cache's byte budget.", func(st cache.Stats) int64 { return st.Evictions }},
+	} {
+		obs.Default.CounterFunc("pitract_answer_cache_"+m.name, m.help, func() int64 { return m.read(c.Stats()) })
+	}
+	obs.Default.GaugeFunc("pitract_answer_cache_resident_bytes",
+		"Bytes of verdicts resident in the answer cache.",
+		func() int64 { return c.Stats().Bytes })
 }
 
-// cachedView pairs a dataset with its memoized cache-fronted view; the ds
+// cachedView pairs a dataset with the view answerPath chose for it; the ds
 // field lets answerPath detect a re-registered dataset under the same id
-// and rebuild rather than answer through a stale wrapper.
+// and decide again rather than answer through a stale wrapper.
 type cachedView struct {
 	ds   store.Dataset
 	view store.Dataset
 }
 
 // answerPath returns the dataset the answer handlers should answer
-// through: the dataset itself, or its cache-fronted view. The view is
-// memoized per dataset id — NewCachedDataset is cheap but per-request
-// allocation on the hot answer path is pure garbage-collector load, and
-// the wrapper is immutable (version-keying happens per call inside it).
+// through: its cache-fronted view when a cache is set and the dataset's
+// scheme declares a per-query traversal, the dataset itself otherwise — an
+// index probe costs less than the cache lookup that would replace it. A
+// scheme name the catalog does not know is served uncached, which is
+// always correct. The choice is memoized per dataset id, so the
+// per-request cost is one sync.Map load and no allocation.
 func (s *Server) answerPath(ds store.Dataset) store.Dataset {
 	if s.cache == nil {
 		return ds
@@ -368,7 +397,10 @@ func (s *Server) answerPath(ds store.Dataset) store.Dataset {
 			return cv.view
 		}
 	}
-	cv := &cachedView{ds: ds, view: store.NewCachedDataset(ds, s.cache)}
+	cv := &cachedView{ds: ds, view: ds}
+	if sch := s.catalog[ds.SchemeName()]; sch != nil && sch.Traversal {
+		cv.view = store.NewCachedDataset(ds, s.cache)
+	}
 	s.cachedViews.Store(id, cv)
 	return cv.view
 }
@@ -455,6 +487,10 @@ type DatasetInfo struct {
 	// registered, +1 per delta applied through PATCH. Snapshot reloads
 	// restore it, so it never regresses across restarts.
 	Version uint64 `json:"version"`
+	// Cached is true when the answer cache fronts this dataset: a cache is
+	// set and the scheme declares a per-query traversal. Absent otherwise —
+	// repeat queries on such a dataset are probes, not hits.
+	Cached bool `json:"cached,omitempty"`
 }
 
 // PatchRequest applies a batch of deltas to a registered dataset:
@@ -687,7 +723,13 @@ func writeError(w http.ResponseWriter, r *http.Request, status int, format strin
 // request the server refuses by policy, not a malformed one — and every
 // other decode failure stays a 400.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.env.limits.MaxBodyBytes))
+	return s.decodeJSON(w, r, http.MaxBytesReader(w, r.Body, s.env.limits.MaxBodyBytes), v)
+}
+
+// decodeJSON is decodeBody over a body stream the caller has already put
+// under the byte cap (the batch handler replays the bytes it read itself).
+func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, body io.Reader, v interface{}) bool {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		var mbe *http.MaxBytesError
@@ -745,7 +787,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // datasetInfo renders one dataset for the wire.
-func datasetInfo(ds store.Dataset) DatasetInfo {
+func (s *Server) datasetInfo(ds store.Dataset) DatasetInfo {
 	return DatasetInfo{
 		ID:        ds.DatasetID(),
 		Scheme:    ds.SchemeName(),
@@ -753,6 +795,7 @@ func datasetInfo(ds store.Dataset) DatasetInfo {
 		Loaded:    ds.WasLoaded(),
 		Shards:    ds.ShardCount(),
 		Version:   ds.Version(),
+		Cached:    s.answerPath(ds) != ds,
 	}
 }
 
@@ -775,7 +818,7 @@ func (s *Server) handleDatasetByID(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			return
 		}
-		writeJSON(w, http.StatusOK, datasetInfo(ds))
+		writeJSON(w, http.StatusOK, s.datasetInfo(ds))
 	case http.MethodPatch:
 		var req PatchRequest
 		if !s.decodeBody(w, r, &req) {
@@ -831,7 +874,7 @@ func (s *Server) handleDatasetByID(w http.ResponseWriter, r *http.Request) {
 		// The ack carries the version this batch committed at — not a later
 		// ds.Version() read, which under concurrent writers is another
 		// request's.
-		info := datasetInfo(ds)
+		info := s.datasetInfo(ds)
 		info.Version = version
 		writeJSON(w, http.StatusOK, info)
 	default:
@@ -929,12 +972,12 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 			writeError(w, r, http.StatusConflict, "%v", err)
 			return
 		}
-		writeJSON(w, http.StatusOK, datasetInfo(ds))
+		writeJSON(w, http.StatusOK, s.datasetInfo(ds))
 	case http.MethodGet:
 		infos := []DatasetInfo{}
 		for _, id := range s.reg.IDs() {
 			if ds, ok := s.reg.GetDataset(id); ok {
-				infos = append(infos, datasetInfo(ds))
+				infos = append(infos, s.datasetInfo(ds))
 			}
 		}
 		writeJSON(w, http.StatusOK, map[string]interface{}{"datasets": infos})
@@ -1041,16 +1084,8 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
-	var req BatchRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	if max := s.env.limits.MaxBatchQueries; len(req.Queries) > max {
-		// Same policy split as the body cap: a well-formed batch over the
-		// work limit is a 413 naming the limit, not a 400.
-		s.env.noteBatch413(r)
-		writeError(w, r, http.StatusRequestEntityTooLarge,
-			"batch of %d queries exceeds the %d-query limit", len(req.Queries), max)
+	req, ok := s.decodeBatchBody(w, r)
+	if !ok {
 		return
 	}
 	parallelism := req.Parallelism

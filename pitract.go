@@ -67,6 +67,8 @@
 // Server.SetAnswerCache, `pitract serve -cache-bytes`) memoizes hot
 // ⟨dataset, version, query⟩ verdicts in a sharded byte-budgeted LRU with
 // singleflight coalescing — version-keyed, so PATCH invalidates for free.
+// The server fronts only schemes that declare a per-query traversal
+// (Scheme.Traversal): an index probe of Π is cheaper than a cache lookup.
 // Both paths are differentially pinned to the raw Answer oracle, and
 // experiment X6 measures cached vs uncached QPS over hot/zipf/cold mixes.
 //
@@ -453,8 +455,9 @@ type (
 	// answer once). Maintenance invalidates for free — the dataset version
 	// is part of every key, so a committed delta moves traffic to new keys
 	// and stale entries age out. Wire it into a server with
-	// Server.SetAnswerCache (the `pitract serve -cache-bytes` flag) or in
-	// front of any Dataset with NewCachedDataset.
+	// Server.SetAnswerCache (the `pitract serve -cache-bytes` flag; the
+	// server fronts only datasets whose scheme declares a per-query
+	// traversal) or in front of any Dataset with NewCachedDataset.
 	AnswerCache = cache.Cache
 	// AnswerCacheStats is a point-in-time snapshot of an AnswerCache's
 	// hit/miss/coalesced/eviction counters and residency.
