@@ -209,7 +209,11 @@ func (g *Graph) Encode() []byte {
 	return b
 }
 
-// Decode parses a byte string produced by Encode.
+// Decode parses a byte string produced by Encode. It also accepts edges in
+// any order and with repeats (sorted and deduplicated, like AddEdge +
+// Normalize). The edge list is read twice — once to validate it and count
+// degrees, once to fill a single backing array the adjacency lists are cut
+// from — and canonical input, whose lists arrive sorted, is not sorted again.
 func Decode(buf []byte) (*Graph, error) {
 	off := 0
 	next := func() (uint64, error) {
@@ -235,7 +239,7 @@ func Decode(buf []byte) (*Graph, error) {
 	}
 	directed := buf[off] == 1
 	off++
-	g := New(int(n64), directed)
+	n := int(n64)
 	m64, err := next()
 	if err != nil {
 		return nil, err
@@ -245,21 +249,64 @@ func Decode(buf []byte) (*Graph, error) {
 	if m64 > uint64(len(buf)-off)/2 {
 		return nil, fmt.Errorf("graph: edge count %d exceeds remaining %d bytes", m64, len(buf)-off)
 	}
-	for i := uint64(0); i < m64; i++ {
-		u, err := next()
+	edges, m := off, int(m64)
+
+	// Pass 1: every check, in stream order; pos[x+1] counts the arcs of x.
+	pos := make([]int, n+1)
+	for i := 0; i < m; i++ {
+		u64, err := next()
 		if err != nil {
 			return nil, err
 		}
-		v, err := next()
+		v64, err := next()
 		if err != nil {
 			return nil, err
 		}
-		if err := g.AddEdge(int(u), int(v)); err != nil {
-			return nil, err
+		u, v := int(u64), int(v64)
+		if u < 0 || u >= n || v < 0 || v >= n {
+			return nil, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, n)
+		}
+		if u == v {
+			return nil, fmt.Errorf("graph: self-loop at %d", u)
+		}
+		pos[u+1]++
+		if !directed {
+			pos[v+1]++
 		}
 	}
 	if off != len(buf) {
 		return nil, fmt.Errorf("graph: %d trailing bytes", len(buf)-off)
+	}
+	for x := 0; x < n; x++ {
+		pos[x+1] += pos[x]
+	}
+
+	// Pass 2: pos[x] is the fill cursor of x; it ends at the start of x+1.
+	arcs := make([]int32, pos[n])
+	off = edges
+	for i := 0; i < m; i++ {
+		u64, _ := next()
+		v64, _ := next()
+		arcs[pos[u64]] = int32(v64)
+		pos[u64]++
+		if !directed {
+			arcs[pos[v64]] = int32(u64)
+			pos[v64]++
+		}
+	}
+	g := &Graph{n: n, directed: directed, m: m, adj: make([][]int32, n), sorted: true}
+	start := 0
+	for x := range g.adj {
+		if start == pos[x] {
+			continue // an isolated vertex keeps the nil list New gives it
+		}
+		// Capped, so a later AddEdge reallocates instead of overwriting the
+		// next vertex's list.
+		l := arcs[start:pos[x]:pos[x]]
+		for i := 1; i < len(l) && g.sorted; i++ {
+			g.sorted = l[i-1] < l[i]
+		}
+		g.adj[x], start = l, pos[x]
 	}
 	g.Normalize()
 	return g, nil

@@ -83,32 +83,6 @@ func (g *Graph) markReachable(s int, row []uint64, stack []int32) []int32 {
 	return stack
 }
 
-// ReachSet sets bit v of row (⌈n/64⌉ words) for every vertex v reachable
-// from src, src included — one traversal for a whole closure row.
-func (g *Graph) ReachSet(src int, row []uint64) {
-	g.Normalize()
-	g.markReachable(src, row, nil)
-}
-
-// Reversed returns the graph with every arc flipped; an undirected graph
-// is its own reverse.
-func (g *Graph) Reversed() *Graph {
-	g.Normalize()
-	if !g.directed {
-		return g
-	}
-	r := New(g.n, true)
-	for u, l := range g.adj {
-		for _, v := range l {
-			r.adj[v] = append(r.adj[v], int32(u))
-		}
-	}
-	// Arcs were appended in ascending source order, so every list is
-	// already sorted and duplicate-free.
-	r.m = g.m
-	return r
-}
-
 // Reach answers a reachability query in O(1).
 func (c *Closure) Reach(u, v int) bool {
 	return c.bits[u*c.words+v/64]&(1<<(v%64)) != 0

@@ -167,3 +167,56 @@ func TestAnswerBatchMatchesLoop(t *testing.T) {
 		})
 	}
 }
+
+// TestPreparedBFSSharedByConcurrentAskers: the BFS baseline's prepared form
+// is one immutable CSR plus a pool of per-search scratch, so 8 goroutines
+// asking one answerer at once (run under -race) must each get the raw
+// scheme's verdict — through Answer and through the typed LocalReach face
+// sharded reachability uses.
+func TestPreparedBFSSharedByConcurrentAskers(t *testing.T) {
+	const n, goroutines = 160, 8
+	s := ReachabilityBFSScheme()
+	for name, g := range map[string]*graph.Graph{
+		"directed":   graph.RandomDirected(n, 330, 21),
+		"undirected": graph.RandomConnectedUndirected(n, 40, 22),
+		"path":       graph.Path(n, true),
+	} {
+		pd := g.Encode()
+		ans, err := s.Prepare(pd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lr := ans.(LocalReach)
+		var wg sync.WaitGroup
+		for w := 0; w < goroutines; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				row := make([]uint64, (n+63)/64)
+				for i := 0; i < 600; i++ {
+					u, v := (i*7+w*13)%n, (i*11+w*29)%n
+					q := NodePairQuery(u, v)
+					want, err := s.Answer(pd, q)
+					if err != nil {
+						t.Errorf("%s: raw answer (%d,%d): %v", name, u, v, err)
+						return
+					}
+					got, err := ans.Answer(q)
+					if err != nil || got != want || lr.Reach(u, v) != want {
+						t.Errorf("%s: worker %d: (%d,%d) prepared %v (%v), Reach %v, raw %v", name, w, u, v, got, err, lr.Reach(u, v), want)
+						return
+					}
+					if i%100 == 0 {
+						clear(row)
+						lr.ReachTo(v, row)
+						if row[u>>6]>>(u&63)&1 != 0 != want {
+							t.Errorf("%s: worker %d: ReachTo(%d) bit %d disagrees with raw %v", name, w, v, u, want)
+							return
+						}
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+	}
+}

@@ -23,7 +23,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"sync"
 
 	"pitract/internal/core"
 	"pitract/internal/graph"
@@ -181,15 +180,14 @@ func prepareClosure(pd []byte) (core.Answerer, error) {
 
 // --- reachability BFS baseline ------------------------------------------------
 
-// bfsAnswerer holds the graph decoded once; each query is a fresh traversal
-// over the in-memory adjacency instead of a decode plus a traversal. The
-// graph is normalized at Prepare so concurrent searches never mutate it.
-// rev is the arc-reversed graph behind ReachTo, derived on first use — a
-// plain (unsharded) BFS store never asks for it.
+// bfsAnswerer holds the graph decoded once and frozen into a two-way CSR
+// (≈ 8·(|V|+|E|) bytes beside Π, like the closure's word copy). A query is
+// still a search — O(|V|+|E|) on a long path, which is why the scheme keeps
+// declaring Traversal — but a bidirectional one on pooled scratch that stops
+// when the two sides meet or either runs dry, instead of a decode plus a
+// whole single-source BFS. The CSR is immutable, so askers share it freely.
 type bfsAnswerer struct {
-	g       *graph.Graph
-	revOnce sync.Once
-	rev     *graph.Graph
+	g *graph.CSR
 }
 
 // Answer implements core.Answerer.
@@ -207,17 +205,15 @@ func (a *bfsAnswerer) Answer(q []byte) (bool, error) {
 // Nodes implements LocalReach.
 func (a *bfsAnswerer) Nodes() int { return a.g.N() }
 
-// Reach implements LocalReach: one traversal.
+// Reach implements LocalReach: one bidirectional search.
 func (a *bfsAnswerer) Reach(u, v int) bool { return a.g.Reachable(u, v) }
 
-// ReachFrom implements LocalReach: one traversal marks the whole row.
-func (a *bfsAnswerer) ReachFrom(u int, row []uint64) { a.g.ReachSet(u, row) }
+// ReachFrom implements LocalReach: one traversal of the out-arcs marks the
+// whole row.
+func (a *bfsAnswerer) ReachFrom(u int, row []uint64) { a.g.ReachFrom(u, row) }
 
-// ReachTo implements LocalReach: one traversal of the reversed graph.
-func (a *bfsAnswerer) ReachTo(v int, col []uint64) {
-	a.revOnce.Do(func() { a.rev = a.g.Reversed() })
-	a.rev.ReachSet(v, col)
-}
+// ReachTo implements LocalReach: one traversal of the in-arcs.
+func (a *bfsAnswerer) ReachTo(v int, col []uint64) { a.g.ReachTo(v, col) }
 
 // prepareBFS decodes the graph once — the whole point for a baseline whose
 // raw path re-decodes O(|V|+|E|) bytes per query.
@@ -226,8 +222,7 @@ func prepareBFS(pd []byte) (core.Answerer, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.Normalize()
-	return &bfsAnswerer{g: g}, nil
+	return &bfsAnswerer{g: g.Freeze()}, nil
 }
 
 // --- BDS visit order ----------------------------------------------------------

@@ -21,6 +21,7 @@ package server
 import (
 	"bytes"
 	"encoding/base64"
+	"encoding/json"
 	"io"
 	"net/http"
 	"strconv"
@@ -38,9 +39,9 @@ var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 const maxPooledBody = 1 << 20
 
 // decodeBatchBody reads and decodes one batch request under the envelope's
-// body and batch caps. Over the batch cap the one-pass decoder reports the
-// query count alone, with nothing decoded or allocated. ok=false means the
-// response was written.
+// body and batch caps. Over the batch cap only the query count is taken —
+// by the one-pass decoder, or by declinedCount for a body it declines — with
+// nothing decoded or allocated. ok=false means the response was written.
 func (s *Server) decodeBatchBody(w http.ResponseWriter, r *http.Request) (req BatchRequest, ok bool) {
 	buf := bodyPool.Get().(*bytes.Buffer)
 	defer func() {
@@ -53,9 +54,11 @@ func (s *Server) decodeBatchBody(w http.ResponseWriter, r *http.Request) (req Ba
 	max := s.env.limits.MaxBatchQueries
 	n, fast := 0, false
 	if readErr == nil {
-		req, n, fast = decodeBatch(buf.Bytes(), max)
+		if req, n, fast = decodeBatch(buf.Bytes(), max); !fast {
+			n = declinedCount(buf.Bytes(), max)
+		}
 	}
-	if !fast {
+	if !fast && n <= max {
 		if !s.decodeJSON(w, r, &replay{b: buf.Bytes(), err: readErr}, &req) {
 			return req, false
 		}
@@ -70,6 +73,50 @@ func (s *Server) decodeBatchBody(w http.ResponseWriter, r *http.Request) (req Ba
 		return req, false
 	}
 	return req, true
+}
+
+// declinedCount is the batch cap for a body the one-pass decoder declined:
+// how many queries the reference decoder would return for it, when that is
+// more than max, found without holding any of them. It is encoding/json over
+// BatchRequest's own shape with the queries swapped for zero-sized elements,
+// so keys, duplicates, nulls and unknown fields mean what they mean to the
+// reference. A result of at most max (0 for a body the reference refuses)
+// decides nothing: the reference runs next and has the last word.
+func declinedCount(body []byte, max int) int {
+	if bytes.Count(body, []byte{','})+1 <= max {
+		return 0 // at most one query per comma, plus one
+	}
+	var shape struct {
+		Dataset     string       `json:"dataset"`
+		Queries     []queryShape `json:"queries"`
+		Parallelism int          `json:"parallelism,omitempty"`
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if dec.Decode(&shape) != nil {
+		return 0
+	}
+	return len(shape.Queries)
+}
+
+// queryShape accepts exactly the JSON values encoding/json decodes into a
+// []byte and keeps nothing of them.
+type queryShape struct{}
+
+func (*queryShape) UnmarshalJSON(b []byte) error {
+	// null and a short string without escapes (it is its own content) are
+	// checked here, on the stack; anything else by the reference, one
+	// element at a time.
+	var scratch [256]byte
+	switch n := len(b); {
+	case string(b) == "null":
+		return nil
+	case n >= 2 && b[0] == '"' && bytes.IndexByte(b, '\\') < 0 && base64.StdEncoding.DecodedLen(n-2) <= len(scratch):
+		_, err := base64.StdEncoding.Decode(scratch[:], b[1:n-1])
+		return err
+	}
+	var q []byte
+	return json.Unmarshal(b, &q)
 }
 
 // replay serves bytes already read from a request body and then the error

@@ -131,11 +131,20 @@ func referenceDecode(body []byte) (BatchRequest, error) {
 // batch cap.
 func checkAgainstReference(t *testing.T, body []byte, max int) {
 	t.Helper()
+	want, err := referenceDecode(body)
+	// declinedCount is over the cap exactly when the reference decodes more
+	// than max queries, and is then their number.
+	over := 0
+	if err == nil && len(want.Queries) > max {
+		over = len(want.Queries)
+	}
+	if n := declinedCount(body, max); n != over && (n > max || over > max) {
+		t.Fatalf("max %d: declinedCount(%q) = %d, reference decodes %d queries (err %v)", max, body, n, len(want.Queries), err)
+	}
 	got, n, ok := decodeBatch(body, max)
 	if !ok {
 		return
 	}
-	want, err := referenceDecode(body)
 	if err != nil {
 		t.Fatalf("max %d: accepted %q, which the reference rejects: %v", max, body, err)
 	}
@@ -304,31 +313,52 @@ func overLimitBody(n int) string {
 // TestOverLimitBatchRefusedBeforeAllocation: the batch cap is enforced from
 // the element count alone — the allocations of a refusal do not grow with
 // the number of elements — and the status, body and counter are the ones
-// the post-decode check produced.
+// the post-decode check produced. That holds for a canonical body, which the
+// one-pass decoder counts, and for one it declines (an escaped key, null
+// queries), which declinedCount counts before the reference decoder could
+// build the [][]byte. Escaped queries are refused the same way, but each is
+// checked by the reference in passing, so only their status is pinned.
 func TestOverLimitBatchRefusedBeforeAllocation(t *testing.T) {
-	srv, ts := batchTestServer(t)
-	status, got := postRaw(t, ts, "/v1/query/batch", overLimitBody(5000))
-	if status != http.StatusRequestEntityTooLarge || got != "{\"error\":\"batch of 5000 queries exceeds the 4-query limit\"}\n" {
-		t.Fatalf("over-limit batch: %d %s", status, got)
-	}
-	if st := srv.env.stats(); st.RejectedBatch413 != 1 || st.PerEndpoint["/v1/query/batch"].RejectedBatch413 != 1 {
-		t.Fatalf("rejected_batch_413 not counted once: %+v", st)
-	}
+	for name, overLimit := range map[string]func(n int) string{
+		"canonical":   overLimitBody,
+		"escaped key": func(n int) string { return strings.Replace(overLimitBody(n), "dataset", `d\u0061taset`, 1) },
+		"null queries": func(n int) string {
+			return `{"dataset":"m","queries":[` + strings.Repeat(`"QUE=",null,`, n/2-1) + `"",""]}`
+		},
+		"escaped queries": func(n int) string {
+			return `{"dataset":"m","queries":[` + strings.Repeat(`"QU\u0045=",`, n-1) + `""]}`
+		},
+	} {
+		srv, ts := batchTestServer(t)
+		if _, _, fast := decodeBatch([]byte(overLimit(5000)), 4); fast != (name == "canonical") {
+			t.Fatalf("%s: one-pass decoder accepted = %v", name, fast)
+		}
+		status, got := postRaw(t, ts, "/v1/query/batch", overLimit(5000))
+		if status != http.StatusRequestEntityTooLarge || got != "{\"error\":\"batch of 5000 queries exceeds the 4-query limit\"}\n" {
+			t.Fatalf("%s: over-limit batch: %d %s", name, status, got)
+		}
+		if st := srv.env.stats(); st.RejectedBatch413 != 1 || st.PerEndpoint["/v1/query/batch"].RejectedBatch413 != 1 {
+			t.Fatalf("%s: rejected_batch_413 not counted once: %+v", name, st)
+		}
 
-	refusal := func(n int) float64 {
-		body := overLimitBody(n)
-		return testing.AllocsPerRun(20, func() {
-			r := httptest.NewRequest(http.MethodPost, "/v1/query/batch", strings.NewReader(body))
-			w := httptest.NewRecorder()
-			srv.handleQueryBatch(w, r)
-			if w.Code != http.StatusRequestEntityTooLarge {
-				t.Fatalf("status %d", w.Code)
-			}
-		})
-	}
-	small, large := refusal(50), refusal(50000)
-	if large > small+16 {
-		t.Fatalf("refusing 50000 elements took %.0f allocations, 50 elements %.0f: the cap is checked after allocating", large, small)
+		refusal := func(n int) float64 {
+			body := overLimit(n)
+			return testing.AllocsPerRun(20, func() {
+				r := httptest.NewRequest(http.MethodPost, "/v1/query/batch", strings.NewReader(body))
+				w := httptest.NewRecorder()
+				srv.handleQueryBatch(w, r)
+				if w.Code != http.StatusRequestEntityTooLarge {
+					t.Fatalf("%s: status %d", name, w.Code)
+				}
+			})
+		}
+		// 16 allocations of slack; a declined body is also copied into the
+		// reference decoder's buffer, which doubles ~10 more times on the
+		// way from 50 elements to 50000.
+		small, large := refusal(50), refusal(50000)
+		if large > small+32 && name != "escaped queries" {
+			t.Fatalf("%s: refusing 50000 elements took %.0f allocations, 50 elements %.0f: the cap is checked after allocating", name, large, small)
+		}
 	}
 	// The count-only walk on its own: one scratch buffer at most.
 	body := []byte(overLimitBody(50000))
