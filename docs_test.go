@@ -89,6 +89,14 @@ var apiExamples = []apiExample{
 		wantBody:   `{"error":"store: register \"bad\": preprocess (reachability/closure-matrix): graph: corrupt varint at offset 0"}`,
 	},
 	{
+		name:       "register-over-vertex-cap-409",
+		method:     http.MethodPost,
+		path:       "/v1/datasets",
+		reqBody:    `{"id":"big","scheme":"reachability/closure-matrix","data":"gYAEAQA="}`,
+		wantStatus: http.StatusConflict,
+		wantBody:   `{"error":"store: register \"big\": preprocess (reachability/closure-matrix): schemes: graph: a dense closure over 65537 vertices exceeds the 65536-vertex limit (its rows take n² bits); register the graph under reachability/labels instead"}`,
+	},
+	{
 		name:       "healthz",
 		method:     http.MethodGet,
 		path:       "/healthz",

@@ -27,6 +27,7 @@ package compress
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"pitract/internal/graph"
 )
@@ -41,8 +42,11 @@ type Compressed struct {
 	// scc holds the stage-1 SCC id of each original vertex; two originals
 	// with one representative are mutually reachable iff they share an SCC.
 	scc []int
-	// closure over Dc for O(1) answering after compression.
-	closure *graph.Closure
+	// closure over Dc for O(1) answering after compression, built by the
+	// first Reach that crosses representatives: the labels scheme compresses
+	// registered graphs and never probes, so it must not pay |Vc|² bits.
+	closureOnce sync.Once
+	closure     *graph.Closure
 }
 
 // Compress builds the query-preserving compression of g.
@@ -65,7 +69,7 @@ func Compress(g *graph.Graph) (*Compressed, error) {
 		}
 		dag = merged
 	}
-	return &Compressed{Dc: dag, Map: mapping, scc: comp, closure: graph.NewClosure(dag)}, nil
+	return &Compressed{Dc: dag, Map: mapping, scc: comp}, nil
 }
 
 // mergeFalseTwins finds classes of vertices with identical in- and
@@ -152,6 +156,7 @@ func (c *Compressed) Reach(u, v int) (bool, error) {
 	}
 	mu, mv := c.Map[u], c.Map[v]
 	if mu != mv {
+		c.closureOnce.Do(func() { c.closure = graph.NewClosure(c.Dc) })
 		return c.closure.Reach(mu, mv), nil
 	}
 	// Same representative: either the originals share an SCC (mutually

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"pitract/internal/graph"
@@ -145,4 +146,35 @@ func TestCompressIdempotentShape(t *testing.T) {
 		t.Fatalf("second compression changed shape: %d/%d → %d/%d",
 			c1.Dc.N(), c1.Dc.M(), c2.Dc.N(), c2.Dc.M())
 	}
+}
+
+// TestCompressBuildsClosureOnFirstProbe: Compress itself allocates no |Vc|²
+// closure — the labels scheme compresses registered graphs of any size and
+// never probes — and concurrent first probes build it exactly once.
+func TestCompressBuildsClosureOnFirstProbe(t *testing.T) {
+	g := graph.RandomDAG(60, 150, 11)
+	c, err := Compress(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.closure != nil {
+		t.Fatal("Compress built the closure before any probe")
+	}
+	truth := graph.NewClosure(g)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for u := w; u < g.N(); u += 4 {
+				for v := 0; v < g.N(); v++ {
+					if got, err := c.Reach(u, v); err != nil || got != truth.Reach(u, v) {
+						t.Errorf("query (%d,%d): compressed %v (%v), truth %v", u, v, got, err, truth.Reach(u, v))
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

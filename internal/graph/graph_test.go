@@ -192,15 +192,16 @@ func TestRowEqual(t *testing.T) {
 	}
 }
 
-// sccRef is a quadratic reference: u,v in one SCC iff mutually reachable.
+// sccRef is a quadratic reference: u,v in one SCC iff mutually reachable —
+// by the per-vertex closureRef, since NewClosure is itself built on SCC.
 func sccRef(g *Graph) [][]bool {
 	n := g.N()
 	same := make([][]bool, n)
-	c := NewClosure(g)
+	reach := closureRef(g)
 	for u := 0; u < n; u++ {
 		same[u] = make([]bool, n)
 		for v := 0; v < n; v++ {
-			same[u][v] = c.Reach(u, v) && c.Reach(v, u)
+			same[u][v] = reach[u][v] && reach[v][u]
 		}
 	}
 	return same

@@ -10,20 +10,21 @@ import (
 )
 
 // A1ClosureAblation compares the three transitive-closure implementations:
-// sequential Warshall, bitset BFS, and the PRAM repeated-squaring schedule
-// (reporting its round count — the NC evidence).
+// sequential Warshall, the serving build (graph.NewClosure: SCC condensation,
+// then one word-wide union of successor rows per component), and the PRAM
+// repeated-squaring schedule (reporting its round count — the NC evidence).
 func A1ClosureAblation(s Scale) (*Table, error) {
 	t := &Table{
 		ID:    "A1",
-		Title: "transitive closure: Warshall vs bitset-BFS vs PRAM squaring",
-		Columns: []string{"|V|", "warshall ns", "bitset ns", "pram ns",
+		Title: "transitive closure: Warshall vs condensation + row unions vs PRAM squaring",
+		Columns: []string{"|V|", "warshall ns", "condensed ns", "pram ns",
 			"pram rounds", "pram work"},
 	}
 	for _, n := range s.sizes([]int{16, 32, 64}, []int{32, 64, 128, 192}) {
 		g := graph.RandomDirected(n, 3*n, int64(n))
 		adj := g.AdjacencyMatrix()
 		warshallNs := timeOp(3, func() { pram.WarshallClosure(adj) })
-		bitsetNs := timeOp(3, func() { graph.NewClosure(g) })
+		condensedNs := timeOp(3, func() { graph.NewClosure(g) })
 		var machine *pram.Machine
 		pramNs := timeOp(1, func() {
 			var mat *pram.BoolMatrix
@@ -31,7 +32,7 @@ func A1ClosureAblation(s Scale) (*Table, error) {
 			_ = mat
 		})
 		cost := machine.Cost()
-		t.AddRow(n, warshallNs, bitsetNs, pramNs, cost.Rounds, cost.Work)
+		t.AddRow(n, warshallNs, condensedNs, pramNs, cost.Rounds, cost.Work)
 	}
 	t.Note("PRAM rounds grow polylog in |V| while its (simulated) work is O(n³ log n) — the NC² schedule")
 	return t, nil

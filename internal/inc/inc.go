@@ -39,9 +39,8 @@ func (l Ledger) Changed() int64 { return int64(l.Updates) + l.ChangedPairs }
 // Index is an incrementally maintained reachability index.
 type Index struct {
 	n      int
-	words  int
-	g      *graph.Graph // the current graph (edges inserted so far)
-	reach  []uint64     // row-major closure bitsets, reflexive
+	g      *graph.Graph   // the current graph (edges inserted so far)
+	reach  *graph.Closure // reflexive closure, maintained row by row
 	ledger Ledger
 }
 
@@ -50,18 +49,7 @@ func New(g *graph.Graph) (*Index, error) {
 	if !g.Directed() {
 		return nil, fmt.Errorf("inc: reachability maintenance expects a directed graph")
 	}
-	n := g.N()
-	words := (n + 63) / 64
-	idx := &Index{n: n, words: words, g: g.Clone(), reach: make([]uint64, n*words)}
-	c := graph.NewClosure(g)
-	for u := 0; u < n; u++ {
-		for v := 0; v < n; v++ {
-			if c.Reach(u, v) {
-				idx.reach[u*words+v/64] |= 1 << (v % 64)
-			}
-		}
-	}
-	return idx, nil
+	return &Index{n: g.N(), g: g.Clone(), reach: graph.NewClosure(g)}, nil
 }
 
 // N reports the vertex count.
@@ -72,7 +60,7 @@ func (x *Index) Reach(u, v int) (bool, error) {
 	if u < 0 || u >= x.n || v < 0 || v >= x.n {
 		return false, fmt.Errorf("inc: query (%d,%d) out of range [0,%d)", u, v, x.n)
 	}
-	return x.reach[u*x.words+v/64]&(1<<(v%64)) != 0, nil
+	return x.reach.Reach(u, v), nil
 }
 
 // Ledger returns the accumulated cost accounting.
@@ -94,11 +82,11 @@ func (x *Index) InsertEdge(u, v int) error {
 	if already {
 		return nil // no output change: |∆O| = 0, and no work either
 	}
-	rowV := x.reach[v*x.words : (v+1)*x.words]
+	rowV := x.reach.Row(v)
 	// Update every ancestor of u (including u itself, reflexively).
 	uWord, uBit := u/64, uint64(1)<<(u%64)
 	for a := 0; a < x.n; a++ {
-		rowA := x.reach[a*x.words : (a+1)*x.words]
+		rowA := x.reach.Row(a)
 		if rowA[uWord]&uBit == 0 {
 			continue // a does not reach u; untouched beyond this test
 		}
@@ -120,7 +108,7 @@ func (x *Index) InsertEdge(u, v int) error {
 // traversal — a lower bound that already dwarfs incremental work on big
 // graphs.
 func (x *Index) RecomputeCostWords() int64 {
-	return int64(x.n) * int64(x.words)
+	return int64(x.n) * int64((x.n+63)/64)
 }
 
 // VerifyAgainstRecompute checks the maintained index against a fresh

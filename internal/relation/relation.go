@@ -12,7 +12,7 @@ package relation
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // Kind enumerates supported attribute types.
@@ -223,14 +223,8 @@ func (r *Relation) SortedInts(attr string) ([]int64, error) {
 	for _, t := range r.Tuples {
 		vals = append(vals, t[idx].I)
 	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	out := vals[:0]
-	for i, v := range vals {
-		if i == 0 || v != vals[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out, nil
+	slices.Sort(vals)
+	return slices.Compact(vals), nil
 }
 
 // GenConfig parameterizes synthetic relation generation.

@@ -413,7 +413,7 @@ func IncrementalReachability() *core.IncrementalScheme {
 				if !g.Reachable(u, v) {
 					recomputeClosureRows(out, bits, n, u, g)
 				}
-				return appendClosureGraph(out, g), nil
+				return appendClosureGraph(out, g.Encode()), nil
 			}
 			// Insert and upsert coincide here: a present edge is already
 			// dedup'd by the rebuild's Normalize, so the rebuilt Π is
@@ -429,7 +429,7 @@ func IncrementalReachability() *core.IncrementalScheme {
 			if undirected {
 				closureInsertArc(out, n, v, u)
 			}
-			return appendClosureGraph(out, g), nil
+			return appendClosureGraph(out, g.Encode()), nil
 		},
 		ApplyUpdate: applyEdgeToGraph,
 		DeltaNote:   "insert O(|ancestors(u)| · n/8) words; delete O(|V|+|E|) when u⇝v survives, else affected-row recompute",

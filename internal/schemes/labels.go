@@ -574,7 +574,11 @@ func prepareLabelsFallback(pd []byte) (core.Answerer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("schemes: labels graph appendix: %w", err)
 	}
-	return prepareClosure(closureBytes(g))
+	dense, err := closureBytes(g)
+	if err != nil {
+		return nil, fmt.Errorf("schemes: labels fallback: %w", err)
+	}
+	return prepareClosure(dense)
 }
 
 // IncrementalReachabilityLabels maintains the labels scheme by

@@ -172,8 +172,13 @@ func prepareClosure(pd []byte) (core.Answerer, error) {
 		return nil, err
 	}
 	words := make([]uint64, (n*n+63)/64)
-	for i, b := range bits {
-		words[i>>3] |= uint64(b) << ((i & 7) * 8)
+	rest := bits
+	for i := range words[:len(bits)/8] {
+		words[i] = binary.LittleEndian.Uint64(rest)
+		rest = rest[8:]
+	}
+	for i, b := range rest { // the last, partial word
+		words[len(words)-1] |= uint64(b) << (i * 8)
 	}
 	return &closureAnswerer{n: n, words: words}, nil
 }

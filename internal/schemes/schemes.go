@@ -392,12 +392,11 @@ func closureParts(pd []byte) (n int, undirected bool, bits, graphEnc []byte, err
 	return int(n64), undirected, pd[8 : 8+bitLen], graphEnc, nil
 }
 
-// appendClosureGraph frames and appends a graph appendix to a closure
-// head (header ‖ bitset) whose header already carries ClosureGraphFlag.
-func appendClosureGraph(head []byte, g *graph.Graph) []byte {
-	enc := g.Encode()
-	out := binary.AppendUvarint(head, uint64(len(enc)))
-	return append(out, enc...)
+// appendClosureGraph frames and appends a graph appendix (enc, the graph's
+// canonical encoding) to a closure head (header ‖ bitset) whose header
+// already carries ClosureGraphFlag.
+func appendClosureGraph(head, enc []byte) []byte {
+	return append(binary.AppendUvarint(head, uint64(len(enc))), enc...)
 }
 
 // closureHeader parses and validates the closure header against the
@@ -408,26 +407,24 @@ func closureHeader(pd []byte) (n int, undirected bool, err error) {
 }
 
 // closureBytes lays out an n-vertex closure as an 8-byte header (vertex
-// count plus the orientation and appendix flags), a row-major bitset, and
-// the canonical encoding of the source graph (see ClosureGraphFlag).
-func closureBytes(g *graph.Graph) []byte {
+// count plus the orientation and appendix flags), the row-major bitset
+// graph.Closure.AppendDense emits, and the canonical encoding of the source
+// graph (see ClosureGraphFlag). The rows are n² bits whatever the edge count
+// and vertices cost a payload no bytes, so the size is checked before the
+// matrix is allocated.
+func closureBytes(g *graph.Graph) ([]byte, error) {
 	n := g.N()
-	c := graph.NewClosure(g)
-	b := make([]byte, 8+(n*n+7)/8)
+	if err := graph.CheckClosureSize(n); err != nil {
+		return nil, err
+	}
 	header := uint64(n) | ClosureGraphFlag
 	if !g.Directed() {
 		header |= ClosureUndirectedFlag
 	}
-	binary.BigEndian.PutUint64(b, header)
-	for u := 0; u < n; u++ {
-		for v := 0; v < n; v++ {
-			if c.Reach(u, v) {
-				bit := u*n + v
-				b[8+bit/8] |= 1 << (bit % 8)
-			}
-		}
-	}
-	return appendClosureGraph(b, g)
+	enc := g.Encode()
+	b := make([]byte, 0, 8+(n*n+7)/8+binary.MaxVarintLen64+len(enc)) // the whole Π: nothing below reallocates
+	b = binary.BigEndian.AppendUint64(b, header)
+	return appendClosureGraph(graph.NewClosure(g).AppendDense(b), enc), nil
 }
 
 // closureProbe is the branch-light probe shared by the raw path and the
@@ -465,7 +462,11 @@ func ReachabilityScheme() *core.Scheme {
 			if err != nil {
 				return nil, err
 			}
-			return closureBytes(g), nil
+			pd, err := closureBytes(g)
+			if err != nil {
+				return nil, fmt.Errorf("schemes: %w; register the graph under reachability/labels instead", err)
+			}
+			return pd, nil
 		},
 		Answer: func(pd, q []byte) (bool, error) {
 			u, v, err := DecodeNodePairQuery(q)
@@ -475,7 +476,7 @@ func ReachabilityScheme() *core.Scheme {
 			return closureReach(pd, u, v)
 		},
 		PrepareAnswerer: prepareClosure,
-		PreprocessNote:  "O(|V|·|E|)",
+		PreprocessNote:  "O(|V|+|E|) condensation + O(|E_c|·|V|/64) word ORs + |V|² bits out",
 		AnswerNote:      "O(1)",
 	}
 }

@@ -565,3 +565,57 @@ func TestServerDefaultSharding(t *testing.T) {
 		t.Fatalf("registry dataset: %v %v", got, err)
 	}
 }
+
+// TestOverCapClosureRegistrationRefused: vertices cost a payload no bytes, so
+// six bytes (80 80 80 08 01 00) can claim 2²⁴ of them — a 35 TB closure
+// matrix, an out-of-memory abort no recover() catches. The registration must
+// come back as the 409 every other Preprocess failure gets, naming the limit
+// and the scheme that has none, plain and sharded (where a shard is still
+// over the limit), and the process must keep serving. The bodies here sit
+// just over the limit instead of at 2²⁴: the check is the same comparison,
+// and graph.Decode alone spends 0.5 s and 0.5 GB on the six-byte one (the CI
+// live-serve smoke posts that one to the shipped binary).
+func TestOverCapClosureRegistrationRefused(t *testing.T) {
+	srv := New(store.NewRegistry(""), nil)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	client := ts.Client()
+
+	for _, c := range []struct {
+		params string
+		n      int
+	}{
+		{"", graph.MaxClosureVertices + 1},
+		{"?shards=4", 8 * graph.MaxClosureVertices}, // every shard over the limit
+		{"?shards=4&partitioner=range", 4*graph.MaxClosureVertices + 4},
+	} {
+		hostile := graph.New(c.n, true).Encode() // 5 bytes
+		var e struct {
+			Error string `json:"error"`
+		}
+		code := postJSON(t, client, ts.URL+"/v1/datasets"+c.params,
+			RegisterRequest{ID: "big", Scheme: "reachability/closure-matrix", Data: hostile}, &e)
+		if code != http.StatusConflict {
+			t.Fatalf("%q: status %d, want 409 (%s)", c.params, code, e.Error)
+		}
+		for _, want := range []string{fmt.Sprintf("%d-vertex limit", graph.MaxClosureVertices), "reachability/labels"} {
+			if !strings.Contains(e.Error, want) {
+				t.Errorf("%q: error %q does not mention %q", c.params, e.Error, want)
+			}
+		}
+		if code := getJSON(t, client, ts.URL+"/v1/datasets/big", nil); code != http.StatusNotFound {
+			t.Errorf("%q: refused dataset is listed: status %d", c.params, code)
+		}
+	}
+
+	// Still serving: a real registration and a query go through.
+	if code := postJSON(t, client, ts.URL+"/v1/datasets",
+		RegisterRequest{ID: "ok", Scheme: "reachability/closure-matrix", Data: graph.Path(4, true).Encode()}, nil); code != http.StatusOK {
+		t.Fatalf("registration after the refusals: status %d", code)
+	}
+	var qr QueryResponse
+	if code := postJSON(t, client, ts.URL+"/v1/query",
+		QueryRequest{Dataset: "ok", Query: schemes.NodePairQuery(0, 3)}, &qr); code != http.StatusOK || !qr.Answer {
+		t.Fatalf("query after the refusals: status %d, answer %v", code, qr.Answer)
+	}
+}

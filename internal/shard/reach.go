@@ -527,63 +527,42 @@ func buildReachSummary(g *graph.Graph, shardOf []int, local []uint32, counts []i
 			cross = append(cross, e)
 		}
 	}
-	var portals []int
-	portalIdx := make(map[int]int)
+	var portals, portalShard []int
 	for v := 0; v < n; v++ {
 		if isPortal[v] {
-			portalIdx[v] = len(portals)
 			portals = append(portals, v)
+			portalShard = append(portalShard, shardOf[v])
 		}
 	}
-
-	// Overlay: cross edges, plus within-shard reachability between portals.
-	overlay := graph.New(len(portals), true)
-	for _, e := range cross {
-		overlay.MustAddEdge(portalIdx[e[0]], portalIdx[e[1]])
-		if !g.Directed() {
-			overlay.MustAddEdge(portalIdx[e[1]], portalIdx[e[0]])
-		}
-	}
-	portalsByShard := make([][]int, len(counts))
-	for _, p := range portals {
-		portalsByShard[shardOf[p]] = append(portalsByShard[shardOf[p]], p)
-	}
-	for s, ps := range portalsByShard {
-		for _, p := range ps {
-			_, dist := subs[s].BFS(int(local[p]))
-			for _, q := range ps {
-				if p != q && dist[local[q]] >= 0 {
-					overlay.MustAddEdge(portalIdx[p], portalIdx[q])
-				}
-			}
-		}
-	}
-
-	portalShard := make([]int, len(portals))
-	for i, p := range portals {
-		portalShard[i] = shardOf[p]
-	}
-	return encodeReachSummary(&reachSummary{
+	rs := &reachSummary{
 		n: n, directed: g.Directed(), local: local, cross: cross,
-		portals: portals, portalShard: portalShard, closure: packClosure(overlay),
-	}), nil
+		portals: portals, portalShard: portalShard,
+	}
+	rs.index()
+	// Within-shard portal reach is read off each shard's frozen subgraph: one
+	// search per portal into one reused row, so building costs O(n_s/64)
+	// memory whatever scheme the shards are then preprocessed under.
+	err := rs.rebuildClosure(counts, func(s int) (rowReader, error) { return subs[s].Freeze(), nil })
+	if err != nil {
+		return nil, err
+	}
+	return encodeReachSummary(rs), nil
 }
 
-// packClosure computes the overlay's reflexive transitive closure (like the
-// per-shard closures) as the summary's row-major bitset.
-func packClosure(overlay *graph.Graph) []byte {
-	c := graph.NewClosure(overlay)
-	n := overlay.N()
-	packed := make([]byte, (n*n+7)/8)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if c.Reach(i, j) {
-				bit := i*n + j
-				packed[bit/8] |= 1 << (bit % 8)
-			}
-		}
+// maxPortals caps the portal overlay: its closure is P² bits whatever the
+// shards hold, and P grows with every cross-shard edge a registration or a
+// PATCH brings. It is graph.MaxClosureVertices — a variable only so a test
+// can reach the cap without a 512 MB overlay.
+var maxPortals = graph.MaxClosureVertices
+
+// checkPortals refuses an overlay of more than maxPortals portals before its
+// closure (or the zero padding that stands in for it inside a batch) is
+// allocated.
+func checkPortals(portals int) error {
+	if portals > maxPortals {
+		return fmt.Errorf("shard: the portal overlay would hold %d cross-edge endpoints, over the %d-vertex closure limit (its closure takes P² bits); use fewer shards or the range partitioner", portals, maxPortals)
 	}
-	return packed
+	return nil
 }
 
 // recomputePortals rederives the portal set (ascending global ids), the
@@ -608,13 +587,24 @@ func (rs *reachSummary) recomputePortals(asn Assignment) {
 	rs.index()
 }
 
-// rebuildClosure recomputes the overlay transitive closure from the
-// cross-edge list plus within-shard portal reachability, read from the
-// (already maintained) per-shard answerers: one bulk row read per portal,
-// then one closure computation on the |portals|-node overlay — far below
-// re-preprocessing the dataset. A shard that must be read (two or more
-// portals) but has no reach form fails the rebuild.
-func (rs *reachSummary) rebuildClosure(asn Assignment, shards []PreparedShard) error {
+// rowReader is what the overlay build needs of a shard: bit v of row set for
+// every local v that u reaches. A frozen subgraph (*graph.CSR, at Build) and
+// a prepared answerer (schemes.LocalReach, at PATCH) both are one.
+type rowReader interface {
+	ReachFrom(u int, row []uint64)
+}
+
+// rebuildClosure recomputes the overlay's reflexive transitive closure (the
+// summary's row-major bitset, laid out like the closure-matrix scheme's) from
+// the cross-edge list plus within-shard portal reachability: one bulk row
+// read per portal, then one closure computation on the |portals|-node
+// overlay — far below re-preprocessing the dataset. local hands over shard
+// s's reader over counts[s] vertices; only a shard that must be read (two or
+// more portals) is asked, and its error fails the rebuild.
+func (rs *reachSummary) rebuildClosure(counts []int, local func(s int) (rowReader, error)) error {
+	if err := checkPortals(len(rs.portals)); err != nil {
+		return err
+	}
 	overlay := graph.New(len(rs.portals), true)
 	for _, e := range rs.cross {
 		overlay.MustAddEdge(rs.portal[e[0]], rs.portal[e[1]])
@@ -622,27 +612,30 @@ func (rs *reachSummary) rebuildClosure(asn Assignment, shards []PreparedShard) e
 			overlay.MustAddEdge(rs.portal[e[1]], rs.portal[e[0]])
 		}
 	}
-	_, _, counts := vertexShards(rs.n, asn)
 	for s, ps := range rs.byShard {
 		if len(ps) < 2 {
 			continue
 		}
-		lr, err := localReach(shards, s, counts[s])
+		lr, err := local(s)
 		if err != nil {
 			return err
 		}
+		idx := make([]int, len(ps)) // overlay index of ps[j]
+		for j, p := range ps {
+			idx[j] = rs.portal[p]
+		}
 		set := make([]uint64, (counts[s]+63)/64)
-		for _, p := range ps {
+		for j, p := range ps {
 			clear(set)
 			lr.ReachFrom(int(rs.local[p]), set)
-			for _, q := range ps {
-				if lq := rs.local[q]; p != q && set[lq>>6]>>(lq&63)&1 != 0 {
-					overlay.MustAddEdge(rs.portal[p], rs.portal[q])
+			for k, q := range ps {
+				if lq := rs.local[q]; j != k && set[lq>>6]>>(lq&63)&1 != 0 {
+					overlay.MustAddEdge(idx[j], idx[k])
 				}
 			}
 		}
 	}
-	rs.closure = packClosure(overlay)
+	rs.closure = graph.NewClosure(overlay).AppendDense(nil)
 	return nil
 }
 
@@ -757,6 +750,10 @@ func updateReachSummary(delta []byte, asn Assignment, summary []byte) ([]byte, e
 		if !rs.hasCross(u, v) {
 			rs.cross = append(rs.cross, [2]int{u, v})
 			rs.recomputePortals(asn)
+			// Only an insert grows the portal set; the padding below is P² bits.
+			if err := checkPortals(len(rs.portals)); err != nil {
+				return nil, err
+			}
 			rs.closure = make([]byte, (len(rs.portals)*len(rs.portals)+7)/8)
 		}
 	}
@@ -772,7 +769,9 @@ func finishReachSummary(asn Assignment, summary []byte, shards []PreparedShard) 
 	if err != nil {
 		return nil, err
 	}
-	if err := rs.rebuildClosure(asn, shards); err != nil {
+	_, _, counts := vertexShards(rs.n, asn)
+	err = rs.rebuildClosure(counts, func(s int) (rowReader, error) { return localReach(shards, s, counts[s]) })
+	if err != nil {
 		return nil, err
 	}
 	return encodeReachSummary(rs), nil
