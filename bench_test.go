@@ -19,166 +19,21 @@ import (
 	"pitract/internal/harness"
 )
 
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, ok := harness.Find(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	for i := 0; i < b.N; i++ {
-		tbl, err := e.Run(harness.Quick)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tbl.Render(io.Discard)
+// BenchmarkExperiment regenerates every experiment of harness.All() at
+// Quick scale, one sub-benchmark per id (-bench 'BenchmarkExperiment/C3$').
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range harness.All() {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tbl, err := e.Run(harness.Quick)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tbl.Render(io.Discard)
+			}
+		})
 	}
 }
-
-func BenchmarkE1_PointSelection(b *testing.B)     { benchExperiment(b, "E1") }
-func BenchmarkF1_BDSFactorizations(b *testing.B)  { benchExperiment(b, "F1") }
-func BenchmarkF2_Landscape(b *testing.B)          { benchExperiment(b, "F2") }
-func BenchmarkE3b_Reachability(b *testing.B)      { benchExperiment(b, "E3") }
-func BenchmarkC1_RangeSelection(b *testing.B)     { benchExperiment(b, "C1") }
-func BenchmarkC2_ListSearch(b *testing.B)         { benchExperiment(b, "C2") }
-func BenchmarkC3_RMQ(b *testing.B)                { benchExperiment(b, "C3") }
-func BenchmarkC4_LCA(b *testing.B)                { benchExperiment(b, "C4") }
-func BenchmarkC5_Compression(b *testing.B)        { benchExperiment(b, "C5") }
-func BenchmarkC6_Views(b *testing.B)              { benchExperiment(b, "C6") }
-func BenchmarkC7_Incremental(b *testing.B)        { benchExperiment(b, "C7") }
-func BenchmarkC8_CVP(b *testing.B)                { benchExperiment(b, "C8") }
-func BenchmarkC9_VertexCover(b *testing.B)        { benchExperiment(b, "C9") }
-func BenchmarkC10_TopK(b *testing.B)              { benchExperiment(b, "C10") }
-func BenchmarkC11_IncrementalPrep(b *testing.B)   { benchExperiment(b, "C11") }
-func BenchmarkC12_FuncAndRewriting(b *testing.B)  { benchExperiment(b, "C12") }
-func BenchmarkT5_CompletenessChain(b *testing.B)  { benchExperiment(b, "T5") }
-func BenchmarkL2_Composition(b *testing.B)        { benchExperiment(b, "L2") }
-func BenchmarkT9_Separation(b *testing.B)         { benchExperiment(b, "T9") }
-func BenchmarkP10_FReductions(b *testing.B)       { benchExperiment(b, "P10") }
-func BenchmarkA1_ClosureAblation(b *testing.B)    { benchExperiment(b, "A1") }
-func BenchmarkA2_BTreeFanout(b *testing.B)        { benchExperiment(b, "A2") }
-func BenchmarkA3_RMQAblation(b *testing.B)        { benchExperiment(b, "A3") }
-func BenchmarkX1_ParallelPRAM(b *testing.B)       { benchExperiment(b, "X1") }
-func BenchmarkX2_BatchAnswering(b *testing.B)     { benchExperiment(b, "X2") }
-func BenchmarkX3_Serving(b *testing.B)            { benchExperiment(b, "X3") }
-func BenchmarkX4_Sharding(b *testing.B)           { benchExperiment(b, "X4") }
-func BenchmarkX5_IncrementalServing(b *testing.B) { benchExperiment(b, "X5") }
-
-// BenchmarkX6 regenerates the hot-path cache experiment and reports its
-// headline numbers — the repeated-query (bfs, hot-mix) cached-vs-uncached
-// speedup and the cache hit ratio — as benchmark metrics, so the benchmark output
-// tracks the cache's measured payoff from this PR on.
-func BenchmarkX6(b *testing.B) {
-	var speedup, hitRatio float64
-	for i := 0; i < b.N; i++ {
-		var err error
-		speedup, hitRatio, err = harness.X6CachedSpeedup(harness.Quick)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(speedup, "cached-speedup-x")
-	b.ReportMetric(hitRatio, "hit-ratio")
-}
-
-func BenchmarkX6_HotPathCache(b *testing.B) { benchExperiment(b, "X6") }
-
-// BenchmarkX7 regenerates the serving-envelope load experiment and reports
-// its headline numbers — the admitted p99 latency and the rejection rate
-// over the overload zipf mix — as benchmark metrics, so the benchmark output
-// tracks how the envelope degrades under pressure from this PR on.
-func BenchmarkX7(b *testing.B) {
-	var p99Ms, rejectedRate float64
-	for i := 0; i < b.N; i++ {
-		var err error
-		p99Ms, rejectedRate, err = harness.X7EnvelopeMetrics(harness.Quick)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(p99Ms, "admitted-p99-ms")
-	b.ReportMetric(rejectedRate, "rejection-rate")
-}
-
-func BenchmarkX7_Envelope(b *testing.B) { benchExperiment(b, "X7") }
-
-// BenchmarkX8 regenerates the observability-overhead experiment and
-// reports its headline numbers — the relative QPS cost of instrumentation
-// and the instrumented QPS — as benchmark metrics, so the benchmark output tracks
-// what the metrics layer itself costs from this PR on.
-func BenchmarkX8(b *testing.B) {
-	var overheadPct, qps float64
-	for i := 0; i < b.N; i++ {
-		var err error
-		overheadPct, qps, err = harness.X8OverheadMetrics(harness.Quick)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(overheadPct, "obs-overhead-pct")
-	b.ReportMetric(qps, "instrumented-qps")
-}
-
-func BenchmarkX8_ObsOverhead(b *testing.B) { benchExperiment(b, "X8") }
-
-// BenchmarkX9 regenerates the full-dynamism experiment and reports its
-// headline numbers — the delete-heavy maintain-vs-rebuild speedup and the
-// delta-log crash-replay wall time — as benchmark metrics, so
-// the benchmark output tracks what dynamism costs (and saves) from this PR on.
-func BenchmarkX9(b *testing.B) {
-	var speedup, replayMs float64
-	for i := 0; i < b.N; i++ {
-		var err error
-		speedup, replayMs, err = harness.X9DynamismMetrics(harness.Quick)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(speedup, "delete-maintain-speedup-x")
-	b.ReportMetric(replayMs, "replay-ms")
-}
-
-func BenchmarkX9_FullDynamism(b *testing.B) { benchExperiment(b, "X9") }
-
-// BenchmarkX10 regenerates the succinct-Π experiment and reports its
-// headline numbers — the dense/labels snapshot-bytes ratio and the
-// labeled-probe latency next to the dense probe it replaces — as benchmark
-// metrics, so the benchmark output tracks what the compressed artifact costs (and
-// saves) from this PR on.
-func BenchmarkX10(b *testing.B) {
-	var snapRatio, labelNs, denseNs float64
-	for i := 0; i < b.N; i++ {
-		var err error
-		snapRatio, labelNs, denseNs, err = harness.X10SuccinctMetrics(harness.Quick)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(snapRatio, "snapshot-ratio-x")
-	b.ReportMetric(labelNs, "label-probe-ns")
-	b.ReportMetric(denseNs, "dense-probe-ns")
-}
-
-func BenchmarkX10_Succinct(b *testing.B) { benchExperiment(b, "X10") }
-
-// BenchmarkX11 regenerates the serve-path chaos experiment and reports its
-// headline numbers — how long a tripped breaker took to serve again after
-// the fault cleared, and the degraded-answer rate while the fallback
-// carried the traffic — as benchmark metrics, so the benchmark output tracks
-// recovery behavior from this PR on.
-func BenchmarkX11(b *testing.B) {
-	var recoveryMs, degradedRate float64
-	for i := 0; i < b.N; i++ {
-		var err error
-		recoveryMs, degradedRate, err = harness.X11ChaosMetrics(harness.Quick)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(recoveryMs, "breaker-recovery-ms")
-	b.ReportMetric(degradedRate, "degraded-rate")
-}
-
-func BenchmarkX11_Chaos(b *testing.B) { benchExperiment(b, "X11") }
 
 // BenchmarkOpShardedReachAnswer measures one sharded reachability answer
 // (4 range-partitioned shards, portal reach rows merge) against the same
@@ -379,7 +234,7 @@ func BenchmarkOpCVPNoPreprocess(b *testing.B) {
 	}
 }
 
-// --- sequential-vs-parallel benchmarks (the X experiments, per-op) -----------
+// --- sequential-vs-parallel benchmarks (X1 and X2, per-op) -------------------
 
 // batchWorkload builds a preprocessed BFS-per-query reachability store
 // and a query batch: each answer costs O(|V|+|E|), the shape where pooled

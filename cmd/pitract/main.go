@@ -6,7 +6,7 @@
 //	pitract list                       list all experiments
 //	pitract run <id>…                  run selected experiments (E1, F1, C3, …)
 //	pitract run all                    run the whole suite
-//	pitract run -full all              use the EXPERIMENTS.md workload sizes
+//	pitract run -full all              use each experiment's larger size sweep
 //	pitract run -parallel 8 X1 X2      size the worker pools explicitly
 //	pitract serve -addr :8080 -data ./data    serve the HTTP query API
 //
@@ -14,10 +14,11 @@
 //
 // The X1 and X2 experiments exercise the concurrent execution engine: X1
 // substitutes the goroutine-parallel PRAM executor for the sequential
-// oracle (verifying identical results, rounds, and work), and X2 serves
-// query batches through the AnswerBatch worker pool. X3 measures the same
-// serving path end-to-end over HTTP. All default to one worker per CPU
-// (GOMAXPROCS); -parallel overrides the worker count.
+// oracle (verifying identical results, rounds, and work), and X2 answers
+// query batches through the AnswerBatch worker pool. Both default to one
+// worker per CPU (GOMAXPROCS); -parallel overrides the worker count. The
+// serving stack itself is measured by the bench/ module (go run -C bench .),
+// not by an experiment.
 //
 // # Serving
 //
@@ -58,13 +59,11 @@ func main() {
 // unknown subcommand, unknown flag, or stray argument is a usage error
 // (exit 2) with a message on stderr — never a silent fall-through.
 func run(args []string) int {
-	// Accept global-style flags before the subcommand too (the pre-serve
-	// CLI shape, `pitract -full run all`), by letting the top-level FlagSet
-	// parse and re-dispatching on the remainder.
+	// The top-level FlagSet defines no flags: it exists for -h and to turn
+	// anything else before the subcommand into a usage error. Every flag
+	// lives on the subcommand that reads it.
 	top := flag.NewFlagSet("pitract", flag.ContinueOnError)
 	top.Usage = func() { usage(top.Output()) }
-	topFull := top.Bool("full", false, "use Full (EXPERIMENTS.md) workload sizes instead of Quick")
-	topParallel := top.Int("parallel", 0, "worker count for the parallel experiments (0 = one per CPU)")
 	if code := parseArgs(top, args); code >= 0 {
 		return code
 	}
@@ -79,7 +78,7 @@ func run(args []string) int {
 	case "list":
 		return cmdList(rest)
 	case "run":
-		return cmdRun(rest, *topFull, *topParallel)
+		return cmdRun(rest)
 	case "serve":
 		return cmdServe(rest)
 	case "help":
@@ -108,13 +107,13 @@ func cmdList(args []string) int {
 	return 0
 }
 
-func cmdRun(args []string, full bool, parallel int) int {
+func cmdRun(args []string) int {
 	fs := flag.NewFlagSet("pitract run", flag.ContinueOnError)
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: pitract run [-full] [-parallel N] <id>... | all")
 	}
-	fsFull := fs.Bool("full", full, "use Full (EXPERIMENTS.md) workload sizes instead of Quick")
-	fsParallel := fs.Int("parallel", parallel, "worker count for the parallel experiments (0 = one per CPU)")
+	full := fs.Bool("full", false, "use each experiment's larger size sweep instead of Quick")
+	parallel := fs.Int("parallel", 0, "worker count for the parallel experiments X1 and X2 (0 = one per CPU)")
 	if code := parseArgs(fs, args); code >= 0 {
 		return code
 	}
@@ -124,10 +123,10 @@ func cmdRun(args []string, full bool, parallel int) int {
 		return 2
 	}
 	scale := pitract.ScaleQuick
-	if *fsFull {
+	if *full {
 		scale = pitract.ScaleFull
 	}
-	pitract.SetExperimentParallelism(*fsParallel)
+	pitract.SetExperimentParallelism(*parallel)
 	if len(ids) == 1 && strings.EqualFold(ids[0], "all") {
 		ids = ids[:0]
 		for _, e := range pitract.Experiments() {
@@ -146,10 +145,8 @@ func cmdRun(args []string, full bool, parallel int) int {
 func cmdServe(args []string) int {
 	fs := flag.NewFlagSet("pitract serve", flag.ContinueOnError)
 	fs.Usage = func() {
-		fmt.Fprintln(fs.Output(), "usage: pitract serve [-addr :8080] [-data DIR] [-shards N] [-partitioner hash|range] [-cache-bytes N]")
-		fmt.Fprintln(fs.Output(), "                     [-max-inflight N] [-max-inflight-dataset N] [-max-body-bytes N] [-max-batch N]")
-		fmt.Fprintln(fs.Output(), "                     [-register-budget D] [-query-budget-ms N] [-retry-after D] [-log-level L] [-log-format F]")
-		fmt.Fprintln(fs.Output(), "                     [-slow-query-ms N] [-pprof-addr ADDR] [-checkpoint-every N]")
+		fmt.Fprintf(fs.Output(), "usage:\n  %s\n", serveSynopsis)
+		fs.PrintDefaults()
 	}
 	addr := fs.String("addr", ":8080", "listen address")
 	data := fs.String("data", "", "snapshot directory for preprocessed stores (empty = in-memory only)")
@@ -359,25 +356,31 @@ func parseArgs(fs *flag.FlagSet, args []string) int {
 	}
 }
 
+// serveSynopsis is the one list of `pitract serve` flags, printed by the
+// top-level usage and by `pitract serve -h`;
+// TestServeSynopsisNamesEveryFlag holds it to the flags cmdServe registers.
+const serveSynopsis = `pitract serve [-addr :8080] [-data DIR] [-shards N] [-partitioner hash|range]
+                [-cache-bytes N] [-max-inflight N] [-max-inflight-dataset N]
+                [-max-body-bytes N] [-max-batch N] [-register-budget D]
+                [-query-budget-ms N] [-retry-after D] [-log-level L]
+                [-log-format F] [-slow-query-ms N] [-pprof-addr ADDR]
+                [-checkpoint-every N]`
+
 func usage(w io.Writer) {
 	fmt.Fprintf(w, `pitract — "Making Queries Tractable on Big Data with Preprocessing"
 
 usage:
   pitract list                              list experiments
   pitract run [-full] [-parallel N] <id>... run experiments (or 'run all')
-  pitract serve [-addr :8080] [-data DIR] [-shards N] [-partitioner hash|range]
-                [-cache-bytes N] [-max-inflight N] [-max-inflight-dataset N]
-                [-max-body-bytes N] [-max-batch N] [-register-budget D]
-                [-query-budget-ms N] [-retry-after D] [-log-level L]
-                [-log-format F] [-slow-query-ms N] [-pprof-addr ADDR]
+  %s
                                             serve preprocessed stores over HTTP
 
 running in parallel:
   X1 races the goroutine-parallel PRAM executor against the sequential
-  oracle; X2 serves query batches through the AnswerBatch worker pool; X3
-  measures end-to-end HTTP serving; X4 measures sharded preprocessing and
-  serving; X5 measures PATCH-maintained Π(D ⊕ ∆D) against re-registering.
-  All use one worker per CPU unless -parallel N overrides it.
+  oracle; X2 answers query batches through the AnswerBatch worker pool.
+  Both use one worker per CPU unless -parallel N overrides it. The serving
+  stack is measured by the bench/ module (go run -C bench .), not by an
+  experiment.
 
 serving:
   'pitract serve' exposes the preprocess-once/answer-many API: register a
@@ -387,7 +390,9 @@ serving:
   (or per-request ?shards=N), a dataset is partitioned across N
   preprocessed stores and queries are routed to the owning shard or fanned
   out and merged. PATCH /v1/datasets/{id} maintains registered datasets in
-  place under deltas (Π(D ⊕ ∆D), versioned, re-snapshotted atomically).
+  place under deltas (Π(D ⊕ ∆D), versioned, logged write-ahead and
+  re-snapshotted atomically — every batch, or every N batches with
+  -checkpoint-every N: faster PATCHes, a longer log replay after a crash).
   With -cache-bytes N, the server memoizes hot verdicts of traversal
   schemes — the ones whose answer step walks D (reachability/bfs-per-query,
   point-selection/scan) — in a sharded in-memory LRU with singleflight
@@ -420,5 +425,5 @@ observability:
   request (-log-level debug logs each request; -slow-query-ms N warns on
   slow ones; -log-format picks text or json). -pprof-addr serves
   net/http/pprof on its own listener, off by default.
-`)
+`, serveSynopsis)
 }

@@ -1,10 +1,11 @@
 package pitract_test
 
-// Documentation verification. docs/ARCHITECTURE.md points into the code
-// and docs/API.md quotes wire examples; both claims are cheap to break
-// silently, so these tests pin them: every repository path the
-// architecture doc references must exist, and every API example must be
-// reproduced character-for-character by a live test server.
+// Documentation verification. docs/ARCHITECTURE.md points into the code,
+// README.md quotes commands and docs/API.md quotes wire examples; all three
+// claims are cheap to break silently, so these tests pin them: every
+// repository path a document references must exist, every quoted
+// `pitract run <id>` must name an experiment, and every API example must
+// be reproduced character-for-character by a live test server.
 
 import (
 	"bytes"
@@ -19,17 +20,25 @@ import (
 	"time"
 
 	"pitract"
+	"pitract/internal/harness"
 )
 
 // repoPathPattern matches repository-relative code pointers in prose:
 // package directories and files under internal/, cmd/, examples/, docs/,
-// plus the root facade and this test file.
-var repoPathPattern = regexp.MustCompile(`(?:internal|cmd|examples|docs)/[A-Za-z0-9_./-]+[A-Za-z0-9_-]|pitract\.go|docs_test\.go|README\.md|ROADMAP\.md`)
+// the root facade, this test file, and any root-level *.md (a path under
+// one of the directories is consumed whole by the first alternative, so a
+// bare NAME.md is a claim about the repository root).
+var repoPathPattern = regexp.MustCompile(`(?:internal|cmd|examples|docs)/[A-Za-z0-9_./-]+[A-Za-z0-9_-]|pitract\.go|docs_test\.go|\b[A-Za-z0-9_]+\.md\b`)
 
-// TestArchitectureDocPathsExist keeps docs/ARCHITECTURE.md's code
-// pointers honest: every referenced path must exist in the repository.
+// docFiles are the prose the documentation tests scan: the three documents,
+// and the two Go files whose package comments and usage text are read as
+// documentation (godoc, `pitract help`).
+var docFiles = []string{"docs/ARCHITECTURE.md", "docs/API.md", "README.md", "pitract.go", "cmd/pitract/main.go"}
+
+// TestArchitectureDocPathsExist keeps the documents' code pointers honest:
+// every referenced path must exist in the repository.
 func TestArchitectureDocPathsExist(t *testing.T) {
-	for _, docFile := range []string{"docs/ARCHITECTURE.md", "docs/API.md", "README.md"} {
+	for _, docFile := range docFiles {
 		doc, err := os.ReadFile(docFile)
 		if err != nil {
 			t.Fatalf("%s missing: %v", docFile, err)
@@ -48,6 +57,38 @@ func TestArchitectureDocPathsExist(t *testing.T) {
 				t.Errorf("%s references %q, which does not exist", docFile, ref)
 			}
 		}
+	}
+}
+
+// runCommandPattern matches a quoted `pitract run` invocation — flags, then
+// ids — and experimentIDPattern the ids inside it ("all" and placeholders
+// like <id> are not ids).
+var (
+	runCommandPattern   = regexp.MustCompile(`pitract run(?: +-[a-z]+(?: +[0-9]+)?)*((?: +[A-Z][0-9]+\b)+)`)
+	experimentIDPattern = regexp.MustCompile(`[A-Z][0-9]+`)
+)
+
+// TestDocsRunCommandsResolve keeps every quoted `pitract run <id>` runnable:
+// each id must resolve through harness.Find, so a document cannot go on
+// advertising an experiment that was deleted or never existed.
+func TestDocsRunCommandsResolve(t *testing.T) {
+	commands := 0
+	for _, docFile := range docFiles {
+		doc, err := os.ReadFile(docFile)
+		if err != nil {
+			t.Fatalf("%s missing: %v", docFile, err)
+		}
+		for _, m := range runCommandPattern.FindAllStringSubmatch(string(doc), -1) {
+			commands++
+			for _, id := range experimentIDPattern.FindAllString(m[1], -1) {
+				if _, ok := harness.Find(id); !ok {
+					t.Errorf("%s quotes %q, but there is no experiment %s", docFile, m[0], id)
+				}
+			}
+		}
+	}
+	if commands == 0 {
+		t.Fatal("no `pitract run <id>` found in any document — the pattern or the docs are broken")
 	}
 }
 

@@ -5,9 +5,11 @@ package circuit
 // Theorem 5 proves BDS complete for ΠTP by a generic argument: BDS is
 // P-complete [21], so for every L ∈ P there EXISTS an NC function h with
 // x ∈ L iff h(x) ∈ BDS; the paper never exhibits the gadget construction,
-// which lives in the P-completeness literature. Per the substitution rule
-// in DESIGN.md we implement a *reference* h: evaluate the circuit (PTIME)
-// and emit a canonical BDS instance carrying the answer. Every observable
+// which lives in the P-completeness literature. Where the paper cites a
+// construction without giving it, this repository substitutes an executable
+// stand-in with the same observable properties; here we implement a
+// *reference* h: evaluate the circuit (PTIME) and emit a canonical BDS
+// instance carrying the answer. Every observable
 // property the paper uses — answer preservation, composability under the
 // Lemma 2/3 machinery, Π-tractability of the image — holds for this h and
 // is exercised by tests. For the formula (tree-shaped circuit) subclass the

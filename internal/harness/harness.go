@@ -1,13 +1,16 @@
 // Package harness regenerates every figure, example and case study of the
 // paper as a measured table. Each experiment has an id (E1, E3, F1…F2,
-// C1…C12, T5, T9, L2, P10, A1…A3, X1…X11) matching DESIGN.md's
-// per-experiment index, a
-// generator that runs the workload at several sizes, and — where the paper
-// makes a growth claim — a fitted growth label from core.Classify.
+// C1…C12, T5, T9, L2, P10, A1…A3, plus X1…X2 for the PRAM/batch engine;
+// All is the index), a generator that runs the workload at several sizes,
+// and — where the paper makes a growth claim — a fitted growth label from
+// core.Classify.
 //
 // The harness is deliberately self-contained: `pitract run <id>` prints the
-// table, `go test -bench Benchmark<id>` measures the same code under the
-// benchmark driver.
+// table, `go test -bench 'BenchmarkExperiment/<id>$'` measures the same
+// code under the benchmark driver. It imports nothing above
+// internal/schemes (TestHarnessImportsNothingAboveSchemes): the serving
+// stack — store, shard, server, cache, obs — is measured by the bench/
+// module and asserted by those packages' own tests, never from here.
 package harness
 
 import (
@@ -105,13 +108,13 @@ func (t *Table) Render(w io.Writer) {
 }
 
 // Scale selects experiment sizes: Quick keeps the whole suite in seconds
-// (tests, CI); Full uses the sizes quoted in EXPERIMENTS.md.
+// (tests, CI); Full runs each experiment's larger size sweep.
 type Scale int
 
 const (
 	// Quick is the test/CI scale.
 	Quick Scale = iota
-	// Full is the EXPERIMENTS.md scale.
+	// Full is the larger-sweep scale.
 	Full
 )
 
@@ -214,15 +217,6 @@ func All() []Experiment {
 		{"A3", "ablation: RMQ structures", A3RMQAblation},
 		{"X1", "parallel PRAM executor vs the sequential oracle", X1ParallelPRAM},
 		{"X2", "concurrent batch answering vs one-at-a-time", X2BatchAnswering},
-		{"X3", "served queries: HTTP API vs direct Answer calls", X3Serving},
-		{"X4", "sharded stores: preprocess time, snapshot bytes, served QPS", X4Sharding},
-		{"X5", "incremental serving: PATCH-maintained Π(D ⊕ ∆D) vs re-registering", X5IncrementalServing},
-		{"X6", "hot-path answer cache: cached vs uncached QPS over hot/zipf/cold mixes", X6HotPath},
-		{"X7", "serving envelope under load: admission, backpressure, admitted-tail latency", X7Envelope},
-		{"X8", "observability overhead: instrumented vs uninstrumented serve path", X8ObsOverhead},
-		{"X9", "full dynamism: delete-maintained Π(D ⊕ ∆D) vs rebuild, delta-log crash replay", X9FullDynamism},
-		{"X10", "succinct Π: 2-hop labels on the compressed DAG vs the dense closure matrix", X10Succinct},
-		{"X11", "serve-path chaos: query deadlines, breaker trip/heal, degraded fallbacks, quarantine-and-heal", X11Chaos},
 	}
 }
 

@@ -2,9 +2,18 @@ package harness
 
 import (
 	"bytes"
+	"go/parser"
+	"go/token"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 )
+
+// wantIDs is the one expected list of experiment ids, in presentation
+// order: the 23 paper artifacts plus X1/X2 (the PRAM/batch engine). The
+// serving stack has no experiment: bench/ measures it.
+var wantIDs = strings.Fields("E1 F1 F2 E3 C1 C2 C3 C4 C5 C6 C7 C8 C9 C10 C11 C12 T5 L2 T9 P10 A1 A2 A3 X1 X2")
 
 // TestAllExperimentsRunQuick executes every experiment at Quick scale and
 // sanity-checks the produced tables. This is the repository's integration
@@ -48,8 +57,40 @@ func TestFindExperiment(t *testing.T) {
 	if _, ok := Find("ZZ"); ok {
 		t.Fatal("phantom experiment found")
 	}
-	if len(All()) != 34 {
-		t.Fatalf("experiment count = %d, want 23 from DESIGN.md plus X1…X11", len(All()))
+	var ids []string
+	for _, e := range All() {
+		ids = append(ids, e.ID)
+	}
+	if got, want := strings.Join(ids, " "), strings.Join(wantIDs, " "); got != want {
+		t.Fatalf("experiment ids:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestHarnessImportsNothingAboveSchemes holds the layering: the harness
+// regenerates the paper's tables from the schemes down, and the serving
+// stack is measured by bench/ — so no non-test file here may import it.
+func TestHarnessImportsNothingAboveSchemes(t *testing.T) {
+	entries, err := os.ReadDir(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range entries {
+		name := ent.Name()
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			for _, pkg := range []string{"store", "shard", "server", "cache", "obs"} {
+				if p := "pitract/internal/" + pkg; path == p || strings.HasPrefix(path, p+"/") {
+					t.Errorf("%s imports %s: serving experiments belong in bench/", name, path)
+				}
+			}
+		}
 	}
 }
 

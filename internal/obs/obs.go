@@ -6,8 +6,8 @@
 // adds with no allocation, no locks, and no time-source reads beyond the two
 // the caller makes, so instrumentation can stay on the serve hot path. The
 // whole package can be switched off at runtime with SetEnabled(false), which
-// turns every Observe/Add into a single atomic load; harness experiment X8
-// uses that switch to measure the instrumented-vs-uninstrumented overhead.
+// turns every Observe/Add into a single atomic load; the serving benchmark
+// uses that switch for its instrumented-vs-uninstrumented obs.overhead_pct.
 //
 // Typical hot-path usage pairs Start with Histogram.Since so a disabled
 // process pays neither the clock reads nor the atomic writes:

@@ -3,9 +3,8 @@
 // The paper defines Π-tractable query answering as "parallel polylog-time
 // with polynomially many processors", i.e. the class NC, whose canonical
 // machine model is the PRAM (parallel random access machine). Physical
-// massively-parallel hardware is not available here, so — per the
-// substitution rule recorded in DESIGN.md — we simulate the machine and
-// account for its two resources exactly:
+// massively-parallel hardware is not available here, so we simulate the
+// machine and account for its two resources exactly:
 //
 //   - rounds: the number of synchronous parallel steps (parallel time), and
 //   - work:   the total number of processor activations across all rounds.

@@ -282,11 +282,16 @@ func TestDegradedAnswersExactAndFlagged(t *testing.T) {
 // TestQueryBudget504 pins the per-query deadline taxonomy: a query (and
 // a batch) that outruns QueryBudget is abandoned with a 504 naming the
 // budget, counted in the envelope stats, and the dataset keeps serving
-// in-budget queries afterwards.
+// in-budget queries afterwards. A deadline overrun is also a breaker
+// failure: two 504s degrade the dataset, a third opens it (fast 503 +
+// Retry-After), and once the stall clears the half-open probe heals it.
 func TestQueryBudget504(t *testing.T) {
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 4)
 	srv := New(store.NewRegistry(""), blockingCatalog(gate, entered))
+	srv.Registry().SetBreakerConfig(store.BreakerConfig{
+		DegradedAfter: 2, OpenAfter: 3, Backoff: 50 * time.Millisecond,
+	})
 	srv.SetLimits(Limits{QueryBudget: 40 * time.Millisecond})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -320,6 +325,13 @@ func TestQueryBudget504(t *testing.T) {
 	if st.QueryBudgetMs != 40 {
 		t.Fatalf("query_budget_ms = %d, want 40", st.QueryBudgetMs)
 	}
+	var hz struct {
+		Status string            `json:"status"`
+		Health map[string]string `json:"health"`
+	}
+	if code := getJSON(t, client, ts.URL+"/healthz", &hz); code != http.StatusOK || hz.Health["d"] != "degraded" {
+		t.Fatalf("healthz after two 504s = status %d %+v, want 200 with dataset d degraded", code, hz)
+	}
 
 	// In-budget queries still serve: the deadline abandoned the stalled
 	// workers, it did not poison the dataset.
@@ -329,7 +341,44 @@ func TestQueryBudget504(t *testing.T) {
 	}, &qr); code != http.StatusOK || !qr.Answer {
 		t.Fatalf("in-budget query = status %d answer %v, want 200 true", code, qr.Answer)
 	}
-	close(gate) // drain the abandoned workers
-	<-entered
-	<-entered
+
+	// A third 504 opens the breaker: the next stalling query is refused
+	// fast, before it reaches the dataset, instead of paying the stall.
+	stall := QueryRequest{Dataset: "d", Query: []byte("block")}
+	if code := postJSON(t, client, ts.URL+"/v1/query", stall, &e); code != http.StatusGatewayTimeout {
+		t.Fatalf("third over-budget query got status %d (%s), want 504", code, e.Error)
+	}
+	resp, err := client.Post(ts.URL+"/v1/query", "application/json",
+		strings.NewReader(`{"dataset":"d","query":"YmxvY2s="}`)) // "block"
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("query after three 504s got status %d, Retry-After %q; want a 503 with Retry-After",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	if n := len(entered); n != 3 {
+		t.Fatalf("%d queries entered the answerer, want 3: the open breaker let the refused one through", n)
+	}
+	if st := envStats(t, client, ts.URL); st.Deadline504 != 3 || st.Breaker503 != 1 {
+		t.Fatalf("deadline_504 = %d, breaker_503 = %d; want 3, 1", st.Deadline504, st.Breaker503)
+	}
+	if code := getJSON(t, client, ts.URL+"/healthz", &hz); code != http.StatusServiceUnavailable || hz.Health["d"] != "open" {
+		t.Fatalf("healthz after three 504s = status %d %+v, want 503 with dataset d open", code, hz)
+	}
+
+	// Release the stall (draining the abandoned workers) and wait out the
+	// backoff: the query that used to overrun is the half-open probe.
+	close(gate)
+	for i := 0; i < 3; i++ {
+		<-entered
+	}
+	time.Sleep(100 * time.Millisecond)
+	if code := postJSON(t, client, ts.URL+"/v1/query", stall, &qr); code != http.StatusOK || !qr.Answer {
+		t.Fatalf("probe after the stall cleared = status %d answer %v, want 200 true", code, qr.Answer)
+	}
+	if code := getJSON(t, client, ts.URL+"/healthz", &hz); code != http.StatusOK || hz.Health["d"] != "healthy" {
+		t.Fatalf("healthz after the probe = status %d %+v, want 200 and healthy", code, hz)
+	}
 }

@@ -6,11 +6,16 @@ package shard
 // the version the surviving durable state determines — never silently
 // behind an acknowledged PATCH — with the damaged bytes kept for forensics,
 // the quarantine counted and reported as the dataset's health, and the next
-// restart clean. Recovery is store.Registry.Recover for every kind, so the
-// kinds cannot disagree on what corruption costs.
+// restart clean. A medium that cannot be *read* at restart is a different
+// thing from an artifact that is not there: reads that come back within the
+// retries load and replay as if nothing happened, reads that do not fail the
+// registration and leave every durable byte where it was. Recovery is
+// store.Registry.Recover for every kind, so the kinds cannot disagree on
+// what corruption — or a flaky read — costs.
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"testing"
 
@@ -101,6 +106,50 @@ func TestCorruptionRecoveryConformance(t *testing.T) {
 					heals(t, f, logPath, h.bytes, true, 0)
 				})
 			}
+
+			// loadsAcked demands a restart that loaded the checkpoint and
+			// replayed both logged batches on top: no rebuild, no quarantine.
+			loadsAcked := func(t *testing.T, reg *store.Registry, ds store.Dataset, why string) {
+				t.Helper()
+				if !ds.WasLoaded() || ds.Version() != acked {
+					t.Fatalf("%s: loaded=%v version=%d, want true, %d", why, ds.WasLoaded(), ds.Version(), acked)
+				}
+				if r, p, q := reg.ReplayCount(), reg.PreprocessCount(), reg.QuarantineCount(); r != 2 || p != 0 || q != 0 {
+					t.Fatalf("%s: %d replays, %d preprocesses, %d quarantines; want 2, 0, 0", why, r, p, q)
+				}
+				assertShardOracle(t, k.cs, ds, states[acked], why)
+			}
+			// Reads that fail fewer times than Recover retries: the restart is
+			// indistinguishable from one on a healthy medium.
+			t.Run("reads-recover-within-retries", func(t *testing.T) {
+				f := serve(t, 100)
+				f.Restart()
+				f.FailReads(2)
+				reg, ds := k.open(t, f, 100)
+				loadsAcked(t, reg, ds, "restart over two failed reads")
+			})
+			// Reads that keep failing: unreadable is not absent. Registration
+			// fails, nothing is rebuilt over the artifact, the log holding the
+			// acknowledged batches stays, and the healed medium serves them.
+			t.Run("reads-keep-failing", func(t *testing.T) {
+				f := serve(t, 100)
+				f.Restart()
+				image := durableImage(t, f)
+				f.FailReads(1 << 30)
+				reg := store.NewRegistryMedium(&store.Medium{Dir: shardCrashDir, FS: f, CheckpointEvery: 100})
+				if _, err := k.register(reg); !errors.Is(err, faultfs.ErrInjected) {
+					t.Fatalf("register over an unreadable medium = %v, want the injected read error", err)
+				}
+				if p, q := reg.PreprocessCount(), reg.QuarantineCount(); p != 0 || q != 0 {
+					t.Fatalf("unreadable medium: %d preprocesses, %d quarantines; want 0, 0", p, q)
+				}
+				if got := durableImage(t, f); got != image {
+					t.Fatalf("failed registration changed the durable image:\n got %s\nwant %s", got, image)
+				}
+				f.Restart()
+				reg2, ds := k.open(t, f, 100)
+				loadsAcked(t, reg2, ds, "restart on the healed medium")
+			})
 		})
 	}
 }

@@ -79,7 +79,9 @@ func assertSuccinctEqualsDense(t *testing.T, dense, labels store.Dataset, probes
 
 // TestSuccinctVsDenseUnsharded runs the differential on plain stores
 // through a registry: initial build, snapshot reload, then a mixed
-// insert/delete PATCH run, checking after every delta.
+// insert/delete PATCH run, checking after every delta — and holds the
+// labels scheme to its reason for existing, a snapshot at most half the
+// dense one's.
 func TestSuccinctVsDenseUnsharded(t *testing.T) {
 	g, probes, deltas := succinctFixture(31)
 	dir := t.TempDir()
@@ -119,6 +121,24 @@ func TestSuccinctVsDenseUnsharded(t *testing.T) {
 			t.Fatalf("labels delta %d: %v", i, err)
 		}
 		assertSuccinctEqualsDense(t, dense, labels, probes, "patched")
+	}
+
+	// The size bar, on what reaches disk rather than on Π alone: on the
+	// community shape the labels were built for (blocks with a sparse
+	// cross-cut) the labels dataset's snapshot is at most half the dense
+	// one's. The 36-vertex differential fixture above is too small for Π to
+	// dominate its snapshot, so the bar gets a graph of its own.
+	big := graph.CommunityGraph(8, 32, 64, 256).Encode()
+	bigDense, err := reg2.Register("dense-256", schemes.ReachabilityScheme(), big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigLabels, err := reg2.Register("labels-256", schemes.ReachabilityLabelsScheme(), big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, l := bigDense.SnapshotBytes(), bigLabels.SnapshotBytes(); l <= 0 || 2*l > d {
+		t.Fatalf("labels snapshot %d bytes, dense %d — want at most half", l, d)
 	}
 }
 

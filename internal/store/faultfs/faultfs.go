@@ -15,7 +15,9 @@
 //     Restart then reopens the durable image as the new live state, which
 //     is precisely what a process restart sees.
 //   - FailAfterWrites(n) makes the (n+1)th Write return an injected error
-//     without crashing — the I/O-failure path (PersistError, HTTP 500).
+//     without crashing — the I/O-failure path (PersistError, HTTP 500);
+//     FailReads(n) does the same to the next n ReadFile calls — the medium
+//     that cannot be read at restart, for a while or for good.
 //   - LieOnSync makes Sync acknowledge without making content durable —
 //     the lying-fsync hardware that turns an acknowledged commit into a
 //     replay-time gap.
@@ -30,12 +32,10 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"math/rand"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"pitract/internal/store"
 )
@@ -43,9 +43,9 @@ import (
 // ErrCrashed is returned by every operation after the injected crash point.
 var ErrCrashed = errors.New("faultfs: medium crashed")
 
-// ErrInjected is returned by a Write that hit the FailAfterWrites budget,
-// and by a ReadFile that drew a probabilistic read error (SetReadFaults).
-var ErrInjected = errors.New("faultfs: injected write failure")
+// ErrInjected is returned by a Write that hit the FailAfterWrites budget
+// and by a ReadFile inside the FailReads budget.
+var ErrInjected = errors.New("faultfs: injected failure")
 
 // node is one live file: its current content and the prefix of it known to
 // be durable for this inode (advanced by Sync; carried across Rename).
@@ -70,36 +70,10 @@ type FS struct {
 
 	writes     int // executed Write calls
 	failWrites int // inject an error on the (failWrites+1)th Write; <0 = never
+	failReads  int // inject an error on this many more ReadFile calls
 
 	tornBytes int // bytes of a crashing Write that reach the durable image
 	lieOnSync bool
-
-	readFaults ReadFaults
-	readRNG    *rand.Rand
-}
-
-// ReadFaults arms probabilistic fault injection on the read path — the
-// serve-path chaos the X11 harness drives: transient read errors
-// (flaky medium), torn reads (a reader racing a non-atomic writer or a
-// medium returning short), and injected latency (a disk that went slow
-// rather than loud). Rates are probabilities in [0,1] per ReadFile
-// call; Seed makes a chaos run reproducible.
-type ReadFaults struct {
-	Seed        int64
-	ErrorRate   float64       // ReadFile fails with ErrInjected
-	TornRate    float64       // ReadFile returns a truncated prefix
-	Latency     time.Duration // added to a LatencyRate fraction of reads
-	LatencyRate float64
-}
-
-// SetReadFaults arms (or, with the zero value, disarms) probabilistic
-// read-path faults. Decisions are drawn from a seeded generator under
-// the medium's lock; the injected sleep happens outside it.
-func (f *FS) SetReadFaults(rf ReadFaults) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.readFaults = rf
-	f.readRNG = rand.New(rand.NewSource(rf.Seed))
 }
 
 // CorruptByte flips one byte of path in both the live and durable
@@ -159,6 +133,15 @@ func (f *FS) FailAfterWrites(n int) {
 	f.failWrites = n
 }
 
+// FailReads makes the next n ReadFile calls fail with ErrInjected, without
+// crashing the medium — the read-side twin of FailAfterWrites. n <= 0
+// disarms.
+func (f *FS) FailReads(n int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.failReads = n
+}
+
 // LieOnSync makes File.Sync and SyncDir acknowledge without making
 // anything durable — the lying-fsync fault.
 func (f *FS) LieOnSync(lie bool) {
@@ -203,8 +186,7 @@ func (f *FS) Restart() {
 	f.crashed = false
 	f.crashAt = -1
 	f.failWrites = -1
-	f.readFaults = ReadFaults{}
-	f.readRNG = nil
+	f.failReads = 0
 	f.ops = 0
 	f.writes = 0
 	f.trace = f.trace[:0]
@@ -237,49 +219,23 @@ func (f *FS) step(op, path string) (bool, error) {
 }
 
 // ReadFile implements store.FS (reads are not counted as operations — they
-// have no durable effect — but a crashed medium refuses them too). Armed
-// read faults (SetReadFaults) may delay the read, fail it with
-// ErrInjected, or return a torn prefix.
+// have no durable effect — but a crashed medium refuses them too, and an
+// armed FailReads budget fails them with ErrInjected).
 func (f *FS) ReadFile(name string) ([]byte, error) {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.crashed {
-		f.mu.Unlock()
 		return nil, fmt.Errorf("read %s: %w", name, ErrCrashed)
 	}
-	var sleep time.Duration
-	var fail, torn bool
-	tornFrac := 0.0
-	if f.readRNG != nil {
-		rf := f.readFaults
-		if rf.LatencyRate > 0 && f.readRNG.Float64() < rf.LatencyRate {
-			sleep = rf.Latency
-		}
-		if rf.ErrorRate > 0 && f.readRNG.Float64() < rf.ErrorRate {
-			fail = true
-		} else if rf.TornRate > 0 && f.readRNG.Float64() < rf.TornRate {
-			torn = true
-			tornFrac = f.readRNG.Float64()
-		}
-	}
-	n, ok := f.live[filepath.Clean(name)]
-	var data []byte
-	if ok {
-		data = append([]byte(nil), n.data...)
-	}
-	f.mu.Unlock()
-	if sleep > 0 {
-		time.Sleep(sleep)
-	}
-	if fail {
+	if f.failReads > 0 {
+		f.failReads--
 		return nil, fmt.Errorf("read %s: %w", name, ErrInjected)
 	}
+	n, ok := f.live[filepath.Clean(name)]
 	if !ok {
 		return nil, &fs.PathError{Op: "open", Path: name, Err: fs.ErrNotExist}
 	}
-	if torn {
-		return data[:int(tornFrac*float64(len(data)))], nil
-	}
-	return data, nil
+	return append([]byte(nil), n.data...), nil
 }
 
 // ReadDirNames implements store.FS.

@@ -249,6 +249,37 @@ func TestFailAfterWrites(t *testing.T) {
 	}
 }
 
+// TestFailReads: exactly the next n ReadFile calls fail — present or absent
+// path alike — without crashing the medium or touching content; the read
+// after the budget, and every read after a Restart, succeeds.
+func TestFailReads(t *testing.T) {
+	f := New()
+	if err := f.MkdirAll("/d"); err != nil {
+		t.Fatal(err)
+	}
+	writeAll(t, f, "/d/x", []byte("base"))
+	if err := f.SyncDir("/d"); err != nil {
+		t.Fatal(err)
+	}
+	f.FailReads(2)
+	for i, name := range []string{"/d/x", "/d/absent"} {
+		if _, err := f.ReadFile(name); !errors.Is(err, ErrInjected) || errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("read %d of %s: err=%v, want ErrInjected only", i, name, err)
+		}
+	}
+	if f.Crashed() {
+		t.Fatal("injected read failure must not crash the medium")
+	}
+	if got, err := f.ReadFile("/d/x"); err != nil || string(got) != "base" {
+		t.Fatalf("read after the budget = %q, %v", got, err)
+	}
+	f.FailReads(5)
+	f.Restart()
+	if got, err := f.ReadFile("/d/x"); err != nil || string(got) != "base" {
+		t.Fatalf("read after Restart = %q, %v (Restart must disarm FailReads)", got, err)
+	}
+}
+
 // TestLieOnSync: an acknowledged Sync that did nothing — after restart the
 // "synced" content is gone even though every call returned nil.
 func TestLieOnSync(t *testing.T) {

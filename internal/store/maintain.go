@@ -270,9 +270,12 @@ func transient(err error) bool {
 //   - loaded: the delta log's tail — acknowledged batches a crash left
 //     between a durable append and the checkpoint — is replayed on top, so
 //     the restart resumes at the exact acknowledged version;
-//   - absent, stale, or unreadable after the retries: rebuild, checkpoint,
-//     and drop any delta log — its records apply to a Π that no longer
-//     exists;
+//   - absent (fs.ErrNotExist) or stale (ErrStale): rebuild, checkpoint, and
+//     drop any delta log — its records apply to a Π that no longer exists;
+//   - still unreadable after the retries: the registration fails with the
+//     read error and no file is touched, exactly as for a delta log that
+//     cannot be read — the artifact and its log may hold acknowledged
+//     batches, so they wait for a medium that reads;
 //   - corrupt: the artifact at ce.Path is renamed aside (*.quarantine, kept
 //     for forensics), the dataset rebuilt and checkpointed (tolerating a
 //     still-flaky medium with the same backoff), and the surviving log —
@@ -298,6 +301,11 @@ func (r *Registry) Recover(id string, load func(fsys FS, dir string) (DeltaDatas
 				return nil, fmt.Errorf("store: register %q: %w", id, err)
 			}
 			return ds, nil
+		}
+		if transient(err) {
+			// Unreadable is not absent: rebuilding here would overwrite an
+			// artifact and drop a log that may hold acknowledged batches.
+			return nil, fmt.Errorf("store: register %q: %w", id, err)
 		}
 		var ce *CorruptArtifactError
 		if errors.As(err, &ce) {

@@ -32,8 +32,10 @@
 // network: OpenStore/StoreRegistry persist preprocessed stores as
 // versioned, checksummed snapshots (computed once, reloaded across process
 // restarts), and NewServer exposes a registry as an HTTP JSON API — the
-// `pitract serve` subcommand; experiment X3 measures the served path
-// against direct Answer calls.
+// `pitract serve` subcommand. What each serving layer below costs is
+// measured by one instrument, the bench/ module (go run -C bench .), not by
+// an experiment; docs/ARCHITECTURE.md maps each question to its workload
+// and metric rows.
 //
 // On top of that sits horizontal scaling: a dataset can be partitioned
 // across n preprocessed stores (BuildShardedStore, RegisterSharded, the
@@ -41,9 +43,7 @@
 // partitioning. Queries route to the shard owning their answer or fan out
 // to every shard and merge scheme-specifically (reachability ORs the
 // same-shard verdict with a cross-edge portal-overlay check); differential
-// tests pin sharded answers identical to unsharded ones, and experiment X4
-// measures preprocess time, snapshot bytes, and served QPS per shard
-// count.
+// tests pin sharded answers identical to unsharded ones.
 //
 // Registered datasets are live-updatable (§1 justification (3)): for
 // schemes with an incremental form (IncrementalForScheme),
@@ -55,8 +55,7 @@
 // split by partitioner; reachability edge inserts update the owning
 // shard's closure and rebuild the portal overlay). A maintained-vs-rebuilt
 // differential suite pins ApplyDelta equivalent to preprocessing the
-// updated data from scratch, and experiment X5 measures maintain vs
-// re-register time.
+// updated data from scratch.
 //
 // The hot-path query engine keeps the per-query cost down to the probe:
 // every store decodes Π once into a typed prepared answerer
@@ -69,8 +68,7 @@
 // singleflight coalescing — version-keyed, so PATCH invalidates for free.
 // The server fronts only schemes that declare a per-query traversal
 // (Scheme.Traversal): an index probe of Π is cheaper than a cache lookup.
-// Both paths are differentially pinned to the raw Answer oracle, and
-// experiment X6 measures cached vs uncached QPS over hot/zipf/cold mixes.
+// Both paths are differentially pinned to the raw Answer oracle.
 //
 // An observability layer watches all of it without getting in its way:
 // every serve-path stage (admission, cache lookup, shard fan-out/merge,
@@ -82,7 +80,7 @@
 // X-Request-ID and structured slog request/slow-query logging (`pitract
 // serve -log-level/-log-format/-slow-query-ms`; -pprof-addr serves
 // net/http/pprof on its own listener). SetMetricsEnabled(false) is the
-// kill switch; experiment X8 measures the instrumentation's overhead.
+// kill switch (the benchmark's obs.overhead_pct row is its cost).
 //
 // The serving path degrades gracefully instead of falling over: every
 // query can carry a deadline (AskWithin, `pitract serve
@@ -93,12 +91,13 @@
 // heals it), corrupt snapshots and delta logs are quarantined aside
 // (QuarantinePath) and rebuilt from source, and schemes with a declared
 // cheaper fallback keep answering exactly in degraded mode while
-// unhealthy. Experiment X11 drives a live server through fault injection
-// and pins all of it differentially.
+// unhealthy. Each of those behaviours is pinned by a deterministic test
+// over a live test server or a fault-injecting medium
+// (internal/store/faultfs).
 //
 // See README.md for a tour, docs/ARCHITECTURE.md for the layer map,
-// docs/API.md for the HTTP reference, and EXPERIMENTS.md for
-// paper-vs-measured results.
+// docs/API.md for the HTTP reference, and docs/perf/ for the serving
+// benchmark's before/after records.
 package pitract
 
 import (
@@ -436,7 +435,7 @@ var (
 	NewObsRegistry = obs.NewRegistry
 	// SetMetricsEnabled is the observability kill switch: disabled, the
 	// instrumented paths skip the clock reads and atomic writes entirely
-	// (experiment X8 measures the difference). Enabled by default.
+	// (the benchmark's obs.overhead_pct row). Enabled by default.
 	SetMetricsEnabled = obs.SetEnabled
 	// MetricsEnabled reports whether metric recording is enabled.
 	MetricsEnabled = obs.Enabled
@@ -765,7 +764,7 @@ var (
 	// DecodeCVPInstance parses a serialized CVP instance.
 	DecodeCVPInstance = circuit.DecodeInstance
 	// ReduceCVPToBDS maps a CVP instance to a BDS instance with the same
-	// answer (the Theorem 5 reference reduction; see DESIGN.md).
+	// answer (the Theorem 5 reference reduction; see internal/circuit/tobds.go).
 	ReduceCVPToBDS = circuit.ReduceInstanceToBDS
 	// OptimizeCircuit folds constants and drops dead gates without
 	// changing the circuit's function.
@@ -855,12 +854,12 @@ type (
 const (
 	// ScaleQuick finishes the whole suite in seconds.
 	ScaleQuick = harness.Quick
-	// ScaleFull uses the EXPERIMENTS.md sizes.
+	// ScaleFull runs each experiment's larger size sweep.
 	ScaleFull = harness.Full
 )
 
-// Experiments lists every experiment (E1, F1, F2, E3, C1…C9, T5, L2, T9,
-// P10, A1…A3) in presentation order.
+// Experiments lists every experiment (E1, F1, F2, E3, C1…C12, T5, L2, T9,
+// P10, A1…A3, X1, X2) in presentation order.
 func Experiments() []Experiment { return harness.All() }
 
 // RunExperiment runs one experiment by id and renders its table to w.

@@ -7,6 +7,7 @@ package pitract
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -128,12 +129,8 @@ func TestRunExperimentAndErrors(t *testing.T) {
 		t.Fatal("unknown experiment accepted")
 	}
 	var unknown *UnknownExperimentError
-	if !strings.Contains(err.Error(), "nope") {
-		t.Fatalf("error %v does not name the id", err)
-	}
-	_ = unknown
-	if len(Experiments()) != 34 {
-		t.Fatalf("Experiments() = %d entries, want 23 paper artifacts plus X1…X11", len(Experiments()))
+	if !errors.As(err, &unknown) || unknown.ID != "nope" {
+		t.Fatalf("error %v is not an *UnknownExperimentError naming the id", err)
 	}
 }
 
