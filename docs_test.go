@@ -145,14 +145,6 @@ var apiExamples = []apiExample{
 		wantBody:   `{"datasets":2,"health":{"m":"healthy","m2":"healthy"},"status":"ok"}`,
 	},
 	{
-		// The pre-breaker liveness shape, kept for probes that pin bytes.
-		name:       "healthz-compat",
-		method:     http.MethodGet,
-		path:       "/healthz?verbose=0",
-		wantStatus: http.StatusOK,
-		wantBody:   `{"datasets":2,"status":"ok"}`,
-	},
-	{
 		name:       "list",
 		method:     http.MethodGet,
 		path:       "/v1/datasets",

@@ -67,7 +67,7 @@ func (s *Server) decodeBatchBody(w http.ResponseWriter, r *http.Request) (req Ba
 	if n > max {
 		// Same policy split as the body cap: a well-formed batch over the
 		// work limit is a 413 naming the limit, not a 400.
-		s.env.noteBatch413(r)
+		s.env.note(r, rejectedBatch413)
 		writeError(w, r, http.StatusRequestEntityTooLarge,
 			"batch of %d queries exceeds the %d-query limit", n, max)
 		return req, false

@@ -116,20 +116,21 @@ func (l Limits) withDefaults() Limits {
 	return l
 }
 
-// EnvelopeStats is the wire form of the envelope's gauges, counters, and
-// active limits — the /v1/stats "envelope" block. The limits ride along so
-// an operator reading the stats sees the envelope the counters were
-// produced under (0 = unlimited / no budget).
-type EnvelopeStats struct {
-	// InFlight is the number of work requests currently admitted.
-	InFlight int64 `json:"in_flight"`
-	// The active limits (see Limits; 0 = unlimited / no budget).
-	MaxInFlight           int   `json:"max_in_flight"`
-	MaxInFlightPerDataset int   `json:"max_in_flight_per_dataset"`
-	MaxBodyBytes          int64 `json:"max_body_bytes"`
-	MaxBatchQueries       int   `json:"max_batch_queries"`
-	RegisterBudgetMs      int64 `json:"register_budget_ms"`
-	QueryBudgetMs         int64 `json:"query_budget_ms"`
+// rejection enumerates what the envelope counts, per endpoint.
+type rejection int
+
+const (
+	rejected429 rejection = iota
+	rejectedBody413
+	rejectedBatch413
+	budgetExceeded
+	deadline504
+	breaker503
+	nRejections
+)
+
+// Rejections is the wire form of one set of rejection counters.
+type Rejections struct {
 	// Rejected429 counts requests refused by the concurrency limits
 	// (global or per-dataset) with 429 + Retry-After.
 	Rejected429 int64 `json:"rejected_429"`
@@ -146,6 +147,37 @@ type EnvelopeStats struct {
 	// Breaker503 counts requests refused fast because the dataset's
 	// circuit breaker was open.
 	Breaker503 int64 `json:"breaker_503"`
+}
+
+// wire renders counts, indexed by rejection, in the wire form.
+func wire(counts [nRejections]int64) Rejections {
+	return Rejections{
+		Rejected429:      counts[rejected429],
+		RejectedBody413:  counts[rejectedBody413],
+		RejectedBatch413: counts[rejectedBatch413],
+		BudgetExceeded:   counts[budgetExceeded],
+		Deadline504:      counts[deadline504],
+		Breaker503:       counts[breaker503],
+	}
+}
+
+// EnvelopeStats is the wire form of the envelope's gauges, counters, and
+// active limits — the /v1/stats "envelope" block. The limits ride along so
+// an operator reading the stats sees the envelope the counters were
+// produced under (0 = unlimited / no budget).
+type EnvelopeStats struct {
+	// InFlight is the number of work requests currently admitted.
+	InFlight int64 `json:"in_flight"`
+	// The active limits (see Limits; 0 = unlimited / no budget).
+	MaxInFlight           int   `json:"max_in_flight"`
+	MaxInFlightPerDataset int   `json:"max_in_flight_per_dataset"`
+	MaxBodyBytes          int64 `json:"max_body_bytes"`
+	MaxBatchQueries       int   `json:"max_batch_queries"`
+	RegisterBudgetMs      int64 `json:"register_budget_ms"`
+	QueryBudgetMs         int64 `json:"query_budget_ms"`
+	// Rejections counts every refusal the envelope has issued: the sum of
+	// PerEndpoint.
+	Rejections
 	// PerEndpoint breaks the rejection counters down by endpoint (the
 	// dataset subresource is collapsed to "/v1/datasets/{id}"). Absent until
 	// the first rejection, so the zero-traffic stats block stays compact.
@@ -153,7 +185,7 @@ type EnvelopeStats struct {
 }
 
 // EndpointRejections is one endpoint's slice of the envelope rejection
-// counters (see EnvelopeStats for what each counts).
+// counters: Rejections with the zero counters left out.
 type EndpointRejections struct {
 	Rejected429      int64 `json:"rejected_429,omitempty"`
 	RejectedBody413  int64 `json:"rejected_body_413,omitempty"`
@@ -161,16 +193,6 @@ type EndpointRejections struct {
 	BudgetExceeded   int64 `json:"budget_exceeded,omitempty"`
 	Deadline504      int64 `json:"deadline_504,omitempty"`
 	Breaker503       int64 `json:"breaker_503,omitempty"`
-}
-
-// endpointCounters is the live (atomic) form of EndpointRejections.
-type endpointCounters struct {
-	rejected429      atomic.Int64
-	rejectedBody413  atomic.Int64
-	rejectedBatch413 atomic.Int64
-	budgetExceeded   atomic.Int64
-	deadline504      atomic.Int64
-	breaker503       atomic.Int64
 }
 
 // endpointLabel collapses a request path to its endpoint identity, so the
@@ -199,16 +221,11 @@ type envelope struct {
 	mu         sync.Mutex
 	perDataset map[string]int
 
-	rejected429      atomic.Int64
-	rejectedBody413  atomic.Int64
-	rejectedBatch413 atomic.Int64
-	budgetExceeded   atomic.Int64
-	deadline504      atomic.Int64
-	breaker503       atomic.Int64
-
-	// byEndpoint maps an endpointLabel to its *endpointCounters. Entries are
-	// created only on a rejection, so the map stays empty (and invisible in
-	// /v1/stats) on a healthy node, and endpointLabel bounds its cardinality.
+	// byEndpoint maps an endpointLabel to its *[nRejections]atomic.Int64 — the
+	// only rejection counters there are; the server-wide figures are their sum.
+	// Entries are created only on a rejection, so the map stays empty (and
+	// invisible in /v1/stats) on a healthy node, and endpointLabel bounds its
+	// cardinality.
 	byEndpoint sync.Map
 }
 
@@ -217,49 +234,14 @@ func newEnvelope(l Limits) *envelope {
 	return &envelope{limits: l.withDefaults(), perDataset: map[string]int{}}
 }
 
-// endpoint returns the counters for one endpoint label, creating them on
-// first rejection.
-func (ev *envelope) endpoint(label string) *endpointCounters {
-	if v, ok := ev.byEndpoint.Load(label); ok {
-		return v.(*endpointCounters)
+// note counts one rejection against r's endpoint.
+func (ev *envelope) note(r *http.Request, kind rejection) {
+	label := endpointLabel(r.URL.Path)
+	v, ok := ev.byEndpoint.Load(label)
+	if !ok {
+		v, _ = ev.byEndpoint.LoadOrStore(label, new([nRejections]atomic.Int64))
 	}
-	v, _ := ev.byEndpoint.LoadOrStore(label, &endpointCounters{})
-	return v.(*endpointCounters)
-}
-
-// noteBody413 counts one oversized-body refusal, globally and against r's
-// endpoint.
-func (ev *envelope) noteBody413(r *http.Request) {
-	ev.rejectedBody413.Add(1)
-	ev.endpoint(endpointLabel(r.URL.Path)).rejectedBody413.Add(1)
-}
-
-// noteBatch413 counts one oversized-batch refusal, globally and against
-// r's endpoint.
-func (ev *envelope) noteBatch413(r *http.Request) {
-	ev.rejectedBatch413.Add(1)
-	ev.endpoint(endpointLabel(r.URL.Path)).rejectedBatch413.Add(1)
-}
-
-// noteBudget counts one budget-exceeded 503, globally and against r's
-// endpoint.
-func (ev *envelope) noteBudget(r *http.Request) {
-	ev.budgetExceeded.Add(1)
-	ev.endpoint(endpointLabel(r.URL.Path)).budgetExceeded.Add(1)
-}
-
-// noteDeadline504 counts one query-budget 504, globally and against r's
-// endpoint.
-func (ev *envelope) noteDeadline504(r *http.Request) {
-	ev.deadline504.Add(1)
-	ev.endpoint(endpointLabel(r.URL.Path)).deadline504.Add(1)
-}
-
-// noteBreaker503 counts one open-breaker refusal, globally and against
-// r's endpoint.
-func (ev *envelope) noteBreaker503(r *http.Request) {
-	ev.breaker503.Add(1)
-	ev.endpoint(endpointLabel(r.URL.Path)).breaker503.Add(1)
+	v.(*[nRejections]atomic.Int64)[kind].Add(1)
 }
 
 // admit tries to admit one work request against dataset (may be "" for
@@ -322,8 +304,7 @@ func (ev *envelope) retryAfterSeconds() int {
 // reject429 writes the backpressure response: 429 Too Many Requests with
 // the Retry-After header and the reason in the error body, and counts it.
 func (ev *envelope) reject429(w http.ResponseWriter, r *http.Request, reason string) {
-	ev.rejected429.Add(1)
-	ev.endpoint(endpointLabel(r.URL.Path)).rejected429.Add(1)
+	ev.note(r, rejected429)
 	secs := ev.retryAfterSeconds()
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
 	writeError(w, r, http.StatusTooManyRequests, "%s; retry after %ds", reason, secs)
@@ -332,19 +313,18 @@ func (ev *envelope) reject429(w http.ResponseWriter, r *http.Request, reason str
 // stats snapshots the envelope for /v1/stats.
 func (ev *envelope) stats() EnvelopeStats {
 	var per map[string]EndpointRejections
+	var total [nRejections]int64
 	ev.byEndpoint.Range(func(k, v any) bool {
 		if per == nil {
 			per = map[string]EndpointRejections{}
 		}
-		c := v.(*endpointCounters)
-		per[k.(string)] = EndpointRejections{
-			Rejected429:      c.rejected429.Load(),
-			RejectedBody413:  c.rejectedBody413.Load(),
-			RejectedBatch413: c.rejectedBatch413.Load(),
-			BudgetExceeded:   c.budgetExceeded.Load(),
-			Deadline504:      c.deadline504.Load(),
-			Breaker503:       c.breaker503.Load(),
+		live := v.(*[nRejections]atomic.Int64)
+		var counts [nRejections]int64
+		for kind := range counts {
+			counts[kind] = live[kind].Load()
+			total[kind] += counts[kind]
 		}
+		per[k.(string)] = EndpointRejections(wire(counts))
 		return true
 	})
 	return EnvelopeStats{
@@ -355,12 +335,7 @@ func (ev *envelope) stats() EnvelopeStats {
 		MaxBatchQueries:       ev.limits.MaxBatchQueries,
 		RegisterBudgetMs:      ev.limits.RegisterBudget.Milliseconds(),
 		QueryBudgetMs:         ev.limits.QueryBudget.Milliseconds(),
-		Rejected429:           ev.rejected429.Load(),
-		RejectedBody413:       ev.rejectedBody413.Load(),
-		RejectedBatch413:      ev.rejectedBatch413.Load(),
-		BudgetExceeded:        ev.budgetExceeded.Load(),
-		Deadline504:           ev.deadline504.Load(),
-		Breaker503:            ev.breaker503.Load(),
+		Rejections:            wire(total),
 		PerEndpoint:           per,
 	}
 }

@@ -1,8 +1,7 @@
 package server
 
 // The graceful-degradation suite for the HTTP layer: /healthz's
-// per-dataset health map (and its ?verbose=0 liveness-probe compat
-// shape), the breaker trip → fast 503 + jittered Retry-After → half-open
+// per-dataset health map, the breaker trip → fast 503 + jittered Retry-After → half-open
 // probe heal cycle, degraded fallback answers carrying "degraded": true
 // with exact verdicts, the per-query deadline's 504 taxonomy, and the
 // ±20% Retry-After jitter bounds every advisory header obeys.
@@ -48,10 +47,9 @@ func TestRetryAfterJitterBounds(t *testing.T) {
 	}
 }
 
-// TestHealthzVerboseAndCompat pins both /healthz shapes: the default
-// body carries a per-dataset health map with an overall status, and
-// ?verbose=0 keeps the original two-field liveness shape, always 200.
-func TestHealthzVerboseAndCompat(t *testing.T) {
+// TestHealthzHealthMap pins the /healthz shape: a per-dataset health map
+// with an overall status.
+func TestHealthzHealthMap(t *testing.T) {
 	srv := New(store.NewRegistry(""), nil)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -65,31 +63,19 @@ func TestHealthzVerboseAndCompat(t *testing.T) {
 		}
 	}
 
-	var verbose struct {
+	var got struct {
 		Status   string            `json:"status"`
 		Datasets int               `json:"datasets"`
 		Health   map[string]string `json:"health"`
 	}
-	if code := getJSON(t, client, ts.URL+"/healthz", &verbose); code != http.StatusOK {
-		t.Fatalf("verbose healthz status %d, want 200", code)
+	if code := getJSON(t, client, ts.URL+"/healthz", &got); code != http.StatusOK {
+		t.Fatalf("healthz status %d, want 200", code)
 	}
-	if verbose.Status != "ok" || verbose.Datasets != 2 {
-		t.Fatalf("verbose healthz = %+v, want status ok over 2 datasets", verbose)
+	if got.Status != "ok" || got.Datasets != 2 {
+		t.Fatalf("healthz = %+v, want status ok over 2 datasets", got)
 	}
-	if verbose.Health["m"] != "healthy" || verbose.Health["m2"] != "healthy" {
-		t.Fatalf("health map %v, want both datasets healthy", verbose.Health)
-	}
-
-	var compat struct {
-		Status   string            `json:"status"`
-		Datasets int               `json:"datasets"`
-		Health   map[string]string `json:"health"`
-	}
-	if code := getJSON(t, client, ts.URL+"/healthz?verbose=0", &compat); code != http.StatusOK {
-		t.Fatalf("compat healthz status %d, want 200", code)
-	}
-	if compat.Status != "ok" || compat.Datasets != 2 || compat.Health != nil {
-		t.Fatalf("compat healthz = %+v, want the original two-field shape with no health map", compat)
+	if got.Health["m"] != "healthy" || got.Health["m2"] != "healthy" {
+		t.Fatalf("health map %v, want both datasets healthy", got.Health)
 	}
 }
 

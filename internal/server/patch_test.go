@@ -441,7 +441,7 @@ func TestPatchShardedOverHTTP(t *testing.T) {
 // TestPatchPersistFailureIs500 pins the error taxonomy's server-fault
 // class: when the deltas are applicable but the snapshot rewrite fails,
 // PATCH answers 500 (retryable server fault), not 409, and commits
-// nothing.
+// nothing — and so does a registration the medium fails.
 func TestPatchPersistFailureIs500(t *testing.T) {
 	// A registry whose data "directory" is a plain file: registration in
 	// memory-only mode is impossible (the dir is fixed at construction),
@@ -457,9 +457,23 @@ func TestPatchPersistFailureIs500(t *testing.T) {
 	defer ts.Close()
 	client := ts.Client()
 
-	// Registration also wants to persist and fails; build the entry
-	// through the registry seam directly so only maintenance persistence
-	// is under test.
+	// Registration also wants to persist and fails — the same server fault,
+	// plain or sharded, and no catalog entry stays behind.
+	var e struct {
+		Error string `json:"error"`
+	}
+	for _, q := range []string{"", "?shards=2"} {
+		if code := postJSON(t, client, ts.URL+"/v1/datasets"+q, RegisterRequest{
+			ID: "r", Scheme: "point-selection/sorted-keys", Data: schemes.RelationFromKeys([]int64{2, 4}),
+		}, &e); code != http.StatusInternalServerError {
+			t.Fatalf("register%s on a blocked medium: status %d (%q), want 500", q, code, e.Error)
+		}
+		if _, ok := reg.GetDataset("r"); ok {
+			t.Fatalf("register%s on a blocked medium left a catalog entry", q)
+		}
+	}
+	// Build the entry through the registry seam directly so that only
+	// maintenance persistence is under test below.
 	st := &store.Store{ID: "d", Scheme: schemes.PointSelectionScheme()}
 	prep, err := st.Scheme.Preprocess(schemes.RelationFromKeys([]int64{2, 4}))
 	if err != nil {
@@ -470,9 +484,6 @@ func TestPatchPersistFailureIs500(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var e struct {
-		Error string `json:"error"`
-	}
 	if code := patchJSON(t, client, ts.URL+"/v1/datasets/d",
 		[][]byte{schemes.KeysDelta([]int64{9})}, &e); code != http.StatusInternalServerError {
 		t.Fatalf("persist failure: status %d (%q), want 500", code, e.Error)
@@ -558,9 +569,10 @@ func TestStatsSnapshotBytesTracksPatch(t *testing.T) {
 			case *store.Store:
 				total += int64(len(store.EncodeSnapshot(d.Snapshot())))
 			case *shard.ShardedStore:
-				total += int64(len(d.Summary))
-				for _, st := range d.Stores {
-					total += int64(len(store.EncodeSnapshot(st.Snapshot())))
+				_, summary, members := d.Committed()
+				total += int64(len(summary))
+				for _, snap := range members {
+					total += int64(len(store.EncodeSnapshot(snap)))
 				}
 			}
 		}

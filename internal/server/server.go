@@ -8,8 +8,7 @@
 // Endpoints:
 //
 //	GET   /healthz              liveness + dataset count + per-dataset
-//	                            health states (?verbose=0 for the bare
-//	                            liveness shape)
+//	                            health states
 //	POST  /v1/datasets          register (and preprocess) a dataset; ?shards=n
 //	                            partitions it across n preprocessed stores
 //	GET   /v1/datasets          list registered datasets
@@ -734,7 +733,7 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, body io.Read
 	if err := dec.Decode(v); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			s.env.noteBody413(r)
+			s.env.note(r, rejectedBody413)
 			writeError(w, r, http.StatusRequestEntityTooLarge,
 				"request body exceeds the %d-byte limit", mbe.Limit)
 			return false
@@ -745,24 +744,15 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, body io.Read
 	return true
 }
 
-// handleHealthz reports liveness plus per-dataset health. The default
-// (verbose) body carries a "health" map of dataset id → breaker state
-// (healthy/degraded/open/quarantined) and an overall status: "ok" when
-// every dataset is healthy, "degraded" when any is degraded or
-// quarantined (still 200 — the node is serving, possibly via fallbacks),
-// and "unhealthy" with a 503 when any breaker is open, so load balancers
-// drain a node whose datasets are refusing traffic. ?verbose=0 keeps the
-// original two-field shape, always 200 — the liveness probe contract.
+// handleHealthz reports liveness plus per-dataset health: a "health" map
+// of dataset id → breaker state (healthy/degraded/open/quarantined) and an
+// overall status: "ok" when every dataset is healthy, "degraded" when any is
+// degraded or quarantined (still 200 — the node is serving, possibly via
+// fallbacks), and "unhealthy" with a 503 when any breaker is open, so load
+// balancers drain a node whose datasets are refusing traffic.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, r, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	if r.URL.Query().Get("verbose") == "0" {
-		writeJSON(w, http.StatusOK, map[string]interface{}{
-			"status":   "ok",
-			"datasets": s.reg.Len(),
-		})
 		return
 	}
 	states := s.reg.HealthStates()
@@ -853,7 +843,7 @@ func (s *Server) handleDatasetByID(w http.ResponseWriter, r *http.Request) {
 				// The batch outran the request budget; by the maintenance
 				// atomicity contract nothing was applied. Retryable with a
 				// smaller batch or a larger -register-budget.
-				s.env.noteBudget(r)
+				s.env.note(r, budgetExceeded)
 				writeError(w, r, http.StatusServiceUnavailable, "%v", err)
 			case errors.As(err, &pe):
 				// The deltas were applicable; writing the durable artifact
@@ -961,15 +951,22 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 		}
 		if err != nil {
 			var be *store.BudgetError
-			if errors.As(err, &be) {
+			var pe *store.PersistError
+			switch {
+			case errors.As(err, &be):
 				// The build outran the request budget and was abandoned: no
 				// catalog entry, no snapshot handed out. Retryable with a
 				// larger -register-budget.
-				s.env.noteBudget(r)
+				s.env.note(r, budgetExceeded)
 				writeError(w, r, http.StatusServiceUnavailable, "%v", err)
-				return
+			case errors.As(err, &pe):
+				// The data was registrable; the medium could not be read or
+				// written. A server fault, as on the PATCH path — no catalog
+				// entry, no persisted file touched.
+				writeError(w, r, http.StatusInternalServerError, "%v", err)
+			default:
+				writeError(w, r, http.StatusConflict, "%v", err)
 			}
-			writeError(w, r, http.StatusConflict, "%v", err)
 			return
 		}
 		writeJSON(w, http.StatusOK, s.datasetInfo(ds))
@@ -1013,7 +1010,7 @@ func (s *Server) queryContext(r *http.Request) (context.Context, context.CancelF
 // (falling back to the envelope's advertised delay), so synchronized
 // clients don't re-trip the breaker in one thundering retry wave.
 func (s *Server) rejectBreaker(w http.ResponseWriter, r *http.Request, dataset string, retryAfter time.Duration) {
-	s.env.noteBreaker503(r)
+	s.env.note(r, breaker503)
 	if retryAfter <= 0 {
 		retryAfter = s.env.limits.RetryAfter
 	}
@@ -1035,7 +1032,7 @@ func (s *Server) answerFailure(w http.ResponseWriter, r *http.Request, br *store
 	var de *store.DeadlineError
 	if errors.As(err, &de) {
 		br.OnFailure(probe)
-		s.env.noteDeadline504(r)
+		s.env.note(r, deadline504)
 		obsDeadlineExpired.Inc()
 		writeError(w, r, http.StatusGatewayTimeout, "%v", err)
 		return

@@ -239,7 +239,8 @@ func TestRoutedStickyPrepareIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	const sick = 1
-	bad = ss.Stores[sick].Prep
+	_, _, members := ss.Committed()
+	bad = members[sick].Prep
 	failing.Store(true)
 	if err := ss.RetryPrepare(); err == nil {
 		t.Fatal("RetryPrepare under the fault reported success")

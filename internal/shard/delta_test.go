@@ -533,10 +533,8 @@ func TestShardedConcurrentMixedReachDeltasAndQueries(t *testing.T) {
 						return
 					}
 				}
-				ss.mu.RLock()
-				paired := bytes.Equal(encodeReachSummary(ss.view.(*reachSummary)), ss.Summary)
-				ss.mu.RUnlock()
-				if !paired {
+				c := ss.state.Load()
+				if !bytes.Equal(encodeReachSummary(c.view.(*reachSummary)), c.summary) {
 					t.Error("the served rows were not derived from the served summary")
 					return
 				}
@@ -546,5 +544,94 @@ func TestShardedConcurrentMixedReachDeltasAndQueries(t *testing.T) {
 	wg.Wait()
 	if got := ss.Version(); got != committed(batches-1) {
 		t.Fatalf("final version %d, want %d", got, committed(batches-1))
+	}
+}
+
+// TestShardedFiguresComeFromOneCommittedValue: Version, PrepBytes and
+// SnapshotBytes each read one committed value, so between two loads of the
+// same value they equal the exact re-encode of that value — version, summary
+// and every member's snapshot — whatever a concurrent PATCH loop is staging;
+// Committed hands out one version throughout; and a batch that leaves a
+// member's Π alone still moves the figure, since the version is part of every
+// member's encoding.
+func TestShardedFiguresComeFromOneCommittedValue(t *testing.T) {
+	const nv, batches = 24, 40
+	reg := store.NewRegistry("")
+	ss, err := RegisterSharded(reg, "g", schemes.ReachabilityScheme(), RangePartitioner{}, 3, graph.New(nv, true).Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := func(c *committed) (prep, snap int) {
+		prep, snap = len(c.summary), len(c.summary)
+		for _, m := range c.shards {
+			prep += len(m.prep)
+			snap += len(store.EncodeSnapshot(store.NewSnapshot(ss.Scheme, m.sum, c.version, m.prep)))
+		}
+		return prep, snap
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		// Same-shard chain edges and cross-shard edges alternate, so some
+		// batches change one member and some change only the summary.
+		for k := 0; k < batches; k++ {
+			u, v := k%(nv-1), k%(nv-1)+1
+			if k%2 == 1 {
+				u, v = k%8, 8+k%16
+			}
+			if _, err := reg.ApplyDelta("g", [][]byte{schemes.EdgeUpsertDelta(u, v)}); err != nil {
+				t.Errorf("batch %d: %v", k, err)
+				return
+			}
+		}
+	}()
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stable := 0
+			for j := 0; j < 400 || stable == 0; j++ {
+				c := ss.state.Load()
+				v, pb, sb := ss.Version(), ss.PrepBytes(), ss.SnapshotBytes()
+				cv, summary, members := ss.Committed()
+				for i, snap := range members {
+					if snap.Version != cv {
+						t.Errorf("Committed: member %d at version %d beside version %d", i, snap.Version, cv)
+						return
+					}
+				}
+				if ss.state.Load() != c {
+					continue // a commit landed between the reads
+				}
+				stable++
+				prep, snap := exact(c)
+				if v != c.version || cv != c.version || pb != prep || sb != snap || !bytes.Equal(summary, c.summary) {
+					t.Errorf("at version %d: Version %d, Committed %d, PrepBytes %d (exact %d), SnapshotBytes %d (exact %d)",
+						c.version, v, cv, pb, prep, sb, snap)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	// A cross-shard edge touches no member: every Π is shared with the value
+	// before, and the figure is still the new value's.
+	before := ss.state.Load()
+	if _, err := reg.ApplyDelta("g", [][]byte{schemes.EdgeDelta(7, 20), schemes.EdgeDeleteDelta(7, 20)}); err != nil {
+		t.Fatal(err)
+	}
+	after := ss.state.Load()
+	for i := range after.shards {
+		if len(after.shards[i].prep) > 0 && &after.shards[i].prep[0] != &before.shards[i].prep[0] {
+			t.Fatalf("a summary-only batch replaced member %d's Π", i)
+		}
+		if after.shards[i].Answerer != before.shards[i].Answerer {
+			t.Fatalf("a summary-only batch re-prepared member %d", i)
+		}
+	}
+	if _, snap := exact(after); ss.SnapshotBytes() != snap || after.version != before.version+2 {
+		t.Fatalf("after a summary-only batch: SnapshotBytes %d, exact %d, version %d → %d", ss.SnapshotBytes(), snap, before.version, after.version)
 	}
 }

@@ -264,25 +264,25 @@ func writeShardGeneration(fsys store.FS, dir, id string, m *Manifest, encs [][]b
 	return nil
 }
 
-// Checkpoint implements store.DeltaDataset: the committed state written as
+// Checkpoint implements store.DeltaDataset: the committed value written as
 // generation Version() (see writeShardGeneration for the commit
 // discipline), then every other generation swept. The sweep runs only after
 // the manifest rename succeeded: until then the manifest on disk still
 // names the previous generation's files, which must survive for
-// replay-over-manifest recovery. It reads Summary without ss.mu, which is
-// why the caller holds Maint().Mu (or owns the store exclusively).
+// replay-over-manifest recovery.
 func (ss *ShardedStore) Checkpoint(fsys store.FS, dir string) error {
+	version, summary, shards := ss.Committed()
 	m := &Manifest{
 		SchemeName:  ss.Scheme.Name(),
 		DataSum:     ss.DataSum,
 		Partitioner: ss.Partitioner,
 		Assignment:  ss.Asn.Encode(),
-		Summary:     ss.Summary,
-		Version:     ss.Version(),
+		Summary:     summary,
+		Version:     version,
 	}
-	encs := make([][]byte, len(ss.Stores))
-	for i, st := range ss.Stores {
-		encs[i] = store.EncodeSnapshot(st.Snapshot())
+	encs := make([][]byte, len(shards))
+	for i, snap := range shards {
+		encs[i] = store.EncodeSnapshot(snap)
 	}
 	if err := writeShardGeneration(fsys, dir, ss.ID, m, encs); err != nil {
 		return err
@@ -331,13 +331,11 @@ func LoadShardedFS(fsys store.FS, dir, id string, scheme *core.Scheme) (*Sharded
 		Scheme:      scheme,
 		Sharding:    sh,
 		Asn:         asn,
-		Summary:     m.Summary,
-		Stores:      make([]*store.Store, len(m.ShardSums)),
 		DataSum:     m.DataSum,
 		Loaded:      true,
 		Partitioner: m.Partitioner,
 	}
-	ss.SetVersion(m.Version)
+	shards := make([]member, len(m.ShardSums))
 	for i, want := range m.ShardSums {
 		// The manifest names its own generation of shard files, so a load
 		// can never mix pre- and post-maintenance artifacts.
@@ -359,27 +357,20 @@ func LoadShardedFS(fsys store.FS, dir, id string, scheme *core.Scheme) (*Sharded
 		if snap.SchemeName != scheme.Name() {
 			return nil, corrupt(fmt.Errorf("shard %d preprocessed by %s, want %s", i, snap.SchemeName, scheme.Name()))
 		}
-		ss.Stores[i] = &store.Store{
-			ID:      fmt.Sprintf("%s/shard%d", id, i),
-			Scheme:  scheme,
-			Prep:    snap.Prep,
-			DataSum: snap.DataSum,
-			Loaded:  true,
-		}
-		ss.Stores[i].SetVersion(snap.Version)
+		shards[i] = member{prep: snap.Prep, sum: snap.DataSum}
 	}
-	// Warm the per-shard prepared answerers concurrently, as Build does —
-	// a serial warm-up would add n decode latencies to the restart path.
+	// Decode the per-shard answerers concurrently, as Build does — a serial
+	// warm-up would add n decode latencies to the restart path.
 	var wg sync.WaitGroup
-	for _, st := range ss.Stores {
+	for i := range shards {
 		wg.Add(1)
-		go func(st *store.Store) {
+		go func(i int) {
 			defer wg.Done()
-			st.Warm()
-		}(st)
+			shards[i] = newMember(scheme, shards[i].prep, shards[i].sum)
+		}(i)
 	}
 	wg.Wait()
-	ss.refreshView()
+	ss.publish(m.Version, m.Summary, shards)
 	return ss, nil
 }
 

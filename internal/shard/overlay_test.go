@@ -94,26 +94,14 @@ func TestOverlaySummaryBytesUnchanged(t *testing.T) {
 		"no-vertices":     graph.New(0, true),
 	}
 	for name, g := range shapes {
-		keys := make([]int64, g.N())
-		for v := range keys {
-			keys[v] = int64(v)
-		}
 		for _, p := range []Partitioner{HashPartitioner{}, RangePartitioner{}} {
 			for _, n := range []int{1, 2, 3, 4} {
-				asn, err := p.Plan(keys, n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := summarizeGraph(g.Encode(), asn)
+				asn, _, got, err := splitReach(g.Encode(), p, n)
 				if err != nil {
 					t.Fatalf("%s/%s/%d: %v", name, p.Name(), n, err)
 				}
 				if !bytes.Equal(got, reachSummaryRef(g, asn)) {
 					t.Fatalf("%s/%s/%d: summary differs from the per-portal-BFS build", name, p.Name(), n)
-				}
-				_, both, err := splitSummarizeGraph(g.Encode(), asn)
-				if err != nil || !bytes.Equal(both, got) {
-					t.Fatalf("%s/%s/%d: SplitSummarize and Summarize disagree (%v)", name, p.Name(), n, err)
 				}
 			}
 		}
@@ -160,7 +148,7 @@ func TestOverlayPortalCap(t *testing.T) {
 			}
 			cur := g.Clone()
 			assertRowsProbingClosure(t, ss, cur, "registered")
-			summary := append([]byte(nil), ss.Summary...)
+			summary := append([]byte(nil), ss.state.Load().summary...)
 
 			// A same-shard edge first, so "nothing applied" has something to
 			// show: the batch must not leave it behind in shard 0.
@@ -174,7 +162,7 @@ func TestOverlayPortalCap(t *testing.T) {
 			if ss.Version() != 0 {
 				t.Fatalf("refused PATCH moved the version to %d", ss.Version())
 			}
-			if !bytes.Equal(ss.Summary, summary) {
+			if !bytes.Equal(ss.state.Load().summary, summary) {
 				t.Fatal("refused PATCH changed the summary")
 			}
 			assertRowsProbingClosure(t, ss, cur, "after the refused PATCH")

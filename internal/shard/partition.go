@@ -31,8 +31,8 @@ type RangeOwner interface {
 }
 
 // Partitioner plans how a dataset's element keys spread over n shards.
-// Partitioners are scheme-agnostic: the per-scheme Sharding descriptor
-// extracts keys (Keys) and re-encodes parts (Split); the partitioner only
+// Partitioners are scheme-agnostic: the per-scheme Sharding descriptor's
+// Split extracts the keys and re-encodes the parts; the partitioner only
 // decides ownership.
 type Partitioner interface {
 	// Name identifies the partitioner in manifests and the HTTP API

@@ -31,13 +31,13 @@ package shard
 //
 // Persisted vs derived. The summary bytes — vertex relabelling, cross-edge
 // list, portal set, overlay closure — are what the manifest carries and
-// PrepBytes counts; they are unchanged by this design. The rows are derived
-// state, rebuilt from the summary and the per-shard prepared answerers
-// (schemes.LocalReach, bulk row and column reads — never per-pair encoded
-// probes) wherever a summary is prepared: Build, LoadShardedFS, RetryPrepare,
-// and once per PATCH batch in Stage, outside the reader lock; they commit in
-// the same critical section as ⟨Π, summary, version⟩, so no query pairs a
-// new summary with old rows.
+// PrepBytes counts. The rows are derived state, built from the per-shard
+// prepared answerers (schemes.LocalReach, bulk row and column reads — never
+// per-pair encoded probes). The summary is decoded only where it arrives as
+// bytes — Build, LoadShardedFS, RetryPrepare (prepareReach) — and a PATCH
+// batch starts from the committed view, which is that decoded summary, and
+// encodes the next one once (maintainReach). View and summary are published
+// in one committed value, so no query pairs a new summary with old rows.
 //
 // Memory. Vertices of one local SCC share both rows, and rows are interned
 // per shard, so the heap holds 12 bytes per vertex of indices plus
@@ -56,6 +56,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"pitract/internal/core"
 	"pitract/internal/graph"
@@ -66,9 +67,9 @@ import (
 // Besides the overlay closure the answer path needs, it carries the
 // cross-shard edge list and the graph's orientation — the inputs delta
 // maintenance needs to rebuild the overlay when an edge insert changes
-// portal-to-portal connectivity. Prepared through prepareReach it is also
-// the dataset's answerer (core.Answerer): the derived fields below hold the
-// portal reach rows.
+// portal-to-portal connectivity. With its rows built it is also the
+// dataset's answerer (core.Answerer) and, once committed, immutable:
+// maintainReach shares what a batch leaves alone and replaces what it changes.
 type reachSummary struct {
 	n           int      // global vertex count
 	directed    bool     // orientation of the sharded graph
@@ -453,36 +454,26 @@ func inducedSubgraphs(g *graph.Graph, shardOf []int, local []uint32, counts []in
 	return subs, nil
 }
 
-// splitGraph cuts a graph dataset into per-shard induced subgraphs.
-func splitGraph(data []byte, asn Assignment) ([][]byte, error) {
+// splitReach is the Split hook: one decode, one relabelling, one set of
+// induced subgraphs feeding both the per-shard parts and the portal-overlay
+// summary. Every vertex is its own partition key.
+func splitReach(data []byte, p Partitioner, n int) (Assignment, [][]byte, []byte, error) {
 	g, err := graph.Decode(data)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, fmt.Errorf("keys: %w", err)
+	}
+	keys := make([]int64, g.N())
+	for v := range keys {
+		keys[v] = int64(v)
+	}
+	asn, err := p.Plan(keys, n)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	shardOf, local, counts := vertexShards(g.N(), asn)
 	subs, err := inducedSubgraphs(g, shardOf, local, counts)
 	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, len(subs))
-	for i, s := range subs {
-		out[i] = s.Encode()
-	}
-	return out, nil
-}
-
-// splitSummarizeGraph is the combined Build hook: one decode, one
-// relabelling, one set of induced subgraphs feeding both the per-shard
-// parts and the portal-overlay summary.
-func splitSummarizeGraph(data []byte, asn Assignment) ([][]byte, []byte, error) {
-	g, err := graph.Decode(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	shardOf, local, counts := vertexShards(g.N(), asn)
-	subs, err := inducedSubgraphs(g, shardOf, local, counts)
-	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, fmt.Errorf("split: %w", err)
 	}
 	parts := make([][]byte, len(subs))
 	for i, s := range subs {
@@ -490,24 +481,9 @@ func splitSummarizeGraph(data []byte, asn Assignment) ([][]byte, []byte, error) 
 	}
 	summary, err := buildReachSummary(g, shardOf, local, counts, subs)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, fmt.Errorf("split: %w", err)
 	}
-	return parts, summary, nil
-}
-
-// summarizeGraph builds the portal overlay closure (standalone form of
-// the summary half of splitSummarizeGraph).
-func summarizeGraph(data []byte, asn Assignment) ([]byte, error) {
-	g, err := graph.Decode(data)
-	if err != nil {
-		return nil, err
-	}
-	shardOf, local, counts := vertexShards(g.N(), asn)
-	subs, err := inducedSubgraphs(g, shardOf, local, counts)
-	if err != nil {
-		return nil, err
-	}
-	return buildReachSummary(g, shardOf, local, counts, subs)
+	return asn, parts, summary, nil
 }
 
 // buildReachSummary computes the portal overlay closure from the decoded
@@ -567,14 +543,15 @@ func checkPortals(portals int) error {
 
 // recomputePortals rederives the portal set (ascending global ids), the
 // per-portal shard assignment, and the lookup indexes from the cross-edge
-// list — the canonical source after an insert may have created new portals.
+// list — the canonical source after an insert may have created new portals
+// — into fresh slices: the old ones may belong to the committed view.
 func (rs *reachSummary) recomputePortals(asn Assignment) {
 	isPortal := make(map[int]bool)
 	for _, e := range rs.cross {
 		isPortal[e[0]] = true
 		isPortal[e[1]] = true
 	}
-	rs.portals = rs.portals[:0]
+	rs.portals = nil
 	for v := 0; v < rs.n; v++ {
 		if isPortal[v] {
 			rs.portals = append(rs.portals, v)
@@ -639,28 +616,15 @@ func (rs *reachSummary) rebuildClosure(counts []int, local func(s int) (rowReade
 	return nil
 }
 
-// hasCross reports whether the cross-edge list already holds (u,v) (either
-// orientation for undirected graphs).
-func (rs *reachSummary) hasCross(u, v int) bool {
-	for _, e := range rs.cross {
-		if (e[0] == u && e[1] == v) || (!rs.directed && e[0] == v && e[1] == u) {
-			return true
-		}
-	}
-	return false
-}
-
-// removeCross drops the first copy of (u,v) (either orientation for
-// undirected graphs) from the cross-edge list, reporting whether it was
-// present.
-func (rs *reachSummary) removeCross(u, v int) bool {
+// findCross returns the index of the first copy of (u,v) (either orientation
+// for undirected graphs) in the cross-edge list, or -1.
+func (rs *reachSummary) findCross(u, v int) int {
 	for i, e := range rs.cross {
 		if (e[0] == u && e[1] == v) || (!rs.directed && e[0] == v && e[1] == u) {
-			rs.cross = append(rs.cross[:i], rs.cross[i+1:]...)
-			return true
+			return i
 		}
 	}
-	return false
+	return -1
 }
 
 // decodeEdgeDelta parses and validates one edge-insert delta against the
@@ -706,75 +670,71 @@ func splitReachDelta(delta []byte, asn Assignment, view core.Answerer) (map[int]
 	return map[int][][]byte{su: lds}, nil
 }
 
-// updateReachSummary maintains the portal overlay's structure after one
-// edge delta: a cross-shard insert extends the cross-edge list (possibly
-// promoting its endpoints to portals, with the closure bitset zero-padded
-// to the new portal count); a cross-shard delete drops the edge from the
-// list — erroring when it was never there, matching the unsharded scheme's
-// strict edge-delete contract — and demotes portals that lost their last
-// cross edge. The overlay closure itself is stale until finishReachSummary
-// rebuilds it — once per batch, not per delta — which is safe because
-// nothing inside the batch reads it: splitReachDelta only needs the vertex
-// universe and local relabelling, and queries keep serving the committed
-// (pre-batch) summary until the batch commits.
-func updateReachSummary(delta []byte, asn Assignment, summary []byte) ([]byte, error) {
+// applyCross applies one edge delta to the overlay's structure: a cross-shard
+// insert extends the cross-edge list (possibly promoting its endpoints to
+// portals); a cross-shard delete drops the edge from the list — erroring when
+// it was never there, matching the unsharded scheme's strict edge-delete
+// contract — and demotes portals that lost their last cross edge. A
+// same-shard edge changes no structure (SplitDelta already validated and
+// routed it). The cross-edge list and the portal set are replaced, never
+// written in place.
+func (rs *reachSummary) applyCross(delta []byte, asn Assignment) error {
 	kind, payload, err := core.DeltaParts(delta)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	// A same-shard edge changes no summary structure (SplitDelta already
-	// validated the endpoints), so it skips the summary decode/encode
-	// round-trip entirely; only genuine cross edges pay it.
-	u, v, err := schemes.DecodeNodePairQuery(payload)
+	u, v, err := decodeEdgeDelta(payload, rs)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if asn.Shard(int64(u)) == asn.Shard(int64(v)) {
-		return summary, nil
+		return nil
 	}
-	rs, err := decodeReachSummary(summary)
-	if err != nil {
-		return nil, err
-	}
-	if _, _, err := decodeEdgeDelta(payload, rs); err != nil {
-		return nil, err
-	}
-	switch kind {
-	case core.DeltaDelete:
-		if !rs.removeCross(u, v) {
-			return nil, fmt.Errorf("shard: cross edge (%d,%d) not present", u, v)
-		}
+	i := rs.findCross(u, v)
+	switch {
+	case kind == core.DeltaDelete && i < 0:
+		return fmt.Errorf("shard: cross edge (%d,%d) not present", u, v)
+	case kind == core.DeltaDelete:
+		rs.cross = slices.Delete(slices.Clone(rs.cross), i, i+1)
 		rs.recomputePortals(asn)
-		rs.closure = make([]byte, (len(rs.portals)*len(rs.portals)+7)/8)
-	default: // insert and upsert: idempotent when the edge is present
-		if !rs.hasCross(u, v) {
-			rs.cross = append(rs.cross, [2]int{u, v})
-			rs.recomputePortals(asn)
-			// Only an insert grows the portal set; the padding below is P² bits.
-			if err := checkPortals(len(rs.portals)); err != nil {
-				return nil, err
-			}
-			rs.closure = make([]byte, (len(rs.portals)*len(rs.portals)+7)/8)
-		}
+	case i < 0: // insert and upsert: idempotent when the edge is present
+		rs.cross = append(slices.Clone(rs.cross), [2]int{u, v})
+		rs.recomputePortals(asn)
+		// Only an insert grows the portal set, whose closure takes P² bits.
+		return checkPortals(len(rs.portals))
 	}
-	return encodeReachSummary(rs), nil
+	return nil
 }
 
-// finishReachSummary rebuilds the overlay closure from the (batch-final)
-// cross-edge list and the maintained per-shard answerers — a same-shard
-// insert can connect two portals locally, which changes cross-shard
-// answers too, so the rebuild runs even when no cross edge was added.
-func finishReachSummary(asn Assignment, summary []byte, shards []PreparedShard) ([]byte, error) {
-	rs, err := decodeReachSummary(summary)
-	if err != nil {
-		return nil, err
+// maintainReach is the Maintain hook. The next summary starts as the
+// committed view's structure; the batch's cross edges are applied to it in
+// delta order; then the overlay closure is rebuilt from the batch-final
+// cross-edge list and the maintained per-shard answerers — once per batch,
+// and even when no cross edge moved, since a same-shard insert can connect
+// two portals locally — the rows are built on it, and it is encoded. Nothing
+// inside the batch reads the closure before that: splitReachDelta only needs
+// the vertex universe and local relabelling, and queries keep answering
+// through the committed view until the batch commits.
+func maintainReach(view core.Answerer, asn Assignment, deltas [][]byte, shards []PreparedShard) ([]byte, core.Answerer, error) {
+	cur := view.(*reachSummary)
+	rs := &reachSummary{
+		n: cur.n, directed: cur.directed, local: cur.local, cross: cur.cross,
+		portals: cur.portals, portalShard: cur.portalShard, portal: cur.portal, byShard: cur.byShard,
+	}
+	for di, delta := range deltas {
+		if err := rs.applyCross(delta, asn); err != nil {
+			return nil, nil, fmt.Errorf("delta %d: summary: %w", di, err)
+		}
 	}
 	_, _, counts := vertexShards(rs.n, asn)
-	err = rs.rebuildClosure(counts, func(s int) (rowReader, error) { return localReach(shards, s, counts[s]) })
+	err := rs.rebuildClosure(counts, func(s int) (rowReader, error) { return localReach(shards, s, counts[s]) })
 	if err != nil {
-		return nil, err
+		return nil, nil, fmt.Errorf("finish summary: %w", err)
 	}
-	return encodeReachSummary(rs), nil
+	if err := rs.buildRows(asn, shards); err != nil {
+		return nil, nil, fmt.Errorf("finish summary: %w", err)
+	}
+	return encodeReachSummary(rs), rs, nil
 }
 
 // reachabilitySharding wires the graph split, the portal overlay, and the
@@ -792,27 +752,10 @@ func finishReachSummary(asn Assignment, summary []byte, shards []PreparedShard) 
 // bounded-incrementality contract the delta path exists for does not
 // hold, and PATCH refuses with a clean conflict instead.
 func reachabilitySharding(withDeltas bool) *Sharding {
-	sh := &Sharding{
-		Keys: func(data []byte) ([]int64, error) {
-			g, err := graph.Decode(data)
-			if err != nil {
-				return nil, err
-			}
-			keys := make([]int64, g.N())
-			for v := range keys {
-				keys[v] = int64(v)
-			}
-			return keys, nil
-		},
-		Split:          splitGraph,
-		Summarize:      summarizeGraph,
-		SplitSummarize: splitSummarizeGraph,
-		Prepare:        prepareReach,
-	}
+	sh := &Sharding{Split: splitReach, Prepare: prepareReach}
 	if withDeltas {
 		sh.SplitDelta = splitReachDelta
-		sh.UpdateSummary = updateReachSummary
-		sh.FinishSummary = finishReachSummary
+		sh.Maintain = maintainReach
 	}
 	return sh
 }

@@ -137,8 +137,14 @@ func TestCorruptionRecoveryConformance(t *testing.T) {
 				image := durableImage(t, f)
 				f.FailReads(1 << 30)
 				reg := store.NewRegistryMedium(&store.Medium{Dir: shardCrashDir, FS: f, CheckpointEvery: 100})
-				if _, err := k.register(reg); !errors.Is(err, faultfs.ErrInjected) {
+				_, err := k.register(reg)
+				if !errors.Is(err, faultfs.ErrInjected) {
 					t.Fatalf("register over an unreadable medium = %v, want the injected read error", err)
+				}
+				// The medium's fault, not the request's: the server's 500.
+				var pe *store.PersistError
+				if !errors.As(err, &pe) {
+					t.Fatalf("register over an unreadable medium = %v, want a *store.PersistError", err)
 				}
 				if p, q := reg.PreprocessCount(), reg.QuarantineCount(); p != 0 || q != 0 {
 					t.Fatalf("unreadable medium: %d preprocesses, %d quarantines; want 0, 0", p, q)

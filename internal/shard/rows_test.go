@@ -22,13 +22,14 @@ import (
 // probingAnswer is the merge the rows replaced: the same-shard verdict
 // from an encoded local query, then one encoded local probe per portal of
 // the two shards, joined through the overlay closure. It reads only the
-// persisted summary and the member stores, never the view.
+// persisted summary and the members' own answerers, never the view.
 func probingAnswer(ss *ShardedStore, q []byte) (bool, error) {
 	u, v, err := schemes.DecodeNodePairQuery(q)
 	if err != nil {
 		return false, err
 	}
-	rs, err := decodeReachSummary(ss.Summary)
+	c := ss.state.Load()
+	rs, err := decodeReachSummary(c.summary)
 	if err != nil {
 		return false, err
 	}
@@ -36,7 +37,7 @@ func probingAnswer(ss *ShardedStore, q []byte) (bool, error) {
 		return false, fmt.Errorf("shard: node pair (%d,%d) out of range [0,%d)", u, v, rs.n)
 	}
 	probe := func(s, a, b int) (bool, error) {
-		return ss.Stores[s].Answer(schemes.NodePairQuery(int(rs.local[a]), int(rs.local[b])))
+		return c.shards[s].answer(schemes.NodePairQuery(int(rs.local[a]), int(rs.local[b])))
 	}
 	su, sv := ss.Asn.Shard(int64(u)), ss.Asn.Shard(int64(v))
 	if su == sv {
@@ -106,7 +107,7 @@ func assertRowsProbingClosure(t *testing.T, ss *ShardedStore, cur *graph.Graph, 
 // portalSet reads the committed summary's portal vertices.
 func portalSet(t *testing.T, ss *ShardedStore) map[int]bool {
 	t.Helper()
-	rs, err := decodeReachSummary(ss.Summary)
+	rs, err := decodeReachSummary(ss.state.Load().summary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +270,7 @@ func TestRowsAreInterned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := ss.view.(*reachSummary)
+	rs := ss.state.Load().view.(*reachSummary)
 	// 8 communities, each one SCC: at most an out and an in row apiece,
 	// plus the shared zero row.
 	if distinct := len(rs.rows) / rs.words; distinct > 2*8+1 {
@@ -333,7 +334,8 @@ func TestShardedStickyPrepareIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	const sick = 2
-	bad = ss.Stores[sick].Prep
+	_, _, members := ss.Committed()
+	bad = members[sick].Prep
 	want := graph.NewClosure(g)
 
 	check := func(ss *ShardedStore, step string, faulted bool) {

@@ -9,114 +9,95 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 
 	"pitract/internal/core"
 	"pitract/internal/relation"
 	"pitract/internal/schemes"
 )
 
+// sharded is the one table of sharded forms, by scheme name. Schemes absent
+// from it have none (e.g. BDS visit orders and CVP gate tables are global
+// artifacts with no meaningful data partition). The scan baseline has no
+// incremental form, so its sharded form routes no deltas either; the labels
+// scheme shards exactly like the dense closure (the sharded form only needs
+// local reach probes — each shard just answers by label intersection instead
+// of a matrix probe); see reachabilitySharding on the BFS baseline.
+var sharded = map[string]func() *Sharding{
+	"list-membership/sorted":      listMembershipSharding,
+	"point-selection/scan":        func() *Sharding { return pointSelectionSharding(false) },
+	"point-selection/sorted-keys": func() *Sharding { return pointSelectionSharding(true) },
+	"range-selection/sorted-keys": rangeSelectionSharding,
+	"reachability/bfs-per-query":  func() *Sharding { return reachabilitySharding(false) },
+	"reachability/closure-matrix": func() *Sharding { return reachabilitySharding(true) },
+	"reachability/labels":         func() *Sharding { return reachabilitySharding(true) },
+}
+
 // ForScheme returns the Sharding descriptor for a scheme name, or nil when
-// the scheme has no sharded form (e.g. BDS visit orders and CVP gate
-// tables are global artifacts with no meaningful data partition).
+// the scheme has no sharded form.
 func ForScheme(name string) *Sharding {
-	switch name {
-	case "point-selection/sorted-keys", "point-selection/scan":
-		return pointSelectionSharding()
-	case "range-selection/sorted-keys":
-		return rangeSelectionSharding()
-	case "list-membership/sorted":
-		return listMembershipSharding()
-	case "reachability/closure-matrix":
-		return reachabilitySharding(true)
-	case "reachability/labels":
-		// The sharded form is scheme-agnostic (it only needs local reach
-		// probes), so the labels scheme shards and routes deltas exactly
-		// like the dense closure — each shard just answers by label
-		// intersection instead of a matrix probe.
-		return reachabilitySharding(true)
-	case "reachability/bfs-per-query":
-		// No delta routing: see reachabilitySharding on why maintenance
-		// would cost more than re-registering for the BFS baseline.
-		return reachabilitySharding(false)
-	default:
-		return nil
+	if form := sharded[name]; form != nil {
+		return form()
 	}
+	return nil
+}
+
+// ShardableSchemes lists the scheme names ForScheme accepts, sorted, for
+// error messages and docs.
+func ShardableSchemes() []string {
+	names := make([]string, 0, len(sharded))
+	for name := range sharded {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
 }
 
 // DeltaCapableSchemes lists the scheme names whose sharded form routes
 // deltas (a subset of ShardableSchemes), for error messages and docs.
 func DeltaCapableSchemes() []string {
-	return []string{
-		"list-membership/sorted",
-		"point-selection/sorted-keys",
-		"range-selection/sorted-keys",
-		"reachability/closure-matrix",
-		"reachability/labels",
-	}
+	return slices.DeleteFunc(ShardableSchemes(), func(name string) bool { return sharded[name]().SplitDelta == nil })
 }
 
-// ShardableSchemes lists the scheme names ForScheme accepts, for error
-// messages and docs.
-func ShardableSchemes() []string {
-	return []string{
-		"list-membership/sorted",
-		"point-selection/scan",
-		"point-selection/sorted-keys",
-		"range-selection/sorted-keys",
-		"reachability/bfs-per-query",
-		"reachability/closure-matrix",
-		"reachability/labels",
-	}
-}
-
-// relationKeys extracts the int64 "key" column in tuple order.
-func relationKeys(data []byte) ([]int64, error) {
+// splitRelation is the Split hook of the relation schemes: tuples are
+// partitioned on their int64 "key" attribute, each part keeping the schema
+// and tuple order. Every part is a valid dataset for the selection schemes
+// (possibly empty).
+func splitRelation(data []byte, p Partitioner, n int) (Assignment, [][]byte, []byte, error) {
 	rel, err := relation.Decode(data)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, fmt.Errorf("keys: %w", err)
 	}
 	idx := rel.Schema.AttrIndex("key")
 	if idx < 0 {
-		return nil, fmt.Errorf("shard: relation %q has no \"key\" attribute to partition on", rel.Schema.Name)
+		return nil, nil, nil, fmt.Errorf("keys: shard: relation %q has no \"key\" attribute to partition on", rel.Schema.Name)
 	}
 	if rel.Schema.Attrs[idx].Kind != relation.KindInt64 {
-		return nil, fmt.Errorf("shard: relation %q attribute \"key\" is %v, want int64",
+		return nil, nil, nil, fmt.Errorf("keys: shard: relation %q attribute \"key\" is %v, want int64",
 			rel.Schema.Name, rel.Schema.Attrs[idx].Kind)
 	}
 	keys := make([]int64, rel.Len())
 	for i, t := range rel.Tuples {
 		keys[i] = t[idx].I
 	}
-	return keys, nil
-}
-
-// splitRelation cuts a relation into one sub-relation per shard, keeping
-// the schema and tuple order. Every part is a valid dataset for the
-// selection schemes (possibly empty).
-func splitRelation(data []byte, asn Assignment) ([][]byte, error) {
-	rel, err := relation.Decode(data)
+	asn, err := p.Plan(keys, n)
 	if err != nil {
-		return nil, err
-	}
-	idx := rel.Schema.AttrIndex("key")
-	if idx < 0 {
-		return nil, fmt.Errorf("shard: relation %q has no \"key\" attribute to partition on", rel.Schema.Name)
+		return nil, nil, nil, err
 	}
 	parts := make([]*relation.Relation, asn.Shards())
 	for i := range parts {
 		parts[i] = relation.New(rel.Schema)
 	}
-	for _, t := range rel.Tuples {
-		s := asn.Shard(t[idx].I)
-		if err := parts[s].Append(t); err != nil {
-			return nil, err
+	for i, t := range rel.Tuples {
+		if err := parts[asn.Shard(keys[i])].Append(t); err != nil {
+			return nil, nil, nil, fmt.Errorf("split: %w", err)
 		}
 	}
 	out := make([][]byte, len(parts))
-	for i, p := range parts {
-		out[i] = p.Encode()
+	for i, part := range parts {
+		out[i] = part.Encode()
 	}
-	return out, nil
+	return asn, out, nil, nil
 }
 
 // splitKeysDelta routes a key batch (schemes.KeysDelta and its delete and
@@ -146,21 +127,23 @@ func splitKeysDelta(delta []byte, asn Assignment, _ core.Answerer) (map[int][][]
 	return out, nil
 }
 
+// routePoint routes a point (or membership) query to the shard owning its key.
+func routePoint(q []byte, asn Assignment) (int, error) {
+	c, err := schemes.DecodePointQuery(q)
+	if err != nil {
+		return 0, err
+	}
+	return asn.Shard(c), nil
+}
+
 // pointSelectionSharding: point queries always route — the owning shard is
 // the one the query key hashes or ranges to — so no fan-out and no merge.
-func pointSelectionSharding() *Sharding {
-	return &Sharding{
-		Keys:       relationKeys,
-		Split:      splitRelation,
-		SplitDelta: splitKeysDelta,
-		Route: func(q []byte, asn Assignment) (int, error) {
-			c, err := schemes.DecodePointQuery(q)
-			if err != nil {
-				return 0, err
-			}
-			return asn.Shard(c), nil
-		},
+func pointSelectionSharding(withDeltas bool) *Sharding {
+	sh := &Sharding{Split: splitRelation, Route: routePoint}
+	if withDeltas {
+		sh.SplitDelta = splitKeysDelta
 	}
+	return sh
 }
 
 // rangeSelectionSharding: a [lo, hi] query routes when one shard owns the
@@ -169,7 +152,6 @@ func pointSelectionSharding() *Sharding {
 // verdicts OR together, the natural merge for an existential query.
 func rangeSelectionSharding() *Sharding {
 	return &Sharding{
-		Keys:       relationKeys,
 		Split:      splitRelation,
 		SplitDelta: splitKeysDelta,
 		Route: func(q []byte, asn Assignment) (int, error) {
@@ -190,15 +172,20 @@ func rangeSelectionSharding() *Sharding {
 	}
 }
 
-// listMembershipSharding: like point selection, with list datasets.
+// listMembershipSharding: like point selection, with list datasets — the
+// elements are their own keys.
 func listMembershipSharding() *Sharding {
 	return &Sharding{
-		Keys:       schemes.DecodeList,
 		SplitDelta: splitKeysDelta,
-		Split: func(data []byte, asn Assignment) ([][]byte, error) {
+		Route:      routePoint,
+		Split: func(data []byte, p Partitioner, n int) (Assignment, [][]byte, []byte, error) {
 			list, err := schemes.DecodeList(data)
 			if err != nil {
-				return nil, err
+				return nil, nil, nil, fmt.Errorf("keys: %w", err)
+			}
+			asn, err := p.Plan(list, n)
+			if err != nil {
+				return nil, nil, nil, err
 			}
 			parts := make([][]int64, asn.Shards())
 			for _, v := range list {
@@ -206,17 +193,10 @@ func listMembershipSharding() *Sharding {
 				parts[s] = append(parts[s], v)
 			}
 			out := make([][]byte, len(parts))
-			for i, p := range parts {
-				out[i] = schemes.EncodeList(p)
+			for i, part := range parts {
+				out[i] = schemes.EncodeList(part)
 			}
-			return out, nil
-		},
-		Route: func(q []byte, asn Assignment) (int, error) {
-			e, err := schemes.DecodePointQuery(q)
-			if err != nil {
-				return 0, err
-			}
-			return asn.Shard(e), nil
+			return asn, out, nil, nil
 		},
 	}
 }

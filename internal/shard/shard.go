@@ -1,40 +1,45 @@
-// Package shard partitions one dataset across several preprocessed stores
+// Package shard partitions one dataset across several preprocessed parts
 // and routes queries to them — the horizontal-scaling face of the paper's
 // Π-tractability contract. Preprocess(D) is PTIME in |D|; cutting D into n
 // parts preprocesses n datasets of size |D|/n (concurrently, and with
 // sub-linear artifacts like the reachability closure matrix, into
 // strictly smaller total output), while answering stays inside the NC
 // budget: a query is either routed to the single shard that owns its
-// answer, or fanned out to every shard and the per-shard verdicts merged
-// by a scheme-specific reducer.
+// answer, or answered through a view prepared over all of them.
 //
 // The moving parts:
 //
 //   - Partitioner (hash, range) freezes an Assignment of element keys to
 //     shards.
-//   - Sharding is the per-scheme hook bundle: Keys extracts partition keys,
-//     Split re-encodes the dataset as n valid sub-datasets, Route finds a
-//     query's owning shard (or fans it out unchanged, verdicts ORed),
-//     Summarize builds cross-shard state (e.g. the reachability portal
-//     overlay), and Prepare turns that state plus the per-shard prepared
-//     answerers into one answerer for the whole dataset — the view every
-//     query answers through; a scheme without its own Prepare gets the
-//     router over Route as its view.
-//   - ShardedStore holds the n per-shard stores plus the assignment and
-//     summary, and answers exactly like a plain store.Store — differential
-//     tests pin sharded answers byte-identical to unsharded ones.
+//   - Sharding is the per-scheme bundle of five hooks: Split decodes the
+//     dataset once and returns the assignment, the n sub-datasets and the
+//     cross-shard summary (e.g. the reachability portal overlay); Prepare
+//     turns a persisted summary plus the per-shard answerers into the view
+//     every query answers through (a scheme without one gets the router over
+//     Route, which finds a query's owning shard or fans it out, verdicts
+//     ORed); SplitDelta routes one delta to the shards it lands on; Maintain
+//     carries the summary and the view over one delta batch.
+//   - ShardedStore serves the dataset from one immutable committed value —
+//     version, summary, a ⟨Π, answerer⟩ member per shard, the view —
+//     published through an atomic pointer: readers load it, a PATCH builds
+//     the next one (sharing the members it did not touch) and stores it. It
+//     answers exactly like a plain store.Store — differential tests pin
+//     sharded answers byte-identical to unsharded ones.
 //   - Manifest + RegisterSharded persist the whole thing as one catalog
 //     entry backed by n snapshot files with per-shard SHA-256 integrity.
 //
-// Layering: shard sits on top of internal/store (it composes plain stores
-// and reuses the snapshot format) and below internal/server (which routes
-// /v1/query through store.Dataset, the interface both implement).
+// Layering: shard sits on top of internal/store (it reuses the snapshot
+// format and rides store.ApplyDeltas and Registry.Recover) and below
+// internal/server (which routes /v1/query through store.Dataset, the
+// interface both kinds implement).
 package shard
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pitract/internal/core"
@@ -54,44 +59,35 @@ var (
 	obsWarm        = obs.Stage(obs.StageWarm)
 )
 
-// PreparedShard is one member store's prepared answerer as the summary
-// hooks see it: Answerer is nil exactly when Err — the shard's sticky
-// Prepare failure — is set.
+// PreparedShard is one shard's prepared answerer as the hooks see it:
+// Answerer is nil exactly when Err — the shard's sticky Prepare failure, a
+// *store.PrepareError — is set.
 type PreparedShard struct {
 	Answerer core.Answerer
 	Err      error
 }
 
-// Sharding adapts one scheme to partitioned stores. Split/Keys/Summarize
-// run once at preprocessing time; Route and the prepared view sit on the
-// answer path and must stay within the scheme's NC answering budget (they
-// do constant or polylog work over the assignment and summary, never touch
-// raw data).
+// Sharding adapts one scheme to a partitioned dataset. Split runs once, at
+// preprocessing time; Route and the prepared view sit on the answer path and
+// must stay within the scheme's NC answering budget (they do constant or
+// polylog work over the assignment and summary, never touch raw data).
 type Sharding struct {
-	// Keys extracts every element's partition key, in element order, from
-	// an encoded dataset.
-	Keys func(data []byte) ([]int64, error)
-	// Split re-encodes data as asn.Shards() valid sub-datasets, element i
-	// going to shard asn.Shard(keys[i]). Every part must itself be a
-	// dataset the scheme's Preprocess accepts.
-	Split func(data []byte, asn Assignment) ([][]byte, error)
-	// Summarize builds the cross-shard summary artifact from the original
-	// data (e.g. the reachability portal-overlay closure). Nil when the
-	// scheme needs none; the result is persisted in the manifest.
-	Summarize func(data []byte, asn Assignment) ([]byte, error)
-	// SplitSummarize computes Split and Summarize in one pass over the
-	// decoded dataset; Build prefers it when set, so schemes whose split
-	// and summary share expensive intermediate state (reachability decodes
-	// the graph and builds the induced subgraphs for both) do that work
-	// once per registration instead of once per hook.
-	SplitSummarize func(data []byte, asn Assignment) (parts [][]byte, summary []byte, err error)
-	// Prepare builds the dataset's prepared view from the summary and the
-	// per-shard prepared answerers — once per committed ⟨summary, Π⟩, never
-	// per query (that would smuggle O(|D|) work into the NC answering
-	// budget). Schemes that set it answer every query through the returned
-	// Answerer and Route is not consulted; the view is derived state, never
-	// persisted. Nil for schemes whose queries Route alone can place: their
-	// view is the router.
+	// Split decodes data once, plans the assignment of its element keys to n
+	// shards with p, and re-encodes it as n sub-datasets — element i in part
+	// asn.Shard(key i), every part a dataset the scheme's Preprocess accepts —
+	// plus the cross-shard summary the manifest persists (e.g. the
+	// reachability portal-overlay closure; nil when the scheme needs none).
+	// The partitioner's errors pass through; the hook's own name their phase
+	// ("keys: …" for a dataset that yields no keys, "split: …" for parts or a
+	// summary that cannot be built).
+	Split func(data []byte, p Partitioner, n int) (asn Assignment, parts [][]byte, summary []byte, err error)
+	// Prepare builds the dataset's prepared view from a persisted summary and
+	// the per-shard prepared answerers — at build, load and retry, never per
+	// query (that would smuggle O(|D|) work into the NC answering budget) and
+	// not per PATCH (Maintain carries the view forward). Schemes that set it
+	// answer every query through the returned Answerer and Route is not
+	// consulted; the view is derived state, never persisted. Nil for schemes
+	// whose queries Route alone can place: their view is the router.
 	Prepare func(summary []byte, asn Assignment, shards []PreparedShard) (core.Answerer, error)
 	// Route returns the single shard that alone owns q's answer, or -1 to
 	// send q unchanged to every shard and OR the verdicts.
@@ -99,7 +95,7 @@ type Sharding struct {
 
 	// SplitDelta routes one dataset delta to the shards it lands on: the
 	// result maps a shard index to the local deltas (in application order)
-	// for that shard's store, each in the scheme's own delta encoding —
+	// for that shard's Π, each in the scheme's own delta encoding —
 	// e.g. a key-insertion batch splits by partitioner into one per-shard
 	// batch, and a same-shard edge insert becomes one relabelled local
 	// edge. An empty map is valid (a purely cross-shard delta touches only
@@ -110,43 +106,91 @@ type Sharding struct {
 	// sharded form has no delta routing: PATCH is refused with a clean error
 	// and the dataset stays exactly as it was.
 	SplitDelta func(delta []byte, asn Assignment, view core.Answerer) (map[int][][]byte, error)
-	// UpdateSummary maintains the cross-shard summary's *structure* after
-	// one delta's local deltas have been applied (e.g. extends the
-	// reachability cross-edge list and portal set). Derived state that is
-	// expensive to recompute belongs in FinishSummary, which runs once per
-	// batch. Nil means the summary never changes under deltas (schemes
-	// without summaries). The []byte-in/[]byte-out shape keeps the hook
-	// scheme-agnostic at the cost of a summary decode/encode per
-	// structure-changing delta; schemes should short-circuit deltas that
-	// provably leave the structure unchanged (reachability returns the
-	// input summary for same-shard edges).
-	UpdateSummary func(delta []byte, asn Assignment, summary []byte) ([]byte, error)
-	// FinishSummary recomputes the summary's derived state once after the
-	// whole delta batch (e.g. the reachability overlay closure — paying it
-	// per delta would waste k-1 of k rebuilds), reading the staged (pending,
-	// not yet committed) per-shard answerers. Nil when UpdateSummary leaves
-	// nothing deferred.
-	FinishSummary func(asn Assignment, summary []byte, shards []PreparedShard) ([]byte, error)
+	// Maintain carries a scheme's own view over one delta batch, once the
+	// batch's local deltas are applied: it starts from the committed view
+	// (which it must not modify — queries are reading it), applies the deltas'
+	// changes to the cross-shard structure in order, rebuilds what is derived
+	// from it and from shards — the staged, not yet committed, per-shard
+	// answerers — once, and returns the next view with its summary encoded
+	// once. A refusal names what failed ("delta 3: summary: …", "finish
+	// summary: …") and nothing is applied. Nil means deltas never change the
+	// summary: the next view is prepared from the same bytes (the router, for
+	// a scheme without Prepare).
+	Maintain func(view core.Answerer, asn Assignment, deltas [][]byte, shards []PreparedShard) (summary []byte, next core.Answerer, err error)
 }
 
-// ShardedStore is one dataset served from n per-shard preprocessed stores
-// behind a single catalog entry. It implements store.Dataset, so the HTTP
-// server and the registry treat it exactly like a plain store; every query
-// answers through the committed view.
+// member is one shard of a committed value: its Π, the digest of the part Π
+// was preprocessed from, and the answerer decoded from Π — or the sticky
+// failure to decode it.
+type member struct {
+	prep []byte
+	sum  store.DataChecksum
+	PreparedShard
+}
+
+// newMember decodes one shard's Π into its prepared form. A failure is not
+// fatal: it surfaces, typed, on every answer that needs the shard.
+func newMember(scheme *core.Scheme, prep []byte, sum store.DataChecksum) member {
+	a, err := scheme.Prepare(prep)
+	if err != nil {
+		return member{prep, sum, PreparedShard{Err: &store.PrepareError{Err: err}}}
+	}
+	return member{prep, sum, PreparedShard{Answerer: a}}
+}
+
+// prepared lists the members' answerers, as the hooks take them.
+func prepared(shards []member) []PreparedShard {
+	out := make([]PreparedShard, len(shards))
+	for i, m := range shards {
+		out[i] = m.PreparedShard
+	}
+	return out
+}
+
+// committed is everything a sharded dataset answers from and checkpoints at
+// one version. It is immutable once published: a reader that loaded it sees
+// one fully applied version — never shard i old and shard j new, never a new
+// summary with a view derived from the old one — and neither queries nor a
+// commit ever wait on each other.
+type committed struct {
+	// version counts the deltas applied since registration.
+	version uint64
+	// summary is the cross-shard state the manifest persists (nil when the
+	// scheme needs none).
+	summary []byte
+	shards  []member
+	// view answers for ⟨summary, shards⟩ — the scheme's Prepare or Maintain
+	// output, or the router; nil exactly when viewErr, the sticky failure to
+	// prepare it, is set.
+	view    core.Answerer
+	viewErr error
+	// snapSize memoises SnapshotBytes (0 = not encoded yet).
+	snapSize atomic.Int64
+}
+
+// snapshots renders the value as a checkpoint writes it: one snapshot per
+// shard, all at the value's version.
+func (c *committed) snapshots(scheme *core.Scheme) []*store.Snapshot {
+	snaps := make([]*store.Snapshot, len(c.shards))
+	for i, m := range c.shards {
+		snaps[i] = store.NewSnapshot(scheme, m.sum, c.version, m.prep)
+	}
+	return snaps
+}
+
+// ShardedStore is one dataset served from n preprocessed parts behind a
+// single catalog entry. It implements store.Dataset, so the HTTP server and
+// the registry treat it exactly like a plain store; every query answers
+// through the committed view.
 type ShardedStore struct {
 	// ID is the dataset identifier the store was registered under.
 	ID string
-	// Scheme answers against each per-shard store.
+	// Scheme preprocessed — and answers against — each part.
 	Scheme *core.Scheme
-	// Sharding is the per-scheme routing/merging hook bundle.
+	// Sharding is the per-scheme hook bundle.
 	Sharding *Sharding
 	// Asn is the frozen key→shard assignment.
 	Asn Assignment
-	// Summary is the cross-shard state from Sharding.Summarize (nil when
-	// the scheme needs none).
-	Summary []byte
-	// Stores holds the per-shard preprocessed stores, indexed by shard.
-	Stores []*store.Store
 	// DataSum digests the raw (unsplit) data.
 	DataSum store.DataChecksum
 	// Loaded reports whether every shard was reloaded from snapshots.
@@ -158,33 +202,15 @@ type ShardedStore struct {
 
 	// Maintenance serializes maintainers; see store.ApplyDeltas.
 	store.Maintenance
-	// mu guards the mutable answer state — the per-shard preprocessed
-	// strings, Summary, version, and view — against a Stage commit. Ask and
-	// AskBatch pin ⟨view, version⟩ under the read lock and answer outside
-	// it: the view is immutable, so a query (even a fan-out touching every
-	// shard plus the summary) always observes one fully applied version,
-	// never shard i old and shard j new, and neither queries nor the commit
-	// swap ever wait on each other's work.
-	mu sync.RWMutex
-	// version counts the deltas applied since registration (restored from
-	// the manifest on reload).
-	version uint64
-
-	// view answers for the committed ⟨Summary, per-shard Π⟩ — the scheme's
-	// Prepare output, or the router — immutable once published; viewErr is
-	// the sticky Prepare failure (view is nil exactly then, or when the
-	// store was assembled by hand rather than by Build/LoadShardedFS). Both
-	// are guarded by mu and swapped in the same critical section as Summary,
-	// version and the per-shard stores, so a query never pairs a new
-	// summary with a view derived from the old one. Build and LoadShardedFS
-	// prepare it eagerly — the first query never pays for it.
-	view    core.Answerer
-	viewErr error
+	// state is the committed value. Build and LoadShardedFS publish the
+	// first; after that only a maintainer holding Maintenance.Mu (a Stage
+	// commit, RetryPrepare) stores, always a whole new value.
+	state atomic.Pointer[committed]
 }
 
 // router is the view of a scheme without its own Prepare: Route places a
-// query on its owning shard's pinned answerer, or the query goes unchanged
-// to every shard and the verdicts are ORed.
+// query on its owning shard's answerer, or the query goes unchanged to
+// every shard and the verdicts are ORed.
 type router struct {
 	route  func(q []byte, asn Assignment) (int, error)
 	asn    Assignment
@@ -224,15 +250,6 @@ func (p PreparedShard) answer(q []byte) (bool, error) {
 	return p.Answerer.Answer(q)
 }
 
-// preparedShards snapshots every member store's prepared answerer.
-func (ss *ShardedStore) preparedShards() []PreparedShard {
-	shards := make([]PreparedShard, len(ss.Stores))
-	for i, st := range ss.Stores {
-		shards[i].Answerer, shards[i].Err = st.Prepared()
-	}
-	return shards
-}
-
 // prepareView builds the dataset's view for ⟨summary, shards⟩: the scheme's
 // own Prepare output, or the router.
 func (sh *Sharding) prepareView(summary []byte, asn Assignment, shards []PreparedShard) (core.Answerer, error) {
@@ -242,46 +259,24 @@ func (sh *Sharding) prepareView(summary []byte, asn Assignment, shards []Prepare
 	return sh.Prepare(summary, asn, shards)
 }
 
-// refreshView rebuilds the view from the committed summary and the member
-// stores' current answerers. Callers hold Maint().Mu or own the store
-// exclusively (Build, LoadShardedFS), which is what orders the Summary read.
-func (ss *ShardedStore) refreshView() error {
+// publish prepares the view over ⟨summary, shards⟩ and stores the committed
+// value — registration, reload and retry, where the summary arrives as bytes.
+// A failed view is sticky per answer, like a member's failed Prepare, and
+// reported.
+func (ss *ShardedStore) publish(version uint64, summary []byte, shards []member) error {
 	start := obs.Start()
-	view, err := ss.Sharding.prepareView(ss.Summary, ss.Asn, ss.preparedShards())
+	view, err := ss.Sharding.prepareView(summary, ss.Asn, prepared(shards))
 	obsWarm.Since(start)
-	ss.mu.Lock()
-	ss.view, ss.viewErr = view, err
-	ss.mu.Unlock()
+	ss.state.Store(&committed{version: version, summary: summary, shards: shards, view: view, viewErr: err})
 	return err
 }
 
-// pinned is the committed answer state one ask reads: the view and the
-// version it answers at.
-type pinned struct {
-	core.Answerer
-	err     error
-	version uint64
-}
-
-// pin reads the committed answer state in one critical section. A store
-// without a view reports why: the sticky Prepare failure, or that it was
-// assembled by hand rather than by Build or LoadShardedFS.
-func (ss *ShardedStore) pin() pinned {
-	ss.mu.RLock()
-	p := pinned{ss.view, ss.viewErr, ss.version}
-	ss.mu.RUnlock()
-	if p.Answerer == nil && p.err == nil {
-		p.err = fmt.Errorf("shard: dataset %q has no prepared summary view", ss.ID)
-	}
-	return p
-}
-
 // mergeStart starts the shard_merge clock for one call — a single, or a
-// whole batch — through a scheme's own Prepare output. The router is not
-// timed here (the zero Time makes Since a no-op): its routed singles must
-// not pay a clock pair per probe, and its fan-outs time themselves.
-func (p pinned) mergeStart() time.Time {
-	if _, routed := p.Answerer.(*router); routed {
+// whole batch — through a scheme's own view. The router is not timed here
+// (the zero Time makes Since a no-op): its routed singles must not pay a
+// clock pair per probe, and its fan-outs time themselves.
+func (c *committed) mergeStart() time.Time {
+	if _, routed := c.view.(*router); routed {
 		return time.Time{}
 	}
 	return obs.Start()
@@ -299,28 +294,32 @@ func (ss *ShardedStore) DataDigest() store.DataChecksum { return ss.DataSum }
 // PrepBytes implements store.Dataset: the summed per-shard artifacts plus
 // the cross-shard summary.
 func (ss *ShardedStore) PrepBytes() int {
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
-	total := len(ss.Summary)
-	for _, st := range ss.Stores {
-		total += st.PrepBytes()
+	c := ss.state.Load()
+	total := len(c.summary)
+	for _, m := range c.shards {
+		total += len(m.prep)
 	}
 	return total
 }
 
 // ShardCount implements store.Dataset.
-func (ss *ShardedStore) ShardCount() int { return len(ss.Stores) }
+func (ss *ShardedStore) ShardCount() int { return len(ss.state.Load().shards) }
 
 // SnapshotBytes implements store.Dataset: the summed encoded sizes
 // of the per-shard snapshots plus the cross-shard summary the manifest
-// carries — what a generation checkpoint would write.
+// carries — what a generation checkpoint would write. The snapshots are
+// encoded once per committed value, holding nothing a query or a commit
+// waits for (racing scrapes of a fresh value may each encode it).
 func (ss *ShardedStore) SnapshotBytes() int {
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
-	total := len(ss.Summary)
-	for _, st := range ss.Stores {
-		total += st.SnapshotBytes()
+	c := ss.state.Load()
+	if size := c.snapSize.Load(); size != 0 {
+		return int(size)
 	}
+	total := len(c.summary)
+	for _, snap := range c.snapshots(ss.Scheme) {
+		total += len(store.EncodeSnapshot(snap))
+	}
+	c.snapSize.Store(int64(total))
 	return total
 }
 
@@ -329,17 +328,15 @@ func (ss *ShardedStore) WasLoaded() bool { return ss.Loaded }
 
 // Version implements store.Dataset: the number of deltas applied since
 // registration.
-func (ss *ShardedStore) Version() uint64 {
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
-	return ss.version
-}
+func (ss *ShardedStore) Version() uint64 { return ss.state.Load().version }
 
-// SetVersion stamps the maintenance version on a freshly constructed store
-// (manifest reloads restore the persisted counter). It must not be called
-// once the store is shared; store.ApplyDeltas is the concurrent-safe
-// mutation.
-func (ss *ShardedStore) SetVersion(v uint64) { ss.version = v }
+// Committed returns the committed value as a checkpoint would write it — the
+// cross-shard summary and one snapshot per shard — with the version all of it
+// belongs to.
+func (ss *ShardedStore) Committed() (version uint64, summary []byte, shards []*store.Snapshot) {
+	c := ss.state.Load()
+	return c.version, c.summary, c.snapshots(ss.Scheme)
+}
 
 // CanDegrade implements store.Dataset: a sharded dataset has no degraded
 // form (the view is derived from the per-shard exact answerers).
@@ -354,41 +351,41 @@ func (ss *ShardedStore) askable(ctx context.Context, mode store.Mode) error {
 	return ctx.Err()
 }
 
-// Ask implements store.Dataset: one query through the pinned view, at the
-// version pinned with it.
+// Ask implements store.Dataset: one query through the committed view, at
+// the version committed with it.
 func (ss *ShardedStore) Ask(ctx context.Context, q []byte, mode store.Mode) (store.Verdict, error) {
 	if err := ss.askable(ctx, mode); err != nil {
 		return store.Verdict{}, err
 	}
-	p := ss.pin()
-	if p.err != nil {
-		return store.Verdict{Version: p.version}, p.err
+	c := ss.state.Load()
+	if c.viewErr != nil {
+		return store.Verdict{Version: c.version}, c.viewErr
 	}
-	start := p.mergeStart()
-	ans, err := p.Answer(q)
+	start := c.mergeStart()
+	ans, err := c.view.Answer(q)
 	obsShardMerge.Since(start)
-	return store.Verdict{Answer: ans, Version: p.version}, err
+	return store.Verdict{Answer: ans, Version: c.version}, err
 }
 
 // AskBatch implements store.Dataset: the batch rides the shared worker pool
-// over the pinned view, so all verdicts come from one maintenance version,
-// ctx is consulted before every probe, and errors carry the caller's own
-// query index.
+// over one committed view, so all verdicts come from one maintenance
+// version, ctx is consulted before every probe, and errors carry the
+// caller's own query index.
 func (ss *ShardedStore) AskBatch(ctx context.Context, queries [][]byte, parallelism int, mode store.Mode) (store.Verdicts, error) {
 	if err := ss.askable(ctx, mode); err != nil {
 		return store.Verdicts{}, err
 	}
-	p := ss.pin()
-	vs := store.Verdicts{Answers: []bool{}, Version: p.version}
+	c := ss.state.Load()
+	vs := store.Verdicts{Answers: []bool{}, Version: c.version}
 	if len(queries) == 0 {
 		return vs, nil
 	}
-	if p.err != nil {
-		return vs, fmt.Errorf("scheme %s: batch query %d: %w", ss.Scheme.Name(), 0, p.err)
+	if c.viewErr != nil {
+		return vs, fmt.Errorf("scheme %s: batch query %d: %w", ss.Scheme.Name(), 0, c.viewErr)
 	}
-	start := p.mergeStart()
+	start := c.mergeStart()
 	var err error
-	vs.Answers, err = core.AnswerBatchPreparedContext(ctx, ss.Scheme.Name(), p.Answerer, queries, parallelism)
+	vs.Answers, err = core.AnswerBatchPreparedContext(ctx, ss.Scheme.Name(), c.view, queries, parallelism)
 	obsShardMerge.Since(start)
 	return vs, err
 }
@@ -406,22 +403,25 @@ func (ss *ShardedStore) AnswerBatch(queries [][]byte, parallelism int) ([]bool, 
 	return vs.Answers, err
 }
 
-// RetryPrepare implements store.Dataset: every member store drops and
-// rebuilds its prepared answerer (the half-open probe's heal hook), then
-// the view is rebuilt from the healed answerers — so the shard that was
-// failing gets its rows back. The first failure is reported after all
-// shards have retried. It serializes with maintenance: a PATCH stages and
-// commits its own view.
+// RetryPrepare implements store.Dataset: every member's answerer is decoded
+// again from its Π (the half-open probe's heal hook), then the view is
+// prepared again over the healed answerers — so the shard that was failing
+// gets its rows back — and the result published at the same version. The
+// first failure is reported after all shards have retried. It serializes
+// with maintenance: a PATCH stages and commits its own view.
 func (ss *ShardedStore) RetryPrepare() error {
 	ss.Maintenance.Mu.Lock()
 	defer ss.Maintenance.Mu.Unlock()
+	c := ss.state.Load()
 	var firstErr error
-	for _, st := range ss.Stores {
-		if err := st.RetryPrepare(); err != nil && firstErr == nil {
-			firstErr = err
+	shards := make([]member, len(c.shards))
+	for i, m := range c.shards {
+		shards[i] = newMember(ss.Scheme, m.prep, m.sum)
+		if firstErr == nil {
+			firstErr = shards[i].Err
 		}
 	}
-	if err := ss.refreshView(); err != nil && firstErr == nil {
+	if err := ss.publish(c.version, c.summary, shards); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	return firstErr
@@ -429,44 +429,39 @@ func (ss *ShardedStore) RetryPrepare() error {
 
 // Stage implements store.DeltaDataset. Each delta is routed by the scheme's
 // SplitDelta hook to the shards it lands on (local deltas applied through
-// the scheme's incremental form, exactly as an unsharded store would), and
-// the cross-shard summary is maintained by UpdateSummary (with derived
-// state like the reachability overlay closure rebuilt once per batch by
-// FinishSummary, reading the staged post-delta shard answerers, and the
-// view — for reachability the portal reach rows — rebuilt once after it).
-// The commit swaps per-shard strings, answerers, summary, view, and version
-// together under the writer lock. The delta log records the original
-// (top-level) deltas, so replay re-routes them through this same path.
+// the scheme's incremental form, exactly as an unsharded store would); the
+// touched shards' answerers are then decoded, and the scheme's Maintain hook
+// carries summary and view — for reachability the cross-edge list, the
+// overlay closure and the portal reach rows — over the whole batch at once,
+// reading those staged answerers (so of two deltas that would both be
+// refused, a local one is named before a structural one, whatever their
+// order). The next committed value shares every member the batch did not
+// touch, and the commit is one pointer store. The delta log records the
+// original (top-level) deltas, so replay re-routes them through this same
+// path.
 //
 // Schemes whose sharded form has no delta routing (SplitDelta == nil)
 // refuse cleanly; the HTTP layer surfaces that as a 409.
 func (ss *ShardedStore) Stage(ctx context.Context, inc *core.IncrementalScheme, deltas [][]byte) (func(version uint64), error) {
-	if ss.Sharding.SplitDelta == nil {
+	sh := ss.Sharding
+	if sh.SplitDelta == nil {
 		return nil, fmt.Errorf("shard: scheme %s has no sharded delta routing; re-register unsharded to maintain it",
 			ss.Scheme.Name())
 	}
-	n := len(ss.Stores)
-	pending := make([][]byte, n)
-	for i, st := range ss.Stores {
-		pending[i], _ = st.View()
-	}
-	// Summary and view are only written by maintainers (serialized on
-	// Maint().Mu), so reading them here without ss.mu is ordered with every
-	// past commit.
-	summary := ss.Summary
 	// SplitDelta receives the committed view — its contract only depends on
-	// delta-invariant summary state (vertex universe, local relabelling),
-	// so the batch needs no summary decode of its own.
-	cur := ss.pin()
-	if cur.err != nil {
-		return nil, fmt.Errorf("shard: prepare summary: %w (nothing applied)", cur.err)
+	// delta-invariant summary state (vertex universe, local relabelling).
+	cur := ss.state.Load()
+	if cur.viewErr != nil {
+		return nil, fmt.Errorf("shard: prepare summary: %w (nothing applied)", cur.viewErr)
 	}
+	n := len(cur.shards)
+	shards := slices.Clone(cur.shards)
 	touched := make([]bool, n)
 	for di, delta := range deltas {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("shard: delta %d: %w (nothing applied)", di, err)
 		}
-		locals, err := ss.Sharding.SplitDelta(delta, ss.Asn, cur.Answerer)
+		locals, err := sh.SplitDelta(delta, ss.Asn, cur.view)
 		if err != nil {
 			return nil, fmt.Errorf("shard: delta %d: %w (nothing applied)", di, err)
 		}
@@ -474,77 +469,44 @@ func (ss *ShardedStore) Stage(ctx context.Context, inc *core.IncrementalScheme, 
 			if s < 0 || s >= n {
 				return nil, fmt.Errorf("shard: delta %d routed to shard %d out of range [0,%d) (nothing applied)", di, s, n)
 			}
-			if len(lds) > 0 {
-				touched[s] = true
-			}
 			for _, ld := range lds {
-				if pending[s], err = inc.ApplyDelta(pending[s], ld); err != nil {
+				touched[s] = true
+				if shards[s].prep, err = inc.ApplyDelta(shards[s].prep, ld); err != nil {
 					return nil, fmt.Errorf("shard: delta %d on shard %d: %w (nothing applied)", di, s, err)
 				}
 			}
 		}
-		if ss.Sharding.UpdateSummary != nil {
-			if summary, err = ss.Sharding.UpdateSummary(delta, ss.Asn, summary); err != nil {
-				return nil, fmt.Errorf("shard: delta %d: summary: %w (nothing applied)", di, err)
-			}
+	}
+	// Decode the touched shards' maintained Π here, before anything is
+	// published, and concurrently, as Build and LoadShardedFS do — PATCH
+	// latency grows with the slowest touched shard's decode, not the sum of
+	// all n. Untouched members are carried over as they are, answerer
+	// included. A Prepare failure is carried into the member and surfaces per
+	// answer, like the raw path's per-query validation (the maintained bytes
+	// are the committed truth).
+	var wg sync.WaitGroup
+	for i := range shards {
+		if touched[i] {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				shards[i] = newMember(ss.Scheme, shards[i].prep, shards[i].sum)
+			}(i)
 		}
 	}
-	// Stage the touched shards' prepared answerers outside the
-	// reader-blocking lock, so the commit below swaps ⟨Π, version,
-	// prepared⟩ per shard without decoding anything while queries wait —
-	// concurrently, as Build and LoadShardedFS warm, so PATCH latency grows
-	// with the slowest touched shard's decode, not the sum of all n.
-	// Untouched shards (pending[i] is still the slice View returned) keep
-	// their current Π and its still-valid answerer; only the version
-	// advances. Prepare failures are carried into the stores and surface
-	// per answer, like the raw path's per-query validation (the
-	// maintained bytes are the committed truth). The summary hooks below
-	// read the same staged answerers.
-	shards := make([]PreparedShard, n)
-	var stageWG sync.WaitGroup
-	for i := range pending {
-		if !touched[i] {
-			shards[i].Answerer, shards[i].Err = ss.Stores[i].Prepared()
-			continue
-		}
-		stageWG.Add(1)
-		go func(i int) {
-			defer stageWG.Done()
-			a, err := ss.Scheme.Prepare(pending[i])
-			if err != nil {
-				shards[i].Err = &store.PrepareError{Err: err}
-				return
-			}
-			shards[i].Answerer = a
-		}(i)
-	}
-	stageWG.Wait()
-	// Derived summary state (e.g. the reachability overlay closure) is
-	// rebuilt once for the whole batch, not once per delta.
-	if ss.Sharding.FinishSummary != nil {
+	wg.Wait()
+	next := &committed{summary: cur.summary, shards: shards}
+	if sh.Maintain != nil {
 		var err error
-		if summary, err = ss.Sharding.FinishSummary(ss.Asn, summary, shards); err != nil {
-			return nil, fmt.Errorf("shard: finish summary: %w (nothing applied)", err)
+		if next.summary, next.view, err = sh.Maintain(cur.view, ss.Asn, deltas, prepared(shards)); err != nil {
+			return nil, fmt.Errorf("shard: %w (nothing applied)", err)
 		}
+	} else {
+		next.view, next.viewErr = sh.prepareView(cur.summary, ss.Asn, prepared(shards))
 	}
-	// The new view (for reachability: the portal reach rows) is derived
-	// here, once per batch and still outside the reader-blocking lock.
-	view, viewErr := ss.Sharding.prepareView(summary, ss.Asn, shards)
-	// Commit: everything swaps inside one writer-lock critical section, so
-	// no reader can pair the new summary or shard Π with the old view.
 	return func(version uint64) {
-		ss.mu.Lock()
-		for i, st := range ss.Stores {
-			if touched[i] {
-				st.ReplacePrepared(pending[i], version, shards[i].Answerer, shards[i].Err)
-			} else {
-				st.BumpVersion(version)
-			}
-		}
-		ss.Summary = summary
-		ss.version = version
-		ss.view, ss.viewErr = view, viewErr
-		ss.mu.Unlock()
+		next.version = version
+		ss.state.Store(next)
 	}, nil
 }
 
@@ -558,32 +520,9 @@ func Build(id string, scheme *core.Scheme, sh *Sharding, p Partitioner, n int, d
 	if n < 1 {
 		return nil, fmt.Errorf("shard: build %q: shard count %d < 1", id, n)
 	}
-	keys, err := sh.Keys(data)
-	if err != nil {
-		return nil, fmt.Errorf("shard: build %q: keys: %w", id, err)
-	}
-	asn, err := p.Plan(keys, n)
+	asn, parts, summary, err := sh.Split(data, p, n)
 	if err != nil {
 		return nil, fmt.Errorf("shard: build %q: %w", id, err)
-	}
-	var parts [][]byte
-	var summary []byte
-	if sh.SplitSummarize != nil {
-		parts, summary, err = sh.SplitSummarize(data, asn)
-		if err != nil {
-			return nil, fmt.Errorf("shard: build %q: split: %w", id, err)
-		}
-	} else {
-		parts, err = sh.Split(data, asn)
-		if err != nil {
-			return nil, fmt.Errorf("shard: build %q: split: %w", id, err)
-		}
-		if sh.Summarize != nil {
-			summary, err = sh.Summarize(data, asn)
-			if err != nil {
-				return nil, fmt.Errorf("shard: build %q: summarize: %w", id, err)
-			}
-		}
 	}
 	if len(parts) != n {
 		return nil, fmt.Errorf("shard: build %q: split produced %d parts, want %d", id, len(parts), n)
@@ -593,15 +532,13 @@ func Build(id string, scheme *core.Scheme, sh *Sharding, p Partitioner, n int, d
 		Scheme:      scheme,
 		Sharding:    sh,
 		Asn:         asn,
-		Summary:     summary,
-		Stores:      make([]*store.Store, n),
 		DataSum:     store.SumData(data),
 		Partitioner: p.Name(),
 	}
 	// Preprocess the parts concurrently: the per-part PTIME cost is the
 	// thing sharding scales out.
 	var wg sync.WaitGroup
-	errs := make([]error, n)
+	shards, errs := make([]member, n), make([]error, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -618,16 +555,10 @@ func Build(id string, scheme *core.Scheme, sh *Sharding, p Partitioner, n int, d
 				return
 			}
 			obsPreprocess.Since(ppStart)
-			ss.Stores[i] = &store.Store{
-				ID:      fmt.Sprintf("%s/shard%d", id, i),
-				Scheme:  scheme,
-				Prep:    pd,
-				DataSum: store.SumData(parts[i]),
-			}
 			// Each shard's Π decodes into its prepared form inside the same
 			// per-shard goroutine, so warm-up parallelizes with preprocessing.
 			warmStart := obs.Start()
-			ss.Stores[i].Warm()
+			shards[i] = newMember(scheme, pd, store.SumData(parts[i]))
 			obsWarm.Since(warmStart)
 		}(i)
 	}
@@ -638,8 +569,7 @@ func Build(id string, scheme *core.Scheme, sh *Sharding, p Partitioner, n int, d
 		}
 	}
 	// The summary view (reachability: the portal reach rows) is part of
-	// registration, not of the first query. A failure is sticky per answer,
-	// like a member store's failed Prepare.
-	ss.refreshView()
+	// registration, not of the first query.
+	ss.publish(0, summary, shards)
 	return ss, nil
 }

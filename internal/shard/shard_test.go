@@ -196,8 +196,9 @@ func TestShardedPrepBytesScaleOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	var shardsOnly int
-	for _, st := range ss.Stores {
-		shardsOnly += len(st.Prep)
+	_, _, members := ss.Committed()
+	for _, m := range members {
+		shardsOnly += len(m.Prep)
 	}
 	if shardsOnly >= len(pd) {
 		t.Fatalf("per-shard closures sum to %d bytes, not smaller than the unsharded %d", shardsOnly, len(pd))

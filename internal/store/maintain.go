@@ -191,7 +191,7 @@ func (r *Registry) replayLog(ds DeltaDataset) error {
 			r.quarantineArtifact(fsys, logPath, id)
 			return nil
 		}
-		return err
+		return &PersistError{Err: err}
 	}
 	if len(records) == 0 {
 		return nil
@@ -275,7 +275,9 @@ func transient(err error) bool {
 //   - still unreadable after the retries: the registration fails with the
 //     read error and no file is touched, exactly as for a delta log that
 //     cannot be read — the artifact and its log may hold acknowledged
-//     batches, so they wait for a medium that reads;
+//     batches, so they wait for a medium that reads. Both, and a first
+//     checkpoint that cannot be written, are the medium's failures, not the
+//     request's: a *PersistError;
 //   - corrupt: the artifact at ce.Path is renamed aside (*.quarantine, kept
 //     for forensics), the dataset rebuilt and checkpointed (tolerating a
 //     still-flaky medium with the same backoff), and the surviving log —
@@ -305,7 +307,7 @@ func (r *Registry) Recover(id string, load func(fsys FS, dir string) (DeltaDatas
 		if transient(err) {
 			// Unreadable is not absent: rebuilding here would overwrite an
 			// artifact and drop a log that may hold acknowledged batches.
-			return nil, fmt.Errorf("store: register %q: %w", id, err)
+			return nil, &PersistError{Err: fmt.Errorf("store: register %q: %w", id, err)}
 		}
 		var ce *CorruptArtifactError
 		if errors.As(err, &ce) {
@@ -329,7 +331,7 @@ func (r *Registry) Recover(id string, load func(fsys FS, dir string) (DeltaDatas
 		err = ds.Checkpoint(fsys, dir)
 	}
 	if err != nil {
-		return nil, err
+		return nil, &PersistError{Err: err}
 	}
 	obsSnapshotSave.Since(saveStart)
 	if quarantined {

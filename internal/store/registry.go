@@ -445,11 +445,12 @@ func (e *BudgetError) Error() string {
 // context.DeadlineExceeded) works through the wrapper.
 func (e *BudgetError) Unwrap() error { return e.Err }
 
-// PersistError reports that maintenance failed while writing the durable
-// artifact (snapshot or shard generation), not because of anything wrong
-// with the request — the deltas were applicable and nothing was committed.
-// The HTTP layer maps it to 500 where request-shaped failures are 409s, so
-// retry and alerting logic can tell a server-side fault apart from a
+// PersistError reports that a PATCH or a registration failed on the
+// persistence medium — a delta-log append, a first checkpoint, an artifact or
+// log that stays unreadable — not because of anything wrong with the request:
+// the deltas were applicable, the data registrable, and nothing was
+// committed. The HTTP layer maps it to 500 where request-shaped failures are
+// 409s, so retry and alerting logic can tell a server-side fault apart from a
 // conflicting request.
 type PersistError struct{ Err error }
 

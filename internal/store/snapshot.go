@@ -370,11 +370,6 @@ func wrapPrepareErr(err error) error {
 	return &PrepareError{Err: err}
 }
 
-// SetVersion stamps the maintenance version on a freshly constructed store
-// (snapshot reloads restore the persisted counter). It must not be called
-// once the store is shared; ApplyDeltas is the concurrent-safe mutation.
-func (st *Store) SetVersion(v uint64) { st.version = v }
-
 // View returns the current preprocessed string and the maintenance version
 // it corresponds to, as one consistent pair. The returned slice is the
 // immutable current Π — ApplyDeltas replaces the slice rather than mutating
@@ -383,32 +378,6 @@ func (st *Store) View() ([]byte, uint64) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	return st.Prep, st.version
-}
-
-// ReplacePrepared swaps ⟨Π, version, prepared⟩ in one writer-lock critical
-// section — the commit step of maintenance, plain or composite (a sharded
-// dataset stages per-shard strings outside its member stores and swaps them
-// in wholesale) — so the reader-blocking lock is never held across
-// Prepare's decode work. a and aerr may both be nil to defer preparation to
-// the first answer.
-func (st *Store) ReplacePrepared(prep []byte, version uint64, a core.Answerer, aerr error) {
-	st.mu.Lock()
-	st.Prep, st.version, st.snapSize = prep, version, 0
-	// The fallback answerer decodes the same Π: a maintenance commit
-	// invalidates it too (rebuilt lazily on the next degraded ask).
-	st.forms = [2]prepared{Exact: {a, wrapPrepareErr(aerr)}}
-	st.mu.Unlock()
-}
-
-// BumpVersion advances the maintenance version while keeping the current
-// Π and its prepared answerer — the commit step for a member store of a
-// composite (sharded) dataset whose own Π a delta batch did not touch:
-// its answerer is still valid, so discarding it would only re-pay the
-// decode for nothing.
-func (st *Store) BumpVersion(version uint64) {
-	st.mu.Lock()
-	st.version, st.snapSize = version, 0
-	st.mu.Unlock()
 }
 
 // Warm builds the prepared answerer for the current Π now, so the first
@@ -456,14 +425,6 @@ func (st *Store) pin(mode Mode) (core.Answerer, uint64, error) {
 	return f.a, v, f.err
 }
 
-// Prepared returns the prepared answerer for the current Π, building it on
-// first use (composite datasets read their member stores' typed forms
-// through it).
-func (st *Store) Prepared() (core.Answerer, error) {
-	a, _, err := st.pin(Exact)
-	return a, err
-}
-
 // RetryPrepare implements Dataset: it drops the prepared forms (successful
 // or failed) and rebuilds the exact one from the current Π. This is the
 // heal path for a Prepare that failed transiently (e.g. an injected I/O
@@ -474,7 +435,7 @@ func (st *Store) RetryPrepare() error {
 	st.mu.Lock()
 	st.forms = [2]prepared{}
 	st.mu.Unlock()
-	_, err := st.Prepared()
+	_, _, err := st.pin(Exact)
 	return err
 }
 
@@ -503,7 +464,14 @@ func (st *Store) Stage(ctx context.Context, inc *core.IncrementalScheme, deltas 
 		cur = next
 	}
 	a, aerr := st.Scheme.Prepare(cur)
-	return func(version uint64) { st.ReplacePrepared(cur, version, a, aerr) }, nil
+	return func(version uint64) {
+		st.mu.Lock()
+		st.Prep, st.version, st.snapSize = cur, version, 0
+		// The fallback answerer decodes the same Π: the commit invalidates it
+		// too (rebuilt lazily on the next degraded ask).
+		st.forms = [2]prepared{Exact: {a, wrapPrepareErr(aerr)}}
+		st.mu.Unlock()
+	}, nil
 }
 
 // Checkpoint implements DeltaDataset: the committed ⟨Π, version⟩ rewritten
@@ -542,9 +510,7 @@ func (st *Store) SnapshotBytes() int {
 	if size != 0 {
 		return size
 	}
-	snap := st.snapshotSkeleton()
-	snap.Prep, snap.Version = pd, v
-	size = len(EncodeSnapshot(snap))
+	size = len(EncodeSnapshot(NewSnapshot(st.Scheme, st.DataSum, v, pd)))
 	st.mu.Lock()
 	// A commit that raced the encode reset snapSize for its own ⟨Π,
 	// version⟩; only a size computed from the still-current pair is kept.
@@ -656,18 +622,21 @@ func (st *Store) AnswerBatch(queries [][]byte, parallelism int) ([]bool, error) 
 
 // Snapshot renders the store as a persistable snapshot.
 func (st *Store) Snapshot() *Snapshot {
-	s := st.snapshotSkeleton()
-	s.Prep, s.Version = st.View()
-	return s
+	pd, v := st.View()
+	return NewSnapshot(st.Scheme, st.DataSum, v, pd)
 }
 
-// snapshotSkeleton builds the snapshot skeleton (everything but Prep and
-// Version), which needs no locking — the remaining fields are immutable.
-func (st *Store) snapshotSkeleton() *Snapshot {
+// NewSnapshot renders one committed ⟨Π, version⟩ of scheme's artifact, over
+// the data sum digests, as a persistable snapshot — the one place the notes
+// are spelled, so a plain store's snapshot and a shard member's (which is no
+// Store) encode alike.
+func NewSnapshot(scheme *core.Scheme, sum DataChecksum, version uint64, prep []byte) *Snapshot {
 	return &Snapshot{
-		SchemeName: st.Scheme.Name(),
-		Notes:      st.Scheme.PreprocessNote + " / " + st.Scheme.AnswerNote,
-		DataSum:    st.DataSum,
+		SchemeName: scheme.Name(),
+		Notes:      scheme.PreprocessNote + " / " + scheme.AnswerNote,
+		DataSum:    sum,
+		Version:    version,
+		Prep:       prep,
 	}
 }
 

@@ -490,8 +490,9 @@ type (
 	// store's, one copy for every kind.
 	DeltaDataset = store.DeltaDataset
 	// ShardedStore serves one dataset from n partitioned preprocessed
-	// stores behind a single catalog entry, routing each query to its
-	// owning shard or fanning out and merging verdicts.
+	// parts — ⟨Π, answerer⟩ members of one immutable committed value —
+	// behind a single catalog entry, routing each query to its owning
+	// shard or answering it through a view prepared over all of them.
 	ShardedStore = shard.ShardedStore
 	// Partitioner plans how element keys spread over shards (hash or
 	// range).
@@ -499,8 +500,9 @@ type (
 	// ShardAssignment is a frozen key→shard mapping, persisted in the
 	// shard manifest so restarts route exactly like the original process.
 	ShardAssignment = shard.Assignment
-	// Sharding is the per-scheme hook bundle (split, route, fan-out,
-	// merge) that adapts one scheme to partitioned stores.
+	// Sharding is the per-scheme hook bundle (split, prepare, route,
+	// split-delta, maintain) that adapts one scheme to a partitioned
+	// dataset.
 	Sharding = shard.Sharding
 	// ShardManifest binds one sharded dataset's snapshot files together
 	// with per-shard SHA-256 integrity.
