@@ -43,7 +43,7 @@ import (
 // workers drain quickly and the partial results are discarded. On success
 // results[i] is Answer(pd, queries[i]) for every i.
 func (s *Scheme) AnswerBatch(pd []byte, queries [][]byte, parallelism int) ([]bool, error) {
-	return answerPool(s.SchemeName, func(q []byte) (bool, error) {
+	return answerPool("scheme", s.SchemeName, func(q []byte) (bool, error) {
 		return s.Answer(pd, q)
 	}, queries, parallelism)
 }
@@ -53,7 +53,7 @@ func (s *Scheme) AnswerBatch(pd []byte, queries [][]byte, parallelism int) ([]bo
 // decoded in-memory form instead of re-reading pd. label names the scheme in
 // error messages, keeping them identical to the raw batch path's.
 func AnswerBatchPrepared(label string, a Answerer, queries [][]byte, parallelism int) ([]bool, error) {
-	return answerPool(label, a.Answer, queries, parallelism)
+	return answerPool("scheme", label, a.Answer, queries, parallelism)
 }
 
 // AnswerBatchPreparedContext is AnswerBatchPrepared with cooperative
@@ -66,7 +66,7 @@ func AnswerBatchPreparedContext(ctx context.Context, label string, a Answerer, q
 	if ctx == nil || ctx.Done() == nil {
 		return AnswerBatchPrepared(label, a, queries, parallelism)
 	}
-	return answerPool(label, func(q []byte) (bool, error) {
+	return answerPool("scheme", label, func(q []byte) (bool, error) {
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}
@@ -74,10 +74,11 @@ func AnswerBatchPreparedContext(ctx context.Context, label string, a Answerer, q
 	}, queries, parallelism)
 }
 
-// answerPool is the shared worker-pool core of AnswerBatch and
-// AnswerBatchPrepared.
-func answerPool(label string, answer func(q []byte) (bool, error), queries [][]byte, parallelism int) ([]bool, error) {
-	results := make([]bool, len(queries))
+// answerPool is the one worker pool behind every batch entry point —
+// verdicts for a Scheme, outputs for a FuncScheme; kind and label name the
+// scheme in error messages ("scheme <label>: batch query <i>: …").
+func answerPool[T any](kind, label string, answer func(q []byte) (T, error), queries [][]byte, parallelism int) ([]T, error) {
+	results := make([]T, len(queries))
 	if len(queries) == 0 {
 		return results, nil
 	}
@@ -91,7 +92,7 @@ func answerPool(label string, answer func(q []byte) (bool, error), queries [][]b
 		for i, q := range queries {
 			got, err := answer(q)
 			if err != nil {
-				return nil, fmt.Errorf("scheme %s: batch query %d: %w", label, i, err)
+				return nil, fmt.Errorf("%s %s: batch query %d: %w", kind, label, i, err)
 			}
 			results[i] = got
 		}
@@ -126,7 +127,7 @@ func answerPool(label string, answer func(q []byte) (bool, error), queries [][]b
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("scheme %s: batch query %d: %w", label, i, err)
+			return nil, fmt.Errorf("%s %s: batch query %d: %w", kind, label, i, err)
 		}
 	}
 	return results, nil
@@ -136,56 +137,7 @@ func answerPool(label string, answer func(q []byte) (bool, error), queries [][]b
 // every query concurrently and returns the outputs in query order, under
 // the same concurrency contract and error policy.
 func (s *FuncScheme) ApplyBatch(pd []byte, queries [][]byte, parallelism int) ([][]byte, error) {
-	results := make([][]byte, len(queries))
-	if len(queries) == 0 {
-		return results, nil
-	}
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	if parallelism > len(queries) {
-		parallelism = len(queries)
-	}
-	if parallelism == 1 {
-		for i, q := range queries {
-			out, err := s.Apply(pd, q)
-			if err != nil {
-				return nil, fmt.Errorf("func scheme %s: batch query %d: %w", s.SchemeName, i, err)
-			}
-			results[i] = out
-		}
-		return results, nil
-	}
-	var (
-		next   atomic.Int64
-		failed atomic.Bool
-		wg     sync.WaitGroup
-	)
-	errs := make([]error, len(queries))
-	wg.Add(parallelism)
-	for w := 0; w < parallelism; w++ {
-		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= len(queries) {
-					return
-				}
-				out, err := s.Apply(pd, queries[i])
-				if err != nil {
-					errs[i] = err
-					failed.Store(true)
-					return
-				}
-				results[i] = out
-			}
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("func scheme %s: batch query %d: %w", s.SchemeName, i, err)
-		}
-	}
-	return results, nil
+	return answerPool("func scheme", s.SchemeName, func(q []byte) ([]byte, error) {
+		return s.Apply(pd, q)
+	}, queries, parallelism)
 }

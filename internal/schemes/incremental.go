@@ -20,6 +20,8 @@ package schemes
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
+	"slices"
 
 	"pitract/internal/core"
 	"pitract/internal/graph"
@@ -45,43 +47,35 @@ func KeysUpsertDelta(keys []int64) []byte {
 	return core.TagDelta(core.DeltaUpsert, EncodeList(keys))
 }
 
-// IncrementalForScheme returns the incremental form of a scheme, or nil
-// when the scheme has none (e.g. the point-selection scan baseline keeps no
+// incremental is the one table of incremental forms, by scheme name. Schemes
+// absent from it have none (e.g. the point-selection scan baseline keeps no
 // maintained structure, and BDS visit orders are global artifacts an
-// insertion can reshuffle wholesale). This is the catalog the serving
-// layers consult: store.Registry.ApplyDelta and the server's PATCH
-// /v1/datasets/{id} handler resolve a registered dataset's maintenance
-// path here by scheme name.
+// insertion can reshuffle wholesale).
+var incremental = map[string]func() *core.IncrementalScheme{
+	"list-membership/sorted":      IncrementalListMembership,
+	"point-selection/sorted-keys": IncrementalPointSelection,
+	"range-selection/sorted-keys": IncrementalRangeSelection,
+	"reachability/bfs-per-query":  IncrementalReachabilityBFS,
+	"reachability/closure-matrix": IncrementalReachability,
+	"reachability/labels":         IncrementalReachabilityLabels,
+}
+
+// IncrementalForScheme returns the incremental form of a scheme, or nil
+// when the scheme has none. This is the catalog the serving layers consult:
+// store.Registry.ApplyDelta and the server's PATCH /v1/datasets/{id}
+// handler resolve a registered dataset's maintenance path here by scheme
+// name.
 func IncrementalForScheme(name string) *core.IncrementalScheme {
-	switch name {
-	case "point-selection/sorted-keys":
-		return IncrementalPointSelection()
-	case "range-selection/sorted-keys":
-		return IncrementalRangeSelection()
-	case "list-membership/sorted":
-		return IncrementalListMembership()
-	case "reachability/closure-matrix":
-		return IncrementalReachability()
-	case "reachability/labels":
-		return IncrementalReachabilityLabels()
-	case "reachability/bfs-per-query":
-		return IncrementalReachabilityBFS()
-	default:
-		return nil
+	if form := incremental[name]; form != nil {
+		return form()
 	}
+	return nil
 }
 
 // MaintainableSchemes lists the scheme names IncrementalForScheme accepts,
-// for error messages and docs.
+// sorted, for error messages and docs.
 func MaintainableSchemes() []string {
-	return []string{
-		"list-membership/sorted",
-		"point-selection/sorted-keys",
-		"range-selection/sorted-keys",
-		"reachability/bfs-per-query",
-		"reachability/closure-matrix",
-		"reachability/labels",
-	}
+	return slices.Sorted(maps.Keys(incremental))
 }
 
 // mergeSortedKeyFiles merges a sorted fixed-width key file with a sorted

@@ -399,13 +399,6 @@ func appendClosureGraph(head, enc []byte) []byte {
 	return append(binary.AppendUvarint(head, uint64(len(enc))), enc...)
 }
 
-// closureHeader parses and validates the closure header against the
-// payload length.
-func closureHeader(pd []byte) (n int, undirected bool, err error) {
-	n, undirected, _, _, err = closureParts(pd)
-	return n, undirected, err
-}
-
 // closureBytes lays out an n-vertex closure as an 8-byte header (vertex
 // count plus the orientation and appendix flags), the row-major bitset
 // graph.Closure.AppendDense emits, and the canonical encoding of the source

@@ -432,10 +432,10 @@ func (s *Server) Handler() http.Handler { return s.root }
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.root.ServeHTTP(w, r) }
 
-// Serve accepts connections on l until Shutdown. It is the blocking core
-// of ListenAndServe, split out so callers can listen on ":0" and learn the
-// port first. Each Server serves one listener lifetime: after Shutdown,
-// make a new Server rather than calling Serve again.
+// Serve accepts connections on l until Shutdown. Callers listen first —
+// on ":0" they learn the port before serving. Each Server serves one
+// listener lifetime: after Shutdown, make a new Server rather than calling
+// Serve again.
 func (s *Server) Serve(l net.Listener) error {
 	err := s.httpSrv.Serve(l)
 	if err == http.ErrServerClosed {
@@ -444,16 +444,7 @@ func (s *Server) Serve(l net.Listener) error {
 	return err
 }
 
-// ListenAndServe serves on addr until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
-}
-
-// Shutdown gracefully stops a Serve/ListenAndServe in progress: in-flight
+// Shutdown gracefully stops a Serve in progress: in-flight
 // requests finish (bounded by ctx), new connections are refused. Calling
 // it before Serve starts is safe — the pending Serve then returns
 // immediately.
@@ -804,7 +795,7 @@ func (s *Server) handleDatasetByID(w http.ResponseWriter, r *http.Request) {
 	}
 	switch r.Method {
 	case http.MethodGet:
-		ds, ok := s.lookup(w, r, id)
+		ds, _, ok := s.lookup(w, r, id)
 		if !ok {
 			return
 		}
@@ -824,7 +815,7 @@ func (s *Server) handleDatasetByID(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		defer release()
-		ds, ok := s.lookup(w, r, id)
+		ds, _, ok := s.lookup(w, r, id)
 		if !ok {
 			return
 		}
@@ -1047,18 +1038,18 @@ func (s *Server) answerFailure(w http.ResponseWriter, r *http.Request, br *store
 	writeError(w, r, http.StatusUnprocessableEntity, "%v", err)
 }
 
-// lookup resolves a dataset — plain or sharded — for the answer paths.
-func (s *Server) lookup(w http.ResponseWriter, r *http.Request, dataset string) (store.Dataset, bool) {
+// lookup resolves a dataset — plain or sharded — and its health breaker,
+// both from the one catalog entry.
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request, dataset string) (store.Dataset, *store.Breaker, bool) {
 	if dataset == "" {
 		writeError(w, r, http.StatusBadRequest, "missing dataset id")
-		return nil, false
+		return nil, nil, false
 	}
-	ds, ok := s.reg.GetDataset(dataset)
+	ds, br, ok := s.reg.Serving(dataset)
 	if !ok {
 		writeError(w, r, http.StatusNotFound, "dataset %q not registered", dataset)
-		return nil, false
 	}
-	return ds, true
+	return ds, br, ok
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -1113,13 +1104,10 @@ func (s *Server) serveAnswer(w http.ResponseWriter, r *http.Request, dataset str
 		return
 	}
 	defer release()
-	ds, ok := s.lookup(w, r, dataset)
+	ds, br, ok := s.lookup(w, r, dataset)
 	if !ok {
 		return
 	}
-	// The breaker is consulted only after a successful lookup, so hostile
-	// unknown ids can never grow the breaker map.
-	br := s.reg.Breaker(dataset)
 	dec := br.Allow()
 	if !dec.Admit {
 		s.rejectBreaker(w, r, dataset, dec.RetryAfter)

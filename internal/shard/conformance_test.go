@@ -175,19 +175,28 @@ func TestAnswerSeamConformance(t *testing.T) {
 					}
 				}
 				// Degraded: a kind that can degrade gives the exact verdicts,
-				// flagged; one that cannot refuses with ErrNoFallback.
+				// flagged; one that cannot refuses with ErrNoFallback — the
+				// dataset, not a query, so before the batch (empty or not) and
+				// in the same words whatever the kind.
 				exact, err := ref.AskBatch(context.Background(), fam.wellFormed, 1, store.Exact)
 				if err != nil {
 					t.Fatal(err)
 				}
+				refusal := fmt.Sprintf("scheme %s: %v", fam.scheme.Name(), store.ErrNoFallback)
 				for _, k := range kinds {
 					one, oneErr := k.ds.Ask(context.Background(), fam.wellFormed[0], store.Degraded)
 					all, allErr := k.ds.AskBatch(context.Background(), fam.wellFormed, 2, store.Degraded)
+					none, noneErr := k.ds.AskBatch(context.Background(), nil, 2, store.Degraded)
 					if !k.ds.CanDegrade() {
-						if !errors.Is(oneErr, store.ErrNoFallback) || !errors.Is(allErr, store.ErrNoFallback) {
-							t.Fatalf("Degraded on %s (no fallback) = (%v, %v), want ErrNoFallback", k.name, oneErr, allErr)
+						for op, err := range map[string]error{"Ask": oneErr, "AskBatch": allErr, "empty AskBatch": noneErr} {
+							if !errors.Is(err, store.ErrNoFallback) || err.Error() != refusal {
+								t.Fatalf("Degraded %s on %s (no fallback) = %v, want ErrNoFallback as %q", op, k.name, err, refusal)
+							}
 						}
 						continue
+					}
+					if got, want := outcome(none.Answers, none.Version, none.Degraded, noneErr), outcome([]bool{}, uint64(patched), 0, nil); got != want {
+						t.Fatalf("Degraded empty AskBatch on %s:\n got %s\nwant %s", k.name, got, want)
 					}
 					if oneErr != nil || !one.Degraded || one.Answer != exact.Answers[0] || one.Version != uint64(patched) {
 						t.Fatalf("Degraded Ask on %s = (%+v, %v), want %v flagged at version %d", k.name, one, oneErr, exact.Answers[0], patched)

@@ -4,11 +4,14 @@ package shard
 // is held here to SHA-256s computed at the commit before shards stopped being
 // store.Store values: member snapshots are encoded from the committed value,
 // not by Store.Snapshot, so these digests are the pin that a data dir written
-// by the older code still loads, and that one written now loads there.
+// by the older code still loads, and that one written now loads there. The
+// plain kind's files — snapshot and delta log — are held the same way to the
+// commit before store.Store became one committed value too.
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -165,6 +168,108 @@ func TestShardGenerationBytesUnchanged(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertGeneration(t, "re-checkpointed after the load", generationDigests(t, f, dir), tc.patched)
+		})
+	}
+}
+
+// TestPlainStoreBytesUnchanged is the plain kind's rows: register, two PATCHes
+// (logged), a third (the checkpoint: snapshot rewritten, log dropped), a fourth
+// (logged again) — every file on the medium after each step compared with the
+// parent commit's bytes — then a restart that must load and replay, not
+// rebuild.
+func TestPlainStoreBytesUnchanged(t *testing.T) {
+	keys := make([]int64, 64)
+	for i := range keys {
+		keys[i] = int64(7*i - 100)
+	}
+	g := graph.New(9, true)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {3, 4}, {4, 5}, {5, 3}, {6, 7}} {
+		g.MustAddEdge(e[0], e[1])
+	}
+	cases := []struct {
+		name    string
+		scheme  *core.Scheme
+		data    []byte
+		patches [4][][]byte
+		// The snapshot as registered and as checkpointed by PATCH 3; the delta
+		// log after PATCH 1, 2 and 4.
+		registered, checkpointed string
+		logs                     [3]string
+	}{
+		{
+			name:   "keys",
+			scheme: schemes.PointSelectionScheme(),
+			data:   schemes.RelationFromKeys(keys),
+			patches: [4][][]byte{
+				{schemes.KeysDelta([]int64{1001})},
+				{schemes.KeysDeleteDelta([]int64{-100, 1001}), schemes.KeysUpsertDelta([]int64{3, 4, 2000})},
+				{schemes.KeysDelta([]int64{-7, 5})},
+				{schemes.KeysDeleteDelta([]int64{2000})},
+			},
+			registered:   "a0d8206a992b2e5095a408e3252a1382fa7eb702d347acb3d396092df26c5f15",
+			checkpointed: "30017418a29520aa584504b842bd7846ee43857d6b6dadcc4d3a6ed34d035420",
+			logs: [3]string{
+				"bf7c2dbfc1d1ac7a0beeb77b025923217b3e55eafe005fdbb76c593d0967b285",
+				"af7cf3ad503df0a6792a27c1b727969e70b4b69e708472c5fa7552df13ec85b3",
+				"e3e1aa0179d608827ef193543ba6b02d78045d61f2784d2affe6f3efde002c45",
+			},
+		},
+		{
+			name:   "graph",
+			scheme: schemes.ReachabilityLabelsScheme(),
+			data:   g.Encode(),
+			patches: [4][][]byte{
+				{schemes.EdgeUpsertDelta(2, 3)},
+				{schemes.EdgeUpsertDelta(5, 6), schemes.EdgeDeleteDelta(0, 1)},
+				{schemes.EdgeUpsertDelta(7, 8)},
+				{schemes.EdgeUpsertDelta(8, 0)},
+			},
+			registered:   "cc9386a47cadc0a5083a59ea9ef18b6855b5961ac48c07676008ae2c9ec6dee2",
+			checkpointed: "539544fddeecab592c2aac094ded2a86942558b265c2d9eff6af6d750a877a84",
+			logs: [3]string{
+				"e0f27d427e4ba9bf9ea322042f2e58f465aaf2e987fb0daeec894924cfa73115",
+				"088d4e6ffd2b657b826b5aecfc6792b209b27f06048df51d5658a1fb406983f5",
+				"14f8906964a015b0c59af28754eaf8fcd13d70ce96841455418bb1868d48ed1b",
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			const dir, id = "/data", "d"
+			// steps[0] is the medium after registration, steps[k] after PATCH k.
+			steps := [5]map[string]string{
+				{"d.pitract": tc.registered},
+				{"d.pitract": tc.registered, "d.pitract-log": tc.logs[0]},
+				{"d.pitract": tc.registered, "d.pitract-log": tc.logs[1]},
+				{"d.pitract": tc.checkpointed},
+				{"d.pitract": tc.checkpointed, "d.pitract-log": tc.logs[2]},
+			}
+			f := faultfs.New()
+			med := &store.Medium{Dir: dir, FS: f, CheckpointEvery: 3}
+			reg := store.NewRegistryMedium(med)
+			if _, err := reg.Register(id, tc.scheme, tc.data); err != nil {
+				t.Fatal(err)
+			}
+			assertGeneration(t, "registered", generationDigests(t, f, dir), steps[0])
+			version := uint64(0)
+			for k, batch := range tc.patches {
+				version += uint64(len(batch))
+				if v, err := reg.ApplyDelta(id, batch); err != nil || v != version {
+					t.Fatalf("PATCH %d: version %d, %v; want %d", k+1, v, err, version)
+				}
+				assertGeneration(t, fmt.Sprintf("after PATCH %d", k+1), generationDigests(t, f, dir), steps[k+1])
+			}
+
+			f.Restart()
+			reg2 := store.NewRegistryMedium(med)
+			loaded, err := reg2.Register(id, tc.scheme, tc.data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !loaded.Loaded || loaded.Version() != version || reg2.PreprocessCount() != 0 || reg2.ReplayCount() != 1 {
+				t.Fatalf("restart: loaded %v at version %d after %d Preprocess calls and %d replays, want a load at %d with the one logged batch replayed",
+					loaded.Loaded, loaded.Version(), reg2.PreprocessCount(), reg2.ReplayCount(), version)
+			}
 		})
 	}
 }

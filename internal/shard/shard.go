@@ -131,11 +131,8 @@ type member struct {
 // newMember decodes one shard's Π into its prepared form. A failure is not
 // fatal: it surfaces, typed, on every answer that needs the shard.
 func newMember(scheme *core.Scheme, prep []byte, sum store.DataChecksum) member {
-	a, err := scheme.Prepare(prep)
-	if err != nil {
-		return member{prep, sum, PreparedShard{Err: &store.PrepareError{Err: err}}}
-	}
-	return member{prep, sum, PreparedShard{Answerer: a}}
+	a, err := store.Prepare(scheme, prep)
+	return member{prep, sum, PreparedShard{Answerer: a, Err: err}}
 }
 
 // prepared lists the members' answerers, as the hooks take them.
@@ -342,19 +339,10 @@ func (ss *ShardedStore) Committed() (version uint64, summary []byte, shards []*s
 // form (the view is derived from the per-shard exact answerers).
 func (ss *ShardedStore) CanDegrade() bool { return false }
 
-// askable refuses an ask before any work: a mode the dataset cannot serve,
-// or a cancelled ctx.
-func (ss *ShardedStore) askable(ctx context.Context, mode store.Mode) error {
-	if mode != store.Exact {
-		return fmt.Errorf("scheme %s: %w", ss.Scheme.Name(), store.ErrNoFallback)
-	}
-	return ctx.Err()
-}
-
 // Ask implements store.Dataset: one query through the committed view, at
 // the version committed with it.
 func (ss *ShardedStore) Ask(ctx context.Context, q []byte, mode store.Mode) (store.Verdict, error) {
-	if err := ss.askable(ctx, mode); err != nil {
+	if err := store.Askable(ctx, ss, mode); err != nil {
 		return store.Verdict{}, err
 	}
 	c := ss.state.Load()
@@ -372,7 +360,7 @@ func (ss *ShardedStore) Ask(ctx context.Context, q []byte, mode store.Mode) (sto
 // version, ctx is consulted before every probe, and errors carry the
 // caller's own query index.
 func (ss *ShardedStore) AskBatch(ctx context.Context, queries [][]byte, parallelism int, mode store.Mode) (store.Verdicts, error) {
-	if err := ss.askable(ctx, mode); err != nil {
+	if err := store.Askable(ctx, ss, mode); err != nil {
 		return store.Verdicts{}, err
 	}
 	c := ss.state.Load()

@@ -258,16 +258,6 @@ func (b *Breaker) MarkQuarantined() {
 	b.state = HealthQuarantined
 }
 
-// MarkHealed force-resets the breaker to Healthy.
-func (b *Breaker) MarkHealed() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.state = HealthHealthy
-	b.failures = b.failures[:0]
-	b.probing = false
-	b.backoff = b.cfg.Backoff
-}
-
 // State returns the current health state, aging out stale failures.
 func (b *Breaker) State() HealthState {
 	b.mu.Lock()
@@ -278,36 +268,37 @@ func (b *Breaker) State() HealthState {
 
 // SetBreakerConfig sets the config applied to every breaker created
 // after the call and resets existing ones. Set it before serving
-// traffic; it is not synchronized against in-flight decisions.
+// traffic: a request already holding a replaced breaker reports to it.
 func (r *Registry) SetBreakerConfig(cfg BreakerConfig) {
-	r.breakerMu.Lock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.breakerCfg = cfg
-	r.breakers = nil
-	r.breakerMu.Unlock()
+	for _, e := range r.entries {
+		e.breaker = NewBreaker(cfg)
+	}
 }
 
-// Breaker returns the dataset's circuit breaker, creating it on first
-// use. Callers must only ask for breakers of datasets that exist (the
-// map is keyed by arbitrary ids and never shrinks).
+// Breaker returns the circuit breaker of the dataset registered — or being
+// registered — under id: the one its catalog entry was created with. An id
+// with no entry has no breaker (nil).
 func (r *Registry) Breaker(id string) *Breaker {
-	r.breakerMu.Lock()
-	defer r.breakerMu.Unlock()
-	if r.breakers == nil {
-		r.breakers = map[string]*Breaker{}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if e, ok := r.entries[id]; ok {
+		return e.breaker
 	}
-	b := r.breakers[id]
-	if b == nil {
-		b = NewBreaker(r.breakerCfg)
-		r.breakers[id] = b
-	}
-	return b
+	return nil
 }
 
 // HealthStates reports the health state of every completed dataset.
 func (r *Registry) HealthStates() map[string]HealthState {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	out := map[string]HealthState{}
-	for _, id := range r.IDs() {
-		out[id] = r.Breaker(id).State()
+	for id, e := range r.entries {
+		if e.settled() {
+			out[id] = e.breaker.State()
+		}
 	}
 	return out
 }
@@ -315,12 +306,15 @@ func (r *Registry) HealthStates() map[string]HealthState {
 // QuarantineCount reports how many artifacts this registry quarantined.
 func (r *Registry) QuarantineCount() int64 { return r.quarantineCount.Load() }
 
-// NoteQuarantine counts one quarantined artifact and marks the dataset's
-// breaker (quarantineArtifact is its only caller outside tests).
+// NoteQuarantine counts one quarantined artifact and marks the breaker of
+// the registration it happened under (quarantineArtifact is its only caller
+// outside tests; a Recover run outside any registration has no breaker).
 func (r *Registry) NoteQuarantine(id string) {
 	r.quarantineCount.Add(1)
 	obsQuarantines.Inc()
-	r.Breaker(id).MarkQuarantined()
+	if b := r.Breaker(id); b != nil {
+		b.MarkQuarantined()
+	}
 }
 
 // QuarantinePath maps an artifact path to where quarantine moves it.

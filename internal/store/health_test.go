@@ -8,6 +8,7 @@ package store
 // never escape the data directory, whatever the dataset id.
 
 import (
+	"errors"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -294,12 +295,27 @@ func TestBreakerConcurrentTrippers(t *testing.T) {
 }
 
 // TestRegistryBreakerPlumbing pins the registry side: one breaker per
-// id (stable across calls), config applied to new breakers, reset on
+// catalog entry (stable across calls, none for an id without one, the same
+// one the answer path is handed), config applied to new breakers, reset on
 // SetBreakerConfig, and HealthStates keyed by the completed datasets.
 func TestRegistryBreakerPlumbing(t *testing.T) {
 	reg := NewRegistry("")
-	if b1, b2 := reg.Breaker("a"), reg.Breaker("a"); b1 != b2 {
+	scheme := &core.Scheme{
+		SchemeName: "test/health",
+		Preprocess: func(d []byte) ([]byte, error) { return d, nil },
+		Answer:     func(pd, q []byte) (bool, error) { return true, nil },
+	}
+	if b := reg.Breaker("a"); b != nil {
+		t.Fatal("an id with no catalog entry has a breaker")
+	}
+	if _, err := reg.Register("a", scheme, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	if b1, b2 := reg.Breaker("a"), reg.Breaker("a"); b1 == nil || b1 != b2 {
 		t.Fatal("Breaker(id) is not stable across calls")
+	}
+	if _, br, ok := reg.Serving("a"); !ok || br != reg.Breaker("a") {
+		t.Fatal("Serving hands the answer path a different breaker than Breaker(id)")
 	}
 	reg.Breaker("a").MarkQuarantined()
 	reg.SetBreakerConfig(BreakerConfig{DegradedAfter: 1, OpenAfter: 1})
@@ -311,17 +327,22 @@ func TestRegistryBreakerPlumbing(t *testing.T) {
 		t.Fatalf("new config not applied: state %v after 1 failure with OpenAfter=1", st)
 	}
 
-	scheme := &core.Scheme{
-		SchemeName: "test/health",
-		Preprocess: func(d []byte) ([]byte, error) { return d, nil },
-		Answer:     func(pd, q []byte) (bool, error) { return true, nil },
+	// A failed registration leaves no breaker behind.
+	bad := *scheme
+	bad.Preprocess = func([]byte) ([]byte, error) { return nil, errors.New("hostile data") }
+	if _, err := reg.Register("bad", &bad, []byte{1}); err == nil {
+		t.Fatal("registration with a failing Preprocess succeeded")
 	}
+	if b := reg.Breaker("bad"); b != nil {
+		t.Fatal("a failed registration left a breaker behind")
+	}
+
 	if _, err := reg.Register("ds", scheme, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
 	states := reg.HealthStates()
-	if len(states) != 1 || states["ds"] != HealthHealthy {
-		t.Fatalf("HealthStates = %v, want {ds: healthy}", states)
+	if len(states) != 2 || states["ds"] != HealthHealthy || states["a"] != HealthOpen {
+		t.Fatalf("HealthStates = %v, want {a: open, ds: healthy}", states)
 	}
 	reg.NoteQuarantine("ds")
 	if got := reg.QuarantineCount(); got != 1 {

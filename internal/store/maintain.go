@@ -18,6 +18,7 @@ import (
 
 	"pitract/internal/core"
 	"pitract/internal/obs"
+	"pitract/internal/schemes"
 )
 
 // Maintenance-path stage histograms and counters. The in-memory staging,
@@ -70,9 +71,9 @@ type DeltaDataset interface {
 	// answerer(s) of the result, touching nothing a query can observe. ctx is
 	// checked before each delta — deltas are the cancellation granularity, a
 	// single delta application is never torn. On success it returns the
-	// commit: a swap of the staged state in at the given version that holds
-	// the reader-blocking lock for pointer assignments only, so a query
-	// observes the old Π or the new one, never a mix. A failed Prepare of
+	// commit: one atomic pointer store that publishes the staged state, whole,
+	// at the given version, so a query observes the old Π or the new one,
+	// never a mix, and never waits for either. A failed Prepare of
 	// the staged Π is not a Stage failure — the maintained bytes are the
 	// truth, and answers surface the error per query. Called with
 	// Maint().Mu held.
@@ -196,7 +197,7 @@ func (r *Registry) replayLog(ds DeltaDataset) error {
 	if len(records) == 0 {
 		return nil
 	}
-	inc := r.incrementalFor(ds.SchemeName())
+	inc := schemes.IncrementalForScheme(ds.SchemeName())
 	replayStart := obs.Start()
 	replayed := 0
 	for i, rec := range records {

@@ -72,9 +72,10 @@ type Dataset interface {
 	// CanDegrade reports whether Degraded asks can be answered — the
 	// scheme declares a cheaper fallback answerer.
 	CanDegrade() bool
-	// RetryPrepare drops the prepared answerer(s), successful or failed,
-	// and rebuilds them from the current Π — the hook a breaker's half-open
-	// probe uses to retry a transient Prepare failure.
+	// RetryPrepare republishes the committed Π at its version with the
+	// prepared answerer(s), successful or failed, built again — the hook a
+	// breaker's half-open probe uses to retry a transient Prepare failure. It
+	// never replaces a newer commit.
 	RetryPrepare() error
 	// Ask decides one query in the given mode. The verdict carries the
 	// maintenance version of the Π that decided it, read together with the
@@ -111,11 +112,9 @@ type Registry struct {
 
 	mu      sync.Mutex
 	entries map[string]*regEntry
-	// incResolver maps a scheme name to its incremental form for
-	// ApplyDelta. It defaults to the built-in schemes catalog
-	// (schemes.IncrementalForScheme); SetIncrementalResolver lets callers
-	// registering custom core.Scheme values plug in their own.
-	incResolver func(string) *core.IncrementalScheme
+	// breakerCfg (guarded by mu) configures the breaker every new catalog
+	// entry is created with.
+	breakerCfg BreakerConfig
 
 	preprocessCount atomic.Int64
 	loadCount       atomic.Int64
@@ -123,13 +122,6 @@ type Registry struct {
 	deleteCount     atomic.Int64
 	replayCount     atomic.Int64
 	quarantineCount atomic.Int64
-
-	// breakerMu guards the per-dataset circuit breakers separately from
-	// the entries mutex: breaker decisions sit on the hot answer path and
-	// must never contend with builds.
-	breakerMu  sync.Mutex
-	breakers   map[string]*Breaker
-	breakerCfg BreakerConfig
 }
 
 // regEntry is a future for one dataset: done closes once ds/err are set,
@@ -145,6 +137,23 @@ type regEntry struct {
 	// instead of memoized, so a budget-exceeded registration leaves no
 	// catalog entry.
 	abandoned bool
+	// breaker (guarded by the registry mutex) is the dataset's health state
+	// machine. It lives exactly as long as the entry: created when the
+	// registration starts — so a quarantine during its recovery is recorded —
+	// and gone with a failed or abandoned one.
+	breaker *Breaker
+}
+
+// settled reports whether e's registration completed successfully, without
+// waiting for one still in flight — so listings, stats and health never
+// block behind a long Preprocess.
+func (e *regEntry) settled() bool {
+	select {
+	case <-e.done:
+		return e.err == nil
+	default: // still preprocessing
+		return false
+	}
 }
 
 // NewRegistry returns a registry persisting snapshots (and write-ahead
@@ -170,30 +179,6 @@ func NewRegistryMedium(med *Medium) *Registry {
 // < 1 mean 1 — checkpoint on every PATCH). Set it before serving traffic;
 // it is not synchronized against in-flight maintenance.
 func (r *Registry) SetCheckpointEvery(n int) { r.med.CheckpointEvery = n }
-
-// SetIncrementalResolver overrides how ApplyDelta resolves a scheme's
-// incremental form by name (nil restores the built-in schemes catalog).
-// Callers serving custom schemes use it to make their datasets
-// maintainable; set it before serving traffic.
-func (r *Registry) SetIncrementalResolver(f func(string) *core.IncrementalScheme) {
-	r.mu.Lock()
-	r.incResolver = f
-	r.mu.Unlock()
-}
-
-// incrementalFor resolves a scheme's incremental form through the
-// registry's resolver (the built-in schemes catalog unless
-// SetIncrementalResolver overrode it) — one resolution for ApplyDelta and
-// for log replay.
-func (r *Registry) incrementalFor(name string) *core.IncrementalScheme {
-	r.mu.Lock()
-	f := r.incResolver
-	r.mu.Unlock()
-	if f == nil {
-		f = schemes.IncrementalForScheme
-	}
-	return f(name)
-}
 
 // Dir reports the snapshot directory ("" when memory-only).
 func (r *Registry) Dir() string { return r.med.Dir }
@@ -254,7 +239,7 @@ func (r *Registry) RegisterDatasetContext(ctx context.Context, id string, compat
 		}
 		return e.ds, nil
 	}
-	e := &regEntry{done: make(chan struct{})}
+	e := &regEntry{done: make(chan struct{}), breaker: NewBreaker(r.breakerCfg)}
 	r.entries[id] = e
 	r.mu.Unlock()
 
@@ -373,7 +358,7 @@ func (r *Registry) RegisterContext(ctx context.Context, id string, scheme *core.
 					// A snapshot with Version > 0 is the maintained
 					// Π(D ⊕ ∆D…): resuming from it (not from a re-preprocess
 					// of D) is the whole point of persisting maintenance.
-					return &Store{ID: id, Scheme: scheme, Prep: snap.Prep, DataSum: sum, Loaded: true, version: snap.Version}, nil
+					return newStore(id, scheme, sum, snap.Prep, snap.Version, true), nil
 				},
 				func() (DeltaDataset, error) {
 					ppStart := obs.Start()
@@ -382,7 +367,7 @@ func (r *Registry) RegisterContext(ctx context.Context, id string, scheme *core.
 						return nil, fmt.Errorf("store: register %q: preprocess (%s): %w", id, scheme.Name(), err)
 					}
 					obsPreprocess.Since(ppStart)
-					return &Store{ID: id, Scheme: scheme, Prep: pd, DataSum: sum}, nil
+					return newStore(id, scheme, sum, pd, 0, false), nil
 				})
 			if err != nil {
 				return nil, err
@@ -461,9 +446,9 @@ func (e *PersistError) Error() string { return e.Err.Error() }
 func (e *PersistError) Unwrap() error { return e.Err }
 
 // ApplyDelta maintains the dataset registered under id in place:
-// Π ← Π(D ⊕ ∆D₁ ⊕ … ⊕ ∆Dₖ) through the scheme's incremental form (the
-// built-in schemes catalog by default; see SetIncrementalResolver),
-// applied under the dataset's maintenance lock.
+// Π ← Π(D ⊕ ∆D₁ ⊕ … ⊕ ∆Dₖ) through the scheme's incremental form
+// (schemes.IncrementalForScheme), applied under the dataset's maintenance
+// lock.
 // The batch is atomic — every delta commits together with a bumped
 // monotonic version and an atomically rewritten snapshot (when the
 // registry is persistent), or nothing changes at all: a malformed delta, a
@@ -472,9 +457,10 @@ func (e *PersistError) Unwrap() error { return e.Err }
 // snapshot exactly as they were. Returns the dataset's new maintenance
 // version.
 //
-// Concurrent queries are never blocked on maintenance I/O and never
-// observe a torn Π: answer paths snapshot the preprocessed string under a
-// read lock and the writer swaps it wholesale.
+// Concurrent queries are never blocked on maintenance — staging, I/O or the
+// commit itself — and never observe a torn Π: every dataset kind answers
+// from one immutable committed value loaded through an atomic pointer, and
+// the commit stores the next one.
 func (r *Registry) ApplyDelta(id string, deltas [][]byte) (uint64, error) {
 	return r.ApplyDeltaContext(context.Background(), id, deltas)
 }
@@ -492,7 +478,7 @@ func (r *Registry) ApplyDeltaContext(ctx context.Context, id string, deltas [][]
 	if len(deltas) == 0 {
 		return ds.Version(), fmt.Errorf("store: dataset %q: empty delta batch", id)
 	}
-	inc := r.incrementalFor(ds.SchemeName())
+	inc := schemes.IncrementalForScheme(ds.SchemeName())
 	if inc == nil {
 		return ds.Version(), fmt.Errorf("store: dataset %q: scheme %s has no incremental form (maintainable: %v)",
 			id, ds.SchemeName(), schemes.MaintainableSchemes())
@@ -554,17 +540,29 @@ func (r *Registry) Get(id string) (*Store, bool) {
 // GetDataset returns the dataset registered under id — plain or sharded —
 // waiting out a registration still in flight.
 func (r *Registry) GetDataset(id string) (Dataset, bool) {
+	ds, _, ok := r.Serving(id)
+	return ds, ok
+}
+
+// Serving is GetDataset for the answer path: the dataset together with its
+// health breaker, both read from the one catalog entry in one critical
+// section.
+func (r *Registry) Serving(id string) (Dataset, *Breaker, bool) {
 	r.mu.Lock()
 	e, ok := r.entries[id]
+	var br *Breaker
+	if ok {
+		br = e.breaker
+	}
 	r.mu.Unlock()
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
 	<-e.done
 	if e.err != nil {
-		return nil, false
+		return nil, nil, false
 	}
-	return e.ds, true
+	return e.ds, br, true
 }
 
 // IDs returns the completed dataset IDs, sorted. Registrations still in
@@ -575,12 +573,8 @@ func (r *Registry) IDs() []string {
 	defer r.mu.Unlock()
 	ids := make([]string, 0, len(r.entries))
 	for id, e := range r.entries {
-		select {
-		case <-e.done:
-			if e.err == nil {
-				ids = append(ids, id)
-			}
-		default: // still preprocessing
+		if e.settled() {
+			ids = append(ids, id)
 		}
 	}
 	sort.Strings(ids)
@@ -594,12 +588,8 @@ func (r *Registry) Len() int {
 	defer r.mu.Unlock()
 	n := 0
 	for _, e := range r.entries {
-		select {
-		case <-e.done:
-			if e.err == nil {
-				n++
-			}
-		default: // still preprocessing
+		if e.settled() {
+			n++
 		}
 	}
 	return n
@@ -632,19 +622,11 @@ func (r *Registry) ArtifactBytes() int64 {
 // registration, skipping (not waiting for) builds still in flight.
 func (r *Registry) completed() []Dataset {
 	r.mu.Lock()
-	entries := make([]*regEntry, 0, len(r.entries))
+	defer r.mu.Unlock()
+	out := make([]Dataset, 0, len(r.entries))
 	for _, e := range r.entries {
-		entries = append(entries, e)
-	}
-	r.mu.Unlock()
-	out := make([]Dataset, 0, len(entries))
-	for _, e := range entries {
-		select {
-		case <-e.done:
-			if e.err == nil && e.ds != nil {
-				out = append(out, e.ds)
-			}
-		default: // still preprocessing
+		if e.settled() && e.ds != nil {
+			out = append(out, e.ds)
 		}
 	}
 	return out

@@ -171,7 +171,8 @@ func TestRegistryPersistence(t *testing.T) {
 	if !st2.Loaded || r2.LoadCount() != 1 {
 		t.Fatalf("restart did not reload from snapshot (loaded=%v loads=%d)", st2.Loaded, r2.LoadCount())
 	}
-	if !bytes.Equal(st1.Prep, st2.Prep) {
+	pd1, _ := st1.View()
+	if pd2, _ := st2.View(); len(pd2) == 0 || !bytes.Equal(pd1, pd2) {
 		t.Fatal("reloaded Π(D) differs from the original")
 	}
 

@@ -294,9 +294,10 @@ func SumData(data []byte) DataChecksum { return sha256.Sum256(data) }
 // its Π(D). Any number of goroutines may call Answer or AnswerBatch
 // concurrently (the scheme concurrency contract, core/batch.go), and —
 // when the scheme has an incremental form — ApplyDeltas maintains Π(D ⊕ ∆D)
-// in place through Stage: the preprocessed string is replaced wholesale
-// under a writer lock, so a concurrent query always answers against a fully
-// applied Π (old or new), never a torn one.
+// through Stage. What a query reads is one immutable committed value behind
+// an atomic pointer, as in internal/shard's ShardedStore: a reader loads it
+// once and a commit stores the next, so a query answers against a fully
+// applied Π (old or new), never a torn one, and neither waits on the other.
 type Store struct {
 	// ID is the dataset identifier the store was registered under ("" for
 	// stores opened directly from a path).
@@ -304,45 +305,76 @@ type Store struct {
 	// Scheme is the Π-tractability scheme that produced — and answers
 	// against — the preprocessed bytes.
 	Scheme *core.Scheme
-	// Prep is Π(D) at construction. Once the store is shared it is guarded
-	// by the writer lock: read it through View (or Answer/Snapshot), never
-	// directly.
+	// Prep is Π(D) of a store assembled by hand, read once: the first use
+	// publishes it at version 0. Register and Open publish theirs directly
+	// and leave it nil, so a maintained store retains no Π but the committed
+	// one. Read the current Π through View (or Answer/Snapshot), never here.
 	Prep []byte
 	// DataSum digests the raw data the store was originally registered
 	// from. Deltas do not change it — the digest pins the registration
 	// identity, while Version counts the maintenance steps applied since.
 	DataSum DataChecksum
-	// Loaded reports whether Prep came from a snapshot file (true) or a
-	// fresh Preprocess call (false).
+	// Loaded reports whether Π came from a snapshot file (true) or a fresh
+	// Preprocess call (false).
 	Loaded bool
 
-	// Maintenance serializes maintainers (see ApplyDeltas), so the staged
-	// state and the snapshot on disk are built outside mu.
+	// Maintenance serializes maintainers (see ApplyDeltas): staging and
+	// snapshot I/O run under its mutex, which no reader ever takes.
 	Maintenance
-	// mu guards Prep, version, and the prepared answerer: a Stage commit
-	// swaps them under the write lock, answer paths snapshot them under the
-	// read lock. The write lock is held only for the pointer swap — never
-	// across delta application, answerer preparation, or snapshot I/O — so
-	// queries are never blocked on maintenance work.
-	mu sync.RWMutex
+	// state is the committed value: published by newStore (or a literal's
+	// first use), replaced — always whole — only by a Stage commit under
+	// Maintenance.Mu and by RetryPrepare's compare-and-swap.
+	state atomic.Pointer[committed]
+}
+
+// committed is everything a plain store answers from and checkpoints at one
+// version: immutable once published, but for memos that go from unset to
+// the one value ⟨prep, version⟩ determines.
+type committed struct {
+	prep []byte
 	// version counts the deltas applied since registration; it only ever
 	// grows, and every applied delta bumps it by one.
 	version uint64
-	// forms holds, per Mode, the answerer decoded from the current Π: the
-	// scheme's typed prepared form (Exact, core.PreparedScheme) and its
-	// declared fallback (Degraded, Scheme.PrepareFallback). Each is built
-	// once per Π — the exact form eagerly by Warm at registration/load, or
-	// lazily on the first ask for stores assembled by hand; the fallback on
-	// the first degraded ask — and both are reset by the same commit that
-	// swaps Prep and version, so a query never pairs a new Π with an old
-	// form. A failed build is sticky for the current Π (a corrupt
-	// preprocessed string errors once at preparation; every answer surfaces
-	// it, matching the raw path's per-query validation error).
-	forms [2]prepared
-	// snapSize memoizes SnapshotBytes for the committed ⟨Π, version⟩ (0 =
-	// not computed yet); every commit that changes either resets it, so a
-	// /v1/stats scrape encodes a snapshot at most once per version.
-	snapSize int
+	// forms memoises, per Mode, the answerer decoded from prep — the scheme's
+	// typed prepared form (Exact, core.PreparedScheme), its declared fallback
+	// (Degraded, Scheme.PrepareFallback) — each built by its first use, once:
+	// askers arriving meanwhile wait for that build rather than start their
+	// own (the labels fallback is an n²-bit closure). A failed build is
+	// sticky for the value (a corrupt Π errors once at preparation; every
+	// answer surfaces it, matching the raw path's per-query validation error)
+	// until RetryPrepare publishes a fresh one.
+	forms [2]func() (core.Answerer, error)
+	// snapSize memoises SnapshotBytes (0 = not encoded yet), so a /v1/stats
+	// scrape encodes a snapshot at most once per version.
+	snapSize atomic.Int64
+}
+
+// newCommitted is ⟨prep, version⟩ with nothing memoised yet.
+func newCommitted(scheme *core.Scheme, prep []byte, version uint64) *committed {
+	return &committed{prep: prep, version: version, forms: [2]func() (core.Answerer, error){
+		Exact:    sync.OnceValues(func() (core.Answerer, error) { return Prepare(scheme, prep) }),
+		Degraded: sync.OnceValues(func() (core.Answerer, error) { return scheme.PrepareFallback(prep) }),
+	}}
+}
+
+// newStore is the one constructor Register and Open share: ⟨Π, version⟩ is
+// published directly and Prep stays nil.
+func newStore(id string, scheme *core.Scheme, sum DataChecksum, prep []byte, version uint64, loaded bool) *Store {
+	st := &Store{ID: id, Scheme: scheme, DataSum: sum, Loaded: loaded}
+	st.state.Store(newCommitted(scheme, prep, version))
+	return st
+}
+
+// load returns the committed value — every reader's one read of shared
+// state — publishing a hand-assembled store's Prep on first use; goroutines
+// racing there agree on whichever value landed.
+func (st *Store) load() *committed {
+	c := st.state.Load()
+	if c == nil {
+		st.state.CompareAndSwap(nil, newCommitted(st.Scheme, st.Prep, 0))
+		c = st.state.Load()
+	}
+	return c
 }
 
 // PrepareError marks a failed Scheme.Prepare — the answerer build —
@@ -358,101 +390,69 @@ func (e *PrepareError) Error() string { return e.Err.Error() }
 
 func (e *PrepareError) Unwrap() error { return e.Err }
 
-// wrapPrepareErr types a Prepare failure exactly once.
-func wrapPrepareErr(err error) error {
-	if err == nil {
-		return nil
-	}
+// Prepare decodes Π into scheme's prepared answerer — for a plain store and
+// for each member of a sharded one — typing a failure as a *PrepareError
+// exactly once.
+func Prepare(scheme *core.Scheme, prep []byte) (core.Answerer, error) {
+	a, err := scheme.Prepare(prep)
 	var pe *PrepareError
-	if errors.As(err, &pe) {
-		return err
+	if err != nil && !errors.As(err, &pe) {
+		return nil, &PrepareError{Err: err}
 	}
-	return &PrepareError{Err: err}
+	return a, err
+}
+
+// Askable refuses an ask before any work, in the same words for every
+// dataset kind: a mode the dataset cannot serve — a property of the dataset,
+// not of any one query — or a cancelled ctx.
+func Askable(ctx context.Context, ds Dataset, mode Mode) error {
+	if mode == Degraded && !ds.CanDegrade() {
+		return fmt.Errorf("scheme %s: %w", ds.SchemeName(), ErrNoFallback)
+	}
+	return ctx.Err()
 }
 
 // View returns the current preprocessed string and the maintenance version
 // it corresponds to, as one consistent pair. The returned slice is the
-// immutable current Π — ApplyDeltas replaces the slice rather than mutating
-// it, so callers may read it without holding any lock.
+// immutable committed Π — a commit replaces the slice rather than mutating
+// it, so callers may read it freely.
 func (st *Store) View() ([]byte, uint64) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.Prep, st.version
+	c := st.load()
+	return c.prep, c.version
 }
 
-// Warm builds the prepared answerer for the current Π now, so the first
-// query pays a probe, not a decode. Registration and snapshot/manifest
-// reloads call it; stores assembled by hand fall back to the same build on
-// their first answer. Prepare failures are not fatal here — they surface,
-// with the identical message, on every subsequent Answer.
-func (st *Store) Warm() { st.pin(Exact) }
+// Warm is the exact form's first use, made by registration and snapshot
+// reloads before the store is shared, so the first query pays a probe, not
+// a decode. Prepare failures are not fatal here — they surface, with the
+// identical message, on every subsequent Answer.
+func (st *Store) Warm() { st.load().forms[Exact]() }
 
-// prepared is one decoded form of a Π, or the sticky failure to build it;
-// both nil while unbuilt.
-type prepared struct {
-	a   core.Answerer
-	err error
-}
-
-// pin returns the answerer mode selects for the current Π together with
-// the maintenance version of that Π — one consistent pair, read in one
-// critical section — building and installing the form on first use. The
-// double-check under the write lock keeps a racing maintenance commit
-// authoritative: if the version moved while we built, the fresh form still
-// matches the ⟨Π, version⟩ this call read, so it is used for this ask and
-// discarded.
-func (st *Store) pin(mode Mode) (core.Answerer, uint64, error) {
-	st.mu.RLock()
-	f, pd, v := st.forms[mode], st.Prep, st.version
-	st.mu.RUnlock()
-	if f.a != nil || f.err != nil {
-		return f.a, v, f.err
-	}
-	switch {
-	case mode == Exact:
-		f.a, f.err = st.Scheme.Prepare(pd)
-		f.err = wrapPrepareErr(f.err)
-	case st.CanDegrade():
-		f.a, f.err = st.Scheme.PrepareFallback(pd)
-	default:
-		return nil, v, fmt.Errorf("scheme %s: %w", st.Scheme.Name(), ErrNoFallback)
-	}
-	st.mu.Lock()
-	if cur := st.forms[mode]; cur.a == nil && cur.err == nil && st.version == v {
-		st.forms[mode] = f
-	}
-	st.mu.Unlock()
-	return f.a, v, f.err
-}
-
-// RetryPrepare implements Dataset: it drops the prepared forms (successful
-// or failed) and rebuilds the exact one from the current Π. This is the
-// heal path for a Prepare that failed transiently (e.g. an injected I/O
-// fault inside a scheme's decode): without it the first failure would
-// poison the store until restart. Called by a health breaker's half-open
-// probe.
+// RetryPrepare implements Dataset: it builds the exact form of the
+// committed Π again and republishes ⟨Π, version⟩ with it, dropping the old
+// forms, successful or failed. This is the heal path for a Prepare that
+// failed transiently (e.g. an injected I/O fault inside a scheme's decode):
+// without it the first failure would poison the store until restart. A
+// breaker's half-open probe calls it beside any maintainer, so the swap is
+// conditional on the value loaded here: a commit that lands during the
+// build stays — it prepared its own Π.
 func (st *Store) RetryPrepare() error {
-	st.mu.Lock()
-	st.forms = [2]prepared{}
-	st.mu.Unlock()
-	_, _, err := st.pin(Exact)
+	c := st.load()
+	next := newCommitted(st.Scheme, c.prep, c.version)
+	_, err := next.forms[Exact]()
+	st.state.CompareAndSwap(c, next)
 	return err
 }
 
 // Version implements Dataset: the number of deltas applied since
 // registration.
-func (st *Store) Version() uint64 {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.version
-}
+func (st *Store) Version() uint64 { return st.load().version }
 
 // Stage implements DeltaDataset: Π ← ApplyDelta(…ApplyDelta(Π, ∆D₁)…, ∆Dₖ)
-// on a private copy, the maintained Π's prepared answerer built here —
-// outside the reader-blocking lock — and committed with ⟨Π, version⟩ in one
-// swap.
+// on a private copy, and the maintained Π's prepared answerer, built here —
+// where no query waits — into the next committed value; the commit is one
+// pointer store. The fallback is built by the next degraded ask.
 func (st *Store) Stage(ctx context.Context, inc *core.IncrementalScheme, deltas [][]byte) (func(version uint64), error) {
-	cur, _ := st.View()
+	cur := st.load().prep
 	for i, delta := range deltas {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("store: delta %d: %w (nothing applied)", i, err)
@@ -463,14 +463,11 @@ func (st *Store) Stage(ctx context.Context, inc *core.IncrementalScheme, deltas 
 		}
 		cur = next
 	}
-	a, aerr := st.Scheme.Prepare(cur)
+	next := newCommitted(st.Scheme, cur, 0)
+	next.forms[Exact]()
 	return func(version uint64) {
-		st.mu.Lock()
-		st.Prep, st.version, st.snapSize = cur, version, 0
-		// The fallback answerer decodes the same Π: the commit invalidates it
-		// too (rebuilt lazily on the next degraded ask).
-		st.forms = [2]prepared{Exact: {a, wrapPrepareErr(aerr)}}
-		st.mu.Unlock()
+		next.version = version
+		st.state.Store(next)
 	}, nil
 }
 
@@ -491,10 +488,7 @@ func (st *Store) SchemeName() string { return st.Scheme.Name() }
 func (st *Store) DataDigest() DataChecksum { return st.DataSum }
 
 // PrepBytes implements Dataset: the size of the current Π.
-func (st *Store) PrepBytes() int {
-	pd, _ := st.View()
-	return len(pd)
-}
+func (st *Store) PrepBytes() int { return len(st.load().prep) }
 
 // ShardCount implements Dataset: a plain store is its own single shard.
 func (st *Store) ShardCount() int { return 1 }
@@ -502,22 +496,15 @@ func (st *Store) ShardCount() int { return 1 }
 // SnapshotBytes implements Dataset: the encoded size of the store's
 // snapshot at its current version — what a checkpoint would write, whether
 // or not the store is persisted. The size is encoded once per committed
-// ⟨Π, version⟩ and memoized: a stats scrape must not re-encode Π.
+// value and memoized there: a stats scrape must not re-encode Π (racing
+// scrapes of a fresh value may each encode it).
 func (st *Store) SnapshotBytes() int {
-	st.mu.RLock()
-	size, pd, v := st.snapSize, st.Prep, st.version
-	st.mu.RUnlock()
-	if size != 0 {
-		return size
+	c := st.load()
+	if size := c.snapSize.Load(); size != 0 {
+		return int(size)
 	}
-	size = len(EncodeSnapshot(NewSnapshot(st.Scheme, st.DataSum, v, pd)))
-	st.mu.Lock()
-	// A commit that raced the encode reset snapSize for its own ⟨Π,
-	// version⟩; only a size computed from the still-current pair is kept.
-	if st.version == v && len(st.Prep) == len(pd) && (len(pd) == 0 || &st.Prep[0] == &pd[0]) {
-		st.snapSize = size
-	}
-	st.mu.Unlock()
+	size := len(EncodeSnapshot(NewSnapshot(st.Scheme, st.DataSum, c.version, c.prep)))
+	c.snapSize.Store(int64(size))
 	return size
 }
 
@@ -534,47 +521,49 @@ func (st *Store) CanDegrade() bool { return st.Scheme.PrepareFallback != nil }
 // checked up front (a single prepared probe is too fine-grained to
 // interrupt mid-flight).
 func (st *Store) Ask(ctx context.Context, q []byte, mode Mode) (Verdict, error) {
-	if err := ctx.Err(); err != nil {
+	if err := Askable(ctx, st, mode); err != nil {
 		return Verdict{}, err
 	}
-	a, v, err := st.pin(mode)
+	c := st.load()
+	a, err := c.forms[mode]()
 	if err != nil {
-		return Verdict{Version: v}, err
+		return Verdict{Version: c.version}, err
 	}
 	ans, err := a.Answer(q)
-	return Verdict{Answer: ans, Version: v, Degraded: mode == Degraded}, err
+	return Verdict{Answer: ans, Version: c.version, Degraded: mode == Degraded}, err
 }
 
 // AskBatch implements Dataset: queries answered concurrently through the
 // scheme's worker pool (parallelism <= 0 selects GOMAXPROCS), ctx consulted
 // before every probe so an expired deadline abandons the remainder of the
 // batch instead of paying it. The whole batch answers against one
-// consistent Π — the form is pinned once up front, even if a delta commits
-// mid-batch. An Exact batch under a deadline starts on the prepared form
-// and switches to the scheme's declared fallback (when it has one) once
-// less than a quarter of the budget remains.
+// consistent Π — the committed value is loaded once up front, even if a
+// delta commits mid-batch. An Exact batch under a deadline starts on the
+// prepared form and switches to the scheme's declared fallback (when it has
+// one) once less than a quarter of the budget remains.
 func (st *Store) AskBatch(ctx context.Context, queries [][]byte, parallelism int, mode Mode) (Verdicts, error) {
-	if err := ctx.Err(); err != nil {
+	if err := Askable(ctx, st, mode); err != nil {
 		return Verdicts{}, err
 	}
-	a, v, err := st.pin(mode)
+	c := st.load()
+	vs := Verdicts{Answers: []bool{}, Version: c.version}
 	if len(queries) == 0 {
 		// The raw batch path returns no error on an empty batch even over
 		// a corrupt Π (it never calls Answer); match it.
-		return Verdicts{Answers: []bool{}, Version: v}, nil
+		return vs, nil
 	}
+	a, err := c.forms[mode]()
 	if err != nil {
 		// A corrupt Π fails the raw path at its first query; report the
 		// sticky build error in exactly that shape.
-		return Verdicts{Version: v}, fmt.Errorf("scheme %s: batch query %d: %w", st.Scheme.Name(), 0, err)
+		return vs, fmt.Errorf("scheme %s: batch query %d: %w", st.Scheme.Name(), 0, err)
 	}
-	vs := Verdicts{Version: v}
 	var fallbacks *atomic.Int64
 	if mode == Degraded {
 		vs.Degraded = len(queries)
 	} else if deadline, ok := ctx.Deadline(); ok && st.CanDegrade() {
 		fallbacks = new(atomic.Int64)
-		a = st.fallbackWhenLow(a, v, deadline, fallbacks)
+		a = c.fallbackWhenLow(a, deadline, fallbacks)
 	}
 	vs.Answers, err = core.AnswerBatchPreparedContext(ctx, st.Scheme.Name(), a, queries, parallelism)
 	if fallbacks != nil {
@@ -583,23 +572,16 @@ func (st *Store) AskBatch(ctx context.Context, queries [][]byte, parallelism int
 	return vs, err
 }
 
-// fallbackWhenLow wraps a batch's pinned exact answerer: once less than a
-// quarter of the budget measured from now remains before deadline, the
-// remaining probes go to the scheme's declared fallback, counted in taken.
-// Only a fallback decoded from the Π pinned at version v may answer — one
-// batch, one version — so a commit that raced the batch keeps it exact.
-func (st *Store) fallbackWhenLow(exact core.Answerer, v uint64, deadline time.Time, taken *atomic.Int64) core.Answerer {
+// fallbackWhenLow wraps a batch's exact answerer: once less than a quarter
+// of the budget measured from now remains before deadline, the remaining
+// probes go to the scheme's declared fallback, counted in taken. The
+// fallback is c's own, so one batch answers at one version whatever commits
+// beside it.
+func (c *committed) fallbackWhenLow(exact core.Answerer, deadline time.Time, taken *atomic.Int64) core.Answerer {
 	start := time.Now()
-	var once sync.Once
-	var fb core.Answerer
 	return core.AnswererFunc(func(q []byte) (bool, error) {
 		if budgetLow(start, deadline) {
-			once.Do(func() {
-				if a, fv, err := st.pin(Degraded); err == nil && fv == v {
-					fb = a
-				}
-			})
-			if fb != nil {
+			if fb, err := c.forms[Degraded](); err == nil {
 				taken.Add(1)
 				return fb.Answer(q)
 			}
@@ -622,8 +604,8 @@ func (st *Store) AnswerBatch(queries [][]byte, parallelism int) ([]bool, error) 
 
 // Snapshot renders the store as a persistable snapshot.
 func (st *Store) Snapshot() *Snapshot {
-	pd, v := st.View()
-	return NewSnapshot(st.Scheme, st.DataSum, v, pd)
+	c := st.load()
+	return NewSnapshot(st.Scheme, st.DataSum, c.version, c.prep)
 }
 
 // NewSnapshot renders one committed ⟨Π, version⟩ of scheme's artifact, over
@@ -647,19 +629,19 @@ func NewSnapshot(scheme *core.Scheme, sum DataChecksum, version uint64, prep []b
 // preprocess-once contract; Registry does the same per dataset ID.
 func Open(path string, scheme *core.Scheme, data []byte) (*Store, error) {
 	sum := SumData(data)
+	var st *Store
 	if snap, err := LoadFS(OSFS, path); err == nil &&
 		snap.SchemeName == scheme.Name() && snap.DataSum == sum {
-		st := &Store{Scheme: scheme, Prep: snap.Prep, DataSum: sum, Loaded: true, version: snap.Version}
-		st.Warm()
-		return st, nil
-	}
-	pd, err := scheme.Preprocess(data)
-	if err != nil {
-		return nil, fmt.Errorf("store: open %s: preprocess (%s): %w", path, scheme.Name(), err)
-	}
-	st := &Store{Scheme: scheme, Prep: pd, DataSum: sum}
-	if err := SaveFS(OSFS, path, st.Snapshot()); err != nil {
-		return nil, err
+		st = newStore("", scheme, sum, snap.Prep, snap.Version, true)
+	} else {
+		pd, err := scheme.Preprocess(data)
+		if err != nil {
+			return nil, fmt.Errorf("store: open %s: preprocess (%s): %w", path, scheme.Name(), err)
+		}
+		st = newStore("", scheme, sum, pd, 0, false)
+		if err := SaveFS(OSFS, path, st.Snapshot()); err != nil {
+			return nil, err
+		}
 	}
 	st.Warm()
 	return st, nil

@@ -134,7 +134,8 @@ func TestOpen(t *testing.T) {
 	if !st2.Loaded || prepCalls != 1 {
 		t.Fatalf("second open: loaded=%v prepCalls=%d, want snapshot reload", st2.Loaded, prepCalls)
 	}
-	if !bytes.Equal(st1.Prep, st2.Prep) {
+	pd1, _ := st1.View()
+	if pd2, _ := st2.View(); len(pd2) == 0 || !bytes.Equal(pd1, pd2) {
 		t.Fatal("reloaded preprocessed bytes differ from the saved ones")
 	}
 	ok, err := st2.Answer(schemes.PointQuery(9))

@@ -38,19 +38,21 @@
 // and metric rows.
 //
 // On top of that sits horizontal scaling: a dataset can be partitioned
-// across n preprocessed stores (BuildShardedStore, RegisterSharded, the
+// across n preprocessed parts (BuildShardedStore, RegisterSharded, the
 // server's ?shards=N parameter, the CLI's -shards flag) with hash or range
-// partitioning. Queries route to the shard owning their answer or fan out
-// to every shard and merge scheme-specifically (reachability ORs the
-// same-shard verdict with a cross-edge portal-overlay check); differential
-// tests pin sharded answers identical to unsharded ones.
+// partitioning. Queries route to the shard owning their answer, fan out to
+// every shard with the verdicts ORed, or — reachability — answer through a
+// view prepared over all of them (per-vertex portal reach rows);
+// differential tests pin sharded answers identical to unsharded ones.
 //
 // Registered datasets are live-updatable (§1 justification (3)): for
 // schemes with an incremental form (IncrementalForScheme),
 // StoreRegistry.ApplyDelta — and HTTP PATCH /v1/datasets/{id} — maintains
 // Π(D ⊕ ∆D) in place instead of re-preprocessing, bumps a monotonic
-// dataset version reported in every query and info response, and
-// atomically re-snapshots so restarts resume from the maintained Π.
+// dataset version reported in every query and info response, and appends
+// the batch to a write-ahead delta log before it commits (the snapshot is
+// rewritten on a checkpoint cadence), so restarts resume from the
+// maintained Π at the acknowledged version.
 // Sharded datasets route each delta to the shards it lands on (key batches
 // split by partitioner; reachability edge inserts update the owning
 // shard's closure and rebuild the portal overlay). A maintained-vs-rebuilt
@@ -60,9 +62,11 @@
 // The hot-path query engine keeps the per-query cost down to the probe:
 // every store decodes Π once into a typed prepared answerer
 // (PreparedScheme/Answerer — closure matrices as word-packed bitsets,
-// sorted files as decoded arrays, the BFS baseline as in-memory
-// adjacency) refreshed atomically with ⟨Π, version⟩ on every maintenance
-// commit, and an optional answer cache (NewAnswerCache, NewCachedDataset,
+// sorted files as decoded arrays, the BFS baseline as a frozen two-way
+// CSR). Every dataset kind, plain or sharded, serves one immutable
+// committed value — ⟨Π, version, answerer⟩ — behind an atomic pointer: a
+// query loads it once and takes no lock, a maintenance commit stores the
+// next one. An optional answer cache (NewAnswerCache, NewCachedDataset,
 // Server.SetAnswerCache, `pitract serve -cache-bytes`) memoizes hot
 // ⟨dataset, version, query⟩ verdicts in a sharded byte-budgeted LRU with
 // singleflight coalescing — version-keyed, so PATCH invalidates for free.
@@ -286,9 +290,6 @@ type (
 	// with Server.SetLimits; the CLI face is `pitract serve`'s -max-* and
 	// -register-budget flags.
 	ServerLimits = server.Limits
-	// ServerEnvelopeStats is the /v1/stats envelope block: the in-flight
-	// gauge, the active limits, and every rejection the envelope issued.
-	ServerEnvelopeStats = server.EnvelopeStats
 	// StoreBudgetError is the error a registry returns when a
 	// RegisterContext or ApplyDeltaContext call outruns its context: the
 	// work is abandoned (no catalog entry; nothing applied) and the id
@@ -422,8 +423,6 @@ type (
 	ObsHistogramSnapshot = obs.HistogramSnapshot
 	// ObsLabel is one metric label (key + value).
 	ObsLabel = obs.Label
-	// ServerBuildInfo identifies the serving binary in /v1/stats.
-	ServerBuildInfo = server.BuildInfo
 )
 
 var (
@@ -497,16 +496,6 @@ type (
 	// Partitioner plans how element keys spread over shards (hash or
 	// range).
 	Partitioner = shard.Partitioner
-	// ShardAssignment is a frozen key→shard mapping, persisted in the
-	// shard manifest so restarts route exactly like the original process.
-	ShardAssignment = shard.Assignment
-	// Sharding is the per-scheme hook bundle (split, prepare, route,
-	// split-delta, maintain) that adapts one scheme to a partitioned
-	// dataset.
-	Sharding = shard.Sharding
-	// ShardManifest binds one sharded dataset's snapshot files together
-	// with per-shard SHA-256 integrity.
-	ShardManifest = shard.Manifest
 )
 
 // NewHashPartitioner spreads keys by 64-bit FNV-1a hash modulo the shard

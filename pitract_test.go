@@ -259,14 +259,15 @@ func TestFacadeServingFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st2.Loaded || !bytes.Equal(st.Prep, st2.Prep) {
+	pd, _ := st.View()
+	if pd2, _ := st2.View(); !st2.Loaded || len(pd2) == 0 || !bytes.Equal(pd, pd2) {
 		t.Fatal("second OpenStore did not reload the identical snapshot")
 	}
 	snap, err := LoadSnapshot(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.SchemeName != scheme.Name() || !bytes.Equal(snap.Prep, st.Prep) {
+	if snap.SchemeName != scheme.Name() || !bytes.Equal(snap.Prep, pd) {
 		t.Fatal("LoadSnapshot disagrees with OpenStore")
 	}
 
