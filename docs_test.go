@@ -135,7 +135,7 @@ var apiExamples = []apiExample{
 		path:       "/v1/datasets",
 		reqBody:    `{"id":"big","scheme":"reachability/closure-matrix","data":"gYAEAQA="}`,
 		wantStatus: http.StatusConflict,
-		wantBody:   `{"error":"store: register \"big\": preprocess (reachability/closure-matrix): schemes: graph: a dense closure over 65537 vertices exceeds the 65536-vertex limit (its rows take n² bits); register the graph under reachability/labels instead"}`,
+		wantBody:   `{"error":"store: register \"big\": preprocess (reachability/closure-matrix): schemes: graph: the closure's condensation has at least 65537 classes (strongly connected components), over the 65536-vertex limit on a condensation (its rows take k² bits); register the graph under reachability/labels instead"}`,
 	},
 	{
 		name:       "healthz",

@@ -42,6 +42,17 @@ type PreparedScheme interface {
 	Prepare(pd []byte) (Answerer, error)
 }
 
+// LayoutError is what a scheme's readers — Answer, Prepare, ApplyDelta —
+// return for a preprocessed string that is intact but in a layout an earlier
+// version wrote and this one no longer reads. The serving layer tells it from
+// damage and from a bad query: a store that reloads such a Π from disk
+// quarantines the file and rebuilds from the registration's data, as it does
+// for a snapshot with an old magic, rather than serve a dataset whose every
+// answer is this refusal.
+type LayoutError struct{ Msg string }
+
+func (e *LayoutError) Error() string { return e.Msg }
+
 // Prepare decodes pd once into an Answerer. Schemes with a typed prepared
 // form (PrepareAnswerer != nil) validate and decode pd here — so a corrupt
 // preprocessed string errors once, at preparation, with the same message the

@@ -33,7 +33,7 @@ type Scheme struct {
 	// into a cheaper degraded-mode Answerer — the one the serving layer
 	// switches to when a dataset's health breaker is degraded or a query
 	// budget is nearly spent. "Cheaper" means cheaper to build or probe
-	// (e.g. reachability labels fall back to a dense closure probe; a
+	// (e.g. reachability labels fall back to a closure-matrix probe; a
 	// relation scan falls back to binary search); verdicts and error
 	// strings on well-formed queries must still match Answer exactly —
 	// degradation trades serving cost, never correctness. Nil means the

@@ -2,7 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -37,9 +39,139 @@ func denseRef(reach [][]bool) []byte {
 	return b
 }
 
+// AppendDense appends the n×n closure in the dense layout Π had before it was
+// stored over the condensation — n·n bits, row-major with no padding between
+// rows (row u starts at bit u·n), bit i at byte i/8, LSB first, ⌈n²/8⌉ bytes.
+// It lives here, with the bit-at-a-time denseRef it is held to, as the
+// word-wide oracle for the expanded matrix. Rows are streamed through a 64-bit
+// accumulator, so a row that starts mid-byte (n % 8 ≠ 0) costs a shift per
+// word.
+func (c *Closure) AppendDense(dst []byte) []byte {
+	dst = slices.Grow(dst, (c.n*c.n+7)/8)
+	tail := uint(c.n & 63) // valid bits of a row's last word; 0 = all 64
+	var acc uint64         // pending bits, LSB first
+	var pending uint       // how many, always < 64
+	for u := 0; u < c.n; u++ {
+		row := c.Row(u)
+		for i, w := range row {
+			k := uint(64)
+			if i == len(row)-1 && tail != 0 {
+				k = tail
+			}
+			acc |= w << pending
+			if pending+k < 64 {
+				pending += k
+				continue
+			}
+			dst = binary.LittleEndian.AppendUint64(dst, acc)
+			acc = w >> (64 - pending) // a shift by 64 is 0: nothing was left over
+			pending += k - 64
+		}
+	}
+	for ; pending > 0; pending -= min(pending, 8) {
+		dst = append(dst, byte(acc))
+		acc >>= 8
+	}
+	return dst
+}
+
+// condensedRef is the reference emitter of the condensed wire form, from the
+// per-vertex reference alone: classes are mutual reachability, numbered by
+// smallest member; bit d of row c says c's smallest member reaches d's.
+func condensedRef(reach [][]bool) []byte {
+	n := len(reach)
+	class := make([]int, n)
+	var smallest []int // smallest[c] = smallest member of class c
+	for v := 0; v < n; v++ {
+		class[v] = -1
+		for c, s := range smallest {
+			if reach[v][s] && reach[s][v] {
+				class[v] = c
+			}
+		}
+		if class[v] < 0 {
+			class[v] = len(smallest)
+			smallest = append(smallest, v)
+		}
+	}
+	k := len(smallest)
+	words := (k + 63) / 64
+	b := binary.LittleEndian.AppendUint32(nil, uint32(k))
+	for _, c := range class {
+		b = binary.LittleEndian.AppendUint16(b, uint16(c))
+	}
+	rows := make([]byte, 8*k*words)
+	for c, s := range smallest {
+		for d, t := range smallest {
+			if reach[s][t] {
+				rows[8*c*words+d/8] |= 1 << (d % 8)
+			}
+		}
+	}
+	return append(b, rows...)
+}
+
+// checkCondensed holds one graph's condensed closure to the reference: Reach,
+// both bulk reads (with nothing set at or above n), the wire bytes, and the
+// round trip through the decoder and the undecoded probe.
+func checkCondensed(t *testing.T, name string, g *Graph, want [][]bool) {
+	t.Helper()
+	n := g.N()
+	c, err := NewCondensedClosure(g)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	wire := c.AppendWire([]byte("prefix"))
+	if len(wire) != 6+c.WireLen() || !bytes.Equal(wire[6:], condensedRef(want)) {
+		t.Fatalf("%s: wire form differs from the per-vertex reference's", name)
+	}
+	wire = wire[6:]
+	if size, err := CondensedClosureLen(append(slices.Clone(wire), "behind"...), n); err != nil || size != len(wire) {
+		t.Fatalf("%s: CondensedClosureLen = %d, %v; the form is %d bytes", name, size, err, len(wire))
+	}
+	dec, err := DecodeCondensedClosure(wire, n)
+	if err != nil {
+		t.Fatalf("%s: decode: %v", name, err)
+	}
+	if !bytes.Equal(dec.AppendWire(nil), wire) {
+		t.Fatalf("%s: encode → decode → encode moved bytes", name)
+	}
+	if c.N() != n || dec.N() != n || dec.Classes() != c.Classes() {
+		t.Fatalf("%s: %d/%d vertices and %d/%d classes, graph has %d vertices", name, c.N(), dec.N(), c.Classes(), dec.Classes(), n)
+	}
+	words := (n + 63) / 64
+	for _, cc := range []*CondensedClosure{c, dec} {
+		for u := 0; u < n; u++ {
+			row, col := make([]uint64, words), make([]uint64, words)
+			cc.ReachFrom(u, row)
+			cc.ReachTo(u, col)
+			for v := 0; v < n; v++ {
+				bit := func(set []uint64) bool { return set[v>>6]>>(v&63)&1 != 0 }
+				if cc.Reach(u, v) != want[u][v] || bit(row) != want[u][v] || bit(col) != want[v][u] {
+					t.Fatalf("%s: (%d,%d): reference %v/%v, Reach %v, ReachFrom bit %v, ReachTo bit %v",
+						name, u, v, want[u][v], want[v][u], cc.Reach(u, v), bit(row), bit(col))
+				}
+				if (cc.Class(u) == cc.Class(v)) != (want[u][v] && want[v][u]) {
+					t.Fatalf("%s: vertices %d and %d in classes %d and %d", name, u, v, cc.Class(u), cc.Class(v))
+				}
+			}
+			if r := uint(n & 63); r != 0 && (row[n>>6]|col[n>>6])>>r != 0 {
+				t.Fatalf("%s: bulk read of vertex %d set bits at or above n", name, u)
+			}
+		}
+	}
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			if got, err := ProbeCondensedClosure(wire, n, u, v); err != nil || got != want[u][v] {
+				t.Fatalf("%s: undecoded probe (%d,%d) = %v, %v; reference %v", name, u, v, got, err, want[u][v])
+			}
+		}
+	}
+}
+
 // checkClosure holds one graph's kernel closure to the reference on every
-// ⟨u,v⟩, on RowEqual, on the zero padding AppendDense relies on, and on the
-// wire bytes.
+// ⟨u,v⟩, on RowEqual, on the zero padding above n, and on the dense bytes —
+// the expanded matrix — then the condensed value it is expanded from.
 func checkClosure(t *testing.T, name string, g *Graph) {
 	t.Helper()
 	n := g.N()
@@ -71,6 +203,7 @@ func checkClosure(t *testing.T, name string, g *Graph) {
 	if got := c.AppendDense(nil); !bytes.Equal(got, denseRef(want)) {
 		t.Fatalf("%s: AppendDense differs from the bit-at-a-time layout", name)
 	}
+	checkCondensed(t, name, g, want)
 }
 
 // closureShapes are the graph families of TestClosureMatchesReference at n
@@ -103,7 +236,9 @@ func closureShapes(n int) map[string]*Graph {
 
 // TestClosureMatchesReference: every ⟨u,v⟩ of every shape at the sizes where
 // a row is empty, one partial word, exactly one word, one word and a bit, and
-// several words — the condensation kernel against one BFS per vertex.
+// several words — the condensation kernel against one BFS per vertex, as the
+// expanded matrix and as the condensed value (one-cycle is k = 1, the DAG and
+// the paths k = n, the random shapes a k off every word boundary).
 func TestClosureMatchesReference(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 130} {
 		for name, g := range closureShapes(n) {
@@ -140,12 +275,26 @@ func TestAppendDense(t *testing.T) {
 	}
 }
 
+// TestCheckClosureSize: the cap is on classes. NewCondensedClosure refuses
+// edgeless vertices over it from |V| − |E| alone, and a path of one vertex
+// more than the cap — |V| − |E| = 1 — by its class count after SCC.
 func TestCheckClosureSize(t *testing.T) {
-	if err := CheckClosureSize(MaxClosureVertices); err != nil {
+	if err := checkClosureSize(MaxClosureVertices); err != nil {
 		t.Fatalf("the limit itself refused: %v", err)
 	}
-	if err := CheckClosureSize(MaxClosureVertices + 1); err == nil {
-		t.Fatal("one vertex over the limit accepted")
+	if err := checkClosureSize(MaxClosureVertices + 1); err == nil {
+		t.Fatal("one class over the limit accepted")
+	}
+	for name, g := range map[string]*Graph{
+		"edgeless": New(MaxClosureVertices+1, true),
+		"path":     Path(MaxClosureVertices+1, true),
+	} {
+		if _, err := NewCondensedClosure(g); err == nil {
+			t.Fatalf("%s: %d classes closed", name, g.N())
+		}
+	}
+	if c, err := NewCondensedClosure(Path(MaxClosureVertices+1, false)); err != nil || c.Classes() != 1 {
+		t.Fatalf("an undirected path over the vertex count of the cap is one class: %v", err)
 	}
 }
 
@@ -221,20 +370,39 @@ func BenchmarkClosure(b *testing.B) {
 	}
 }
 
-// BenchmarkClosureEmit: the wire-layout emitter on the workload's closure
-// (2 MB out), aligned rows and — one vertex fewer — rows that start mid-byte.
-func BenchmarkClosureEmit(b *testing.B) {
-	for _, n := range []int{4096, 4095} {
-		c := NewClosure(RandomDirected(n, 4*n, 1))
-		buf := make([]byte, 0, (n*n+7)/8)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(cap(buf)))
-			for i := 0; i < b.N; i++ {
-				if len(c.AppendDense(buf)) != cap(buf) {
-					b.Fatal("length")
-				}
-			}
-		})
+// BenchmarkCondensedClosure: what the serving path runs on the workload's
+// graph — build, emit, decode — beside the size of what it emits.
+func BenchmarkCondensedClosure(b *testing.B) {
+	g := RandomDirected(4096, 16384, 1)
+	c, err := NewCondensedClosure(g)
+	if err != nil {
+		b.Fatal(err)
 	}
+	wire := c.AppendWire(nil)
+	b.Run("build", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := NewCondensedClosure(g); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("emit", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(wire)))
+		for i := 0; i < b.N; i++ {
+			if len(c.AppendWire(wire[:0])) != len(wire) {
+				b.Fatal("length")
+			}
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(wire)))
+		for i := 0; i < b.N; i++ {
+			if _, err := DecodeCondensedClosure(wire, g.N()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -183,6 +183,49 @@ func TestDecodedGraphStaysMutable(t *testing.T) {
 	}
 }
 
+// encodeReference is Encode as it was: the Edges slice grown pair by pair,
+// then the bytes grown from nil.
+func encodeReference(g *Graph) []byte {
+	edges := g.Edges()
+	b := binary.AppendUvarint(nil, uint64(g.N()))
+	if g.Directed() {
+		b = append(b, 1)
+	} else {
+		b = append(b, 0)
+	}
+	b = binary.AppendUvarint(b, uint64(len(edges)))
+	for _, e := range edges {
+		b = binary.AppendUvarint(b, uint64(e[0]))
+		b = binary.AppendUvarint(b, uint64(e[1]))
+	}
+	return b
+}
+
+// TestEncodeOneSizedBuffer: Encode writes from the adjacency lists into one
+// buffer sized up front — the same bytes as the reference on every closure
+// shape (vertex ids on both sides of each varint width), in at most two
+// allocations, with nothing spare behind the result.
+func TestEncodeOneSizedBuffer(t *testing.T) {
+	shapes := closureShapes(130)
+	shapes["three-byte-ids"] = RandomDirected(20000, 400, 9)
+	shapes["unnormalized"] = New(70, false)
+	for _, e := range [][2]int{{69, 3}, {3, 69}, {3, 1}, {1, 0}, {5, 69}, {3, 1}} {
+		shapes["unnormalized"].MustAddEdge(e[0], e[1])
+	}
+	for name, g := range shapes {
+		got := g.Encode()
+		if !bytes.Equal(got, encodeReference(g)) {
+			t.Fatalf("%s: Encode differs from the Edges-then-append reference", name)
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("%s: Encode sized %d bytes for %d", name, cap(got), len(got))
+		}
+		if allocs := testing.AllocsPerRun(20, func() { g.Encode() }); allocs > 2 {
+			t.Fatalf("%s: Encode allocates %.0f times, want at most 2", name, allocs)
+		}
+	}
+}
+
 // FuzzDecodeGraph: on any bytes, Decode and the AddEdge-per-edge reference
 // agree on the error string or on the graph, and the re-encoding is canonical.
 func FuzzDecodeGraph(f *testing.F) {

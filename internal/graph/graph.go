@@ -8,6 +8,7 @@ package graph
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -191,23 +192,41 @@ func (g *Graph) Edges() [][2]int {
 // --- codec -----------------------------------------------------------------
 
 // Encode serializes the graph as a self-delimiting byte string:
-// n, directed flag, edge count, then delta-free (u,v) varint pairs.
+// n, directed flag, edge count, then delta-free (u,v) varint pairs. The
+// adjacency lists are walked twice — once to count the edges and size the
+// output, once to write it — so the one allocation is the result.
 func (g *Graph) Encode() []byte {
 	g.Normalize()
-	edges := g.Edges()
-	b := binary.AppendUvarint(nil, uint64(g.n))
+	edges, size := 0, 0
+	for u, l := range g.adj {
+		for _, v := range l {
+			if g.directed || u < int(v) {
+				edges++
+				size += uvarintLen(uint64(u)) + uvarintLen(uint64(v))
+			}
+		}
+	}
+	b := make([]byte, 0, uvarintLen(uint64(g.n))+1+uvarintLen(uint64(edges))+size)
+	b = binary.AppendUvarint(b, uint64(g.n))
 	if g.directed {
 		b = append(b, 1)
 	} else {
 		b = append(b, 0)
 	}
-	b = binary.AppendUvarint(b, uint64(len(edges)))
-	for _, e := range edges {
-		b = binary.AppendUvarint(b, uint64(e[0]))
-		b = binary.AppendUvarint(b, uint64(e[1]))
+	b = binary.AppendUvarint(b, uint64(edges))
+	for u, l := range g.adj {
+		for _, v := range l {
+			if g.directed || u < int(v) {
+				b = binary.AppendUvarint(b, uint64(u))
+				b = binary.AppendUvarint(b, uint64(v))
+			}
+		}
 	}
 	return b
 }
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // Decode parses a byte string produced by Encode. It also accepts edges in
 // any order and with repeats (sorted and deduplicated, like AddEdge +

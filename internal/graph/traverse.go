@@ -1,8 +1,6 @@
 package graph
 
 import (
-	"encoding/binary"
-	"fmt"
 	"slices"
 
 	"pitract/internal/pram"
@@ -10,8 +8,8 @@ import (
 
 // Traversals and reachability. BFS doubles as the no-preprocessing baseline
 // for the paper's Example 3 (reachability queries answered by search), and
-// the bitset Closure is the "precompute a matrix that records reachability
-// between all pairs" preprocessing the same example describes.
+// the closure (condensed.go) is the "precompute a matrix that records
+// reachability between all pairs" preprocessing the same example describes.
 
 // BFS returns the breadth-first visit order from src and the distance array
 // (-1 for unreachable vertices).
@@ -46,86 +44,14 @@ func (g *Graph) Reachable(src, dst int) bool {
 	return dist[dst] >= 0
 }
 
-// Closure is a dense all-pairs reachability index: bit v of row u (⌈n/64⌉
-// words a row) is set iff v is reachable from u (reflexively). Building it is
-// the PTIME preprocessing of Example 3; Reach is the O(1) answering step.
+// Closure is the in-memory n×n all-pairs reachability matrix: bit v of row u
+// (⌈n/64⌉ words a row) is set iff v is reachable from u (reflexively).
+// NewClosure (condensed.go) builds it; a maintainer mutates it through Row.
+// Nothing persists it — the stored form is CondensedClosure.
 type Closure struct {
 	n     int
 	words int
 	bits  []uint64
-}
-
-// MaxClosureVertices is the largest vertex count a serving path may hand to
-// NewClosure: the rows are n·⌈n/64⌉ words whatever the edge count (512 MB
-// here, 35 TB at MaxDecodeVertices), and vertices cost a payload no bytes.
-// NewClosure itself does not enforce it — library callers size their own
-// graphs — so every path fed registered bytes asks CheckClosureSize first.
-const MaxClosureVertices = 1 << 16
-
-// CheckClosureSize refuses a vertex count whose closure rows would exceed
-// MaxClosureVertices, before anything is allocated for them.
-func CheckClosureSize(n int) error {
-	if n > MaxClosureVertices {
-		return fmt.Errorf("graph: a dense closure over %d vertices exceeds the %d-vertex limit (its rows take n² bits)", n, MaxClosureVertices)
-	}
-	return nil
-}
-
-// NewClosure computes the reflexive-transitive closure by condensation:
-// vertices of one strongly connected component reach the same set, so a row
-// is built once per component and copied to the other members, and SCC
-// numbers components in reverse topological order, so every successor
-// component's row is finished before the rows that need it. A component's
-// row is its members' bits OR the rows of its successor components — skipping
-// a successor whose bit is already set, since a finished row that contains
-// it contains everything it reaches. That is O(|V|+|E|) for the components
-// plus at most |E_c|·⌈|V|/64⌉ word ORs over the arcs E_c of the condensation
-// (far fewer on a dense one, whose transitive arcs are skipped) plus the
-// |V|·⌈|V|/64⌉ words of output; rows are written in place, so the only
-// memory beyond the matrix is O(|V|).
-func NewClosure(g *Graph) *Closure {
-	comp, count := g.SCC()
-	n := g.n
-	words := (n + 63) / 64
-	c := &Closure{n: n, words: words, bits: make([]uint64, n*words)}
-
-	// Counting sort: members[start[k]:start[k+1]] are the vertices of
-	// component k, ascending.
-	start := make([]int32, count+1)
-	for _, k := range comp {
-		start[k+1]++
-	}
-	for k := 0; k < count; k++ {
-		start[k+1] += start[k]
-	}
-	members := make([]int32, n)
-	next := slices.Clone(start[:count])
-	for v, k := range comp {
-		members[next[k]] = int32(v)
-		next[k]++
-	}
-
-	for k := 0; k < count; k++ {
-		ms := members[start[k]:start[k+1]]
-		row := c.Row(int(ms[0]))
-		for _, u := range ms {
-			row[u>>6] |= 1 << (u & 63)
-		}
-		for _, u := range ms {
-			for _, v := range g.adj[u] {
-				if row[v>>6]>>(v&63)&1 != 0 {
-					continue
-				}
-				for i, w := range c.Row(int(v)) {
-					row[i] |= w
-				}
-			}
-		}
-		for _, u := range ms[1:] {
-			copy(c.Row(int(u)), row)
-		}
-	}
-	return c
 }
 
 // Reach answers a reachability query in O(1).
@@ -146,42 +72,6 @@ func (c *Closure) Row(u int) []uint64 {
 // RowEqual reports whether vertices u and v reach exactly the same set.
 func (c *Closure) RowEqual(u, v int) bool {
 	return slices.Equal(c.Row(u), c.Row(v))
-}
-
-// AppendDense appends the closure in its wire layout — n·n bits, row-major
-// with no padding between rows (row u starts at bit u·n), bit i at byte i/8,
-// LSB first, ⌈n²/8⌉ bytes — and returns the extended slice. It is the one
-// emitter of that layout: the closure-matrix scheme's Π and the sharded
-// overlay summary both store exactly these bytes. Rows are streamed through
-// a 64-bit accumulator, so a row that starts mid-byte (n % 8 ≠ 0) costs a
-// shift per word, not a test per bit.
-func (c *Closure) AppendDense(dst []byte) []byte {
-	dst = slices.Grow(dst, (c.n*c.n+7)/8)
-	tail := uint(c.n & 63) // valid bits of a row's last word; 0 = all 64
-	var acc uint64         // pending bits, LSB first
-	var pending uint       // how many, always < 64
-	for u := 0; u < c.n; u++ {
-		row := c.Row(u)
-		for i, w := range row {
-			k := uint(64)
-			if i == len(row)-1 && tail != 0 {
-				k = tail
-			}
-			acc |= w << pending
-			if pending+k < 64 {
-				pending += k
-				continue
-			}
-			dst = binary.LittleEndian.AppendUint64(dst, acc)
-			acc = w >> (64 - pending) // a shift by 64 is 0: nothing was left over
-			pending += k - 64
-		}
-	}
-	for ; pending > 0; pending -= min(pending, 8) {
-		dst = append(dst, byte(acc))
-		acc >>= 8
-	}
-	return dst
 }
 
 // SCC computes strongly connected components with Tarjan's algorithm

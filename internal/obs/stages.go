@@ -26,7 +26,7 @@ const (
 	StagePatchPersist = "patch_persist" // checkpointing the maintained Π after a PATCH
 	StageLogAppend    = "log_append"    // CRC-framed delta-log append + fsync (the PATCH commit point)
 	StageLogReplay    = "log_replay"    // replaying the delta-log tail over a loaded snapshot at open
-	StageProbeDense   = "probe_dense"   // reachability answered by the dense closure-matrix scheme
+	StageProbeDense   = "probe_dense"   // reachability answered by the closure-matrix scheme (the name predates its storage over the condensation; the benchmark reads it)
 	StageProbeLabel   = "probe_label"   // reachability answered by the succinct 2-hop labels scheme
 )
 

@@ -84,6 +84,21 @@ func TestCorruptClosureMatrix(t *testing.T) {
 	}
 	q := NodePairQuery(1, 2)
 	answerMustError(t, "closure", pd, func(b []byte) (bool, error) { return s.Answer(b, q) })
+
+	// One payload per thing the decoder validates: refused by the raw probe of
+	// the pair that reads the damage, by Prepare, and by ApplyDelta.
+	inc := IncrementalReachability()
+	for name, bad := range closureCorruptions(t, pd) {
+		if _, err := s.Answer(bad, NodePairQuery(0, 1)); err == nil {
+			t.Errorf("%s: raw probe answered", name)
+		}
+		if _, err := s.Prepare(bad); err == nil {
+			t.Errorf("%s: Prepare accepted", name)
+		}
+		if _, err := inc.ApplyDelta(bad, EdgeDelta(0, 1)); err == nil {
+			t.Errorf("%s: ApplyDelta accepted", name)
+		}
+	}
 }
 
 func TestCorruptGateValues(t *testing.T) {

@@ -1,7 +1,6 @@
 package schemes
 
 import (
-	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -218,35 +217,33 @@ func TestNoReappearance(t *testing.T) {
 }
 
 // TestPreAppendixClosureRefusesDeletes pins the migration contract for
-// closures persisted before the graph appendix existed: inserts keep
-// working, deletes fail with an actionable message.
+// closures persisted in a layout older than the condensed one — n² bits
+// without the graph appendix (whose undirected flag may also predate it), and
+// n² bits with it: the header's layout bits are required, so every reader
+// refuses such a payload — a delete, an insert, a raw probe, Prepare — with
+// one error that tells the operator what to do. Never misread, never a panic.
 func TestPreAppendixClosureRefusesDeletes(t *testing.T) {
 	g := graph.New(3, true)
 	g.MustAddEdge(0, 1)
+	ug := graph.Path(5, false)
 	inc := IncrementalReachability()
-	pd, err := inc.Scheme.Preprocess(g.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, _, bits, graphEnc, err := closureParts(pd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if graphEnc == nil || n != 3 {
-		t.Fatalf("fresh closure should carry the appendix (n=%d)", n)
-	}
-	// Reconstruct the pre-appendix layout: drop the framed graph and clear
-	// its header flag, exactly what an old snapshot on disk looks like.
-	legacy := append([]byte(nil), pd[:8+len(bits)]...)
-	binary.BigEndian.PutUint64(legacy, binary.BigEndian.Uint64(legacy)&^ClosureGraphFlag)
-	if _, err := inc.ApplyDelta(legacy, EdgeDelta(1, 2)); err != nil {
-		t.Fatalf("pre-appendix insert must keep working: %v", err)
-	}
-	_, err = inc.ApplyDelta(legacy, EdgeDeleteDelta(0, 1))
-	if err == nil {
-		t.Fatal("pre-appendix delete succeeded")
-	}
-	if !strings.Contains(err.Error(), "re-register") {
-		t.Fatalf("pre-appendix delete error %q does not tell the operator what to do", err)
+	for name, legacy := range map[string][]byte{
+		"pre-appendix":            denseClosureBytesRef(g, false),
+		"pre-appendix-undirected": denseClosureBytesRef(ug, false),
+		"dense-with-appendix":     denseClosureBytesRef(g, true),
+		"dense-undirected":        denseClosureBytesRef(ug, true),
+	} {
+		_, rawErr := inc.Scheme.Answer(legacy, NodePairQuery(0, 1))
+		_, prepErr := inc.Scheme.Prepare(legacy)
+		_, insErr := inc.ApplyDelta(legacy, EdgeDelta(1, 2))
+		_, delErr := inc.ApplyDelta(legacy, EdgeDeleteDelta(0, 1))
+		for reader, err := range map[string]error{"Answer": rawErr, "Prepare": prepErr, "insert": insErr, "delete": delErr} {
+			if err == nil {
+				t.Fatalf("%s: %s read a legacy layout", name, reader)
+			}
+			if err.Error() != rawErr.Error() || !strings.Contains(err.Error(), "re-register") {
+				t.Fatalf("%s: %s refused with %q; want the one error (%q) that says to re-register", name, reader, err, rawErr)
+			}
+		}
 	}
 }

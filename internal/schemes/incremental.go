@@ -7,9 +7,9 @@ package schemes
 //   - the sorted-key file of the point/range-selection and list-membership
 //     schemes under insertions (merge in O(|D| + |∆D|), versus
 //     O(|D| log |D|) re-sorting);
-//   - the reachability closure matrix under edge insertions (ancestor-row
-//     OR-ing, work proportional to the affected rows — the §4(7) bounded
-//     flavour);
+//   - the reachability closure under edge insertions and deletions (the
+//     graph appendix re-encoded when no fact changes, a rebuild over the
+//     condensation when one can have);
 //   - the BFS-per-query baseline, whose "preprocessed" string is the graph
 //     itself, so maintenance is appending the edge.
 //
@@ -316,142 +316,93 @@ func EdgeUpsertDelta(u, v int) []byte {
 	return core.TagDelta(core.DeltaUpsert, core.EncodeUint64(uint64(u), uint64(v)))
 }
 
-// closureInsertArc ORs one arc insertion (u, v) into a closure bitset in
-// place: every row that reaches u gains v's descendant row. Rows are read
-// from the evolving matrix, which is sound — OR-ing only ever adds true
-// transitive facts.
-func closureInsertArc(out []byte, n, u, v int) {
-	bit := func(r, c int) bool {
-		idx := r*n + c
-		return out[8+idx/8]&(1<<(idx%8)) != 0
-	}
-	if bit(u, v) {
-		return // already implied; |∆O| = 0
-	}
-	for a := 0; a < n; a++ {
-		if !bit(a, u) {
-			continue
-		}
-		for c := 0; c < n; c++ {
-			if bit(v, c) {
-				idx := a*n + c
-				out[8+idx/8] |= 1 << (idx % 8)
-			}
-		}
-	}
-}
-
 // IncrementalReachability returns the closure-matrix scheme extended with
-// §4(7)-style maintenance in both directions. Inserting (u, v) ORs v's
-// descendant row into every ancestor row of u, touching only affected rows;
-// the closure header's orientation flag decides whether the symmetric arc
-// is inserted too, so undirected datasets stay equivalent to a from-scratch
-// rebuild (whose AddEdge is symmetric).
+// maintenance in both directions, decided on the graph appendix: decode it,
+// apply the edge, and ask whether any reachability fact can have changed.
 //
-// Deleting (u, v) uses the graph appendix (ClosureGraphFlag) and Vigny's
-// observation (arXiv:2010.02982) that retractions are cheap when
-// connectivity survives: after removing the edge, if u still reaches v,
-// every old path through the deleted arc reroutes along the surviving u⇝v
-// path and the matrix is bitwise unchanged — one O(|V|+|E|) traversal
-// settles the whole update. Only when the deletion actually disconnects
-// u from v do we fall back to recomputing the affected rows (exactly the
-// old ancestors of u; no other row can lose a fact), each by a fresh
-// traversal, with the dense rebuild kept as the differential oracle in the
-// test suites.
+// Inserting (u, v) changes none when u already reaches v (and v reaches u, for
+// an undirected edge): every new path through the arc has an old one beside
+// it. Deleting (u, v) changes none when u still reaches v in the surviving
+// graph — Vigny's observation (arXiv:2010.02982) that retractions are cheap
+// when connectivity survives: every old path through the arc reroutes along
+// the surviving u⇝v path. In both cases the closure is bitwise unchanged and
+// the new appendix is spliced onto the old head. Otherwise classes may have
+// merged or split, and Π is rebuilt from the graph by the kernel Preprocess
+// runs. Class ids are canonical, so either way the result is byte-equal to
+// Preprocess(D ⊕ ∆D).
+//
+// What the rebuild costs is what the matrix costs (BenchmarkClosureApplyDelta;
+// docs/perf/BENCH_21.md §5 has it beside the row maintenance it replaced): on
+// the benchmark workload's graph — 4096 vertices, ≈ 150 classes — a
+// fact-changing edge is ≈ 2 ms, a splice ≈ 1.5–2 ms, nearly all of it the
+// appendix's decode and re-encode; on a DAG every vertex is a class, the
+// matrix is n² bits again, and the rebuild is ≈ 5 ms at 4096 vertices and
+// ≈ 60 ms at 16384 — no more than touching the ancestor rows of an n²-bit
+// matrix cost there, but not milliseconds.
 func IncrementalReachability() *core.IncrementalScheme {
 	return &core.IncrementalScheme{
-		Scheme: ReachabilityScheme(),
-		ApplyDelta: func(pd, delta []byte) ([]byte, error) {
-			kind, payload, err := core.DeltaParts(delta)
-			if err != nil {
-				return nil, err
-			}
-			n, undirected, bits, graphEnc, err := closureParts(pd)
-			if err != nil {
-				return nil, err
-			}
-			u, v, err := DecodeNodePairQuery(payload)
-			if err != nil {
-				return nil, err
-			}
-			if u < 0 || u >= n || v < 0 || v >= n || u == v {
-				return nil, fmt.Errorf("schemes: bad edge delta (%d,%d)", u, v)
-			}
-			if graphEnc == nil {
-				// Closure persisted before the appendix existed: insertions
-				// keep working from the matrix alone, but a retraction
-				// cannot be decided without the surviving edges.
-				if kind == core.DeltaDelete {
-					return nil, fmt.Errorf("schemes: closure predates the graph appendix; re-register the dataset to enable deletions")
-				}
-				out := append([]byte(nil), pd...)
-				closureInsertArc(out, n, u, v)
-				if undirected {
-					closureInsertArc(out, n, v, u)
-				}
-				return out, nil
-			}
-			g, err := graph.Decode(graphEnc)
-			if err != nil {
-				return nil, err
-			}
-			if g.N() != n {
-				return nil, fmt.Errorf("schemes: closure appendix has %d vertices, header claims %d", g.N(), n)
-			}
-			head := pd[:8+len(bits)]
-			if kind == core.DeltaDelete {
-				if err := g.RemoveEdge(u, v); err != nil {
-					return nil, err
-				}
-				out := append([]byte(nil), head...)
-				if !g.Reachable(u, v) {
-					recomputeClosureRows(out, bits, n, u, g)
-				}
-				return appendClosureGraph(out, g.Encode()), nil
-			}
-			// Insert and upsert coincide here: a present edge is already
-			// dedup'd by the rebuild's Normalize, so the rebuilt Π is
-			// bitwise identical to the unchanged one.
-			if g.HasEdge(u, v) {
-				return pd, nil
-			}
-			if err := g.AddEdge(u, v); err != nil {
-				return nil, err
-			}
-			out := append([]byte(nil), head...)
-			closureInsertArc(out, n, u, v)
-			if undirected {
-				closureInsertArc(out, n, v, u)
-			}
-			return appendClosureGraph(out, g.Encode()), nil
-		},
+		Scheme:      ReachabilityScheme(),
+		ApplyDelta:  applyClosureDelta,
 		ApplyUpdate: applyEdgeToGraph,
-		DeltaNote:   "insert O(|ancestors(u)| · n/8) words; delete O(|V|+|E|) when u⇝v survives, else affected-row recompute",
+		DeltaNote:   "O(|V|+|E|): decode the appendix, one O(1) probe (insert) or one search (delete); a rebuild over the condensation — the whole of Preprocess — only when a fact can have changed",
 	}
 }
 
-// recomputeClosureRows rewrites, in out's bitset (rooted at byte 8), every
-// row that could have lost a fact to the deletion of arc (u, ·): exactly
-// the rows whose old bits reached u — any old path through the arc passes
-// u, and deletions never add facts, so all other rows are unchanged. Each
-// affected row is refilled by a traversal of the surviving graph, matching
-// graph.NewClosure's reflexive semantics bit for bit.
-func recomputeClosureRows(out, oldBits []byte, n, u int, g *graph.Graph) {
-	for a := 0; a < n; a++ {
-		idx := a*n + u
-		if oldBits[idx/8]&(1<<(idx%8)) == 0 {
-			continue
+// applyClosureDelta is IncrementalReachability's ApplyDelta.
+func applyClosureDelta(pd, delta []byte) ([]byte, error) {
+	kind, payload, err := core.DeltaParts(delta)
+	if err != nil {
+		return nil, err
+	}
+	n, cond, graphEnc, err := closureParts(pd)
+	if err != nil {
+		return nil, err
+	}
+	u, v, err := DecodeNodePairQuery(payload)
+	if err != nil {
+		return nil, err
+	}
+	if u < 0 || u >= n || v < 0 || v >= n || u == v {
+		return nil, fmt.Errorf("schemes: bad edge delta (%d,%d)", u, v)
+	}
+	g, err := graph.Decode(graphEnc)
+	if err != nil {
+		return nil, err
+	}
+	if g.N() != n {
+		return nil, fmt.Errorf("schemes: closure appendix has %d vertices, header claims %d", g.N(), n)
+	}
+	var unchanged bool
+	if kind == core.DeltaDelete {
+		if err := g.RemoveEdge(u, v); err != nil {
+			return nil, err
 		}
-		_, dist := g.BFS(a)
-		for c := 0; c < n; c++ {
-			idx := a*n + c
-			if dist[c] >= 0 {
-				out[8+idx/8] |= 1 << (idx % 8)
-			} else {
-				out[8+idx/8] &^= 1 << (idx % 8)
-			}
+		unchanged = g.Reachable(u, v)
+	} else {
+		// Insert and upsert coincide here: a present edge is already dedup'd
+		// by the rebuild's Normalize, so the rebuilt Π is bitwise identical
+		// to the unchanged one.
+		if g.HasEdge(u, v) {
+			return pd, nil
+		}
+		unchanged, err = graph.ProbeCondensedClosure(cond, n, u, v)
+		if err == nil && unchanged && !g.Directed() {
+			unchanged, err = graph.ProbeCondensedClosure(cond, n, v, u)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("schemes: %w", err)
+		}
+		if err := g.AddEdge(u, v); err != nil {
+			return nil, err
 		}
 	}
+	if !unchanged {
+		return closureBytes(g)
+	}
+	enc := g.Encode()
+	head := pd[:8+len(cond)]
+	out := make([]byte, 0, len(head)+binary.MaxVarintLen64+len(enc))
+	return appendClosureGraph(append(out, head...), enc), nil
 }
 
 // applyEdgeToGraph decodes a graph, applies one edge delta, and re-encodes

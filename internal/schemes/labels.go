@@ -1,10 +1,11 @@
 package schemes
 
 // Succinct Π for reachability: the "reachability/labels" scheme answers
-// with a 2-hop reachability labeling instead of the dense n²-bit closure
-// matrix, and builds that labeling on the query-preserving compression of
-// the graph (internal/compress, the paper's §4(5) strategy) rather than on
-// the graph itself:
+// with a 2-hop reachability labeling instead of the closure scheme's bit
+// matrix over the condensation — k² bits, refused above 65 536 classes, where
+// the labels have no cap — and builds that labeling on the query-preserving
+// compression of the graph (internal/compress, the paper's §4(5) strategy)
+// rather than on the graph itself:
 //
 //  1. Compress: SCC condensation + iterated false-twin merging yields a
 //     DAG Dc with Map sending each original vertex to its representative.
@@ -19,7 +20,7 @@ package schemes
 //     intersection on Dc. Two distinct SCCs merged as false twins are
 //     non-adjacent by construction, so same-representative/different-SCC
 //     answers false. This is exactly compress.Reach's translation, pinned
-//     differentially against it and against the dense closure oracle.
+//     differentially against it and against the closure-matrix oracle.
 //
 // Undirected graphs need none of this machinery: reachability is connected
 // components, so the labeling degenerates to one component id per vertex —
@@ -30,9 +31,9 @@ package schemes
 // maintenance edits the appendix and relabels from it wholesale
 // (relabel-on-commit), so maintained and rebuilt Π stay byte-identical.
 //
-// The dense closure scheme ("reachability/closure-matrix") is kept
-// unchanged as the differential oracle: identical verdicts AND identical
-// error strings, pinned by the succinct differential suites.
+// The closure scheme ("reachability/closure-matrix") is the differential
+// oracle: identical verdicts AND identical error strings, pinned by the
+// succinct differential suites.
 
 import (
 	"encoding/binary"
@@ -527,10 +528,10 @@ func prepareLabels(pd []byte) (core.Answerer, error) {
 	return &labelsAnswerer{rl: rl}, nil
 }
 
-// ReachabilityLabelsScheme is the succinct alternative to the dense
-// closure matrix: 2-hop reachability labels over the query-preserving
-// compression, answering by label intersection in O(|label|) — with the
-// dense scheme kept unchanged as the differential oracle.
+// ReachabilityLabelsScheme is the uncapped alternative to the closure
+// matrix: 2-hop reachability labels over the query-preserving compression,
+// answering by label intersection in O(|label|) — with the matrix scheme as
+// the differential oracle.
 func ReachabilityLabelsScheme() *core.Scheme {
 	return &core.Scheme{
 		SchemeName: "reachability/labels",
@@ -550,8 +551,8 @@ func ReachabilityLabelsScheme() *core.Scheme {
 			return rl.reach(u, v), nil
 		},
 		PrepareAnswerer: prepareLabels,
-		// Degraded mode rebuilds the dense closure bitset from the graph
-		// appendix and probes it in O(1) — a cheaper, allocation-free probe
+		// Degraded mode builds the closure over the condensation from the
+		// graph appendix and probes it in O(1) — a cheaper, allocation-free probe
 		// than the label intersection, with identical verdicts and
 		// identical out-of-range error strings (both answerers validate
 		// against the same n). The serving layer switches to it when the
@@ -563,8 +564,9 @@ func ReachabilityLabelsScheme() *core.Scheme {
 }
 
 // prepareLabelsFallback builds the labels scheme's degraded-mode
-// answerer: the original graph recovered from the appendix, its
-// transitive closure computed densely, probed as a bitset.
+// answerer: the original graph recovered from the appendix and closed over
+// its condensation — the closure scheme's answerer, built from the graph
+// rather than decoded from bytes, under the same class cap.
 func prepareLabelsFallback(pd []byte) (core.Answerer, error) {
 	rl, err := decodeLabels(pd)
 	if err != nil {
@@ -574,22 +576,20 @@ func prepareLabelsFallback(pd []byte) (core.Answerer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("schemes: labels graph appendix: %w", err)
 	}
-	dense, err := closureBytes(g)
+	c, err := graph.NewCondensedClosure(g)
 	if err != nil {
 		return nil, fmt.Errorf("schemes: labels fallback: %w", err)
 	}
-	return prepareClosure(dense)
+	return closureAnswerer{c}, nil
 }
 
 // IncrementalReachabilityLabels maintains the labels scheme by
 // relabel-on-commit: an edge delta edits the graph appendix (the same
-// validation and strict-delete contract as the dense closure) and the
+// validation and strict-delete contract as the closure scheme) and the
 // labels are rebuilt wholesale from the maintained graph. There is no
 // per-delta label surgery — a single edge can restructure the SCC
-// condensation, the twin classes, and the hub cover all at once, so the
-// bounded-incrementality contract the closure's §4(7) OR-ing satisfies
-// does not hold for labels; what does hold is that the relabel runs on the
-// compressed DAG, far below the dense matrix rebuild. A payload whose
+// condensation, the twin classes, and the hub cover all at once; what does
+// hold is that the relabel runs on the compressed DAG. A payload whose
 // appendix fails to decode refuses the delta cleanly (nothing applied).
 // Maintained and rebuilt Π stay byte-identical (pinned differentially).
 func IncrementalReachabilityLabels() *core.IncrementalScheme {

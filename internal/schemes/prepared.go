@@ -2,7 +2,7 @@ package schemes
 
 // Typed prepared answerers (core.PreparedScheme). Each scheme's raw Answer
 // re-locates its structure inside the preprocessed string on every call —
-// parsing the closure header, re-deriving the sorted-file length, or (for
+// re-framing the closure payload, re-deriving the sorted-file length, or (for
 // the search-per-query baselines) re-decoding the entire graph or relation.
 // Prepare does that exactly once per Π(D): it validates the payload and
 // decodes it into a typed in-memory form whose Answer is only the probe.
@@ -110,87 +110,51 @@ type LocalReach interface {
 
 // --- reachability closure matrix ---------------------------------------------
 
-// closureAnswerer is the validated closure: the header is parsed once, the
-// bitset re-packed into words, and each probe is a bounds check plus one
-// word read.
+// closureAnswerer is the validated closure over the condensation, decoded
+// once; each probe is a bounds check, two class loads and a bit test. Reach,
+// ReachFrom and ReachTo are graph.CondensedClosure's own.
 type closureAnswerer struct {
-	n     int
-	words []uint64
+	*graph.CondensedClosure
 }
 
 // Answer implements core.Answerer.
-func (a *closureAnswerer) Answer(q []byte) (bool, error) {
+func (a closureAnswerer) Answer(q []byte) (bool, error) {
 	u, v, err := DecodeNodePairQuery(q)
 	if err != nil {
 		return false, err
 	}
-	if u < 0 || u >= a.n || v < 0 || v >= a.n {
-		return false, fmt.Errorf("schemes: node pair (%d,%d) out of range [0,%d)", u, v, a.n)
+	if n := a.N(); u < 0 || u >= n || v < 0 || v >= n {
+		return false, fmt.Errorf("schemes: node pair (%d,%d) out of range [0,%d)", u, v, n)
 	}
 	return a.Reach(u, v), nil
 }
 
 // Nodes implements LocalReach.
-func (a *closureAnswerer) Nodes() int { return a.n }
+func (a closureAnswerer) Nodes() int { return a.N() }
 
-// Reach implements LocalReach: one word read.
-func (a *closureAnswerer) Reach(u, v int) bool {
-	bit := u*a.n + v
-	return a.words[bit>>6]>>(bit&63)&1 != 0
-}
-
-// ReachFrom implements LocalReach: row u of the matrix, realigned to bit 0.
-func (a *closureAnswerer) ReachFrom(u int, row []uint64) {
-	off := u * a.n
-	w, s := off>>6, uint(off&63)
-	for i := 0; i*64 < a.n; i++ {
-		x := a.words[w+i] >> s
-		if s != 0 && w+i+1 < len(a.words) {
-			x |= a.words[w+i+1] << (64 - s)
-		}
-		row[i] = x
-	}
-	if r := uint(a.n & 63); r != 0 {
-		row[a.n>>6] &= 1<<r - 1
-	}
-}
-
-// ReachTo implements LocalReach: column v, one strided bit read per row.
-func (a *closureAnswerer) ReachTo(v int, col []uint64) {
-	for u := 0; u < a.n; u++ {
-		if a.Reach(u, v) {
-			col[u>>6] |= 1 << (u & 63)
-		}
-	}
-}
-
-// prepareClosure validates the closure header once (same errors as the raw
-// path) and packs the row-major bitset into 64-bit words for direct probes.
+// prepareClosure validates the payload once — the framing with the raw path's
+// errors, then every class id a probe or a bulk read will index by — and
+// decodes the closure.
 func prepareClosure(pd []byte) (core.Answerer, error) {
-	n, _, bits, _, err := closureParts(pd)
+	n, cond, _, err := closureParts(pd)
 	if err != nil {
 		return nil, err
 	}
-	words := make([]uint64, (n*n+63)/64)
-	rest := bits
-	for i := range words[:len(bits)/8] {
-		words[i] = binary.LittleEndian.Uint64(rest)
-		rest = rest[8:]
+	c, err := graph.DecodeCondensedClosure(cond, n)
+	if err != nil {
+		return nil, fmt.Errorf("schemes: %w", err)
 	}
-	for i, b := range rest { // the last, partial word
-		words[len(words)-1] |= uint64(b) << (i * 8)
-	}
-	return &closureAnswerer{n: n, words: words}, nil
+	return closureAnswerer{c}, nil
 }
 
 // --- reachability BFS baseline ------------------------------------------------
 
 // bfsAnswerer holds the graph decoded once and frozen into a two-way CSR
-// (≈ 8·(|V|+|E|) bytes beside Π, like the closure's word copy). A query is
-// still a search — O(|V|+|E|) on a long path, which is why the scheme keeps
-// declaring Traversal — but a bidirectional one on pooled scratch that stops
-// when the two sides meet or either runs dry, instead of a decode plus a
-// whole single-source BFS. The CSR is immutable, so askers share it freely.
+// (≈ 8·(|V|+|E|) bytes beside Π). A query is still a search — O(|V|+|E|) on a
+// long path, which is why the scheme keeps declaring Traversal — but a
+// bidirectional one on pooled scratch that stops when the two sides meet or
+// either runs dry, instead of a decode plus a whole single-source BFS. The
+// CSR is immutable, so askers share it freely.
 type bfsAnswerer struct {
 	g *graph.CSR
 }

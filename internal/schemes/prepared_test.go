@@ -121,6 +121,16 @@ func TestPreparedRejectsCorruptPayload(t *testing.T) {
 		"bfs-corrupt-graph":     {ReachabilityBFSScheme(), []byte{0xff, 0xff, 0xff, 0xff, 0xff}},
 		"scan-corrupt-relation": {PointSelectionScanScheme(), []byte{0xff, 0xff}},
 	}
+	valid, err := ReachabilityScheme().Preprocess(graph.RandomDirected(20, 50, 1).Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range closureCorruptions(t, valid) {
+		cases["closure-"+name] = struct {
+			scheme *core.Scheme
+			pd     []byte
+		}{ReachabilityScheme(), bad}
+	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
 			_, prepErr := tc.scheme.Prepare(tc.pd)

@@ -8,8 +8,9 @@
 //
 // Preprocessed byte formats are fixed-width so that answering really is
 // sublinear over the string (no per-query decode): sorted key files are
-// n×8-byte big-endian arrays, position files n×4-byte arrays, closures are
-// bitsets behind an 8-byte header.
+// n×8-byte big-endian arrays, position files n×4-byte arrays, a closure is a
+// class id per vertex and a bit matrix over the classes behind an 8-byte
+// header.
 package schemes
 
 import (
@@ -340,113 +341,111 @@ func ReachabilityLanguage() core.Language {
 	}
 }
 
-// ClosureUndirectedFlag is set in the closure header's top bit when the
-// closure was built from an undirected graph. Vertex counts are capped at
-// graph.MaxDecodeVertices (2²⁴), so the bit is always free; readers mask
-// it off. Incremental maintenance needs it: inserting an undirected edge
-// must OR reachability in both orientations, and the closure alone —
-// without this flag — cannot tell the two graph kinds apart. (Closures
-// persisted before the flag existed read as directed, which is what every
-// pre-existing snapshot in this repository holds.)
-const ClosureUndirectedFlag = uint64(1) << 63
-
-// ClosureGraphFlag is set in the closure header when the payload carries the
-// source graph's canonical encoding after the bitset:
+// The closure payload:
 //
-//	header (8) ‖ row-major bitset ((n²+7)/8) ‖ uvarint len ‖ graph.Encode bytes
+//	header (8, big-endian) ‖ graph.CondensedClosure wire form ‖ uvarint len ‖ graph.Encode bytes
 //
-// Decremental maintenance needs it: a closure bit says only that *some*
-// path exists, so retracting one edge cannot be decided from the matrix
-// alone — the maintainer re-derives the affected rows from the surviving
-// edges. Preprocess now always emits the appendix; closures persisted
-// before the flag existed still answer queries and accept insertions, but
-// refuse deletions until the dataset is re-registered.
-const ClosureGraphFlag = uint64(1) << 62
+// The header is the vertex count (at most graph.MaxDecodeVertices = 2²⁴, so
+// the top bits are free) under three flag bits. Two of them name the layout
+// and are required — a payload without both was written by a version that
+// stored n² bits, or stored them without the graph, and is refused with a
+// core.LayoutError that says to re-register, never guessed at (a registry
+// that finds one in its data dir quarantines the snapshot and rebuilds).
+const (
+	// ClosureUndirectedFlag records that the closed graph was undirected.
+	ClosureUndirectedFlag = uint64(1) << 63
+	// ClosureGraphFlag says the source graph's canonical encoding follows the
+	// closure. Maintenance needs it: a closure bit says only that *some* path
+	// exists, so neither an insertion that merges classes nor a retraction
+	// can be decided from the closure alone.
+	ClosureGraphFlag = uint64(1) << 62
+	// closureCondensedFlag says the closure is stored over its condensation
+	// (class[v] + a k×k matrix), not as n² bits.
+	closureCondensedFlag = uint64(1) << 61
 
-// closureParts parses and validates a closure payload into its header
-// fields, bitset, and optional graph appendix (nil when ClosureGraphFlag is
-// unset). The appendix length is framed explicitly so any truncated or
-// grown payload still errors here; the appendix's own integrity is checked
-// by graph.Decode at use.
-func closureParts(pd []byte) (n int, undirected bool, bits, graphEnc []byte, err error) {
+	closureLayout = ClosureGraphFlag | closureCondensedFlag
+)
+
+// closureParts validates a closure payload's framing — header, layout bits,
+// the condensed closure's class count against n, the appendix's length
+// prefix, the exact total — in O(1), and cuts it into the condensed closure's
+// wire form and the graph appendix. What is inside either part is checked by
+// its decoder at use.
+func closureParts(pd []byte) (n int, cond, graphEnc []byte, err error) {
 	if len(pd) < 8 {
-		return 0, false, nil, nil, fmt.Errorf("schemes: corrupt closure header")
+		return 0, nil, nil, fmt.Errorf("schemes: corrupt closure header")
 	}
 	raw := binary.BigEndian.Uint64(pd)
-	undirected = raw&ClosureUndirectedFlag != 0
-	hasGraph := raw&ClosureGraphFlag != 0
-	n64 := raw &^ (ClosureUndirectedFlag | ClosureGraphFlag)
+	if raw&closureLayout != closureLayout {
+		return 0, nil, nil, &core.LayoutError{Msg: fmt.Sprintf("schemes: closure payload (header %#x) is not in the condensed layout this version reads; re-register the dataset", raw)}
+	}
+	n64 := raw &^ (ClosureUndirectedFlag | closureLayout)
 	if n64 > uint64(graph.MaxDecodeVertices) {
-		return 0, false, nil, nil, fmt.Errorf("schemes: closure payload is %d bytes, header claims n=%d", len(pd)-8, n64)
+		return 0, nil, nil, fmt.Errorf("schemes: closure payload is %d bytes, header claims n=%d", len(pd)-8, n64)
 	}
-	bitLen := (int(n64)*int(n64) + 7) / 8
-	if hasGraph {
-		encLen, m := binary.Uvarint(pd[min(8+bitLen, len(pd)):])
-		if m <= 0 || encLen > uint64(len(pd)) || len(pd) != 8+bitLen+m+int(encLen) {
-			return 0, false, nil, nil, fmt.Errorf("schemes: closure payload is %d bytes, header claims n=%d with graph appendix", len(pd)-8, n64)
-		}
-		graphEnc = pd[len(pd)-int(encLen):]
-	} else if len(pd) != 8+bitLen {
-		return 0, false, nil, nil, fmt.Errorf("schemes: closure payload is %d bytes, header claims n=%d", len(pd)-8, n64)
+	rest := pd[8:]
+	condLen, err := graph.CondensedClosureLen(rest, int(n64))
+	if err != nil {
+		return 0, nil, nil, fmt.Errorf("schemes: %w", err)
 	}
-	return int(n64), undirected, pd[8 : 8+bitLen], graphEnc, nil
+	encLen, m := binary.Uvarint(rest[min(condLen, len(rest)):])
+	if m <= 0 || encLen > uint64(len(rest)) || len(rest) != condLen+m+int(encLen) {
+		return 0, nil, nil, fmt.Errorf("schemes: closure payload is %d bytes, header claims n=%d with a %d-byte closure and a graph appendix", len(rest), n64, condLen)
+	}
+	return int(n64), rest[:condLen], rest[len(rest)-int(encLen):], nil
 }
 
 // appendClosureGraph frames and appends a graph appendix (enc, the graph's
-// canonical encoding) to a closure head (header ‖ bitset) whose header
-// already carries ClosureGraphFlag.
+// canonical encoding) to a closure head (header ‖ condensed closure).
 func appendClosureGraph(head, enc []byte) []byte {
 	return append(binary.AppendUvarint(head, uint64(len(enc))), enc...)
 }
 
-// closureBytes lays out an n-vertex closure as an 8-byte header (vertex
-// count plus the orientation and appendix flags), the row-major bitset
-// graph.Closure.AppendDense emits, and the canonical encoding of the source
-// graph (see ClosureGraphFlag). The rows are n² bits whatever the edge count
-// and vertices cost a payload no bytes, so the size is checked before the
-// matrix is allocated.
+// closureBytes lays out Π: the header, the closure of g over its condensation
+// as graph.CondensedClosure.AppendWire emits it, and the canonical encoding of
+// g. Class ids are canonical, so the bytes are a function of g alone.
+// NewCondensedClosure sizes the rows before it allocates them — vertices cost
+// a payload no bytes — and its refusal is pointed somewhere: a graph of too
+// many classes for the matrix is what the labels scheme is for.
 func closureBytes(g *graph.Graph) ([]byte, error) {
-	n := g.N()
-	if err := graph.CheckClosureSize(n); err != nil {
-		return nil, err
+	c, err := graph.NewCondensedClosure(g)
+	if err != nil {
+		return nil, fmt.Errorf("schemes: %w; register the graph under reachability/labels instead", err)
 	}
-	header := uint64(n) | ClosureGraphFlag
+	header := uint64(g.N()) | closureLayout
 	if !g.Directed() {
 		header |= ClosureUndirectedFlag
 	}
 	enc := g.Encode()
-	b := make([]byte, 0, 8+(n*n+7)/8+binary.MaxVarintLen64+len(enc)) // the whole Π: nothing below reallocates
+	b := make([]byte, 0, 8+c.WireLen()+binary.MaxVarintLen64+len(enc)) // the whole Π: nothing below reallocates
 	b = binary.BigEndian.AppendUint64(b, header)
-	return appendClosureGraph(graph.NewClosure(g).AppendDense(b), enc), nil
+	return appendClosureGraph(c.AppendWire(b), enc), nil
 }
 
-// closureProbe is the branch-light probe shared by the raw path and the
-// maintenance code: bounds check plus one byte read, with the header
-// already validated and n hoisted out by the caller. bits is the payload
-// after the 8-byte header.
-func closureProbe(bits []byte, n, u, v int) (bool, error) {
-	if u < 0 || u >= n || v < 0 || v >= n {
-		return false, fmt.Errorf("schemes: node pair (%d,%d) out of range [0,%d)", u, v, n)
-	}
-	bit := u*n + v
-	return bits[bit/8]&(1<<(bit%8)) != 0, nil
-}
-
-// closureReach is the raw-path probe: header validated per call (pd is
-// arbitrary here), then closureProbe. It is kept exactly this shape as the
-// differential oracle for the prepared closureAnswerer, which validates
-// once at Prepare and then probes words directly.
+// closureReach is the raw-path probe: pd is arbitrary here, so the framing is
+// validated per call, then the pair's range, then the two class ids the probe
+// reads (graph.ProbeCondensedClosure) — never the n ids it does not. It is
+// the differential oracle for the prepared closureAnswerer, which validates
+// everything once at Prepare.
 func closureReach(pd []byte, u, v int) (bool, error) {
-	n, _, bits, _, err := closureParts(pd)
+	n, cond, _, err := closureParts(pd)
 	if err != nil {
 		return false, err
 	}
-	return closureProbe(bits, n, u, v)
+	if u < 0 || u >= n || v < 0 || v >= n {
+		return false, fmt.Errorf("schemes: node pair (%d,%d) out of range [0,%d)", u, v, n)
+	}
+	ok, err := graph.ProbeCondensedClosure(cond, n, u, v)
+	if err != nil {
+		return false, fmt.Errorf("schemes: %w", err)
+	}
+	return ok, nil
 }
 
 // ReachabilityScheme precomputes the all-pairs matrix ("we may precompute a
-// matrix that records the reachability between all pairs of nodes") and
-// answers in O(1).
+// matrix that records the reachability between all pairs of nodes") — stored
+// over the condensation, one row per strongly connected class — and answers in
+// O(1): two class loads and a bit test.
 func ReachabilityScheme() *core.Scheme {
 	return &core.Scheme{
 		SchemeName: "reachability/closure-matrix",
@@ -455,11 +454,7 @@ func ReachabilityScheme() *core.Scheme {
 			if err != nil {
 				return nil, err
 			}
-			pd, err := closureBytes(g)
-			if err != nil {
-				return nil, fmt.Errorf("schemes: %w; register the graph under reachability/labels instead", err)
-			}
-			return pd, nil
+			return closureBytes(g)
 		},
 		Answer: func(pd, q []byte) (bool, error) {
 			u, v, err := DecodeNodePairQuery(q)
@@ -469,7 +464,7 @@ func ReachabilityScheme() *core.Scheme {
 			return closureReach(pd, u, v)
 		},
 		PrepareAnswerer: prepareClosure,
-		PreprocessNote:  "O(|V|+|E|) condensation + O(|E_c|·|V|/64) word ORs + |V|² bits out",
+		PreprocessNote:  "O(|V|+|E|) condensation + O(|E_c|·k/64) word ORs over the k classes; Π is 2|V| + k²/8 bytes + the graph",
 		AnswerNote:      "O(1)",
 	}
 }

@@ -267,7 +267,7 @@ func New(reg *store.Registry, catalog map[string]*core.Scheme) *Server {
 
 // Probe-stage histograms: reachability answer latency split by answerer
 // family, so dashboards can compare the succinct label-intersection probes
-// against the dense matrix probes side by side. Observed in record() — on
+// against the closure-matrix probes side by side. Observed in record() — on
 // the serving path, outside the prepared answerers, so the hot probe loop
 // itself stays uninstrumented.
 var (

@@ -7,11 +7,25 @@ package shard
 // by the older code still loads, and that one written now loads there. The
 // plain kind's files — snapshot and delta log — are held the same way to the
 // commit before store.Store became one committed value too.
+//
+// The eight digests of the sharded graph case were recomputed once, at the
+// commit that stored the reachability closure over its condensation: every
+// closure-matrix member's Π and the summary's overlay changed layout (class[v]
+// + a k×k matrix where n² bits were), so a data dir written before it holds
+// payloads this version refuses to read: a registration over them quarantines
+// the file and rebuilds (TestOlderClosureLayoutOnDiskIsRebuilt). What the new bytes are is held
+// by the reference builders (TestClosurePiBytesUnchanged,
+// TestOverlaySummaryBytesUnchanged); these digests hold that they stay so.
+// The keys case and both plain cases (keys, labels) kept their digests.
 
 import (
+	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -119,16 +133,16 @@ func TestShardGenerationBytesUnchanged(t *testing.T) {
 			data:   g.Encode(),
 			batch:  [][]byte{schemes.EdgeDelta(1, 4), schemes.EdgeDelta(11, 12)},
 			registered: map[string]string{
-				"d.pitract-shards":         "7033d41501001f4e62dfe2ebbfdc0c61b46bb2a1d07e569d4fb21822c5d82287",
-				"d.shard000.pitract-shard": "26edad1d6ae75c9ec62bb4be0ec83c25e0041253e84a3055e41d4d0824f353ee",
-				"d.shard001.pitract-shard": "193339d8d9eca90eefcf58b4b3a6a9beefaecb9788530c85746247286d1c4e42",
-				"d.shard002.pitract-shard": "e6acd39b1430eaa36fe2329ddd43d06b0731714d09e3c06e3c32af8767b94390",
+				"d.pitract-shards":         "5ce3c47a9ddb84fb3bbb1ee322db5c330e57ce17e345abe0303bde474120661d",
+				"d.shard000.pitract-shard": "534b7dfb8d81b1fe34afe7c9c23f7e34125e6bbf9434e865a764978055ec63e4",
+				"d.shard001.pitract-shard": "0527cbadbc170ea4071ee88d132b3991dd30f71cfdd391067f6a3790e1816253",
+				"d.shard002.pitract-shard": "78c77d76eb4a16e66cf6d76c5bbee4f8579ee81cf827add86d101de02bd2a310",
 			},
 			patched: map[string]string{
-				"d.pitract-shards":            "d1bceabc2fb4d7911fb00ff65949ce9e4a2e033563dfc0c5c116427c0ff2c221",
-				"d.shard000.v2.pitract-shard": "c136dba35cf71503e052fa4a38d438412b5fa082926f0e7d4bce650795dfcf86",
-				"d.shard001.v2.pitract-shard": "38830f095580628cd6744f4c58751d3305b8337033d2ae066b6d14bebae26b92",
-				"d.shard002.v2.pitract-shard": "261d37edb53a53d7b3bec90c48b464af1b39bcb68825a839e3734e0d8a5c628b",
+				"d.pitract-shards":            "653e9617aa17b171443eb1852b852687607f17e0733d8f712cdafdfbb3e8a00f",
+				"d.shard000.v2.pitract-shard": "107bb5eee38a8af1154d1d8d26e9f59f52c70c996b1614c429ebb42454979f51",
+				"d.shard001.v2.pitract-shard": "40dd99ca16929354daefbe444594431baa8a39b8b362f4b859ef26a33778cfef",
+				"d.shard002.v2.pitract-shard": "3a518f5208a4f80aa362ed3f6a130cd2324059f7c70e884dc6f4c5d2a580ddaa",
 			},
 		},
 	}
@@ -272,4 +286,123 @@ func TestPlainStoreBytesUnchanged(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestOlderClosureLayoutOnDiskIsRebuilt: a data dir written before the closure
+// was stored over its condensation holds artifacts that are intact — CRC,
+// data digest, scheme name — in a layout this version does not read. A
+// registration over it must not serve them (every answer would be the
+// refusal, and re-registering would load them again): the file is
+// quarantined, Π rebuilt from the posted data, and the next restart is a
+// clean load. Plain: a closure-matrix snapshot holding n² bits. Sharded: a
+// manifest whose summary carries the overlay as P² bits.
+func TestOlderClosureLayoutOnDiskIsRebuilt(t *testing.T) {
+	g := graph.CommunityGraph(3, 6, 5, 21)
+	data, n := g.Encode(), g.N()
+	want := graph.NewClosure(g)
+	verify := func(t *testing.T, ds store.Dataset) {
+		t.Helper()
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				got, err := ds.Ask(context.Background(), schemes.NodePairQuery(u, v), store.Exact)
+				if err != nil || got.Answer != want.Reach(u, v) {
+					t.Fatalf("(%d,%d) = (%v, %v), want %v", u, v, got.Answer, err, want.Reach(u, v))
+				}
+			}
+		}
+	}
+
+	t.Run("plain", func(t *testing.T) {
+		// The layout of the commit before: header (n under the appendix flag)
+		// ‖ n² bits, bit u·n+v ‖ uvarint len ‖ the graph.
+		dense := binary.BigEndian.AppendUint64(nil, uint64(n)|schemes.ClosureGraphFlag)
+		bits := make([]byte, (n*n+7)/8)
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				if want.Reach(u, v) {
+					bits[(u*n+v)/8] |= 1 << ((u*n + v) % 8)
+				}
+			}
+		}
+		dense = append(binary.AppendUvarint(append(dense, bits...), uint64(len(data))), data...)
+		scheme := schemes.ReachabilityScheme()
+		var le *core.LayoutError
+		if _, err := scheme.Prepare(dense); !errors.As(err, &le) {
+			t.Fatalf("Prepare of the older layout returned %v, want a LayoutError", err)
+		}
+		dir := t.TempDir()
+		old := &store.Store{ID: "g", Scheme: scheme, Prep: dense, DataSum: store.SumData(data)}
+		if err := old.Checkpoint(store.OSFS, dir); err != nil {
+			t.Fatal(err)
+		}
+
+		reg := store.NewRegistry(dir)
+		st, err := reg.Register("g", scheme, data)
+		if err != nil {
+			t.Fatalf("register over an older-layout snapshot: %v", err)
+		}
+		if st.WasLoaded() || reg.PreprocessCount() != 1 || reg.QuarantineCount() != 1 {
+			t.Fatalf("loaded=%v preprocess=%d quarantines=%d, want a rebuild and one quarantine", st.WasLoaded(), reg.PreprocessCount(), reg.QuarantineCount())
+		}
+		if _, err := os.Stat(store.QuarantinePath(store.SnapshotPath(dir, "g"))); err != nil {
+			t.Fatalf("the older snapshot was not kept aside: %v", err)
+		}
+		verify(t, st)
+		if _, err := reg.ApplyDelta("g", [][]byte{schemes.EdgeUpsertDelta(0, 1)}); err != nil {
+			t.Fatalf("PATCH after the rebuild: %v", err)
+		}
+		reg2 := store.NewRegistry(dir)
+		st2, err := reg2.Register("g", scheme, data)
+		if err != nil || !st2.WasLoaded() || st2.Version() != 1 || reg2.QuarantineCount() != 0 {
+			t.Fatalf("restart after the rebuild: loaded=%v version=%d quarantines=%d err=%v", st2.WasLoaded(), st2.Version(), reg2.QuarantineCount(), err)
+		}
+		verify(t, st2)
+	})
+
+	t.Run("sharded", func(t *testing.T) {
+		// Labels members kept their bytes; only the summary's overlay moved.
+		scheme := schemes.ReachabilityLabelsScheme()
+		dir := t.TempDir()
+		if _, err := RegisterSharded(store.NewRegistry(dir), "s", scheme, RangePartitioner{}, 3, data); err != nil {
+			t.Fatal(err)
+		}
+		mb, err := os.ReadFile(ManifestPath(dir, "s"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := DecodeManifest(mb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := decodeReachSummary(m.Summary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := len(rs.portals)
+		if p == 0 {
+			t.Fatal("the scenario needs portals")
+		}
+		// The overlay as ⌈P²/8⌉ bytes where the condensed wire form is; which
+		// bits are set does not matter to a reader that cannot frame them.
+		m.Summary = append(m.Summary[:len(m.Summary)-rs.overlay.WireLen()], make([]byte, (p*p+7)/8)...)
+		if err := os.WriteFile(ManifestPath(dir, "s"), EncodeManifest(m), 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		reg := store.NewRegistry(dir)
+		ss, err := RegisterSharded(reg, "s", scheme, RangePartitioner{}, 3, data)
+		if err != nil {
+			t.Fatalf("register over an older-layout generation: %v", err)
+		}
+		if ss.WasLoaded() || reg.PreprocessCount() != 3 || reg.QuarantineCount() != 1 {
+			t.Fatalf("loaded=%v preprocess=%d quarantines=%d, want a rebuild of 3 shards and one quarantine", ss.WasLoaded(), reg.PreprocessCount(), reg.QuarantineCount())
+		}
+		verify(t, ss)
+		reg2 := store.NewRegistry(dir)
+		ss2, err := RegisterSharded(reg2, "s", scheme, RangePartitioner{}, 3, data)
+		if err != nil || !ss2.WasLoaded() || reg2.QuarantineCount() != 0 {
+			t.Fatalf("restart after the rebuild: loaded=%v quarantines=%d err=%v", ss2.WasLoaded(), reg2.QuarantineCount(), err)
+		}
+		verify(t, ss2)
+	})
 }

@@ -299,7 +299,8 @@ func (ss *ShardedStore) Checkpoint(fsys store.FS, dir string) error {
 // nothing persisted); a manifest naming another scheme is store.ErrStale;
 // and everything the manifest itself vouches for — its own CRC and
 // decoding, its assignment, every shard file it names being present,
-// matching its SHA-256 and decoding — is a *store.CorruptArtifactError at
+// matching its SHA-256 and decoding, a summary the scheme can prepare its
+// view from — is a *store.CorruptArtifactError at
 // the manifest's path, the one file whose quarantine retires the whole
 // generation.
 func LoadShardedFS(fsys store.FS, dir, id string, scheme *core.Scheme) (*ShardedStore, error) {
@@ -370,7 +371,12 @@ func LoadShardedFS(fsys store.FS, dir, id string, scheme *core.Scheme) (*Sharded
 		}(i)
 	}
 	wg.Wait()
-	ss.publish(m.Version, m.Summary, shards)
+	// A summary the manifest vouches for and this version cannot prepare a
+	// view from — an overlay an earlier version laid out differently — would
+	// refuse every answer and be loaded again by every re-registration.
+	if err := ss.publish(m.Version, m.Summary, shards); err != nil {
+		return nil, corrupt(fmt.Errorf("summary: %w", err))
+	}
 	return ss, nil
 }
 

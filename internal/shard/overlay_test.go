@@ -1,14 +1,15 @@
 package shard
 
 // The portal overlay is built by one function (rebuildClosure) on the
-// condensation kernel and the word-wide emitter, at Build through the shards'
-// frozen subgraphs and at PATCH through their prepared answerers. These tests
-// hold the summary bytes to a reference build — one whole-graph BFS per
-// portal, one search per overlay vertex, one bit at a time — and pin the cap
-// on the portal count.
+// condensation kernel and stored over its condensation, at Build through the
+// shards' frozen subgraphs and at PATCH through their prepared answerers. These
+// tests hold the summary bytes to a reference build — one whole-graph BFS per
+// portal, one search per overlay vertex, classes and class rows one bit at a
+// time — and pin the cap on the portal count.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -20,7 +21,8 @@ import (
 
 // reachSummaryRef is the reference summary: portals and overlay arcs from one
 // Graph.BFS per portal on its induced subgraph, the overlay closed by one
-// Graph.BFS per overlay vertex and packed one bit at a time.
+// Graph.BFS per overlay vertex — classes are mutual reachability, numbered by
+// smallest member — and the class rows packed one bit at a time.
 func reachSummaryRef(g *graph.Graph, asn Assignment) []byte {
 	shardOf, local, counts := vertexShards(g.N(), asn)
 	subs, err := inducedSubgraphs(g, shardOf, local, counts)
@@ -60,20 +62,53 @@ func reachSummaryRef(g *graph.Graph, asn Assignment) []byte {
 		}
 	}
 	P := len(portals)
-	packed := make([]byte, (P*P+7)/8)
-	for i := 0; i < P; i++ {
-		_, dist := overlay.BFS(i)
-		for j := 0; j < P; j++ {
-			if dist[j] >= 0 {
-				bit := i*P + j
-				packed[bit/8] |= 1 << (bit % 8)
+	reach := make([][]int, P)
+	for i := range reach {
+		_, reach[i] = overlay.BFS(i)
+	}
+	class := make([]int, P)
+	var smallest []int
+	for i := range class {
+		class[i] = -1
+		for c, s := range smallest {
+			if reach[i][s] >= 0 && reach[s][i] >= 0 {
+				class[i] = c
+			}
+		}
+		if class[i] < 0 {
+			class[i] = len(smallest)
+			smallest = append(smallest, i)
+		}
+	}
+	k := len(smallest)
+	packed := binary.LittleEndian.AppendUint32(nil, uint32(k))
+	for _, c := range class {
+		packed = binary.LittleEndian.AppendUint16(packed, uint16(c))
+	}
+	stride := 8 * ((k + 63) / 64)
+	rows := make([]byte, k*stride)
+	for c, s := range smallest {
+		for d, t := range smallest {
+			if reach[s][t] >= 0 {
+				rows[c*stride+d/8] |= 1 << (d % 8)
 			}
 		}
 	}
-	return encodeReachSummary(&reachSummary{
+	packed = append(packed, rows...)
+	// The summary's own encoder writes everything before the overlay; the
+	// overlay bytes are the reference's, carried through the decoder.
+	decoded, err := graph.DecodeCondensedClosure(packed, P)
+	if err != nil {
+		panic(err)
+	}
+	ref := encodeReachSummary(&reachSummary{
 		n: g.N(), directed: g.Directed(), local: local, cross: cross,
-		portals: portals, portalShard: portalShard, closure: packed,
+		portals: portals, portalShard: portalShard, overlay: decoded,
 	})
+	if !bytes.HasSuffix(ref, packed) {
+		panic("the reference overlay did not survive decode → encode")
+	}
+	return ref
 }
 
 // TestOverlaySummaryBytesUnchanged: the sharded summary (what the manifest

@@ -2,15 +2,17 @@ package shard
 
 // Sharded reachability. The vertex set is partitioned by the assignment;
 // each shard preprocesses the induced subgraph on its vertices (relabelled
-// 0..n_i-1), so per-shard closure matrices cost (n/k)² bits instead of n²
-// — the artifact genuinely scales out. Correctness across shards comes
-// from the portal overlay built at preprocessing time:
+// 0..n_i-1), so a per-shard closure matrix is over that shard's classes
+// only. Correctness across shards comes from the portal overlay built at
+// preprocessing time:
 //
 //   - portals are the endpoints of cross-shard edges;
 //   - the overlay graph has one node per portal, an edge for every cross
 //     edge, and an edge p→q for every same-shard portal pair with p
 //     reaching q inside its shard;
-//   - the overlay's reflexive transitive closure is stored in the summary.
+//   - the overlay's reflexive transitive closure is stored in the summary,
+//     over its condensation (graph.CondensedClosure — the value and the
+//     bytes the closure-matrix scheme stores).
 //
 // Any path u ⇝ v decomposes into within-shard segments joined at cross
 // edges, so
@@ -43,9 +45,10 @@ package shard
 // per shard, so the heap holds 12 bytes per vertex of indices plus
 // distinct·⌈P/64⌉ words, where distinct ≤ 2·(local SCC count) + 1. The
 // worst case (every vertex its own SCC with its own portal set) is 2·n·P
-// bits, next to the P² bits of the overlay closure itself; building them
-// costs O(Σ_s n_s·P_s) bit operations (P_s bulk reads of n_s bits each way
-// per shard) plus one OR of ≤ P_s closure rows per distinct out row.
+// bits, next to the overlay closure itself (2P bytes + k² bits over its k
+// classes); building them costs O(Σ_s n_s·P_s) bit operations (P_s bulk
+// reads of n_s bits each way per shard), one P-bit expansion per overlay
+// class, and one OR of ≤ P_s expanded rows per distinct out row.
 //
 // Failure isolation. A shard whose Prepare failed contributes no rows;
 // queries with an endpoint in it fail with that shard's error and every
@@ -81,7 +84,7 @@ type reachSummary struct {
 	// byShard groups portal global ids per shard, so row building and the
 	// overlay rebuild touch each shard's own portals only.
 	byShard map[int][]int
-	closure []byte // reflexive overlay closure bitset, row-major over portals
+	overlay *graph.CondensedClosure // reflexive closure of the portal overlay, over portal indices
 
 	// Derived by buildRows, never persisted: the answer path's state.
 	shardOf  []int32              // shardOf[v] = shard owning v
@@ -101,11 +104,6 @@ func (rs *reachSummary) index() {
 		s := rs.portalShard[i]
 		rs.byShard[s] = append(rs.byShard[s], p)
 	}
-}
-
-func (rs *reachSummary) overlayReach(pi, qi int) bool {
-	bit := pi*len(rs.portals) + qi
-	return rs.closure[bit/8]&(1<<(bit%8)) != 0
 }
 
 // Answer implements core.Answerer — the whole sharded merge: decode once,
@@ -204,16 +202,9 @@ func (rs *reachSummary) buildRows(asn Assignment, shards []PreparedShard) error 
 	rs.out = make([]uint32, rs.n)
 	rs.in = make([]uint32, rs.n)
 
-	// The overlay closure, re-packed one word-aligned row per portal.
-	overlay := make([]uint64, P*rs.words)
-	for pi := 0; pi < P; pi++ {
-		row := overlay[pi*rs.words:]
-		for qi := 0; qi < P; qi++ {
-			if rs.overlayReach(pi, qi) {
-				row[qi>>6] |= 1 << (qi & 63)
-			}
-		}
-	}
+	// Portals of one overlay class reach the same portals: a class's row over
+	// portal indices is expanded once, by the first widenOut that needs it.
+	overlayRows := make([][]uint64, rs.overlay.Classes())
 
 	for s, ns := range counts {
 		lr, err := localReach(shards, s, ns)
@@ -245,7 +236,13 @@ func (rs *reachSummary) buildRows(asn Assignment, shards []PreparedShard) error 
 		// row by OR-ing the overlay rows of its portals, an in row by setting
 		// its portals' own bits.
 		widenOut := func(row []uint64, j int) {
-			for i, w := range overlay[rs.portal[ps[j]]*rs.words:][:rs.words] {
+			pi := rs.portal[ps[j]]
+			c := rs.overlay.Class(pi)
+			if overlayRows[c] == nil {
+				overlayRows[c] = make([]uint64, rs.words)
+				rs.overlay.ReachFrom(pi, overlayRows[c])
+			}
+			for i, w := range overlayRows[c] {
 				row[i] |= w
 			}
 		}
@@ -320,7 +317,7 @@ func encodeReachSummary(rs *reachSummary) []byte {
 	for _, s := range rs.portalShard {
 		b = binary.AppendUvarint(b, uint64(s))
 	}
-	return append(b, rs.closure...)
+	return rs.overlay.AppendWire(b)
 }
 
 func decodeReachSummary(b []byte) (*reachSummary, error) {
@@ -409,9 +406,8 @@ func decodeReachSummary(b []byte) (*reachSummary, error) {
 		rs.portalShard[i] = int(s)
 	}
 	rs.index()
-	rs.closure = b[off:]
-	if want := (len(rs.portals)*len(rs.portals) + 7) / 8; len(rs.closure) != want {
-		return nil, fmt.Errorf("shard: overlay closure is %d bytes, want %d", len(rs.closure), want)
+	if rs.overlay, err = graph.DecodeCondensedClosure(b[off:], len(rs.portals)); err != nil {
+		return nil, fmt.Errorf("shard: overlay closure: %w", err)
 	}
 	return rs, nil
 }
@@ -525,8 +521,9 @@ func buildReachSummary(g *graph.Graph, shardOf []int, local []uint32, counts []i
 	return encodeReachSummary(rs), nil
 }
 
-// maxPortals caps the portal overlay: its closure is P² bits whatever the
-// shards hold, and P grows with every cross-shard edge a registration or a
+// maxPortals caps the portal overlay: every portal row is P bits wide
+// whatever the overlay condenses to (and its closure up to P² bits when it
+// does not), and P grows with every cross-shard edge a registration or a
 // PATCH brings. It is graph.MaxClosureVertices — a variable only so a test
 // can reach the cap without a 512 MB overlay.
 var maxPortals = graph.MaxClosureVertices
@@ -571,8 +568,8 @@ type rowReader interface {
 	ReachFrom(u int, row []uint64)
 }
 
-// rebuildClosure recomputes the overlay's reflexive transitive closure (the
-// summary's row-major bitset, laid out like the closure-matrix scheme's) from
+// rebuildClosure recomputes the overlay's reflexive transitive closure (stored
+// over its condensation, the value the closure-matrix scheme stores) from
 // the cross-edge list plus within-shard portal reachability: one bulk row
 // read per portal, then one closure computation on the |portals|-node
 // overlay — far below re-preprocessing the dataset. local hands over shard
@@ -612,8 +609,9 @@ func (rs *reachSummary) rebuildClosure(counts []int, local func(s int) (rowReade
 			}
 		}
 	}
-	rs.closure = graph.NewClosure(overlay).AppendDense(nil)
-	return nil
+	var err error
+	rs.overlay, err = graph.NewCondensedClosure(overlay)
+	return err
 }
 
 // findCross returns the index of the first copy of (u,v) (either orientation

@@ -61,7 +61,7 @@ func probingAnswer(ss *ShardedStore, q []byte) (bool, error) {
 			return false, err
 		}
 		for _, pi := range from {
-			if ok && rs.overlayReach(pi, rs.portal[p]) {
+			if ok && rs.overlay.Reach(pi, rs.portal[p]) {
 				return true, nil
 			}
 		}

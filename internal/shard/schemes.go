@@ -20,7 +20,7 @@ import (
 // from it have none (e.g. BDS visit orders and CVP gate tables are global
 // artifacts with no meaningful data partition). The scan baseline has no
 // incremental form, so its sharded form routes no deltas either; the labels
-// scheme shards exactly like the dense closure (the sharded form only needs
+// scheme shards exactly like the closure matrix (the sharded form only needs
 // local reach probes — each shard just answers by label intersection instead
 // of a matrix probe); see reachabilitySharding on the BFS baseline.
 var sharded = map[string]func() *Sharding{

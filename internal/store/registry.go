@@ -358,7 +358,17 @@ func (r *Registry) RegisterContext(ctx context.Context, id string, scheme *core.
 					// A snapshot with Version > 0 is the maintained
 					// Π(D ⊕ ∆D…): resuming from it (not from a re-preprocess
 					// of D) is the whole point of persisting maintenance.
-					return newStore(id, scheme, sum, snap.Prep, snap.Version, true), nil
+					st := newStore(id, scheme, sum, snap.Prep, snap.Version, true)
+					// A Π an earlier version wrote in a layout this one no
+					// longer reads passes every check above and then refuses
+					// every answer, and re-registering would load it again:
+					// it is an old format, quarantined and rebuilt like a
+					// snapshot with an old magic.
+					var le *core.LayoutError
+					if _, err := st.load().forms[Exact](); errors.As(err, &le) {
+						return nil, &CorruptArtifactError{Path: SnapshotPath(dir, id), Err: err}
+					}
+					return st, nil
 				},
 				func() (DeltaDataset, error) {
 					ppStart := obs.Start()

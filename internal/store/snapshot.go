@@ -339,7 +339,7 @@ type committed struct {
 	// typed prepared form (Exact, core.PreparedScheme), its declared fallback
 	// (Degraded, Scheme.PrepareFallback) — each built by its first use, once:
 	// askers arriving meanwhile wait for that build rather than start their
-	// own (the labels fallback is an n²-bit closure). A failed build is
+	// own (the labels fallback is a whole closure build). A failed build is
 	// sticky for the value (a corrupt Π errors once at preparation; every
 	// answer surfaces it, matching the raw path's per-query validation error)
 	// until RetryPrepare publishes a fresh one.
