@@ -127,15 +127,26 @@ func cmdRun(args []string) int {
 		scale = pitract.ScaleFull
 	}
 	pitract.SetExperimentParallelism(*parallel)
+	var all []string
+	known := map[string]bool{} // ids resolve case-insensitively, as RunExperiment does
+	for _, e := range pitract.Experiments() {
+		all = append(all, e.ID)
+		known[strings.ToUpper(e.ID)] = true
+	}
 	if len(ids) == 1 && strings.EqualFold(ids[0], "all") {
-		ids = ids[:0]
-		for _, e := range pitract.Experiments() {
-			ids = append(ids, e.ID)
+		ids = all
+	}
+	// Resolve every id before running any: a typo in the last one must not
+	// cost a full-scale run of the ones before it.
+	for _, id := range ids {
+		if !known[strings.ToUpper(id)] {
+			fmt.Fprintf(os.Stderr, "pitract run: unknown experiment %q (see 'pitract list')\n", id)
+			return 1
 		}
 	}
 	for _, id := range ids {
 		if err := pitract.RunExperiment(os.Stdout, id, scale); err != nil {
-			fmt.Fprintf(os.Stderr, "pitract: %v\n", err)
+			fmt.Fprintf(os.Stderr, "pitract run: %v\n", err)
 			return 1
 		}
 	}
@@ -180,7 +191,7 @@ func cmdServe(args []string) int {
 		"-max-inflight": int64(*maxInFlight), "-max-inflight-dataset": int64(*maxInFlightDS),
 		"-max-body-bytes": *maxBodyBytes, "-max-batch": int64(*maxBatch),
 		"-register-budget": int64(*registerBudget), "-query-budget-ms": *queryBudgetMs,
-		"-retry-after":   int64(*retryAfter),
+		"-retry-after": int64(*retryAfter), "-shards": int64(*shards),
 		"-slow-query-ms": *slowQueryMs, "-checkpoint-every": int64(*checkpointEvery),
 	} {
 		if v < 0 {

@@ -32,16 +32,6 @@ type AnswererFunc func(q []byte) (bool, error)
 // Answer implements Answerer.
 func (f AnswererFunc) Answer(q []byte) (bool, error) { return f(q) }
 
-// PreparedScheme is the seam the serving layers (store.Store, and through
-// it shard.ShardedStore) answer through: anything that can decode one Π(D)
-// into an Answerer. *Scheme implements it for every scheme — natively when
-// the scheme supplies PrepareAnswerer, and through a raw-Answer fallback
-// otherwise — so callers never need to branch on whether a prepared form
-// exists.
-type PreparedScheme interface {
-	Prepare(pd []byte) (Answerer, error)
-}
-
 // LayoutError is what a scheme's readers — Answer, Prepare, ApplyDelta —
 // return for a preprocessed string that is intact but in a layout an earlier
 // version wrote and this one no longer reads. The serving layer tells it from
@@ -53,11 +43,13 @@ type LayoutError struct{ Msg string }
 
 func (e *LayoutError) Error() string { return e.Msg }
 
-// Prepare decodes pd once into an Answerer. Schemes with a typed prepared
-// form (PrepareAnswerer != nil) validate and decode pd here — so a corrupt
-// preprocessed string errors once, at preparation, with the same message the
-// raw path would produce per query — and their Answerer probes without
-// re-validating. Schemes without one fall back to an adapter that closes
+// Prepare decodes pd once into an Answerer — the seam the serving layers
+// (store.Store, and through it shard.ShardedStore) answer through; every
+// scheme has one, so callers never branch on whether a prepared form
+// exists. Schemes with a typed prepared form (PrepareAnswerer != nil)
+// validate and decode pd here — so a corrupt preprocessed string errors
+// once, at preparation, with the same message the raw path would produce
+// per query — and their Answerer probes without re-validating. Schemes without one fall back to an adapter that closes
 // over pd and calls the raw Answer, so the prepared path is never slower
 // than the raw path, only equal or faster.
 func (s *Scheme) Prepare(pd []byte) (Answerer, error) {

@@ -1,6 +1,6 @@
 package schemes
 
-// Typed prepared answerers (core.PreparedScheme). Each scheme's raw Answer
+// Typed prepared answerers ((*core.Scheme).Prepare). Each scheme's raw Answer
 // re-locates its structure inside the preprocessed string on every call —
 // re-framing the closure payload, re-deriving the sorted-file length, or (for
 // the search-per-query baselines) re-decoding the entire graph or relation.

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -77,6 +78,31 @@ func TestHealthzHealthMap(t *testing.T) {
 	if got.Health["m"] != "healthy" || got.Health["m2"] != "healthy" {
 		t.Fatalf("health map %v, want both datasets healthy", got.Health)
 	}
+
+	// The count and the map come from one read of the catalog: while
+	// registrations settle concurrently, no body may count a dataset its
+	// health map does not list.
+	const more = 16
+	var wg sync.WaitGroup
+	for i := 0; i < more; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := srv.reg.Register(fmt.Sprintf("c%d", i), schemes.PointSelectionScheme(), schemes.RelationFromKeys([]int64{int64(i)})); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	for got.Datasets < 2+more && !t.Failed() {
+		got.Health = nil
+		if code := getJSON(t, client, ts.URL+"/healthz", &got); code != http.StatusOK {
+			t.Fatalf("healthz status %d, want 200", code)
+		}
+		if got.Datasets != len(got.Health) {
+			t.Fatalf("healthz counts %d datasets beside %d health entries", got.Datasets, len(got.Health))
+		}
+	}
+	wg.Wait()
 }
 
 // flakyPrepareCatalog returns a catalog with one scheme whose prepared

@@ -65,12 +65,13 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"net"
 	"net/http"
 	"net/url"
 	"runtime"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -406,19 +407,19 @@ func (s *Server) answerPath(ds store.Dataset) store.Dataset {
 
 // SetDefaultSharding sets the shard count and partitioner applied to
 // registrations without explicit ?shards/?partitioner parameters — the
-// server face of the CLI's -shards/-partitioner flags. shards <= 1 keeps
-// the unsharded default; an empty partitioner selects "hash". The
-// partitioner name is validated here so a typo fails at startup, not at
-// the first registration.
+// server face of the CLI's -shards/-partitioner flags. shards 0 or 1 keeps
+// the unsharded default, a negative count is refused like ?shards=-1 is; an
+// empty partitioner selects "hash". Both are validated here so a typo
+// fails at startup, not at the first registration.
 func (s *Server) SetDefaultSharding(shards int, partitioner string) error {
+	if shards < 0 {
+		return fmt.Errorf("server: default shards %d: want a non-negative integer", shards)
+	}
 	if shards > maxShards {
 		return fmt.Errorf("server: default shards %d exceeds the cap %d", shards, maxShards)
 	}
 	if _, err := shard.PartitionerByName(partitioner); err != nil {
 		return err
-	}
-	if shards < 0 {
-		shards = 0
 	}
 	s.defaultShards = shards
 	s.defaultPartitioner = partitioner
@@ -762,7 +763,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, code, map[string]interface{}{
 		"status":   status,
-		"datasets": s.reg.Len(),
+		"datasets": len(states), // one read of the catalog: the count and the map cannot disagree
 		"health":   health,
 	})
 }
@@ -907,7 +908,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 		}
 		scheme, ok := s.catalog[req.Scheme]
 		if !ok {
-			writeError(w, r, http.StatusBadRequest, "unknown scheme %q (have %v)", req.Scheme, s.schemeNames())
+			writeError(w, r, http.StatusBadRequest, "unknown scheme %q (have %v)", req.Scheme, slices.Sorted(maps.Keys(s.catalog)))
 			return
 		}
 		shards, partitioner, explicit, ok := s.shardingParams(w, r)
@@ -1230,13 +1231,4 @@ func (s *Server) record(scheme string, served, failed int, elapsed time.Duration
 	if err != nil {
 		c.errors.Add(1)
 	}
-}
-
-func (s *Server) schemeNames() []string {
-	names := make([]string, 0, len(s.catalog))
-	for n := range s.catalog {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

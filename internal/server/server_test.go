@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,6 +19,7 @@ import (
 	"pitract/internal/core"
 	"pitract/internal/graph"
 	"pitract/internal/schemes"
+	"pitract/internal/shard"
 	"pitract/internal/store"
 )
 
@@ -513,6 +515,47 @@ func TestServerShardedParamErrors(t *testing.T) {
 	}
 }
 
+// TestSchemeListsInErrorsSortedAndComplete: the two 400s that list scheme
+// names — an unknown scheme, a scheme with no sharded form — list every
+// name there is, in sorted order, so the same request reads the same on
+// every run.
+func TestSchemeListsInErrorsSortedAndComplete(t *testing.T) {
+	ts := httptest.NewServer(New(store.NewRegistry(""), nil))
+	defer ts.Close()
+
+	var all, shardable []string
+	for name := range Catalog() {
+		all = append(all, name)
+		if shard.ForScheme(name) != nil {
+			shardable = append(shardable, name)
+		}
+	}
+	for _, c := range []struct {
+		params, scheme, marker string
+		want                   []string
+	}{
+		{"", "no/such-scheme", "(have [", all},
+		{"?shards=2", "bds/visit-order", "(shardable: [", shardable},
+	} {
+		var e struct {
+			Error string `json:"error"`
+		}
+		if code := postJSON(t, ts.Client(), ts.URL+"/v1/datasets"+c.params,
+			RegisterRequest{ID: "x", Scheme: c.scheme, Data: graph.Path(4, true).Encode()}, &e); code != http.StatusBadRequest {
+			t.Fatalf("%s%s: status %d, want 400 (%s)", c.scheme, c.params, code, e.Error)
+		}
+		_, list, found := strings.Cut(e.Error, c.marker)
+		if !found || !strings.HasSuffix(list, "])") {
+			t.Fatalf("%s%s: %q lists no names after %q", c.scheme, c.params, e.Error, c.marker)
+		}
+		got := strings.Fields(strings.TrimSuffix(list, "])"))
+		slices.Sort(c.want)
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s%s lists\n  %v, want the sorted\n  %v", c.scheme, c.params, got, c.want)
+		}
+	}
+}
+
 // TestServerDefaultSharding: a server started with -shards style defaults
 // shards registrations that carry no explicit parameter.
 func TestServerDefaultSharding(t *testing.T) {
@@ -525,6 +568,12 @@ func TestServerDefaultSharding(t *testing.T) {
 	}
 	if err := srv.SetDefaultSharding(maxShards+1, ""); err == nil {
 		t.Fatal("default shards beyond the cap must be rejected")
+	}
+	// A negative count is refused as ?shards=-1 is, not clamped to
+	// "unsharded"; the refusal leaves the default set above in place (the
+	// registration below still comes back with 3 shards).
+	if err := srv.SetDefaultSharding(-1, "hash"); err == nil {
+		t.Fatal("negative default shards must be rejected")
 	}
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

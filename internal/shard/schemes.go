@@ -9,6 +9,7 @@ package shard
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"pitract/internal/core"
@@ -45,12 +46,7 @@ func ForScheme(name string) *Sharding {
 // ShardableSchemes lists the scheme names ForScheme accepts, sorted, for
 // error messages and docs.
 func ShardableSchemes() []string {
-	names := make([]string, 0, len(sharded))
-	for name := range sharded {
-		names = append(names, name)
-	}
-	slices.Sort(names)
-	return names
+	return slices.Sorted(maps.Keys(sharded))
 }
 
 // DeltaCapableSchemes lists the scheme names whose sharded form routes

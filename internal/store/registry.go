@@ -592,7 +592,7 @@ func (r *Registry) IDs() []string {
 }
 
 // Len reports the number of successfully registered datasets. Unlike IDs it
-// allocates nothing — it sits on the /healthz and /v1/stats hot paths.
+// allocates nothing — it sits on the /v1/stats hot path.
 func (r *Registry) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()

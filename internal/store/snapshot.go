@@ -336,7 +336,7 @@ type committed struct {
 	// grows, and every applied delta bumps it by one.
 	version uint64
 	// forms memoises, per Mode, the answerer decoded from prep — the scheme's
-	// typed prepared form (Exact, core.PreparedScheme), its declared fallback
+	// typed prepared form (Exact, (*core.Scheme).Prepare), its declared fallback
 	// (Degraded, Scheme.PrepareFallback) — each built by its first use, once:
 	// askers arriving meanwhile wait for that build rather than start their
 	// own (the labels fallback is a whole closure build). A failed build is
