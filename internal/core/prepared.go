@@ -2,20 +2,20 @@ package core
 
 // The prepared-answerer seam — the hot-path half of the scheme contract.
 //
-// Scheme.Answer takes the preprocessed string pd on every call, which forces
-// each call to re-locate (and re-validate) the structure inside pd: parse the
-// closure header, re-derive the element count of a sorted file, or — worst —
-// re-decode an entire graph for a search-per-query baseline. That is fine for
-// one-shot correctness checks, but a serving system answers millions of
-// queries against one Π(D), and the paper's answering budget is supposed to
-// cover the probe, not the decode.
+// Scheme.Answer takes the preprocessed string pd on every call. Where pd
+// must be framed, validated or decoded before it can be probed — a closure
+// header, a label payload, a whole graph for a search-per-query baseline —
+// that work would repeat per query, and the paper's answering budget is
+// supposed to cover the probe, not the decode. Prepare factors it out: it
+// runs once when a store is registered, reloaded, or maintained, and returns
+// an Answerer whose Answer(q) does only the probe.
 //
-// Prepare factors the per-Π work out: it runs once when a store is
-// registered, reloaded, or maintained, decoding pd into a typed in-memory
-// Answerer whose Answer(q) does only the probe. The raw Answer path is kept
-// unchanged as the differential oracle — prepared answerers are pinned
-// byte-for-byte (verdicts and error strings) against it by the schemes
-// package's differential tests.
+// A scheme declares a typed form (PrepareAnswerer) only where that saves
+// per-query work. Where Π is laid out for probing — a sorted key file, a pos
+// file — the raw probe is the prepared one: Prepare closes over pd in O(1)
+// and Π is held once. Typed forms are pinned byte-for-byte (verdicts and
+// error strings) against the raw Answer by the schemes package's
+// differential tests.
 
 // Answerer is one prepared Π(D), ready to answer queries. Implementations
 // must satisfy the same concurrency contract as Scheme.Answer (batch.go):
@@ -43,15 +43,14 @@ type LayoutError struct{ Msg string }
 
 func (e *LayoutError) Error() string { return e.Msg }
 
-// Prepare decodes pd once into an Answerer — the seam the serving layers
+// Prepare turns pd into an Answerer — the seam the serving layers
 // (store.Store, and through it shard.ShardedStore) answer through; every
-// scheme has one, so callers never branch on whether a prepared form
-// exists. Schemes with a typed prepared form (PrepareAnswerer != nil)
-// validate and decode pd here — so a corrupt preprocessed string errors
-// once, at preparation, with the same message the raw path would produce
-// per query — and their Answerer probes without re-validating. Schemes without one fall back to an adapter that closes
-// over pd and calls the raw Answer, so the prepared path is never slower
-// than the raw path, only equal or faster.
+// scheme has one, so callers never branch on whether a typed form exists.
+// Schemes that declare one (PrepareAnswerer != nil) validate and decode pd
+// here — so a corrupt preprocessed string errors once, at preparation, with
+// the same message the raw path would produce per query — and their Answerer
+// probes without re-validating. The rest get the raw Answer closed over pd:
+// no copy, no decode, nothing that can fail.
 func (s *Scheme) Prepare(pd []byte) (Answerer, error) {
 	if s.PrepareAnswerer != nil {
 		return s.PrepareAnswerer(pd)

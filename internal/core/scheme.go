@@ -27,7 +27,9 @@ type Scheme struct {
 	// re-decoding pd — the hot-path form the serving layers answer through
 	// (see prepared.go and the Prepare method). It must produce verdicts and
 	// error strings identical to Answer on the same pd; the schemes package
-	// pins that differentially. Nil means the raw Answer is used directly.
+	// pins that differentially. Declare one only where it saves per-query
+	// work; nil means Prepare closes over the raw Answer, which is the right
+	// prepared form for a Π laid out for probing.
 	PrepareAnswerer func(pd []byte) (Answerer, error)
 	// PrepareFallback, when non-nil, decodes the same preprocessed string
 	// into a cheaper degraded-mode Answerer — the one the serving layer

@@ -1,8 +1,10 @@
 package schemes
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
+	"time"
 
 	"pitract/internal/core"
 	"pitract/internal/graph"
@@ -246,5 +248,55 @@ func TestIncrementalRedundantEdgeNoChange(t *testing.T) {
 	}
 	if string(same) != string(out) {
 		t.Fatal("re-inserting a present edge changed the closure bytes")
+	}
+}
+
+// TestKeysDeltaSortIsNotQuadratic pins the cost of one large key delta: the
+// client's keys arrive in any order — here descending, an insertion sort's
+// worst case — and sorting them runs under the dataset's maintenance mutex,
+// so it must be O(|∆D| log |∆D|). 2¹⁷ fresh keys in, then the same 2¹⁷ out,
+// each inside 2 s, and the maintained Π byte-equal to a rebuild both times.
+func TestKeysDeltaSortIsNotQuadratic(t *testing.T) {
+	const n = 1 << 17
+	base := make([]int64, 1000)
+	for i := range base {
+		base[i] = int64(2 * i)
+	}
+	fresh := make([]int64, n)
+	for i := range fresh {
+		fresh[i] = int64(2*(n-i) + 1) // descending, disjoint from base
+	}
+	for _, tc := range []struct {
+		inc *core.IncrementalScheme
+		d   []byte
+	}{
+		{IncrementalPointSelection(), RelationFromKeys(base)},
+		{IncrementalRangeSelection(), RelationFromKeys(base)},
+		{IncrementalListMembership(), EncodeList(base)},
+	} {
+		inc, d := tc.inc, tc.d
+		t.Run(inc.Name(), func(t *testing.T) {
+			pd, err := inc.Scheme.Preprocess(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, delta := range [][]byte{KeysDelta(fresh), KeysDeleteDelta(fresh)} {
+				start := time.Now()
+				pd, err = inc.ApplyDelta(pd, delta)
+				if took := time.Since(start); err != nil || took > 2*time.Second {
+					t.Fatalf("a %d-key descending delta applied in %v (err %v), want under 2s", n, took, err)
+				}
+				if d, err = inc.ApplyUpdate(d, delta); err != nil {
+					t.Fatal(err)
+				}
+				rebuilt, err := inc.Scheme.Preprocess(d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(pd, rebuilt) {
+					t.Fatalf("maintained Π (%d bytes) differs from Preprocess of the updated data (%d bytes)", len(pd), len(rebuilt))
+				}
+			}
+		})
 	}
 }

@@ -281,23 +281,12 @@ func IncrementalListMembership() *core.IncrementalScheme {
 	}
 }
 
+// dedupSorted returns the distinct keys of a delta in ascending order,
+// leaving the caller's slice alone.
 func dedupSorted(keys []int64) []int64 {
-	if len(keys) == 0 {
-		return keys
-	}
-	sorted := append([]int64(nil), keys...)
-	for i := 1; i < len(sorted); i++ { // insertion sort; deltas are small
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	out := sorted[:1]
-	for _, k := range sorted[1:] {
-		if k != out[len(out)-1] {
-			out = append(out, k)
-		}
-	}
-	return out
+	sorted := slices.Clone(keys)
+	slices.Sort(sorted)
+	return slices.Compact(sorted)
 }
 
 // EdgeDelta encodes an edge insertion for the reachability scheme.

@@ -1,11 +1,13 @@
 package schemes
 
-// Typed prepared answerers ((*core.Scheme).Prepare). Each scheme's raw Answer
-// re-locates its structure inside the preprocessed string on every call —
-// re-framing the closure payload, re-deriving the sorted-file length, or (for
-// the search-per-query baselines) re-decoding the entire graph or relation.
-// Prepare does that exactly once per Π(D): it validates the payload and
-// decodes it into a typed in-memory form whose Answer is only the probe.
+// Typed prepared answerers ((*core.Scheme).Prepare). A scheme declares one
+// only where Prepare saves per-query work: the closure, labels and CVP forms
+// validate their payload once, so a probe indexes without re-checking; the
+// search-per-query baselines (BFS, point scan) decode their graph or relation
+// once instead of per query. Where Π is laid out for probing — the sorted
+// key files, the BDS pos file: fixed-width records, nothing to frame or
+// validate — the raw Answer is the prepared form (core's adapter over it),
+// and Π is held once.
 //
 // Every answerer here is pinned differentially against the raw Answer
 // oracle (TestPreparedVsRawDifferential): identical verdicts and identical
@@ -20,72 +22,12 @@ package schemes
 // raw path (core/batch.go).
 
 import (
-	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"pitract/internal/core"
 	"pitract/internal/graph"
 	"pitract/internal/relation"
 )
-
-// --- sorted key files (point/range selection, list membership) ---------------
-
-// sortedKeysAnswerer is the decoded sorted key file: binary search probes
-// compare int64s directly instead of re-decoding 8-byte big-endian records
-// per comparison. rangeQueries selects the range-selection query codec.
-type sortedKeysAnswerer struct {
-	keys         []int64
-	rangeQueries bool
-}
-
-// decodeSortedKeys unpacks an n×8-byte sorted key file. Like the raw
-// searchSortedKeys path, trailing bytes beyond the last full record are
-// ignored rather than rejected.
-func decodeSortedKeys(pd []byte) []int64 {
-	n := len(pd) / 8
-	keys := make([]int64, n)
-	for i := range keys {
-		keys[i] = sortedKeyAt(pd, i)
-	}
-	return keys
-}
-
-// searchInt64s locates the first index with keys[i] >= target.
-func searchInt64s(keys []int64, target int64) int {
-	return sort.Search(len(keys), func(i int) bool { return keys[i] >= target })
-}
-
-// Answer implements core.Answerer.
-func (a *sortedKeysAnswerer) Answer(q []byte) (bool, error) {
-	if a.rangeQueries {
-		lo, hi, err := DecodeRangeQuery(q)
-		if err != nil {
-			return false, err
-		}
-		if hi < lo {
-			return false, nil
-		}
-		idx := searchInt64s(a.keys, lo)
-		return idx < len(a.keys) && a.keys[idx] <= hi, nil
-	}
-	c, err := DecodePointQuery(q)
-	if err != nil {
-		return false, err
-	}
-	idx := searchInt64s(a.keys, c)
-	return idx < len(a.keys) && a.keys[idx] == c, nil
-}
-
-// prepareSortedKeys builds the point-query answerer over a sorted key file.
-func prepareSortedKeys(pd []byte) (core.Answerer, error) {
-	return &sortedKeysAnswerer{keys: decodeSortedKeys(pd)}, nil
-}
-
-// prepareSortedKeysRange is prepareSortedKeys for the range-selection codec.
-func prepareSortedKeysRange(pd []byte) (core.Answerer, error) {
-	return &sortedKeysAnswerer{keys: decodeSortedKeys(pd), rangeQueries: true}, nil
-}
 
 // --- local reach: the typed seam under sharded reachability ---------------------
 
@@ -192,36 +134,6 @@ func prepareBFS(pd []byte) (core.Answerer, error) {
 		return nil, err
 	}
 	return &bfsAnswerer{g: g.Freeze()}, nil
-}
-
-// --- BDS visit order ----------------------------------------------------------
-
-// bdsAnswerer is the decoded pos array: two slice reads per query.
-type bdsAnswerer struct {
-	pos []uint32
-}
-
-// Answer implements core.Answerer.
-func (a *bdsAnswerer) Answer(q []byte) (bool, error) {
-	u, v, err := DecodeNodePairQuery(q)
-	if err != nil {
-		return false, err
-	}
-	if u < 0 || u >= len(a.pos) || v < 0 || v >= len(a.pos) {
-		return false, fmt.Errorf("schemes: node pair (%d,%d) out of range [0,%d)", u, v, len(a.pos))
-	}
-	return a.pos[u] < a.pos[v], nil
-}
-
-// prepareBDS unpacks the n×4-byte pos file (trailing bytes ignored, like
-// the raw path).
-func prepareBDS(pd []byte) (core.Answerer, error) {
-	n := len(pd) / 4
-	pos := make([]uint32, n)
-	for i := range pos {
-		pos[i] = binary.BigEndian.Uint32(pd[i*4:])
-	}
-	return &bdsAnswerer{pos: pos}, nil
 }
 
 // --- CVP gate values ----------------------------------------------------------

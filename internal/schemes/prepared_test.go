@@ -1,11 +1,15 @@
 package schemes
 
 // Differential pinning of the prepared answerers against the raw Answer
-// oracle: for every scheme with a typed prepared form, the prepared probe
-// must return the identical verdict — and on bad queries the identical
-// error string — as Answer(pd, q) on the same preprocessed string.
+// oracle: for every scheme in the table, the prepared probe must return the
+// identical verdict — and on bad queries the identical error string — as
+// Answer(pd, q) on the same preprocessed string. For the schemes that declare
+// no typed form that holds by construction (Prepare closes over the raw
+// Answer); their verdicts are pinned by VerifyAgainst the Language's
+// reference scan.
 
 import (
+	"runtime"
 	"testing"
 
 	"pitract/internal/circuit"
@@ -70,13 +74,30 @@ func preparedCases(t *testing.T) map[string]preparedCase {
 	}
 }
 
+// typedForm is which schemes declare a PrepareAnswerer: the ones whose
+// Prepare saves a validation or a decode per query. The sorted key files and
+// the BDS pos file are laid out for probing, so their raw Answer is the
+// prepared form. A scheme gaining or losing a typed form is an edit here.
+var typedForm = map[string]bool{
+	"point-selection/sorted-keys": false,
+	"point-selection/scan":        true,
+	"range-selection/sorted-keys": false,
+	"list-membership/sorted":      false,
+	"reachability/closure-matrix": true,
+	"reachability/labels":         true,
+	"reachability/bfs-per-query":  true,
+	"bds/visit-order":             false,
+	"cvp/gate-values":             true,
+}
+
 // TestPreparedVsRawDifferential pins prepared ≡ raw, query for query and
 // error string for error string.
 func TestPreparedVsRawDifferential(t *testing.T) {
 	for name, tc := range preparedCases(t) {
 		t.Run(name, func(t *testing.T) {
-			if tc.scheme.PrepareAnswerer == nil {
-				t.Fatalf("scheme %s has no prepared form", tc.scheme.Name())
+			want, listed := typedForm[tc.scheme.Name()]
+			if got := tc.scheme.PrepareAnswerer != nil; !listed || got != want {
+				t.Fatalf("scheme %s: typed prepared form declared = %v, typedForm says %v (listed %v)", tc.scheme.Name(), got, want, listed)
 			}
 			pd, err := tc.scheme.Preprocess(tc.data)
 			if err != nil {
@@ -248,6 +269,45 @@ func TestLocalReachMatchesAnswer(t *testing.T) {
 					t.Fatalf("%s: bulk read of vertex %d set bit %d beyond the %d vertices", name, u, i, n)
 				}
 			}
+		}
+	}
+}
+
+// TestSortedKeyPrepareIsConstant pins that Π is held once: for the schemes
+// whose Π is laid out for probing, Prepare closes over the committed bytes —
+// it must not rebuild a decoded copy of them (8·n bytes for a key file, 4·n
+// for the pos file) at every registration, reload, replayed record and PATCH.
+func TestSortedKeyPrepareIsConstant(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun: nobody else allocates
+	const n = 1 << 16
+	keys := make([]int64, n)
+	for i := range keys {
+		keys[i] = int64(3 * i)
+	}
+	for _, tc := range []struct {
+		scheme *core.Scheme
+		data   []byte
+	}{
+		{PointSelectionScheme(), RelationFromKeys(keys)},
+		{RangeSelectionScheme(), RelationFromKeys(keys)},
+		{ListMembershipScheme(), EncodeList(keys)},
+		{BDSScheme(), graph.RandomConnectedUndirected(n, 2*n, 9).Encode()},
+	} {
+		pd, err := tc.scheme.Preprocess(tc.data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const runs = 8
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			if _, err := tc.scheme.Prepare(pd); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 1<<10 {
+			t.Errorf("%s: Prepare of a %d-byte Π allocates %d bytes, want < 1 KB", tc.scheme.Name(), len(pd), per)
 		}
 	}
 }

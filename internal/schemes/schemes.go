@@ -42,10 +42,35 @@ func sortedKeyAt(b []byte, i int) int64 {
 
 // searchSortedKeys locates the first index with key ≥ target, reading
 // O(log n) fixed-width records of the preprocessed string.
-func searchSortedKeys(b []byte, target int64) (idx int, found bool) {
-	n := len(b) / 8
-	idx = sort.Search(n, func(i int) bool { return sortedKeyAt(b, i) >= target })
-	return idx, idx < n && sortedKeyAt(b, idx) == target
+func searchSortedKeys(b []byte, target int64) int {
+	return sort.Search(len(b)/8, func(i int) bool { return sortedKeyAt(b, i) >= target })
+}
+
+// answerPointSortedKeys is the point probe over a sorted key file: "is the
+// key of PointQuery q a record of pd". The file is laid out for the probe —
+// nothing to decode or validate first — so it is the raw Answer and the
+// prepared form alike of every scheme whose Π is such a file.
+func answerPointSortedKeys(pd, q []byte) (bool, error) {
+	c, err := DecodePointQuery(q)
+	if err != nil {
+		return false, err
+	}
+	idx := searchSortedKeys(pd, c)
+	return idx < len(pd)/8 && sortedKeyAt(pd, idx) == c, nil
+}
+
+// answerRangeSortedKeys is the range probe over a sorted key file: find the
+// first key ≥ lo, check it against hi.
+func answerRangeSortedKeys(pd, q []byte) (bool, error) {
+	lo, hi, err := DecodeRangeQuery(q)
+	if err != nil {
+		return false, err
+	}
+	if hi < lo {
+		return false, nil
+	}
+	idx := searchSortedKeys(pd, lo)
+	return idx < len(pd)/8 && sortedKeyAt(pd, idx) <= hi, nil
 }
 
 // --- Example 1 / §4(1): point and range selection -----------------------------
@@ -115,17 +140,9 @@ func PointSelectionScheme() *core.Scheme {
 			}
 			return putSortedKeys(keys), nil
 		},
-		Answer: func(pd, q []byte) (bool, error) {
-			c, err := DecodePointQuery(q)
-			if err != nil {
-				return false, err
-			}
-			_, found := searchSortedKeys(pd, c)
-			return found, nil
-		},
-		PrepareAnswerer: prepareSortedKeys,
-		PreprocessNote:  "O(|D| log |D|)",
-		AnswerNote:      "O(log |D|)",
+		Answer:         answerPointSortedKeys,
+		PreprocessNote: "O(|D| log |D|)",
+		AnswerNote:     "O(log |D|)",
 	}
 }
 
@@ -151,18 +168,16 @@ func PointSelectionScanScheme() *core.Scheme {
 	}
 }
 
-// prepareScanFallback builds the scan baseline's degraded-mode answerer:
-// the relation's key column sorted once, probed by binary search.
+// prepareScanFallback builds the scan baseline's degraded-mode answerer: its
+// Π is the relation itself, so the fallback is the sorted-keys scheme over
+// it — the key column sorted once, probed by binary search.
 func prepareScanFallback(pd []byte) (core.Answerer, error) {
-	rel, err := relation.Decode(pd)
+	sorted := PointSelectionScheme()
+	keys, err := sorted.Preprocess(pd)
 	if err != nil {
 		return nil, err
 	}
-	ks, err := rel.SortedInts("key")
-	if err != nil {
-		return nil, err
-	}
-	return &sortedKeysAnswerer{keys: ks}, nil
+	return sorted.Prepare(keys)
 }
 
 // RangeSelectionLanguage decides range selections by the reference scan.
@@ -183,27 +198,15 @@ func RangeSelectionLanguage() core.Language {
 	}
 }
 
-// RangeSelectionScheme answers range selections on the sorted key file:
-// find the first key ≥ lo, check it against hi.
+// RangeSelectionScheme answers range selections on the point scheme's sorted
+// key file.
 func RangeSelectionScheme() *core.Scheme {
-	base := PointSelectionScheme()
 	return &core.Scheme{
-		SchemeName: "range-selection/sorted-keys",
-		Preprocess: base.Preprocess,
-		Answer: func(pd, q []byte) (bool, error) {
-			lo, hi, err := DecodeRangeQuery(q)
-			if err != nil {
-				return false, err
-			}
-			if hi < lo {
-				return false, nil
-			}
-			idx, _ := searchSortedKeys(pd, lo)
-			return idx < len(pd)/8 && sortedKeyAt(pd, idx) <= hi, nil
-		},
-		PrepareAnswerer: prepareSortedKeysRange,
-		PreprocessNote:  "O(|D| log |D|)",
-		AnswerNote:      "O(log |D|)",
+		SchemeName:     "range-selection/sorted-keys",
+		Preprocess:     PointSelectionScheme().Preprocess,
+		Answer:         answerRangeSortedKeys,
+		PreprocessNote: "O(|D| log |D|)",
+		AnswerNote:     "O(log |D|)",
 	}
 }
 
@@ -277,17 +280,9 @@ func ListMembershipScheme() *core.Scheme {
 			idx := listsearch.NewIndex(list)
 			return putSortedKeys(idx.Sorted()), nil
 		},
-		Answer: func(pd, q []byte) (bool, error) {
-			e, err := DecodePointQuery(q)
-			if err != nil {
-				return false, err
-			}
-			_, found := searchSortedKeys(pd, e)
-			return found, nil
-		},
-		PrepareAnswerer: prepareSortedKeys,
-		PreprocessNote:  "O(|M| log |M|)",
-		AnswerNote:      "O(log |M|)",
+		Answer:         answerPointSortedKeys,
+		PreprocessNote: "O(|M| log |M|)",
+		AnswerNote:     "O(log |M|)",
 	}
 }
 
@@ -574,9 +569,8 @@ func BDSScheme() *core.Scheme {
 			pv := binary.BigEndian.Uint32(pd[v*4:])
 			return pu < pv, nil
 		},
-		PrepareAnswerer: prepareBDS,
-		PreprocessNote:  "O(|V|+|E|)",
-		AnswerNote:      "O(1) (O(log |M|) via binary search)",
+		PreprocessNote: "O(|V|+|E|)",
+		AnswerNote:     "O(1) (O(log |M|) via binary search)",
 	}
 }
 

@@ -231,13 +231,13 @@ func TestAnswerSeamConformance(t *testing.T) {
 func TestRoutedStickyPrepareIsolated(t *testing.T) {
 	var failing atomic.Bool
 	var bad []byte
-	sch := *schemes.PointSelectionScheme()
-	prepare := sch.PrepareAnswerer
+	base := schemes.PointSelectionScheme()
+	sch := *base
 	sch.PrepareAnswerer = func(pd []byte) (core.Answerer, error) {
 		if failing.Load() && string(pd) == string(bad) {
 			return nil, errors.New("injected decode fault")
 		}
-		return prepare(pd)
+		return base.Prepare(pd)
 	}
 	keys := make([]int64, 30)
 	for i := range keys {

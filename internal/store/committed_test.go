@@ -22,8 +22,9 @@ import (
 // degradableKeys is the sorted-keys scheme with its prepared form declared as
 // its fallback too, so a maintainable store has both memoised forms to race.
 func degradableKeys() *core.Scheme {
-	sch := *schemes.PointSelectionScheme()
-	sch.PrepareFallback = sch.PrepareAnswerer
+	base := schemes.PointSelectionScheme()
+	sch := *base
+	sch.PrepareFallback = base.Prepare
 	return &sch
 }
 
@@ -265,5 +266,40 @@ func TestRegisteredStoreRetainsOnlyCommittedPi(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(what, opened, 0, mustPreprocess(t, sch, data))
+	}
+}
+
+// TestPatchAllocatesOnePi pins the half of ROADMAP 5(c)'s bound that is
+// reached: a PATCH of a sorted-key dataset allocates the maintained Π and
+// nothing of its size beside it — Stage's Prepare closes over those bytes
+// instead of decoding a second copy. (The other half, |∆Π| rather than |Π|,
+// needs a Π that is not one contiguous file.)
+func TestPatchAllocatesOnePi(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun: nobody else allocates
+	keys := make([]int64, 1<<16)
+	for i := range keys {
+		keys[i] = int64(2 * i)
+	}
+	reg := NewRegistry("") // memory-only: no log record, no checkpoint
+	st, err := reg.Register("d", schemes.PointSelectionScheme(), schemes.RelationFromKeys(keys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const patches = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for p := range int64(patches) {
+		batch := make([]int64, 64)
+		for i := range batch {
+			batch[i] = 2*(64*p+int64(i)) + 1
+		}
+		if _, err := reg.ApplyDelta("d", [][]byte{schemes.KeysDelta(batch)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	pi := uint64(st.PrepBytes())
+	if per := (after.TotalAlloc - before.TotalAlloc) / patches; per >= pi+pi/2 {
+		t.Fatalf("a 64-key PATCH of a %d-byte Π allocates %d bytes, want < 1.5 × |Π|", pi, per)
 	}
 }
