@@ -569,11 +569,14 @@ func TestStatsSnapshotBytesTracksPatch(t *testing.T) {
 			case *store.Store:
 				total += int64(len(store.EncodeSnapshot(d.Snapshot())))
 			case *shard.ShardedStore:
-				_, summary, members := d.Committed()
-				total += int64(len(summary))
+				// The one file a checkpoint writes: the manifest, members inside.
+				version, summary, members := d.Committed()
+				m := &shard.Manifest{SchemeName: d.SchemeName(), DataSum: d.DataSum, Partitioner: d.Partitioner,
+					Assignment: d.Asn.Encode(), Summary: summary, Version: version}
 				for _, snap := range members {
-					total += int64(len(store.EncodeSnapshot(snap)))
+					m.Shards = append(m.Shards, store.EncodeSnapshot(snap))
 				}
+				total += int64(len(shard.EncodeManifest(m)))
 			}
 		}
 		return total

@@ -2,8 +2,8 @@ package shard
 
 // The sharded crash matrix: the same kill-the-medium-at-every-operation
 // discipline as internal/store's crash suite, over the sharded persistence
-// protocol — per-shard generation files committed by an atomic manifest
-// rename, one write-ahead delta log per dataset logging the ORIGINAL
+// protocol — the whole dataset committed by one atomic manifest rename,
+// one write-ahead delta log per dataset logging the ORIGINAL
 // (pre-split) deltas, checkpoints on the medium's cadence, replay at
 // registration. Every scheme × hash/range partitioning is killed at the
 // five named protocol boundaries and across a full op-index sweep, and the
@@ -12,6 +12,7 @@ package shard
 // that version.
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -262,9 +263,9 @@ func shardFindOp(t *testing.T, trace []string, fragment string, nth int) int {
 
 // TestCrashKillPointsSharded pins the five named kill points on the sharded
 // protocol, per scheme × partitioner, against the delete batch (batch 1).
-// The manifest rename is the generation commit, so "mid-checkpoint" kills
-// the atomic rename that would publish the new shard generation — the old
-// manifest must survive and the log must replay the batch.
+// The manifest rename is the commit, so "mid-checkpoint" kills the atomic
+// rename that would publish the new checkpoint — the old manifest must
+// survive and the log must replay the batch.
 func TestCrashKillPointsSharded(t *testing.T) {
 	logPath := store.LogPath(shardCrashDir, shardCrashID)
 	maniPath := ManifestPath(shardCrashDir, shardCrashID)
@@ -325,8 +326,7 @@ func TestCrashKillPointsSharded(t *testing.T) {
 // TestCrashShardedReplayAll hard-kills with a cadence larger than the
 // scenario: the manifest never advanced past registration, every batch
 // lives in the log, and recovery replays the whole history, checkpoints it
-// as a fresh generation, sweeps superseded generations, and truncates the
-// log.
+// over the manifest, and truncates the log.
 func TestCrashShardedReplayAll(t *testing.T) {
 	for _, cs := range shardCrashSchemes() {
 		t.Run(cs.name, func(t *testing.T) {
@@ -342,8 +342,8 @@ func TestCrashShardedReplayAll(t *testing.T) {
 			if got, want := reg.ReplayCount(), int64(len(cs.batches)); got != want {
 				t.Fatalf("replayed %d records, want %d", got, want)
 			}
-			// The replay folded into a durable checkpoint: log truncated, one
-			// generation of shard files left.
+			// The replay folded into a durable checkpoint: log truncated, and
+			// the directory holds the manifest and nothing else.
 			if recs, err := store.ReadLog(f, store.LogPath(shardCrashDir, shardCrashID)); err != nil || len(recs) != 0 {
 				t.Fatalf("log after replay checkpoint: %d records, err=%v", len(recs), err)
 			}
@@ -351,14 +351,8 @@ func TestCrashShardedReplayAll(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gens := 0
-			for _, n := range names {
-				if strings.HasSuffix(n, ".pitract-shard") {
-					gens++
-				}
-			}
-			if gens != shardCrashN {
-				t.Fatalf("%d shard files after replay checkpoint, want %d (one generation)", gens, shardCrashN)
+			if want := filepath.Base(ManifestPath(shardCrashDir, shardCrashID)); len(names) != 1 || names[0] != want {
+				t.Fatalf("after the replay checkpoint the directory holds %q, want only %s", names, want)
 			}
 			// A second restart finds the checkpoint and replays nothing.
 			f.Restart()

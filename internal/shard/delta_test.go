@@ -175,7 +175,7 @@ func TestShardedMaintainedVsRebuiltDifferential(t *testing.T) {
 					}
 
 					// Restart over the same directory: the maintained
-					// generation must reload (no Preprocess), with its
+					// checkpoint must reload (no Preprocess), with its
 					// version, and keep accepting deltas.
 					reg2 := store.NewRegistry(dir)
 					ss, err := RegisterSharded(reg2, "d", tc.inc.Scheme, p, n, tc.data)
@@ -307,9 +307,8 @@ func TestShardedDeltaUnsupportedCleanRefusal(t *testing.T) {
 }
 
 // TestShardedEmptyBatchIsNoOp pins the empty-batch contract on the
-// exported seam: ApplyDeltas with no deltas must not touch the persisted
-// generation (a rewrite-then-cleanup of the same generation would delete
-// the files the manifest names), and the dataset must stay loadable.
+// exported seam: ApplyDeltas with no deltas must leave the persisted
+// checkpoint loadable.
 func TestShardedEmptyBatchIsNoOp(t *testing.T) {
 	dir := t.TempDir()
 	reg := store.NewRegistry(dir)
@@ -324,7 +323,7 @@ func TestShardedEmptyBatchIsNoOp(t *testing.T) {
 		t.Fatalf("empty batch: version %d, err %v (want 0, nil)", v, err)
 	}
 	if _, err := LoadShardedFS(store.OSFS, dir, "d", inc.Scheme); err != nil {
-		t.Fatalf("empty batch broke the persisted generation: %v", err)
+		t.Fatalf("empty batch broke the persisted checkpoint: %v", err)
 	}
 }
 
@@ -561,13 +560,16 @@ func TestShardedFiguresComeFromOneCommittedValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The snapshot figure is the file a checkpoint of c writes, whole.
 	exact := func(c *committed) (prep, snap int) {
-		prep, snap = len(c.summary), len(c.summary)
+		file := &Manifest{SchemeName: ss.Scheme.Name(), DataSum: ss.DataSum, Partitioner: ss.Partitioner,
+			Assignment: ss.Asn.Encode(), Summary: c.summary, Version: c.version}
+		prep = len(c.summary)
 		for _, m := range c.shards {
 			prep += len(m.prep)
-			snap += len(store.EncodeSnapshot(store.NewSnapshot(ss.Scheme, m.sum, c.version, m.prep)))
+			file.Shards = append(file.Shards, store.EncodeSnapshot(store.NewSnapshot(ss.Scheme, m.sum, c.version, m.prep)))
 		}
-		return prep, snap
+		return prep, len(EncodeManifest(file))
 	}
 	var wg sync.WaitGroup
 	wg.Add(1)

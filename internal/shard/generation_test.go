@@ -1,22 +1,26 @@
 package shard
 
-// A sharded generation on disk — the manifest and the shard files it names —
-// is held here to SHA-256s computed at the commit before shards stopped being
-// store.Store values: member snapshots are encoded from the committed value,
-// not by Store.Snapshot, so these digests are the pin that a data dir written
-// by the older code still loads, and that one written now loads there. The
-// plain kind's files — snapshot and delta log — are held the same way to the
-// commit before store.Store became one committed value too.
+// A sharded checkpoint on disk — the manifest and the member snapshots it
+// carries — is held here to SHA-256s. The members' ("file#i": the bytes of
+// DecodeManifest(file).Shards[i]) were computed at the commit before shards
+// stopped being store.Store values, when each was a file of its own: member
+// snapshots are encoded from the committed value, not by Store.Snapshot, so
+// these digests are the pin that a member's bytes have not moved since. The
+// four whole-file digests were recomputed at the commit that moved the members
+// into the manifest (format \x03; a \x02 manifest on disk is quarantined and
+// the dataset rebuilt). The plain kind's files — snapshot and delta log — are
+// held to the commit before store.Store became one committed value too.
 //
-// The eight digests of the sharded graph case were recomputed once, at the
-// commit that stored the reachability closure over its condensation: every
+// The six member digests of the sharded graph case were recomputed once, at
+// the commit that stored the reachability closure over its condensation: every
 // closure-matrix member's Π and the summary's overlay changed layout (class[v]
 // + a k×k matrix where n² bits were), so a data dir written before it holds
 // payloads this version refuses to read: a registration over them quarantines
 // the file and rebuilds (TestOlderClosureLayoutOnDiskIsRebuilt). What the new bytes are is held
 // by the reference builders (TestClosurePiBytesUnchanged,
 // TestOverlaySummaryBytesUnchanged); these digests hold that they stay so.
-// The keys case and both plain cases (keys, labels) kept their digests.
+// The keys case's members and both plain cases (keys, labels) kept their
+// digests.
 
 import (
 	"context"
@@ -38,7 +42,8 @@ import (
 )
 
 // generationDigests hashes every durable file of the dataset under dir,
-// keyed by file name.
+// keyed by file name — and, under "name#i", every member snapshot a shard
+// manifest carries.
 func generationDigests(t *testing.T, f *faultfs.FS, dir string) map[string]string {
 	t.Helper()
 	names, err := f.ReadDirNames(dir)
@@ -46,13 +51,25 @@ func generationDigests(t *testing.T, f *faultfs.FS, dir string) map[string]strin
 		t.Fatal(err)
 	}
 	out := map[string]string{}
+	digest := func(key string, b []byte) {
+		sum := sha256.Sum256(b)
+		out[key] = hex.EncodeToString(sum[:])
+	}
 	for _, name := range names {
 		b, ok := f.DurableBytes(dir + "/" + name)
 		if !ok {
 			t.Fatalf("%s is listed but not durable", name)
 		}
-		sum := sha256.Sum256(b)
-		out[name] = hex.EncodeToString(sum[:])
+		digest(name, b)
+		if strings.HasSuffix(name, ".pitract-shards") {
+			m, err := DecodeManifest(b)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for i, member := range m.Shards {
+				digest(fmt.Sprintf("%s#%d", name, i), member)
+			}
+		}
 	}
 	return out
 }
@@ -65,7 +82,7 @@ func assertGeneration(t *testing.T, step string, got, want map[string]string) {
 	}
 	sort.Strings(lines)
 	if len(got) != len(want) {
-		t.Fatalf("%s: %d files on the medium, want %d:\n%s", step, len(got), len(want), strings.Join(lines, "\n"))
+		t.Fatalf("%s: %d digests of the medium, want %d:\n%s", step, len(got), len(want), strings.Join(lines, "\n"))
 	}
 	for name, sum := range want {
 		if got[name] != sum {
@@ -76,9 +93,9 @@ func assertGeneration(t *testing.T, step string, got, want map[string]string) {
 
 // TestShardGenerationBytesUnchanged registers a fixed key dataset and a fixed
 // graph with three shards, PATCHes one batch holding a same-shard and a
-// cross-shard delta, checkpoints, and compares every file of both generations
-// with the parent commit's bytes. A restart over the medium must then load
-// the generation, not rebuild it.
+// cross-shard delta, checkpoints, and compares the one file of each checkpoint
+// and every member in it with the pinned bytes. A restart over the medium must
+// then load the checkpoint, not rebuild it.
 func TestShardGenerationBytesUnchanged(t *testing.T) {
 	keys := make([]int64, 64)
 	for i := range keys {
@@ -114,16 +131,16 @@ func TestShardGenerationBytesUnchanged(t *testing.T) {
 			// One key (one shard), then a run of keys spread over all three.
 			batch: [][]byte{schemes.KeysDelta([]int64{1001}), schemes.KeysUpsertDelta([]int64{-99, 3, 4, 5, 6, 2000})},
 			registered: map[string]string{
-				"d.pitract-shards":         "ce334d762f5a458c93ff7fe3ef8d14981e06e01bdeb29f4d40946e55a1e85288",
-				"d.shard000.pitract-shard": "0d01b010e7a23a93bc86eddc6a6e35fae9c3741e702e4ac75faf37dffccf2fee",
-				"d.shard001.pitract-shard": "3f54735ac8a618291fd9731e77ca88bc62de2a77e4de604ead371f3680e8f8bf",
-				"d.shard002.pitract-shard": "d8866227a92ebd2e30788d60ea02560f30dc1fc50afb28abf272b8fd726f92aa",
+				"d.pitract-shards":   "5b6a72c1c19aacca9b532ba6d51a7184707e1ef3e48977b867ee91748ec54d5a",
+				"d.pitract-shards#0": "0d01b010e7a23a93bc86eddc6a6e35fae9c3741e702e4ac75faf37dffccf2fee",
+				"d.pitract-shards#1": "3f54735ac8a618291fd9731e77ca88bc62de2a77e4de604ead371f3680e8f8bf",
+				"d.pitract-shards#2": "d8866227a92ebd2e30788d60ea02560f30dc1fc50afb28abf272b8fd726f92aa",
 			},
 			patched: map[string]string{
-				"d.pitract-shards":            "ea76e1fe5c16b35624d4db1659428228702575216f5fef0d52356e84c8e380c3",
-				"d.shard000.v2.pitract-shard": "4f62b8326ad6d88aa0c4fad5b1e6914c6836a9d207bf0bf1869d9fe39b3e2e1d",
-				"d.shard001.v2.pitract-shard": "5d6d44faf65426f88ac3cbf00adbd235d8ed85ed4e7c29c084ae6601f8f67db7",
-				"d.shard002.v2.pitract-shard": "dfa953837acce990e21da3e097a0696e775efd21deaeee76601382f7b4276704",
+				"d.pitract-shards":   "5127f43d2a8d5a4b6991165dc1676c13920a580889db8064fdd1e2746604e27b",
+				"d.pitract-shards#0": "4f62b8326ad6d88aa0c4fad5b1e6914c6836a9d207bf0bf1869d9fe39b3e2e1d",
+				"d.pitract-shards#1": "5d6d44faf65426f88ac3cbf00adbd235d8ed85ed4e7c29c084ae6601f8f67db7",
+				"d.pitract-shards#2": "dfa953837acce990e21da3e097a0696e775efd21deaeee76601382f7b4276704",
 			},
 		},
 		{
@@ -133,16 +150,16 @@ func TestShardGenerationBytesUnchanged(t *testing.T) {
 			data:   g.Encode(),
 			batch:  [][]byte{schemes.EdgeDelta(1, 4), schemes.EdgeDelta(11, 12)},
 			registered: map[string]string{
-				"d.pitract-shards":         "5ce3c47a9ddb84fb3bbb1ee322db5c330e57ce17e345abe0303bde474120661d",
-				"d.shard000.pitract-shard": "534b7dfb8d81b1fe34afe7c9c23f7e34125e6bbf9434e865a764978055ec63e4",
-				"d.shard001.pitract-shard": "0527cbadbc170ea4071ee88d132b3991dd30f71cfdd391067f6a3790e1816253",
-				"d.shard002.pitract-shard": "78c77d76eb4a16e66cf6d76c5bbee4f8579ee81cf827add86d101de02bd2a310",
+				"d.pitract-shards":   "8f8aafc1f6e285da1cbcec743f7120cb3eda9b671bb25328a7d79c03e90669c1",
+				"d.pitract-shards#0": "534b7dfb8d81b1fe34afe7c9c23f7e34125e6bbf9434e865a764978055ec63e4",
+				"d.pitract-shards#1": "0527cbadbc170ea4071ee88d132b3991dd30f71cfdd391067f6a3790e1816253",
+				"d.pitract-shards#2": "78c77d76eb4a16e66cf6d76c5bbee4f8579ee81cf827add86d101de02bd2a310",
 			},
 			patched: map[string]string{
-				"d.pitract-shards":            "653e9617aa17b171443eb1852b852687607f17e0733d8f712cdafdfbb3e8a00f",
-				"d.shard000.v2.pitract-shard": "107bb5eee38a8af1154d1d8d26e9f59f52c70c996b1614c429ebb42454979f51",
-				"d.shard001.v2.pitract-shard": "40dd99ca16929354daefbe444594431baa8a39b8b362f4b859ef26a33778cfef",
-				"d.shard002.v2.pitract-shard": "3a518f5208a4f80aa362ed3f6a130cd2324059f7c70e884dc6f4c5d2a580ddaa",
+				"d.pitract-shards":   "59d859d6c2ff34ed8e654c670f9ca28be307f91281e55deb674784be008ff37a",
+				"d.pitract-shards#0": "107bb5eee38a8af1154d1d8d26e9f59f52c70c996b1614c429ebb42454979f51",
+				"d.pitract-shards#1": "40dd99ca16929354daefbe444594431baa8a39b8b362f4b859ef26a33778cfef",
+				"d.pitract-shards#2": "3a518f5208a4f80aa362ed3f6a130cd2324059f7c70e884dc6f4c5d2a580ddaa",
 			},
 		},
 	}

@@ -1,27 +1,23 @@
 package shard
 
-// Sharded persistence: one dataset becomes n snapshot files (one per
-// shard, in the plain internal/store format) plus a manifest binding them
-// together. The manifest is the commit record — it names the scheme, the
-// raw-data digest, the partitioner and its frozen assignment, the
-// cross-shard summary, and the SHA-256 of every shard snapshot file — and
-// it is written last, atomically. A crash mid-registration therefore
-// leaves at most orphaned shard files and no manifest: the next
-// registration finds nothing loadable and rebuilds from the data, and the
-// registry catalog never exposes a partial entry.
+// Sharded persistence: one dataset is one file. The manifest names the
+// scheme, the raw-data digest, the partitioner and its frozen assignment,
+// the cross-shard summary and the maintenance version, and carries every
+// member's snapshot (the plain internal/store encoding, CRC and all) inside
+// its own CRC-framed payload. One atomic rename of that file is the
+// checkpoint: a crash before it leaves the previous file (or, mid-
+// registration, none — the next registration rebuilds from the data), a
+// crash after it leaves the new one, and no state in between exists for a
+// restart to find.
 
 import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
-	"io/fs"
 	"net/url"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
 
 	"pitract/internal/core"
@@ -29,12 +25,12 @@ import (
 )
 
 // manifestMagic opens every shard manifest; the trailing byte is the
-// format version. Version 2 added the maintenance version counter and
-// generation-suffixed shard snapshot files (incremental serving), and the
-// reachability summary gained its cross-edge list in the same change —
-// version-1 manifests are therefore rejected cleanly (the next
-// registration rebuilds from the data) instead of half-loading.
-var manifestMagic = []byte("PITRACTM\x02")
+// format version. Version 3 carries the members' snapshots in the manifest
+// itself, where version 2 held a SHA-256 per separately written shard file.
+// An older manifest is rejected at the magic — quarantined and the dataset
+// rebuilt by the next registration — never half-loaded; the
+// *.pitract-shard files it named are read and removed by nothing.
+var manifestMagic = []byte("PITRACTM\x03")
 
 // Manifest describes one persisted sharded dataset.
 type Manifest struct {
@@ -50,14 +46,11 @@ type Manifest struct {
 	// Summary is the cross-shard state (scheme-specific; may be empty).
 	Summary []byte
 	// Version is the dataset's maintenance version: how many deltas have
-	// been applied since registration. It doubles as the shard snapshot
-	// file generation — the manifest only ever names files of its own
-	// generation, so a crash mid-maintenance can never mix old and new
-	// shard artifacts.
+	// been applied since registration.
 	Version uint64
-	// ShardSums holds the SHA-256 of each shard snapshot file, indexed by
-	// shard; its length is the shard count.
-	ShardSums [][sha256.Size]byte
+	// Shards holds each member's snapshot (store.EncodeSnapshot form),
+	// indexed by shard; its length is the shard count.
+	Shards [][]byte
 }
 
 func appendBytesField(dst, b []byte) []byte {
@@ -68,30 +61,40 @@ func appendBytesField(dst, b []byte) []byte {
 // EncodeManifest renders the manifest in its on-disk format:
 //
 //	magic ‖ version ‖ crc32(payload) ‖ payload
-//	payload = scheme ‖ dataSum ‖ partitioner ‖ assignment ‖ summary ‖ maintVersion ‖ n ‖ n×sha256
+//	payload = scheme ‖ dataSum ‖ partitioner ‖ assignment ‖ summary ‖ maintVersion ‖ n ‖ n×snapshot
 //
 // with every variable-length field uvarint-length-prefixed.
 func EncodeManifest(m *Manifest) []byte {
-	var payload []byte
-	payload = appendBytesField(payload, []byte(m.SchemeName))
-	payload = append(payload, m.DataSum[:]...)
-	payload = appendBytesField(payload, []byte(m.Partitioner))
-	payload = appendBytesField(payload, m.Assignment)
-	payload = appendBytesField(payload, m.Summary)
-	payload = binary.AppendUvarint(payload, m.Version)
-	payload = binary.AppendUvarint(payload, uint64(len(m.ShardSums)))
-	for _, s := range m.ShardSums {
-		payload = append(payload, s[:]...)
+	// Sized once (six varints, then one per member): the members are all of Π.
+	size := len(manifestMagic) + 4 + len(m.SchemeName) + len(m.DataSum) + len(m.Partitioner) +
+		len(m.Assignment) + len(m.Summary) + 6*binary.MaxVarintLen64
+	for _, s := range m.Shards {
+		size += binary.MaxVarintLen64 + len(s)
 	}
-	out := make([]byte, 0, len(manifestMagic)+4+len(payload))
+	out := make([]byte, 0, size)
 	out = append(out, manifestMagic...)
-	out = binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
-	return append(out, payload...)
+	out = append(out, 0, 0, 0, 0) // the CRC, once the payload is behind it
+	out = appendBytesField(out, []byte(m.SchemeName))
+	out = append(out, m.DataSum[:]...)
+	out = appendBytesField(out, []byte(m.Partitioner))
+	out = appendBytesField(out, m.Assignment)
+	out = appendBytesField(out, m.Summary)
+	out = binary.AppendUvarint(out, m.Version)
+	out = binary.AppendUvarint(out, uint64(len(m.Shards)))
+	for _, s := range m.Shards {
+		out = appendBytesField(out, s)
+	}
+	payload := out[len(manifestMagic)+4:]
+	binary.BigEndian.PutUint32(out[len(manifestMagic):], crc32.ChecksumIEEE(payload))
+	return out
 }
 
 // DecodeManifest parses the on-disk format. Any deviation — wrong magic or
 // version, checksum mismatch, truncation, hostile counts — is an error,
-// never a panic.
+// never a panic, and nothing is allocated by a size the bytes only claim:
+// members are appended as their fields parse, so a count beyond the bytes
+// fails at the first missing field. The Shards alias b (store.DecodeSnapshot
+// copies what it keeps); the other fields are copies.
 func DecodeManifest(b []byte) (*Manifest, error) {
 	if len(b) < len(manifestMagic)+4 {
 		return nil, fmt.Errorf("shard: manifest too short (%d bytes)", len(b))
@@ -151,13 +154,12 @@ func DecodeManifest(b []byte) (*Manifest, error) {
 		return nil, fmt.Errorf("shard: corrupt manifest shard count")
 	}
 	off += k
-	if cnt > uint64(len(payload)-off)/sha256.Size {
-		return nil, fmt.Errorf("shard: manifest claims %d shards in %d bytes", cnt, len(payload)-off)
-	}
-	m.ShardSums = make([][sha256.Size]byte, cnt)
-	for i := range m.ShardSums {
-		copy(m.ShardSums[i][:], payload[off:])
-		off += sha256.Size
+	for i := uint64(0); i < cnt; i++ {
+		s, err := field()
+		if err != nil {
+			return nil, fmt.Errorf("shard: manifest claims %d shards: shard %d: %w", cnt, i, err)
+		}
+		m.Shards = append(m.Shards, s)
 	}
 	if off != len(payload) {
 		return nil, fmt.Errorf("shard: %d trailing manifest bytes", len(payload)-off)
@@ -171,138 +173,47 @@ func ManifestPath(dir, id string) string {
 	return filepath.Join(dir, url.PathEscape(id)+".pitract-shards")
 }
 
-// ShardSnapshotPath maps (dataset ID, shard index) to the shard's snapshot
-// file under dir at generation 0 (as registered). The extension is
-// deliberately NOT the plain registry's ".pitract": url.PathEscape keeps
-// '.' intact, so a plain dataset id like "g.shard000" would otherwise map
-// to the same file as sharded dataset "g"'s shard 0 and the two would
-// silently clobber each other's artifacts.
-func ShardSnapshotPath(dir, id string, i int) string {
-	return shardSnapshotPathGen(dir, id, i, 0)
-}
-
-// shardSnapshotPathGen maps (dataset ID, shard index, generation) to a
-// shard snapshot file. Maintenance writes each new dataset version as a
-// fresh generation of files and commits it by atomically renaming the
-// manifest that names them — the manifest on disk therefore always
-// references a complete, self-consistent generation. Superseded or
-// orphaned generations (including those left by a crash between the
-// manifest rename and the cleanup) are reclaimed by sweepShardGenerations
-// on the next successful checkpoint.
-func shardSnapshotPathGen(dir, id string, i int, gen uint64) string {
-	if gen == 0 {
-		return filepath.Join(dir, fmt.Sprintf("%s.shard%03d.pitract-shard", url.PathEscape(id), i))
-	}
-	return filepath.Join(dir, fmt.Sprintf("%s.shard%03d.v%d.pitract-shard", url.PathEscape(id), i, gen))
-}
-
-// sweepShardGenerations best-effort deletes every shard snapshot file of
-// the dataset that does not belong to generation keep — not just the
-// immediately preceding one, so generations orphaned by an earlier crash
-// (committed manifest, interrupted cleanup) cannot accumulate.
-func sweepShardGenerations(fsys store.FS, dir, id string, keep uint64) {
-	entries, err := fsys.ReadDirNames(dir)
-	if err != nil {
-		return
-	}
-	prefix := url.PathEscape(id) + ".shard"
-	const ext = ".pitract-shard"
-	for _, name := range entries {
-		if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, ext) {
-			continue
-		}
-		// The generation part: "NNN" (gen 0) or "NNN.vG" for gen G.
-		mid := name[len(prefix) : len(name)-len(ext)]
-		gen := uint64(0)
-		if i := strings.Index(mid, ".v"); i >= 0 {
-			g, err := strconv.ParseUint(mid[i+2:], 10, 64)
-			if err != nil {
-				continue // not ours
-			}
-			gen = g
-			mid = mid[:i]
-		}
-		// %03d widens past 3 digits for shard indexes >= 1000 (the library
-		// has no shard cap, only the HTTP server does), so accept any
-		// all-digit index of at least the padded width.
-		if len(mid) < 3 || strings.Trim(mid, "0123456789") != "" {
-			continue // not a shard index of ours
-		}
-		if gen != keep {
-			fsys.Remove(filepath.Join(dir, name))
-		}
-	}
-}
-
-// writeShardGeneration persists one complete generation: every shard
-// snapshot encoding first (atomic each, at the manifest's generation), the
-// manifest last (atomic) — the commit point, so the manifest only ever
-// names files that are fully on disk. On failure the written shard files
-// are best-effort removed; without a manifest naming them they are dead
-// weight, not a visible dataset.
-func writeShardGeneration(fsys store.FS, dir, id string, m *Manifest, encs [][]byte) error {
-	m.ShardSums = make([][sha256.Size]byte, len(encs))
-	written := make([]string, 0, len(encs))
-	cleanup := func() {
-		for _, p := range written {
-			fsys.Remove(p)
-		}
-	}
-	for i, enc := range encs {
-		m.ShardSums[i] = sha256.Sum256(enc)
-		path := shardSnapshotPathGen(dir, id, i, m.Version)
-		if err := store.WriteFileAtomicFS(fsys, path, enc); err != nil {
-			cleanup()
-			return fmt.Errorf("shard: save %q: %w", id, err)
-		}
-		written = append(written, path)
-	}
-	if err := store.WriteFileAtomicFS(fsys, ManifestPath(dir, id), EncodeManifest(m)); err != nil {
-		cleanup()
-		return fmt.Errorf("shard: save %q: %w", id, err)
-	}
-	return nil
-}
-
-// Checkpoint implements store.DeltaDataset: the committed value written as
-// generation Version() (see writeShardGeneration for the commit
-// discipline), then every other generation swept. The sweep runs only after
-// the manifest rename succeeded: until then the manifest on disk still
-// names the previous generation's files, which must survive for
-// replay-over-manifest recovery.
-func (ss *ShardedStore) Checkpoint(fsys store.FS, dir string) error {
-	version, summary, shards := ss.Committed()
+// checkpointBytes encodes the committed value c as the one file a checkpoint
+// writes, and memoises its size for SnapshotBytes.
+func (ss *ShardedStore) checkpointBytes(c *committed) []byte {
 	m := &Manifest{
 		SchemeName:  ss.Scheme.Name(),
 		DataSum:     ss.DataSum,
 		Partitioner: ss.Partitioner,
 		Assignment:  ss.Asn.Encode(),
-		Summary:     summary,
-		Version:     version,
+		Summary:     c.summary,
+		Version:     c.version,
+		Shards:      make([][]byte, len(c.shards)),
 	}
-	encs := make([][]byte, len(shards))
-	for i, snap := range shards {
-		encs[i] = store.EncodeSnapshot(snap)
+	for i, snap := range c.snapshots(ss.Scheme) {
+		m.Shards[i] = store.EncodeSnapshot(snap)
 	}
-	if err := writeShardGeneration(fsys, dir, ss.ID, m, encs); err != nil {
-		return err
+	enc := EncodeManifest(m)
+	c.snapSize.Store(int64(len(enc)))
+	return enc
+}
+
+// Checkpoint implements store.DeltaDataset: the committed value as one
+// atomic write of the manifest. The rename is the commit — until it lands
+// the file on disk is the previous checkpoint, whole, for replay-over-
+// manifest recovery — and the medium is touched in no other way.
+func (ss *ShardedStore) Checkpoint(fsys store.FS, dir string) error {
+	if err := store.WriteFileAtomicFS(fsys, ManifestPath(dir, ss.ID), ss.checkpointBytes(ss.state.Load())); err != nil {
+		return fmt.Errorf("shard: save %q: %w", ss.ID, err)
 	}
-	sweepShardGenerations(fsys, dir, ss.ID, m.Version)
 	return nil
 }
 
 // LoadShardedFS reopens a persisted sharded dataset: read and validate the
-// manifest, verify every shard snapshot file against its manifest SHA-256,
-// decode each, and reassemble the sharded store — never a panic and never a
-// store quietly missing shards. Failures are typed for
-// store.Registry.Recover: an unreadable manifest is the I/O error (missing:
-// nothing persisted); a manifest naming another scheme is store.ErrStale;
-// and everything the manifest itself vouches for — its own CRC and
-// decoding, its assignment, every shard file it names being present,
-// matching its SHA-256 and decoding, a summary the scheme can prepare its
-// view from — is a *store.CorruptArtifactError at
-// the manifest's path, the one file whose quarantine retires the whole
-// generation.
+// manifest, decode every member snapshot it carries, and reassemble the
+// sharded store — never a panic and never a store quietly missing shards.
+// Failures are typed for store.Registry.Recover: an unreadable manifest is
+// the I/O error (missing: nothing persisted); a manifest naming another
+// scheme is store.ErrStale; and everything else — the manifest's CRC and
+// decoding, its assignment, every member decoding under its own CRC as a
+// snapshot of this scheme, one member per assigned shard, a summary the
+// scheme can prepare its view from — is a *store.CorruptArtifactError at the
+// manifest's path, the one file there is to quarantine.
 func LoadShardedFS(fsys store.FS, dir, id string, scheme *core.Scheme) (*ShardedStore, error) {
 	maniPath := ManifestPath(dir, id)
 	mb, err := fsys.ReadFile(maniPath)
@@ -324,8 +235,8 @@ func LoadShardedFS(fsys store.FS, dir, id string, scheme *core.Scheme) (*Sharded
 	if err != nil {
 		return nil, corrupt(err)
 	}
-	if asn.Shards() != len(m.ShardSums) {
-		return nil, corrupt(fmt.Errorf("assignment has %d shards, manifest %d", asn.Shards(), len(m.ShardSums)))
+	if asn.Shards() != len(m.Shards) {
+		return nil, corrupt(fmt.Errorf("assignment has %d shards, manifest %d", asn.Shards(), len(m.Shards)))
 	}
 	ss := &ShardedStore{
 		ID:          id,
@@ -336,21 +247,8 @@ func LoadShardedFS(fsys store.FS, dir, id string, scheme *core.Scheme) (*Sharded
 		Loaded:      true,
 		Partitioner: m.Partitioner,
 	}
-	shards := make([]member, len(m.ShardSums))
-	for i, want := range m.ShardSums {
-		// The manifest names its own generation of shard files, so a load
-		// can never mix pre- and post-maintenance artifacts.
-		path := shardSnapshotPathGen(dir, id, i, m.Version)
-		enc, err := fsys.ReadFile(path)
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, corrupt(fmt.Errorf("shard %d: %w", i, err))
-		}
-		if err != nil {
-			return nil, fmt.Errorf("shard: open %q: shard %d: %w", id, i, err)
-		}
-		if got := sha256.Sum256(enc); got != want {
-			return nil, corrupt(fmt.Errorf("shard %d snapshot %s fails its manifest SHA-256", i, path))
-		}
+	shards := make([]member, len(m.Shards))
+	for i, enc := range m.Shards {
 		snap, err := store.DecodeSnapshot(enc)
 		if err != nil {
 			return nil, corrupt(fmt.Errorf("shard %d: %w", i, err))

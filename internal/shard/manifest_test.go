@@ -2,8 +2,15 @@ package shard
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"io/fs"
 	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +20,7 @@ import (
 	"pitract/internal/graph"
 	"pitract/internal/schemes"
 	"pitract/internal/store"
+	"pitract/internal/store/faultfs"
 )
 
 func TestManifestRoundTrip(t *testing.T) {
@@ -22,10 +30,9 @@ func TestManifestRoundTrip(t *testing.T) {
 		Partitioner: "range",
 		Assignment:  []byte{rangeAssignmentTag, 2, 2, 4},
 		Summary:     []byte("overlay"),
-		ShardSums:   make([][32]byte, 3),
-	}
-	for i := range m.ShardSums {
-		m.ShardSums[i] = store.SumData([]byte{byte(i)})
+		Version:     7,
+		// Members of any length, the empty one included.
+		Shards: [][]byte{[]byte("member zero"), {}, bytes.Repeat([]byte{0xa5}, 300)},
 	}
 	got, err := DecodeManifest(EncodeManifest(m))
 	if err != nil {
@@ -33,12 +40,12 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 	if got.SchemeName != m.SchemeName || got.Partitioner != m.Partitioner ||
 		got.DataSum != m.DataSum || !bytes.Equal(got.Assignment, m.Assignment) ||
-		!bytes.Equal(got.Summary, m.Summary) || len(got.ShardSums) != 3 {
+		!bytes.Equal(got.Summary, m.Summary) || got.Version != m.Version || len(got.Shards) != 3 {
 		t.Fatalf("round trip mismatch: %+v vs %+v", got, m)
 	}
-	for i := range m.ShardSums {
-		if got.ShardSums[i] != m.ShardSums[i] {
-			t.Fatalf("shard sum %d mismatch", i)
+	for i := range m.Shards {
+		if !bytes.Equal(got.Shards[i], m.Shards[i]) {
+			t.Fatalf("member %d mismatch", i)
 		}
 	}
 }
@@ -46,12 +53,19 @@ func TestManifestRoundTrip(t *testing.T) {
 func TestManifestRejectsCorruption(t *testing.T) {
 	m := &Manifest{SchemeName: "s", Partitioner: "hash", Assignment: []byte{hashAssignmentTag, 2}}
 	enc := EncodeManifest(m)
+	// A member count the bytes do not hold, under a CRC that vouches for it:
+	// refused at the first missing field, with nothing sized by the claim.
+	hostile := append([]byte{}, enc[:len(enc)-1]...) // drop the count (0)
+	hostile = binary.AppendUvarint(hostile, 1<<40)
+	binary.BigEndian.PutUint32(hostile[len(manifestMagic):], crc32.ChecksumIEEE(hostile[len(manifestMagic)+4:]))
 	cases := map[string][]byte{
 		"empty":          {},
 		"short":          enc[:5],
-		"bad-magic":      append([]byte("XITRACTM\x02"), enc[9:]...),
-		"bad-version":    append([]byte("PITRACTM\x03"), enc[9:]...),
+		"bad-magic":      append([]byte("XITRACTM\x03"), enc[9:]...),
+		"bad-version":    append([]byte("PITRACTM\x04"), enc[9:]...),
+		"sha-per-file":   append([]byte("PITRACTM\x02"), enc[9:]...),
 		"old-version":    append([]byte("PITRACTM\x01"), enc[9:]...),
+		"hostile-count":  hostile,
 		"flipped-byte":   append(append([]byte{}, enc[:len(enc)-1]...), enc[len(enc)-1]^0xff),
 		"truncated-tail": enc[:len(enc)-2],
 	}
@@ -132,8 +146,8 @@ func TestShardedPersistenceReload(t *testing.T) {
 
 // TestShardedRegistrationAtomicity: a registration that dies mid-build —
 // error or panic on one shard's Preprocess — must leave no catalog entry,
-// no manifest, and a retryable id. Stray shard snapshot files without a
-// manifest must not resurrect as a dataset.
+// no manifest, and a retryable id. The temp file of a checkpoint that died
+// before its rename must not resurrect as a dataset.
 func TestShardedRegistrationAtomicity(t *testing.T) {
 	dir := t.TempDir()
 	g := graph.CommunityGraph(3, 8, 12, 5)
@@ -170,22 +184,26 @@ func TestShardedRegistrationAtomicity(t *testing.T) {
 		t.Fatal("panicked sharded registration left a catalog entry")
 	}
 
-	// Simulate a crash after shard files but before the manifest: stray
-	// snapshot files must be invisible (no manifest = no dataset) and the
-	// next registration rebuilds cleanly over them.
-	stray := store.EncodeSnapshot(&store.Snapshot{SchemeName: "reachability/closure-matrix"})
-	if err := store.WriteFileAtomicFS(store.OSFS, ShardSnapshotPath(dir, "g", 0), stray); err != nil {
+	// Simulate a crash inside the checkpoint's atomic write, before the
+	// rename: a whole, valid manifest under the temp name must be invisible
+	// (no manifest = no dataset) and the next registration rebuilds beside it.
+	built, err := Build("g", schemes.ReachabilityScheme(), ForScheme("reachability/closure-matrix"), RangePartitioner{}, 3, g.Encode())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadShardedFS(store.OSFS, dir, "g", schemes.ReachabilityScheme()); err == nil {
-		t.Fatal("LoadSharded without a manifest must fail")
+	stray := filepath.Join(dir, ".pitract-atomic-123456")
+	if err := os.WriteFile(stray, built.checkpointBytes(built.state.Load()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadShardedFS(store.OSFS, dir, "g", schemes.ReachabilityScheme()); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("LoadSharded without a manifest = %v, want not-exist", err)
 	}
 	ss, err := RegisterSharded(reg, "g", schemes.ReachabilityScheme(), RangePartitioner{}, 3, g.Encode())
 	if err != nil {
 		t.Fatalf("retry after failures: %v", err)
 	}
-	if ss.WasLoaded() {
-		t.Fatal("retry must rebuild, not trust stray shard files")
+	if ss.WasLoaded() || reg.QuarantineCount() != 0 {
+		t.Fatalf("retry: loaded=%v quarantines=%d, want a rebuild that trusts no leftover temp file", ss.WasLoaded(), reg.QuarantineCount())
 	}
 
 	// Concurrent registrations of one id share a single build.
@@ -251,61 +269,76 @@ func TestShardedAndPlainSnapshotNamespacesDisjoint(t *testing.T) {
 	}
 }
 
-// TestShardedCorruptSnapshotFailsOpen: a manifest whose shard snapshot is
-// missing, truncated, or bit-flipped must fail LoadSharded with a clean
-// error — and a persistent registry must quietly rebuild instead of
-// serving the damaged artifact.
+// TestShardedCorruptSnapshotFailsOpen: a manifest that is truncated or
+// bit-flipped must fail LoadSharded
+// with a typed corruption error, and a persistent registry must quarantine it
+// and rebuild instead of serving the damaged artifact. A manifest that is
+// missing is absent, not corrupt: rebuilt, with nothing to quarantine.
 func TestShardedCorruptSnapshotFailsOpen(t *testing.T) {
+	rewrite := func(edit func(b []byte) []byte) func(t *testing.T, path string) {
+		return func(t *testing.T, path string) {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, edit(b), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	for _, tamper := range []struct {
-		name string
-		do   func(t *testing.T, path string)
+		name    string
+		corrupt bool
+		do      func(t *testing.T, path string)
 	}{
-		{"missing", func(t *testing.T, path string) {
+		{"missing", false, func(t *testing.T, path string) {
 			if err := os.Remove(path); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"bit-flip", func(t *testing.T, path string) {
-			b, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
+		{"bit-flip", true, rewrite(func(b []byte) []byte {
 			b[len(b)/2] ^= 0x40
-			if err := os.WriteFile(path, b, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"truncated", func(t *testing.T, path string) {
-			b, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, b[:len(b)/2], 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
+			return b
+		})},
+		{"bit-flip-in-the-last-byte", true, rewrite(func(b []byte) []byte {
+			b[len(b)-1] ^= 0xff
+			return b
+		})},
+		{"truncated", true, rewrite(func(b []byte) []byte { return b[:len(b)/2] })},
 	} {
 		t.Run(tamper.name, func(t *testing.T) {
 			dir, g, scheme := shardedFixture(t)
-			tamper.do(t, ShardSnapshotPath(dir, "g", 1))
+			tamper.do(t, ManifestPath(dir, "g"))
 
 			_, err := LoadShardedFS(store.OSFS, dir, "g", scheme)
-			if err == nil {
-				t.Fatal("LoadSharded must fail on a damaged shard snapshot")
+			var ce *store.CorruptArtifactError
+			if tamper.corrupt {
+				if !errors.As(err, &ce) || ce.Path != ManifestPath(dir, "g") {
+					t.Fatalf("LoadSharded on a damaged manifest = %v, want a CorruptArtifactError at its path", err)
+				}
+			} else if !errors.Is(err, fs.ErrNotExist) || errors.As(err, &ce) {
+				t.Fatalf("LoadSharded without a manifest = %v, want a plain not-exist error", err)
 			}
 			if !strings.Contains(err.Error(), "shard") {
 				t.Fatalf("unhelpful error: %v", err)
 			}
 
-			// The registry treats an unloadable layout as absent and
-			// rebuilds from data.
+			// The registry rebuilds from data, keeping aside what was damaged.
 			reg := store.NewRegistry(dir)
 			ss, err := RegisterSharded(reg, "g", scheme, RangePartitioner{}, 3, g.Encode())
 			if err != nil {
-				t.Fatalf("rebuild over damaged snapshots: %v", err)
+				t.Fatalf("rebuild over a damaged manifest: %v", err)
 			}
 			if ss.WasLoaded() {
-				t.Fatal("registry served a damaged snapshot as loaded")
+				t.Fatal("registry served a damaged manifest as loaded")
+			}
+			wantQ := int64(0)
+			if tamper.corrupt {
+				wantQ = 1
+			}
+			_, statErr := os.Stat(store.QuarantinePath(ManifestPath(dir, "g")))
+			if reg.QuarantineCount() != wantQ || (statErr == nil) != tamper.corrupt {
+				t.Fatalf("%d quarantines (quarantine file: %v), want %d", reg.QuarantineCount(), statErr, wantQ)
 			}
 			got, err := ss.Answer(schemes.NodePairQuery(0, g.N()-1))
 			if err != nil {
@@ -316,18 +349,125 @@ func TestShardedCorruptSnapshotFailsOpen(t *testing.T) {
 			}
 		})
 	}
+}
 
-	// A corrupt manifest is equally fatal for LoadSharded.
-	dir, _, scheme := shardedFixture(t)
-	mb, err := os.ReadFile(ManifestPath(dir, "g"))
+// checkpointFixture builds the benchmark's community graph as an n-shard
+// reachability dataset, in memory.
+func checkpointFixture(tb testing.TB, n int) *ShardedStore {
+	tb.Helper()
+	scheme := schemes.ReachabilityScheme()
+	ss, err := Build("g", scheme, ForScheme(scheme.Name()), RangePartitioner{}, n, graph.CommunityGraph(8, 256, 512, 5).Encode())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ss
+}
+
+// TestShardedCheckpointIsOneAtomicWrite: whatever the shard count, a
+// checkpoint touches the medium exactly as one store.WriteFileAtomicFS of the
+// manifest does — seven operations, one rename — and leaves one file.
+func TestShardedCheckpointIsOneAtomicWrite(t *testing.T) {
+	const dir = "/data"
+	// Temp names carry the medium's op counter; the operations are what is
+	// compared.
+	temp := regexp.MustCompile(`\.pitract-atomic-\d+`)
+	normal := func(trace []string) []string {
+		for i, e := range trace {
+			trace[i] = temp.ReplaceAllString(e, ".pitract-atomic-*")
+		}
+		return trace
+	}
+	ref := faultfs.New()
+	if err := store.WriteFileAtomicFS(ref, ManifestPath(dir, "g"), []byte("any bytes")); err != nil {
+		t.Fatal(err)
+	}
+	want := normal(ref.Trace())
+	if len(want) != 7 {
+		t.Fatalf("one atomic write is %d operations on the medium, want 7: %q", len(want), want)
+	}
+	for _, n := range []int{2, 4, 16} {
+		ss := checkpointFixture(t, n)
+		f := faultfs.New()
+		if err := ss.Checkpoint(f, dir); err != nil {
+			t.Fatal(err)
+		}
+		if got := normal(f.Trace()); !slices.Equal(got, want) {
+			t.Errorf("n=%d: a checkpoint is %d operations, want the %d of one atomic write:\n got %q\nwant %q", n, len(got), len(want), got, want)
+		}
+		names, err := f.ReadDirNames(dir)
+		if err != nil || !slices.Equal(names, []string{"g.pitract-shards"}) {
+			t.Errorf("n=%d: after a checkpoint the directory holds %q (%v), want the manifest alone", n, names, err)
+		}
+		loaded, err := LoadShardedFS(f, dir, "g", ss.Scheme)
+		if err != nil || loaded.ShardCount() != n {
+			t.Errorf("n=%d: the one file does not load as %d shards: %v", n, n, err)
+		}
+	}
+}
+
+// TestShardedSnapshotBytesIsTheCheckpointFile: the figure /v1/stats reports as
+// snapshot_bytes is the size of the file a checkpoint of the committed value
+// writes — header, assignment, summary and members — whether a scrape or the
+// checkpoint encoded it first, and that file (plus the delta log between
+// checkpoints) is all the data directory holds.
+func TestShardedSnapshotBytesIsTheCheckpointFile(t *testing.T) {
+	const dir, id = "/data", "d"
+	inc := schemes.IncrementalPointSelection()
+	f := faultfs.New()
+	reg := store.NewRegistryMedium(&store.Medium{Dir: dir, FS: f, CheckpointEvery: 2})
+	ss, err := RegisterSharded(reg, id, inc.Scheme, HashPartitioner{}, 4, schemes.RelationFromKeys([]int64{2, 4, 6, 8, 10, 12, 14, 16}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mb[len(mb)-1] ^= 0xff
-	if err := os.WriteFile(ManifestPath(dir, "g"), mb, 0o644); err != nil {
+	check := func(step string, files ...string) {
+		t.Helper()
+		names, err := f.ReadDirNames(dir)
+		if err != nil || !slices.Equal(names, files) {
+			t.Fatalf("%s: the directory holds %q (%v), want %q", step, names, err, files)
+		}
+	}
+	onDisk := func(step string) {
+		t.Helper()
+		size, err := f.Size(ManifestPath(dir, id))
+		if err != nil || int64(ss.SnapshotBytes()) != size {
+			t.Fatalf("%s: SnapshotBytes %d, the manifest on the medium is %d bytes (%v)", step, ss.SnapshotBytes(), size, err)
+		}
+	}
+	check("registered", "d.pitract-shards")
+	onDisk("registered")
+	// Logged, not checkpointed: the figure is the new value's, encoded by the
+	// scrape, and the checkpoint that follows writes exactly that many bytes.
+	if _, err := reg.ApplyDelta(id, [][]byte{schemes.KeysDelta([]int64{101, 103, 105})}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadShardedFS(store.OSFS, dir, "g", scheme); err == nil {
-		t.Fatal("LoadSharded must fail on a corrupt manifest")
+	check("after a logged PATCH", "d.pitract-log", "d.pitract-shards")
+	scraped := ss.SnapshotBytes()
+	if err := ss.Checkpoint(f, dir); err != nil {
+		t.Fatal(err)
+	}
+	if onDisk("checkpointed by hand"); ss.SnapshotBytes() != scraped {
+		t.Fatalf("a scrape said %d bytes, the checkpoint of the same value wrote %d", scraped, ss.SnapshotBytes())
+	}
+	if _, err := reg.ApplyDelta(id, [][]byte{schemes.KeysDelta([]int64{107})}); err != nil {
+		t.Fatal(err)
+	}
+	check("after the PATCH that checkpoints", "d.pitract-shards")
+	onDisk("after the PATCH that checkpoints")
+}
+
+// BenchmarkShardedCheckpoint is one checkpoint of the benchmark's community
+// graph on the real disk, by shard count: the write cost a PATCH pays at the
+// default cadence.
+func BenchmarkShardedCheckpoint(b *testing.B) {
+	for _, n := range []int{2, 4, 16} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			ss, dir := checkpointFixture(b, n), b.TempDir()
+			b.SetBytes(int64(ss.SnapshotBytes()))
+			for b.Loop() {
+				if err := ss.Checkpoint(store.OSFS, dir); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

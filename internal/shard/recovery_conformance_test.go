@@ -14,6 +14,7 @@ package shard
 // what corruption — or a flaky read — costs.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -88,11 +89,15 @@ func TestCorruptionRecoveryConformance(t *testing.T) {
 				t.Run("flipped-"+a.name, func(t *testing.T) {
 					f := serve(t, 100)
 					b, ok := f.DurableBytes(a.path)
-					if !ok || !f.CorruptByte(a.path, len(b)/2) {
+					if !ok || !f.CorruptByte(a.path, a.offset(t, b)) {
 						t.Fatalf("no durable %s to corrupt", a.path)
 					}
-					want, _ := f.DurableBytes(a.quarantined)
-					heals(t, f, a.quarantined, want, false, 2)
+					// The evidence kept is the damaged file itself.
+					damaged, _ := f.DurableBytes(a.path)
+					if bytes.Equal(damaged, b) {
+						t.Fatalf("%s was not damaged", a.path)
+					}
+					heals(t, f, a.path, damaged, false, 2)
 				})
 			}
 			// A hostile log beside a checkpoint holding both batches: the log

@@ -26,7 +26,8 @@
 //     answers exactly like a plain store.Store — differential tests pin
 //     sharded answers byte-identical to unsharded ones.
 //   - Manifest + RegisterSharded persist the whole thing as one catalog
-//     entry backed by n snapshot files with per-shard SHA-256 integrity.
+//     entry backed by one file: the manifest, carrying every member's
+//     snapshot, written by one atomic rename.
 //
 // Layering: shard sits on top of internal/store (it reuses the snapshot
 // format and rides store.ApplyDeltas and Registry.Recover) and below
@@ -302,22 +303,17 @@ func (ss *ShardedStore) PrepBytes() int {
 // ShardCount implements store.Dataset.
 func (ss *ShardedStore) ShardCount() int { return len(ss.state.Load().shards) }
 
-// SnapshotBytes implements store.Dataset: the summed encoded sizes
-// of the per-shard snapshots plus the cross-shard summary the manifest
-// carries — what a generation checkpoint would write. The snapshots are
-// encoded once per committed value, holding nothing a query or a commit
-// waits for (racing scrapes of a fresh value may each encode it).
+// SnapshotBytes implements store.Dataset: the size of the file a checkpoint
+// writes — the manifest with every member's snapshot in it. It is encoded
+// once per committed value (by the checkpoint, when there was one), holding
+// nothing a query or a commit waits for (racing scrapes of a fresh value may
+// each encode it).
 func (ss *ShardedStore) SnapshotBytes() int {
 	c := ss.state.Load()
 	if size := c.snapSize.Load(); size != 0 {
 		return int(size)
 	}
-	total := len(c.summary)
-	for _, snap := range c.snapshots(ss.Scheme) {
-		total += len(store.EncodeSnapshot(snap))
-	}
-	c.snapSize.Store(int64(total))
-	return total
+	return len(ss.checkpointBytes(c))
 }
 
 // WasLoaded implements store.Dataset.

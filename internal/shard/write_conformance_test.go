@@ -9,6 +9,7 @@ package shard
 // leaves untouched, and what a restart resumes from.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -31,14 +32,16 @@ type writeKind struct {
 	errPrefix string
 	cs        shardCrashScheme
 	register  func(reg *store.Registry) (store.Dataset, error)
-	// artifacts maps each corruptible file of the kind's checkpoint at
-	// generation 0 to the file a restart quarantines when it is damaged:
-	// itself for a plain snapshot, the manifest for anything a manifest
-	// vouches for.
+	// artifacts names the places damage can land in the kind's checkpoint:
+	// the file — which is also what a restart quarantines, damage and all —
+	// and the byte of it to flip.
 	artifacts []writeArtifact
 }
 
-type writeArtifact struct{ name, path, quarantined string }
+type writeArtifact struct {
+	name, path string
+	offset     func(t *testing.T, file []byte) int
+}
 
 // writeKinds are the three kinds of the write-side tables, over the crash
 // suites' scenarios (mixed insert/delete batches and their probes).
@@ -47,17 +50,32 @@ func writeKinds() []writeKind {
 	point, reach := scenarios[0], scenarios[3]
 	snap := store.SnapshotPath(shardCrashDir, shardCrashID)
 	mani := ManifestPath(shardCrashDir, shardCrashID)
-	shardFile := ShardSnapshotPath(shardCrashDir, shardCrashID, 1)
 	sharded := func(cs shardCrashScheme, p Partitioner) func(*store.Registry) (store.Dataset, error) {
 		return func(reg *store.Registry) (store.Dataset, error) {
 			return RegisterSharded(reg, shardCrashID, cs.inc.Scheme, p, shardCrashN, cs.data)
 		}
 	}
-	shardedArtifacts := []writeArtifact{{"shard-file", shardFile, mani}, {"manifest", mani, mani}}
+	// A byte of the manifest's own fields (its scheme name), and a byte in
+	// the middle of member 1's snapshot — the last member, which the file
+	// ends with — found by decoding the file.
+	shardedArtifacts := []writeArtifact{
+		{"manifest", mani, func(*testing.T, []byte) int { return len(manifestMagic) + 4 + 1 }},
+		{"member", mani, func(t *testing.T, file []byte) int {
+			m, err := DecodeManifest(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := m.Shards[shardCrashN-1]
+			if !bytes.HasSuffix(file, last) || len(last) < 2 {
+				t.Fatalf("the file does not end with its last member (%d bytes)", len(last))
+			}
+			return len(file) - len(last)/2
+		}},
+	}
 	return []writeKind{
 		{"plain", "store", point, func(reg *store.Registry) (store.Dataset, error) {
 			return reg.Register(shardCrashID, point.inc.Scheme, point.data)
-		}, []writeArtifact{{"snapshot", snap, snap}}},
+		}, []writeArtifact{{"snapshot", snap, func(_ *testing.T, file []byte) int { return len(file) / 2 }}}},
 		{"routed-sharded", "shard", point, sharded(point, HashPartitioner{}), shardedArtifacts},
 		{"view-sharded", "shard", reach, sharded(reach, RangePartitioner{}), shardedArtifacts},
 	}

@@ -238,7 +238,8 @@ func (f *FS) ReadFile(name string) ([]byte, error) {
 	return append([]byte(nil), n.data...), nil
 }
 
-// ReadDirNames implements store.FS.
+// ReadDirNames lists the live entry names (not paths) of a directory, sorted
+// — for the tests that inspect what the medium holds; store.FS has no listing.
 func (f *FS) ReadDirNames(name string) ([]string, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -29,8 +29,6 @@ type File interface {
 // the real disk; faultfs.FS is the in-memory crash-injection medium.
 type FS interface {
 	ReadFile(name string) ([]byte, error)
-	// ReadDirNames lists the entry names (not paths) of a directory.
-	ReadDirNames(name string) ([]string, error)
 	// Size reports a file's length in bytes (an error when absent).
 	Size(name string) (int64, error)
 	MkdirAll(name string) error
@@ -53,18 +51,6 @@ var OSFS FS = osFS{}
 type osFS struct{}
 
 func (osFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
-
-func (osFS) ReadDirNames(name string) ([]string, error) {
-	ents, err := os.ReadDir(name)
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, len(ents))
-	for i, e := range ents {
-		names[i] = e.Name()
-	}
-	return names, nil
-}
 
 func (osFS) Size(name string) (int64, error) {
 	fi, err := os.Stat(name)
@@ -110,7 +96,7 @@ type Medium struct {
 	// FS is the file layer; nil means OSFS.
 	FS FS
 	// CheckpointEvery is how many log records may accumulate before the
-	// snapshot (or shard generation) is rewritten and the log truncated.
+	// snapshot (or shard manifest) is rewritten and the log truncated.
 	// Values < 1 mean 1: checkpoint on every PATCH, so the log exists only
 	// as the crash-recovery journal of the in-flight batch.
 	CheckpointEvery int
@@ -145,7 +131,7 @@ func (m *Medium) checkpointEvery() int {
 // SyncDir makes the rename itself durable: without it a crash shortly
 // after a "successful" write could resurface the old file (or none), i.e.
 // a version behind answers already served. It is the durability primitive
-// behind SaveFS and the shard generation writer.
+// behind SaveFS and the sharded Checkpoint.
 func WriteFileAtomicFS(fsys FS, path string, b []byte) error {
 	dir := filepath.Dir(path)
 	if err := fsys.MkdirAll(dir); err != nil {

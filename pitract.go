@@ -250,7 +250,7 @@ func NewRangePartitioner() shard.Partitioner { return shard.RangePartitioner{} }
 // BuildShardedStore cuts data into n parts, preprocesses each
 // concurrently, and assembles a sharded store for the scheme (which must
 // have a sharded form — see ShardingForScheme). Nothing is persisted; use
-// RegisterSharded with a persistent registry for snapshots + manifest.
+// RegisterSharded with a persistent registry for the manifest file.
 func BuildShardedStore(id string, scheme *Scheme, p shard.Partitioner, n int, data []byte) (*shard.ShardedStore, error) {
 	sh := shard.ForScheme(scheme.Name())
 	if sh == nil {
@@ -281,8 +281,8 @@ var (
 func LoadSnapshot(path string) (*store.Snapshot, error) { return store.LoadFS(store.OSFS, path) }
 
 // LoadShardedStore reopens a sharded dataset persisted under dir on the real
-// disk, verifying the manifest and every shard snapshot's SHA-256; damage
-// fails with a clean error.
+// disk — one file, the manifest with every shard's snapshot inside — verifying
+// the manifest's CRC and each snapshot's own; damage fails with a clean error.
 func LoadShardedStore(dir, id string, scheme *Scheme) (*shard.ShardedStore, error) {
 	return shard.LoadShardedFS(store.OSFS, dir, id, scheme)
 }
