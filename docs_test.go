@@ -171,7 +171,7 @@ var apiExamples = []apiExample{
 		name:       "patch",
 		method:     http.MethodPatch,
 		path:       "/v1/datasets/m",
-		reqBody:    `{"deltas":["ARI="]}`,
+		reqBody:    `{"deltas":["////AAABEg=="]}`,
 		wantStatus: http.StatusOK,
 		wantBody:   `{"id":"m","scheme":"list-membership/sorted","prep_bytes":32,"loaded":false,"shards":1,"version":1}`,
 	},
@@ -207,26 +207,38 @@ var apiExamples = []apiExample{
 		wantBody:   `{"answer":false,"version":2}`,
 	},
 	{
-		name:       "patch-upsert",
+		// The same insert twice in one batch: an insert adds where absent,
+		// so the second copy is a no-op and 9 is a member once.
+		name:       "patch-insert-twice",
 		method:     http.MethodPatch,
 		path:       "/v1/datasets/m",
-		reqBody:    `{"deltas":["////AAIBEg=="]}`,
+		reqBody:    `{"deltas":["////AAABEg==","////AAABEg=="]}`,
 		wantStatus: http.StatusOK,
-		wantBody:   `{"id":"m","scheme":"list-membership/sorted","prep_bytes":32,"loaded":false,"shards":1,"version":3}`,
+		wantBody:   `{"id":"m","scheme":"list-membership/sorted","prep_bytes":32,"loaded":false,"shards":1,"version":4}`,
 	},
 	{
 		name:       "patch-hostile-409",
 		method:     http.MethodPatch,
 		path:       "/v1/datasets/m",
-		reqBody:    `{"deltas":["////"]}`,
+		reqBody:    `{"deltas":["////AAD/"]}`,
 		wantStatus: http.StatusConflict,
 		wantBody:   `{"error":"store: apply delta to \"m\": store: delta 0: schemes: corrupt list header (nothing applied)"}`,
+	},
+	{
+		// A delta without the kind header — the untagged insert of 9 that
+		// clients sent before PR 25 — is refused, never guessed at.
+		name:       "patch-untagged-409",
+		method:     http.MethodPatch,
+		path:       "/v1/datasets/m",
+		reqBody:    `{"deltas":["ARI="]}`,
+		wantStatus: http.StatusConflict,
+		wantBody:   `{"error":"store: apply delta to \"m\": store: delta 0: core: untagged delta: no FF FF FF 00 kind header (nothing applied)"}`,
 	},
 	{
 		name:       "patch-unknown-404",
 		method:     http.MethodPatch,
 		path:       "/v1/datasets/ghost",
-		reqBody:    `{"deltas":["ARI="]}`,
+		reqBody:    `{"deltas":["////AAABEg=="]}`,
 		wantStatus: http.StatusNotFound,
 		wantBody:   `{"error":"dataset \"ghost\" not registered"}`,
 	},
@@ -374,10 +386,10 @@ func TestAPIDocMatchesServer(t *testing.T) {
 	if stats.Datasets != 3 || stats.PreprocessCalls != 4 || stats.Queries != 8 {
 		t.Fatalf("stats counters diverge from the documented example: %+v", stats)
 	}
-	if stats.DeltasApplied != 3 || stats.MaintenanceNs <= 0 {
+	if stats.DeltasApplied != 4 || stats.MaintenanceNs <= 0 {
 		t.Fatalf("maintenance counters diverge from the documented example: %+v", stats)
 	}
-	// The dynamism counters: of the three applied deltas exactly one was a
+	// The dynamism counters: of the four applied deltas exactly one was a
 	// tombstone (patch-delete); this in-memory registry replayed no log.
 	if stats.DeltasDeleted != 1 || stats.LogReplays != 0 {
 		t.Fatalf("dynamism counters diverge from the documented example: %+v", stats)
@@ -442,7 +454,7 @@ func TestAPIDocMatchesServer(t *testing.T) {
 	if !strings.Contains(doc, wantIDBody) {
 		t.Errorf("docs/API.md does not contain the documented request-ID response body %s", wantIDBody)
 	}
-	idReq, err := http.NewRequest(http.MethodPatch, ts.URL+"/v1/datasets/ghost", strings.NewReader(`{"deltas":["ARI="]}`))
+	idReq, err := http.NewRequest(http.MethodPatch, ts.URL+"/v1/datasets/ghost", strings.NewReader(`{"deltas":["////AAABEg=="]}`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,38 +4,29 @@ import "fmt"
 
 // Delta kinds. The paper's §1 justification (3) writes updates as an
 // abstract ⊕; PR 4 implemented only insertions, where ∆D is a batch of new
-// elements. Full dynamism needs retractions too, so a delta now carries a
-// kind:
+// elements. Full dynamism needs retractions too, so a delta carries a kind:
 //
-//   - DeltaInsert: add the payload's elements (the PR 4 semantics);
-//   - DeltaDelete: retract the payload's elements;
-//   - DeltaUpsert: add the payload's elements only where absent — the
-//     idempotent insert, whose ⊕ keeps raw data duplicate-free so
-//     maintained and rebuilt artifacts stay byte-comparable.
+//   - DeltaInsert: add the payload's elements where absent — a present
+//     element is a no-op, so an insert is idempotent, a retried PATCH is
+//     safe, and maintained Π stays byte-equal to Preprocess(D ⊕ ∆D);
+//   - DeltaDelete: retract the payload's elements.
 //
-// Wire format: an insert is the bare scheme payload, exactly the bytes
-// PR 4 clients already send, so every existing delta (and every persisted
-// log) keeps its meaning. Delete and upsert are tagged:
+// Wire format: every delta, of either kind, is
 //
 //	deltaTagMagic (4 bytes) ‖ kind (1 byte) ‖ payload
 //
-// The magic {0xFF, 0xFF, 0xFF, 0x00} cannot prefix any legitimately
-// encoded untagged delta: both untagged families open with a
-// binary.AppendUvarint value (a key count or a vertex id), Go always emits
-// minimal uvarints, and a minimal multi-byte uvarint never has a 0x00
-// terminal byte — so three continuation bytes followed by 0x00 is
-// unreachable. (A hostile hand-built non-minimal uvarint could collide;
-// it then parses as a tagged delta and fails validation like any other
-// malformed payload — never as a silent misread of well-formed input.)
+// and a delta without the header is refused. The magic {0xFF, 0xFF, 0xFF,
+// 0x00} cannot prefix a pre-PR 25 untagged insert: both of its families
+// open with a binary.AppendUvarint value (a key count or a vertex id), Go
+// always emits minimal uvarints, and a minimal multi-byte uvarint never has
+// a 0x00 terminal byte — so such bytes are refused loudly, never misread.
 type DeltaKind uint8
 
 const (
-	// DeltaInsert adds elements (the untagged, PR 4-compatible kind).
+	// DeltaInsert adds elements where absent.
 	DeltaInsert DeltaKind = 0
 	// DeltaDelete retracts elements.
 	DeltaDelete DeltaKind = 1
-	// DeltaUpsert adds elements where absent, no-op where present.
-	DeltaUpsert DeltaKind = 2
 )
 
 // String names the kind for errors and stats.
@@ -45,47 +36,37 @@ func (k DeltaKind) String() string {
 		return "insert"
 	case DeltaDelete:
 		return "delete"
-	case DeltaUpsert:
-		return "upsert"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
 }
 
-// deltaTagMagic opens every tagged (non-insert) delta; see DeltaKind.
+// deltaTagMagic opens every delta; see DeltaKind.
 var deltaTagMagic = [4]byte{0xFF, 0xFF, 0xFF, 0x00}
 
-// TagDelta wraps a scheme delta payload with its kind. DeltaInsert returns
-// the payload unchanged — inserts stay untagged for wire and snapshot-log
-// compatibility with PR 4 clients.
+// TagDelta wraps a scheme delta payload with its kind.
 func TagDelta(kind DeltaKind, payload []byte) []byte {
-	if kind == DeltaInsert {
-		return payload
-	}
 	out := make([]byte, 0, len(deltaTagMagic)+1+len(payload))
 	out = append(out, deltaTagMagic[:]...)
 	out = append(out, byte(kind))
 	return append(out, payload...)
 }
 
-// DeltaParts splits a delta into its kind and scheme payload. Untagged
-// bytes are an insert of the whole delta; a tagged delta with an unknown
-// kind byte is an error (a future format, not a guess).
+// DeltaParts splits a delta into its kind and scheme payload. Bytes without
+// the header and an unknown kind byte are errors, never a guess.
 func DeltaParts(delta []byte) (DeltaKind, []byte, error) {
-	if len(delta) < len(deltaTagMagic)+1 ||
-		delta[0] != deltaTagMagic[0] || delta[1] != deltaTagMagic[1] ||
-		delta[2] != deltaTagMagic[2] || delta[3] != deltaTagMagic[3] {
-		return DeltaInsert, delta, nil
+	if len(delta) < len(deltaTagMagic)+1 || [4]byte(delta) != deltaTagMagic {
+		return 0, nil, fmt.Errorf("core: untagged delta: no % X kind header", deltaTagMagic)
 	}
 	kind := DeltaKind(delta[len(deltaTagMagic)])
-	if kind > DeltaUpsert {
+	if kind > DeltaDelete {
 		return 0, nil, fmt.Errorf("core: unknown delta kind %d", uint8(kind))
 	}
 	return kind, delta[len(deltaTagMagic)+1:], nil
 }
 
 // DeltaKindOf reports a delta's kind without splitting it (stats counters,
-// taxonomies). Malformed tags report as inserts — the applying scheme is
+// taxonomies). Malformed deltas report as inserts — the applying scheme is
 // the authority that rejects them.
 func DeltaKindOf(delta []byte) DeltaKind {
 	kind, _, err := DeltaParts(delta)

@@ -10,7 +10,7 @@ import (
 // 2^33 ns (~8.6s) — the full useful range from a prepared in-memory probe
 // to a worst-case registration budget — plus one overflow (+Inf) bucket.
 // The layout is fixed at compile time so recording is a single shifted
-// bits.Len64 and three atomic adds: lock-free, allocation-free, mergeable.
+// bits.Len64 and three atomic adds: lock-free and allocation-free.
 const (
 	minExp         = 7  // smallest finite bound: 2^7 ns = 128ns
 	maxExp         = 33 // largest finite bound: 2^33 ns ≈ 8.59s
@@ -96,20 +96,11 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// HistogramSnapshot is a mergeable copy of a Histogram's state.
+// HistogramSnapshot is a point-in-time copy of a Histogram's state.
 type HistogramSnapshot struct {
 	Buckets [NumBuckets]int64
 	Count   int64
 	SumNs   int64
-}
-
-// Merge adds the other snapshot into s, bucket by bucket.
-func (s *HistogramSnapshot) Merge(o HistogramSnapshot) {
-	for i := range s.Buckets {
-		s.Buckets[i] += o.Buckets[i]
-	}
-	s.Count += o.Count
-	s.SumNs += o.SumNs
 }
 
 // Mean returns the arithmetic mean of all recorded durations.

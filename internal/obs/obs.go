@@ -1,6 +1,6 @@
 // Package obs is pitract's dependency-free observability core: lock-free
-// log-bucketed latency histograms, named counters and gauges, and a registry
-// that renders the Prometheus text exposition format.
+// log-bucketed latency histograms, named counters, callback gauges, and a
+// registry that renders the Prometheus text exposition format.
 //
 // Every metric is a fixed set of atomics — recording is a handful of atomic
 // adds with no allocation, no locks, and no time-source reads beyond the two
@@ -30,9 +30,6 @@ var disabled atomic.Bool
 // not clear previously recorded values; it only stops new observations.
 func SetEnabled(on bool) { disabled.Store(!on) }
 
-// Enabled reports whether metric recording is currently on.
-func Enabled() bool { return !disabled.Load() }
-
 // Start returns the current time when metric recording is enabled and the
 // zero Time otherwise. Pair it with Histogram.Since: when recording is off
 // the caller skips both clock reads and the histogram write entirely.
@@ -51,7 +48,7 @@ type Label struct {
 
 // Counter is a monotonically increasing named value. A counter created
 // with Registry.CounterFunc reads its value from a callback at render time
-// instead (see Gauge).
+// instead.
 type Counter struct {
 	v  atomic.Int64
 	fn func() int64
@@ -79,40 +76,4 @@ func (c *Counter) Value() int64 {
 		return c.fn()
 	}
 	return c.v.Load()
-}
-
-// Gauge is a named value that can go up and down. A gauge created with
-// Registry.GaugeFunc reads its value from a callback at render time instead,
-// which keeps hot paths free of bookkeeping for values that already exist
-// elsewhere (e.g. an in-flight count the admission envelope maintains).
-type Gauge struct {
-	v  atomic.Int64
-	fn func() int64
-}
-
-// Set stores n as the gauge value. No-op for callback gauges.
-func (g *Gauge) Set(n int64) {
-	if g == nil || g.fn != nil || disabled.Load() {
-		return
-	}
-	g.v.Store(n)
-}
-
-// Add adds n (which may be negative) to the gauge. No-op for callback gauges.
-func (g *Gauge) Add(n int64) {
-	if g == nil || g.fn != nil || disabled.Load() {
-		return
-	}
-	g.v.Add(n)
-}
-
-// Value returns the current gauge value, consulting the callback if set.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	if g.fn != nil {
-		return g.fn()
-	}
-	return g.v.Load()
 }

@@ -82,32 +82,10 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
-func TestHistogramSnapshotMerge(t *testing.T) {
-	var a, b Histogram
-	a.Observe(time.Microsecond)
-	a.Observe(time.Millisecond)
-	b.Observe(time.Millisecond)
-
-	sa, sb := a.Snapshot(), b.Snapshot()
-	sa.Merge(sb)
-	if sa.Count != 3 {
-		t.Fatalf("merged count = %d, want 3", sa.Count)
-	}
-	if sa.SumNs != int64(1e3+2e6) {
-		t.Fatalf("merged sum = %d", sa.SumNs)
-	}
-	if sa.Buckets[13] != 2 {
-		t.Fatalf("merged buckets: %v", sa.Buckets)
-	}
-}
-
 func TestSetEnabledKillSwitch(t *testing.T) {
 	defer SetEnabled(true)
 
 	SetEnabled(false)
-	if Enabled() {
-		t.Fatal("Enabled() should be false")
-	}
 	if !Start().IsZero() {
 		t.Fatal("Start() should return zero time when disabled")
 	}
@@ -116,10 +94,7 @@ func TestSetEnabledKillSwitch(t *testing.T) {
 	h.Since(time.Now().Add(-time.Second))
 	var c Counter
 	c.Inc()
-	var g Gauge
-	g.Set(7)
-	g.Add(3)
-	if h.Snapshot().Count != 0 || c.Value() != 0 || g.Value() != 0 {
+	if h.Snapshot().Count != 0 || c.Value() != 0 {
 		t.Fatal("disabled metrics must not record")
 	}
 
@@ -172,7 +147,7 @@ func TestWritePrometheusConformance(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("t_requests_total", "Total requests.").Add(5)
 	r.Counter("t_requests_total", "Total requests.", Label{"endpoint", "/v1/query"}).Add(2)
-	r.Gauge("t_in_flight", "In-flight requests.").Set(3)
+	r.GaugeFunc("t_in_flight", "In-flight requests.", func() int64 { return 3 })
 	r.GaugeFunc("t_goroutines", "Callback-valued gauge.", func() int64 { return 42 })
 	r.CounterFunc("t_evictions_total", "Callback-valued counter.", func() int64 { return 7 })
 	h := r.Histogram("t_latency_seconds", "Latency with tricky labels.",

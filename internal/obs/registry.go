@@ -32,7 +32,7 @@ func (k metricKind) String() string {
 type series struct {
 	labels  []Label
 	counter *Counter
-	gauge   *Gauge
+	gauge   func() int64
 	hist    *Histogram
 }
 
@@ -106,8 +106,6 @@ func (f *family) get(labels []Label) *series {
 		switch f.kind {
 		case counterKind:
 			s.counter = &Counter{}
-		case gaugeKind:
-			s.gauge = &Gauge{}
 		case histogramKind:
 			s.hist = &Histogram{}
 		}
@@ -128,16 +126,14 @@ func (r *Registry) CounterFunc(name, help string, fn func() int64, labels ...Lab
 	r.family(name, help, counterKind).get(labels).counter.fn = fn
 }
 
-// Gauge returns the gauge for name + labels, creating it on first use.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	return r.family(name, help, gaugeKind).get(labels).gauge
-}
-
-// GaugeFunc registers a gauge whose value is read from fn at render time.
-// Re-registering the same name + labels replaces the callback.
+// GaugeFunc registers a gauge — a value that can go up and down — read from
+// fn at render time, which keeps hot paths free of bookkeeping for values
+// that already exist elsewhere (e.g. an in-flight count the admission
+// envelope maintains). Re-registering the same name + labels replaces the
+// callback.
 func (r *Registry) GaugeFunc(name, help string, fn func() int64, labels ...Label) {
 	s := r.family(name, help, gaugeKind).get(labels)
-	s.gauge.fn = fn
+	s.gauge = fn
 }
 
 // Histogram returns the histogram for name + labels, creating it on first use.
@@ -268,7 +264,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			case counterKind:
 				fmt.Fprintf(&b, "%s%s %d\n", f.name, renderLabels(s.labels), s.counter.Value())
 			case gaugeKind:
-				fmt.Fprintf(&b, "%s%s %d\n", f.name, renderLabels(s.labels), s.gauge.Value())
+				fmt.Fprintf(&b, "%s%s %d\n", f.name, renderLabels(s.labels), s.gauge())
 			case histogramKind:
 				snap := s.hist.Snapshot()
 				var cum int64

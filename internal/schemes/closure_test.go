@@ -247,7 +247,7 @@ func closureCorruptions(t *testing.T, pd []byte) map[string][]byte {
 }
 
 // TestClosureDeltaCanonical: class ids are canonical, so after every step of
-// a random insert / upsert / delete sequence — directed and undirected — the
+// a random insert / delete sequence — directed and undirected — the
 // maintained Π is byte for byte Preprocess(D ⊕ ∆D), whichever path produced
 // it; and both paths are taken: the appendix splice when no fact can have
 // changed, the rebuild when one can.
@@ -272,8 +272,6 @@ func TestClosureDeltaCanonical(t *testing.T) {
 			case len(edges) > 0 && rng.Intn(3) == 0:
 				e := edges[rng.Intn(len(edges))]
 				delta = EdgeDeleteDelta(e[0], e[1])
-			case rng.Intn(2) == 0:
-				delta = EdgeUpsertDelta(u, v)
 			default:
 				delta = EdgeDelta(u, v)
 			}

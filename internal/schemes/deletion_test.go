@@ -9,7 +9,7 @@ import (
 )
 
 // TestDeletionDifferential runs the defining incremental equation with
-// mixed-kind sequences — insert, delete, re-insert (upsert), delete again —
+// mixed-kind sequences — insert, delete, re-insert, delete again —
 // through every delta-capable scheme: after every update the maintained Π
 // must answer every probe exactly like a from-scratch preprocessing of the
 // updated data.
@@ -18,10 +18,10 @@ func TestDeletionDifferential(t *testing.T) {
 	keyDeltas := [][]byte{
 		KeysDelta([]int64{5, 7}),
 		KeysDeleteDelta([]int64{4, 5}),
-		KeysUpsertDelta([]int64{4, 9}),
+		KeysDelta([]int64{4, 9}),
 		KeysDeleteDelta([]int64{4}),   // delete the re-inserted key again
 		KeysDeleteDelta([]int64{999}), // absent: idempotent tombstone
-		KeysUpsertDelta([]int64{2}),   // present: no-op upsert
+		KeysDelta([]int64{2}),         // present: no-op insert
 	}
 	keyProbes := make([][]byte, 0, 24)
 	for _, k := range []int64{2, 4, 5, 6, 7, 8, 9, 10, 12, 999, 1} {
@@ -41,7 +41,7 @@ func TestDeletionDifferential(t *testing.T) {
 		EdgeDeleteDelta(1, 2), // cut upstream of the bridge
 		EdgeDelta(1, 2),       // restore
 		EdgeDeleteDelta(2, 3), // un-bridge: downstream reachability collapses
-		EdgeUpsertDelta(0, 1), // present: no-op
+		EdgeDelta(0, 1),       // present: no-op
 		EdgeDelta(5, 6),
 		EdgeDeleteDelta(5, 6), // delete a just-inserted edge
 	}
@@ -142,15 +142,17 @@ func TestDeleteAbsentEdgeErrors(t *testing.T) {
 	}
 }
 
-// TestHostileTombstones throws malformed tagged deltas at every
-// delta-capable scheme: junk payloads, truncated envelopes, and unknown
-// kind bytes must error cleanly — never panic, never partially apply.
+// TestHostileTombstones throws malformed deltas at every delta-capable
+// scheme: junk payloads, truncated envelopes, unknown kind bytes and
+// untagged bytes must error cleanly — never panic, never partially apply.
 func TestHostileTombstones(t *testing.T) {
 	hostile := [][]byte{
 		core.TagDelta(core.DeltaDelete, []byte{0x80}),                   // truncated uvarint payload
 		core.TagDelta(core.DeltaDelete, []byte{0xFF, 0xFF, 0xFF, 0xFF}), // junk
-		core.TagDelta(core.DeltaUpsert, nil),                            // empty payload
+		core.TagDelta(core.DeltaInsert, nil),                            // empty payload
+		{0xFF, 0xFF, 0xFF, 0x00, 0x02, 1, 2},                            // the retired upsert kind
 		{0xFF, 0xFF, 0xFF, 0x00, 0x09, 1, 2, 3},                         // unknown kind
+		EncodeList([]int64{2}),                                          // untagged (pre-PR 25) insert
 	}
 	cases := []struct {
 		name   string
@@ -193,7 +195,7 @@ func TestNoReappearance(t *testing.T) {
 		KeysDelta([]int64{100}),
 		KeysDeleteDelta([]int64{100}),
 		KeysDelta([]int64{7, 9}),          // unrelated churn
-		KeysUpsertDelta([]int64{11}),      // unrelated churn
+		KeysDelta([]int64{11}),            // unrelated churn
 		KeysDeleteDelta([]int64{100, 50}), // idempotent re-delete
 	}
 	for i, d := range steps {

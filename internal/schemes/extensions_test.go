@@ -251,6 +251,59 @@ func TestIncrementalRedundantEdgeNoChange(t *testing.T) {
 	}
 }
 
+// TestMaintainedIsRebuiltBytes is the defining equation byte for byte, for
+// every maintainable scheme and both kinds: ApplyDelta(Π(D), δ) equals
+// Preprocess(D ⊕ δ) for an insert of an absent element, an insert of a
+// present one (a no-op on both sides — an insert adds where absent) and a
+// delete.
+func TestMaintainedIsRebuiltBytes(t *testing.T) {
+	type update struct{ d, delta []byte }
+	keys := func(d []byte) []update {
+		return []update{{d, KeysDelta([]int64{5})}, {d, KeysDelta([]int64{4})}, {d, KeysDeleteDelta([]int64{4})}}
+	}
+	var edges []update
+	for _, directed := range []bool{true, false} {
+		d := graph.Path(4, directed).Encode() // 0–1–2–3
+		edges = append(edges, update{d, EdgeDelta(3, 0)}, update{d, EdgeDelta(1, 2)}, update{d, EdgeDeleteDelta(1, 2)})
+	}
+	fixtures := map[string][]update{
+		"list-membership/sorted":      keys(EncodeList([]int64{2, 4, 6})),
+		"point-selection/sorted-keys": keys(RelationFromKeys([]int64{2, 4, 6})),
+		"range-selection/sorted-keys": keys(RelationFromKeys([]int64{2, 4, 6})),
+		"reachability/bfs-per-query":  edges,
+		"reachability/closure-matrix": edges,
+		"reachability/labels":         edges,
+	}
+	for _, name := range MaintainableSchemes() {
+		updates, ok := fixtures[name]
+		if !ok {
+			t.Fatalf("maintainable scheme %s has no fixture here", name)
+		}
+		inc := IncrementalForScheme(name)
+		for i, u := range updates {
+			pd, err := inc.Scheme.Preprocess(u.d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			maintained, err := inc.ApplyDelta(pd, u.delta)
+			if err != nil {
+				t.Fatalf("%s update %d: ApplyDelta: %v", name, i, err)
+			}
+			updated, err := inc.ApplyUpdate(u.d, u.delta)
+			if err != nil {
+				t.Fatalf("%s update %d: ApplyUpdate: %v", name, i, err)
+			}
+			rebuilt, err := inc.Scheme.Preprocess(updated)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(maintained, rebuilt) {
+				t.Fatalf("%s update %d: maintained Π (%d bytes) differs from Preprocess(D ⊕ ∆D) (%d bytes)", name, i, len(maintained), len(rebuilt))
+			}
+		}
+	}
+}
+
 // TestKeysDeltaSortIsNotQuadratic pins the cost of one large key delta: the
 // client's keys arrive in any order — here descending, an insertion sort's
 // worst case — and sorting them runs under the dataset's maintenance mutex,

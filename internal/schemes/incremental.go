@@ -5,13 +5,13 @@ package schemes
 // re-preprocessing. The instances:
 //
 //   - the sorted-key file of the point/range-selection and list-membership
-//     schemes under insertions (merge in O(|D| + |∆D|), versus
-//     O(|D| log |D|) re-sorting);
+//     schemes under insertions and deletions (merge or tombstone in
+//     O(|D| + |∆D|), versus O(|D| log |D|) re-sorting);
 //   - the reachability closure under edge insertions and deletions (the
 //     graph appendix re-encoded when no fact changes, a rebuild over the
 //     condensation when one can have);
 //   - the BFS-per-query baseline, whose "preprocessed" string is the graph
-//     itself, so maintenance is appending the edge.
+//     itself, so maintenance is editing the edge list.
 //
 // IncrementalForScheme is the catalog the serving layers route through:
 // store.Registry.ApplyDelta and the HTTP PATCH /v1/datasets/{id} path
@@ -28,9 +28,12 @@ import (
 	"pitract/internal/relation"
 )
 
-// KeysDelta encodes an insertion batch of keys for the point-selection
-// scheme.
-func KeysDelta(keys []int64) []byte { return EncodeList(keys) }
+// KeysDelta encodes an insertion batch of keys for the sorted-key-file
+// schemes: every batch key absent from the data is added (a present key is a
+// no-op, so inserts are idempotent and replay-safe).
+func KeysDelta(keys []int64) []byte {
+	return core.TagDelta(core.DeltaInsert, EncodeList(keys))
+}
 
 // KeysDeleteDelta encodes a retraction batch for the sorted-key-file
 // schemes: every record carrying a batch key is dropped (tombstone
@@ -38,13 +41,6 @@ func KeysDelta(keys []int64) []byte { return EncodeList(keys) }
 // idempotent and replay-safe).
 func KeysDeleteDelta(keys []int64) []byte {
 	return core.TagDelta(core.DeltaDelete, EncodeList(keys))
-}
-
-// KeysUpsertDelta encodes an insert-where-absent batch. Unlike a plain
-// insert it keeps the raw data duplicate-free, so maintained and rebuilt
-// list-membership artifacts stay byte-identical.
-func KeysUpsertDelta(keys []int64) []byte {
-	return core.TagDelta(core.DeltaUpsert, EncodeList(keys))
 }
 
 // incremental is the one table of incremental forms, by scheme name. Schemes
@@ -127,8 +123,7 @@ func deleteSortedKeys(pd []byte, keys []int64) []byte {
 }
 
 // applyKeysDelta is the shared ApplyDelta of the sorted-key-file schemes:
-// inserts and upserts merge (the merge already skips present keys), deletes
-// tombstone.
+// inserts merge (the merge skips present keys), deletes tombstone.
 func applyKeysDelta(pd, delta []byte) ([]byte, error) {
 	if len(pd)%8 != 0 {
 		return nil, fmt.Errorf("schemes: corrupt sorted-key file (%d bytes)", len(pd))
@@ -148,8 +143,8 @@ func applyKeysDelta(pd, delta []byte) ([]byte, error) {
 }
 
 // applyRelationKeys is the ⊕ of the relation-backed selection schemes:
-// insert appends one tuple per key, upsert appends only absent keys, delete
-// removes every tuple carrying a batch key.
+// insert appends one tuple per absent key, delete removes every tuple
+// carrying a batch key.
 func applyRelationKeys(d, delta []byte) ([]byte, error) {
 	rel, err := relation.Decode(d)
 	if err != nil {
@@ -163,12 +158,11 @@ func applyRelationKeys(d, delta []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch kind {
-	case core.DeltaDelete:
-		idx := rel.Schema.AttrIndex("key")
-		if idx < 0 {
-			return nil, fmt.Errorf("schemes: relation %q has no key attribute to delete by", rel.Schema.Name)
-		}
+	idx := rel.Schema.AttrIndex("key")
+	if idx < 0 {
+		return nil, fmt.Errorf("schemes: relation %q has no key attribute to %v by", rel.Schema.Name, kind)
+	}
+	if kind == core.DeltaDelete {
 		dropped := make(map[int64]bool, len(keys))
 		for _, k := range keys {
 			dropped[k] = true
@@ -180,24 +174,19 @@ func applyRelationKeys(d, delta []byte) ([]byte, error) {
 			}
 		}
 		rel.Tuples = kept
-	case core.DeltaUpsert:
-		for _, k := range keys {
-			present, err := rel.ScanPointSelect("key", relation.Int(k))
-			if err != nil {
-				return nil, err
-			}
-			if present {
-				continue
-			}
-			if err := rel.Append(relation.Tuple{relation.Int(k), relation.Str("")}); err != nil {
-				return nil, err
-			}
+		return rel.Encode(), nil
+	}
+	present := make(map[int64]bool, len(rel.Tuples))
+	for _, t := range rel.Tuples {
+		present[t[idx].I] = true
+	}
+	for _, k := range keys {
+		if present[k] {
+			continue
 		}
-	default:
-		for _, k := range keys {
-			if err := rel.Append(relation.Tuple{relation.Int(k), relation.Str("")}); err != nil {
-				return nil, err
-			}
+		present[k] = true
+		if err := rel.Append(relation.Tuple{relation.Int(k), relation.Str("")}); err != nil {
+			return nil, err
 		}
 	}
 	return rel.Encode(), nil
@@ -226,11 +215,11 @@ func IncrementalRangeSelection() *core.IncrementalScheme {
 	}
 }
 
-// IncrementalListMembership maintains the §4(2) sorted list under element
-// insertions with the same merge. Note: the merge deduplicates, while a
-// fresh Preprocess of the appended list keeps duplicates, so maintained and
-// rebuilt Π are verdict-equivalent but not byte-equivalent when an inserted
-// element was already a member.
+// IncrementalListMembership maintains the §4(2) sorted list with the same
+// merge and tombstones. Insert adds only absent elements on both sides of
+// the equation — the merge skips present keys and the ⊕ appends only absent
+// ones — so maintained Π is byte-equal to a fresh Preprocess of the updated
+// list.
 func IncrementalListMembership() *core.IncrementalScheme {
 	return &core.IncrementalScheme{
 		Scheme:     ListMembershipScheme(),
@@ -248,8 +237,7 @@ func IncrementalListMembership() *core.IncrementalScheme {
 			if err != nil {
 				return nil, err
 			}
-			switch kind {
-			case core.DeltaDelete:
+			if kind == core.DeltaDelete {
 				dropped := make(map[int64]bool, len(newKeys))
 				for _, k := range newKeys {
 					dropped[k] = true
@@ -261,21 +249,18 @@ func IncrementalListMembership() *core.IncrementalScheme {
 					}
 				}
 				return EncodeList(kept), nil
-			case core.DeltaUpsert:
-				present := make(map[int64]bool, len(list))
-				for _, e := range list {
-					present[e] = true
-				}
-				for _, k := range newKeys {
-					if !present[k] {
-						present[k] = true
-						list = append(list, k)
-					}
-				}
-				return EncodeList(list), nil
-			default:
-				return EncodeList(append(list, newKeys...)), nil
 			}
+			present := make(map[int64]bool, len(list))
+			for _, e := range list {
+				present[e] = true
+			}
+			for _, k := range newKeys {
+				if !present[k] {
+					present[k] = true
+					list = append(list, k)
+				}
+			}
+			return EncodeList(list), nil
 		},
 		DeltaNote: "O(|M|/8 + |∆M| log |∆M|) merge vs O(|M| log |M|) re-sort",
 	}
@@ -289,20 +274,43 @@ func dedupSorted(keys []int64) []int64 {
 	return slices.Compact(sorted)
 }
 
-// EdgeDelta encodes an edge insertion for the reachability scheme.
-func EdgeDelta(u, v int) []byte { return core.EncodeUint64(uint64(u), uint64(v)) }
+// EdgeDelta encodes an edge insertion for the reachability schemes;
+// inserting a present edge is a no-op.
+func EdgeDelta(u, v int) []byte { return core.TagDelta(core.DeltaInsert, NodePairQuery(u, v)) }
 
 // EdgeDeleteDelta encodes an edge retraction. Unlike key tombstones,
 // deleting an absent edge is an error: an edge is a concrete asserted
 // datum, and absorbing its absence would mask routing bugs in sharded
 // splits.
-func EdgeDeleteDelta(u, v int) []byte {
-	return core.TagDelta(core.DeltaDelete, core.EncodeUint64(uint64(u), uint64(v)))
+func EdgeDeleteDelta(u, v int) []byte { return core.TagDelta(core.DeltaDelete, NodePairQuery(u, v)) }
+
+// DecodeEdgeDelta is the one reader of edge deltas: it splits off the kind
+// and checks the edge against a graph of n vertices.
+func DecodeEdgeDelta(delta []byte, n int) (kind core.DeltaKind, u, v int, err error) {
+	kind, payload, err := core.DeltaParts(delta)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	if u, v, err = DecodeNodePairQuery(payload); err != nil {
+		return 0, 0, 0, err
+	}
+	if u < 0 || u >= n || v < 0 || v >= n || u == v {
+		return 0, 0, 0, fmt.Errorf("schemes: bad edge delta (%d,%d)", u, v)
+	}
+	return kind, u, v, nil
 }
 
-// EdgeUpsertDelta encodes an insert-unless-present edge.
-func EdgeUpsertDelta(u, v int) []byte {
-	return core.TagDelta(core.DeltaUpsert, core.EncodeUint64(uint64(u), uint64(v)))
+// editGraph is the one writer of edge deltas: it applies a decoded delta to
+// g and reports whether g changed. A delete is strict (RemoveEdge refuses an
+// absent edge); inserting a present edge is a no-op.
+func editGraph(g *graph.Graph, kind core.DeltaKind, u, v int) (bool, error) {
+	if kind == core.DeltaDelete {
+		return true, g.RemoveEdge(u, v)
+	}
+	if g.HasEdge(u, v) {
+		return false, nil
+	}
+	return true, g.AddEdge(u, v)
 }
 
 // IncrementalReachability returns the closure-matrix scheme extended with
@@ -339,20 +347,13 @@ func IncrementalReachability() *core.IncrementalScheme {
 
 // applyClosureDelta is IncrementalReachability's ApplyDelta.
 func applyClosureDelta(pd, delta []byte) ([]byte, error) {
-	kind, payload, err := core.DeltaParts(delta)
-	if err != nil {
-		return nil, err
-	}
 	n, cond, graphEnc, err := closureParts(pd)
 	if err != nil {
 		return nil, err
 	}
-	u, v, err := DecodeNodePairQuery(payload)
+	kind, u, v, err := DecodeEdgeDelta(delta, n)
 	if err != nil {
 		return nil, err
-	}
-	if u < 0 || u >= n || v < 0 || v >= n || u == v {
-		return nil, fmt.Errorf("schemes: bad edge delta (%d,%d)", u, v)
 	}
 	g, err := graph.Decode(graphEnc)
 	if err != nil {
@@ -361,28 +362,23 @@ func applyClosureDelta(pd, delta []byte) ([]byte, error) {
 	if g.N() != n {
 		return nil, fmt.Errorf("schemes: closure appendix has %d vertices, header claims %d", g.N(), n)
 	}
+	changed, err := editGraph(g, kind, u, v)
+	if err != nil {
+		return nil, err
+	}
+	if !changed {
+		return pd, nil
+	}
 	var unchanged bool
 	if kind == core.DeltaDelete {
-		if err := g.RemoveEdge(u, v); err != nil {
-			return nil, err
-		}
 		unchanged = g.Reachable(u, v)
 	} else {
-		// Insert and upsert coincide here: a present edge is already dedup'd
-		// by the rebuild's Normalize, so the rebuilt Π is bitwise identical
-		// to the unchanged one.
-		if g.HasEdge(u, v) {
-			return pd, nil
-		}
 		unchanged, err = graph.ProbeCondensedClosure(cond, n, u, v)
 		if err == nil && unchanged && !g.Directed() {
 			unchanged, err = graph.ProbeCondensedClosure(cond, n, v, u)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("schemes: %w", err)
-		}
-		if err := g.AddEdge(u, v); err != nil {
-			return nil, err
 		}
 	}
 	if !unchanged {
@@ -402,25 +398,11 @@ func applyEdgeToGraph(d, delta []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	kind, payload, err := core.DeltaParts(delta)
+	kind, u, v, err := DecodeEdgeDelta(delta, g.N())
 	if err != nil {
 		return nil, err
 	}
-	u, v, err := DecodeNodePairQuery(payload)
-	if err != nil {
-		return nil, err
-	}
-	switch kind {
-	case core.DeltaDelete:
-		err = g.RemoveEdge(u, v)
-	case core.DeltaUpsert:
-		if !g.HasEdge(u, v) {
-			err = g.AddEdge(u, v)
-		}
-	default:
-		err = g.AddEdge(u, v)
-	}
-	if err != nil {
+	if _, err := editGraph(g, kind, u, v); err != nil {
 		return nil, err
 	}
 	return g.Encode(), nil

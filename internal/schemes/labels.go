@@ -596,36 +596,24 @@ func IncrementalReachabilityLabels() *core.IncrementalScheme {
 	return &core.IncrementalScheme{
 		Scheme: ReachabilityLabelsScheme(),
 		ApplyDelta: func(pd, delta []byte) ([]byte, error) {
-			kind, payload, err := core.DeltaParts(delta)
-			if err != nil {
-				return nil, err
-			}
 			rl, err := decodeLabels(pd)
 			if err != nil {
 				return nil, err
 			}
-			u, v, err := DecodeNodePairQuery(payload)
+			kind, u, v, err := DecodeEdgeDelta(delta, rl.n)
 			if err != nil {
 				return nil, err
-			}
-			if u < 0 || u >= rl.n || v < 0 || v >= rl.n || u == v {
-				return nil, fmt.Errorf("schemes: bad edge delta (%d,%d)", u, v)
 			}
 			g, err := graph.Decode(rl.graphEnc)
 			if err != nil {
 				return nil, fmt.Errorf("schemes: labels graph appendix: %w", err)
 			}
-			switch kind {
-			case core.DeltaDelete:
-				err = g.RemoveEdge(u, v)
-			default: // insert and upsert coincide: a present edge is a no-op
-				if g.HasEdge(u, v) {
-					return pd, nil
-				}
-				err = g.AddEdge(u, v)
-			}
+			changed, err := editGraph(g, kind, u, v)
 			if err != nil {
 				return nil, err
+			}
+			if !changed {
+				return pd, nil
 			}
 			rebuilt, err := buildReachLabels(g)
 			if err != nil {

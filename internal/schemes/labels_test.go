@@ -181,7 +181,8 @@ func TestLabelsArtifactSmallerOnCommunityGraph(t *testing.T) {
 }
 
 // TestLabelsMaintainedEqualsRebuilt pins relabel-on-commit: a mixed
-// insert/upsert/delete run through the incremental form must leave Π
+// insert/delete run (a present-edge insert among them) through the
+// incremental form must leave Π
 // byte-identical to a from-scratch Preprocess of the maintained graph.
 func TestLabelsMaintainedEqualsRebuilt(t *testing.T) {
 	g := graph.RandomDirected(28, 60, 13)
@@ -194,8 +195,8 @@ func TestLabelsMaintainedEqualsRebuilt(t *testing.T) {
 	deltas := [][]byte{
 		EdgeDelta(0, 27),
 		EdgeDeleteDelta(int(edges[0][0]), int(edges[0][1])),
-		EdgeUpsertDelta(3, 9),
-		EdgeUpsertDelta(3, 9), // present: no-op
+		EdgeDelta(3, 9),
+		EdgeDelta(3, 9), // present: no-op
 		EdgeDelta(26, 1),
 		EdgeDeleteDelta(int(edges[5][0]), int(edges[5][1])),
 	}

@@ -1,8 +1,9 @@
 package server
 
 // FuzzApplyDelta throws hostile HTTP delta payloads at PATCH
-// /v1/datasets/{id}: whatever bytes arrive — inserts, tombstones, upserts,
-// junk with a valid envelope, or raw garbage — the server must respond
+// /v1/datasets/{id}: whatever bytes arrive — inserts, tombstones, untagged
+// or retired-kind bytes, junk with a valid envelope, or raw garbage — the
+// server must respond
 // with a clean status (200 only for genuinely applicable deltas), never
 // panic, and never corrupt the served Π or its on-disk snapshot. The
 // post-state is checked against the ⊕ oracle: if the server said 200, the
@@ -30,12 +31,14 @@ func FuzzApplyDelta(f *testing.F) {
 	f.Add(schemes.EdgeDelta(0, 1))
 	f.Add(schemes.KeysDeleteDelta([]int64{4}))
 	f.Add(schemes.KeysDeleteDelta([]int64{999}))
-	f.Add(schemes.KeysUpsertDelta([]int64{4, 7}))
+	f.Add(schemes.KeysDelta([]int64{4, 7}))
 	f.Add(schemes.KeysDeleteDelta(nil))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{0xff, 0xff, 0xff, 0x00, 0x07, 1, 2})        // unknown kind byte
-	f.Add([]byte{0xff, 0xff, 0xff, 0x00, 0x02, 0x80})        // delete with torn varint payload
+	f.Add([]byte{0xff, 0xff, 0xff, 0x00, 0x02, 0x01, 0x12})  // the retired upsert kind
+	f.Add([]byte{0xff, 0xff, 0xff, 0x00, 0x01, 0x80})        // delete with torn varint payload
+	f.Add(schemes.EncodeList([]int64{9}))                    // an untagged (pre-PR 25) insert
 	f.Add(append(schemes.KeysDeleteDelta([]int64{4}), 0xEE)) // trailing junk
 	f.Add(schemes.KeysDelta([]int64{9, 9, -9})[:1])
 	f.Add(bytes.Repeat([]byte{0x80}, 16))

@@ -8,6 +8,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -99,7 +100,7 @@ func TestPatchMaintainsDataset(t *testing.T) {
 }
 
 // TestPatchDeleteLifecycle walks full dynamism over HTTP: tombstone a key
-// (query flips to false), re-insert it via upsert (true again), delete it
+// (query flips to false), re-insert it (true again), delete it
 // once more, with /v1/stats counting the delete-kind deltas and reporting
 // zero log replays on a clean run — and a restart over the same directory
 // reloading the post-delete state without resurrecting the key.
@@ -137,11 +138,11 @@ func TestPatchDeleteLifecycle(t *testing.T) {
 		t.Fatal("tombstone for 4 took key 2 with it")
 	}
 	if code := patchJSON(t, client, ts.URL+"/v1/datasets/d",
-		[][]byte{schemes.KeysUpsertDelta([]int64{4})}, &info); code != http.StatusOK {
-		t.Fatalf("upsert patch: status %d", code)
+		[][]byte{schemes.KeysDelta([]int64{4})}, &info); code != http.StatusOK {
+		t.Fatalf("re-insert patch: status %d", code)
 	}
 	if ok, v := query(4); !ok || v != 2 {
-		t.Fatalf("key 4 after upsert: %v v%d (want true, v2)", ok, v)
+		t.Fatalf("key 4 after re-insert: %v v%d (want true, v2)", ok, v)
 	}
 	if code := patchJSON(t, client, ts.URL+"/v1/datasets/d",
 		[][]byte{schemes.KeysDeleteDelta([]int64{4})}, &info); code != http.StatusOK {
@@ -480,7 +481,7 @@ func TestPatchPersistFailureIs500(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Prep = prep
-	if _, err := reg.RegisterDataset("d", nil, func() (store.Dataset, error) { return st, nil }); err != nil {
+	if _, err := reg.RegisterDatasetContext(context.Background(), "d", nil, func() (store.Dataset, error) { return st, nil }); err != nil {
 		t.Fatal(err)
 	}
 

@@ -66,7 +66,7 @@ func conformanceFamilies() []conformanceFamily {
 			// declared fallback on the plain store.
 			name: "view", scheme: schemes.ReachabilityLabelsScheme(), part: RangePartitioner{},
 			data:       g.Encode(),
-			patches:    [][]byte{schemes.EdgeUpsertDelta(0, g.N()-1), schemes.EdgeUpsertDelta(g.N()-1, 1)},
+			patches:    [][]byte{schemes.EdgeDelta(0, g.N()-1), schemes.EdgeDelta(g.N()-1, 1)},
 			wellFormed: pairs,
 			queries: withMalformed(pairs,
 				[]byte{}, []byte{0x80}, schemes.NodePairQuery(0, g.N()+5), append(schemes.NodePairQuery(0, 1), 1)),

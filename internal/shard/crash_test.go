@@ -39,7 +39,7 @@ type shardCrashScheme struct {
 }
 
 // shardCrashSchemes mirrors the unsharded crash scenarios: mixed-kind
-// batches (insert, delete, upsert, idempotent tombstone) over the four
+// batches (insert, delete, re-insert, idempotent tombstone) over the four
 // delta-capable schemes. The reachability graph bridges, cuts, and
 // re-bridges two chains, so under range partitioning the deltas hit both
 // local closures and the cross-edge/portal summary.
@@ -49,7 +49,7 @@ func shardCrashSchemes() []shardCrashScheme {
 		return [][][]byte{
 			{schemes.KeysDelta([]int64{101, 401})},
 			{schemes.KeysDeleteDelta([]int64{4, 401, 404})},
-			{schemes.KeysUpsertDelta([]int64{4, 500}), schemes.KeysDelta([]int64{7})},
+			{schemes.KeysDelta([]int64{4, 500}), schemes.KeysDelta([]int64{7})},
 			{schemes.KeysDeleteDelta([]int64{999})}, // absent: idempotent tombstone
 		}
 	}
@@ -70,7 +70,7 @@ func shardCrashSchemes() []shardCrashScheme {
 		{schemes.EdgeDelta(3, 4)},                                // bridge (cross under range partitioning)
 		{schemes.EdgeDeleteDelta(1, 2)},                          // cut a local chain
 		{schemes.EdgeDelta(1, 2), schemes.EdgeDeleteDelta(3, 4)}, // restore, un-bridge
-		{schemes.EdgeUpsertDelta(0, 1)},                          // present: no-op upsert
+		{schemes.EdgeDelta(0, 1)},                                // present: no-op insert
 	}
 	pairProbes := make([][]byte, 0, 64)
 	for u := 0; u < 8; u++ {

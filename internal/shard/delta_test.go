@@ -38,13 +38,13 @@ func shardDeltaCases(seed int64) []shardDeltaCase {
 		keys[i] = int64(rng.Intn(300) * 2)
 	}
 	// Mixed kinds, with the fixed prefix covering delete-present,
-	// absent-tombstone, upsert-re-insert, and delete-again on both sides
+	// absent-tombstone, re-insert, and delete-again on both sides
 	// of the reload boundary (half = 4); the random tail keeps the
 	// cross-shard routing honest (tombstones are idempotent, so random
 	// delete targets are safe).
 	keyDeltas := [][]byte{
 		schemes.KeysDeleteDelta([]int64{keys[0], keys[1], 900_001}),
-		schemes.KeysUpsertDelta([]int64{keys[0], keys[2]}),
+		schemes.KeysDelta([]int64{keys[0], keys[2]}),
 		schemes.KeysDeleteDelta([]int64{keys[0]}),
 	}
 	for len(keyDeltas) < 8 {
@@ -52,13 +52,10 @@ func shardDeltaCases(seed int64) []shardDeltaCase {
 		for j := range batch {
 			batch[j] = int64(rng.Intn(700))
 		}
-		switch rng.Intn(3) {
-		case 0:
-			keyDeltas = append(keyDeltas, schemes.KeysDelta(batch))
-		case 1:
+		if rng.Intn(3) == 1 {
 			keyDeltas = append(keyDeltas, schemes.KeysDeleteDelta(batch))
-		default:
-			keyDeltas = append(keyDeltas, schemes.KeysUpsertDelta(batch))
+		} else {
+			keyDeltas = append(keyDeltas, schemes.KeysDelta(batch))
 		}
 	}
 	keyProbes := make([][]byte, 0, 150)
@@ -76,7 +73,7 @@ func shardDeltaCases(seed int64) []shardDeltaCase {
 	g := graph.CommunityGraph(4, 8, 14, seed+5)
 	// Edge deletes must target present edges, so they retract edges this
 	// sequence itself inserted on pairs absent from the base graph —
-	// insert, delete, re-insert via upsert, delete again, spanning the
+	// insert, delete, re-insert, delete again, spanning the
 	// reload boundary and (under range partitioning) crossing shards.
 	usedPairs := map[[2]int]bool{}
 	freshPair := func() (int, int) {
@@ -95,11 +92,11 @@ func shardDeltaCases(seed int64) []shardDeltaCase {
 		schemes.EdgeDelta(u1, v1),
 		schemes.EdgeDelta(u2, v2),
 		schemes.EdgeDeleteDelta(u1, v1),
-		schemes.EdgeUpsertDelta(u1, v1), // re-insert across the reload boundary
+		schemes.EdgeDelta(u1, v1), // re-insert across the reload boundary
 		schemes.EdgeDeleteDelta(u2, v2),
 		schemes.EdgeDeleteDelta(u1, v1),
 		schemes.EdgeDelta(u3, v3),
-		schemes.EdgeUpsertDelta(u3, v3), // upsert of a present edge: no-op
+		schemes.EdgeDelta(u3, v3), // insert of a present edge: no-op
 	}
 	pairProbes := make([][]byte, 0, 256)
 	for i := 0; i < 256; i++ {
@@ -478,8 +475,8 @@ func TestShardedConcurrentMixedDeltasAndQueries(t *testing.T) {
 
 // TestShardedConcurrentMixedReachDeltasAndQueries is the same race on the
 // one sharded form that carries a summary: mixed edge batches against
-// reachability queries. Batch k inserts the chain edge k→k+1, upserts the
-// back edge k+1→0 and deletes batch k-1's back edge k→0 — creating and
+// reachability queries. Batch k inserts the chain edge k→k+1 and the back
+// edge k+1→0 and deletes batch k-1's back edge k→0 — creating and
 // retiring portals as it goes — so at the version batch j committed,
 // 0 ⇝ k+1 and k+1 ⇝ 0 hold exactly for k ≤ j. A query bracketed by two
 // equal version reads must match that exactly, and at every instant the
@@ -498,7 +495,7 @@ func TestShardedConcurrentMixedReachDeltasAndQueries(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for k := 0; k < batches; k++ {
-			batch := [][]byte{schemes.EdgeDelta(k, k+1), schemes.EdgeUpsertDelta(k+1, 0)}
+			batch := [][]byte{schemes.EdgeDelta(k, k+1), schemes.EdgeDelta(k+1, 0)}
 			if k > 0 {
 				batch = append(batch, schemes.EdgeDeleteDelta(k, 0))
 			}
@@ -582,7 +579,7 @@ func TestShardedFiguresComeFromOneCommittedValue(t *testing.T) {
 			if k%2 == 1 {
 				u, v = k%8, 8+k%16
 			}
-			if _, err := reg.ApplyDelta("g", [][]byte{schemes.EdgeUpsertDelta(u, v)}); err != nil {
+			if _, err := reg.ApplyDelta("g", [][]byte{schemes.EdgeDelta(u, v)}); err != nil {
 				t.Errorf("batch %d: %v", k, err)
 				return
 			}

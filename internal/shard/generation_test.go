@@ -8,8 +8,10 @@ package shard
 // these digests are the pin that a member's bytes have not moved since. The
 // four whole-file digests were recomputed at the commit that moved the members
 // into the manifest (format \x03; a \x02 manifest on disk is quarantined and
-// the dataset rebuilt). The plain kind's files — snapshot and delta log — are
-// held to the commit before store.Store became one committed value too.
+// the dataset rebuilt). The plain kind's snapshots are held to the commit
+// before store.Store became one committed value too; its six delta-log digests
+// were recomputed when every delta gained its kind header and the log magic
+// became \x02 (a \x01 log is quarantined, TestPreTagLogIsQuarantined).
 //
 // The six member digests of the sharded graph case were recomputed once, at
 // the commit that stored the reachability closure over its condensation: every
@@ -129,7 +131,7 @@ func TestShardGenerationBytesUnchanged(t *testing.T) {
 			p:      HashPartitioner{},
 			data:   schemes.EncodeList(keys),
 			// One key (one shard), then a run of keys spread over all three.
-			batch: [][]byte{schemes.KeysDelta([]int64{1001}), schemes.KeysUpsertDelta([]int64{-99, 3, 4, 5, 6, 2000})},
+			batch: [][]byte{schemes.KeysDelta([]int64{1001}), schemes.KeysDelta([]int64{-99, 3, 4, 5, 6, 2000})},
 			registered: map[string]string{
 				"d.pitract-shards":   "5b6a72c1c19aacca9b532ba6d51a7184707e1ef3e48977b867ee91748ec54d5a",
 				"d.pitract-shards#0": "0d01b010e7a23a93bc86eddc6a6e35fae9c3741e702e4ac75faf37dffccf2fee",
@@ -233,16 +235,16 @@ func TestPlainStoreBytesUnchanged(t *testing.T) {
 			data:   schemes.RelationFromKeys(keys),
 			patches: [4][][]byte{
 				{schemes.KeysDelta([]int64{1001})},
-				{schemes.KeysDeleteDelta([]int64{-100, 1001}), schemes.KeysUpsertDelta([]int64{3, 4, 2000})},
+				{schemes.KeysDeleteDelta([]int64{-100, 1001}), schemes.KeysDelta([]int64{3, 4, 2000})},
 				{schemes.KeysDelta([]int64{-7, 5})},
 				{schemes.KeysDeleteDelta([]int64{2000})},
 			},
 			registered:   "a0d8206a992b2e5095a408e3252a1382fa7eb702d347acb3d396092df26c5f15",
 			checkpointed: "30017418a29520aa584504b842bd7846ee43857d6b6dadcc4d3a6ed34d035420",
 			logs: [3]string{
-				"bf7c2dbfc1d1ac7a0beeb77b025923217b3e55eafe005fdbb76c593d0967b285",
-				"af7cf3ad503df0a6792a27c1b727969e70b4b69e708472c5fa7552df13ec85b3",
-				"e3e1aa0179d608827ef193543ba6b02d78045d61f2784d2affe6f3efde002c45",
+				"05d6a79c45b9089326c8974bf14b102fd26bebd9f5be1e094d1b486252036759",
+				"a5bb5b11e943183ef90fe1fb64fc74735f8a624935792174622703443eba605c",
+				"cb46217617a2013a38a6195354651e42ea9fbc1f38f84a56b2414655e5c76371",
 			},
 		},
 		{
@@ -250,17 +252,17 @@ func TestPlainStoreBytesUnchanged(t *testing.T) {
 			scheme: schemes.ReachabilityLabelsScheme(),
 			data:   g.Encode(),
 			patches: [4][][]byte{
-				{schemes.EdgeUpsertDelta(2, 3)},
-				{schemes.EdgeUpsertDelta(5, 6), schemes.EdgeDeleteDelta(0, 1)},
-				{schemes.EdgeUpsertDelta(7, 8)},
-				{schemes.EdgeUpsertDelta(8, 0)},
+				{schemes.EdgeDelta(2, 3)},
+				{schemes.EdgeDelta(5, 6), schemes.EdgeDeleteDelta(0, 1)},
+				{schemes.EdgeDelta(7, 8)},
+				{schemes.EdgeDelta(8, 0)},
 			},
 			registered:   "cc9386a47cadc0a5083a59ea9ef18b6855b5961ac48c07676008ae2c9ec6dee2",
 			checkpointed: "539544fddeecab592c2aac094ded2a86942558b265c2d9eff6af6d750a877a84",
 			logs: [3]string{
-				"e0f27d427e4ba9bf9ea322042f2e58f465aaf2e987fb0daeec894924cfa73115",
-				"088d4e6ffd2b657b826b5aecfc6792b209b27f06048df51d5658a1fb406983f5",
-				"14f8906964a015b0c59af28754eaf8fcd13d70ce96841455418bb1868d48ed1b",
+				"3d34b458ede341e9baab0bf2c6f2de74c15da3ef0a206ac297ffe7aa96f1d3e6",
+				"9d8aac086136f4c2f51fab88ebc4d07bac61d6a302cd9c5adca8ec23ace024fe",
+				"8d4a4456cfee3ea6f1681b086f577de19de503b0a42b32273fb90c100e906aeb",
 			},
 		},
 	}
@@ -365,7 +367,7 @@ func TestOlderClosureLayoutOnDiskIsRebuilt(t *testing.T) {
 			t.Fatalf("the older snapshot was not kept aside: %v", err)
 		}
 		verify(t, st)
-		if _, err := reg.ApplyDelta("g", [][]byte{schemes.EdgeUpsertDelta(0, 1)}); err != nil {
+		if _, err := reg.ApplyDelta("g", [][]byte{schemes.EdgeDelta(0, 1)}); err != nil {
 			t.Fatalf("PATCH after the rebuild: %v", err)
 		}
 		reg2 := store.NewRegistry(dir)

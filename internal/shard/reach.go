@@ -625,47 +625,23 @@ func (rs *reachSummary) findCross(u, v int) int {
 	return -1
 }
 
-// decodeEdgeDelta parses and validates one edge-insert delta against the
-// summary's vertex universe.
-func decodeEdgeDelta(delta []byte, rs *reachSummary) (u, v int, err error) {
-	u, v, err = schemes.DecodeNodePairQuery(delta)
-	if err != nil {
-		return 0, 0, err
-	}
-	if u < 0 || u >= rs.n || v < 0 || v >= rs.n || u == v {
-		return 0, 0, fmt.Errorf("shard: bad edge delta (%d,%d) over %d vertices", u, v, rs.n)
-	}
-	return u, v, nil
-}
-
-// splitReachDelta routes an edge delta: a same-shard edge becomes a local
-// relabelled delta of the same kind on its owning shard; a cross-shard
-// edge touches no shard — induced subgraphs exclude cross edges — and
-// lands entirely on the summary. Inserts on undirected graphs keep the
-// historical two-orientation encoding (the second is an idempotent no-op
-// now that the scheme's AddEdge stores both arcs); deletes send exactly
-// one local delta, because the scheme's RemoveEdge drops both arcs and a
-// second delete would error as edge-not-present.
+// splitReachDelta routes an edge delta: a same-shard edge becomes one local
+// relabelled delta of the same kind on its owning shard (the scheme's
+// AddEdge and RemoveEdge both store both arcs of an undirected edge); a
+// cross-shard edge touches no shard — induced subgraphs exclude cross edges
+// — and lands entirely on the summary.
 func splitReachDelta(delta []byte, asn Assignment, view core.Answerer) (map[int][][]byte, error) {
 	rs := view.(*reachSummary)
-	kind, payload, err := core.DeltaParts(delta)
+	kind, u, v, err := schemes.DecodeEdgeDelta(delta, rs.n)
 	if err != nil {
 		return nil, err
 	}
-	u, v, err := decodeEdgeDelta(payload, rs)
-	if err != nil {
-		return nil, err
-	}
-	su, sv := asn.Shard(int64(u)), asn.Shard(int64(v))
-	if su != sv {
+	su := asn.Shard(int64(u))
+	if su != asn.Shard(int64(v)) {
 		return nil, nil
 	}
-	local := schemes.NodePairQuery(int(rs.local[u]), int(rs.local[v]))
-	lds := [][]byte{core.TagDelta(kind, local)}
-	if !rs.directed && kind != core.DeltaDelete {
-		lds = append(lds, core.TagDelta(kind, schemes.NodePairQuery(int(rs.local[v]), int(rs.local[u]))))
-	}
-	return map[int][][]byte{su: lds}, nil
+	local := core.TagDelta(kind, schemes.NodePairQuery(int(rs.local[u]), int(rs.local[v])))
+	return map[int][][]byte{su: {local}}, nil
 }
 
 // applyCross applies one edge delta to the overlay's structure: a cross-shard
@@ -677,11 +653,7 @@ func splitReachDelta(delta []byte, asn Assignment, view core.Answerer) (map[int]
 // routed it). The cross-edge list and the portal set are replaced, never
 // written in place.
 func (rs *reachSummary) applyCross(delta []byte, asn Assignment) error {
-	kind, payload, err := core.DeltaParts(delta)
-	if err != nil {
-		return err
-	}
-	u, v, err := decodeEdgeDelta(payload, rs)
+	kind, u, v, err := schemes.DecodeEdgeDelta(delta, rs.n)
 	if err != nil {
 		return err
 	}
@@ -695,7 +667,7 @@ func (rs *reachSummary) applyCross(delta []byte, asn Assignment) error {
 	case kind == core.DeltaDelete:
 		rs.cross = slices.Delete(slices.Clone(rs.cross), i, i+1)
 		rs.recomputePortals(asn)
-	case i < 0: // insert and upsert: idempotent when the edge is present
+	case i < 0: // an insert of an absent edge (a present one is a no-op)
 		rs.cross = append(slices.Clone(rs.cross), [2]int{u, v})
 		rs.recomputePortals(asn)
 		// Only an insert grows the portal set, whose closure takes P² bits.

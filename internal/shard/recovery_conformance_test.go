@@ -29,7 +29,7 @@ func TestCorruptionRecoveryConformance(t *testing.T) {
 	// Two hostile logs a torn crash cannot produce: a foreign file under the
 	// log's name, and a CRC-valid record whose body does not parse.
 	hostileBody := []byte{0x00, 0x05} // count 5, zero bytes remain
-	unparseable := append([]byte("PITRACTL\x01"), binary.BigEndian.AppendUint32(nil, crc32.ChecksumIEEE(hostileBody))...)
+	unparseable := append([]byte("PITRACTL\x02"), binary.BigEndian.AppendUint32(nil, crc32.ChecksumIEEE(hostileBody))...)
 	unparseable = append(binary.AppendUvarint(unparseable, uint64(len(hostileBody))), hostileBody...)
 	hostileLogs := []struct {
 		name  string

@@ -135,7 +135,8 @@ func sparseGraph(n, m int, directed bool, seed int64) *graph.Graph {
 // TestRowsMergeDifferential: rows-merge ≡ probing-merge ≡ unsharded
 // closure on random directed and undirected graphs × {closure, labels,
 // bfs} × {hash, range} × n ∈ {2, 4}, after every batch of a mixed
-// insert/delete/upsert sequence that creates and retires a portal, and
+// insert/delete sequence (inserts of present edges included) that creates
+// and retires a portal, and
 // across save → reload. Hash partitioning interleaves portal indices
 // across shards (consecutive overlay indices belong to different shards),
 // which the per-shard row builder must map back correctly.
@@ -201,12 +202,9 @@ func TestRowsMergeDifferential(t *testing.T) {
 										t.Fatal(err)
 									}
 								case present:
-									batch = append(batch, schemes.EdgeUpsertDelta(u, v)) // no-op
-								case rng.Intn(2) == 0:
-									batch = append(batch, schemes.EdgeDelta(u, v))
-									cur.MustAddEdge(u, v)
+									batch = append(batch, schemes.EdgeDelta(u, v)) // no-op
 								default:
-									batch = append(batch, schemes.EdgeUpsertDelta(u, v))
+									batch = append(batch, schemes.EdgeDelta(u, v))
 									cur.MustAddEdge(u, v)
 								}
 								cur.Normalize()
@@ -372,7 +370,7 @@ func TestShardedStickyPrepareIsolated(t *testing.T) {
 
 	// The failed shard owns several portals, so the overlay rebuild must
 	// read it: the batch is refused whole.
-	patch := [][]byte{schemes.EdgeUpsertDelta(0, 1)}
+	patch := [][]byte{schemes.EdgeDelta(0, 1)}
 	if _, err := reg.ApplyDelta("g", patch); err == nil {
 		t.Fatal("PATCH over a failed shard was accepted")
 	}

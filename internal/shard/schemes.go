@@ -96,12 +96,11 @@ func splitRelation(data []byte, p Partitioner, n int) (Assignment, [][]byte, []b
 	return asn, out, nil, nil
 }
 
-// splitKeysDelta routes a key batch (schemes.KeysDelta and its delete and
-// upsert variants) to the shards that own the keys under the frozen
-// assignment — the sharded delta path of every key-partitioned scheme.
-// Each shard receives one local batch of its own keys carrying the same
-// delta kind, applied through the same sorted-file merge (or tombstone
-// merge) an unsharded store uses.
+// splitKeysDelta routes a key batch (schemes.KeysDelta or KeysDeleteDelta)
+// to the shards that own the keys under the frozen assignment — the sharded
+// delta path of every key-partitioned scheme. Each shard receives one local
+// batch of its own keys carrying the same delta kind, applied through the
+// same sorted-file merge (or tombstone merge) an unsharded store uses.
 func splitKeysDelta(delta []byte, asn Assignment, _ core.Answerer) (map[int][][]byte, error) {
 	kind, payload, err := core.DeltaParts(delta)
 	if err != nil {

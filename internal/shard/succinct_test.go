@@ -48,7 +48,7 @@ func succinctFixture(seed int64) (g *graph.Graph, probes [][]byte, deltas [][]by
 		schemes.EdgeDelta(u1, v1),
 		schemes.EdgeDelta(u2, v2),
 		schemes.EdgeDeleteDelta(u1, v1),
-		schemes.EdgeUpsertDelta(u1, v1), // re-insert across the reload boundary
+		schemes.EdgeDelta(u1, v1), // re-insert across the reload boundary
 		schemes.EdgeDeleteDelta(u2, v2),
 		schemes.EdgeDeleteDelta(u1, v1),
 	}

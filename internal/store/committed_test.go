@@ -9,7 +9,6 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -215,8 +214,8 @@ func TestStoreLiteralFirstUseRaced(t *testing.T) {
 	}
 }
 
-// TestRegisteredStoreRetainsOnlyCommittedPi pins what Register, a reload and
-// Open hand out: a store whose only Π is the committed one. After k PATCHes
+// TestRegisteredStoreRetainsOnlyCommittedPi pins what Register and a reload
+// hand out: a store whose only Π is the committed one. After k PATCHes
 // nothing on the Store still points at the registration-time Π — Prep was
 // never set — and View is the maintained Π, byte-identical to preprocessing
 // the final data.
@@ -258,15 +257,6 @@ func TestRegisteredStoreRetainsOnlyCommittedPi(t *testing.T) {
 		t.Fatal("the restart rebuilt instead of loading")
 	}
 	check("reloaded", loaded, 5, final)
-
-	path := filepath.Join(dir, "open.pitract")
-	for _, what := range []string{"opened fresh", "opened from the snapshot"} {
-		opened, err := Open(path, sch, data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(what, opened, 0, mustPreprocess(t, sch, data))
-	}
 }
 
 // TestPatchAllocatesOnePi pins the half of ROADMAP 5(c)'s bound that is

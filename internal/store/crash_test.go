@@ -1,12 +1,11 @@
 package store_test
 
 // The crash matrix: run the full durable maintenance protocol — register,
-// PATCH batches of inserts/deletes/upserts, write-ahead log, checkpoint —
+// PATCH batches of inserts and deletes, write-ahead log, checkpoint —
 // over the fault-injecting medium (internal/store/faultfs), kill it at
 // EVERY file-system operation, restart, and require the recovered dataset
-// to sit exactly at the last acknowledged version with Π byte-exact (or
-// verdict-exact where Π is not canonical) against a from-scratch rebuild of
-// the data at that version. The sweep subsumes the five named kill points —
+// to sit exactly at the last acknowledged version with Π byte-exact against
+// a from-scratch rebuild of the data at that version. The sweep subsumes the five named kill points —
 // pre-log-append, mid-record (torn), post-log-pre-commit, mid-checkpoint,
 // post-checkpoint-pre-truncate — which TestCrashKillPoints also pins by
 // name, with the exact recovery behavior (replayed vs skipped) each implies.
@@ -33,27 +32,26 @@ const (
 )
 
 // crashScheme is one scheme's crash scenario: a dataset plus delta batches
-// that exercise insert, delete, and upsert kinds (each batch is one PATCH =
-// one log record; versions count deltas).
+// that exercise both kinds (each batch is one PATCH = one log record;
+// versions count deltas).
 type crashScheme struct {
-	name      string
-	inc       *core.IncrementalScheme
-	data      []byte
-	batches   [][][]byte
-	probes    [][]byte
-	byteExact bool
+	name    string
+	inc     *core.IncrementalScheme
+	data    []byte
+	batches [][][]byte
+	probes  [][]byte
 }
 
 // crashSchemes covers the four delta-capable schemes with mixed-kind
 // batches: inserts, deletes of original and of freshly inserted elements,
-// re-insertion of deleted ones (upsert), and an idempotent no-op tombstone.
+// re-insertion of deleted ones, and an idempotent no-op tombstone.
 func crashSchemes() []crashScheme {
 	keyData := schemes.RelationFromKeys([]int64{2, 4, 6, 8, 10})
 	keyBatches := func() [][][]byte {
 		return [][][]byte{
 			{schemes.KeysDelta([]int64{101, 103})},
 			{schemes.KeysDeleteDelta([]int64{4, 101})},
-			{schemes.KeysUpsertDelta([]int64{4, 200}), schemes.KeysDelta([]int64{7})},
+			{schemes.KeysDelta([]int64{4, 200}), schemes.KeysDelta([]int64{7})},
 			{schemes.KeysDeleteDelta([]int64{999})}, // absent: idempotent tombstone
 		}
 	}
@@ -75,7 +73,7 @@ func crashSchemes() []crashScheme {
 		{schemes.EdgeDelta(3, 4)},                                // bridge the chains
 		{schemes.EdgeDeleteDelta(1, 2)},                          // cut the first chain
 		{schemes.EdgeDelta(1, 2), schemes.EdgeDeleteDelta(3, 4)}, // restore, un-bridge
-		{schemes.EdgeUpsertDelta(0, 1)},                          // present: no-op upsert
+		{schemes.EdgeDelta(0, 1)},                                // present: no-op insert
 	}
 	pairProbes := make([][]byte, 0, 64)
 	for u := 0; u < 8; u++ {
@@ -87,20 +85,20 @@ func crashSchemes() []crashScheme {
 	return []crashScheme{
 		{
 			name: "point-selection/sorted-keys", inc: schemes.IncrementalPointSelection(),
-			data: keyData, batches: keyBatches(), probes: keyProbes, byteExact: true,
+			data: keyData, batches: keyBatches(), probes: keyProbes,
 		},
 		{
 			name: "range-selection/sorted-keys", inc: schemes.IncrementalRangeSelection(),
-			data: keyData, batches: keyBatches(), probes: rangeProbes, byteExact: true,
+			data: keyData, batches: keyBatches(), probes: rangeProbes,
 		},
 		{
 			name: "list-membership/sorted", inc: schemes.IncrementalListMembership(),
 			data: schemes.EncodeList([]int64{2, 4, 6, 8, 10}), batches: keyBatches(),
-			probes: keyProbes, byteExact: false, // fresh Π keeps duplicates the merge drops
+			probes: keyProbes,
 		},
 		{
 			name: "reachability/closure-matrix", inc: schemes.IncrementalReachability(),
-			data: g.Encode(), batches: edgeBatches, probes: pairProbes, byteExact: true,
+			data: g.Encode(), batches: edgeBatches, probes: pairProbes,
 		},
 	}
 }
@@ -133,20 +131,16 @@ func oracleStates(t *testing.T, cs crashScheme) [][]byte {
 }
 
 // assertOracle checks a store against a from-scratch preprocessing of the
-// oracle's raw data — byte-exact where the artifact is canonical,
-// verdict-exact on every probe always.
+// oracle's raw data — byte-exact, and verdict-exact on every probe.
 func assertOracle(t *testing.T, cs crashScheme, st *store.Store, raw []byte, label string) {
 	t.Helper()
 	fresh, err := cs.inc.Scheme.Preprocess(raw)
 	if err != nil {
 		t.Fatalf("%s: oracle preprocess: %v", label, err)
 	}
-	if cs.byteExact {
-		maintained, _ := st.View()
-		if !bytes.Equal(maintained, fresh) {
-			t.Fatalf("%s: recovered Π diverges from rebuilt Π (%d vs %d bytes)",
-				label, len(maintained), len(fresh))
-		}
+	if maintained, _ := st.View(); !bytes.Equal(maintained, fresh) {
+		t.Fatalf("%s: recovered Π diverges from rebuilt Π (%d vs %d bytes)",
+			label, len(maintained), len(fresh))
 	}
 	for pi, q := range cs.probes {
 		got, err := st.Answer(q)

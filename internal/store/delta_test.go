@@ -2,8 +2,8 @@ package store
 
 // The maintained-vs-rebuilt differential suite: for every scheme with an
 // incremental form, Registry.ApplyDelta-maintained Π must be equivalent to
-// Preprocess(ApplyUpdate(D, ∆D)) — byte-equivalent where the artifact is
-// canonical, verdict-equivalent always — after every delta of random
+// Preprocess(ApplyUpdate(D, ∆D)) — byte-equal, and verdict-equal on every
+// probe — after every delta of random
 // sequences, including across a snapshot save → reload → continue-patching
 // cycle. Plus the mutation-path contracts: atomic failure, clean errors
 // for unmaintainable schemes, and torn-free concurrent PATCH vs query.
@@ -28,10 +28,6 @@ type deltaCase struct {
 	data   []byte
 	deltas [][]byte
 	probes [][]byte
-	// byteExact asserts maintained Π byte-identical to the rebuilt one
-	// (sorted-key files and closure matrices are canonical; the membership
-	// list keeps duplicates a merge drops, so it is verdict-exact only).
-	byteExact bool
 }
 
 // deltaCases builds the differential scenarios from one seed.
@@ -43,14 +39,14 @@ func deltaCases(seed int64) []deltaCase {
 	}
 	keyDeltas := func() [][]byte {
 		// The fixed prefix spans the full dynamism story — delete present
-		// keys alongside an absent tombstone, re-insert one via upsert,
-		// delete it again — and the random tail mixes all three kinds
+		// keys alongside an absent tombstone, re-insert one, delete it
+		// again — and the random tail mixes both kinds
 		// (tombstones are idempotent, so random delete targets are safe).
 		// Eight deltas put delete/re-insert on both sides of the
 		// save→reload boundary (half = 4).
 		ds := [][]byte{
 			schemes.KeysDeleteDelta([]int64{keys[0], keys[1], 900_001}),
-			schemes.KeysUpsertDelta([]int64{keys[0], keys[2]}),
+			schemes.KeysDelta([]int64{keys[0], keys[2]}),
 			schemes.KeysDeleteDelta([]int64{keys[0]}),
 		}
 		for len(ds) < 8 {
@@ -58,13 +54,10 @@ func deltaCases(seed int64) []deltaCase {
 			for j := range batch {
 				batch[j] = int64(rng.Intn(500)) // mix of fresh, duplicate, odd, even
 			}
-			switch rng.Intn(3) {
-			case 0:
-				ds = append(ds, schemes.KeysDelta(batch))
-			case 1:
+			if rng.Intn(3) == 1 {
 				ds = append(ds, schemes.KeysDeleteDelta(batch))
-			default:
-				ds = append(ds, schemes.KeysUpsertDelta(batch))
+			} else {
+				ds = append(ds, schemes.KeysDelta(batch))
 			}
 		}
 		return ds
@@ -87,8 +80,8 @@ func deltaCases(seed int64) []deltaCase {
 	g := graph.CommunityGraph(4, 10, 16, seed)
 	// Edge retraction of an absent edge is an error (unlike key
 	// tombstones), so deletes target edges this sequence itself inserted,
-	// on pairs absent from the base graph — insert, delete, re-insert via
-	// upsert, delete again, with the save→reload boundary (half = 4) in
+	// on pairs absent from the base graph — insert, delete, re-insert,
+	// delete again, with the save→reload boundary (half = 4) in
 	// the middle of the churn.
 	freshPair := func(used map[[2]int]bool) (int, int) {
 		for {
@@ -107,11 +100,11 @@ func deltaCases(seed int64) []deltaCase {
 		schemes.EdgeDelta(u1, v1),
 		schemes.EdgeDelta(u2, v2),
 		schemes.EdgeDeleteDelta(u1, v1),
-		schemes.EdgeUpsertDelta(u1, v1), // re-insert across the reload boundary
+		schemes.EdgeDelta(u1, v1), // re-insert across the reload boundary
 		schemes.EdgeDeleteDelta(u2, v2),
-		schemes.EdgeDeleteDelta(u1, v1), // delete the upserted edge again
+		schemes.EdgeDeleteDelta(u1, v1), // delete the re-inserted edge again
 		schemes.EdgeDelta(u3, v3),
-		schemes.EdgeUpsertDelta(u3, v3), // upsert of a present edge: no-op
+		schemes.EdgeDelta(u3, v3), // insert of a present edge: no-op
 	}
 	pairProbes := make([][]byte, 0, 200)
 	for i := 0; i < 200; i++ {
@@ -121,32 +114,26 @@ func deltaCases(seed int64) []deltaCase {
 		{
 			scheme: "point-selection/sorted-keys", inc: schemes.IncrementalPointSelection(),
 			data: schemes.RelationFromKeys(keys), deltas: keyDeltas(), probes: keyProbes(),
-			byteExact: true,
 		},
 		{
 			scheme: "range-selection/sorted-keys", inc: schemes.IncrementalRangeSelection(),
 			data: schemes.RelationFromKeys(keys), deltas: keyDeltas(), probes: rangeProbes(),
-			byteExact: true,
 		},
 		{
 			scheme: "list-membership/sorted", inc: schemes.IncrementalListMembership(),
 			data: schemes.EncodeList(keys), deltas: keyDeltas(), probes: keyProbes(),
-			byteExact: false, // fresh Preprocess keeps duplicate members the merge drops
 		},
 		{
 			scheme: "reachability/closure-matrix", inc: schemes.IncrementalReachability(),
 			data: g.Encode(), deltas: edgeDeltas, probes: pairProbes,
-			byteExact: true,
 		},
 		{
 			scheme: "reachability/bfs-per-query", inc: schemes.IncrementalReachabilityBFS(),
 			data: g.Encode(), deltas: edgeDeltas, probes: pairProbes,
-			byteExact: true, // Π = the (Normalize-canonical) graph encoding
 		},
 		{
 			scheme: "reachability/labels", inc: schemes.IncrementalReachabilityLabels(),
 			data: g.Encode(), deltas: edgeDeltas, probes: pairProbes,
-			byteExact: true, // relabel-on-commit rebuilds the canonical labeling
 		},
 		undirectedReachCase(seed),
 	}
@@ -181,7 +168,7 @@ func undirectedReachCase(seed int64) deltaCase {
 		schemes.EdgeDelta(a, b),
 		schemes.EdgeDelta(o1u, o1v),
 		schemes.EdgeDeleteDelta(b, a), // reversed orientation: undirected delete
-		schemes.EdgeUpsertDelta(a, b), // re-bridge the components
+		schemes.EdgeDelta(a, b),       // re-bridge the components
 		schemes.EdgeDeleteDelta(a, b),
 		schemes.EdgeDelta(o2u, o2v),
 	}
@@ -192,7 +179,6 @@ func undirectedReachCase(seed int64) deltaCase {
 	return deltaCase{
 		scheme: "reachability/closure-matrix (undirected)", inc: schemes.IncrementalReachability(),
 		data: g.Encode(), deltas: deltas, probes: probes,
-		byteExact: true,
 	}
 }
 
@@ -205,7 +191,7 @@ func assertEquivalent(t *testing.T, tc deltaCase, st *Store, updated []byte, ste
 		t.Fatalf("step %d: fresh preprocess: %v", step, err)
 	}
 	maintained, _ := st.View()
-	if tc.byteExact && !bytes.Equal(maintained, fresh) {
+	if !bytes.Equal(maintained, fresh) {
 		t.Fatalf("step %d: maintained Π diverges from rebuilt Π (%d vs %d bytes)",
 			step, len(maintained), len(fresh))
 	}

@@ -101,9 +101,9 @@ type Dataset interface {
 // a restarted process reloads Π(D) instead of recomputing it.
 //
 // Plain (single-store) registration goes through Register; composite
-// datasets (sharded stores) plug in through RegisterDataset, which carries
-// the same one-catalog-entry, one-build-per-ID guarantee for any Dataset
-// implementation.
+// datasets (sharded stores) plug in through RegisterDatasetContext, which
+// carries the same one-catalog-entry, one-build-per-ID guarantee for any
+// Dataset implementation.
 //
 // The registry is safe for concurrent use; Answer paths never hold the
 // registry lock (the preprocessed bytes are immutable).
@@ -191,26 +191,23 @@ func SnapshotPath(dir, id string) string {
 	return filepath.Join(dir, url.PathEscape(id)+".pitract")
 }
 
-// RegisterDataset returns the dataset registered under id, building it on
-// first call. compat is consulted when id already has a completed entry: it
-// decides whether the existing dataset satisfies this registration (nil
-// accepts anything). build runs at most once per id across any number of
-// concurrent registrations; a failed or panicking build is not memoized, so
-// a later corrected attempt can retry.
+// RegisterDatasetContext returns the dataset registered under id, building
+// it on first call. compat is consulted when id already has a completed
+// entry: it decides whether the existing dataset satisfies this registration
+// (nil accepts anything). build runs at most once per id across any number
+// of concurrent registrations; a failed or panicking build is not memoized,
+// so a later corrected attempt can retry.
 //
 // This is the generic seam plain Register and internal/shard's sharded
 // registration both ride: one catalog entry per ID, one build per ID, and
 // Get/Answer paths that never observe a half-built dataset.
-func (r *Registry) RegisterDataset(id string, compat func(Dataset) error, build func() (Dataset, error)) (Dataset, error) {
-	return r.RegisterDatasetContext(context.Background(), id, compat, build)
-}
-
-// RegisterDatasetContext is RegisterDataset under a request budget: when
-// ctx expires before the build completes, the call returns a *BudgetError
-// and the in-flight build is abandoned — it runs to completion (Preprocess
-// cannot be interrupted mid-flight) but its result is dropped instead of
-// memoized, so a budget-exceeded registration leaves no catalog entry and
-// the id stays free for a retried (or better-budgeted) attempt. A waiter
+//
+// It runs under a request budget: when ctx expires before the build
+// completes, the call returns a *BudgetError and the in-flight build is
+// abandoned — it runs to completion (Preprocess cannot be interrupted
+// mid-flight) but its result is dropped instead of memoized, so a
+// budget-exceeded registration leaves no catalog entry and the id stays free
+// for a retried (or better-budgeted) attempt. A waiter
 // whose ctx expires while someone else's build is in flight gives up
 // without abandoning that build — the budget belongs to the registration
 // that started it.

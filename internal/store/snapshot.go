@@ -16,8 +16,8 @@
 //
 // The registry's catalog is shape-agnostic: an entry is any Dataset — a
 // plain Store here, or a composite like internal/shard's ShardedStore
-// plugged in through RegisterDataset — and the HTTP server answers through
-// that interface, so new dataset shapes need no serving changes.
+// plugged in through RegisterDatasetContext — and the HTTP server answers
+// through that interface, so new dataset shapes need no serving changes.
 package store
 
 import (
@@ -620,29 +620,4 @@ func NewSnapshot(scheme *core.Scheme, sum DataChecksum, version uint64, prep []b
 		Version:    version,
 		Prep:       prep,
 	}
-}
-
-// Open returns a preprocessed store for (scheme, data), reusing the
-// snapshot at path when it is fresh: same scheme name and same data
-// digest. Otherwise it preprocesses, saves the new snapshot to path, and
-// returns the fresh store. This is the single-store face of the
-// preprocess-once contract; Registry does the same per dataset ID.
-func Open(path string, scheme *core.Scheme, data []byte) (*Store, error) {
-	sum := SumData(data)
-	var st *Store
-	if snap, err := LoadFS(OSFS, path); err == nil &&
-		snap.SchemeName == scheme.Name() && snap.DataSum == sum {
-		st = newStore("", scheme, sum, snap.Prep, snap.Version, true)
-	} else {
-		pd, err := scheme.Preprocess(data)
-		if err != nil {
-			return nil, fmt.Errorf("store: open %s: preprocess (%s): %w", path, scheme.Name(), err)
-		}
-		st = newStore("", scheme, sum, pd, 0, false)
-		if err := SaveFS(OSFS, path, st.Snapshot()); err != nil {
-			return nil, err
-		}
-	}
-	st.Warm()
-	return st, nil
 }

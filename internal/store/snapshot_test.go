@@ -108,50 +108,6 @@ func TestLoadCorruptFile(t *testing.T) {
 	}
 }
 
-// TestOpen checks the single-store preprocess-once contract: first Open
-// preprocesses and saves, second Open reloads byte-identically without
-// preprocessing, changed data forces a re-preprocess.
-func TestOpen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "keys.pitract")
-	scheme := schemes.PointSelectionScheme()
-	prepCalls := 0
-	wrapped := *scheme
-	inner := scheme.Preprocess
-	wrapped.Preprocess = func(d []byte) ([]byte, error) { prepCalls++; return inner(d) }
-
-	data := schemes.RelationFromKeys([]int64{5, 1, 9, 3})
-	st1, err := Open(path, &wrapped, data)
-	if err != nil {
-		t.Fatalf("first open: %v", err)
-	}
-	if st1.Loaded || prepCalls != 1 {
-		t.Fatalf("first open: loaded=%v prepCalls=%d, want fresh preprocess", st1.Loaded, prepCalls)
-	}
-	st2, err := Open(path, &wrapped, data)
-	if err != nil {
-		t.Fatalf("second open: %v", err)
-	}
-	if !st2.Loaded || prepCalls != 1 {
-		t.Fatalf("second open: loaded=%v prepCalls=%d, want snapshot reload", st2.Loaded, prepCalls)
-	}
-	pd1, _ := st1.View()
-	if pd2, _ := st2.View(); len(pd2) == 0 || !bytes.Equal(pd1, pd2) {
-		t.Fatal("reloaded preprocessed bytes differ from the saved ones")
-	}
-	ok, err := st2.Answer(schemes.PointQuery(9))
-	if err != nil || !ok {
-		t.Fatalf("answer on reloaded store: ok=%v err=%v", ok, err)
-	}
-
-	st3, err := Open(path, &wrapped, schemes.RelationFromKeys([]int64{7}))
-	if err != nil {
-		t.Fatalf("open with new data: %v", err)
-	}
-	if st3.Loaded || prepCalls != 2 {
-		t.Fatalf("changed data: loaded=%v prepCalls=%d, want re-preprocess", st3.Loaded, prepCalls)
-	}
-}
-
 // TestSnapshotBytesMemoized pins the /v1/stats footprint: SnapshotBytes
 // reports the exact encoded size, a PATCH changes it, and a scrape of an
 // unchanged ⟨Π, version⟩ does not run the encoder (an encode allocates the

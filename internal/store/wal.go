@@ -10,7 +10,7 @@
 //
 // File layout:
 //
-//	logMagic ("PITRACTL\x01") ‖ record*
+//	logMagic ("PITRACTL\x02") ‖ record*
 //	record   = crc32(body) (4 bytes BE) ‖ uvarint(len(body)) ‖ body
 //	body     = uvarint(fromVersion) ‖ uvarint(k) ‖ k × (uvarint(len) ‖ delta)
 //
@@ -38,8 +38,9 @@ import (
 )
 
 // logMagic opens every delta-log file; the trailing byte is the format
-// version.
-var logMagic = []byte("PITRACTL\x01")
+// version. \x02 (PR 25): every recorded delta carries its kind header, so a
+// \x01 log, whose inserts are untagged, fails this check and is quarantined.
+var logMagic = []byte("PITRACTL\x02")
 
 // LogPath is the canonical delta-log path for a dataset ID, next to its
 // snapshot (SnapshotPath) with the ".pitract-log" suffix.

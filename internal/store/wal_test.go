@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"pitract/internal/schemes"
 )
 
 // walRecords is the shared fixture: three batches with awkward payloads —
@@ -15,7 +17,7 @@ func walRecords() []LogRecord {
 	return []LogRecord{
 		{FromVersion: 0, Deltas: [][]byte{[]byte("first"), {}}},
 		{FromVersion: 2, Deltas: nil},
-		{FromVersion: 2, Deltas: [][]byte{{0xFF, 0xFF, 0xFF, 0x00, 0x01, 0x80}, []byte("PITRACTL\x01")}},
+		{FromVersion: 2, Deltas: [][]byte{{0xFF, 0xFF, 0xFF, 0x00, 0x01, 0x80}, []byte("PITRACTL\x02")}},
 	}
 }
 
@@ -86,6 +88,53 @@ func TestWALForeignMagic(t *testing.T) {
 	}
 	if _, err := ReadLog(OSFS, path); err == nil {
 		t.Fatal("foreign magic accepted")
+	}
+}
+
+// TestPreTagLogIsQuarantined: a PITRACTL\x01 log — written before every
+// delta carried its kind, so its inserts are untagged bytes this version
+// refuses — fails the magic check beside a checkpoint. It is quarantined
+// verbatim and never replayed, the dataset is served at the checkpoint's
+// version, and the registration succeeds (without the magic bump its first
+// record would be refused and fail every restart).
+func TestPreTagLogIsQuarantined(t *testing.T) {
+	scheme := schemes.PointSelectionScheme()
+	data := schemes.RelationFromKeys([]int64{2, 4, 6})
+	dir := t.TempDir()
+	reg := NewRegistry(dir)
+	reg.SetCheckpointEvery(1)
+	if _, err := reg.Register("d", scheme, data); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := reg.ApplyDelta("d", [][]byte{schemes.KeysDelta([]int64{8})}); err != nil || v != 1 {
+		t.Fatalf("PATCH: version %d, %v", v, err)
+	}
+	// The old log's one record: an untagged insert of key 9 at version 1.
+	old := append([]byte("PITRACTL\x01"), encodeLogRecord(1, [][]byte{schemes.EncodeList([]int64{9})})...)
+	logPath := LogPath(dir, "d")
+	if err := os.WriteFile(logPath, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	reg2 := NewRegistry(dir)
+	st, err := reg2.Register("d", scheme, data)
+	if err != nil {
+		t.Fatalf("register beside a \\x01 log: %v", err)
+	}
+	if !st.WasLoaded() || st.Version() != 1 || reg2.QuarantineCount() != 1 || reg2.ReplayCount() != 0 {
+		t.Fatalf("loaded=%v version=%d quarantines=%d replays=%d, want the checkpoint at 1, one quarantine, no replay",
+			st.WasLoaded(), st.Version(), reg2.QuarantineCount(), reg2.ReplayCount())
+	}
+	for key, want := range map[int64]bool{8: true, 9: false} {
+		if got, err := st.Answer(schemes.PointQuery(key)); err != nil || got != want {
+			t.Fatalf("key %d = (%v, %v), want %v", key, got, err, want)
+		}
+	}
+	if kept, err := os.ReadFile(QuarantinePath(logPath)); err != nil || !bytes.Equal(kept, old) {
+		t.Fatalf("quarantined log = (%d bytes, %v), want the \\x01 bytes verbatim", len(kept), err)
+	}
+	if _, err := os.Stat(logPath); !os.IsNotExist(err) {
+		t.Fatalf("the \\x01 log is still in place: %v", err)
 	}
 }
 

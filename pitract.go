@@ -34,9 +34,9 @@
 // store (AnswerBatch; experiments X1 and X2 measure both).
 //
 // The serving subsystem makes Π(D) a durable artifact and puts it on the
-// network: OpenStore and NewStoreRegistry persist preprocessed stores as
-// versioned, checksummed snapshots (computed once, reloaded across process
-// restarts), and NewServer exposes a registry as an HTTP JSON API — the
+// network: NewStoreRegistry persists preprocessed stores as versioned,
+// checksummed snapshots (computed once, reloaded across process restarts),
+// and NewServer exposes a registry as an HTTP JSON API — the
 // `pitract serve` subcommand. What each serving layer below costs is
 // measured by one instrument, the bench/ module (go run -C bench .), not by
 // an experiment; docs/ARCHITECTURE.md maps each question to its workload
@@ -195,13 +195,11 @@ var ExperimentParallelism = harness.Parallelism
 type ServerLimits = server.Limits
 
 var (
-	// OpenStore returns a preprocessed store for (scheme, data), reloading
-	// the snapshot at path when it matches (same scheme, same data digest)
-	// and preprocessing + saving otherwise — the single-store face of the
-	// preprocess-once contract.
-	OpenStore = store.Open
 	// NewStoreRegistry returns a registry persisting snapshots under dir
-	// ("" = in-memory only).
+	// ("" = in-memory only); its Register(id, scheme, data) is the
+	// preprocess-once contract — load the snapshot (replaying its delta
+	// log) when it matches, quarantine it when corrupt, preprocess and
+	// save otherwise.
 	NewStoreRegistry = store.NewRegistry
 	// NewServer returns an HTTP server over a registry; a nil catalog
 	// selects ServeCatalog.

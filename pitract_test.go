@@ -239,36 +239,35 @@ func TestFacadeConcurrentEngine(t *testing.T) {
 }
 
 // TestFacadeServingFlow drives the serving subsystem through the public
-// API alone: open a persisted store, restart it from its snapshot, serve
-// it over HTTP, and answer identically on every path.
+// API alone: register a persisted store, restart it from its snapshot,
+// serve it over HTTP, and answer identically on every path.
 func TestFacadeServingFlow(t *testing.T) {
 	dir := t.TempDir()
 	rel := GenerateRelation(RelationGenConfig{Rows: 500, Seed: 3, KeyMax: 1000})
 	d := rel.Encode()
 	scheme := PointSelectionScheme()
 
-	path := filepath.Join(dir, "rel.pitract")
-	st, err := OpenStore(path, scheme, d)
+	st, err := NewStoreRegistry(dir).Register("rel", scheme, d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Loaded {
-		t.Fatal("first OpenStore claims a snapshot reload")
+		t.Fatal("first registration claims a snapshot reload")
 	}
-	st2, err := OpenStore(path, scheme, d)
+	st2, err := NewStoreRegistry(dir).Register("rel", scheme, d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pd, _ := st.View()
 	if pd2, _ := st2.View(); !st2.Loaded || len(pd2) == 0 || !bytes.Equal(pd, pd2) {
-		t.Fatal("second OpenStore did not reload the identical snapshot")
+		t.Fatal("a restarted registry did not reload the identical snapshot")
 	}
-	snap, err := LoadSnapshot(path)
+	snap, err := LoadSnapshot(filepath.Join(dir, "rel.pitract")) // the snapshot of id "rel"
 	if err != nil {
 		t.Fatal(err)
 	}
 	if snap.SchemeName != scheme.Name() || !bytes.Equal(snap.Prep, pd) {
-		t.Fatal("LoadSnapshot disagrees with OpenStore")
+		t.Fatal("LoadSnapshot disagrees with the registry")
 	}
 
 	reg := NewStoreRegistry("")
