@@ -111,7 +111,7 @@ var apiExamples = []apiExample{
 		path:       "/v1/datasets",
 		reqBody:    `{"id":"m","scheme":"list-membership/sorted","data":"AwIEBg=="}`,
 		wantStatus: http.StatusOK,
-		wantBody:   `{"id":"m","scheme":"list-membership/sorted","prep_bytes":24,"loaded":false,"shards":1,"version":0}`,
+		wantBody:   `{"id":"m","scheme":"list-membership/sorted","prep_bytes":44,"loaded":false,"shards":1,"version":0}`,
 	},
 	{
 		name:       "register-sharded",
@@ -119,7 +119,7 @@ var apiExamples = []apiExample{
 		path:       "/v1/datasets?shards=2&partitioner=hash",
 		reqBody:    `{"id":"m2","scheme":"list-membership/sorted","data":"AwIEBg=="}`,
 		wantStatus: http.StatusOK,
-		wantBody:   `{"id":"m2","scheme":"list-membership/sorted","prep_bytes":24,"loaded":false,"shards":2,"version":0}`,
+		wantBody:   `{"id":"m2","scheme":"list-membership/sorted","prep_bytes":88,"loaded":false,"shards":2,"version":0}`,
 	},
 	{
 		name:       "register-hostile-409",
@@ -149,7 +149,7 @@ var apiExamples = []apiExample{
 		method:     http.MethodGet,
 		path:       "/v1/datasets",
 		wantStatus: http.StatusOK,
-		wantBody:   `{"datasets":[{"id":"m","scheme":"list-membership/sorted","prep_bytes":24,"loaded":false,"shards":1,"version":0},{"id":"m2","scheme":"list-membership/sorted","prep_bytes":24,"loaded":false,"shards":2,"version":0}]}`,
+		wantBody:   `{"datasets":[{"id":"m","scheme":"list-membership/sorted","prep_bytes":44,"loaded":false,"shards":1,"version":0},{"id":"m2","scheme":"list-membership/sorted","prep_bytes":88,"loaded":false,"shards":2,"version":0}]}`,
 	},
 	{
 		name:       "query",
@@ -173,7 +173,7 @@ var apiExamples = []apiExample{
 		path:       "/v1/datasets/m",
 		reqBody:    `{"deltas":["////AAABEg=="]}`,
 		wantStatus: http.StatusOK,
-		wantBody:   `{"id":"m","scheme":"list-membership/sorted","prep_bytes":32,"loaded":false,"shards":1,"version":1}`,
+		wantBody:   `{"id":"m","scheme":"list-membership/sorted","prep_bytes":52,"loaded":false,"shards":1,"version":1}`,
 	},
 	{
 		name:       "query-after-patch",
@@ -188,7 +188,7 @@ var apiExamples = []apiExample{
 		method:     http.MethodGet,
 		path:       "/v1/datasets/m",
 		wantStatus: http.StatusOK,
-		wantBody:   `{"id":"m","scheme":"list-membership/sorted","prep_bytes":32,"loaded":false,"shards":1,"version":1}`,
+		wantBody:   `{"id":"m","scheme":"list-membership/sorted","prep_bytes":52,"loaded":false,"shards":1,"version":1}`,
 	},
 	{
 		name:       "patch-delete",
@@ -196,7 +196,7 @@ var apiExamples = []apiExample{
 		path:       "/v1/datasets/m",
 		reqBody:    `{"deltas":["////AAEBEg=="]}`,
 		wantStatus: http.StatusOK,
-		wantBody:   `{"id":"m","scheme":"list-membership/sorted","prep_bytes":24,"loaded":false,"shards":1,"version":2}`,
+		wantBody:   `{"id":"m","scheme":"list-membership/sorted","prep_bytes":44,"loaded":false,"shards":1,"version":2}`,
 	},
 	{
 		name:       "query-after-delete",
@@ -214,7 +214,7 @@ var apiExamples = []apiExample{
 		path:       "/v1/datasets/m",
 		reqBody:    `{"deltas":["////AAABEg==","////AAABEg=="]}`,
 		wantStatus: http.StatusOK,
-		wantBody:   `{"id":"m","scheme":"list-membership/sorted","prep_bytes":32,"loaded":false,"shards":1,"version":4}`,
+		wantBody:   `{"id":"m","scheme":"list-membership/sorted","prep_bytes":52,"loaded":false,"shards":1,"version":4}`,
 	},
 	{
 		name:       "patch-hostile-409",

@@ -11,8 +11,8 @@ package core
 // an Answerer whose Answer(q) does only the probe.
 //
 // A scheme declares a typed form (PrepareAnswerer) only where that saves
-// per-query work. Where Π is laid out for probing — a sorted key file, a pos
-// file — the raw probe is the prepared one: Prepare closes over pd in O(1)
+// per-query work. Where Π is laid out for probing with nothing to check — a
+// pos file — the raw probe is the prepared one: Prepare closes over pd in O(1)
 // and Π is held once. Typed forms are pinned byte-for-byte (verdicts and
 // error strings) against the raw Answer by the schemes package's
 // differential tests.

@@ -158,14 +158,23 @@ func Decode(buf []byte) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Every tuple costs at least one byte per attribute; bounding by the
-	// remaining buffer also rejects a hostile huge count on a zero-attr
-	// schema, which would otherwise loop (and allocate) byte-free.
-	if ntuples > uint64(len(buf)-d.off) {
-		return nil, fmt.Errorf("relation: tuple count %d exceeds remaining %d bytes", ntuples, len(buf)-d.off)
+	// Every value costs at least two bytes (its kind, then a varint or a
+	// length), so ntuples × nattrs is bounded by the remaining buffer before
+	// anything is allocated from it; bounding ntuples by the bytes too rejects
+	// a hostile huge count on a zero-attr schema, which would otherwise loop
+	// byte-free.
+	left := uint64(len(buf) - d.off)
+	if ntuples > left || nattrs > 0 && ntuples > left/2/nattrs {
+		return nil, fmt.Errorf("relation: %d tuples of %d attributes exceed remaining %d bytes", ntuples, nattrs, left)
+	}
+	// One allocation for every value: each tuple is a full slice expression
+	// of its own stretch, so an append to one cannot overwrite the next.
+	vals := make([]Value, ntuples*nattrs)
+	if ntuples > 0 {
+		rel.Tuples = make([]Tuple, 0, ntuples)
 	}
 	for i := uint64(0); i < ntuples; i++ {
-		t := make(Tuple, len(attrs))
+		t := Tuple(vals[i*nattrs : (i+1)*nattrs : (i+1)*nattrs])
 		for j := range t {
 			v, err := d.value()
 			if err != nil {

@@ -1,8 +1,10 @@
 package relation
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -191,6 +193,40 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 	bad[15] = 0x7f
 	if _, err := Decode(bad); err == nil {
 		t.Error("unknown attribute kind decoded")
+	}
+}
+
+// TestDecodeCarvesTuples pins Decode's allocation: the values of every tuple
+// come from one slice, so decoding a relation costs a handful of allocations
+// whatever its size, and each tuple is capped at its own values, so an append
+// to one leaves the next alone.
+func TestDecodeCarvesTuples(t *testing.T) {
+	r := New(MustSchema("pairs", Attr{Name: "a", Kind: KindInt64}, Attr{Name: "b", Kind: KindInt64}))
+	for i := int64(0); i < 1000; i++ {
+		r.MustAppend(Tuple{Int(i), Int(-i)})
+	}
+	enc := r.Encode()
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Decode(enc); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 16 {
+		t.Errorf("decoding 1000 tuples allocates %.0f times, want a handful", allocs)
+	}
+	back, err := Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = append(back.Tuples[0], Int(99))
+	if back.Tuples[1][0] != Int(1) {
+		t.Fatalf("an append to tuple 0 overwrote tuple 1: %v", back.Tuples[1])
+	}
+	// A tuple count the remaining bytes cannot hold at two bytes a value is
+	// refused before anything is allocated from it.
+	empty := New(r.Schema).Encode() // the schema, then a zero tuple count
+	hostile := append(binary.AppendUvarint(empty[:len(empty)-1:len(empty)-1], 1000), make([]byte, 1500)...)
+	if _, err := Decode(hostile); err == nil || !strings.Contains(err.Error(), "exceed remaining") {
+		t.Fatalf("1000 two-value tuples over 1500 bytes: %v, want the count refused", err)
 	}
 }
 

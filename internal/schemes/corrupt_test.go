@@ -6,6 +6,7 @@ package schemes
 // return an error — never panic, never misanswer silently — on such input.
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -48,8 +49,8 @@ func answerMustNotPanic(t *testing.T, name string, pd []byte, answer func(pd []b
 			}()
 			if _, err := answer(bad); err == nil {
 				// A shorter-but-well-formed prefix may legitimately decode
-				// (e.g. sorted-key files are any multiple of 8 bytes), so a
-				// nil error alone is not a failure; reaching here without
+				// (e.g. pos files are any multiple of 4 bytes), so a nil
+				// error alone is not a failure; reaching here without
 				// panicking is the requirement. Schemes with framed headers
 				// are asserted strictly below.
 				_ = i
@@ -178,19 +179,52 @@ func TestCorruptViewDirectory(t *testing.T) {
 }
 
 func TestCorruptSortedKeysAndPosArray(t *testing.T) {
-	// These layouts are headerless fixed-width files: any 8/4-multiple
-	// prefix is well-formed, so the requirement is only no-panic plus
-	// correct range errors for the position array.
+	// The sorted key file's header fixes its length, so every mutation —
+	// truncation, growth, a mangled header — is an error; and each lie the
+	// header can tell (its length, n, L, its bounds) is refused by the raw
+	// probe, Prepare and ApplyDelta alike.
 	rel := relation.Generate(relation.GenConfig{Rows: 64, Seed: 1, KeyMax: 64})
 	sel := PointSelectionScheme()
 	pd, err := sel.Preprocess(rel.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	answerMustNotPanic(t, "sorted-keys", pd, func(b []byte) (bool, error) {
+	answerMustError(t, "sorted-keys", pd, func(b []byte) (bool, error) {
 		return sel.Answer(b, PointQuery(3))
 	})
+	lie := func(off int, put func(b []byte)) []byte {
+		b := append([]byte(nil), pd...)
+		put(b[off:])
+		return b
+	}
+	f, err := parseKeyFile(pd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc := IncrementalPointSelection()
+	for name, bad := range map[string][]byte{
+		"truncated-header": pd[:keyHeaderLen-1],
+		"truncated-body":   pd[:len(pd)-8],
+		"n-lie":            lie(8, func(b []byte) { binary.BigEndian.PutUint64(b, f.n+1) }),
+		"n-huge":           lie(8, func(b []byte) { binary.BigEndian.PutUint64(b, 1<<62) }),
+		"n-zero":           lie(8, func(b []byte) { binary.BigEndian.PutUint64(b, 0) }),
+		"L-lie":            lie(4, func(b []byte) { binary.BigEndian.PutUint32(b, uint32(f.l+1)) }),
+		"min-above-max":    lie(16, func(b []byte) { binary.BigEndian.PutUint64(b, f.max+1) }),
+		"max-far":          lie(24, func(b []byte) { binary.BigEndian.PutUint64(b, f.max<<4) }),
+	} {
+		if _, err := sel.Answer(bad, PointQuery(3)); err == nil {
+			t.Errorf("%s: raw probe answered", name)
+		}
+		if _, err := sel.Prepare(bad); err == nil {
+			t.Errorf("%s: Prepare accepted", name)
+		}
+		if _, err := inc.ApplyDelta(bad, KeysDelta([]int64{5})); err == nil {
+			t.Errorf("%s: ApplyDelta accepted", name)
+		}
+	}
 
+	// The pos file is headerless fixed-width records: any 4-multiple prefix
+	// is well-formed, so the requirement is no-panic plus range errors.
 	g := graph.RandomConnectedUndirected(16, 8, 1)
 	bdsS := BDSScheme()
 	pd2, err := bdsS.Preprocess(g.Encode())

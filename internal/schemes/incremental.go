@@ -4,9 +4,10 @@ package schemes
 // core.IncrementalScheme): maintain Π(D ⊕ ∆D) from Π(D) and ∆D instead of
 // re-preprocessing. The instances:
 //
-//   - the sorted-key file of the point/range-selection and list-membership
-//     schemes under insertions and deletions (merge or tombstone in
-//     O(|D| + |∆D|), versus O(|D| log |D|) re-sorting);
+//   - the sorted key file of the point/range-selection and list-membership
+//     schemes under insertions and deletions (a merge or a filter streamed
+//     into an exactly-sized new file in O(|Π| + |∆D| log |∆D|), versus
+//     O(|D| log |D|) re-sorting);
 //   - the reachability closure under edge insertions and deletions (the
 //     graph appendix re-encoded when no fact changes, a rebuild over the
 //     condensation when one can have);
@@ -74,74 +75,6 @@ func MaintainableSchemes() []string {
 	return slices.Sorted(maps.Keys(incremental))
 }
 
-// mergeSortedKeyFiles merges a sorted fixed-width key file with a sorted
-// batch of new keys, dropping duplicates — the shared maintenance step of
-// every sorted-key-file scheme.
-func mergeSortedKeyFiles(pd, sorted []byte) []byte {
-	out := make([]byte, 0, len(pd)+len(sorted))
-	i, j := 0, 0
-	for i < len(pd) && j < len(sorted) {
-		a := binary.BigEndian.Uint64(pd[i:])
-		b := binary.BigEndian.Uint64(sorted[j:])
-		switch {
-		case a < b:
-			out = append(out, pd[i:i+8]...)
-			i += 8
-		case b < a:
-			out = append(out, sorted[j:j+8]...)
-			j += 8
-		default:
-			out = append(out, pd[i:i+8]...)
-			i += 8
-			j += 8
-		}
-	}
-	out = append(out, pd[i:]...)
-	out = append(out, sorted[j:]...)
-	return out
-}
-
-// deleteSortedKeys drops every fixed-width record whose key appears in the
-// tombstone batch — all duplicate records of a key fall together, matching
-// a fresh rebuild of the retracted data. Keys absent from the file are
-// ignored (idempotent tombstones).
-func deleteSortedKeys(pd []byte, keys []int64) []byte {
-	tombs := putSortedKeys(dedupSorted(keys))
-	out := make([]byte, 0, len(pd))
-	j := 0
-	for i := 0; i < len(pd); i += 8 {
-		a := binary.BigEndian.Uint64(pd[i:])
-		for j < len(tombs) && binary.BigEndian.Uint64(tombs[j:]) < a {
-			j += 8
-		}
-		if j < len(tombs) && binary.BigEndian.Uint64(tombs[j:]) == a {
-			continue
-		}
-		out = append(out, pd[i:i+8]...)
-	}
-	return out
-}
-
-// applyKeysDelta is the shared ApplyDelta of the sorted-key-file schemes:
-// inserts merge (the merge skips present keys), deletes tombstone.
-func applyKeysDelta(pd, delta []byte) ([]byte, error) {
-	if len(pd)%8 != 0 {
-		return nil, fmt.Errorf("schemes: corrupt sorted-key file (%d bytes)", len(pd))
-	}
-	kind, payload, err := core.DeltaParts(delta)
-	if err != nil {
-		return nil, err
-	}
-	keys, err := DecodeList(payload)
-	if err != nil {
-		return nil, err
-	}
-	if kind == core.DeltaDelete {
-		return deleteSortedKeys(pd, keys), nil
-	}
-	return mergeSortedKeyFiles(pd, putSortedKeys(dedupSorted(keys))), nil
-}
-
 // applyRelationKeys is the ⊕ of the relation-backed selection schemes:
 // insert appends one tuple per absent key, delete removes every tuple
 // carrying a batch key.
@@ -193,13 +126,13 @@ func applyRelationKeys(d, delta []byte) ([]byte, error) {
 }
 
 // IncrementalPointSelection returns the point-selection scheme extended
-// with merge-based maintenance of its sorted key file.
+// with streamed maintenance of its sorted key file (applyKeysDelta).
 func IncrementalPointSelection() *core.IncrementalScheme {
 	return &core.IncrementalScheme{
 		Scheme:      PointSelectionScheme(),
 		ApplyDelta:  applyKeysDelta,
 		ApplyUpdate: applyRelationKeys,
-		DeltaNote:   "O(|D|/8 + |∆D| log |∆D|) merge/tombstone vs O(|D| log |D|) re-sort",
+		DeltaNote:   keysDeltaNote,
 	}
 }
 
@@ -211,13 +144,13 @@ func IncrementalRangeSelection() *core.IncrementalScheme {
 		Scheme:      RangeSelectionScheme(),
 		ApplyDelta:  applyKeysDelta,
 		ApplyUpdate: applyRelationKeys,
-		DeltaNote:   "O(|D|/8 + |∆D| log |∆D|) merge/tombstone vs O(|D| log |D|) re-sort",
+		DeltaNote:   keysDeltaNote,
 	}
 }
 
 // IncrementalListMembership maintains the §4(2) sorted list with the same
-// merge and tombstones. Insert adds only absent elements on both sides of
-// the equation — the merge skips present keys and the ⊕ appends only absent
+// merge and filter. Insert adds only absent elements on both sides of the
+// equation — the merge skips present keys and the ⊕ appends only absent
 // ones — so maintained Π is byte-equal to a fresh Preprocess of the updated
 // list.
 func IncrementalListMembership() *core.IncrementalScheme {
@@ -262,9 +195,12 @@ func IncrementalListMembership() *core.IncrementalScheme {
 			}
 			return EncodeList(list), nil
 		},
-		DeltaNote: "O(|M|/8 + |∆M| log |∆M|) merge vs O(|M| log |M|) re-sort",
+		DeltaNote: keysDeltaNote,
 	}
 }
+
+// keysDeltaNote is the cost of maintaining a sorted key file.
+const keysDeltaNote = "O(|Π| + |∆D| log |∆D|) streamed merge/filter vs O(|D| log |D|) re-sort"
 
 // dedupSorted returns the distinct keys of a delta in ascending order,
 // leaving the caller's slice alone.

@@ -1,0 +1,303 @@
+package schemes
+
+// The sorted key file against a sorted slice: every probe equals sort.Search
+// over the distinct keys, and every maintained file equals the file
+// Preprocess lays out for the edited set, byte for byte, on whichever path
+// (splice or merge) the edit takes. Arbitrary bytes as Π never panic a reader.
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+
+	"pitract/internal/core"
+)
+
+// fuzzKeys reads keys from b as a varint stream of steps, each key the
+// previous one plus the step (wrapping), so small steps make dense runs and
+// large ones span the whole range. fuzzKeyBytes writes a key list so.
+func fuzzKeys(b []byte) []int64 {
+	var keys []int64
+	k := int64(0)
+	for len(keys) < 1<<8 {
+		step, n := binary.Varint(b)
+		if n <= 0 {
+			break
+		}
+		b, k = b[n:], k+step
+		keys = append(keys, k)
+	}
+	return keys
+}
+
+func fuzzKeyBytes(keys []int64) []byte {
+	var b []byte
+	prev := int64(0)
+	for _, k := range keys {
+		b = binary.AppendVarint(b, k-prev)
+		prev = k
+	}
+	return b
+}
+
+func mustKeyFile(t testing.TB, keys []int64) []byte {
+	t.Helper()
+	pd, err := ListMembershipScheme().Preprocess(EncodeList(keys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pd
+}
+
+// checkProbes holds every point and range probe of pd, raw and prepared, to
+// sort.Search over keys (ascending, distinct): each key, its neighbours, the
+// ends of int64, and ranges that are empty (lo > hi), start below the
+// minimum or end above the maximum.
+func checkProbes(t *testing.T, pd []byte, keys []int64) {
+	t.Helper()
+	point, rng := PointSelectionScheme(), RangeSelectionScheme()
+	prepPoint, err := point.Prepare(pd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepRange, err := rng.Prepare(pd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ask := func(s *core.Scheme, prep core.Answerer, q []byte, want bool, what string) {
+		t.Helper()
+		raw, err := s.Answer(pd, q)
+		if err != nil || raw != want {
+			t.Fatalf("%s over %d keys: raw (%v, %v), want %v", what, len(keys), raw, err, want)
+		}
+		if got, err := prep.Answer(q); err != nil || got != want {
+			t.Fatalf("%s over %d keys: prepared (%v, %v), want %v", what, len(keys), got, err, want)
+		}
+	}
+	nextGEQ := func(x int64) (int64, bool) {
+		i := sort.Search(len(keys), func(i int) bool { return keys[i] >= x })
+		if i == len(keys) {
+			return 0, false
+		}
+		return keys[i], true
+	}
+	cands := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
+	for _, k := range keys[:min(len(keys), 64)] {
+		cands = append(cands, k-1, k, k+1)
+	}
+	for i, c := range cands {
+		v, ok := nextGEQ(c)
+		ask(point, prepPoint, PointQuery(c), ok && v == c, "point")
+		d := cands[(i+1)%len(cands)]
+		for _, r := range [][2]int64{{c, c}, {c, d}, {d, c}, {math.MinInt64, c}, {c, math.MaxInt64}} {
+			v, ok := nextGEQ(r[0])
+			ask(rng, prepRange, RangeQuery(r[0], r[1]), r[0] <= r[1] && ok && v <= r[1], "range")
+		}
+	}
+}
+
+// checkEdit holds one insert and one delete of edit against Preprocess of the
+// edited key set, byte for byte, and reports whether each kept L.
+func checkEdit(t *testing.T, pd []byte, keys, edit []int64) (keptL [2]bool) {
+	t.Helper()
+	f, err := parseKeyFile(pd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inserted := dedupSorted(append(slices.Clone(keys), edit...))
+	deleted := without(keys, edit)
+	for i, c := range []struct {
+		delta []byte
+		want  []int64
+	}{{KeysDelta(edit), inserted}, {KeysDeleteDelta(edit), deleted}} {
+		got, err := applyKeysDelta(pd, c.delta)
+		if err != nil {
+			t.Fatalf("%d keys, edit %v: %v", len(keys), edit, err)
+		}
+		if want := mustKeyFile(t, c.want); !bytes.Equal(got, want) {
+			t.Fatalf("%d keys, edit %v (delete %v): maintained Π (%d bytes) differs from Preprocess of the edited set (%d bytes)", len(keys), edit, i == 1, len(got), len(want))
+		}
+		g, err := parseKeyFile(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keptL[i] = f.n > 0 && g.n > 0 && g.l == f.l
+	}
+	return keptL
+}
+
+// without returns keys less every key of edit.
+func without(keys, edit []int64) []int64 {
+	drop := dedupSorted(edit)
+	return slices.DeleteFunc(slices.Clone(keys), func(k int64) bool {
+		_, found := slices.BinarySearch(drop, k)
+		return found
+	})
+}
+
+// keyShapes are the key sets the seeds and the tests share: the empty set,
+// one key, both ends of int64, a dense run (L = 0), every key in one bucket
+// but the last, and random sets over small and large spans.
+func keyShapes() map[string][]int64 {
+	rng := rand.New(rand.NewSource(26))
+	random := func(n int, span int64) []int64 {
+		keys := make([]int64, n)
+		for i := range keys {
+			keys[i] = rng.Int63n(span) - span/2
+		}
+		return dedupSorted(keys)
+	}
+	dense := make([]int64, 400)
+	for i := range dense {
+		dense[i] = int64(i)
+	}
+	oneBucket := append(slices.Clone(dense[:40]), 1<<50)
+	return map[string][]int64{
+		"empty":       nil,
+		"single":      {42},
+		"int64-ends":  {math.MinInt64, math.MaxInt64},
+		"dense":       dense,
+		"one-bucket":  oneBucket,
+		"random-4x":   random(500, 2000),
+		"random-wide": random(500, math.MaxInt64),
+	}
+}
+
+// FuzzSortedKeys: any key set, any edit — every probe equals sort.Search, and
+// insert and delete ApplyDelta give the bytes Preprocess gives the edited set.
+func FuzzSortedKeys(f *testing.F) {
+	for _, keys := range keyShapes() {
+		keys = keys[:min(len(keys), 48)] // small seeds keep minimising quick
+		f.Add(fuzzKeyBytes(keys), fuzzKeyBytes(nil))
+		f.Add(fuzzKeyBytes(keys), fuzzKeyBytes([]int64{math.MinInt64, -1, 0, 5, 1 << 40, math.MaxInt64}))
+		if len(keys) > 2 {
+			f.Add(fuzzKeyBytes(keys), fuzzKeyBytes([]int64{keys[0], keys[len(keys)/2], keys[len(keys)-1]}))
+			f.Add(fuzzKeyBytes(keys), fuzzKeyBytes([]int64{keys[len(keys)/3] + 1, keys[len(keys)/2]}))
+		}
+	}
+	f.Fuzz(func(t *testing.T, set, edit []byte) {
+		keys := dedupSorted(fuzzKeys(set))
+		pd := mustKeyFile(t, keys)
+		checkProbes(t, pd, keys)
+		checkEdit(t, pd, keys, fuzzKeys(edit))
+	})
+}
+
+// TestKeysDeltaTakesBothPaths walks random insert and delete batches over
+// every shape and checks each maintained file byte for byte (checkEdit),
+// requiring that the walk splices (L kept) and merges (L changed) both.
+func TestKeysDeltaTakesBothPaths(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var splices, merges int
+	for name, keys := range keyShapes() {
+		pd := mustKeyFile(t, keys)
+		for step := 0; step < 12; step++ {
+			var edit []int64
+			for range 1 + rng.Intn(40) {
+				if len(keys) > 0 && rng.Intn(2) == 0 {
+					edit = append(edit, keys[rng.Intn(len(keys))]) // present
+				} else if len(keys) > 0 {
+					edit = append(edit, keys[rng.Intn(len(keys))]+int64(rng.Intn(7))-3) // near
+				} else {
+					edit = append(edit, rng.Int63()-rng.Int63())
+				}
+			}
+			for _, kept := range checkEdit(t, pd, keys, edit) {
+				if kept {
+					splices++
+				} else {
+					merges++
+				}
+			}
+			// Walk on from the insert or the delete, alternately.
+			if step%2 == 0 {
+				keys = dedupSorted(append(keys, edit...))
+			} else {
+				keys = without(keys, edit)
+			}
+			pd = mustKeyFile(t, keys)
+			checkProbes(t, pd, keys)
+		}
+		t.Logf("%s: walked to %d keys", name, len(keys))
+	}
+	if splices == 0 || merges == 0 {
+		t.Fatalf("%d splices and %d merges; the walk must take both paths", splices, merges)
+	}
+	t.Logf("%d splices, %d merges", splices, merges)
+}
+
+// TestKeyFileSize pins the point of the layout on the benchmark's key
+// workload: 2²⁰ keys drawn below 2²², ≈ 928 000 distinct, take L = 2 and well
+// under a byte each, where fixed-width records took eight.
+func TestKeyFileSize(t *testing.T) {
+	rng := rand.New(rand.NewSource(2501))
+	keys := make([]int64, 1<<20)
+	for i := range keys {
+		keys[i] = rng.Int63n(1 << 22)
+	}
+	keys = dedupSorted(keys)
+	pd, err := keyFileBytes(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := parseKeyFile(pd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.l != 2 || len(pd) > 5*len(keys)/8+32<<10 {
+		t.Fatalf("%d keys: L = %d, Π is %d bytes (%.2f bits a key), want L = 2 and ≤ 5 bits a key plus the samples", len(keys), f.l, len(pd), 8*float64(len(pd))/float64(len(keys)))
+	}
+	t.Logf("%d keys: Π is %d bytes, %.2f bits a key", len(keys), len(pd), 8*float64(len(pd))/float64(len(keys)))
+}
+
+// FuzzSortedKeysDecode: arbitrary bytes as Π never panic the raw point and
+// range probes, Prepare or ApplyDelta, and on any Π Prepare accepts, raw and
+// prepared agree on every verdict and every error string.
+func FuzzSortedKeysDecode(f *testing.F) {
+	for _, keys := range keyShapes() {
+		keys = keys[:min(len(keys), 48)]
+		pd := mustKeyFile(f, keys)
+		f.Add(pd)
+		f.Add(pd[:len(pd)/2])
+		f.Add(pd[:min(len(pd), keyHeaderLen)])
+		old := make([]byte, 0, 8*len(keys)) // the fixed-width layout
+		for _, k := range keys {
+			old = binary.BigEndian.AppendUint64(old, biasKey(k))
+		}
+		f.Add(old)
+	}
+	f.Fuzz(func(t *testing.T, pd []byte) {
+		_, _ = applyKeysDelta(pd, KeysDelta([]int64{-3, 0, 7, 1 << 40}))
+		_, _ = applyKeysDelta(pd, KeysDeleteDelta([]int64{-3, 0, 7, 1 << 40}))
+		qs := []int64{math.MinInt64, -1, 0, 1, 7, math.MaxInt64}
+		if f, err := parseKeyFile(pd); err == nil {
+			_, _ = applyKeysDelta(pd, KeysDeleteDelta([]int64{int64(f.min ^ 1<<63), int64(f.max ^ 1<<63)}))
+			for _, x := range []uint64{f.min, f.max, f.origin} {
+				qs = append(qs, int64(x^1<<63)-1, int64(x^1<<63), int64(x^1<<63)+1)
+			}
+		}
+		for _, c := range []struct {
+			scheme *core.Scheme
+			query  func(i int) []byte
+		}{
+			{PointSelectionScheme(), func(i int) []byte { return PointQuery(qs[i]) }},
+			{RangeSelectionScheme(), func(i int) []byte { return RangeQuery(qs[i], qs[(i+1)%len(qs)]) }},
+		} {
+			prep, prepErr := c.scheme.Prepare(pd)
+			for i := range qs {
+				raw, rawErr := c.scheme.Answer(pd, c.query(i))
+				if prepErr != nil {
+					continue
+				}
+				got, err := prep.Answer(c.query(i))
+				if raw != got || (rawErr == nil) != (err == nil) || rawErr != nil && rawErr.Error() != err.Error() {
+					t.Fatalf("%s: accepted Π, query %d: raw (%v, %v), prepared (%v, %v)", c.scheme.Name(), i, raw, rawErr, got, err)
+				}
+			}
+		}
+	})
+}

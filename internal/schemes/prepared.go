@@ -1,13 +1,14 @@
 package schemes
 
 // Typed prepared answerers ((*core.Scheme).Prepare). A scheme declares one
-// only where Prepare saves per-query work: the closure, labels and CVP forms
-// validate their payload once, so a probe indexes without re-checking; the
-// search-per-query baselines (BFS, point scan) decode their graph or relation
-// once instead of per query. Where Π is laid out for probing — the sorted
-// key files, the BDS pos file: fixed-width records, nothing to frame or
-// validate — the raw Answer is the prepared form (core's adapter over it),
-// and Π is held once.
+// only where Prepare saves per-query work: the closure, labels, CVP and
+// sorted-key forms validate their payload once, so a probe indexes without
+// re-checking (the key files' form is in keys.go: their header and samples
+// checked, over Π's own bytes); the search-per-query baselines (BFS, point
+// scan) decode their graph or relation once instead of per query. Where Π is
+// fixed-width records with nothing to frame or validate — the BDS pos file —
+// the raw Answer is the prepared form (core's adapter over it). Either way Π
+// is held once.
 //
 // Every answerer here is pinned differentially against the raw Answer
 // oracle (TestPreparedVsRawDifferential): identical verdicts and identical

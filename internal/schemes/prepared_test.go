@@ -75,14 +75,15 @@ func preparedCases(t *testing.T) map[string]preparedCase {
 }
 
 // typedForm is which schemes declare a PrepareAnswerer: the ones whose
-// Prepare saves a validation or a decode per query. The sorted key files and
-// the BDS pos file are laid out for probing, so their raw Answer is the
-// prepared form. A scheme gaining or losing a typed form is an edit here.
+// Prepare saves a validation or a decode per query. The sorted key files check
+// their header once there (and copy nothing); the BDS pos file is fixed-width
+// records, so its raw Answer is the prepared form. A scheme gaining or losing
+// a typed form is an edit here.
 var typedForm = map[string]bool{
-	"point-selection/sorted-keys": false,
+	"point-selection/sorted-keys": true,
 	"point-selection/scan":        true,
-	"range-selection/sorted-keys": false,
-	"list-membership/sorted":      false,
+	"range-selection/sorted-keys": true,
+	"list-membership/sorted":      true,
 	"reachability/closure-matrix": true,
 	"reachability/labels":         true,
 	"reachability/bfs-per-query":  true,

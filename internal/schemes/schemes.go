@@ -6,17 +6,16 @@
 // provided alongside, so experiments can measure the gap the paper is
 // about.
 //
-// Preprocessed byte formats are fixed-width so that answering really is
-// sublinear over the string (no per-query decode): sorted key files are
-// n×8-byte big-endian arrays, position files n×4-byte arrays, a closure is a
-// class id per vertex and a bit matrix over the classes behind an 8-byte
-// header.
+// Preprocessed byte formats are laid out for probing so that answering really
+// is sublinear over the string (no per-query decode): a sorted key file is
+// one Elias–Fano sequence probed in its own bytes (keys.go), a position file
+// n×4-byte records, a closure a class id per vertex and a bit matrix over the
+// classes behind an 8-byte header.
 package schemes
 
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"pitract/internal/bds"
 	"pitract/internal/circuit"
@@ -25,53 +24,6 @@ import (
 	"pitract/internal/listsearch"
 	"pitract/internal/relation"
 )
-
-// --- shared fixed-width codecs ----------------------------------------------
-
-func putSortedKeys(keys []int64) []byte {
-	b := make([]byte, 8*len(keys))
-	for i, k := range keys {
-		binary.BigEndian.PutUint64(b[i*8:], uint64(k)+(1<<63)) // order-preserving bias
-	}
-	return b
-}
-
-func sortedKeyAt(b []byte, i int) int64 {
-	return int64(binary.BigEndian.Uint64(b[i*8:]) - (1 << 63))
-}
-
-// searchSortedKeys locates the first index with key ≥ target, reading
-// O(log n) fixed-width records of the preprocessed string.
-func searchSortedKeys(b []byte, target int64) int {
-	return sort.Search(len(b)/8, func(i int) bool { return sortedKeyAt(b, i) >= target })
-}
-
-// answerPointSortedKeys is the point probe over a sorted key file: "is the
-// key of PointQuery q a record of pd". The file is laid out for the probe —
-// nothing to decode or validate first — so it is the raw Answer and the
-// prepared form alike of every scheme whose Π is such a file.
-func answerPointSortedKeys(pd, q []byte) (bool, error) {
-	c, err := DecodePointQuery(q)
-	if err != nil {
-		return false, err
-	}
-	idx := searchSortedKeys(pd, c)
-	return idx < len(pd)/8 && sortedKeyAt(pd, idx) == c, nil
-}
-
-// answerRangeSortedKeys is the range probe over a sorted key file: find the
-// first key ≥ lo, check it against hi.
-func answerRangeSortedKeys(pd, q []byte) (bool, error) {
-	lo, hi, err := DecodeRangeQuery(q)
-	if err != nil {
-		return false, err
-	}
-	if hi < lo {
-		return false, nil
-	}
-	idx := searchSortedKeys(pd, lo)
-	return idx < len(pd)/8 && sortedKeyAt(pd, idx) <= hi, nil
-}
 
 // --- Example 1 / §4(1): point and range selection -----------------------------
 
@@ -124,8 +76,9 @@ func SelectionLanguage() core.Language {
 }
 
 // PointSelectionScheme preprocesses the relation into a sorted key file and
-// answers point selections by binary search — Example 1's B⁺-tree access
-// path in string form: O(|D| log |D|) preprocessing, O(log |D|) answering.
+// answers point selections by one probe of it — Example 1's B⁺-tree access
+// path in string form: O(|D| log |D|) preprocessing, then a sample, a few
+// words of high bits and a search of one bucket per answer.
 func PointSelectionScheme() *core.Scheme {
 	return &core.Scheme{
 		SchemeName: "point-selection/sorted-keys",
@@ -138,13 +91,17 @@ func PointSelectionScheme() *core.Scheme {
 			if err != nil {
 				return nil, err
 			}
-			return putSortedKeys(keys), nil
+			return keyFileBytes(keys)
 		},
-		Answer:         answerPointSortedKeys,
-		PreprocessNote: "O(|D| log |D|)",
-		AnswerNote:     "O(log |D|)",
+		Answer:          keyProbe(answerPoint).raw,
+		PrepareAnswerer: keyProbe(answerPoint).prepare,
+		PreprocessNote:  "O(|D| log |D|)",
+		AnswerNote:      keysAnswerNote,
 	}
 }
+
+// keysAnswerNote is the probe's cost over a sorted key file.
+const keysAnswerNote = "one sample, ≤ 256 buckets of high bits, a search of one bucket"
 
 // PointSelectionScanScheme is the no-preprocessing baseline: Π is the
 // identity and every query scans D.
@@ -157,7 +114,7 @@ func PointSelectionScanScheme() *core.Scheme {
 		},
 		PrepareAnswerer: preparePointScan,
 		// Degraded mode trades the per-query O(|D|) scan for one O(|D| log
-		// |D|) sort at fallback build, then O(log |D|) probes — the same
+		// |D|) sort at fallback build, then key-file probes — the same
 		// verdicts (and the same malformed-query errors, both paths decode
 		// the point query first), delivered cheaper per probe when the
 		// serving budget is nearly spent.
@@ -170,7 +127,7 @@ func PointSelectionScanScheme() *core.Scheme {
 
 // prepareScanFallback builds the scan baseline's degraded-mode answerer: its
 // Π is the relation itself, so the fallback is the sorted-keys scheme over
-// it — the key column sorted once, probed by binary search.
+// it — the key column sorted once into a key file, then probed.
 func prepareScanFallback(pd []byte) (core.Answerer, error) {
 	sorted := PointSelectionScheme()
 	keys, err := sorted.Preprocess(pd)
@@ -202,11 +159,12 @@ func RangeSelectionLanguage() core.Language {
 // key file.
 func RangeSelectionScheme() *core.Scheme {
 	return &core.Scheme{
-		SchemeName:     "range-selection/sorted-keys",
-		Preprocess:     PointSelectionScheme().Preprocess,
-		Answer:         answerRangeSortedKeys,
-		PreprocessNote: "O(|D| log |D|)",
-		AnswerNote:     "O(log |D|)",
+		SchemeName:      "range-selection/sorted-keys",
+		Preprocess:      PointSelectionScheme().Preprocess,
+		Answer:          keyProbe(answerRange).raw,
+		PrepareAnswerer: keyProbe(answerRange).prepare,
+		PreprocessNote:  "O(|D| log |D|)",
+		AnswerNote:      keysAnswerNote,
 	}
 }
 
@@ -267,8 +225,8 @@ func ListMembershipLanguage() core.Language {
 	}
 }
 
-// ListMembershipScheme sorts M once, then answers by binary search —
-// §4(2) verbatim.
+// ListMembershipScheme sorts M once, then answers by searching the sorted
+// keys — §4(2), over the point scheme's key file: membership is a point probe.
 func ListMembershipScheme() *core.Scheme {
 	return &core.Scheme{
 		SchemeName: "list-membership/sorted",
@@ -277,12 +235,12 @@ func ListMembershipScheme() *core.Scheme {
 			if err != nil {
 				return nil, err
 			}
-			idx := listsearch.NewIndex(list)
-			return putSortedKeys(idx.Sorted()), nil
+			return keyFileBytes(dedupSorted(list))
 		},
-		Answer:         answerPointSortedKeys,
-		PreprocessNote: "O(|M| log |M|)",
-		AnswerNote:     "O(log |M|)",
+		Answer:          keyProbe(answerPoint).raw,
+		PrepareAnswerer: keyProbe(answerPoint).prepare,
+		PreprocessNote:  "O(|M| log |M|)",
+		AnswerNote:      keysAnswerNote,
 	}
 }
 

@@ -593,9 +593,17 @@ func TestStatsSnapshotBytesTracksPatch(t *testing.T) {
 	if last != exact() || scrape() != last {
 		t.Fatalf("snapshot_bytes = %d then %d, the encoded snapshots total %d", last, scrape(), exact())
 	}
+	// 160 fresh keys: enough to grow every shard's key file by whole words
+	// (a key costs a few bits there, so a handful might not move its size).
+	var added []int64
+	for k := int64(1); k < 200; k++ {
+		if k%5 != 0 {
+			added = append(added, k)
+		}
+	}
 	for _, id := range []string{"plain", "sharded"} {
 		if code := patchJSON(t, client, ts.URL+"/v1/datasets/"+id,
-			[][]byte{schemes.KeysDelta([]int64{1, 2, 3, 4, 6, 7, 8, 9})}, nil); code != http.StatusOK {
+			[][]byte{schemes.KeysDelta(added)}, nil); code != http.StatusOK {
 			t.Fatalf("patch %s: status %d", id, code)
 		}
 		got := scrape()

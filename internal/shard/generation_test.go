@@ -23,6 +23,17 @@ package shard
 // TestOverlaySummaryBytesUnchanged); these digests hold that they stay so.
 // The keys case's members and both plain cases (keys, labels) kept their
 // digests.
+//
+// Every snapshot digest — each file and member of both sharded cases, the
+// plain snapshots as registered and as checkpointed — was recomputed once
+// more at the commit that made the sorted key file an Elias–Fano sequence:
+// the keys cases' Π changed layout (a tagged header, samples, high and low
+// bits where 8-byte records were), and with it the snapshot format, whose
+// prep section lost its codec byte (magic \x04; a \x03 snapshot, plain or a
+// manifest's member, is quarantined and the dataset rebuilt,
+// TestOlderSortedKeyLayoutOnDiskIsRebuilt). The graph cases' Π bytes did not
+// move — only the snapshot framing around them. The six delta-log digests kept
+// theirs.
 
 import (
 	"context"
@@ -31,6 +42,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"sort"
 	"strings"
@@ -133,16 +145,16 @@ func TestShardGenerationBytesUnchanged(t *testing.T) {
 			// One key (one shard), then a run of keys spread over all three.
 			batch: [][]byte{schemes.KeysDelta([]int64{1001}), schemes.KeysDelta([]int64{-99, 3, 4, 5, 6, 2000})},
 			registered: map[string]string{
-				"d.pitract-shards":   "5b6a72c1c19aacca9b532ba6d51a7184707e1ef3e48977b867ee91748ec54d5a",
-				"d.pitract-shards#0": "0d01b010e7a23a93bc86eddc6a6e35fae9c3741e702e4ac75faf37dffccf2fee",
-				"d.pitract-shards#1": "3f54735ac8a618291fd9731e77ca88bc62de2a77e4de604ead371f3680e8f8bf",
-				"d.pitract-shards#2": "d8866227a92ebd2e30788d60ea02560f30dc1fc50afb28abf272b8fd726f92aa",
+				"d.pitract-shards":   "46f43fed4867300c57bed468df1be284ce714337da69b21d37b692ca49b038f0",
+				"d.pitract-shards#0": "2004b68766dcab9e743cdcfee147678738f7912f8d7d362fc186b17482afab25",
+				"d.pitract-shards#1": "4c298b6dea7de257e3ad792943fb3303369f4460e7c50cb7a01521c53d2a403b",
+				"d.pitract-shards#2": "c43f93f939e0c6db1d1e4bd4ea3eb83cc234e8575d929a8cbfcb72cb19941fe6",
 			},
 			patched: map[string]string{
-				"d.pitract-shards":   "5127f43d2a8d5a4b6991165dc1676c13920a580889db8064fdd1e2746604e27b",
-				"d.pitract-shards#0": "4f62b8326ad6d88aa0c4fad5b1e6914c6836a9d207bf0bf1869d9fe39b3e2e1d",
-				"d.pitract-shards#1": "5d6d44faf65426f88ac3cbf00adbd235d8ed85ed4e7c29c084ae6601f8f67db7",
-				"d.pitract-shards#2": "dfa953837acce990e21da3e097a0696e775efd21deaeee76601382f7b4276704",
+				"d.pitract-shards":   "6ceb1a52b4636e5c5a6419c6600a0f6f90b71d26a903fb0d35380b602d7033bc",
+				"d.pitract-shards#0": "56df117ebf5801e155d3caa0e4bfce9bb344391405bc327a1e61872525a5e80b",
+				"d.pitract-shards#1": "90b46119ed7f3961fe7b24670279f67c32fbaef07c7a35831bf4722ef97f6262",
+				"d.pitract-shards#2": "f16f61bb1b9212c664ca5a54a2e78cc88979b33f790082fa5ecdb17003b5683a",
 			},
 		},
 		{
@@ -152,16 +164,16 @@ func TestShardGenerationBytesUnchanged(t *testing.T) {
 			data:   g.Encode(),
 			batch:  [][]byte{schemes.EdgeDelta(1, 4), schemes.EdgeDelta(11, 12)},
 			registered: map[string]string{
-				"d.pitract-shards":   "8f8aafc1f6e285da1cbcec743f7120cb3eda9b671bb25328a7d79c03e90669c1",
-				"d.pitract-shards#0": "534b7dfb8d81b1fe34afe7c9c23f7e34125e6bbf9434e865a764978055ec63e4",
-				"d.pitract-shards#1": "0527cbadbc170ea4071ee88d132b3991dd30f71cfdd391067f6a3790e1816253",
-				"d.pitract-shards#2": "78c77d76eb4a16e66cf6d76c5bbee4f8579ee81cf827add86d101de02bd2a310",
+				"d.pitract-shards":   "35acf0183cd22832a024c292ddc50fbf02f4119ca8551e5f920043c58b980032",
+				"d.pitract-shards#0": "567dca142cce769765dd175511b78cefab6d17d54027bcd37224465102eb2e97",
+				"d.pitract-shards#1": "33dee08f8fa52eda7cde646e2f5fea5f3ffe2b0212f7dea7828f03335308e4ab",
+				"d.pitract-shards#2": "48d775a8c05016bf5cf58bb3a6801520d8579ce193518052021361febb290dc9",
 			},
 			patched: map[string]string{
-				"d.pitract-shards":   "59d859d6c2ff34ed8e654c670f9ca28be307f91281e55deb674784be008ff37a",
-				"d.pitract-shards#0": "107bb5eee38a8af1154d1d8d26e9f59f52c70c996b1614c429ebb42454979f51",
-				"d.pitract-shards#1": "40dd99ca16929354daefbe444594431baa8a39b8b362f4b859ef26a33778cfef",
-				"d.pitract-shards#2": "3a518f5208a4f80aa362ed3f6a130cd2324059f7c70e884dc6f4c5d2a580ddaa",
+				"d.pitract-shards":   "277cea6c73a23ff0d351e1dc1da95ba72cee312a9953be25fea48b4eae493917",
+				"d.pitract-shards#0": "9bb5d745e6336a97a91511211a3bd632653bb8a6b1c072860f82c9036bbc726d",
+				"d.pitract-shards#1": "7efee9ce648925c59610cc6060d45790ab54abb1ab3040936e22281a19edd424",
+				"d.pitract-shards#2": "3f851f04d3ed7adcd2c20db8cbc5e24d0f4dc390204633a1d206c0a648c73e56",
 			},
 		},
 	}
@@ -239,8 +251,8 @@ func TestPlainStoreBytesUnchanged(t *testing.T) {
 				{schemes.KeysDelta([]int64{-7, 5})},
 				{schemes.KeysDeleteDelta([]int64{2000})},
 			},
-			registered:   "a0d8206a992b2e5095a408e3252a1382fa7eb702d347acb3d396092df26c5f15",
-			checkpointed: "30017418a29520aa584504b842bd7846ee43857d6b6dadcc4d3a6ed34d035420",
+			registered:   "128432e87b837c69064cf79e4220ea2ed52ad40ac0cccafd00eef99bd7a78bdf",
+			checkpointed: "2e0152ce3a004b028b5760ac1dddb46cfe2d9f7a4ea2ad520248498423ca9196",
 			logs: [3]string{
 				"05d6a79c45b9089326c8974bf14b102fd26bebd9f5be1e094d1b486252036759",
 				"a5bb5b11e943183ef90fe1fb64fc74735f8a624935792174622703443eba605c",
@@ -257,8 +269,8 @@ func TestPlainStoreBytesUnchanged(t *testing.T) {
 				{schemes.EdgeDelta(7, 8)},
 				{schemes.EdgeDelta(8, 0)},
 			},
-			registered:   "cc9386a47cadc0a5083a59ea9ef18b6855b5961ac48c07676008ae2c9ec6dee2",
-			checkpointed: "539544fddeecab592c2aac094ded2a86942558b265c2d9eff6af6d750a877a84",
+			registered:   "670e08095d308a35699e427e575131c5d43238fa25ba30c45b47435129b27895",
+			checkpointed: "03e2fa77254b4f6742266b4113f17f4093a4c83a4acd628d0dde3f6cfd3776e6",
 			logs: [3]string{
 				"3d34b458ede341e9baab0bf2c6f2de74c15da3ef0a206ac297ffe7aa96f1d3e6",
 				"9d8aac086136f4c2f51fab88ebc4d07bac61d6a302cd9c5adca8ec23ace024fe",
@@ -423,5 +435,150 @@ func TestOlderClosureLayoutOnDiskIsRebuilt(t *testing.T) {
 			t.Fatalf("restart after the rebuild: loaded=%v quarantines=%d err=%v", ss2.WasLoaded(), reg2.QuarantineCount(), err)
 		}
 		verify(t, ss2)
+	})
+}
+
+// parentKeySnapshot encodes a snapshot of a sorted-key Π the way the commit
+// before the Elias–Fano key file wrote it: magic PITRACTS\x03, and the Π
+// section a codec byte (1, delta-varint) before uvarint count ‖ uvarint first
+// ‖ uvarint gaps of the n×8-byte records — biased keys, big-endian.
+func parentKeySnapshot(snap *store.Snapshot, keys []int64) []byte {
+	sec := binary.AppendUvarint([]byte{1}, uint64(len(keys)))
+	prev := uint64(0)
+	for i, k := range keys {
+		r := uint64(k) ^ 1<<63
+		if i > 0 {
+			r -= prev
+		}
+		sec = binary.AppendUvarint(sec, r)
+		prev = uint64(k) ^ 1<<63
+	}
+	meta := binary.AppendUvarint(append([]byte(nil), snap.DataSum[:]...), snap.Version)
+	payload := core.PadPair(core.PadPair([]byte(snap.SchemeName), []byte(snap.Notes)), core.PadPair(meta, sec))
+	out := binary.BigEndian.AppendUint32([]byte("PITRACTS\x03"), crc32.ChecksumIEEE(payload))
+	return append(out, payload...)
+}
+
+// TestOlderSortedKeyLayoutOnDiskIsRebuilt: a data dir written before the sorted
+// key file became an Elias–Fano sequence holds intact artifacts — CRC, data
+// digest, scheme name — in a format this version does not read. Plain: a
+// PITRACTS\x03 snapshot whose Π section is delta-varints of 8-byte records.
+// Sharded: a PITRACTM\x03 manifest (the current manifest format) whose three
+// members are such snapshots. Each is quarantined at the snapshot magic, Π
+// rebuilt from the posted data and answering the same, and the next restart is
+// a clean load. The 8-byte records themselves, handed to a reader, are a
+// core.LayoutError.
+func TestOlderSortedKeyLayoutOnDiskIsRebuilt(t *testing.T) {
+	keys := make([]int64, 200)
+	for i := range keys {
+		keys[i] = int64(5*i - 300)
+	}
+	verify := func(t *testing.T, ds store.Dataset) {
+		t.Helper()
+		for k := int64(-310); k < 710; k++ {
+			got, err := ds.Ask(context.Background(), schemes.PointQuery(k), store.Exact)
+			if want := k >= -300 && k < 700 && k%5 == 0; err != nil || got.Answer != want {
+				t.Fatalf("key %d = (%v, %v), want %v", k, got.Answer, err, want)
+			}
+		}
+	}
+
+	t.Run("records", func(t *testing.T) {
+		var old []byte
+		for _, k := range keys {
+			old = binary.BigEndian.AppendUint64(old, uint64(k)^1<<63)
+		}
+		var le *core.LayoutError
+		for _, s := range []*core.Scheme{schemes.PointSelectionScheme(), schemes.RangeSelectionScheme(), schemes.ListMembershipScheme()} {
+			if _, err := s.Answer(old, schemes.PointQuery(5)); !errors.As(err, &le) {
+				t.Errorf("%s Answer: %v, want a LayoutError", s.Name(), err)
+			}
+			if _, err := s.Prepare(old); !errors.As(err, &le) {
+				t.Errorf("%s Prepare: %v, want a LayoutError", s.Name(), err)
+			}
+			if _, err := schemes.IncrementalForScheme(s.Name()).ApplyDelta(old, schemes.KeysDelta([]int64{1})); !errors.As(err, &le) {
+				t.Errorf("%s ApplyDelta: %v, want a LayoutError", s.Name(), err)
+			}
+		}
+	})
+
+	t.Run("plain", func(t *testing.T) {
+		scheme, data := schemes.PointSelectionScheme(), schemes.RelationFromKeys(keys)
+		dir := t.TempDir()
+		snap := store.NewSnapshot(scheme, store.SumData(data), 3, nil)
+		if err := os.WriteFile(store.SnapshotPath(dir, "k"), parentKeySnapshot(snap, keys), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		reg := store.NewRegistry(dir)
+		st, err := reg.Register("k", scheme, data)
+		if err != nil {
+			t.Fatalf("register over an older-format snapshot: %v", err)
+		}
+		if st.WasLoaded() || st.Version() != 0 || reg.PreprocessCount() != 1 || reg.QuarantineCount() != 1 {
+			t.Fatalf("loaded=%v version=%d preprocess=%d quarantines=%d, want a rebuild and one quarantine", st.WasLoaded(), st.Version(), reg.PreprocessCount(), reg.QuarantineCount())
+		}
+		if _, err := os.Stat(store.QuarantinePath(store.SnapshotPath(dir, "k"))); err != nil {
+			t.Fatalf("the older snapshot was not kept aside: %v", err)
+		}
+		verify(t, st)
+		reg2 := store.NewRegistry(dir)
+		st2, err := reg2.Register("k", scheme, data)
+		if err != nil || !st2.WasLoaded() || reg2.PreprocessCount() != 0 || reg2.QuarantineCount() != 0 {
+			t.Fatalf("restart after the rebuild: loaded=%v preprocess=%d quarantines=%d err=%v", st2.WasLoaded(), reg2.PreprocessCount(), reg2.QuarantineCount(), err)
+		}
+		verify(t, st2)
+	})
+
+	t.Run("sharded", func(t *testing.T) {
+		scheme, data := schemes.ListMembershipScheme(), schemes.EncodeList(keys)
+		dir := t.TempDir()
+		ss, err := RegisterSharded(store.NewRegistry(dir), "s", scheme, HashPartitioner{}, 3, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mb, err := os.ReadFile(ManifestPath(dir, "s"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := DecodeManifest(mb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Each member rewritten as the parent wrote it: its own keys, in order.
+		for i, enc := range m.Shards {
+			snap, err := store.DecodeSnapshot(enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var own []int64
+			for _, k := range keys {
+				if ss.Asn.Shard(k) == i {
+					own = append(own, k)
+				}
+			}
+			m.Shards[i] = parentKeySnapshot(snap, own)
+		}
+		if err := os.WriteFile(ManifestPath(dir, "s"), EncodeManifest(m), 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		reg := store.NewRegistry(dir)
+		ss2, err := RegisterSharded(reg, "s", scheme, HashPartitioner{}, 3, data)
+		if err != nil {
+			t.Fatalf("register over an older-format manifest: %v", err)
+		}
+		if ss2.WasLoaded() || reg.PreprocessCount() != 3 || reg.QuarantineCount() != 1 {
+			t.Fatalf("loaded=%v preprocess=%d quarantines=%d, want a rebuild of 3 shards and one quarantine", ss2.WasLoaded(), reg.PreprocessCount(), reg.QuarantineCount())
+		}
+		if _, err := os.Stat(store.QuarantinePath(ManifestPath(dir, "s"))); err != nil {
+			t.Fatalf("the older manifest was not kept aside: %v", err)
+		}
+		verify(t, ss2)
+		reg2 := store.NewRegistry(dir)
+		ss3, err := RegisterSharded(reg2, "s", scheme, HashPartitioner{}, 3, data)
+		if err != nil || !ss3.WasLoaded() || reg2.PreprocessCount() != 0 || reg2.QuarantineCount() != 0 {
+			t.Fatalf("restart after the rebuild: loaded=%v preprocess=%d quarantines=%d err=%v", ss3.WasLoaded(), reg2.PreprocessCount(), reg2.QuarantineCount(), err)
+		}
+		verify(t, ss3)
 	})
 }

@@ -35,125 +35,12 @@ import (
 )
 
 // snapshotMagic opens every snapshot file. The trailing byte is the format
-// version; bump it when the payload layout changes. Version 3 carries the
-// maintenance version counter and wraps the preprocessed bytes in a
-// compressed, stream-decodable section (see encodePrepSection). Any other
-// version byte is an unknown format: the registry quarantines the file and
-// rebuilds.
-var snapshotMagic = []byte("PITRACTS\x03")
-
-// Prep-section codecs (the first byte of a v3 snapshot's prep section).
-const (
-	// prepCodecRaw stores Π verbatim.
-	prepCodecRaw = 0
-	// prepCodecDeltaVarint stores Π as delta-varints of its non-decreasing
-	// 8-byte big-endian records — the shape of every sorted-key artifact
-	// (point/range selection, list membership), whose biased big-endian
-	// keys are order-preserving, so a sorted file is exactly a
-	// non-decreasing record sequence.
-	prepCodecDeltaVarint = 1
-)
-
-// encodePrepSection renders Π as a self-describing compressed section:
-//
-//	codec byte ‖ body
-//
-// The encoder applies the delta-varint codec only when Π parses as a
-// non-empty sequence of non-decreasing 8-byte big-endian records AND the
-// encoding is strictly smaller; anything else ships raw. Both codecs
-// decode in one forward pass with O(1) extra state per record — a reader
-// can stream records out of the section without materializing Π first —
-// and the codec choice is a pure function of the content, so
-// encode(decode(section)) is deterministic.
-func encodePrepSection(prep []byte) []byte {
-	if dv := deltaEncodeRecords(prep); dv != nil {
-		return append([]byte{prepCodecDeltaVarint}, dv...)
-	}
-	return append([]byte{prepCodecRaw}, prep...)
-}
-
-// deltaEncodeRecords delta-varint encodes a non-decreasing sequence of
-// 8-byte big-endian records as
-//
-//	uvarint count ‖ uvarint first ‖ (count−1) × uvarint diff
-//
-// or returns nil when the input is not such a sequence or the encoding
-// would not shrink it.
-func deltaEncodeRecords(prep []byte) []byte {
-	if len(prep) == 0 || len(prep)%8 != 0 {
-		return nil
-	}
-	count := len(prep) / 8
-	out := binary.AppendUvarint(nil, uint64(count))
-	prev := uint64(0)
-	for i := 0; i < len(prep); i += 8 {
-		r := binary.BigEndian.Uint64(prep[i:])
-		if i == 0 {
-			out = binary.AppendUvarint(out, r)
-		} else {
-			if r < prev {
-				return nil // not sorted: codec does not apply
-			}
-			out = binary.AppendUvarint(out, r-prev)
-		}
-		prev = r
-		if len(out) >= len(prep) {
-			return nil // not shrinking: raw wins
-		}
-	}
-	return out
-}
-
-// decodePrepSection parses a snapshot's prep section. Hostile sections fail
-// closed: the record count is bounded by the remaining bytes before any
-// allocation, accumulator overflow is rejected, and trailing bytes are an
-// error — never a panic, never an unbounded allocation.
-func decodePrepSection(sec []byte) ([]byte, error) {
-	if len(sec) == 0 {
-		return nil, fmt.Errorf("store: empty snapshot prep section")
-	}
-	codec, body := sec[0], sec[1:]
-	switch codec {
-	case prepCodecRaw:
-		return append([]byte(nil), body...), nil
-	case prepCodecDeltaVarint:
-		count, k := binary.Uvarint(body)
-		if k <= 0 {
-			return nil, fmt.Errorf("store: corrupt prep section record count")
-		}
-		body = body[k:]
-		// Every record costs at least one varint byte, so a count beyond
-		// the remaining bytes is hostile — reject before allocating 8×.
-		if count == 0 || count > uint64(len(body)) {
-			return nil, fmt.Errorf("store: prep section claims %d records with %d bytes remaining", count, len(body))
-		}
-		prep := make([]byte, 0, count*8)
-		prev := uint64(0)
-		for i := uint64(0); i < count; i++ {
-			d, k := binary.Uvarint(body)
-			if k <= 0 {
-				return nil, fmt.Errorf("store: corrupt prep section at record %d", i)
-			}
-			body = body[k:]
-			if i == 0 {
-				prev = d
-			} else {
-				next := prev + d
-				if next < prev {
-					return nil, fmt.Errorf("store: prep section record %d overflows", i)
-				}
-				prev = next
-			}
-			prep = binary.BigEndian.AppendUint64(prep, prev)
-		}
-		if len(body) != 0 {
-			return nil, fmt.Errorf("store: %d trailing prep section bytes", len(body))
-		}
-		return prep, nil
-	default:
-		return nil, fmt.Errorf("store: unknown prep section codec %d", codec)
-	}
-}
+// version; bump it when the payload layout — or the layout of a Π it carries —
+// changes. Version 4 stores Π as it is: the sorted key files, the one Π the
+// third version's delta-varint section codec shrank, are Elias–Fano sequences
+// of their own now. Any other version byte is an unknown format: the registry
+// quarantines the file and rebuilds.
+var snapshotMagic = []byte("PITRACTS\x04")
 
 // DataChecksum is the SHA-256 digest of the raw (pre-preprocessing) data a
 // snapshot was built from. Open uses it to detect stale snapshots: when the
@@ -179,16 +66,11 @@ type Snapshot struct {
 // EncodeSnapshot renders a snapshot in the versioned on-disk format:
 //
 //	magic ‖ version ‖ crc32(payload) ‖ payload
-//	payload = PadPair(PadPair(scheme, notes), PadPair(dataSum ‖ uvarint(maintVersion), prepSection))
-//
-// where prepSection is Π wrapped in the compressed, stream-decodable
-// section format (see encodePrepSection): sorted-key artifacts shrink to
-// delta-varints of their records, everything else ships raw behind a
-// one-byte codec tag.
+//	payload = PadPair(PadPair(scheme, notes), PadPair(dataSum ‖ uvarint(maintVersion), Π))
 func EncodeSnapshot(s *Snapshot) []byte {
 	header := core.PadPair([]byte(s.SchemeName), []byte(s.Notes))
 	meta := binary.AppendUvarint(append([]byte(nil), s.DataSum[:]...), s.Version)
-	body := core.PadPair(meta, encodePrepSection(s.Prep))
+	body := core.PadPair(meta, s.Prep)
 	payload := core.PadPair(header, body)
 	out := make([]byte, 0, len(snapshotMagic)+4+len(payload))
 	out = append(out, snapshotMagic...)
@@ -197,8 +79,8 @@ func EncodeSnapshot(s *Snapshot) []byte {
 }
 
 // DecodeSnapshot parses the versioned format. Any deviation — wrong magic,
-// unknown version, bad checksum, truncated or malformed payload or prep
-// section — is an error; DecodeSnapshot never panics on hostile input.
+// unknown version, bad checksum, truncated or malformed payload — is an
+// error; DecodeSnapshot never panics on hostile input. Π is copied out of b.
 func DecodeSnapshot(b []byte) (*Snapshot, error) {
 	if len(b) < len(snapshotMagic)+4 {
 		return nil, fmt.Errorf("store: snapshot too short (%d bytes)", len(b))
@@ -231,9 +113,7 @@ func DecodeSnapshot(b []byte) (*Snapshot, error) {
 	s := &Snapshot{
 		SchemeName: string(scheme),
 		Notes:      string(notes),
-	}
-	if s.Prep, err = decodePrepSection(prep); err != nil {
-		return nil, err
+		Prep:       append([]byte(nil), prep...),
 	}
 	if len(meta) < len(s.DataSum) {
 		return nil, fmt.Errorf("store: data checksum is %d bytes, want %d", len(meta), len(s.DataSum))

@@ -2,25 +2,8 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc32"
 	"testing"
-
-	"pitract/internal/core"
 )
-
-// snapshotWithPrepSection frames an arbitrary (possibly hostile) prep
-// section in an otherwise valid v3 snapshot — CRC intact, so the decoder
-// reaches decodePrepSection instead of bouncing at the checksum.
-func snapshotWithPrepSection(sec []byte) []byte {
-	var sum DataChecksum
-	header := core.PadPair([]byte("s"), []byte("n"))
-	meta := binary.AppendUvarint(append([]byte(nil), sum[:]...), 0)
-	payload := core.PadPair(header, core.PadPair(meta, sec))
-	out := append([]byte(nil), snapshotMagic...)
-	out = binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
-	return append(out, payload...)
-}
 
 // FuzzDecodeSnapshot feeds the snapshot decoder arbitrary bytes: it must
 // either return an error or a snapshot whose re-encoding decodes to the
@@ -44,19 +27,17 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(flipped)
 	f.Add(append(append([]byte(nil), valid...), 0xFF))
 
-	// v3 compressed-section seeds: a snapshot whose Π is a sorted-key
-	// artifact (triggers the delta-varint codec), CRC-valid files of the
-	// never-deployed v2/v1 layouts (unknown format versions now), and
-	// snapshots whose prep sections carry hostile codec bytes or record
-	// counts.
+	// A snapshot whose Π is a sorted key file, and CRC-valid files of the
+	// earlier layouts (unknown format versions now).
 	sorted := sortedPrep([]int64{1, 2, 3, 500, 1 << 40})
-	compressed := EncodeSnapshot(&Snapshot{SchemeName: "point-selection/sorted-keys", Prep: sorted})
-	f.Add(compressed)
-	f.Add(encodeLegacySnapshot(&Snapshot{SchemeName: "point-selection/sorted-keys", Version: 3, Prep: sorted}, snapshotMagicV2, true))
-	f.Add(encodeLegacySnapshot(&Snapshot{SchemeName: "legacy", Prep: []byte{1, 2, 3}}, snapshotMagicV1, false))
-	f.Add(snapshotWithPrepSection([]byte{99, 1, 2, 3}))                                          // unknown codec
-	f.Add(snapshotWithPrepSection(append([]byte{prepCodecDeltaVarint}, 0xff, 0xff, 0xff, 0x7f))) // count lie
-	f.Add(snapshotWithPrepSection([]byte{prepCodecDeltaVarint, 2, 5}))                           // truncated body
+	f.Add(EncodeSnapshot(&Snapshot{SchemeName: "point-selection/sorted-keys", Prep: sorted}))
+	f.Add(encodeLegacySnapshot(&Snapshot{SchemeName: "point-selection/sorted-keys", Version: 3, Prep: sorted}, snapshotMagicV3))
+	f.Add(encodeLegacySnapshot(&Snapshot{SchemeName: "point-selection/sorted-keys", Version: 3, Prep: sorted}, snapshotMagicV2))
+	f.Add(encodeLegacySnapshot(&Snapshot{SchemeName: "legacy", Prep: []byte{1, 2, 3}}, snapshotMagicV1))
+	// The snapshot frames any Π: a maintained one far along, and 8-byte key
+	// records (whose layout only the scheme's readers refuse).
+	f.Add(EncodeSnapshot(&Snapshot{SchemeName: "point-selection/sorted-keys", Version: 1 << 40, Prep: sorted}))
+	f.Add(EncodeSnapshot(&Snapshot{SchemeName: "point-selection/sorted-keys", Prep: []byte{0x80, 0, 0, 0, 0, 0, 0, 1, 0x80, 0, 0, 0, 0, 0, 0, 9}}))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		s, err := DecodeSnapshot(b)

@@ -2,10 +2,15 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"pitract/internal/core"
 	"pitract/internal/schemes"
 )
 
@@ -136,5 +141,92 @@ func TestSnapshotBytesMemoized(t *testing.T) {
 	after := st.SnapshotBytes()
 	if after == before || after != exact() {
 		t.Fatalf("after a PATCH SnapshotBytes = %d (was %d), encoded snapshot is %d bytes", after, before, exact())
+	}
+}
+
+// sortedPrep is the sorted key file Preprocess lays out for keys.
+func sortedPrep(keys []int64) []byte {
+	pd, err := schemes.PointSelectionScheme().Preprocess(schemes.RelationFromKeys(keys))
+	if err != nil {
+		panic(err)
+	}
+	return pd
+}
+
+// The magics of the earlier formats. No artifact in the wild carries v1 or v2;
+// they survive here as characteristic "well-formed file of another format"
+// inputs, with v3, whose prep section opened with a codec byte.
+var (
+	snapshotMagicV3 = []byte("PITRACTS\x03")
+	snapshotMagicV2 = []byte("PITRACTS\x02")
+	snapshotMagicV1 = []byte("PITRACTS\x01")
+)
+
+// encodeLegacySnapshot renders the earlier layouts: v1 (no maintenance
+// version), v2, and v3, whose Π section is prefixed by the codec byte (0, raw).
+// They are CRC-valid files the current decoder must refuse by version byte
+// alone.
+func encodeLegacySnapshot(s *Snapshot, magic []byte) []byte {
+	header := core.PadPair([]byte(s.SchemeName), []byte(s.Notes))
+	meta, prep := append([]byte(nil), s.DataSum[:]...), s.Prep
+	if !bytes.Equal(magic, snapshotMagicV1) {
+		meta = binary.AppendUvarint(meta, s.Version)
+	}
+	if bytes.Equal(magic, snapshotMagicV3) {
+		prep = append([]byte{0}, prep...)
+	}
+	payload := core.PadPair(header, core.PadPair(meta, prep))
+	out := append([]byte(nil), magic...)
+	out = binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
+	return append(out, payload...)
+}
+
+// TestSnapshotLegacyVersionsAreUnknownFormats pins that an earlier magic is an
+// unknown format version — a CorruptArtifactError on load — so a registry
+// that finds one quarantines the file and rebuilds Π from source instead of
+// serving (or wedging on) it.
+func TestSnapshotLegacyVersionsAreUnknownFormats(t *testing.T) {
+	scheme := schemes.PointSelectionScheme()
+	data := schemes.RelationFromKeys([]int64{2, 4, 6})
+	legacy := &Snapshot{SchemeName: scheme.Name(), DataSum: SumData(data), Version: 7, Prep: sortedPrep([]int64{2, 4, 6})}
+	for name, enc := range map[string][]byte{
+		"v3": encodeLegacySnapshot(legacy, snapshotMagicV3),
+		"v2": encodeLegacySnapshot(legacy, snapshotMagicV2),
+		"v1": encodeLegacySnapshot(legacy, snapshotMagicV1),
+	} {
+		t.Run(name, func(t *testing.T) {
+			if s, err := DecodeSnapshot(enc); err == nil || !strings.Contains(err.Error(), "unknown snapshot format version") {
+				t.Fatalf("decode = (%+v, %v), want an unknown-format-version error", s, err)
+			}
+			dir := t.TempDir()
+			path := SnapshotPath(dir, "d")
+			if err := os.WriteFile(path, enc, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var ce *CorruptArtifactError
+			if _, err := LoadFS(OSFS, path); !errors.As(err, &ce) {
+				t.Fatalf("load = %v, want a CorruptArtifactError", err)
+			}
+			reg := NewRegistry(dir)
+			st, err := reg.Register("d", scheme, data)
+			if err != nil {
+				t.Fatalf("register over an old-format snapshot: %v", err)
+			}
+			if st.WasLoaded() || st.Version() != 0 || reg.PreprocessCount() != 1 || reg.QuarantineCount() != 1 {
+				t.Fatalf("loaded=%v version=%d preprocess=%d quarantines=%d, want a rebuild from source with one quarantine",
+					st.WasLoaded(), st.Version(), reg.PreprocessCount(), reg.QuarantineCount())
+			}
+			if got, err := st.Answer(schemes.PointQuery(4)); err != nil || !got {
+				t.Fatalf("rebuilt dataset: key 4 = (%v, %v), want (true, nil)", got, err)
+			}
+			if kept, err := os.ReadFile(QuarantinePath(path)); err != nil || !bytes.Equal(kept, enc) {
+				t.Fatalf("quarantined artifact = (%d bytes, %v), want the old-format bytes verbatim", len(kept), err)
+			}
+			// The rebuild rewrote a current-format snapshot: the next
+			// restart is a clean load.
+			if st2, err := NewRegistry(dir).Register("d", scheme, data); err != nil || !st2.WasLoaded() {
+				t.Fatalf("restart after the rebuild: loaded=%v err=%v", st2 != nil && st2.WasLoaded(), err)
+			}
+		})
 	}
 }
