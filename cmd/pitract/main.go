@@ -420,9 +420,8 @@ serving:
   overrun is abandoned with 504 and the worker never blocks the pool.
   Each dataset carries a health circuit breaker — repeated serve-path
   failures trip it open (fast 503 + Retry-After until a backoff-paced
-  probe heals it), corrupt snapshots and delta logs are quarantined
-  aside and rebuilt from source, and datasets with a declared fallback
-  keep answering in degraded mode while unhealthy (see GET /healthz).
+  probe heals it; see GET /healthz), and corrupt snapshots and delta
+  logs are quarantined aside and rebuilt from source.
   Rejection counters and the in-flight gauge appear in /v1/stats. See
   docs/ARCHITECTURE.md and docs/API.md.
 

@@ -31,16 +31,6 @@ type Scheme struct {
 	// work; nil means Prepare closes over the raw Answer, which is the right
 	// prepared form for a Π laid out for probing.
 	PrepareAnswerer func(pd []byte) (Answerer, error)
-	// PrepareFallback, when non-nil, decodes the same preprocessed string
-	// into a cheaper degraded-mode Answerer — the one the serving layer
-	// switches to when a dataset's health breaker is degraded or a query
-	// budget is nearly spent. "Cheaper" means cheaper to build or probe
-	// (e.g. reachability labels fall back to a closure-matrix probe; a
-	// relation scan falls back to binary search); verdicts and error
-	// strings on well-formed queries must still match Answer exactly —
-	// degradation trades serving cost, never correctness. Nil means the
-	// scheme declares no fallback and cannot answer degraded.
-	PrepareFallback func(pd []byte) (Answerer, error)
 	// PreprocessNote and AnswerNote document the claimed complexities,
 	// e.g. "O(|D| log |D|)" and "O(log |D|)".
 	PreprocessNote string

@@ -122,8 +122,8 @@ func closureShapes() map[string]*graph.Graph {
 }
 
 // TestClosurePiBytesUnchanged: Preprocess emits, byte for byte, the
-// reference Π — snapshots, pi_bytes_per_data_byte, VerifyIncremental and the
-// labels fallback all depend on those exact bytes — and the prepared form
+// reference Π — snapshots, pi_bytes_per_data_byte and VerifyIncremental all
+// depend on those exact bytes — and the prepared form
 // loaded from them agrees with the raw probe on every pair.
 func TestClosurePiBytesUnchanged(t *testing.T) {
 	for name, g := range closureShapes() {
@@ -153,8 +153,7 @@ func TestClosurePiBytesUnchanged(t *testing.T) {
 // TestClosureVertexCap: the cap is on classes — what the rows are allocated
 // by — and is checked before they are. 65 537 edgeless vertices are that many
 // classes: refused by Preprocess with an error naming the limit and the scheme
-// without one, and by the labels scheme's fallback, while the labels scheme
-// itself takes the same bytes. Twice the cap in vertices on one cycle is one
+// without one, while the labels scheme takes the same bytes. Twice the cap in vertices on one cycle is one
 // class: it registers, answers, and its Π is under 1.5× its data.
 func TestClosureVertexCap(t *testing.T) {
 	limit := fmt.Sprintf("%d-vertex limit", graph.MaxClosureVertices)
@@ -177,9 +176,6 @@ func TestClosureVertexCap(t *testing.T) {
 		}
 		if _, err := prepareLabels(pd); err != nil {
 			t.Fatalf("labels prepare: %v", err)
-		}
-		if _, err := prepareLabelsFallback(pd); err == nil || !strings.Contains(err.Error(), limit) {
-			t.Fatalf("over-cap labels fallback: %v, want an error naming the %s", err, limit)
 		}
 	}
 

@@ -551,36 +551,9 @@ func ReachabilityLabelsScheme() *core.Scheme {
 			return rl.reach(u, v), nil
 		},
 		PrepareAnswerer: prepareLabels,
-		// Degraded mode builds the closure over the condensation from the
-		// graph appendix and probes it in O(1) — a cheaper, allocation-free probe
-		// than the label intersection, with identical verdicts and
-		// identical out-of-range error strings (both answerers validate
-		// against the same n). The serving layer switches to it when the
-		// dataset's health breaker degrades or the query budget runs low.
-		PrepareFallback: prepareLabelsFallback,
 		PreprocessNote:  "O(compress) + O(PLL(Dc)) — labels built on the compressed DAG",
 		AnswerNote:      "O(|Lout| + |Lin|) label intersection",
 	}
-}
-
-// prepareLabelsFallback builds the labels scheme's degraded-mode
-// answerer: the original graph recovered from the appendix and closed over
-// its condensation — the closure scheme's answerer, built from the graph
-// rather than decoded from bytes, under the same class cap.
-func prepareLabelsFallback(pd []byte) (core.Answerer, error) {
-	rl, err := decodeLabels(pd)
-	if err != nil {
-		return nil, err
-	}
-	g, err := graph.Decode(rl.graphEnc)
-	if err != nil {
-		return nil, fmt.Errorf("schemes: labels graph appendix: %w", err)
-	}
-	c, err := graph.NewCondensedClosure(g)
-	if err != nil {
-		return nil, fmt.Errorf("schemes: labels fallback: %w", err)
-	}
-	return closureAnswerer{c}, nil
 }
 
 // IncrementalReachabilityLabels maintains the labels scheme by

@@ -113,28 +113,10 @@ func PointSelectionScanScheme() *core.Scheme {
 			return SelectionLanguage().Contains(pd, q)
 		},
 		PrepareAnswerer: preparePointScan,
-		// Degraded mode trades the per-query O(|D|) scan for one O(|D| log
-		// |D|) sort at fallback build, then key-file probes — the same
-		// verdicts (and the same malformed-query errors, both paths decode
-		// the point query first), delivered cheaper per probe when the
-		// serving budget is nearly spent.
-		PrepareFallback: prepareScanFallback,
 		PreprocessNote:  "O(1)",
 		AnswerNote:      "O(|D|) per query",
 		Traversal:       true,
 	}
-}
-
-// prepareScanFallback builds the scan baseline's degraded-mode answerer: its
-// Π is the relation itself, so the fallback is the sorted-keys scheme over
-// it — the key column sorted once into a key file, then probed.
-func prepareScanFallback(pd []byte) (core.Answerer, error) {
-	sorted := PointSelectionScheme()
-	keys, err := sorted.Preprocess(pd)
-	if err != nil {
-		return nil, err
-	}
-	return sorted.Prepare(keys)
 }
 
 // RangeSelectionLanguage decides range selections by the reference scan.

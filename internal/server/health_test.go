@@ -2,9 +2,9 @@ package server
 
 // The graceful-degradation suite for the HTTP layer: /healthz's
 // per-dataset health map, the breaker trip → fast 503 + jittered Retry-After → half-open
-// probe heal cycle, degraded fallback answers carrying "degraded": true
-// with exact verdicts, the per-query deadline's 504 taxonomy, and the
-// ±20% Retry-After jitter bounds every advisory header obeys.
+// probe heal cycle, exact answers under the query budget while a breaker
+// reads degraded, the per-query deadline's 504 taxonomy, and the ±20%
+// Retry-After jitter bounds every advisory header obeys.
 
 import (
 	"encoding/json"
@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"pitract/internal/core"
+	"pitract/internal/graph"
 	"pitract/internal/schemes"
 	"pitract/internal/store"
 )
@@ -107,10 +108,8 @@ func TestHealthzHealthMap(t *testing.T) {
 
 // flakyPrepareCatalog returns a catalog with one scheme whose prepared
 // answerer fails until healed flips true — the shape of a transient
-// decode fault on the serving path — with fallback deciding whether the
-// scheme also declares a degraded-mode answerer. Verdict: first query
-// byte is even.
-func flakyPrepareCatalog(healed *atomic.Bool, fallback bool) map[string]*core.Scheme {
+// decode fault on the serving path. Verdict: first query byte is even.
+func flakyPrepareCatalog(healed *atomic.Bool) map[string]*core.Scheme {
 	verdict := func(q []byte) (bool, error) { return len(q) > 0 && q[0]%2 == 0, nil }
 	sch := &core.Scheme{
 		SchemeName: "test/flaky-prepare",
@@ -123,11 +122,6 @@ func flakyPrepareCatalog(healed *atomic.Bool, fallback bool) map[string]*core.Sc
 			return core.AnswererFunc(verdict), nil
 		},
 	}
-	if fallback {
-		sch.PrepareFallback = func(pd []byte) (core.Answerer, error) {
-			return core.AnswererFunc(verdict), nil
-		}
-	}
 	return map[string]*core.Scheme{sch.SchemeName: sch}
 }
 
@@ -139,7 +133,7 @@ func flakyPrepareCatalog(healed *atomic.Bool, fallback bool) map[string]*core.Sc
 // Prepare, and closes the breaker without any re-registration.
 func TestBreakerTripsRefusesAndHeals(t *testing.T) {
 	var healed atomic.Bool
-	srv := New(store.NewRegistry(""), flakyPrepareCatalog(&healed, false))
+	srv := New(store.NewRegistry(""), flakyPrepareCatalog(&healed))
 	srv.Registry().SetBreakerConfig(store.BreakerConfig{
 		Window: time.Second, DegradedAfter: 2, OpenAfter: 3,
 		Backoff: 50 * time.Millisecond, MaxBackoff: 400 * time.Millisecond,
@@ -155,9 +149,8 @@ func TestBreakerTripsRefusesAndHeals(t *testing.T) {
 		t.Fatalf("register status %d", code)
 	}
 
-	// Three server-shaped failures walk healthy → degraded → open. The
-	// degraded decision still takes the exact path (no declared fallback,
-	// ExactFallback holds), so each query surfaces the 500.
+	// Three server-shaped failures walk healthy → degraded → open. A
+	// degraded breaker still admits the query, so each one surfaces the 500.
 	for i := 0; i < 3; i++ {
 		var e errorResponse
 		if code := postJSON(t, client, ts.URL+"/v1/query", QueryRequest{
@@ -209,85 +202,109 @@ func TestBreakerTripsRefusesAndHeals(t *testing.T) {
 	}, &qr); code != http.StatusOK {
 		t.Fatalf("probe after heal got status %d, want 200", code)
 	}
-	if !qr.Answer || qr.Degraded {
-		t.Fatalf("probe answered (%v, degraded %v), want the exact (true, false)", qr.Answer, qr.Degraded)
+	if !qr.Answer {
+		t.Fatalf("probe answered %v, want true", qr.Answer)
 	}
 	if code := getJSON(t, client, ts.URL+"/healthz", &hz); code != http.StatusOK || hz.Health["d"] != "healthy" {
 		t.Fatalf("healthz after heal = status %d %+v, want 200 and healthy", code, hz)
 	}
 }
 
-// TestDegradedAnswersExactAndFlagged pins degraded-mode answering over
-// HTTP: a degraded dataset with a declared fallback serves 200s with
-// "degraded": true, every verdict identical to the exact oracle, and the
-// stats counter accounting for each degraded response.
-func TestDegradedAnswersExactAndFlagged(t *testing.T) {
-	var healed atomic.Bool
-	srv := New(store.NewRegistry(""), flakyPrepareCatalog(&healed, true))
-	srv.Registry().SetBreakerConfig(store.BreakerConfig{
-		Window: time.Minute, DegradedAfter: 2, OpenAfter: 100,
-		Backoff: 50 * time.Millisecond,
-	})
+// degradedServer serves catalog with a breaker that one failure moves to
+// degraded and a hundred would open, under limits.
+func degradedServer(t *testing.T, catalog map[string]*core.Scheme, limits Limits) (*Server, *httptest.Server) {
+	t.Helper()
+	srv := New(store.NewRegistry(""), catalog)
+	srv.Registry().SetBreakerConfig(store.BreakerConfig{Window: time.Minute, DegradedAfter: 1, OpenAfter: 100})
+	srv.SetLimits(limits)
 	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	t.Cleanup(ts.Close)
+	return srv, ts
+}
+
+// degrade registers id and reports one serve-path failure to its breaker,
+// which degradedServer's config turns into the degraded state.
+func degrade(t *testing.T, srv *Server, client *http.Client, base string, reg RegisterRequest) {
+	t.Helper()
+	if code := postJSON(t, client, base+"/v1/datasets", reg, nil); code != http.StatusOK {
+		t.Fatalf("register %s status %d", reg.ID, code)
+	}
+	br := srv.Registry().Breaker(reg.ID)
+	br.OnFailure(false)
+	if st := br.State(); st != store.HealthDegraded {
+		t.Fatalf("breaker of %s reads %v, want degraded", reg.ID, st)
+	}
+}
+
+// TestLabelsOverClosureCapAnswersWhileDegraded: a degraded breaker is a
+// warning, not a second answerer. A reachability/labels dataset over the
+// closure's class cap (65 537 edgeless vertices: |V| − |E| is over the cap,
+// so no closure row is ever allocated) answers a single query and a batch
+// with 200 and the labels' exact verdicts while its breaker reads degraded.
+func TestLabelsOverClosureCapAnswersWhileDegraded(t *testing.T) {
+	srv, ts := degradedServer(t, nil, Limits{})
 	client := ts.Client()
+	n := graph.MaxClosureVertices + 1
+	degrade(t, srv, client, ts.URL, RegisterRequest{
+		ID: "big", Scheme: "reachability/labels", Data: graph.New(n, true).Encode(),
+	})
 
-	if code := postJSON(t, client, ts.URL+"/v1/datasets", RegisterRequest{
-		ID: "d", Scheme: "test/flaky-prepare", Data: []byte{1},
-	}, nil); code != http.StatusOK {
-		t.Fatalf("register status %d", code)
-	}
-	// Two sticky-Prepare 500s enter Degraded.
-	for i := 0; i < 2; i++ {
-		if code := postJSON(t, client, ts.URL+"/v1/query", QueryRequest{
-			Dataset: "d", Query: []byte{2},
-		}, nil); code != http.StatusInternalServerError {
-			t.Fatalf("query %d got status %d, want 500", i, code)
-		}
-	}
-
-	// Degraded + declared fallback: answers flow again, flagged, exact.
 	for _, tc := range []struct {
-		query []byte
-		want  bool
-	}{{[]byte{2}, true}, {[]byte{3}, false}} {
-		var qr QueryResponse
+		u, v int
+		want bool
+	}{{0, n - 1, false}, {7, 7, true}} {
+		var got struct {
+			Answer bool   `json:"answer"`
+			Error  string `json:"error"`
+		}
 		if code := postJSON(t, client, ts.URL+"/v1/query", QueryRequest{
-			Dataset: "d", Query: tc.query,
-		}, &qr); code != http.StatusOK {
-			t.Fatalf("degraded query got status %d, want 200", code)
-		}
-		if !qr.Degraded {
-			t.Fatal("degraded answer not flagged degraded")
-		}
-		if qr.Answer != tc.want {
-			t.Fatalf("degraded verdict %v for query %v, exact oracle says %v — degradation changed an answer",
-				qr.Answer, tc.query, tc.want)
+			Dataset: "big", Query: schemes.NodePairQuery(tc.u, tc.v),
+		}, &got); code != http.StatusOK || got.Answer != tc.want {
+			t.Fatalf("degraded query (%d,%d) = status %d, answer %v (%s); want 200, %v", tc.u, tc.v, code, got.Answer, got.Error, tc.want)
 		}
 	}
-	var br BatchResponse
+	var got struct {
+		Answers []bool `json:"answers"`
+		Error   string `json:"error"`
+	}
 	if code := postJSON(t, client, ts.URL+"/v1/query/batch", BatchRequest{
-		Dataset: "d", Queries: [][]byte{{2}, {3}, {4}},
-	}, &br); code != http.StatusOK {
-		t.Fatalf("degraded batch got status %d, want 200", code)
+		Dataset: "big", Queries: [][]byte{schemes.NodePairQuery(1, 2), schemes.NodePairQuery(n-1, n-1), schemes.NodePairQuery(3, 0)},
+	}, &got); code != http.StatusOK || len(got.Answers) != 3 || got.Answers[0] || !got.Answers[1] || got.Answers[2] {
+		t.Fatalf("degraded batch = status %d, answers %v (%s); want 200, [false true false]", code, got.Answers, got.Error)
 	}
-	if !br.Degraded || len(br.Answers) != 3 || !br.Answers[0] || br.Answers[1] || !br.Answers[2] {
-		t.Fatalf("degraded batch = %+v, want flagged [true false true]", br)
-	}
+}
 
-	var stats StatsResponse
-	if code := getJSON(t, client, ts.URL+"/v1/stats", &stats); code != http.StatusOK {
-		t.Fatalf("stats status %d", code)
-	}
-	if stats.DegradedAnswers != 3 {
-		t.Fatalf("degraded_answers = %d, want 3 (two queries + one batch)", stats.DegradedAnswers)
-	}
-	// Degraded, not unhealthy: the node keeps serving, /healthz says so.
-	var hz struct {
-		Status string `json:"status"`
-	}
-	if code := getJSON(t, client, ts.URL+"/healthz", &hz); code != http.StatusOK || hz.Status != "degraded" {
-		t.Fatalf("healthz = status %d %q, want 200 degraded", code, hz.Status)
+// TestDegradedStateKeepsQueryBudget: every admitted ask runs under the
+// query budget, so a dataset whose breaker already reads degraded cannot
+// stall a request past -query-budget-ms — a query and a batch whose
+// answerer blocks come back 504 within the budget's bound.
+func TestDegradedStateKeepsQueryBudget(t *testing.T) {
+	gate := make(chan struct{})
+	entered := make(chan struct{}, 4)
+	srv, ts := degradedServer(t, blockingCatalog(gate, entered), Limits{QueryBudget: 20 * time.Millisecond})
+	defer close(gate) // runs before the server closes: the abandoned answerers drain
+	// A request the budget does not bound would hang until the gate opens;
+	// the client gives up long before that.
+	client := &http.Client{Timeout: 5 * time.Second}
+	degrade(t, srv, client, ts.URL, RegisterRequest{ID: "d", Scheme: "test/blocking", Data: []byte{1}})
+
+	for name, send := range map[string]func(out interface{}) int{
+		"query": func(out interface{}) int {
+			return postJSON(t, client, ts.URL+"/v1/query", QueryRequest{Dataset: "d", Query: []byte("block")}, out)
+		},
+		"batch": func(out interface{}) int {
+			return postJSON(t, client, ts.URL+"/v1/query/batch", BatchRequest{Dataset: "d", Queries: [][]byte{[]byte("block")}}, out)
+		},
+	} {
+		var e errorResponse
+		start := time.Now()
+		code := send(&e)
+		if elapsed := time.Since(start); elapsed > 2*time.Second {
+			t.Fatalf("degraded %s took %v under a 20ms budget", name, elapsed)
+		}
+		if code != http.StatusGatewayTimeout || !strings.Contains(e.Error, "query budget exceeded") {
+			t.Fatalf("degraded %s got status %d (%s), want a 504 naming the budget", name, code, e.Error)
+		}
 	}
 }
 

@@ -52,9 +52,8 @@
 // -query-budget-ms`): an overrun is abandoned with 504. Each dataset is
 // fronted by a health circuit breaker — repeated serve-path failures trip
 // it open and further traffic is refused fast with 503 + Retry-After
-// until a backoff-paced probe succeeds; datasets with a declared
-// degraded-mode fallback keep answering (marked "degraded") while
-// unhealthy. See docs/API.md for the full request/response reference and
+// until a backoff-paced probe succeeds. See docs/API.md for the full
+// request/response reference and
 // docs/ARCHITECTURE.md for the fault-tolerance design.
 package server
 
@@ -187,11 +186,6 @@ type Server struct {
 	// preprocess and snapshot-load counters, so library-side ApplyDelta
 	// calls are counted too).
 	maintenanceNs atomic.Int64
-	// degradedAnswers counts verdicts served through a degraded-mode
-	// fallback (breaker half-open or query budget nearly spent); surfaced
-	// as degraded_answers in /v1/stats and as
-	// pitract_degraded_answers_total in /metrics.
-	degradedAnswers atomic.Int64
 
 	// cache, when non-nil, memoizes ⟨dataset, version, query⟩ verdicts in
 	// front of the datasets whose scheme declares a per-query traversal
@@ -276,16 +270,11 @@ var (
 	obsProbeLabel = obs.Stage(obs.StageProbeLabel)
 )
 
-// Graceful-degradation counters: verdicts served through a declared
-// fallback instead of the primary answer path, and queries abandoned at
-// the -query-budget-ms deadline. Both feed the breaker dashboards next to
+// obsDeadlineExpired counts queries abandoned at the -query-budget-ms
+// deadline; it feeds the breaker dashboards next to
 // pitract_breaker_trips_total.
-var (
-	obsDegradedAnswers = obs.Default.Counter("pitract_degraded_answers_total",
-		"Verdicts served through a dataset's degraded-mode fallback.")
-	obsDeadlineExpired = obs.Default.Counter("pitract_deadline_expired_total",
-		"Queries abandoned at the per-query deadline (HTTP 504).")
-)
+var obsDeadlineExpired = obs.Default.Counter("pitract_deadline_expired_total",
+	"Queries abandoned at the per-query deadline (HTTP 504).")
 
 // SetLogger installs a structured logger: one Debug line per request plus
 // Warn lines for requests past the slow-query threshold. nil (the default)
@@ -507,13 +496,6 @@ type QueryRequest struct {
 type QueryResponse struct {
 	Answer  bool   `json:"answer"`
 	Version uint64 `json:"version"`
-	// Degraded marks a verdict served through the dataset's declared
-	// degraded-mode fallback (breaker half-open, or the query budget nearly
-	// spent) instead of the primary answer path. Fallbacks are exact — the
-	// verdict is the same — but the latency profile is the fallback's, and
-	// operators may want to alert on a rising degraded rate. Absent (false)
-	// on the primary path, so existing clients see unchanged bodies.
-	Degraded bool `json:"degraded,omitempty"`
 }
 
 // BatchRequest answers many queries through the AnswerBatch worker pool.
@@ -530,9 +512,6 @@ type BatchRequest struct {
 type BatchResponse struct {
 	Answers []bool `json:"answers"`
 	Version uint64 `json:"version"`
-	// Degraded marks a batch in which at least one verdict was served
-	// through the degraded-mode fallback (see QueryResponse.Degraded).
-	Degraded bool `json:"degraded,omitempty"`
 }
 
 // CacheStats reports the answer cache's counters: hits (served from
@@ -677,12 +656,9 @@ type StatsResponse struct {
 	ArtifactBytes            int64   `json:"artifact_bytes"`
 	SnapshotBytes            int64   `json:"snapshot_bytes"`
 	SnapshotCompressionRatio float64 `json:"snapshot_compression_ratio"`
-	// DegradedAnswers counts verdicts served through a degraded-mode
-	// fallback; Quarantines counts artifacts (snapshots or delta logs)
-	// renamed aside after failing integrity checks. Healthy steady state
-	// is both zero.
-	DegradedAnswers int64 `json:"degraded_answers"`
-	Quarantines     int64 `json:"quarantines"`
+	// Quarantines counts artifacts (snapshots or delta logs) renamed aside
+	// after failing integrity checks. Healthy steady state is zero.
+	Quarantines int64 `json:"quarantines"`
 }
 
 type errorResponse struct {
@@ -739,8 +715,8 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, body io.Read
 // handleHealthz reports liveness plus per-dataset health: a "health" map
 // of dataset id → breaker state (healthy/degraded/open/quarantined) and an
 // overall status: "ok" when every dataset is healthy, "degraded" when any is
-// degraded or quarantined (still 200 — the node is serving, possibly via
-// fallbacks), and "unhealthy" with a 503 when any breaker is open, so load
+// degraded or quarantined (still 200 — the node is serving, and its answers
+// are exact), and "unhealthy" with a 503 when any breaker is open, so load
 // balancers drain a node whose datasets are refusing traffic.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
@@ -1062,9 +1038,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	s.serveAnswer(w, r, req.Dataset, 1, func(ctx context.Context, ds store.Dataset, mode store.Mode) (interface{}, bool, error) {
-		v, err := store.AskWithin(ctx, ds, req.Query, mode)
-		return QueryResponse{Answer: v.Answer, Version: v.Version, Degraded: v.Degraded}, v.Degraded, err
+	s.serveAnswer(w, r, req.Dataset, 1, func(ctx context.Context, ds store.Dataset) (interface{}, error) {
+		v, err := store.AskWithin(ctx, ds, req.Query)
+		return QueryResponse{Answer: v.Answer, Version: v.Version}, err
 	})
 }
 
@@ -1081,24 +1057,19 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	if parallelism > maxBatchParallelism {
 		parallelism = maxBatchParallelism
 	}
-	s.serveAnswer(w, r, req.Dataset, len(req.Queries), func(ctx context.Context, ds store.Dataset, mode store.Mode) (interface{}, bool, error) {
-		vs, err := store.AskBatchWithin(ctx, ds, req.Queries, parallelism, mode)
-		// A batch that took the fallback — as a whole, or mid-flight with
-		// the budget nearly spent — is degraded as a whole: clients see one
-		// flag, not a per-verdict split, because every verdict is exact
-		// either way.
-		degraded := vs.Degraded > 0
-		return BatchResponse{Answers: vs.Answers, Version: vs.Version, Degraded: degraded}, degraded, err
+	s.serveAnswer(w, r, req.Dataset, len(req.Queries), func(ctx context.Context, ds store.Dataset) (interface{}, error) {
+		vs, err := store.AskBatchWithin(ctx, ds, req.Queries, parallelism)
+		return BatchResponse{Answers: vs.Answers, Version: vs.Version}, err
 	})
 }
 
 // serveAnswer is the one path both answer endpoints take once the body is
-// decoded: admit → look up → breaker → mode → ask → classify. ask runs the
-// request's n queries through ds in the chosen mode under ctx and returns
-// the response body (whose version is the one the verdicts were computed
-// at) and whether the fallback answered.
+// decoded: admit → look up → breaker → ask → classify. ask runs the
+// request's n queries through ds under ctx — the request's query budget,
+// whatever the breaker's state — and returns the response body (whose
+// version is the one the verdicts were computed at).
 func (s *Server) serveAnswer(w http.ResponseWriter, r *http.Request, dataset string, n int,
-	ask func(ctx context.Context, ds store.Dataset, mode store.Mode) (body interface{}, degraded bool, err error)) {
+	ask func(ctx context.Context, ds store.Dataset) (body interface{}, err error)) {
 	release, reason, admitted := s.env.admit(dataset)
 	if !admitted {
 		s.env.reject429(w, r, reason)
@@ -1121,25 +1092,10 @@ func (s *Server) serveAnswer(w http.ResponseWriter, r *http.Request, dataset str
 		// breaker. The retry's outcome surfaces through the ask below.
 		ds.RetryPrepare()
 	}
-	mode, ctx := store.Exact, context.Background()
-	switch {
-	case dec.Degrade && ds.CanDegrade():
-		// Degraded answers run without the query budget: the fallback is
-		// what the dataset serves *because* the exact path is unhealthy.
-		mode = store.Degraded
-	case dec.Degrade && !dec.ExactFallback:
-		// A probe is already in flight and this dataset declares no
-		// fallback: shedding is the only way to keep the half-open window
-		// single-probe.
-		s.rejectBreaker(w, r, dataset, dec.RetryAfter)
-		return
-	default:
-		var cancel context.CancelFunc
-		ctx, cancel = s.queryContext(r)
-		defer cancel()
-	}
+	ctx, cancel := s.queryContext(r)
+	defer cancel()
 	start := time.Now()
-	body, degraded, err := ask(ctx, ds, mode)
+	body, err := ask(ctx, ds)
 	// Count only queries actually answered: a failed ask returns no
 	// answers, so its queries count as failed, not served.
 	served, failed := n, 0
@@ -1152,10 +1108,6 @@ func (s *Server) serveAnswer(w http.ResponseWriter, r *http.Request, dataset str
 		return
 	}
 	br.OnSuccess(dec.Probe)
-	if degraded {
-		s.degradedAnswers.Add(1)
-		obsDegradedAnswers.Inc()
-	}
 	writeJSON(w, http.StatusOK, body)
 }
 
@@ -1184,7 +1136,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.DeltasApplied = s.reg.DeltaCount()
 	resp.DeltasDeleted = s.reg.DeleteCount()
 	resp.LogReplays = s.reg.ReplayCount()
-	resp.DegradedAnswers = s.degradedAnswers.Load()
 	resp.Quarantines = s.reg.QuarantineCount()
 	resp.ArtifactBytes, resp.SnapshotBytes = s.reg.ArtifactStats()
 	if resp.ArtifactBytes > 0 {

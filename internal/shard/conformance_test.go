@@ -4,10 +4,9 @@ package shard
 // Store, cached Store, ShardedStore answering through a scheme's own
 // Prepare view, ShardedStore answering through the router, and a cached
 // ShardedStore — must give byte-identical outcomes to the plain Store of
-// the same scheme for Ask and AskBatch under every context flavour and
-// mode: the same verdicts, the same error bytes on malformed queries, a
-// version equal to the number of PATCHes applied, and ErrNoFallback for a
-// Degraded ask of a dataset that cannot degrade.
+// the same scheme for Ask and AskBatch under every context flavour: the
+// same verdicts, the same error bytes on malformed queries, and a version
+// equal to the number of PATCHes applied.
 
 import (
 	"context"
@@ -62,8 +61,7 @@ func conformanceFamilies() []conformanceFamily {
 	}
 	return []conformanceFamily{
 		{
-			// A scheme with its own Prepare view (portal reach rows) and a
-			// declared fallback on the plain store.
+			// A scheme with its own Prepare view (portal reach rows).
 			name: "view", scheme: schemes.ReachabilityLabelsScheme(), part: RangePartitioner{},
 			data:       g.Encode(),
 			patches:    [][]byte{schemes.EdgeDelta(0, g.N()-1), schemes.EdgeDelta(g.N()-1, 1)},
@@ -111,11 +109,11 @@ func conformanceKinds(t *testing.T, fam conformanceFamily) []conformanceKind {
 }
 
 // outcome renders one ask's full result as comparable bytes.
-func outcome(answers []bool, version uint64, degraded int, err error) string {
+func outcome(answers []bool, version uint64, err error) string {
 	if err != nil {
 		return fmt.Sprintf("v%d error %q", version, err)
 	}
-	return fmt.Sprintf("v%d degraded=%d %v", version, degraded, answers)
+	return fmt.Sprintf("v%d %v", version, answers)
 }
 
 func TestAnswerSeamConformance(t *testing.T) {
@@ -153,56 +151,25 @@ func TestAnswerSeamConformance(t *testing.T) {
 					}
 					for qi, q := range fam.queries {
 						ask(fmt.Sprintf("Ask[%d]", qi), func(ds store.Dataset) string {
-							v, err := ds.Ask(c.ctx, q, store.Exact)
-							return outcome([]bool{v.Answer}, v.Version, 0, err)
+							v, err := ds.Ask(c.ctx, q)
+							return outcome([]bool{v.Answer}, v.Version, err)
 						})
 						ask(fmt.Sprintf("AskWithin[%d]", qi), func(ds store.Dataset) string {
-							v, err := store.AskWithin(c.ctx, ds, q, store.Exact)
-							return outcome([]bool{v.Answer}, v.Version, 0, err)
+							v, err := store.AskWithin(c.ctx, ds, q)
+							return outcome([]bool{v.Answer}, v.Version, err)
 						})
 					}
 					for name, batch := range map[string][][]byte{"answers": fam.wellFormed, "fails": fam.queries, "empty": nil} {
 						for _, par := range []int{1, 4} {
 							ask(fmt.Sprintf("AskBatch[%s,par=%d]", name, par), func(ds store.Dataset) string {
-								vs, err := ds.AskBatch(c.ctx, batch, par, store.Exact)
-								return outcome(vs.Answers, vs.Version, vs.Degraded, err)
+								vs, err := ds.AskBatch(c.ctx, batch, par)
+								return outcome(vs.Answers, vs.Version, err)
 							})
 							ask(fmt.Sprintf("AskBatchWithin[%s,par=%d]", name, par), func(ds store.Dataset) string {
-								vs, err := store.AskBatchWithin(c.ctx, ds, batch, par, store.Exact)
-								return outcome(vs.Answers, vs.Version, vs.Degraded, err)
+								vs, err := store.AskBatchWithin(c.ctx, ds, batch, par)
+								return outcome(vs.Answers, vs.Version, err)
 							})
 						}
-					}
-				}
-				// Degraded: a kind that can degrade gives the exact verdicts,
-				// flagged; one that cannot refuses with ErrNoFallback — the
-				// dataset, not a query, so before the batch (empty or not) and
-				// in the same words whatever the kind.
-				exact, err := ref.AskBatch(context.Background(), fam.wellFormed, 1, store.Exact)
-				if err != nil {
-					t.Fatal(err)
-				}
-				refusal := fmt.Sprintf("scheme %s: %v", fam.scheme.Name(), store.ErrNoFallback)
-				for _, k := range kinds {
-					one, oneErr := k.ds.Ask(context.Background(), fam.wellFormed[0], store.Degraded)
-					all, allErr := k.ds.AskBatch(context.Background(), fam.wellFormed, 2, store.Degraded)
-					none, noneErr := k.ds.AskBatch(context.Background(), nil, 2, store.Degraded)
-					if !k.ds.CanDegrade() {
-						for op, err := range map[string]error{"Ask": oneErr, "AskBatch": allErr, "empty AskBatch": noneErr} {
-							if !errors.Is(err, store.ErrNoFallback) || err.Error() != refusal {
-								t.Fatalf("Degraded %s on %s (no fallback) = %v, want ErrNoFallback as %q", op, k.name, err, refusal)
-							}
-						}
-						continue
-					}
-					if got, want := outcome(none.Answers, none.Version, none.Degraded, noneErr), outcome([]bool{}, uint64(patched), 0, nil); got != want {
-						t.Fatalf("Degraded empty AskBatch on %s:\n got %s\nwant %s", k.name, got, want)
-					}
-					if oneErr != nil || !one.Degraded || one.Answer != exact.Answers[0] || one.Version != uint64(patched) {
-						t.Fatalf("Degraded Ask on %s = (%+v, %v), want %v flagged at version %d", k.name, one, oneErr, exact.Answers[0], patched)
-					}
-					if got, want := outcome(all.Answers, all.Version, all.Degraded, allErr), outcome(exact.Answers, uint64(patched), len(fam.wellFormed), nil); got != want {
-						t.Fatalf("Degraded AskBatch on %s:\n got %s\nwant %s", k.name, got, want)
 					}
 				}
 				if patched == len(fam.patches) {
@@ -213,9 +180,6 @@ func TestAnswerSeamConformance(t *testing.T) {
 						t.Fatalf("PATCH %d: %v", patched, err)
 					}
 				}
-			}
-			if fam.name == "view" && !ref.CanDegrade() {
-				t.Fatal("the view family's plain store must exercise the Degraded-capable rows")
 			}
 		})
 	}

@@ -335,7 +335,7 @@ func TestOlderClosureLayoutOnDiskIsRebuilt(t *testing.T) {
 		t.Helper()
 		for u := 0; u < n; u++ {
 			for v := 0; v < n; v++ {
-				got, err := ds.Ask(context.Background(), schemes.NodePairQuery(u, v), store.Exact)
+				got, err := ds.Ask(context.Background(), schemes.NodePairQuery(u, v))
 				if err != nil || got.Answer != want.Reach(u, v) {
 					t.Fatalf("(%d,%d) = (%v, %v), want %v", u, v, got.Answer, err, want.Reach(u, v))
 				}
@@ -476,7 +476,7 @@ func TestOlderSortedKeyLayoutOnDiskIsRebuilt(t *testing.T) {
 	verify := func(t *testing.T, ds store.Dataset) {
 		t.Helper()
 		for k := int64(-310); k < 710; k++ {
-			got, err := ds.Ask(context.Background(), schemes.PointQuery(k), store.Exact)
+			got, err := ds.Ask(context.Background(), schemes.PointQuery(k))
 			if want := k >= -300 && k < 700 && k%5 == 0; err != nil || got.Answer != want {
 				t.Fatalf("key %d = (%v, %v), want %v", k, got.Answer, err, want)
 			}

@@ -331,14 +331,10 @@ func (ss *ShardedStore) Committed() (version uint64, summary []byte, shards []*s
 	return c.version, c.summary, c.snapshots(ss.Scheme)
 }
 
-// CanDegrade implements store.Dataset: a sharded dataset has no degraded
-// form (the view is derived from the per-shard exact answerers).
-func (ss *ShardedStore) CanDegrade() bool { return false }
-
 // Ask implements store.Dataset: one query through the committed view, at
 // the version committed with it.
-func (ss *ShardedStore) Ask(ctx context.Context, q []byte, mode store.Mode) (store.Verdict, error) {
-	if err := store.Askable(ctx, ss, mode); err != nil {
+func (ss *ShardedStore) Ask(ctx context.Context, q []byte) (store.Verdict, error) {
+	if err := ctx.Err(); err != nil {
 		return store.Verdict{}, err
 	}
 	c := ss.state.Load()
@@ -355,8 +351,8 @@ func (ss *ShardedStore) Ask(ctx context.Context, q []byte, mode store.Mode) (sto
 // over one committed view, so all verdicts come from one maintenance
 // version, ctx is consulted before every probe, and errors carry the
 // caller's own query index.
-func (ss *ShardedStore) AskBatch(ctx context.Context, queries [][]byte, parallelism int, mode store.Mode) (store.Verdicts, error) {
-	if err := store.Askable(ctx, ss, mode); err != nil {
+func (ss *ShardedStore) AskBatch(ctx context.Context, queries [][]byte, parallelism int) (store.Verdicts, error) {
+	if err := ctx.Err(); err != nil {
 		return store.Verdicts{}, err
 	}
 	c := ss.state.Load()
@@ -374,16 +370,15 @@ func (ss *ShardedStore) AskBatch(ctx context.Context, queries [][]byte, parallel
 	return vs, err
 }
 
-// Answer implements store.Dataset: Ask in Exact mode with no deadline.
+// Answer implements store.Dataset: Ask with no deadline.
 func (ss *ShardedStore) Answer(q []byte) (bool, error) {
-	v, err := ss.Ask(context.Background(), q, store.Exact)
+	v, err := ss.Ask(context.Background(), q)
 	return v.Answer, err
 }
 
-// AnswerBatch implements store.Dataset: AskBatch in Exact mode with no
-// deadline.
+// AnswerBatch implements store.Dataset: AskBatch with no deadline.
 func (ss *ShardedStore) AnswerBatch(queries [][]byte, parallelism int) ([]bool, error) {
-	vs, err := ss.AskBatch(context.Background(), queries, parallelism, store.Exact)
+	vs, err := ss.AskBatch(context.Background(), queries, parallelism)
 	return vs.Answers, err
 }
 

@@ -2,37 +2,19 @@ package store
 
 // The answer seam. Every dataset kind — a plain Store, the cache wrapper,
 // internal/shard's ShardedStore — answers through exactly two methods,
-// Dataset.Ask and Dataset.AskBatch, which take the caller's context and the
-// answering Mode as arguments and return the verdict(s) together with the
-// maintenance version they were computed at. Cancellation is cooperative
-// (the context is checked before every probe); AskWithin / AskBatchWithin
-// add the hard deadline guard on top, abandoning the worker goroutine at
-// the deadline — the result is dropped and the HTTP layer answers 504
-// immediately, so an expired request is never left holding an envelope
-// slot. AnswerWithin / AnswerBatchWithin are the Exact-mode faces that
-// return bare verdicts.
+// Dataset.Ask and Dataset.AskBatch, which take the caller's context as an
+// argument and return the verdict(s) together with the maintenance version
+// they were computed at. Cancellation is cooperative (the context is
+// checked before every probe); AskWithin / AskBatchWithin add the hard
+// deadline guard on top, abandoning the worker goroutine at the deadline —
+// the result is dropped and the HTTP layer answers 504 immediately, so an
+// expired request is never left holding an envelope slot. AnswerWithin /
+// AnswerBatchWithin are the faces that return bare verdicts.
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
-)
-
-// Mode selects which of a dataset's answerers decides a query.
-type Mode uint8
-
-const (
-	// Exact answers through the scheme's prepared form. A batch under a
-	// deadline may still finish on the declared fallback once the budget
-	// runs low (Verdicts.Degraded counts those queries).
-	Exact Mode = iota
-	// Degraded answers through the scheme's declared fallback answerer
-	// (core.Scheme.PrepareFallback). Verdicts are exact — the fallback
-	// trades serving cost, not correctness — and bypass the answer cache
-	// in both directions, which keeps the cache's hit accounting an
-	// exact-path signal.
-	Degraded
 )
 
 // Verdict is one answer and the state it was computed in.
@@ -41,8 +23,6 @@ type Verdict struct {
 	// Version is the maintenance version of the Π that decided Answer,
 	// read in the same critical section as the answerer.
 	Version uint64
-	// Degraded reports that the fallback answerer decided.
-	Degraded bool
 }
 
 // Verdicts is one batch's answers, in query order, all decided against the
@@ -50,13 +30,7 @@ type Verdict struct {
 type Verdicts struct {
 	Answers []bool
 	Version uint64
-	// Degraded counts the queries the fallback answerer decided.
-	Degraded int
 }
-
-// ErrNoFallback reports a Degraded ask of a dataset whose scheme declares
-// no fallback answerer (see Dataset.CanDegrade).
-var ErrNoFallback = errors.New("store: dataset declares no degraded fallback")
 
 // DeadlineError reports a query or batch that outlived its budget. It
 // wraps context.DeadlineExceeded (or context.Canceled), so errors.Is
@@ -116,50 +90,37 @@ func unarmed(ctx context.Context) bool { return ctx == nil || ctx.Done() == nil 
 
 // AskWithin asks one query within ctx's deadline. Without a deadline (or
 // cancellation) it is exactly ds.Ask.
-func AskWithin(ctx context.Context, ds Dataset, q []byte, mode Mode) (Verdict, error) {
+func AskWithin(ctx context.Context, ds Dataset, q []byte) (Verdict, error) {
 	if unarmed(ctx) {
-		return ds.Ask(context.Background(), q, mode)
+		return ds.Ask(context.Background(), q)
 	}
-	return guard(ctx, "answer", ds.DatasetID(), func() (Verdict, error) { return ds.Ask(ctx, q, mode) })
+	return guard(ctx, "answer", ds.DatasetID(), func() (Verdict, error) { return ds.Ask(ctx, q) })
 }
 
 // AskBatchWithin asks a batch within ctx's deadline. Without a deadline it
 // is exactly ds.AskBatch.
-func AskBatchWithin(ctx context.Context, ds Dataset, queries [][]byte, parallelism int, mode Mode) (Verdicts, error) {
+func AskBatchWithin(ctx context.Context, ds Dataset, queries [][]byte, parallelism int) (Verdicts, error) {
 	if unarmed(ctx) {
-		return ds.AskBatch(context.Background(), queries, parallelism, mode)
+		return ds.AskBatch(context.Background(), queries, parallelism)
 	}
 	return guard(ctx, "batch", ds.DatasetID(), func() (Verdicts, error) {
-		return ds.AskBatch(ctx, queries, parallelism, mode)
+		return ds.AskBatch(ctx, queries, parallelism)
 	})
 }
 
 // AnswerWithin answers one query within ctx's deadline. Without a
 // deadline (or cancellation) it is exactly ds.Answer.
 func AnswerWithin(ctx context.Context, ds Dataset, q []byte) (bool, error) {
-	v, err := AskWithin(ctx, ds, q, Exact)
+	v, err := AskWithin(ctx, ds, q)
 	return v.Answer, err
 }
 
-// AnswerBatchWithin answers a batch within ctx's deadline. Datasets with
-// a declared fallback switch to it once the remaining budget runs low;
-// degraded reports how many queries took the fallback. Without a deadline
-// it is exactly ds.AnswerBatch.
+// AnswerBatchWithin answers a batch within ctx's deadline. Without a
+// deadline it is exactly ds.AnswerBatch. The middle result is always 0:
+// every dataset answers through its one prepared answerer, so no query is
+// ever answered another way. It is kept only because the benchmark ladder
+// (bench/ladder.go) calls this function for three results.
 func AnswerBatchWithin(ctx context.Context, ds Dataset, queries [][]byte, parallelism int) (answers []bool, degraded int, err error) {
-	vs, err := AskBatchWithin(ctx, ds, queries, parallelism, Exact)
-	return vs.Answers, vs.Degraded, err
-}
-
-// degradeThresholdDiv is the fraction of the remaining budget at which a
-// degradable batch switches from the exact path to the fallback.
-const degradeThresholdDiv = 4
-
-// budgetLow reports whether less than 1/degradeThresholdDiv of the
-// budget measured from start remains before deadline.
-func budgetLow(start, deadline time.Time) bool {
-	total := deadline.Sub(start)
-	if total <= 0 {
-		return true
-	}
-	return time.Until(deadline) < total/degradeThresholdDiv
+	vs, err := AskBatchWithin(ctx, ds, queries, parallelism)
+	return vs.Answers, 0, err
 }

@@ -70,7 +70,7 @@ func TestCachedFillIsExactlyItsKeyedVersion(t *testing.T) {
 		}
 	}
 	q := []byte{7}
-	v, err := cd.Ask(context.Background(), q, Exact)
+	v, err := cd.Ask(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestCachedFillIsExactlyItsKeyedVersion(t *testing.T) {
 	// With the version stable the same query fills and then hits, labelled
 	// with its key's version.
 	for i := 0; i < 2; i++ {
-		if v, err := cd.Ask(context.Background(), q, Exact); err != nil || !v.Answer || v.Version != 1 {
+		if v, err := cd.Ask(context.Background(), q); err != nil || !v.Answer || v.Version != 1 {
 			t.Fatalf("stable ask %d = (%+v, %v), want (true at version 1, nil)", i, v, err)
 		}
 	}

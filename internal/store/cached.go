@@ -17,20 +17,19 @@ var (
 )
 
 // cachedDataset fronts one Dataset with a verdict cache. It implements
-// Dataset by delegation, intercepting only Exact-mode asks.
+// Dataset by delegation, intercepting the asks.
 type cachedDataset struct {
 	Dataset
 	c *cache.Cache
 }
 
-// NewCachedDataset wraps ds so Exact asks consult (and fill) c before
-// touching the underlying answering path; Degraded asks bypass it in both
-// directions. The cache key is ⟨ds.DatasetID(), ds.Version(), query⟩ with
-// the version read at admission, and an entry is only ever filled from a
-// verdict the underlying dataset computed at exactly that version — so a
-// hit serves a verdict of exactly the version it is labelled with, and a
-// committed delta invalidates every prior entry by moving traffic to new
-// keys.
+// NewCachedDataset wraps ds so asks consult (and fill) c before touching
+// the underlying answering path. The cache key is ⟨ds.DatasetID(),
+// ds.Version(), query⟩ with the version read at admission, and an entry
+// is only ever filled from a verdict the underlying dataset computed at
+// exactly that version — so a hit serves a verdict of exactly the version
+// it is labelled with, and a committed delta invalidates every prior entry
+// by moving traffic to new keys.
 //
 // The wrapper is an answer-path view: registration and maintenance keep
 // going through the registry (or the underlying dataset), which is also
@@ -51,10 +50,7 @@ var errNewerVersion = errors.New("store: verdict computed past its cache key's v
 // Ask implements Dataset: a cache hit returns immediately; a cold key runs
 // the underlying ask once, with concurrent callers of the same key
 // coalesced onto that one run (singleflight).
-func (cd *cachedDataset) Ask(ctx context.Context, q []byte, mode Mode) (Verdict, error) {
-	if mode != Exact {
-		return cd.Dataset.Ask(ctx, q, mode)
-	}
+func (cd *cachedDataset) Ask(ctx context.Context, q []byte) (Verdict, error) {
 	if err := ctx.Err(); err != nil {
 		return Verdict{}, err
 	}
@@ -63,7 +59,7 @@ func (cd *cachedDataset) Ask(ctx context.Context, q []byte, mode Mode) (Verdict,
 	ran := false
 	ans, err := cd.c.Do(cd.Dataset.DatasetID(), version, q, func() (bool, error) {
 		ran = true
-		v, err := cd.Dataset.Ask(ctx, q, Exact)
+		v, err := cd.Dataset.Ask(ctx, q)
 		if err == nil && v.Version != version {
 			err = errNewerVersion
 		}
@@ -77,7 +73,7 @@ func (cd *cachedDataset) Ask(ctx context.Context, q []byte, mode Mode) (Verdict,
 		obsCacheHit.Since(start)
 	}
 	if errors.Is(err, errNewerVersion) {
-		return cd.Dataset.Ask(ctx, q, Exact)
+		return cd.Dataset.Ask(ctx, q)
 	}
 	return Verdict{Answer: ans, Version: version}, err
 }
@@ -88,10 +84,7 @@ func (cd *cachedDataset) Ask(ctx context.Context, q []byte, mode Mode) (Verdict,
 // underlying AskBatch worker pool (then populate the cache). The whole
 // batch is keyed at one admission version. Misses are answered as one
 // sub-batch rather than coalesced per key.
-func (cd *cachedDataset) AskBatch(ctx context.Context, queries [][]byte, parallelism int, mode Mode) (Verdicts, error) {
-	if mode != Exact {
-		return cd.Dataset.AskBatch(ctx, queries, parallelism, mode)
-	}
+func (cd *cachedDataset) AskBatch(ctx context.Context, queries [][]byte, parallelism int) (Verdicts, error) {
 	if err := ctx.Err(); err != nil {
 		return Verdicts{}, err
 	}
@@ -111,7 +104,7 @@ func (cd *cachedDataset) AskBatch(ctx context.Context, queries [][]byte, paralle
 	if len(missIdx) == 0 {
 		return vs, nil
 	}
-	sub, err := cd.Dataset.AskBatch(ctx, missQueries, parallelism, Exact)
+	sub, err := cd.Dataset.AskBatch(ctx, missQueries, parallelism)
 	if err != nil || sub.Version != version {
 		// An error names the failing query's index *within the misses*,
 		// which would be wrong (and cache-state-dependent) for the caller;
@@ -121,24 +114,23 @@ func (cd *cachedDataset) AskBatch(ctx context.Context, queries [][]byte, paralle
 		// uncached: it answers against a single Π, an error carries the
 		// caller's own lowest failing index — identical bytes to what the
 		// uncached path reports — and an expired ctx returns at once.
-		return cd.Dataset.AskBatch(ctx, queries, parallelism, Exact)
+		return cd.Dataset.AskBatch(ctx, queries, parallelism)
 	}
 	for k, i := range missIdx {
 		vs.Answers[i] = sub.Answers[k]
 		cd.c.Put(id, version, queries[i], sub.Answers[k])
 	}
-	vs.Degraded = sub.Degraded
 	return vs, nil
 }
 
-// Answer implements Dataset: Ask in Exact mode with no deadline.
+// Answer implements Dataset: Ask with no deadline.
 func (cd *cachedDataset) Answer(q []byte) (bool, error) {
-	v, err := cd.Ask(context.Background(), q, Exact)
+	v, err := cd.Ask(context.Background(), q)
 	return v.Answer, err
 }
 
-// AnswerBatch implements Dataset: AskBatch in Exact mode with no deadline.
+// AnswerBatch implements Dataset: AskBatch with no deadline.
 func (cd *cachedDataset) AnswerBatch(queries [][]byte, parallelism int) ([]bool, error) {
-	vs, err := cd.AskBatch(context.Background(), queries, parallelism, Exact)
+	vs, err := cd.AskBatch(context.Background(), queries, parallelism)
 	return vs.Answers, err
 }

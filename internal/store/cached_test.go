@@ -32,16 +32,15 @@ func (d *scriptedDataset) SnapshotBytes() int       { return 0 }
 func (d *scriptedDataset) ShardCount() int          { return 1 }
 func (d *scriptedDataset) WasLoaded() bool          { return false }
 func (d *scriptedDataset) Version() uint64          { return d.version.Load() }
-func (d *scriptedDataset) CanDegrade() bool         { return false }
 func (d *scriptedDataset) RetryPrepare() error      { return nil }
-func (d *scriptedDataset) Ask(ctx context.Context, q []byte, mode Mode) (Verdict, error) {
+func (d *scriptedDataset) Ask(ctx context.Context, q []byte) (Verdict, error) {
 	if d.onAsk != nil {
 		d.onAsk()
 	}
 	v := d.version.Load()
 	return Verdict{Answer: v > 0, Version: v}, nil
 }
-func (d *scriptedDataset) AskBatch(ctx context.Context, queries [][]byte, parallelism int, mode Mode) (Verdicts, error) {
+func (d *scriptedDataset) AskBatch(ctx context.Context, queries [][]byte, parallelism int) (Verdicts, error) {
 	if d.onBatch != nil {
 		d.onBatch()
 	}
@@ -53,11 +52,11 @@ func (d *scriptedDataset) AskBatch(ctx context.Context, queries [][]byte, parall
 	return Verdicts{Answers: out, Version: v}, nil
 }
 func (d *scriptedDataset) Answer(q []byte) (bool, error) {
-	v, err := d.Ask(context.Background(), q, Exact)
+	v, err := d.Ask(context.Background(), q)
 	return v.Answer, err
 }
 func (d *scriptedDataset) AnswerBatch(queries [][]byte, parallelism int) ([]bool, error) {
-	vs, err := d.AskBatch(context.Background(), queries, parallelism, Exact)
+	vs, err := d.AskBatch(context.Background(), queries, parallelism)
 	return vs.Answers, err
 }
 

@@ -14,24 +14,14 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"pitract/internal/core"
 	"pitract/internal/schemes"
 )
-
-// degradableKeys is the sorted-keys scheme with its prepared form declared as
-// its fallback too, so a maintainable store has both memoised forms to race.
-func degradableKeys() *core.Scheme {
-	base := schemes.PointSelectionScheme()
-	sch := *base
-	sch.PrepareFallback = base.Prepare
-	return &sch
-}
 
 // TestStoreReadersPatchesAndRetries races readers, a PATCH writer and
 // RetryPrepare callers on one store. Delta j inserts key 1000+j, or — every
 // third — deletes the key delta j-2 inserted, so the key set at every version
 // is known: each verdict must equal that model at exactly the version it
-// carries (exact or degraded, single or batch), one reader's versions never
+// carries (single or batch), one reader's versions never
 // regress, and once the writer stops the version is the number of
 // acknowledged deltas — a RetryPrepare that raced a commit did not put the
 // older value back.
@@ -58,7 +48,7 @@ func TestStoreReadersPatchesAndRetries(t *testing.T) {
 	}
 
 	reg := NewRegistry("") // memory-only: the race is in the publication, not the file
-	st, err := reg.Register("d", degradableKeys(), schemes.RelationFromKeys(nil))
+	st, err := reg.Register("d", schemes.PointSelectionScheme(), schemes.RelationFromKeys(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +96,6 @@ func TestStoreReadersPatchesAndRetries(t *testing.T) {
 		go func(r int) {
 			defer others.Done()
 			rng := rand.New(rand.NewSource(int64(r)))
-			mode := Mode(r % 2) // two exact readers, two degraded
 			var last uint64
 			check := func(v uint64, k int64, got bool) bool {
 				if v < last {
@@ -130,7 +119,7 @@ func TestStoreReadersPatchesAndRetries(t *testing.T) {
 						ks[n] = key(rng.Intn(deltas))
 						qs[n] = schemes.PointQuery(ks[n])
 					}
-					vs, err := st.AskBatch(context.Background(), qs, 2, mode)
+					vs, err := st.AskBatch(context.Background(), qs, 2)
 					if err != nil {
 						t.Errorf("reader %d: batch: %v", r, err)
 						return
@@ -143,8 +132,8 @@ func TestStoreReadersPatchesAndRetries(t *testing.T) {
 					continue
 				}
 				k := key(rng.Intn(deltas))
-				v, err := st.Ask(context.Background(), schemes.PointQuery(k), mode)
-				if err != nil || v.Degraded != (mode == Degraded) {
+				v, err := st.Ask(context.Background(), schemes.PointQuery(k))
+				if err != nil {
 					t.Errorf("reader %d: ask: %+v, %v", r, v, err)
 					return
 				}
@@ -171,17 +160,20 @@ func TestStoreReadersPatchesAndRetries(t *testing.T) {
 // use at once: all of them must end up on the one published value, and every
 // asker gets a verdict from it.
 func TestStoreLiteralFirstUseRaced(t *testing.T) {
-	sch := degradableKeys()
+	sch := schemes.PointSelectionScheme()
 	data := schemes.RelationFromKeys([]int64{2, 4, 6})
 	pd := mustPreprocess(t, sch, data)
 	hit, miss := schemes.PointQuery(4), schemes.PointQuery(5)
 	for round := 0; round < 200; round++ {
 		st := &Store{ID: "d", Scheme: sch, Prep: pd, DataSum: SumData(data)}
 		uses := []func() bool{
-			func() bool { v, err := st.Ask(context.Background(), hit, Exact); return err == nil && v.Answer },
-			func() bool { v, err := st.Ask(context.Background(), miss, Degraded); return err == nil && !v.Answer },
+			func() bool { v, err := st.Ask(context.Background(), hit); return err == nil && v.Answer },
 			func() bool {
-				vs, err := st.AskBatch(context.Background(), [][]byte{hit, miss}, 2, Exact)
+				got, err := st.AnswerBatch([][]byte{miss, hit}, 1)
+				return err == nil && !got[0] && got[1]
+			},
+			func() bool {
+				vs, err := st.AskBatch(context.Background(), [][]byte{hit, miss}, 2)
 				return err == nil && vs.Answers[0] && !vs.Answers[1]
 			},
 			func() bool { ok, err := st.Answer(hit); return err == nil && ok },

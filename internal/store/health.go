@@ -7,8 +7,8 @@ package store
 // at causes — the server classifies each answer outcome (deadline
 // expiry, prepare failure, success) and reports it via OnSuccess /
 // OnFailure; the breaker only decides whether the next request should
-// pay the possibly-failing exact path, try a cheaper declared fallback,
-// or be refused outright with a Retry-After hint.
+// pay the possibly-failing answer path or be refused outright with a
+// Retry-After hint.
 
 import (
 	"fmt"
@@ -30,15 +30,15 @@ var (
 type HealthState int32
 
 const (
-	// Healthy: the exact path is serving normally.
+	// Healthy: the answer path is serving normally.
 	HealthHealthy HealthState = iota
-	// Degraded: recent failures crossed the soft threshold; requests are
-	// admitted but answered via the scheme's declared fallback when one
-	// exists. The state ages out as the failure window empties.
+	// Degraded: recent failures crossed the soft threshold — a warning;
+	// requests are still admitted and answered exactly. The state ages out
+	// as the failure window empties.
 	HealthDegraded
 	// Open: the breaker tripped. Requests refuse fast (503 + Retry-After)
 	// until the backoff elapses, then a single half-open probe retries the
-	// exact path; success closes the breaker, failure doubles the backoff.
+	// answer path; success closes the breaker, failure doubles the backoff.
 	HealthOpen
 	// Quarantined: a persisted artifact failed CRC or decode and was
 	// renamed aside; the dataset was rebuilt from source and the state
@@ -102,15 +102,9 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 type BreakerDecision struct {
 	// Admit: serve the request. False means refuse fast with RetryAfter.
 	Admit bool
-	// Probe: this request is the single half-open probe — it must take
-	// the exact path, and its outcome closes or re-opens the breaker.
+	// Probe: this request is the single half-open probe — its outcome
+	// closes or re-opens the breaker.
 	Probe bool
-	// Degrade: prefer the scheme's declared fallback for this request.
-	Degrade bool
-	// ExactFallback: when Degrade is set and the scheme declares no
-	// fallback, the exact path is still acceptable (Degraded state).
-	// False means the exact path is off-limits (half-open, non-probe).
-	ExactFallback bool
 	// State is the health state the decision was made under.
 	State HealthState
 	// RetryAfter hints when the client should retry a refused request.
@@ -181,11 +175,9 @@ func (b *Breaker) Allow() BreakerDecision {
 			b.probeAt = now
 			return BreakerDecision{Admit: true, Probe: true, State: HealthOpen}
 		}
-		// Half-open with the probe slot taken: only a declared fallback
-		// may answer — the exact path is reserved for the probe.
-		return BreakerDecision{Admit: true, Degrade: true, State: HealthOpen, RetryAfter: b.backoff}
-	case HealthDegraded:
-		return BreakerDecision{Admit: true, Degrade: true, ExactFallback: true, State: HealthDegraded}
+		// Half-open with the probe slot taken: the answer path is reserved
+		// for the probe, so everyone else is refused until it reports.
+		return BreakerDecision{State: HealthOpen, RetryAfter: b.backoff}
 	default:
 		return BreakerDecision{Admit: true, State: b.state}
 	}

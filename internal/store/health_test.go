@@ -72,7 +72,7 @@ func TestBreakerConfigDefaults(t *testing.T) {
 func TestBreakerLifecycle(t *testing.T) {
 	b, clk := testBreaker(breakerCfg)
 
-	if dec := b.Allow(); !dec.Admit || dec.Probe || dec.Degrade || dec.State != HealthHealthy {
+	if dec := b.Allow(); !dec.Admit || dec.Probe || dec.State != HealthHealthy {
 		t.Fatalf("healthy decision %+v", dec)
 	}
 
@@ -81,7 +81,8 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatalf("one failure moved the state to %v", st)
 	}
 	b.OnFailure(false)
-	if dec := b.Allow(); !dec.Admit || !dec.Degrade || !dec.ExactFallback || dec.State != HealthDegraded {
+	// Degraded is a warning: the request is admitted like a healthy one.
+	if dec := b.Allow(); !dec.Admit || dec.Probe || dec.State != HealthDegraded {
 		t.Fatalf("degraded decision %+v", dec)
 	}
 
@@ -102,15 +103,16 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 
 	// Backoff elapsed: exactly one probe is admitted; concurrent arrivals
-	// may only degrade (the exact path is reserved for the probe).
+	// are refused with a Retry-After (the answer path is reserved for the
+	// probe).
 	clk.Advance(70 * time.Millisecond)
 	probe := b.Allow()
 	if !probe.Admit || !probe.Probe {
 		t.Fatalf("post-backoff decision %+v, want the probe", probe)
 	}
 	during := b.Allow()
-	if !during.Admit || during.Probe || !during.Degrade || during.ExactFallback {
-		t.Fatalf("decision during probe %+v, want degrade-only", during)
+	if during.Admit || during.Probe || during.State != HealthOpen || during.RetryAfter != breakerCfg.Backoff {
+		t.Fatalf("decision during probe %+v, want refused with RetryAfter %v", during, breakerCfg.Backoff)
 	}
 
 	// The probe fails: still open, backoff doubled.
@@ -249,7 +251,7 @@ func TestBreakerQuarantineHeals(t *testing.T) {
 	if st := b.State(); st != HealthQuarantined {
 		t.Fatalf("state after MarkQuarantined = %v", st)
 	}
-	if dec := b.Allow(); !dec.Admit || dec.Degrade || dec.Probe {
+	if dec := b.Allow(); !dec.Admit || dec.Probe {
 		t.Fatalf("quarantined decision %+v, want plain admission", dec)
 	}
 	b.OnSuccess(false)

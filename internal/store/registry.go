@@ -37,9 +37,9 @@ var (
 // (one preprocessed artifact), a composite such as internal/shard's
 // ShardedStore (n per-shard artifacts behind one catalog entry), or either
 // behind the answer cache (NewCachedDataset). Answering is one seam — Ask
-// and AskBatch, with the context and the Mode as arguments and the version
-// in the result — identical for every kind; Answer and AnswerBatch are its
-// background-context, Exact-mode faces. The answer-path methods must be
+// and AskBatch, with the context as an argument and the version in the
+// result — identical for every kind; Answer and AnswerBatch are its
+// background-context faces. The answer-path methods must be
 // safe for concurrent use; the descriptive methods must be cheap and never
 // block. Mutation is a seam of its own: a dataset that can be maintained in
 // place is also a DeltaDataset (maintain.go).
@@ -69,28 +69,24 @@ type Dataset interface {
 	// Restarts restore it from the snapshot, so it never goes backwards
 	// over the lifetime of the persisted dataset.
 	Version() uint64
-	// CanDegrade reports whether Degraded asks can be answered — the
-	// scheme declares a cheaper fallback answerer.
-	CanDegrade() bool
 	// RetryPrepare republishes the committed Π at its version with the
-	// prepared answerer(s), successful or failed, built again — the hook a
+	// prepared answerer, successful or failed, built again — the hook a
 	// breaker's half-open probe uses to retry a transient Prepare failure. It
 	// never replaces a newer commit.
 	RetryPrepare() error
-	// Ask decides one query in the given mode. The verdict carries the
-	// maintenance version of the Π that decided it, read together with the
-	// answerer. A cancelled ctx returns its error before any probe; a
-	// Degraded ask of a dataset that cannot degrade is ErrNoFallback.
-	Ask(ctx context.Context, q []byte, mode Mode) (Verdict, error)
+	// Ask decides one query. The verdict carries the maintenance version of
+	// the Π that decided it, read together with the answerer. A cancelled
+	// ctx returns its error before any probe.
+	Ask(ctx context.Context, q []byte) (Verdict, error)
 	// AskBatch answers queries concurrently through worker pools
 	// (parallelism <= 0 selects GOMAXPROCS), all against the one Π at the
 	// returned version, consulting ctx before every probe. The first error
 	// by lowest query index aborts the batch, reported as
 	// "scheme <name>: batch query <index>: <cause>".
-	AskBatch(ctx context.Context, queries [][]byte, parallelism int, mode Mode) (Verdicts, error)
-	// Answer is Ask in Exact mode under a background context.
+	AskBatch(ctx context.Context, queries [][]byte, parallelism int) (Verdicts, error)
+	// Answer is Ask under a background context.
 	Answer(q []byte) (bool, error)
-	// AnswerBatch is AskBatch in Exact mode under a background context.
+	// AnswerBatch is AskBatch under a background context.
 	AnswerBatch(queries [][]byte, parallelism int) ([]bool, error)
 }
 
@@ -362,7 +358,7 @@ func (r *Registry) RegisterContext(ctx context.Context, id string, scheme *core.
 					// it is an old format, quarantined and rebuilt like a
 					// snapshot with an old magic.
 					var le *core.LayoutError
-					if _, err := st.load().forms[Exact](); errors.As(err, &le) {
+					if _, err := st.load().form(); errors.As(err, &le) {
 						return nil, &CorruptArtifactError{Path: SnapshotPath(dir, id), Err: err}
 					}
 					return st, nil

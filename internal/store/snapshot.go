@@ -29,7 +29,6 @@ import (
 	"hash/crc32"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pitract/internal/core"
 )
@@ -215,15 +214,13 @@ type committed struct {
 	// version counts the deltas applied since registration; it only ever
 	// grows, and every applied delta bumps it by one.
 	version uint64
-	// forms memoises, per Mode, the answerer decoded from prep — the scheme's
-	// typed prepared form (Exact, (*core.Scheme).Prepare), its declared fallback
-	// (Degraded, Scheme.PrepareFallback) — each built by its first use, once:
-	// askers arriving meanwhile wait for that build rather than start their
-	// own (the labels fallback is a whole closure build). A failed build is
-	// sticky for the value (a corrupt Π errors once at preparation; every
-	// answer surfaces it, matching the raw path's per-query validation error)
-	// until RetryPrepare publishes a fresh one.
-	forms [2]func() (core.Answerer, error)
+	// form memoises the answerer decoded from prep — the scheme's prepared
+	// form, (*core.Scheme).Prepare — built by its first use, once: askers
+	// arriving meanwhile wait for that build rather than start their own. A
+	// failed build is sticky for the value (a corrupt Π errors once at
+	// preparation; every answer surfaces it, matching the raw path's
+	// per-query validation error) until RetryPrepare publishes a fresh one.
+	form func() (core.Answerer, error)
 	// snapSize memoises SnapshotBytes (0 = not encoded yet), so a /v1/stats
 	// scrape encodes a snapshot at most once per version.
 	snapSize atomic.Int64
@@ -231,10 +228,8 @@ type committed struct {
 
 // newCommitted is ⟨prep, version⟩ with nothing memoised yet.
 func newCommitted(scheme *core.Scheme, prep []byte, version uint64) *committed {
-	return &committed{prep: prep, version: version, forms: [2]func() (core.Answerer, error){
-		Exact:    sync.OnceValues(func() (core.Answerer, error) { return Prepare(scheme, prep) }),
-		Degraded: sync.OnceValues(func() (core.Answerer, error) { return scheme.PrepareFallback(prep) }),
-	}}
+	return &committed{prep: prep, version: version,
+		form: sync.OnceValues(func() (core.Answerer, error) { return Prepare(scheme, prep) })}
 }
 
 // newStore is the one constructor Register and Open share: ⟨Π, version⟩ is
@@ -282,16 +277,6 @@ func Prepare(scheme *core.Scheme, prep []byte) (core.Answerer, error) {
 	return a, err
 }
 
-// Askable refuses an ask before any work, in the same words for every
-// dataset kind: a mode the dataset cannot serve — a property of the dataset,
-// not of any one query — or a cancelled ctx.
-func Askable(ctx context.Context, ds Dataset, mode Mode) error {
-	if mode == Degraded && !ds.CanDegrade() {
-		return fmt.Errorf("scheme %s: %w", ds.SchemeName(), ErrNoFallback)
-	}
-	return ctx.Err()
-}
-
 // View returns the current preprocessed string and the maintenance version
 // it corresponds to, as one consistent pair. The returned slice is the
 // immutable committed Π — a commit replaces the slice rather than mutating
@@ -301,15 +286,15 @@ func (st *Store) View() ([]byte, uint64) {
 	return c.prep, c.version
 }
 
-// Warm is the exact form's first use, made by registration and snapshot
+// Warm is the prepared form's first use, made by registration and snapshot
 // reloads before the store is shared, so the first query pays a probe, not
 // a decode. Prepare failures are not fatal here — they surface, with the
 // identical message, on every subsequent Answer.
-func (st *Store) Warm() { st.load().forms[Exact]() }
+func (st *Store) Warm() { st.load().form() }
 
-// RetryPrepare implements Dataset: it builds the exact form of the
+// RetryPrepare implements Dataset: it builds the prepared form of the
 // committed Π again and republishes ⟨Π, version⟩ with it, dropping the old
-// forms, successful or failed. This is the heal path for a Prepare that
+// form, successful or failed. This is the heal path for a Prepare that
 // failed transiently (e.g. an injected I/O fault inside a scheme's decode):
 // without it the first failure would poison the store until restart. A
 // breaker's half-open probe calls it beside any maintainer, so the swap is
@@ -318,7 +303,7 @@ func (st *Store) Warm() { st.load().forms[Exact]() }
 func (st *Store) RetryPrepare() error {
 	c := st.load()
 	next := newCommitted(st.Scheme, c.prep, c.version)
-	_, err := next.forms[Exact]()
+	_, err := next.form()
 	st.state.CompareAndSwap(c, next)
 	return err
 }
@@ -330,7 +315,7 @@ func (st *Store) Version() uint64 { return st.load().version }
 // Stage implements DeltaDataset: Π ← ApplyDelta(…ApplyDelta(Π, ∆D₁)…, ∆Dₖ)
 // on a private copy, and the maintained Π's prepared answerer, built here —
 // where no query waits — into the next committed value; the commit is one
-// pointer store. The fallback is built by the next degraded ask.
+// pointer store.
 func (st *Store) Stage(ctx context.Context, inc *core.IncrementalScheme, deltas [][]byte) (func(version uint64), error) {
 	cur := st.load().prep
 	for i, delta := range deltas {
@@ -344,7 +329,7 @@ func (st *Store) Stage(ctx context.Context, inc *core.IncrementalScheme, deltas 
 		cur = next
 	}
 	next := newCommitted(st.Scheme, cur, 0)
-	next.forms[Exact]()
+	next.form()
 	return func(version uint64) {
 		next.version = version
 		st.state.Store(next)
@@ -391,26 +376,21 @@ func (st *Store) SnapshotBytes() int {
 // WasLoaded implements Dataset.
 func (st *Store) WasLoaded() bool { return st.Loaded }
 
-// CanDegrade implements Dataset: whether the scheme declares a cheaper
-// fallback answerer.
-func (st *Store) CanDegrade() bool { return st.Scheme.PrepareFallback != nil }
-
-// Ask implements Dataset: one query through the answerer mode selects —
-// the scheme's prepared (decoded-once) form, or its declared fallback; the
-// raw Scheme.Answer stays available as the differential oracle. ctx is
-// checked up front (a single prepared probe is too fine-grained to
-// interrupt mid-flight).
-func (st *Store) Ask(ctx context.Context, q []byte, mode Mode) (Verdict, error) {
-	if err := Askable(ctx, st, mode); err != nil {
+// Ask implements Dataset: one query through the scheme's prepared
+// (decoded-once) form; the raw Scheme.Answer stays available as the
+// differential oracle. ctx is checked up front (a single prepared probe is
+// too fine-grained to interrupt mid-flight).
+func (st *Store) Ask(ctx context.Context, q []byte) (Verdict, error) {
+	if err := ctx.Err(); err != nil {
 		return Verdict{}, err
 	}
 	c := st.load()
-	a, err := c.forms[mode]()
+	a, err := c.form()
 	if err != nil {
 		return Verdict{Version: c.version}, err
 	}
 	ans, err := a.Answer(q)
-	return Verdict{Answer: ans, Version: c.version, Degraded: mode == Degraded}, err
+	return Verdict{Answer: ans, Version: c.version}, err
 }
 
 // AskBatch implements Dataset: queries answered concurrently through the
@@ -418,11 +398,9 @@ func (st *Store) Ask(ctx context.Context, q []byte, mode Mode) (Verdict, error) 
 // before every probe so an expired deadline abandons the remainder of the
 // batch instead of paying it. The whole batch answers against one
 // consistent Π — the committed value is loaded once up front, even if a
-// delta commits mid-batch. An Exact batch under a deadline starts on the
-// prepared form and switches to the scheme's declared fallback (when it has
-// one) once less than a quarter of the budget remains.
-func (st *Store) AskBatch(ctx context.Context, queries [][]byte, parallelism int, mode Mode) (Verdicts, error) {
-	if err := Askable(ctx, st, mode); err != nil {
+// delta commits mid-batch.
+func (st *Store) AskBatch(ctx context.Context, queries [][]byte, parallelism int) (Verdicts, error) {
+	if err := ctx.Err(); err != nil {
 		return Verdicts{}, err
 	}
 	c := st.load()
@@ -432,53 +410,25 @@ func (st *Store) AskBatch(ctx context.Context, queries [][]byte, parallelism int
 		// a corrupt Π (it never calls Answer); match it.
 		return vs, nil
 	}
-	a, err := c.forms[mode]()
+	a, err := c.form()
 	if err != nil {
 		// A corrupt Π fails the raw path at its first query; report the
 		// sticky build error in exactly that shape.
 		return vs, fmt.Errorf("scheme %s: batch query %d: %w", st.Scheme.Name(), 0, err)
 	}
-	var fallbacks *atomic.Int64
-	if mode == Degraded {
-		vs.Degraded = len(queries)
-	} else if deadline, ok := ctx.Deadline(); ok && st.CanDegrade() {
-		fallbacks = new(atomic.Int64)
-		a = c.fallbackWhenLow(a, deadline, fallbacks)
-	}
 	vs.Answers, err = core.AnswerBatchPreparedContext(ctx, st.Scheme.Name(), a, queries, parallelism)
-	if fallbacks != nil {
-		vs.Degraded = int(fallbacks.Load())
-	}
 	return vs, err
 }
 
-// fallbackWhenLow wraps a batch's exact answerer: once less than a quarter
-// of the budget measured from now remains before deadline, the remaining
-// probes go to the scheme's declared fallback, counted in taken. The
-// fallback is c's own, so one batch answers at one version whatever commits
-// beside it.
-func (c *committed) fallbackWhenLow(exact core.Answerer, deadline time.Time, taken *atomic.Int64) core.Answerer {
-	start := time.Now()
-	return core.AnswererFunc(func(q []byte) (bool, error) {
-		if budgetLow(start, deadline) {
-			if fb, err := c.forms[Degraded](); err == nil {
-				taken.Add(1)
-				return fb.Answer(q)
-			}
-		}
-		return exact.Answer(q)
-	})
-}
-
-// Answer implements Dataset: Ask in Exact mode with no deadline.
+// Answer implements Dataset: Ask with no deadline.
 func (st *Store) Answer(q []byte) (bool, error) {
-	v, err := st.Ask(context.Background(), q, Exact)
+	v, err := st.Ask(context.Background(), q)
 	return v.Answer, err
 }
 
-// AnswerBatch implements Dataset: AskBatch in Exact mode with no deadline.
+// AnswerBatch implements Dataset: AskBatch with no deadline.
 func (st *Store) AnswerBatch(queries [][]byte, parallelism int) ([]bool, error) {
-	vs, err := st.AskBatch(context.Background(), queries, parallelism, Exact)
+	vs, err := st.AskBatch(context.Background(), queries, parallelism)
 	return vs.Answers, err
 }
 

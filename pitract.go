@@ -96,10 +96,9 @@
 // -query-budget-ms`; overruns are abandoned with 504 and the late worker's
 // result dropped), each dataset is fronted by a health circuit breaker
 // (repeated serve-path failures trip it open and traffic is refused fast
-// with 503 + Retry-After until a backoff-paced probe heals it), corrupt
+// with 503 + Retry-After until a backoff-paced probe heals it), and corrupt
 // snapshots and delta logs are renamed aside (*.quarantine) and rebuilt
-// from source, and schemes with a declared cheaper fallback keep answering
-// exactly in degraded mode while unhealthy. Each of those behaviours is
+// from source. Each of those behaviours is
 // pinned by a deterministic test over a live test server or a
 // fault-injecting medium (internal/store/faultfs).
 //
@@ -227,10 +226,9 @@ var (
 	// NewCachedDataset.
 	NewAnswerCache = cache.New
 	// NewCachedDataset fronts one dataset (plain or sharded) with an
-	// answer cache: exact asks consult and fill the cache, keyed at the
+	// answer cache: asks consult and fill the cache, keyed at the
 	// admission-time maintenance version, and an entry is only ever a
-	// verdict computed at exactly its key's version; degraded-mode asks
-	// bypass it.
+	// verdict computed at exactly its key's version.
 	NewCachedDataset = store.NewCachedDataset
 )
 
