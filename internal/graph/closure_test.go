@@ -96,10 +96,7 @@ func condensedRef(reach [][]bool) []byte {
 	}
 	k := len(smallest)
 	words := (k + 63) / 64
-	b := binary.LittleEndian.AppendUint32(nil, uint32(k))
-	for _, c := range class {
-		b = binary.LittleEndian.AppendUint16(b, uint16(c))
-	}
+	b := append(binary.LittleEndian.AppendUint32(nil, uint32(k)), packedRef(class, k)...)
 	rows := make([]byte, 8*k*words)
 	for c, s := range smallest {
 		for d, t := range smallest {
@@ -109,6 +106,25 @@ func condensedRef(reach [][]bool) []byte {
 		}
 	}
 	return append(b, rows...)
+}
+
+// packedRef is the reference emitter of the packed class ids: bits(k−1) bits
+// per id, set one bit at a time, in whole 8-byte words.
+func packedRef(class []int, k int) []byte {
+	w := 0
+	for 1<<w < k {
+		w++
+	}
+	b := make([]byte, 8*((len(class)*w+63)/64))
+	for v, c := range class {
+		for i := 0; i < w; i++ {
+			if c>>i&1 != 0 {
+				bit := v*w + i
+				b[bit/8] |= 1 << (bit % 8)
+			}
+		}
+	}
+	return b
 }
 
 // checkCondensed holds one graph's condensed closure to the reference: Reach,
@@ -126,8 +142,8 @@ func checkCondensed(t *testing.T, name string, g *Graph, want [][]bool) {
 		t.Fatalf("%s: wire form differs from the per-vertex reference's", name)
 	}
 	wire = wire[6:]
-	if size, err := CondensedClosureLen(append(slices.Clone(wire), "behind"...), n); err != nil || size != len(wire) {
-		t.Fatalf("%s: CondensedClosureLen = %d, %v; the form is %d bytes", name, size, err, len(wire))
+	if framed, err := FrameCondensedClosure(append(slices.Clone(wire), "behind"...), n); err != nil || !bytes.Equal(framed, wire) {
+		t.Fatalf("%s: FrameCondensedClosure cut %d bytes, %v; the form is %d bytes", name, len(framed), err, len(wire))
 	}
 	dec, err := DecodeCondensedClosure(wire, n)
 	if err != nil {
@@ -299,19 +315,80 @@ func TestCheckClosureSize(t *testing.T) {
 }
 
 // FuzzClosure: any bytes Decode accepts close, under the kernel, to exactly
-// what one BFS per vertex finds, with RowEqual and the wire bytes consistent.
+// what one BFS per vertex finds, with RowEqual and the wire bytes consistent;
+// and any bytes, read as class ids, round-trip through the packed wire form at
+// every id width an edge case lives at.
 func FuzzClosure(f *testing.F) {
 	for _, g := range kernelGraphs() {
 		f.Add(g.Encode())
 	}
 	f.Add([]byte{3, 1, 3, 2, 1, 0, 2, 2, 1}) // unsorted, with a repeat
+	f.Add(bytes.Repeat([]byte{0xff}, 130))   // ids at k−1 for every k
 	f.Fuzz(func(t *testing.T, b []byte) {
+		checkPacked(t, b)
 		g, err := Decode(b)
 		if err != nil || g.N() > 1<<8 {
 			return
 		}
 		checkClosure(t, fmt.Sprintf("graph %x", b), g)
 	})
+}
+
+// checkPacked reads b as class ids, two bytes each reduced below k, at k = 1,
+// 2, 65 and 2¹⁶ — ids of 0, 1, 7 and 16 bits, so none, many to a word,
+// straddling words, and the widest. AppendWire must emit packedRef's bits, and
+// classAt read every id back. Where the rows fit (not at 2¹⁶ classes, whose
+// rows are 512 MB) the whole form also decodes to itself and the undecoded
+// probe agrees with the value.
+func checkPacked(t *testing.T, b []byte) {
+	t.Helper()
+	for _, k := range []int{1, 2, 65, 1 << 16} {
+		n := max(len(b)/2, 1)
+		if k <= 65 {
+			n = max(n, k)
+		}
+		c := &CondensedClosure{class: make([]uint16, n), k: k}
+		ref := make([]int, n)
+		for v := range ref {
+			ref[v] = v % k
+			if 2*v+1 < len(b) {
+				ref[v] = int(binary.LittleEndian.Uint16(b[2*v:])) % k
+			}
+			c.class[v] = uint16(ref[v])
+		}
+		if k <= 65 {
+			c.words = (k + 63) / 64
+			c.rows = make([]uint64, k*c.words)
+			for i := range c.rows {
+				c.rows[i] = uint64(i+len(b)) * 0x9E3779B97F4A7C15
+			}
+		}
+		wire, want := c.AppendWire(nil), packedRef(ref, k)
+		ids := wire[4 : 4+len(want)]
+		if !bytes.Equal(ids, want) {
+			t.Fatalf("k=%d: packed ids %x, reference %x", k, ids, want)
+		}
+		for v, id := range ref {
+			if got := classAt(ids, v, idWidth(k)); got != id {
+				t.Fatalf("k=%d: vertex %d reads class %d, packed %d", k, v, got, id)
+			}
+		}
+		if k > 65 {
+			continue
+		}
+		dec, err := DecodeCondensedClosure(wire, n)
+		if err != nil || len(wire) != c.WireLen() || !bytes.Equal(dec.AppendWire(nil), wire) {
+			t.Fatalf("k=%d over %d vertices: decode %v, or the round trip moved bytes", k, n, err)
+		}
+		for u := 0; u < min(n, 40); u++ {
+			for v := 0; v < min(n, 40); v++ {
+				got, err := ProbeCondensedClosure(wire, n, u, v)
+				if err != nil || got != c.Reach(u, v) || dec.Reach(u, v) != got {
+					t.Fatalf("k=%d: (%d,%d) probes %v %v, value %v, decoded %v", k, u, v, got, err, c.Reach(u, v), dec.Reach(u, v))
+				}
+			}
+		}
+	}
 }
 
 // closurePerVertex is the benchmark's reference row: one bitset search per

@@ -210,22 +210,49 @@ func (c *CondensedClosure) ReachTo(v int, col []uint64) {
 
 // The wire form, little-endian throughout:
 //
-//	k (4 bytes) ‖ class[v] (2 bytes each, n of them) ‖ k rows of ⌈k/64⌉ 8-byte words
+//	k (4 bytes) ‖ class ids, w bits each, in ⌈n·w/64⌉ 8-byte words ‖ k rows of ⌈k/64⌉ 8-byte words
 //
-// The vertex count is the caller's (the scheme's header, the summary's portal
-// list), so the length of the form is a function of n and its first four
-// bytes.
+// w = bits.Len(k−1) is the fewest bits that number k classes: 0 when k = 1,
+// where every vertex is in class 0 and the ids take no bytes at all. Vertex
+// v's id is bits v·w to v·w+w−1 of the id words (bit b in word b/64), and the
+// bits past the n-th id are zero. The vertex count is the caller's (the
+// scheme's header, the summary's portal list), so the length of the form is a
+// function of n and its first four bytes.
+
+// idWidth is w, the bits a class id takes when there are k classes.
+func idWidth(k int) int { return bits.Len(uint(max(k, 1) - 1)) }
+
+// idsLen is the length of the id words of n vertices' w-bit ids.
+func idsLen(n, w int) int { return 8 * ((n*w + 63) / 64) }
+
+// wireLen is the length of the form of k classes over n vertices.
+func wireLen(n, k int) int { return 4 + idsLen(n, idWidth(k)) + 8*k*((k+63)/64) }
 
 // WireLen reports the length of the wire form.
-func (c *CondensedClosure) WireLen() int { return 4 + 2*len(c.class) + 8*len(c.rows) }
+func (c *CondensedClosure) WireLen() int {
+	return 4 + idsLen(len(c.class), idWidth(c.k)) + 8*len(c.rows)
+}
 
 // AppendWire appends the wire form and returns the extended slice. It is the
-// one emitter of the layout.
+// one emitter of the layout: the ids are packed through a 64-bit accumulator,
+// an id that straddles two words leaving its high bits for the next.
 func (c *CondensedClosure) AppendWire(dst []byte) []byte {
 	dst = slices.Grow(dst, c.WireLen())
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(c.k))
-	for _, id := range c.class {
-		dst = binary.LittleEndian.AppendUint16(dst, id)
+	if w := uint(idWidth(c.k)); w > 0 {
+		var acc uint64
+		filled := uint(0) // bits of acc in use, always < 64
+		for _, id := range c.class {
+			acc |= uint64(id) << filled
+			if filled += w; filled >= 64 {
+				dst = binary.LittleEndian.AppendUint64(dst, acc)
+				filled -= 64
+				acc = uint64(id) >> (w - filled) // 0 when the id ended the word
+			}
+		}
+		if filled > 0 {
+			dst = binary.LittleEndian.AppendUint64(dst, acc)
+		}
 	}
 	for _, w := range c.rows {
 		dst = binary.LittleEndian.AppendUint64(dst, w)
@@ -233,89 +260,100 @@ func (c *CondensedClosure) AppendWire(dst []byte) []byte {
 	return dst
 }
 
-// condensedFrame reads the class count off the front of a wire form over n
-// vertices and checks it against everything that can be checked in O(1):
-// 1 ≤ k ≤ min(n, MaxClosureVertices), or k = 0 for no vertices. It returns k
-// and the length the form must have.
-func condensedFrame(b []byte, n int) (k, size int, err error) {
+// classAt reads the id of vertex v off the id words: the w bits from bit v·w.
+func classAt(ids []byte, v, w int) int {
+	if w == 0 {
+		return 0
+	}
+	s := uint(v * w)
+	off, sh := 8*int(s>>6), s&63
+	x := binary.LittleEndian.Uint64(ids[off:]) >> sh
+	if sh+uint(w) > 64 {
+		x |= binary.LittleEndian.Uint64(ids[off+8:]) << (64 - sh)
+	}
+	return int(x & (1<<w - 1))
+}
+
+// CondensedWire is a wire form as FrameCondensedClosure cut it: exactly the
+// bytes the form spans, its class count checked against the vertex count it
+// was framed over.
+type CondensedWire []byte
+
+// FrameCondensedClosure reads the class count off the front of b — a wire
+// form over n vertices, possibly with something behind it — and checks it
+// against everything that can be checked in O(1): 1 ≤ k ≤ min(n,
+// MaxClosureVertices), or k = 0 for no vertices, and b long enough for the
+// form. It returns the form cut to its length. The ids and rows inside are
+// DecodeCondensedClosure's to check, or, for the two ids a probe reads,
+// ProbeCondensedClosure's.
+func FrameCondensedClosure(b []byte, n int) (CondensedWire, error) {
 	if len(b) < 4 {
-		return 0, 0, fmt.Errorf("graph: condensed closure is %d bytes, shorter than its class count", len(b))
+		return nil, fmt.Errorf("graph: condensed closure is %d bytes, shorter than its class count", len(b))
 	}
 	k64 := uint64(binary.LittleEndian.Uint32(b))
 	if k64 > uint64(n) || k64 > MaxClosureVertices || (k64 == 0) != (n == 0) {
-		return 0, 0, fmt.Errorf("graph: condensed closure claims %d classes over %d vertices (limit %d)", k64, n, MaxClosureVertices)
+		return nil, fmt.Errorf("graph: condensed closure claims %d classes over %d vertices (limit %d)", k64, n, MaxClosureVertices)
 	}
-	k = int(k64)
-	return k, 4 + 2*n + 8*k*((k+63)/64), nil
+	k := int(k64)
+	size := wireLen(n, k)
+	if len(b) < size {
+		return nil, fmt.Errorf("graph: condensed closure is %d bytes, %d classes over %d vertices take %d", len(b), k, n, size)
+	}
+	return CondensedWire(b[:size]), nil
 }
 
-// CondensedClosureLen reports how many bytes the wire form that starts at b
-// must span, from n and its class count alone, for a caller that frames
-// something behind it. The bytes themselves are DecodeCondensedClosure's to
-// check.
-func CondensedClosureLen(b []byte, n int) (int, error) {
-	_, size, err := condensedFrame(b, n)
-	return size, err
-}
-
-// condensedExact is condensedFrame for a caller holding the form and nothing
-// behind it: the length must be exact.
-func condensedExact(b []byte, n int) (k int, err error) {
-	k, size, err := condensedFrame(b, n)
-	if err != nil {
-		return 0, err
-	}
-	if len(b) != size {
-		return 0, fmt.Errorf("graph: condensed closure is %d bytes, %d classes over %d vertices take %d", len(b), k, n, size)
-	}
-	return k, nil
-}
-
-func classError(v int, id uint16, k int) error {
+func classError(v, id, k int) error {
 	return fmt.Errorf("graph: condensed closure puts vertex %d in class %d of %d", v, id, k)
 }
 
 // DecodeCondensedClosure parses and validates the wire form over n vertices:
-// exact length, a class count in range, every class id below it — everything
-// a probe or a bulk read indexes by, checked once.
+// exact length, a class count in range, every class id below it and zeros
+// past the last — everything a probe or a bulk read indexes by, checked once.
 func DecodeCondensedClosure(b []byte, n int) (*CondensedClosure, error) {
-	k, err := condensedExact(b, n)
+	wire, err := FrameCondensedClosure(b, n)
 	if err != nil {
 		return nil, err
 	}
+	if len(b) != len(wire) {
+		return nil, fmt.Errorf("graph: condensed closure is %d bytes, a form over %d vertices of its class count takes %d", len(b), n, len(wire))
+	}
+	k := int(binary.LittleEndian.Uint32(b))
+	w := idWidth(k)
+	ids, rows := b[4:4+idsLen(n, w)], b[4+idsLen(n, w):]
 	c := &CondensedClosure{class: make([]uint16, n), k: k, words: (k + 63) / 64}
-	b = b[4:]
 	for v := range c.class {
-		id := binary.LittleEndian.Uint16(b[2*v:])
-		if int(id) >= k {
+		id := classAt(ids, v, w)
+		if id >= k {
 			return nil, classError(v, id, k)
 		}
-		c.class[v] = id
+		c.class[v] = uint16(id)
 	}
-	b = b[2*n:]
+	if used := uint(n * w); used&63 != 0 && binary.LittleEndian.Uint64(ids[len(ids)-8:])>>(used&63) != 0 {
+		return nil, fmt.Errorf("graph: condensed closure has bits set past its %d class ids", n)
+	}
 	c.rows = make([]uint64, k*c.words)
 	for i := range c.rows {
-		c.rows[i] = binary.LittleEndian.Uint64(b[8*i:])
+		c.rows[i] = binary.LittleEndian.Uint64(rows[8*i:])
 	}
 	return c, nil
 }
 
-// ProbeCondensedClosure answers reach(u, v) straight off the wire form over n
-// vertices, for a caller holding bytes nobody has decoded: it checks the
-// frame, the length and the two class ids it reads, never the rest. u and v
-// must lie in [0, n).
-func ProbeCondensedClosure(b []byte, n, u, v int) (bool, error) {
-	k, err := condensedExact(b, n)
-	if err != nil {
-		return false, err
-	}
-	cu, cv := binary.LittleEndian.Uint16(b[4+2*u:]), binary.LittleEndian.Uint16(b[4+2*v:])
-	if int(cu) >= k {
+// ProbeCondensedClosure answers reach(u, v) straight off a form framed over n
+// vertices, for a caller holding bytes nobody has decoded: the frame has
+// checked the class count and the length, so the probe reads two w-bit class
+// ids, checks each below k, and tests one bit — never the ids it does not
+// read. u and v must lie in [0, n).
+func ProbeCondensedClosure(c CondensedWire, n, u, v int) (bool, error) {
+	k := int(binary.LittleEndian.Uint32(c))
+	w := idWidth(k)
+	ids := c[4:]
+	cu, cv := classAt(ids, u, w), classAt(ids, v, w)
+	if cu >= k {
 		return false, classError(u, cu, k)
 	}
-	if int(cv) >= k {
+	if cv >= k {
 		return false, classError(v, cv, k)
 	}
-	bit := (int(cu)*((k+63)/64))<<6 + int(cv)
-	return b[4+2*n+bit>>3]>>(bit&7)&1 != 0, nil
+	bit := cu*((k+63)/64)<<6 + cv
+	return ids[idsLen(n, w)+bit>>3]>>(bit&7)&1 != 0, nil
 }

@@ -32,6 +32,22 @@ func New(n int, directed bool) *Graph {
 	return &Graph{n: n, directed: directed, adj: make([][]int32, n), sorted: true}
 }
 
+// NewSized returns a graph with len(deg) vertices and no edges, where vertex
+// v has room for deg[v] arcs — an undirected edge is an arc at each end — in
+// one array cut into capped lists: AddEdge fills it without reallocating.
+func NewSized(directed bool, deg []int) *Graph {
+	g := New(len(deg), directed)
+	total := 0
+	for _, d := range deg {
+		total += d
+	}
+	arcs := make([]int32, total)
+	for v, d := range deg {
+		g.adj[v], arcs = arcs[:0:d], arcs[d:]
+	}
+	return g
+}
+
 // MaxDecodeVertices caps the vertex count Decode will accept. Vertices cost
 // no bytes in the wire format (only the varint count), so without a cap a
 // tiny buffer can demand an arbitrarily large adjacency allocation. 1<<24
@@ -50,7 +66,9 @@ func (g *Graph) Directed() bool { return g.directed }
 
 // AddEdge inserts the edge u→v (plus v→u when undirected). Self-loops and
 // out-of-range endpoints are errors; parallel edges are tolerated and
-// deduplicated by Normalize.
+// deduplicated by Normalize. Edges added in ascending (u, v) order — u < v
+// for an undirected graph — keep every list ascending, so such a graph
+// needs no Normalize.
 func (g *Graph) AddEdge(u, v int) error {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, g.n)
@@ -58,14 +76,17 @@ func (g *Graph) AddEdge(u, v int) error {
 	if u == v {
 		return fmt.Errorf("graph: self-loop at %d", u)
 	}
+	g.sorted = g.sorted && above(g.adj[u], v) && (g.directed || above(g.adj[v], u))
 	g.adj[u] = append(g.adj[u], int32(v))
 	if !g.directed {
 		g.adj[v] = append(g.adj[v], int32(u))
 	}
 	g.m++
-	g.sorted = false
 	return nil
 }
+
+// above reports whether v would extend the list l in ascending order.
+func above(l []int32, v int) bool { return len(l) == 0 || int(l[len(l)-1]) < v }
 
 // MustAddEdge is AddEdge that panics on error, for fixtures and generators.
 func (g *Graph) MustAddEdge(u, v int) {

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
@@ -19,17 +20,17 @@ import (
 	"pitract/internal/graph"
 )
 
-// closureBytesRef is the reference Π, from one Graph.BFS per vertex: classes
-// are mutual reachability, numbered by smallest member; bit d of class row c
-// is set, one bit at a time, when c's smallest member reaches d's; then the
-// graph appendix.
-func closureBytesRef(g *graph.Graph) []byte {
+// condensedRef is the reference condensation, from one Graph.BFS per vertex:
+// classes are mutual reachability, numbered by smallest member; bit d of class
+// row c (⌈k/64⌉ words a row) is set, one bit at a time, when c's smallest
+// member reaches d's.
+func condensedRef(g *graph.Graph) (class []int, k int, rows []byte) {
 	n := g.N()
 	reach := make([][]int, n)
 	for u := range reach {
 		_, reach[u] = g.BFS(u)
 	}
-	class := make([]int, n)
+	class = make([]int, n)
 	var smallest []int
 	for v := range class {
 		class[v] = -1
@@ -43,18 +44,9 @@ func closureBytesRef(g *graph.Graph) []byte {
 			smallest = append(smallest, v)
 		}
 	}
-	k := len(smallest)
-	header := uint64(n) | ClosureGraphFlag | closureCondensedFlag
-	if !g.Directed() {
-		header |= ClosureUndirectedFlag
-	}
-	b := binary.BigEndian.AppendUint64(nil, header)
-	b = binary.LittleEndian.AppendUint32(b, uint32(k))
-	for _, c := range class {
-		b = binary.LittleEndian.AppendUint16(b, uint16(c))
-	}
+	k = len(smallest)
 	stride := 8 * ((k + 63) / 64)
-	rows := make([]byte, k*stride)
+	rows = make([]byte, k*stride)
 	for c, s := range smallest {
 		for d, t := range smallest {
 			if reach[s][t] >= 0 {
@@ -62,7 +54,59 @@ func closureBytesRef(g *graph.Graph) []byte {
 			}
 		}
 	}
-	return appendClosureGraph(append(b, rows...), g.Encode())
+	return class, k, rows
+}
+
+// closureHeaderRef is the header of g's Π under the given layout bits.
+func closureHeaderRef(g *graph.Graph, layout uint64) []byte {
+	header := uint64(g.N()) | layout
+	if !g.Directed() {
+		header |= ClosureUndirectedFlag
+	}
+	return binary.BigEndian.AppendUint64(nil, header)
+}
+
+// closureBytesRef is the reference Π: the header, k, the class ids packed to
+// w = ⌈log₂ k⌉ bits one bit at a time, the rows, then the arc file — the
+// sorted key file of the ids u·n + v of g.Edges().
+func closureBytesRef(g *graph.Graph) []byte {
+	n := g.N()
+	class, k, rows := condensedRef(g)
+	w := 0
+	for 1<<w < k {
+		w++
+	}
+	ids := make([]byte, 8*((n*w+63)/64))
+	for v, c := range class {
+		for i := 0; i < w; i++ {
+			if bit := v*w + i; c>>i&1 != 0 {
+				ids[bit/8] |= 1 << (bit % 8)
+			}
+		}
+	}
+	var arcs []int64
+	for _, e := range g.Edges() {
+		arcs = append(arcs, int64(e[0]*n+e[1]))
+	}
+	file, err := keyFileBytes(arcs)
+	if err != nil {
+		panic(err)
+	}
+	b := binary.LittleEndian.AppendUint32(closureHeaderRef(g, closureLayout), uint32(k))
+	return append(append(append(b, ids...), rows...), file...)
+}
+
+// uvarintClosureBytesRef emits the layout Π had before the arc file: no
+// closureArcsFlag, a 2-byte class id per vertex, the rows, then the graph
+// appendix as uvarint length ‖ graph.Encode.
+func uvarintClosureBytesRef(g *graph.Graph) []byte {
+	class, k, rows := condensedRef(g)
+	b := binary.LittleEndian.AppendUint32(closureHeaderRef(g, ClosureGraphFlag|closureCondensedFlag), uint32(k))
+	for _, c := range class {
+		b = binary.LittleEndian.AppendUint16(b, uint16(c))
+	}
+	enc := g.Encode()
+	return append(binary.AppendUvarint(append(b, rows...), uint64(len(enc))), enc...)
 }
 
 // denseClosureBytesRef emits the layouts Π had before it was stored over the
@@ -89,7 +133,8 @@ func denseClosureBytesRef(g *graph.Graph, appendix bool) []byte {
 		}
 	}
 	if appendix {
-		b = appendClosureGraph(b, g.Encode())
+		enc := g.Encode()
+		b = append(binary.AppendUvarint(b, uint64(len(enc))), enc...)
 	}
 	return b
 }
@@ -154,7 +199,8 @@ func TestClosurePiBytesUnchanged(t *testing.T) {
 // by — and is checked before they are. 65 537 edgeless vertices are that many
 // classes: refused by Preprocess with an error naming the limit and the scheme
 // without one, while the labels scheme takes the same bytes. Twice the cap in vertices on one cycle is one
-// class: it registers, answers, and its Π is under 1.5× its data.
+// class: it registers, answers, and its Π is under its data — one class takes
+// no id bits, and the arc file is under the graph's uvarint pairs.
 func TestClosureVertexCap(t *testing.T) {
 	limit := fmt.Sprintf("%d-vertex limit", graph.MaxClosureVertices)
 	for name, g := range map[string]*graph.Graph{
@@ -190,8 +236,8 @@ func TestClosureVertexCap(t *testing.T) {
 	if err != nil {
 		t.Fatalf("a %d-vertex cycle is one class: %v", n, err)
 	}
-	if 2*len(pd) >= 3*len(d) {
-		t.Fatalf("Π is %d bytes for %d of data, want under 1.5×", len(pd), len(d))
+	if len(pd) >= len(d) {
+		t.Fatalf("Π is %d bytes for %d of data, want under its data", len(pd), len(d))
 	}
 	a, err := s.Prepare(pd)
 	if err != nil {
@@ -211,16 +257,21 @@ func TestClosureVertexCap(t *testing.T) {
 	}
 }
 
-// closureCorruptions derives, from a valid Π over n ≥ 2 vertices, one payload
-// per thing the decoder validates. Each must be refused by the raw probe of
+// closureCorruptions derives, from a valid Π over n ≥ 2 vertices whose k
+// classes leave room in a w-bit id for k itself, one payload per thing the
+// framing or the probe validates. Each must be refused by the raw probe of
 // (0,1), by Prepare — with the same string — and by ApplyDelta.
 func closureCorruptions(t *testing.T, pd []byte) map[string][]byte {
 	t.Helper()
-	n, cond, graphEnc, err := closureParts(pd)
+	n, cond, _, err := closureParts(pd)
 	if err != nil || n < 2 {
 		t.Fatalf("fixture: n=%d, %v", n, err)
 	}
 	k := binary.LittleEndian.Uint32(cond)
+	w := bits.Len32(k - 1)
+	if k == 1<<w {
+		t.Fatalf("fixture: %d classes use every %d-bit id", k, w)
+	}
 	edit := func(off int, val []byte) []byte {
 		out := bytes.Clone(pd)
 		copy(out[off:], val)
@@ -229,16 +280,87 @@ func closureCorruptions(t *testing.T, pd []byte) map[string][]byte {
 	headEnd := 8 + len(cond)
 	overCap := binary.BigEndian.AppendUint64(nil, uint64(graph.MaxClosureVertices+5)|closureLayout)
 	overCap = binary.LittleEndian.AppendUint32(overCap, graph.MaxClosureVertices+1)
+	pastIDs, err := keyFileBytes([]int64{int64(n * n)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Vertex 0's id is the low w bits of the first id word; k itself fits.
+	idAtK := binary.LittleEndian.Uint64(pd[8+4:])&^(1<<w-1) | uint64(k)
+	// The arc file's key count, at bytes 8–16 of its header, one too many.
+	arcCount := binary.BigEndian.Uint64(pd[headEnd+8:]) + 1
 	return map[string][]byte{
-		"class-id-at-k":       edit(8+4+2, binary.LittleEndian.AppendUint16(nil, uint16(k))),
+		"class-id-at-k":       edit(8+4, binary.LittleEndian.AppendUint64(nil, idAtK)),
 		"k-over-the-cap":      overCap,
 		"k-over-n":            edit(8, binary.LittleEndian.AppendUint32(nil, uint32(n+1))),
 		"k-zero":              edit(8, []byte{0, 0, 0, 0}),
-		"truncated-classes":   pd[:8+4+n],
+		"truncated-classes":   pd[:8+4+2],
 		"truncated-rows":      append(bytes.Clone(pd[:headEnd-8]), pd[headEnd:]...),
 		"trailing-bytes":      append(bytes.Clone(pd), 0xEE),
 		"truncated-appendix":  pd[:len(pd)-1],
-		"appendix-length-lie": append(binary.AppendUvarint(bytes.Clone(pd[:headEnd]), uint64(len(graphEnc)+1)), graphEnc...),
+		"appendix-length-lie": edit(headEnd+8, binary.BigEndian.AppendUint64(nil, arcCount)),
+		"arc-file-untagged":   edit(headEnd, []byte("KEF0")),
+		"arc-id-past-n²":      append(bytes.Clone(pd[:headEnd]), pastIDs...),
+	}
+}
+
+// arcFileCorruptions are closure payloads over four vertices in one class,
+// each with an arc file whose own header holds: ids out of order (two low-bit
+// fields of one bucket swapped, since the writer refuses them), a self-loop,
+// an arc id past n² — v ≥ n, read as (n−1, v) — and an undirected arc stored
+// as u > v. The framing refuses the third; only a reader that streams the arcs
+// can tell the others.
+func arcFileCorruptions(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	with := func(directed bool, arcs []int64, swap bool) []byte {
+		g := graph.New(4, directed)
+		for v := 0; v < 4; v++ {
+			g.MustAddEdge(v, (v+1)%4)
+		}
+		pd, err := closureBytes(g)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		_, cond, _, err := closureParts(pd)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		file, err := keyFileBytes(arcs)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if swap {
+			f, err := parseKeyFile(file)
+			if err != nil || f.l != 1 {
+				tb.Fatalf("fixture: %v, L=%d", err, f.l)
+			}
+			lows := file[f.low:]
+			a, b := f.lowAt(1), f.lowAt(2)
+			lows[0] &^= 0b110
+			orBits(lows, 1, 1, b)
+			orBits(lows, 2, 1, a)
+		}
+		return append(bytes.Clone(pd[:8+len(cond)]), file...)
+	}
+	// Arc u→v is id 4u + v.
+	return map[string][]byte{
+		"out-of-order":      with(true, []int64{1, 6, 7, 11, 12}, true), // 0→1, 1→3, 1→2, 2→3, 3→0
+		"self-loop":         with(true, []int64{1, 5, 6, 11, 12}, false),
+		"v-past-n":          with(true, []int64{1, 6, 11, 12, 3*4 + 4}, false),
+		"undirected-u-gt-v": with(false, []int64{1, 3, 6, 14}, false),
+	}
+}
+
+// TestClosureArcFileStreamChecks: every arc-file corruption is refused by a
+// delete, the reader that streams the arcs — and the one whose id is past n²
+// already by the framing, so by the raw probe and Prepare too.
+func TestClosureArcFileStreamChecks(t *testing.T) {
+	for name, bad := range arcFileCorruptions(t) {
+		_, delErr := applyClosureDelta(bad, EdgeDeleteDelta(0, 1))
+		_, _, _, frameErr := closureParts(bad)
+		_, prepErr := prepareClosure(bad)
+		if delErr == nil || (frameErr == nil) != (name != "v-past-n") || (prepErr == nil) != (frameErr == nil) {
+			t.Errorf("%s: delete %v, framing %v, Prepare %v", name, delErr, frameErr, prepErr)
+		}
 	}
 }
 
@@ -315,7 +437,8 @@ func TestClosureDeltaCanonical(t *testing.T) {
 
 // FuzzClosureDecode: arbitrary bytes as Π never panic the raw probe, Prepare
 // or ApplyDelta, and a payload Prepare accepts answers every pair (of a small
-// n) the same raw and prepared.
+// n) the same raw and prepared. The seeds include every arc file the stream
+// refuses though its header holds (arcFileCorruptions).
 func FuzzClosureDecode(f *testing.F) {
 	for _, g := range closureShapes() {
 		if g.N() > 70 {
@@ -328,6 +451,10 @@ func FuzzClosureDecode(f *testing.F) {
 		f.Add(pd)
 		f.Add(pd[:len(pd)/2])
 		f.Add(denseClosureBytesRef(g, true))
+		f.Add(uvarintClosureBytesRef(g))
+	}
+	for _, bad := range arcFileCorruptions(f) {
+		f.Add(bad)
 	}
 	f.Add(binary.BigEndian.AppendUint64(nil, 3|closureLayout))
 	f.Add(append(binary.BigEndian.AppendUint64(nil, 2|closureLayout), 2, 0, 0, 0, 1, 0, 2, 0)) // class id at k
@@ -419,4 +546,42 @@ func BenchmarkClosureApplyDelta(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkClosureProbe: one reachability query against the closure-matrix Π
+// of the benchmark workload's graph, through the raw Answer (the framing
+// checked per call) and through the prepared answerer. It uses nothing the
+// layout names, so the same file times the parent.
+func BenchmarkClosureProbe(b *testing.B) {
+	s := ReachabilityScheme()
+	g := graph.RandomDirected(4096, 16384, 1)
+	pd, err := s.Preprocess(g.Encode())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	qs := make([][]byte, 1024)
+	for i := range qs {
+		qs[i] = NodePairQuery(rng.Intn(4096), rng.Intn(4096))
+	}
+	a, err := s.Prepare(pd)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("raw", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := s.Answer(pd, qs[i&1023]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("prepared", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := a.Answer(qs[i&1023]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -219,11 +219,13 @@ func TestNoReappearance(t *testing.T) {
 }
 
 // TestPreAppendixClosureRefusesDeletes pins the migration contract for
-// closures persisted in a layout older than the condensed one — n² bits
-// without the graph appendix (whose undirected flag may also predate it), and
-// n² bits with it: the header's layout bits are required, so every reader
-// refuses such a payload — a delete, an insert, a raw probe, Prepare — with
-// one error that tells the operator what to do. Never misread, never a panic.
+// closures persisted in a layout older than this one — n² bits without the
+// graph appendix (whose undirected flag may also predate it), n² bits with
+// it, and the condensation with 2-byte class ids and the graph's uvarint
+// encoding as the appendix: the header's layout bits are required, so every
+// reader refuses such a payload — a delete, an insert, a raw probe, Prepare —
+// with one error that tells the operator what to do. Never misread, never a
+// panic.
 func TestPreAppendixClosureRefusesDeletes(t *testing.T) {
 	g := graph.New(3, true)
 	g.MustAddEdge(0, 1)
@@ -234,6 +236,8 @@ func TestPreAppendixClosureRefusesDeletes(t *testing.T) {
 		"pre-appendix-undirected": denseClosureBytesRef(ug, false),
 		"dense-with-appendix":     denseClosureBytesRef(g, true),
 		"dense-undirected":        denseClosureBytesRef(ug, true),
+		"uvarint-appendix":        uvarintClosureBytesRef(g),
+		"uvarint-undirected":      uvarintClosureBytesRef(ug),
 	} {
 		_, rawErr := inc.Scheme.Answer(legacy, NodePairQuery(0, 1))
 		_, prepErr := inc.Scheme.Prepare(legacy)

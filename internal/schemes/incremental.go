@@ -8,9 +8,9 @@ package schemes
 //     schemes under insertions and deletions (a merge or a filter streamed
 //     into an exactly-sized new file in O(|Π| + |∆D| log |∆D|), versus
 //     O(|D| log |D|) re-sorting);
-//   - the reachability closure under edge insertions and deletions (the
-//     graph appendix re-encoded when no fact changes, a rebuild over the
-//     condensation when one can have);
+//   - the reachability closure under edge insertions and deletions (one arc
+//     id spliced into the graph's arc file when no fact changes, a rebuild
+//     over the condensation when one can have);
 //   - the BFS-per-query baseline, whose "preprocessed" string is the graph
 //     itself, so maintenance is editing the edge list.
 //
@@ -250,40 +250,43 @@ func editGraph(g *graph.Graph, kind core.DeltaKind, u, v int) (bool, error) {
 }
 
 // IncrementalReachability returns the closure-matrix scheme extended with
-// maintenance in both directions, decided on the graph appendix: decode it,
-// apply the edge, and ask whether any reachability fact can have changed.
+// maintenance in both directions: apply the edge to the arc file, and ask
+// whether any reachability fact can have changed.
 //
 // Inserting (u, v) changes none when u already reaches v (and v reaches u, for
 // an undirected edge): every new path through the arc has an old one beside
-// it. Deleting (u, v) changes none when u still reaches v in the surviving
-// graph — Vigny's observation (arXiv:2010.02982) that retractions are cheap
-// when connectivity survives: every old path through the arc reroutes along
-// the surviving u⇝v path. In both cases the closure is bitwise unchanged and
-// the new appendix is spliced onto the old head. Otherwise classes may have
-// merged or split, and Π is rebuilt from the graph by the kernel Preprocess
-// runs. Class ids are canonical, so either way the result is byte-equal to
+// it. That is one probe of the undecoded closure, so such an insert never
+// decodes the graph: nextGEQ finds the arc absent and its place, and one id is
+// spliced into the arc file. Deleting (u, v) changes none when u still reaches
+// v in the surviving graph — Vigny's observation (arXiv:2010.02982) that
+// retractions are cheap when connectivity survives: every old path through
+// the arc reroutes along the surviving u⇝v path. That takes the graph, so a
+// delete decodes the arc file and searches it. In both cases the closure is
+// bitwise unchanged and the edited arc file is spliced onto the old head.
+// Otherwise classes may have merged or split, and Π is rebuilt from the graph
+// by the kernel Preprocess runs. Class ids are canonical and the arc file a
+// function of the edge set, so either way the result is byte-equal to
 // Preprocess(D ⊕ ∆D).
 //
 // What the rebuild costs is what the matrix costs (BenchmarkClosureApplyDelta;
-// docs/perf/BENCH_21.md §5 has it beside the row maintenance it replaced): on
-// the benchmark workload's graph — 4096 vertices, ≈ 150 classes — a
-// fact-changing edge is ≈ 2 ms, a splice ≈ 1.5–2 ms, nearly all of it the
-// appendix's decode and re-encode; on a DAG every vertex is a class, the
-// matrix is n² bits again, and the rebuild is ≈ 5 ms at 4096 vertices and
-// ≈ 60 ms at 16384 — no more than touching the ancestor rows of an n²-bit
-// matrix cost there, but not milliseconds.
+// docs/perf/BENCH_21.md §5 has it beside the row maintenance it replaced, and
+// docs/perf/BENCH_28.md the arc file's splice): on the benchmark workload's
+// graph — 4096 vertices, ≈ 150 classes — a fact-changing edge is ≈ 2 ms; on a
+// DAG every vertex is a class, the matrix is n² bits again, and the rebuild is
+// ≈ 5 ms at 4096 vertices and ≈ 60 ms at 16384 — no more than touching the
+// ancestor rows of an n²-bit matrix cost there, but not milliseconds.
 func IncrementalReachability() *core.IncrementalScheme {
 	return &core.IncrementalScheme{
 		Scheme:      ReachabilityScheme(),
 		ApplyDelta:  applyClosureDelta,
 		ApplyUpdate: applyEdgeToGraph,
-		DeltaNote:   "O(|V|+|E|): decode the appendix, one O(1) probe (insert) or one search (delete); a rebuild over the condensation — the whole of Preprocess — only when a fact can have changed",
+		DeltaNote:   "O(log) to find the arc and one O(1) probe (insert), O(|V|+|E|) to decode and search (delete), a splice of the arc file; a rebuild over the condensation — the whole of Preprocess — only when a fact can have changed",
 	}
 }
 
 // applyClosureDelta is IncrementalReachability's ApplyDelta.
 func applyClosureDelta(pd, delta []byte) ([]byte, error) {
-	n, cond, graphEnc, err := closureParts(pd)
+	n, cond, arcs, err := closureParts(pd)
 	if err != nil {
 		return nil, err
 	}
@@ -291,39 +294,48 @@ func applyClosureDelta(pd, delta []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, err := graph.Decode(graphEnc)
+	directed := binary.BigEndian.Uint64(pd)&ClosureUndirectedFlag == 0
+	x := arcID(n, u, v)
+	if !directed {
+		x = arcID(n, min(u, v), max(u, v))
+	}
+	at, y, err := arcs.nextGEQ(x)
 	if err != nil {
 		return nil, err
 	}
-	if g.N() != n {
-		return nil, fmt.Errorf("schemes: closure appendix has %d vertices, header claims %d", g.N(), n)
-	}
-	changed, err := editGraph(g, kind, u, v)
-	if err != nil {
-		return nil, err
-	}
-	if !changed {
-		return pd, nil
-	}
-	var unchanged bool
-	if kind == core.DeltaDelete {
-		unchanged = g.Reachable(u, v)
-	} else {
-		unchanged, err = graph.ProbeCondensedClosure(cond, n, u, v)
-		if err == nil && unchanged && !g.Directed() {
-			unchanged, err = graph.ProbeCondensedClosure(cond, n, v, u)
+	insert := kind == core.DeltaInsert
+	splice := func() ([]byte, error) {
+		next, err := arcs.edit([]keyEdit{{x, at}}, insert)
+		if err != nil {
+			return nil, err
 		}
+		head := pd[:8+len(cond)]
+		return append(append(make([]byte, 0, len(head)+len(next)), head...), next...), nil
+	}
+	if insert {
+		if at < arcs.n && y == x {
+			return pd, nil
+		}
+		// Undirected reachability is symmetric: one probe decides both ways.
+		holds, err := graph.ProbeCondensedClosure(cond, n, u, v)
 		if err != nil {
 			return nil, fmt.Errorf("schemes: %w", err)
 		}
+		if holds {
+			return splice()
+		}
 	}
-	if !unchanged {
-		return closureBytes(g)
+	g, err := arcGraph(&arcs, n, directed)
+	if err != nil {
+		return nil, err
 	}
-	enc := g.Encode()
-	head := pd[:8+len(cond)]
-	out := make([]byte, 0, len(head)+binary.MaxVarintLen64+len(enc))
-	return appendClosureGraph(append(out, head...), enc), nil
+	if _, err := editGraph(g, kind, u, v); err != nil {
+		return nil, err
+	}
+	if !insert && g.Reachable(u, v) {
+		return splice()
+	}
+	return closureBytes(g)
 }
 
 // applyEdgeToGraph decodes a graph, applies one edge delta, and re-encodes

@@ -69,10 +69,10 @@ type keyFile struct {
 	high, low, size int
 }
 
-// layoutKeyFile sizes the file of n keys from kmin to kmax — the one place the
+// layout sizes f as the file of n keys from kmin to kmax — the one place the
 // layout is computed, for the parser and the writer alike.
-func layoutKeyFile(n, kmin, kmax uint64) keyFile {
-	f := keyFile{n: n, min: kmin, max: kmax}
+func (f *keyFile) layout(n, kmin, kmax uint64) {
+	f.n, f.min, f.max = n, kmin, kmax
 	buckets := uint64(0)
 	if n > 0 {
 		if q := (kmax - kmin) / n; q > 0 {
@@ -85,7 +85,6 @@ func layoutKeyFile(n, kmin, kmax uint64) keyFile {
 	f.high = keyHeaderLen + 4*int((buckets+1<<keySampleShift-1)>>keySampleShift)
 	f.low = f.high + 8*int((f.nbits+63)/64)
 	f.size = f.low + 8*int((n*f.l+63)/64)
-	return f
 }
 
 // parseKeyFile checks the header against the length in O(1). A Π without the
@@ -105,8 +104,9 @@ func parseKeyFile(pd []byte) (keyFile, error) {
 	// bits: n is bounded before any size is computed from it.
 	ok := n <= 8*uint64(len(pd)) && n <= math.MaxUint32 && kmin <= kmax &&
 		(n > 0 || kmin|kmax|l == 0) && (n == 0 || n-1 <= kmax-kmin)
+	var f keyFile
 	if ok {
-		f := layoutKeyFile(n, kmin, kmax)
+		f.layout(n, kmin, kmax)
 		if f.pd = pd; f.l == l && f.size == len(pd) && f.ends() {
 			return f, nil
 		}
@@ -467,7 +467,8 @@ type keyWriter struct {
 }
 
 func newKeyWriter(n, kmin, kmax uint64) *keyWriter {
-	w := &keyWriter{keyFile: layoutKeyFile(n, kmin, kmax)}
+	w := &keyWriter{}
+	w.layout(n, kmin, kmax)
 	w.pd = make([]byte, w.size)
 	copy(w.pd, keyFileTag)
 	binary.BigEndian.PutUint32(w.pd[4:], uint32(w.l))
@@ -682,6 +683,13 @@ func applyKeysDelta(pd, delta []byte) ([]byte, error) {
 	if len(edits) == 0 {
 		return pd, nil
 	}
+	return f.edit(edits, insert)
+}
+
+// edit writes a file of exactly the new size from f with the edits added
+// (insert) or removed — each absent or present, as nextGEQ found it: spliced
+// when L is unchanged, merged key by key when it is not.
+func (f *keyFile) edit(edits []keyEdit, insert bool) ([]byte, error) {
 	m := uint64(len(edits))
 	var n, kmin, kmax uint64
 	if insert {
@@ -704,6 +712,7 @@ func applyKeysDelta(pd, delta []byte) ([]byte, error) {
 			return !dropped
 		}
 		var okMin, okMax bool
+		var err error
 		if kmin, okMin, err = f.firstKey(keep); err != nil {
 			return nil, err
 		}
@@ -716,9 +725,9 @@ func applyKeysDelta(pd, delta []byte) ([]byte, error) {
 	}
 	w := newKeyWriter(n, kmin, kmax)
 	if f.n > 0 && w.l == f.l {
-		return w.splice(&f, edits, insert)
+		return w.splice(f, edits, insert)
 	}
-	return w.merge(&f, edits, insert)
+	return w.merge(f, edits, insert)
 }
 
 // merge writes f's keys, with the edits added (insert) or left out, block by

@@ -26,10 +26,11 @@ package schemes
 // components, so the labeling degenerates to one component id per vertex —
 // the "pick the labeling per graph shape" half of the scheme.
 //
-// The payload carries the canonical encoding of the original graph as an
-// appendix (like the closure's ClosureGraphFlag section): incremental
-// maintenance edits the appendix and relabels from it wholesale
-// (relabel-on-commit), so maintained and rebuilt Π stay byte-identical.
+// The payload carries the original graph as an appendix, as graph.Encode
+// writes it (the closure keeps its graph as an Elias–Fano arc file; this
+// payload has no layout tag to say which it holds): incremental maintenance
+// edits the appendix and relabels from it wholesale (relabel-on-commit), so
+// maintained and rebuilt Π stay byte-identical.
 //
 // The closure scheme ("reachability/closure-matrix") is the differential
 // oracle: identical verdicts AND identical error strings, pinned by the

@@ -16,6 +16,7 @@ package schemes
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"pitract/internal/bds"
 	"pitract/internal/circuit"
@@ -278,90 +279,205 @@ func ReachabilityLanguage() core.Language {
 
 // The closure payload:
 //
-//	header (8, big-endian) ‖ graph.CondensedClosure wire form ‖ uvarint len ‖ graph.Encode bytes
+//	header (8, big-endian) ‖ graph.CondensedClosure wire form ‖ arc file
 //
 // The header is the vertex count (at most graph.MaxDecodeVertices = 2²⁴, so
-// the top bits are free) under three flag bits. Two of them name the layout
-// and are required — a payload without both was written by a version that
-// stored n² bits, or stored them without the graph, and is refused with a
+// the top bits are free) under four flag bits. Three of them name the layout
+// and are required — a payload without all three was written by a version
+// that stored n² bits, stored them without the graph, or stored 2-byte class
+// ids beside the graph's uvarint encoding — and is refused with a
 // core.LayoutError that says to re-register, never guessed at (a registry
 // that finds one in its data dir quarantines the snapshot and rebuilds).
+//
+// The arc file is the graph: keys.go's sorted key file — one Elias–Fano
+// sequence — over the arc ids u·n + v, with u < v for an undirected edge. It
+// is a function of the edge set, so Π stays a function of the graph, and at
+// about L + 2 bits an arc, L = ⌊log₂(n²/m)⌋, it is a fraction of the graph's
+// uvarint pairs.
 const (
 	// ClosureUndirectedFlag records that the closed graph was undirected.
 	ClosureUndirectedFlag = uint64(1) << 63
-	// ClosureGraphFlag says the source graph's canonical encoding follows the
-	// closure. Maintenance needs it: a closure bit says only that *some* path
-	// exists, so neither an insertion that merges classes nor a retraction
-	// can be decided from the closure alone.
+	// ClosureGraphFlag says the source graph follows the closure.
+	// Maintenance needs it: a closure bit says only that *some* path exists,
+	// so neither an insertion that merges classes nor a retraction can be
+	// decided from the closure alone.
 	ClosureGraphFlag = uint64(1) << 62
 	// closureCondensedFlag says the closure is stored over its condensation
 	// (class[v] + a k×k matrix), not as n² bits.
 	closureCondensedFlag = uint64(1) << 61
+	// closureArcsFlag says the class ids are packed to ⌈log₂ k⌉ bits and the
+	// graph is an arc file, not graph.Encode bytes.
+	closureArcsFlag = uint64(1) << 60
 
-	closureLayout = ClosureGraphFlag | closureCondensedFlag
+	closureLayout = ClosureGraphFlag | closureCondensedFlag | closureArcsFlag
 )
 
 // closureParts validates a closure payload's framing — header, layout bits,
-// the condensed closure's class count against n, the appendix's length
-// prefix, the exact total — in O(1), and cuts it into the condensed closure's
-// wire form and the graph appendix. What is inside either part is checked by
-// its decoder at use.
-func closureParts(pd []byte) (n int, cond, graphEnc []byte, err error) {
+// the condensed closure's class count against n, the arc file's header and
+// its ids below n² — in O(1), and cuts it into the condensed closure's wire
+// form and the arc file. What is inside either part is checked by its reader
+// at use.
+func closureParts(pd []byte) (n int, cond graph.CondensedWire, arcs keyFile, err error) {
 	if len(pd) < 8 {
-		return 0, nil, nil, fmt.Errorf("schemes: corrupt closure header")
+		return 0, nil, keyFile{}, fmt.Errorf("schemes: corrupt closure header")
 	}
 	raw := binary.BigEndian.Uint64(pd)
 	if raw&closureLayout != closureLayout {
-		return 0, nil, nil, &core.LayoutError{Msg: fmt.Sprintf("schemes: closure payload (header %#x) is not in the condensed layout this version reads; re-register the dataset", raw)}
+		return 0, nil, keyFile{}, &core.LayoutError{Msg: fmt.Sprintf("schemes: closure payload (header %#x) is not in the condensed layout this version reads; re-register the dataset", raw)}
 	}
 	n64 := raw &^ (ClosureUndirectedFlag | closureLayout)
 	if n64 > uint64(graph.MaxDecodeVertices) {
-		return 0, nil, nil, fmt.Errorf("schemes: closure payload is %d bytes, header claims n=%d", len(pd)-8, n64)
+		return 0, nil, keyFile{}, fmt.Errorf("schemes: closure payload is %d bytes, header claims n=%d", len(pd)-8, n64)
 	}
-	rest := pd[8:]
-	condLen, err := graph.CondensedClosureLen(rest, int(n64))
-	if err != nil {
-		return 0, nil, nil, fmt.Errorf("schemes: %w", err)
+	n = int(n64)
+	if cond, err = graph.FrameCondensedClosure(pd[8:], n); err != nil {
+		return 0, nil, keyFile{}, fmt.Errorf("schemes: %w", err)
 	}
-	encLen, m := binary.Uvarint(rest[min(condLen, len(rest)):])
-	if m <= 0 || encLen > uint64(len(rest)) || len(rest) != condLen+m+int(encLen) {
-		return 0, nil, nil, fmt.Errorf("schemes: closure payload is %d bytes, header claims n=%d with a %d-byte closure and a graph appendix", len(rest), n64, condLen)
+	// %v, not %w: past the layout bits a file without the key file's tag is
+	// corrupt, not an older layout.
+	if arcs, err = parseKeyFile(pd[8+len(cond):]); err != nil {
+		return 0, nil, keyFile{}, fmt.Errorf("schemes: closure arc file: %v", err)
 	}
-	return int(n64), rest[:condLen], rest[len(rest)-int(encLen):], nil
+	if lo, hi := arcs.min^1<<63, arcs.max^1<<63; arcs.n > 0 && (lo > hi || hi >= n64*n64) {
+		return 0, nil, keyFile{}, fmt.Errorf("schemes: closure arc file spans arc ids [%d, %d], over %d vertices", int64(lo), int64(hi), n)
+	}
+	return n, cond, arcs, nil
 }
 
-// appendClosureGraph frames and appends a graph appendix (enc, the graph's
-// canonical encoding) to a closure head (header ‖ condensed closure).
-func appendClosureGraph(head, enc []byte) []byte {
-	return append(binary.AppendUvarint(head, uint64(len(enc))), enc...)
+// arcID is the arc file's key, biased, of the arc u→v over n vertices.
+func arcID(n, u, v int) uint64 { return biasKey(int64(u)*int64(n) + int64(v)) }
+
+// arcFileBytes lays out g's arcs as a key file, pushed straight from the
+// adjacency lists in keyBlock runs: ascending lists walked in vertex order are
+// ascending ids. An undirected edge is its u < v arc, the tail of u's list.
+func arcFileBytes(g *graph.Graph) ([]byte, error) {
+	g.Normalize()
+	n, directed := g.N(), g.Directed()
+	out := func(u int) []int32 {
+		l := g.Neighbors(u)
+		if !directed {
+			i, _ := slices.BinarySearch(l, int32(u))
+			l = l[i:]
+		}
+		return l
+	}
+	m := uint64(g.M())
+	if err := checkKeyCount(m); err != nil {
+		return nil, err
+	}
+	if m == 0 {
+		return newKeyWriter(0, 0, 0).bytes()
+	}
+	lo, hi := 0, n-1
+	for len(out(lo)) == 0 {
+		lo++
+	}
+	for len(out(hi)) == 0 {
+		hi--
+	}
+	last := out(hi)
+	w := newKeyWriter(m, arcID(n, lo, int(out(lo)[0])), arcID(n, hi, int(last[len(last)-1])))
+	var block [keyBlock]uint64
+	b := block[:0]
+	for u := lo; u <= hi; u++ {
+		for _, v := range out(u) {
+			if len(b) == keyBlock {
+				if err := w.push(b...); err != nil {
+					return nil, err
+				}
+				b = b[:0]
+			}
+			b = append(b, arcID(n, u, int(v)))
+		}
+	}
+	if err := w.push(b...); err != nil {
+		return nil, err
+	}
+	return w.bytes()
+}
+
+// arcGraph streams an arc file over n vertices into the graph it encodes,
+// twice: once to size every adjacency list, once to fill them. The reader
+// checks that the ids rise and the frame that they are below n²; the first
+// pass refuses a self-loop and an undirected arc with u > v. Ids in ascending
+// order keep every list ascending, so the graph needs no Normalize.
+func arcGraph(f *keyFile, n int, directed bool) (*graph.Graph, error) {
+	deg := make([]int, n)
+	err := eachArc(f, n, func(u, v int) error {
+		if u == v {
+			return fmt.Errorf("schemes: corrupt closure arc file: self-loop at %d", u)
+		}
+		if !directed && u > v {
+			return fmt.Errorf("schemes: corrupt closure arc file: undirected arc (%d,%d) is not stored as (%d,%d)", u, v, v, u)
+		}
+		deg[u]++
+		if !directed {
+			deg[v]++
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	g := graph.NewSized(directed, deg)
+	return g, eachArc(f, n, g.AddEdge)
+}
+
+// eachArc reads the arcs of f, over n vertices, in ascending order. The ids
+// rise, so u only moves forward: it is carried along, not divided out.
+func eachArc(f *keyFile, n int, arc func(u, v int) error) error {
+	r := f.reader()
+	var block [keyBlock]uint64
+	u, base := 0, uint64(0) // base = u·n, the first id of u's arcs
+	for left := f.n; left > 0; {
+		b := block[:min(left, keyBlock)]
+		left -= uint64(len(b))
+		if err := r.read(b); err != nil {
+			return err
+		}
+		for _, x := range b {
+			id := x ^ 1<<63
+			for id-base >= uint64(n) {
+				u, base = u+1, base+uint64(n)
+			}
+			if err := arc(u, int(id-base)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // closureBytes lays out Π: the header, the closure of g over its condensation
-// as graph.CondensedClosure.AppendWire emits it, and the canonical encoding of
-// g. Class ids are canonical, so the bytes are a function of g alone.
-// NewCondensedClosure sizes the rows before it allocates them — vertices cost
-// a payload no bytes — and its refusal is pointed somewhere: a graph of too
-// many classes for the matrix is what the labels scheme is for.
+// as graph.CondensedClosure.AppendWire emits it, and g's arc file. Class ids
+// are canonical and the arc file a function of the edge set, so the bytes are
+// a function of g alone. NewCondensedClosure sizes the rows before it
+// allocates them — vertices cost a payload no bytes — and its refusal is
+// pointed somewhere: a graph of too many classes for the matrix is what the
+// labels scheme is for.
 func closureBytes(g *graph.Graph) ([]byte, error) {
 	c, err := graph.NewCondensedClosure(g)
 	if err != nil {
 		return nil, fmt.Errorf("schemes: %w; register the graph under reachability/labels instead", err)
 	}
+	arcs, err := arcFileBytes(g)
+	if err != nil {
+		return nil, err
+	}
 	header := uint64(g.N()) | closureLayout
 	if !g.Directed() {
 		header |= ClosureUndirectedFlag
 	}
-	enc := g.Encode()
-	b := make([]byte, 0, 8+c.WireLen()+binary.MaxVarintLen64+len(enc)) // the whole Π: nothing below reallocates
+	b := make([]byte, 0, 8+c.WireLen()+len(arcs)) // the whole Π: nothing below reallocates
 	b = binary.BigEndian.AppendUint64(b, header)
-	return appendClosureGraph(c.AppendWire(b), enc), nil
+	return append(c.AppendWire(b), arcs...), nil
 }
 
 // closureReach is the raw-path probe: pd is arbitrary here, so the framing is
-// validated per call, then the pair's range, then the two class ids the probe
-// reads (graph.ProbeCondensedClosure) — never the n ids it does not. It is
-// the differential oracle for the prepared closureAnswerer, which validates
-// everything once at Prepare.
+// validated per call — once — then the pair's range, then the two class ids
+// the probe reads (graph.ProbeCondensedClosure) — never the n ids it does
+// not. It is the differential oracle for the prepared closureAnswerer, which
+// validates everything once at Prepare.
 func closureReach(pd []byte, u, v int) (bool, error) {
 	n, cond, _, err := closureParts(pd)
 	if err != nil {
@@ -399,7 +515,7 @@ func ReachabilityScheme() *core.Scheme {
 			return closureReach(pd, u, v)
 		},
 		PrepareAnswerer: prepareClosure,
-		PreprocessNote:  "O(|V|+|E|) condensation + O(|E_c|·k/64) word ORs over the k classes; Π is 2|V| + k²/8 bytes + the graph",
+		PreprocessNote:  "O(|V|+|E|) condensation + O(|E_c|·k/64) word ORs over the k classes; Π is ⌈n·w/8⌉ + k²/8 bytes (w = ⌈log₂ k⌉) + an Elias–Fano arc file",
 		AnswerNote:      "O(1)",
 	}
 }

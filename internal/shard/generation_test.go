@@ -145,13 +145,13 @@ func TestShardGenerationBytesUnchanged(t *testing.T) {
 			// One key (one shard), then a run of keys spread over all three.
 			batch: [][]byte{schemes.KeysDelta([]int64{1001}), schemes.KeysDelta([]int64{-99, 3, 4, 5, 6, 2000})},
 			registered: map[string]string{
-				"d.pitract-shards":   "46f43fed4867300c57bed468df1be284ce714337da69b21d37b692ca49b038f0",
+				"d.pitract-shards":   "456dd20317f097d6e93e00f0a6048441aeb7ce32bede8a5a03c353c0fe47b6d0",
 				"d.pitract-shards#0": "2004b68766dcab9e743cdcfee147678738f7912f8d7d362fc186b17482afab25",
 				"d.pitract-shards#1": "4c298b6dea7de257e3ad792943fb3303369f4460e7c50cb7a01521c53d2a403b",
 				"d.pitract-shards#2": "c43f93f939e0c6db1d1e4bd4ea3eb83cc234e8575d929a8cbfcb72cb19941fe6",
 			},
 			patched: map[string]string{
-				"d.pitract-shards":   "6ceb1a52b4636e5c5a6419c6600a0f6f90b71d26a903fb0d35380b602d7033bc",
+				"d.pitract-shards":   "7ed2ddf57d5fd51e912544fa2a4b7e2cef77c4b14055efea4b412541ae386bd5",
 				"d.pitract-shards#0": "56df117ebf5801e155d3caa0e4bfce9bb344391405bc327a1e61872525a5e80b",
 				"d.pitract-shards#1": "90b46119ed7f3961fe7b24670279f67c32fbaef07c7a35831bf4722ef97f6262",
 				"d.pitract-shards#2": "f16f61bb1b9212c664ca5a54a2e78cc88979b33f790082fa5ecdb17003b5683a",
@@ -164,16 +164,16 @@ func TestShardGenerationBytesUnchanged(t *testing.T) {
 			data:   g.Encode(),
 			batch:  [][]byte{schemes.EdgeDelta(1, 4), schemes.EdgeDelta(11, 12)},
 			registered: map[string]string{
-				"d.pitract-shards":   "35acf0183cd22832a024c292ddc50fbf02f4119ca8551e5f920043c58b980032",
-				"d.pitract-shards#0": "567dca142cce769765dd175511b78cefab6d17d54027bcd37224465102eb2e97",
-				"d.pitract-shards#1": "33dee08f8fa52eda7cde646e2f5fea5f3ffe2b0212f7dea7828f03335308e4ab",
-				"d.pitract-shards#2": "48d775a8c05016bf5cf58bb3a6801520d8579ce193518052021361febb290dc9",
+				"d.pitract-shards":   "0ef1a90866a795b3b45ebaef818baafb15191efd19a15776c095723432eb0a0a",
+				"d.pitract-shards#0": "03b4a3f9bd998a866fea72a1417d0e6bce7e9d0b2141d6559cca3640190d7c19",
+				"d.pitract-shards#1": "c9b1ffacd256c8c3dffb119d7fa5d315e6bf45b41c3bc25bf620754d7fb81694",
+				"d.pitract-shards#2": "e7556c7041675a7c5ca98f1b8e8bbb3c5613bdbc806046c92d905661cef3fb04",
 			},
 			patched: map[string]string{
-				"d.pitract-shards":   "277cea6c73a23ff0d351e1dc1da95ba72cee312a9953be25fea48b4eae493917",
-				"d.pitract-shards#0": "9bb5d745e6336a97a91511211a3bd632653bb8a6b1c072860f82c9036bbc726d",
-				"d.pitract-shards#1": "7efee9ce648925c59610cc6060d45790ab54abb1ab3040936e22281a19edd424",
-				"d.pitract-shards#2": "3f851f04d3ed7adcd2c20db8cbc5e24d0f4dc390204633a1d206c0a648c73e56",
+				"d.pitract-shards":   "e67c6b2a1862aa8cb100da87d3dbb6d9a1390ae8322063af0f4a1da41901a941",
+				"d.pitract-shards#0": "ff24142a4e5340b79932de998ce91d7c6786a1e8127cfc73246bdfb21ff096eb",
+				"d.pitract-shards#1": "13580f84969742574341fba3467e5c06389c79177b54519bd42c79daf9c3bcc5",
+				"d.pitract-shards#2": "eb0d98f4d8d5a7b9a6abfa5998393d68066ec7673f7bb04f47545988c5afee5d",
 			},
 		},
 	}
@@ -320,13 +320,15 @@ func TestPlainStoreBytesUnchanged(t *testing.T) {
 }
 
 // TestOlderClosureLayoutOnDiskIsRebuilt: a data dir written before the closure
-// was stored over its condensation holds artifacts that are intact — CRC,
-// data digest, scheme name — in a layout this version does not read. A
-// registration over it must not serve them (every answer would be the
-// refusal, and re-registering would load them again): the file is
-// quarantined, Π rebuilt from the posted data, and the next restart is a
-// clean load. Plain: a closure-matrix snapshot holding n² bits. Sharded: a
-// manifest whose summary carries the overlay as P² bits.
+// took its current layout holds artifacts that are intact — CRC, data digest,
+// scheme name — in a layout this version does not read. A registration over
+// it must not serve them (every answer would be the refusal, and
+// re-registering would load them again): the file is quarantined, Π rebuilt
+// from the posted data, and the next restart is a clean load. Plain: a
+// closure-matrix snapshot holding n² bits, and one holding the condensation
+// with 2-byte class ids and the graph's uvarint encoding. Sharded: a manifest
+// whose summary carries the overlay as P² bits, and a PITRACTM\x03 manifest —
+// the version whose overlay gave every class id two bytes.
 func TestOlderClosureLayoutOnDiskIsRebuilt(t *testing.T) {
 	g := graph.CommunityGraph(3, 6, 5, 21)
 	data, n := g.Encode(), g.N()
@@ -343,51 +345,105 @@ func TestOlderClosureLayoutOnDiskIsRebuilt(t *testing.T) {
 		}
 	}
 
-	t.Run("plain", func(t *testing.T) {
-		// The layout of the commit before: header (n under the appendix flag)
-		// ‖ n² bits, bit u·n+v ‖ uvarint len ‖ the graph.
-		dense := binary.BigEndian.AppendUint64(nil, uint64(n)|schemes.ClosureGraphFlag)
-		bits := make([]byte, (n*n+7)/8)
-		for u := 0; u < n; u++ {
-			for v := 0; v < n; v++ {
-				if want.Reach(u, v) {
-					bits[(u*n+v)/8] |= 1 << ((u*n + v) % 8)
-				}
+	// The dense layout: header (n under the appendix flag) ‖ n² bits, bit
+	// u·n+v ‖ uvarint len ‖ the graph.
+	dense := binary.BigEndian.AppendUint64(nil, uint64(n)|schemes.ClosureGraphFlag)
+	bits := make([]byte, (n*n+7)/8)
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			if want.Reach(u, v) {
+				bits[(u*n+v)/8] |= 1 << ((u*n + v) % 8)
 			}
 		}
-		dense = append(binary.AppendUvarint(append(dense, bits...), uint64(len(data))), data...)
+	}
+	dense = append(binary.AppendUvarint(append(dense, bits...), uint64(len(data))), data...)
+	// The uvarint layout: header (n under the appendix and condensed flags) ‖
+	// k ‖ a 2-byte id per vertex ‖ the rows, as today's form ends ‖ uvarint
+	// len ‖ the graph.
+	cc, err := graph.NewCondensedClosure(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, k := cc.AppendWire(nil), cc.Classes()
+	uvarint := binary.BigEndian.AppendUint64(nil, uint64(n)|schemes.ClosureGraphFlag|1<<61)
+	uvarint = binary.LittleEndian.AppendUint32(uvarint, uint32(k))
+	for v := 0; v < n; v++ {
+		uvarint = binary.LittleEndian.AppendUint16(uvarint, uint16(cc.Class(v)))
+	}
+	uvarint = append(uvarint, wire[len(wire)-8*k*((k+63)/64):]...)
+	uvarint = append(binary.AppendUvarint(uvarint, uint64(len(data))), data...)
+
+	for name, old := range map[string][]byte{"plain": dense, "plain-uvarint": uvarint} {
+		t.Run(name, func(t *testing.T) {
+			scheme := schemes.ReachabilityScheme()
+			var le *core.LayoutError
+			if _, err := scheme.Prepare(old); !errors.As(err, &le) {
+				t.Fatalf("Prepare of the older layout returned %v, want a LayoutError", err)
+			}
+			dir := t.TempDir()
+			st := &store.Store{ID: "g", Scheme: scheme, Prep: old, DataSum: store.SumData(data)}
+			if err := st.Checkpoint(store.OSFS, dir); err != nil {
+				t.Fatal(err)
+			}
+
+			reg := store.NewRegistry(dir)
+			ds, err := reg.Register("g", scheme, data)
+			if err != nil {
+				t.Fatalf("register over an older-layout snapshot: %v", err)
+			}
+			if ds.WasLoaded() || reg.PreprocessCount() != 1 || reg.QuarantineCount() != 1 {
+				t.Fatalf("loaded=%v preprocess=%d quarantines=%d, want a rebuild and one quarantine", ds.WasLoaded(), reg.PreprocessCount(), reg.QuarantineCount())
+			}
+			if _, err := os.Stat(store.QuarantinePath(store.SnapshotPath(dir, "g"))); err != nil {
+				t.Fatalf("the older snapshot was not kept aside: %v", err)
+			}
+			verify(t, ds)
+			if _, err := reg.ApplyDelta("g", [][]byte{schemes.EdgeDelta(0, 1)}); err != nil {
+				t.Fatalf("PATCH after the rebuild: %v", err)
+			}
+			reg2 := store.NewRegistry(dir)
+			ds2, err := reg2.Register("g", scheme, data)
+			if err != nil || !ds2.WasLoaded() || ds2.Version() != 1 || reg2.QuarantineCount() != 0 {
+				t.Fatalf("restart after the rebuild: loaded=%v version=%d quarantines=%d err=%v", ds2.WasLoaded(), ds2.Version(), reg2.QuarantineCount(), err)
+			}
+			verify(t, ds2)
+		})
+	}
+
+	t.Run("sharded-v3", func(t *testing.T) {
+		// Any manifest under the version 3 magic is refused there, before
+		// its members or summary are read; the CRC does not cover the magic.
 		scheme := schemes.ReachabilityScheme()
-		var le *core.LayoutError
-		if _, err := scheme.Prepare(dense); !errors.As(err, &le) {
-			t.Fatalf("Prepare of the older layout returned %v, want a LayoutError", err)
-		}
 		dir := t.TempDir()
-		old := &store.Store{ID: "g", Scheme: scheme, Prep: dense, DataSum: store.SumData(data)}
-		if err := old.Checkpoint(store.OSFS, dir); err != nil {
+		if _, err := RegisterSharded(store.NewRegistry(dir), "s", scheme, RangePartitioner{}, 3, data); err != nil {
 			t.Fatal(err)
 		}
-
-		reg := store.NewRegistry(dir)
-		st, err := reg.Register("g", scheme, data)
+		mb, err := os.ReadFile(ManifestPath(dir, "s"))
 		if err != nil {
-			t.Fatalf("register over an older-layout snapshot: %v", err)
+			t.Fatal(err)
 		}
-		if st.WasLoaded() || reg.PreprocessCount() != 1 || reg.QuarantineCount() != 1 {
-			t.Fatalf("loaded=%v preprocess=%d quarantines=%d, want a rebuild and one quarantine", st.WasLoaded(), reg.PreprocessCount(), reg.QuarantineCount())
+		copy(mb, "PITRACTM\x03")
+		if err := os.WriteFile(ManifestPath(dir, "s"), mb, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if _, err := os.Stat(store.QuarantinePath(store.SnapshotPath(dir, "g"))); err != nil {
-			t.Fatalf("the older snapshot was not kept aside: %v", err)
+		reg := store.NewRegistry(dir)
+		ss, err := RegisterSharded(reg, "s", scheme, RangePartitioner{}, 3, data)
+		if err != nil {
+			t.Fatalf("register over a version 3 manifest: %v", err)
 		}
-		verify(t, st)
-		if _, err := reg.ApplyDelta("g", [][]byte{schemes.EdgeDelta(0, 1)}); err != nil {
-			t.Fatalf("PATCH after the rebuild: %v", err)
+		if ss.WasLoaded() || reg.PreprocessCount() != 3 || reg.QuarantineCount() != 1 {
+			t.Fatalf("loaded=%v preprocess=%d quarantines=%d, want a rebuild of 3 shards and one quarantine", ss.WasLoaded(), reg.PreprocessCount(), reg.QuarantineCount())
 		}
+		if _, err := os.Stat(store.QuarantinePath(ManifestPath(dir, "s"))); err != nil {
+			t.Fatalf("the version 3 manifest was not kept aside: %v", err)
+		}
+		verify(t, ss)
 		reg2 := store.NewRegistry(dir)
-		st2, err := reg2.Register("g", scheme, data)
-		if err != nil || !st2.WasLoaded() || st2.Version() != 1 || reg2.QuarantineCount() != 0 {
-			t.Fatalf("restart after the rebuild: loaded=%v version=%d quarantines=%d err=%v", st2.WasLoaded(), st2.Version(), reg2.QuarantineCount(), err)
+		ss2, err := RegisterSharded(reg2, "s", scheme, RangePartitioner{}, 3, data)
+		if err != nil || !ss2.WasLoaded() || reg2.QuarantineCount() != 0 {
+			t.Fatalf("restart after the rebuild: loaded=%v quarantines=%d err=%v", ss2.WasLoaded(), reg2.QuarantineCount(), err)
 		}
-		verify(t, st2)
+		verify(t, ss2)
 	})
 
 	t.Run("sharded", func(t *testing.T) {

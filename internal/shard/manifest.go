@@ -25,12 +25,15 @@ import (
 )
 
 // manifestMagic opens every shard manifest; the trailing byte is the
-// format version. Version 3 carries the members' snapshots in the manifest
+// format version. Version 4 stores the reachability summary's overlay with
+// its class ids packed to ⌈log₂ k⌉ bits, where version 3 gave each two bytes.
+// Version 3 was the first to carry the members' snapshots in the manifest
 // itself, where version 2 held a SHA-256 per separately written shard file.
 // An older manifest is rejected at the magic — quarantined and the dataset
 // rebuilt by the next registration — never half-loaded; the
-// *.pitract-shard files it named are read and removed by nothing.
-var manifestMagic = []byte("PITRACTM\x03")
+// *.pitract-shard files a version 2 manifest named are read and removed by
+// nothing.
+var manifestMagic = []byte("PITRACTM\x04")
 
 // Manifest describes one persisted sharded dataset.
 type Manifest struct {

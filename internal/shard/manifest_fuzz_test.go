@@ -57,6 +57,7 @@ func FuzzDecodeManifest(f *testing.F) {
 	f.Add(reach.checkpointBytes(reach.state.Load()))
 	f.Add(EncodeManifest(&Manifest{}))
 	f.Add(append([]byte("PITRACTM\x02"), valid[len(manifestMagic):]...))
+	f.Add(append([]byte("PITRACTM\x03"), valid[len(manifestMagic):]...))
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:len(manifestMagic)+3])
 	f.Add(append(append([]byte(nil), valid...), 0xff))

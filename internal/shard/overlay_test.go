@@ -22,7 +22,7 @@ import (
 // reachSummaryRef is the reference summary: portals and overlay arcs from one
 // Graph.BFS per portal on its induced subgraph, the overlay closed by one
 // Graph.BFS per overlay vertex — classes are mutual reachability, numbered by
-// smallest member — and the class rows packed one bit at a time.
+// smallest member — and the class ids and rows packed one bit at a time.
 func reachSummaryRef(g *graph.Graph, asn Assignment) []byte {
 	shardOf, local, counts := vertexShards(g.N(), asn)
 	subs, err := inducedSubgraphs(g, shardOf, local, counts)
@@ -81,10 +81,19 @@ func reachSummaryRef(g *graph.Graph, asn Assignment) []byte {
 		}
 	}
 	k := len(smallest)
-	packed := binary.LittleEndian.AppendUint32(nil, uint32(k))
-	for _, c := range class {
-		packed = binary.LittleEndian.AppendUint16(packed, uint16(c))
+	w := 0
+	for 1<<w < k {
+		w++
 	}
+	ids := make([]byte, 8*((P*w+63)/64))
+	for i, c := range class {
+		for j := 0; j < w; j++ {
+			if bit := i*w + j; c>>j&1 != 0 {
+				ids[bit/8] |= 1 << (bit % 8)
+			}
+		}
+	}
+	packed := append(binary.LittleEndian.AppendUint32(nil, uint32(k)), ids...)
 	stride := 8 * ((k + 63) / 64)
 	rows := make([]byte, k*stride)
 	for c, s := range smallest {

@@ -45,8 +45,8 @@ package shard
 // per shard, so the heap holds 12 bytes per vertex of indices plus
 // distinct·⌈P/64⌉ words, where distinct ≤ 2·(local SCC count) + 1. The
 // worst case (every vertex its own SCC with its own portal set) is 2·n·P
-// bits, next to the overlay closure itself (2P bytes + k² bits over its k
-// classes); building them costs O(Σ_s n_s·P_s) bit operations (P_s bulk
+// bits, next to the overlay closure itself (P·⌈log₂ k⌉ bits + k² bits over
+// its k classes); building them costs O(Σ_s n_s·P_s) bit operations (P_s bulk
 // reads of n_s bits each way per shard), one P-bit expansion per overlay
 // class, and one OR of ≤ P_s expanded rows per distinct out row.
 //

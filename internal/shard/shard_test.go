@@ -208,6 +208,33 @@ func TestShardedPrepBytesScaleOut(t *testing.T) {
 	}
 }
 
+// TestClosurePiBelowData pins what the closure-matrix scheme costs to hold
+// against the data it answers from — a deterministic count of bytes, on the
+// two graphs the benchmark's reachability mixes register: Π under 0.55 of the
+// graph's encoding on a random 4096-vertex, 16 384-arc graph, and the four
+// range shards' Π plus the cross-shard summary under 0.75 on an 8 × 256
+// community graph. Both were above the data while the graph was stored as
+// graph.Encode's uvarint pairs and every class id took two bytes.
+func TestClosurePiBelowData(t *testing.T) {
+	scheme := schemes.ReachabilityScheme()
+	d := graph.RandomDirected(4096, 16384, 1).Encode()
+	pd, err := scheme.Preprocess(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := float64(len(pd)) / float64(len(d)); r > 0.55 {
+		t.Errorf("random graph: Π %d bytes for %d of data, %.3f B/B, want ≤ 0.55", len(pd), len(d), r)
+	}
+	d = graph.CommunityGraph(8, 256, 512, 1).Encode()
+	ss, err := Build("d", scheme, ForScheme(scheme.Name()), RangePartitioner{}, 4, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := float64(ss.PrepBytes()) / float64(len(d)); r > 0.75 {
+		t.Errorf("community graph on four shards: Π %d bytes for %d of data, %.3f B/B, want ≤ 0.75", ss.PrepBytes(), len(d), r)
+	}
+}
+
 // TestRegisterShardedMemoization: one catalog entry, one build, racing
 // registrations share it, incompatible re-registrations error.
 func TestRegisterShardedMemoization(t *testing.T) {
