@@ -19,7 +19,6 @@ package schemes
 // resolve a dataset's incremental form by scheme name there.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"maps"
 	"slices"
@@ -294,27 +293,18 @@ func applyClosureDelta(pd, delta []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	directed := binary.BigEndian.Uint64(pd)&ClosureUndirectedFlag == 0
-	x := arcID(n, u, v)
-	if !directed {
-		x = arcID(n, min(u, v), max(u, v))
-	}
-	at, y, err := arcs.nextGEQ(x)
-	if err != nil {
-		return nil, err
-	}
 	insert := kind == core.DeltaInsert
 	splice := func() ([]byte, error) {
-		next, err := arcs.edit([]keyEdit{{x, at}}, insert)
+		next, _, err := arcs.Edit(u, v, insert)
 		if err != nil {
 			return nil, err
 		}
 		head := pd[:8+len(cond)]
-		return append(append(make([]byte, 0, len(head)+len(next)), head...), next...), nil
+		return append(append(make([]byte, 0, len(head)+len(next.Bytes())), head...), next.Bytes()...), nil
 	}
 	if insert {
-		if at < arcs.n && y == x {
-			return pd, nil
+		if has, err := arcs.Has(u, v); err != nil || has {
+			return pd, err
 		}
 		// Undirected reachability is symmetric: one probe decides both ways.
 		holds, err := graph.ProbeCondensedClosure(cond, n, u, v)
@@ -325,7 +315,7 @@ func applyClosureDelta(pd, delta []byte) ([]byte, error) {
 			return splice()
 		}
 	}
-	g, err := arcGraph(&arcs, n, directed)
+	g, err := arcs.graph()
 	if err != nil {
 		return nil, err
 	}

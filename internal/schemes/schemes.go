@@ -16,7 +16,6 @@ package schemes
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"pitract/internal/bds"
 	"pitract/internal/circuit"
@@ -289,11 +288,9 @@ func ReachabilityLanguage() core.Language {
 // core.LayoutError that says to re-register, never guessed at (a registry
 // that finds one in its data dir quarantines the snapshot and rebuilds).
 //
-// The arc file is the graph: keys.go's sorted key file — one Elias–Fano
-// sequence — over the arc ids u·n + v, with u < v for an undirected edge. It
-// is a function of the edge set, so Π stays a function of the graph, and at
-// about L + 2 bits an arc, L = ⌊log₂(n²/m)⌋, it is a fraction of the graph's
-// uvarint pairs.
+// The arc file is the graph (arcs.go): keys.go's sorted key file over the arc
+// ids u·n + v, with u < v for an undirected edge. It is a function of the edge
+// set, so Π stays a function of the graph.
 const (
 	// ClosureUndirectedFlag records that the closed graph was undirected.
 	ClosureUndirectedFlag = uint64(1) << 63
@@ -317,135 +314,26 @@ const (
 // its ids below n² — in O(1), and cuts it into the condensed closure's wire
 // form and the arc file. What is inside either part is checked by its reader
 // at use.
-func closureParts(pd []byte) (n int, cond graph.CondensedWire, arcs keyFile, err error) {
+func closureParts(pd []byte) (n int, cond graph.CondensedWire, arcs ArcFile, err error) {
 	if len(pd) < 8 {
-		return 0, nil, keyFile{}, fmt.Errorf("schemes: corrupt closure header")
+		return 0, nil, ArcFile{}, fmt.Errorf("schemes: corrupt closure header")
 	}
 	raw := binary.BigEndian.Uint64(pd)
 	if raw&closureLayout != closureLayout {
-		return 0, nil, keyFile{}, &core.LayoutError{Msg: fmt.Sprintf("schemes: closure payload (header %#x) is not in the condensed layout this version reads; re-register the dataset", raw)}
+		return 0, nil, ArcFile{}, &core.LayoutError{Msg: fmt.Sprintf("schemes: closure payload (header %#x) is not in the condensed layout this version reads; re-register the dataset", raw)}
 	}
 	n64 := raw &^ (ClosureUndirectedFlag | closureLayout)
 	if n64 > uint64(graph.MaxDecodeVertices) {
-		return 0, nil, keyFile{}, fmt.Errorf("schemes: closure payload is %d bytes, header claims n=%d", len(pd)-8, n64)
+		return 0, nil, ArcFile{}, fmt.Errorf("schemes: closure payload is %d bytes, header claims n=%d", len(pd)-8, n64)
 	}
 	n = int(n64)
 	if cond, err = graph.FrameCondensedClosure(pd[8:], n); err != nil {
-		return 0, nil, keyFile{}, fmt.Errorf("schemes: %w", err)
+		return 0, nil, ArcFile{}, fmt.Errorf("schemes: %w", err)
 	}
-	// %v, not %w: past the layout bits a file without the key file's tag is
-	// corrupt, not an older layout.
-	if arcs, err = parseKeyFile(pd[8+len(cond):]); err != nil {
-		return 0, nil, keyFile{}, fmt.Errorf("schemes: closure arc file: %v", err)
-	}
-	if lo, hi := arcs.min^1<<63, arcs.max^1<<63; arcs.n > 0 && (lo > hi || hi >= n64*n64) {
-		return 0, nil, keyFile{}, fmt.Errorf("schemes: closure arc file spans arc ids [%d, %d], over %d vertices", int64(lo), int64(hi), n)
+	if arcs, err = ParseArcFile(pd[8+len(cond):], n, raw&ClosureUndirectedFlag == 0); err != nil {
+		return 0, nil, ArcFile{}, err
 	}
 	return n, cond, arcs, nil
-}
-
-// arcID is the arc file's key, biased, of the arc u→v over n vertices.
-func arcID(n, u, v int) uint64 { return biasKey(int64(u)*int64(n) + int64(v)) }
-
-// arcFileBytes lays out g's arcs as a key file, pushed straight from the
-// adjacency lists in keyBlock runs: ascending lists walked in vertex order are
-// ascending ids. An undirected edge is its u < v arc, the tail of u's list.
-func arcFileBytes(g *graph.Graph) ([]byte, error) {
-	g.Normalize()
-	n, directed := g.N(), g.Directed()
-	out := func(u int) []int32 {
-		l := g.Neighbors(u)
-		if !directed {
-			i, _ := slices.BinarySearch(l, int32(u))
-			l = l[i:]
-		}
-		return l
-	}
-	m := uint64(g.M())
-	if err := checkKeyCount(m); err != nil {
-		return nil, err
-	}
-	if m == 0 {
-		return newKeyWriter(0, 0, 0).bytes()
-	}
-	lo, hi := 0, n-1
-	for len(out(lo)) == 0 {
-		lo++
-	}
-	for len(out(hi)) == 0 {
-		hi--
-	}
-	last := out(hi)
-	w := newKeyWriter(m, arcID(n, lo, int(out(lo)[0])), arcID(n, hi, int(last[len(last)-1])))
-	var block [keyBlock]uint64
-	b := block[:0]
-	for u := lo; u <= hi; u++ {
-		for _, v := range out(u) {
-			if len(b) == keyBlock {
-				if err := w.push(b...); err != nil {
-					return nil, err
-				}
-				b = b[:0]
-			}
-			b = append(b, arcID(n, u, int(v)))
-		}
-	}
-	if err := w.push(b...); err != nil {
-		return nil, err
-	}
-	return w.bytes()
-}
-
-// arcGraph streams an arc file over n vertices into the graph it encodes,
-// twice: once to size every adjacency list, once to fill them. The reader
-// checks that the ids rise and the frame that they are below n²; the first
-// pass refuses a self-loop and an undirected arc with u > v. Ids in ascending
-// order keep every list ascending, so the graph needs no Normalize.
-func arcGraph(f *keyFile, n int, directed bool) (*graph.Graph, error) {
-	deg := make([]int, n)
-	err := eachArc(f, n, func(u, v int) error {
-		if u == v {
-			return fmt.Errorf("schemes: corrupt closure arc file: self-loop at %d", u)
-		}
-		if !directed && u > v {
-			return fmt.Errorf("schemes: corrupt closure arc file: undirected arc (%d,%d) is not stored as (%d,%d)", u, v, v, u)
-		}
-		deg[u]++
-		if !directed {
-			deg[v]++
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	g := graph.NewSized(directed, deg)
-	return g, eachArc(f, n, g.AddEdge)
-}
-
-// eachArc reads the arcs of f, over n vertices, in ascending order. The ids
-// rise, so u only moves forward: it is carried along, not divided out.
-func eachArc(f *keyFile, n int, arc func(u, v int) error) error {
-	r := f.reader()
-	var block [keyBlock]uint64
-	u, base := 0, uint64(0) // base = u·n, the first id of u's arcs
-	for left := f.n; left > 0; {
-		b := block[:min(left, keyBlock)]
-		left -= uint64(len(b))
-		if err := r.read(b); err != nil {
-			return err
-		}
-		for _, x := range b {
-			id := x ^ 1<<63
-			for id-base >= uint64(n) {
-				u, base = u+1, base+uint64(n)
-			}
-			if err := arc(u, int(id-base)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // closureBytes lays out Π: the header, the closure of g over its condensation

@@ -258,6 +258,104 @@ func TestCrossShardEdgeDeltaConnects(t *testing.T) {
 	}
 }
 
+// TestShardedSummaryMaintainedIsRebuilt: the summary holds nothing a batch
+// could leave in delta order — the cross edges are an arc file, a function of
+// the edge set, and the portals are derived — so after PATCH batches mixing
+// cross inserts, cross deletes and same-shard edges, the committed summary and
+// every member's Π are byte for byte those of a fresh Build of the final
+// graph, for both schemes that take sharded deltas and both orientations.
+func TestShardedSummaryMaintainedIsRebuilt(t *testing.T) {
+	cases := []struct {
+		name   string
+		scheme *core.Scheme
+		g      *graph.Graph
+	}{
+		{"closure", schemes.ReachabilityScheme(), graph.CommunityGraph(8, 32, 64, 7)},
+		{"labels", schemes.ReachabilityLabelsScheme(), graph.CommunityGraph(8, 32, 64, 7)},
+		{"closure-undirected", schemes.ReachabilityScheme(), graph.RandomConnectedUndirected(96, 40, 7)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := store.NewRegistry("")
+			ss, err := RegisterSharded(reg, "g", tc.scheme, RangePartitioner{}, 4, tc.g.Encode())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur, n := tc.g.Clone(), tc.g.N()
+			crossing := func(u, v int) bool { return ss.Asn.Shard(int64(u)) != ss.Asn.Shard(int64(v)) }
+			rng := rand.New(rand.NewSource(29))
+			// fresh finds an absent pair on the wanted side of the cut.
+			fresh := func(cross bool) (int, int) {
+				for {
+					if u, v := rng.Intn(n), rng.Intn(n); u != v && !cur.HasEdge(u, v) && crossing(u, v) == cross {
+						return u, v
+					}
+				}
+			}
+			// present picks an edge of cur on the wanted side of the cut.
+			present := func(cross bool) (int, int) {
+				var es [][2]int
+				for _, e := range cur.Edges() {
+					if crossing(e[0], e[1]) == cross {
+						es = append(es, e)
+					}
+				}
+				e := es[rng.Intn(len(es))]
+				return e[0], e[1]
+			}
+			kinds := map[string]int{}
+			for b := 0; b < 6; b++ {
+				var batch [][]byte
+				for len(batch) < 4 {
+					var u, v int
+					var d []byte
+					switch rng.Intn(4) {
+					case 0, 1: // a cross insert, most often: an append in delta order is what a rebuild would not match
+						u, v = fresh(true)
+						d = schemes.EdgeDelta(u, v)
+						cur.MustAddEdge(u, v)
+						kinds["cross insert"]++
+					case 2:
+						u, v = present(true)
+						d = schemes.EdgeDeleteDelta(u, v)
+						if err := cur.RemoveEdge(u, v); err != nil {
+							t.Fatal(err)
+						}
+						kinds["cross delete"]++
+					default:
+						u, v = fresh(false)
+						d = schemes.EdgeDelta(u, v)
+						cur.MustAddEdge(u, v)
+						kinds["same-shard insert"]++
+					}
+					cur.Normalize()
+					batch = append(batch, d)
+				}
+				if _, err := reg.ApplyDelta("g", batch); err != nil {
+					t.Fatalf("batch %d: %v", b, err)
+				}
+			}
+			if len(kinds) != 3 {
+				t.Fatalf("the batches hold %v; want every kind", kinds)
+			}
+			rebuilt, err := Build("g", tc.scheme, ForScheme(tc.scheme.Name()), RangePartitioner{}, 4, cur.Encode())
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, gotSummary, gotShards := ss.Committed()
+			_, wantSummary, wantShards := rebuilt.Committed()
+			if !bytes.Equal(gotSummary, wantSummary) {
+				t.Errorf("maintained summary (%d B) differs from a rebuild's (%d B)", len(gotSummary), len(wantSummary))
+			}
+			for i := range wantShards {
+				if !bytes.Equal(gotShards[i].Prep, wantShards[i].Prep) {
+					t.Errorf("shard %d: maintained Π (%d B) differs from a rebuild's (%d B)", i, len(gotShards[i].Prep), len(wantShards[i].Prep))
+				}
+			}
+		})
+	}
+}
+
 // TestShardedDeltaUnsupportedCleanRefusal is the regression for the PATCH
 // conflict path: a sharded dataset whose scheme has no sharded delta
 // routing refuses with a clean error — no panic, the registry entry still

@@ -34,8 +34,15 @@ package shard
 // TestOlderSortedKeyLayoutOnDiskIsRebuilt). The graph cases' Π bytes did not
 // move — only the snapshot framing around them. The six delta-log digests kept
 // theirs.
+//
+// The four whole-manifest digests were recomputed once more when the
+// reachability summary stopped storing what the assignment derives (magic
+// , TestOlderClosureLayoutOnDiskIsRebuilt): the graph case's summary is
+// now n ‖ orientation ‖ cross-edge arc file ‖ overlay, and the keys case's
+// file moved with the magic alone. No member's digest moved.
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -145,13 +152,13 @@ func TestShardGenerationBytesUnchanged(t *testing.T) {
 			// One key (one shard), then a run of keys spread over all three.
 			batch: [][]byte{schemes.KeysDelta([]int64{1001}), schemes.KeysDelta([]int64{-99, 3, 4, 5, 6, 2000})},
 			registered: map[string]string{
-				"d.pitract-shards":   "456dd20317f097d6e93e00f0a6048441aeb7ce32bede8a5a03c353c0fe47b6d0",
+				"d.pitract-shards":   "0c2f497a13bf371d911c19aa510da06cc47119257c842da207315f1b5d1c1b82",
 				"d.pitract-shards#0": "2004b68766dcab9e743cdcfee147678738f7912f8d7d362fc186b17482afab25",
 				"d.pitract-shards#1": "4c298b6dea7de257e3ad792943fb3303369f4460e7c50cb7a01521c53d2a403b",
 				"d.pitract-shards#2": "c43f93f939e0c6db1d1e4bd4ea3eb83cc234e8575d929a8cbfcb72cb19941fe6",
 			},
 			patched: map[string]string{
-				"d.pitract-shards":   "7ed2ddf57d5fd51e912544fa2a4b7e2cef77c4b14055efea4b412541ae386bd5",
+				"d.pitract-shards":   "738d94e251d6f702c5107275575dd35ff7d8c4220b2368892f52ad90e127c8fd",
 				"d.pitract-shards#0": "56df117ebf5801e155d3caa0e4bfce9bb344391405bc327a1e61872525a5e80b",
 				"d.pitract-shards#1": "90b46119ed7f3961fe7b24670279f67c32fbaef07c7a35831bf4722ef97f6262",
 				"d.pitract-shards#2": "f16f61bb1b9212c664ca5a54a2e78cc88979b33f790082fa5ecdb17003b5683a",
@@ -164,13 +171,13 @@ func TestShardGenerationBytesUnchanged(t *testing.T) {
 			data:   g.Encode(),
 			batch:  [][]byte{schemes.EdgeDelta(1, 4), schemes.EdgeDelta(11, 12)},
 			registered: map[string]string{
-				"d.pitract-shards":   "0ef1a90866a795b3b45ebaef818baafb15191efd19a15776c095723432eb0a0a",
+				"d.pitract-shards":   "44e35a5c5ed6b2b26e719fe4efc14aedc2492512e8233202918affe3196337b8",
 				"d.pitract-shards#0": "03b4a3f9bd998a866fea72a1417d0e6bce7e9d0b2141d6559cca3640190d7c19",
 				"d.pitract-shards#1": "c9b1ffacd256c8c3dffb119d7fa5d315e6bf45b41c3bc25bf620754d7fb81694",
 				"d.pitract-shards#2": "e7556c7041675a7c5ca98f1b8e8bbb3c5613bdbc806046c92d905661cef3fb04",
 			},
 			patched: map[string]string{
-				"d.pitract-shards":   "e67c6b2a1862aa8cb100da87d3dbb6d9a1390ae8322063af0f4a1da41901a941",
+				"d.pitract-shards":   "af9b63e8976bac9a0911ec9f090613cf1ce0da3ed00eeb8cd63671259a14fbcf",
 				"d.pitract-shards#0": "ff24142a4e5340b79932de998ce91d7c6786a1e8127cfc73246bdfb21ff096eb",
 				"d.pitract-shards#1": "13580f84969742574341fba3467e5c06389c79177b54519bd42c79daf9c3bcc5",
 				"d.pitract-shards#2": "eb0d98f4d8d5a7b9a6abfa5998393d68066ec7673f7bb04f47545988c5afee5d",
@@ -327,8 +334,9 @@ func TestPlainStoreBytesUnchanged(t *testing.T) {
 // from the posted data, and the next restart is a clean load. Plain: a
 // closure-matrix snapshot holding n² bits, and one holding the condensation
 // with 2-byte class ids and the graph's uvarint encoding. Sharded: a manifest
-// whose summary carries the overlay as P² bits, and a PITRACTM\x03 manifest —
-// the version whose overlay gave every class id two bytes.
+// whose summary carries the overlay as P² bits, a PITRACTM\x03 manifest — the
+// version whose overlay gave every class id two bytes — and a PITRACTM\x04
+// one, whose summary stored what the assignment derives.
 func TestOlderClosureLayoutOnDiskIsRebuilt(t *testing.T) {
 	g := graph.CommunityGraph(3, 6, 5, 21)
 	data, n := g.Encode(), g.N()
@@ -410,41 +418,59 @@ func TestOlderClosureLayoutOnDiskIsRebuilt(t *testing.T) {
 		})
 	}
 
-	t.Run("sharded-v3", func(t *testing.T) {
-		// Any manifest under the version 3 magic is refused there, before
-		// its members or summary are read; the CRC does not cover the magic.
-		scheme := schemes.ReachabilityScheme()
-		dir := t.TempDir()
-		if _, err := RegisterSharded(store.NewRegistry(dir), "s", scheme, RangePartitioner{}, 3, data); err != nil {
-			t.Fatal(err)
-		}
-		mb, err := os.ReadFile(ManifestPath(dir, "s"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		copy(mb, "PITRACTM\x03")
-		if err := os.WriteFile(ManifestPath(dir, "s"), mb, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		reg := store.NewRegistry(dir)
-		ss, err := RegisterSharded(reg, "s", scheme, RangePartitioner{}, 3, data)
-		if err != nil {
-			t.Fatalf("register over a version 3 manifest: %v", err)
-		}
-		if ss.WasLoaded() || reg.PreprocessCount() != 3 || reg.QuarantineCount() != 1 {
-			t.Fatalf("loaded=%v preprocess=%d quarantines=%d, want a rebuild of 3 shards and one quarantine", ss.WasLoaded(), reg.PreprocessCount(), reg.QuarantineCount())
-		}
-		if _, err := os.Stat(store.QuarantinePath(ManifestPath(dir, "s"))); err != nil {
-			t.Fatalf("the version 3 manifest was not kept aside: %v", err)
-		}
-		verify(t, ss)
-		reg2 := store.NewRegistry(dir)
-		ss2, err := RegisterSharded(reg2, "s", scheme, RangePartitioner{}, 3, data)
-		if err != nil || !ss2.WasLoaded() || reg2.QuarantineCount() != 0 {
-			t.Fatalf("restart after the rebuild: loaded=%v quarantines=%d err=%v", ss2.WasLoaded(), reg2.QuarantineCount(), err)
-		}
-		verify(t, ss2)
-	})
+	// A manifest under an older magic is refused there, before its members
+	// or summary are read; the CRC does not cover the magic. Version 3 is
+	// today's payload under the old magic; version 4 carries the summary that
+	// version wrote — every vertex's local id, the cross edges as uvarint
+	// pairs, the portal list and each portal's shard before the overlay.
+	for _, old := range []struct {
+		name, magic string
+		summary     func(t *testing.T, m *Manifest) []byte
+	}{
+		{"sharded-v3", "PITRACTM\x03", func(_ *testing.T, m *Manifest) []byte { return m.Summary }},
+		{"sharded-v4", "PITRACTM\x04", v4Summary},
+	} {
+		t.Run(old.name, func(t *testing.T) {
+			scheme := schemes.ReachabilityScheme()
+			dir := t.TempDir()
+			if _, err := RegisterSharded(store.NewRegistry(dir), "s", scheme, RangePartitioner{}, 3, data); err != nil {
+				t.Fatal(err)
+			}
+			mb, err := os.ReadFile(ManifestPath(dir, "s"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := DecodeManifest(mb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Summary = old.summary(t, m)
+			mb = EncodeManifest(m)
+			copy(mb, old.magic)
+			if err := os.WriteFile(ManifestPath(dir, "s"), mb, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			reg := store.NewRegistry(dir)
+			ss, err := RegisterSharded(reg, "s", scheme, RangePartitioner{}, 3, data)
+			if err != nil {
+				t.Fatalf("register over a %s manifest: %v", old.name, err)
+			}
+			if ss.WasLoaded() || reg.PreprocessCount() != 3 || reg.QuarantineCount() != 1 {
+				t.Fatalf("loaded=%v preprocess=%d quarantines=%d, want a rebuild of 3 shards and one quarantine", ss.WasLoaded(), reg.PreprocessCount(), reg.QuarantineCount())
+			}
+			q, err := os.ReadFile(store.QuarantinePath(ManifestPath(dir, "s")))
+			if err != nil || !bytes.Equal(q, mb) {
+				t.Fatalf("the %s manifest was not kept aside: %v", old.name, err)
+			}
+			verify(t, ss)
+			reg2 := store.NewRegistry(dir)
+			ss2, err := RegisterSharded(reg2, "s", scheme, RangePartitioner{}, 3, data)
+			if err != nil || !ss2.WasLoaded() || reg2.QuarantineCount() != 0 {
+				t.Fatalf("restart after the rebuild: loaded=%v quarantines=%d err=%v", ss2.WasLoaded(), reg2.QuarantineCount(), err)
+			}
+			verify(t, ss2)
+		})
+	}
 
 	t.Run("sharded", func(t *testing.T) {
 		// Labels members kept their bytes; only the summary's overlay moved.
@@ -461,7 +487,11 @@ func TestOlderClosureLayoutOnDiskIsRebuilt(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := decodeReachSummary(m.Summary)
+		asn, err := DecodeAssignment(m.Assignment)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := decodeReachSummary(m.Summary, asn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -492,6 +522,42 @@ func TestOlderClosureLayoutOnDiskIsRebuilt(t *testing.T) {
 		}
 		verify(t, ss2)
 	})
+}
+
+// v4Summary lays out m's reachability summary as a PITRACTM\x04 manifest
+// held it: uvarint n ‖ n uvarint local ids ‖ orientation ‖ uvarint C ‖ C
+// uvarint (u, v) pairs ‖ uvarint P ‖ P uvarint portals ‖ P uvarint portal
+// shards ‖ overlay.
+func v4Summary(t *testing.T, m *Manifest) []byte {
+	t.Helper()
+	asn, err := DecodeAssignment(m.Assignment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := decodeReachSummary(m.Summary, asn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := binary.AppendUvarint(nil, uint64(rs.n))
+	for _, l := range rs.local {
+		b = binary.AppendUvarint(b, uint64(l))
+	}
+	b = append(b, 1) // directed
+	b = binary.AppendUvarint(b, uint64(rs.cross.Len()))
+	if err := rs.cross.Each(func(u, v int) error {
+		b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(u)), uint64(v))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	b = binary.AppendUvarint(b, uint64(len(rs.portals)))
+	for _, p := range rs.portals {
+		b = binary.AppendUvarint(b, uint64(p))
+	}
+	for _, p := range rs.portals {
+		b = binary.AppendUvarint(b, uint64(rs.shardOf[p]))
+	}
+	return rs.overlay.AppendWire(b)
 }
 
 // parentKeySnapshot encodes a snapshot of a sorted-key Π the way the commit

@@ -25,15 +25,18 @@ import (
 )
 
 // manifestMagic opens every shard manifest; the trailing byte is the
-// format version. Version 4 stores the reachability summary's overlay with
-// its class ids packed to ⌈log₂ k⌉ bits, where version 3 gave each two bytes.
+// format version. Version 5 stores the reachability summary as n ‖
+// orientation ‖ cross-edge arc file ‖ overlay, where version 4 also held every
+// vertex's local id, the cross edges as uvarint pairs and the portal list with
+// each portal's shard. Version 4 stores the summary's overlay with its class
+// ids packed to ⌈log₂ k⌉ bits, where version 3 gave each two bytes.
 // Version 3 was the first to carry the members' snapshots in the manifest
 // itself, where version 2 held a SHA-256 per separately written shard file.
 // An older manifest is rejected at the magic — quarantined and the dataset
 // rebuilt by the next registration — never half-loaded; the
 // *.pitract-shard files a version 2 manifest named are read and removed by
 // nothing.
-var manifestMagic = []byte("PITRACTM\x04")
+var manifestMagic = []byte("PITRACTM\x05")
 
 // Manifest describes one persisted sharded dataset.
 type Manifest struct {

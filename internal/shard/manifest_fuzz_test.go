@@ -5,9 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"maps"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
+	"pitract/internal/graph"
 	"pitract/internal/schemes"
 	"pitract/internal/store"
 	"pitract/internal/store/faultfs"
@@ -29,6 +33,106 @@ func keyFixture(tb testing.TB) *ShardedStore {
 	return ss
 }
 
+// hostileSummaries returns a sharded reachability fixture — the chain
+// 0→1→…→7 in two range shards, 0–3 and 4–7 — and, keyed by what each breaks,
+// summaries whose framing holds around a cross-edge arc file whose own header
+// holds too: only the decoder's reading of the arcs can refuse them. The
+// valid entry is the fixture's own arcs in the same framing.
+func hostileSummaries(tb testing.TB) (*ShardedStore, map[string][]byte) {
+	tb.Helper()
+	scheme := schemes.ReachabilityScheme()
+	ss, err := Build("g", scheme, ForScheme(scheme.Name()), RangePartitioner{}, 2, graph.Path(8, true).Encode())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if ss.Asn.Shard(0) != ss.Asn.Shard(3) || ss.Asn.Shard(3) == ss.Asn.Shard(4) || ss.Asn.Shard(4) != ss.Asn.Shard(7) {
+		tb.Fatal("fixture: the range shards are not 0–3 and 4–7")
+	}
+	overlay := ss.state.Load().view.(*reachSummary).overlay.AppendWire(nil)
+	with := func(directed bool, file []byte) []byte {
+		b := binary.AppendUvarint(nil, 8)
+		if directed {
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
+		}
+		return append(append(binary.AppendUvarint(b, uint64(len(file))), file...), overlay...)
+	}
+	arcs := func(n int, es ...[2]int) []byte {
+		file, err := schemes.EncodeArcs(n, true, es)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return file
+	}
+	// Ids 4, 5, 6 (0→4, 0→5, 0→6) leave no low bits, so the high bits — the
+	// 8-byte word after the 32-byte header and one 4-byte sample — set bit
+	// id + i for key i: 4, 6 and 8. Moving the middle one to bit 5 reads key
+	// 1 as 4 again: an id that does not rise.
+	unordered := arcs(8, [2]int{0, 4}, [2]int{0, 5}, [2]int{0, 6})
+	if len(unordered) != 44 || unordered[36] != 0x50 || unordered[37] != 0x01 {
+		tb.Fatalf("fixture: the arc file of ids 4, 5, 6 is laid out as % x", unordered)
+	}
+	unordered[36] = 0x30
+	return ss, map[string][]byte{
+		"valid":                with(true, arcs(8, [2]int{3, 4})),
+		"arc-id-past-n²":       with(true, arcs(9, [2]int{8, 0})), // id 72 ≥ 8²
+		"out-of-order":         with(true, unordered),
+		"self-loop":            with(true, arcs(8, [2]int{3, 4}, [2]int{4, 4})),
+		"undirected-u-gt-v":    with(false, arcs(8, [2]int{4, 3})),
+		"cross-inside-a-shard": with(true, arcs(8, [2]int{1, 2}, [2]int{3, 4})),
+	}
+}
+
+// withSummary returns ss's checkpoint with its summary replaced, under a
+// CRC that vouches for it.
+func withSummary(ss *ShardedStore, summary []byte) []byte {
+	m, err := DecodeManifest(ss.checkpointBytes(ss.state.Load()))
+	if err != nil {
+		panic(err)
+	}
+	m.Summary = summary
+	return EncodeManifest(m)
+}
+
+// TestReachSummaryRefusesHostileCrossEdges: each hostile summary is refused
+// by the decoder — by the check named for it, never a panic — and a manifest
+// carrying one under a valid CRC fails the load as corruption at the
+// manifest's path, so the registry quarantines it and rebuilds.
+func TestReachSummaryRefusesHostileCrossEdges(t *testing.T) {
+	ss, cases := hostileSummaries(t)
+	want := map[string]string{
+		"arc-id-past-n²":       "spans arc ids [72, 72], over 8 vertices",
+		"out-of-order":         "high bits disagree with its header",
+		"self-loop":            "self-loop at 4",
+		"undirected-u-gt-v":    "undirected arc (4,3) is not stored as (3,4)",
+		"cross-inside-a-shard": "cross edge (1,2) lies inside shard 0",
+	}
+	const dir = "/data"
+	f := faultfs.New()
+	path := ManifestPath(dir, ss.ID)
+	for name, summary := range cases {
+		_, err := decodeReachSummary(summary, ss.Asn)
+		if name == "valid" {
+			if err != nil {
+				t.Fatalf("the fixture's own framing does not decode: %v", err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), want[name]) {
+			t.Errorf("%s: decode returned %v, want %q", name, err, want[name])
+		}
+		if err := store.WriteFileAtomicFS(f, path, withSummary(ss, summary)); err != nil {
+			t.Fatal(err)
+		}
+		_, err = LoadShardedFS(f, dir, ss.ID, ss.Scheme)
+		var ce *store.CorruptArtifactError
+		if !errors.As(err, &ce) || ce.Path != path {
+			t.Errorf("%s: load returned %v, want a CorruptArtifactError at %s", name, err, path)
+		}
+	}
+}
+
 // framed puts payload behind the manifest's magic and a CRC that vouches for
 // it, so the field parser is reached.
 func framed(payload []byte) []byte {
@@ -39,7 +143,9 @@ func framed(payload []byte) []byte {
 
 // FuzzDecodeManifest feeds the manifest decoder — on a sharded restart the
 // only decoder of outside bytes, and its fields carry all of Π — arbitrary
-// bytes, as a file and as a payload under a valid CRC. It must never panic; a
+// bytes, as a file and as a payload under a valid CRC, and the reachability
+// summary decoder whatever summary a manifest it accepts carries (the seeds
+// hold each cross-edge arc file that decoder refuses). It must never panic; a
 // manifest it accepts must re-encode to one that decodes to the same fields;
 // and it must allocate by the bytes it was given, never by a count they claim:
 // a member costs the file at least its length byte and the decoder a 24-byte
@@ -67,6 +173,13 @@ func FuzzDecodeManifest(f *testing.F) {
 	empty := EncodeManifest(&Manifest{})[len(manifestMagic)+4:]
 	f.Add(binary.AppendUvarint(empty[:len(empty)-1:len(empty)-1], 1<<40))
 	f.Add(EncodeManifest(&Manifest{Shards: make([][]byte, 1000)})[len(manifestMagic)+4:])
+	// A version 4 reachability manifest, and manifests whose summary's arc
+	// file only the summary decoder can refuse.
+	f.Add(append([]byte("PITRACTM\x04"), reach.checkpointBytes(reach.state.Load())[len(manifestMagic):]...))
+	hostile, summaries := hostileSummaries(f)
+	for _, name := range slices.Sorted(maps.Keys(summaries)) {
+		f.Add(withSummary(hostile, summaries[name]))
+	}
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		for _, in := range [][]byte{b, framed(b)} {
@@ -96,6 +209,15 @@ func FuzzDecodeManifest(f *testing.F) {
 				if !bytes.Equal(re.Shards[i], m.Shards[i]) {
 					t.Fatalf("round trip changed member %d", i)
 				}
+			}
+			// The summary decoder, as a load reaches it: behind an assignment
+			// that matches the member count. It must refuse or accept, never
+			// panic. A summary's vertex count costs it no bytes and the view
+			// 16 B a vertex, so only small graphs are decoded: each exec stays
+			// small.
+			asn, err := DecodeAssignment(m.Assignment)
+			if n, k := binary.Uvarint(m.Summary); err == nil && asn.Shards() == len(m.Shards) && k > 0 && n <= 1<<16 {
+				_, _ = decodeReachSummary(m.Summary, asn)
 			}
 		}
 	})

@@ -61,8 +61,9 @@ func TestManifestRejectsCorruption(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":          {},
 		"short":          enc[:5],
-		"bad-magic":      append([]byte("XITRACTM\x04"), enc[9:]...),
-		"bad-version":    append([]byte("PITRACTM\x05"), enc[9:]...),
+		"bad-magic":      append([]byte("XITRACTM\x05"), enc[9:]...),
+		"bad-version":    append([]byte("PITRACTM\x06"), enc[9:]...),
+		"pair-lists":     append([]byte("PITRACTM\x04"), enc[9:]...),
 		"uint16-ids":     append([]byte("PITRACTM\x03"), enc[9:]...),
 		"sha-per-file":   append([]byte("PITRACTM\x02"), enc[9:]...),
 		"old-version":    append([]byte("PITRACTM\x01"), enc[9:]...),

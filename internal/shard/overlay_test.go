@@ -22,7 +22,8 @@ import (
 // reachSummaryRef is the reference summary: portals and overlay arcs from one
 // Graph.BFS per portal on its induced subgraph, the overlay closed by one
 // Graph.BFS per overlay vertex — classes are mutual reachability, numbered by
-// smallest member — and the class ids and rows packed one bit at a time.
+// smallest member — and the class ids and rows packed one bit at a time,
+// behind the vertex count, the orientation and the cross edges' arc file.
 func reachSummaryRef(g *graph.Graph, asn Assignment) []byte {
 	shardOf, local, counts := vertexShards(g.N(), asn)
 	subs, err := inducedSubgraphs(g, shardOf, local, counts)
@@ -37,13 +38,12 @@ func reachSummaryRef(g *graph.Graph, asn Assignment) []byte {
 			cross = append(cross, e)
 		}
 	}
-	var portals, portalShard []int
+	var portals []int
 	portalIdx := map[int]int{}
 	for v := 0; v < g.N(); v++ {
 		if isPortal[v] {
 			portalIdx[v] = len(portals)
 			portals = append(portals, v)
-			portalShard = append(portalShard, shardOf[v])
 		}
 	}
 	overlay := graph.New(len(portals), true)
@@ -104,20 +104,20 @@ func reachSummaryRef(g *graph.Graph, asn Assignment) []byte {
 		}
 	}
 	packed = append(packed, rows...)
-	// The summary's own encoder writes everything before the overlay; the
-	// overlay bytes are the reference's, carried through the decoder.
-	decoded, err := graph.DecodeCondensedClosure(packed, P)
+	// n ‖ orientation ‖ the cross edges' arc file, length-prefixed ‖ the
+	// overlay; nothing the assignment determines.
+	arcs, err := schemes.EncodeArcs(g.N(), g.Directed(), cross)
 	if err != nil {
 		panic(err)
 	}
-	ref := encodeReachSummary(&reachSummary{
-		n: g.N(), directed: g.Directed(), local: local, cross: cross,
-		portals: portals, portalShard: portalShard, overlay: decoded,
-	})
-	if !bytes.HasSuffix(ref, packed) {
-		panic("the reference overlay did not survive decode → encode")
+	ref := binary.AppendUvarint(nil, uint64(g.N()))
+	if g.Directed() {
+		ref = append(ref, 1)
+	} else {
+		ref = append(ref, 0)
 	}
-	return ref
+	ref = append(binary.AppendUvarint(ref, uint64(len(arcs))), arcs...)
+	return append(ref, packed...)
 }
 
 // TestOverlaySummaryBytesUnchanged: the sharded summary (what the manifest

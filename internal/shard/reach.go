@@ -31,24 +31,38 @@ package shard
 // probe, asked only when both endpoints share a shard), and a word-AND —
 // no local probes, no allocations, whatever the cut size.
 //
-// Persisted vs derived. The summary bytes — vertex relabelling, cross-edge
-// list, portal set, overlay closure — are what the manifest carries and
-// PrepBytes counts. The rows are derived state, built from the per-shard
-// prepared answerers (schemes.LocalReach, bulk row and column reads — never
-// per-pair encoded probes). The summary is decoded only where it arrives as
-// bytes — Build, LoadShardedFS, RetryPrepare (prepareReach) — and a PATCH
-// batch starts from the committed view, which is that decoded summary, and
-// encodes the next one once (maintainReach). View and summary are published
-// in one committed value, so no query pairs a new summary with old rows.
+// Persisted vs derived. The summary holds only what the assignment cannot
+// derive:
+//
+//	uvarint n ‖ orientation byte ‖ uvarint len ‖ cross-edge arc file ‖ overlay closure
+//
+// the arc file being schemes.ArcFile — keys.go's Elias–Fano key file over arc
+// ids u·n + v, u < v for an undirected edge — and the overlay
+// graph.CondensedClosure's wire form. It is what the manifest carries and
+// PrepBytes counts, and a function of the graph and the assignment, so a
+// maintained summary is byte-equal to a fresh build's. Everything else is
+// derived at decode (decodeReachSummary, which takes the assignment): each
+// vertex's shard and local id (vertexShards), and the portals — the arc file's
+// endpoints, ascending, grouped per shard (findPortals) — so nothing left in
+// the bytes can disagree with the assignment. The rows are derived state too,
+// built from the per-shard prepared answerers (schemes.LocalReach, bulk row
+// and column reads — never per-pair encoded probes). The summary is decoded
+// only where it arrives as bytes — Build, LoadShardedFS, RetryPrepare
+// (prepareReach) — and a PATCH batch starts from the committed view, which is
+// that decoded summary, splices its cross edges into the arc file and encodes
+// the next summary once (maintainReach). View and summary are published in one
+// committed value, so no query pairs a new summary with old rows.
 //
 // Memory. Vertices of one local SCC share both rows, and rows are interned
-// per shard, so the heap holds 12 bytes per vertex of indices plus
-// distinct·⌈P/64⌉ words, where distinct ≤ 2·(local SCC count) + 1. The
-// worst case (every vertex its own SCC with its own portal set) is 2·n·P
-// bits, next to the overlay closure itself (P·⌈log₂ k⌉ bits + k² bits over
-// its k classes); building them costs O(Σ_s n_s·P_s) bit operations (P_s bulk
-// reads of n_s bits each way per shard), one P-bit expansion per overlay
-// class, and one OR of ≤ P_s expanded rows per distinct out row.
+// per shard, so the heap holds 16 bytes per vertex — shard, local id and two
+// row indices — plus two words per portal and distinct·⌈P/64⌉ words, where
+// distinct ≤ 2·(local SCC count) + 1. The worst case (every vertex its own SCC
+// with its own portal set) is 2·n·P bits, next to the overlay closure itself
+// (P·⌈log₂ k⌉ bits + k² bits over its k classes) and the arc file (about
+// L + 2 bits a cross edge, L = ⌊log₂(n²/C)⌋ for C of them, read in place);
+// building them costs O(Σ_s n_s·P_s) bit operations (P_s bulk reads of n_s
+// bits each way per shard), one P-bit expansion per overlay class, and one OR
+// of ≤ P_s expanded rows per distinct out row.
 //
 // Failure isolation. A shard whose Prepare failed contributes no rows;
 // queries with an endpoint in it fail with that shard's error and every
@@ -66,28 +80,28 @@ import (
 	"pitract/internal/schemes"
 )
 
-// reachSummary is the decoded cross-shard state for sharded reachability.
-// Besides the overlay closure the answer path needs, it carries the
-// cross-shard edge list and the graph's orientation — the inputs delta
-// maintenance needs to rebuild the overlay when an edge insert changes
-// portal-to-portal connectivity. With its rows built it is also the
+// reachSummary is the decoded cross-shard state for sharded reachability:
+// the persisted cross-edge arc file and overlay closure, and what the
+// assignment and the arc file determine. With its rows built it is also the
 // dataset's answerer (core.Answerer) and, once committed, immutable:
 // maintainReach shares what a batch leaves alone and replaces what it changes.
 type reachSummary struct {
-	n           int      // global vertex count
-	directed    bool     // orientation of the sharded graph
-	local       []uint32 // local[v] = v's id inside its shard
-	cross       [][2]int // cross-shard edges, global ids
-	portals     []int    // ascending global ids of cross-edge endpoints
-	portalShard []int    // portalShard[i] = shard owning portals[i]
-	portal      map[int]int
-	// byShard groups portal global ids per shard, so row building and the
-	// overlay rebuild touch each shard's own portals only.
-	byShard map[int][]int
-	overlay *graph.CondensedClosure // reflexive closure of the portal overlay, over portal indices
+	n        int                     // global vertex count
+	directed bool                    // orientation of the sharded graph
+	cross    schemes.ArcFile         // cross-shard edges, global ids
+	overlay  *graph.CondensedClosure // reflexive closure of the portal overlay, over portal indices
+
+	// Derived at decode from the assignment (vertexShards) and the arc file
+	// (findPortals), never persisted.
+	shardOf []int32  // shardOf[v] = shard owning v
+	local   []uint32 // local[v] = v's id inside its shard
+	counts  []int    // counts[s] = vertices of shard s
+	portals []int    // ascending global ids of cross-edge endpoints
+	// byShard[s] lists shard s's portals as indices into portals, so row
+	// building and the overlay rebuild touch each shard's own portals only.
+	byShard [][]int
 
 	// Derived by buildRows, never persisted: the answer path's state.
-	shardOf  []int32              // shardOf[v] = shard owning v
 	reach    []schemes.LocalReach // per shard; nil where shardErr is set
 	shardErr []error              // per shard: why it has no rows
 	words    int                  // ⌈len(portals)/64⌉, the row stride
@@ -95,15 +109,38 @@ type reachSummary struct {
 	out, in  []uint32             // per vertex: index of its row in rows
 }
 
-// index rebuilds the derived lookup structures from portals+portalShard.
-func (rs *reachSummary) index() {
-	rs.portal = make(map[int]int, len(rs.portals))
-	rs.byShard = make(map[int][]int)
-	for i, p := range rs.portals {
-		rs.portal[p] = i
-		s := rs.portalShard[i]
-		rs.byShard[s] = append(rs.byShard[s], p)
+// findPortals derives the portals from the cross edges — their endpoints,
+// ascending, grouped per shard — into fresh slices: the old ones may belong
+// to the committed view. Streaming the arc file checks that its ids rise and
+// hold no self-loop or reversed undirected arc; an edge the assignment puts
+// inside one shard is refused here, since no build or PATCH writes one — the
+// file is not this assignment's.
+func (rs *reachSummary) findPortals() error {
+	ends := make([]int, 0, 2*rs.cross.Len())
+	err := rs.cross.Each(func(u, v int) error {
+		if rs.shardOf[u] == rs.shardOf[v] {
+			return fmt.Errorf("shard: cross edge (%d,%d) lies inside shard %d", u, v, rs.shardOf[u])
+		}
+		ends = append(ends, u, v)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
+	slices.Sort(ends)
+	rs.portals = slices.Compact(ends)
+	rs.byShard = make([][]int, len(rs.counts))
+	for i, p := range rs.portals {
+		s := rs.shardOf[p]
+		rs.byShard[s] = append(rs.byShard[s], i)
+	}
+	return nil
+}
+
+// portalIndex returns the overlay index of portal p.
+func (rs *reachSummary) portalIndex(p int) int {
+	i, _ := slices.BinarySearch(rs.portals, p)
+	return i
 }
 
 // Answer implements core.Answerer — the whole sharded merge: decode once,
@@ -163,36 +200,22 @@ func scatterBit(set []uint64, dst []byte, stride, j int) {
 	}
 }
 
-// buildRows derives the answer-path state: shard membership, the typed
-// per-shard reach forms, and the interned out/in portal rows (see the file
-// comment for the formulas and the cost bound). A shard without a reach
-// form is recorded in shardErr and skipped; its vertices keep the zero row,
-// which Answer never reads because it checks shardErr first.
-func (rs *reachSummary) buildRows(asn Assignment, shards []PreparedShard) error {
-	// The summary's relabelling and portal placement are re-derived from
-	// the assignment and compared, so everything below may index by them: a
-	// manifest whose summary disagrees with its own assignment is refused
-	// here instead of panicking in a row read.
-	shardOf, local, counts := vertexShards(rs.n, asn)
+// buildRows derives the answer-path state: the typed per-shard reach forms
+// and the interned out/in portal rows (see the file comment for the formulas
+// and the cost bound). A shard without a reach form is recorded in shardErr
+// and skipped; its vertices keep the zero row, which Answer never reads
+// because it checks shardErr first.
+func (rs *reachSummary) buildRows(shards []PreparedShard) error {
+	counts := rs.counts
 	if len(shards) != len(counts) {
 		return fmt.Errorf("shard: %d shard answerers for an assignment over %d shards", len(shards), len(counts))
 	}
-	rs.shardOf = make([]int32, rs.n)
 	members := make([][]int32, len(counts)) // members[s][l] = global id of local vertex l
 	for s, c := range counts {
 		members[s] = make([]int32, 0, c)
 	}
-	for v, s := range shardOf {
-		if rs.local[v] != local[v] {
-			return fmt.Errorf("shard: reachability summary relabels vertex %d as %d, the assignment as %d", v, rs.local[v], local[v])
-		}
-		rs.shardOf[v] = int32(s)
+	for v, s := range rs.shardOf {
 		members[s] = append(members[s], int32(v))
-	}
-	for i, p := range rs.portals {
-		if rs.portalShard[i] != shardOf[p] {
-			return fmt.Errorf("shard: reachability summary places portal %d on shard %d, the assignment on %d", p, rs.portalShard[i], shardOf[p])
-		}
 	}
 	P := len(rs.portals)
 	rs.words = (P + 63) / 64
@@ -223,12 +246,13 @@ func (rs *reachSummary) buildRows(asn Assignment, shards []PreparedShard) error 
 		stride := (len(ps) + 7) / 8
 		outL, inL := make([]byte, ns*stride), make([]byte, ns*stride)
 		set := make([]uint64, (ns+63)/64)
-		for j, p := range ps {
+		for j, pi := range ps {
+			lp := int(rs.local[rs.portals[pi]])
 			clear(set)
-			lr.ReachTo(int(rs.local[p]), set)
+			lr.ReachTo(lp, set)
 			scatterBit(set, outL, stride, j)
 			clear(set)
-			lr.ReachFrom(int(rs.local[p]), set)
+			lr.ReachFrom(lp, set)
 			scatterBit(set, inL, stride, j)
 		}
 		// Intern: vertices of one local SCC share both local rows, so each
@@ -236,7 +260,7 @@ func (rs *reachSummary) buildRows(asn Assignment, shards []PreparedShard) error 
 		// row by OR-ing the overlay rows of its portals, an in row by setting
 		// its portals' own bits.
 		widenOut := func(row []uint64, j int) {
-			pi := rs.portal[ps[j]]
+			pi := ps[j]
 			c := rs.overlay.Class(pi)
 			if overlayRows[c] == nil {
 				overlayRows[c] = make([]uint64, rs.words)
@@ -247,7 +271,7 @@ func (rs *reachSummary) buildRows(asn Assignment, shards []PreparedShard) error 
 			}
 		}
 		widenIn := func(row []uint64, j int) {
-			qi := rs.portal[ps[j]]
+			qi := ps[j]
 			row[qi>>6] |= 1 << (qi & 63)
 		}
 		outIdx, inIdx := map[string]uint32{}, map[string]uint32{}
@@ -285,128 +309,59 @@ func (rs *reachSummary) internRow(seen map[string]uint32, key []byte, widen func
 // prepareReach is the Sharding.Prepare hook: decode the summary once and
 // derive the rows from the per-shard prepared answerers.
 func prepareReach(summary []byte, asn Assignment, shards []PreparedShard) (core.Answerer, error) {
-	rs, err := decodeReachSummary(summary)
+	rs, err := decodeReachSummary(summary, asn)
 	if err != nil {
 		return nil, err
 	}
-	if err := rs.buildRows(asn, shards); err != nil {
+	if err := rs.buildRows(shards); err != nil {
 		return nil, err
 	}
 	return rs, nil
 }
 
 func encodeReachSummary(rs *reachSummary) []byte {
-	b := binary.AppendUvarint(nil, uint64(rs.n))
-	for _, l := range rs.local {
-		b = binary.AppendUvarint(b, uint64(l))
-	}
+	cross := rs.cross.Bytes()
+	b := make([]byte, 0, 2*binary.MaxVarintLen64+1+len(cross)+rs.overlay.WireLen())
+	b = binary.AppendUvarint(b, uint64(rs.n))
 	if rs.directed {
 		b = append(b, 1)
 	} else {
 		b = append(b, 0)
 	}
-	b = binary.AppendUvarint(b, uint64(len(rs.cross)))
-	for _, e := range rs.cross {
-		b = binary.AppendUvarint(b, uint64(e[0]))
-		b = binary.AppendUvarint(b, uint64(e[1]))
-	}
-	b = binary.AppendUvarint(b, uint64(len(rs.portals)))
-	for _, p := range rs.portals {
-		b = binary.AppendUvarint(b, uint64(p))
-	}
-	for _, s := range rs.portalShard {
-		b = binary.AppendUvarint(b, uint64(s))
-	}
+	b = binary.AppendUvarint(b, uint64(len(cross)))
+	b = append(b, cross...)
 	return rs.overlay.AppendWire(b)
 }
 
-func decodeReachSummary(b []byte) (*reachSummary, error) {
-	off := 0
-	next := func() (uint64, error) {
-		v, k := binary.Uvarint(b[off:])
-		if k <= 0 {
-			return 0, fmt.Errorf("shard: corrupt reachability summary at offset %d", off)
-		}
-		off += k
-		return v, nil
+// decodeReachSummary reads a summary and derives the rest of its state from
+// asn. Every refusal — a framing that does not hold, an arc id past n², ids
+// out of order, a self-loop, an undirected arc stored as u > v, a cross edge
+// inside one shard, an overlay that is not the closure of P portals — is an
+// error, never a panic: a manifest carrying one is corrupt.
+func decodeReachSummary(b []byte, asn Assignment) (*reachSummary, error) {
+	n64, k := binary.Uvarint(b)
+	if k <= 0 || n64 > graph.MaxDecodeVertices {
+		return nil, fmt.Errorf("shard: corrupt reachability summary: vertex count")
 	}
-	n64, err := next()
-	if err != nil {
-		return nil, err
+	if k >= len(b) || b[k] > 1 {
+		return nil, fmt.Errorf("shard: corrupt reachability summary: orientation flag")
 	}
-	if n64 > graph.MaxDecodeVertices {
-		return nil, fmt.Errorf("shard: reachability summary claims %d vertices", n64)
+	rs := &reachSummary{n: int(n64), directed: b[k] == 1}
+	b = b[k+1:]
+	size, k := binary.Uvarint(b)
+	if k <= 0 || size > uint64(len(b)-k) {
+		return nil, fmt.Errorf("shard: corrupt reachability summary: cross-edge arc file length")
 	}
-	rs := &reachSummary{n: int(n64), local: make([]uint32, n64)}
-	for v := range rs.local {
-		l, err := next()
-		if err != nil {
-			return nil, err
-		}
-		rs.local[v] = uint32(l)
+	b = b[k:]
+	var err error
+	if rs.cross, err = schemes.ParseArcFile(b[:size], rs.n, rs.directed); err != nil {
+		return nil, fmt.Errorf("shard: cross edges: %w", err)
 	}
-	if off >= len(b) {
-		return nil, fmt.Errorf("shard: reachability summary truncated before orientation flag")
+	rs.shardOf, rs.local, rs.counts = vertexShards(rs.n, asn)
+	if err := rs.findPortals(); err != nil {
+		return nil, fmt.Errorf("shard: cross edges: %w", err)
 	}
-	rs.directed = b[off] == 1
-	off++
-	c64, err := next()
-	if err != nil {
-		return nil, err
-	}
-	// Each cross edge takes at least two bytes; reject hostile counts
-	// before allocating.
-	if c64 > uint64(len(b)-off)/2 {
-		return nil, fmt.Errorf("shard: reachability summary claims %d cross edges in %d bytes", c64, len(b)-off)
-	}
-	rs.cross = make([][2]int, c64)
-	for i := range rs.cross {
-		u, err := next()
-		if err != nil {
-			return nil, err
-		}
-		v, err := next()
-		if err != nil {
-			return nil, err
-		}
-		if u >= n64 || v >= n64 {
-			return nil, fmt.Errorf("shard: cross edge (%d,%d) out of range [0,%d)", u, v, n64)
-		}
-		rs.cross[i] = [2]int{int(u), int(v)}
-	}
-	p64, err := next()
-	if err != nil {
-		return nil, err
-	}
-	if p64 > n64 {
-		return nil, fmt.Errorf("shard: reachability summary claims %d portals over %d vertices", p64, n64)
-	}
-	rs.portals = make([]int, p64)
-	for i := range rs.portals {
-		p, err := next()
-		if err != nil {
-			return nil, err
-		}
-		if p >= n64 {
-			return nil, fmt.Errorf("shard: portal %d out of range [0,%d)", p, n64)
-		}
-		rs.portals[i] = int(p)
-	}
-	rs.portalShard = make([]int, p64)
-	for i := range rs.portalShard {
-		s, err := next()
-		if err != nil {
-			return nil, err
-		}
-		// Shard ids are small in practice; the bound only has to stop a
-		// hostile manifest from claiming astronomical values.
-		if s > n64 {
-			return nil, fmt.Errorf("shard: portal shard id %d out of range", s)
-		}
-		rs.portalShard[i] = int(s)
-	}
-	rs.index()
-	if rs.overlay, err = graph.DecodeCondensedClosure(b[off:], len(rs.portals)); err != nil {
+	if rs.overlay, err = graph.DecodeCondensedClosure(b[size:], len(rs.portals)); err != nil {
 		return nil, fmt.Errorf("shard: overlay closure: %w", err)
 	}
 	return rs, nil
@@ -414,13 +369,13 @@ func decodeReachSummary(b []byte) (*reachSummary, error) {
 
 // vertexShards computes shard membership and local relabelling for every
 // vertex: local ids are ranks within the shard in ascending global order.
-func vertexShards(n int, asn Assignment) (shardOf []int, local []uint32, counts []int) {
-	shardOf = make([]int, n)
+func vertexShards(n int, asn Assignment) (shardOf []int32, local []uint32, counts []int) {
+	shardOf = make([]int32, n)
 	local = make([]uint32, n)
 	counts = make([]int, asn.Shards())
 	for v := 0; v < n; v++ {
 		s := asn.Shard(int64(v))
-		shardOf[v] = s
+		shardOf[v] = int32(s)
 		local[v] = uint32(counts[s])
 		counts[s]++
 	}
@@ -430,7 +385,7 @@ func vertexShards(n int, asn Assignment) (shardOf []int, local []uint32, counts 
 // inducedSubgraphs builds each shard's induced subgraph under the local
 // relabelling; edges crossing shards are dropped here and recovered by the
 // portal overlay.
-func inducedSubgraphs(g *graph.Graph, shardOf []int, local []uint32, counts []int) ([]*graph.Graph, error) {
+func inducedSubgraphs(g *graph.Graph, shardOf []int32, local []uint32, counts []int) ([]*graph.Graph, error) {
 	subs := make([]*graph.Graph, len(counts))
 	for i, c := range counts {
 		subs[i] = graph.New(c, g.Directed())
@@ -484,38 +439,28 @@ func splitReach(data []byte, p Partitioner, n int) (Assignment, [][]byte, []byte
 
 // buildReachSummary computes the portal overlay closure from the decoded
 // graph and its per-shard induced subgraphs.
-func buildReachSummary(g *graph.Graph, shardOf []int, local []uint32, counts []int, subs []*graph.Graph) ([]byte, error) {
-	n := g.N()
-
-	// Portals: endpoints of cross-shard edges, ascending. The cross-edge
-	// list itself is retained in the summary — delta maintenance rebuilds
-	// the overlay from it when an insert changes portal connectivity.
-	isPortal := make([]bool, n)
+func buildReachSummary(g *graph.Graph, shardOf []int32, local []uint32, counts []int, subs []*graph.Graph) ([]byte, error) {
 	var cross [][2]int
 	for _, e := range g.Edges() {
 		if shardOf[e[0]] != shardOf[e[1]] {
-			isPortal[e[0]] = true
-			isPortal[e[1]] = true
 			cross = append(cross, e)
 		}
 	}
-	var portals, portalShard []int
-	for v := 0; v < n; v++ {
-		if isPortal[v] {
-			portals = append(portals, v)
-			portalShard = append(portalShard, shardOf[v])
-		}
+	file, err := schemes.EncodeArcs(g.N(), g.Directed(), cross)
+	if err != nil {
+		return nil, err
 	}
-	rs := &reachSummary{
-		n: n, directed: g.Directed(), local: local, cross: cross,
-		portals: portals, portalShard: portalShard,
+	rs := &reachSummary{n: g.N(), directed: g.Directed(), shardOf: shardOf, local: local, counts: counts}
+	if rs.cross, err = schemes.ParseArcFile(file, rs.n, rs.directed); err != nil {
+		return nil, err
 	}
-	rs.index()
+	if err := rs.findPortals(); err != nil {
+		return nil, err
+	}
 	// Within-shard portal reach is read off each shard's frozen subgraph: one
 	// search per portal into one reused row, so building costs O(n_s/64)
 	// memory whatever scheme the shards are then preprocessed under.
-	err := rs.rebuildClosure(counts, func(s int) (rowReader, error) { return subs[s].Freeze(), nil })
-	if err != nil {
+	if err := rs.rebuildClosure(func(s int) (rowReader, error) { return subs[s].Freeze(), nil }); err != nil {
 		return nil, err
 	}
 	return encodeReachSummary(rs), nil
@@ -529,36 +474,12 @@ func buildReachSummary(g *graph.Graph, shardOf []int, local []uint32, counts []i
 var maxPortals = graph.MaxClosureVertices
 
 // checkPortals refuses an overlay of more than maxPortals portals before its
-// closure (or the zero padding that stands in for it inside a batch) is
-// allocated.
+// closure is allocated.
 func checkPortals(portals int) error {
 	if portals > maxPortals {
 		return fmt.Errorf("shard: the portal overlay would hold %d cross-edge endpoints, over the %d-vertex closure limit (its closure takes P² bits); use fewer shards or the range partitioner", portals, maxPortals)
 	}
 	return nil
-}
-
-// recomputePortals rederives the portal set (ascending global ids), the
-// per-portal shard assignment, and the lookup indexes from the cross-edge
-// list — the canonical source after an insert may have created new portals
-// — into fresh slices: the old ones may belong to the committed view.
-func (rs *reachSummary) recomputePortals(asn Assignment) {
-	isPortal := make(map[int]bool)
-	for _, e := range rs.cross {
-		isPortal[e[0]] = true
-		isPortal[e[1]] = true
-	}
-	rs.portals = nil
-	for v := 0; v < rs.n; v++ {
-		if isPortal[v] {
-			rs.portals = append(rs.portals, v)
-		}
-	}
-	rs.portalShard = make([]int, len(rs.portals))
-	for i, p := range rs.portals {
-		rs.portalShard[i] = asn.Shard(int64(p))
-	}
-	rs.index()
 }
 
 // rowReader is what the overlay build needs of a shard: bit v of row set for
@@ -570,21 +491,26 @@ type rowReader interface {
 
 // rebuildClosure recomputes the overlay's reflexive transitive closure (stored
 // over its condensation, the value the closure-matrix scheme stores) from
-// the cross-edge list plus within-shard portal reachability: one bulk row
-// read per portal, then one closure computation on the |portals|-node
-// overlay — far below re-preprocessing the dataset. local hands over shard
-// s's reader over counts[s] vertices; only a shard that must be read (two or
-// more portals) is asked, and its error fails the rebuild.
-func (rs *reachSummary) rebuildClosure(counts []int, local func(s int) (rowReader, error)) error {
+// the cross edges plus within-shard portal reachability: one bulk row read
+// per portal, then one closure computation on the |portals|-node overlay —
+// far below re-preprocessing the dataset. local hands over shard s's reader
+// over counts[s] vertices; only a shard that must be read (two or more
+// portals) is asked, and its error fails the rebuild.
+func (rs *reachSummary) rebuildClosure(local func(s int) (rowReader, error)) error {
 	if err := checkPortals(len(rs.portals)); err != nil {
 		return err
 	}
 	overlay := graph.New(len(rs.portals), true)
-	for _, e := range rs.cross {
-		overlay.MustAddEdge(rs.portal[e[0]], rs.portal[e[1]])
+	err := rs.cross.Each(func(u, v int) error {
+		pu, pv := rs.portalIndex(u), rs.portalIndex(v)
+		overlay.MustAddEdge(pu, pv)
 		if !rs.directed {
-			overlay.MustAddEdge(rs.portal[e[1]], rs.portal[e[0]])
+			overlay.MustAddEdge(pv, pu)
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	for s, ps := range rs.byShard {
 		if len(ps) < 2 {
@@ -594,35 +520,19 @@ func (rs *reachSummary) rebuildClosure(counts []int, local func(s int) (rowReade
 		if err != nil {
 			return err
 		}
-		idx := make([]int, len(ps)) // overlay index of ps[j]
-		for j, p := range ps {
-			idx[j] = rs.portal[p]
-		}
-		set := make([]uint64, (counts[s]+63)/64)
-		for j, p := range ps {
+		set := make([]uint64, (rs.counts[s]+63)/64)
+		for _, pi := range ps {
 			clear(set)
-			lr.ReachFrom(int(rs.local[p]), set)
-			for k, q := range ps {
-				if lq := rs.local[q]; j != k && set[lq>>6]>>(lq&63)&1 != 0 {
-					overlay.MustAddEdge(idx[j], idx[k])
+			lr.ReachFrom(int(rs.local[rs.portals[pi]]), set)
+			for _, qi := range ps {
+				if lq := rs.local[rs.portals[qi]]; pi != qi && set[lq>>6]>>(lq&63)&1 != 0 {
+					overlay.MustAddEdge(pi, qi)
 				}
 			}
 		}
 	}
-	var err error
 	rs.overlay, err = graph.NewCondensedClosure(overlay)
 	return err
-}
-
-// findCross returns the index of the first copy of (u,v) (either orientation
-// for undirected graphs) in the cross-edge list, or -1.
-func (rs *reachSummary) findCross(u, v int) int {
-	for i, e := range rs.cross {
-		if (e[0] == u && e[1] == v) || (!rs.directed && e[0] == v && e[1] == u) {
-			return i
-		}
-	}
-	return -1
 }
 
 // splitReachDelta routes an edge delta: a same-shard edge becomes one local
@@ -630,78 +540,75 @@ func (rs *reachSummary) findCross(u, v int) int {
 // AddEdge and RemoveEdge both store both arcs of an undirected edge); a
 // cross-shard edge touches no shard — induced subgraphs exclude cross edges
 // — and lands entirely on the summary.
-func splitReachDelta(delta []byte, asn Assignment, view core.Answerer) (map[int][][]byte, error) {
+func splitReachDelta(delta []byte, _ Assignment, view core.Answerer) (map[int][][]byte, error) {
 	rs := view.(*reachSummary)
 	kind, u, v, err := schemes.DecodeEdgeDelta(delta, rs.n)
 	if err != nil {
 		return nil, err
 	}
-	su := asn.Shard(int64(u))
-	if su != asn.Shard(int64(v)) {
+	su := int(rs.shardOf[u])
+	if su != int(rs.shardOf[v]) {
 		return nil, nil
 	}
 	local := core.TagDelta(kind, schemes.NodePairQuery(int(rs.local[u]), int(rs.local[v])))
 	return map[int][][]byte{su: {local}}, nil
 }
 
-// applyCross applies one edge delta to the overlay's structure: a cross-shard
-// insert extends the cross-edge list (possibly promoting its endpoints to
-// portals); a cross-shard delete drops the edge from the list — erroring when
-// it was never there, matching the unsharded scheme's strict edge-delete
-// contract — and demotes portals that lost their last cross edge. A
-// same-shard edge changes no structure (SplitDelta already validated and
-// routed it). The cross-edge list and the portal set are replaced, never
-// written in place.
-func (rs *reachSummary) applyCross(delta []byte, asn Assignment) error {
+// applyCross applies one edge delta to the cross-edge arc file: a
+// cross-shard insert splices the edge in (a present one is a no-op); a
+// cross-shard delete splices it out — erroring when it was never there,
+// matching the unsharded scheme's strict edge-delete contract. One nextGEQ
+// finds the edge and one splice writes the next file; the committed file is
+// never written in place. A same-shard edge changes no structure (SplitDelta
+// already validated and routed it).
+func (rs *reachSummary) applyCross(delta []byte) error {
 	kind, u, v, err := schemes.DecodeEdgeDelta(delta, rs.n)
 	if err != nil {
 		return err
 	}
-	if asn.Shard(int64(u)) == asn.Shard(int64(v)) {
+	if rs.shardOf[u] == rs.shardOf[v] {
 		return nil
 	}
-	i := rs.findCross(u, v)
-	switch {
-	case kind == core.DeltaDelete && i < 0:
-		return fmt.Errorf("shard: cross edge (%d,%d) not present", u, v)
-	case kind == core.DeltaDelete:
-		rs.cross = slices.Delete(slices.Clone(rs.cross), i, i+1)
-		rs.recomputePortals(asn)
-	case i < 0: // an insert of an absent edge (a present one is a no-op)
-		rs.cross = append(slices.Clone(rs.cross), [2]int{u, v})
-		rs.recomputePortals(asn)
-		// Only an insert grows the portal set, whose closure takes P² bits.
-		return checkPortals(len(rs.portals))
+	next, had, err := rs.cross.Edit(u, v, kind == core.DeltaInsert)
+	if err != nil {
+		return err
 	}
+	if kind == core.DeltaDelete && !had {
+		return fmt.Errorf("shard: cross edge (%d,%d) not present", u, v)
+	}
+	rs.cross = next
 	return nil
 }
 
 // maintainReach is the Maintain hook. The next summary starts as the
-// committed view's structure; the batch's cross edges are applied to it in
-// delta order; then the overlay closure is rebuilt from the batch-final
-// cross-edge list and the maintained per-shard answerers — once per batch,
-// and even when no cross edge moved, since a same-shard insert can connect
-// two portals locally — the rows are built on it, and it is encoded. Nothing
-// inside the batch reads the closure before that: splitReachDelta only needs
-// the vertex universe and local relabelling, and queries keep answering
-// through the committed view until the batch commits.
-func maintainReach(view core.Answerer, asn Assignment, deltas [][]byte, shards []PreparedShard) ([]byte, core.Answerer, error) {
+// committed view's arc file; the batch's cross edges are spliced into it in
+// delta order; then the portals are derived from the batch-final file, the
+// overlay closure is rebuilt from it and the maintained per-shard answerers —
+// once per batch, and even when no cross edge moved, since a same-shard
+// insert can connect two portals locally — the rows are built on it, and it
+// is encoded. The portal cap is checked there, before the closure is
+// allocated. Nothing inside the batch reads the closure before that:
+// splitReachDelta only needs the vertex universe and local relabelling, and
+// queries keep answering through the committed view until the batch commits.
+func maintainReach(view core.Answerer, _ Assignment, deltas [][]byte, shards []PreparedShard) ([]byte, core.Answerer, error) {
 	cur := view.(*reachSummary)
 	rs := &reachSummary{
-		n: cur.n, directed: cur.directed, local: cur.local, cross: cur.cross,
-		portals: cur.portals, portalShard: cur.portalShard, portal: cur.portal, byShard: cur.byShard,
+		n: cur.n, directed: cur.directed, cross: cur.cross,
+		shardOf: cur.shardOf, local: cur.local, counts: cur.counts,
 	}
 	for di, delta := range deltas {
-		if err := rs.applyCross(delta, asn); err != nil {
+		if err := rs.applyCross(delta); err != nil {
 			return nil, nil, fmt.Errorf("delta %d: summary: %w", di, err)
 		}
 	}
-	_, _, counts := vertexShards(rs.n, asn)
-	err := rs.rebuildClosure(counts, func(s int) (rowReader, error) { return localReach(shards, s, counts[s]) })
+	if err := rs.findPortals(); err != nil {
+		return nil, nil, fmt.Errorf("finish summary: %w", err)
+	}
+	err := rs.rebuildClosure(func(s int) (rowReader, error) { return localReach(shards, s, rs.counts[s]) })
 	if err != nil {
 		return nil, nil, fmt.Errorf("finish summary: %w", err)
 	}
-	if err := rs.buildRows(asn, shards); err != nil {
+	if err := rs.buildRows(shards); err != nil {
 		return nil, nil, fmt.Errorf("finish summary: %w", err)
 	}
 	return encodeReachSummary(rs), rs, nil

@@ -29,7 +29,7 @@ func probingAnswer(ss *ShardedStore, q []byte) (bool, error) {
 		return false, err
 	}
 	c := ss.state.Load()
-	rs, err := decodeReachSummary(c.summary)
+	rs, err := decodeReachSummary(c.summary, ss.Asn)
 	if err != nil {
 		return false, err
 	}
@@ -46,22 +46,22 @@ func probingAnswer(ss *ShardedStore, q []byte) (bool, error) {
 		}
 	}
 	var from []int
-	for _, p := range rs.byShard[su] {
-		ok, err := probe(su, u, p)
+	for _, pi := range rs.byShard[su] {
+		ok, err := probe(su, u, rs.portals[pi])
 		if err != nil {
 			return false, err
 		}
 		if ok {
-			from = append(from, rs.portal[p])
+			from = append(from, pi)
 		}
 	}
-	for _, p := range rs.byShard[sv] {
-		ok, err := probe(sv, p, v)
+	for _, qi := range rs.byShard[sv] {
+		ok, err := probe(sv, rs.portals[qi], v)
 		if err != nil {
 			return false, err
 		}
 		for _, pi := range from {
-			if ok && rs.overlay.Reach(pi, rs.portal[p]) {
+			if ok && rs.overlay.Reach(pi, qi) {
 				return true, nil
 			}
 		}
@@ -107,7 +107,7 @@ func assertRowsProbingClosure(t *testing.T, ss *ShardedStore, cur *graph.Graph, 
 // portalSet reads the committed summary's portal vertices.
 func portalSet(t *testing.T, ss *ShardedStore) map[int]bool {
 	t.Helper()
-	rs, err := decodeReachSummary(ss.state.Load().summary)
+	rs, err := decodeReachSummary(ss.state.Load().summary, ss.Asn)
 	if err != nil {
 		t.Fatal(err)
 	}

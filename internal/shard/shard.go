@@ -410,7 +410,7 @@ func (ss *ShardedStore) RetryPrepare() error {
 // SplitDelta hook to the shards it lands on (local deltas applied through
 // the scheme's incremental form, exactly as an unsharded store would); the
 // touched shards' answerers are then decoded, and the scheme's Maintain hook
-// carries summary and view — for reachability the cross-edge list, the
+// carries summary and view — for reachability the cross-edge arc file, the
 // overlay closure and the portal reach rows — over the whole batch at once,
 // reading those staged answerers (so of two deltas that would both be
 // refused, a local one is named before a structural one, whatever their

@@ -212,9 +212,11 @@ func TestShardedPrepBytesScaleOut(t *testing.T) {
 // against the data it answers from — a deterministic count of bytes, on the
 // two graphs the benchmark's reachability mixes register: Π under 0.55 of the
 // graph's encoding on a random 4096-vertex, 16 384-arc graph, and the four
-// range shards' Π plus the cross-shard summary under 0.75 on an 8 × 256
+// range shards' Π plus the cross-shard summary under 0.45 on an 8 × 256
 // community graph. Both were above the data while the graph was stored as
-// graph.Encode's uvarint pairs and every class id took two bytes.
+// graph.Encode's uvarint pairs and every class id took two bytes; the sharded
+// one was 0.71 while the summary also stored a local id per vertex, the cross
+// edges as uvarint pairs and the portal list with each portal's shard.
 func TestClosurePiBelowData(t *testing.T) {
 	scheme := schemes.ReachabilityScheme()
 	d := graph.RandomDirected(4096, 16384, 1).Encode()
@@ -230,8 +232,8 @@ func TestClosurePiBelowData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := float64(ss.PrepBytes()) / float64(len(d)); r > 0.75 {
-		t.Errorf("community graph on four shards: Π %d bytes for %d of data, %.3f B/B, want ≤ 0.75", ss.PrepBytes(), len(d), r)
+	if r := float64(ss.PrepBytes()) / float64(len(d)); r > 0.45 {
+		t.Errorf("community graph on four shards: Π %d bytes for %d of data, %.3f B/B, want ≤ 0.45", ss.PrepBytes(), len(d), r)
 	}
 }
 
