@@ -63,15 +63,6 @@ func (d *decoder) uvarint() (uint64, error) {
 	return v, nil
 }
 
-func (d *decoder) varint() (int64, error) {
-	v, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("relation: corrupt varint at offset %d", d.off)
-	}
-	d.off += n
-	return v, nil
-}
-
 func (d *decoder) byte() (byte, error) {
 	if d.off >= len(d.buf) {
 		return 0, fmt.Errorf("relation: truncated input at offset %d", d.off)
@@ -94,100 +85,198 @@ func (d *decoder) str() (string, error) {
 	return s, nil
 }
 
-func (d *decoder) value() (Value, error) {
-	kb, err := d.byte()
-	if err != nil {
-		return Value{}, err
-	}
-	switch Kind(kb) {
-	case KindInt64:
-		i, err := d.varint()
-		if err != nil {
-			return Value{}, err
-		}
-		return Int(i), nil
-	case KindString:
-		s, err := d.str()
-		if err != nil {
-			return Value{}, err
-		}
-		return Str(s), nil
-	default:
-		return Value{}, fmt.Errorf("relation: unknown value kind %d", kb)
-	}
+// rawValue is a value as the walker reads it: a string is where its bytes
+// lie in the input, so a reader that drops the value has copied nothing for
+// it, and a tuple of them holds no pointer.
+type rawValue struct {
+	kind   Kind
+	i      int64
+	lo, hi int
 }
 
-// Decode parses a byte string produced by Encode.
-func Decode(buf []byte) (*Relation, error) {
-	d := &decoder{buf: buf}
+// value reads one value: its kind byte, then a varint (int64) or a length
+// and that many bytes (string). It runs once per value of D, so it reads
+// through local copies of the cursor with one uvarint read for either kind —
+// a varint is a zigzagged uvarint — and names every refusal as the readers
+// above would.
+func (d *decoder) value() (v rawValue, err error) {
+	buf, off := d.buf, d.off
+	if off >= len(buf) {
+		return v, fmt.Errorf("relation: truncated input at offset %d", off)
+	}
+	v.kind = Kind(buf[off])
+	off++
+	if v.kind != KindInt64 && v.kind != KindString {
+		return v, fmt.Errorf("relation: unknown value kind %d", buf[off-1])
+	}
+	x, n := binary.Uvarint(buf[off:])
+	switch {
+	case n <= 0 && v.kind == KindInt64:
+		return v, fmt.Errorf("relation: corrupt varint at offset %d", off)
+	case n <= 0:
+		return v, fmt.Errorf("relation: corrupt uvarint at offset %d", off)
+	}
+	off += n
+	if v.kind == KindInt64 {
+		v.i = int64(x>>1) ^ -int64(x&1)
+	} else {
+		if uint64(len(buf)-off) < x {
+			return v, fmt.Errorf("relation: string of length %d overruns input", x)
+		}
+		v.lo, off = off, off+int(x)
+		v.hi = off
+	}
+	d.off = off
+	return v, nil
+}
+
+// The walker — header, tuple, end — is the one reader of the encoding;
+// Decode and Int64Column are two ways of keeping what it reads, so both
+// accept the same inputs and refuse the rest with the same error.
+
+// header reads the schema and the tuple count. Both counts are bounded by
+// the bytes left before anything is sized from them: this decoder sees
+// attacker-controlled bytes on the serve path.
+func (d *decoder) header() (*Schema, int, error) {
 	name, err := d.str()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	nattrs, err := d.uvarint()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	// Each attribute costs at least two bytes (name + kind), so bound the
-	// count by the remaining buffer before allocating — this decoder sees
-	// attacker-controlled bytes on the serve path.
-	if nattrs > uint64(len(buf)-d.off)/2 {
-		return nil, fmt.Errorf("relation: attribute count %d exceeds remaining %d bytes", nattrs, len(buf)-d.off)
+	// Each attribute costs at least two bytes (name + kind).
+	if nattrs > uint64(len(d.buf)-d.off)/2 {
+		return nil, 0, fmt.Errorf("relation: attribute count %d exceeds remaining %d bytes", nattrs, len(d.buf)-d.off)
 	}
 	attrs := make([]Attr, 0, nattrs)
 	for i := uint64(0); i < nattrs; i++ {
 		an, err := d.str()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		kb, err := d.byte()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if Kind(kb) != KindInt64 && Kind(kb) != KindString {
-			return nil, fmt.Errorf("relation: unknown attribute kind %d", kb)
+			return nil, 0, fmt.Errorf("relation: unknown attribute kind %d", kb)
 		}
 		attrs = append(attrs, Attr{Name: an, Kind: Kind(kb)})
 	}
 	schema, err := NewSchema(name, attrs...)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	rel := New(schema)
 	ntuples, err := d.uvarint()
+	if err != nil {
+		return nil, 0, err
+	}
+	// Every value costs at least two bytes (its kind, then a varint or a
+	// length), so ntuples × nattrs is bounded by the remaining buffer;
+	// bounding ntuples by the bytes too rejects a hostile huge count on a
+	// zero-attr schema, which would otherwise loop byte-free.
+	left := uint64(len(d.buf) - d.off)
+	if ntuples > left || nattrs > 0 && ntuples > left/2/nattrs {
+		return nil, 0, fmt.Errorf("relation: %d tuples of %d attributes exceed remaining %d bytes", ntuples, nattrs, left)
+	}
+	return schema, int(ntuples), nil
+}
+
+// tuple reads the next tuple into t, one value per attribute, and then
+// checks each value's kind against its attribute.
+func (d *decoder) tuple(s *Schema, t []rawValue) error {
+	for j := range t {
+		v, err := d.value()
+		if err != nil {
+			return err
+		}
+		t[j] = v
+	}
+	for j, a := range s.Attrs {
+		if t[j].kind != a.Kind {
+			return fmt.Errorf("relation %q: attribute %q expects %v, got %v", s.Name, a.Name, a.Kind, t[j].kind)
+		}
+	}
+	return nil
+}
+
+// end refuses bytes after the last tuple.
+func (d *decoder) end() error {
+	if d.off != len(d.buf) {
+		return fmt.Errorf("relation: %d trailing bytes after relation", len(d.buf)-d.off)
+	}
+	return nil
+}
+
+// Decode parses a byte string produced by Encode.
+func Decode(buf []byte) (*Relation, error) {
+	d := &decoder{buf: buf}
+	schema, n, err := d.header()
 	if err != nil {
 		return nil, err
 	}
-	// Every value costs at least two bytes (its kind, then a varint or a
-	// length), so ntuples × nattrs is bounded by the remaining buffer before
-	// anything is allocated from it; bounding ntuples by the bytes too rejects
-	// a hostile huge count on a zero-attr schema, which would otherwise loop
-	// byte-free.
-	left := uint64(len(buf) - d.off)
-	if ntuples > left || nattrs > 0 && ntuples > left/2/nattrs {
-		return nil, fmt.Errorf("relation: %d tuples of %d attributes exceed remaining %d bytes", ntuples, nattrs, left)
-	}
+	rel := New(schema)
 	// One allocation for every value: each tuple is a full slice expression
 	// of its own stretch, so an append to one cannot overwrite the next.
-	vals := make([]Value, ntuples*nattrs)
-	if ntuples > 0 {
-		rel.Tuples = make([]Tuple, 0, ntuples)
+	k := len(schema.Attrs)
+	vals := make([]Value, n*k)
+	if n > 0 {
+		rel.Tuples = make([]Tuple, n)
 	}
-	for i := uint64(0); i < ntuples; i++ {
-		t := Tuple(vals[i*nattrs : (i+1)*nattrs : (i+1)*nattrs])
-		for j := range t {
-			v, err := d.value()
-			if err != nil {
-				return nil, err
-			}
-			t[j] = v
-		}
-		if err := rel.Append(t); err != nil {
+	raw := make([]rawValue, k)
+	for i := range rel.Tuples {
+		if err := d.tuple(schema, raw); err != nil {
 			return nil, err
 		}
+		t := Tuple(vals[i*k : (i+1)*k : (i+1)*k])
+		for j, v := range raw {
+			t[j] = Value{Kind: v.kind, I: v.i}
+			if v.kind == KindString {
+				t[j].S = string(buf[v.lo:v.hi])
+			}
+		}
+		rel.Tuples[i] = t
 	}
-	if d.off != len(buf) {
-		return nil, fmt.Errorf("relation: %d trailing bytes after relation", len(buf)-d.off)
+	if err := d.end(); err != nil {
+		return nil, err
 	}
 	return rel, nil
+}
+
+// Int64Column reads the int64 attribute attr of the relation encoded in buf,
+// in tuple order, without building the relation: the walk is Decode's, so it
+// accepts exactly what Decode accepts and refuses the rest with Decode's
+// error, and a missing or non-int64 attr is refused only after that.
+func Int64Column(buf []byte, attr string) ([]int64, error) {
+	d := &decoder{buf: buf}
+	schema, n, err := d.header()
+	if err != nil {
+		return nil, err
+	}
+	idx := schema.AttrIndex(attr)
+	var col []int64
+	if idx >= 0 && schema.Attrs[idx].Kind == KindInt64 {
+		col = make([]int64, n)
+	}
+	raw := make([]rawValue, len(schema.Attrs))
+	for i := 0; i < n; i++ {
+		if err := d.tuple(schema, raw); err != nil {
+			return nil, err
+		}
+		if col != nil {
+			col[i] = raw[idx].i
+		}
+	}
+	if err := d.end(); err != nil {
+		return nil, err
+	}
+	switch {
+	case idx < 0:
+		return nil, fmt.Errorf("relation %q: no attribute %q", schema.Name, attr)
+	case col == nil:
+		return nil, fmt.Errorf("relation %q: attribute %q is %v, want int64", schema.Name, attr, schema.Attrs[idx].Kind)
+	}
+	return col, nil
 }

@@ -12,7 +12,6 @@ package relation
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 )
 
 // Kind enumerates supported attribute types.
@@ -206,25 +205,6 @@ func (r *Relation) ScanRangeSelect(attr string, lo, hi Value) (bool, error) {
 		}
 	}
 	return false, nil
-}
-
-// SortedInts returns the ascending, deduplicated int64 values of attr; it
-// is the preprocessing step for binary-search answering.
-func (r *Relation) SortedInts(attr string) ([]int64, error) {
-	idx := r.Schema.AttrIndex(attr)
-	if idx < 0 {
-		return nil, fmt.Errorf("relation %q: no attribute %q", r.Schema.Name, attr)
-	}
-	if r.Schema.Attrs[idx].Kind != KindInt64 {
-		return nil, fmt.Errorf("relation %q: attribute %q is %v, want int64",
-			r.Schema.Name, attr, r.Schema.Attrs[idx].Kind)
-	}
-	vals := make([]int64, 0, len(r.Tuples))
-	for _, t := range r.Tuples {
-		vals = append(vals, t[idx].I)
-	}
-	slices.Sort(vals)
-	return slices.Compact(vals), nil
 }
 
 // GenConfig parameterizes synthetic relation generation.

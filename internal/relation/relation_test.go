@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -121,24 +122,88 @@ func TestScanRangeSelect(t *testing.T) {
 	}
 }
 
-func TestSortedInts(t *testing.T) {
+func TestInt64Column(t *testing.T) {
 	r := New(MustSchema("r", Attr{Name: "k", Kind: KindInt64}, Attr{Name: "s", Kind: KindString}))
 	for _, v := range []int64{5, 3, 5, 1, 3} {
 		r.MustAppend(Tuple{Int(v), Str("p")})
 	}
-	got, err := r.SortedInts("k")
+	enc := r.Encode()
+	got, err := Int64Column(enc, "k")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, []int64{1, 3, 5}) {
-		t.Fatalf("SortedInts = %v", got)
+	if !reflect.DeepEqual(got, []int64{5, 3, 5, 1, 3}) {
+		t.Fatalf("Int64Column = %v, want the column in tuple order", got)
 	}
-	if _, err := r.SortedInts("s"); err == nil {
-		t.Error("SortedInts on string column accepted")
+	if _, err := Int64Column(enc, "s"); err == nil || err.Error() != `relation "r": attribute "s" is string, want int64` {
+		t.Errorf("Int64Column on a string column: %v", err)
 	}
-	if _, err := r.SortedInts("nope"); err == nil {
-		t.Error("SortedInts on missing column accepted")
+	if _, err := Int64Column(enc, "nope"); err == nil || err.Error() != `relation "r": no attribute "nope"` {
+		t.Errorf("Int64Column on a missing column: %v", err)
 	}
+}
+
+// corruptInputs are TestDecodeRejectsCorruptInput's hostile inputs, and the
+// encoding they were cut from.
+func corruptInputs() (enc []byte, cases [][]byte) {
+	enc = Generate(GenConfig{Rows: 10, Seed: 3}).Encode()
+	bad := append([]byte{}, enc...)
+	// The first attribute kind byte: name "synthetic" (1+9 bytes) + attr
+	// count (1) + "key" (1+3) => kind at offset 15.
+	bad[15] = 0x7f
+	return enc, [][]byte{
+		nil,
+		enc[:len(enc)/2],                     // truncated
+		append(enc[:0:0], append(enc, 0)...), // trailing byte
+		bad,                                  // unknown attribute kind
+	}
+}
+
+// FuzzInt64Column: on any bytes, Int64Column(b, "key") accepts exactly when
+// Decode(b) accepts and "key" is an int64 attribute, returns Decode's column,
+// and refuses what Decode refuses with Decode's error.
+func FuzzInt64Column(f *testing.F) {
+	enc, cases := corruptInputs()
+	f.Add(enc)
+	for _, c := range cases {
+		f.Add(c)
+	}
+	// A value of the wrong kind in a tuple whose next value is cut off: the
+	// truncation is named, as Decode names it.
+	r := New(MustSchema("r", Attr{Name: "key", Kind: KindString}, Attr{Name: "p", Kind: KindString}))
+	r.MustAppend(Tuple{Str("a"), Str("x")})
+	wrong := r.Encode()
+	wrong[7] = byte(KindInt64) // "key"'s kind: name (2) + count (1) + "key" (4)
+	f.Add(wrong)
+	f.Add(wrong[:len(wrong)-2])
+	f.Add(New(MustSchema("r", Attr{Name: "key", Kind: KindString})).Encode())
+	f.Fuzz(func(t *testing.T, b []byte) {
+		col, err := Int64Column(b, "key")
+		rel, derr := Decode(b)
+		if derr != nil {
+			if err == nil || err.Error() != derr.Error() {
+				t.Fatalf("Decode refuses with %q; Int64Column: %v", derr, err)
+			}
+			return
+		}
+		idx := rel.Schema.AttrIndex("key")
+		if idx < 0 || rel.Schema.Attrs[idx].Kind != KindInt64 {
+			if err == nil {
+				t.Fatalf("no int64 key in %v, yet Int64Column returned %v", rel.Schema.Attrs, col)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("Decode accepts; Int64Column: %v", err)
+		}
+		want := make([]int64, rel.Len())
+		for i, tp := range rel.Tuples {
+			want[i] = tp[idx].I
+		}
+		if !slices.Equal(col, want) || col == nil {
+			t.Fatalf("Int64Column = %v, Decode's column %v", col, want)
+		}
+	})
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -174,25 +239,11 @@ func TestEncodeDecodeRoundTripQuick(t *testing.T) {
 }
 
 func TestDecodeRejectsCorruptInput(t *testing.T) {
-	r := Generate(GenConfig{Rows: 10, Seed: 3})
-	enc := r.Encode()
-	cases := [][]byte{
-		nil,
-		enc[:len(enc)/2],                     // truncated
-		append(enc[:0:0], append(enc, 0)...), // trailing byte
-	}
+	_, cases := corruptInputs()
 	for i, c := range cases {
 		if _, err := Decode(c); err == nil {
 			t.Errorf("case %d: corrupt input decoded", i)
 		}
-	}
-	// Unknown kind byte in attribute table.
-	bad := append([]byte{}, enc...)
-	// Find the first attribute kind byte: name "synthetic"(1+9 bytes) +
-	// attr count(1) + "key"(1+3) => kind at offset 15.
-	bad[15] = 0x7f
-	if _, err := Decode(bad); err == nil {
-		t.Error("unknown attribute kind decoded")
 	}
 }
 
@@ -242,4 +293,33 @@ func TestGenerateDefaults(t *testing.T) {
 	if Generate(GenConfig{Rows: 0, Seed: 1}).Len() != 0 {
 		t.Fatal("empty generation broken")
 	}
+}
+
+// BenchmarkInt64Column reads the key column of 2²⁰ tuples R(key, payload) —
+// the point_single data — against Decode of the same bytes.
+func BenchmarkInt64Column(b *testing.B) {
+	rng := rand.New(rand.NewSource(2501))
+	r := New(MustSchema("synthetic", Attr{Name: "key", Kind: KindInt64}, Attr{Name: "payload", Kind: KindString}))
+	for range 1 << 20 {
+		r.MustAppend(Tuple{Int(rng.Int63n(1 << 22)), Str("")})
+	}
+	enc := r.Encode()
+	b.Run("column", func(b *testing.B) {
+		b.SetBytes(int64(len(enc)))
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := Int64Column(enc, "key"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.SetBytes(int64(len(enc)))
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := Decode(enc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

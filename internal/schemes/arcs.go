@@ -56,8 +56,7 @@ func EncodeArcs(n int, directed bool, arcs [][2]int) ([]byte, error) {
 		}
 		ids[i] = int64(u)*int64(n) + int64(v)
 	}
-	slices.Sort(ids)
-	return keyFileBytes(slices.Compact(ids))
+	return keyFileBytes(dedupSorted(ids))
 }
 
 // arcFileBytes lays out g's arcs as an arc file, pushed straight from the

@@ -6,8 +6,8 @@ package schemes
 //
 //   - the sorted key file of the point/range-selection and list-membership
 //     schemes under insertions and deletions (a merge or a filter streamed
-//     into an exactly-sized new file in O(|Π| + |∆D| log |∆D|), versus
-//     O(|D| log |D|) re-sorting);
+//     into an exactly-sized new file in O(|Π| + |∆D|·b), versus O(|D|·b)
+//     re-sorting, b the key bytes that vary — see dedupSorted);
 //   - the reachability closure under edge insertions and deletions (one arc
 //     id spliced into the graph's arc file when no fact changes, a rebuild
 //     over the condensation when one can have);
@@ -199,15 +199,7 @@ func IncrementalListMembership() *core.IncrementalScheme {
 }
 
 // keysDeltaNote is the cost of maintaining a sorted key file.
-const keysDeltaNote = "O(|Π| + |∆D| log |∆D|) streamed merge/filter vs O(|D| log |D|) re-sort"
-
-// dedupSorted returns the distinct keys of a delta in ascending order,
-// leaving the caller's slice alone.
-func dedupSorted(keys []int64) []int64 {
-	sorted := slices.Clone(keys)
-	slices.Sort(sorted)
-	return slices.Compact(sorted)
-}
+const keysDeltaNote = "O(|Π| + |∆D|·b) streamed merge/filter vs O(|D|·b) re-sort, b the key bytes that vary (radix sort)"
 
 // EdgeDelta encodes an edge insertion for the reachability schemes;
 // inserting a present edge is a no-op.

@@ -581,6 +581,56 @@ func keyFileBytes(keys []int64) ([]byte, error) {
 	return w.bytes()
 }
 
+// radixMin is the length below which dedupSorted leaves the sort to
+// slices.Sort: a radix pass costs a 256-entry count whatever n is.
+const radixMin = 256
+
+// dedupSorted sorts keys in place and returns their distinct values in
+// ascending order, a prefix of keys. The caller's slice is reordered and its
+// elements past the result are zeroed: a caller that still needs its keys
+// passes a copy. It is the one sort in front of every key file — a relation's
+// key column, a list, a delta's keys, an arc file's ids.
+//
+// From radixMin keys on it is an LSD radix sort over the biased key, a byte a
+// pass, with a pass only for the bytes in which some two keys differ, so it
+// costs O(n) per varying byte: 2²⁰ keys below 2²² sort in three passes, and
+// no input takes more than eight. The passes alternate between keys and one
+// scratch slice of the same length.
+func dedupSorted(keys []int64) []int64 {
+	if len(keys) < radixMin {
+		slices.Sort(keys)
+		return slices.Compact(keys)
+	}
+	var diff uint64
+	for _, k := range keys {
+		diff |= uint64(k ^ keys[0])
+	}
+	src, dst := keys, make([]int64, len(keys))
+	for shift := 0; shift < 64; shift += 8 {
+		if byte(diff>>shift) == 0 {
+			continue
+		}
+		var at [256]int
+		for _, k := range src {
+			at[byte(biasKey(k)>>shift)]++
+		}
+		sum := 0
+		for b, c := range at {
+			at[b], sum = sum, sum+c
+		}
+		for _, k := range src {
+			b := byte(biasKey(k) >> shift)
+			dst[at[b]] = k
+			at[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &keys[0] { // an odd number of passes ended in the scratch
+		copy(keys, src)
+	}
+	return slices.Compact(keys)
+}
+
 // checkKeyCount refuses a key set the 32-bit samples cannot count.
 func checkKeyCount(n uint64) error {
 	if n > math.MaxUint32 {

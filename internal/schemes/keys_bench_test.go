@@ -3,6 +3,8 @@ package schemes
 import (
 	"math/rand"
 	"testing"
+
+	"pitract/internal/relation"
 )
 
 // BenchmarkKeyFile times the sorted key file where serving uses it, on the
@@ -72,4 +74,63 @@ func BenchmarkKeyFile(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkPointPreprocess times the sorted-key Preprocess on the benchmark's
+// point_single data — RelationFromKeys of 2²⁰ keys drawn below 2²² — whole
+// (total) and by stage: decode is relation.Decode and the key column copied
+// out of its tuples, sort is dedupSorted over that column (copied back
+// before each run, outside the timer), encode is keyFileBytes over the
+// sorted keys. It uses only names the parent of the radix sort had, so the
+// same file times either side; decode is the stage as the parent ran it
+// (BenchmarkInt64Column in internal/relation times the column reader that
+// replaced it).
+func BenchmarkPointPreprocess(b *testing.B) {
+	const space = 1 << 22
+	rng := rand.New(rand.NewSource(2501))
+	keys := make([]int64, 1<<20)
+	for i := range keys {
+		keys[i] = rng.Int63n(space)
+	}
+	d := RelationFromKeys(keys)
+	sorted := dedupSorted(append([]int64(nil), keys...))
+
+	b.Run("decode", func(b *testing.B) {
+		b.SetBytes(int64(len(d)))
+		for i := 0; i < b.N; i++ {
+			rel, err := relation.Decode(d)
+			if err != nil {
+				b.Fatal(err)
+			}
+			col := make([]int64, rel.Len())
+			for j, t := range rel.Tuples {
+				col[j] = t[0].I
+			}
+		}
+	})
+	b.Run("sort", func(b *testing.B) {
+		work := make([]int64, len(keys))
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			copy(work, keys)
+			b.StartTimer()
+			dedupSorted(work)
+		}
+	})
+	b.Run("encode", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := keyFileBytes(sorted); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("total", func(b *testing.B) {
+		b.SetBytes(int64(len(d)))
+		pre := PointSelectionScheme().Preprocess
+		for i := 0; i < b.N; i++ {
+			if _, err := pre(d); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

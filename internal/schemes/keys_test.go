@@ -132,7 +132,7 @@ func checkEdit(t *testing.T, pd []byte, keys, edit []int64) (keptL [2]bool) {
 
 // without returns keys less every key of edit.
 func without(keys, edit []int64) []int64 {
-	drop := dedupSorted(edit)
+	drop := dedupSorted(slices.Clone(edit))
 	return slices.DeleteFunc(slices.Clone(keys), func(k int64) bool {
 		_, found := slices.BinarySearch(drop, k)
 		return found
@@ -300,4 +300,62 @@ func FuzzSortedKeysDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestSortedDistinctMatchesSort holds dedupSorted — slices.Sort below
+// radixMin keys, an LSD radix sort from there — to slices.Sort and
+// slices.Compact of a copy, on every length around the switch and one large
+// one, over key sets that vary in every byte, in only the top or only the
+// lowest, or not at all, in random, ascending and descending order. It also
+// pins the contract: the result is a prefix of the caller's slice, which is
+// sorted in place — Preprocess hands over its key column and pays no copy.
+func TestSortedDistinctMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	shapes := map[string]func(i int) int64{
+		"random":      func(int) int64 { return rng.Int63() - rng.Int63() },
+		"negative":    func(int) int64 { return -rng.Int63n(1 << 20) },
+		"int64-ends":  func(i int) int64 { return []int64{math.MinInt64, math.MaxInt64, 0, -1}[i%4] },
+		"all-equal":   func(int) int64 { return -12345 },
+		"top-byte":    func(int) int64 { return int64(uint64(rng.Intn(256))<<56 | 0x00ab_cdef_0123_4567) },
+		"lowest-byte": func(int) int64 { return 0x0123_4567_89ab_cd00 | int64(rng.Intn(256)) },
+		"few":         func(int) int64 { return int64(rng.Intn(5)) << 40 },
+	}
+	for _, n := range []int{0, 1, 2, 255, 256, 257, 1 << 17} {
+		for name, key := range shapes {
+			keys := make([]int64, n)
+			for i := range keys {
+				keys[i] = key(i)
+			}
+			for _, order := range []string{"as drawn", "ascending", "descending"} {
+				switch order {
+				case "ascending":
+					slices.Sort(keys)
+				case "descending":
+					slices.Reverse(keys)
+				}
+				want := slices.Compact(slices.Sorted(slices.Values(keys)))
+				in := slices.Clone(keys)
+				got := dedupSorted(in)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s, n=%d, %s: %d distinct keys, want %d", name, n, order, len(got), len(want))
+				}
+				if len(got) > 0 && &got[0] != &in[0] {
+					t.Fatalf("%s, n=%d, %s: the result is not a prefix of the caller's slice", name, n, order)
+				}
+			}
+		}
+	}
+	// The radix path sorts in place: it allocates its one scratch slice and
+	// nothing for the result.
+	keys := make([]int64, 1<<17)
+	for i := range keys {
+		keys[i] = rng.Int63()
+	}
+	work := make([]int64, len(keys))
+	if allocs := testing.AllocsPerRun(5, func() {
+		copy(work, keys)
+		dedupSorted(work)
+	}); allocs != 1 {
+		t.Fatalf("radix sort of 2¹⁷ keys: %.0f allocations, want the one scratch slice", allocs)
+	}
 }

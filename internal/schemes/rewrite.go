@@ -19,11 +19,9 @@ import (
 //	[0:8)  k — number of views
 //	per view v: lo (8B biased), hi (8B biased), offset (8B), keys (8B)
 //	then k segments of sorted biased uint64 keys
-func materializeBytes(rel *relation.Relation, defs []views.Def) ([]byte, error) {
-	keys, err := rel.SortedInts("key")
-	if err != nil {
-		return nil, err
-	}
+//
+// keys is the relation's key column, ascending and distinct.
+func materializeBytes(keys []int64, defs []views.Def) ([]byte, error) {
 	k := len(defs)
 	header := 8 + 32*k
 	segments := make([][]int64, k)
@@ -67,11 +65,11 @@ func ViewRewritingScheme(defs []views.Def) *core.RewritingScheme {
 	return &core.RewritingScheme{
 		SchemeName: "point-selection/views",
 		Preprocess: func(d []byte) ([]byte, error) {
-			rel, err := relation.Decode(d)
+			keys, err := relation.Int64Column(d, "key")
 			if err != nil {
 				return nil, err
 			}
-			return materializeBytes(rel, defs)
+			return materializeBytes(dedupSorted(keys), defs)
 		},
 		Rewrite: func(q []byte) ([]byte, error) {
 			c, err := DecodePointQuery(q)
@@ -125,7 +123,7 @@ func ViewRewritingScheme(defs []views.Def) *core.RewritingScheme {
 			}
 			return false, nil
 		},
-		PreprocessNote: "O(|D| log |D| + k·|D|)",
+		PreprocessNote: "O(|D|·b + k·|D|), b the key bytes that vary (radix sort)",
 		RewriteNote:    "O(k) per query",
 		AnswerNote:     "O(log |V(D)|)",
 	}

@@ -17,6 +17,11 @@ package server
 // an error of its own. On a decline the caller runs encoding/json over the
 // same bytes, which stays the single authority for what is accepted, what
 // is a 400, and the exact error text (FuzzBatchDecode holds the two equal).
+//
+// A registration body takes the same path through the same walker
+// (decodeRegister; FuzzRegisterDecode holds it to the reference). There the
+// reference's two scans of a multi-megabyte base64 string were most of the
+// wire's share of a set-up.
 
 import (
 	"bytes"
@@ -28,10 +33,10 @@ import (
 	"sync"
 )
 
-// bodyPool recycles the raw-body buffers of batch requests. Nothing
-// references a body once it is decoded (queries are decoded into their own
-// array, the dataset id is copied out), so the buffer goes back as soon as
-// the handler has its BatchRequest.
+// bodyPool recycles the raw-body buffers of batch and registration
+// requests. Nothing references a body once it is decoded (queries and data
+// are decoded into their own arrays, the strings are copied out), so the
+// buffer goes back as soon as the handler has its request.
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // maxPooledBody keeps one outsized request from pinning its buffer in the
@@ -43,14 +48,8 @@ const maxPooledBody = 1 << 20
 // by the one-pass decoder, or by declinedCount for a body it declines — with
 // nothing decoded or allocated. ok=false means the response was written.
 func (s *Server) decodeBatchBody(w http.ResponseWriter, r *http.Request) (req BatchRequest, ok bool) {
-	buf := bodyPool.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= maxPooledBody {
-			buf.Reset()
-			bodyPool.Put(buf)
-		}
-	}()
-	_, readErr := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.env.limits.MaxBodyBytes))
+	buf, readErr := s.readBody(w, r)
+	defer putBody(buf)
 	max := s.env.limits.MaxBatchQueries
 	n, fast := 0, false
 	if readErr == nil {
@@ -73,6 +72,36 @@ func (s *Server) decodeBatchBody(w http.ResponseWriter, r *http.Request) (req Ba
 		return req, false
 	}
 	return req, true
+}
+
+// decodeRegisterBody reads and decodes one registration request under the
+// envelope's body cap: by the one-pass decoder, or, when it declines or the
+// read failed, by the reference over the same bytes and read error.
+// ok=false means the response was written.
+func (s *Server) decodeRegisterBody(w http.ResponseWriter, r *http.Request) (req RegisterRequest, ok bool) {
+	buf, readErr := s.readBody(w, r)
+	defer putBody(buf)
+	if readErr == nil {
+		if req, ok = decodeRegister(buf.Bytes()); ok {
+			return req, true
+		}
+	}
+	return req, s.decodeJSON(w, r, &replay{b: buf.Bytes(), err: readErr}, &req)
+}
+
+// readBody reads a request body under the envelope's byte cap into a pooled
+// buffer, which the caller hands back to putBody once nothing refers to it.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, error) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.env.limits.MaxBodyBytes))
+	return buf, err
+}
+
+func putBody(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBody {
+		buf.Reset()
+		bodyPool.Put(buf)
+	}
 }
 
 // declinedCount is the batch cap for a body the one-pass decoder declined:
@@ -153,24 +182,25 @@ func decodeBatch(body []byte, max int) (req BatchRequest, n int, ok bool) {
 	// costs no memory that grows with the batch.
 	n = bytes.Count(body, []byte{','}) + 1
 	if n > max {
-		count := batchWalk{b: body}
-		if !count.object() {
+		count := wireWalk{b: body}
+		if !count.batch() {
 			return BatchRequest{}, 0, false
 		}
 		if n = count.n; n > max {
 			return BatchRequest{}, n, true
 		}
 	}
-	w := batchWalk{b: body, keep: true, bound: n,
+	w := wireWalk{b: body, keep: true, bound: n,
 		dst: make([]byte, base64.StdEncoding.DecodedLen(len(body)))}
-	if !w.object() {
+	if !w.batch() {
 		return BatchRequest{}, 0, false
 	}
 	return w.req, w.n, true
 }
 
-// batchWalk is decodeBatch's cursor over the body.
-type batchWalk struct {
+// wireWalk is the one-pass decoders' cursor over a body; the fields after
+// i are decodeBatch's.
+type wireWalk struct {
 	b []byte
 	i int
 
@@ -184,7 +214,7 @@ type batchWalk struct {
 
 // ws skips JSON whitespace and returns the byte at the cursor (0 at the
 // end of the body, which no caller accepts).
-func (w *batchWalk) ws() byte {
+func (w *wireWalk) ws() byte {
 	for ; w.i < len(w.b); w.i++ {
 		switch w.b[w.i] {
 		case ' ', '\t', '\n', '\r':
@@ -206,7 +236,7 @@ var plain = func() (t [256]bool) {
 
 // str reads a string of plain bytes — no escape, nothing the reference
 // would unquote into something else — and returns them without the quotes.
-func (w *batchWalk) str() ([]byte, bool) {
+func (w *wireWalk) str() ([]byte, bool) {
 	if w.ws() != '"' {
 		return nil, false
 	}
@@ -223,13 +253,14 @@ func (w *batchWalk) str() ([]byte, bool) {
 }
 
 // object walks the top-level object up to its closing brace; like
-// json.Decoder, it does not look at what follows.
-func (w *batchWalk) object() bool {
+// json.Decoder, it does not look at what follows. field reads the value of
+// each key and returns false to decline — for a key it does not know, or one
+// it has already seen.
+func (w *wireWalk) object(field func(key []byte) bool) bool {
 	if w.ws() != '{' {
 		return false
 	}
 	w.i++
-	var seenDataset, seenQueries, seenParallelism bool
 	if w.ws() == '}' {
 		return true
 	}
@@ -239,6 +270,19 @@ func (w *batchWalk) object() bool {
 			return false
 		}
 		w.i++
+		if !field(key) {
+			return false
+		}
+		if more, ok := w.next('}'); !more {
+			return ok
+		}
+	}
+}
+
+// batch walks a batch request's object.
+func (w *wireWalk) batch() bool {
+	var seenDataset, seenQueries, seenParallelism bool
+	return w.object(func(key []byte) bool {
 		switch string(key) {
 		case "dataset":
 			v, ok := w.str()
@@ -259,22 +303,60 @@ func (w *batchWalk) object() bool {
 		default:
 			return false
 		}
-		if more, ok := w.next('}'); !more {
-			return ok
+		return true
+	})
+}
+
+// decodeRegister is the one-pass decoder of a registration body: the
+// canonical shape
+//
+//	{"id":"…","scheme":"…","data":"<std-base64>"}
+//
+// with the keys in any order and JSON whitespace between tokens, declined on
+// the terms a batch body is (the reference decodes the rest, so a decline
+// changes nothing a client sees). The data is decoded into an allocation of
+// its own: the body's buffer goes back to the pool.
+func decodeRegister(body []byte) (req RegisterRequest, ok bool) {
+	w := wireWalk{b: body}
+	var seenID, seenScheme, seenData bool
+	ok = w.object(func(key []byte) bool {
+		v, ok := w.str()
+		if !ok {
+			return false
 		}
+		switch {
+		case string(key) == "id" && !seenID:
+			seenID, req.ID = true, string(v)
+		case string(key) == "scheme" && !seenScheme:
+			seenScheme, req.Scheme = true, string(v)
+		case string(key) == "data" && !seenData:
+			// v holds no CR or LF (str refused them), the only bytes the
+			// reference's base64 decoder would skip.
+			seenData, req.Data = true, make([]byte, base64.StdEncoding.DecodedLen(len(v)))
+			n, err := base64.StdEncoding.Decode(req.Data, v)
+			req.Data = req.Data[:n]
+			return err == nil
+		default:
+			return false
+		}
+		return true
+	})
+	if !ok {
+		return RegisterRequest{}, false
 	}
+	return req, true
 }
 
 // next consumes the comma before another element, or the closing byte of
 // the object or array; ok=false is anything else.
-func (w *batchWalk) next(closing byte) (more, ok bool) {
+func (w *wireWalk) next(closing byte) (more, ok bool) {
 	c := w.ws()
 	w.i++
 	return c == ',', c == ',' || c == closing
 }
 
 // queries walks the array of base64 strings.
-func (w *batchWalk) queries() bool {
+func (w *wireWalk) queries() bool {
 	if w.ws() != '[' {
 		return false
 	}
@@ -299,7 +381,7 @@ func (w *batchWalk) queries() bool {
 
 // query decodes one query with the decoder encoding/json uses. src holds
 // no CR or LF (str refused them), the only bytes that decoder would skip.
-func (w *batchWalk) query(src []byte) bool {
+func (w *wireWalk) query(src []byte) bool {
 	w.n++
 	if need := base64.StdEncoding.DecodedLen(len(src)); !w.keep && need > len(w.dst) {
 		w.dst = make([]byte, need)
@@ -318,7 +400,7 @@ func (w *batchWalk) query(src []byte) bool {
 
 // integer reads a JSON integer literal: -?(0|[1-9][0-9]*). A fraction or
 // exponent leaves a byte object's delimiter check refuses.
-func (w *batchWalk) integer() bool {
+func (w *wireWalk) integer() bool {
 	w.ws()
 	start := w.i
 	if w.i < len(w.b) && w.b[w.i] == '-' {

@@ -11,7 +11,9 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -452,6 +454,170 @@ func TestBatchQueriesNeverAliasPooledBody(t *testing.T) {
 			t.Fatalf("abandoned worker read %q: not one of its own queries", q)
 		}
 		delete(own, q)
+	}
+}
+
+// registerCanonical is a registration body in the shape json.Marshal
+// emits; AQID is the three bytes 1, 2, 3.
+const registerCanonical = `{"id":"k","scheme":"test/id","data":"AQID"}`
+
+// registerCap is the body cap of the server FuzzRegisterDecode registers on.
+const registerCap = 256
+
+// registerDecodeSeeds are the ways a registration body leaves the canonical
+// shape, the canonical shape cut off at every byte, and bodies of exactly
+// the cap and one byte over it.
+func registerDecodeSeeds() []string {
+	atCap := func(n int) string {
+		head, tail := `{"id":"`, `","scheme":"test/id","data":"AQID"}`
+		return head + strings.Repeat("k", n-len(head)-len(tail)) + tail
+	}
+	seeds := []string{
+		registerCanonical,
+		`{"data":"AQID","scheme":"test/id","id":"k"}`,
+		`{"id":"k","scheme":"test/id"}`,
+		`{"id":"k","scheme":"test/id","data":""}`,
+		`{}`,
+		`{"id":"","scheme":"test/id","data":"AQID"}`,
+		`{"id":"k","scheme":"nope","data":"AQID"}`,
+		// Whitespace everywhere JSON allows it.
+		" {\n\t\"id\" : \"k\" ,\r\n \"scheme\" : \"test/id\" , \"data\" : \"AQID\" } \n",
+		// Escapes the reference honours and the fast path declines.
+		`{"\u0069d":"k","scheme":"test/id","data":"AQID"}`,
+		`{"id":"\u006b","scheme":"test\/id","data":"AQID"}`,
+		`{"id":"k","scheme":"test/id","data":"AQI\u0044"}`,
+		// Keys: unknown, repeated, differently cased.
+		`{"id":"k","scheme":"test/id","data":"AQID","extra":1}`,
+		`{"id":"x","id":"k","scheme":"test/id","data":"AQID"}`,
+		`{"id":"k","scheme":"test/id","data":"AAAA","data":"AQID"}`,
+		`{"ID":"k","Scheme":"test/id","DATA":"AQID"}`,
+		// null, in each position.
+		`{"id":"k","scheme":"test/id","data":null}`,
+		`{"id":null,"scheme":"test/id","data":"AQID"}`,
+		`null`,
+		// Base64: unpadded, bad alphabet, URL alphabet, padding inside.
+		`{"id":"k","scheme":"test/id","data":"AQI"}`,
+		`{"id":"k","scheme":"test/id","data":"AQ*D"}`,
+		`{"id":"k","scheme":"test/id","data":"-_-_"}`,
+		`{"id":"k","scheme":"test/id","data":"AQ==AQ=="}`,
+		// CR and LF inside data, which the reference's base64 skips.
+		"{\"id\":\"k\",\"scheme\":\"test/id\",\"data\":\"AQ\r\nID\"}",
+		"{\"id\":\"k\",\"scheme\":\"test/id\",\"data\":\"AQ\nID\"}",
+		// Wrong value kinds, stray structure, trailing bytes.
+		`{"id":7,"scheme":"test/id","data":"AQID"}`,
+		`{"id":"k","scheme":"test/id","data":[1,2,3]}`,
+		`{"id":"k",,"scheme":"test/id"}`,
+		`{"id":"k","scheme":"test/id",}`,
+		registerCanonical + `garbage`,
+		registerCanonical + registerCanonical,
+		"{\"id\":\"k\xff\",\"scheme\":\"test/id\",\"data\":\"AQID\"}",
+		`[]`,
+		``,
+		atCap(registerCap),
+		atCap(registerCap + 1),
+	}
+	for cut := 0; cut < len(registerCanonical); cut++ {
+		seeds = append(seeds, registerCanonical[:cut])
+	}
+	return seeds
+}
+
+// referenceRegister is what the handler did before the one-pass decoder and
+// still does on a decline.
+func referenceRegister(body []byte) (RegisterRequest, error) {
+	var req RegisterRequest
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	return req, err
+}
+
+// serveRegister posts body to POST /v1/datasets on a fresh server whose
+// catalog is one identity scheme, "test/id", under a body cap of limit
+// bytes, and returns the status and response bytes.
+func serveRegister(body []byte, limit int64) (int, string) {
+	cat := map[string]*core.Scheme{"test/id": {
+		SchemeName: "test/id",
+		Preprocess: func(d []byte) ([]byte, error) { return d, nil },
+		Answer:     func(_, q []byte) (bool, error) { return len(q) > 0, nil },
+	}}
+	srv := New(store.NewRegistry(""), cat)
+	srv.SetLimits(Limits{MaxBodyBytes: limit})
+	w := httptest.NewRecorder()
+	srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/datasets", bytes.NewReader(body)))
+	return w.Code, w.Body.String()
+}
+
+// FuzzRegisterDecode: for arbitrary bytes the one-pass registration decoder
+// declines or returns exactly the reference's RegisterRequest, and the
+// handler answers every body — declined, refused, over the cap or accepted
+// — as the reference prologue (json.Decoder under the byte cap) and the
+// rest of the handler would: a refusal with the reference's status and
+// error text, an accepted body exactly as the canonical encoding of what the
+// reference decodes it to.
+func FuzzRegisterDecode(f *testing.F) {
+	for _, s := range registerDecodeSeeds() {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		want, err := referenceRegister(body)
+		if got, ok := decodeRegister(body); ok {
+			if err != nil {
+				t.Fatalf("accepted %q, which the reference rejects: %v", body, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("body %q\n got %#v\nwant %#v", body, got, want)
+			}
+		}
+		// The handler's reference is the prologue it had before the one-pass
+		// decoder: json.Decoder over the body under the byte cap.
+		dec := json.NewDecoder(http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(body)), registerCap))
+		dec.DisallowUnknownFields()
+		want = RegisterRequest{}
+		err = dec.Decode(&want)
+		status, resp := serveRegister(body, registerCap)
+		var wantStatus int
+		var wantResp string
+		refusal := func(status int, msg string) (int, string) {
+			b, _ := json.Marshal(errorResponse{Error: msg})
+			return status, string(b) + "\n"
+		}
+		var mbe *http.MaxBytesError
+		switch {
+		case errors.As(err, &mbe):
+			wantStatus, wantResp = refusal(http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds the %d-byte limit", registerCap))
+		case err != nil:
+			wantStatus, wantResp = refusal(http.StatusBadRequest, "bad request body: "+err.Error())
+		default:
+			canon, _ := json.Marshal(want)
+			wantStatus, wantResp = serveRegister(canon, int64(len(canon)))
+		}
+		if status != wantStatus || resp != wantResp {
+			t.Fatalf("body %q:\n got %d %s\nwant %d %s", body, status, resp, wantStatus, wantResp)
+		}
+	})
+}
+
+// TestRegisterDecodeTakesTheFastPath: what json.Marshal(RegisterRequest)
+// emits is not declined, and its data is an allocation of its own.
+func TestRegisterDecodeTakesTheFastPath(t *testing.T) {
+	req := RegisterRequest{ID: "k", Scheme: "point-selection/sorted-keys", Data: schemes.RelationFromKeys([]int64{3, 1, 2})}
+	body, _ := json.Marshal(req)
+	got, ok := decodeRegister(body)
+	if !ok || !reflect.DeepEqual(got, req) {
+		t.Fatalf("marshalled request %s decoded to %#v (ok=%v)", body, got, ok)
+	}
+	before := bytes.Clone(body)
+	for i := range got.Data {
+		got.Data[i] ^= 0xff
+	}
+	if !bytes.Equal(body, before) {
+		t.Fatal("the decoded data aliases the body")
+	}
+	for _, body := range []string{registerCanonical, " {\n\t\"id\" : \"k\" ,\r\n \"data\" : \"\" } ", registerCanonical + `trailing`} {
+		if _, ok := decodeRegister([]byte(body)); !ok {
+			t.Errorf("declined %q", body)
+		}
 	}
 }
 

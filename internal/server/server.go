@@ -874,8 +874,8 @@ func (s *Server) shardingParams(w http.ResponseWriter, r *http.Request) (shards 
 func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
-		var req RegisterRequest
-		if !s.decodeBody(w, r, &req) {
+		req, ok := s.decodeRegisterBody(w, r)
+		if !ok {
 			return
 		}
 		if req.ID == "" {
