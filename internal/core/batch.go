@@ -35,9 +35,10 @@ import (
 )
 
 // AnswerBatch answers queries concurrently against one preprocessed store
-// and returns the verdicts in query order. parallelism bounds the worker
-// goroutines; values <= 0 select runtime.GOMAXPROCS(0). A parallelism of 1
-// degenerates to the plain sequential loop.
+// and returns the verdicts in query order. parallelism bounds the workers;
+// values <= 0 select runtime.GOMAXPROCS(0). There is at most one worker per
+// query, and a single worker is the plain sequential loop on the calling
+// goroutine.
 //
 // The first error (by lowest query index) aborts the batch: remaining
 // workers drain quickly and the partial results are discarded. On success
@@ -74,21 +75,35 @@ func AnswerBatchPreparedContext(ctx context.Context, label string, a Answerer, q
 	}, queries, parallelism)
 }
 
+// answerChunk is the most queries a worker claims at a time: in a large
+// batch the hand-off costs one atomic add per 64 probes, and 64 bool
+// results are one cache line, so two workers never write into the same
+// line. A batch too small to give every worker a whole chunk is split
+// evenly instead, so a few costly probes still spread over the workers.
+const answerChunk = 64
+
 // answerPool is the one worker pool behind every batch entry point —
 // verdicts for a Scheme, outputs for a FuncScheme; kind and label name the
 // scheme in error messages ("scheme <label>: batch query <i>: …").
+//
+// Workers claim the batch in increasing chunks and finish every chunk they
+// claim unless one of its own queries fails, so every index below a failure
+// has been answered (or has failed) by the time the pool drains: the error
+// reported is the lowest failing index, whatever the interleaving. The
+// calling goroutine is worker 0.
 func answerPool[T any](kind, label string, answer func(q []byte) (T, error), queries [][]byte, parallelism int) ([]T, error) {
 	results := make([]T, len(queries))
-	if len(queries) == 0 {
-		return results, nil
-	}
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
-	if parallelism > len(queries) {
-		parallelism = len(queries)
+	chunk := answerChunk
+	if len(queries) > 0 {
+		chunk = min(answerChunk, (len(queries)+parallelism-1)/parallelism)
 	}
-	if parallelism == 1 {
+	if chunks := (len(queries) + chunk - 1) / chunk; parallelism > chunks {
+		parallelism = chunks
+	}
+	if parallelism <= 1 {
 		for i, q := range queries {
 			got, err := answer(q)
 			if err != nil {
@@ -99,36 +114,51 @@ func answerPool[T any](kind, label string, answer func(q []byte) (T, error), que
 		return results, nil
 	}
 
+	type failure struct {
+		i   int
+		err error
+	}
 	var (
 		next   atomic.Int64
 		failed atomic.Bool
 		wg     sync.WaitGroup
+		// fails[w] is worker w's one failure: it stops at the first.
+		fails = make([]failure, parallelism)
 	)
-	errs := make([]error, len(queries))
-	wg.Add(parallelism)
-	for w := 0; w < parallelism; w++ {
-		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= len(queries) {
-					return
-				}
+	work := func(w int) {
+		for !failed.Load() {
+			lo := int(next.Add(int64(chunk))) - chunk
+			if lo >= len(queries) {
+				return
+			}
+			for i := lo; i < min(lo+chunk, len(queries)); i++ {
 				got, err := answer(queries[i])
 				if err != nil {
-					errs[i] = err
+					fails[w] = failure{i, err}
 					failed.Store(true)
 					return
 				}
 				results[i] = got
 			}
+		}
+	}
+	wg.Add(parallelism - 1)
+	for w := 1; w < parallelism; w++ {
+		go func() {
+			defer wg.Done()
+			work(w)
 		}()
 	}
+	work(0)
 	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("%s %s: batch query %d: %w", kind, label, i, err)
+	first := failure{i: len(queries)}
+	for _, f := range fails {
+		if f.err != nil && f.i < first.i {
+			first = f
 		}
+	}
+	if first.err != nil {
+		return nil, fmt.Errorf("%s %s: batch query %d: %w", kind, label, first.i, first.err)
 	}
 	return results, nil
 }

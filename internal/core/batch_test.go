@@ -1,11 +1,15 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // parityScheme answers "is the query integer's bit count even, offset by
@@ -179,5 +183,126 @@ func TestApplyBatchMatchesSequential(t *testing.T) {
 	bad := [][]byte{EncodeUint64(13)}
 	if _, err := s.ApplyBatch(nil, bad, 3); err == nil {
 		t.Fatal("poisoned ApplyBatch succeeded")
+	}
+}
+
+// TestAnswerPoolChunks pins the pool's contract at every chunk boundary and
+// at more workers than chunks: verdicts in query order, the error of the
+// lowest failing index whichever worker met which failure first, and a
+// cancelled context that stops the batch with its error wrapped. Queries
+// are their own index, so a verdict answered into the wrong slot shows.
+func TestAnswerPoolChunks(t *testing.T) {
+	verdict := func(i uint64) bool { return i%3 == 1 }
+	for _, n := range []int{0, 1, 63, 64, 65, 1023, 1024, 1025} {
+		queries := make([][]byte, n)
+		for i := range queries {
+			queries[i] = EncodeUint64(uint64(i))
+		}
+		index := func(q []byte) uint64 {
+			vs, err := DecodeUint64(q, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return vs[0]
+		}
+		for _, par := range []int{1, 2, 3, 256} {
+			name := fmt.Sprintf("n=%d/par=%d", n, par)
+			got, err := AnswerBatchPrepared("test/pool", AnswererFunc(func(q []byte) (bool, error) {
+				return verdict(index(q)), nil
+			}), queries, par)
+			if err != nil || len(got) != n {
+				t.Fatalf("%s: %d results, err %v", name, len(got), err)
+			}
+			for i, v := range got {
+				if v != verdict(uint64(i)) {
+					t.Fatalf("%s: verdict %d out of order", name, i)
+				}
+			}
+
+			for _, planted := range [][]int{{n - 1}, {n - 1, 0}, {n / 2, n - 1, n/2 + 1}, {n - 1, 64, 3}, {130, 65}} {
+				fail := map[uint64]bool{}
+				lowest := n
+				for _, i := range planted {
+					if i >= 0 && i < n {
+						fail[uint64(i)] = true
+						lowest = min(lowest, i)
+					}
+				}
+				if lowest == n {
+					continue
+				}
+				got, err := AnswerBatchPrepared("test/pool", AnswererFunc(func(q []byte) (bool, error) {
+					if i := index(q); fail[i] {
+						return false, fmt.Errorf("planted %d", i)
+					}
+					return true, nil
+				}), queries, par)
+				want := fmt.Sprintf("scheme test/pool: batch query %d: planted %d", lowest, lowest)
+				if got != nil || err == nil || err.Error() != want {
+					t.Fatalf("%s: failures at %v: %d results, err %v; want %q", name, planted, len(got), err, want)
+				}
+			}
+
+			if n < 2 {
+				continue
+			}
+			// The context is cancelled inside probe k+1, half way through;
+			// every worker checks it before its next probe, so at most one
+			// probe per other worker follows.
+			ctx, cancel := context.WithCancel(context.Background())
+			k := int64(n / 2)
+			var calls atomic.Int64
+			got, err = AnswerBatchPreparedContext(ctx, "test/pool", AnswererFunc(func(q []byte) (bool, error) {
+				if calls.Add(1) == k+1 {
+					cancel()
+				}
+				return true, nil
+			}), queries, par)
+			cancel()
+			if got != nil || !errors.Is(err, context.Canceled) || !strings.HasPrefix(err.Error(), "scheme test/pool: batch query ") {
+				t.Fatalf("%s: cancelled batch: %d results, err %v", name, len(got), err)
+			}
+			if c := calls.Load(); c > k+int64(par) {
+				t.Fatalf("%s: %d probes after cancelling in probe %d", name, c, k+1)
+			}
+		}
+	}
+	// An already-cancelled context fails at the lowest index without a probe.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	queries := slices.Repeat([][]byte{EncodeUint64(1)}, 300)
+	_, err := AnswerBatchPreparedContext(ctx, "test/pool", AnswererFunc(func([]byte) (bool, error) {
+		t.Fatal("probe under a cancelled context")
+		return false, nil
+	}), queries, 4)
+	if want := "scheme test/pool: batch query 0: context canceled"; err == nil || err.Error() != want {
+		t.Fatalf("cancelled before the first probe: %v, want %q", err, want)
+	}
+}
+
+// TestAnswerPoolSpreadsSmallBatches pins that a batch smaller than a chunk
+// per worker is still shared out: each batch's first two probes wait for
+// each other, which only two workers can satisfy.
+func TestAnswerPoolSpreadsSmallBatches(t *testing.T) {
+	for _, n := range []int{2, 64, 100} {
+		var entered atomic.Int64
+		both := make(chan struct{})
+		queries := slices.Repeat([][]byte{EncodeUint64(1)}, n)
+		_, err := AnswerBatchPrepared("test/pool", AnswererFunc(func([]byte) (bool, error) {
+			switch entered.Add(1) {
+			case 1:
+				select {
+				case <-both:
+				case <-time.After(5 * time.Second):
+					return false, errors.New("no second worker")
+				}
+			case 2:
+				close(both)
+			}
+			return true, nil
+		}), queries, 2)
+		if err != nil {
+			t.Fatalf("n=%d, parallelism 2: %v", n, err)
+		}
 	}
 }

@@ -18,10 +18,14 @@ package server
 // same bytes, which stays the single authority for what is accepted, what
 // is a 400, and the exact error text (FuzzBatchDecode holds the two equal).
 //
-// A registration body takes the same path through the same walker
-// (decodeRegister; FuzzRegisterDecode holds it to the reference). There the
-// reference's two scans of a multi-megabyte base64 string were most of the
-// wire's share of a set-up.
+// Each query string is scanned and base64-decoded in the same loop
+// (quotedBase64), over one 256-entry table, straight into that array.
+//
+// A single-query body (decodeQuery; FuzzQueryDecode) and a registration
+// body (decodeRegister; FuzzRegisterDecode) take the same path through the
+// same walker. A registration's data alone stays on the standard decoder,
+// which is faster on a multi-megabyte string; there the reference's two
+// scans of that string were most of the wire's share of a set-up.
 
 import (
 	"bytes"
@@ -74,15 +78,15 @@ func (s *Server) decodeBatchBody(w http.ResponseWriter, r *http.Request) (req Ba
 	return req, true
 }
 
-// decodeRegisterBody reads and decodes one registration request under the
-// envelope's body cap: by the one-pass decoder, or, when it declines or the
-// read failed, by the reference over the same bytes and read error.
-// ok=false means the response was written.
-func (s *Server) decodeRegisterBody(w http.ResponseWriter, r *http.Request) (req RegisterRequest, ok bool) {
+// decodeOnePass reads one request body under the envelope's byte cap and
+// decodes it with fast — decodeQuery or decodeRegister — or, when fast
+// declines or the read failed, with the reference over the same bytes and
+// read error. ok=false means the response was written.
+func decodeOnePass[T any](s *Server, w http.ResponseWriter, r *http.Request, fast func(body []byte) (T, bool)) (req T, ok bool) {
 	buf, readErr := s.readBody(w, r)
 	defer putBody(buf)
 	if readErr == nil {
-		if req, ok = decodeRegister(buf.Bytes()); ok {
+		if req, ok = fast(buf.Bytes()); ok {
 			return req, true
 		}
 	}
@@ -225,14 +229,29 @@ func (w *wireWalk) ws() byte {
 	return 0
 }
 
-// plain marks the bytes that stand for themselves inside a JSON string:
-// printable ASCII other than the quote and the backslash.
-var plain = func() (t [256]bool) {
-	for c := 0x20; c < 0x80; c++ {
-		t[c] = c != '"' && c != '\\'
+// byteClass is the one table both scans read. A byte of the std-base64
+// alphabet maps to its sextet (0–63), any other byte that stands for itself
+// inside a JSON string — printable ASCII other than the quote and the
+// backslash — to plainByte, and everything else to stopByte. Every alphabet
+// byte is plain, so four bytes that all map below 64 are both a whole
+// quantum and four bytes of string content.
+var byteClass = func() (t [256]byte) {
+	for c := range t {
+		t[c] = stopByte
+		if c >= 0x20 && c < 0x80 && c != '"' && c != '\\' {
+			t[c] = plainByte
+		}
+	}
+	for i, c := range "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/" {
+		t[c] = byte(i)
 	}
 	return t
 }()
+
+const (
+	plainByte = 0x40
+	stopByte  = 0x80
+)
 
 // str reads a string of plain bytes — no escape, nothing the reference
 // would unquote into something else — and returns them without the quotes.
@@ -242,7 +261,7 @@ func (w *wireWalk) str() ([]byte, bool) {
 	}
 	start := w.i + 1
 	i := start
-	for i < len(w.b) && plain[w.b[i]] {
+	for i < len(w.b) && byteClass[w.b[i]] < stopByte {
 		i++
 	}
 	if i == len(w.b) || w.b[i] != '"' {
@@ -250,6 +269,63 @@ func (w *wireWalk) str() ([]byte, bool) {
 	}
 	w.i = i + 1
 	return w.b[start:i], true
+}
+
+// base64Str reads a std-base64 string into dst and returns the decoded
+// length. dst must have room for everything after the cursor decoded. Only
+// the canonical form — whole quanta, then the closing quote right after the
+// last one or after an xx== / xxx= tail — is read, by quotedBase64 in one
+// pass; anything else declines the body to encoding/json.
+func (w *wireWalk) base64Str(dst []byte) (int, bool) {
+	if w.ws() != '"' {
+		return 0, false
+	}
+	n, end, ok := quotedBase64(dst, w.b[w.i+1:])
+	if ok {
+		w.i += end + 2
+	}
+	return n, ok
+}
+
+// quotedBase64 decodes the content of a JSON string, b starting just after
+// its opening quote, when that content is canonical std base64: n bytes
+// written to dst, end the index of the closing quote. ok=false means it is
+// not — an escape, a byte outside the alphabet, no padding or padding
+// anywhere but in the last quantum — and dst holds garbage. It accepts only
+// what base64.StdEncoding.Decode accepts and decodes it to the same bytes
+// (FuzzStdBase64): like that decoder it ignores the unused low bits of a
+// padded quantum. dst needs room for 3 bytes per 4 of b.
+func quotedBase64(dst, b []byte) (n, end int, ok bool) {
+	i := 0
+	for ; i+4 <= len(b); i += 4 {
+		s0, s1, s2, s3 := byteClass[b[i]], byteClass[b[i+1]], byteClass[b[i+2]], byteClass[b[i+3]]
+		if s0|s1|s2|s3 >= 64 {
+			break
+		}
+		d := dst[n : n+3]
+		d[0], d[1], d[2] = s0<<2|s1>>4, s1<<4|s2>>2, s2<<6|s3
+		n += 3
+	}
+	if i < len(b) && b[i] == '"' {
+		return n, i, true
+	}
+	// An xx== or xxx= quantum, then the closing quote.
+	if i+4 >= len(b) || b[i+4] != '"' || b[i+3] != '=' {
+		return 0, 0, false
+	}
+	s0, s1, s2 := byteClass[b[i]], byteClass[b[i+1]], byteClass[b[i+2]]
+	switch {
+	case s0|s1 >= 64:
+		return 0, 0, false
+	case b[i+2] == '=':
+		dst[n] = s0<<2 | s1>>4
+		return n + 1, i + 4, true
+	case s2 < 64:
+		d := dst[n : n+2]
+		d[0], d[1] = s0<<2|s1>>4, s1<<4|s2>>2
+		return n + 2, i + 4, true
+	}
+	return 0, 0, false
 }
 
 // object walks the top-level object up to its closing brace; like
@@ -347,6 +423,38 @@ func decodeRegister(body []byte) (req RegisterRequest, ok bool) {
 	return req, true
 }
 
+// decodeQuery is the one-pass decoder of a single-query body: the canonical
+// shape
+//
+//	{"dataset":"…","query":"<std-base64>"}
+//
+// declined on the terms a batch body is. The query is decoded by the batch
+// queries' kernel into an allocation of its own, never the pooled body:
+// under a query budget the deadline guard's goroutine may still read it
+// after the handler has returned.
+func decodeQuery(body []byte) (req QueryRequest, ok bool) {
+	w := wireWalk{b: body}
+	var seenDataset, seenQuery bool
+	ok = w.object(func(key []byte) bool {
+		switch {
+		case string(key) == "dataset" && !seenDataset:
+			v, ok := w.str()
+			seenDataset, req.Dataset = true, string(v)
+			return ok
+		case string(key) == "query" && !seenQuery:
+			dst := make([]byte, base64.StdEncoding.DecodedLen(len(body)-w.i))
+			n, ok := w.base64Str(dst)
+			seenQuery, req.Query = true, dst[:n:n]
+			return ok
+		}
+		return false
+	})
+	if !ok {
+		return QueryRequest{}, false
+	}
+	return req, true
+}
+
 // next consumes the comma before another element, or the closing byte of
 // the object or array; ok=false is anything else.
 func (w *wireWalk) next(closing byte) (more, ok bool) {
@@ -369,8 +477,7 @@ func (w *wireWalk) queries() bool {
 		return true
 	}
 	for {
-		src, ok := w.str()
-		if !ok || !w.query(src) {
+		if !w.query() {
 			return false
 		}
 		if more, ok := w.next(']'); !more {
@@ -379,23 +486,28 @@ func (w *wireWalk) queries() bool {
 	}
 }
 
-// query decodes one query with the decoder encoding/json uses. src holds
-// no CR or LF (str refused them), the only bytes that decoder would skip.
-func (w *wireWalk) query(src []byte) bool {
+// query reads one query: decoded into the shared backing array when the
+// walk keeps them, else read and checked over one scratch buffer.
+func (w *wireWalk) query() bool {
 	w.n++
-	if need := base64.StdEncoding.DecodedLen(len(src)); !w.keep && need > len(w.dst) {
-		w.dst = make([]byte, need)
+	if w.keep {
+		m, ok := w.base64Str(w.dst[w.off:])
+		if ok {
+			end := w.off + m
+			w.req.Queries = append(w.req.Queries, w.dst[w.off:end:end])
+			w.off = end
+		}
+		return ok
 	}
-	m, err := base64.StdEncoding.Decode(w.dst[w.off:], src)
-	if err != nil {
+	src, ok := w.str()
+	if !ok {
 		return false
 	}
-	if w.keep {
-		end := w.off + m
-		w.req.Queries = append(w.req.Queries, w.dst[w.off:end:end])
-		w.off = end
+	if need := base64.StdEncoding.DecodedLen(len(src)); need > len(w.dst) {
+		w.dst = make([]byte, need)
 	}
-	return true
+	_, err := base64.StdEncoding.Decode(w.dst, src)
+	return err == nil
 }
 
 // integer reads a JSON integer literal: -?(0|[1-9][0-9]*). A fraction or

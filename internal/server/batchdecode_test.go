@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -623,11 +624,20 @@ func TestRegisterDecodeTakesTheFastPath(t *testing.T) {
 
 // BenchmarkBatchDecode is the wire-decode layer's own number: the
 // reference decoder against the one-pass decoder on canonical bodies of
-// 16-byte queries (run with -benchmem).
+// 16-byte queries, and of the node pairs closure_batch_cached sends — 2 to
+// 4 bytes, every one a padded quantum (run with -benchmem).
 func BenchmarkBatchDecode(b *testing.B) {
-	for _, n := range []int{256, 1024} {
-		body := benchBatchBody(n)
-		b.Run(fmt.Sprintf("reference/%d", n), func(b *testing.B) {
+	bodies := []struct {
+		name string
+		body []byte
+	}{
+		{"256", benchBatchBody(256)},
+		{"1024", benchBatchBody(1024)},
+		{"pairs-1024", pairBatchBody(1024)},
+	}
+	for _, c := range bodies {
+		body := c.body
+		b.Run("reference/"+c.name, func(b *testing.B) {
 			b.SetBytes(int64(len(body)))
 			b.ReportAllocs()
 			for b.Loop() {
@@ -636,7 +646,7 @@ func BenchmarkBatchDecode(b *testing.B) {
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("onepass/%d", n), func(b *testing.B) {
+		b.Run("onepass/"+c.name, func(b *testing.B) {
 			b.SetBytes(int64(len(body)))
 			b.ReportAllocs()
 			for b.Loop() {
@@ -646,4 +656,16 @@ func BenchmarkBatchDecode(b *testing.B) {
 			}
 		})
 	}
+}
+
+// pairBatchBody is a canonical body of n node-pair queries over 4096
+// vertices, the benchmark's closure graph.
+func pairBatchBody(n int) []byte {
+	rng := rand.New(rand.NewSource(1))
+	req := BatchRequest{Dataset: "closure"}
+	for i := 0; i < n; i++ {
+		req.Queries = append(req.Queries, schemes.NodePairQuery(rng.Intn(4096), rng.Intn(4096)))
+	}
+	body, _ := json.Marshal(req)
+	return body
 }

@@ -39,9 +39,11 @@
 // verdict cache with singleflight coalescing sits in front of both answer
 // paths of the datasets whose scheme declares a per-query traversal —
 // everything else answers through the probe Π prepared, which is cheaper
-// than a cache lookup (see answerPath). A batch body is read once and
-// decoded in one pass into one backing array (batchdecode.go), with
-// encoding/json as the reference for anything outside the canonical shape.
+// than a cache lookup (see answerPath). An answer body is read once and
+// decoded in one pass — a batch's queries into one backing array
+// (batchdecode.go) — with encoding/json as the reference for anything
+// outside the canonical shape, and a 200 answer is appended into a pooled
+// buffer and sent with its Content-Length (writeAnswer).
 //
 // A serving envelope (see Limits and SetLimits) bounds what one request
 // or one burst can cost: oversized bodies and batches are refused with
@@ -874,7 +876,7 @@ func (s *Server) shardingParams(w http.ResponseWriter, r *http.Request) (shards 
 func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
-		req, ok := s.decodeRegisterBody(w, r)
+		req, ok := decodeOnePass(s, w, r, decodeRegister)
 		if !ok {
 			return
 		}
@@ -1034,13 +1036,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
-	var req QueryRequest
-	if !s.decodeBody(w, r, &req) {
+	req, ok := decodeOnePass(s, w, r, decodeQuery)
+	if !ok {
 		return
 	}
-	s.serveAnswer(w, r, req.Dataset, 1, func(ctx context.Context, ds store.Dataset) (interface{}, error) {
+	s.serveAnswer(w, r, req.Dataset, 1, false, func(ctx context.Context, ds store.Dataset) (store.Verdicts, error) {
 		v, err := store.AskWithin(ctx, ds, req.Query)
-		return QueryResponse{Answer: v.Answer, Version: v.Version}, err
+		return store.Verdicts{Answers: []bool{v.Answer}, Version: v.Version}, err
 	})
 }
 
@@ -1057,19 +1059,19 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	if parallelism > maxBatchParallelism {
 		parallelism = maxBatchParallelism
 	}
-	s.serveAnswer(w, r, req.Dataset, len(req.Queries), func(ctx context.Context, ds store.Dataset) (interface{}, error) {
-		vs, err := store.AskBatchWithin(ctx, ds, req.Queries, parallelism)
-		return BatchResponse{Answers: vs.Answers, Version: vs.Version}, err
+	s.serveAnswer(w, r, req.Dataset, len(req.Queries), true, func(ctx context.Context, ds store.Dataset) (store.Verdicts, error) {
+		return store.AskBatchWithin(ctx, ds, req.Queries, parallelism)
 	})
 }
 
 // serveAnswer is the one path both answer endpoints take once the body is
-// decoded: admit → look up → breaker → ask → classify. ask runs the
-// request's n queries through ds under ctx — the request's query budget,
-// whatever the breaker's state — and returns the response body (whose
-// version is the one the verdicts were computed at).
-func (s *Server) serveAnswer(w http.ResponseWriter, r *http.Request, dataset string, n int,
-	ask func(ctx context.Context, ds store.Dataset) (body interface{}, err error)) {
+// decoded: admit → look up → breaker → ask → classify → encode. ask runs
+// the request's n queries through ds under ctx — the request's query
+// budget, whatever the breaker's state — and returns their verdicts and
+// the version they were computed at, which go out as a BatchResponse when
+// batch is set and as the one verdict's QueryResponse otherwise.
+func (s *Server) serveAnswer(w http.ResponseWriter, r *http.Request, dataset string, n int, batch bool,
+	ask func(ctx context.Context, ds store.Dataset) (store.Verdicts, error)) {
 	release, reason, admitted := s.env.admit(dataset)
 	if !admitted {
 		s.env.reject429(w, r, reason)
@@ -1095,7 +1097,7 @@ func (s *Server) serveAnswer(w http.ResponseWriter, r *http.Request, dataset str
 	ctx, cancel := s.queryContext(r)
 	defer cancel()
 	start := time.Now()
-	body, err := ask(ctx, ds)
+	vs, err := ask(ctx, ds)
 	// Count only queries actually answered: a failed ask returns no
 	// answers, so its queries count as failed, not served.
 	served, failed := n, 0
@@ -1108,7 +1110,66 @@ func (s *Server) serveAnswer(w http.ResponseWriter, r *http.Request, dataset str
 		return
 	}
 	br.OnSuccess(dec.Probe)
-	writeJSON(w, http.StatusOK, body)
+	writeAnswer(w, vs, batch)
+}
+
+// answerBufs recycles the answer endpoints' response buffers.
+var answerBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeAnswer sends a 200 answer in one Write with its Content-Length, so
+// net/http never chunks it. The body is appended by hand — the bytes
+// json.NewEncoder(w).Encode writes for a BatchResponse (batch) or a
+// QueryResponse of vs.Answers[0], trailing newline included
+// (TestAnswerEncodingMatchesJSON) — without reflection over every verdict.
+func writeAnswer(w http.ResponseWriter, vs store.Verdicts, batch bool) {
+	p := answerBufs.Get().(*[]byte)
+	b := (*p)[:0]
+	if batch {
+		b = appendBatchResponse(b, vs)
+	} else {
+		b = appendQueryResponse(b, vs.Answers[0], vs.Version)
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(b)
+	if cap(b) <= maxPooledBody {
+		*p = b
+		answerBufs.Put(p)
+	}
+}
+
+// appendQueryResponse appends QueryResponse{answer, version} as encoding/json
+// encodes it, newline included.
+func appendQueryResponse(b []byte, answer bool, version uint64) []byte {
+	b = append(b, `{"answer":`...)
+	b = strconv.AppendBool(b, answer)
+	b = append(b, `,"version":`...)
+	b = strconv.AppendUint(b, version, 10)
+	return append(b, "}\n"...)
+}
+
+// appendBatchResponse appends BatchResponse{vs.Answers, vs.Version} as
+// encoding/json encodes it, newline included: nil answers are null.
+func appendBatchResponse(b []byte, vs store.Verdicts) []byte {
+	b = slices.Grow(b, len(`{"answers":[],"version":18446744073709551615}`+"\n")+len(vs.Answers)*len("false,"))
+	b = append(b, `{"answers":`...)
+	if vs.Answers == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, a := range vs.Answers {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendBool(b, a)
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"version":`...)
+	b = strconv.AppendUint(b, vs.Version, 10)
+	return append(b, "}\n"...)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -2,18 +2,17 @@ package server
 
 // Request tracing: every request gets an id — the client's X-Request-ID
 // when it sent a plausible one, a generated one otherwise — echoed in the
-// response header, carried in the request context for the error bodies,
+// response header, read back from the request header for the error bodies,
 // and attached to the structured request / slow-query log lines. The
 // middleware also hosts GET /metrics' content type; the exposition itself
 // is rendered by the process-wide obs.Default registry.
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"fmt"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,29 +28,18 @@ const RequestIDHeader = "X-Request-ID"
 // echoed, so a hostile header cannot ride into logs or error bodies.
 const maxInboundRequestID = 128
 
-type ctxKey int
-
-const requestIDKey ctxKey = 0
-
-// reqIDInfo is the per-request trace identity stored in the context.
-type reqIDInfo struct {
-	id         string
-	fromClient bool
-}
-
-// clientRequestID returns the request's id and whether the client supplied
-// it. Error bodies include the id only in the fromClient case — a client
-// correlating its own trace — while generated ids travel in the response
-// header alone, keeping byte-stable error bodies for clients that sent no
-// id.
+// clientRequestID returns the client-supplied request id and whether there
+// is one: the X-Request-ID header when validInboundID accepts it — the same
+// test the middleware applies before echoing it. Error bodies include the
+// id only then, a client correlating its own trace, while generated ids
+// travel in the response header alone, keeping byte-stable error bodies for
+// clients that sent no id.
 func clientRequestID(r *http.Request) (string, bool) {
 	if r == nil {
 		return "", false
 	}
-	if info, ok := r.Context().Value(requestIDKey).(reqIDInfo); ok {
-		return info.id, info.fromClient
-	}
-	return "", false
+	id := r.Header.Get(RequestIDHeader)
+	return id, validInboundID(id)
 }
 
 // validInboundID reports whether a client-supplied id is safe to echo:
@@ -88,7 +76,9 @@ func newRequestID() string {
 		}
 		idPrefix = hex.EncodeToString(b[:])
 	})
-	return fmt.Sprintf("%s-%d", idPrefix, idCounter.Add(1))
+	var buf [48]byte // 12 hex digits, '-', up to 20 decimal ones
+	b := append(append(buf[:0], idPrefix...), '-')
+	return string(strconv.AppendUint(b, idCounter.Add(1), 10))
 }
 
 // statusRecorder captures the response status for the request log.
@@ -114,15 +104,15 @@ func (sr *statusRecorder) Write(p []byte) (int, error) {
 // withObservability wraps next with the tracing middleware: request-ID
 // assignment + header echo always; per-request structured logging and the
 // slow-query log only when a logger is installed, so the unlogged path
-// stays one header write and one context value.
+// stays one header write. The request itself is passed on unchanged: the
+// error bodies read a client's id from its header (clientRequestID).
 func (s *Server) withObservability(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		info := reqIDInfo{id: r.Header.Get(RequestIDHeader), fromClient: true}
-		if !validInboundID(info.id) {
-			info = reqIDInfo{id: newRequestID()}
+		id, fromClient := clientRequestID(r)
+		if !fromClient {
+			id = newRequestID()
 		}
-		w.Header().Set(RequestIDHeader, info.id)
-		r = r.WithContext(context.WithValue(r.Context(), requestIDKey, info))
+		w.Header().Set(RequestIDHeader, id)
 
 		if s.logger == nil {
 			next.ServeHTTP(w, r)
@@ -136,7 +126,7 @@ func (s *Server) withObservability(next http.Handler) http.Handler {
 			rec.status = http.StatusOK
 		}
 		attrs := []slog.Attr{
-			slog.String("request_id", info.id),
+			slog.String("request_id", id),
 			slog.String("method", r.Method),
 			slog.String("path", r.URL.Path),
 			slog.Int("status", rec.status),
