@@ -530,13 +530,19 @@ func TestAPIDocEnvelopeExamples(t *testing.T) {
 			time.Sleep(50 * time.Millisecond)
 			return base.Preprocess(d)
 		},
-		Answer: func(pd, q []byte) (bool, error) {
-			if string(q) == "park" {
-				entered <- struct{}{}
-				<-gate
-				return false, nil
+		Prepare: func(pd []byte) (pitract.Answerer, error) {
+			a, err := base.Prepare(pd)
+			if err != nil {
+				return nil, err
 			}
-			return base.Answer(pd, q)
+			return pitract.AnswererFunc(func(q []byte) (bool, error) {
+				if string(q) == "park" {
+					entered <- struct{}{}
+					<-gate
+					return false, nil
+				}
+				return a.Answer(q)
+			}), nil
 		},
 	}
 	catalog := pitract.ServeCatalog()

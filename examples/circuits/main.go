@@ -39,7 +39,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		got, err := scheme.Answer(prep, x)
+		a, err := scheme.Prepare(prep)
+		if err != nil {
+			log.Fatal(err)
+		}
+		got, err := a.Answer(x)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -28,12 +28,17 @@ func main() {
 	}
 	fmt.Printf("preprocessed in %v (%d bytes)\n", time.Since(start), len(prep))
 
-	// ...then answer any number of queries in O(log |D|).
+	// ...then prepare Π(D) once and answer any number of queries in
+	// O(log |D|).
+	a, err := scheme.Prepare(prep)
+	if err != nil {
+		log.Fatal(err)
+	}
 	start = time.Now()
 	queries := 10_000
 	hits := 0
 	for c := int64(0); c < int64(queries); c++ {
-		ok, err := scheme.Answer(prep, pitract.PointQuery(c*17))
+		ok, err := a.Answer(pitract.PointQuery(c * 17))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -44,7 +49,7 @@ func main() {
 	perQuery := time.Since(start) / time.Duration(queries)
 	fmt.Printf("%d queries, %d hits, %v per query\n", queries, hits, perQuery)
 
-	// Contrast with the no-preprocessing baseline on a few queries.
+	// Contrast with the no-preprocessing baseline on a few one-shot queries.
 	scan := pitract.PointSelectionScanScheme()
 	start = time.Now()
 	for c := int64(0); c < 3; c++ {

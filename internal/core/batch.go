@@ -2,28 +2,30 @@ package core
 
 // Concurrent batch answering. The paper's asymmetry — preprocess once in
 // PTIME, answer each query in NC — is exactly the shape that serves many
-// clients from one preprocessed store: Π(D) is an immutable byte string, so
-// any number of goroutines may answer against it at once. AnswerBatch is
-// the worker-pool entry point for that mode.
+// clients from one preprocessed store: Π(D) is an immutable byte string and
+// its prepared Answerer is immutable too, so any number of goroutines may
+// answer through it at once. AnswerBatchPrepared is the worker-pool entry
+// point for that mode.
 //
 // # The scheme concurrency contract
 //
 // Every Scheme (and FuncScheme) in this repository obeys, and every new
 // scheme must obey:
 //
-//  1. Preprocess is called once per database, before any Answer. It needs
+//  1. Preprocess is called once per database, before any Prepare. It needs
 //     no internal synchronization but must not retain and later mutate the
 //     returned preprocessed string.
-//  2. Answer must be safe to call from any number of goroutines
-//     concurrently with the same pd. In practice that means Answer treats
-//     pd and q as read-only and keeps per-call state on the stack; schemes
-//     that memoize shared state across calls (e.g. the compiled-tableau
-//     cache of the Theorem 5 chain) must guard it with a mutex.
-//  3. Answer must not mutate pd or q, even transiently: a concurrent
-//     reader would observe the intermediate state.
+//  2. Prepare must not mutate pd, and the Answerer it returns must be safe
+//     to call from any number of goroutines concurrently. In practice that
+//     means Answerer.Answer treats its prepared state and q as read-only and
+//     keeps per-call state on the stack; schemes that memoize shared state
+//     across calls (e.g. the compiled-tableau cache of the Theorem 5 chain)
+//     must guard it with a mutex.
+//  3. Answerer.Answer must not mutate q or anything Prepare built, even
+//     transiently: a concurrent reader would observe the intermediate state.
 //
 // The contract is enforced by the schemes package's concurrency stress
-// test, which runs every registered scheme's Answer from many goroutines
+// test, which runs every registered scheme's Answerer from many goroutines
 // under the race detector.
 
 import (
@@ -35,44 +37,45 @@ import (
 )
 
 // AnswerBatch answers queries concurrently against one preprocessed store
-// and returns the verdicts in query order. parallelism bounds the workers;
-// values <= 0 select runtime.GOMAXPROCS(0). There is at most one worker per
-// query, and a single worker is the plain sequential loop on the calling
-// goroutine.
+// and returns the verdicts in query order: Prepare once, then
+// AnswerBatchPrepared. parallelism bounds the workers; values <= 0 select
+// runtime.GOMAXPROCS(0). There is at most one worker per query, and a single
+// worker is the plain sequential loop on the calling goroutine.
 //
 // The first error (by lowest query index) aborts the batch: remaining
-// workers drain quickly and the partial results are discarded. On success
-// results[i] is Answer(pd, queries[i]) for every i.
+// workers drain quickly and the partial results are discarded. A Π that
+// Prepare refuses fails the batch at query 0; an empty batch asks nothing
+// and fails nothing. On success results[i] is Answer(pd, queries[i]) for
+// every i.
 func (s *Scheme) AnswerBatch(pd []byte, queries [][]byte, parallelism int) ([]bool, error) {
-	return answerPool("scheme", s.SchemeName, func(q []byte) (bool, error) {
-		return s.Answer(pd, q)
-	}, queries, parallelism)
-}
-
-// AnswerBatchPrepared is AnswerBatch over a prepared Answerer: the same
-// worker pool, error policy, and query ordering, but every probe rides the
-// decoded in-memory form instead of re-reading pd. label names the scheme in
-// error messages, keeping them identical to the raw batch path's.
-func AnswerBatchPrepared(label string, a Answerer, queries [][]byte, parallelism int) ([]bool, error) {
-	return answerPool("scheme", label, a.Answer, queries, parallelism)
-}
-
-// AnswerBatchPreparedContext is AnswerBatchPrepared with cooperative
-// cancellation: ctx is consulted before every probe, so an expired
-// deadline abandons the rest of the batch promptly instead of paying
-// every remaining query. The batch fails with the usual error shape at
-// the lowest unanswered index, wrapping ctx.Err(). A context that can
-// never be cancelled degenerates to the plain prepared batch.
-func AnswerBatchPreparedContext(ctx context.Context, label string, a Answerer, queries [][]byte, parallelism int) ([]bool, error) {
-	if ctx == nil || ctx.Done() == nil {
-		return AnswerBatchPrepared(label, a, queries, parallelism)
-	}
-	return answerPool("scheme", label, func(q []byte) (bool, error) {
-		if err := ctx.Err(); err != nil {
-			return false, err
+	a, err := s.Prepare(pd)
+	if err != nil {
+		if len(queries) == 0 {
+			return []bool{}, nil
 		}
-		return a.Answer(q)
-	}, queries, parallelism)
+		return nil, fmt.Errorf("scheme %s: batch query 0: %w", s.SchemeName, err)
+	}
+	return AnswerBatchPrepared(nil, s.SchemeName, a, queries, parallelism)
+}
+
+// AnswerBatchPrepared is the worker pool over a prepared Answerer: verdicts
+// in query order, the first failing query (lowest index) failing the batch
+// as "scheme <label>: batch query <i>: …". A ctx that can be cancelled is
+// consulted before every probe, so an expired deadline abandons the rest of
+// the batch promptly instead of paying every remaining query; the batch then
+// fails at the lowest unanswered index, wrapping ctx.Err(). A nil ctx, or
+// one that can never be cancelled, is the plain pool.
+func AnswerBatchPrepared(ctx context.Context, label string, a Answerer, queries [][]byte, parallelism int) ([]bool, error) {
+	answer := a.Answer
+	if ctx != nil && ctx.Done() != nil {
+		answer = func(q []byte) (bool, error) {
+			if err := ctx.Err(); err != nil {
+				return false, err
+			}
+			return a.Answer(q)
+		}
+	}
+	return answerPool("scheme", label, answer, queries, parallelism)
 }
 
 // answerChunk is the most queries a worker claims at a time: in a large

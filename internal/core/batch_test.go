@@ -20,7 +20,7 @@ func parityScheme(poison uint64) *Scheme {
 	return &Scheme{
 		SchemeName: "test/parity",
 		Preprocess: func(d []byte) ([]byte, error) { return d, nil },
-		Answer: func(pd, q []byte) (bool, error) {
+		Prepare: ProbeInPlace(func(pd, q []byte) (bool, error) {
 			vs, err := DecodeUint64(q, 1)
 			if err != nil {
 				return false, err
@@ -34,7 +34,7 @@ func parityScheme(poison uint64) *Scheme {
 				bits += int(x & 1)
 			}
 			return (bits+len(pd))%2 == 0, nil
-		},
+		}),
 	}
 }
 
@@ -207,7 +207,7 @@ func TestAnswerPoolChunks(t *testing.T) {
 		}
 		for _, par := range []int{1, 2, 3, 256} {
 			name := fmt.Sprintf("n=%d/par=%d", n, par)
-			got, err := AnswerBatchPrepared("test/pool", AnswererFunc(func(q []byte) (bool, error) {
+			got, err := AnswerBatchPrepared(nil, "test/pool", AnswererFunc(func(q []byte) (bool, error) {
 				return verdict(index(q)), nil
 			}), queries, par)
 			if err != nil || len(got) != n {
@@ -231,7 +231,7 @@ func TestAnswerPoolChunks(t *testing.T) {
 				if lowest == n {
 					continue
 				}
-				got, err := AnswerBatchPrepared("test/pool", AnswererFunc(func(q []byte) (bool, error) {
+				got, err := AnswerBatchPrepared(nil, "test/pool", AnswererFunc(func(q []byte) (bool, error) {
 					if i := index(q); fail[i] {
 						return false, fmt.Errorf("planted %d", i)
 					}
@@ -252,7 +252,7 @@ func TestAnswerPoolChunks(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			k := int64(n / 2)
 			var calls atomic.Int64
-			got, err = AnswerBatchPreparedContext(ctx, "test/pool", AnswererFunc(func(q []byte) (bool, error) {
+			got, err = AnswerBatchPrepared(ctx, "test/pool", AnswererFunc(func(q []byte) (bool, error) {
 				if calls.Add(1) == k+1 {
 					cancel()
 				}
@@ -271,7 +271,7 @@ func TestAnswerPoolChunks(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	queries := slices.Repeat([][]byte{EncodeUint64(1)}, 300)
-	_, err := AnswerBatchPreparedContext(ctx, "test/pool", AnswererFunc(func([]byte) (bool, error) {
+	_, err := AnswerBatchPrepared(ctx, "test/pool", AnswererFunc(func([]byte) (bool, error) {
 		t.Fatal("probe under a cancelled context")
 		return false, nil
 	}), queries, 4)
@@ -288,7 +288,7 @@ func TestAnswerPoolSpreadsSmallBatches(t *testing.T) {
 		var entered atomic.Int64
 		both := make(chan struct{})
 		queries := slices.Repeat([][]byte{EncodeUint64(1)}, n)
-		_, err := AnswerBatchPrepared("test/pool", AnswererFunc(func([]byte) (bool, error) {
+		_, err := AnswerBatchPrepared(nil, "test/pool", AnswererFunc(func([]byte) (bool, error) {
 			switch entered.Add(1) {
 			case 1:
 				select {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -178,12 +179,12 @@ func paritySumScheme() *Scheme {
 		Preprocess: func(d []byte) ([]byte, error) {
 			return []byte{byte(byteSum(d) % 2)}, nil
 		},
-		Answer: func(pd, q []byte) (bool, error) {
+		Prepare: ProbeInPlace(func(pd, q []byte) (bool, error) {
 			if len(pd) != 1 {
 				return false, errFmt("bad preprocessed data")
 			}
 			return (int(pd[0])+byteSum(q))%2 == 0, nil
-		},
+		}),
 		PreprocessNote: "O(|D|)",
 		AnswerNote:     "O(|Q|)",
 	}
@@ -210,9 +211,45 @@ func TestSchemeVerifyAgainst(t *testing.T) {
 	}
 	// A deliberately wrong scheme must be caught.
 	wrong := *s
-	wrong.Answer = func(pd, q []byte) (bool, error) { return true, nil }
+	wrong.Prepare = ProbeInPlace(func(pd, q []byte) (bool, error) { return true, nil })
 	if err := wrong.VerifyAgainst(lang, pairs); err == nil {
 		t.Fatal("wrong scheme passed verification")
+	}
+}
+
+// TestSchemeAnswerIsPrepareThenProbe pins the one-shot Answer to the one
+// answering procedure: on an accepted Π it is the prepared probe, verdict and
+// error alike; on a refused Π it is Prepare's error, unwrapped.
+func TestSchemeAnswerIsPrepareThenProbe(t *testing.T) {
+	s := &Scheme{
+		SchemeName: "test/framed",
+		Prepare: func(pd []byte) (Answerer, error) {
+			if len(pd) != 1 {
+				return nil, fmt.Errorf("framed: %d-byte payload", len(pd))
+			}
+			return AnswererFunc(func(q []byte) (bool, error) {
+				if len(q) == 0 {
+					return false, errFmt("empty query")
+				}
+				return (int(pd[0])+byteSum(q))%2 == 0, nil
+			}), nil
+		},
+	}
+	for _, pd := range [][]byte{{0}, {1}, nil, {1, 2}} {
+		for _, q := range [][]byte{{0}, {1}, {2, 3}, nil} {
+			got, err := s.Answer(pd, q)
+			var want bool
+			a, wantErr := s.Prepare(pd)
+			if wantErr == nil {
+				want, wantErr = a.Answer(q)
+			}
+			if got != want || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("pd %v, q %v: Answer = %v, %v; Prepare-then-probe = %v, %v", pd, q, got, err, want, wantErr)
+			}
+		}
+	}
+	if _, err := s.Answer([]byte{1, 2, 3}, []byte{1}); err == nil || err.Error() != "framed: 3-byte payload" {
+		t.Fatalf("refused Π: Answer error %v, want Prepare's own text", err)
 	}
 }
 
@@ -337,7 +374,7 @@ func TestLemma3Transport(t *testing.T) {
 	targetScheme := &Scheme{
 		SchemeName: "even-sum-direct",
 		Preprocess: func(d []byte) ([]byte, error) { return d, nil },
-		Answer:     func(pd, q []byte) (bool, error) { return byteSum(q)%2 == 0, nil },
+		Prepare:    ProbeInPlace(func(pd, q []byte) (bool, error) { return byteSum(q)%2 == 0, nil }),
 	}
 	// Reduction from S(L1, padded-split) to S(L3, empty-data), as composed
 	// in the Lemma 2 test.

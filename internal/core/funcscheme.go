@@ -97,7 +97,7 @@ func (s *FuncScheme) Decision() *Scheme {
 	return &Scheme{
 		SchemeName: s.SchemeName + "/decision",
 		Preprocess: s.Preprocess,
-		Answer: func(pd, q []byte) (bool, error) {
+		Prepare: ProbeInPlace(func(pd, q []byte) (bool, error) {
 			fq, want, err := UnpadPair(q)
 			if err != nil {
 				return false, err
@@ -107,7 +107,7 @@ func (s *FuncScheme) Decision() *Scheme {
 				return false, err
 			}
 			return bytes.Equal(got, want), nil
-		},
+		}),
 		PreprocessNote: s.PreprocessNote,
 		AnswerNote:     s.ApplyNote,
 	}

@@ -33,7 +33,8 @@ func (s *IncrementalScheme) Name() string { return s.Scheme.SchemeName + "+incre
 // VerifyIncremental checks the defining equation on one database, a
 // sequence of updates, and a probe set: after every update, the maintained
 // structure must answer all probes exactly like a from-scratch
-// re-preprocessing of the updated database.
+// re-preprocessing of the updated database. Both are prepared once per
+// step, then probed.
 func (s *IncrementalScheme) VerifyIncremental(d []byte, deltas [][]byte, probes [][]byte) error {
 	pd, err := s.Scheme.Preprocess(d)
 	if err != nil {
@@ -53,12 +54,20 @@ func (s *IncrementalScheme) VerifyIncremental(d []byte, deltas [][]byte, probes 
 		if err != nil {
 			return fmt.Errorf("incremental %s: fresh preprocess at step %d: %w", s.Name(), step, err)
 		}
+		maintained, err := s.Scheme.Prepare(pd)
+		if err != nil {
+			return fmt.Errorf("incremental %s: maintained prepare step %d: %w", s.Name(), step, err)
+		}
+		rebuilt, err := s.Scheme.Prepare(fresh)
+		if err != nil {
+			return fmt.Errorf("incremental %s: fresh prepare step %d: %w", s.Name(), step, err)
+		}
 		for pi, q := range probes {
-			a, err := s.Scheme.Answer(pd, q)
+			a, err := maintained.Answer(q)
 			if err != nil {
 				return fmt.Errorf("incremental %s: maintained answer step %d probe %d: %w", s.Name(), step, pi, err)
 			}
-			b, err := s.Scheme.Answer(fresh, q)
+			b, err := rebuilt.Answer(q)
 			if err != nil {
 				return fmt.Errorf("incremental %s: fresh answer step %d probe %d: %w", s.Name(), step, pi, err)
 			}

@@ -91,6 +91,8 @@ func (fr *FactorReduction) Verify(instances [][]byte) error {
 //	Π′(D)       = Π(α(D))           (PTIME ∘ NC ⊆ PTIME)
 //	Answer′(p,q) = Answer(p, β(q))  (NC ∘ NC ⊆ NC)
 //
+// The target's Answerer is prepared once per Π and β runs per query.
+//
 // This is the constructive content of "≤NC_fa is compatible with ΠTP":
 // tractability flows backwards along reductions.
 func TransportScheme(red *Reduction, target *Scheme) *Scheme {
@@ -103,12 +105,18 @@ func TransportScheme(red *Reduction, target *Scheme) *Scheme {
 			}
 			return target.Preprocess(ad)
 		},
-		Answer: func(pd, q []byte) (bool, error) {
-			bq, err := red.Beta(q)
+		Prepare: func(pd []byte) (Answerer, error) {
+			a, err := target.Prepare(pd)
 			if err != nil {
-				return false, err
+				return nil, err
 			}
-			return target.Answer(pd, bq)
+			return AnswererFunc(func(q []byte) (bool, error) {
+				bq, err := red.Beta(q)
+				if err != nil {
+					return false, err
+				}
+				return a.Answer(bq)
+			}), nil
 		},
 		PreprocessNote: target.PreprocessNote + " after α",
 		AnswerNote:     target.AnswerNote + " after β",

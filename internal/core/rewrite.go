@@ -78,13 +78,13 @@ func (s *RewritingScheme) Plain() *Scheme {
 	return &Scheme{
 		SchemeName: s.SchemeName + "/flattened",
 		Preprocess: s.Preprocess,
-		Answer: func(pd, q []byte) (bool, error) {
+		Prepare: ProbeInPlace(func(pd, q []byte) (bool, error) {
 			lq, err := s.Rewrite(q)
 			if err != nil {
 				return false, err
 			}
 			return s.Answer(pd, lq)
-		},
+		}),
 		PreprocessNote: s.PreprocessNote,
 		AnswerNote:     s.AnswerNote + " after λ",
 	}

@@ -12,30 +12,24 @@ import "fmt"
 // measured growth (see Classify) rather than asserting them blindly.
 //
 // Schemes obey the concurrency contract documented in batch.go: Preprocess
-// runs once, up front; Answer must then be safe from any number of
-// goroutines sharing one preprocessed store (see AnswerBatch for the
+// runs once, up front; Prepare then reads Π(D) once into an Answerer, whose
+// Answer must be safe from any number of goroutines (see AnswerBatch for the
 // worker-pool entry point).
 type Scheme struct {
 	SchemeName string
 	// Preprocess is Π(·), run once per database, off-line, in PTIME.
 	Preprocess func(d []byte) ([]byte, error)
-	// Answer decides ⟨Π(D), Q⟩ ∈ S′; it must meet the NC budget. It must
-	// treat pd and q as read-only and be safe for concurrent use.
-	Answer func(pd, q []byte) (bool, error)
-	// PrepareAnswerer, when non-nil, decodes one preprocessed string into a
-	// typed Answerer whose Answer(q) probes without re-validating or
-	// re-decoding pd — the hot-path form the serving layers answer through
-	// (see prepared.go and the Prepare method). It must produce verdicts and
-	// error strings identical to Answer on the same pd; the schemes package
-	// pins that differentially. Declare one only where it saves per-query
-	// work; nil means Prepare closes over the raw Answer, which is the right
-	// prepared form for a Π laid out for probing.
-	PrepareAnswerer func(pd []byte) (Answerer, error)
+	// Prepare is the answering procedure: it frames and validates one
+	// preprocessed string once and returns an Answerer whose Answer(q)
+	// decides ⟨Π(D), Q⟩ ∈ S′ within the NC budget (prepared.go). It must
+	// treat pd as read-only. A Π probed in its own bytes with nothing to
+	// frame declares ProbeInPlace over its probe.
+	Prepare func(pd []byte) (Answerer, error)
 	// PreprocessNote and AnswerNote document the claimed complexities,
 	// e.g. "O(|D| log |D|)" and "O(log |D|)".
 	PreprocessNote string
 	AnswerNote     string
-	// Traversal declares that Answer's work grows with |D| — a traversal,
+	// Traversal declares that a probe's work grows with |D| — a traversal,
 	// scan or evaluation per query, the baselines the paper uses to show
 	// what Π avoids; the serving layer memoises verdicts only for these.
 	// The zero value is an index probe: Π already made the answer cheaper
@@ -45,6 +39,20 @@ type Scheme struct {
 
 // Name identifies the scheme.
 func (s *Scheme) Name() string { return s.SchemeName }
+
+// Answer decides one query against pd: Prepare, then one probe. It pays a
+// Prepare per call — the closure's rows decoded, the labels decoded, a key
+// file's samples checked — so anything that answers more than once against
+// one Π prepares once and probes the Answerer instead. It is kept for Decide
+// and one-shot callers. Prepare's error comes back unwrapped, so a refused Π
+// reads the same here as at Prepare.
+func (s *Scheme) Answer(pd, q []byte) (bool, error) {
+	a, err := s.Prepare(pd)
+	if err != nil {
+		return false, err
+	}
+	return a.Answer(q)
+}
 
 // Decide answers one pair end-to-end (preprocessing included). Production
 // use preprocesses once and answers many times; Decide exists for
@@ -58,24 +66,28 @@ func (s *Scheme) Decide(d, q []byte) (bool, error) {
 }
 
 // VerifyAgainst checks Definition 1's equivalence on concrete pairs: for
-// every (d, q) supplied, ⟨d,q⟩ ∈ S iff Answer(Π(d), q). Preprocessing runs
-// once per distinct data part, mirroring real usage.
+// every (d, q) supplied, ⟨d,q⟩ ∈ S iff Prepare(Π(d)) answers q true.
+// Preprocessing and Prepare run once per distinct data part, mirroring real
+// usage.
 func (s *Scheme) VerifyAgainst(lang Language, pairs []Pair) error {
-	cache := map[string][]byte{}
+	cache := map[string]Answerer{}
 	for i, p := range pairs {
 		want, err := lang.Contains(p.D, p.Q)
 		if err != nil {
 			return fmt.Errorf("scheme %s: language %s on pair %d: %w", s.SchemeName, lang.Name(), i, err)
 		}
-		pd, ok := cache[string(p.D)]
+		a, ok := cache[string(p.D)]
 		if !ok {
-			pd, err = s.Preprocess(p.D)
+			pd, err := s.Preprocess(p.D)
 			if err != nil {
 				return fmt.Errorf("scheme %s: preprocess pair %d: %w", s.SchemeName, i, err)
 			}
-			cache[string(p.D)] = pd
+			if a, err = s.Prepare(pd); err != nil {
+				return fmt.Errorf("scheme %s: answer pair %d: %w", s.SchemeName, i, err)
+			}
+			cache[string(p.D)] = a
 		}
-		got, err := s.Answer(pd, p.Q)
+		got, err := a.Answer(p.Q)
 		if err != nil {
 			return fmt.Errorf("scheme %s: answer pair %d: %w", s.SchemeName, i, err)
 		}

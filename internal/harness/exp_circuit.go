@@ -47,13 +47,14 @@ func C8CVP(s Scale) (*Table, error) {
 				panic(err)
 			}
 		})
+		readout := answerer(gateScheme, prep)
 		qi := 0
 		evalNs := timeOp(8, func() {
 			_, _ = lang.Contains(d, queries[qi%len(queries)])
 			qi++
 		})
 		readNs := timeOp(4096, func() {
-			_, _ = gateScheme.Answer(prep, queries[qi%len(queries)])
+			_, _ = readout.Answer(queries[qi%len(queries)])
 			qi++
 		})
 		t.AddRow(circ.Size(), evalNs, readNs, prepNs, evalNs/readNs)
@@ -86,19 +87,21 @@ func T9Separation(s Scale) (*Table, error) {
 			return nil, err
 		}
 		outQuery := schemes.GateQuery(int(circ.Output))
+		eval := answerer(noPre, nil)
+		read := answerer(gateScheme, prep)
 		// Υ0: the whole instance is the query; answered from scratch.
 		slowNs := timeOp(8, func() {
-			_, _ = noPre.Answer(nil, d)
+			_, _ = eval.Answer(d)
 		})
 		fastNs := timeOp(4096, func() {
-			_, _ = gateScheme.Answer(prep, outQuery)
+			_, _ = read.Answer(outQuery)
 		})
 		// Agreement.
-		a, err := noPre.Answer(nil, d)
+		a, err := eval.Answer(d)
 		if err != nil {
 			return nil, err
 		}
-		b, err := gateScheme.Answer(prep, outQuery)
+		b, err := read.Answer(outQuery)
 		if err != nil {
 			return nil, err
 		}
@@ -153,10 +156,11 @@ func T5Chain(s Scale) (*Table, error) {
 					panic(err)
 				}
 			})
+			a := answerer(scheme, prep)
 			var got bool
 			ansNs += timeOp(64, func() {
 				var err error
-				got, err = scheme.Answer(prep, x)
+				got, err = a.Answer(x)
 				if err != nil {
 					panic(err)
 				}

@@ -219,13 +219,12 @@ func C12FunctionAndRewriting(s Scale) (*Table, error) {
 		for i := range queries {
 			queries[i] = schemes.PointQuery(rng.Int63n(int64(n)))
 		}
+		a := answerer(vr.Plain(), pd)
 		qi := 0
 		applyNs := timeOp(4096, func() {
-			lq, err := vr.Rewrite(queries[qi%len(queries)])
-			if err != nil {
+			if _, err := a.Answer(queries[qi%len(queries)]); err != nil {
 				panic(err)
 			}
-			_, _ = vr.Answer(pd, lq)
 			qi++
 		})
 		t.AddRow("views/λ-rewriting", n, prepNs, applyNs, "⟨Π(D), λ(Q)⟩ ∈ S′")

@@ -150,6 +150,17 @@ func Parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// answerer is Prepare of pd — the answering procedure a store serves —
+// run once, outside the timed loops. pd was just built by the same scheme's
+// Preprocess (or is D itself for a baseline), so a refusal is a bug.
+func answerer(s *core.Scheme, pd []byte) core.Answerer {
+	a, err := s.Prepare(pd)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
 // timeOp measures the mean wall time of f over iters runs, in nanoseconds.
 func timeOp(iters int, f func()) float64 {
 	if iters < 1 {

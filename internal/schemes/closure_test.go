@@ -169,7 +169,7 @@ func closureShapes() map[string]*graph.Graph {
 // TestClosurePiBytesUnchanged: Preprocess emits, byte for byte, the
 // reference Π — snapshots, pi_bytes_per_data_byte and VerifyIncremental all
 // depend on those exact bytes — and the prepared form
-// loaded from them agrees with the raw probe on every pair.
+// loaded from them agrees with ApplyDelta's reader on every pair.
 func TestClosurePiBytesUnchanged(t *testing.T) {
 	for name, g := range closureShapes() {
 		want := closureBytesRef(g)
@@ -187,8 +187,8 @@ func TestClosurePiBytesUnchanged(t *testing.T) {
 		lr := a.(LocalReach)
 		for u := 0; u < g.N(); u++ {
 			for v := 0; v < g.N(); v++ {
-				if raw, _ := closureReach(got, u, v); lr.Reach(u, v) != raw {
-					t.Fatalf("%s: prepared (%d,%d) = %v, raw probe %v", name, u, v, lr.Reach(u, v), raw)
+				if framed, _ := frameProbe(got, u, v); lr.Reach(u, v) != framed {
+					t.Fatalf("%s: prepared (%d,%d) = %v, framed probe %v", name, u, v, lr.Reach(u, v), framed)
 				}
 			}
 		}
@@ -244,10 +244,10 @@ func TestClosureVertexCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range [][]byte{NodePairQuery(0, n-1), NodePairQuery(n-1, 0), NodePairQuery(n/2, 7)} {
-		raw, rawErr := s.Answer(pd, q)
+		once, onceErr := s.Answer(pd, q)
 		prep, prepErr := a.Answer(q)
-		if rawErr != nil || prepErr != nil || !raw || !prep {
-			t.Fatalf("on one cycle every pair is reachable: raw %v %v, prepared %v %v", raw, rawErr, prep, prepErr)
+		if onceErr != nil || prepErr != nil || !once || !prep {
+			t.Fatalf("on one cycle every pair is reachable: one-shot %v %v, prepared %v %v", once, onceErr, prep, prepErr)
 		}
 	}
 	// Cutting the cycle makes a path of n classes: the PATCH is refused like
@@ -259,8 +259,8 @@ func TestClosureVertexCap(t *testing.T) {
 
 // closureCorruptions derives, from a valid Π over n ≥ 2 vertices whose k
 // classes leave room in a w-bit id for k itself, one payload per thing the
-// framing or the probe validates. Each must be refused by the raw probe of
-// (0,1), by Prepare — with the same string — and by ApplyDelta.
+// framing or the probe validates. Each must be refused by Answer of (0,1),
+// by Prepare — with the same string — and by ApplyDelta.
 func closureCorruptions(t *testing.T, pd []byte) map[string][]byte {
 	t.Helper()
 	n, cond, _, err := closureParts(pd)
@@ -352,7 +352,7 @@ func arcFileCorruptions(tb testing.TB) map[string][]byte {
 
 // TestClosureArcFileStreamChecks: every arc-file corruption is refused by a
 // delete, the reader that streams the arcs — and the one whose id is past n²
-// already by the framing, so by the raw probe and Prepare too.
+// already by the framing, so by Prepare too.
 func TestClosureArcFileStreamChecks(t *testing.T) {
 	for name, bad := range arcFileCorruptions(t) {
 		_, delErr := applyClosureDelta(bad, EdgeDeleteDelta(0, 1))
@@ -435,10 +435,26 @@ func TestClosureDeltaCanonical(t *testing.T) {
 	}
 }
 
-// FuzzClosureDecode: arbitrary bytes as Π never panic the raw probe, Prepare
-// or ApplyDelta, and a payload Prepare accepts answers every pair (of a small
-// n) the same raw and prepared. The seeds include every arc file the stream
-// refuses though its header holds (arcFileCorruptions).
+// frameProbe is ApplyDelta's reader of one pair: the payload framed by
+// closureParts, then the two class ids and the bit read straight off the wire
+// form by graph.ProbeCondensedClosure — the probe a closure delta decides
+// maintenance with (incremental.go), never the n ids it does not read.
+func frameProbe(pd []byte, u, v int) (bool, error) {
+	n, cond, _, err := closureParts(pd)
+	if err != nil {
+		return false, err
+	}
+	if u < 0 || u >= n || v < 0 || v >= n {
+		return false, fmt.Errorf("schemes: node pair (%d,%d) out of range [0,%d)", u, v, n)
+	}
+	return graph.ProbeCondensedClosure(cond, n, u, v)
+}
+
+// FuzzClosureDecode: arbitrary bytes as Π never panic Prepare, ApplyDelta or
+// ApplyDelta's framed probe, and on a payload Prepare accepts the prepared
+// Reach of every pair (of a small n) equals the framed probe. The seeds
+// include every arc file the stream refuses though its header holds
+// (arcFileCorruptions).
 func FuzzClosureDecode(f *testing.F) {
 	for _, g := range closureShapes() {
 		if g.N() > 70 {
@@ -468,12 +484,12 @@ func FuzzClosureDecode(f *testing.F) {
 		_, _ = applyClosureDelta(pd, EdgeDeleteDelta(0, 1))
 		for u := 0; u < min(n, 64); u++ {
 			for v := 0; v < min(n, 64); v++ {
-				raw, rawErr := closureReach(pd, u, v)
+				framed, probeErr := frameProbe(pd, u, v)
 				if prepErr != nil {
-					continue // the raw probe checks only what it reads
+					continue // the framed probe checks only what it reads
 				}
-				if prep := a.(LocalReach).Reach(u, v); rawErr != nil || raw != prep {
-					t.Fatalf("accepted payload, pair (%d,%d): raw %v %v, prepared %v", u, v, raw, rawErr, prep)
+				if prep := a.(LocalReach).Reach(u, v); probeErr != nil || framed != prep {
+					t.Fatalf("accepted payload, pair (%d,%d): framed %v %v, prepared %v", u, v, framed, probeErr, prep)
 				}
 			}
 		}
@@ -549,9 +565,9 @@ func BenchmarkClosureApplyDelta(b *testing.B) {
 }
 
 // BenchmarkClosureProbe: one reachability query against the closure-matrix Π
-// of the benchmark workload's graph, through the raw Answer (the framing
-// checked per call) and through the prepared answerer. It uses nothing the
-// layout names, so the same file times the parent.
+// of the benchmark workload's graph, through the one-shot Answer (a Prepare
+// per call) and through the prepared answerer. It uses nothing the layout
+// names, so the same file times the parent.
 func BenchmarkClosureProbe(b *testing.B) {
 	s := ReachabilityScheme()
 	g := graph.RandomDirected(4096, 16384, 1)
@@ -568,7 +584,7 @@ func BenchmarkClosureProbe(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("raw", func(b *testing.B) {
+	b.Run("one-shot", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := s.Answer(pd, qs[i&1023]); err != nil {

@@ -1,10 +1,10 @@
 package schemes
 
 // The scheme concurrency contract (core/batch.go) promises that after one
-// preprocessing pass, Answer is safe from any number of goroutines. This
-// file enforces the contract for every scheme in the package: a stress
-// test hammers each scheme's Answer from many goroutines under the race
-// detector, and a batch test checks AnswerBatch against one-at-a-time
+// preprocessing pass and one Prepare, the Answerer is safe from any number
+// of goroutines. This file enforces the contract for every scheme in the
+// package: a stress test hammers each scheme's one Answerer from many
+// goroutines under the race detector, and a batch test checks AnswerBatch against one-at-a-time
 // answering on real schemes (including the Theorem 5 chain, whose
 // compiled-tableau cache is the one piece of shared mutable state).
 
@@ -91,10 +91,10 @@ func cvpInstanceBytes(t testing.TB, gates int) []byte {
 	return circuit.EncodeInstance(&circuit.Instance{Circuit: circ, Inputs: circuit.RandomInputs(8, 22)})
 }
 
-// TestAnswerConcurrencyContract preprocesses each scheme once, computes
-// the expected verdicts sequentially, then fires many goroutines that
-// replay all queries concurrently. Run under -race this catches both data
-// races and nondeterministic answers.
+// TestAnswerConcurrencyContract preprocesses and prepares each scheme once,
+// computes the expected verdicts sequentially, then fires many goroutines
+// that replay all queries concurrently against the one Answerer. Run under
+// -race this catches both data races and nondeterministic answers.
 func TestAnswerConcurrencyContract(t *testing.T) {
 	const goroutines = 12
 	for _, tc := range allSchemeCases(t) {
@@ -103,9 +103,13 @@ func TestAnswerConcurrencyContract(t *testing.T) {
 			if err != nil {
 				t.Fatalf("preprocess: %v", err)
 			}
+			a, err := tc.scheme.Prepare(pd)
+			if err != nil {
+				t.Fatalf("prepare: %v", err)
+			}
 			want := make([]bool, len(tc.queries))
 			for i, q := range tc.queries {
-				want[i], err = tc.scheme.Answer(pd, q)
+				want[i], err = a.Answer(q)
 				if err != nil {
 					t.Fatalf("sequential answer %d: %v", i, err)
 				}
@@ -121,7 +125,7 @@ func TestAnswerConcurrencyContract(t *testing.T) {
 					// offset so distinct queries overlap in time.
 					for k := range tc.queries {
 						i := (k + g*7) % len(tc.queries)
-						got, err := tc.scheme.Answer(pd, tc.queries[i])
+						got, err := a.Answer(tc.queries[i])
 						if err != nil {
 							errc <- fmt.Errorf("goroutine %d query %d: %v", g, i, err)
 							return
@@ -170,8 +174,8 @@ func TestAnswerBatchMatchesLoop(t *testing.T) {
 
 // TestPreparedBFSSharedByConcurrentAskers: the BFS baseline's prepared form
 // is one immutable CSR plus a pool of per-search scratch, so 8 goroutines
-// asking one answerer at once (run under -race) must each get the raw
-// scheme's verdict — through Answer and through the typed LocalReach face
+// asking one answerer at once (run under -race) must each get the
+// Language's verdict — through Answer and through the typed LocalReach face
 // sharded reachability uses.
 func TestPreparedBFSSharedByConcurrentAskers(t *testing.T) {
 	const n, goroutines = 160, 8
@@ -196,21 +200,21 @@ func TestPreparedBFSSharedByConcurrentAskers(t *testing.T) {
 				for i := 0; i < 600; i++ {
 					u, v := (i*7+w*13)%n, (i*11+w*29)%n
 					q := NodePairQuery(u, v)
-					want, err := s.Answer(pd, q)
+					want, err := ReachabilityLanguage().Contains(pd, q)
 					if err != nil {
-						t.Errorf("%s: raw answer (%d,%d): %v", name, u, v, err)
+						t.Errorf("%s: reference (%d,%d): %v", name, u, v, err)
 						return
 					}
 					got, err := ans.Answer(q)
 					if err != nil || got != want || lr.Reach(u, v) != want {
-						t.Errorf("%s: worker %d: (%d,%d) prepared %v (%v), Reach %v, raw %v", name, w, u, v, got, err, lr.Reach(u, v), want)
+						t.Errorf("%s: worker %d: (%d,%d) prepared %v (%v), Reach %v, reference %v", name, w, u, v, got, err, lr.Reach(u, v), want)
 						return
 					}
 					if i%100 == 0 {
 						clear(row)
 						lr.ReachTo(v, row)
 						if row[u>>6]>>(u&63)&1 != 0 != want {
-							t.Errorf("%s: worker %d: ReachTo(%d) bit %d disagrees with raw %v", name, w, v, u, want)
+							t.Errorf("%s: worker %d: ReachTo(%d) bit %d disagrees with reference %v", name, w, v, u, want)
 							return
 						}
 					}

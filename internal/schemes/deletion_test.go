@@ -223,7 +223,7 @@ func TestNoReappearance(t *testing.T) {
 // graph appendix (whose undirected flag may also predate it), n² bits with
 // it, and the condensation with 2-byte class ids and the graph's uvarint
 // encoding as the appendix: the header's layout bits are required, so every
-// reader refuses such a payload — a delete, an insert, a raw probe, Prepare —
+// reader refuses such a payload — a delete, an insert, Answer, Prepare —
 // with one error that tells the operator what to do. Never misread, never a
 // panic.
 func TestPreAppendixClosureRefusesDeletes(t *testing.T) {
@@ -239,16 +239,16 @@ func TestPreAppendixClosureRefusesDeletes(t *testing.T) {
 		"uvarint-appendix":        uvarintClosureBytesRef(g),
 		"uvarint-undirected":      uvarintClosureBytesRef(ug),
 	} {
-		_, rawErr := inc.Scheme.Answer(legacy, NodePairQuery(0, 1))
+		_, answerErr := inc.Scheme.Answer(legacy, NodePairQuery(0, 1))
 		_, prepErr := inc.Scheme.Prepare(legacy)
 		_, insErr := inc.ApplyDelta(legacy, EdgeDelta(1, 2))
 		_, delErr := inc.ApplyDelta(legacy, EdgeDeleteDelta(0, 1))
-		for reader, err := range map[string]error{"Answer": rawErr, "Prepare": prepErr, "insert": insErr, "delete": delErr} {
+		for reader, err := range map[string]error{"Answer": answerErr, "Prepare": prepErr, "insert": insErr, "delete": delErr} {
 			if err == nil {
 				t.Fatalf("%s: %s read a legacy layout", name, reader)
 			}
-			if err.Error() != rawErr.Error() || !strings.Contains(err.Error(), "re-register") {
-				t.Fatalf("%s: %s refused with %q; want the one error (%q) that says to re-register", name, reader, err, rawErr)
+			if err.Error() != answerErr.Error() || !strings.Contains(err.Error(), "re-register") {
+				t.Fatalf("%s: %s refused with %q; want the one error (%q) that says to re-register", name, reader, err, answerErr)
 			}
 		}
 	}

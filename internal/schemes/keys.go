@@ -664,18 +664,8 @@ func answerRange(f *keyFile, q []byte) (bool, error) {
 	return i < f.n && v <= biasKey(hi), err
 }
 
-// raw is the scheme's Answer: the header checked on every call, then the
-// probe.
-func (probe keyProbe) raw(pd, q []byte) (bool, error) {
-	f, err := parseKeyFile(pd)
-	if err != nil {
-		return false, err
-	}
-	return probe(&f, q)
-}
-
-// prepare is the scheme's PrepareAnswerer: the header and the sample table
-// checked once, over Π's own bytes.
+// prepare is the scheme's Prepare: the header and the sample table checked
+// once, over Π's own bytes.
 func (probe keyProbe) prepare(pd []byte) (core.Answerer, error) {
 	f, err := parseKeyFile(pd)
 	if err != nil {

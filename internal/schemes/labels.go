@@ -53,8 +53,8 @@ const (
 	labelsKindUndirected = 1
 )
 
-// reachLabels is the decoded labels payload — the typed form both the raw
-// Answer (per call) and the prepared answerer (once) decode into.
+// reachLabels is the decoded labels payload — the typed form Prepare decodes
+// into once, and ApplyDelta reads the graph appendix of.
 type reachLabels struct {
 	n          int  // original vertex count
 	undirected bool // payload kind
@@ -520,7 +520,7 @@ func (a *labelsAnswerer) ReachTo(v int, col []uint64) {
 	}
 }
 
-// prepareLabels decodes the payload once (same errors as the raw path).
+// prepareLabels decodes and validates the payload once.
 func prepareLabels(pd []byte) (core.Answerer, error) {
 	rl, err := decodeLabels(pd)
 	if err != nil {
@@ -535,25 +535,11 @@ func prepareLabels(pd []byte) (core.Answerer, error) {
 // the differential oracle.
 func ReachabilityLabelsScheme() *core.Scheme {
 	return &core.Scheme{
-		SchemeName: "reachability/labels",
-		Preprocess: preprocessLabels,
-		Answer: func(pd, q []byte) (bool, error) {
-			u, v, err := DecodeNodePairQuery(q)
-			if err != nil {
-				return false, err
-			}
-			rl, err := decodeLabels(pd)
-			if err != nil {
-				return false, err
-			}
-			if u < 0 || u >= rl.n || v < 0 || v >= rl.n {
-				return false, fmt.Errorf("schemes: node pair (%d,%d) out of range [0,%d)", u, v, rl.n)
-			}
-			return rl.reach(u, v), nil
-		},
-		PrepareAnswerer: prepareLabels,
-		PreprocessNote:  "O(compress) + O(PLL(Dc)) — labels built on the compressed DAG",
-		AnswerNote:      "O(|Lout| + |Lin|) label intersection",
+		SchemeName:     "reachability/labels",
+		Preprocess:     preprocessLabels,
+		Prepare:        prepareLabels,
+		PreprocessNote: "O(compress) + O(PLL(Dc)) — labels built on the compressed DAG",
+		AnswerNote:     "O(|Lout| + |Lin|) label intersection",
 	}
 }
 

@@ -1,26 +1,24 @@
 package schemes
 
-// Typed prepared answerers ((*core.Scheme).Prepare). A scheme declares one
-// only where Prepare saves per-query work: the closure, labels, CVP and
-// sorted-key forms validate their payload once, so a probe indexes without
-// re-checking (the key files' form is in keys.go: their header and samples
-// checked, over Π's own bytes); the search-per-query baselines (BFS, point
-// scan) decode their graph or relation once instead of per query. Where Π is
-// fixed-width records with nothing to frame or validate — the BDS pos file —
-// the raw Answer is the prepared form (core's adapter over it). Either way Π
-// is held once.
+// Typed prepared answerers: each is a scheme's Prepare, its one answering
+// procedure ((*core.Scheme).Answer is Prepare-then-probe). The closure,
+// labels, CVP and sorted-key forms validate their payload once, so a probe
+// indexes without re-checking (the key files' form is in keys.go: their
+// header and samples checked, over Π's own bytes); the search-per-query
+// baselines (BFS, point scan) decode their graph or relation once instead of
+// per query. Where Π is fixed-width records with nothing to frame or
+// validate — the BDS pos file — the scheme declares core.ProbeInPlace over
+// its probe instead. Either way Π is held once.
 //
-// Every answerer here is pinned differentially against the raw Answer
-// oracle (TestPreparedVsRawDifferential): identical verdicts and identical
-// error strings on the same inputs. Validation errors a raw Answer would
-// report per query are reported once, at Prepare, with the same message;
-// the serving layer (store.Store) surfaces that error on every Answer, so
-// the observable behavior of a corrupt Π is unchanged.
+// Every answerer is pinned against its scheme's Language, the independent
+// reference decider (TestPreparedMatchesLanguage): the same verdicts, and a
+// refusal for every malformed or out-of-range query. A corrupt Π is refused
+// once, at Prepare; the serving layer (store.Store) surfaces that error on
+// every answer.
 //
 // Concurrency: prepared forms are immutable after Prepare returns (the
 // decoded graph is normalized up front so traversals never mutate it), so
-// Answer is safe from any number of goroutines — the same contract as the
-// raw path (core/batch.go).
+// Answer is safe from any number of goroutines (core/batch.go).
 
 import (
 	"fmt"
@@ -75,9 +73,9 @@ func (a closureAnswerer) Answer(q []byte) (bool, error) {
 // Nodes implements LocalReach.
 func (a closureAnswerer) Nodes() int { return a.N() }
 
-// prepareClosure validates the payload once — the framing with the raw path's
-// errors, then every class id a probe or a bulk read will index by — and
-// decodes the closure.
+// prepareClosure validates the payload once — the framing (closureParts),
+// then every class id a probe or a bulk read will index by — and decodes the
+// closure.
 func prepareClosure(pd []byte) (core.Answerer, error) {
 	n, cond, _, err := closureParts(pd)
 	if err != nil {
@@ -127,8 +125,8 @@ func (a *bfsAnswerer) ReachFrom(u int, row []uint64) { a.g.ReachFrom(u, row) }
 // ReachTo implements LocalReach: one traversal of the in-arcs.
 func (a *bfsAnswerer) ReachTo(v int, col []uint64) { a.g.ReachTo(v, col) }
 
-// prepareBFS decodes the graph once — the whole point for a baseline whose
-// raw path re-decodes O(|V|+|E|) bytes per query.
+// prepareBFS decodes the graph once, so a query pays the search and not a
+// re-decode of O(|V|+|E|) bytes.
 func prepareBFS(pd []byte) (core.Answerer, error) {
 	g, err := graph.Decode(pd)
 	if err != nil {
@@ -159,8 +157,7 @@ func (a *cvpGateAnswerer) Answer(q []byte) (bool, error) {
 	return a.bits[g/8]&(1<<(g%8)) != 0, nil
 }
 
-// prepareCVPGates validates the gate-value header once (same errors as the
-// raw path).
+// prepareCVPGates validates the gate-value header once.
 func prepareCVPGates(pd []byte) (core.Answerer, error) {
 	n, err := gateValueHeader(pd)
 	if err != nil {

@@ -1,12 +1,10 @@
 package schemes
 
-// Differential pinning of the prepared answerers against the raw Answer
-// oracle: for every scheme in the table, the prepared probe must return the
-// identical verdict — and on bad queries the identical error string — as
-// Answer(pd, q) on the same preprocessed string. For the schemes that declare
-// no typed form that holds by construction (Prepare closes over the raw
-// Answer); their verdicts are pinned by VerifyAgainst the Language's
-// reference scan.
+// Definition 1 on the one answering procedure: for every scheme in the
+// table, the prepared probe — what a store serves — returns the verdict of
+// the scheme's Language, the independent reference decider, on hits,
+// misses, bounds violations and malformed queries alike, and refuses every
+// query the Language refuses.
 
 import (
 	"runtime"
@@ -18,10 +16,12 @@ import (
 	"pitract/internal/relation"
 )
 
-// preparedCase is one scheme plus a workload: a data part and a query mix
-// that exercises hits, misses, bounds violations, and malformed queries.
+// preparedCase is one scheme plus a workload: a data part, the Language that
+// decides it, and a query mix that exercises hits, misses, bounds violations,
+// and malformed queries.
 type preparedCase struct {
 	scheme  *core.Scheme
+	lang    core.Language
 	data    []byte
 	queries [][]byte
 }
@@ -59,47 +59,73 @@ func preparedCases(t *testing.T) map[string]preparedCase {
 
 	gateQueries := [][]byte{GateQuery(0), GateQuery(5), GateQuery(63), GateQuery(64), GateQuery(1 << 20), []byte{7}, nil}
 
+	reach := ReachabilityLanguage()
 	return map[string]preparedCase{
-		"point-sorted": {PointSelectionScheme(), rel.Encode(), selQueries},
-		"point-scan":   {PointSelectionScanScheme(), rel.Encode(), selQueries},
-		"range":        {RangeSelectionScheme(), rel.Encode(), rangeQueries},
-		"list":         {ListMembershipScheme(), list, selQueries},
-		"closure-dir":  {ReachabilityScheme(), dg.Encode(), pairQueries(48)},
-		"closure-und":  {ReachabilityScheme(), ug.Encode(), pairQueries(40)},
-		"labels-dir":   {ReachabilityLabelsScheme(), dg.Encode(), pairQueries(48)},
-		"labels-und":   {ReachabilityLabelsScheme(), ug.Encode(), pairQueries(40)},
-		"bfs":          {ReachabilityBFSScheme(), dg.Encode(), pairQueries(48)},
-		"bds":          {BDSScheme(), ug.Encode(), pairQueries(40)},
-		"cvp":          {CVPGateValueScheme(), cvp, gateQueries},
+		"point-sorted": {PointSelectionScheme(), SelectionLanguage(), rel.Encode(), selQueries},
+		"point-scan":   {PointSelectionScanScheme(), SelectionLanguage(), rel.Encode(), selQueries},
+		"range":        {RangeSelectionScheme(), RangeSelectionLanguage(), rel.Encode(), rangeQueries},
+		"list":         {ListMembershipScheme(), ListMembershipLanguage(), list, selQueries},
+		"closure-dir":  {ReachabilityScheme(), reach, dg.Encode(), pairQueries(48)},
+		"closure-und":  {ReachabilityScheme(), reach, ug.Encode(), pairQueries(40)},
+		"labels-dir":   {ReachabilityLabelsScheme(), reach, dg.Encode(), pairQueries(48)},
+		"labels-und":   {ReachabilityLabelsScheme(), reach, ug.Encode(), pairQueries(40)},
+		"bfs":          {ReachabilityBFSScheme(), reach, dg.Encode(), pairQueries(48)},
+		"bds":          {BDSScheme(), BDSLanguage(), ug.Encode(), pairQueries(40)},
+		"cvp":          {CVPGateValueScheme(), CVPGateLanguage(), cvp, gateQueries},
 	}
 }
 
-// typedForm is which schemes declare a PrepareAnswerer: the ones whose
-// Prepare saves a validation or a decode per query. The sorted key files check
-// their header once there (and copy nothing); the BDS pos file is fixed-width
-// records, so its raw Answer is the prepared form. A scheme gaining or losing
-// a typed form is an edit here.
-var typedForm = map[string]bool{
-	"point-selection/sorted-keys": true,
-	"point-selection/scan":        true,
-	"range-selection/sorted-keys": true,
-	"list-membership/sorted":      true,
-	"reachability/closure-matrix": true,
-	"reachability/labels":         true,
-	"reachability/bfs-per-query":  true,
-	"bds/visit-order":             false,
-	"cvp/gate-values":             true,
+// noPreprocessingCases are the two schemes whose data part is ε and whose
+// query carries the whole instance (Figure 1's Υ′, Theorem 9's Υ0).
+func noPreprocessingCases(t *testing.T) map[string]preparedCase {
+	t.Helper()
+	ug := graph.RandomConnectedUndirected(24, 50, 8).Encode()
+	var bdsQueries [][]byte
+	for u := 0; u < 24; u += 5 {
+		for v := 1; v < 24; v += 4 {
+			bdsQueries = append(bdsQueries, core.PadPair(ug, NodePairQuery(u, v)))
+		}
+	}
+	bdsQueries = append(bdsQueries, core.PadPair(ug, NodePairQuery(24, 0)), []byte{1}, nil)
+
+	var cvpQueries [][]byte
+	for seed := int64(1); seed <= 6; seed++ {
+		c := circuit.Generate(circuit.GenConfig{Inputs: 5, Gates: 40, Seed: seed})
+		cvpQueries = append(cvpQueries, circuit.EncodeInstance(&circuit.Instance{Circuit: c, Inputs: circuit.RandomInputs(5, seed)}))
+	}
+	cvpQueries = append(cvpQueries, []byte{0xff, 0xff}, nil)
+	// Υ0's reference: every gate evaluated, then the output read.
+	outputGate := core.LanguageFunc{
+		LangName: "Υ0-CVP",
+		Decide: func(_, q []byte) (bool, error) {
+			inst, err := circuit.DecodeInstance(q)
+			if err != nil {
+				return false, err
+			}
+			vals, err := inst.Circuit.EvalAll(inst.Inputs)
+			if err != nil {
+				return false, err
+			}
+			return vals[inst.Circuit.Output], nil
+		},
+	}
+	return map[string]preparedCase{
+		"bds-no-preprocessing": {BDSNoPreprocessScheme(), core.PairLanguage(BDSProblem(), core.EmptyDataFactorization()), nil, bdsQueries},
+		"cvp-empty-data":       {CVPNoPreprocessScheme(), outputGate, nil, cvpQueries},
+	}
 }
 
-// TestPreparedVsRawDifferential pins prepared ≡ raw, query for query and
-// error string for error string.
-func TestPreparedVsRawDifferential(t *testing.T) {
-	for name, tc := range preparedCases(t) {
+// TestPreparedMatchesLanguage pins every served scheme's Answerer to its
+// Language, query for query: the same verdict where the Language decides,
+// and a refusal wherever the Language refuses the query (malformed, or a
+// vertex or gate out of range).
+func TestPreparedMatchesLanguage(t *testing.T) {
+	cases := preparedCases(t)
+	for name, tc := range noPreprocessingCases(t) {
+		cases[name] = tc
+	}
+	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
-			want, listed := typedForm[tc.scheme.Name()]
-			if got := tc.scheme.PrepareAnswerer != nil; !listed || got != want {
-				t.Fatalf("scheme %s: typed prepared form declared = %v, typedForm says %v (listed %v)", tc.scheme.Name(), got, want, listed)
-			}
 			pd, err := tc.scheme.Preprocess(tc.data)
 			if err != nil {
 				t.Fatal(err)
@@ -108,21 +134,23 @@ func TestPreparedVsRawDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("prepare: %v", err)
 			}
+			refused := 0
 			for i, q := range tc.queries {
-				rawGot, rawErr := tc.scheme.Answer(pd, q)
-				prepGot, prepErr := ans.Answer(q)
-				if (rawErr == nil) != (prepErr == nil) {
-					t.Fatalf("query %d: raw err %v, prepared err %v", i, rawErr, prepErr)
-				}
-				if rawErr != nil {
-					if rawErr.Error() != prepErr.Error() {
-						t.Fatalf("query %d: error strings diverge:\n raw:      %v\n prepared: %v", i, rawErr, prepErr)
+				want, langErr := tc.lang.Contains(tc.data, q)
+				got, err := ans.Answer(q)
+				if langErr != nil {
+					if err == nil {
+						t.Fatalf("query %d: answered %v; %s refuses it: %v", i, got, tc.lang.Name(), langErr)
 					}
+					refused++
 					continue
 				}
-				if rawGot != prepGot {
-					t.Fatalf("query %d: raw %v, prepared %v", i, rawGot, prepGot)
+				if err != nil || got != want {
+					t.Fatalf("query %d: prepared (%v, %v), %s says %v", i, got, err, tc.lang.Name(), want)
 				}
+			}
+			if refused == 0 || refused == len(tc.queries) {
+				t.Fatalf("%d of %d queries refused; the mix must hold both kinds", refused, len(tc.queries))
 			}
 		})
 	}
@@ -167,31 +195,6 @@ func TestPreparedRejectsCorruptPayload(t *testing.T) {
 				t.Fatalf("error strings diverge:\n raw:      %v\n prepared: %v", rawErr, prepErr)
 			}
 		})
-	}
-}
-
-// TestPreparedFallbackCoversEveryScheme pins the seam's totality: a scheme
-// without a typed prepared form still answers through Prepare (via the raw
-// fallback), identically to Answer.
-func TestPreparedFallbackCoversEveryScheme(t *testing.T) {
-	s := BDSNoPreprocessScheme()
-	pd, err := s.Preprocess(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ans, err := s.Prepare(pd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := graph.RandomConnectedUndirected(16, 30, 2)
-	q := core.PadPair(g.Encode(), NodePairQuery(1, 5))
-	rawGot, rawErr := s.Answer(pd, q)
-	prepGot, prepErr := ans.Answer(q)
-	if rawErr != nil || prepErr != nil {
-		t.Fatalf("raw err %v, prepared err %v", rawErr, prepErr)
-	}
-	if rawGot != prepGot {
-		t.Fatalf("fallback diverged: raw %v, prepared %v", rawGot, prepGot)
 	}
 }
 

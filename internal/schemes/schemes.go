@@ -96,10 +96,9 @@ func PointSelectionScheme() *core.Scheme {
 			}
 			return keyFileBytes(dedupSorted(keys))
 		},
-		Answer:          keyProbe(answerPoint).raw,
-		PrepareAnswerer: keyProbe(answerPoint).prepare,
-		PreprocessNote:  "O(|D| log |D|)",
-		AnswerNote:      keysAnswerNote,
+		Prepare:        keyProbe(answerPoint).prepare,
+		PreprocessNote: "O(|D| log |D|)",
+		AnswerNote:     keysAnswerNote,
 	}
 }
 
@@ -110,15 +109,12 @@ const keysAnswerNote = "one sample, ≤ 256 buckets of high bits, a search of on
 // identity and every query scans D.
 func PointSelectionScanScheme() *core.Scheme {
 	return &core.Scheme{
-		SchemeName: "point-selection/scan",
-		Preprocess: func(d []byte) ([]byte, error) { return d, nil },
-		Answer: func(pd, q []byte) (bool, error) {
-			return SelectionLanguage().Contains(pd, q)
-		},
-		PrepareAnswerer: preparePointScan,
-		PreprocessNote:  "O(1)",
-		AnswerNote:      "O(|D|) per query",
-		Traversal:       true,
+		SchemeName:     "point-selection/scan",
+		Preprocess:     func(d []byte) ([]byte, error) { return d, nil },
+		Prepare:        preparePointScan,
+		PreprocessNote: "O(1)",
+		AnswerNote:     "O(|D|) per query",
+		Traversal:      true,
 	}
 }
 
@@ -144,12 +140,11 @@ func RangeSelectionLanguage() core.Language {
 // key file.
 func RangeSelectionScheme() *core.Scheme {
 	return &core.Scheme{
-		SchemeName:      "range-selection/sorted-keys",
-		Preprocess:      PointSelectionScheme().Preprocess,
-		Answer:          keyProbe(answerRange).raw,
-		PrepareAnswerer: keyProbe(answerRange).prepare,
-		PreprocessNote:  "O(|D| log |D|)",
-		AnswerNote:      keysAnswerNote,
+		SchemeName:     "range-selection/sorted-keys",
+		Preprocess:     PointSelectionScheme().Preprocess,
+		Prepare:        keyProbe(answerRange).prepare,
+		PreprocessNote: "O(|D| log |D|)",
+		AnswerNote:     keysAnswerNote,
 	}
 }
 
@@ -222,10 +217,9 @@ func ListMembershipScheme() *core.Scheme {
 			}
 			return keyFileBytes(dedupSorted(list))
 		},
-		Answer:          keyProbe(answerPoint).raw,
-		PrepareAnswerer: keyProbe(answerPoint).prepare,
-		PreprocessNote:  "O(|M| log |M|)",
-		AnswerNote:      keysAnswerNote,
+		Prepare:        keyProbe(answerPoint).prepare,
+		PreprocessNote: "O(|M| log |M|)",
+		AnswerNote:     keysAnswerNote,
 	}
 }
 
@@ -364,26 +358,6 @@ func closureBytes(g *graph.Graph) ([]byte, error) {
 	return append(c.AppendWire(b), arcs...), nil
 }
 
-// closureReach is the raw-path probe: pd is arbitrary here, so the framing is
-// validated per call — once — then the pair's range, then the two class ids
-// the probe reads (graph.ProbeCondensedClosure) — never the n ids it does
-// not. It is the differential oracle for the prepared closureAnswerer, which
-// validates everything once at Prepare.
-func closureReach(pd []byte, u, v int) (bool, error) {
-	n, cond, _, err := closureParts(pd)
-	if err != nil {
-		return false, err
-	}
-	if u < 0 || u >= n || v < 0 || v >= n {
-		return false, fmt.Errorf("schemes: node pair (%d,%d) out of range [0,%d)", u, v, n)
-	}
-	ok, err := graph.ProbeCondensedClosure(cond, n, u, v)
-	if err != nil {
-		return false, fmt.Errorf("schemes: %w", err)
-	}
-	return ok, nil
-}
-
 // ReachabilityScheme precomputes the all-pairs matrix ("we may precompute a
 // matrix that records the reachability between all pairs of nodes") — stored
 // over the condensation, one row per strongly connected class — and answers in
@@ -398,31 +372,21 @@ func ReachabilityScheme() *core.Scheme {
 			}
 			return closureBytes(g)
 		},
-		Answer: func(pd, q []byte) (bool, error) {
-			u, v, err := DecodeNodePairQuery(q)
-			if err != nil {
-				return false, err
-			}
-			return closureReach(pd, u, v)
-		},
-		PrepareAnswerer: prepareClosure,
-		PreprocessNote:  "O(|V|+|E|) condensation + O(|E_c|·k/64) word ORs over the k classes; Π is ⌈n·w/8⌉ + k²/8 bytes (w = ⌈log₂ k⌉) + an Elias–Fano arc file",
-		AnswerNote:      "O(1)",
+		Prepare:        prepareClosure,
+		PreprocessNote: "O(|V|+|E|) condensation + O(|E_c|·k/64) word ORs over the k classes; Π is ⌈n·w/8⌉ + k²/8 bytes (w = ⌈log₂ k⌉) + an Elias–Fano arc file",
+		AnswerNote:     "O(1)",
 	}
 }
 
 // ReachabilityBFSScheme is the baseline: no preprocessing, BFS per query.
 func ReachabilityBFSScheme() *core.Scheme {
 	return &core.Scheme{
-		SchemeName: "reachability/bfs-per-query",
-		Preprocess: func(d []byte) ([]byte, error) { return d, nil },
-		Answer: func(pd, q []byte) (bool, error) {
-			return ReachabilityLanguage().Contains(pd, q)
-		},
-		PrepareAnswerer: prepareBFS,
-		PreprocessNote:  "O(1)",
-		AnswerNote:      "O(|V|+|E|) per query",
-		Traversal:       true,
+		SchemeName:     "reachability/bfs-per-query",
+		Preprocess:     func(d []byte) ([]byte, error) { return d, nil },
+		Prepare:        prepareBFS,
+		PreprocessNote: "O(1)",
+		AnswerNote:     "O(|V|+|E|) per query",
+		Traversal:      true,
 	}
 }
 
@@ -503,7 +467,7 @@ func BDSScheme() *core.Scheme {
 			}
 			return posArrayBytes(idx), nil
 		},
-		Answer: func(pd, q []byte) (bool, error) {
+		Prepare: core.ProbeInPlace(func(pd, q []byte) (bool, error) {
 			u, v, err := DecodeNodePairQuery(q)
 			if err != nil {
 				return false, err
@@ -515,7 +479,7 @@ func BDSScheme() *core.Scheme {
 			pu := binary.BigEndian.Uint32(pd[u*4:])
 			pv := binary.BigEndian.Uint32(pd[v*4:])
 			return pu < pv, nil
-		},
+		}),
 		PreprocessNote: "O(|V|+|E|)",
 		AnswerNote:     "O(1) (O(log |M|) via binary search)",
 	}
@@ -533,9 +497,9 @@ func BDSNoPreprocessScheme() *core.Scheme {
 			}
 			return nil, nil
 		},
-		Answer: func(pd, q []byte) (bool, error) {
+		Prepare: core.ProbeInPlace(func(_, q []byte) (bool, error) {
 			return BDSProblem().Member(q)
-		},
+		}),
 		PreprocessNote: "O(1) (nothing to preprocess)",
 		AnswerNote:     "O(|V|+|E|) per query",
 	}
@@ -575,8 +539,8 @@ func CVPGateLanguage() core.Language {
 }
 
 // gateValueHeader parses and validates the gate-value header against the
-// payload length — hoisted out so the prepared path validates once instead
-// of per probe (the raw Answer keeps its inline checks as the oracle).
+// payload length, once, at Prepare (prepareCVPGates): a probe is then a
+// bounds check and one byte read.
 func gateValueHeader(pd []byte) (int, error) {
 	if len(pd) < 8 {
 		return 0, fmt.Errorf("schemes: corrupt gate-value header")
@@ -611,27 +575,9 @@ func CVPGateValueScheme() *core.Scheme {
 			}
 			return b, nil
 		},
-		Answer: func(pd, q []byte) (bool, error) {
-			if len(pd) < 8 {
-				return false, fmt.Errorf("schemes: corrupt gate-value header")
-			}
-			vs, err := core.DecodeUint64(q, 1)
-			if err != nil {
-				return false, err
-			}
-			g := int(vs[0])
-			n := int(binary.BigEndian.Uint64(pd))
-			if n < 0 || len(pd) != 8+(n+7)/8 {
-				return false, fmt.Errorf("schemes: gate-value payload is %d bytes, header claims n=%d", len(pd)-8, n)
-			}
-			if g < 0 || g >= n {
-				return false, fmt.Errorf("schemes: gate %d out of range [0,%d)", g, n)
-			}
-			return pd[8+g/8]&(1<<(g%8)) != 0, nil
-		},
-		PrepareAnswerer: prepareCVPGates,
-		PreprocessNote:  "O(|α|)",
-		AnswerNote:      "O(1)",
+		Prepare:        prepareCVPGates,
+		PreprocessNote: "O(|α|)",
+		AnswerNote:     "O(1)",
 	}
 }
 
@@ -647,13 +593,13 @@ func CVPNoPreprocessScheme() *core.Scheme {
 			}
 			return nil, nil
 		},
-		Answer: func(pd, q []byte) (bool, error) {
+		Prepare: core.ProbeInPlace(func(_, q []byte) (bool, error) {
 			inst, err := circuit.DecodeInstance(q)
 			if err != nil {
 				return false, err
 			}
 			return inst.Eval()
-		},
+		}),
 		PreprocessNote: "O(1) (constant input)",
 		AnswerNote:     "O(|α|) per query — preprocessing cannot help",
 	}

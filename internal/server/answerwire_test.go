@@ -104,12 +104,12 @@ func serveQuery(body []byte, limit int64) (int, string) {
 	scheme := &core.Scheme{
 		SchemeName: "test/echo",
 		Preprocess: func(d []byte) ([]byte, error) { return d, nil },
-		Answer: func(_, q []byte) (bool, error) {
+		Prepare: core.ProbeInPlace(func(_, q []byte) (bool, error) {
 			if len(q)%2 == 1 {
 				return false, fmt.Errorf("query %x", q)
 			}
 			return len(q) > 0 && q[0]&1 == 1, nil
-		},
+		}),
 	}
 	srv := New(store.NewRegistry(""), map[string]*core.Scheme{scheme.Name(): scheme})
 	if _, err := srv.Registry().Register("k", scheme, nil); err != nil {

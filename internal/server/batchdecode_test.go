@@ -389,7 +389,7 @@ func TestBatchQueriesNeverAliasPooledBody(t *testing.T) {
 	cat["test/park"] = &core.Scheme{
 		SchemeName: "test/park",
 		Preprocess: func(d []byte) ([]byte, error) { return d, nil },
-		Answer: func(_, q []byte) (bool, error) {
+		Prepare: core.ProbeInPlace(func(_, q []byte) (bool, error) {
 			if len(q) > 0 && q[0] == 'A' {
 				entered.Add(1)
 				<-gate
@@ -398,7 +398,7 @@ func TestBatchQueriesNeverAliasPooledBody(t *testing.T) {
 				mu.Unlock()
 			}
 			return true, nil
-		},
+		}),
 	}
 	srv := New(store.NewRegistry(""), cat)
 	srv.SetLimits(Limits{QueryBudget: 50 * time.Millisecond})
@@ -540,7 +540,7 @@ func serveRegister(body []byte, limit int64) (int, string) {
 	cat := map[string]*core.Scheme{"test/id": {
 		SchemeName: "test/id",
 		Preprocess: func(d []byte) ([]byte, error) { return d, nil },
-		Answer:     func(_, q []byte) (bool, error) { return len(q) > 0, nil },
+		Prepare:    core.ProbeInPlace(func(_, q []byte) (bool, error) { return len(q) > 0, nil }),
 	}}
 	srv := New(store.NewRegistry(""), cat)
 	srv.SetLimits(Limits{MaxBodyBytes: limit})

@@ -1,7 +1,7 @@
 package server
 
 // The hot-path pins. TestCachedVsUncachedDifferential pins the whole
-// answering stack to the raw Scheme.Answer oracle: prepared store answers,
+// answering stack to a fresh Prepare of the store's Π: prepared store answers,
 // cache-fronted answers (cold and warm), sharded and unsharded, across a
 // PATCH version bump and across save → reload. TestCacheRaceWithPatch
 // pins version-keyed invalidation under concurrency: with the cache in
@@ -87,11 +87,17 @@ func hotPathCases(t *testing.T) map[string]hotPathCase {
 	}
 }
 
-// rawStoreOracle answers q with the raw (unprepared) Scheme.Answer against
-// the store's current Π — the differential oracle for everything else.
-func rawStoreOracle(st *store.Store, q []byte) (bool, error) {
+// freshPrepare is the differential oracle for everything else: the scheme's
+// Prepare run afresh over the store's current Π, not the store's memoised
+// answerer.
+func freshPrepare(t *testing.T, st *store.Store) core.Answerer {
+	t.Helper()
 	pd, _ := st.View()
-	return st.Scheme.Answer(pd, q)
+	a, err := st.Scheme.Prepare(pd)
+	if err != nil {
+		t.Fatalf("oracle prepare: %v", err)
+	}
+	return a
 }
 
 // assertAgrees pins got against the oracle, error-for-error.
@@ -110,9 +116,10 @@ func assertAgrees(t *testing.T, label string, i int, oracleV bool, oracleErr err
 func checkDataset(t *testing.T, label string, oracle *store.Store, ds store.Dataset, c *cache.Cache, queries [][]byte) {
 	t.Helper()
 	cached := store.NewCachedDataset(ds, c)
+	ref := freshPrepare(t, oracle)
 	for pass, answerer := range []store.Dataset{ds, cached, cached} {
 		for i, q := range queries {
-			wantV, wantErr := rawStoreOracle(oracle, q)
+			wantV, wantErr := ref.Answer(q)
 			gotV, gotErr := answerer.Answer(q)
 			assertAgrees(t, fmt.Sprintf("%s/pass%d", label, pass), i, wantV, wantErr, gotV, gotErr)
 		}
@@ -121,7 +128,7 @@ func checkDataset(t *testing.T, label string, oracle *store.Store, ds store.Data
 	// here — exercise the mixed hit/miss path with a fresh cache too).
 	valid := [][]byte{}
 	for _, q := range queries {
-		if _, err := rawStoreOracle(oracle, q); err == nil {
+		if _, err := ref.Answer(q); err == nil {
 			valid = append(valid, q)
 		}
 	}
@@ -144,7 +151,7 @@ func checkDataset(t *testing.T, label string, oracle *store.Store, ds store.Data
 }
 
 // TestCachedVsUncachedDifferential is the acceptance pin: prepared and
-// cached answer paths identical to the raw Answer oracle for every
+// cached answer paths identical to a fresh Prepare of the store's Π for every
 // servable scheme, sharded and unsharded, across a PATCH version bump and
 // across save → reload.
 func TestCachedVsUncachedDifferential(t *testing.T) {

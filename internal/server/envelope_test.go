@@ -150,13 +150,13 @@ func blockingCatalog(gate <-chan struct{}, entered chan<- struct{}) map[string]*
 		"test/blocking": {
 			SchemeName: "test/blocking",
 			Preprocess: func(d []byte) ([]byte, error) { return d, nil },
-			Answer: func(pd, q []byte) (bool, error) {
+			Prepare: core.ProbeInPlace(func(pd, q []byte) (bool, error) {
 				if string(q) == "block" {
 					entered <- struct{}{}
 					<-gate
 				}
 				return true, nil
-			},
+			}),
 		},
 	}
 }
@@ -309,7 +309,7 @@ func TestEnvelopeRegisterBudget(t *testing.T) {
 				<-gate
 				return d, nil
 			},
-			Answer: func(pd, q []byte) (bool, error) { return true, nil },
+			Prepare: core.ProbeInPlace(func(pd, q []byte) (bool, error) { return true, nil }),
 		},
 	}
 	srv := New(store.NewRegistry(""), catalog)

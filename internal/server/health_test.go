@@ -114,8 +114,7 @@ func flakyPrepareCatalog(healed *atomic.Bool) map[string]*core.Scheme {
 	sch := &core.Scheme{
 		SchemeName: "test/flaky-prepare",
 		Preprocess: func(d []byte) ([]byte, error) { return d, nil },
-		Answer:     func(pd, q []byte) (bool, error) { return verdict(q) },
-		PrepareAnswerer: func(pd []byte) (core.Answerer, error) {
+		Prepare: func(pd []byte) (core.Answerer, error) {
 			if !healed.Load() {
 				return nil, fmt.Errorf("injected decode fault")
 			}

@@ -78,7 +78,7 @@ func countingCatalog(cat map[string]*core.Scheme, counts map[string]*int64) map[
 }
 
 // testWorkload is one dataset: its registration request plus query pairs
-// with the expected verdict from a direct Scheme.Answer call.
+// with the expected verdict from the scheme's own prepared answerer.
 type testWorkload struct {
 	id      string
 	scheme  string
@@ -129,8 +129,12 @@ func buildWorkloads(t *testing.T) []testWorkload {
 		if err != nil {
 			t.Fatalf("%s: direct preprocess: %v", w.id, err)
 		}
+		a, err := scheme.Prepare(pd)
+		if err != nil {
+			t.Fatalf("%s: direct prepare: %v", w.id, err)
+		}
 		for _, q := range w.queries {
-			got, err := scheme.Answer(pd, q)
+			got, err := a.Answer(q)
 			if err != nil {
 				t.Fatalf("%s: direct answer: %v", w.id, err)
 			}
@@ -142,7 +146,7 @@ func buildWorkloads(t *testing.T) []testWorkload {
 
 // TestServerConcurrentRoundTrip is the acceptance suite: three datasets
 // over three schemes, ≥1000 concurrent mixed single/batch queries through
-// an httptest server, every verdict identical to the direct Scheme.Answer
+// an httptest server, every verdict identical to the scheme's own prepared
 // result, and exactly one Preprocess per dataset across the whole run —
 // including racing re-registrations.
 func TestServerConcurrentRoundTrip(t *testing.T) {

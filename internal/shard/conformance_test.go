@@ -197,7 +197,7 @@ func TestRoutedStickyPrepareIsolated(t *testing.T) {
 	var bad []byte
 	base := schemes.PointSelectionScheme()
 	sch := *base
-	sch.PrepareAnswerer = func(pd []byte) (core.Answerer, error) {
+	sch.Prepare = func(pd []byte) (core.Answerer, error) {
 		if failing.Load() && string(pd) == string(bad) {
 			return nil, errors.New("injected decode fault")
 		}

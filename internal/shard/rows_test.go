@@ -304,8 +304,8 @@ func TestShardedAnswerAllocs(t *testing.T) {
 // while failing is set, preparing the payload in bad errors.
 func flakyShardScheme(failing *atomic.Bool, bad *[]byte) *core.Scheme {
 	sch := *schemes.ReachabilityScheme()
-	prepare := sch.PrepareAnswerer
-	sch.PrepareAnswerer = func(pd []byte) (core.Answerer, error) {
+	prepare := sch.Prepare
+	sch.Prepare = func(pd []byte) (core.Answerer, error) {
 		if failing.Load() && bytes.Equal(pd, *bad) {
 			return nil, errors.New("injected decode fault")
 		}

@@ -365,7 +365,7 @@ func (ss *ShardedStore) AskBatch(ctx context.Context, queries [][]byte, parallel
 	}
 	start := c.mergeStart()
 	var err error
-	vs.Answers, err = core.AnswerBatchPreparedContext(ctx, ss.Scheme.Name(), c.view, queries, parallelism)
+	vs.Answers, err = core.AnswerBatchPrepared(ctx, ss.Scheme.Name(), c.view, queries, parallelism)
 	obsShardMerge.Since(start)
 	return vs, err
 }
@@ -460,8 +460,8 @@ func (ss *ShardedStore) Stage(ctx context.Context, inc *core.IncrementalScheme, 
 	// published, and concurrently, as Build and LoadShardedFS do — PATCH
 	// latency grows with the slowest touched shard's decode, not the sum of
 	// all n. Untouched members are carried over as they are, answerer
-	// included. A Prepare failure is carried into the member and surfaces per
-	// answer, like the raw path's per-query validation (the maintained bytes
+	// included. A Prepare failure is carried into the member and surfaces on
+	// every answer, as (*core.Scheme).Answer reports it (the maintained bytes
 	// are the committed truth).
 	var wg sync.WaitGroup
 	for i := range shards {

@@ -113,9 +113,13 @@ func TestShardedDifferential(t *testing.T) {
 			want  bool
 			isErr bool
 		}
+		a, err := w.scheme.Prepare(pd)
+		if err != nil {
+			t.Fatalf("%s: unsharded prepare: %v", w.name, err)
+		}
 		oracles := make([]oracle, len(w.queries))
 		for i, q := range w.queries {
-			got, err := w.scheme.Answer(pd, q)
+			got, err := a.Answer(q)
 			oracles[i] = oracle{want: got, isErr: err != nil}
 		}
 

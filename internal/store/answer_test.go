@@ -27,11 +27,11 @@ func TestCachedBatchStopsProbingAfterDeadline(t *testing.T) {
 	sch := &core.Scheme{
 		SchemeName: "test/slow",
 		Preprocess: func(d []byte) ([]byte, error) { return append([]byte(nil), d...), nil },
-		Answer: func(pd, q []byte) (bool, error) {
+		Prepare: core.ProbeInPlace(func(pd, q []byte) (bool, error) {
 			calls.Add(1)
 			time.Sleep(probe)
 			return true, nil
-		},
+		}),
 	}
 	ds := NewCachedDataset(&Store{ID: "d", Scheme: sch, Prep: []byte{1}}, cache.New(1<<20))
 	queries := make([][]byte, 40) // all misses: 400ms of probes

@@ -26,7 +26,7 @@ func gatedScheme(gate <-chan struct{}) *core.Scheme {
 			<-gate
 			return append([]byte(nil), d...), nil
 		},
-		Answer: func(pd, q []byte) (bool, error) { return len(pd) > 0, nil },
+		Prepare: core.ProbeInPlace(func(pd, q []byte) (bool, error) { return len(pd) > 0, nil }),
 	}
 }
 
@@ -88,7 +88,7 @@ func TestRegisterContextExpiredUpfront(t *testing.T) {
 	scheme := &core.Scheme{
 		SchemeName: "test/never",
 		Preprocess: func(d []byte) ([]byte, error) { called = true; return d, nil },
-		Answer:     func(pd, q []byte) (bool, error) { return true, nil },
+		Prepare:    core.ProbeInPlace(func(pd, q []byte) (bool, error) { return true, nil }),
 	}
 	_, err := reg.RegisterContext(ctx, "d", scheme, []byte{1})
 	var be *BudgetError
@@ -119,7 +119,7 @@ func TestRegisterContextWaiterSharesBuild(t *testing.T) {
 			<-gate
 			return append([]byte(nil), d...), nil
 		},
-		Answer: func(pd, q []byte) (bool, error) { return len(pd) > 0, nil },
+		Prepare: core.ProbeInPlace(func(pd, q []byte) (bool, error) { return len(pd) > 0, nil }),
 	}
 
 	var wg sync.WaitGroup

@@ -27,10 +27,10 @@ func stallScheme(gate <-chan struct{}) *core.Scheme {
 	return &core.Scheme{
 		SchemeName: "test/stall",
 		Preprocess: func(d []byte) ([]byte, error) { return append([]byte(nil), d...), nil },
-		Answer: func(pd, q []byte) (bool, error) {
+		Prepare: core.ProbeInPlace(func(pd, q []byte) (bool, error) {
 			<-gate
 			return true, nil
-		},
+		}),
 	}
 }
 
@@ -125,8 +125,7 @@ func TestStickyPrepareHealsWithoutReRegister(t *testing.T) {
 	sch := &core.Scheme{
 		SchemeName: "test/flaky-prepare",
 		Preprocess: func(d []byte) ([]byte, error) { return append([]byte(nil), d...), nil },
-		Answer:     func(pd, q []byte) (bool, error) { return len(q) > 0, nil },
-		PrepareAnswerer: func(pd []byte) (core.Answerer, error) {
+		Prepare: func(pd []byte) (core.Answerer, error) {
 			if prepCalls.Add(1) == 1 {
 				return nil, fmt.Errorf("injected decode fault")
 			}

@@ -305,7 +305,7 @@ func TestRegistryBreakerPlumbing(t *testing.T) {
 	scheme := &core.Scheme{
 		SchemeName: "test/health",
 		Preprocess: func(d []byte) ([]byte, error) { return d, nil },
-		Answer:     func(pd, q []byte) (bool, error) { return true, nil },
+		Prepare:    core.ProbeInPlace(func(pd, q []byte) (bool, error) { return true, nil }),
 	}
 	if b := reg.Breaker("a"); b != nil {
 		t.Fatal("an id with no catalog entry has a breaker")

@@ -195,7 +195,7 @@ func TestRegistryFailedRegistrationRetries(t *testing.T) {
 	bad := &core.Scheme{
 		SchemeName: "always-fails",
 		Preprocess: func(d []byte) ([]byte, error) { return nil, fmt.Errorf("boom") },
-		Answer:     func(pd, q []byte) (bool, error) { return false, nil },
+		Prepare:    core.ProbeInPlace(func(pd, q []byte) (bool, error) { return false, nil }),
 	}
 	if _, err := r.Register("d", bad, nil); err == nil {
 		t.Fatal("failing Preprocess must surface an error")
@@ -217,7 +217,7 @@ func TestRegistryPanickingPreprocess(t *testing.T) {
 	bad := &core.Scheme{
 		SchemeName: "panics",
 		Preprocess: func(d []byte) ([]byte, error) { panic("hostile input") },
-		Answer:     func(pd, q []byte) (bool, error) { return false, nil },
+		Prepare:    core.ProbeInPlace(func(pd, q []byte) (bool, error) { return false, nil }),
 	}
 	st, err := r.Register("d", bad, nil)
 	if err == nil || st != nil {

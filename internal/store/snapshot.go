@@ -218,8 +218,8 @@ type committed struct {
 	// form, (*core.Scheme).Prepare — built by its first use, once: askers
 	// arriving meanwhile wait for that build rather than start their own. A
 	// failed build is sticky for the value (a corrupt Π errors once at
-	// preparation; every answer surfaces it, matching the raw path's
-	// per-query validation error) until RetryPrepare publishes a fresh one.
+	// preparation; every answer surfaces it, as (*core.Scheme).Answer
+	// reports it) until RetryPrepare publishes a fresh one.
 	form func() (core.Answerer, error)
 	// snapSize memoises SnapshotBytes (0 = not encoded yet), so a /v1/stats
 	// scrape encodes a snapshot at most once per version.
@@ -257,8 +257,8 @@ func (st *Store) load() *committed {
 // classifies it as a server-side fault (the dataset's Π is unreadable)
 // and counts it against the dataset's health breaker, whose half-open
 // probe retries the build via RetryPrepare. The message is the
-// underlying error's, unchanged, so the raw path's pinned error
-// strings hold.
+// underlying error's, unchanged, so it reads as (*core.Scheme).Answer
+// reports it.
 type PrepareError struct{ Err error }
 
 func (e *PrepareError) Error() string { return e.Err.Error() }
@@ -377,8 +377,7 @@ func (st *Store) SnapshotBytes() int {
 func (st *Store) WasLoaded() bool { return st.Loaded }
 
 // Ask implements Dataset: one query through the scheme's prepared
-// (decoded-once) form; the raw Scheme.Answer stays available as the
-// differential oracle. ctx is checked up front (a single prepared probe is
+// (decoded-once) form. ctx is checked up front (a single prepared probe is
 // too fine-grained to interrupt mid-flight).
 func (st *Store) Ask(ctx context.Context, q []byte) (Verdict, error) {
 	if err := ctx.Err(); err != nil {
@@ -406,17 +405,17 @@ func (st *Store) AskBatch(ctx context.Context, queries [][]byte, parallelism int
 	c := st.load()
 	vs := Verdicts{Answers: []bool{}, Version: c.version}
 	if len(queries) == 0 {
-		// The raw batch path returns no error on an empty batch even over
-		// a corrupt Π (it never calls Answer); match it.
+		// (*core.Scheme).AnswerBatch returns no error on an empty batch
+		// even over a corrupt Π; match it.
 		return vs, nil
 	}
 	a, err := c.form()
 	if err != nil {
-		// A corrupt Π fails the raw path at its first query; report the
-		// sticky build error in exactly that shape.
+		// A corrupt Π fails (*core.Scheme).AnswerBatch at query 0; report
+		// the sticky build error in exactly that shape.
 		return vs, fmt.Errorf("scheme %s: batch query %d: %w", st.Scheme.Name(), 0, err)
 	}
-	vs.Answers, err = core.AnswerBatchPreparedContext(ctx, st.Scheme.Name(), a, queries, parallelism)
+	vs.Answers, err = core.AnswerBatchPrepared(ctx, st.Scheme.Name(), a, queries, parallelism)
 	return vs, err
 }
 

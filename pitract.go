@@ -65,9 +65,10 @@
 // updated data from scratch.
 //
 // The hot-path query engine keeps the per-query cost down to the probe:
-// every store decodes Π once into a typed prepared answerer
-// (Scheme.Prepare — closure matrices as word-packed bitsets, sorted files
-// as decoded arrays, the BFS baseline as a frozen two-way CSR). Every
+// a scheme's one answering procedure is Scheme.Prepare, which every store
+// runs once over Π (closure rows as word-packed bitsets, sorted key files
+// probed in their own bytes, the BFS baseline as a frozen two-way CSR);
+// Scheme.Answer is Prepare-then-probe, for one-shot callers. Every
 // dataset kind, plain or sharded, serves one immutable committed value —
 // ⟨Π, version, answerer⟩ — behind an atomic pointer: a query loads it once
 // and takes no lock, a maintenance commit stores the next one. An optional
@@ -77,7 +78,7 @@
 // singleflight coalescing — version-keyed, so PATCH invalidates for free.
 // The server fronts only schemes that declare a per-query traversal
 // (Scheme.Traversal): an index probe of Π is cheaper than a cache lookup.
-// Both paths are differentially pinned to the raw Answer oracle.
+// Both paths are differentially pinned to the scheme's Language.
 //
 // An observability layer watches all of it without getting in its way:
 // every serve-path stage (admission, cache lookup, shard fan-out/merge,
@@ -133,9 +134,13 @@ import (
 // --- the formal framework (internal/core) -----------------------------------
 
 type (
-	// Scheme witnesses Π-tractability: PTIME Preprocess + NC Answer
-	// (Definition 1).
+	// Scheme witnesses Π-tractability: PTIME Preprocess + a Prepare whose
+	// Answerer decides each query in NC (Definition 1).
 	Scheme = core.Scheme
+	// Answerer is one prepared Π(D), what Scheme.Prepare returns.
+	Answerer = core.Answerer
+	// AnswererFunc adapts a function to Answerer.
+	AnswererFunc = core.AnswererFunc
 	// Measurement is one (size, cost) sample for growth classification.
 	Measurement = core.Measurement
 )

@@ -30,9 +30,13 @@ func TestFacadeExample1Flow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	a, err := scheme.Prepare(prep)
+	if err != nil {
+		t.Fatal(err)
+	}
 	lang := SelectionLanguage()
 	for c := int64(0); c < 100; c++ {
-		got, err := scheme.Answer(prep, PointQuery(c*31))
+		got, err := a.Answer(PointQuery(c * 31))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -328,10 +332,14 @@ func TestFacadeShardingFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	unsharded, err := scheme.Prepare(prep)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for u := 0; u < g.N(); u += 3 {
 		for v := 0; v < g.N(); v += 4 {
 			q := NodePairQuery(u, v)
-			want, err := scheme.Answer(prep, q)
+			want, err := unsharded.Answer(q)
 			if err != nil {
 				t.Fatal(err)
 			}
