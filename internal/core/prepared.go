@@ -39,11 +39,12 @@ func ProbeInPlace(probe func(pd, q []byte) (bool, error)) func(pd []byte) (Answe
 
 // LayoutError is what a scheme's readers — Prepare, ApplyDelta — return for
 // a preprocessed string that is intact but in a layout an earlier version
-// wrote and this one no longer reads. The serving layer tells it from damage
-// and from a bad query: a store that reloads such a Π from disk quarantines
-// the file and rebuilds from the registration's data, as it does for a
-// snapshot with an old magic, rather than serve a dataset whose every answer
-// is this refusal.
+// wrote and this one no longer reads; its message says to re-register. A
+// registry needs no type switch on it: any Π that Prepare refuses — this
+// or damage a checksum cannot see — is refused where it would be committed,
+// so a snapshot reloaded in an old layout is quarantined and rebuilt from
+// the registration's data, as one with an old magic is, rather than served
+// as a dataset whose every answer is this refusal.
 type LayoutError struct{ Msg string }
 
 func (e *LayoutError) Error() string { return e.Msg }

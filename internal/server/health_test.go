@@ -13,7 +13,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -50,11 +49,22 @@ func TestRetryAfterJitterBounds(t *testing.T) {
 }
 
 // TestHealthzHealthMap pins the /healthz shape: a per-dataset health map
-// with an overall status.
+// with an overall status — every dataset healthy, then one tripped open by
+// deadline 504s beside datasets that stay healthy.
 func TestHealthzHealthMap(t *testing.T) {
-	srv := New(store.NewRegistry(""), nil)
+	gate := make(chan struct{})
+	catalog := Catalog()
+	for name, sch := range stallCatalog(gate) {
+		catalog[name] = sch
+	}
+	srv := New(store.NewRegistry(""), catalog)
+	srv.Registry().SetBreakerConfig(store.BreakerConfig{
+		Window: time.Minute, DegradedAfter: 1, OpenAfter: 2, Backoff: time.Minute,
+	})
+	srv.SetLimits(Limits{QueryBudget: 20 * time.Millisecond})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
+	defer close(gate) // runs before the server closes: the abandoned answerers drain
 	client := ts.Client()
 
 	for _, id := range []string{"m", "m2"} {
@@ -104,58 +114,78 @@ func TestHealthzHealthMap(t *testing.T) {
 		}
 	}
 	wg.Wait()
+
+	// Two answers that outrun the query budget trip one dataset open: the
+	// node reads unhealthy and the map names that dataset alone.
+	if code := postJSON(t, client, ts.URL+"/v1/datasets", RegisterRequest{
+		ID: "s", Scheme: "test/stall", Data: []byte{1},
+	}, nil); code != http.StatusOK {
+		t.Fatalf("register s status %d", code)
+	}
+	for i := 0; i < 2; i++ {
+		if code := postJSON(t, client, ts.URL+"/v1/query", QueryRequest{Dataset: "s", Query: []byte{2}}, nil); code != http.StatusGatewayTimeout {
+			t.Fatalf("stalled query %d got status %d, want 504", i, code)
+		}
+	}
+	got.Health = nil
+	if code := getJSON(t, client, ts.URL+"/healthz", &got); code != http.StatusServiceUnavailable {
+		t.Fatalf("healthz with an open breaker got status %d, want 503", code)
+	}
+	if got.Status != "unhealthy" || got.Datasets != 3+more || got.Health["s"] != "open" || got.Health["m"] != "healthy" {
+		t.Fatalf("healthz = %+v, want unhealthy over %d datasets with s open and m healthy", got, 3+more)
+	}
 }
 
-// flakyPrepareCatalog returns a catalog with one scheme whose prepared
-// answerer fails until healed flips true — the shape of a transient
-// decode fault on the serving path. Verdict: first query byte is even.
-func flakyPrepareCatalog(healed *atomic.Bool) map[string]*core.Scheme {
-	verdict := func(q []byte) (bool, error) { return len(q) > 0 && q[0]%2 == 0, nil }
+// stallCatalog returns a catalog with one scheme whose every answer blocks
+// until gate is closed — an answerer stalled past any query budget.
+// Verdict: first query byte is even.
+func stallCatalog(gate <-chan struct{}) map[string]*core.Scheme {
 	sch := &core.Scheme{
-		SchemeName: "test/flaky-prepare",
+		SchemeName: "test/stall",
 		Preprocess: func(d []byte) ([]byte, error) { return d, nil },
-		Prepare: func(pd []byte) (core.Answerer, error) {
-			if !healed.Load() {
-				return nil, fmt.Errorf("injected decode fault")
-			}
-			return core.AnswererFunc(verdict), nil
-		},
+		Prepare: core.ProbeInPlace(func(pd, q []byte) (bool, error) {
+			<-gate
+			return len(q) > 0 && q[0]%2 == 0, nil
+		}),
 	}
 	return map[string]*core.Scheme{sch.SchemeName: sch}
 }
 
 // TestBreakerTripsRefusesAndHeals walks the full breaker cycle over
-// HTTP: repeated 500s (a sticky Prepare fault) trip the dataset open,
-// an open breaker refuses fast with 503 + Retry-After and turns
-// /healthz unhealthy, and — once the fault heals — the first admitted
-// request past the backoff probes the exact path, retries the failed
-// Prepare, and closes the breaker without any re-registration.
+// HTTP: repeated 504s (an answerer stalled past the query budget) trip
+// the dataset open, an open breaker refuses fast with 503 + Retry-After
+// and turns /healthz unhealthy, and — once the stall clears — the first
+// admitted request past the backoff probes the exact path and closes the
+// breaker without any re-registration.
 func TestBreakerTripsRefusesAndHeals(t *testing.T) {
-	var healed atomic.Bool
-	srv := New(store.NewRegistry(""), flakyPrepareCatalog(&healed))
+	gate := make(chan struct{})
+	srv := New(store.NewRegistry(""), stallCatalog(gate))
 	srv.Registry().SetBreakerConfig(store.BreakerConfig{
 		Window: time.Second, DegradedAfter: 2, OpenAfter: 3,
-		Backoff: 50 * time.Millisecond, MaxBackoff: 400 * time.Millisecond,
+		Backoff: 200 * time.Millisecond, MaxBackoff: 800 * time.Millisecond,
 	})
+	srv.SetLimits(Limits{QueryBudget: 20 * time.Millisecond})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
+	// Runs before ts.Close: the abandoned answerers drain.
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release()
 	client := ts.Client()
 
-	// Registration survives the Prepare fault (it is sticky, not fatal).
 	if code := postJSON(t, client, ts.URL+"/v1/datasets", RegisterRequest{
-		ID: "d", Scheme: "test/flaky-prepare", Data: []byte{1},
+		ID: "d", Scheme: "test/stall", Data: []byte{1},
 	}, nil); code != http.StatusOK {
 		t.Fatalf("register status %d", code)
 	}
 
 	// Three server-shaped failures walk healthy → degraded → open. A
-	// degraded breaker still admits the query, so each one surfaces the 500.
+	// degraded breaker still admits the query, so each one surfaces the 504.
 	for i := 0; i < 3; i++ {
 		var e errorResponse
 		if code := postJSON(t, client, ts.URL+"/v1/query", QueryRequest{
 			Dataset: "d", Query: []byte{2},
-		}, &e); code != http.StatusInternalServerError {
-			t.Fatalf("query %d over a failed Prepare got status %d (%s), want 500", i, code, e.Error)
+		}, &e); code != http.StatusGatewayTimeout {
+			t.Fatalf("query %d over a stalled answerer got status %d (%s), want 504", i, code, e.Error)
 		}
 	}
 
@@ -187,19 +217,20 @@ func TestBreakerTripsRefusesAndHeals(t *testing.T) {
 	if hz.Status != "unhealthy" || hz.Health["d"] != "open" {
 		t.Fatalf("healthz = %+v, want unhealthy with dataset d open", hz)
 	}
-	if st := envStats(t, client, ts.URL); st.Breaker503 != 1 {
-		t.Fatalf("breaker_503 = %d, want 1", st.Breaker503)
+	if st := envStats(t, client, ts.URL); st.Breaker503 != 1 || st.Deadline504 != 3 {
+		t.Fatalf("breaker_503 = %d, deadline_504 = %d; want 1, 3", st.Breaker503, st.Deadline504)
 	}
 
-	// Heal the fault and wait out the backoff: the next request is the
-	// half-open probe — it retries the Prepare and closes the breaker.
-	healed.Store(true)
-	time.Sleep(100 * time.Millisecond)
+	// Clear the stall and wait out the backoff: the next request is the
+	// half-open probe — it answers inside the budget now and closes the
+	// breaker.
+	release()
+	time.Sleep(300 * time.Millisecond)
 	var qr QueryResponse
 	if code := postJSON(t, client, ts.URL+"/v1/query", QueryRequest{
 		Dataset: "d", Query: []byte{2},
 	}, &qr); code != http.StatusOK {
-		t.Fatalf("probe after heal got status %d, want 200", code)
+		t.Fatalf("probe after the stall cleared got status %d, want 200", code)
 	}
 	if !qr.Answer {
 		t.Fatalf("probe answered %v, want true", qr.Answer)

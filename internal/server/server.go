@@ -993,11 +993,11 @@ func (s *Server) rejectBreaker(w http.ResponseWriter, r *http.Request, dataset s
 // answerFailure classifies an answer-path error for the wire and tells
 // the dataset's breaker what it proved. A deadline overrun is a 504 and a
 // breaker failure (a dataset too slow to answer inside its budget is
-// unhealthy); a Prepare failure is a 500 and a breaker failure (the
-// dataset cannot answer at all); everything else — malformed queries,
-// out-of-range ids — stays the client's 422 and counts as a breaker
-// success, because a request that got as far as query classification
-// proved the serve path end to end.
+// unhealthy); everything else — malformed queries, out-of-range ids —
+// stays the client's 422 and counts as a breaker success, because a
+// request that got as far as query classification proved the serve path
+// end to end. (A served dataset always holds a prepared answerer: a Π its
+// scheme will not Prepare is refused before it is committed.)
 func (s *Server) answerFailure(w http.ResponseWriter, r *http.Request, br *store.Breaker, probe bool, err error) {
 	var de *store.DeadlineError
 	if errors.As(err, &de) {
@@ -1005,12 +1005,6 @@ func (s *Server) answerFailure(w http.ResponseWriter, r *http.Request, br *store
 		s.env.note(r, deadline504)
 		obsDeadlineExpired.Inc()
 		writeError(w, r, http.StatusGatewayTimeout, "%v", err)
-		return
-	}
-	var pe *store.PrepareError
-	if errors.As(err, &pe) {
-		br.OnFailure(probe)
-		writeError(w, r, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	br.OnSuccess(probe)
@@ -1088,12 +1082,6 @@ func (s *Server) serveAnswer(w http.ResponseWriter, r *http.Request, dataset str
 		return
 	}
 	ds = s.answerPath(ds)
-	if dec.Probe {
-		// Half-open probe: retry a previously failed Prepare first, so a
-		// healed filesystem (or a transient decode fault) closes the
-		// breaker. The retry's outcome surfaces through the ask below.
-		ds.RetryPrepare()
-	}
 	ctx, cancel := s.queryContext(r)
 	defer cancel()
 	start := time.Now()

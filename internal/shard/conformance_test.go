@@ -10,10 +10,8 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -182,82 +180,5 @@ func TestAnswerSeamConformance(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestRoutedStickyPrepareIsolated is the routed-scheme twin of
-// TestShardedStickyPrepareIsolated: with the router as the view, a shard
-// whose Prepare failed fails exactly the queries routed to it — as a typed
-// PrepareError — queries owned by healthy shards still answer, and a batch
-// reports the failure in the one batch error shape every dataset kind
-// uses, naming the caller's own index of the first query that reached the
-// failed shard (not that shard's sub-batch index).
-func TestRoutedStickyPrepareIsolated(t *testing.T) {
-	var failing atomic.Bool
-	var bad []byte
-	base := schemes.PointSelectionScheme()
-	sch := *base
-	sch.Prepare = func(pd []byte) (core.Answerer, error) {
-		if failing.Load() && string(pd) == string(bad) {
-			return nil, errors.New("injected decode fault")
-		}
-		return base.Prepare(pd)
-	}
-	keys := make([]int64, 30)
-	for i := range keys {
-		keys[i] = int64(i * 3)
-	}
-	ss, err := RegisterSharded(store.NewRegistry(""), "k", &sch, RangePartitioner{}, 3, schemes.RelationFromKeys(keys))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const sick = 1
-	_, _, members := ss.Committed()
-	bad = members[sick].Prep
-	failing.Store(true)
-	if err := ss.RetryPrepare(); err == nil {
-		t.Fatal("RetryPrepare under the fault reported success")
-	}
-
-	// A batch in key order: the first queries belong to shard 0, so the
-	// first one routed to the failed shard sits at an index k > 0.
-	var batch [][]byte
-	first := -1
-	for i, k := range keys {
-		batch = append(batch, schemes.PointQuery(k))
-		owner := ss.Asn.Shard(k)
-		if owner == sick && first < 0 {
-			first = i
-		}
-		got, err := ss.Answer(batch[i])
-		var pe *store.PrepareError
-		switch {
-		case owner == sick && !errors.As(err, &pe):
-			t.Fatalf("key %d is owned by the failed shard but returned (%v, %v), want a PrepareError", k, got, err)
-		case owner != sick && (err != nil || !got):
-			t.Fatalf("key %d is owned by healthy shard %d but returned (%v, %v)", k, owner, got, err)
-		}
-	}
-	if first <= 0 {
-		t.Fatalf("first query routed to the failed shard is at index %d; the scenario needs k > 0", first)
-	}
-	for _, par := range []int{1, 3} {
-		_, err := ss.AnswerBatch(batch, par)
-		want := fmt.Sprintf("scheme %s: batch query %d: injected decode fault", sch.Name(), first)
-		var pe *store.PrepareError
-		if err == nil || err.Error() != want || !errors.As(err, &pe) {
-			t.Fatalf("batch (parallelism %d) over a failed shard = %v, want the PrepareError %q", par, err, want)
-		}
-	}
-	if got, err := ss.AnswerBatch(batch[:first], 2); err != nil || len(got) != first {
-		t.Fatalf("batch of healthy-shard queries = (%v, %v), want %d answers", got, err, first)
-	}
-
-	failing.Store(false)
-	if err := ss.RetryPrepare(); err != nil {
-		t.Fatalf("RetryPrepare after the heal: %v", err)
-	}
-	if got, err := ss.AnswerBatch(batch, 2); err != nil || len(got) != len(batch) {
-		t.Fatalf("healed batch = (%d answers, %v)", len(got), err)
 	}
 }

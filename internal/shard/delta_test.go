@@ -724,7 +724,7 @@ func TestShardedFiguresComeFromOneCommittedValue(t *testing.T) {
 		if len(after.shards[i].prep) > 0 && &after.shards[i].prep[0] != &before.shards[i].prep[0] {
 			t.Fatalf("a summary-only batch replaced member %d's Π", i)
 		}
-		if after.shards[i].Answerer != before.shards[i].Answerer {
+		if after.shards[i].answerer != before.shards[i].answerer {
 			t.Fatalf("a summary-only batch re-prepared member %d", i)
 		}
 	}

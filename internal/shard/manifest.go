@@ -18,7 +18,6 @@ import (
 	"hash/crc32"
 	"net/url"
 	"path/filepath"
-	"sync"
 
 	"pitract/internal/core"
 	"pitract/internal/store"
@@ -264,20 +263,13 @@ func LoadShardedFS(fsys store.FS, dir, id string, scheme *core.Scheme) (*Sharded
 		}
 		shards[i] = member{prep: snap.Prep, sum: snap.DataSum}
 	}
-	// Decode the per-shard answerers concurrently, as Build does — a serial
-	// warm-up would add n decode latencies to the restart path.
-	var wg sync.WaitGroup
-	for i := range shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			shards[i] = newMember(scheme, shards[i].prep, shards[i].sum)
-		}(i)
+	// A member Π or a summary the manifest vouches for and this build will
+	// not prepare — damage the CRCs cannot see, or a layout an earlier
+	// version wrote — would refuse every answer and be loaded again by every
+	// re-registration.
+	if err := prepareMembers(scheme, shards, nil); err != nil {
+		return nil, corrupt(err)
 	}
-	wg.Wait()
-	// A summary the manifest vouches for and this version cannot prepare a
-	// view from — an overlay an earlier version laid out differently — would
-	// refuse every answer and be loaded again by every re-registration.
 	if err := ss.publish(m.Version, m.Summary, shards); err != nil {
 		return nil, corrupt(fmt.Errorf("summary: %w", err))
 	}

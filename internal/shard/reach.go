@@ -47,8 +47,7 @@ package shard
 // the bytes can disagree with the assignment. The rows are derived state too,
 // built from the per-shard prepared answerers (schemes.LocalReach, bulk row
 // and column reads — never per-pair encoded probes). The summary is decoded
-// only where it arrives as bytes — Build, LoadShardedFS, RetryPrepare
-// (prepareReach) — and a PATCH batch starts from the committed view, which is
+// only where it arrives as bytes — Build and LoadShardedFS (prepareReach) — and a PATCH batch starts from the committed view, which is
 // that decoded summary, splices its cross edges into the arc file and encodes
 // the next summary once (maintainReach). View and summary are published in one
 // committed value, so no query pairs a new summary with old rows.
@@ -64,10 +63,9 @@ package shard
 // bits each way per shard), one P-bit expansion per overlay class, and one OR
 // of ≤ P_s expanded rows per distinct out row.
 //
-// Failure isolation. A shard whose Prepare failed contributes no rows;
-// queries with an endpoint in it fail with that shard's error and every
-// other query is answered — the overlay closure already carries the failed
-// shard's portal-to-portal connectivity from the last successful build.
+// Every shard's answerer is prepared before the rows are built — a member Π
+// the scheme refuses fails the build, the load or the PATCH first — so the
+// rows cover every shard and no query checks for a missing one.
 
 import (
 	"encoding/binary"
@@ -102,11 +100,10 @@ type reachSummary struct {
 	byShard [][]int
 
 	// Derived by buildRows, never persisted: the answer path's state.
-	reach    []schemes.LocalReach // per shard; nil where shardErr is set
-	shardErr []error              // per shard: why it has no rows
-	words    int                  // ⌈len(portals)/64⌉, the row stride
-	rows     []uint64             // interned rows; row 0 is all-zero
-	out, in  []uint32             // per vertex: index of its row in rows
+	reach   []schemes.LocalReach // per shard
+	words   int                  // ⌈len(portals)/64⌉, the row stride
+	rows    []uint64             // interned rows; row 0 is all-zero
+	out, in []uint32             // per vertex: index of its row in rows
 }
 
 // findPortals derives the portals from the cross edges — their endpoints,
@@ -156,12 +153,6 @@ func (rs *reachSummary) Answer(q []byte) (bool, error) {
 		return false, fmt.Errorf("schemes: node pair (%d,%d) out of range [0,%d)", u, v, rs.n)
 	}
 	su, sv := rs.shardOf[u], rs.shardOf[v]
-	if err := rs.shardErr[su]; err != nil {
-		return false, err
-	}
-	if err := rs.shardErr[sv]; err != nil {
-		return false, err
-	}
 	if su == sv && rs.reach[su].Reach(int(rs.local[u]), int(rs.local[v])) {
 		return true, nil
 	}
@@ -175,14 +166,11 @@ func (rs *reachSummary) Answer(q []byte) (bool, error) {
 	return false, nil
 }
 
-// localReach returns shard s's typed reach form over nodes vertices, or why
-// it has none: its Prepare failed, or its answerer is not a reachability
-// form of the expected size (a manifest paired with foreign shard files).
-func localReach(shards []PreparedShard, s, nodes int) (schemes.LocalReach, error) {
-	if shards[s].Err != nil {
-		return nil, shards[s].Err
-	}
-	lr, ok := shards[s].Answerer.(schemes.LocalReach)
+// localReach returns shard s's typed reach form over nodes vertices, or an
+// error when its answerer is not a reachability form of that size (a
+// manifest paired with foreign shard files).
+func localReach(shards []core.Answerer, s, nodes int) (schemes.LocalReach, error) {
+	lr, ok := shards[s].(schemes.LocalReach)
 	if !ok || lr.Nodes() != nodes {
 		return nil, fmt.Errorf("shard: shard %d has no local-reach form over %d vertices", s, nodes)
 	}
@@ -202,10 +190,8 @@ func scatterBit(set []uint64, dst []byte, stride, j int) {
 
 // buildRows derives the answer-path state: the typed per-shard reach forms
 // and the interned out/in portal rows (see the file comment for the formulas
-// and the cost bound). A shard without a reach form is recorded in shardErr
-// and skipped; its vertices keep the zero row, which Answer never reads
-// because it checks shardErr first.
-func (rs *reachSummary) buildRows(shards []PreparedShard) error {
+// and the cost bound). A shard without a reach form fails the build.
+func (rs *reachSummary) buildRows(shards []core.Answerer) error {
 	counts := rs.counts
 	if len(shards) != len(counts) {
 		return fmt.Errorf("shard: %d shard answerers for an assignment over %d shards", len(shards), len(counts))
@@ -220,7 +206,6 @@ func (rs *reachSummary) buildRows(shards []PreparedShard) error {
 	P := len(rs.portals)
 	rs.words = (P + 63) / 64
 	rs.reach = make([]schemes.LocalReach, len(counts))
-	rs.shardErr = make([]error, len(counts))
 	rs.rows = make([]uint64, rs.words) // row 0: reaches no portal
 	rs.out = make([]uint32, rs.n)
 	rs.in = make([]uint32, rs.n)
@@ -232,8 +217,7 @@ func (rs *reachSummary) buildRows(shards []PreparedShard) error {
 	for s, ns := range counts {
 		lr, err := localReach(shards, s, ns)
 		if err != nil {
-			rs.shardErr[s] = err
-			continue
+			return err
 		}
 		rs.reach[s] = lr
 		ps := rs.byShard[s]
@@ -308,7 +292,7 @@ func (rs *reachSummary) internRow(seen map[string]uint32, key []byte, widen func
 
 // prepareReach is the Sharding.Prepare hook: decode the summary once and
 // derive the rows from the per-shard prepared answerers.
-func prepareReach(summary []byte, asn Assignment, shards []PreparedShard) (core.Answerer, error) {
+func prepareReach(summary []byte, asn Assignment, shards []core.Answerer) (core.Answerer, error) {
 	rs, err := decodeReachSummary(summary, asn)
 	if err != nil {
 		return nil, err
@@ -590,7 +574,7 @@ func (rs *reachSummary) applyCross(delta []byte) error {
 // allocated. Nothing inside the batch reads the closure before that:
 // splitReachDelta only needs the vertex universe and local relabelling, and
 // queries keep answering through the committed view until the batch commits.
-func maintainReach(view core.Answerer, _ Assignment, deltas [][]byte, shards []PreparedShard) ([]byte, core.Answerer, error) {
+func maintainReach(view core.Answerer, _ Assignment, deltas [][]byte, shards []core.Answerer) ([]byte, core.Answerer, error) {
 	cur := view.(*reachSummary)
 	rs := &reachSummary{
 		n: cur.n, directed: cur.directed, cross: cur.cross,

@@ -100,6 +100,21 @@ func TestCorruptionRecoveryConformance(t *testing.T) {
 					heals(t, f, a.path, damaged, false, 2)
 				})
 			}
+			// A CRC-valid checkpoint whose Π, one member, or the summary view
+			// over the members this build will not prepare is corrupt all the
+			// same: set aside verbatim, rebuilt, the surviving log replayed.
+			for _, pf := range k.faults {
+				t.Run("unpreparable-"+pf.name, func(t *testing.T) {
+					f := serve(t, 100)
+					path := k.artifacts[0].path
+					intact, ok := f.DurableBytes(path)
+					if !ok {
+						t.Fatalf("no durable %s", path)
+					}
+					pf.arm()
+					heals(t, f, path, intact, false, 2)
+				})
+			}
 			// A hostile log beside a checkpoint holding both batches: the log
 			// is set aside and the checkpoint served.
 			for _, h := range hostileLogs {

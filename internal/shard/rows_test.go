@@ -3,14 +3,11 @@ package shard
 // The portal reach rows, pinned three ways: against the probing merge they
 // replaced (kept here, test-only, as the oracle), against the unsharded
 // closure of the current graph, and against themselves across PATCH
-// batches, save → reload, a failing shard, and concurrent maintenance.
+// batches, save → reload, and concurrent maintenance.
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 
 	"pitract/internal/core"
@@ -37,7 +34,7 @@ func probingAnswer(ss *ShardedStore, q []byte) (bool, error) {
 		return false, fmt.Errorf("shard: node pair (%d,%d) out of range [0,%d)", u, v, rs.n)
 	}
 	probe := func(s, a, b int) (bool, error) {
-		return c.shards[s].answer(schemes.NodePairQuery(int(rs.local[a]), int(rs.local[b])))
+		return c.shards[s].answerer.Answer(schemes.NodePairQuery(int(rs.local[a]), int(rs.local[b])))
 	}
 	su, sv := ss.Asn.Shard(int64(u)), ss.Asn.Shard(int64(v))
 	if su == sv {
@@ -297,104 +294,5 @@ func TestShardedAnswerAllocs(t *testing.T) {
 		}); allocs > 2 {
 			t.Errorf("%s ShardedStore.Answer allocates %.1f times per query, want ≤ 2", name, allocs)
 		}
-	}
-}
-
-// flakyShardScheme is the closure scheme with an injected Prepare fault:
-// while failing is set, preparing the payload in bad errors.
-func flakyShardScheme(failing *atomic.Bool, bad *[]byte) *core.Scheme {
-	sch := *schemes.ReachabilityScheme()
-	prepare := sch.Prepare
-	sch.Prepare = func(pd []byte) (core.Answerer, error) {
-		if failing.Load() && bytes.Equal(pd, *bad) {
-			return nil, errors.New("injected decode fault")
-		}
-		return prepare(pd)
-	}
-	return &sch
-}
-
-// TestShardedStickyPrepareIsolated is the sharded sticky-Prepare
-// regression: a shard whose Prepare failed fails exactly the queries with
-// an endpoint in it — it must not poison the row build for the others —
-// a PATCH that has to read it is refused with nothing applied, a reload
-// under the fault keeps the same isolation, and RetryPrepare heals the
-// shard and rebuilds its rows.
-func TestShardedStickyPrepareIsolated(t *testing.T) {
-	g := graph.CommunityGraph(4, 8, 14, 909)
-	var failing atomic.Bool
-	var bad []byte
-	scheme := flakyShardScheme(&failing, &bad)
-	dir := t.TempDir()
-	reg := store.NewRegistry(dir)
-	ss, err := RegisterSharded(reg, "g", scheme, RangePartitioner{}, 4, g.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const sick = 2
-	_, _, members := ss.Committed()
-	bad = members[sick].Prep
-	want := graph.NewClosure(g)
-
-	check := func(ss *ShardedStore, step string, faulted bool) {
-		t.Helper()
-		touched, untouched := 0, 0
-		for u := 0; u < g.N(); u++ {
-			for v := 0; v < g.N(); v++ {
-				got, err := ss.Answer(schemes.NodePairQuery(u, v))
-				if faulted && (ss.Asn.Shard(int64(u)) == sick || ss.Asn.Shard(int64(v)) == sick) {
-					var pe *store.PrepareError
-					if !errors.As(err, &pe) {
-						t.Fatalf("%s: (%d,%d) touches the failed shard but returned (%v, %v), want a PrepareError", step, u, v, got, err)
-					}
-					touched++
-					continue
-				}
-				if err != nil || got != want.Reach(u, v) {
-					t.Fatalf("%s: (%d,%d) = (%v, %v), want %v", step, u, v, got, err, want.Reach(u, v))
-				}
-				untouched++
-			}
-		}
-		if faulted && (touched == 0 || untouched == 0) {
-			t.Fatalf("%s: %d queries touched the failed shard, %d did not; both must be exercised", step, touched, untouched)
-		}
-	}
-
-	check(ss, "healthy", false)
-	failing.Store(true)
-	if err := ss.RetryPrepare(); err == nil {
-		t.Fatal("RetryPrepare under the fault reported success")
-	}
-	check(ss, "one shard failed", true)
-
-	// The failed shard owns several portals, so the overlay rebuild must
-	// read it: the batch is refused whole.
-	patch := [][]byte{schemes.EdgeDelta(0, 1)}
-	if _, err := reg.ApplyDelta("g", patch); err == nil {
-		t.Fatal("PATCH over a failed shard was accepted")
-	}
-	if ss.Version() != 0 {
-		t.Fatalf("refused PATCH moved the version to %d", ss.Version())
-	}
-	check(ss, "after the refused PATCH", true)
-
-	// A restart under the fault prepares the view eagerly with the shard
-	// still failing — same isolation, no failed load.
-	reloaded, err := RegisterSharded(store.NewRegistry(dir), "g", scheme, RangePartitioner{}, 4, g.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(reloaded, "reloaded under the fault", true)
-
-	failing.Store(false)
-	for _, s := range []*ShardedStore{ss, reloaded} {
-		if err := s.RetryPrepare(); err != nil {
-			t.Fatalf("RetryPrepare after the heal: %v", err)
-		}
-		check(s, "healed", false)
-	}
-	if _, err := reg.ApplyDelta("g", patch); err != nil {
-		t.Fatalf("PATCH after the heal: %v", err)
 	}
 }

@@ -22,9 +22,12 @@
 //   - ShardedStore serves the dataset from one immutable committed value —
 //     version, summary, a ⟨Π, answerer⟩ member per shard, the view —
 //     published through an atomic pointer: readers load it, a PATCH builds
-//     the next one (sharing the members it did not touch) and stores it. It
-//     answers exactly like a plain store.Store — differential tests pin
-//     sharded answers byte-identical to unsharded ones.
+//     the next one (sharing the members it did not touch) and stores it. A
+//     value is published only once every member's Prepare and the view
+//     have succeeded: a Π the scheme will not read fails the build, is a
+//     corrupt manifest at load, or refuses the PATCH. It answers exactly
+//     like a plain store.Store — differential tests pin sharded answers
+//     byte-identical to unsharded ones.
 //   - Manifest + RegisterSharded persist the whole thing as one catalog
 //     entry backed by one file: the manifest, carrying every member's
 //     snapshot, written by one atomic rename.
@@ -60,14 +63,6 @@ var (
 	obsWarm        = obs.Stage(obs.StageWarm)
 )
 
-// PreparedShard is one shard's prepared answerer as the hooks see it:
-// Answerer is nil exactly when Err — the shard's sticky Prepare failure, a
-// *store.PrepareError — is set.
-type PreparedShard struct {
-	Answerer core.Answerer
-	Err      error
-}
-
 // Sharding adapts one scheme to a partitioned dataset. Split runs once, at
 // preprocessing time; Route and the prepared view sit on the answer path and
 // must stay within the scheme's NC answering budget (they do constant or
@@ -83,13 +78,13 @@ type Sharding struct {
 	// summary that cannot be built).
 	Split func(data []byte, p Partitioner, n int) (asn Assignment, parts [][]byte, summary []byte, err error)
 	// Prepare builds the dataset's prepared view from a persisted summary and
-	// the per-shard prepared answerers — at build, load and retry, never per
+	// the per-shard prepared answerers — at build and load, never per
 	// query (that would smuggle O(|D|) work into the NC answering budget) and
 	// not per PATCH (Maintain carries the view forward). Schemes that set it
 	// answer every query through the returned Answerer and Route is not
 	// consulted; the view is derived state, never persisted. Nil for schemes
 	// whose queries Route alone can place: their view is the router.
-	Prepare func(summary []byte, asn Assignment, shards []PreparedShard) (core.Answerer, error)
+	Prepare func(summary []byte, asn Assignment, shards []core.Answerer) (core.Answerer, error)
 	// Route returns the single shard that alone owns q's answer, or -1 to
 	// send q unchanged to every shard and OR the verdicts.
 	Route func(q []byte, asn Assignment) (int, error)
@@ -117,30 +112,47 @@ type Sharding struct {
 	// summary: …") and nothing is applied. Nil means deltas never change the
 	// summary: the next view is prepared from the same bytes (the router, for
 	// a scheme without Prepare).
-	Maintain func(view core.Answerer, asn Assignment, deltas [][]byte, shards []PreparedShard) (summary []byte, next core.Answerer, err error)
+	Maintain func(view core.Answerer, asn Assignment, deltas [][]byte, shards []core.Answerer) (summary []byte, next core.Answerer, err error)
 }
 
 // member is one shard of a committed value: its Π, the digest of the part Π
-// was preprocessed from, and the answerer decoded from Π — or the sticky
-// failure to decode it.
+// was preprocessed from, and the answerer decoded from Π.
 type member struct {
-	prep []byte
-	sum  store.DataChecksum
-	PreparedShard
+	prep     []byte
+	sum      store.DataChecksum
+	answerer core.Answerer
 }
 
-// newMember decodes one shard's Π into its prepared form. A failure is not
-// fatal: it surfaces, typed, on every answer that needs the shard.
-func newMember(scheme *core.Scheme, prep []byte, sum store.DataChecksum) member {
-	a, err := store.Prepare(scheme, prep)
-	return member{prep, sum, PreparedShard{Answerer: a, Err: err}}
+// prepareMembers decodes the Π of every member marked in todo (every member
+// when todo is nil) concurrently — a restart or a PATCH waits for the slowest
+// decode, not the sum of them — and names the lowest shard whose Π the scheme
+// refused.
+func prepareMembers(scheme *core.Scheme, shards []member, todo []bool) error {
+	errs := make([]error, len(shards))
+	var wg sync.WaitGroup
+	for i := range shards {
+		if todo == nil || todo[i] {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				shards[i].answerer, errs[i] = scheme.Prepare(shards[i].prep)
+			}(i)
+		}
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // prepared lists the members' answerers, as the hooks take them.
-func prepared(shards []member) []PreparedShard {
-	out := make([]PreparedShard, len(shards))
+func prepared(shards []member) []core.Answerer {
+	out := make([]core.Answerer, len(shards))
 	for i, m := range shards {
-		out[i] = m.PreparedShard
+		out[i] = m.answerer
 	}
 	return out
 }
@@ -158,10 +170,8 @@ type committed struct {
 	summary []byte
 	shards  []member
 	// view answers for ⟨summary, shards⟩ — the scheme's Prepare or Maintain
-	// output, or the router; nil exactly when viewErr, the sticky failure to
-	// prepare it, is set.
-	view    core.Answerer
-	viewErr error
+	// output, or the router.
+	view core.Answerer
 	// snapSize memoises SnapshotBytes (0 = not encoded yet).
 	snapSize atomic.Int64
 }
@@ -201,8 +211,8 @@ type ShardedStore struct {
 	// Maintenance serializes maintainers; see store.ApplyDeltas.
 	store.Maintenance
 	// state is the committed value. Build and LoadShardedFS publish the
-	// first; after that only a maintainer holding Maintenance.Mu (a Stage
-	// commit, RetryPrepare) stores, always a whole new value.
+	// first; after that only a Stage commit, under Maintenance.Mu, stores,
+	// always a whole new value.
 	state atomic.Pointer[committed]
 }
 
@@ -212,7 +222,7 @@ type ShardedStore struct {
 type router struct {
 	route  func(q []byte, asn Assignment) (int, error)
 	asn    Assignment
-	shards []PreparedShard
+	shards []core.Answerer
 }
 
 // Answer implements core.Answerer.
@@ -225,12 +235,12 @@ func (r *router) Answer(q []byte) (bool, error) {
 		return false, fmt.Errorf("shard: route to shard %d out of range [0,%d)", owner, len(r.shards))
 	}
 	if owner >= 0 {
-		return r.shards[owner].answer(q)
+		return r.shards[owner].Answer(q)
 	}
 	fanStart := obs.Start()
 	found := false
 	for _, sh := range r.shards {
-		v, err := sh.answer(q)
+		v, err := sh.Answer(q)
 		if err != nil {
 			return false, err
 		}
@@ -240,17 +250,9 @@ func (r *router) Answer(q []byte) (bool, error) {
 	return found, nil
 }
 
-// answer probes the shard, or reports its sticky Prepare failure.
-func (p PreparedShard) answer(q []byte) (bool, error) {
-	if p.Err != nil {
-		return false, p.Err
-	}
-	return p.Answerer.Answer(q)
-}
-
 // prepareView builds the dataset's view for ⟨summary, shards⟩: the scheme's
 // own Prepare output, or the router.
-func (sh *Sharding) prepareView(summary []byte, asn Assignment, shards []PreparedShard) (core.Answerer, error) {
+func (sh *Sharding) prepareView(summary []byte, asn Assignment, shards []core.Answerer) (core.Answerer, error) {
 	if sh.Prepare == nil {
 		return &router{route: sh.Route, asn: asn, shards: shards}, nil
 	}
@@ -258,15 +260,17 @@ func (sh *Sharding) prepareView(summary []byte, asn Assignment, shards []Prepare
 }
 
 // publish prepares the view over ⟨summary, shards⟩ and stores the committed
-// value — registration, reload and retry, where the summary arrives as bytes.
-// A failed view is sticky per answer, like a member's failed Prepare, and
-// reported.
+// value — registration and reload, where the summary arrives as bytes. A
+// view the scheme will not prepare publishes nothing.
 func (ss *ShardedStore) publish(version uint64, summary []byte, shards []member) error {
 	start := obs.Start()
 	view, err := ss.Sharding.prepareView(summary, ss.Asn, prepared(shards))
+	if err != nil {
+		return err
+	}
 	obsWarm.Since(start)
-	ss.state.Store(&committed{version: version, summary: summary, shards: shards, view: view, viewErr: err})
-	return err
+	ss.state.Store(&committed{version: version, summary: summary, shards: shards, view: view})
+	return nil
 }
 
 // mergeStart starts the shard_merge clock for one call — a single, or a
@@ -338,9 +342,6 @@ func (ss *ShardedStore) Ask(ctx context.Context, q []byte) (store.Verdict, error
 		return store.Verdict{}, err
 	}
 	c := ss.state.Load()
-	if c.viewErr != nil {
-		return store.Verdict{Version: c.version}, c.viewErr
-	}
 	start := c.mergeStart()
 	ans, err := c.view.Answer(q)
 	obsShardMerge.Since(start)
@@ -359,9 +360,6 @@ func (ss *ShardedStore) AskBatch(ctx context.Context, queries [][]byte, parallel
 	vs := store.Verdicts{Answers: []bool{}, Version: c.version}
 	if len(queries) == 0 {
 		return vs, nil
-	}
-	if c.viewErr != nil {
-		return vs, fmt.Errorf("scheme %s: batch query %d: %w", ss.Scheme.Name(), 0, c.viewErr)
 	}
 	start := c.mergeStart()
 	var err error
@@ -382,34 +380,11 @@ func (ss *ShardedStore) AnswerBatch(queries [][]byte, parallelism int) ([]bool, 
 	return vs.Answers, err
 }
 
-// RetryPrepare implements store.Dataset: every member's answerer is decoded
-// again from its Π (the half-open probe's heal hook), then the view is
-// prepared again over the healed answerers — so the shard that was failing
-// gets its rows back — and the result published at the same version. The
-// first failure is reported after all shards have retried. It serializes
-// with maintenance: a PATCH stages and commits its own view.
-func (ss *ShardedStore) RetryPrepare() error {
-	ss.Maintenance.Mu.Lock()
-	defer ss.Maintenance.Mu.Unlock()
-	c := ss.state.Load()
-	var firstErr error
-	shards := make([]member, len(c.shards))
-	for i, m := range c.shards {
-		shards[i] = newMember(ss.Scheme, m.prep, m.sum)
-		if firstErr == nil {
-			firstErr = shards[i].Err
-		}
-	}
-	if err := ss.publish(c.version, c.summary, shards); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
-}
-
 // Stage implements store.DeltaDataset. Each delta is routed by the scheme's
 // SplitDelta hook to the shards it lands on (local deltas applied through
 // the scheme's incremental form, exactly as an unsharded store would); the
-// touched shards' answerers are then decoded, and the scheme's Maintain hook
+// touched shards' answerers are then decoded — a maintained Π the scheme will
+// not prepare refuses the batch — and the scheme's Maintain hook
 // carries summary and view — for reachability the cross-edge arc file, the
 // overlay closure and the portal reach rows — over the whole batch at once,
 // reading those staged answerers (so of two deltas that would both be
@@ -430,9 +405,6 @@ func (ss *ShardedStore) Stage(ctx context.Context, inc *core.IncrementalScheme, 
 	// SplitDelta receives the committed view — its contract only depends on
 	// delta-invariant summary state (vertex universe, local relabelling).
 	cur := ss.state.Load()
-	if cur.viewErr != nil {
-		return nil, fmt.Errorf("shard: prepare summary: %w (nothing applied)", cur.viewErr)
-	}
 	n := len(cur.shards)
 	shards := slices.Clone(cur.shards)
 	touched := make([]bool, n)
@@ -457,31 +429,19 @@ func (ss *ShardedStore) Stage(ctx context.Context, inc *core.IncrementalScheme, 
 		}
 	}
 	// Decode the touched shards' maintained Π here, before anything is
-	// published, and concurrently, as Build and LoadShardedFS do — PATCH
-	// latency grows with the slowest touched shard's decode, not the sum of
-	// all n. Untouched members are carried over as they are, answerer
-	// included. A Prepare failure is carried into the member and surfaces on
-	// every answer, as (*core.Scheme).Answer reports it (the maintained bytes
-	// are the committed truth).
-	var wg sync.WaitGroup
-	for i := range shards {
-		if touched[i] {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				shards[i] = newMember(ss.Scheme, shards[i].prep, shards[i].sum)
-			}(i)
-		}
+	// published; untouched members are carried over as they are, answerer
+	// included.
+	if err := prepareMembers(ss.Scheme, shards, touched); err != nil {
+		return nil, fmt.Errorf("shard: prepare %w (nothing applied)", err)
 	}
-	wg.Wait()
 	next := &committed{summary: cur.summary, shards: shards}
+	var err error
 	if sh.Maintain != nil {
-		var err error
 		if next.summary, next.view, err = sh.Maintain(cur.view, ss.Asn, deltas, prepared(shards)); err != nil {
 			return nil, fmt.Errorf("shard: %w (nothing applied)", err)
 		}
-	} else {
-		next.view, next.viewErr = sh.prepareView(cur.summary, ss.Asn, prepared(shards))
+	} else if next.view, err = sh.prepareView(cur.summary, ss.Asn, prepared(shards)); err != nil {
+		return nil, fmt.Errorf("shard: prepare summary: %w (nothing applied)", err)
 	}
 	return func(version uint64) {
 		next.version = version
@@ -537,8 +497,13 @@ func Build(id string, scheme *core.Scheme, sh *Sharding, p Partitioner, n int, d
 			// Each shard's Π decodes into its prepared form inside the same
 			// per-shard goroutine, so warm-up parallelizes with preprocessing.
 			warmStart := obs.Start()
-			shards[i] = newMember(scheme, pd, store.SumData(parts[i]))
+			a, err := scheme.Prepare(pd)
+			if err != nil {
+				errs[i] = fmt.Errorf("shard: build %q: prepare shard %d: %w", id, i, err)
+				return
+			}
 			obsWarm.Since(warmStart)
+			shards[i] = member{prep: pd, sum: store.SumData(parts[i]), answerer: a}
 		}(i)
 	}
 	wg.Wait()
@@ -549,6 +514,8 @@ func Build(id string, scheme *core.Scheme, sh *Sharding, p Partitioner, n int, d
 	}
 	// The summary view (reachability: the portal reach rows) is part of
 	// registration, not of the first query.
-	ss.publish(0, summary, shards)
+	if err := ss.publish(0, summary, shards); err != nil {
+		return nil, fmt.Errorf("shard: build %q: prepare summary: %w", id, err)
+	}
 	return ss, nil
 }

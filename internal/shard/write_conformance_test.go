@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"pitract/internal/core"
 	"pitract/internal/obs"
 	"pitract/internal/store"
 	"pitract/internal/store/faultfs"
@@ -36,6 +37,39 @@ type writeKind struct {
 	// the file — which is also what a restart quarantines, damage and all —
 	// and the byte of it to flip.
 	artifacts []writeArtifact
+	// faults are the Π the kind's Prepare can be made to refuse.
+	faults []prepareFault
+}
+
+// prepareFaults makes a scheme's Prepare refuse what no CRC or layout check
+// catches: while refuse is positive each call fails and counts it down, and
+// while hide is positive each prepared answerer is wrapped so that only its
+// Answer shows — a reachability member then has no local-reach form, so the
+// summary view over it cannot be built.
+type prepareFaults struct{ refuse, hide atomic.Int32 }
+
+var errRefused = errors.New("injected: Π refused by Prepare")
+
+func (pf *prepareFaults) scheme(base *core.Scheme) *core.Scheme {
+	sch := *base
+	sch.Prepare = func(pd []byte) (core.Answerer, error) {
+		if pf.refuse.Add(-1) >= 0 {
+			return nil, errRefused
+		}
+		a, err := base.Prepare(pd)
+		if err == nil && pf.hide.Add(-1) >= 0 {
+			a = core.AnswererFunc(a.Answer)
+		}
+		return a, err
+	}
+	return &sch
+}
+
+// prepareFault names one Π of a kind — its one Π, a member, the view — and
+// arms the fault that makes its next Prepare fail.
+type prepareFault struct {
+	name string
+	arm  func()
 }
 
 type writeArtifact struct {
@@ -50,9 +84,13 @@ func writeKinds() []writeKind {
 	point, reach := scenarios[0], scenarios[3]
 	snap := store.SnapshotPath(shardCrashDir, shardCrashID)
 	mani := ManifestPath(shardCrashDir, shardCrashID)
-	sharded := func(cs shardCrashScheme, p Partitioner) func(*store.Registry) (store.Dataset, error) {
+	faults := []*prepareFaults{{}, {}, {}}
+	refuse := func(name string, pf *prepareFaults) prepareFault {
+		return prepareFault{name, func() { pf.refuse.Store(1) }}
+	}
+	sharded := func(cs shardCrashScheme, p Partitioner, pf *prepareFaults) func(*store.Registry) (store.Dataset, error) {
 		return func(reg *store.Registry) (store.Dataset, error) {
-			return RegisterSharded(reg, shardCrashID, cs.inc.Scheme, p, shardCrashN, cs.data)
+			return RegisterSharded(reg, shardCrashID, pf.scheme(cs.inc.Scheme), p, shardCrashN, cs.data)
 		}
 	}
 	// A byte of the manifest's own fields (its scheme name), and a byte in
@@ -74,10 +112,13 @@ func writeKinds() []writeKind {
 	}
 	return []writeKind{
 		{"plain", "store", point, func(reg *store.Registry) (store.Dataset, error) {
-			return reg.Register(shardCrashID, point.inc.Scheme, point.data)
-		}, []writeArtifact{{"snapshot", snap, func(_ *testing.T, file []byte) int { return len(file) / 2 }}}},
-		{"routed-sharded", "shard", point, sharded(point, HashPartitioner{}), shardedArtifacts},
-		{"view-sharded", "shard", reach, sharded(reach, RangePartitioner{}), shardedArtifacts},
+			return reg.Register(shardCrashID, faults[0].scheme(point.inc.Scheme), point.data)
+		}, []writeArtifact{{"snapshot", snap, func(_ *testing.T, file []byte) int { return len(file) / 2 }}},
+			[]prepareFault{refuse("pi", faults[0])}},
+		{"routed-sharded", "shard", point, sharded(point, HashPartitioner{}, faults[1]), shardedArtifacts,
+			[]prepareFault{refuse("member", faults[1])}},
+		{"view-sharded", "shard", reach, sharded(reach, RangePartitioner{}, faults[2]), shardedArtifacts,
+			[]prepareFault{refuse("member", faults[2]), {"view", func() { faults[2].hide.Store(1) }}}},
 	}
 }
 
@@ -195,6 +236,49 @@ func TestWritePathConformance(t *testing.T) {
 				}
 				untouched(t, f, ds, 0, image)
 			})
+
+			// A maintained Π — the plain one, a touched member, or the view
+			// rebuilt over it — that Prepare refuses is the request's
+			// conflict (the server's 409), with nothing applied. The second
+			// batch touches a member of every kind.
+			for _, pf := range k.faults {
+				t.Run("prepare-refuses-maintained-"+pf.name, func(t *testing.T) {
+					f := faultfs.New()
+					reg, ds := k.open(t, f, 1)
+					image := durableImage(t, f)
+					pf.arm()
+					_, err := reg.ApplyDelta(shardCrashID, b1)
+					var be *store.BudgetError
+					var pe *store.PersistError
+					if err == nil || !strings.HasSuffix(err.Error(), "(nothing applied)") || errors.As(err, &be) || errors.As(err, &pe) {
+						t.Fatalf("PATCH whose maintained Π Prepare refuses = %v, want a conflict with nothing applied", err)
+					}
+					untouched(t, f, ds, 0, image)
+				})
+			}
+
+			// A fresh build whose Π Prepare refuses fails the registration
+			// as a conflict: no catalog entry, no file.
+			for _, pf := range k.faults {
+				t.Run("prepare-refuses-registration-"+pf.name, func(t *testing.T) {
+					f := faultfs.New()
+					reg := store.NewRegistryMedium(&store.Medium{Dir: shardCrashDir, FS: f, CheckpointEvery: 1})
+					pf.arm()
+					_, err := k.register(reg)
+					var pe *store.PersistError
+					if err == nil || errors.As(err, &pe) {
+						t.Fatalf("registration whose Π Prepare refuses = %v, want a conflict", err)
+					}
+					if _, ok := reg.GetDataset(shardCrashID); ok || reg.Len() != 0 {
+						t.Fatal("a refused registration left a catalog entry")
+					}
+					for _, path := range []string{k.artifacts[0].path, logPath} {
+						if _, ok := f.DurableBytes(path); ok {
+							t.Fatalf("a refused registration wrote %s", path)
+						}
+					}
+				})
+			}
 
 			t.Run("budget-expires-between-deltas", func(t *testing.T) {
 				f := faultfs.New()

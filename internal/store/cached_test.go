@@ -32,7 +32,6 @@ func (d *scriptedDataset) SnapshotBytes() int       { return 0 }
 func (d *scriptedDataset) ShardCount() int          { return 1 }
 func (d *scriptedDataset) WasLoaded() bool          { return false }
 func (d *scriptedDataset) Version() uint64          { return d.version.Load() }
-func (d *scriptedDataset) RetryPrepare() error      { return nil }
 func (d *scriptedDataset) Ask(ctx context.Context, q []byte) (Verdict, error) {
 	if d.onAsk != nil {
 		d.onAsk()

@@ -4,16 +4,12 @@ package store
 // abandon answers at the deadline with a typed DeadlineError (never
 // blocking the serving path behind a stalled scheme), and the registry
 // must quarantine a corrupt snapshot, rebuild from source, and replay the
-// surviving delta log. The sticky-Prepare test is the
-// regression pin for the heal path: a Prepare that failed transiently
-// poisons the store only until RetryPrepare, never until restart.
+// surviving delta log.
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"os"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -111,66 +107,6 @@ func TestAnswerWithinAbandonsStalledAnswer(t *testing.T) {
 		t.Fatalf("AnswerWithin took %v to abandon a stalled answer under a 30ms budget", elapsed)
 	}
 	close(gate) // let the zombie drain
-}
-
-// TestStickyPrepareHealsWithoutReRegister is the regression pin for the
-// sticky-Prepare bug: a transient Prepare failure used to poison the
-// store until process restart. The store must (a) surface the failure as
-// a typed *PrepareError, (b) keep it sticky — no Prepare retry storm per
-// query — and (c) heal through RetryPrepare on the SAME registered
-// dataset: correct answers afterwards, one catalog entry, one
-// Preprocess, no re-register.
-func TestStickyPrepareHealsWithoutReRegister(t *testing.T) {
-	var prepCalls atomic.Int64
-	sch := &core.Scheme{
-		SchemeName: "test/flaky-prepare",
-		Preprocess: func(d []byte) ([]byte, error) { return append([]byte(nil), d...), nil },
-		Prepare: func(pd []byte) (core.Answerer, error) {
-			if prepCalls.Add(1) == 1 {
-				return nil, fmt.Errorf("injected decode fault")
-			}
-			return core.AnswererFunc(func(q []byte) (bool, error) { return len(q) > 0, nil }), nil
-		},
-	}
-	reg := NewRegistry("")
-	st, err := reg.Register("d", sch, []byte{1})
-	if err != nil {
-		t.Fatalf("registration must survive a transient Prepare failure, got %v", err)
-	}
-
-	_, aerr := st.Answer([]byte("q"))
-	var pe *PrepareError
-	if !errors.As(aerr, &pe) {
-		t.Fatalf("answer over a failed Prepare returned %v, want a PrepareError", aerr)
-	}
-	_, aerr2 := st.Answer([]byte("q"))
-	if aerr2 == nil || aerr2.Error() != aerr.Error() {
-		t.Fatalf("second answer returned %v, want the identical sticky error %v", aerr2, aerr)
-	}
-	if n := prepCalls.Load(); n != 1 {
-		t.Fatalf("Prepare ran %d times across sticky answers, want 1 (no retry storm)", n)
-	}
-
-	// The breaker's half-open probe path: retry the Prepare, then answer.
-	if err := st.RetryPrepare(); err != nil {
-		t.Fatalf("RetryPrepare on a healed scheme: %v", err)
-	}
-	got, err := st.Answer([]byte("q"))
-	if err != nil || !got {
-		t.Fatalf("healed answer = (%v, %v), want (true, nil)", got, err)
-	}
-
-	// Healing happened in place: same dataset, no re-register.
-	cur, ok := reg.Get("d")
-	if !ok || cur != st {
-		t.Fatal("healing replaced the registered dataset; the heal must be in place")
-	}
-	if n := reg.PreprocessCount(); n != 1 {
-		t.Fatalf("heal re-preprocessed: PreprocessCount %d, want 1", n)
-	}
-	if reg.Len() != 1 {
-		t.Fatalf("catalog has %d entries after heal, want 1", reg.Len())
-	}
 }
 
 // TestQuarantineRebuildReplaysSurvivingLog pins the quarantine-and-heal

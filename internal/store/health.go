@@ -5,10 +5,9 @@ package store
 // accumulate, refuses fast while open, and heals through single
 // half-open probes with exponential backoff. The breaker never guesses
 // at causes — the server classifies each answer outcome (deadline
-// expiry, prepare failure, success) and reports it via OnSuccess /
-// OnFailure; the breaker only decides whether the next request should
-// pay the possibly-failing answer path or be refused outright with a
-// Retry-After hint.
+// expiry, success) and reports it via OnSuccess / OnFailure; the breaker
+// only decides whether the next request should pay the possibly-failing
+// answer path or be refused outright with a Retry-After hint.
 
 import (
 	"fmt"
@@ -208,9 +207,8 @@ func (b *Breaker) OnSuccess(probe bool) {
 	}
 }
 
-// OnFailure reports a health-relevant serve failure (deadline expiry,
-// prepare failure, injected I/O) — client-shaped errors such as
-// malformed queries must not be reported here.
+// OnFailure reports a health-relevant serve failure (a deadline expiry) —
+// client-shaped errors such as malformed queries must not be reported here.
 func (b *Breaker) OnFailure(probe bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -73,10 +73,9 @@ type DeltaDataset interface {
 	// single delta application is never torn. On success it returns the
 	// commit: one atomic pointer store that publishes the staged state, whole,
 	// at the given version, so a query observes the old Π or the new one,
-	// never a mix, and never waits for either. A failed Prepare of
-	// the staged Π is not a Stage failure — the maintained bytes are the
-	// truth, and answers surface the error per query. Called with
-	// Maint().Mu held.
+	// never a mix, and never waits for either. A staged Π the scheme will
+	// not Prepare is refused like a malformed delta: nothing is committed.
+	// Called with Maint().Mu held.
 	Stage(ctx context.Context, inc *core.IncrementalScheme, deltas [][]byte) (commit func(version uint64), err error)
 	// Checkpoint writes the committed state under dir as the durable
 	// artifact a restart loads, atomically: the previous artifact stays

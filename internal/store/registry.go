@@ -69,11 +69,6 @@ type Dataset interface {
 	// Restarts restore it from the snapshot, so it never goes backwards
 	// over the lifetime of the persisted dataset.
 	Version() uint64
-	// RetryPrepare republishes the committed Π at its version with the
-	// prepared answerer, successful or failed, built again — the hook a
-	// breaker's half-open probe uses to retry a transient Prepare failure. It
-	// never replaces a newer commit.
-	RetryPrepare() error
 	// Ask decides one query. The verdict carries the maintenance version of
 	// the Π that decided it, read together with the answerer. A cancelled
 	// ctx returns its error before any probe.
@@ -339,7 +334,7 @@ func (r *Registry) RegisterContext(ctx context.Context, id string, scheme *core.
 			return nil
 		},
 		func() (Dataset, error) {
-			ds, err := r.Recover(id,
+			return r.Recover(id,
 				func(fsys FS, dir string) (DeltaDataset, error) {
 					snap, err := LoadFS(fsys, SnapshotPath(dir, id))
 					if err != nil {
@@ -351,14 +346,13 @@ func (r *Registry) RegisterContext(ctx context.Context, id string, scheme *core.
 					// A snapshot with Version > 0 is the maintained
 					// Π(D ⊕ ∆D…): resuming from it (not from a re-preprocess
 					// of D) is the whole point of persisting maintenance.
-					st := newStore(id, scheme, sum, snap.Prep, snap.Version, true)
-					// A Π an earlier version wrote in a layout this one no
-					// longer reads passes every check above and then refuses
-					// every answer, and re-registering would load it again:
-					// it is an old format, quarantined and rebuilt like a
-					// snapshot with an old magic.
-					var le *core.LayoutError
-					if _, err := st.load().form(); errors.As(err, &le) {
+					st, err := newStore(id, scheme, sum, snap.Prep, snap.Version, true)
+					if err != nil {
+						// A Π that passes every check above and that this build
+						// will not prepare — damage the CRC cannot see, or a
+						// layout an earlier version wrote — would refuse every
+						// answer, and re-registering would load it again: it is
+						// quarantined and rebuilt like a snapshot with a bad CRC.
 						return nil, &CorruptArtifactError{Path: SnapshotPath(dir, id), Err: err}
 					}
 					return st, nil
@@ -370,18 +364,12 @@ func (r *Registry) RegisterContext(ctx context.Context, id string, scheme *core.
 						return nil, fmt.Errorf("store: register %q: preprocess (%s): %w", id, scheme.Name(), err)
 					}
 					obsPreprocess.Since(ppStart)
-					return newStore(id, scheme, sum, pd, 0, false), nil
+					st, err := newStore(id, scheme, sum, pd, 0, false)
+					if err != nil {
+						return nil, fmt.Errorf("store: register %q: prepare (%s): %w", id, scheme.Name(), err)
+					}
+					return st, nil
 				})
-			if err != nil {
-				return nil, err
-			}
-			// Decode Π into its prepared form — after any replay, which
-			// prepares its own — while still inside the one build this
-			// registration runs: queries then pay only probes.
-			warmStart := obs.Start()
-			ds.(*Store).Warm()
-			obsWarm.Since(warmStart)
-			return ds, nil
 		})
 	if err != nil {
 		return nil, err

@@ -14,6 +14,12 @@
 // the formal framework uses for instance encoding. Corrupt or truncated
 // files are rejected with errors, never panics (see the fuzz harness).
 //
+// Every Π the registry publishes — built, reloaded or maintained — is
+// prepared first (core.Scheme.Prepare), and a Π the scheme will not read is
+// refused where it would be committed: the registration fails, the artifact
+// is quarantined and rebuilt, or the PATCH applies nothing. A served dataset
+// therefore always holds an answerer, never a stored failure.
+//
 // The registry's catalog is shape-agnostic: an entry is any Dataset — a
 // plain Store here, or a composite like internal/shard's ShardedStore
 // plugged in through RegisterDatasetContext — and the HTTP server answers
@@ -24,13 +30,12 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
-	"sync"
 	"sync/atomic"
 
 	"pitract/internal/core"
+	"pitract/internal/obs"
 )
 
 // snapshotMagic opens every snapshot file. The trailing byte is the format
@@ -152,11 +157,11 @@ func LoadFS(fsys FS, path string) (*Snapshot, error) {
 
 // CorruptArtifactError marks a persisted artifact (snapshot, shard
 // manifest or delta log) that failed structural validation — wrong magic,
-// checksum mismatch, or an undecodable body — as opposed to a transient
-// I/O error reading it. The registry responds by renaming the artifact at
-// Path to *.quarantine and rebuilding from source (see Registry.Recover)
-// rather than wedging the dataset. The message is the underlying error's,
-// unchanged.
+// checksum mismatch, an undecodable body, or a Π its scheme will not
+// Prepare — as opposed to a transient I/O error reading it. The registry
+// responds by renaming the artifact at Path to *.quarantine and rebuilding
+// from source (see Registry.Recover) rather than wedging the dataset. The
+// message is the underlying error's, unchanged.
 type CorruptArtifactError struct {
 	Path string
 	Err  error
@@ -178,16 +183,16 @@ func SumData(data []byte) DataChecksum { return sha256.Sum256(data) }
 // once and a commit stores the next, so a query answers against a fully
 // applied Π (old or new), never a torn one, and neither waits on the other.
 type Store struct {
-	// ID is the dataset identifier the store was registered under ("" for
-	// stores opened directly from a path).
+	// ID is the dataset identifier the store was registered under ("" for a
+	// store assembled by hand without one).
 	ID string
 	// Scheme is the Π-tractability scheme that produced — and answers
 	// against — the preprocessed bytes.
 	Scheme *core.Scheme
 	// Prep is Π(D) of a store assembled by hand, read once: the first use
-	// publishes it at version 0. Register and Open publish theirs directly
-	// and leave it nil, so a maintained store retains no Π but the committed
-	// one. Read the current Π through View (or Answer/Snapshot), never here.
+	// prepares and publishes it at version 0. Register publishes its Π
+	// directly and leaves Prep nil, so a maintained store retains no Π but
+	// the committed one. Read the current Π through View (or Answer/Snapshot), never here.
 	Prep []byte
 	// DataSum digests the raw data the store was originally registered
 	// from. Deltas do not change it — the digest pins the registration
@@ -202,79 +207,67 @@ type Store struct {
 	Maintenance
 	// state is the committed value: published by newStore (or a literal's
 	// first use), replaced — always whole — only by a Stage commit under
-	// Maintenance.Mu and by RetryPrepare's compare-and-swap.
+	// Maintenance.Mu.
 	state atomic.Pointer[committed]
 }
 
 // committed is everything a plain store answers from and checkpoints at one
-// version: immutable once published, but for memos that go from unset to
-// the one value ⟨prep, version⟩ determines.
+// version: immutable once published, but for the memoised snapshot size.
 type committed struct {
 	prep []byte
 	// version counts the deltas applied since registration; it only ever
 	// grows, and every applied delta bumps it by one.
 	version uint64
-	// form memoises the answerer decoded from prep — the scheme's prepared
-	// form, (*core.Scheme).Prepare — built by its first use, once: askers
-	// arriving meanwhile wait for that build rather than start their own. A
-	// failed build is sticky for the value (a corrupt Π errors once at
-	// preparation; every answer surfaces it, as (*core.Scheme).Answer
-	// reports it) until RetryPrepare publishes a fresh one.
-	form func() (core.Answerer, error)
+	// answerer is the scheme's prepared form of prep, (*core.Scheme).Prepare,
+	// built before the value is published: a Π the scheme refuses is never
+	// committed.
+	answerer core.Answerer
 	// snapSize memoises SnapshotBytes (0 = not encoded yet), so a /v1/stats
 	// scrape encodes a snapshot at most once per version.
 	snapSize atomic.Int64
 }
 
-// newCommitted is ⟨prep, version⟩ with nothing memoised yet.
-func newCommitted(scheme *core.Scheme, prep []byte, version uint64) *committed {
-	return &committed{prep: prep, version: version,
-		form: sync.OnceValues(func() (core.Answerer, error) { return Prepare(scheme, prep) })}
+// prepare is ⟨prep, version⟩ with its answerer, or the scheme's refusal to
+// read prep.
+func prepare(scheme *core.Scheme, prep []byte, version uint64) (*committed, error) {
+	a, err := scheme.Prepare(prep)
+	if err != nil {
+		return nil, err
+	}
+	return &committed{prep: prep, version: version, answerer: a}, nil
 }
 
-// newStore is the one constructor Register and Open share: ⟨Π, version⟩ is
-// published directly and Prep stays nil.
-func newStore(id string, scheme *core.Scheme, sum DataChecksum, prep []byte, version uint64, loaded bool) *Store {
+// newStore is the one constructor Register's load and build share: ⟨Π,
+// version⟩ is prepared and published directly, and Prep stays nil. A Π the
+// scheme will not prepare is refused here, before anything is registered.
+func newStore(id string, scheme *core.Scheme, sum DataChecksum, prep []byte, version uint64, loaded bool) (*Store, error) {
+	start := obs.Start()
+	c, err := prepare(scheme, prep, version)
+	if err != nil {
+		return nil, err
+	}
+	obsWarm.Since(start)
 	st := &Store{ID: id, Scheme: scheme, DataSum: sum, Loaded: loaded}
-	st.state.Store(newCommitted(scheme, prep, version))
-	return st
+	st.state.Store(c)
+	return st, nil
 }
 
 // load returns the committed value — every reader's one read of shared
-// state — publishing a hand-assembled store's Prep on first use; goroutines
-// racing there agree on whichever value landed.
+// state — preparing and publishing a hand-assembled store's Prep on first
+// use; goroutines racing there agree on whichever value landed. A literal
+// over a Π its scheme refuses answers every query with that refusal, as
+// (*core.Scheme).Answer does.
 func (st *Store) load() *committed {
 	c := st.state.Load()
 	if c == nil {
-		st.state.CompareAndSwap(nil, newCommitted(st.Scheme, st.Prep, 0))
+		next, err := prepare(st.Scheme, st.Prep, 0)
+		if err != nil {
+			next = &committed{prep: st.Prep, answerer: core.AnswererFunc(func([]byte) (bool, error) { return false, err })}
+		}
+		st.state.CompareAndSwap(nil, next)
 		c = st.state.Load()
 	}
 	return c
-}
-
-// PrepareError marks a failed Scheme.Prepare — the answerer build —
-// as opposed to a per-query validation failure. The serving layer
-// classifies it as a server-side fault (the dataset's Π is unreadable)
-// and counts it against the dataset's health breaker, whose half-open
-// probe retries the build via RetryPrepare. The message is the
-// underlying error's, unchanged, so it reads as (*core.Scheme).Answer
-// reports it.
-type PrepareError struct{ Err error }
-
-func (e *PrepareError) Error() string { return e.Err.Error() }
-
-func (e *PrepareError) Unwrap() error { return e.Err }
-
-// Prepare decodes Π into scheme's prepared answerer — for a plain store and
-// for each member of a sharded one — typing a failure as a *PrepareError
-// exactly once.
-func Prepare(scheme *core.Scheme, prep []byte) (core.Answerer, error) {
-	a, err := scheme.Prepare(prep)
-	var pe *PrepareError
-	if err != nil && !errors.As(err, &pe) {
-		return nil, &PrepareError{Err: err}
-	}
-	return a, err
 }
 
 // View returns the current preprocessed string and the maintenance version
@@ -286,27 +279,9 @@ func (st *Store) View() ([]byte, uint64) {
 	return c.prep, c.version
 }
 
-// Warm is the prepared form's first use, made by registration and snapshot
-// reloads before the store is shared, so the first query pays a probe, not
-// a decode. Prepare failures are not fatal here — they surface, with the
-// identical message, on every subsequent Answer.
-func (st *Store) Warm() { st.load().form() }
-
-// RetryPrepare implements Dataset: it builds the prepared form of the
-// committed Π again and republishes ⟨Π, version⟩ with it, dropping the old
-// form, successful or failed. This is the heal path for a Prepare that
-// failed transiently (e.g. an injected I/O fault inside a scheme's decode):
-// without it the first failure would poison the store until restart. A
-// breaker's half-open probe calls it beside any maintainer, so the swap is
-// conditional on the value loaded here: a commit that lands during the
-// build stays — it prepared its own Π.
-func (st *Store) RetryPrepare() error {
-	c := st.load()
-	next := newCommitted(st.Scheme, c.prep, c.version)
-	_, err := next.form()
-	st.state.CompareAndSwap(c, next)
-	return err
-}
+// Warm is a hand-assembled store's first use, so its first query pays a
+// probe, not a Prepare. A registered store is prepared when it is built.
+func (st *Store) Warm() { st.load() }
 
 // Version implements Dataset: the number of deltas applied since
 // registration.
@@ -315,7 +290,8 @@ func (st *Store) Version() uint64 { return st.load().version }
 // Stage implements DeltaDataset: Π ← ApplyDelta(…ApplyDelta(Π, ∆D₁)…, ∆Dₖ)
 // on a private copy, and the maintained Π's prepared answerer, built here —
 // where no query waits — into the next committed value; the commit is one
-// pointer store.
+// pointer store. A maintained Π the scheme will not prepare refuses the
+// batch.
 func (st *Store) Stage(ctx context.Context, inc *core.IncrementalScheme, deltas [][]byte) (func(version uint64), error) {
 	cur := st.load().prep
 	for i, delta := range deltas {
@@ -328,8 +304,10 @@ func (st *Store) Stage(ctx context.Context, inc *core.IncrementalScheme, deltas 
 		}
 		cur = next
 	}
-	next := newCommitted(st.Scheme, cur, 0)
-	next.form()
+	next, err := prepare(st.Scheme, cur, 0)
+	if err != nil {
+		return nil, fmt.Errorf("store: prepare: %w (nothing applied)", err)
+	}
 	return func(version uint64) {
 		next.version = version
 		st.state.Store(next)
@@ -384,11 +362,7 @@ func (st *Store) Ask(ctx context.Context, q []byte) (Verdict, error) {
 		return Verdict{}, err
 	}
 	c := st.load()
-	a, err := c.form()
-	if err != nil {
-		return Verdict{Version: c.version}, err
-	}
-	ans, err := a.Answer(q)
+	ans, err := c.answerer.Answer(q)
 	return Verdict{Answer: ans, Version: c.version}, err
 }
 
@@ -405,17 +379,10 @@ func (st *Store) AskBatch(ctx context.Context, queries [][]byte, parallelism int
 	c := st.load()
 	vs := Verdicts{Answers: []bool{}, Version: c.version}
 	if len(queries) == 0 {
-		// (*core.Scheme).AnswerBatch returns no error on an empty batch
-		// even over a corrupt Π; match it.
 		return vs, nil
 	}
-	a, err := c.form()
-	if err != nil {
-		// A corrupt Π fails (*core.Scheme).AnswerBatch at query 0; report
-		// the sticky build error in exactly that shape.
-		return vs, fmt.Errorf("scheme %s: batch query %d: %w", st.Scheme.Name(), 0, err)
-	}
-	vs.Answers, err = core.AnswerBatchPrepared(ctx, st.Scheme.Name(), a, queries, parallelism)
+	var err error
+	vs.Answers, err = core.AnswerBatchPrepared(ctx, st.Scheme.Name(), c.answerer, queries, parallelism)
 	return vs, err
 }
 
