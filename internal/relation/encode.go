@@ -248,7 +248,9 @@ func Decode(buf []byte) (*Relation, error) {
 // Int64Column reads the int64 attribute attr of the relation encoded in buf,
 // in tuple order, without building the relation: the walk is Decode's, so it
 // accepts exactly what Decode accepts and refuses the rest with Decode's
-// error, and a missing or non-int64 attr is refused only after that.
+// error, and a missing or non-int64 attr is refused only after that. Whole
+// tuples are read by column, and the walker takes over at the start of the
+// first one column does not read, so any refusal is the walker's own.
 func Int64Column(buf []byte, attr string) ([]int64, error) {
 	d := &decoder{buf: buf}
 	schema, n, err := d.header()
@@ -260,8 +262,12 @@ func Int64Column(buf []byte, attr string) ([]int64, error) {
 	if idx >= 0 && schema.Attrs[idx].Kind == KindInt64 {
 		col = make([]int64, n)
 	}
+	i := 0
+	if col != nil {
+		i = d.column(schema, idx, col)
+	}
 	raw := make([]rawValue, len(schema.Attrs))
-	for i := 0; i < n; i++ {
+	for ; i < n; i++ {
 		if err := d.tuple(schema, raw); err != nil {
 			return nil, err
 		}
@@ -279,4 +285,56 @@ func Int64Column(buf []byte, attr string) ([]int64, error) {
 		return nil, fmt.Errorf("relation %q: attribute %q is %v, want int64", schema.Name, attr, schema.Attrs[idx].Kind)
 	}
 	return col, nil
+}
+
+// column reads tuples into col[i], attribute idx of tuple i, for as long as
+// each tuple is well formed, and returns how many it read; d is left at the
+// start of the first tuple it did not read. It is the walker's tuple with
+// the refusals taken out — the walker reads that tuple next and names what
+// is wrong with it — and with the uvarint read inline, so a key column is
+// read at the speed of its bytes.
+func (d *decoder) column(s *Schema, idx int, col []int64) int {
+	buf, off := d.buf, d.off
+	for i := range col {
+		at := off
+		for j, a := range s.Attrs {
+			if off >= len(buf) || Kind(buf[off]) != a.Kind {
+				d.off = at
+				return i
+			}
+			x, next, ok := uvarintAt(buf, off+1)
+			switch off = next; {
+			case !ok || a.Kind == KindString && uint64(len(buf)-off) < x:
+				d.off = at
+				return i
+			case a.Kind == KindString:
+				off += int(x)
+			case j == idx:
+				col[i] = int64(x>>1) ^ -int64(x&1)
+			}
+		}
+	}
+	d.off = off
+	return len(col)
+}
+
+// uvarintAt is binary.Uvarint(buf[off:]) for column: the value, the offset
+// after it, and whether it was well formed (ten bytes at most, the tenth at
+// most 1).
+func uvarintAt(buf []byte, off int) (x uint64, next int, ok bool) {
+	if off < len(buf) && buf[off] < 0x80 {
+		return uint64(buf[off]), off + 1, true
+	}
+	for s := 0; off < len(buf); s += 7 {
+		b := buf[off]
+		off++
+		if s == 63 && b > 1 {
+			return 0, off, false
+		}
+		x |= uint64(b&0x7f) << s
+		if b < 0x80 {
+			return x, off, true
+		}
+	}
+	return 0, off, false
 }

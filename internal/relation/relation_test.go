@@ -2,6 +2,7 @@ package relation
 
 import (
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -177,6 +178,9 @@ func FuzzInt64Column(f *testing.F) {
 	f.Add(wrong)
 	f.Add(wrong[:len(wrong)-2])
 	f.Add(New(MustSchema("r", Attr{Name: "key", Kind: KindString})).Encode())
+	for _, b := range handOffSeeds() {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		col, err := Int64Column(b, "key")
 		rel, derr := Decode(b)
@@ -204,6 +208,43 @@ func FuzzInt64Column(f *testing.F) {
 			t.Fatalf("Int64Column = %v, Decode's column %v", col, want)
 		}
 	})
+}
+
+// handOffSeeds are relations R(key int64, p string) whose tuples read well
+// up to one in the middle, where Int64Column's column loop hands over to the
+// walker: so Decode's error, or its column, is checked at a tuple other than
+// the first.
+func handOffSeeds() [][]byte {
+	head := New(MustSchema("r", Attr{Name: "key", Kind: KindInt64}, Attr{Name: "p", Kind: KindString})).Encode()
+	head = head[:len(head)-1] // drop the tuple count, 0
+	good := func(n int) []byte {
+		var b []byte
+		for i := range n {
+			b = appendValue(appendValue(b, Int(int64(7*i-3))), Str("x"))
+		}
+		return b
+	}
+	rel := func(count int, parts ...[]byte) []byte {
+		b := binary.AppendUvarint(slices.Clone(head), uint64(count))
+		for _, p := range parts {
+			b = append(b, p...)
+		}
+		return b
+	}
+	str := appendValue(nil, Str("x"))
+	wrongKind := append(appendValue(nil, Str("k")), str...)
+	tenBytes := append(appendValue(nil, Int(math.MinInt64)), str...)
+	overflow := append([]byte{byte(KindInt64), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, str...)
+	overrun := append(appendValue(nil, Int(1)), byte(KindString), 100, 'a', 'b')
+	return [][]byte{
+		rel(3, good(1), wrongKind, good(1)),     // the wrong kind after 1 good tuple
+		rel(302, good(300), wrongKind, good(1)), // … and after 300
+		rel(11, good(5), tenBytes, good(5)),     // a 10-byte varint, well formed
+		rel(11, good(5), overflow, good(5)),     // a varint over 64 bits
+		rel(6, good(5), overrun),                // a string that runs past the end
+		append(rel(10, good(10)), 1, 2, 3),      // trailing bytes
+		rel(12, good(10)),                       // fewer tuples than counted
+	}
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {

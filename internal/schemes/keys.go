@@ -591,19 +591,28 @@ const radixMin = 256
 // passes a copy. It is the one sort in front of every key file — a relation's
 // key column, a list, a delta's keys, an arc file's ids.
 //
-// From radixMin keys on it is an LSD radix sort over the biased key, a byte a
-// pass, with a pass only for the bytes in which some two keys differ, so it
-// costs O(n) per varying byte: 2²⁰ keys below 2²² sort in three passes, and
-// no input takes more than eight. The passes alternate between keys and one
-// scratch slice of the same length.
+// From radixMin keys on, one pass finds the smallest and the largest key and
+// the bits in which some key differs from the first. A dense set — its span
+// hi−lo under 64 values a key, as 2²⁰ keys below 2²² are — is sorted through a
+// bitmap over the span (dedupDense): one pass sets the bits, one scan reads
+// them back, and the bitmap is never longer than keys. Any other set is an
+// LSD radix sort over the biased key, a byte a pass, with a pass only for
+// the bytes in which some two keys differ, so it costs O(n) per varying byte
+// and no input takes more than eight; the passes alternate between keys and
+// one scratch slice of the same length. Either way the one allocation is at
+// most len(keys) words.
 func dedupSorted(keys []int64) []int64 {
 	if len(keys) < radixMin {
 		slices.Sort(keys)
 		return slices.Compact(keys)
 	}
-	var diff uint64
+	lo, hi, diff := keys[0], keys[0], uint64(0)
 	for _, k := range keys {
+		lo, hi = min(lo, k), max(hi, k)
 		diff |= uint64(k ^ keys[0])
+	}
+	if span := uint64(hi) - uint64(lo); span/64 < uint64(len(keys)) {
+		return dedupDense(keys, lo, span)
 	}
 	src, dst := keys, make([]int64, len(keys))
 	for shift := 0; shift < 64; shift += 8 {
@@ -629,6 +638,28 @@ func dedupSorted(keys []int64) []int64 {
 		copy(keys, src)
 	}
 	return slices.Compact(keys)
+}
+
+// dedupDense is dedupSorted over keys in [lo, lo+span], span/64 < len(keys):
+// bit k−lo of a span/64+1-word bitmap is set for each key k, and the set bits
+// are written back over keys in ascending order. Offsets are taken in uint64,
+// so a span that crosses zero or reaches either end of int64 wraps back
+// exactly.
+func dedupDense(keys []int64, lo int64, span uint64) []int64 {
+	set := make([]uint64, span/64+1)
+	for _, k := range keys {
+		x := uint64(k) - uint64(lo)
+		set[x/64] |= 1 << (x % 64)
+	}
+	n := 0
+	for w, word := range set {
+		for base := uint64(lo) + 64*uint64(w); word != 0; word &= word - 1 {
+			keys[n] = int64(base + uint64(bits.TrailingZeros64(word)))
+			n++
+		}
+	}
+	clear(keys[n:])
+	return keys[:n]
 }
 
 // checkKeyCount refuses a key set the 32-bit samples cannot count.

@@ -78,19 +78,24 @@ func BenchmarkKeyFile(b *testing.B) {
 
 // BenchmarkPointPreprocess times the sorted-key Preprocess on the benchmark's
 // point_single data — RelationFromKeys of 2²⁰ keys drawn below 2²² — whole
-// (total) and by stage: decode is relation.Decode and the key column copied
-// out of its tuples, sort is dedupSorted over that column (copied back
-// before each run, outside the timer), encode is keyFileBytes over the
-// sorted keys. It uses only names the parent of the radix sort had, so the
-// same file times either side; decode is the stage as the parent ran it
-// (BenchmarkInt64Column in internal/relation times the column reader that
-// replaced it).
+// (total) and by stage, so that column + sort/dense + encode sum to about
+// total: column is relation.Int64Column, the reader Preprocess uses; sort is
+// dedupSorted over that column (copied back before each run, outside the
+// timer), on those keys (dense, the bitmap) and on as many drawn from all of
+// int64 (wide, the radix passes); encode is keyFileBytes over the sorted
+// keys. decode is relation.Decode and the key column copied out of its
+// tuples, the stage as the parent of the column reader ran it. It uses only
+// names that parent had, so the same file times either side.
 func BenchmarkPointPreprocess(b *testing.B) {
 	const space = 1 << 22
 	rng := rand.New(rand.NewSource(2501))
 	keys := make([]int64, 1<<20)
 	for i := range keys {
 		keys[i] = rng.Int63n(space)
+	}
+	wide := make([]int64, len(keys))
+	for i := range wide {
+		wide[i] = rng.Int63() - rng.Int63()
 	}
 	d := RelationFromKeys(keys)
 	sorted := dedupSorted(append([]int64(nil), keys...))
@@ -108,15 +113,28 @@ func BenchmarkPointPreprocess(b *testing.B) {
 			}
 		}
 	})
-	b.Run("sort", func(b *testing.B) {
-		work := make([]int64, len(keys))
+	b.Run("column", func(b *testing.B) {
+		b.SetBytes(int64(len(d)))
 		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			copy(work, keys)
-			b.StartTimer()
-			dedupSorted(work)
+			if _, err := relation.Int64Column(d, "key"); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
+	for _, c := range []struct {
+		name string
+		keys []int64
+	}{{"sort/dense", keys}, {"sort/wide", wide}} {
+		b.Run(c.name, func(b *testing.B) {
+			work := make([]int64, len(c.keys))
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				copy(work, c.keys)
+				b.StartTimer()
+				dedupSorted(work)
+			}
+		})
+	}
 	b.Run("encode", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := keyFileBytes(sorted); err != nil {

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -326,28 +327,51 @@ func FuzzSortedKeysDecode(f *testing.F) {
 }
 
 // TestSortedDistinctMatchesSort holds dedupSorted — slices.Sort below
-// radixMin keys, an LSD radix sort from there — to slices.Sort and
-// slices.Compact of a copy, on every length around the switch and one large
-// one, over key sets that vary in every byte, in only the top or only the
-// lowest, or not at all, in random, ascending and descending order. It also
-// pins the contract: the result is a prefix of the caller's slice, which is
-// sorted in place — Preprocess hands over its key column and pays no copy.
+// radixMin keys, from there a bitmap when the keys are dense and an LSD radix
+// sort when they are not — to slices.Sort and slices.Compact of a copy, on
+// every length around both switches and one large one, in random, ascending
+// and descending order. The key sets vary in every byte, in only the top or
+// only the lowest, or not at all; the dense ones lie below 4n, in a window
+// across zero, at MinInt64 or ending at MaxInt64, and three span 64n−64 (the
+// widest bitmap), 64n and 64n+64 (the narrowest radix sorts). It also pins
+// the contract: the result is a prefix of the caller's slice, which is sorted
+// in place — Preprocess hands over its key column and pays no copy.
 func TestSortedDistinctMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
-	shapes := map[string]func(i int) int64{
-		"random":      func(int) int64 { return rng.Int63() - rng.Int63() },
-		"negative":    func(int) int64 { return -rng.Int63n(1 << 20) },
-		"int64-ends":  func(i int) int64 { return []int64{math.MinInt64, math.MaxInt64, 0, -1}[i%4] },
-		"all-equal":   func(int) int64 { return -12345 },
-		"top-byte":    func(int) int64 { return int64(uint64(rng.Intn(256))<<56 | 0x00ab_cdef_0123_4567) },
-		"lowest-byte": func(int) int64 { return 0x0123_4567_89ab_cd00 | int64(rng.Intn(256)) },
-		"few":         func(int) int64 { return int64(rng.Intn(5)) << 40 },
+	// span draws keys in [base, base+span] with both ends present.
+	span := func(base int64, width func(n int) int64) func(i, n int) int64 {
+		return func(i, n int) int64 {
+			w := width(n)
+			switch i {
+			case 0:
+				return base
+			case 1:
+				return base + w
+			}
+			return base + rng.Int63n(w+1)
+		}
+	}
+	shapes := map[string]func(i, n int) int64{
+		"random":      func(int, int) int64 { return rng.Int63() - rng.Int63() },
+		"negative":    func(int, int) int64 { return -rng.Int63n(1 << 20) },
+		"int64-ends":  func(i, _ int) int64 { return []int64{math.MinInt64, math.MaxInt64, 0, -1}[i%4] },
+		"all-equal":   func(int, int) int64 { return -12345 },
+		"top-byte":    func(int, int) int64 { return int64(uint64(rng.Intn(256))<<56 | 0x00ab_cdef_0123_4567) },
+		"lowest-byte": func(int, int) int64 { return 0x0123_4567_89ab_cd00 | int64(rng.Intn(256)) },
+		"few":         func(int, int) int64 { return int64(rng.Intn(5)) << 40 },
+		"below-4n":    func(_, n int) int64 { return rng.Int63n(4 * int64(n)) },
+		"across-zero": span(-7, func(n int) int64 { return 32 * int64(n) }),
+		"at-min":      span(math.MinInt64, func(n int) int64 { return 3 * int64(n) }),
+		"to-max":      func(i, n int) int64 { return math.MaxInt64 - min(int64(i), rng.Int63n(3*int64(n))) }, // MaxInt64 first
+		"span-64n-64": span(-1<<40, func(n int) int64 { return 64*int64(n) - 64 }),
+		"span-64n":    span(-1<<40, func(n int) int64 { return 64 * int64(n) }),
+		"span-64n+64": span(-1<<40, func(n int) int64 { return 64*int64(n) + 64 }),
 	}
 	for _, n := range []int{0, 1, 2, 255, 256, 257, 1 << 17} {
 		for name, key := range shapes {
 			keys := make([]int64, n)
 			for i := range keys {
-				keys[i] = key(i)
+				keys[i] = key(i, n)
 			}
 			for _, order := range []string{"as drawn", "ascending", "descending"} {
 				switch order {
@@ -365,11 +389,15 @@ func TestSortedDistinctMatchesSort(t *testing.T) {
 				if len(got) > 0 && &got[0] != &in[0] {
 					t.Fatalf("%s, n=%d, %s: the result is not a prefix of the caller's slice", name, n, order)
 				}
+				if tail := in[len(got):]; slices.ContainsFunc(tail, func(k int64) bool { return k != 0 }) {
+					t.Fatalf("%s, n=%d, %s: the slice past the result is not zeroed", name, n, order)
+				}
 			}
 		}
 	}
-	// The radix path sorts in place: it allocates its one scratch slice and
-	// nothing for the result.
+	// Both large paths sort in place: each allocates its one scratch — the
+	// radix sort a slice of len(keys), the bitmap at most len(keys) words —
+	// and nothing for the result.
 	keys := make([]int64, 1<<17)
 	for i := range keys {
 		keys[i] = rng.Int63()
@@ -381,4 +409,57 @@ func TestSortedDistinctMatchesSort(t *testing.T) {
 	}); allocs != 1 {
 		t.Fatalf("radix sort of 2¹⁷ keys: %.0f allocations, want the one scratch slice", allocs)
 	}
+	dense := span(-1<<40, func(n int) int64 { return 64*int64(n) - 64 })
+	for i := range keys {
+		keys[i] = dense(i, len(keys))
+	}
+	if allocs := testing.AllocsPerRun(5, func() {
+		copy(work, keys)
+		dedupSorted(work)
+	}); allocs != 1 {
+		t.Fatalf("dense sort of 2¹⁷ keys: %.0f allocations, want the one bitmap", allocs)
+	}
+	copy(work, keys)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	dedupSorted(work)
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(8*len(keys)); got > limit {
+		t.Fatalf("dense sort of 2¹⁷ keys over a span of 64n−64: a %d-byte bitmap, want at most len(keys) words (%d bytes)", got, limit)
+	}
+}
+
+// FuzzDedupSorted holds dedupSorted to slices.Sort and slices.Compact on
+// radixMin keys and more, drawn by the fuzz bytes from [base, base+span]
+// (wrapping past MaxInt64): as span moves across 64 keys a key, the sort
+// moves between the bitmap and the radix passes. The result must be a prefix
+// of the caller's slice.
+func FuzzDedupSorted(f *testing.F) {
+	f.Add(int64(0), uint64(4*radixMin), []byte{1, 2, 3})
+	f.Add(int64(-7), uint64(64*radixMin-64), []byte("dense"))
+	f.Add(int64(-7), uint64(64*radixMin), []byte("radix"))
+	f.Add(int64(math.MinInt64), uint64(100), []byte{0xff})
+	f.Add(int64(math.MaxInt64-1000), uint64(1000), []byte{0, 0, 0, 0, 0, 0, 0, 1})
+	f.Add(int64(math.MinInt64), uint64(math.MaxUint64), []byte("every key"))
+	f.Fuzz(func(t *testing.T, base int64, span uint64, b []byte) {
+		keys := make([]int64, radixMin+min(len(b), 1<<12))
+		for i := range keys {
+			x := uint64(i) * 0x9e37_79b9_7f4a_7c15
+			for j := range min(len(b), 8) {
+				x ^= uint64(b[(i+j)%len(b)]) << (8 * j)
+			}
+			if span < math.MaxUint64 {
+				x %= span + 1
+			}
+			keys[i] = int64(uint64(base) + x)
+		}
+		want := slices.Compact(slices.Sorted(slices.Values(keys)))
+		got := dedupSorted(keys)
+		if !slices.Equal(got, want) {
+			t.Fatalf("base %d, span %d, %d keys: %d distinct, want %d", base, span, len(keys), len(got), len(want))
+		}
+		if &got[0] != &keys[0] {
+			t.Fatalf("base %d, span %d: the result is not a prefix of the caller's slice", base, span)
+		}
+	})
 }

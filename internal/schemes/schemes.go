@@ -78,14 +78,15 @@ func SelectionLanguage() core.Language {
 // PointSelectionScheme preprocesses the relation into a sorted key file and
 // answers point selections by one probe of it — Example 1's B⁺-tree access
 // path in string form: a few linear passes of preprocessing (the key column
-// read out of D's bytes, radix-sorted, laid out), then a sample, a few words
-// of high bits and a search of one bucket per answer.
+// read out of D's bytes whole tuples at a time, sorted, laid out), then a
+// sample, a few words of high bits and a search of one bucket per answer.
 //
-// The sort is O(|D|·b), b ≤ 8 the key bytes that vary (dedupSorted). The
-// PreprocessNote of this scheme, the range scheme and list membership still
-// reads O(|D| log |D|), a bound the cost is under: the note is spelled into
-// every snapshot header (store.NewSnapshot), so a new one would change the
-// bytes of every snapshot these schemes write.
+// The sort (dedupSorted) is O(|D|) through a bitmap when the keys span fewer
+// than 64 values a key, and O(|D|·b) otherwise, b ≤ 8 the key bytes that
+// vary. The PreprocessNote of this scheme, the range scheme and list
+// membership still reads O(|D| log |D|), a bound the cost is under: the note
+// is spelled into every snapshot header (store.NewSnapshot), so a new one
+// would change the bytes of every snapshot these schemes write.
 func PointSelectionScheme() *core.Scheme {
 	return &core.Scheme{
 		SchemeName: "point-selection/sorted-keys",

@@ -95,9 +95,17 @@ func decodeOnePass[T any](s *Server, w http.ResponseWriter, r *http.Request, fas
 
 // readBody reads a request body under the envelope's byte cap into a pooled
 // buffer, which the caller hands back to putBody once nothing refers to it.
+// A body that declares its length within the cap is read into a buffer grown
+// once to that length (and the MinRead ReadFrom keeps free at the end), not
+// doubled up to it; a declared length over the cap grows nothing and is
+// refused by the cap as it is read.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, error) {
 	buf := bodyPool.Get().(*bytes.Buffer)
-	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.env.limits.MaxBodyBytes))
+	limit := s.env.limits.MaxBodyBytes
+	if n := r.ContentLength; n > 0 && n <= limit {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
 	return buf, err
 }
 

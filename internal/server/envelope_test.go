@@ -97,6 +97,75 @@ func TestEnvelopeOversizedBodies(t *testing.T) {
 	}
 }
 
+// TestEnvelopeDeclaredLength pins how readBody uses a body's declared
+// Content-Length. Over the byte cap it is still today's 413 naming the
+// limit, and the buffer is not grown to the declared length — a client can
+// declare what it likes. Within the cap the buffer is grown once, to the
+// declared length and no more than the one read's slack past it; a
+// registration-sized buffer, over maxPooledBody, is left to the collector
+// rather than put back in bodyPool.
+func TestEnvelopeDeclaredLength(t *testing.T) {
+	srv := New(store.NewRegistry(""), nil)
+	const bodyCap = 1 << 10
+	srv.SetLimits(Limits{MaxBodyBytes: bodyCap})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	payload, err := json.Marshal(RegisterRequest{ID: "big", Scheme: "point-selection/sorted-keys", Data: make([]byte, 2*bodyCap)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/datasets", bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if req.ContentLength <= bodyCap {
+		t.Fatalf("the request declares %d bytes, want more than the %d-byte cap", req.ContentLength, bodyCap)
+	}
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e errorResponse
+	json.NewDecoder(resp.Body).Decode(&e)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(e.Error, fmt.Sprintf("%d-byte limit", bodyCap)) {
+		t.Fatalf("a declared length over the cap: status %d (%q), want 413 naming the %d-byte limit", resp.StatusCode, e.Error, bodyCap)
+	}
+
+	// A declared length far over the cap, on a body of 2 KiB: the read
+	// stops at the cap, and the buffer never held room for the declaration.
+	r := httptest.NewRequest(http.MethodPost, "/v1/datasets", bytes.NewReader(make([]byte, 2*bodyCap)))
+	r.ContentLength = 64 << 20
+	buf, err := srv.readBody(httptest.NewRecorder(), r)
+	if err == nil {
+		t.Fatal("a body over the cap read without error")
+	}
+	if buf.Cap() >= 1<<20 {
+		t.Fatalf("a declared length of %d over a %d-byte cap grew the buffer to %d bytes", r.ContentLength, bodyCap, buf.Cap())
+	}
+	putBody(buf)
+
+	// Within the cap: one buffer of the declared length (plus ReadFrom's
+	// MinRead of slack, rounded to a size class), read without a doubling.
+	big := New(store.NewRegistry(""), nil)
+	const size = 3 * maxPooledBody / 2
+	r = httptest.NewRequest(http.MethodPost, "/v1/datasets", bytes.NewReader(make([]byte, size)))
+	buf, err = big.readBody(httptest.NewRecorder(), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() != size || buf.Cap() > size+size/16 {
+		t.Fatalf("a %d-byte body read into %d bytes of a %d-byte buffer, want one buffer of about the declared length", size, buf.Len(), buf.Cap())
+	}
+	putBody(buf)
+	for range 4 {
+		if got := bodyPool.Get().(*bytes.Buffer); got == buf {
+			t.Fatalf("a %d-byte buffer, over maxPooledBody (%d), went back into bodyPool", buf.Cap(), maxPooledBody)
+		}
+	}
+}
+
 // TestEnvelopeBatchCap pins the batch-size bound: a batch over
 // MaxBatchQueries is a 413 naming both sizes, one at the limit passes,
 // and the rejection is counted separately from body-size 413s.

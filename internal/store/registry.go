@@ -314,14 +314,14 @@ func (r *Registry) RegisterContext(ctx context.Context, id string, scheme *core.
 	if scheme == nil {
 		return nil, fmt.Errorf("store: register %q: nil scheme", id)
 	}
-	sum := SumData(data)
+	sum := sumBeside(data)
 	ds, err := r.RegisterDatasetContext(ctx, id,
 		func(d Dataset) error {
 			if d.SchemeName() != scheme.Name() {
 				return fmt.Errorf("store: dataset %q already registered with scheme %s (got %s)",
 					id, d.SchemeName(), scheme.Name())
 			}
-			if d.DataDigest() != sum {
+			if d.DataDigest() != sum() {
 				return fmt.Errorf("store: dataset %q already registered with different data (re-register under a new id)", id)
 			}
 			// A ShardedStore with n=1 also reports ShardCount()==1, so the
@@ -340,13 +340,13 @@ func (r *Registry) RegisterContext(ctx context.Context, id string, scheme *core.
 					if err != nil {
 						return nil, err
 					}
-					if snap.SchemeName != scheme.Name() || snap.DataSum != sum {
+					if snap.SchemeName != scheme.Name() || snap.DataSum != sum() {
 						return nil, ErrStale
 					}
 					// A snapshot with Version > 0 is the maintained
 					// Π(D ⊕ ∆D…): resuming from it (not from a re-preprocess
 					// of D) is the whole point of persisting maintenance.
-					st, err := newStore(id, scheme, sum, snap.Prep, snap.Version, true)
+					st, err := newStore(id, scheme, sum(), snap.Prep, snap.Version, true)
 					if err != nil {
 						// A Π that passes every check above and that this build
 						// will not prepare — damage the CRC cannot see, or a
@@ -364,7 +364,7 @@ func (r *Registry) RegisterContext(ctx context.Context, id string, scheme *core.
 						return nil, fmt.Errorf("store: register %q: preprocess (%s): %w", id, scheme.Name(), err)
 					}
 					obsPreprocess.Since(ppStart)
-					st, err := newStore(id, scheme, sum, pd, 0, false)
+					st, err := newStore(id, scheme, sum(), pd, 0, false)
 					if err != nil {
 						return nil, fmt.Errorf("store: register %q: prepare (%s): %w", id, scheme.Name(), err)
 					}
@@ -379,6 +379,17 @@ func (r *Registry) RegisterContext(ctx context.Context, id string, scheme *core.
 		return nil, fmt.Errorf("store: dataset %q is not a plain store", id)
 	}
 	return st, nil
+}
+
+// sumBeside starts SumData(data) on a goroutine of its own and returns the
+// wait for it: a registration hashes D beside its build — a snapshot load or
+// Preprocess — and joins where it first compares or stores the sum. The
+// goroutine ends with its hash; the channel's one slot lets it end even when
+// the registration gives up first and never waits.
+func sumBeside(data []byte) func() DataChecksum {
+	c := make(chan DataChecksum, 1)
+	go func() { c <- SumData(data) }()
+	return sync.OnceValue(func() DataChecksum { return <-c })
 }
 
 // ReplayCount reports how many delta-log records this registry has

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -27,7 +28,10 @@ func countingScheme(s *core.Scheme, calls *int32, mu *sync.Mutex) *core.Scheme {
 
 // TestRegistryConcurrentRegister races many goroutines registering the same
 // dataset: all must receive the same memoized store and exactly one
-// Preprocess may run. Run under -race.
+// Preprocess may run. Then, with the dataset built, half of another crowd
+// re-registers it and half registers other data under its id: each one's
+// digest of D (hashed beside its registration) decides which it gets — the
+// store, or the different-data error. Run under -race.
 func TestRegistryConcurrentRegister(t *testing.T) {
 	r := NewRegistry("")
 	var calls int32
@@ -57,6 +61,27 @@ func TestRegistryConcurrentRegister(t *testing.T) {
 	}
 	if calls != 1 {
 		t.Fatalf("Preprocess ran %d times, want exactly 1", calls)
+	}
+	other := schemes.RelationFromKeys([]int64{2, 4, 6, 9})
+	wg.Add(goroutines)
+	for i := 0; i < goroutines; i++ {
+		go func(i int) {
+			defer wg.Done()
+			if i%2 == 0 {
+				stores[i], errs[i] = r.Register("keys", scheme, data)
+			} else {
+				stores[i], errs[i] = r.Register("keys", scheme, other)
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < goroutines; i++ {
+		switch {
+		case i%2 == 0 && (errs[i] != nil || stores[i] != stores[0]):
+			t.Fatalf("goroutine %d, the same data again: %v, want the memoized store", i, errs[i])
+		case i%2 == 1 && (errs[i] == nil || !strings.Contains(errs[i].Error(), "different data")):
+			t.Fatalf("goroutine %d, other data under the id: %v, want the different-data error", i, errs[i])
+		}
 	}
 	if got := r.PreprocessCount(); got != 1 {
 		t.Fatalf("PreprocessCount = %d, want 1", got)
