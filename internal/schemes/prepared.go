@@ -43,9 +43,11 @@ type LocalReach interface {
 	Nodes() int
 	// Reach reports whether u reaches v (reflexively).
 	Reach(u, v int) bool
-	// ReachFrom sets bit v of row for every v that u reaches.
+	// ReachFrom sets bit v of row for every v that u reaches, u itself
+	// included.
 	ReachFrom(u int, row []uint64)
-	// ReachTo sets bit u of col for every u that reaches v.
+	// ReachTo sets bit u of col for every u that reaches v, v itself
+	// included.
 	ReachTo(v int, col []uint64)
 }
 

@@ -1,15 +1,19 @@
 package shard
 
-// The portal overlay is built by one function (rebuildClosure) on the
-// condensation kernel and stored over its condensation, at Build through the
-// shards' frozen subgraphs and at PATCH through their prepared answerers. These
-// tests hold the summary bytes to a reference build — one whole-graph BFS per
-// portal, one search per overlay vertex, classes and class rows one bit at a
-// time — and pin the cap on the portal count.
+// The portal overlay is built once per local class — the portals of one
+// shard that reach each other inside it — and stored over its condensation:
+// at Split through the shards' frozen subgraphs (buildReachSummary, classes
+// from each subgraph's SCCs), at PATCH through their prepared answerers
+// (buildRows, classes from one search each way). These tests hold the summary
+// bytes to a reference build — one whole-graph BFS per portal and an arc per
+// reaching portal pair, one search per overlay vertex, classes and class rows
+// one bit at a time — on shapes whose shards hold one class of many portals,
+// only singleton classes, or both, and pin the cap on the portal count.
 
 import (
 	"bytes"
 	"encoding/binary"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -136,6 +140,9 @@ func TestOverlaySummaryBytesUnchanged(t *testing.T) {
 		"path-undirected": graph.Path(33, false),
 		"edgeless":        graph.New(12, true),
 		"no-vertices":     graph.New(0, true),
+		"community-wide":  graph.CommunityGraph(4, 32, 48, 7),
+		"cycle-blocks":    blockGraph(4, 16, 16, 24, 8),
+		"scc-with-tail":   blockGraph(4, 16, 10, 24, 9),
 	}
 	for name, g := range shapes {
 		for _, p := range []Partitioner{HashPartitioner{}, RangePartitioner{}} {
@@ -150,6 +157,121 @@ func TestOverlaySummaryBytesUnchanged(t *testing.T) {
 			}
 		}
 	}
+}
+
+// blockGraph is nb blocks of size vertices — block b is vertices b·size to
+// b·size+size−1, one range shard at n = nb — plus cross random arcs between
+// blocks. In each block the first scc vertices form one directed cycle and
+// the rest a tail, each vertex arcing to the next and the last into the
+// cycle: a block is one SCC when scc = size, and one SCC with a DAG tail
+// into it otherwise, so a portal on the tail is a class of its own that
+// reaches the cycle's one class of many.
+func blockGraph(nb, size, scc, cross int, seed int64) *graph.Graph {
+	g := graph.New(nb*size, true)
+	for b := 0; b < nb; b++ {
+		base := b * size
+		for i := 0; i < scc; i++ {
+			if scc > 1 {
+				g.MustAddEdge(base+i, base+(i+1)%scc)
+			}
+		}
+		for i := scc; i < size; i++ {
+			if i+1 < size {
+				g.MustAddEdge(base+i, base+i+1)
+			} else {
+				g.MustAddEdge(base+i, base)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for added := 0; added < cross; {
+		u, v := rng.Intn(g.N()), rng.Intn(g.N())
+		if u/size != v/size && !g.HasEdge(u, v) {
+			g.MustAddEdge(u, v)
+			added++
+		}
+	}
+	g.Normalize()
+	return g
+}
+
+// FuzzOverlaySummary: any graph of at most 48 vertices, directed or not,
+// split over two to four shards by either partitioner, gets the reference's
+// summary bytes, the same bytes again when the overlay is rebuilt from the
+// members' prepared answerers (the PATCH path, on an empty batch), and every
+// pair's sharded verdict equal to the unsharded closure's. The first byte
+// picks orientation, partitioner, shard count and member scheme, the second
+// the vertex count; each further pair of bytes is an edge.
+func FuzzOverlaySummary(f *testing.F) {
+	f.Add([]byte{0x00, 12, 0, 1, 1, 2, 2, 0, 3, 4, 4, 5, 5, 3, 2, 3, 5, 6, 6, 7, 7, 8, 8, 6})
+	f.Add([]byte{0x07, 48, 0, 47, 5, 9, 9, 5, 12, 30, 30, 31, 31, 12, 40, 2})
+	f.Add([]byte{0x0a, 20, 0, 1, 1, 2, 2, 3, 3, 4, 4, 0, 5, 6, 6, 7, 7, 5, 1, 6, 7, 2})
+	f.Add([]byte{0x15, 9, 0, 1, 2, 3, 4, 5, 6, 7})
+	f.Add(blockGraphSeed())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		h := data[0]
+		nv := int(data[1]) % 49
+		g := graph.New(nv, h&1 != 0)
+		for i := 2; i+1 < len(data) && nv > 0; i += 2 {
+			if u, v := int(data[i])%nv, int(data[i+1])%nv; u != v && !g.HasEdge(u, v) {
+				g.MustAddEdge(u, v)
+			}
+		}
+		g.Normalize()
+		var p Partitioner = HashPartitioner{}
+		if h&2 != 0 {
+			p = RangePartitioner{}
+		}
+		n := 2 + int(h>>2)%3
+		scheme := []*core.Scheme{schemes.ReachabilityScheme(), schemes.ReachabilityLabelsScheme(), schemes.ReachabilityBFSScheme()}[int(h>>4)%3]
+
+		asn, _, summary, err := splitReach(g.Encode(), p, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(summary, reachSummaryRef(g, asn)) {
+			t.Fatalf("%s/%d: summary differs from the per-portal-BFS build", p.Name(), n)
+		}
+		ss, err := Build("g", scheme, ForScheme(scheme.Name()), p, n, g.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := ss.state.Load()
+		answerers := make([]core.Answerer, len(c.shards))
+		for i, m := range c.shards {
+			answerers[i] = m.answerer
+		}
+		rebuilt, _, err := maintainReach(c.view, ss.Asn, nil, answerers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rebuilt, summary) {
+			t.Fatalf("%s/%d: the overlay rebuilt from the members' answerers differs from the split's", p.Name(), n)
+		}
+		want := graph.NewClosure(g)
+		for u := 0; u < nv; u++ {
+			for v := 0; v < nv; v++ {
+				got, err := ss.Answer(schemes.NodePairQuery(u, v))
+				if err != nil || got != want.Reach(u, v) {
+					t.Fatalf("%s/%d/%s: (%d,%d) = %v, %v; unsharded closure %v", p.Name(), n, scheme.Name(), u, v, got, err, want.Reach(u, v))
+				}
+			}
+		}
+	})
+}
+
+// blockGraphSeed is a 48-vertex blockGraph as a FuzzOverlaySummary input:
+// three range shards of one cycle and a tail each, closure members.
+func blockGraphSeed() []byte {
+	g := blockGraph(3, 16, 11, 12, 10)
+	b := []byte{0x07, byte(g.N())}
+	for _, e := range g.Edges() {
+		b = append(b, byte(e[0]), byte(e[1]))
+	}
+	return b
 }
 
 // lowerPortalCap sets the overlay cap for one test: the real one needs a
@@ -228,5 +350,56 @@ func TestOverlayPortalCap(t *testing.T) {
 	_, err := RegisterSharded(store.NewRegistry(""), "g", schemes.ReachabilityBFSScheme(), RangePartitioner{}, 2, g.Encode())
 	if err == nil || !strings.Contains(err.Error(), "1-vertex closure limit") {
 		t.Fatalf("registration with 2 portals under a cap of 1: %v, want the cap error", err)
+	}
+}
+
+// irreflexiveReach is a member whose bulk reads from a vertex leave that
+// vertex out — ReachTo's when to is set, ReachFrom's otherwise: a Π that
+// passes every CRC and layout check but whose closure lost its diagonal.
+type irreflexiveReach struct {
+	core.Answerer
+	schemes.LocalReach
+	to bool
+}
+
+func (r irreflexiveReach) ReachFrom(u int, row []uint64) {
+	r.LocalReach.ReachFrom(u, row)
+	if !r.to {
+		row[u>>6] &^= 1 << (u & 63)
+	}
+}
+
+func (r irreflexiveReach) ReachTo(v int, col []uint64) {
+	r.LocalReach.ReachTo(v, col)
+	if r.to {
+		col[v>>6] &^= 1 << (v & 63)
+	}
+}
+
+// TestIrreflexiveLocalReachIsRefused: a member whose reads from a portal
+// leave that portal out fails the rows' build — at prepare (a load, which
+// then quarantines the manifest) and at the PATCH rebuild — with an error,
+// not an index panic.
+func TestIrreflexiveLocalReachIsRefused(t *testing.T) {
+	g := blockGraph(2, 12, 8, 4, 1)
+	scheme := schemes.ReachabilityScheme()
+	ss, err := Build("g", scheme, ForScheme(scheme.Name()), RangePartitioner{}, 2, g.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := ss.state.Load()
+	for _, to := range []bool{false, true} {
+		answerers := make([]core.Answerer, len(c.shards))
+		for i, m := range c.shards {
+			answerers[i] = m.answerer
+		}
+		answerers[0] = irreflexiveReach{answerers[0], answerers[0].(schemes.LocalReach), to}
+		const want = "does not include it"
+		if _, err := prepareReach(c.summary, ss.Asn, answerers); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("to=%v: prepare = %v, want an error naming %q", to, err, want)
+		}
+		if _, _, err := maintainReach(c.view, ss.Asn, nil, answerers); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("to=%v: PATCH rebuild = %v, want an error naming %q", to, err, want)
+		}
 	}
 }

@@ -8,8 +8,11 @@ package shard
 //
 //   - portals are the endpoints of cross-shard edges;
 //   - the overlay graph has one node per portal, an edge for every cross
-//     edge, and an edge p→q for every same-shard portal pair with p
-//     reaching q inside its shard;
+//     edge, and, per local class — the portals of one shard that reach each
+//     other inside it — an edge from its first portal to every same-shard
+//     portal it reaches and one back to it from each other member: the
+//     portal-to-portal reachability of an edge per reaching pair, from one
+//     search per class;
 //   - the overlay's reflexive transitive closure is stored in the summary,
 //     over its condensation (graph.CondensedClosure — the value and the
 //     bytes the closure-matrix scheme stores).
@@ -47,10 +50,12 @@ package shard
 // the bytes can disagree with the assignment. The rows are derived state too,
 // built from the per-shard prepared answerers (schemes.LocalReach, bulk row
 // and column reads — never per-pair encoded probes). The summary is decoded
-// only where it arrives as bytes — Build and LoadShardedFS (prepareReach) — and a PATCH batch starts from the committed view, which is
-// that decoded summary, splices its cross edges into the arc file and encodes
-// the next summary once (maintainReach). View and summary are published in one
-// committed value, so no query pairs a new summary with old rows.
+// only where it arrives as bytes — Build and LoadShardedFS (prepareReach) —
+// and a PATCH batch starts from the committed view, which is that decoded
+// summary, splices its cross edges into the arc file, rebuilds overlay and
+// rows in one pass over the members and encodes the next summary once
+// (maintainReach). View and summary are published in one committed value, so
+// no query pairs a new summary with old rows.
 //
 // Memory. Vertices of one local SCC share both rows, and rows are interned
 // per shard, so the heap holds 16 bytes per vertex — shard, local id and two
@@ -58,10 +63,16 @@ package shard
 // distinct ≤ 2·(local SCC count) + 1. The worst case (every vertex its own SCC
 // with its own portal set) is 2·n·P bits, next to the overlay closure itself
 // (P·⌈log₂ k⌉ bits + k² bits over its k classes) and the arc file (about
-// L + 2 bits a cross edge, L = ⌊log₂(n²/C)⌋ for C of them, read in place);
-// building them costs O(Σ_s n_s·P_s) bit operations (P_s bulk reads of n_s
-// bits each way per shard), one P-bit expansion per overlay class, and one OR
-// of ≤ P_s expanded rows per distinct out row.
+// L + 2 bits a cross edge, L = ⌊log₂(n²/C)⌋ for C of them, read in place).
+// Building them reads each shard once per local class: with K_s ≤ P_s
+// classes among shard s's P_s portals, one bulk read of n_s bits each way per
+// class, an OR of at most ⌈P_s/8⌉ bytes into the local row of every vertex a
+// read reaches (one byte for a one-portal class), one P-bit expansion per
+// overlay class, and at most one OR of an expanded row per overlay class
+// among a distinct out row's portals. The overlay costs one search per class
+// at Split — the subgraph's SCCs name the classes — and nothing beyond the
+// rows' reads at PATCH, and holds at most K_s·P_s + P_s arcs inside shard s,
+// against up to P_s² for an arc per reaching pair.
 //
 // Every shard's answerer is prepared before the rows are built — a member Π
 // the scheme refuses fails the build, the load or the PATCH first — so the
@@ -177,21 +188,78 @@ func localReach(shards []core.Answerer, s, nodes int) (schemes.LocalReach, error
 	return lr, nil
 }
 
-// scatterBit sets bit j of row v (stride bytes wide, in dst) for every
-// vertex v whose bit is set in set.
-func scatterBit(set []uint64, dst []byte, stride, j int) {
+// scatterMask ORs mask into bytes lo.. of row v (stride bytes wide, in dst)
+// for every vertex v whose bit is set in set: a whole local class's portal
+// bits in one pass over what its search reached.
+func scatterMask(set []uint64, dst []byte, stride, lo int, mask []byte) {
 	for wi, w := range set {
 		for ; w != 0; w &= w - 1 {
-			v := wi<<6 + bits.TrailingZeros64(w)
-			dst[v*stride+j>>3] |= 1 << (j & 7)
+			row := dst[(wi<<6+bits.TrailingZeros64(w))*stride+lo:]
+			for i, b := range mask {
+				row[i] |= b
+			}
 		}
 	}
 }
 
+// portalMask is one shard's portals seen from inside it: bit l of set is set
+// iff local vertex l is a portal. Local ids and overlay indices both ascend
+// with the global id, so a portal's position in rs.byShard[s] is its rank
+// among the set bits — pre[w] counts the bits set in set[:w].
+type portalMask struct {
+	set []uint64
+	pre []int32
+}
+
+// portalMask builds shard s's mask.
+func (rs *reachSummary) portalMask(s int) portalMask {
+	words := (rs.counts[s] + 63) / 64
+	m := portalMask{set: make([]uint64, words), pre: make([]int32, words+1)}
+	for _, pi := range rs.byShard[s] {
+		l := rs.local[rs.portals[pi]]
+		m.set[l>>6] |= 1 << (l & 63)
+	}
+	for w, x := range m.set {
+		m.pre[w+1] = m.pre[w] + int32(bits.OnesCount64(x))
+	}
+	return m
+}
+
+// ranks appends to dst the position of every portal set in a — and in b too,
+// when b is not nil — ascending.
+func (m portalMask) ranks(dst []int, a, b []uint64) []int {
+	for wi, mw := range m.set {
+		w := mw & a[wi]
+		if b != nil {
+			w &= b[wi]
+		}
+		for ; w != 0; w &= w - 1 {
+			below := mw & (1<<bits.TrailingZeros64(w) - 1)
+			dst = append(dst, int(m.pre[wi])+bits.OnesCount64(below))
+		}
+	}
+	return dst
+}
+
+// pendingRow is a distinct non-empty local row waiting for the overlay
+// closure: its shard, its side, and its local portal bits.
+type pendingRow struct {
+	shard int
+	out   bool
+	key   string
+}
+
 // buildRows derives the answer-path state: the typed per-shard reach forms
 // and the interned out/in portal rows (see the file comment for the formulas
-// and the cost bound). A shard without a reach form fails the build.
-func (rs *reachSummary) buildRows(shards []core.Answerer) error {
+// and the cost bound). A shard is read once per local class — the portals
+// that reach each other inside it: one ReachFrom and one ReachTo from the
+// class's first portal, the class being the portals both hold, and every
+// vertex either read reaches takes all the class's bits at once. When overlay
+// is not nil (a PATCH, whose closure is rebuilt from the same answerers) the
+// same reads add each class's arcs to it (addClassArcs), and it is closed
+// into rs.overlay before any row is widened. A shard without a reach form,
+// or whose reads from a portal leave that portal out, fails the build.
+func (rs *reachSummary) buildRows(shards []core.Answerer, overlay *graph.Graph) error {
 	counts := rs.counts
 	if len(shards) != len(counts) {
 		return fmt.Errorf("shard: %d shard answerers for an assignment over %d shards", len(shards), len(counts))
@@ -203,16 +271,27 @@ func (rs *reachSummary) buildRows(shards []core.Answerer) error {
 	for v, s := range rs.shardOf {
 		members[s] = append(members[s], int32(v))
 	}
-	P := len(rs.portals)
-	rs.words = (P + 63) / 64
+	rs.words = (len(rs.portals) + 63) / 64
 	rs.reach = make([]schemes.LocalReach, len(counts))
-	rs.rows = make([]uint64, rs.words) // row 0: reaches no portal
 	rs.out = make([]uint32, rs.n)
 	rs.in = make([]uint32, rs.n)
 
-	// Portals of one overlay class reach the same portals: a class's row over
-	// portal indices is expanded once, by the first widenOut that needs it.
-	overlayRows := make([][]uint64, rs.overlay.Classes())
+	// Distinct local rows get their row index here — pending[i] is row i+1;
+	// row 0 reaches no portal — and their bits once the overlay closure is
+	// known (widenRows).
+	var pending []pendingRow
+	intern := func(seen map[string]uint32, key []byte, s int, out bool) uint32 {
+		if idx, ok := seen[string(key)]; ok {
+			return idx
+		}
+		k, idx := string(key), uint32(0)
+		if slices.ContainsFunc(key, func(b byte) bool { return b != 0 }) {
+			pending = append(pending, pendingRow{s, out, k})
+			idx = uint32(len(pending))
+		}
+		seen[k] = idx
+		return idx
+	}
 
 	for s, ns := range counts {
 		lr, err := localReach(shards, s, ns)
@@ -225,69 +304,90 @@ func (rs *reachSummary) buildRows(shards []core.Answerer) error {
 			continue
 		}
 		// Local rows over this shard's own portals, one bit per portal:
-		// outL[u] = portals u reaches, inL[v] = portals reaching v — filled by
-		// one column and one row read per portal.
+		// outL[u] = portals u reaches, inL[v] = portals reaching v.
 		stride := (len(ps) + 7) / 8
 		outL, inL := make([]byte, ns*stride), make([]byte, ns*stride)
-		set := make([]uint64, (ns+63)/64)
+		mask := rs.portalMask(s)
+		from, to := make([]uint64, (ns+63)/64), make([]uint64, (ns+63)/64)
+		classBits := make([]byte, stride)
+		done := make([]bool, len(ps))
+		var class, reached []int
 		for j, pi := range ps {
+			if done[j] {
+				continue
+			}
 			lp := int(rs.local[rs.portals[pi]])
-			clear(set)
-			lr.ReachTo(lp, set)
-			scatterBit(set, outL, stride, j)
-			clear(set)
-			lr.ReachFrom(lp, set)
-			scatterBit(set, inL, stride, j)
+			clear(from)
+			clear(to)
+			lr.ReachFrom(lp, from)
+			lr.ReachTo(lp, to)
+			if from[lp>>6]>>(lp&63)&1 == 0 || to[lp>>6]>>(lp&63)&1 == 0 {
+				return fmt.Errorf("shard: shard %d: local reach of portal %d does not include it", s, rs.portals[pi])
+			}
+			class = mask.ranks(class[:0], from, to)
+			if overlay != nil {
+				reached = mask.ranks(reached[:0], from, nil)
+				addClassArcs(overlay, ps, class, reached)
+			}
+			clear(classBits)
+			for _, k := range class {
+				done[k] = true
+				classBits[k>>3] |= 1 << (k & 7)
+			}
+			lo, hi := class[0]>>3, class[len(class)-1]>>3+1
+			scatterMask(to, outL, stride, lo, classBits[lo:hi])
+			scatterMask(from, inL, stride, lo, classBits[lo:hi])
 		}
 		// Intern: vertices of one local SCC share both local rows, so each
-		// distinct local row is widened to a global row exactly once — an out
-		// row by OR-ing the overlay rows of its portals, an in row by setting
-		// its portals' own bits.
-		widenOut := func(row []uint64, j int) {
-			pi := ps[j]
-			c := rs.overlay.Class(pi)
-			if overlayRows[c] == nil {
-				overlayRows[c] = make([]uint64, rs.words)
-				rs.overlay.ReachFrom(pi, overlayRows[c])
-			}
-			for i, w := range overlayRows[c] {
-				row[i] |= w
-			}
-		}
-		widenIn := func(row []uint64, j int) {
-			qi := ps[j]
-			row[qi>>6] |= 1 << (qi & 63)
-		}
+		// distinct local row is widened to a global row exactly once.
 		outIdx, inIdx := map[string]uint32{}, map[string]uint32{}
 		for l, v := range members[s] {
-			rs.out[v] = rs.internRow(outIdx, outL[l*stride:(l+1)*stride], widenOut)
-			rs.in[v] = rs.internRow(inIdx, inL[l*stride:(l+1)*stride], widenIn)
+			rs.out[v] = intern(outIdx, outL[l*stride:(l+1)*stride], s, true)
+			rs.in[v] = intern(inIdx, inL[l*stride:(l+1)*stride], s, false)
 		}
 	}
+	if overlay != nil {
+		var err error
+		if rs.overlay, err = graph.NewCondensedClosure(overlay); err != nil {
+			return err
+		}
+	}
+	rs.widenRows(pending)
 	return nil
 }
 
-// internRow returns the index of the global row for one local row (key),
-// building it on first sight by calling widen for every local portal bit
-// set in key; the empty key is row 0.
-func (rs *reachSummary) internRow(seen map[string]uint32, key []byte, widen func(row []uint64, j int)) uint32 {
-	if idx, ok := seen[string(key)]; ok {
-		return idx
-	}
-	idx := uint32(0)
-	var row []uint64
-	for bi, b := range key {
-		for ; b != 0; b &= b - 1 {
-			if row == nil {
-				idx = uint32(len(rs.rows) / rs.words)
-				rs.rows = append(rs.rows, make([]uint64, rs.words)...)
-				row = rs.rows[int(idx)*rs.words:]
+// widenRows writes the global row of every distinct local row: an in row
+// sets its portals' own bits; an out row ORs in the overlay row of each of
+// its portals — expanded once per overlay class, by the first row that needs
+// it — skipping a portal whose bit is already set, since a row that holds it
+// holds everything it reaches.
+func (rs *reachSummary) widenRows(pending []pendingRow) {
+	rs.rows = make([]uint64, (1+len(pending))*rs.words)
+	overlayRows := make([][]uint64, rs.overlay.Classes())
+	for i, p := range pending {
+		row := rs.rows[(1+i)*rs.words:][:rs.words]
+		ps := rs.byShard[p.shard]
+		for bi := 0; bi < len(p.key); bi++ {
+			for b := p.key[bi]; b != 0; b &= b - 1 {
+				pi := ps[bi<<3+bits.TrailingZeros8(b)]
+				if row[pi>>6]>>(pi&63)&1 != 0 {
+					continue
+				}
+				if !p.out {
+					row[pi>>6] |= 1 << (pi & 63)
+					continue
+				}
+				c := rs.overlay.Class(pi)
+				if overlayRows[c] == nil {
+					overlayRows[c] = make([]uint64, rs.words)
+					rs.overlay.ReachFrom(pi, overlayRows[c])
+				}
+				for wi, w := range overlayRows[c] {
+					row[wi] |= w
+				}
 			}
-			widen(row, bi<<3+bits.TrailingZeros8(b))
 		}
 	}
-	seen[string(key)] = idx
-	return idx
 }
 
 // prepareReach is the Sharding.Prepare hook: decode the summary once and
@@ -297,7 +397,7 @@ func prepareReach(summary []byte, asn Assignment, shards []core.Answerer) (core.
 	if err != nil {
 		return nil, err
 	}
-	if err := rs.buildRows(shards); err != nil {
+	if err := rs.buildRows(shards, nil); err != nil {
 		return nil, err
 	}
 	return rs, nil
@@ -441,10 +541,41 @@ func buildReachSummary(g *graph.Graph, shardOf []int32, local []uint32, counts [
 	if err := rs.findPortals(); err != nil {
 		return nil, err
 	}
-	// Within-shard portal reach is read off each shard's frozen subgraph: one
-	// search per portal into one reused row, so building costs O(n_s/64)
-	// memory whatever scheme the shards are then preprocessed under.
-	if err := rs.rebuildClosure(func(s int) (rowReader, error) { return subs[s].Freeze(), nil }); err != nil {
+	overlay, err := rs.overlayGraph()
+	if err != nil {
+		return nil, err
+	}
+	// Within-shard portal reach is read off each shard's frozen subgraph once
+	// per local class: the subgraph's SCCs group its portals, and one search
+	// from a class's first portal into one reused row gives the class's arcs,
+	// so building costs O(n_s/64) memory whatever scheme the shards are then
+	// preprocessed under. A shard with fewer than two portals has no arcs.
+	for s, ps := range rs.byShard {
+		if len(ps) < 2 {
+			continue
+		}
+		comp, count := subs[s].SCC()
+		classOf := make([]int32, count) // SCC → 1 + index into classes
+		var classes [][]int
+		for j, pi := range ps {
+			c := comp[rs.local[rs.portals[pi]]]
+			if classOf[c] == 0 {
+				classes = append(classes, nil)
+				classOf[c] = int32(len(classes))
+			}
+			classes[classOf[c]-1] = append(classes[classOf[c]-1], j)
+		}
+		csr, mask := subs[s].Freeze(), rs.portalMask(s)
+		set := make([]uint64, (rs.counts[s]+63)/64)
+		var reached []int
+		for _, class := range classes {
+			clear(set)
+			csr.ReachFrom(int(rs.local[rs.portals[ps[class[0]]]]), set)
+			reached = mask.ranks(reached[:0], set, nil)
+			addClassArcs(overlay, ps, class, reached)
+		}
+	}
+	if rs.overlay, err = graph.NewCondensedClosure(overlay); err != nil {
 		return nil, err
 	}
 	return encodeReachSummary(rs), nil
@@ -466,23 +597,15 @@ func checkPortals(portals int) error {
 	return nil
 }
 
-// rowReader is what the overlay build needs of a shard: bit v of row set for
-// every local v that u reaches. A frozen subgraph (*graph.CSR, at Build) and
-// a prepared answerer (schemes.LocalReach, at PATCH) both are one.
-type rowReader interface {
-	ReachFrom(u int, row []uint64)
-}
-
-// rebuildClosure recomputes the overlay's reflexive transitive closure (stored
-// over its condensation, the value the closure-matrix scheme stores) from
-// the cross edges plus within-shard portal reachability: one bulk row read
-// per portal, then one closure computation on the |portals|-node overlay —
-// far below re-preprocessing the dataset. local hands over shard s's reader
-// over counts[s] vertices; only a shard that must be read (two or more
-// portals) is asked, and its error fails the rebuild.
-func (rs *reachSummary) rebuildClosure(local func(s int) (rowReader, error)) error {
+// overlayGraph starts the portal overlay: the portal cap, checked before
+// anything is allocated for the closure, then one arc per cross edge (both
+// ways when undirected). The within-shard arcs are added per local class
+// (addClassArcs) by the caller, which closes it: over the shards' frozen
+// subgraphs at Split (buildReachSummary), over their prepared answerers at
+// PATCH (buildRows) — far below re-preprocessing the dataset either way.
+func (rs *reachSummary) overlayGraph() (*graph.Graph, error) {
 	if err := checkPortals(len(rs.portals)); err != nil {
-		return err
+		return nil, err
 	}
 	overlay := graph.New(len(rs.portals), true)
 	err := rs.cross.Each(func(u, v int) error {
@@ -493,30 +616,26 @@ func (rs *reachSummary) rebuildClosure(local func(s int) (rowReader, error)) err
 		}
 		return nil
 	})
-	if err != nil {
-		return err
+	return overlay, err
+}
+
+// addClassArcs adds one local class's within-shard arcs to the overlay: an
+// arc from its first member to every other portal of the shard it reaches
+// (reached, positions in ps — the other members among them), and one back to
+// the first member from each other member. Every member then reaches,
+// through the first, exactly the portals it reaches inside the shard, so the
+// overlay's closure — a function of reachability alone — is the one an arc
+// per reaching portal pair gives, from a fraction of the arcs.
+func addClassArcs(overlay *graph.Graph, ps, members, reached []int) {
+	first := ps[members[0]]
+	for _, j := range members[1:] {
+		overlay.MustAddEdge(ps[j], first)
 	}
-	for s, ps := range rs.byShard {
-		if len(ps) < 2 {
-			continue
-		}
-		lr, err := local(s)
-		if err != nil {
-			return err
-		}
-		set := make([]uint64, (rs.counts[s]+63)/64)
-		for _, pi := range ps {
-			clear(set)
-			lr.ReachFrom(int(rs.local[rs.portals[pi]]), set)
-			for _, qi := range ps {
-				if lq := rs.local[rs.portals[qi]]; pi != qi && set[lq>>6]>>(lq&63)&1 != 0 {
-					overlay.MustAddEdge(pi, qi)
-				}
-			}
+	for _, j := range reached {
+		if j != members[0] {
+			overlay.MustAddEdge(first, ps[j])
 		}
 	}
-	rs.overlay, err = graph.NewCondensedClosure(overlay)
-	return err
 }
 
 // splitReachDelta routes an edge delta: a same-shard edge becomes one local
@@ -588,11 +707,11 @@ func maintainReach(view core.Answerer, _ Assignment, deltas [][]byte, shards []c
 	if err := rs.findPortals(); err != nil {
 		return nil, nil, fmt.Errorf("finish summary: %w", err)
 	}
-	err := rs.rebuildClosure(func(s int) (rowReader, error) { return localReach(shards, s, rs.counts[s]) })
+	overlay, err := rs.overlayGraph()
 	if err != nil {
 		return nil, nil, fmt.Errorf("finish summary: %w", err)
 	}
-	if err := rs.buildRows(shards); err != nil {
+	if err := rs.buildRows(shards, overlay); err != nil {
 		return nil, nil, fmt.Errorf("finish summary: %w", err)
 	}
 	return encodeReachSummary(rs), rs, nil

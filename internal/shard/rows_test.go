@@ -129,22 +129,45 @@ func sparseGraph(n, m int, directed bool, seed int64) *graph.Graph {
 	return g
 }
 
+// communityWithIsolated is CommunityGraph(4, 10, 24) — four strongly
+// connected communities of ten, so a range shard holds local classes of
+// several portals — plus four isolated vertices: under hash partitioning
+// every community vertex has a cross edge, and the scripted portal of
+// TestRowsMergeDifferential needs a vertex with none.
+func communityWithIsolated() *graph.Graph {
+	c := graph.CommunityGraph(4, 10, 24, 33)
+	g := graph.New(c.N()+4, true)
+	for _, e := range c.Edges() {
+		g.MustAddEdge(e[0], e[1])
+	}
+	g.Normalize()
+	return g
+}
+
 // TestRowsMergeDifferential: rows-merge ≡ probing-merge ≡ unsharded
-// closure on random directed and undirected graphs × {closure, labels,
-// bfs} × {hash, range} × n ∈ {2, 4}, after every batch of a mixed
-// insert/delete sequence (inserts of present edges included) that creates
-// and retires a portal, and
-// across save → reload. Hash partitioning interleaves portal indices
-// across shards (consecutive overlay indices belong to different shards),
-// which the per-shard row builder must map back correctly.
+// closure on random directed and undirected graphs and a community graph ×
+// {closure, labels, bfs} × {hash, range} × n ∈ {2, 4}, after every batch of
+// a mixed insert/delete sequence (inserts of present edges included) that
+// creates and retires a portal, and across save → reload. Hash partitioning
+// interleaves portal indices across shards (consecutive overlay indices
+// belong to different shards), which the per-shard row builder must map
+// back correctly; the community graph's range shards hold local classes of
+// many portals, whose rows and overlay arcs are built per class.
 func TestRowsMergeDifferential(t *testing.T) {
-	const nv = 40
-	for _, directed := range []bool{true, false} {
-		base := sparseGraph(nv, 26, directed, 31)
+	shapes := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"directed=true", sparseGraph(40, 26, true, 31)},
+		{"directed=false", sparseGraph(40, 26, false, 31)},
+		{"community", communityWithIsolated()},
+	}
+	for _, shape := range shapes {
+		base, nv := shape.g, shape.g.N()
 		for _, scheme := range []*core.Scheme{schemes.ReachabilityScheme(), schemes.ReachabilityLabelsScheme(), schemes.ReachabilityBFSScheme()} {
 			for _, p := range []Partitioner{HashPartitioner{}, RangePartitioner{}} {
 				for _, n := range []int{2, 4} {
-					t.Run(fmt.Sprintf("directed=%v/%s/%s/n=%d", directed, scheme.Name(), p.Name(), n), func(t *testing.T) {
+					t.Run(fmt.Sprintf("%s/%s/%s/n=%d", shape.name, scheme.Name(), p.Name(), n), func(t *testing.T) {
 						dir := t.TempDir()
 						reg := store.NewRegistry(dir)
 						ss, err := RegisterSharded(reg, "g", scheme, p, n, base.Encode())
