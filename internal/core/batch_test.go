@@ -247,23 +247,32 @@ func TestAnswerPoolChunks(t *testing.T) {
 				continue
 			}
 			// The context is cancelled inside probe k+1, half way through;
-			// every worker checks it before its next probe, so at most one
-			// probe per other worker follows.
+			// every worker checks it before its next probe, so once cancel
+			// has returned at most one probe per other worker follows. The
+			// others may count probes between probe k+1's count and its
+			// cancel, so the bound starts from the count read after cancel.
 			ctx, cancel := context.WithCancel(context.Background())
 			k := int64(n / 2)
-			var calls atomic.Int64
+			var calls, atCancel atomic.Int64
 			got, err = AnswerBatchPrepared(ctx, "test/pool", AnswererFunc(func(q []byte) (bool, error) {
 				if calls.Add(1) == k+1 {
 					cancel()
+					atCancel.Store(calls.Load())
 				}
 				return true, nil
 			}), queries, par)
 			cancel()
+			c, at := calls.Load(), atCancel.Load()
+			if c > at+int64(par)-1 {
+				t.Fatalf("%s: %d probes after cancelling in probe %d, %d counted when the cancel returned", name, c, k+1, at)
+			}
+			// Every probe may have passed its check before the cancel took
+			// effect; the batch is then whole, and the bound above allowed it.
+			if err == nil && len(got) == n && c == int64(n) {
+				continue
+			}
 			if got != nil || !errors.Is(err, context.Canceled) || !strings.HasPrefix(err.Error(), "scheme test/pool: batch query ") {
 				t.Fatalf("%s: cancelled batch: %d results, err %v", name, len(got), err)
-			}
-			if c := calls.Load(); c > k+int64(par) {
-				t.Fatalf("%s: %d probes after cancelling in probe %d", name, c, k+1)
 			}
 		}
 	}

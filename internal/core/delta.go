@@ -75,3 +75,59 @@ func DeltaKindOf(delta []byte) DeltaKind {
 	}
 	return kind
 }
+
+// VerifyIncremental checks the defining equation of incremental
+// preprocessing (§1 justification (3): "computing ∆D′ such that the outcome
+// of processing D ⊕ ∆D is the same as D′ ⊕ ∆D′") on one database, a sequence
+// of updates, and a probe set: after every update, the maintained Π must
+// answer all probes exactly like a from-scratch Preprocess of the updated
+// database. Equivalence is answer-equivalence — byte equality is not
+// required, index internals may differ. Both are prepared once per step,
+// then probed.
+func (s *Scheme) VerifyIncremental(d []byte, deltas [][]byte, probes [][]byte) error {
+	if s.ApplyDelta == nil || s.ApplyUpdate == nil {
+		return fmt.Errorf("incremental %s: the scheme has no incremental form", s.SchemeName)
+	}
+	pd, err := s.Preprocess(d)
+	if err != nil {
+		return fmt.Errorf("incremental %s: initial preprocess: %w", s.SchemeName, err)
+	}
+	cur := d
+	for step, delta := range deltas {
+		pd, err = s.ApplyDelta(pd, delta)
+		if err != nil {
+			return fmt.Errorf("incremental %s: delta %d: %w", s.SchemeName, step, err)
+		}
+		cur, err = s.ApplyUpdate(cur, delta)
+		if err != nil {
+			return fmt.Errorf("incremental %s: ⊕ at step %d: %w", s.SchemeName, step, err)
+		}
+		fresh, err := s.Preprocess(cur)
+		if err != nil {
+			return fmt.Errorf("incremental %s: fresh preprocess at step %d: %w", s.SchemeName, step, err)
+		}
+		maintained, err := s.Prepare(pd)
+		if err != nil {
+			return fmt.Errorf("incremental %s: maintained prepare step %d: %w", s.SchemeName, step, err)
+		}
+		rebuilt, err := s.Prepare(fresh)
+		if err != nil {
+			return fmt.Errorf("incremental %s: fresh prepare step %d: %w", s.SchemeName, step, err)
+		}
+		for pi, q := range probes {
+			a, err := maintained.Answer(q)
+			if err != nil {
+				return fmt.Errorf("incremental %s: maintained answer step %d probe %d: %w", s.SchemeName, step, pi, err)
+			}
+			b, err := rebuilt.Answer(q)
+			if err != nil {
+				return fmt.Errorf("incremental %s: fresh answer step %d probe %d: %w", s.SchemeName, step, pi, err)
+			}
+			if a != b {
+				return fmt.Errorf("incremental %s: step %d probe %d: maintained %v, fresh %v",
+					s.SchemeName, step, pi, a, b)
+			}
+		}
+	}
+	return nil
+}

@@ -8,6 +8,9 @@ import "fmt"
 //
 //	⟨D, Q⟩ ∈ S  iff  ⟨Π(D), Q⟩ ∈ S′   and   S′ ∈ NC.
 //
+// A scheme may also maintain its own Π under updates (ApplyDelta, §1's
+// incremental preprocessing); one that does can be served under PATCH.
+//
 // The complexity annotations are claims; the repository backs them with
 // measured growth (see Classify) rather than asserting them blindly.
 //
@@ -25,6 +28,18 @@ type Scheme struct {
 	// treat pd as read-only. A Π probed in its own bytes with nothing to
 	// frame declares ProbeInPlace over its probe.
 	Prepare func(pd []byte) (Answerer, error)
+	// ApplyDelta is the incremental form (§1 justification (3)): it
+	// computes Π(D ⊕ ∆D) from Π(D) and ∆D instead of preprocessing D ⊕ ∆D
+	// from scratch, so that
+	//
+	//	Prepare(ApplyDelta(Π(D), ∆D))  answers as  Prepare(Π(D ⊕ ∆D)).
+	//
+	// It must treat pd as read-only. Nil when the scheme has none; a
+	// dataset of such a scheme refuses every delta.
+	ApplyDelta func(pd, delta []byte) ([]byte, error)
+	// ApplyUpdate is ⊕ on raw databases, D ⊕ ∆D — the oracle
+	// VerifyIncremental holds ApplyDelta to. Set whenever ApplyDelta is.
+	ApplyUpdate func(d, delta []byte) ([]byte, error)
 	// PreprocessNote and AnswerNote document the claimed complexities,
 	// e.g. "O(|D| log |D|)" and "O(log |D|)".
 	PreprocessNote string

@@ -70,11 +70,11 @@ func C11IncrementalPreprocessing(s Scale) (*Table, error) {
 			"speedup"},
 	}
 	// Sorted-key file under insertions.
-	incSel := schemes.IncrementalPointSelection()
+	sel := schemes.PointSelectionScheme()
 	for _, n := range s.sizes([]int{1 << 12, 1 << 15}, []int{1 << 14, 1 << 17, 1 << 19}) {
 		rel := relation.Generate(relation.GenConfig{Rows: n, Seed: int64(n), KeyMax: int64(2 * n)})
 		d := rel.Encode()
-		pd, err := incSel.Scheme.Preprocess(d)
+		pd, err := sel.Preprocess(d)
 		if err != nil {
 			return nil, err
 		}
@@ -85,29 +85,29 @@ func C11IncrementalPreprocessing(s Scale) (*Table, error) {
 		}
 		delta := schemes.KeysDelta(batch)
 		// Verify equivalence before timing.
-		if err := incSel.VerifyIncremental(d, [][]byte{delta}, [][]byte{
+		if err := sel.VerifyIncremental(d, [][]byte{delta}, [][]byte{
 			schemes.PointQuery(batch[0]), schemes.PointQuery(-1),
 		}); err != nil {
 			return nil, err
 		}
 		maintainNs := timeOp(8, func() {
-			_, _ = incSel.ApplyDelta(pd, delta)
+			_, _ = sel.ApplyDelta(pd, delta)
 		})
-		updated, err := incSel.ApplyUpdate(d, delta)
+		updated, err := sel.ApplyUpdate(d, delta)
 		if err != nil {
 			return nil, err
 		}
 		rebuildNs := timeOp(4, func() {
-			_, _ = incSel.Scheme.Preprocess(updated)
+			_, _ = sel.Preprocess(updated)
 		})
 		t.AddRow("sorted-keys", n, len(batch), maintainNs, rebuildNs, rebuildNs/maintainNs)
 	}
 	// Closure matrix under edge insertions.
-	incReach := schemes.IncrementalReachability()
+	reach := schemes.ReachabilityScheme()
 	for _, n := range s.sizes([]int{1 << 7, 1 << 9}, []int{1 << 8, 1 << 10, 1 << 11}) {
 		g := graph.RandomDirected(n, 2*n, int64(n))
 		d := g.Encode()
-		pd, err := incReach.Scheme.Preprocess(d)
+		pd, err := reach.Preprocess(d)
 		if err != nil {
 			return nil, err
 		}
@@ -117,20 +117,20 @@ func C11IncrementalPreprocessing(s Scale) (*Table, error) {
 			v = rng.Intn(n)
 		}
 		delta := schemes.EdgeDelta(u, v)
-		if err := incReach.VerifyIncremental(d, [][]byte{delta}, [][]byte{
+		if err := reach.VerifyIncremental(d, [][]byte{delta}, [][]byte{
 			schemes.NodePairQuery(0, n-1), schemes.NodePairQuery(u, v),
 		}); err != nil {
 			return nil, err
 		}
 		maintainNs := timeOp(8, func() {
-			_, _ = incReach.ApplyDelta(pd, delta)
+			_, _ = reach.ApplyDelta(pd, delta)
 		})
-		updated, err := incReach.ApplyUpdate(d, delta)
+		updated, err := reach.ApplyUpdate(d, delta)
 		if err != nil {
 			return nil, err
 		}
 		rebuildNs := timeOp(2, func() {
-			_, _ = incReach.Scheme.Preprocess(updated)
+			_, _ = reach.Preprocess(updated)
 		})
 		t.AddRow("closure-matrix", n, 1, maintainNs, rebuildNs, rebuildNs/maintainNs)
 	}

@@ -252,7 +252,7 @@ func TestClosureVertexCap(t *testing.T) {
 	}
 	// Cutting the cycle makes a path of n classes: the PATCH is refused like
 	// the registration would be, and Π is left alone.
-	if _, err := IncrementalReachability().ApplyDelta(pd, EdgeDeleteDelta(n-1, 0)); err == nil || !strings.Contains(err.Error(), limit) {
+	if _, err := ReachabilityScheme().ApplyDelta(pd, EdgeDeleteDelta(n-1, 0)); err == nil || !strings.Contains(err.Error(), limit) {
 		t.Fatalf("delete that splits one class into %d: %v, want the cap error", n, err)
 	}
 }
@@ -370,12 +370,12 @@ func TestClosureArcFileStreamChecks(t *testing.T) {
 // it; and both paths are taken: the appendix splice when no fact can have
 // changed, the rebuild when one can.
 func TestClosureDeltaCanonical(t *testing.T) {
-	inc := IncrementalReachability()
+	inc := ReachabilityScheme()
 	for _, directed := range []bool{true, false} {
 		rng := rand.New(rand.NewSource(21))
 		const n = 40
 		g := graph.New(n, directed)
-		pd, err := inc.Scheme.Preprocess(g.Encode())
+		pd, err := inc.Preprocess(g.Encode())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -413,7 +413,7 @@ func TestClosureDeltaCanonical(t *testing.T) {
 				t.Fatal(err)
 			}
 			rebuilt := !bytes.HasPrefix(next, pd[:8+len(cond)])
-			want, err := inc.Scheme.Preprocess(d)
+			want, err := inc.Preprocess(d)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -505,7 +505,7 @@ func FuzzClosureDecode(f *testing.F) {
 // the same Π. It uses nothing PR 21 added, so the same file times the parent;
 // docs/perf/BENCH_21.md §5 has both sides.
 func BenchmarkClosureApplyDelta(b *testing.B) {
-	inc := IncrementalReachability()
+	inc := ReachabilityScheme()
 	for _, shape := range []struct {
 		name string
 		g    *graph.Graph
@@ -515,7 +515,7 @@ func BenchmarkClosureApplyDelta(b *testing.B) {
 		{"dag16384", graph.RandomDAG(16384, 65536, 1)},
 	} {
 		g, n := shape.g, shape.g.N()
-		pd, err := inc.Scheme.Preprocess(g.Encode())
+		pd, err := inc.Preprocess(g.Encode())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -88,7 +88,7 @@ func TestCorruptClosureMatrix(t *testing.T) {
 
 	// One payload per thing the decoder validates: refused by the raw probe of
 	// the pair that reads the damage, by Prepare, and by ApplyDelta.
-	inc := IncrementalReachability()
+	inc := ReachabilityScheme()
 	for name, bad := range closureCorruptions(t, pd) {
 		if _, err := s.Answer(bad, NodePairQuery(0, 1)); err == nil {
 			t.Errorf("%s: raw probe answered", name)
@@ -201,7 +201,7 @@ func TestCorruptSortedKeysAndPosArray(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc := IncrementalPointSelection()
+	inc := PointSelectionScheme()
 	for name, bad := range map[string][]byte{
 		"truncated-header": pd[:keyHeaderLen-1],
 		"truncated-body":   pd[:len(pd)-8],
@@ -241,9 +241,9 @@ func TestCorruptSortedKeysAndPosArray(t *testing.T) {
 }
 
 func TestCorruptDeltasRejected(t *testing.T) {
-	incSel := IncrementalPointSelection()
+	incSel := PointSelectionScheme()
 	rel := relation.Generate(relation.GenConfig{Rows: 10, Seed: 1, KeyMax: 10})
-	pd, err := incSel.Scheme.Preprocess(rel.Encode())
+	pd, err := incSel.Preprocess(rel.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,9 +253,9 @@ func TestCorruptDeltasRejected(t *testing.T) {
 	if _, err := incSel.ApplyUpdate(rel.Encode(), []byte{0xFF}); err == nil {
 		t.Fatal("corrupt delta accepted by ⊕")
 	}
-	incReach := IncrementalReachability()
+	incReach := ReachabilityScheme()
 	g := graph.RandomDirected(8, 10, 1)
-	pd2, err := incReach.Scheme.Preprocess(g.Encode())
+	pd2, err := incReach.Preprocess(g.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}

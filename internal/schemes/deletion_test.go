@@ -58,17 +58,17 @@ func TestDeletionDifferential(t *testing.T) {
 
 	cases := []struct {
 		name   string
-		inc    *core.IncrementalScheme
+		inc    *core.Scheme
 		data   []byte
 		deltas [][]byte
 		probes [][]byte
 	}{
-		{"point-selection/sorted-keys", IncrementalPointSelection(), RelationFromKeys(keys), keyDeltas, keyProbes},
-		{"range-selection/sorted-keys", IncrementalRangeSelection(), RelationFromKeys(keys), keyDeltas, rangeProbes},
-		{"list-membership/sorted", IncrementalListMembership(), EncodeList(keys), keyDeltas, keyProbes},
-		{"reachability/closure-matrix", IncrementalReachability(), dg.Encode(), dgDeltas, pairProbes},
-		{"reachability/closure-matrix (undirected)", IncrementalReachability(), ug.Encode(), dgDeltas, pairProbes},
-		{"reachability/bfs-per-query", IncrementalReachabilityBFS(), dg.Encode(), dgDeltas, pairProbes},
+		{"point-selection/sorted-keys", PointSelectionScheme(), RelationFromKeys(keys), keyDeltas, keyProbes},
+		{"range-selection/sorted-keys", RangeSelectionScheme(), RelationFromKeys(keys), keyDeltas, rangeProbes},
+		{"list-membership/sorted", ListMembershipScheme(), EncodeList(keys), keyDeltas, keyProbes},
+		{"reachability/closure-matrix", ReachabilityScheme(), dg.Encode(), dgDeltas, pairProbes},
+		{"reachability/closure-matrix (undirected)", ReachabilityScheme(), ug.Encode(), dgDeltas, pairProbes},
+		{"reachability/bfs-per-query", ReachabilityBFSScheme(), dg.Encode(), dgDeltas, pairProbes},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -88,8 +88,8 @@ func TestDecrementalClosureReroute(t *testing.T) {
 	g.MustAddEdge(1, 2)
 	g.MustAddEdge(0, 2) // the bypass
 	g.MustAddEdge(2, 3)
-	inc := IncrementalReachability()
-	pd, err := inc.Scheme.Preprocess(g.Encode())
+	inc := ReachabilityScheme()
+	pd, err := inc.Preprocess(g.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,12 +104,12 @@ func TestDecrementalClosureReroute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err := inc.Scheme.Answer(rerouted, NodePairQuery(0, 3))
+	ok, err := inc.Answer(rerouted, NodePairQuery(0, 3))
 	if err != nil || !ok {
 		t.Fatalf("0⇝3 must survive deleting the shortcut (0,2): %v %v", ok, err)
 	}
 	// And the disconnecting delete must actually disconnect.
-	ok, err = inc.Scheme.Answer(next, NodePairQuery(0, 1))
+	ok, err = inc.Answer(next, NodePairQuery(0, 1))
 	if err != nil || ok {
 		t.Fatalf("0⇝1 must not survive deleting (0,1): %v %v", ok, err)
 	}
@@ -128,15 +128,15 @@ func TestDecrementalClosureReroute(t *testing.T) {
 func TestDeleteAbsentEdgeErrors(t *testing.T) {
 	g := graph.New(3, true)
 	g.MustAddEdge(0, 1)
-	for _, inc := range []*core.IncrementalScheme{IncrementalReachability(), IncrementalReachabilityBFS()} {
-		pd, err := inc.Scheme.Preprocess(g.Encode())
+	for _, inc := range []*core.Scheme{ReachabilityScheme(), ReachabilityBFSScheme()} {
+		pd, err := inc.Preprocess(g.Encode())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := inc.ApplyDelta(pd, EdgeDeleteDelta(1, 2)); err == nil {
 			t.Fatalf("%s: deleting an absent edge succeeded", inc.Name())
 		}
-		if ok, err := inc.Scheme.Answer(pd, NodePairQuery(0, 1)); err != nil || !ok {
+		if ok, err := inc.Answer(pd, NodePairQuery(0, 1)); err != nil || !ok {
 			t.Fatalf("%s: failed delete disturbed the artifact: %v %v", inc.Name(), ok, err)
 		}
 	}
@@ -156,17 +156,17 @@ func TestHostileTombstones(t *testing.T) {
 	}
 	cases := []struct {
 		name   string
-		inc    *core.IncrementalScheme
+		inc    *core.Scheme
 		data   []byte
 		canary []byte
 	}{
-		{"point-selection/sorted-keys", IncrementalPointSelection(), RelationFromKeys([]int64{2, 4}), PointQuery(2)},
-		{"range-selection/sorted-keys", IncrementalRangeSelection(), RelationFromKeys([]int64{2, 4}), RangeQuery(2, 4)},
-		{"list-membership/sorted", IncrementalListMembership(), EncodeList([]int64{2, 4}), PointQuery(2)},
+		{"point-selection/sorted-keys", PointSelectionScheme(), RelationFromKeys([]int64{2, 4}), PointQuery(2)},
+		{"range-selection/sorted-keys", RangeSelectionScheme(), RelationFromKeys([]int64{2, 4}), RangeQuery(2, 4)},
+		{"list-membership/sorted", ListMembershipScheme(), EncodeList([]int64{2, 4}), PointQuery(2)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			pd, err := tc.inc.Scheme.Preprocess(tc.data)
+			pd, err := tc.inc.Preprocess(tc.data)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,7 +174,7 @@ func TestHostileTombstones(t *testing.T) {
 				if _, err := tc.inc.ApplyDelta(pd, h); err == nil {
 					t.Fatalf("hostile delta %d accepted", i)
 				}
-				if ok, err := tc.inc.Scheme.Answer(pd, tc.canary); err != nil || !ok {
+				if ok, err := tc.inc.Answer(pd, tc.canary); err != nil || !ok {
 					t.Fatalf("hostile delta %d disturbed the artifact: %v %v", i, ok, err)
 				}
 			}
@@ -186,8 +186,8 @@ func TestHostileTombstones(t *testing.T) {
 // leans on: insert → delete → (unrelated churn) must never resurrect a key;
 // only an explicit re-insert may.
 func TestNoReappearance(t *testing.T) {
-	inc := IncrementalPointSelection()
-	pd, err := inc.Scheme.Preprocess(RelationFromKeys([]int64{2, 4}))
+	inc := PointSelectionScheme()
+	pd, err := inc.Preprocess(RelationFromKeys([]int64{2, 4}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestNoReappearance(t *testing.T) {
 			t.Fatalf("step %d: %v", i, err)
 		}
 		if i >= 1 {
-			if ok, _ := inc.Scheme.Answer(pd, PointQuery(100)); ok {
+			if ok, _ := inc.Answer(pd, PointQuery(100)); ok {
 				t.Fatalf("step %d: deleted key 100 reappeared", i)
 			}
 		}
@@ -213,7 +213,7 @@ func TestNoReappearance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := inc.Scheme.Answer(pd, PointQuery(100)); !ok {
+	if ok, _ := inc.Answer(pd, PointQuery(100)); !ok {
 		t.Fatal("explicit re-insert did not restore key 100")
 	}
 }
@@ -230,7 +230,7 @@ func TestPreAppendixClosureRefusesDeletes(t *testing.T) {
 	g := graph.New(3, true)
 	g.MustAddEdge(0, 1)
 	ug := graph.Path(5, false)
-	inc := IncrementalReachability()
+	inc := ReachabilityScheme()
 	for name, legacy := range map[string][]byte{
 		"pre-appendix":            denseClosureBytesRef(g, false),
 		"pre-appendix-undirected": denseClosureBytesRef(ug, false),
@@ -239,8 +239,8 @@ func TestPreAppendixClosureRefusesDeletes(t *testing.T) {
 		"uvarint-appendix":        uvarintClosureBytesRef(g),
 		"uvarint-undirected":      uvarintClosureBytesRef(ug),
 	} {
-		_, answerErr := inc.Scheme.Answer(legacy, NodePairQuery(0, 1))
-		_, prepErr := inc.Scheme.Prepare(legacy)
+		_, answerErr := inc.Answer(legacy, NodePairQuery(0, 1))
+		_, prepErr := inc.Prepare(legacy)
 		_, insErr := inc.ApplyDelta(legacy, EdgeDelta(1, 2))
 		_, delErr := inc.ApplyDelta(legacy, EdgeDeleteDelta(0, 1))
 		for reader, err := range map[string]error{"Answer": answerErr, "Prepare": prepErr, "insert": insErr, "delete": delErr} {

@@ -144,7 +144,7 @@ func TestViewRewritingScheme(t *testing.T) {
 func TestIncrementalPointSelection(t *testing.T) {
 	rel := relation.Generate(relation.GenConfig{Rows: 300, Seed: 2, KeyMax: 400})
 	d := rel.Encode()
-	inc := IncrementalPointSelection()
+	inc := PointSelectionScheme()
 	rng := rand.New(rand.NewSource(3))
 	var deltas [][]byte
 	for step := 0; step < 5; step++ {
@@ -166,7 +166,7 @@ func TestIncrementalPointSelection(t *testing.T) {
 func TestIncrementalReachability(t *testing.T) {
 	g := graph.RandomDirected(40, 60, 4)
 	d := g.Encode()
-	inc := IncrementalReachability()
+	inc := ReachabilityScheme()
 	rng := rand.New(rand.NewSource(5))
 	var deltas [][]byte
 	used := map[[2]int]bool{}
@@ -199,7 +199,7 @@ func TestIncrementalReachability(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Bad deltas error.
-	pd, err := inc.Scheme.Preprocess(d)
+	pd, err := inc.Preprocess(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,8 +213,8 @@ func TestIncrementalReachability(t *testing.T) {
 
 func TestIncrementalRedundantEdgeNoChange(t *testing.T) {
 	g := graph.Path(4, true) // 0→1→2→3
-	inc := IncrementalReachability()
-	pd, err := inc.Scheme.Preprocess(g.Encode())
+	inc := ReachabilityScheme()
+	pd, err := inc.Preprocess(g.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestIncrementalRedundantEdgeNoChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := inc.Scheme.Preprocess(d2)
+	fresh, err := inc.Preprocess(d2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestMaintainedIsRebuiltBytes(t *testing.T) {
 		}
 		inc := IncrementalForScheme(name)
 		for i, u := range updates {
-			pd, err := inc.Scheme.Preprocess(u.d)
+			pd, err := inc.Preprocess(u.d)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -293,7 +293,7 @@ func TestMaintainedIsRebuiltBytes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s update %d: ApplyUpdate: %v", name, i, err)
 			}
-			rebuilt, err := inc.Scheme.Preprocess(updated)
+			rebuilt, err := inc.Preprocess(updated)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -320,16 +320,16 @@ func TestKeysDeltaSortIsNotQuadratic(t *testing.T) {
 		fresh[i] = int64(2*(n-i) + 1) // descending, disjoint from base
 	}
 	for _, tc := range []struct {
-		inc *core.IncrementalScheme
+		inc *core.Scheme
 		d   []byte
 	}{
-		{IncrementalPointSelection(), RelationFromKeys(base)},
-		{IncrementalRangeSelection(), RelationFromKeys(base)},
-		{IncrementalListMembership(), EncodeList(base)},
+		{PointSelectionScheme(), RelationFromKeys(base)},
+		{RangeSelectionScheme(), RelationFromKeys(base)},
+		{ListMembershipScheme(), EncodeList(base)},
 	} {
 		inc, d := tc.inc, tc.d
-		t.Run(inc.Name(), func(t *testing.T) {
-			pd, err := inc.Scheme.Preprocess(d)
+		t.Run(inc.Name()+"+incremental", func(t *testing.T) {
+			pd, err := inc.Preprocess(d)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -342,7 +342,7 @@ func TestKeysDeltaSortIsNotQuadratic(t *testing.T) {
 				if d, err = inc.ApplyUpdate(d, delta); err != nil {
 					t.Fatal(err)
 				}
-				rebuilt, err := inc.Scheme.Preprocess(d)
+				rebuilt, err := inc.Preprocess(d)
 				if err != nil {
 					t.Fatal(err)
 				}

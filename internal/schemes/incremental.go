@@ -1,8 +1,9 @@
 package schemes
 
-// Incremental preprocessing (§1 justification (3); see
-// core.IncrementalScheme): maintain Π(D ⊕ ∆D) from Π(D) and ∆D instead of
-// re-preprocessing. The instances:
+// Incremental preprocessing (§1 justification (3); see core.Scheme's
+// ApplyDelta): maintain Π(D ⊕ ∆D) from Π(D) and ∆D instead of
+// re-preprocessing. Each scheme constructor sets its own ApplyDelta and ⊕
+// (ApplyUpdate) from this file; the instances are
 //
 //   - the sorted key file of the point/range-selection and list-membership
 //     schemes under insertions and deletions (a merge or a filter streamed
@@ -11,16 +12,15 @@ package schemes
 //   - the reachability closure under edge insertions and deletions (one arc
 //     id spliced into the graph's arc file when no fact changes, a rebuild
 //     over the condensation when one can have);
+//   - the 2-hop labels, relabelled from their graph appendix (labels.go);
 //   - the BFS-per-query baseline, whose "preprocessed" string is the graph
 //     itself, so maintenance is editing the edge list.
 //
-// IncrementalForScheme is the catalog the serving layers route through:
-// store.Registry.ApplyDelta and the HTTP PATCH /v1/datasets/{id} path
-// resolve a dataset's incremental form by scheme name there.
+// The serving layers need no table of these: a store applies a delta through
+// the ApplyDelta of the scheme it was registered with.
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 
 	"pitract/internal/core"
@@ -43,35 +43,28 @@ func KeysDeleteDelta(keys []int64) []byte {
 	return core.TagDelta(core.DeltaDelete, EncodeList(keys))
 }
 
-// incremental is the one table of incremental forms, by scheme name. Schemes
-// absent from it have none (e.g. the point-selection scan baseline keeps no
-// maintained structure, and BDS visit orders are global artifacts an
-// insertion can reshuffle wholesale).
-var incremental = map[string]func() *core.IncrementalScheme{
-	"list-membership/sorted":      IncrementalListMembership,
-	"point-selection/sorted-keys": IncrementalPointSelection,
-	"range-selection/sorted-keys": IncrementalRangeSelection,
-	"reachability/bfs-per-query":  IncrementalReachabilityBFS,
-	"reachability/closure-matrix": IncrementalReachability,
-	"reachability/labels":         IncrementalReachabilityLabels,
-}
-
-// IncrementalForScheme returns the incremental form of a scheme, or nil
-// when the scheme has none. This is the catalog the serving layers consult:
-// store.Registry.ApplyDelta and the server's PATCH /v1/datasets/{id}
-// handler resolve a registered dataset's maintenance path here by scheme
-// name.
-func IncrementalForScheme(name string) *core.IncrementalScheme {
-	if form := incremental[name]; form != nil {
-		return form()
+// IncrementalForScheme returns the Catalog scheme named name when it has an
+// incremental form, or nil.
+func IncrementalForScheme(name string) *core.Scheme {
+	for _, s := range Catalog() {
+		if s.SchemeName == name && s.ApplyDelta != nil {
+			return s
+		}
 	}
 	return nil
 }
 
-// MaintainableSchemes lists the scheme names IncrementalForScheme accepts,
-// sorted, for error messages and docs.
+// MaintainableSchemes lists the names of the Catalog schemes with an
+// incremental form, sorted, for error messages and docs.
 func MaintainableSchemes() []string {
-	return slices.Sorted(maps.Keys(incremental))
+	var names []string
+	for _, s := range Catalog() {
+		if s.ApplyDelta != nil {
+			names = append(names, s.SchemeName)
+		}
+	}
+	slices.Sort(names)
+	return names
 }
 
 // applyRelationKeys is the ⊕ of the relation-backed selection schemes:
@@ -124,82 +117,47 @@ func applyRelationKeys(d, delta []byte) ([]byte, error) {
 	return rel.Encode(), nil
 }
 
-// IncrementalPointSelection returns the point-selection scheme extended
-// with streamed maintenance of its sorted key file (applyKeysDelta).
-func IncrementalPointSelection() *core.IncrementalScheme {
-	return &core.IncrementalScheme{
-		Scheme:      PointSelectionScheme(),
-		ApplyDelta:  applyKeysDelta,
-		ApplyUpdate: applyRelationKeys,
-		DeltaNote:   keysDeltaNote,
+// applyListKeys is the ⊕ of list membership. Insert adds only absent
+// elements, as the key file's merge skips present keys, so maintained Π is
+// byte-equal to a fresh Preprocess of the updated list.
+func applyListKeys(d, delta []byte) ([]byte, error) {
+	list, err := DecodeList(d)
+	if err != nil {
+		return nil, err
 	}
-}
-
-// IncrementalRangeSelection is IncrementalPointSelection for the range
-// scheme: the two share the sorted-key-file artifact, so the same merge
-// maintains both.
-func IncrementalRangeSelection() *core.IncrementalScheme {
-	return &core.IncrementalScheme{
-		Scheme:      RangeSelectionScheme(),
-		ApplyDelta:  applyKeysDelta,
-		ApplyUpdate: applyRelationKeys,
-		DeltaNote:   keysDeltaNote,
+	kind, payload, err := core.DeltaParts(delta)
+	if err != nil {
+		return nil, err
 	}
-}
-
-// IncrementalListMembership maintains the §4(2) sorted list with the same
-// merge and filter. Insert adds only absent elements on both sides of the
-// equation — the merge skips present keys and the ⊕ appends only absent
-// ones — so maintained Π is byte-equal to a fresh Preprocess of the updated
-// list.
-func IncrementalListMembership() *core.IncrementalScheme {
-	return &core.IncrementalScheme{
-		Scheme:     ListMembershipScheme(),
-		ApplyDelta: applyKeysDelta,
-		ApplyUpdate: func(d, delta []byte) ([]byte, error) {
-			list, err := DecodeList(d)
-			if err != nil {
-				return nil, err
-			}
-			kind, payload, err := core.DeltaParts(delta)
-			if err != nil {
-				return nil, err
-			}
-			newKeys, err := DecodeList(payload)
-			if err != nil {
-				return nil, err
-			}
-			if kind == core.DeltaDelete {
-				dropped := make(map[int64]bool, len(newKeys))
-				for _, k := range newKeys {
-					dropped[k] = true
-				}
-				kept := list[:0]
-				for _, e := range list {
-					if !dropped[e] {
-						kept = append(kept, e)
-					}
-				}
-				return EncodeList(kept), nil
-			}
-			present := make(map[int64]bool, len(list))
-			for _, e := range list {
-				present[e] = true
-			}
-			for _, k := range newKeys {
-				if !present[k] {
-					present[k] = true
-					list = append(list, k)
-				}
-			}
-			return EncodeList(list), nil
-		},
-		DeltaNote: keysDeltaNote,
+	newKeys, err := DecodeList(payload)
+	if err != nil {
+		return nil, err
 	}
+	if kind == core.DeltaDelete {
+		dropped := make(map[int64]bool, len(newKeys))
+		for _, k := range newKeys {
+			dropped[k] = true
+		}
+		kept := list[:0]
+		for _, e := range list {
+			if !dropped[e] {
+				kept = append(kept, e)
+			}
+		}
+		return EncodeList(kept), nil
+	}
+	present := make(map[int64]bool, len(list))
+	for _, e := range list {
+		present[e] = true
+	}
+	for _, k := range newKeys {
+		if !present[k] {
+			present[k] = true
+			list = append(list, k)
+		}
+	}
+	return EncodeList(list), nil
 }
-
-// keysDeltaNote is the cost of maintaining a sorted key file.
-const keysDeltaNote = "O(|Π| + |∆D|·b) streamed merge/filter vs O(|D|·b) re-sort, b the key bytes that vary (radix sort)"
 
 // EdgeDelta encodes an edge insertion for the reachability schemes;
 // inserting a present edge is a no-op.
@@ -240,9 +198,9 @@ func editGraph(g *graph.Graph, kind core.DeltaKind, u, v int) (bool, error) {
 	return true, g.AddEdge(u, v)
 }
 
-// IncrementalReachability returns the closure-matrix scheme extended with
-// maintenance in both directions: apply the edge to the arc file, and ask
-// whether any reachability fact can have changed.
+// applyClosureDelta is the closure-matrix scheme's ApplyDelta, in both
+// directions: apply the edge to the arc file, and ask whether any
+// reachability fact can have changed.
 //
 // Inserting (u, v) changes none when u already reaches v (and v reaches u, for
 // an undirected edge): every new path through the arc has an old one beside
@@ -265,17 +223,10 @@ func editGraph(g *graph.Graph, kind core.DeltaKind, u, v int) (bool, error) {
 // graph — 4096 vertices, ≈ 150 classes — a fact-changing edge is ≈ 2 ms; on a
 // DAG every vertex is a class, the matrix is n² bits again, and the rebuild is
 // ≈ 5 ms at 4096 vertices and ≈ 60 ms at 16384 — no more than touching the
-// ancestor rows of an n²-bit matrix cost there, but not milliseconds.
-func IncrementalReachability() *core.IncrementalScheme {
-	return &core.IncrementalScheme{
-		Scheme:      ReachabilityScheme(),
-		ApplyDelta:  applyClosureDelta,
-		ApplyUpdate: applyEdgeToGraph,
-		DeltaNote:   "O(log) to find the arc and one O(1) probe (insert), O(|V|+|E|) to decode and search (delete), a splice of the arc file; a rebuild over the condensation — the whole of Preprocess — only when a fact can have changed",
-	}
-}
-
-// applyClosureDelta is IncrementalReachability's ApplyDelta.
+// ancestor rows of an n²-bit matrix cost there, but not milliseconds. In
+// short: O(log) to find the arc and one O(1) probe (insert), O(|V|+|E|) to
+// decode and search (delete), a splice of the arc file; a rebuild over the
+// condensation — the whole of Preprocess — only when a fact can have changed.
 func applyClosureDelta(pd, delta []byte) ([]byte, error) {
 	n, cond, arcs, err := closureParts(pd)
 	if err != nil {
@@ -321,8 +272,10 @@ func applyClosureDelta(pd, delta []byte) ([]byte, error) {
 }
 
 // applyEdgeToGraph decodes a graph, applies one edge delta, and re-encodes
-// — both the ⊕ of the reachability schemes and the whole maintenance step
-// of the BFS baseline (whose preprocessed string is the graph itself).
+// — both the ⊕ of the reachability schemes and the whole ApplyDelta of the
+// BFS baseline, whose Π(D) is D: an O(|V|+|E|) re-encode. There is nothing
+// index-shaped to maintain, which is exactly why the baseline pays
+// O(|V|+|E|) per query forever.
 func applyEdgeToGraph(d, delta []byte) ([]byte, error) {
 	g, err := graph.Decode(d)
 	if err != nil {
@@ -336,17 +289,4 @@ func applyEdgeToGraph(d, delta []byte) ([]byte, error) {
 		return nil, err
 	}
 	return g.Encode(), nil
-}
-
-// IncrementalReachabilityBFS maintains the BFS-per-query baseline, whose
-// Π(D) is D: an edge delta edits the graph encoding directly. There is
-// nothing index-shaped to maintain, which is exactly why the baseline pays
-// O(|V|+|E|) per query forever.
-func IncrementalReachabilityBFS() *core.IncrementalScheme {
-	return &core.IncrementalScheme{
-		Scheme:      ReachabilityBFSScheme(),
-		ApplyDelta:  applyEdgeToGraph,
-		ApplyUpdate: applyEdgeToGraph,
-		DeltaNote:   "O(|V|+|E|) re-encode (Π = D); queries stay O(|V|+|E|)",
-	}
 }

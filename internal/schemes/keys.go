@@ -725,7 +725,10 @@ type keyEdit struct{ x, at uint64 }
 // keys to learn the new n and bounds, then writes a file of exactly the new
 // size from the old one: a merge for an insert (a present key is a no-op), a
 // filter for a delete (an absent key is a no-op). Π is never expanded into a
-// key slice, and an edit that changes nothing returns pd itself.
+// key slice, and an edit that changes nothing returns pd itself: a streamed
+// O(|Π| + |∆D|·b) merge or filter against an O(|D|·b) re-sort, b the key
+// bytes that vary. The point, range and list schemes share the key file, so
+// this one function maintains all three.
 func applyKeysDelta(pd, delta []byte) ([]byte, error) {
 	f, err := parseKeyFile(pd)
 	if err != nil {

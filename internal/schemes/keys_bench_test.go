@@ -29,19 +29,19 @@ func BenchmarkKeyFile(b *testing.B) {
 		}
 		return keys
 	}
-	inc := IncrementalPointSelection()
-	pd, err := inc.Scheme.Preprocess(RelationFromKeys(keys))
+	inc := PointSelectionScheme()
+	pd, err := inc.Preprocess(RelationFromKeys(keys))
 	if err != nil {
 		b.Fatal(err)
 	}
-	patched, err := inc.Scheme.Preprocess(RelationFromKeys(append(append(keys, batch(0)...), batch(1)...)))
+	patched, err := inc.Preprocess(RelationFromKeys(append(append(keys, batch(0)...), batch(1)...)))
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Logf("Π is %d bytes for %d keys", len(pd), len(keys))
 
 	b.Run("probe", func(b *testing.B) {
-		ans, err := inc.Scheme.Prepare(pd)
+		ans, err := inc.Prepare(pd)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -538,50 +538,45 @@ func ReachabilityLabelsScheme() *core.Scheme {
 		SchemeName:     "reachability/labels",
 		Preprocess:     preprocessLabels,
 		Prepare:        prepareLabels,
+		ApplyDelta:     applyLabelsDelta,
+		ApplyUpdate:    applyEdgeToGraph,
 		PreprocessNote: "O(compress) + O(PLL(Dc)) — labels built on the compressed DAG",
 		AnswerNote:     "O(|Lout| + |Lin|) label intersection",
 	}
 }
 
-// IncrementalReachabilityLabels maintains the labels scheme by
-// relabel-on-commit: an edge delta edits the graph appendix (the same
-// validation and strict-delete contract as the closure scheme) and the
-// labels are rebuilt wholesale from the maintained graph. There is no
-// per-delta label surgery — a single edge can restructure the SCC
-// condensation, the twin classes, and the hub cover all at once; what does
-// hold is that the relabel runs on the compressed DAG. A payload whose
-// appendix fails to decode refuses the delta cleanly (nothing applied).
-// Maintained and rebuilt Π stay byte-identical (pinned differentially).
-func IncrementalReachabilityLabels() *core.IncrementalScheme {
-	return &core.IncrementalScheme{
-		Scheme: ReachabilityLabelsScheme(),
-		ApplyDelta: func(pd, delta []byte) ([]byte, error) {
-			rl, err := decodeLabels(pd)
-			if err != nil {
-				return nil, err
-			}
-			kind, u, v, err := DecodeEdgeDelta(delta, rl.n)
-			if err != nil {
-				return nil, err
-			}
-			g, err := graph.Decode(rl.graphEnc)
-			if err != nil {
-				return nil, fmt.Errorf("schemes: labels graph appendix: %w", err)
-			}
-			changed, err := editGraph(g, kind, u, v)
-			if err != nil {
-				return nil, err
-			}
-			if !changed {
-				return pd, nil
-			}
-			rebuilt, err := buildReachLabels(g)
-			if err != nil {
-				return nil, err
-			}
-			return encodeLabels(rebuilt), nil
-		},
-		ApplyUpdate: applyEdgeToGraph,
-		DeltaNote:   "relabel on commit: O(compress + PLL(Dc)) rebuild from the graph appendix",
+// applyLabelsDelta is the labels scheme's ApplyDelta, relabel on commit: an
+// edge delta edits the graph appendix (the same validation and strict-delete
+// contract as the closure scheme) and the labels are rebuilt wholesale from
+// the maintained graph, O(compress + PLL(Dc)). There is no per-delta label
+// surgery — a single edge can restructure the SCC condensation, the twin
+// classes, and the hub cover all at once; what does hold is that the relabel
+// runs on the compressed DAG. A payload whose appendix fails to decode
+// refuses the delta cleanly (nothing applied). Maintained and rebuilt Π stay
+// byte-identical (pinned differentially).
+func applyLabelsDelta(pd, delta []byte) ([]byte, error) {
+	rl, err := decodeLabels(pd)
+	if err != nil {
+		return nil, err
 	}
+	kind, u, v, err := DecodeEdgeDelta(delta, rl.n)
+	if err != nil {
+		return nil, err
+	}
+	g, err := graph.Decode(rl.graphEnc)
+	if err != nil {
+		return nil, fmt.Errorf("schemes: labels graph appendix: %w", err)
+	}
+	changed, err := editGraph(g, kind, u, v)
+	if err != nil {
+		return nil, err
+	}
+	if !changed {
+		return pd, nil
+	}
+	rebuilt, err := buildReachLabels(g)
+	if err != nil {
+		return nil, err
+	}
+	return encodeLabels(rebuilt), nil
 }

@@ -187,8 +187,8 @@ func TestClosureArtifactSmallerOnCommunityGraph(t *testing.T) {
 // byte-identical to a from-scratch Preprocess of the maintained graph.
 func TestLabelsMaintainedEqualsRebuilt(t *testing.T) {
 	g := graph.RandomDirected(28, 60, 13)
-	inc := IncrementalReachabilityLabels()
-	pd, err := inc.Scheme.Preprocess(g.Encode())
+	inc := ReachabilityLabelsScheme()
+	pd, err := inc.Preprocess(g.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestLabelsMaintainedEqualsRebuilt(t *testing.T) {
 			t.Fatalf("delta %d: %v", i, err)
 		}
 	}
-	rebuilt, err := inc.Scheme.Preprocess(maintained.Encode())
+	rebuilt, err := inc.Preprocess(maintained.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,8 +228,8 @@ func TestLabelsMaintainedEqualsRebuilt(t *testing.T) {
 // error string.
 func TestLabelsDeltaRefusedCleanly(t *testing.T) {
 	g := graph.RandomDirected(10, 20, 3)
-	inc := IncrementalReachabilityLabels()
-	pd, err := inc.Scheme.Preprocess(g.Encode())
+	inc := ReachabilityLabelsScheme()
+	pd, err := inc.Preprocess(g.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,6 +25,24 @@ import (
 	"pitract/internal/relation"
 )
 
+// Catalog returns the schemes served for registration — every decision
+// scheme from the paper's case studies that answers against a preprocessed
+// store — in one list; the server's catalog, MaintainableSchemes and
+// IncrementalForScheme all read it.
+func Catalog() []*core.Scheme {
+	return []*core.Scheme{
+		PointSelectionScheme(),
+		PointSelectionScanScheme(),
+		RangeSelectionScheme(),
+		ListMembershipScheme(),
+		ReachabilityScheme(),
+		ReachabilityLabelsScheme(),
+		ReachabilityBFSScheme(),
+		BDSScheme(),
+		CVPGateValueScheme(),
+	}
+}
+
 // --- Example 1 / §4(1): point and range selection -----------------------------
 
 // PointQuery encodes the Boolean point-selection query (A, c) on the fixed
@@ -98,6 +116,8 @@ func PointSelectionScheme() *core.Scheme {
 			return keyFileBytes(dedupSorted(keys))
 		},
 		Prepare:        keyProbe(answerPoint).prepare,
+		ApplyDelta:     applyKeysDelta,
+		ApplyUpdate:    applyRelationKeys,
 		PreprocessNote: "O(|D| log |D|)",
 		AnswerNote:     keysAnswerNote,
 	}
@@ -144,6 +164,8 @@ func RangeSelectionScheme() *core.Scheme {
 		SchemeName:     "range-selection/sorted-keys",
 		Preprocess:     PointSelectionScheme().Preprocess,
 		Prepare:        keyProbe(answerRange).prepare,
+		ApplyDelta:     applyKeysDelta,
+		ApplyUpdate:    applyRelationKeys,
 		PreprocessNote: "O(|D| log |D|)",
 		AnswerNote:     keysAnswerNote,
 	}
@@ -219,6 +241,8 @@ func ListMembershipScheme() *core.Scheme {
 			return keyFileBytes(dedupSorted(list))
 		},
 		Prepare:        keyProbe(answerPoint).prepare,
+		ApplyDelta:     applyKeysDelta,
+		ApplyUpdate:    applyListKeys,
 		PreprocessNote: "O(|M| log |M|)",
 		AnswerNote:     keysAnswerNote,
 	}
@@ -374,6 +398,8 @@ func ReachabilityScheme() *core.Scheme {
 			return closureBytes(g)
 		},
 		Prepare:        prepareClosure,
+		ApplyDelta:     applyClosureDelta,
+		ApplyUpdate:    applyEdgeToGraph,
 		PreprocessNote: "O(|V|+|E|) condensation + O(|E_c|·k/64) word ORs over the k classes; Π is ⌈n·w/8⌉ + k²/8 bytes (w = ⌈log₂ k⌉) + an Elias–Fano arc file",
 		AnswerNote:     "O(1)",
 	}
@@ -385,6 +411,8 @@ func ReachabilityBFSScheme() *core.Scheme {
 		SchemeName:     "reachability/bfs-per-query",
 		Preprocess:     func(d []byte) ([]byte, error) { return d, nil },
 		Prepare:        prepareBFS,
+		ApplyDelta:     applyEdgeToGraph,
+		ApplyUpdate:    applyEdgeToGraph,
 		PreprocessNote: "O(1)",
 		AnswerNote:     "O(|V|+|E|) per query",
 		Traversal:      true,

@@ -50,7 +50,7 @@ func FuzzApplyDelta(f *testing.F) {
 		defer ts.Close()
 		client := ts.Client()
 
-		inc := schemes.IncrementalPointSelection()
+		inc := schemes.PointSelectionScheme()
 		data := schemes.RelationFromKeys([]int64{2, 4, 6})
 		if code := postJSON(t, client, ts.URL+"/v1/datasets", RegisterRequest{
 			ID: "d", Scheme: "point-selection/sorted-keys", Data: data,
@@ -82,7 +82,7 @@ func FuzzApplyDelta(f *testing.F) {
 				t.Fatalf("server applied a delta ⊕ rejects: %v", err)
 			}
 		}
-		want, err := inc.Scheme.Preprocess(oracle)
+		want, err := inc.Preprocess(oracle)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func FuzzApplyDelta(f *testing.F) {
 		// oracle database for every canary key — original keys, keys a valid
 		// delta may have inserted or tombstoned, and a never-touched one.
 		for _, k := range []int64{2, 4, 6, 7, 9, 999, -9} {
-			expect, err := inc.Scheme.Answer(want, schemes.PointQuery(k))
+			expect, err := inc.Answer(want, schemes.PointQuery(k))
 			if err != nil {
 				t.Fatal(err)
 			}

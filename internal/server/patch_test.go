@@ -19,6 +19,7 @@ import (
 	"sync"
 	"testing"
 
+	"pitract/internal/core"
 	"pitract/internal/graph"
 	"pitract/internal/schemes"
 	"pitract/internal/shard"
@@ -314,6 +315,67 @@ func TestPatchSurvivesRestart(t *testing.T) {
 	if code := patchJSON(t, client, ts2.URL+"/v1/datasets/d",
 		[][]byte{schemes.KeysDelta([]int64{13})}, &info); code != http.StatusOK || info.Version != 3 {
 		t.Fatalf("post-restart patch: %d %+v (want version 3)", code, info)
+	}
+}
+
+// TestPatchMaintainsUnnamedScheme serves a scheme no built-in name knows:
+// a dataset is maintained through the ApplyDelta of the scheme it was
+// registered with, so a catalog entry of any name that declares one takes
+// PATCHes, and a restart replays its delta log through the same scheme.
+func TestPatchMaintainsUnnamedScheme(t *testing.T) {
+	dir := t.TempDir()
+	custom := *schemes.ListMembershipScheme()
+	custom.SchemeName = "custom/sorted-list"
+	catalog := map[string]*core.Scheme{custom.SchemeName: &custom}
+	data := schemes.EncodeList([]int64{2, 4, 6})
+	open := func() (*httptest.Server, DatasetInfo) {
+		reg := store.NewRegistry(dir)
+		reg.SetCheckpointEvery(4) // one PATCH stays in the delta log
+		ts := httptest.NewServer(New(reg, catalog))
+		var info DatasetInfo
+		if code := postJSON(t, ts.Client(), ts.URL+"/v1/datasets", RegisterRequest{
+			ID: "d", Scheme: custom.SchemeName, Data: data,
+		}, &info); code != http.StatusOK {
+			t.Fatalf("register: status %d", code)
+		}
+		return ts, info
+	}
+	ask := func(ts *httptest.Server) QueryResponse {
+		var q QueryResponse
+		if code := postJSON(t, ts.Client(), ts.URL+"/v1/query", QueryRequest{
+			Dataset: "d", Query: schemes.PointQuery(9),
+		}, &q); code != http.StatusOK {
+			t.Fatalf("query: status %d", code)
+		}
+		return q
+	}
+
+	ts1, _ := open()
+	if q := ask(ts1); q.Answer || q.Version != 0 {
+		t.Fatalf("before the PATCH: %+v, want false at version 0", q)
+	}
+	var info DatasetInfo
+	if code := patchJSON(t, ts1.Client(), ts1.URL+"/v1/datasets/d",
+		[][]byte{schemes.KeysDelta([]int64{9})}, &info); code != http.StatusOK || info.Version != 1 {
+		t.Fatalf("patch: status %d, %+v (want 200 at version 1)", code, info)
+	}
+	if q := ask(ts1); !q.Answer || q.Version != 1 {
+		t.Fatalf("after the PATCH: %+v, want true at version 1", q)
+	}
+	ts1.Close()
+
+	ts2, info := open()
+	defer ts2.Close()
+	if !info.Loaded || info.Version != 1 {
+		t.Fatalf("restart info %+v: want loaded=true, version 1", info)
+	}
+	var stats StatsResponse
+	getJSON(t, ts2.Client(), ts2.URL+"/v1/stats", &stats)
+	if stats.LogReplays != 1 || stats.PreprocessCalls != 0 {
+		t.Fatalf("restart stats: log_replays %d, preprocess_calls %d (want 1, 0)", stats.LogReplays, stats.PreprocessCalls)
+	}
+	if q := ask(ts2); !q.Answer || q.Version != 1 {
+		t.Fatalf("after the restart: %+v, want true at version 1", q)
 	}
 }
 

@@ -88,21 +88,10 @@ import (
 )
 
 // Catalog returns the schemes a server offers for registration, keyed by
-// scheme name. It covers every decision scheme from the paper's case
-// studies that answers against a preprocessed store.
+// scheme name: schemes.Catalog.
 func Catalog() map[string]*core.Scheme {
 	cat := map[string]*core.Scheme{}
-	for _, s := range []*core.Scheme{
-		schemes.PointSelectionScheme(),
-		schemes.PointSelectionScanScheme(),
-		schemes.RangeSelectionScheme(),
-		schemes.ListMembershipScheme(),
-		schemes.ReachabilityScheme(),
-		schemes.ReachabilityLabelsScheme(),
-		schemes.ReachabilityBFSScheme(),
-		schemes.BDSScheme(),
-		schemes.CVPGateValueScheme(),
-	} {
+	for _, s := range schemes.Catalog() {
 		cat[s.Name()] = s
 	}
 	return cat

@@ -32,7 +32,7 @@ const (
 // shardCrashScheme is one scheme's sharded crash scenario.
 type shardCrashScheme struct {
 	name    string
-	inc     *core.IncrementalScheme
+	inc     *core.Scheme
 	data    []byte
 	batches [][][]byte
 	probes  [][]byte
@@ -80,11 +80,11 @@ func shardCrashSchemes() []shardCrashScheme {
 	}
 
 	return []shardCrashScheme{
-		{"point-selection/sorted-keys", schemes.IncrementalPointSelection(), keyData, keyBatches(), keyProbes},
-		{"range-selection/sorted-keys", schemes.IncrementalRangeSelection(), keyData, keyBatches(), rangeProbes},
-		{"list-membership/sorted", schemes.IncrementalListMembership(),
+		{"point-selection/sorted-keys", schemes.PointSelectionScheme(), keyData, keyBatches(), keyProbes},
+		{"range-selection/sorted-keys", schemes.RangeSelectionScheme(), keyData, keyBatches(), rangeProbes},
+		{"list-membership/sorted", schemes.ListMembershipScheme(),
 			schemes.EncodeList([]int64{2, 4, 6, 8, 10, 400, 402, 404}), keyBatches(), keyProbes},
-		{"reachability/closure-matrix", schemes.IncrementalReachability(), g.Encode(), edgeBatches, pairProbes},
+		{"reachability/closure-matrix", schemes.ReachabilityScheme(), g.Encode(), edgeBatches, pairProbes},
 	}
 }
 
@@ -118,7 +118,7 @@ func shardOracleStates(t *testing.T, cs shardCrashScheme) [][]byte {
 // must never change an answer, crashed and recovered or not.
 func assertShardOracle(t *testing.T, cs shardCrashScheme, ds store.Dataset, raw []byte, label string) {
 	t.Helper()
-	fresh, err := cs.inc.Scheme.Preprocess(raw)
+	fresh, err := cs.inc.Preprocess(raw)
 	if err != nil {
 		t.Fatalf("%s: oracle preprocess: %v", label, err)
 	}
@@ -127,7 +127,7 @@ func assertShardOracle(t *testing.T, cs shardCrashScheme, ds store.Dataset, raw 
 		if err != nil {
 			t.Fatalf("%s probe %d: recovered answer: %v", label, pi, err)
 		}
-		want, err := cs.inc.Scheme.Answer(fresh, q)
+		want, err := cs.inc.Answer(fresh, q)
 		if err != nil {
 			t.Fatalf("%s probe %d: oracle answer: %v", label, pi, err)
 		}
@@ -143,7 +143,7 @@ func assertShardOracle(t *testing.T, cs shardCrashScheme, ds store.Dataset, raw 
 func runShardMaintenance(t *testing.T, f *faultfs.FS, cs shardCrashScheme, p Partitioner, cadence int) (acked uint64, reg *store.Registry) {
 	t.Helper()
 	reg = store.NewRegistryMedium(&store.Medium{Dir: shardCrashDir, FS: f, CheckpointEvery: cadence})
-	if _, err := RegisterSharded(reg, shardCrashID, cs.inc.Scheme, p, shardCrashN, cs.data); err != nil {
+	if _, err := RegisterSharded(reg, shardCrashID, cs.inc, p, shardCrashN, cs.data); err != nil {
 		t.Fatalf("register: %v (crashed=%v)", err, f.Crashed())
 	}
 	for bi, batch := range cs.batches {
@@ -166,7 +166,7 @@ func recoverShardAndVerify(t *testing.T, f *faultfs.FS, cs shardCrashScheme, p P
 	t.Helper()
 	f.Restart()
 	reg := store.NewRegistryMedium(&store.Medium{Dir: shardCrashDir, FS: f, CheckpointEvery: cadence})
-	ss, err := RegisterSharded(reg, shardCrashID, cs.inc.Scheme, p, shardCrashN, cs.data)
+	ss, err := RegisterSharded(reg, shardCrashID, cs.inc, p, shardCrashN, cs.data)
 	if err != nil {
 		t.Fatalf("%s: recovery registration: %v", label, err)
 	}
@@ -214,7 +214,7 @@ func TestCrashMatrixSharded(t *testing.T) {
 
 				setup := faultfs.New()
 				sreg := store.NewRegistryMedium(&store.Medium{Dir: shardCrashDir, FS: setup, CheckpointEvery: 1})
-				if _, err := RegisterSharded(sreg, shardCrashID, cs.inc.Scheme, p, shardCrashN, cs.data); err != nil {
+				if _, err := RegisterSharded(sreg, shardCrashID, cs.inc, p, shardCrashN, cs.data); err != nil {
 					t.Fatal(err)
 				}
 				setupOps := setup.Ops()
@@ -357,7 +357,7 @@ func TestCrashShardedReplayAll(t *testing.T) {
 			// A second restart finds the checkpoint and replays nothing.
 			f.Restart()
 			reg2 := store.NewRegistryMedium(&store.Medium{Dir: shardCrashDir, FS: f, CheckpointEvery: cadence})
-			ss2, err := RegisterSharded(reg2, shardCrashID, cs.inc.Scheme, p, shardCrashN, cs.data)
+			ss2, err := RegisterSharded(reg2, shardCrashID, cs.inc, p, shardCrashN, cs.data)
 			if err != nil {
 				t.Fatal(err)
 			}

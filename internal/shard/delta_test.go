@@ -25,7 +25,7 @@ import (
 // shardDeltaCase is one sharded maintenance scenario.
 type shardDeltaCase struct {
 	scheme string
-	inc    *core.IncrementalScheme
+	inc    *core.Scheme
 	data   []byte
 	deltas [][]byte
 	probes [][]byte
@@ -103,15 +103,15 @@ func shardDeltaCases(seed int64) []shardDeltaCase {
 		pairProbes = append(pairProbes, schemes.NodePairQuery(rng.Intn(g.N()), rng.Intn(g.N())))
 	}
 	return []shardDeltaCase{
-		{"point-selection/sorted-keys", schemes.IncrementalPointSelection(),
+		{"point-selection/sorted-keys", schemes.PointSelectionScheme(),
 			schemes.RelationFromKeys(keys), keyDeltas, keyProbes},
-		{"range-selection/sorted-keys", schemes.IncrementalRangeSelection(),
+		{"range-selection/sorted-keys", schemes.RangeSelectionScheme(),
 			schemes.RelationFromKeys(keys), keyDeltas, rangeProbes},
-		{"list-membership/sorted", schemes.IncrementalListMembership(),
+		{"list-membership/sorted", schemes.ListMembershipScheme(),
 			schemes.EncodeList(keys), keyDeltas, keyProbes},
-		{"reachability/closure-matrix", schemes.IncrementalReachability(),
+		{"reachability/closure-matrix", schemes.ReachabilityScheme(),
 			g.Encode(), edgeDeltas, pairProbes},
-		{"reachability/labels", schemes.IncrementalReachabilityLabels(),
+		{"reachability/labels", schemes.ReachabilityLabelsScheme(),
 			g.Encode(), edgeDeltas, pairProbes},
 	}
 }
@@ -120,7 +120,7 @@ func shardDeltaCases(seed int64) []shardDeltaCase {
 // a from-scratch unsharded preprocessing of the updated raw data.
 func assertShardedEquivalent(t *testing.T, tc shardDeltaCase, ds store.Dataset, updated []byte, step int) {
 	t.Helper()
-	fresh, err := tc.inc.Scheme.Preprocess(updated)
+	fresh, err := tc.inc.Preprocess(updated)
 	if err != nil {
 		t.Fatalf("step %d: fresh preprocess: %v", step, err)
 	}
@@ -129,7 +129,7 @@ func assertShardedEquivalent(t *testing.T, tc shardDeltaCase, ds store.Dataset, 
 		t.Fatalf("step %d: maintained batch: %v", step, err)
 	}
 	for pi, q := range tc.probes {
-		want, err := tc.inc.Scheme.Answer(fresh, q)
+		want, err := tc.inc.Answer(fresh, q)
 		if err != nil {
 			t.Fatalf("step %d probe %d: rebuilt answer: %v", step, pi, err)
 		}
@@ -150,7 +150,7 @@ func TestShardedMaintainedVsRebuiltDifferential(t *testing.T) {
 				t.Run(tc.scheme+"/"+p.Name()+"/"+string(rune('0'+n)), func(t *testing.T) {
 					dir := t.TempDir()
 					reg := store.NewRegistry(dir)
-					if _, err := RegisterSharded(reg, "d", tc.inc.Scheme, p, n, tc.data); err != nil {
+					if _, err := RegisterSharded(reg, "d", tc.inc, p, n, tc.data); err != nil {
 						t.Fatal(err)
 					}
 					updated := tc.data
@@ -175,7 +175,7 @@ func TestShardedMaintainedVsRebuiltDifferential(t *testing.T) {
 					// checkpoint must reload (no Preprocess), with its
 					// version, and keep accepting deltas.
 					reg2 := store.NewRegistry(dir)
-					ss, err := RegisterSharded(reg2, "d", tc.inc.Scheme, p, n, tc.data)
+					ss, err := RegisterSharded(reg2, "d", tc.inc, p, n, tc.data)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -407,17 +407,17 @@ func TestShardedDeltaUnsupportedCleanRefusal(t *testing.T) {
 func TestShardedEmptyBatchIsNoOp(t *testing.T) {
 	dir := t.TempDir()
 	reg := store.NewRegistry(dir)
-	inc := schemes.IncrementalPointSelection()
-	ss, err := RegisterSharded(reg, "d", inc.Scheme, HashPartitioner{}, 2,
+	inc := schemes.PointSelectionScheme()
+	ss, err := RegisterSharded(reg, "d", inc, HashPartitioner{}, 2,
 		schemes.RelationFromKeys([]int64{2, 4, 6}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := store.ApplyDeltas(context.Background(), ss, inc, nil, store.DiskMedium(dir))
+	v, err := store.ApplyDeltas(context.Background(), ss, nil, store.DiskMedium(dir))
 	if err != nil || v != 0 {
 		t.Fatalf("empty batch: version %d, err %v (want 0, nil)", v, err)
 	}
-	if _, err := LoadShardedFS(store.OSFS, dir, "d", inc.Scheme); err != nil {
+	if _, err := LoadShardedFS(store.OSFS, dir, "d", inc); err != nil {
 		t.Fatalf("empty batch broke the persisted checkpoint: %v", err)
 	}
 }

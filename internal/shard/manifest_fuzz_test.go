@@ -155,7 +155,7 @@ func FuzzDecodeManifest(f *testing.F) {
 	keys := keyFixture(f)
 	valid := keys.checkpointBytes(keys.state.Load())
 	cs := shardCrashSchemes()[3] // reachability: a manifest with a summary
-	reach, err := Build("d", cs.inc.Scheme, ForScheme(cs.name), RangePartitioner{}, 2, cs.data)
+	reach, err := Build("d", cs.inc, ForScheme(cs.name), RangePartitioner{}, 2, cs.data)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -414,10 +414,10 @@ func TestShardedCheckpointIsOneAtomicWrite(t *testing.T) {
 // checkpoints) is all the data directory holds.
 func TestShardedSnapshotBytesIsTheCheckpointFile(t *testing.T) {
 	const dir, id = "/data", "d"
-	inc := schemes.IncrementalPointSelection()
+	inc := schemes.PointSelectionScheme()
 	f := faultfs.New()
 	reg := store.NewRegistryMedium(&store.Medium{Dir: dir, FS: f, CheckpointEvery: 2})
-	ss, err := RegisterSharded(reg, id, inc.Scheme, HashPartitioner{}, 4, schemes.RelationFromKeys([]int64{2, 4, 6, 8, 10, 12, 14, 16}))
+	ss, err := RegisterSharded(reg, id, inc, HashPartitioner{}, 4, schemes.RelationFromKeys([]int64{2, 4, 6, 8, 10, 12, 14, 16}))
 	if err != nil {
 		t.Fatal(err)
 	}

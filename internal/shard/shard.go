@@ -382,7 +382,7 @@ func (ss *ShardedStore) AnswerBatch(queries [][]byte, parallelism int) ([]bool, 
 
 // Stage implements store.DeltaDataset. Each delta is routed by the scheme's
 // SplitDelta hook to the shards it lands on (local deltas applied through
-// the scheme's incremental form, exactly as an unsharded store would); the
+// the scheme's ApplyDelta, exactly as an unsharded store would); the
 // touched shards' answerers are then decoded — a maintained Π the scheme will
 // not prepare refuses the batch — and the scheme's Maintain hook
 // carries summary and view — for reachability the cross-edge arc file, the
@@ -394,10 +394,14 @@ func (ss *ShardedStore) AnswerBatch(queries [][]byte, parallelism int) ([]bool, 
 // original (top-level) deltas, so replay re-routes them through this same
 // path.
 //
-// Schemes whose sharded form has no delta routing (SplitDelta == nil)
-// refuse cleanly; the HTTP layer surfaces that as a 409.
-func (ss *ShardedStore) Stage(ctx context.Context, inc *core.IncrementalScheme, deltas [][]byte) (func(version uint64), error) {
+// Schemes with no ApplyDelta, and those whose sharded form has no delta
+// routing (SplitDelta == nil), refuse cleanly; the HTTP layer surfaces that
+// as a 409.
+func (ss *ShardedStore) Stage(ctx context.Context, deltas [][]byte) (func(version uint64), error) {
 	sh := ss.Sharding
+	if ss.Scheme.ApplyDelta == nil {
+		return nil, fmt.Errorf("shard: scheme %s has no incremental form (nothing applied)", ss.Scheme.Name())
+	}
 	if sh.SplitDelta == nil {
 		return nil, fmt.Errorf("shard: scheme %s has no sharded delta routing; re-register unsharded to maintain it",
 			ss.Scheme.Name())
@@ -422,7 +426,7 @@ func (ss *ShardedStore) Stage(ctx context.Context, inc *core.IncrementalScheme, 
 			}
 			for _, ld := range lds {
 				touched[s] = true
-				if shards[s].prep, err = inc.ApplyDelta(shards[s].prep, ld); err != nil {
+				if shards[s].prep, err = ss.Scheme.ApplyDelta(shards[s].prep, ld); err != nil {
 					return nil, fmt.Errorf("shard: delta %d on shard %d: %w (nothing applied)", di, s, err)
 				}
 			}

@@ -90,7 +90,7 @@ func writeKinds() []writeKind {
 	}
 	sharded := func(cs shardCrashScheme, p Partitioner, pf *prepareFaults) func(*store.Registry) (store.Dataset, error) {
 		return func(reg *store.Registry) (store.Dataset, error) {
-			return RegisterSharded(reg, shardCrashID, pf.scheme(cs.inc.Scheme), p, shardCrashN, cs.data)
+			return RegisterSharded(reg, shardCrashID, pf.scheme(cs.inc), p, shardCrashN, cs.data)
 		}
 	}
 	// A byte of the manifest's own fields (its scheme name), and a byte in
@@ -112,7 +112,7 @@ func writeKinds() []writeKind {
 	}
 	return []writeKind{
 		{"plain", "store", point, func(reg *store.Registry) (store.Dataset, error) {
-			return reg.Register(shardCrashID, faults[0].scheme(point.inc.Scheme), point.data)
+			return reg.Register(shardCrashID, faults[0].scheme(point.inc), point.data)
 		}, []writeArtifact{{"snapshot", snap, func(_ *testing.T, file []byte) int { return len(file) / 2 }}},
 			[]prepareFault{refuse("pi", faults[0])}},
 		{"routed-sharded", "shard", point, sharded(point, HashPartitioner{}, faults[1]), shardedArtifacts,
@@ -216,11 +216,11 @@ func TestWritePathConformance(t *testing.T) {
 				batch := [][]byte{b0[0], {0xff, 0xff, 0xff}}
 				// The reference bytes are a plain in-memory store's of the same
 				// scheme, up to the Stage prefix.
-				plain, err := store.NewRegistry("").Register("d", k.cs.inc.Scheme, k.cs.data)
+				plain, err := store.NewRegistry("").Register("d", k.cs.inc, k.cs.data)
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, ref := store.ApplyDeltas(context.Background(), plain, k.cs.inc, batch, nil)
+				_, ref := store.ApplyDeltas(context.Background(), plain, batch, nil)
 				if ref == nil || !strings.HasPrefix(ref.Error(), "store: delta 1: ") || !strings.HasSuffix(ref.Error(), " (nothing applied)") {
 					t.Fatalf("reference refusal %v does not name delta 1 with nothing applied", ref)
 				}

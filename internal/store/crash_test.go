@@ -36,7 +36,7 @@ const (
 // versions count deltas).
 type crashScheme struct {
 	name    string
-	inc     *core.IncrementalScheme
+	inc     *core.Scheme
 	data    []byte
 	batches [][][]byte
 	probes  [][]byte
@@ -84,20 +84,20 @@ func crashSchemes() []crashScheme {
 
 	return []crashScheme{
 		{
-			name: "point-selection/sorted-keys", inc: schemes.IncrementalPointSelection(),
+			name: "point-selection/sorted-keys", inc: schemes.PointSelectionScheme(),
 			data: keyData, batches: keyBatches(), probes: keyProbes,
 		},
 		{
-			name: "range-selection/sorted-keys", inc: schemes.IncrementalRangeSelection(),
+			name: "range-selection/sorted-keys", inc: schemes.RangeSelectionScheme(),
 			data: keyData, batches: keyBatches(), probes: rangeProbes,
 		},
 		{
-			name: "list-membership/sorted", inc: schemes.IncrementalListMembership(),
+			name: "list-membership/sorted", inc: schemes.ListMembershipScheme(),
 			data: schemes.EncodeList([]int64{2, 4, 6, 8, 10}), batches: keyBatches(),
 			probes: keyProbes,
 		},
 		{
-			name: "reachability/closure-matrix", inc: schemes.IncrementalReachability(),
+			name: "reachability/closure-matrix", inc: schemes.ReachabilityScheme(),
 			data: g.Encode(), batches: edgeBatches, probes: pairProbes,
 		},
 	}
@@ -134,7 +134,7 @@ func oracleStates(t *testing.T, cs crashScheme) [][]byte {
 // oracle's raw data — byte-exact, and verdict-exact on every probe.
 func assertOracle(t *testing.T, cs crashScheme, st *store.Store, raw []byte, label string) {
 	t.Helper()
-	fresh, err := cs.inc.Scheme.Preprocess(raw)
+	fresh, err := cs.inc.Preprocess(raw)
 	if err != nil {
 		t.Fatalf("%s: oracle preprocess: %v", label, err)
 	}
@@ -147,7 +147,7 @@ func assertOracle(t *testing.T, cs crashScheme, st *store.Store, raw []byte, lab
 		if err != nil {
 			t.Fatalf("%s probe %d: recovered answer: %v", label, pi, err)
 		}
-		want, err := cs.inc.Scheme.Answer(fresh, q)
+		want, err := cs.inc.Answer(fresh, q)
 		if err != nil {
 			t.Fatalf("%s probe %d: oracle answer: %v", label, pi, err)
 		}
@@ -165,7 +165,7 @@ func assertOracle(t *testing.T, cs crashScheme, st *store.Store, raw []byte, lab
 func runMaintenance(t *testing.T, f *faultfs.FS, cs crashScheme, cadence int) (acked uint64, reg *store.Registry) {
 	t.Helper()
 	reg = store.NewRegistryMedium(&store.Medium{Dir: crashDir, FS: f, CheckpointEvery: cadence})
-	if _, err := reg.Register(crashID, cs.inc.Scheme, cs.data); err != nil {
+	if _, err := reg.Register(crashID, cs.inc, cs.data); err != nil {
 		t.Fatalf("register: %v (crashed=%v)", err, f.Crashed())
 	}
 	for bi, batch := range cs.batches {
@@ -189,7 +189,7 @@ func recoverAndVerify(t *testing.T, f *faultfs.FS, cs crashScheme, cadence int, 
 	t.Helper()
 	f.Restart()
 	reg := store.NewRegistryMedium(&store.Medium{Dir: crashDir, FS: f, CheckpointEvery: cadence})
-	st, err := reg.Register(crashID, cs.inc.Scheme, cs.data)
+	st, err := reg.Register(crashID, cs.inc, cs.data)
 	if err != nil {
 		t.Fatalf("%s: recovery registration: %v", label, err)
 	}
@@ -239,7 +239,7 @@ func TestCrashMatrixStore(t *testing.T) {
 			// Dry runs: count the registration ops and the full scenario ops.
 			setup := faultfs.New()
 			reg := store.NewRegistryMedium(&store.Medium{Dir: crashDir, FS: setup, CheckpointEvery: 1})
-			if _, err := reg.Register(crashID, cs.inc.Scheme, cs.data); err != nil {
+			if _, err := reg.Register(crashID, cs.inc, cs.data); err != nil {
 				t.Fatal(err)
 			}
 			setupOps := setup.Ops()
@@ -354,7 +354,7 @@ func TestCrashKillPoints(t *testing.T) {
 					}
 					f.Restart()
 					reg := store.NewRegistryMedium(&store.Medium{Dir: crashDir, FS: f, CheckpointEvery: 1})
-					st, err := reg.Register(crashID, cs.inc.Scheme, cs.data)
+					st, err := reg.Register(crashID, cs.inc, cs.data)
 					if err != nil {
 						t.Fatalf("recovery: %v", err)
 					}
@@ -403,7 +403,7 @@ func TestCrashReplayMultiRecord(t *testing.T) {
 			}
 			f.Restart()
 			reg2 := store.NewRegistryMedium(&store.Medium{Dir: crashDir, FS: f, CheckpointEvery: cadence})
-			st2, err := reg2.Register(crashID, cs.inc.Scheme, cs.data)
+			st2, err := reg2.Register(crashID, cs.inc, cs.data)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -461,7 +461,7 @@ func TestCrashDuplicateReplayIsIdempotent(t *testing.T) {
 	f.Restart()
 	f.FailAfterWrites(0) // recovery's checkpoint write fails; replay stands
 	reg := store.NewRegistryMedium(&store.Medium{Dir: crashDir, FS: f, CheckpointEvery: cadence})
-	st, err := reg.Register(crashID, cs.inc.Scheme, cs.data)
+	st, err := reg.Register(crashID, cs.inc, cs.data)
 	if err != nil {
 		t.Fatalf("recovery with failing checkpoint: %v", err)
 	}
@@ -477,7 +477,7 @@ func TestCrashDuplicateReplayIsIdempotent(t *testing.T) {
 	// sticks.
 	f.Restart()
 	reg2 := store.NewRegistryMedium(&store.Medium{Dir: crashDir, FS: f, CheckpointEvery: cadence})
-	st2, err := reg2.Register(crashID, cs.inc.Scheme, cs.data)
+	st2, err := reg2.Register(crashID, cs.inc, cs.data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +504,7 @@ func TestCrashLyingFsyncLosesQuietly(t *testing.T) {
 	const cadence = 100
 	f := faultfs.New()
 	reg := store.NewRegistryMedium(&store.Medium{Dir: crashDir, FS: f, CheckpointEvery: cadence})
-	if _, err := reg.Register(crashID, cs.inc.Scheme, cs.data); err != nil {
+	if _, err := reg.Register(crashID, cs.inc, cs.data); err != nil {
 		t.Fatal(err)
 	}
 	f.LieOnSync(true) // every fsync from here on is a lie
@@ -515,7 +515,7 @@ func TestCrashLyingFsyncLosesQuietly(t *testing.T) {
 	}
 	f.Restart()
 	reg2 := store.NewRegistryMedium(&store.Medium{Dir: crashDir, FS: f, CheckpointEvery: cadence})
-	st2, err := reg2.Register(crashID, cs.inc.Scheme, cs.data)
+	st2, err := reg2.Register(crashID, cs.inc, cs.data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,7 +533,7 @@ func TestCrashReplayGapIsAnError(t *testing.T) {
 	cs := crashSchemes()[0]
 	f := faultfs.New()
 	reg := store.NewRegistryMedium(&store.Medium{Dir: crashDir, FS: f, CheckpointEvery: 1})
-	if _, err := reg.Register(crashID, cs.inc.Scheme, cs.data); err != nil {
+	if _, err := reg.Register(crashID, cs.inc, cs.data); err != nil {
 		t.Fatal(err)
 	}
 	// Forge a log record claiming versions [3,4) on a version-0 snapshot.
@@ -543,7 +543,7 @@ func TestCrashReplayGapIsAnError(t *testing.T) {
 	}
 	f.Restart()
 	reg2 := store.NewRegistryMedium(&store.Medium{Dir: crashDir, FS: f, CheckpointEvery: 1})
-	_, err := reg2.Register(crashID, cs.inc.Scheme, cs.data)
+	_, err := reg2.Register(crashID, cs.inc, cs.data)
 	if err == nil {
 		t.Fatal("registration resumed over a log gap")
 	}

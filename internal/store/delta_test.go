@@ -24,7 +24,7 @@ import (
 // deltaCase is one scheme's differential scenario.
 type deltaCase struct {
 	scheme string
-	inc    *core.IncrementalScheme
+	inc    *core.Scheme
 	data   []byte
 	deltas [][]byte
 	probes [][]byte
@@ -112,27 +112,27 @@ func deltaCases(seed int64) []deltaCase {
 	}
 	return []deltaCase{
 		{
-			scheme: "point-selection/sorted-keys", inc: schemes.IncrementalPointSelection(),
+			scheme: "point-selection/sorted-keys", inc: schemes.PointSelectionScheme(),
 			data: schemes.RelationFromKeys(keys), deltas: keyDeltas(), probes: keyProbes(),
 		},
 		{
-			scheme: "range-selection/sorted-keys", inc: schemes.IncrementalRangeSelection(),
+			scheme: "range-selection/sorted-keys", inc: schemes.RangeSelectionScheme(),
 			data: schemes.RelationFromKeys(keys), deltas: keyDeltas(), probes: rangeProbes(),
 		},
 		{
-			scheme: "list-membership/sorted", inc: schemes.IncrementalListMembership(),
+			scheme: "list-membership/sorted", inc: schemes.ListMembershipScheme(),
 			data: schemes.EncodeList(keys), deltas: keyDeltas(), probes: keyProbes(),
 		},
 		{
-			scheme: "reachability/closure-matrix", inc: schemes.IncrementalReachability(),
+			scheme: "reachability/closure-matrix", inc: schemes.ReachabilityScheme(),
 			data: g.Encode(), deltas: edgeDeltas, probes: pairProbes,
 		},
 		{
-			scheme: "reachability/bfs-per-query", inc: schemes.IncrementalReachabilityBFS(),
+			scheme: "reachability/bfs-per-query", inc: schemes.ReachabilityBFSScheme(),
 			data: g.Encode(), deltas: edgeDeltas, probes: pairProbes,
 		},
 		{
-			scheme: "reachability/labels", inc: schemes.IncrementalReachabilityLabels(),
+			scheme: "reachability/labels", inc: schemes.ReachabilityLabelsScheme(),
 			data: g.Encode(), deltas: edgeDeltas, probes: pairProbes,
 		},
 		undirectedReachCase(seed),
@@ -177,7 +177,7 @@ func undirectedReachCase(seed int64) deltaCase {
 		probes = append(probes, schemes.NodePairQuery(rng.Intn(24), rng.Intn(24)))
 	}
 	return deltaCase{
-		scheme: "reachability/closure-matrix (undirected)", inc: schemes.IncrementalReachability(),
+		scheme: "reachability/closure-matrix (undirected)", inc: schemes.ReachabilityScheme(),
 		data: g.Encode(), deltas: deltas, probes: probes,
 	}
 }
@@ -186,7 +186,7 @@ func undirectedReachCase(seed int64) deltaCase {
 // preprocessing of the updated raw data.
 func assertEquivalent(t *testing.T, tc deltaCase, st *Store, updated []byte, step int) {
 	t.Helper()
-	fresh, err := tc.inc.Scheme.Preprocess(updated)
+	fresh, err := tc.inc.Preprocess(updated)
 	if err != nil {
 		t.Fatalf("step %d: fresh preprocess: %v", step, err)
 	}
@@ -200,7 +200,7 @@ func assertEquivalent(t *testing.T, tc deltaCase, st *Store, updated []byte, ste
 		if err != nil {
 			t.Fatalf("step %d probe %d: maintained answer: %v", step, pi, err)
 		}
-		want, err := tc.inc.Scheme.Answer(fresh, q)
+		want, err := tc.inc.Answer(fresh, q)
 		if err != nil {
 			t.Fatalf("step %d probe %d: rebuilt answer: %v", step, pi, err)
 		}
@@ -218,7 +218,7 @@ func TestMaintainedVsRebuiltDifferential(t *testing.T) {
 		t.Run(tc.scheme, func(t *testing.T) {
 			dir := t.TempDir()
 			reg := NewRegistry(dir)
-			if _, err := reg.Register("d", tc.inc.Scheme, tc.data); err != nil {
+			if _, err := reg.Register("d", tc.inc, tc.data); err != nil {
 				t.Fatal(err)
 			}
 			updated := tc.data
@@ -242,7 +242,7 @@ func TestMaintainedVsRebuiltDifferential(t *testing.T) {
 			// the MAINTAINED snapshot (same original data digest, version
 			// half), not re-preprocess the stale registration data.
 			reg2 := NewRegistry(dir)
-			st2, err := reg2.Register("d", tc.inc.Scheme, tc.data)
+			st2, err := reg2.Register("d", tc.inc, tc.data)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -16,9 +16,7 @@ import (
 	"sync"
 	"time"
 
-	"pitract/internal/core"
 	"pitract/internal/obs"
-	"pitract/internal/schemes"
 )
 
 // Maintenance-path stage histograms and counters. The in-memory staging,
@@ -60,23 +58,24 @@ type Maintenance struct {
 func (m *Maintenance) Maint() *Maintenance { return m }
 
 // DeltaDataset is the registry's mutation seam: a dataset that can maintain
-// Π(D ⊕ ∆D) in place — a plain Store for any scheme with an incremental
-// form, internal/shard's ShardedStore for schemes with sharded delta
-// routing. The durability protocol around the two hooks is ApplyDeltas';
+// Π(D ⊕ ∆D) in place through its own scheme's ApplyDelta — a plain Store for
+// any scheme with an incremental form, internal/shard's ShardedStore for
+// schemes with sharded delta routing. The durability protocol around the two hooks is ApplyDeltas';
 // the recovery protocol is Registry.Recover's.
 type DeltaDataset interface {
 	Dataset
 	// Stage applies the batch, in order, to a private copy of the served
-	// state through the scheme's incremental form and prepares the
+	// state through its scheme's ApplyDelta and prepares the
 	// answerer(s) of the result, touching nothing a query can observe. ctx is
 	// checked before each delta — deltas are the cancellation granularity, a
 	// single delta application is never torn. On success it returns the
 	// commit: one atomic pointer store that publishes the staged state, whole,
 	// at the given version, so a query observes the old Π or the new one,
 	// never a mix, and never waits for either. A staged Π the scheme will
-	// not Prepare is refused like a malformed delta: nothing is committed.
-	// Called with Maint().Mu held.
-	Stage(ctx context.Context, inc *core.IncrementalScheme, deltas [][]byte) (commit func(version uint64), err error)
+	// not Prepare is refused like a malformed delta, and so is every batch
+	// when the scheme has no ApplyDelta: nothing is committed. Called with
+	// Maint().Mu held.
+	Stage(ctx context.Context, deltas [][]byte) (commit func(version uint64), err error)
 	// Checkpoint writes the committed state under dir as the durable
 	// artifact a restart loads, atomically: the previous artifact stays
 	// loadable until the new one is complete. Called with Maint().Mu held,
@@ -102,13 +101,10 @@ type DeltaDataset interface {
 //
 // Staging and all I/O run under the maintenance mutex only, so concurrent
 // queries never wait on maintenance work. Registry.ApplyDelta is the
-// catalog-level entry point; it resolves inc and supplies its medium (nil
-// or zero = memory only).
-func ApplyDeltas(ctx context.Context, ds DeltaDataset, inc *core.IncrementalScheme, deltas [][]byte, med *Medium) (uint64, error) {
+// catalog-level entry point; it supplies the medium (nil or zero = memory
+// only).
+func ApplyDeltas(ctx context.Context, ds DeltaDataset, deltas [][]byte, med *Medium) (uint64, error) {
 	id := ds.DatasetID()
-	if inc == nil || inc.ApplyDelta == nil {
-		return ds.Version(), fmt.Errorf("store: scheme %s has no incremental form", ds.SchemeName())
-	}
 	if med.persistent() && id == "" {
 		return ds.Version(), fmt.Errorf("store: cannot persist deltas for a dataset with no ID")
 	}
@@ -122,7 +118,7 @@ func ApplyDeltas(ctx context.Context, ds DeltaDataset, inc *core.IncrementalSche
 	// Mu is the only writer seam, so the version cannot move under us.
 	old := ds.Version()
 	applyStart := obs.Start()
-	commit, err := ds.Stage(ctx, inc, deltas)
+	commit, err := ds.Stage(ctx, deltas)
 	if err != nil {
 		return old, err
 	}
@@ -196,7 +192,6 @@ func (r *Registry) replayLog(ds DeltaDataset) error {
 	if len(records) == 0 {
 		return nil
 	}
-	inc := schemes.IncrementalForScheme(ds.SchemeName())
 	replayStart := obs.Start()
 	replayed := 0
 	for i, rec := range records {
@@ -209,11 +204,7 @@ func (r *Registry) replayLog(ds DeltaDataset) error {
 			return fmt.Errorf("replay log %s: record %d covers versions [%d,%d) but the checkpoint is at %d — an acknowledged batch is missing",
 				logPath, i, rec.FromVersion, end, v)
 		}
-		if inc == nil {
-			return fmt.Errorf("replay log %s: scheme %s has no incremental form to replay %d logged deltas",
-				logPath, ds.SchemeName(), len(rec.Deltas))
-		}
-		if _, err := ApplyDeltas(context.Background(), ds, inc, rec.Deltas, nil); err != nil {
+		if _, err := ApplyDeltas(context.Background(), ds, rec.Deltas, nil); err != nil {
 			return fmt.Errorf("replay log %s: record %d: %w", logPath, i, err)
 		}
 		replayed++

@@ -12,7 +12,6 @@ import (
 
 	"pitract/internal/core"
 	"pitract/internal/obs"
-	"pitract/internal/schemes"
 )
 
 // Stage histograms and counters for the registration/maintenance path,
@@ -170,9 +169,6 @@ func NewRegistryMedium(med *Medium) *Registry {
 // < 1 mean 1 — checkpoint on every PATCH). Set it before serving traffic;
 // it is not synchronized against in-flight maintenance.
 func (r *Registry) SetCheckpointEvery(n int) { r.med.CheckpointEvery = n }
-
-// Dir reports the snapshot directory ("" when memory-only).
-func (r *Registry) Dir() string { return r.med.Dir }
 
 // SnapshotPath maps a dataset ID to its snapshot file under dir. IDs are
 // arbitrary strings, so the filename is the ID path-escaped (keeps readable
@@ -448,8 +444,8 @@ func (e *PersistError) Error() string { return e.Err.Error() }
 func (e *PersistError) Unwrap() error { return e.Err }
 
 // ApplyDelta maintains the dataset registered under id in place:
-// Π ← Π(D ⊕ ∆D₁ ⊕ … ⊕ ∆Dₖ) through the scheme's incremental form
-// (schemes.IncrementalForScheme), applied under the dataset's maintenance
+// Π ← Π(D ⊕ ∆D₁ ⊕ … ⊕ ∆Dₖ) through the ApplyDelta of the scheme the
+// dataset was registered with, applied under the dataset's maintenance
 // lock.
 // The batch is atomic — every delta commits together with a bumped
 // monotonic version and an atomically rewritten snapshot (when the
@@ -480,16 +476,11 @@ func (r *Registry) ApplyDeltaContext(ctx context.Context, id string, deltas [][]
 	if len(deltas) == 0 {
 		return ds.Version(), fmt.Errorf("store: dataset %q: empty delta batch", id)
 	}
-	inc := schemes.IncrementalForScheme(ds.SchemeName())
-	if inc == nil {
-		return ds.Version(), fmt.Errorf("store: dataset %q: scheme %s has no incremental form (maintainable: %v)",
-			id, ds.SchemeName(), schemes.MaintainableSchemes())
-	}
 	dd, ok := ds.(DeltaDataset)
 	if !ok {
 		return ds.Version(), fmt.Errorf("store: dataset %q does not support in-place maintenance", id)
 	}
-	v, err := ApplyDeltas(ctx, dd, inc, deltas, r.med)
+	v, err := ApplyDeltas(ctx, dd, deltas, r.med)
 	if err != nil {
 		var be *BudgetError
 		if errors.As(err, &be) {

@@ -20,6 +20,12 @@
 // is quarantined and rebuilt, or the PATCH applies nothing. A served dataset
 // therefore always holds an answerer, never a stored failure.
 //
+// A dataset is maintained through the ApplyDelta of the core.Scheme it was
+// registered with (DeltaDataset.Stage), so the package knows schemes only
+// through internal/core: a scheme of any name that sets ApplyDelta can be
+// PATCHed and its delta log replayed, and one that does not refuses every
+// delta with nothing applied.
+//
 // The registry's catalog is shape-agnostic: an entry is any Dataset — a
 // plain Store here, or a composite like internal/shard's ShardedStore
 // plugged in through RegisterDatasetContext — and the HTTP server answers
@@ -291,14 +297,17 @@ func (st *Store) Version() uint64 { return st.load().version }
 // on a private copy, and the maintained Π's prepared answerer, built here —
 // where no query waits — into the next committed value; the commit is one
 // pointer store. A maintained Π the scheme will not prepare refuses the
-// batch.
-func (st *Store) Stage(ctx context.Context, inc *core.IncrementalScheme, deltas [][]byte) (func(version uint64), error) {
+// batch, as does a scheme with no ApplyDelta.
+func (st *Store) Stage(ctx context.Context, deltas [][]byte) (func(version uint64), error) {
+	if st.Scheme.ApplyDelta == nil {
+		return nil, fmt.Errorf("store: scheme %s has no incremental form (nothing applied)", st.Scheme.Name())
+	}
 	cur := st.load().prep
 	for i, delta := range deltas {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("store: delta %d: %w (nothing applied)", i, err)
 		}
-		next, err := inc.ApplyDelta(cur, delta)
+		next, err := st.Scheme.ApplyDelta(cur, delta)
 		if err != nil {
 			return nil, fmt.Errorf("store: delta %d: %w (nothing applied)", i, err)
 		}

@@ -51,8 +51,8 @@
 // differential tests pin sharded answers identical to unsharded ones.
 //
 // Registered datasets are live-updatable (§1 justification (3)): for
-// schemes with an incremental form (MaintainableSchemes), the registry's
-// ApplyDelta — and HTTP PATCH /v1/datasets/{id} — maintains Π(D ⊕ ∆D) in
+// every scheme that sets ApplyDelta (the built-in ones are
+// MaintainableSchemes), the registry's ApplyDelta — and HTTP PATCH /v1/datasets/{id} — maintains Π(D ⊕ ∆D) in
 // place instead of re-preprocessing, bumps a monotonic dataset version
 // reported in every query and info response, and appends the batch to a
 // write-ahead delta log before it commits (the snapshot is rewritten on a
@@ -355,7 +355,7 @@ var (
 	RMQFuncScheme = schemes.RMQFuncScheme
 	// RangeQueryIJ encodes an (i, j) index-range query for RMQ.
 	RangeQueryIJ = schemes.RangeQueryIJ
-	// MaintainableSchemes lists the scheme names with incremental forms.
+	// MaintainableSchemes lists the built-in schemes that set ApplyDelta.
 	MaintainableSchemes = schemes.MaintainableSchemes
 	// KeysDelta encodes an insertion batch for the sorted-key schemes.
 	KeysDelta = schemes.KeysDelta
