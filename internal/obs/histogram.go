@@ -58,6 +58,15 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.record(d)
 }
 
+// Start is obs.Start for h: the zero Time when h is nil, so a stage that may
+// not be timed pays no clock read for it.
+func (h *Histogram) Start() time.Time {
+	if h == nil {
+		return time.Time{}
+	}
+	return Start()
+}
+
 // Since records the elapsed time from start, skipping the clock read and the
 // write entirely when start is the zero Time (the disabled-mode value
 // returned by Start).

@@ -3,23 +3,32 @@ package server
 // FuzzApplyDelta throws hostile HTTP delta payloads at PATCH
 // /v1/datasets/{id}: whatever bytes arrive — inserts, tombstones, untagged
 // or retired-kind bytes, junk with a valid envelope, or raw garbage — the
-// server must respond
-// with a clean status (200 only for genuinely applicable deltas), never
-// panic, and never corrupt the served Π or its on-disk snapshot. The
+// server must respond with a clean status (200 only for genuinely applicable
+// deltas), never panic, and never corrupt the served Π or its on-disk
+// artifact. Every input PATCHes a plain and a two-shard dataset, each
+// registered fresh for it, and both must give the same status. The
 // post-state is checked against the ⊕ oracle: if the server said 200, the
 // delta must apply to the raw database too, and the served answers must
 // match a from-scratch preprocessing of the updated database; if it said
-// 409, the dataset must be bitwise untouched. The seeded corpus runs as
-// unit tests under plain `go test` (and so in CI).
+// 409, the dataset must be untouched. The seeded corpus runs as unit tests
+// under plain `go test` (and so in CI).
+//
+// One server over one on-disk registry serves a whole fuzzing process, so
+// an input pays for its deltas, not for a server, a directory and a
+// registry of its own.
 
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
 	"pitract/internal/schemes"
+	"pitract/internal/shard"
 	"pitract/internal/store"
 )
 
@@ -43,42 +52,61 @@ func FuzzApplyDelta(f *testing.F) {
 	f.Add(schemes.KeysDelta([]int64{9, 9, -9})[:1])
 	f.Add(bytes.Repeat([]byte{0x80}, 16))
 
-	f.Fuzz(func(t *testing.T, delta []byte) {
-		dir := t.TempDir()
-		srv := New(store.NewRegistry(dir), nil)
-		ts := httptest.NewServer(srv)
-		defer ts.Close()
-		client := ts.Client()
+	dir := f.TempDir()
+	srv := New(store.NewRegistry(dir), nil)
+	ts := httptest.NewServer(srv)
+	f.Cleanup(ts.Close)
+	client := ts.Client()
+	inc := schemes.PointSelectionScheme()
+	data := schemes.RelationFromKeys([]int64{2, 4, 6})
+	canaries := []int64{2, 4, 6, 7, 9, 999, -9}
+	var queries [][]byte
+	for _, k := range canaries {
+		queries = append(queries, schemes.PointQuery(k))
+	}
+	var inputs atomic.Int64
 
-		inc := schemes.PointSelectionScheme()
-		data := schemes.RelationFromKeys([]int64{2, 4, 6})
-		if code := postJSON(t, client, ts.URL+"/v1/datasets", RegisterRequest{
-			ID: "d", Scheme: "point-selection/sorted-keys", Data: data,
-		}, nil); code != http.StatusOK {
-			t.Fatalf("register: status %d", code)
+	f.Fuzz(func(t *testing.T, delta []byte) {
+		n := inputs.Add(1)
+		plain, sharded := fmt.Sprintf("p%d", n), fmt.Sprintf("s%d", n)
+		for id, query := range map[string]string{plain: "", sharded: "?shards=2"} {
+			var info DatasetInfo // read whole, so the connection is reused
+			if code := postJSON(t, client, ts.URL+"/v1/datasets"+query, RegisterRequest{
+				ID: id, Scheme: "point-selection/sorted-keys", Data: data,
+			}, &info); code != http.StatusOK {
+				t.Fatalf("register %s: status %d", id, code)
+			}
 		}
 
 		body, _ := json.Marshal(PatchRequest{Deltas: [][]byte{delta}})
-		req, err := http.NewRequest(http.MethodPatch, ts.URL+"/v1/datasets/d", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
+		patch := func(id string) int {
+			req, err := http.NewRequest(http.MethodPatch, ts.URL+"/v1/datasets/"+id, bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := client.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			return resp.StatusCode
 		}
-		resp, err := client.Do(req)
-		if err != nil {
-			t.Fatal(err)
+		status := patch(plain)
+		if status != http.StatusOK && status != http.StatusConflict {
+			t.Fatalf("PATCH with %d delta bytes: status %d, want 200 or 409", len(delta), status)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusConflict {
-			t.Fatalf("PATCH with %d delta bytes: status %d, want 200 or 409", len(delta), resp.StatusCode)
+		if got := patch(sharded); got != status {
+			t.Fatalf("PATCH with %d delta bytes: status %d plain, %d sharded", len(delta), status, got)
 		}
 
 		// The ⊕ oracle: a 200 means the delta is genuinely applicable, so it
 		// must apply to the raw database too; a 409 means nothing changed.
-		applied := resp.StatusCode == http.StatusOK
+		applied := status == http.StatusOK
 		oracle := data
 		if applied {
-			oracle, err = inc.ApplyUpdate(data, delta)
-			if err != nil {
+			var err error
+			if oracle, err = inc.ApplyUpdate(data, delta); err != nil {
 				t.Fatalf("server applied a delta ⊕ rejects: %v", err)
 			}
 		}
@@ -93,38 +121,56 @@ func FuzzApplyDelta(f *testing.F) {
 		// The served verdicts must match a from-scratch preprocessing of the
 		// oracle database for every canary key — original keys, keys a valid
 		// delta may have inserted or tombstoned, and a never-touched one.
-		for _, k := range []int64{2, 4, 6, 7, 9, 999, -9} {
-			expect, err := inc.Answer(want, schemes.PointQuery(k))
-			if err != nil {
-				t.Fatal(err)
+		for _, id := range []string{plain, sharded} {
+			var got BatchResponse
+			if code := postJSON(t, client, ts.URL+"/v1/query/batch", BatchRequest{Dataset: id, Queries: queries}, &got); code != http.StatusOK {
+				t.Fatalf("%s: batch after PATCH status %d: code %d", id, status, code)
 			}
-			var q QueryResponse
-			if code := postJSON(t, client, ts.URL+"/v1/query", QueryRequest{
-				Dataset: "d", Query: schemes.PointQuery(k),
-			}, &q); code != http.StatusOK || q.Answer != expect {
-				t.Fatalf("canary key %d after PATCH status %d: code %d answer %v, oracle says %v",
-					k, resp.StatusCode, code, q.Answer, expect)
+			if got.Version != wantVersion {
+				t.Fatalf("%s: version %d after PATCH status %d", id, got.Version, status)
 			}
-			if q.Version != wantVersion {
-				t.Fatalf("version %d after PATCH status %d", q.Version, resp.StatusCode)
+			for i, q := range queries {
+				expect, err := inc.Answer(want, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Answers[i] != expect {
+					t.Fatalf("%s: canary key %d after PATCH status %d: answer %v, oracle says %v",
+						id, canaries[i], status, got.Answers[i], expect)
+				}
 			}
 		}
 
-		// The snapshot on disk must decode and hold exactly the served Π.
-		snap, err := store.LoadFS(store.OSFS, store.SnapshotPath(dir, "d"))
+		// Each artifact on disk must decode and hold exactly the served Π: the
+		// snapshot, and the manifest with every member inside.
+		snap, err := store.LoadFS(store.OSFS, store.SnapshotPath(dir, plain))
 		if err != nil {
 			t.Fatalf("snapshot corrupted by hostile PATCH: %v", err)
 		}
-		if snap.Version != wantVersion {
-			t.Fatalf("snapshot version %d, want %d", snap.Version, wantVersion)
-		}
-		ds, ok := srv.Registry().Get("d")
+		st, ok := srv.Registry().Get(plain)
 		if !ok {
 			t.Fatal("registry entry lost")
 		}
-		served, _ := ds.View()
-		if !bytes.Equal(snap.Prep, served) {
-			t.Fatal("snapshot Π diverged from served Π")
+		if served, _ := st.View(); snap.Version != wantVersion || !bytes.Equal(snap.Prep, served) {
+			t.Fatalf("snapshot at version %d diverged from the Π served at %d", snap.Version, wantVersion)
+		}
+		loaded, err := shard.LoadShardedFS(store.OSFS, dir, sharded, inc)
+		if err != nil {
+			t.Fatalf("manifest corrupted by hostile PATCH: %v", err)
+		}
+		ds, ok := srv.Registry().GetDataset(sharded)
+		if !ok {
+			t.Fatal("registry entry lost")
+		}
+		served := ds.(*shard.ShardedStore).Committed().Members()
+		disk := loaded.Committed().Members()
+		if loaded.Version() != wantVersion || len(disk) != len(served) {
+			t.Fatalf("manifest at version %d with %d members, served %d members at %d", loaded.Version(), len(disk), len(served), wantVersion)
+		}
+		for i := range served {
+			if !bytes.Equal(disk[i].Prep, served[i].Prep) {
+				t.Fatalf("manifest member %d diverged from the served one", i)
+			}
 		}
 	})
 }

@@ -633,11 +633,11 @@ func TestStatsSnapshotBytesTracksPatch(t *testing.T) {
 				total += int64(len(store.EncodeSnapshot(d.Snapshot())))
 			case *shard.ShardedStore:
 				// The one file a checkpoint writes: the manifest, members inside.
-				version, summary, members := d.Committed()
+				c := d.Committed()
 				m := &shard.Manifest{SchemeName: d.SchemeName(), DataSum: d.DataSum, Partitioner: d.Partitioner,
-					Assignment: d.Asn.Encode(), Summary: summary, Version: version}
-				for _, snap := range members {
-					m.Shards = append(m.Shards, store.EncodeSnapshot(snap))
+					Assignment: d.Asn.Encode(), Summary: c.Summary(), Version: c.Version()}
+				for i := range c.Members() {
+					m.Shards = append(m.Shards, store.EncodeSnapshot(c.Snapshot(d.Scheme, i)))
 				}
 				total += int64(len(shard.EncodeManifest(m)))
 			}

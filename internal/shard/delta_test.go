@@ -342,8 +342,8 @@ func TestShardedSummaryMaintainedIsRebuilt(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, gotSummary, gotShards := ss.Committed()
-			_, wantSummary, wantShards := rebuilt.Committed()
+			gotSummary, gotShards := ss.Committed().Summary(), ss.Committed().Members()
+			wantSummary, wantShards := rebuilt.Committed().Summary(), rebuilt.Committed().Members()
 			if !bytes.Equal(gotSummary, wantSummary) {
 				t.Errorf("maintained summary (%d B) differs from a rebuild's (%d B)", len(gotSummary), len(wantSummary))
 			}
@@ -627,8 +627,8 @@ func TestShardedConcurrentMixedReachDeltasAndQueries(t *testing.T) {
 						return
 					}
 				}
-				c := ss.state.Load()
-				if !bytes.Equal(encodeReachSummary(c.view.(*reachSummary)), c.summary) {
+				c := ss.Committed()
+				if !bytes.Equal(encodeReachSummary(c.View().(*reachSummary)), c.Summary()) {
 					t.Error("the served rows were not derived from the served summary")
 					return
 				}
@@ -656,13 +656,13 @@ func TestShardedFiguresComeFromOneCommittedValue(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The snapshot figure is the file a checkpoint of c writes, whole.
-	exact := func(c *committed) (prep, snap int) {
+	exact := func(c *store.Committed) (prep, snap int) {
 		file := &Manifest{SchemeName: ss.Scheme.Name(), DataSum: ss.DataSum, Partitioner: ss.Partitioner,
-			Assignment: ss.Asn.Encode(), Summary: c.summary, Version: c.version}
-		prep = len(c.summary)
-		for _, m := range c.shards {
-			prep += len(m.prep)
-			file.Shards = append(file.Shards, store.EncodeSnapshot(store.NewSnapshot(ss.Scheme, m.sum, c.version, m.prep)))
+			Assignment: ss.Asn.Encode(), Summary: c.Summary(), Version: c.Version()}
+		prep = len(c.Summary())
+		for _, m := range c.Members() {
+			prep += len(m.Prep)
+			file.Shards = append(file.Shards, store.EncodeSnapshot(store.NewSnapshot(ss.Scheme, m.Sum, c.Version(), m.Prep)))
 		}
 		return prep, len(EncodeManifest(file))
 	}
@@ -689,23 +689,24 @@ func TestShardedFiguresComeFromOneCommittedValue(t *testing.T) {
 			defer wg.Done()
 			stable := 0
 			for j := 0; j < 400 || stable == 0; j++ {
-				c := ss.state.Load()
+				c := ss.Committed()
 				v, pb, sb := ss.Version(), ss.PrepBytes(), ss.SnapshotBytes()
-				cv, summary, members := ss.Committed()
-				for i, snap := range members {
-					if snap.Version != cv {
+				cc := ss.Committed()
+				cv, summary := cc.Version(), cc.Summary()
+				for i := range cc.Members() {
+					if snap := cc.Snapshot(ss.Scheme, i); snap.Version != cv {
 						t.Errorf("Committed: member %d at version %d beside version %d", i, snap.Version, cv)
 						return
 					}
 				}
-				if ss.state.Load() != c {
+				if ss.Committed() != c {
 					continue // a commit landed between the reads
 				}
 				stable++
 				prep, snap := exact(c)
-				if v != c.version || cv != c.version || pb != prep || sb != snap || !bytes.Equal(summary, c.summary) {
+				if v != c.Version() || cv != c.Version() || pb != prep || sb != snap || !bytes.Equal(summary, c.Summary()) {
 					t.Errorf("at version %d: Version %d, Committed %d, PrepBytes %d (exact %d), SnapshotBytes %d (exact %d)",
-						c.version, v, cv, pb, prep, sb, snap)
+						c.Version(), v, cv, pb, prep, sb, snap)
 					return
 				}
 			}
@@ -715,20 +716,20 @@ func TestShardedFiguresComeFromOneCommittedValue(t *testing.T) {
 
 	// A cross-shard edge touches no member: every Π is shared with the value
 	// before, and the figure is still the new value's.
-	before := ss.state.Load()
+	before := ss.Committed()
 	if _, err := reg.ApplyDelta("g", [][]byte{schemes.EdgeDelta(7, 20), schemes.EdgeDeleteDelta(7, 20)}); err != nil {
 		t.Fatal(err)
 	}
-	after := ss.state.Load()
-	for i := range after.shards {
-		if len(after.shards[i].prep) > 0 && &after.shards[i].prep[0] != &before.shards[i].prep[0] {
+	after := ss.Committed()
+	for i := range after.Members() {
+		if len(after.Members()[i].Prep) > 0 && &after.Members()[i].Prep[0] != &before.Members()[i].Prep[0] {
 			t.Fatalf("a summary-only batch replaced member %d's Π", i)
 		}
-		if after.shards[i].answerer != before.shards[i].answerer {
+		if after.Members()[i].Answerer != before.Members()[i].Answerer {
 			t.Fatalf("a summary-only batch re-prepared member %d", i)
 		}
 	}
-	if _, snap := exact(after); ss.SnapshotBytes() != snap || after.version != before.version+2 {
-		t.Fatalf("after a summary-only batch: SnapshotBytes %d, exact %d, version %d → %d", ss.SnapshotBytes(), snap, before.version, after.version)
+	if _, snap := exact(after); ss.SnapshotBytes() != snap || after.Version() != before.Version()+2 {
+		t.Fatalf("after a summary-only batch: SnapshotBytes %d, exact %d, version %d → %d", ss.SnapshotBytes(), snap, before.Version(), after.Version())
 	}
 }

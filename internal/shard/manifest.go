@@ -178,35 +178,25 @@ func ManifestPath(dir, id string) string {
 	return filepath.Join(dir, url.PathEscape(id)+".pitract-shards")
 }
 
-// checkpointBytes encodes the committed value c as the one file a checkpoint
-// writes, and memoises its size for SnapshotBytes.
-func (ss *ShardedStore) checkpointBytes(c *committed) []byte {
+// Path implements store.Layout: a checkpoint writes the manifest.
+func (ss *ShardedStore) Path(dir, id string) string { return ManifestPath(dir, id) }
+
+// Encode implements store.Layout: the committed value c as the one file a
+// checkpoint writes, every member's snapshot inside.
+func (ss *ShardedStore) Encode(scheme *core.Scheme, sum store.DataChecksum, c *store.Committed) []byte {
 	m := &Manifest{
-		SchemeName:  ss.Scheme.Name(),
-		DataSum:     ss.DataSum,
+		SchemeName:  scheme.Name(),
+		DataSum:     sum,
 		Partitioner: ss.Partitioner,
 		Assignment:  ss.Asn.Encode(),
-		Summary:     c.summary,
-		Version:     c.version,
-		Shards:      make([][]byte, len(c.shards)),
+		Summary:     c.Summary(),
+		Version:     c.Version(),
+		Shards:      make([][]byte, len(c.Members())),
 	}
-	for i, snap := range c.snapshots(ss.Scheme) {
-		m.Shards[i] = store.EncodeSnapshot(snap)
+	for i := range m.Shards {
+		m.Shards[i] = store.EncodeSnapshot(c.Snapshot(scheme, i))
 	}
-	enc := EncodeManifest(m)
-	c.snapSize.Store(int64(len(enc)))
-	return enc
-}
-
-// Checkpoint implements store.DeltaDataset: the committed value as one
-// atomic write of the manifest. The rename is the commit — until it lands
-// the file on disk is the previous checkpoint, whole, for replay-over-
-// manifest recovery — and the medium is touched in no other way.
-func (ss *ShardedStore) Checkpoint(fsys store.FS, dir string) error {
-	if err := store.WriteFileAtomicFS(fsys, ManifestPath(dir, ss.ID), ss.checkpointBytes(ss.state.Load())); err != nil {
-		return fmt.Errorf("shard: save %q: %w", ss.ID, err)
-	}
-	return nil
+	return EncodeManifest(m)
 }
 
 // LoadShardedFS reopens a persisted sharded dataset: read and validate the
@@ -243,16 +233,7 @@ func LoadShardedFS(fsys store.FS, dir, id string, scheme *core.Scheme) (*Sharded
 	if asn.Shards() != len(m.Shards) {
 		return nil, corrupt(fmt.Errorf("assignment has %d shards, manifest %d", asn.Shards(), len(m.Shards)))
 	}
-	ss := &ShardedStore{
-		ID:          id,
-		Scheme:      scheme,
-		Sharding:    sh,
-		Asn:         asn,
-		DataSum:     m.DataSum,
-		Loaded:      true,
-		Partitioner: m.Partitioner,
-	}
-	shards := make([]member, len(m.Shards))
+	members := make([]store.Member, len(m.Shards))
 	for i, enc := range m.Shards {
 		snap, err := store.DecodeSnapshot(enc)
 		if err != nil {
@@ -261,18 +242,17 @@ func LoadShardedFS(fsys store.FS, dir, id string, scheme *core.Scheme) (*Sharded
 		if snap.SchemeName != scheme.Name() {
 			return nil, corrupt(fmt.Errorf("shard %d preprocessed by %s, want %s", i, snap.SchemeName, scheme.Name()))
 		}
-		shards[i] = member{prep: snap.Prep, sum: snap.DataSum}
+		members[i] = store.Member{Prep: snap.Prep, Sum: snap.DataSum}
 	}
 	// A member Π or a summary the manifest vouches for and this build will
 	// not prepare — damage the CRCs cannot see, or a layout an earlier
 	// version wrote — would refuse every answer and be loaded again by every
 	// re-registration.
-	if err := prepareMembers(scheme, shards, nil); err != nil {
+	ss := &ShardedStore{Sharding: sh, Asn: asn, Partitioner: m.Partitioner}
+	if ss.Store, err = store.Open(id, scheme, m.DataSum, ss, m.Version, m.Summary, members); err != nil {
 		return nil, corrupt(err)
 	}
-	if err := ss.publish(m.Version, m.Summary, shards); err != nil {
-		return nil, corrupt(fmt.Errorf("summary: %w", err))
-	}
+	ss.Loaded = true
 	return ss, nil
 }
 
@@ -309,48 +289,24 @@ func RegisterShardedContext(ctx context.Context, r *store.Registry, id string, s
 			id, scheme.Name(), ShardableSchemes())
 	}
 	sum := store.SumData(data)
-	ds, err := r.RegisterDatasetContext(ctx, id,
-		func(d store.Dataset) error {
-			if d.SchemeName() != scheme.Name() {
-				return fmt.Errorf("shard: dataset %q already registered with scheme %s (got %s)",
-					id, d.SchemeName(), scheme.Name())
+	want := func() store.Key { return store.Key{Scheme: scheme.Name(), Sum: sum, Layout: describe(n, p.Name())} }
+	ds, err := r.RegisterAs(ctx, id, want,
+		func(fsys store.FS, dir string) (store.DeltaDataset, error) {
+			ss, err := LoadShardedFS(fsys, dir, id, scheme)
+			if err != nil {
+				return nil, err
 			}
-			if d.DataDigest() != sum {
-				return fmt.Errorf("shard: dataset %q already registered with different data (re-register under a new id)", id)
+			if want().Mismatch(ss.Key()) != nil {
+				return nil, store.ErrStale
 			}
-			existing, ok := d.(*ShardedStore)
-			if !ok {
-				return fmt.Errorf("shard: dataset %q is registered unsharded; re-register through the plain path or under a new id", id)
-			}
-			if existing.ShardCount() != n {
-				return fmt.Errorf("shard: dataset %q already registered with %d shards (got %d)",
-					id, existing.ShardCount(), n)
-			}
-			if existing.Partitioner != p.Name() {
-				return fmt.Errorf("shard: dataset %q already registered with the %s partitioner (got %s)",
-					id, existing.Partitioner, p.Name())
-			}
-			return nil
+			return ss, nil
 		},
-		func() (store.Dataset, error) {
-			return r.Recover(id,
-				func(fsys store.FS, dir string) (store.DeltaDataset, error) {
-					ss, err := LoadShardedFS(fsys, dir, id, scheme)
-					if err != nil {
-						return nil, err
-					}
-					if ss.DataSum != sum || ss.ShardCount() != n || ss.Partitioner != p.Name() {
-						return nil, store.ErrStale
-					}
-					return ss, nil
-				},
-				func() (store.DeltaDataset, error) {
-					ss, err := Build(id, scheme, sh, p, n, data)
-					if err != nil {
-						return nil, err
-					}
-					return ss, nil
-				})
+		func() (store.DeltaDataset, error) {
+			ss, err := Build(id, scheme, sh, p, n, data)
+			if err != nil {
+				return nil, err
+			}
+			return ss, nil
 		})
 	if err != nil {
 		return nil, err

@@ -17,6 +17,11 @@ import (
 	"pitract/internal/store/faultfs"
 )
 
+// checkpointBytes is the file a checkpoint of ss's committed value writes.
+func checkpointBytes(ss *ShardedStore) []byte {
+	return ss.Encode(ss.Scheme, ss.DataSum, ss.Committed())
+}
+
 // keyFixture is TestShardGenerationBytesUnchanged's key dataset — 64 keys in
 // three hash shards — as built, in memory.
 func keyFixture(tb testing.TB) *ShardedStore {
@@ -48,7 +53,7 @@ func hostileSummaries(tb testing.TB) (*ShardedStore, map[string][]byte) {
 	if ss.Asn.Shard(0) != ss.Asn.Shard(3) || ss.Asn.Shard(3) == ss.Asn.Shard(4) || ss.Asn.Shard(4) != ss.Asn.Shard(7) {
 		tb.Fatal("fixture: the range shards are not 0–3 and 4–7")
 	}
-	overlay := ss.state.Load().view.(*reachSummary).overlay.AppendWire(nil)
+	overlay := ss.Committed().View().(*reachSummary).overlay.AppendWire(nil)
 	with := func(directed bool, file []byte) []byte {
 		b := binary.AppendUvarint(nil, 8)
 		if directed {
@@ -87,7 +92,7 @@ func hostileSummaries(tb testing.TB) (*ShardedStore, map[string][]byte) {
 // withSummary returns ss's checkpoint with its summary replaced, under a
 // CRC that vouches for it.
 func withSummary(ss *ShardedStore, summary []byte) []byte {
-	m, err := DecodeManifest(ss.checkpointBytes(ss.state.Load()))
+	m, err := DecodeManifest(checkpointBytes(ss))
 	if err != nil {
 		panic(err)
 	}
@@ -153,14 +158,14 @@ func framed(payload []byte) []byte {
 func FuzzDecodeManifest(f *testing.F) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun: nobody else allocates
 	keys := keyFixture(f)
-	valid := keys.checkpointBytes(keys.state.Load())
+	valid := checkpointBytes(keys)
 	cs := shardCrashSchemes()[3] // reachability: a manifest with a summary
 	reach, err := Build("d", cs.inc, ForScheme(cs.name), RangePartitioner{}, 2, cs.data)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(valid)
-	f.Add(reach.checkpointBytes(reach.state.Load()))
+	f.Add(checkpointBytes(reach))
 	f.Add(EncodeManifest(&Manifest{}))
 	f.Add(append([]byte("PITRACTM\x02"), valid[len(manifestMagic):]...))
 	f.Add(append([]byte("PITRACTM\x03"), valid[len(manifestMagic):]...))
@@ -175,7 +180,7 @@ func FuzzDecodeManifest(f *testing.F) {
 	f.Add(EncodeManifest(&Manifest{Shards: make([][]byte, 1000)})[len(manifestMagic)+4:])
 	// A version 4 reachability manifest, and manifests whose summary's arc
 	// file only the summary decoder can refuse.
-	f.Add(append([]byte("PITRACTM\x04"), reach.checkpointBytes(reach.state.Load())[len(manifestMagic):]...))
+	f.Add(append([]byte("PITRACTM\x04"), checkpointBytes(reach)[len(manifestMagic):]...))
 	hostile, summaries := hostileSummaries(f)
 	for _, name := range slices.Sorted(maps.Keys(summaries)) {
 		f.Add(withSummary(hostile, summaries[name]))
@@ -232,7 +237,7 @@ func FuzzDecodeManifest(f *testing.F) {
 func TestEverySingleBitFlipIsDetected(t *testing.T) {
 	const dir = "/data"
 	ss := keyFixture(t)
-	file := ss.checkpointBytes(ss.state.Load())
+	file := checkpointBytes(ss)
 	path := ManifestPath(dir, ss.ID)
 	f := faultfs.New()
 	write := func(b []byte) {

@@ -194,7 +194,7 @@ func TestShardedRegistrationAtomicity(t *testing.T) {
 		t.Fatal(err)
 	}
 	stray := filepath.Join(dir, ".pitract-atomic-123456")
-	if err := os.WriteFile(stray, built.checkpointBytes(built.state.Load()), 0o644); err != nil {
+	if err := os.WriteFile(stray, checkpointBytes(built), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadShardedFS(store.OSFS, dir, "g", schemes.ReachabilityScheme()); !errors.Is(err, fs.ErrNotExist) {

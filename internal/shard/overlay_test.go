@@ -239,12 +239,12 @@ func FuzzOverlaySummary(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := ss.state.Load()
-		answerers := make([]core.Answerer, len(c.shards))
-		for i, m := range c.shards {
-			answerers[i] = m.answerer
+		c := ss.Committed()
+		answerers := make([]core.Answerer, len(c.Members()))
+		for i, m := range c.Members() {
+			answerers[i] = m.Answerer
 		}
-		rebuilt, _, err := maintainReach(c.view, ss.Asn, nil, answerers)
+		rebuilt, _, err := maintainReach(c.View(), ss.Asn, nil, answerers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,7 +314,7 @@ func TestOverlayPortalCap(t *testing.T) {
 			}
 			cur := g.Clone()
 			assertRowsProbingClosure(t, ss, cur, "registered")
-			summary := append([]byte(nil), ss.state.Load().summary...)
+			summary := append([]byte(nil), ss.Committed().Summary()...)
 
 			// A same-shard edge first, so "nothing applied" has something to
 			// show: the batch must not leave it behind in shard 0.
@@ -328,7 +328,7 @@ func TestOverlayPortalCap(t *testing.T) {
 			if ss.Version() != 0 {
 				t.Fatalf("refused PATCH moved the version to %d", ss.Version())
 			}
-			if !bytes.Equal(ss.state.Load().summary, summary) {
+			if !bytes.Equal(ss.Committed().Summary(), summary) {
 				t.Fatal("refused PATCH changed the summary")
 			}
 			assertRowsProbingClosure(t, ss, cur, "after the refused PATCH")
@@ -387,18 +387,18 @@ func TestIrreflexiveLocalReachIsRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := ss.state.Load()
+	c := ss.Committed()
 	for _, to := range []bool{false, true} {
-		answerers := make([]core.Answerer, len(c.shards))
-		for i, m := range c.shards {
-			answerers[i] = m.answerer
+		answerers := make([]core.Answerer, len(c.Members()))
+		for i, m := range c.Members() {
+			answerers[i] = m.Answerer
 		}
 		answerers[0] = irreflexiveReach{answerers[0], answerers[0].(schemes.LocalReach), to}
 		const want = "does not include it"
-		if _, err := prepareReach(c.summary, ss.Asn, answerers); err == nil || !strings.Contains(err.Error(), want) {
+		if _, err := prepareReach(c.Summary(), ss.Asn, answerers); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("to=%v: prepare = %v, want an error naming %q", to, err, want)
 		}
-		if _, _, err := maintainReach(c.view, ss.Asn, nil, answerers); err == nil || !strings.Contains(err.Error(), want) {
+		if _, _, err := maintainReach(c.View(), ss.Asn, nil, answerers); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("to=%v: PATCH rebuild = %v, want an error naming %q", to, err, want)
 		}
 	}

@@ -25,8 +25,8 @@ func probingAnswer(ss *ShardedStore, q []byte) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	c := ss.state.Load()
-	rs, err := decodeReachSummary(c.summary, ss.Asn)
+	c := ss.Committed()
+	rs, err := decodeReachSummary(c.Summary(), ss.Asn)
 	if err != nil {
 		return false, err
 	}
@@ -34,7 +34,7 @@ func probingAnswer(ss *ShardedStore, q []byte) (bool, error) {
 		return false, fmt.Errorf("shard: node pair (%d,%d) out of range [0,%d)", u, v, rs.n)
 	}
 	probe := func(s, a, b int) (bool, error) {
-		return c.shards[s].answerer.Answer(schemes.NodePairQuery(int(rs.local[a]), int(rs.local[b])))
+		return c.Members()[s].Answerer.Answer(schemes.NodePairQuery(int(rs.local[a]), int(rs.local[b])))
 	}
 	su, sv := ss.Asn.Shard(int64(u)), ss.Asn.Shard(int64(v))
 	if su == sv {
@@ -104,7 +104,7 @@ func assertRowsProbingClosure(t *testing.T, ss *ShardedStore, cur *graph.Graph, 
 // portalSet reads the committed summary's portal vertices.
 func portalSet(t *testing.T, ss *ShardedStore) map[int]bool {
 	t.Helper()
-	rs, err := decodeReachSummary(ss.state.Load().summary, ss.Asn)
+	rs, err := decodeReachSummary(ss.Committed().Summary(), ss.Asn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestRowsAreInterned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := ss.state.Load().view.(*reachSummary)
+	rs := ss.Committed().View().(*reachSummary)
 	// 8 communities, each one SCC: at most an out and an in row apiece,
 	// plus the shared zero row.
 	if distinct := len(rs.rows) / rs.words; distinct > 2*8+1 {

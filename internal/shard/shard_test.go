@@ -1,12 +1,14 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"pitract/internal/core"
 	"pitract/internal/graph"
+	"pitract/internal/obs"
 	"pitract/internal/schemes"
 	"pitract/internal/store"
 )
@@ -203,7 +205,7 @@ func TestShardedPrepBytesScaleOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	var shardsOnly int
-	_, _, members := ss.Committed()
+	members := ss.Committed().Members()
 	for _, m := range members {
 		shardsOnly += len(m.Prep)
 	}
@@ -313,5 +315,64 @@ func TestShardedNotShardable(t *testing.T) {
 	}
 	if ForScheme("bds/visit-order") != nil {
 		t.Fatal("ForScheme must not invent a sharding for BDS")
+	}
+}
+
+// TestStageTimingsPerLayout pins what the one Store records for each layout:
+// opening a dataset is one warm observation (for a plain store, one per
+// prepared Π); a plain store and the router record no shard_merge; a sharded
+// store answering through its scheme's own view records one shard_merge per
+// Ask or AskBatch call, never one per probe.
+func TestStageTimingsPerLayout(t *testing.T) {
+	warm, merge := obs.Stage(obs.StageWarm), obs.Stage(obs.StageShardMerge)
+	counts := func() (int64, int64) { return warm.Snapshot().Count, merge.Snapshot().Count }
+	g := graph.CommunityGraph(4, 16, 40, 7)
+	reach, point := schemes.ReachabilityScheme(), schemes.PointSelectionScheme()
+	pairs := [][]byte{schemes.NodePairQuery(1, 9), schemes.NodePairQuery(1, 60), schemes.NodePairQuery(60, 1)}
+	points := [][]byte{schemes.PointQuery(2), schemes.PointQuery(5), schemes.PointQuery(8)}
+	keys := schemes.RelationFromKeys([]int64{2, 4, 6, 8, 10, 12})
+	for _, tc := range []struct {
+		name     string
+		register func(*store.Registry) (store.Dataset, error)
+		queries  [][]byte
+		// merged reports whether each call records one shard_merge.
+		merged bool
+	}{
+		{"plain", func(r *store.Registry) (store.Dataset, error) { return r.Register("d", reach, g.Encode()) }, pairs, false},
+		{"view-sharded", func(r *store.Registry) (store.Dataset, error) {
+			return RegisterSharded(r, "d", reach, RangePartitioner{}, 4, g.Encode())
+		}, pairs, true},
+		{"routed-sharded", func(r *store.Registry) (store.Dataset, error) {
+			return RegisterSharded(r, "d", point, HashPartitioner{}, 3, keys)
+		}, points, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w0, m0 := counts()
+			ds, err := tc.register(store.NewRegistry(""))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w1, m1 := counts(); w1-w0 != 1 || m1 != m0 {
+				t.Fatalf("registration recorded %d warm and %d shard_merge observations, want 1 and 0", w1-w0, m1-m0)
+			}
+			_, m1 := counts()
+			ctx := context.Background()
+			for _, q := range tc.queries {
+				if _, err := ds.Ask(ctx, q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := ds.AskBatch(ctx, tc.queries, 0); err != nil {
+				t.Fatal(err)
+			}
+			want := int64(0)
+			if tc.merged {
+				want = int64(len(tc.queries)) + 1 // every Ask, and the batch once
+			}
+			if _, m2 := counts(); m2-m1 != want {
+				t.Fatalf("%d Asks and one %d-query AskBatch recorded %d shard_merge observations, want %d",
+					len(tc.queries), len(tc.queries), m2-m1, want)
+			}
+		})
 	}
 }

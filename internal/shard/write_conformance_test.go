@@ -27,12 +27,9 @@ import (
 // dataset: how to register it, and which files make up its durable
 // artifact.
 type writeKind struct {
-	name string
-	// errPrefix is the package prefix the kind's Stage puts on its refusals
-	// — the only bytes in which the kinds' error messages differ.
-	errPrefix string
-	cs        shardCrashScheme
-	register  func(reg *store.Registry) (store.Dataset, error)
+	name     string
+	cs       shardCrashScheme
+	register func(reg *store.Registry) (store.Dataset, error)
 	// artifacts names the places damage can land in the kind's checkpoint:
 	// the file — which is also what a restart quarantines, damage and all —
 	// and the byte of it to flip.
@@ -111,13 +108,13 @@ func writeKinds() []writeKind {
 		}},
 	}
 	return []writeKind{
-		{"plain", "store", point, func(reg *store.Registry) (store.Dataset, error) {
+		{"plain", point, func(reg *store.Registry) (store.Dataset, error) {
 			return reg.Register(shardCrashID, faults[0].scheme(point.inc), point.data)
 		}, []writeArtifact{{"snapshot", snap, func(_ *testing.T, file []byte) int { return len(file) / 2 }}},
 			[]prepareFault{refuse("pi", faults[0])}},
-		{"routed-sharded", "shard", point, sharded(point, HashPartitioner{}, faults[1]), shardedArtifacts,
+		{"routed-sharded", point, sharded(point, HashPartitioner{}, faults[1]), shardedArtifacts,
 			[]prepareFault{refuse("member", faults[1])}},
-		{"view-sharded", "shard", reach, sharded(reach, RangePartitioner{}, faults[2]), shardedArtifacts,
+		{"view-sharded", reach, sharded(reach, RangePartitioner{}, faults[2]), shardedArtifacts,
 			[]prepareFault{refuse("member", faults[2]), {"view", func() { faults[2].hide.Store(1) }}}},
 	}
 }
@@ -215,7 +212,7 @@ func TestWritePathConformance(t *testing.T) {
 				image := durableImage(t, f)
 				batch := [][]byte{b0[0], {0xff, 0xff, 0xff}}
 				// The reference bytes are a plain in-memory store's of the same
-				// scheme, up to the Stage prefix.
+				// scheme: every kind stages through the one Store.Stage.
 				plain, err := store.NewRegistry("").Register("d", k.cs.inc, k.cs.data)
 				if err != nil {
 					t.Fatal(err)
@@ -224,7 +221,7 @@ func TestWritePathConformance(t *testing.T) {
 				if ref == nil || !strings.HasPrefix(ref.Error(), "store: delta 1: ") || !strings.HasSuffix(ref.Error(), " (nothing applied)") {
 					t.Fatalf("reference refusal %v does not name delta 1 with nothing applied", ref)
 				}
-				want := fmt.Sprintf("store: apply delta to %q: %s%s", shardCrashID, k.errPrefix, strings.TrimPrefix(ref.Error(), "store"))
+				want := fmt.Sprintf("store: apply delta to %q: %v", shardCrashID, ref)
 				_, err = reg.ApplyDelta(shardCrashID, batch)
 				if err == nil || err.Error() != want {
 					t.Fatalf("malformed delta at index 1:\n got %v\nwant %s", err, want)

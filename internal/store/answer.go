@@ -1,9 +1,8 @@
 package store
 
-// The answer seam. Every dataset kind — a plain Store, the cache wrapper,
-// internal/shard's ShardedStore — answers through exactly two methods,
-// Dataset.Ask and Dataset.AskBatch, which take the caller's context as an
-// argument and return the verdict(s) together with the maintenance version
+// The answer seam. Every dataset — a Store, plain or sharded, and the cache
+// wrapper — answers through exactly two methods, Dataset.Ask and
+// Dataset.AskBatch, which take the caller's context as an argument and return the verdict(s) together with the maintenance version
 // they were computed at. Cancellation is cooperative (the context is
 // checked before every probe); AskWithin / AskBatchWithin add the hard
 // deadline guard on top, abandoning the worker goroutine at the deadline —

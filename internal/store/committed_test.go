@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -165,7 +166,7 @@ func TestStoreLiteralFirstUseRaced(t *testing.T) {
 			func() bool { return st.SnapshotBytes() == len(EncodeSnapshot(st.Snapshot())) },
 		}
 		start := make(chan struct{})
-		seen := make([]*committed, len(uses))
+		seen := make([]*Committed, len(uses))
 		var wg sync.WaitGroup
 		for i, use := range uses {
 			wg.Add(1)
@@ -265,5 +266,42 @@ func TestPatchAllocatesOnePi(t *testing.T) {
 	pi := uint64(st.PrepBytes())
 	if per := (after.TotalAlloc - before.TotalAlloc) / patches; per >= pi+pi/2 {
 		t.Fatalf("a 64-key PATCH of a %d-byte Π allocates %d bytes, want < 1.5 × |Π|", pi, per)
+	}
+}
+
+// TestCheckpointMemoisesSnapshotBytes: a checkpoint records the size of the
+// file it wrote in the committed value, so the first /v1/stats scrape after a
+// checkpointing PATCH reads that size instead of encoding Π again. It is
+// measured around that first call: testing.AllocsPerRun's warm-up call would
+// hide the encode.
+func TestCheckpointMemoisesSnapshotBytes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun: nobody else allocates
+	keys := make([]int64, 1<<16)
+	for i := range keys {
+		keys[i] = int64(2 * i)
+	}
+	dir := t.TempDir()
+	reg := NewRegistry(dir) // the default cadence checkpoints every PATCH
+	st, err := reg.Register("d", schemes.PointSelectionScheme(), schemes.RelationFromKeys(keys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.ApplyDelta("d", [][]byte{schemes.KeysDelta([]int64{1, 3, 5})}); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	size := st.SnapshotBytes()
+	runtime.ReadMemStats(&after)
+	if pi := uint64(st.PrepBytes()); after.TotalAlloc-before.TotalAlloc >= pi {
+		t.Fatalf("the first SnapshotBytes after a checkpoint allocates %d bytes for a %d-byte Π: it encoded the snapshot again",
+			after.TotalAlloc-before.TotalAlloc, pi)
+	}
+	file, err := os.ReadFile(SnapshotPath(dir, "d"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if size != len(file) {
+		t.Fatalf("SnapshotBytes = %d, the checkpoint wrote %d bytes", size, len(file))
 	}
 }

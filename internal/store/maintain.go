@@ -1,10 +1,11 @@
 // The write side, written once: how a delta batch commits (stage → log →
 // commit → checkpoint) and how a restart recovers what was committed (load
-// → quarantine → replay). A dataset kind — a plain Store, internal/shard's
-// ShardedStore — supplies only the two steps that genuinely differ, Stage
-// and Checkpoint (DeltaDataset); the order of everything durable, and every
-// call of the delta-log primitives (wal.go), lives in this file, so the
-// kinds cannot drift apart in what a crash or a corrupt artifact costs.
+// → quarantine → replay). A dataset supplies the two steps, Stage and
+// Checkpoint (DeltaDataset) — Store's, for one member or n, whose Layout
+// says where a delta goes and which file is written; the order of
+// everything durable, and every call of the delta-log primitives (wal.go),
+// lives in this file, so no layout can drift apart from another in what a
+// crash or a corrupt artifact costs.
 package store
 
 import (
@@ -58,10 +59,9 @@ type Maintenance struct {
 func (m *Maintenance) Maint() *Maintenance { return m }
 
 // DeltaDataset is the registry's mutation seam: a dataset that can maintain
-// Π(D ⊕ ∆D) in place through its own scheme's ApplyDelta — a plain Store for
-// any scheme with an incremental form, internal/shard's ShardedStore for
-// schemes with sharded delta routing. The durability protocol around the two hooks is ApplyDeltas';
-// the recovery protocol is Registry.Recover's.
+// Π(D ⊕ ∆D) in place through its own scheme's ApplyDelta — a Store, plain or
+// sharded, whose layout routes the deltas. The durability protocol around
+// the two hooks is ApplyDeltas'; the recovery protocol is Registry.Recover's.
 type DeltaDataset interface {
 	Dataset
 	// Stage applies the batch, in order, to a private copy of the served

@@ -32,10 +32,10 @@ var (
 		"Delete-kind deltas applied through incremental maintenance.")
 )
 
-// Dataset is anything the registry can serve queries from: a plain Store
-// (one preprocessed artifact), a composite such as internal/shard's
-// ShardedStore (n per-shard artifacts behind one catalog entry), or either
-// behind the answer cache (NewCachedDataset). Answering is one seam — Ask
+// Dataset is anything the registry can serve queries from: a Store (one
+// preprocessed artifact, or n of them behind one catalog entry when it is
+// internal/shard's ShardedStore), or either behind the answer cache
+// (NewCachedDataset). Answering is one seam — Ask
 // and AskBatch, with the context as an argument and the version in the
 // result — identical for every kind; Answer and AnswerBatch are its
 // background-context faces. The answer-path methods must be
@@ -90,10 +90,10 @@ type Dataset interface {
 // registry has a data directory, persists the result as snapshot file(s) so
 // a restarted process reloads Π(D) instead of recomputing it.
 //
-// Plain (single-store) registration goes through Register; composite
-// datasets (sharded stores) plug in through RegisterDatasetContext, which
-// carries the same one-catalog-entry, one-build-per-ID guarantee for any
-// Dataset implementation.
+// Plain registration goes through Register and sharded registration through
+// internal/shard; both ride RegisterAs — one compatibility check over one
+// Recover — and RegisterDatasetContext carries the one-catalog-entry,
+// one-build-per-ID guarantee for any Dataset implementation.
 //
 // The registry is safe for concurrent use; Answer paths never hold the
 // registry lock (the preprocessed bytes are immutable).
@@ -185,9 +185,9 @@ func SnapshotPath(dir, id string) string {
 // of concurrent registrations; a failed or panicking build is not memoized,
 // so a later corrected attempt can retry.
 //
-// This is the generic seam plain Register and internal/shard's sharded
-// registration both ride: one catalog entry per ID, one build per ID, and
-// Get/Answer paths that never observe a half-built dataset.
+// This is the generic seam RegisterAs rides: one catalog entry per ID, one
+// build per ID, and Get/Answer paths that never observe a half-built
+// dataset.
 //
 // It runs under a request budget: when ctx expires before the build
 // completes, the call returns a *BudgetError and the in-flight build is
@@ -289,14 +289,57 @@ func (r *Registry) abandon(e *regEntry, id string) {
 	}
 }
 
-// Register returns the preprocessed store for id, creating it on first
-// call: reload from a fresh snapshot if the registry is persistent and one
-// matches (same scheme, same data digest), otherwise run scheme.Preprocess
-// and persist the result. Re-registering an existing id with the same
-// scheme and the same data returns the memoized store; a different scheme
-// name, a different data digest, or an id held by a sharded dataset is an
-// error rather than a silent answer-path swap or a stale Π(D) served as
-// fresh.
+// Key is what one registration names: the scheme, the digest of the raw
+// data, and the layout. An id already held answers a registration only under
+// the same key, and a persisted artifact of another key is stale.
+type Key struct {
+	Scheme string
+	Sum    DataChecksum
+	Layout string
+}
+
+// Mismatch is the one compatibility check: it names the first way got is not
+// k, or returns nil.
+func (k Key) Mismatch(got Key) error {
+	switch {
+	case got.Scheme != k.Scheme:
+		return fmt.Errorf("scheme %s (got %s)", got.Scheme, k.Scheme)
+	case got.Sum != k.Sum:
+		return errors.New("different data (re-register under a new id)")
+	case got.Layout != k.Layout:
+		return fmt.Errorf("the %s layout (got the %s layout)", got.Layout, k.Layout)
+	}
+	return nil
+}
+
+// RegisterAs is the registration every layout rides: the dataset registered
+// under id, built on first call by Recover over load and build. An id already
+// held is returned only when it is held under the key want names; anything
+// else is an error rather than a silent answer-path swap or a stale Π(D)
+// served as fresh. load checks what it reads against the same key (Mismatch)
+// and returns ErrStale for another one. want is called where the key is
+// first compared, so a registration can digest its data beside the load.
+func (r *Registry) RegisterAs(ctx context.Context, id string, want func() Key, load func(fsys FS, dir string) (DeltaDataset, error), build func() (DeltaDataset, error)) (Dataset, error) {
+	return r.RegisterDatasetContext(ctx, id,
+		func(d Dataset) error {
+			held, ok := d.(interface{ Key() Key })
+			if !ok {
+				return fmt.Errorf("store: dataset %q is registered as a %T", id, d)
+			}
+			if err := want().Mismatch(held.Key()); err != nil {
+				return fmt.Errorf("store: dataset %q already registered with %w", id, err)
+			}
+			return nil
+		},
+		func() (Dataset, error) { return r.Recover(id, load, build) })
+}
+
+// Register returns the plain store for id, creating it on first call:
+// reload from a fresh snapshot if the registry is persistent and one matches
+// (same scheme, same data digest), otherwise run scheme.Preprocess and
+// persist the result. Re-registering an existing id with the same scheme and
+// the same data returns the memoized store; a different scheme, different
+// data, or an id held by a sharded dataset is an error (see RegisterAs).
 func (r *Registry) Register(id string, scheme *core.Scheme, data []byte) (*Store, error) {
 	return r.RegisterContext(context.Background(), id, scheme, data)
 }
@@ -311,61 +354,44 @@ func (r *Registry) RegisterContext(ctx context.Context, id string, scheme *core.
 		return nil, fmt.Errorf("store: register %q: nil scheme", id)
 	}
 	sum := sumBeside(data)
-	ds, err := r.RegisterDatasetContext(ctx, id,
-		func(d Dataset) error {
-			if d.SchemeName() != scheme.Name() {
-				return fmt.Errorf("store: dataset %q already registered with scheme %s (got %s)",
-					id, d.SchemeName(), scheme.Name())
+	want := func() Key { return Key{Scheme: scheme.Name(), Sum: sum(), Layout: Plain.Describe()} }
+	ds, err := r.RegisterAs(ctx, id, want,
+		func(fsys FS, dir string) (DeltaDataset, error) {
+			path := SnapshotPath(dir, id)
+			snap, err := LoadFS(fsys, path)
+			if err != nil {
+				return nil, err
 			}
-			if d.DataDigest() != sum() {
-				return fmt.Errorf("store: dataset %q already registered with different data (re-register under a new id)", id)
+			if want().Mismatch(Key{Scheme: snap.SchemeName, Sum: snap.DataSum, Layout: Plain.Describe()}) != nil {
+				return nil, ErrStale
 			}
-			// A ShardedStore with n=1 also reports ShardCount()==1, so the
-			// type check — not the count — decides whether the plain path
-			// owns this id.
-			if _, ok := d.(*Store); !ok {
-				return fmt.Errorf("store: dataset %q is registered sharded (%d shards); re-register through the sharded path",
-					id, d.ShardCount())
+			// A snapshot with Version > 0 is the maintained Π(D ⊕ ∆D…):
+			// resuming from it (not from a re-preprocess of D) is the whole
+			// point of persisting maintenance.
+			st, err := Open(id, scheme, snap.DataSum, Plain, snap.Version, nil, []Member{{Prep: snap.Prep, Sum: snap.DataSum}})
+			if err != nil {
+				// A Π that passes every check above and that this build will
+				// not prepare — damage the CRC cannot see, or a layout an
+				// earlier version wrote — would refuse every answer, and
+				// re-registering would load it again: it is quarantined and
+				// rebuilt like a snapshot with a bad CRC.
+				return nil, &CorruptArtifactError{Path: path, Err: err}
 			}
-			return nil
+			st.Loaded = true
+			return st, nil
 		},
-		func() (Dataset, error) {
-			return r.Recover(id,
-				func(fsys FS, dir string) (DeltaDataset, error) {
-					snap, err := LoadFS(fsys, SnapshotPath(dir, id))
-					if err != nil {
-						return nil, err
-					}
-					if snap.SchemeName != scheme.Name() || snap.DataSum != sum() {
-						return nil, ErrStale
-					}
-					// A snapshot with Version > 0 is the maintained
-					// Π(D ⊕ ∆D…): resuming from it (not from a re-preprocess
-					// of D) is the whole point of persisting maintenance.
-					st, err := newStore(id, scheme, sum(), snap.Prep, snap.Version, true)
-					if err != nil {
-						// A Π that passes every check above and that this build
-						// will not prepare — damage the CRC cannot see, or a
-						// layout an earlier version wrote — would refuse every
-						// answer, and re-registering would load it again: it is
-						// quarantined and rebuilt like a snapshot with a bad CRC.
-						return nil, &CorruptArtifactError{Path: SnapshotPath(dir, id), Err: err}
-					}
-					return st, nil
-				},
-				func() (DeltaDataset, error) {
-					ppStart := obs.Start()
-					pd, err := scheme.Preprocess(data)
-					if err != nil {
-						return nil, fmt.Errorf("store: register %q: preprocess (%s): %w", id, scheme.Name(), err)
-					}
-					obsPreprocess.Since(ppStart)
-					st, err := newStore(id, scheme, sum(), pd, 0, false)
-					if err != nil {
-						return nil, fmt.Errorf("store: register %q: prepare (%s): %w", id, scheme.Name(), err)
-					}
-					return st, nil
-				})
+		func() (DeltaDataset, error) {
+			ppStart := obs.Start()
+			pd, err := scheme.Preprocess(data)
+			if err != nil {
+				return nil, fmt.Errorf("store: register %q: preprocess (%s): %w", id, scheme.Name(), err)
+			}
+			obsPreprocess.Since(ppStart)
+			st, err := Open(id, scheme, sum(), Plain, 0, nil, []Member{{Prep: pd, Sum: sum()}})
+			if err != nil {
+				return nil, fmt.Errorf("store: register %q: prepare (%s): %w", id, scheme.Name(), err)
+			}
+			return st, nil
 		})
 	if err != nil {
 		return nil, err

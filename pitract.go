@@ -45,7 +45,8 @@
 // On top of that sits horizontal scaling: a dataset can be partitioned
 // across n preprocessed parts (BuildShardedStore, RegisterSharded, the
 // server's ?shards=N parameter, the CLI's -shards flag) with hash or range
-// partitioning. Queries route to the shard owning their answer, fan out to
+// partitioning — the same store, laid out over n members instead of one.
+// Queries route to the shard owning their answer, fan out to
 // every shard with the verdicts ORed, or — reachability — answer through a
 // view prepared over all of them (per-vertex portal reach rows);
 // differential tests pin sharded answers identical to unsharded ones.
@@ -238,6 +239,11 @@ var (
 )
 
 // --- sharded stores (internal/shard) --------------------------------------------
+//
+// A sharded store is the registry's one store kind laid out over n parts:
+// the value BuildShardedStore, RegisterSharded and LoadShardedStore return
+// is a *store.Store (Ask, AskBatch, Version and the rest are that store's)
+// with the partition's facts beside it, and its snapshot is the manifest.
 
 // NewHashPartitioner spreads keys by 64-bit FNV-1a hash modulo the shard
 // count — balanced for any distribution; range queries fan out.
