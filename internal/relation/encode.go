@@ -11,6 +11,10 @@ package relation
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
+
+	"pitract/internal/parts"
 )
 
 func appendUvarint(dst []byte, v uint64) []byte {
@@ -249,9 +253,15 @@ func Decode(buf []byte) (*Relation, error) {
 // in tuple order, without building the relation: the walk is Decode's, so it
 // accepts exactly what Decode accepts and refuses the rest with Decode's
 // error, and a missing or non-int64 attr is refused only after that. Whole
-// tuples are read by column, and the walker takes over at the start of the
-// first one column does not read, so any refusal is the walker's own.
+// tuples are read by column, in parts for a large buf (columnParts), and
+// the walker takes over at the start of the first one
+// column does not read, so any refusal is the walker's own.
 func Int64Column(buf []byte, attr string) ([]int64, error) {
+	return int64Column(buf, attr, parts.For(len(buf)))
+}
+
+// int64Column is Int64Column with the tuples read in k parts.
+func int64Column(buf []byte, attr string, k int) ([]int64, error) {
 	d := &decoder{buf: buf}
 	schema, n, err := d.header()
 	if err != nil {
@@ -259,12 +269,9 @@ func Int64Column(buf []byte, attr string) ([]int64, error) {
 	}
 	idx := schema.AttrIndex(attr)
 	var col []int64
-	if idx >= 0 && schema.Attrs[idx].Kind == KindInt64 {
-		col = make([]int64, n)
-	}
 	i := 0
-	if col != nil {
-		i = d.column(schema, idx, col)
+	if idx >= 0 && schema.Attrs[idx].Kind == KindInt64 {
+		col, i = d.columnParts(schema, idx, n, k)
 	}
 	raw := make([]rawValue, len(schema.Attrs))
 	for ; i < n; i++ {
@@ -287,22 +294,149 @@ func Int64Column(buf []byte, attr string) ([]int64, error) {
 	return col, nil
 }
 
+// syncTuples is how many tuples must read from an offset — or every tuple up
+// to the end of the buffer — for a part to start there.
+const syncTuples = 4
+
+// syncFloor is the least a part's resync may read, in bytes, however small
+// the part: parts.For never cuts a part that small, but a test does.
+const syncFloor = 1 << 16
+
+// columnSplit is a column of n keys read in k parts of the tuple bytes
+// [lo, lo+size); runs[j] is what part j read.
+type columnSplit struct {
+	buf      []byte
+	s        *Schema
+	idx, n   int
+	lo, size int
+	k        int
+	runs     []columnRun
+}
+
+// columnRun is what a part read: its tuples start at start and end at end,
+// and their n keys are col's first; at is where they go in the column.
+type columnRun struct {
+	start, end, n, at int
+	col               []int64
+}
+
+// columnParts reads the n-key column of the rest of d in k parts, a
+// speculative split as in parallel CSV parsing: the tuple bytes are cut at
+// k−1 offsets, part 0 starts at the first tuple, and part j > 0 at the first
+// offset at or past its cut from which syncTuples tuples read — a guess,
+// since a string's bytes can read as tuples too. Each part reads until its
+// offset reaches the next cut. Part j's keys are kept only when every part
+// before it was and part j−1 ended exactly where part j started: then part
+// j read the tuples Decode reads, and the kept parts' keys are copied into
+// the column (part 0's are already there), a part each. From the end of the
+// last part kept, column reads on alone, so the column it returns, how many
+// keys it read and where it leaves d are the one-part read's.
+func (d *decoder) columnParts(s *Schema, idx, n, k int) ([]int64, int) {
+	size := len(d.buf) - d.off
+	k = max(1, min(k, size)) // a part reads at least one byte
+	sp := columnSplit{buf: d.buf, s: s, idx: idx, n: n, lo: d.off, size: size, k: k, runs: make([]columnRun, k)}
+	parts.Run(k, sp, readColumnPart)
+	col, off, i, kept := sp.runs[0].col, sp.lo, 0, 0
+	for ; kept < k && sp.runs[kept].start == off && i+sp.runs[kept].n <= n; kept++ {
+		r := &sp.runs[kept]
+		r.at, off, i = i, r.end, i+r.n
+	}
+	parts.Run(kept, sp, placeColumnRun)
+	d.off = off
+	return col, i + d.column(s, idx, col[i:], len(d.buf))
+}
+
+// readColumnPart reads part j of sp into sp.runs[j]. Part 0 allocates the
+// column and reads into it; a part after it does not know where in the
+// column its keys go, so it reads them into a slice of its own, sized by the
+// tuples' mean length and grown as needed up to the column's length.
+func readColumnPart(sp columnSplit, j int) {
+	lo, hi := sp.lo+parts.Cut(sp.size, sp.k, j), sp.lo+parts.Cut(sp.size, sp.k, j+1)
+	d := decoder{buf: sp.buf, off: lo}
+	r := &sp.runs[j]
+	if j == 0 {
+		r.col = make([]int64, sp.n)
+	} else {
+		d.off = d.resync(sp.s, sp.idx, hi, 2*syncTuples*(sp.size/max(1, sp.n)+1))
+		est := int(uint64(sp.n) * uint64(hi-lo) / uint64(sp.size))
+		r.col = make([]int64, min(sp.n, est+est/16+16))
+	}
+	r.start = d.off
+	for {
+		r.n += d.column(sp.s, sp.idx, r.col[r.n:], hi)
+		if d.off >= hi || r.n < len(r.col) || len(r.col) == sp.n {
+			break
+		}
+		grow := min(len(r.col), sp.n-len(r.col))
+		r.col = slices.Grow(r.col, grow)[:len(r.col)+grow]
+	}
+	r.end = d.off
+}
+
+// placeColumnRun copies kept part j's keys to their place in the column.
+func placeColumnRun(sp columnSplit, j int) {
+	if r := sp.runs[j]; j > 0 {
+		copy(sp.runs[0].col[r.at:], r.col[:r.n])
+	}
+}
+
+// resync returns the first offset from d's on, below hi, from which
+// syncTuples tuples read or every tuple reads to the end of the buffer; hi
+// when there is none, or once its probes have read the part's bytes. A
+// probe from p reads no further than p+window — window holds syncTuples
+// tuples of twice the mean length — and is charged all of it, so however
+// long the tuples, the probes read no more bytes than the parts hold, and
+// syncFloor more each. The offset is only a guess, checked at the join: one
+// resync gives up on costs speed, never the column.
+func (d *decoder) resync(s *Schema, idx, hi, window int) int {
+	var probe [syncTuples]int64
+	budget := max(hi-d.off, syncFloor)
+	for p := d.off; p < hi && budget > 0; p++ {
+		w := min(window, budget)
+		budget -= w
+		try := decoder{buf: d.buf[:min(len(d.buf), p+w)], off: p}
+		if n := try.column(s, idx, probe[:], len(d.buf)); n == len(probe) || try.off == len(d.buf) {
+			return p
+		}
+	}
+	return hi
+}
+
 // column reads tuples into col[i], attribute idx of tuple i, for as long as
-// each tuple is well formed, and returns how many it read; d is left at the
-// start of the first tuple it did not read. It is the walker's tuple with
-// the refusals taken out — the walker reads that tuple next and names what
-// is wrong with it — and with the uvarint read inline, so a key column is
-// read at the speed of its bytes.
-func (d *decoder) column(s *Schema, idx int, col []int64) int {
+// each tuple is well formed, col has room and d's offset is below stop, and
+// returns how many it read; d is left at the start of the first tuple it did
+// not read. It is the walker's tuple with the refusals taken out — the
+// walker reads that tuple next and names what is wrong with it — and with
+// the uvarint read inline, so a key column is read at the speed of its
+// bytes.
+func (d *decoder) column(s *Schema, idx int, col []int64, stop int) int {
 	buf, off := d.buf, d.off
 	for i := range col {
+		if off >= stop {
+			d.off = off
+			return i
+		}
 		at := off
 		for j, a := range s.Attrs {
 			if off >= len(buf) || Kind(buf[off]) != a.Kind {
 				d.off = at
 				return i
 			}
-			x, next, ok := uvarintAt(buf, off+1)
+			// The value's uvarint, read inline (as uvarintBytes reads it): a
+			// one-byte one, as a short string's length is, then one that
+			// ends within eight bytes by uvarint8; anything else — a longer
+			// one, or one near the end of buf — a byte at a time.
+			p, x, n := off+1, uint64(0), 0
+			switch {
+			case p < len(buf) && buf[p] < 0x80:
+				x, n = uint64(buf[p]), 1
+			case p+8 <= len(buf):
+				x, n = uvarint8(binary.LittleEndian.Uint64(buf[p:]))
+			}
+			next, ok := p+n, n > 0
+			if !ok {
+				x, next, ok = uvarintBytes(buf, p)
+			}
 			switch off = next; {
 			case !ok || a.Kind == KindString && uint64(len(buf)-off) < x:
 				d.off = at
@@ -318,13 +452,10 @@ func (d *decoder) column(s *Schema, idx int, col []int64) int {
 	return len(col)
 }
 
-// uvarintAt is binary.Uvarint(buf[off:]) for column: the value, the offset
-// after it, and whether it was well formed (ten bytes at most, the tenth at
-// most 1).
-func uvarintAt(buf []byte, off int) (x uint64, next int, ok bool) {
-	if off < len(buf) && buf[off] < 0x80 {
-		return uint64(buf[off]), off + 1, true
-	}
+// uvarintBytes is binary.Uvarint(buf[off:]) for column: the value, the
+// offset after it, and whether it was well formed (ten bytes at most, the
+// tenth at most 1), read a byte at a time.
+func uvarintBytes(buf []byte, off int) (x uint64, next int, ok bool) {
 	for s := 0; off < len(buf); s += 7 {
 		b := buf[off]
 		off++
@@ -337,4 +468,20 @@ func uvarintAt(buf []byte, off int) (x uint64, next int, ok bool) {
 		}
 	}
 	return 0, off, false
+}
+
+// uvarint8 decodes a uvarint that ends within the eight bytes of w, read
+// little-endian, with one branch: its n bytes are the ones up to the first
+// with the high bit clear, and their 7-bit groups are packed by closing the
+// gaps between them pairwise three times. n is 0 when no byte of w ends a
+// uvarint.
+func uvarint8(w uint64) (x uint64, n int) {
+	ends := ^w & 0x8080808080808080
+	if ends == 0 {
+		return 0, 0
+	}
+	w &= (ends ^ (ends - 1)) & 0x7f7f7f7f7f7f7f7f
+	w = w&0x007f007f007f007f | w>>1&0x3f803f803f803f80
+	w = w&0x00003fff00003fff | w>>2&0x0fffc0000fffc000
+	return w&0x0fffffff | w>>4&0x00fffffff0000000, bits.TrailingZeros64(ends)>>3 + 1
 }

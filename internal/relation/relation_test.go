@@ -2,6 +2,7 @@ package relation
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -9,6 +10,9 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
+
+	"pitract/internal/parts"
 )
 
 func TestNewSchemaValidation(t *testing.T) {
@@ -160,14 +164,15 @@ func corruptInputs() (enc []byte, cases [][]byte) {
 	}
 }
 
-// FuzzInt64Column: on any bytes, Int64Column(b, "key") accepts exactly when
-// Decode(b) accepts and "key" is an int64 attribute, returns Decode's column,
-// and refuses what Decode refuses with Decode's error.
+// FuzzInt64Column: on any bytes, the column read in k parts — k from 1 to
+// 8, drawn by the fuzzer — accepts exactly when Decode(b) accepts and "key"
+// is an int64 attribute, returns Decode's column, and refuses what Decode
+// refuses with Decode's error.
 func FuzzInt64Column(f *testing.F) {
 	enc, cases := corruptInputs()
-	f.Add(enc)
-	for _, c := range cases {
-		f.Add(c)
+	f.Add(enc, uint8(0))
+	for i, c := range cases {
+		f.Add(c, uint8(i))
 	}
 	// A value of the wrong kind in a tuple whose next value is cut off: the
 	// truncation is named, as Decode names it.
@@ -175,14 +180,15 @@ func FuzzInt64Column(f *testing.F) {
 	r.MustAppend(Tuple{Str("a"), Str("x")})
 	wrong := r.Encode()
 	wrong[7] = byte(KindInt64) // "key"'s kind: name (2) + count (1) + "key" (4)
-	f.Add(wrong)
-	f.Add(wrong[:len(wrong)-2])
-	f.Add(New(MustSchema("r", Attr{Name: "key", Kind: KindString})).Encode())
-	for _, b := range handOffSeeds() {
-		f.Add(b)
+	f.Add(wrong, uint8(1))
+	f.Add(wrong[:len(wrong)-2], uint8(2))
+	f.Add(New(MustSchema("r", Attr{Name: "key", Kind: KindString})).Encode(), uint8(6))
+	for i, b := range handOffSeeds() {
+		f.Add(b, uint8(i+1))
 	}
-	f.Fuzz(func(t *testing.T, b []byte) {
-		col, err := Int64Column(b, "key")
+	f.Add(decoyRelation(), uint8(6))
+	f.Fuzz(func(t *testing.T, b []byte, k uint8) {
+		col, err := int64Column(b, "key", 1+int(k%8))
 		rel, derr := Decode(b)
 		if derr != nil {
 			if err == nil || err.Error() != derr.Error() {
@@ -244,6 +250,199 @@ func handOffSeeds() [][]byte {
 		rel(6, good(5), overrun),                // a string that runs past the end
 		append(rel(10, good(10)), 1, 2, 3),      // trailing bytes
 		rel(12, good(10)),                       // fewer tuples than counted
+	}
+}
+
+// TestUvarint8MatchesUvarint holds uvarint8 to binary.Uvarint on words
+// ending a uvarint at every one of the eight bytes, and on words ending none.
+func TestUvarint8MatchesUvarint(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for i := range 1 << 16 {
+		var b [8]byte
+		rng.Read(b[:])
+		for j := range b {
+			b[j] |= 0x80
+		}
+		if end := i % 9; end < 8 {
+			b[end] &^= 0x80
+		}
+		x, n := uvarint8(binary.LittleEndian.Uint64(b[:]))
+		want, wantN := binary.Uvarint(b[:])
+		if max(wantN, 0) != n || n > 0 && x != want {
+			t.Fatalf("% x: (%d, %d), binary.Uvarint (%d, %d)", b, x, n, want, wantN)
+		}
+	}
+}
+
+// partInputs are relation encodings whose key column a k-part read cuts
+// awkwardly: tuples of every length straddling the cuts, a tuple longer than
+// a part, the key after a string, a ten-byte key at the very end (no eight
+// bytes after it), no tuples at all, the corrupt inputs and the hand-off
+// seeds (a refusal in some part), and decoyRelation (payloads that read as
+// tuples).
+func partInputs() map[string][]byte {
+	rng := rand.New(rand.NewSource(40))
+	in := map[string][]byte{}
+	mixed := New(MustSchema("r", Attr{Name: "key", Kind: KindInt64}, Attr{Name: "p", Kind: KindString}))
+	for i := range 300 {
+		mixed.MustAppend(Tuple{Int(rng.Int63() - rng.Int63()>>uint(rng.Intn(64))), Str(strings.Repeat("x", rng.Intn(3*(i%7)+1)))})
+	}
+	in["mixed"] = mixed.Encode()
+	long := New(mixed.Schema)
+	for i := range 9 {
+		long.MustAppend(Tuple{Int(int64(i)), Str(strings.Repeat("y", []int{0, 1, 300, 2, 0, 700, 5, 0, 1}[i]))})
+	}
+	in["long"] = long.Encode()
+	second := New(MustSchema("r", Attr{Name: "p", Kind: KindString}, Attr{Name: "key", Kind: KindInt64}, Attr{Name: "q", Kind: KindString}))
+	for i := range 100 {
+		second.MustAppend(Tuple{Str(strings.Repeat("z", i%5)), Int(int64(i * i)), Str("")})
+	}
+	in["key-second"] = second.Encode()
+	wide := New(MustSchema("r", Attr{Name: "key", Kind: KindInt64}))
+	for i := range 64 {
+		wide.MustAppend(Tuple{Int(math.MinInt64 + int64(i))})
+	}
+	in["ten-byte-keys"] = wide.Encode()
+	in["empty"] = New(mixed.Schema).Encode()
+	in["decoys"] = decoyRelation()
+	enc, cases := corruptInputs()
+	in["generated"] = enc
+	for i, c := range append(cases, handOffSeeds()...) {
+		in["refused-"+string(rune('a'+i))] = c
+	}
+	return in
+}
+
+// decoyRelation is R(key int64, p string) whose payloads are themselves
+// encoded tuples of R — the sequence key 1000+j, empty payload, j < 40 — so
+// that a part cut inside a payload finds tuples to read there: a false
+// boundary, which the join must refuse.
+func decoyRelation() []byte {
+	var decoy []byte
+	for j := range 40 {
+		decoy = appendValue(appendValue(decoy, Int(int64(1000+j))), Str(""))
+	}
+	r := New(MustSchema("r", Attr{Name: "key", Kind: KindInt64}, Attr{Name: "p", Kind: KindString}))
+	for i := range 12 {
+		r.MustAppend(Tuple{Int(int64(-i)), Str(string(decoy))})
+	}
+	return r.Encode()
+}
+
+// TestInt64ColumnPartsMatchOnePart holds the k-part column read to the
+// one-part read on every input of partInputs, for k = 2, 3 and 7: the same
+// column or the same error text.
+func TestInt64ColumnPartsMatchOnePart(t *testing.T) {
+	for name, b := range partInputs() {
+		want, wantErr := int64Column(b, "key", 1)
+		if name == "mixed" || name == "key-second" {
+			// Well-formed tuples with nothing that reads as a tuple inside
+			// a string: every part joins, so none is read twice.
+			d := &decoder{buf: b}
+			s, n, err := d.header()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp := columnSplit{buf: b, s: s, idx: s.AttrIndex("key"), n: n, lo: d.off, size: len(b) - d.off, k: 7, runs: make([]columnRun, 7)}
+			parts.Run(7, sp, readColumnPart)
+			read := 0
+			for j, r := range sp.runs {
+				if j > 0 && r.start != sp.runs[j-1].end {
+					t.Fatalf("%s: part %d starts at %d, part %d ended at %d", name, j, r.start, j-1, sp.runs[j-1].end)
+				}
+				read += r.n
+			}
+			if read != n {
+				t.Fatalf("%s: 7 parts read %d of %d keys", name, read, n)
+			}
+		}
+		for _, k := range []int{2, 3, 7} {
+			got, err := int64Column(b, "key", k)
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) || !slices.Equal(got, want) || (got == nil) != (want == nil) {
+				t.Fatalf("%s, k=%d: (%v, %v), one part (%v, %v)", name, k, got, err, want, wantErr)
+			}
+		}
+	}
+}
+
+// TestInt64ColumnCatchesFalseBoundaries cuts decoyRelation into 7 parts and
+// requires that some part starts at an offset that is not a tuple's — a
+// false boundary inside a payload — and that the column is Decode's all the
+// same.
+func TestInt64ColumnCatchesFalseBoundaries(t *testing.T) {
+	b := decoyRelation()
+	d := &decoder{buf: b}
+	s, n, err := d.header()
+	if err != nil {
+		t.Fatal(err)
+	}
+	starts := map[int]bool{}
+	raw := make([]rawValue, len(s.Attrs))
+	walk := *d
+	for range n {
+		starts[walk.off] = true
+		if err := walk.tuple(s, raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	starts[walk.off] = true
+	const k = 7
+	sp := columnSplit{buf: b, s: s, n: n, lo: d.off, size: len(b) - d.off, k: k, runs: make([]columnRun, k)}
+	parts.Run(k, sp, readColumnPart)
+	decoys := 0
+	for _, r := range sp.runs[1:] {
+		if r.n > 0 && !starts[r.start] {
+			decoys++
+		}
+	}
+	if decoys == 0 {
+		t.Fatal("no part of the decoy relation started at a false boundary; the test no longer tests the join")
+	}
+	rel, err := Decode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := int64Column(b, "key", k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tp := range rel.Tuples {
+		if col[i] != tp[0].I {
+			t.Fatalf("%d parts starting at false boundaries: key %d is %d, Decode's %d", decoys, i, col[i], tp[0].I)
+		}
+	}
+}
+
+// TestInt64ColumnPartsReadLinearly reads, in 7 parts, one tuple of 10⁵
+// int64 attributes, every value 0: every byte of it is KindInt64 or a zero
+// uvarint, so a probe from any offset reads value after value until it runs
+// out of tuple. Were each probe to read on to the end of the buffer, the
+// parts would cost the square of the tuple's bytes, seconds here; their
+// probes are bounded, so the 7-part read costs a few one-part reads.
+func TestInt64ColumnPartsReadLinearly(t *testing.T) {
+	attrs := make([]Attr, 100_000)
+	tuple := make(Tuple, len(attrs))
+	for i := range attrs {
+		attrs[i], tuple[i] = Attr{Name: fmt.Sprint("a", i), Kind: KindInt64}, Int(0)
+	}
+	r := New(MustSchema("r", attrs...))
+	r.MustAppend(tuple)
+	b := r.Encode()
+	best := func(k int) time.Duration {
+		d := time.Duration(math.MaxInt64)
+		for range 3 {
+			start := time.Now()
+			col, err := int64Column(b, "a0", k)
+			d = min(d, time.Since(start))
+			if err != nil || !slices.Equal(col, []int64{0}) {
+				t.Fatalf("k=%d: (%v, %v), want ([0], nil)", k, col, err)
+			}
+		}
+		return d
+	}
+	one, seven := best(1), best(7)
+	if seven > 10*one+200*time.Millisecond {
+		t.Fatalf("7 parts took %v, one part %v", seven, one)
 	}
 }
 

@@ -38,6 +38,7 @@ import (
 	"slices"
 
 	"pitract/internal/core"
+	"pitract/internal/parts"
 )
 
 const (
@@ -525,20 +526,40 @@ func (w *keyWriter) push(xs ...uint64) error {
 	return nil
 }
 
-// bytes stores the words still in registers, counts the samples and returns
+// bytes merges the words still in registers, counts the samples and returns
 // the file, once all n keys are in.
 func (w *keyWriter) bytes() ([]byte, error) {
 	if w.i != w.n {
 		return nil, errKeyFileCorrupt
 	}
-	if w.n > 0 {
-		binary.LittleEndian.PutUint64(w.pd[w.high+8*int(w.hw):], w.hbuf)
-	}
-	if w.lbits > 0 {
-		binary.LittleEndian.PutUint64(w.pd[w.low+8*int(w.lw):], w.lbuf)
-	}
+	w.flush()
 	w.fillSamples()
 	return w.pd, nil
+}
+
+// flush ORs the high and the low word still in registers into the file: a
+// writer stores a word whole only once it has moved past it, so the words it
+// ends in may also hold the bits of the part after it (keyFileParts).
+func (w *keyWriter) flush() {
+	if w.n > 0 {
+		orBits(w.pd[w.high:], 64*w.hw, 64, w.hbuf)
+	}
+	if w.lbits > 0 {
+		orBits(w.pd[w.low:], 64*w.lw, 64, w.lbuf)
+	}
+}
+
+// seek places w at key a of keys, the keys its file is laid out over: the
+// key before it for the order check, and the words key a's high bit and low
+// bits go in, with nothing in them yet. So w stores no word before key a's
+// and none holding bits of a key before it.
+func (w *keyWriter) seek(keys []int64, a int) {
+	w.i = uint64(a)
+	if a > 0 {
+		w.prev = biasKey(keys[a-1])
+	}
+	w.hw, w.hbuf = ((biasKey(keys[a])-w.origin)>>w.l+w.i)>>6, 0
+	w.lw, w.lbits, w.lbuf = w.i*w.l>>6, w.i*w.l&63, 0
 }
 
 // fillSamples writes the sample table from the finished high bits: sample k
@@ -558,8 +579,18 @@ func (f *keyFile) fillSamples() {
 	}
 }
 
-// keyFileBytes lays out Π over keys, ascending and distinct.
+// keyFileBytes lays out Π over keys, ascending and distinct, in parts for
+// many keys (keyFileParts).
 func keyFileBytes(keys []int64) ([]byte, error) {
+	return keyFileParts(keys, parts.For(8*len(keys)))
+}
+
+// keyFileParts is keyFileBytes with the keys cut into k parts by index. Part
+// j writes the high and low words of its keys straight into the file —
+// every word it moves past, which no other part stores — and keeps the two
+// it ends in, which the next part may share; those are ORed in after the
+// join, then the samples are counted from the finished high bits.
+func keyFileParts(keys []int64, k int) ([]byte, error) {
 	if err := checkKeyCount(uint64(len(keys))); err != nil {
 		return nil, err
 	}
@@ -567,19 +598,51 @@ func keyFileBytes(keys []int64) ([]byte, error) {
 		return newKeyWriter(0, 0, 0).bytes()
 	}
 	w := newKeyWriter(uint64(len(keys)), biasKey(keys[0]), biasKey(keys[len(keys)-1]))
-	var block [keyBlock]uint64
-	for len(keys) > 0 {
-		b := block[:min(len(keys), keyBlock)]
-		for j := range b {
-			b[j] = biasKey(keys[j])
-		}
-		if err := w.push(b...); err != nil {
-			return nil, err
-		}
-		keys = keys[len(b):]
+	k = min(k, len(keys))
+	kl := keyLayout{w: w, keys: keys, k: k, ends: make([]keyWriter, k)}
+	if !parts.Fold(k, kl, writeKeyPart, both) {
+		return nil, errKeyFileCorrupt
 	}
-	return w.bytes()
+	for j := range kl.ends {
+		kl.ends[j].flush()
+	}
+	w.i = w.n
+	w.fillSamples()
+	return w.pd, nil
 }
+
+// keyLayout is a key file being written in k parts; ends[j] is part j's
+// writer once it has pushed its last key.
+type keyLayout struct {
+	w    *keyWriter
+	keys []int64
+	k    int
+	ends []keyWriter
+}
+
+// writeKeyPart pushes part j of kl's keys, a block at a time, through a copy
+// of the writer sought to the part's first key, and reports whether every
+// key was in order.
+func writeKeyPart(kl keyLayout, j int) bool {
+	a, b := parts.Cut(len(kl.keys), kl.k, j), parts.Cut(len(kl.keys), kl.k, j+1)
+	w := &kl.ends[j]
+	*w = *kl.w
+	w.seek(kl.keys, a)
+	var block [keyBlock]uint64
+	for keys := kl.keys[a:b]; len(keys) > 0; {
+		blk := block[:min(len(keys), keyBlock)]
+		for i := range blk {
+			blk[i] = biasKey(keys[i])
+		}
+		if w.push(blk...) != nil {
+			return false
+		}
+		keys = keys[len(blk):]
+	}
+	return true
+}
+
+func both(a, b bool) bool { return a && b }
 
 // radixMin is the length below which dedupSorted leaves the sort to
 // slices.Sort: a radix pass costs a 256-entry count whatever n is.
@@ -594,25 +657,28 @@ const radixMin = 256
 // From radixMin keys on, one pass finds the smallest and the largest key and
 // the bits in which some key differs from the first. A dense set — its span
 // hi−lo under 64 values a key, as 2²⁰ keys below 2²² are — is sorted through a
-// bitmap over the span (dedupDense): one pass sets the bits, one scan reads
-// them back, and the bitmap is never longer than keys. Any other set is an
-// LSD radix sort over the biased key, a byte a pass, with a pass only for
-// the bytes in which some two keys differ, so it costs O(n) per varying byte
-// and no input takes more than eight; the passes alternate between keys and
-// one scratch slice of the same length. Either way the one allocation is at
-// most len(keys) words.
+// bitmap over the span (dedupDense), in parts for many keys. Any
+// other set is an LSD radix sort over the biased key, a byte a pass, with a
+// pass only for the bytes in which some two keys differ, so it costs O(n) per
+// varying byte and no input takes more than eight; the passes alternate
+// between keys and one scratch slice of the same length. Either way the
+// scratch is at most len(keys) words.
 func dedupSorted(keys []int64) []int64 {
+	return dedupSortedParts(keys, parts.For(8*len(keys)))
+}
+
+// dedupSortedParts is dedupSorted with a dense set's bitmap built and read in
+// k parts.
+func dedupSortedParts(keys []int64, k int) []int64 {
 	if len(keys) < radixMin {
 		slices.Sort(keys)
 		return slices.Compact(keys)
 	}
-	lo, hi, diff := keys[0], keys[0], uint64(0)
-	for _, k := range keys {
-		lo, hi = min(lo, k), max(hi, k)
-		diff |= uint64(k ^ keys[0])
-	}
+	k = min(k, len(keys))
+	sp := parts.Fold(k, keySpan{keys: keys, k: k}, readKeySpan, joinKeySpans)
+	lo, hi, diff := sp.lo, sp.hi, sp.diff
 	if span := uint64(hi) - uint64(lo); span/64 < uint64(len(keys)) {
-		return dedupDense(keys, lo, span)
+		return dedupDense(keys, lo, span, k)
 	}
 	src, dst := keys, make([]int64, len(keys))
 	for shift := 0; shift < 64; shift += 8 {
@@ -640,27 +706,113 @@ func dedupSorted(keys []int64) []int64 {
 	return slices.Compact(keys)
 }
 
-// dedupDense is dedupSorted over keys in [lo, lo+span], span/64 < len(keys):
-// bit k−lo of a span/64+1-word bitmap is set for each key k, and the set bits
-// are written back over keys in ascending order. Offsets are taken in uint64,
-// so a span that crosses zero or reaches either end of int64 wraps back
-// exactly.
-func dedupDense(keys []int64, lo int64, span uint64) []int64 {
-	set := make([]uint64, span/64+1)
-	for _, k := range keys {
-		x := uint64(k) - uint64(lo)
-		set[x/64] |= 1 << (x % 64)
+// keySpan is the first pass of dedupSorted over keys in k parts: the
+// smallest and the largest key, and the bits in which some key differs from
+// keys[0].
+type keySpan struct {
+	keys   []int64
+	k      int
+	lo, hi int64
+	diff   uint64
+}
+
+// readKeySpan is part j's keySpan.
+func readKeySpan(sp keySpan, j int) keySpan {
+	part := sp.keys[parts.Cut(len(sp.keys), sp.k, j):parts.Cut(len(sp.keys), sp.k, j+1)]
+	first := sp.keys[0]
+	lo, hi, diff := part[0], part[0], uint64(0)
+	for _, k := range part {
+		lo, hi = min(lo, k), max(hi, k)
+		diff |= uint64(k ^ first)
 	}
-	n := 0
-	for w, word := range set {
-		for base := uint64(lo) + 64*uint64(w); word != 0; word &= word - 1 {
-			keys[n] = int64(base + uint64(bits.TrailingZeros64(word)))
-			n++
-		}
+	return keySpan{lo: lo, hi: hi, diff: diff}
+}
+
+func joinKeySpans(a, b keySpan) keySpan {
+	return keySpan{lo: min(a.lo, b.lo), hi: max(a.hi, b.hi), diff: a.diff | b.diff}
+}
+
+// dedupDense is dedupSorted over keys in [lo, lo+span], span/64 < len(keys),
+// in k parts: part j sets bit x−lo of a private bitmap of span/64+1 words for
+// each key x of its share of keys; the k bitmaps are ORed into the first, and
+// the set bits written back over keys in ascending order, each part reading
+// a range of bitmap words from the offset the popcounts of the ranges before
+// it give. Offsets are taken in uint64, so a span that crosses zero or
+// reaches either end of int64 wraps back exactly. A part is given at least
+// four keys a bitmap word, so that its share of the keys outweighs the
+// bitmap it allocates and ORs in, and the bitmaps together are a quarter of
+// len(keys) words at most; at k = 1 — and for a span of more than 8 values
+// a key, whatever k was asked — there is one bitmap, no merge, and the
+// bitmap is the one allocation.
+func dedupDense(keys []int64, lo int64, span uint64, k int) []int64 {
+	words := int(span/64 + 1)
+	k = max(1, min(k, len(keys)/(4*words)))
+	ds := denseSort{keys: keys, lo: lo, words: words, k: k, set: make([]uint64, k*words)}
+	parts.Run(k, ds, setDenseBits)
+	if k > 1 {
+		ds.counts = make([]int, k)
+		parts.Run(k, ds, mergeDenseBits)
 	}
+	n := parts.Fold(k, ds, readDenseBits, add)
 	clear(keys[n:])
 	return keys[:n]
 }
+
+// denseSort is a dense sort in k parts: set holds k bitmaps of words words,
+// and counts[j] the keys in part j's range of the merged one.
+type denseSort struct {
+	keys     []int64
+	lo       int64
+	words, k int
+	set      []uint64
+	counts   []int
+}
+
+// setDenseBits sets the bits of part j's share of the keys in bitmap j.
+func setDenseBits(ds denseSort, j int) {
+	set := ds.set[j*ds.words : (j+1)*ds.words]
+	for _, k := range ds.keys[parts.Cut(len(ds.keys), ds.k, j):parts.Cut(len(ds.keys), ds.k, j+1)] {
+		x := uint64(k) - uint64(ds.lo)
+		set[x/64] |= 1 << (x % 64)
+	}
+}
+
+// mergeDenseBits ORs part j's range of words of every bitmap into the first
+// and counts its keys.
+func mergeDenseBits(ds denseSort, j int) {
+	a, b := parts.Cut(ds.words, ds.k, j), parts.Cut(ds.words, ds.k, j+1)
+	merged := ds.set[a:b]
+	for i := 1; i < ds.k; i++ {
+		for w, x := range ds.set[i*ds.words+a : i*ds.words+b] {
+			merged[w] |= x
+		}
+	}
+	n := 0
+	for _, x := range merged {
+		n += bits.OnesCount64(x)
+	}
+	ds.counts[j] = n
+}
+
+// readDenseBits writes the keys of part j's range of the merged bitmap over
+// keys, from the offset the ranges before it fill, and returns how many.
+func readDenseBits(ds denseSort, j int) int {
+	a, b := parts.Cut(ds.words, ds.k, j), parts.Cut(ds.words, ds.k, j+1)
+	n := 0
+	for _, c := range ds.counts[:j] {
+		n += c
+	}
+	start := n
+	for w, word := range ds.set[a:b] {
+		for base := uint64(ds.lo) + 64*uint64(a+w); word != 0; word &= word - 1 {
+			ds.keys[n] = int64(base + uint64(bits.TrailingZeros64(word)))
+			n++
+		}
+	}
+	return n - start
+}
+
+func add(a, b int) int { return a + b }
 
 // checkKeyCount refuses a key set the 32-bit samples cannot count.
 func checkKeyCount(n uint64) error {

@@ -8,6 +8,7 @@ package schemes
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -16,6 +17,7 @@ import (
 	"testing"
 
 	"pitract/internal/core"
+	"pitract/internal/relation"
 )
 
 // fuzzKeys reads keys from b as a varint stream of steps, each key the
@@ -166,22 +168,130 @@ func keyShapes() map[string][]int64 {
 
 // FuzzSortedKeys: any key set, any edit — every probe equals sort.Search, and
 // insert and delete ApplyDelta give the bytes Preprocess gives the edited set.
+// The set is also sorted and laid out in k parts, k from 1 to 8 drawn by the
+// fuzzer, which must give the one-part keys and bytes.
 func FuzzSortedKeys(f *testing.F) {
 	for _, keys := range keyShapes() {
 		keys = keys[:min(len(keys), 48)] // small seeds keep minimising quick
-		f.Add(fuzzKeyBytes(keys), fuzzKeyBytes(nil))
-		f.Add(fuzzKeyBytes(keys), fuzzKeyBytes([]int64{math.MinInt64, -1, 0, 5, 1 << 40, math.MaxInt64}))
+		f.Add(fuzzKeyBytes(keys), fuzzKeyBytes(nil), uint8(0))
+		f.Add(fuzzKeyBytes(keys), fuzzKeyBytes([]int64{math.MinInt64, -1, 0, 5, 1 << 40, math.MaxInt64}), uint8(2))
 		if len(keys) > 2 {
-			f.Add(fuzzKeyBytes(keys), fuzzKeyBytes([]int64{keys[0], keys[len(keys)/2], keys[len(keys)-1]}))
-			f.Add(fuzzKeyBytes(keys), fuzzKeyBytes([]int64{keys[len(keys)/3] + 1, keys[len(keys)/2]}))
+			f.Add(fuzzKeyBytes(keys), fuzzKeyBytes([]int64{keys[0], keys[len(keys)/2], keys[len(keys)-1]}), uint8(6))
+			f.Add(fuzzKeyBytes(keys), fuzzKeyBytes([]int64{keys[len(keys)/3] + 1, keys[len(keys)/2]}), uint8(1))
 		}
 	}
-	f.Fuzz(func(t *testing.T, set, edit []byte) {
+	f.Fuzz(func(t *testing.T, set, edit []byte, k uint8) {
 		keys := dedupSorted(fuzzKeys(set))
 		pd := mustKeyFile(t, keys)
+		checkParts(t, fuzzKeys(set), 1+int(k%8))
 		checkProbes(t, pd, keys)
 		checkEdit(t, pd, keys, fuzzKeys(edit))
 	})
+}
+
+// checkParts holds the sort of keys (a copy) and the key file of the result
+// in k parts to the one-part ones: the same distinct keys, a prefix of the
+// caller's slice with the rest zeroed, and the same bytes.
+func checkParts(t *testing.T, keys []int64, k int) {
+	t.Helper()
+	want := dedupSortedParts(slices.Clone(keys), 1)
+	in := slices.Clone(keys)
+	got := dedupSortedParts(in, k)
+	if !slices.Equal(got, want) {
+		t.Fatalf("%d keys in %d parts: %d distinct, one part %d", len(keys), k, len(got), len(want))
+	}
+	if len(got) > 0 && &got[0] != &in[0] || slices.ContainsFunc(in[len(got):], func(x int64) bool { return x != 0 }) {
+		t.Fatalf("%d keys in %d parts: the result is not a prefix of the caller's slice with the rest zeroed", len(keys), k)
+	}
+	wantPi, wantErr := keyFileParts(want, 1)
+	gotPi, err := keyFileParts(want, k)
+	if !bytes.Equal(gotPi, wantPi) || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Fatalf("%d keys in %d parts: Π %x (%v), one part %x (%v)", len(want), k, gotPi, err, wantPi, wantErr)
+	}
+}
+
+// TestKeyPartsMatchOnePart runs checkParts at k = 2, 3 and 7 on the key sets
+// whose cuts fall awkwardly: keys on both sides of every bitmap word edge, a
+// dense run whose file has L = 0, fewer keys than a high word holds (every
+// part in one word, which they all share), the point workload's shape, the
+// dense shapes at both ends of int64, a wide set (radix passes after the
+// first), and every shape keyShapes has.
+func TestKeyPartsMatchOnePart(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	sets := map[string][]int64{}
+	for name, keys := range keyShapes() {
+		sets["shape-"+name] = keys
+	}
+	var edges []int64
+	for w := int64(1); w <= 40; w++ {
+		edges = append(edges, -5000+64*w-1, -5000+64*w)
+	}
+	for range 300 {
+		edges = append(edges, -5000+rng.Int63n(64*41))
+	}
+	sets["word-edges"] = edges
+	run := make([]int64, 1000)
+	for i := range run {
+		run[i] = int64(len(run) - i)
+	}
+	sets["dense-L0"] = run
+	sets["one-high-word"] = []int64{9, 3, 7, 1, 5, 2}
+	point := make([]int64, 1<<14)
+	for i := range point {
+		point[i] = rng.Int63n(1 << 16)
+	}
+	sets["point"] = point
+	for name, base := range map[string]int64{"at-min": math.MinInt64, "to-max": math.MaxInt64 - 3000} {
+		keys := make([]int64, 600)
+		for i := range keys {
+			keys[i] = base + rng.Int63n(3001)
+		}
+		sets[name] = keys
+	}
+	wide := make([]int64, 700)
+	for i := range wide {
+		wide[i] = rng.Int63() - rng.Int63()
+	}
+	sets["wide"] = wide
+	for name, keys := range sets {
+		for _, k := range []int{2, 3, 7} {
+			t.Run(fmt.Sprintf("%s/k=%d", name, k), func(t *testing.T) { checkParts(t, keys, k) })
+		}
+	}
+	// Out of order, in one part or across the edge between two, is refused
+	// whatever k is.
+	for _, bad := range [][]int64{{1, 2, 3, 5, 4, 6, 7, 8}, {1, 2, 3, 4, 4, 5, 6, 7}} {
+		for _, k := range []int{1, 2, 3, 7} {
+			if _, err := keyFileParts(bad, k); err == nil {
+				t.Fatalf("%v in %d parts: laid out", bad, k)
+			}
+		}
+	}
+}
+
+// TestPreprocessPartsMatchOnePart: Π of the point scheme, the column sorted
+// and laid out in k parts, is the bytes Preprocess gives.
+func TestPreprocessPartsMatchOnePart(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	keys := make([]int64, 1<<15)
+	for i := range keys {
+		keys[i] = rng.Int63n(1 << 17)
+	}
+	d := RelationFromKeys(keys)
+	want, err := PointSelectionScheme().Preprocess(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{2, 3, 7} {
+		col, err := relation.Int64Column(d, "key")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := keyFileParts(dedupSortedParts(col, k), k)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("k=%d: Π differs from Preprocess's (%v)", k, err)
+		}
+	}
 }
 
 // TestKeysDeltaTakesBothPaths walks random insert and delete batches over
@@ -442,16 +552,17 @@ func TestSortedDistinctMatchesSort(t *testing.T) {
 // FuzzDedupSorted holds dedupSorted to slices.Sort and slices.Compact on
 // radixMin keys and more, drawn by the fuzz bytes from [base, base+span]
 // (wrapping past MaxInt64): as span moves across 64 keys a key, the sort
-// moves between the bitmap and the radix passes. The result must be a prefix
-// of the caller's slice.
+// moves between the bitmap and the radix passes. The keys are sorted in k
+// parts, k from 1 to 8 drawn by the fuzzer. The result must be a prefix of
+// the caller's slice.
 func FuzzDedupSorted(f *testing.F) {
-	f.Add(int64(0), uint64(4*radixMin), []byte{1, 2, 3})
-	f.Add(int64(-7), uint64(64*radixMin-64), []byte("dense"))
-	f.Add(int64(-7), uint64(64*radixMin), []byte("radix"))
-	f.Add(int64(math.MinInt64), uint64(100), []byte{0xff})
-	f.Add(int64(math.MaxInt64-1000), uint64(1000), []byte{0, 0, 0, 0, 0, 0, 0, 1})
-	f.Add(int64(math.MinInt64), uint64(math.MaxUint64), []byte("every key"))
-	f.Fuzz(func(t *testing.T, base int64, span uint64, b []byte) {
+	f.Add(int64(0), uint64(4*radixMin), []byte{1, 2, 3}, uint8(0))
+	f.Add(int64(-7), uint64(64*radixMin-64), []byte("dense"), uint8(1))
+	f.Add(int64(-7), uint64(64*radixMin), []byte("radix"), uint8(2))
+	f.Add(int64(math.MinInt64), uint64(100), []byte{0xff}, uint8(6))
+	f.Add(int64(math.MaxInt64-1000), uint64(1000), []byte{0, 0, 0, 0, 0, 0, 0, 1}, uint8(3))
+	f.Add(int64(math.MinInt64), uint64(math.MaxUint64), []byte("every key"), uint8(4))
+	f.Fuzz(func(t *testing.T, base int64, span uint64, b []byte, k uint8) {
 		keys := make([]int64, radixMin+min(len(b), 1<<12))
 		for i := range keys {
 			x := uint64(i) * 0x9e37_79b9_7f4a_7c15
@@ -464,9 +575,9 @@ func FuzzDedupSorted(f *testing.F) {
 			keys[i] = int64(uint64(base) + x)
 		}
 		want := slices.Compact(slices.Sorted(slices.Values(keys)))
-		got := dedupSorted(keys)
+		got := dedupSortedParts(keys, 1+int(k%8))
 		if !slices.Equal(got, want) {
-			t.Fatalf("base %d, span %d, %d keys: %d distinct, want %d", base, span, len(keys), len(got), len(want))
+			t.Fatalf("base %d, span %d, %d keys in %d parts: %d distinct, want %d", base, span, len(keys), 1+k%8, len(got), len(want))
 		}
 		if &got[0] != &keys[0] {
 			t.Fatalf("base %d, span %d: the result is not a prefix of the caller's slice", base, span)

@@ -98,6 +98,8 @@ func SelectionLanguage() core.Language {
 // path in string form: a few linear passes of preprocessing (the key column
 // read out of D's bytes whole tuples at a time, sorted, laid out), then a
 // sample, a few words of high bits and a search of one bucket per answer.
+// Each pass runs in a few parts per P over a D of half a megabyte and more
+// (internal/parts), and Π is the bytes one part lays out.
 //
 // The sort (dedupSorted) is O(|D|) through a bitmap when the keys span fewer
 // than 64 values a key, and O(|D|·b) otherwise, b ≤ 8 the key bytes that

@@ -200,13 +200,17 @@ func TestQueryDecodeTakesTheFastPath(t *testing.T) {
 // FuzzStdBase64: on the content of an arbitrary JSON string, the fused
 // kernel declines or returns exactly base64.StdEncoding.Decode's bytes — it
 // never accepts what the standard decoder refuses — and it never declines
-// what base64.StdEncoding.EncodeToString emits.
+// what base64.StdEncoding.EncodeToString emits. The two-quanta loop a
+// registration's data runs in parts (quanta) accepts the whole pairs of
+// quanta of the content exactly when every byte is of the alphabet, and
+// decodes them to the standard decoder's bytes.
 func FuzzStdBase64(f *testing.F) {
 	for _, s := range []string{
 		"", "QQ==", "QUI=", "QUJD", "QUJDRA==", "QUJDREU=", "QR==", "QUL=",
 		"Q", "QQ", "QUJ", "QQ=", "=", "==", "====", "x===", "=QQ=", "QQ=Q",
 		"QQ==QQ==", "QUJD=", "QUJD====", "QUJ\"D", "QU\\JD", "QUJD\r\n",
 		"QU\nJD", "-_-_", "QUJD\x00", "QUJD\xff", "QUJDRA==\"tail", "\"",
+		"QUJDREVGR0hJSktMTU5P", "QUJDREVGR0h-SktMTU5P", "QUJDREVGR0hJSktMTU5PUQ==",
 	} {
 		f.Add([]byte(s))
 	}
@@ -225,6 +229,16 @@ func FuzzStdBase64(f *testing.F) {
 			if !bytes.Equal(dst[:n], want) {
 				t.Fatalf("%q: decoded %x, the standard decoder %x", s, dst[:n], want)
 			}
+		}
+		whole := s[:len(s)/8*8]
+		dst = make([]byte, len(whole)/4*3)
+		alphabet := !bytes.ContainsFunc(whole, func(r rune) bool {
+			return !strings.ContainsRune("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", r)
+		})
+		if ok := quanta(dst, whole); ok != alphabet {
+			t.Fatalf("%q: quanta says %v, the alphabet %v", whole, ok, alphabet)
+		} else if want, err := base64.StdEncoding.DecodeString(string(whole)); ok && (err != nil || !bytes.Equal(dst, want)) {
+			t.Fatalf("%q: quanta decoded %x, the standard decoder %x (%v)", whole, dst, want, err)
 		}
 		enc := []byte(base64.StdEncoding.EncodeToString(s) + `"`)
 		dst = make([]byte, base64.StdEncoding.DecodedLen(len(enc)))

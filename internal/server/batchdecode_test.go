@@ -10,6 +10,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -556,13 +557,15 @@ func serveRegister(body []byte, limit int64) (int, string) {
 // rest of the handler would: a refusal with the reference's status and
 // error text, an accepted body exactly as the canonical encoding of what the
 // reference decodes it to.
+//
+// The data is decoded in k parts, k from 1 to 8 drawn by the fuzzer.
 func FuzzRegisterDecode(f *testing.F) {
-	for _, s := range registerDecodeSeeds() {
-		f.Add([]byte(s))
+	for i, s := range registerDecodeSeeds() {
+		f.Add([]byte(s), uint8(i))
 	}
-	f.Fuzz(func(t *testing.T, body []byte) {
+	f.Fuzz(func(t *testing.T, body []byte, k uint8) {
 		want, err := referenceRegister(body)
-		if got, ok := decodeRegister(body); ok {
+		if got, ok := decodeRegisterParts(body, 1+int(k%8)); ok {
 			if err != nil {
 				t.Fatalf("accepted %q, which the reference rejects: %v", body, err)
 			}
@@ -597,6 +600,40 @@ func FuzzRegisterDecode(f *testing.F) {
 			t.Fatalf("body %q:\n got %d %s\nwant %d %s", body, status, resp, wantStatus, wantResp)
 		}
 	})
+}
+
+// TestRegisterDecodePartsMatchOnePart decodes registration bodies whose
+// data is canonical base64 of every length from 0 to 96 bytes, and each
+// with one flaw — a byte outside the alphabet, padding inside, the padding
+// cut, an escape, no closing quote — at the start, the middle and the end,
+// in 2, 3 and 7 parts: the same request, or the same decline, as one part.
+func TestRegisterDecodePartsMatchOnePart(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	for n := 0; n <= 96; n++ {
+		data := make([]byte, n)
+		rng.Read(data)
+		enc := base64.StdEncoding.EncodeToString(data)
+		variants := []string{enc}
+		for _, at := range []int{0, len(enc) / 2, max(0, len(enc)-1)} {
+			variants = append(variants,
+				enc[:at]+"*"+enc[min(at+1, len(enc)):],
+				enc[:at]+"="+enc[min(at+1, len(enc)):],
+				enc[:at]+`\u0041`+enc[min(at+1, len(enc)):])
+		}
+		variants = append(variants, strings.TrimRight(enc, "="), enc+`"`)
+		for _, v := range variants {
+			body := []byte(`{"id":"k","data":"` + v + `","scheme":"s"}`)
+			want, wantOK := decodeRegisterParts(body, 1)
+			if wantOK && v == enc && !bytes.Equal(want.Data, data) {
+				t.Fatalf("%d bytes: decoded %x, want %x", n, want.Data, data)
+			}
+			for _, k := range []int{2, 3, 7} {
+				if got, ok := decodeRegisterParts(body, k); ok != wantOK || !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s in %d parts: %#v (ok=%v), one part %#v (ok=%v)", body, k, got, ok, want, wantOK)
+				}
+			}
+		}
+	}
 }
 
 // TestRegisterDecodeTakesTheFastPath: what json.Marshal(RegisterRequest)
@@ -668,4 +705,34 @@ func pairBatchBody(n int) []byte {
 	}
 	body, _ := json.Marshal(req)
 	return body
+}
+
+// BenchmarkRegisterDecode times the registration body point_single posts —
+// RelationFromKeys of 2²⁰ keys drawn below 2²², about 9.4 MB of base64 — by
+// the reference decoder and by the one-pass one (run at -cpu 1,2: the data
+// is decoded in one part per P). It uses only names the parent of the
+// k-part kernel had, so the same file times either side.
+func BenchmarkRegisterDecode(b *testing.B) {
+	rng := rand.New(rand.NewSource(2501))
+	keys := make([]int64, 1<<20)
+	for i := range keys {
+		keys[i] = rng.Int63n(1 << 22)
+	}
+	body, _ := json.Marshal(RegisterRequest{ID: "k", Scheme: "point-selection/sorted-keys", Data: schemes.RelationFromKeys(keys)})
+	b.Run("reference", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		for b.Loop() {
+			if _, err := referenceRegister(body); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("onepass", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		for b.Loop() {
+			if _, ok := decodeRegister(body); !ok {
+				b.Fatal("declined")
+			}
+		}
+	})
 }

@@ -18,6 +18,7 @@ import (
 	"hash/crc32"
 	"net/url"
 	"path/filepath"
+	"time"
 
 	"pitract/internal/core"
 	"pitract/internal/store"
@@ -210,50 +211,60 @@ func (ss *ShardedStore) Encode(scheme *core.Scheme, sum store.DataChecksum, c *s
 // scheme can prepare its view from — is a *store.CorruptArtifactError at the
 // manifest's path, the one file there is to quarantine.
 func LoadShardedFS(fsys store.FS, dir, id string, scheme *core.Scheme) (*ShardedStore, error) {
+	ss, _, err := loadSharded(fsys, dir, id, scheme)
+	return ss, err
+}
+
+// loadSharded is LoadShardedFS, and how long it took to read and decode the
+// manifest and every member snapshot in it: the sharded snapshot_load, as
+// LoadFS is the plain one. Open, which follows, is warm's.
+func loadSharded(fsys store.FS, dir, id string, scheme *core.Scheme) (*ShardedStore, time.Duration, error) {
 	maniPath := ManifestPath(dir, id)
+	start := time.Now()
 	mb, err := fsys.ReadFile(maniPath)
 	if err != nil {
-		return nil, fmt.Errorf("shard: open %q: %w", id, err)
+		return nil, 0, fmt.Errorf("shard: open %q: %w", id, err)
 	}
 	corrupt := func(err error) error {
 		return &store.CorruptArtifactError{Path: maniPath, Err: fmt.Errorf("shard: open %q: %w", id, err)}
 	}
 	m, err := DecodeManifest(mb)
 	if err != nil {
-		return nil, corrupt(err)
+		return nil, 0, corrupt(err)
 	}
 	sh := ForScheme(m.SchemeName)
 	if m.SchemeName != scheme.Name() || sh == nil {
-		return nil, fmt.Errorf("shard: open %q: manifest scheme %s, want %s in sharded form: %w", id, m.SchemeName, scheme.Name(), store.ErrStale)
+		return nil, 0, fmt.Errorf("shard: open %q: manifest scheme %s, want %s in sharded form: %w", id, m.SchemeName, scheme.Name(), store.ErrStale)
 	}
 	asn, err := DecodeAssignment(m.Assignment)
 	if err != nil {
-		return nil, corrupt(err)
+		return nil, 0, corrupt(err)
 	}
 	if asn.Shards() != len(m.Shards) {
-		return nil, corrupt(fmt.Errorf("assignment has %d shards, manifest %d", asn.Shards(), len(m.Shards)))
+		return nil, 0, corrupt(fmt.Errorf("assignment has %d shards, manifest %d", asn.Shards(), len(m.Shards)))
 	}
 	members := make([]store.Member, len(m.Shards))
 	for i, enc := range m.Shards {
 		snap, err := store.DecodeSnapshot(enc)
 		if err != nil {
-			return nil, corrupt(fmt.Errorf("shard %d: %w", i, err))
+			return nil, 0, corrupt(fmt.Errorf("shard %d: %w", i, err))
 		}
 		if snap.SchemeName != scheme.Name() {
-			return nil, corrupt(fmt.Errorf("shard %d preprocessed by %s, want %s", i, snap.SchemeName, scheme.Name()))
+			return nil, 0, corrupt(fmt.Errorf("shard %d preprocessed by %s, want %s", i, snap.SchemeName, scheme.Name()))
 		}
 		members[i] = store.Member{Prep: snap.Prep, Sum: snap.DataSum}
 	}
+	decoded := time.Since(start)
 	// A member Π or a summary the manifest vouches for and this build will
 	// not prepare — damage the CRCs cannot see, or a layout an earlier
 	// version wrote — would refuse every answer and be loaded again by every
 	// re-registration.
 	ss := &ShardedStore{Sharding: sh, Asn: asn, Partitioner: m.Partitioner}
 	if ss.Store, err = store.Open(id, scheme, m.DataSum, ss, m.Version, m.Summary, members); err != nil {
-		return nil, corrupt(err)
+		return nil, 0, corrupt(err)
 	}
 	ss.Loaded = true
-	return ss, nil
+	return ss, decoded, nil
 }
 
 // RegisterSharded registers data under id as n partitioned stores behind
@@ -292,13 +303,14 @@ func RegisterShardedContext(ctx context.Context, r *store.Registry, id string, s
 	want := func() store.Key { return store.Key{Scheme: scheme.Name(), Sum: sum, Layout: describe(n, p.Name())} }
 	ds, err := r.RegisterAs(ctx, id, want,
 		func(fsys store.FS, dir string) (store.DeltaDataset, error) {
-			ss, err := LoadShardedFS(fsys, dir, id, scheme)
+			ss, decoded, err := loadSharded(fsys, dir, id, scheme)
 			if err != nil {
 				return nil, err
 			}
 			if want().Mismatch(ss.Key()) != nil {
 				return nil, store.ErrStale
 			}
+			obsSnapshotLoad.Observe(decoded)
 			return ss, nil
 		},
 		func() (store.DeltaDataset, error) {

@@ -55,6 +55,10 @@ var (
 	obsShardFanout = obs.Stage(obs.StageShardFanout)
 	obsShardMerge  = obs.Stage(obs.StageShardMerge)
 	obsPreprocess  = obs.Stage(obs.StagePreprocess)
+	// obsSnapshotLoad is store's snapshot_load stage: the read and decode
+	// of the manifest and its members, as store times LoadFS for a plain
+	// snapshot, recorded for a load that is kept.
+	obsSnapshotLoad = obs.Stage(obs.StageSnapshotLoad)
 )
 
 // Sharding adapts one scheme to a partitioned dataset. Split runs once, at

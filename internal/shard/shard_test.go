@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"pitract/internal/core"
 	"pitract/internal/graph"
@@ -372,6 +373,67 @@ func TestStageTimingsPerLayout(t *testing.T) {
 			if _, m2 := counts(); m2-m1 != want {
 				t.Fatalf("%d Asks and one %d-query AskBatch recorded %d shard_merge observations, want %d",
 					len(tc.queries), len(tc.queries), m2-m1, want)
+			}
+		})
+	}
+}
+
+// TestSnapshotLoadTimesTheLoadOnly reloads, plain and with two shards, a
+// point dataset whose scheme's Prepare sleeps 25 ms: the reload's one
+// snapshot_load observation is the read and decode of the snapshot (or of
+// the manifest and its members) alone, well under the sleep, and the sleep
+// is warm's. A snapshot of other data is read and refused as stale, and a
+// load that is not kept records nothing.
+func TestSnapshotLoadTimesTheLoadOnly(t *testing.T) {
+	const sleep = 25 * time.Millisecond
+	slow := *schemes.PointSelectionScheme() // the same name: the sharded form is found by it
+	prepare := slow.Prepare
+	slow.Prepare = func(pd []byte) (core.Answerer, error) {
+		time.Sleep(sleep)
+		return prepare(pd)
+	}
+	load, warm := obs.Stage(obs.StageSnapshotLoad), obs.Stage(obs.StageWarm)
+	data := schemes.RelationFromKeys([]int64{2, 4, 6, 8, 10, 12})
+	other := schemes.RelationFromKeys([]int64{1, 3})
+	for _, tc := range []struct {
+		name     string
+		register func(*store.Registry, []byte) (store.Dataset, error)
+	}{
+		{"plain", func(r *store.Registry, data []byte) (store.Dataset, error) { return r.Register("d", &slow, data) }},
+		{"sharded", func(r *store.Registry, data []byte) (store.Dataset, error) {
+			return RegisterSharded(r, "d", &slow, HashPartitioner{}, 2, data)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if _, err := tc.register(store.NewRegistry(dir), data); err != nil {
+				t.Fatal(err)
+			}
+			l0, w0 := load.Snapshot(), warm.Snapshot()
+			r := store.NewRegistry(dir)
+			if _, err := tc.register(r, data); err != nil {
+				t.Fatal(err)
+			}
+			if r.LoadCount() == 0 {
+				t.Fatal("the second registration did not reload")
+			}
+			l1, w1 := load.Snapshot(), warm.Snapshot()
+			if n := l1.Count - l0.Count; n != 1 {
+				t.Fatalf("the reload recorded %d snapshot_load observations, want 1", n)
+			}
+			loadNs, warmNs := time.Duration(l1.SumNs-l0.SumNs), time.Duration(w1.SumNs-w0.SumNs)
+			if loadNs >= sleep || warmNs < sleep {
+				t.Fatalf("snapshot_load %v and warm %v around a %v Prepare: want the load under it and warm over it", loadNs, warmNs, sleep)
+			}
+			r = store.NewRegistry(dir)
+			if _, err := tc.register(r, other); err != nil {
+				t.Fatal(err)
+			}
+			if r.LoadCount() != 0 || r.PreprocessCount() == 0 {
+				t.Fatalf("other data: %d loads, %d preprocess calls; want the snapshot refused and D rebuilt", r.LoadCount(), r.PreprocessCount())
+			}
+			if n := load.Snapshot().Count - l1.Count; n != 0 {
+				t.Fatalf("a refused load recorded %d snapshot_load observations, want 0", n)
 			}
 		})
 	}

@@ -280,14 +280,12 @@ func (r *Registry) Recover(id string, load func(fsys FS, dir string) (DeltaDatas
 	fsys, dir := r.med.fs(), r.med.Dir
 	quarantined := false
 	if r.med.persistent() {
-		loadStart := obs.Start()
 		ds, err := load(fsys, dir)
 		for attempt := 1; transient(err) && attempt < rebuildAttempts; attempt++ {
 			rebuildBackoff(attempt)
 			ds, err = load(fsys, dir)
 		}
 		if err == nil {
-			obsSnapshotLoad.Since(loadStart)
 			r.loadCount.Add(int64(ds.ShardCount()))
 			obsSnapshotLoadTotal.Add(int64(ds.ShardCount()))
 			if err := r.replayLog(ds); err != nil {

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"pitract/internal/core"
 	"pitract/internal/obs"
@@ -358,10 +359,12 @@ func (r *Registry) RegisterContext(ctx context.Context, id string, scheme *core.
 	ds, err := r.RegisterAs(ctx, id, want,
 		func(fsys FS, dir string) (DeltaDataset, error) {
 			path := SnapshotPath(dir, id)
+			start := time.Now()
 			snap, err := LoadFS(fsys, path)
 			if err != nil {
 				return nil, err
 			}
+			loaded := time.Since(start)
 			if want().Mismatch(Key{Scheme: snap.SchemeName, Sum: snap.DataSum, Layout: Plain.Describe()}) != nil {
 				return nil, ErrStale
 			}
@@ -378,6 +381,7 @@ func (r *Registry) RegisterContext(ctx context.Context, id string, scheme *core.
 				return nil, &CorruptArtifactError{Path: path, Err: err}
 			}
 			st.Loaded = true
+			obsSnapshotLoad.Observe(loaded)
 			return st, nil
 		},
 		func() (DeltaDataset, error) {
