@@ -103,10 +103,8 @@ func SelectionLanguage() core.Language {
 //
 // The sort (dedupSorted) is O(|D|) through a bitmap when the keys span fewer
 // than 64 values a key, and O(|D|·b) otherwise, b ≤ 8 the key bytes that
-// vary. The PreprocessNote of this scheme, the range scheme and list
-// membership still reads O(|D| log |D|), a bound the cost is under: the note
-// is spelled into every snapshot header (store.NewSnapshot), so a new one
-// would change the bytes of every snapshot these schemes write.
+// vary — the bound the PreprocessNote of this scheme, the range scheme and
+// list membership states.
 func PointSelectionScheme() *core.Scheme {
 	return &core.Scheme{
 		SchemeName: "point-selection/sorted-keys",
@@ -120,7 +118,7 @@ func PointSelectionScheme() *core.Scheme {
 		Prepare:        keyProbe(answerPoint).prepare,
 		ApplyDelta:     applyKeysDelta,
 		ApplyUpdate:    applyRelationKeys,
-		PreprocessNote: "O(|D| log |D|)",
+		PreprocessNote: "O(|D|) through the bitmap, or O(|D|·b) by radix sort, b ≤ 8 varying key bytes",
 		AnswerNote:     keysAnswerNote,
 	}
 }
@@ -168,7 +166,7 @@ func RangeSelectionScheme() *core.Scheme {
 		Prepare:        keyProbe(answerRange).prepare,
 		ApplyDelta:     applyKeysDelta,
 		ApplyUpdate:    applyRelationKeys,
-		PreprocessNote: "O(|D| log |D|)",
+		PreprocessNote: "O(|D|) through the bitmap, or O(|D|·b) by radix sort, b ≤ 8 varying key bytes",
 		AnswerNote:     keysAnswerNote,
 	}
 }
@@ -245,7 +243,7 @@ func ListMembershipScheme() *core.Scheme {
 		Prepare:        keyProbe(answerPoint).prepare,
 		ApplyDelta:     applyKeysDelta,
 		ApplyUpdate:    applyListKeys,
-		PreprocessNote: "O(|M| log |M|)",
+		PreprocessNote: "O(|M|) through the bitmap, or O(|M|·b) by radix sort, b ≤ 8 varying key bytes",
 		AnswerNote:     keysAnswerNote,
 	}
 }

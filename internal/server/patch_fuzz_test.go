@@ -141,35 +141,26 @@ func FuzzApplyDelta(f *testing.F) {
 			}
 		}
 
-		// Each artifact on disk must decode and hold exactly the served Π: the
-		// snapshot, and the manifest with every member inside.
-		snap, err := store.LoadFS(store.OSFS, store.SnapshotPath(dir, plain))
-		if err != nil {
-			t.Fatalf("snapshot corrupted by hostile PATCH: %v", err)
-		}
-		st, ok := srv.Registry().Get(plain)
-		if !ok {
-			t.Fatal("registry entry lost")
-		}
-		if served, _ := st.View(); snap.Version != wantVersion || !bytes.Equal(snap.Prep, served) {
-			t.Fatalf("snapshot at version %d diverged from the Π served at %d", snap.Version, wantVersion)
-		}
-		loaded, err := shard.LoadShardedFS(store.OSFS, dir, sharded, inc)
-		if err != nil {
-			t.Fatalf("manifest corrupted by hostile PATCH: %v", err)
-		}
-		ds, ok := srv.Registry().GetDataset(sharded)
-		if !ok {
-			t.Fatal("registry entry lost")
-		}
-		served := ds.(*shard.ShardedStore).Committed().Members()
-		disk := loaded.Committed().Members()
-		if loaded.Version() != wantVersion || len(disk) != len(served) {
-			t.Fatalf("manifest at version %d with %d members, served %d members at %d", loaded.Version(), len(disk), len(served), wantVersion)
-		}
-		for i := range served {
-			if !bytes.Equal(disk[i].Prep, served[i].Prep) {
-				t.Fatalf("manifest member %d diverged from the served one", i)
+		// Each dataset's file must decode and hold exactly the served Π, every
+		// member of it.
+		for _, id := range []string{plain, sharded} {
+			loaded, err := store.Load(store.OSFS, dir, id, inc, nil, shard.LayoutDecoder(inc))
+			if err != nil {
+				t.Fatalf("%s: file corrupted by hostile PATCH: %v", id, err)
+			}
+			ds, ok := srv.Registry().GetDataset(id)
+			if !ok {
+				t.Fatal("registry entry lost")
+			}
+			served := ds.(interface{ Committed() *store.Committed }).Committed().Members()
+			disk := loaded.(interface{ Committed() *store.Committed }).Committed().Members()
+			if loaded.Version() != wantVersion || len(disk) != len(served) {
+				t.Fatalf("%s: file at version %d with %d members, served %d members at %d", id, loaded.Version(), len(disk), len(served), wantVersion)
+			}
+			for i := range served {
+				if !bytes.Equal(disk[i].Prep, served[i].Prep) {
+					t.Fatalf("%s: member %d diverged from the served one", id, i)
+				}
 			}
 		}
 	})

@@ -627,20 +627,19 @@ func TestStatsSnapshotBytesTracksPatch(t *testing.T) {
 	exact := func() int64 {
 		var total int64
 		for _, id := range []string{"plain", "sharded"} {
+			// The one file a checkpoint writes: the manifest, members inside.
 			ds, _ := srv.Registry().GetDataset(id)
-			switch d := ds.(type) {
-			case *store.Store:
-				total += int64(len(store.EncodeSnapshot(d.Snapshot())))
-			case *shard.ShardedStore:
-				// The one file a checkpoint writes: the manifest, members inside.
-				c := d.Committed()
-				m := &shard.Manifest{SchemeName: d.SchemeName(), DataSum: d.DataSum, Partitioner: d.Partitioner,
-					Assignment: d.Asn.Encode(), Summary: c.Summary(), Version: c.Version()}
-				for i := range c.Members() {
-					m.Shards = append(m.Shards, store.EncodeSnapshot(c.Snapshot(d.Scheme, i)))
-				}
-				total += int64(len(shard.EncodeManifest(m)))
+			st, _ := ds.(*store.Store)
+			var layout []byte
+			if ss, ok := ds.(*shard.ShardedStore); ok {
+				st, layout = ss.Store, ss.Encode()
 			}
+			c := st.Committed()
+			m := &store.Manifest{SchemeName: st.SchemeName(), DataSum: st.DataSum, Layout: layout, Summary: c.Summary(), Version: c.Version()}
+			for i := range c.Members() {
+				m.Members = append(m.Members, store.EncodeSnapshot(c.Snapshot(st.Scheme, i)))
+			}
+			total += int64(len(store.EncodeManifest(m)))
 		}
 		return total
 	}

@@ -268,7 +268,7 @@ func shardFindOp(t *testing.T, trace []string, fragment string, nth int) int {
 // survive and the log must replay the batch.
 func TestCrashKillPointsSharded(t *testing.T) {
 	logPath := store.LogPath(shardCrashDir, shardCrashID)
-	maniPath := ManifestPath(shardCrashDir, shardCrashID)
+	maniPath := store.DatasetPath(shardCrashDir, shardCrashID)
 	for _, cs := range shardCrashSchemes() {
 		for _, p := range []Partitioner{HashPartitioner{}, RangePartitioner{}} {
 			t.Run(cs.name+"/"+p.Name(), func(t *testing.T) {
@@ -351,7 +351,7 @@ func TestCrashShardedReplayAll(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := filepath.Base(ManifestPath(shardCrashDir, shardCrashID)); len(names) != 1 || names[0] != want {
+			if want := filepath.Base(store.DatasetPath(shardCrashDir, shardCrashID)); len(names) != 1 || names[0] != want {
 				t.Fatalf("after the replay checkpoint the directory holds %q, want only %s", names, want)
 			}
 			// A second restart finds the checkpoint and replays nothing.

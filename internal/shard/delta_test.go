@@ -369,7 +369,7 @@ func TestShardedDeltaUnsupportedCleanRefusal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	manifestBefore, err := os.ReadFile(ManifestPath(dir, "g"))
+	manifestBefore, err := os.ReadFile(store.DatasetPath(dir, "g"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ func TestShardedDeltaUnsupportedCleanRefusal(t *testing.T) {
 	if err != nil || after != before {
 		t.Fatalf("registry entry disturbed by refused delta: %v, %v", after, err)
 	}
-	manifestAfter, err := os.ReadFile(ManifestPath(dir, "g"))
+	manifestAfter, err := os.ReadFile(store.DatasetPath(dir, "g"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +417,7 @@ func TestShardedEmptyBatchIsNoOp(t *testing.T) {
 	if err != nil || v != 0 {
 		t.Fatalf("empty batch: version %d, err %v (want 0, nil)", v, err)
 	}
-	if _, err := LoadShardedFS(store.OSFS, dir, "d", inc); err != nil {
+	if _, err := load(store.OSFS, dir, "d", inc); err != nil {
 		t.Fatalf("empty batch broke the persisted checkpoint: %v", err)
 	}
 }
@@ -657,14 +657,14 @@ func TestShardedFiguresComeFromOneCommittedValue(t *testing.T) {
 	}
 	// The snapshot figure is the file a checkpoint of c writes, whole.
 	exact := func(c *store.Committed) (prep, snap int) {
-		file := &Manifest{SchemeName: ss.Scheme.Name(), DataSum: ss.DataSum, Partitioner: ss.Partitioner,
-			Assignment: ss.Asn.Encode(), Summary: c.Summary(), Version: c.Version()}
+		file := &store.Manifest{SchemeName: ss.Scheme.Name(), DataSum: ss.DataSum, Layout: ss.Encode(),
+			Summary: c.Summary(), Version: c.Version()}
 		prep = len(c.Summary())
 		for _, m := range c.Members() {
 			prep += len(m.Prep)
-			file.Shards = append(file.Shards, store.EncodeSnapshot(store.NewSnapshot(ss.Scheme, m.Sum, c.Version(), m.Prep)))
+			file.Members = append(file.Members, store.EncodeSnapshot(&store.Snapshot{SchemeName: ss.Scheme.Name(), DataSum: m.Sum, Version: c.Version(), Prep: m.Prep}))
 		}
-		return prep, len(EncodeManifest(file))
+		return prep, len(store.EncodeManifest(file))
 	}
 	var wg sync.WaitGroup
 	wg.Add(1)

@@ -2,7 +2,7 @@ package shard
 
 // A sharded checkpoint on disk — the manifest and the member snapshots it
 // carries — is held here to SHA-256s. The members' ("file#i": the bytes of
-// DecodeManifest(file).Shards[i]) were computed at the commit before shards
+// store.DecodeManifest(file).Members[i]) were computed at the commit before shards
 // stopped being store.Store values, when each was a file of its own: member
 // snapshots are encoded from the committed value, not by Store.Snapshot, so
 // these digests are the pin that a member's bytes have not moved since. The
@@ -37,9 +37,18 @@ package shard
 //
 // The four whole-manifest digests were recomputed once more when the
 // reachability summary stopped storing what the assignment derives (magic
-// , TestOlderClosureLayoutOnDiskIsRebuilt): the graph case's summary is
-// now n ‖ orientation ‖ cross-edge arc file ‖ overlay, and the keys case's
-// file moved with the magic alone. No member's digest moved.
+// PITRACTM\x05, TestOlderClosureLayoutOnDiskIsRebuilt): the graph case's
+// summary is now n ‖ orientation ‖ cross-edge arc file ‖ overlay, and the
+// keys case's file moved with the magic alone. No member's digest moved.
+//
+// Every file and member digest of both tests was recomputed once more when a
+// dataset became one file format whatever its layout: a plain dataset's file
+// is the manifest with one member (magic PITRACTM\x06, at <id>.pitract, where
+// the sharded one was <id>.pitract-shards), the partitioner and assignment
+// became one layout field, and a member snapshot lost its free-text notes
+// (magic PITRACTS\x05; TestSnapshotLegacyVersionsAreUnknownFormats). Π did
+// not move: under "name#i.pi" each member's Π is held to the digest it had
+// before, and every delta-log digest kept its value.
 
 import (
 	"bytes"
@@ -51,6 +60,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -63,8 +73,8 @@ import (
 )
 
 // generationDigests hashes every durable file of the dataset under dir,
-// keyed by file name — and, under "name#i", every member snapshot a shard
-// manifest carries.
+// keyed by file name — and, under "name#i" and "name#i.pi", every member
+// snapshot a dataset's file carries and that member's Π.
 func generationDigests(t *testing.T, f *faultfs.FS, dir string) map[string]string {
 	t.Helper()
 	names, err := f.ReadDirNames(dir)
@@ -82,13 +92,18 @@ func generationDigests(t *testing.T, f *faultfs.FS, dir string) map[string]strin
 			t.Fatalf("%s is listed but not durable", name)
 		}
 		digest(name, b)
-		if strings.HasSuffix(name, ".pitract-shards") {
-			m, err := DecodeManifest(b)
+		if strings.HasSuffix(name, ".pitract") {
+			m, err := store.DecodeManifest(b)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			for i, member := range m.Shards {
+			for i, member := range m.Members {
+				snap, err := store.DecodeSnapshot(member)
+				if err != nil {
+					t.Fatalf("%s member %d: %v", name, i, err)
+				}
 				digest(fmt.Sprintf("%s#%d", name, i), member)
+				digest(fmt.Sprintf("%s#%d.pi", name, i), snap.Prep)
 			}
 		}
 	}
@@ -152,16 +167,22 @@ func TestShardGenerationBytesUnchanged(t *testing.T) {
 			// One key (one shard), then a run of keys spread over all three.
 			batch: [][]byte{schemes.KeysDelta([]int64{1001}), schemes.KeysDelta([]int64{-99, 3, 4, 5, 6, 2000})},
 			registered: map[string]string{
-				"d.pitract-shards":   "0c2f497a13bf371d911c19aa510da06cc47119257c842da207315f1b5d1c1b82",
-				"d.pitract-shards#0": "2004b68766dcab9e743cdcfee147678738f7912f8d7d362fc186b17482afab25",
-				"d.pitract-shards#1": "4c298b6dea7de257e3ad792943fb3303369f4460e7c50cb7a01521c53d2a403b",
-				"d.pitract-shards#2": "c43f93f939e0c6db1d1e4bd4ea3eb83cc234e8575d929a8cbfcb72cb19941fe6",
+				"d.pitract":      "4ebfcdb1b5c8c02fddb2a012e3336a7346a814c53dd98b5e1e09b0467357271c",
+				"d.pitract#0":    "69bd03f6063b5c16e15fbc73df18e66f2101118565ef84733d8f80644f2d2def",
+				"d.pitract#1":    "e0248dda57577319405e3dc3ce7eccd45e1f591ba4fdd20c0168f6cef9517f9f",
+				"d.pitract#2":    "e6db78f3ccdba06f738f7768f6a822ead36b959759ffb88cdcb57de82387bff1",
+				"d.pitract#0.pi": "fa5a2c738e48e428ff2e446185173f99c5bc55fefa58ac15e7aab09efcf88347",
+				"d.pitract#1.pi": "24260ee506a5a390f207918e39af34ac0f22569d0aaa6c90440cd04ab4ee4af4",
+				"d.pitract#2.pi": "6f9163a646cf8acb29bc5a757becec44de469fcb540870f75020606ce7c02da7",
 			},
 			patched: map[string]string{
-				"d.pitract-shards":   "738d94e251d6f702c5107275575dd35ff7d8c4220b2368892f52ad90e127c8fd",
-				"d.pitract-shards#0": "56df117ebf5801e155d3caa0e4bfce9bb344391405bc327a1e61872525a5e80b",
-				"d.pitract-shards#1": "90b46119ed7f3961fe7b24670279f67c32fbaef07c7a35831bf4722ef97f6262",
-				"d.pitract-shards#2": "f16f61bb1b9212c664ca5a54a2e78cc88979b33f790082fa5ecdb17003b5683a",
+				"d.pitract":      "9933bab30b6c3064343cd22c89aaf9a68315c54efce702448f805860820750cb",
+				"d.pitract#0":    "a41ea748953830b6d40dcd59e3e9c0ac70c4e28f09fece3de5913d6358329f8b",
+				"d.pitract#1":    "efee7ea5943df5d3c68a6aeaaff4b74f206e02b24353e22a352c6b130b779072",
+				"d.pitract#2":    "15bcd98dafb69e7c2421fe3852d2cc27974cb0fd63a4524860a6f7a84d6ebc0d",
+				"d.pitract#0.pi": "240d0d88333da41fa9f18d934e90767ea6439643e5e37a1c0960d5f915f7dcb4",
+				"d.pitract#1.pi": "c91b2838a532f6a9994fe888a74ed59cb4f546ae57bcc8c27f2a9af063ab02a3",
+				"d.pitract#2.pi": "6f9163a646cf8acb29bc5a757becec44de469fcb540870f75020606ce7c02da7",
 			},
 		},
 		{
@@ -171,16 +192,22 @@ func TestShardGenerationBytesUnchanged(t *testing.T) {
 			data:   g.Encode(),
 			batch:  [][]byte{schemes.EdgeDelta(1, 4), schemes.EdgeDelta(11, 12)},
 			registered: map[string]string{
-				"d.pitract-shards":   "44e35a5c5ed6b2b26e719fe4efc14aedc2492512e8233202918affe3196337b8",
-				"d.pitract-shards#0": "03b4a3f9bd998a866fea72a1417d0e6bce7e9d0b2141d6559cca3640190d7c19",
-				"d.pitract-shards#1": "c9b1ffacd256c8c3dffb119d7fa5d315e6bf45b41c3bc25bf620754d7fb81694",
-				"d.pitract-shards#2": "e7556c7041675a7c5ca98f1b8e8bbb3c5613bdbc806046c92d905661cef3fb04",
+				"d.pitract":      "b89cf9d828495931e2063fd66106af3ee651efcc1da0e09932ba80993237fecf",
+				"d.pitract#0":    "f08af1d40e6079586cdd6463d037fc8ee7e4de7ced46739f409fc381fc9b6380",
+				"d.pitract#1":    "2d2f465c9aca18c06d21d172ab8c76ef361de9e8c636790673b9f2e45fa55fc7",
+				"d.pitract#2":    "e17c8614d7e0399ec3541b636565c9554856f7015ecc9e413bd5e6985eef750e",
+				"d.pitract#0.pi": "235905598eef2d073982d7356b4959ee64cb2ae7e6dd5f006473334da0622d06",
+				"d.pitract#1.pi": "c4336666d930f9b675164e50ee575911a986019ccd2f0fb83df79d5497406b98",
+				"d.pitract#2.pi": "e439fc81fa2835add456bd244206fc2bd0fd64a2d88a72cc89b5cec22edcd1b0",
 			},
 			patched: map[string]string{
-				"d.pitract-shards":   "af9b63e8976bac9a0911ec9f090613cf1ce0da3ed00eeb8cd63671259a14fbcf",
-				"d.pitract-shards#0": "ff24142a4e5340b79932de998ce91d7c6786a1e8127cfc73246bdfb21ff096eb",
-				"d.pitract-shards#1": "13580f84969742574341fba3467e5c06389c79177b54519bd42c79daf9c3bcc5",
-				"d.pitract-shards#2": "eb0d98f4d8d5a7b9a6abfa5998393d68066ec7673f7bb04f47545988c5afee5d",
+				"d.pitract":      "b625bc321fee3ecc7be57592650ec9f18a585233c8c2ce8f64a404beb998ee80",
+				"d.pitract#0":    "d30e73f277067e0d3a8cae8d0fd1c4503f77f315cc7b3cb2fed28a1c88917635",
+				"d.pitract#1":    "784c4b6cfecef80c0d2b6b8c7c2090b7350b62ea00c5fc40f867b03fd0623927",
+				"d.pitract#2":    "1e1db9a208c0194712b3b965f6dd824521078bb39e718a9627fe16f73a1227a8",
+				"d.pitract#0.pi": "ae9500284e903921c48ba0db8112c3dc674d02998169834d5383ddf483cb098a",
+				"d.pitract#1.pi": "c4336666d930f9b675164e50ee575911a986019ccd2f0fb83df79d5497406b98",
+				"d.pitract#2.pi": "e439fc81fa2835add456bd244206fc2bd0fd64a2d88a72cc89b5cec22edcd1b0",
 			},
 		},
 	}
@@ -243,9 +270,9 @@ func TestPlainStoreBytesUnchanged(t *testing.T) {
 		scheme  *core.Scheme
 		data    []byte
 		patches [4][][]byte
-		// The snapshot as registered and as checkpointed by PATCH 3; the delta
-		// log after PATCH 1, 2 and 4.
-		registered, checkpointed string
+		// The file, its member and the member's Π as registered and as
+		// checkpointed by PATCH 3; the delta log after PATCH 1, 2 and 4.
+		registered, checkpointed [3]string
 		logs                     [3]string
 	}{
 		{
@@ -258,8 +285,8 @@ func TestPlainStoreBytesUnchanged(t *testing.T) {
 				{schemes.KeysDelta([]int64{-7, 5})},
 				{schemes.KeysDeleteDelta([]int64{2000})},
 			},
-			registered:   "128432e87b837c69064cf79e4220ea2ed52ad40ac0cccafd00eef99bd7a78bdf",
-			checkpointed: "2e0152ce3a004b028b5760ac1dddb46cfe2d9f7a4ea2ad520248498423ca9196",
+			registered:   [3]string{"b988d4987dc19f95121a32071da26939ba21481e62d86896945eeab211617556", "7ad541d3ba48efa9f4626fb0fc8209968b742a355cc9cc630ec9f3a46141ee57", "a6d29f6233f9b2ca30086995b766caa4dd66d06320c23a6309d8cdda8ca6aebb"},
+			checkpointed: [3]string{"b2f3861f383f3ddc18e9f01e6f05743a91c2d4c0e4a16806a09d406a14922a18", "ad1c097ab242011e310b7c783eeef9c53f9bee5805ee705ab7902aa532c4a599", "7621397d5b9655a8c746c07dbc12c761da6cebf06a4b49f1c60c251336d457a4"},
 			logs: [3]string{
 				"05d6a79c45b9089326c8974bf14b102fd26bebd9f5be1e094d1b486252036759",
 				"a5bb5b11e943183ef90fe1fb64fc74735f8a624935792174622703443eba605c",
@@ -276,8 +303,8 @@ func TestPlainStoreBytesUnchanged(t *testing.T) {
 				{schemes.EdgeDelta(7, 8)},
 				{schemes.EdgeDelta(8, 0)},
 			},
-			registered:   "670e08095d308a35699e427e575131c5d43238fa25ba30c45b47435129b27895",
-			checkpointed: "03e2fa77254b4f6742266b4113f17f4093a4c83a4acd628d0dde3f6cfd3776e6",
+			registered:   [3]string{"9aa92654ffec447f137de9b2aa716ac31a8b8a9c2fe6fff7ea9db948244d25f5", "bb9a4055ded408b28d4e910285991ea047b610af98a5129fc514aedf0d200ed6", "114929e92b75b834aef9ed5a80db0fc1a430f2681125110808c27a05137c72af"},
+			checkpointed: [3]string{"c05ce4fe2fe441e127a15925566cee8fad6eef5649f049b51ad4cca09be3d1c3", "645e3708f44262583fb34cef6a12533b7129a1d33317f7daa666b11112db6d41", "8c60702c3bcc45554126e0d9737fc4eb4ad9226b7bcd015eb03bac1e00a27c91"},
 			logs: [3]string{
 				"3d34b458ede341e9baab0bf2c6f2de74c15da3ef0a206ac297ffe7aa96f1d3e6",
 				"9d8aac086136f4c2f51fab88ebc4d07bac61d6a302cd9c5adca8ec23ace024fe",
@@ -289,12 +316,19 @@ func TestPlainStoreBytesUnchanged(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			const dir, id = "/data", "d"
 			// steps[0] is the medium after registration, steps[k] after PATCH k.
+			file := func(digests [3]string, log ...string) map[string]string {
+				m := map[string]string{"d.pitract": digests[0], "d.pitract#0": digests[1], "d.pitract#0.pi": digests[2]}
+				for _, l := range log {
+					m["d.pitract-log"] = l
+				}
+				return m
+			}
 			steps := [5]map[string]string{
-				{"d.pitract": tc.registered},
-				{"d.pitract": tc.registered, "d.pitract-log": tc.logs[0]},
-				{"d.pitract": tc.registered, "d.pitract-log": tc.logs[1]},
-				{"d.pitract": tc.checkpointed},
-				{"d.pitract": tc.checkpointed, "d.pitract-log": tc.logs[2]},
+				file(tc.registered),
+				file(tc.registered, tc.logs[0]),
+				file(tc.registered, tc.logs[1]),
+				file(tc.checkpointed),
+				file(tc.checkpointed, tc.logs[2]),
 			}
 			f := faultfs.New()
 			med := &store.Medium{Dir: dir, FS: f, CheckpointEvery: 3}
@@ -336,7 +370,9 @@ func TestPlainStoreBytesUnchanged(t *testing.T) {
 // with 2-byte class ids and the graph's uvarint encoding. Sharded: a manifest
 // whose summary carries the overlay as P² bits, a PITRACTM\x03 manifest — the
 // version whose overlay gave every class id two bytes — and a PITRACTM\x04
-// one, whose summary stored what the assignment derives.
+// one, whose summary stored what the assignment derives. A PITRACTM\x05
+// manifest, the last written at <id>.pitract-shards, is not at the dataset's
+// path at all: it is neither read nor removed, and the dataset is built anew.
 func TestOlderClosureLayoutOnDiskIsRebuilt(t *testing.T) {
 	g := graph.CommunityGraph(3, 6, 5, 21)
 	data, n := g.Encode(), g.N()
@@ -402,7 +438,7 @@ func TestOlderClosureLayoutOnDiskIsRebuilt(t *testing.T) {
 			if ds.WasLoaded() || reg.PreprocessCount() != 1 || reg.QuarantineCount() != 1 {
 				t.Fatalf("loaded=%v preprocess=%d quarantines=%d, want a rebuild and one quarantine", ds.WasLoaded(), reg.PreprocessCount(), reg.QuarantineCount())
 			}
-			if _, err := os.Stat(store.QuarantinePath(store.SnapshotPath(dir, "g"))); err != nil {
+			if _, err := os.Stat(store.QuarantinePath(store.DatasetPath(dir, "g"))); err != nil {
 				t.Fatalf("the older snapshot was not kept aside: %v", err)
 			}
 			verify(t, ds)
@@ -425,29 +461,30 @@ func TestOlderClosureLayoutOnDiskIsRebuilt(t *testing.T) {
 	// pairs, the portal list and each portal's shard before the overlay.
 	for _, old := range []struct {
 		name, magic string
-		summary     func(t *testing.T, m *Manifest) []byte
+		summary     func(t *testing.T, m *store.Manifest, asn Assignment) []byte
 	}{
-		{"sharded-v3", "PITRACTM\x03", func(_ *testing.T, m *Manifest) []byte { return m.Summary }},
+		{"sharded-v3", "PITRACTM\x03", func(_ *testing.T, m *store.Manifest, _ Assignment) []byte { return m.Summary }},
 		{"sharded-v4", "PITRACTM\x04", v4Summary},
 	} {
 		t.Run(old.name, func(t *testing.T) {
 			scheme := schemes.ReachabilityScheme()
 			dir := t.TempDir()
-			if _, err := RegisterSharded(store.NewRegistry(dir), "s", scheme, RangePartitioner{}, 3, data); err != nil {
-				t.Fatal(err)
-			}
-			mb, err := os.ReadFile(ManifestPath(dir, "s"))
+			built, err := RegisterSharded(store.NewRegistry(dir), "s", scheme, RangePartitioner{}, 3, data)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := DecodeManifest(mb)
+			mb, err := os.ReadFile(store.DatasetPath(dir, "s"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			m.Summary = old.summary(t, m)
-			mb = EncodeManifest(m)
+			m, err := store.DecodeManifest(mb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Summary = old.summary(t, m, built.Asn)
+			mb = store.EncodeManifest(m)
 			copy(mb, old.magic)
-			if err := os.WriteFile(ManifestPath(dir, "s"), mb, 0o644); err != nil {
+			if err := os.WriteFile(store.DatasetPath(dir, "s"), mb, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			reg := store.NewRegistry(dir)
@@ -458,7 +495,7 @@ func TestOlderClosureLayoutOnDiskIsRebuilt(t *testing.T) {
 			if ss.WasLoaded() || reg.PreprocessCount() != 3 || reg.QuarantineCount() != 1 {
 				t.Fatalf("loaded=%v preprocess=%d quarantines=%d, want a rebuild of 3 shards and one quarantine", ss.WasLoaded(), reg.PreprocessCount(), reg.QuarantineCount())
 			}
-			q, err := os.ReadFile(store.QuarantinePath(ManifestPath(dir, "s")))
+			q, err := os.ReadFile(store.QuarantinePath(store.DatasetPath(dir, "s")))
 			if err != nil || !bytes.Equal(q, mb) {
 				t.Fatalf("the %s manifest was not kept aside: %v", old.name, err)
 			}
@@ -472,26 +509,63 @@ func TestOlderClosureLayoutOnDiskIsRebuilt(t *testing.T) {
 		})
 	}
 
-	t.Run("sharded", func(t *testing.T) {
-		// Labels members kept their bytes; only the summary's overlay moved.
-		scheme := schemes.ReachabilityLabelsScheme()
+	t.Run("sharded-v5", func(t *testing.T) {
+		scheme := schemes.ReachabilityScheme()
 		dir := t.TempDir()
 		if _, err := RegisterSharded(store.NewRegistry(dir), "s", scheme, RangePartitioner{}, 3, data); err != nil {
 			t.Fatal(err)
 		}
-		mb, err := os.ReadFile(ManifestPath(dir, "s"))
+		file, err := os.ReadFile(store.DatasetPath(dir, "s"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := DecodeManifest(mb)
+		// The old name holds a manifest under the old magic; the dataset's path
+		// holds nothing.
+		old := filepath.Join(dir, "s.pitract-shards")
+		copy(file, "PITRACTM\x05")
+		if err := os.WriteFile(old, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(store.DatasetPath(dir, "s")); err != nil {
+			t.Fatal(err)
+		}
+		reg := store.NewRegistry(dir)
+		ss, err := RegisterSharded(reg, "s", scheme, RangePartitioner{}, 3, data)
+		if err != nil {
+			t.Fatalf("register beside a %s manifest: %v", "PITRACTM\x05", err)
+		}
+		if ss.WasLoaded() || reg.PreprocessCount() != 3 || reg.QuarantineCount() != 0 {
+			t.Fatalf("loaded=%v preprocess=%d quarantines=%d, want a fresh build of 3 shards and no quarantine", ss.WasLoaded(), reg.PreprocessCount(), reg.QuarantineCount())
+		}
+		if kept, err := os.ReadFile(old); err != nil || !bytes.Equal(kept, file) {
+			t.Fatalf("the %s file was touched: %v", old, err)
+		}
+		verify(t, ss)
+		reg2 := store.NewRegistry(dir)
+		ss2, err := RegisterSharded(reg2, "s", scheme, RangePartitioner{}, 3, data)
+		if err != nil || !ss2.WasLoaded() || reg2.QuarantineCount() != 0 {
+			t.Fatalf("restart after the build: loaded=%v quarantines=%d err=%v", ss2.WasLoaded(), reg2.QuarantineCount(), err)
+		}
+		verify(t, ss2)
+	})
+
+	t.Run("sharded", func(t *testing.T) {
+		// Labels members kept their bytes; only the summary's overlay moved.
+		scheme := schemes.ReachabilityLabelsScheme()
+		dir := t.TempDir()
+		built, err := RegisterSharded(store.NewRegistry(dir), "s", scheme, RangePartitioner{}, 3, data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		asn, err := DecodeAssignment(m.Assignment)
+		mb, err := os.ReadFile(store.DatasetPath(dir, "s"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := decodeReachSummary(m.Summary, asn)
+		m, err := store.DecodeManifest(mb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := decodeReachSummary(m.Summary, built.Asn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -502,7 +576,7 @@ func TestOlderClosureLayoutOnDiskIsRebuilt(t *testing.T) {
 		// The overlay as ⌈P²/8⌉ bytes where the condensed wire form is; which
 		// bits are set does not matter to a reader that cannot frame them.
 		m.Summary = append(m.Summary[:len(m.Summary)-rs.overlay.WireLen()], make([]byte, (p*p+7)/8)...)
-		if err := os.WriteFile(ManifestPath(dir, "s"), EncodeManifest(m), 0o644); err != nil {
+		if err := os.WriteFile(store.DatasetPath(dir, "s"), store.EncodeManifest(m), 0o644); err != nil {
 			t.Fatal(err)
 		}
 
@@ -528,12 +602,8 @@ func TestOlderClosureLayoutOnDiskIsRebuilt(t *testing.T) {
 // held it: uvarint n ‖ n uvarint local ids ‖ orientation ‖ uvarint C ‖ C
 // uvarint (u, v) pairs ‖ uvarint P ‖ P uvarint portals ‖ P uvarint portal
 // shards ‖ overlay.
-func v4Summary(t *testing.T, m *Manifest) []byte {
+func v4Summary(t *testing.T, m *store.Manifest, asn Assignment) []byte {
 	t.Helper()
-	asn, err := DecodeAssignment(m.Assignment)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rs, err := decodeReachSummary(m.Summary, asn)
 	if err != nil {
 		t.Fatal(err)
@@ -576,7 +646,7 @@ func parentKeySnapshot(snap *store.Snapshot, keys []int64) []byte {
 		prev = uint64(k) ^ 1<<63
 	}
 	meta := binary.AppendUvarint(append([]byte(nil), snap.DataSum[:]...), snap.Version)
-	payload := core.PadPair(core.PadPair([]byte(snap.SchemeName), []byte(snap.Notes)), core.PadPair(meta, sec))
+	payload := core.PadPair(core.PadPair([]byte(snap.SchemeName), []byte("O(|D| log |D|) / O(log |D|)")), core.PadPair(meta, sec))
 	out := binary.BigEndian.AppendUint32([]byte("PITRACTS\x03"), crc32.ChecksumIEEE(payload))
 	return append(out, payload...)
 }
@@ -585,7 +655,7 @@ func parentKeySnapshot(snap *store.Snapshot, keys []int64) []byte {
 // key file became an Elias–Fano sequence holds intact artifacts — CRC, data
 // digest, scheme name — in a format this version does not read. Plain: a
 // PITRACTS\x03 snapshot whose Π section is delta-varints of 8-byte records.
-// Sharded: a PITRACTM\x03 manifest (the current manifest format) whose three
+// Sharded: a manifest in the current format whose three
 // members are such snapshots. Each is quarantined at the snapshot magic, Π
 // rebuilt from the posted data and answering the same, and the next restart is
 // a clean load. The 8-byte records themselves, handed to a reader, are a
@@ -627,8 +697,8 @@ func TestOlderSortedKeyLayoutOnDiskIsRebuilt(t *testing.T) {
 	t.Run("plain", func(t *testing.T) {
 		scheme, data := schemes.PointSelectionScheme(), schemes.RelationFromKeys(keys)
 		dir := t.TempDir()
-		snap := store.NewSnapshot(scheme, store.SumData(data), 3, nil)
-		if err := os.WriteFile(store.SnapshotPath(dir, "k"), parentKeySnapshot(snap, keys), 0o644); err != nil {
+		snap := &store.Snapshot{SchemeName: scheme.Name(), DataSum: store.SumData(data), Version: 3}
+		if err := os.WriteFile(store.DatasetPath(dir, "k"), parentKeySnapshot(snap, keys), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		reg := store.NewRegistry(dir)
@@ -639,7 +709,7 @@ func TestOlderSortedKeyLayoutOnDiskIsRebuilt(t *testing.T) {
 		if st.WasLoaded() || st.Version() != 0 || reg.PreprocessCount() != 1 || reg.QuarantineCount() != 1 {
 			t.Fatalf("loaded=%v version=%d preprocess=%d quarantines=%d, want a rebuild and one quarantine", st.WasLoaded(), st.Version(), reg.PreprocessCount(), reg.QuarantineCount())
 		}
-		if _, err := os.Stat(store.QuarantinePath(store.SnapshotPath(dir, "k"))); err != nil {
+		if _, err := os.Stat(store.QuarantinePath(store.DatasetPath(dir, "k"))); err != nil {
 			t.Fatalf("the older snapshot was not kept aside: %v", err)
 		}
 		verify(t, st)
@@ -658,16 +728,16 @@ func TestOlderSortedKeyLayoutOnDiskIsRebuilt(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mb, err := os.ReadFile(ManifestPath(dir, "s"))
+		mb, err := os.ReadFile(store.DatasetPath(dir, "s"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := DecodeManifest(mb)
+		m, err := store.DecodeManifest(mb)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Each member rewritten as the parent wrote it: its own keys, in order.
-		for i, enc := range m.Shards {
+		for i, enc := range m.Members {
 			snap, err := store.DecodeSnapshot(enc)
 			if err != nil {
 				t.Fatal(err)
@@ -678,9 +748,9 @@ func TestOlderSortedKeyLayoutOnDiskIsRebuilt(t *testing.T) {
 					own = append(own, k)
 				}
 			}
-			m.Shards[i] = parentKeySnapshot(snap, own)
+			m.Members[i] = parentKeySnapshot(snap, own)
 		}
-		if err := os.WriteFile(ManifestPath(dir, "s"), EncodeManifest(m), 0o644); err != nil {
+		if err := os.WriteFile(store.DatasetPath(dir, "s"), store.EncodeManifest(m), 0o644); err != nil {
 			t.Fatal(err)
 		}
 
@@ -692,7 +762,7 @@ func TestOlderSortedKeyLayoutOnDiskIsRebuilt(t *testing.T) {
 		if ss2.WasLoaded() || reg.PreprocessCount() != 3 || reg.QuarantineCount() != 1 {
 			t.Fatalf("loaded=%v preprocess=%d quarantines=%d, want a rebuild of 3 shards and one quarantine", ss2.WasLoaded(), reg.PreprocessCount(), reg.QuarantineCount())
 		}
-		if _, err := os.Stat(store.QuarantinePath(ManifestPath(dir, "s"))); err != nil {
+		if _, err := os.Stat(store.QuarantinePath(store.DatasetPath(dir, "s"))); err != nil {
 			t.Fatalf("the older manifest was not kept aside: %v", err)
 		}
 		verify(t, ss2)

@@ -19,7 +19,15 @@ import (
 
 // checkpointBytes is the file a checkpoint of ss's committed value writes.
 func checkpointBytes(ss *ShardedStore) []byte {
-	return ss.Encode(ss.Scheme, ss.DataSum, ss.Committed())
+	f := faultfs.New()
+	if err := ss.Checkpoint(f, "/c"); err != nil {
+		panic(err)
+	}
+	b, err := f.ReadFile(store.DatasetPath("/c", ss.ID))
+	if err != nil {
+		panic(err)
+	}
+	return b
 }
 
 // keyFixture is TestShardGenerationBytesUnchanged's key dataset — 64 keys in
@@ -92,12 +100,12 @@ func hostileSummaries(tb testing.TB) (*ShardedStore, map[string][]byte) {
 // withSummary returns ss's checkpoint with its summary replaced, under a
 // CRC that vouches for it.
 func withSummary(ss *ShardedStore, summary []byte) []byte {
-	m, err := DecodeManifest(checkpointBytes(ss))
+	m, err := store.DecodeManifest(checkpointBytes(ss))
 	if err != nil {
 		panic(err)
 	}
 	m.Summary = summary
-	return EncodeManifest(m)
+	return store.EncodeManifest(m)
 }
 
 // TestReachSummaryRefusesHostileCrossEdges: each hostile summary is refused
@@ -115,7 +123,7 @@ func TestReachSummaryRefusesHostileCrossEdges(t *testing.T) {
 	}
 	const dir = "/data"
 	f := faultfs.New()
-	path := ManifestPath(dir, ss.ID)
+	path := store.DatasetPath(dir, ss.ID)
 	for name, summary := range cases {
 		_, err := decodeReachSummary(summary, ss.Asn)
 		if name == "valid" {
@@ -130,7 +138,7 @@ func TestReachSummaryRefusesHostileCrossEdges(t *testing.T) {
 		if err := store.WriteFileAtomicFS(f, path, withSummary(ss, summary)); err != nil {
 			t.Fatal(err)
 		}
-		_, err = LoadShardedFS(f, dir, ss.ID, ss.Scheme)
+		_, err = load(f, dir, ss.ID, ss.Scheme)
 		var ce *store.CorruptArtifactError
 		if !errors.As(err, &ce) || ce.Path != path {
 			t.Errorf("%s: load returned %v, want a CorruptArtifactError at %s", name, err, path)
@@ -146,11 +154,12 @@ func framed(payload []byte) []byte {
 	return append(out, payload...)
 }
 
-// FuzzDecodeManifest feeds the manifest decoder — on a sharded restart the
-// only decoder of outside bytes, and its fields carry all of Π — arbitrary
-// bytes, as a file and as a payload under a valid CRC, and the reachability
-// summary decoder whatever summary a manifest it accepts carries (the seeds
-// hold each cross-edge arc file that decoder refuses). It must never panic; a
+// FuzzDecodeManifest feeds the manifest decoder — on a restart the only
+// decoder of outside bytes, and its fields carry all of Π — arbitrary bytes,
+// as a file and as a payload under a valid CRC, and this package's layout
+// decoder and the reachability summary decoder whatever layout field and
+// summary a manifest it accepts carries (the seeds hold each cross-edge arc
+// file the summary decoder refuses). It must never panic; a
 // manifest it accepts must re-encode to one that decodes to the same fields;
 // and it must allocate by the bytes it was given, never by a count they claim:
 // a member costs the file at least its length byte and the decoder a 24-byte
@@ -166,7 +175,7 @@ func FuzzDecodeManifest(f *testing.F) {
 	}
 	f.Add(valid)
 	f.Add(checkpointBytes(reach))
-	f.Add(EncodeManifest(&Manifest{}))
+	f.Add(store.EncodeManifest(&store.Manifest{}))
 	f.Add(append([]byte("PITRACTM\x02"), valid[len(manifestMagic):]...))
 	f.Add(append([]byte("PITRACTM\x03"), valid[len(manifestMagic):]...))
 	f.Add(valid[:len(valid)/2])
@@ -175,9 +184,9 @@ func FuzzDecodeManifest(f *testing.F) {
 	f.Add([]byte{})
 	// Payloads (the fuzz body frames them): a count of 2⁴⁰ members with none
 	// behind it, and a thousand empty members.
-	empty := EncodeManifest(&Manifest{})[len(manifestMagic)+4:]
+	empty := store.EncodeManifest(&store.Manifest{})[len(manifestMagic)+4:]
 	f.Add(binary.AppendUvarint(empty[:len(empty)-1:len(empty)-1], 1<<40))
-	f.Add(EncodeManifest(&Manifest{Shards: make([][]byte, 1000)})[len(manifestMagic)+4:])
+	f.Add(store.EncodeManifest(&store.Manifest{Members: make([][]byte, 1000)})[len(manifestMagic)+4:])
 	// A version 4 reachability manifest, and manifests whose summary's arc
 	// file only the summary decoder can refuse.
 	f.Add(append([]byte("PITRACTM\x04"), checkpointBytes(reach)[len(manifestMagic):]...))
@@ -185,12 +194,20 @@ func FuzzDecodeManifest(f *testing.F) {
 	for _, name := range slices.Sorted(maps.Keys(summaries)) {
 		f.Add(withSummary(hostile, summaries[name]))
 	}
+	// The last sharded-only version, and a plain dataset's file.
+	f.Add(append([]byte("PITRACTM\x05"), valid[len(manifestMagic):]...))
+	plain, err := store.NewRegistry("").Register("p", cs.inc, cs.data)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(store.EncodeManifest(&store.Manifest{SchemeName: cs.name, DataSum: plain.DataSum, Members: [][]byte{store.EncodeSnapshot(plain.Snapshot())}}))
+	scheme := schemes.ReachabilityScheme()
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		for _, in := range [][]byte{b, framed(b)} {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			m, err := DecodeManifest(in)
+			m, err := store.DecodeManifest(in)
 			runtime.ReadMemStats(&after)
 			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(160*len(in)+4096); got > limit {
 				t.Fatalf("decoding %d bytes allocated %d, want ≤ %d", len(in), got, limit)
@@ -201,27 +218,32 @@ func FuzzDecodeManifest(f *testing.F) {
 				}
 				continue
 			}
-			re, err := DecodeManifest(EncodeManifest(m))
+			re, err := store.DecodeManifest(store.EncodeManifest(m))
 			if err != nil {
 				t.Fatalf("re-encoding a decoded manifest failed to decode: %v", err)
 			}
-			if re.SchemeName != m.SchemeName || re.DataSum != m.DataSum || re.Partitioner != m.Partitioner ||
-				!bytes.Equal(re.Assignment, m.Assignment) || !bytes.Equal(re.Summary, m.Summary) ||
-				re.Version != m.Version || len(re.Shards) != len(m.Shards) {
+			if re.SchemeName != m.SchemeName || re.DataSum != m.DataSum || !bytes.Equal(re.Layout, m.Layout) ||
+				!bytes.Equal(re.Summary, m.Summary) || re.Version != m.Version || len(re.Members) != len(m.Members) {
 				t.Fatalf("round trip changed fields: %+v vs %+v", re, m)
 			}
-			for i := range m.Shards {
-				if !bytes.Equal(re.Shards[i], m.Shards[i]) {
+			for i := range m.Members {
+				if !bytes.Equal(re.Members[i], m.Members[i]) {
 					t.Fatalf("round trip changed member %d", i)
 				}
 			}
-			// The summary decoder, as a load reaches it: behind an assignment
-			// that matches the member count. It must refuse or accept, never
-			// panic. A summary's vertex count costs it no bytes and the view
-			// 16 B a vertex, so only small graphs are decoded: each exec stays
-			// small.
-			asn, err := DecodeAssignment(m.Assignment)
-			if n, k := binary.Uvarint(m.Summary); err == nil && asn.Shards() == len(m.Shards) && k > 0 && n <= 1<<16 {
+			// The layout decoder, and the summary decoder as a load reaches it:
+			// behind an assignment that matches the member count. Each must
+			// refuse or accept, never panic. A summary's vertex count costs it
+			// no bytes and the view 16 B a vertex, so only small graphs are
+			// decoded: each exec stays small.
+			var asn Assignment
+			_, _ = LayoutDecoder(scheme)(m.Layout, func(l store.Layout) (*store.Store, error) {
+				if ss, ok := l.(*ShardedStore); ok {
+					asn = ss.Asn
+				}
+				return nil, errors.New("decoded")
+			})
+			if n, k := binary.Uvarint(m.Summary); asn != nil && asn.Shards() == len(m.Members) && k > 0 && n <= 1<<16 {
 				_, _ = decodeReachSummary(m.Summary, asn)
 			}
 		}
@@ -238,7 +260,7 @@ func TestEverySingleBitFlipIsDetected(t *testing.T) {
 	const dir = "/data"
 	ss := keyFixture(t)
 	file := checkpointBytes(ss)
-	path := ManifestPath(dir, ss.ID)
+	path := store.DatasetPath(dir, ss.ID)
 	f := faultfs.New()
 	write := func(b []byte) {
 		t.Helper()
@@ -247,14 +269,14 @@ func TestEverySingleBitFlipIsDetected(t *testing.T) {
 		}
 	}
 	write(file)
-	if _, err := LoadShardedFS(f, dir, ss.ID, ss.Scheme); err != nil {
+	if _, err := load(f, dir, ss.ID, ss.Scheme); err != nil {
 		t.Fatalf("the undamaged file does not load: %v", err)
 	}
 	for bit := 0; bit < 8*len(file); bit++ {
 		damaged := append([]byte(nil), file...)
 		damaged[bit/8] ^= 1 << (bit % 8)
 		write(damaged)
-		_, err := LoadShardedFS(f, dir, ss.ID, ss.Scheme)
+		_, err := load(f, dir, ss.ID, ss.Scheme)
 		var ce *store.CorruptArtifactError
 		if !errors.As(err, &ce) || ce.Path != path {
 			t.Fatalf("bit %d of byte %d flipped: load returned %v, want a CorruptArtifactError at %s", bit%8, bit/8, err, path)

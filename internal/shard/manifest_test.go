@@ -23,36 +23,45 @@ import (
 	"pitract/internal/store/faultfs"
 )
 
+// manifestMagic is the file format's magic and version, as a reader of the
+// bytes sees them.
+const manifestMagic = "PITRACTM\x06"
+
+// load reopens the dataset under dir through the one loader, whatever its
+// layout.
+func load(fsys store.FS, dir, id string, scheme *core.Scheme) (store.DeltaDataset, error) {
+	return store.Load(fsys, dir, id, scheme, nil, LayoutDecoder(scheme))
+}
+
 func TestManifestRoundTrip(t *testing.T) {
-	m := &Manifest{
-		SchemeName:  "reachability/closure-matrix",
-		DataSum:     store.SumData([]byte("raw")),
-		Partitioner: "range",
-		Assignment:  []byte{rangeAssignmentTag, 2, 2, 4},
-		Summary:     []byte("overlay"),
-		Version:     7,
+	layout := (&ShardedStore{Partitioner: "range", Asn: rangeAssignment{bounds: []int64{4}}}).Encode()
+	m := &store.Manifest{
+		SchemeName: "reachability/closure-matrix",
+		DataSum:    store.SumData([]byte("raw")),
+		Layout:     layout,
+		Summary:    []byte("overlay"),
+		Version:    7,
 		// Members of any length, the empty one included.
-		Shards: [][]byte{[]byte("member zero"), {}, bytes.Repeat([]byte{0xa5}, 300)},
+		Members: [][]byte{[]byte("member zero"), {}, bytes.Repeat([]byte{0xa5}, 300)},
 	}
-	got, err := DecodeManifest(EncodeManifest(m))
+	got, err := store.DecodeManifest(store.EncodeManifest(m))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.SchemeName != m.SchemeName || got.Partitioner != m.Partitioner ||
-		got.DataSum != m.DataSum || !bytes.Equal(got.Assignment, m.Assignment) ||
-		!bytes.Equal(got.Summary, m.Summary) || got.Version != m.Version || len(got.Shards) != 3 {
+	if got.SchemeName != m.SchemeName || got.DataSum != m.DataSum || !bytes.Equal(got.Layout, m.Layout) ||
+		!bytes.Equal(got.Summary, m.Summary) || got.Version != m.Version || len(got.Members) != 3 {
 		t.Fatalf("round trip mismatch: %+v vs %+v", got, m)
 	}
-	for i := range m.Shards {
-		if !bytes.Equal(got.Shards[i], m.Shards[i]) {
+	for i := range m.Members {
+		if !bytes.Equal(got.Members[i], m.Members[i]) {
 			t.Fatalf("member %d mismatch", i)
 		}
 	}
 }
 
 func TestManifestRejectsCorruption(t *testing.T) {
-	m := &Manifest{SchemeName: "s", Partitioner: "hash", Assignment: []byte{hashAssignmentTag, 2}}
-	enc := EncodeManifest(m)
+	m := &store.Manifest{SchemeName: "s", Layout: (&ShardedStore{Partitioner: "hash", Asn: hashAssignment{n: 2}}).Encode()}
+	enc := store.EncodeManifest(m)
 	// A member count the bytes do not hold, under a CRC that vouches for it:
 	// refused at the first missing field, with nothing sized by the claim.
 	hostile := append([]byte{}, enc[:len(enc)-1]...) // drop the count (0)
@@ -61,8 +70,9 @@ func TestManifestRejectsCorruption(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":          {},
 		"short":          enc[:5],
-		"bad-magic":      append([]byte("XITRACTM\x05"), enc[9:]...),
-		"bad-version":    append([]byte("PITRACTM\x06"), enc[9:]...),
+		"bad-magic":      append([]byte("XITRACTM\x06"), enc[9:]...),
+		"bad-version":    append([]byte("PITRACTM\x07"), enc[9:]...),
+		"sharded-only":   append([]byte("PITRACTM\x05"), enc[9:]...),
 		"pair-lists":     append([]byte("PITRACTM\x04"), enc[9:]...),
 		"uint16-ids":     append([]byte("PITRACTM\x03"), enc[9:]...),
 		"sha-per-file":   append([]byte("PITRACTM\x02"), enc[9:]...),
@@ -72,7 +82,7 @@ func TestManifestRejectsCorruption(t *testing.T) {
 		"truncated-tail": enc[:len(enc)-2],
 	}
 	for name, b := range cases {
-		if _, err := DecodeManifest(b); err == nil {
+		if _, err := store.DecodeManifest(b); err == nil {
 			t.Errorf("%s: corrupt manifest decoded without error", name)
 		}
 	}
@@ -172,7 +182,7 @@ func TestShardedRegistrationAtomicity(t *testing.T) {
 	if _, ok := reg.GetDataset("g"); ok {
 		t.Fatal("failed sharded registration left a catalog entry")
 	}
-	if _, err := os.Stat(ManifestPath(dir, "g")); !os.IsNotExist(err) {
+	if _, err := os.Stat(store.DatasetPath(dir, "g")); !os.IsNotExist(err) {
 		t.Fatalf("failed registration left a manifest (err=%v)", err)
 	}
 
@@ -197,8 +207,8 @@ func TestShardedRegistrationAtomicity(t *testing.T) {
 	if err := os.WriteFile(stray, checkpointBytes(built), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadShardedFS(store.OSFS, dir, "g", schemes.ReachabilityScheme()); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("LoadSharded without a manifest = %v, want not-exist", err)
+	if _, err := load(store.OSFS, dir, "g", schemes.ReachabilityScheme()); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("a load without a file = %v, want not-exist", err)
 	}
 	ss, err := RegisterSharded(reg, "g", schemes.ReachabilityScheme(), RangePartitioner{}, 3, g.Encode())
 	if err != nil {
@@ -272,8 +282,7 @@ func TestShardedAndPlainSnapshotNamespacesDisjoint(t *testing.T) {
 }
 
 // TestShardedCorruptSnapshotFailsOpen: a manifest that is truncated or
-// bit-flipped must fail LoadSharded
-// with a typed corruption error, and a persistent registry must quarantine it
+// bit-flipped must fail the load with a typed corruption error, and a persistent registry must quarantine it
 // and rebuild instead of serving the damaged artifact. A manifest that is
 // missing is absent, not corrupt: rebuilt, with nothing to quarantine.
 func TestShardedCorruptSnapshotFailsOpen(t *testing.T) {
@@ -310,19 +319,20 @@ func TestShardedCorruptSnapshotFailsOpen(t *testing.T) {
 	} {
 		t.Run(tamper.name, func(t *testing.T) {
 			dir, g, scheme := shardedFixture(t)
-			tamper.do(t, ManifestPath(dir, "g"))
+			path := store.DatasetPath(dir, "g")
+			tamper.do(t, path)
 
-			_, err := LoadShardedFS(store.OSFS, dir, "g", scheme)
+			_, err := load(store.OSFS, dir, "g", scheme)
 			var ce *store.CorruptArtifactError
 			if tamper.corrupt {
-				if !errors.As(err, &ce) || ce.Path != ManifestPath(dir, "g") {
-					t.Fatalf("LoadSharded on a damaged manifest = %v, want a CorruptArtifactError at its path", err)
+				if !errors.As(err, &ce) || ce.Path != path {
+					t.Fatalf("a load of a damaged manifest = %v, want a CorruptArtifactError at its path", err)
 				}
 			} else if !errors.Is(err, fs.ErrNotExist) || errors.As(err, &ce) {
-				t.Fatalf("LoadSharded without a manifest = %v, want a plain not-exist error", err)
+				t.Fatalf("a load without a manifest = %v, want a plain not-exist error", err)
 			}
-			if !strings.Contains(err.Error(), "shard") {
-				t.Fatalf("unhelpful error: %v", err)
+			if !strings.Contains(err.Error(), path) {
+				t.Fatalf("the error does not name the file: %v", err)
 			}
 
 			// The registry rebuilds from data, keeping aside what was damaged.
@@ -338,7 +348,7 @@ func TestShardedCorruptSnapshotFailsOpen(t *testing.T) {
 			if tamper.corrupt {
 				wantQ = 1
 			}
-			_, statErr := os.Stat(store.QuarantinePath(ManifestPath(dir, "g")))
+			_, statErr := os.Stat(store.QuarantinePath(path))
 			if reg.QuarantineCount() != wantQ || (statErr == nil) != tamper.corrupt {
 				t.Fatalf("%d quarantines (quarantine file: %v), want %d", reg.QuarantineCount(), statErr, wantQ)
 			}
@@ -380,7 +390,7 @@ func TestShardedCheckpointIsOneAtomicWrite(t *testing.T) {
 		return trace
 	}
 	ref := faultfs.New()
-	if err := store.WriteFileAtomicFS(ref, ManifestPath(dir, "g"), []byte("any bytes")); err != nil {
+	if err := store.WriteFileAtomicFS(ref, store.DatasetPath(dir, "g"), []byte("any bytes")); err != nil {
 		t.Fatal(err)
 	}
 	want := normal(ref.Trace())
@@ -397,10 +407,10 @@ func TestShardedCheckpointIsOneAtomicWrite(t *testing.T) {
 			t.Errorf("n=%d: a checkpoint is %d operations, want the %d of one atomic write:\n got %q\nwant %q", n, len(got), len(want), got, want)
 		}
 		names, err := f.ReadDirNames(dir)
-		if err != nil || !slices.Equal(names, []string{"g.pitract-shards"}) {
+		if err != nil || !slices.Equal(names, []string{"g.pitract"}) {
 			t.Errorf("n=%d: after a checkpoint the directory holds %q (%v), want the manifest alone", n, names, err)
 		}
-		loaded, err := LoadShardedFS(f, dir, "g", ss.Scheme)
+		loaded, err := load(f, dir, "g", ss.Scheme)
 		if err != nil || loaded.ShardCount() != n {
 			t.Errorf("n=%d: the one file does not load as %d shards: %v", n, n, err)
 		}
@@ -430,19 +440,19 @@ func TestShardedSnapshotBytesIsTheCheckpointFile(t *testing.T) {
 	}
 	onDisk := func(step string) {
 		t.Helper()
-		size, err := f.Size(ManifestPath(dir, id))
+		size, err := f.Size(store.DatasetPath(dir, id))
 		if err != nil || int64(ss.SnapshotBytes()) != size {
 			t.Fatalf("%s: SnapshotBytes %d, the manifest on the medium is %d bytes (%v)", step, ss.SnapshotBytes(), size, err)
 		}
 	}
-	check("registered", "d.pitract-shards")
+	check("registered", "d.pitract")
 	onDisk("registered")
 	// Logged, not checkpointed: the figure is the new value's, encoded by the
 	// scrape, and the checkpoint that follows writes exactly that many bytes.
 	if _, err := reg.ApplyDelta(id, [][]byte{schemes.KeysDelta([]int64{101, 103, 105})}); err != nil {
 		t.Fatal(err)
 	}
-	check("after a logged PATCH", "d.pitract-log", "d.pitract-shards")
+	check("after a logged PATCH", "d.pitract", "d.pitract-log")
 	scraped := ss.SnapshotBytes()
 	if err := ss.Checkpoint(f, dir); err != nil {
 		t.Fatal(err)
@@ -453,7 +463,7 @@ func TestShardedSnapshotBytesIsTheCheckpointFile(t *testing.T) {
 	if _, err := reg.ApplyDelta(id, [][]byte{schemes.KeysDelta([]int64{107})}); err != nil {
 		t.Fatal(err)
 	}
-	check("after the PATCH that checkpoints", "d.pitract-shards")
+	check("after the PATCH that checkpoints", "d.pitract")
 	onDisk("after the PATCH that checkpoints")
 }
 

@@ -50,7 +50,7 @@ package shard
 // the bytes can disagree with the assignment. The rows are derived state too,
 // built from the per-shard prepared answerers (schemes.LocalReach, bulk row
 // and column reads — never per-pair encoded probes). The summary is decoded
-// only where it arrives as bytes — Build and LoadShardedFS (prepareReach) —
+// only where it arrives as bytes — Build and store.Load (prepareReach) —
 // and a PATCH batch starts from the committed view, which is that decoded
 // summary, splices its cross edges into the arc file, rebuilds overlay and
 // rows in one pass over the members and encodes the next summary once

@@ -31,8 +31,8 @@ var benchShapes = []struct {
 
 // BenchmarkShardedRegister is one in-memory closure-matrix registration at
 // four shards per shape, and one reload of the community graph's range
-// split (LoadShardedFS: decode the manifest, prepare the members, rebuild
-// the rows).
+// split (store.Load: decode the file, prepare the members, rebuild the
+// rows).
 func BenchmarkShardedRegister(b *testing.B) {
 	scheme := schemes.ReachabilityScheme()
 	for _, sh := range benchShapes {
@@ -55,7 +55,7 @@ func BenchmarkShardedRegister(b *testing.B) {
 			b.Fatal(err)
 		}
 		for b.Loop() {
-			if _, err := LoadShardedFS(store.OSFS, dir, "g", scheme); err != nil {
+			if _, err := load(store.OSFS, dir, "g", scheme); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -25,7 +25,7 @@ import (
 )
 
 func TestCorruptionRecoveryConformance(t *testing.T) {
-	logPath := store.LogPath(shardCrashDir, shardCrashID)
+	path, logPath := store.DatasetPath(shardCrashDir, shardCrashID), store.LogPath(shardCrashDir, shardCrashID)
 	// Two hostile logs a torn crash cannot produce: a foreign file under the
 	// log's name, and a CRC-valid record whose body does not parse.
 	hostileBody := []byte{0x00, 0x05} // count 5, zero bytes remain
@@ -85,19 +85,19 @@ func TestCorruptionRecoveryConformance(t *testing.T) {
 			// A damaged checkpoint under a log holding both acknowledged
 			// batches: the artifact is set aside, Π rebuilt from source and
 			// the surviving log replayed on top.
-			for _, a := range k.artifacts {
+			for _, a := range fileArtifacts {
 				t.Run("flipped-"+a.name, func(t *testing.T) {
 					f := serve(t, 100)
-					b, ok := f.DurableBytes(a.path)
-					if !ok || !f.CorruptByte(a.path, a.offset(t, b)) {
-						t.Fatalf("no durable %s to corrupt", a.path)
+					b, ok := f.DurableBytes(path)
+					if !ok || !f.CorruptByte(path, a.offset(t, b)) {
+						t.Fatalf("no durable %s to corrupt", path)
 					}
 					// The evidence kept is the damaged file itself.
-					damaged, _ := f.DurableBytes(a.path)
+					damaged, _ := f.DurableBytes(path)
 					if bytes.Equal(damaged, b) {
-						t.Fatalf("%s was not damaged", a.path)
+						t.Fatalf("%s was not damaged", path)
 					}
-					heals(t, f, a.path, damaged, false, 2)
+					heals(t, f, path, damaged, false, 2)
 				})
 			}
 			// A CRC-valid checkpoint whose Π, one member, or the summary view
@@ -106,7 +106,6 @@ func TestCorruptionRecoveryConformance(t *testing.T) {
 			for _, pf := range k.faults {
 				t.Run("unpreparable-"+pf.name, func(t *testing.T) {
 					f := serve(t, 100)
-					path := k.artifacts[0].path
 					intact, ok := f.DurableBytes(path)
 					if !ok {
 						t.Fatalf("no durable %s", path)

@@ -23,16 +23,16 @@
 //     staging and the Dataset accessors all live there — laid out over n
 //     members by the partition: it is the store's Layout, routing deltas
 //     over the frozen assignment (SplitDelta), opening and carrying the view
-//     (Prepare, Maintain) and encoding the manifest, and it adds only the
-//     partition's facts (Asn, Partitioner, the Sharding hooks). It answers
-//     exactly like a plain store — differential tests pin sharded answers
-//     byte-identical to unsharded ones.
-//   - Manifest + RegisterSharded persist the whole thing as one catalog
-//     entry backed by one file: the manifest, carrying every member's
-//     snapshot, written by one atomic rename.
+//     (Prepare, Maintain) and encoding the file's layout field, and it adds
+//     only the partition's facts (Asn, Partitioner, the Sharding hooks). It
+//     answers exactly like a plain store — differential tests pin sharded
+//     answers byte-identical to unsharded ones.
+//   - RegisterSharded registers the whole thing as one catalog entry backed
+//     by one file — store's one format, every member's snapshot inside,
+//     written by one atomic rename — read back through LayoutDecoder.
 //
-// Layering: shard sits on top of internal/store (it reuses the snapshot
-// format, store.Open, the one Stage, and rides store.ApplyDeltas and
+// Layering: shard sits on top of internal/store (it reuses the file format,
+// store.Load and store.Open, the one Stage, and rides store.ApplyDeltas and
 // Registry.RegisterAs) and below internal/server (which routes /v1/query
 // through store.Dataset).
 package shard
@@ -55,10 +55,6 @@ var (
 	obsShardFanout = obs.Stage(obs.StageShardFanout)
 	obsShardMerge  = obs.Stage(obs.StageShardMerge)
 	obsPreprocess  = obs.Stage(obs.StagePreprocess)
-	// obsSnapshotLoad is store's snapshot_load stage: the read and decode
-	// of the manifest and its members, as store times LoadFS for a plain
-	// snapshot, recorded for a load that is kept.
-	obsSnapshotLoad = obs.Stage(obs.StageSnapshotLoad)
 )
 
 // Sharding adapts one scheme to a partitioned dataset. Split runs once, at
@@ -125,8 +121,8 @@ type ShardedStore struct {
 	// Asn is the frozen key→shard assignment.
 	Asn Assignment
 	// Partitioner names the partitioner that planned Asn ("hash", "range");
-	// persisted in the manifest so reloads only match like-partitioned
-	// snapshots.
+	// persisted in the file's layout field so reloads only match
+	// like-partitioned files.
 	Partitioner string
 }
 
@@ -165,8 +161,11 @@ func (r *router) Answer(q []byte) (bool, error) {
 }
 
 // Open implements store.Layout: the scheme's own view over ⟨summary,
-// shards⟩, or the router.
+// shards⟩, or the router — over one member per assigned shard.
 func (ss *ShardedStore) Open(summary []byte, shards []core.Answerer) (core.Answerer, error) {
+	if len(shards) != ss.Asn.Shards() {
+		return nil, fmt.Errorf("shard: %d members for an assignment of %d shards", len(shards), ss.Asn.Shards())
+	}
 	if ss.Sharding.Prepare == nil {
 		return &router{route: ss.Sharding.Route, asn: ss.Asn, shards: shards}, nil
 	}
@@ -217,7 +216,7 @@ func describe(n int, partitioner string) string { return fmt.Sprintf("%d-shard %
 
 // Build cuts data into n parts with the partitioner, preprocesses every
 // part concurrently, and opens the sharded store over them. It does not
-// persist anything; RegisterSharded adds the manifest.
+// persist anything; RegisterSharded adds the file.
 func Build(id string, scheme *core.Scheme, sh *Sharding, p Partitioner, n int, data []byte) (*ShardedStore, error) {
 	if scheme == nil || sh == nil {
 		return nil, fmt.Errorf("shard: build %q: nil scheme or sharding", id)

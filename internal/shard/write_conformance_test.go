@@ -24,18 +24,13 @@ import (
 )
 
 // writeKind is one way of serving (and persisting) a crash scenario's
-// dataset: how to register it, and which files make up its durable
-// artifact.
+// dataset: how to register it, and the Π its Prepare can be made to refuse.
+// Every kind persists the one file at store.DatasetPath (fileArtifacts).
 type writeKind struct {
 	name     string
 	cs       shardCrashScheme
 	register func(reg *store.Registry) (store.Dataset, error)
-	// artifacts names the places damage can land in the kind's checkpoint:
-	// the file — which is also what a restart quarantines, damage and all —
-	// and the byte of it to flip.
-	artifacts []writeArtifact
-	// faults are the Π the kind's Prepare can be made to refuse.
-	faults []prepareFault
+	faults   []prepareFault
 }
 
 // prepareFaults makes a scheme's Prepare refuse what no CRC or layout check
@@ -69,9 +64,27 @@ type prepareFault struct {
 	arm  func()
 }
 
-type writeArtifact struct {
-	name, path string
-	offset     func(t *testing.T, file []byte) int
+// fileArtifacts names the places damage can land in a checkpoint, the one
+// file of every kind — which is also what a restart quarantines, damage and
+// all: a byte of the manifest's own fields (its scheme name), and a byte in
+// the middle of the last member's snapshot, which the file ends with, found
+// by decoding the file.
+var fileArtifacts = []struct {
+	name   string
+	offset func(t *testing.T, file []byte) int
+}{
+	{"manifest", func(*testing.T, []byte) int { return len(manifestMagic) + 4 + 1 }},
+	{"member", func(t *testing.T, file []byte) int {
+		m, err := store.DecodeManifest(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := m.Members[len(m.Members)-1]
+		if !bytes.HasSuffix(file, last) || len(last) < 2 {
+			t.Fatalf("the file does not end with its last member (%d bytes)", len(last))
+		}
+		return len(file) - len(last)/2
+	}},
 }
 
 // writeKinds are the three kinds of the write-side tables, over the crash
@@ -79,8 +92,6 @@ type writeArtifact struct {
 func writeKinds() []writeKind {
 	scenarios := shardCrashSchemes()
 	point, reach := scenarios[0], scenarios[3]
-	snap := store.SnapshotPath(shardCrashDir, shardCrashID)
-	mani := ManifestPath(shardCrashDir, shardCrashID)
 	faults := []*prepareFaults{{}, {}, {}}
 	refuse := func(name string, pf *prepareFaults) prepareFault {
 		return prepareFault{name, func() { pf.refuse.Store(1) }}
@@ -90,31 +101,13 @@ func writeKinds() []writeKind {
 			return RegisterSharded(reg, shardCrashID, pf.scheme(cs.inc), p, shardCrashN, cs.data)
 		}
 	}
-	// A byte of the manifest's own fields (its scheme name), and a byte in
-	// the middle of member 1's snapshot — the last member, which the file
-	// ends with — found by decoding the file.
-	shardedArtifacts := []writeArtifact{
-		{"manifest", mani, func(*testing.T, []byte) int { return len(manifestMagic) + 4 + 1 }},
-		{"member", mani, func(t *testing.T, file []byte) int {
-			m, err := DecodeManifest(file)
-			if err != nil {
-				t.Fatal(err)
-			}
-			last := m.Shards[shardCrashN-1]
-			if !bytes.HasSuffix(file, last) || len(last) < 2 {
-				t.Fatalf("the file does not end with its last member (%d bytes)", len(last))
-			}
-			return len(file) - len(last)/2
-		}},
-	}
 	return []writeKind{
 		{"plain", point, func(reg *store.Registry) (store.Dataset, error) {
 			return reg.Register(shardCrashID, faults[0].scheme(point.inc), point.data)
-		}, []writeArtifact{{"snapshot", snap, func(_ *testing.T, file []byte) int { return len(file) / 2 }}},
-			[]prepareFault{refuse("pi", faults[0])}},
-		{"routed-sharded", point, sharded(point, HashPartitioner{}, faults[1]), shardedArtifacts,
+		}, []prepareFault{refuse("pi", faults[0])}},
+		{"routed-sharded", point, sharded(point, HashPartitioner{}, faults[1]),
 			[]prepareFault{refuse("member", faults[1])}},
-		{"view-sharded", reach, sharded(reach, RangePartitioner{}, faults[2]), shardedArtifacts,
+		{"view-sharded", reach, sharded(reach, RangePartitioner{}, faults[2]),
 			[]prepareFault{refuse("member", faults[2]), {"view", func() { faults[2].hide.Store(1) }}}},
 	}
 }
@@ -269,7 +262,7 @@ func TestWritePathConformance(t *testing.T) {
 					if _, ok := reg.GetDataset(shardCrashID); ok || reg.Len() != 0 {
 						t.Fatal("a refused registration left a catalog entry")
 					}
-					for _, path := range []string{k.artifacts[0].path, logPath} {
+					for _, path := range []string{store.DatasetPath(shardCrashDir, shardCrashID), logPath} {
 						if _, ok := f.DurableBytes(path); ok {
 							t.Fatalf("a refused registration wrote %s", path)
 						}

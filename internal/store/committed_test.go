@@ -163,7 +163,7 @@ func TestStoreLiteralFirstUseRaced(t *testing.T) {
 			func() bool { st.Warm(); ok, err := st.Answer(miss); return err == nil && !ok },
 			func() bool { got, v := st.View(); return v == 0 && bytes.Equal(got, pd) },
 			func() bool { return st.Version() == 0 && st.PrepBytes() == len(pd) },
-			func() bool { return st.SnapshotBytes() == len(EncodeSnapshot(st.Snapshot())) },
+			func() bool { return st.SnapshotBytes() == len(plainFile(st)) },
 		}
 		start := make(chan struct{})
 		seen := make([]*Committed, len(uses))
@@ -297,7 +297,7 @@ func TestCheckpointMemoisesSnapshotBytes(t *testing.T) {
 		t.Fatalf("the first SnapshotBytes after a checkpoint allocates %d bytes for a %d-byte Π: it encoded the snapshot again",
 			after.TotalAlloc-before.TotalAlloc, pi)
 	}
-	file, err := os.ReadFile(SnapshotPath(dir, "d"))
+	file, err := os.ReadFile(DatasetPath(dir, "d"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -309,7 +309,7 @@ func findOp(t *testing.T, trace []string, fragment string, nth int) int {
 //	                      = acknowledged version, zero replays.
 func TestCrashKillPoints(t *testing.T) {
 	logPath := store.LogPath(crashDir, crashID)
-	snapPath := store.SnapshotPath(crashDir, crashID)
+	snapPath := store.DatasetPath(crashDir, crashID)
 	for _, cs := range crashSchemes() {
 		t.Run(cs.name, func(t *testing.T) {
 			states := oracleStates(t, cs)

@@ -130,7 +130,7 @@ func TestQuarantineRebuildReplaysSurvivingLog(t *testing.T) {
 	}
 
 	// Corrupt one byte of the snapshot body — the CRC must catch it.
-	path := SnapshotPath(dir, "d")
+	path := DatasetPath(dir, "d")
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -287,7 +287,7 @@ func TestApplyDeltaBatchIsAtomic(t *testing.T) {
 		t.Fatal(err)
 	}
 	before, _ := st.View()
-	snapBefore, err := os.ReadFile(SnapshotPath(dir, "d"))
+	snapBefore, err := os.ReadFile(DatasetPath(dir, "d"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestApplyDeltaBatchIsAtomic(t *testing.T) {
 	if ok, _ := st.Answer(schemes.PointQuery(9)); ok {
 		t.Fatal("partially applied delta is visible")
 	}
-	snapAfter, err := os.ReadFile(SnapshotPath(dir, "d"))
+	snapAfter, err := os.ReadFile(DatasetPath(dir, "d"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,7 +505,7 @@ func TestConcurrentMixedDeltasAndQueries(t *testing.T) {
 // encode/decode. (The pre-delta v1 layout is an unknown format now; see
 // TestSnapshotLegacyVersionsAreUnknownFormats.)
 func TestSnapshotVersionRoundTrip(t *testing.T) {
-	s := &Snapshot{SchemeName: "s", Notes: "n", DataSum: SumData([]byte("d")), Version: 7, Prep: []byte{1, 2, 3}}
+	s := &Snapshot{SchemeName: "s", DataSum: SumData([]byte("d")), Version: 7, Prep: []byte{1, 2, 3}}
 	got, err := DecodeSnapshot(EncodeSnapshot(s))
 	if err != nil {
 		t.Fatal(err)

@@ -86,17 +86,17 @@ func (osFS) SyncDir(name string) error {
 	return err
 }
 
-// Medium bundles where and how maintained artifacts persist: a snapshot
+// Medium bundles where and how maintained artifacts persist: a data
 // directory, the file system behind it, and the checkpoint cadence of the
 // write-ahead delta log. The zero Medium (or a nil pointer) is volatile —
 // nothing is persisted.
 type Medium struct {
-	// Dir is the snapshot/log directory; "" disables persistence.
+	// Dir is the dataset-file/log directory; "" disables persistence.
 	Dir string
 	// FS is the file layer; nil means OSFS.
 	FS FS
 	// CheckpointEvery is how many log records may accumulate before the
-	// snapshot (or shard manifest) is rewritten and the log truncated.
+	// dataset's file is rewritten and the log truncated.
 	// Values < 1 mean 1: checkpoint on every PATCH, so the log exists only
 	// as the crash-recovery journal of the in-flight batch.
 	CheckpointEvery int
@@ -131,7 +131,7 @@ func (m *Medium) checkpointEvery() int {
 // SyncDir makes the rename itself durable: without it a crash shortly
 // after a "successful" write could resurface the old file (or none), i.e.
 // a version behind answers already served. It is the durability primitive
-// behind SaveFS and the sharded Checkpoint.
+// behind Store.Checkpoint and SaveFS.
 func WriteFileAtomicFS(fsys FS, path string, b []byte) error {
 	dir := filepath.Dir(path)
 	if err := fsys.MkdirAll(dir); err != nil {

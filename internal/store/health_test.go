@@ -381,7 +381,7 @@ func FuzzQuarantinePathContainment(f *testing.F) {
 	}
 	dir := filepath.Join("data", "dir")
 	f.Fuzz(func(t *testing.T, id string) {
-		for _, artifact := range []string{SnapshotPath(dir, id), LogPath(dir, id)} {
+		for _, artifact := range []string{DatasetPath(dir, id), LogPath(dir, id)} {
 			q := QuarantinePath(artifact)
 			if filepath.Dir(q) != dir {
 				t.Fatalf("id %q: quarantine path %q escapes %q", id, q, dir)

@@ -2,7 +2,7 @@
 // commit → checkpoint) and how a restart recovers what was committed (load
 // → quarantine → replay). A dataset supplies the two steps, Stage and
 // Checkpoint (DeltaDataset) — Store's, for one member or n, whose Layout
-// says where a delta goes and which file is written; the order of
+// says where a delta goes, and which writes the one file; the order of
 // everything durable, and every call of the delta-log primitives (wal.go),
 // lives in this file, so no layout can drift apart from another in what a
 // crash or a corrupt artifact costs.

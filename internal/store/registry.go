@@ -4,12 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/url"
-	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pitract/internal/core"
 	"pitract/internal/obs"
@@ -54,9 +51,9 @@ type Dataset interface {
 	DataDigest() DataChecksum
 	// PrepBytes reports the total size of the preprocessed artifact(s).
 	PrepBytes() int
-	// SnapshotBytes reports the total encoded size of the dataset's
-	// snapshot artifact(s) at its current version — the on-disk footprint
-	// /v1/stats sets against PrepBytes.
+	// SnapshotBytes reports the encoded size of the dataset's file at its
+	// current version — the on-disk footprint /v1/stats sets against
+	// PrepBytes.
 	SnapshotBytes() int
 	// ShardCount reports how many preprocessed stores back the dataset
 	// (1 for a plain Store).
@@ -88,8 +85,8 @@ type Dataset interface {
 // Registry maps dataset IDs to preprocessed datasets. Registering a dataset
 // preprocesses it exactly once — concurrent registrations of the same ID
 // share one build and all receive the same memoized dataset — and, when the
-// registry has a data directory, persists the result as snapshot file(s) so
-// a restarted process reloads Π(D) instead of recomputing it.
+// registry has a data directory, persists the result as the dataset's one
+// file so a restarted process reloads Π(D) instead of recomputing it.
 //
 // Plain registration goes through Register and sharded registration through
 // internal/shard; both ride RegisterAs — one compatibility check over one
@@ -147,7 +144,7 @@ func (e *regEntry) settled() bool {
 	}
 }
 
-// NewRegistry returns a registry persisting snapshots (and write-ahead
+// NewRegistry returns a registry persisting dataset files (and write-ahead
 // delta logs) under dir on the real disk; dir == "" keeps every store in
 // memory only.
 func NewRegistry(dir string) *Registry {
@@ -156,7 +153,7 @@ func NewRegistry(dir string) *Registry {
 
 // NewRegistryMedium is NewRegistry on an explicit persistence medium — the
 // seam the crash-injection harness uses to run the full durable protocol
-// (snapshots, delta logs, checkpoints, replay) against a fault-injecting
+// (dataset files, delta logs, checkpoints, replay) against a fault-injecting
 // file layer. A nil med is memory-only.
 func NewRegistryMedium(med *Medium) *Registry {
 	if med == nil {
@@ -166,18 +163,10 @@ func NewRegistryMedium(med *Medium) *Registry {
 }
 
 // SetCheckpointEvery sets how many delta-log records may accumulate per
-// dataset before its snapshot is rewritten and the log truncated (values
+// dataset before its file is rewritten and the log truncated (values
 // < 1 mean 1 — checkpoint on every PATCH). Set it before serving traffic;
 // it is not synchronized against in-flight maintenance.
 func (r *Registry) SetCheckpointEvery(n int) { r.med.CheckpointEvery = n }
-
-// SnapshotPath maps a dataset ID to its snapshot file under dir. IDs are
-// arbitrary strings, so the filename is the ID path-escaped (keeps readable
-// IDs readable, makes hostile ones safe). Store.Checkpoint writes exactly
-// the file a restarted registry will reload.
-func SnapshotPath(dir, id string) string {
-	return filepath.Join(dir, url.PathEscape(id)+".pitract")
-}
 
 // RegisterDatasetContext returns the dataset registered under id, building
 // it on first call. compat is consulted when id already has a completed
@@ -314,13 +303,14 @@ func (k Key) Mismatch(got Key) error {
 }
 
 // RegisterAs is the registration every layout rides: the dataset registered
-// under id, built on first call by Recover over load and build. An id already
+// under id, built on first call by Recover — over Load, which reads the
+// dataset's file under the layout decode names, and build. An id already
 // held is returned only when it is held under the key want names; anything
 // else is an error rather than a silent answer-path swap or a stale Π(D)
-// served as fresh. load checks what it reads against the same key (Mismatch)
-// and returns ErrStale for another one. want is called where the key is
-// first compared, so a registration can digest its data beside the load.
-func (r *Registry) RegisterAs(ctx context.Context, id string, want func() Key, load func(fsys FS, dir string) (DeltaDataset, error), build func() (DeltaDataset, error)) (Dataset, error) {
+// served as fresh, and a file of another key is stale. want is called where
+// the key is first compared, so a registration can digest its data beside
+// the load.
+func (r *Registry) RegisterAs(ctx context.Context, id string, scheme *core.Scheme, want func() Key, decode LayoutDecoder, build func() (DeltaDataset, error)) (Dataset, error) {
 	return r.RegisterDatasetContext(ctx, id,
 		func(d Dataset) error {
 			held, ok := d.(interface{ Key() Key })
@@ -332,13 +322,17 @@ func (r *Registry) RegisterAs(ctx context.Context, id string, want func() Key, l
 			}
 			return nil
 		},
-		func() (Dataset, error) { return r.Recover(id, load, build) })
+		func() (Dataset, error) {
+			return r.Recover(id, func(fsys FS, dir string) (DeltaDataset, error) {
+				return Load(fsys, dir, id, scheme, want, decode)
+			}, build)
+		})
 }
 
 // Register returns the plain store for id, creating it on first call:
-// reload from a fresh snapshot if the registry is persistent and one matches
-// (same scheme, same data digest), otherwise run scheme.Preprocess and
-// persist the result. Re-registering an existing id with the same scheme and
+// reload from the dataset's file if the registry is persistent and it
+// matches (same scheme, same data digest, the plain layout), otherwise run
+// scheme.Preprocess and persist the result. Re-registering an existing id with the same scheme and
 // the same data returns the memoized store; a different scheme, different
 // data, or an id held by a sharded dataset is an error (see RegisterAs).
 func (r *Registry) Register(id string, scheme *core.Scheme, data []byte) (*Store, error) {
@@ -356,34 +350,7 @@ func (r *Registry) RegisterContext(ctx context.Context, id string, scheme *core.
 	}
 	sum := sumBeside(data)
 	want := func() Key { return Key{Scheme: scheme.Name(), Sum: sum(), Layout: Plain.Describe()} }
-	ds, err := r.RegisterAs(ctx, id, want,
-		func(fsys FS, dir string) (DeltaDataset, error) {
-			path := SnapshotPath(dir, id)
-			start := time.Now()
-			snap, err := LoadFS(fsys, path)
-			if err != nil {
-				return nil, err
-			}
-			loaded := time.Since(start)
-			if want().Mismatch(Key{Scheme: snap.SchemeName, Sum: snap.DataSum, Layout: Plain.Describe()}) != nil {
-				return nil, ErrStale
-			}
-			// A snapshot with Version > 0 is the maintained Π(D ⊕ ∆D…):
-			// resuming from it (not from a re-preprocess of D) is the whole
-			// point of persisting maintenance.
-			st, err := Open(id, scheme, snap.DataSum, Plain, snap.Version, nil, []Member{{Prep: snap.Prep, Sum: snap.DataSum}})
-			if err != nil {
-				// A Π that passes every check above and that this build will
-				// not prepare — damage the CRC cannot see, or a layout an
-				// earlier version wrote — would refuse every answer, and
-				// re-registering would load it again: it is quarantined and
-				// rebuilt like a snapshot with a bad CRC.
-				return nil, &CorruptArtifactError{Path: path, Err: err}
-			}
-			st.Loaded = true
-			obsSnapshotLoad.Observe(loaded)
-			return st, nil
-		},
+	ds, err := r.RegisterAs(ctx, id, scheme, want, DecodePlain,
 		func() (DeltaDataset, error) {
 			ppStart := obs.Start()
 			pd, err := scheme.Preprocess(data)

@@ -2,17 +2,19 @@
 // registry. The paper's asymmetry — pay PTIME preprocessing once, then
 // answer every query within the NC budget — only pays off in a system when
 // Π(D) outlives the process that computed it. This package makes Π(D) a
-// durable artifact: a versioned, checksummed snapshot file that can be
+// durable artifact: one versioned, checksummed file per dataset that can be
 // written once and reloaded across restarts, plus a thread-safe Registry
 // that maps dataset IDs to preprocessed stores, preprocessing on first
 // registration and memoizing (and optionally persisting) thereafter.
 //
-// The snapshot format is deliberately dumb: magic, format version, a CRC-32
-// of the payload, then the scheme name, free-text notes, a SHA-256 of the
-// raw data the store was preprocessed from, and the preprocessed bytes —
-// the fields framed with the same self-delimiting pair codec (core.PadPair)
-// the formal framework uses for instance encoding. Corrupt or truncated
-// files are rejected with errors, never panics (see the fuzz harness).
+// The file format is deliberately dumb (manifest.go): magic, format
+// version, a CRC-32 of the payload, then the scheme name, a SHA-256 of the
+// raw data the dataset was preprocessed from, the layout's own bytes, the
+// cross-member summary, the maintenance version, and the members — each a
+// snapshot (magic, CRC, scheme name, data digest, version and Π), the one
+// member of a plain dataset or one per part of a partitioned one. Corrupt or
+// truncated files are rejected with errors, never panics (see the fuzz
+// harnesses).
 //
 // Every Π the registry publishes — built, reloaded or maintained — is
 // prepared first (core.Scheme.Prepare), and a Π the scheme will not read is
@@ -28,10 +30,10 @@
 //
 // A dataset is one Store (store.go), whether its Π is one member or n: its
 // Layout — Plain here, a partition in internal/shard — says where a delta
-// goes, what a query answers through and which file a checkpoint writes,
-// and everything else (staging, answering, the accessors, registration)
-// exists once. The registry's catalog holds any Dataset, and the HTTP server
-// answers through that interface.
+// goes, what a query answers through and what the file's layout field
+// holds, and everything else (staging, answering, the accessors, the file,
+// loading and registration) exists once. The registry's catalog holds any
+// Dataset, and the HTTP server answers through that interface.
 package store
 
 import (
@@ -39,17 +41,16 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-
-	"pitract/internal/core"
 )
 
-// snapshotMagic opens every snapshot file. The trailing byte is the format
+// snapshotMagic opens every snapshot. The trailing byte is the format
 // version; bump it when the payload layout — or the layout of a Π it carries —
-// changes. Version 4 stores Π as it is: the sorted key files, the one Π the
-// third version's delta-varint section codec shrank, are Elias–Fano sequences
-// of their own now. Any other version byte is an unknown format: the registry
-// quarantines the file and rebuilds.
-var snapshotMagic = []byte("PITRACTS\x04")
+// changes. Version 5 dropped the free-text notes the fourth version carried
+// beside the scheme name; version 4 stored Π as it is, where the third
+// version's delta-varint section codec shrank the sorted key files. Any other
+// version byte is an unknown format: the registry quarantines the file that
+// holds it and rebuilds.
+var snapshotMagic = []byte("PITRACTS\x05")
 
 // DataChecksum is the SHA-256 digest of the raw (pre-preprocessing) data a
 // snapshot was built from. Open uses it to detect stale snapshots: when the
@@ -57,34 +58,47 @@ var snapshotMagic = []byte("PITRACTS\x04")
 // digest — not the file's existence — decides whether a reload is sound.
 type DataChecksum = [sha256.Size]byte
 
-// Snapshot is one persisted preprocessed store: which scheme produced it,
-// human-readable notes (the scheme's complexity annotations by default), the
-// digest of the data it was preprocessed from, the maintenance version (how
-// many deltas have been applied to Π since registration — 0 for a store
+// Snapshot is one persisted member of a dataset: which scheme produced it,
+// the digest of the data it was preprocessed from, the maintenance version
+// (how many deltas have been applied to Π since registration — 0 for a store
 // that has only ever been preprocessed), and Π itself. A snapshot with
 // Version > 0 holds the maintained Π(D ⊕ ∆D₁ ⊕ … ⊕ ∆Dₖ), so a restart
 // resumes from the maintained structure, never a stale one.
 type Snapshot struct {
 	SchemeName string
-	Notes      string
 	DataSum    DataChecksum
 	Version    uint64
 	Prep       []byte
 }
 
-// EncodeSnapshot renders a snapshot in the versioned on-disk format:
+// snapshotSize is the length of s's encoding, so a manifest can prefix a
+// member with it before appending the member itself.
+func snapshotSize(s *Snapshot) int {
+	return len(snapshotMagic) + 4 + uvarintLen(uint64(len(s.SchemeName))) + len(s.SchemeName) +
+		len(s.DataSum) + uvarintLen(s.Version) + uvarintLen(uint64(len(s.Prep))) + len(s.Prep)
+}
+
+// appendSnapshot appends s in the versioned format, Π copied once:
 //
 //	magic ‖ version ‖ crc32(payload) ‖ payload
-//	payload = PadPair(PadPair(scheme, notes), PadPair(dataSum ‖ uvarint(maintVersion), Π))
+//	payload = scheme ‖ dataSum ‖ uvarint(maintVersion) ‖ Π
+//
+// with the scheme and Π uvarint-length-prefixed.
+func appendSnapshot(dst []byte, s *Snapshot) []byte {
+	dst = append(dst, snapshotMagic...)
+	at := len(dst)
+	dst = append(dst, 0, 0, 0, 0) // the CRC, once the payload is behind it
+	dst = appendField(dst, []byte(s.SchemeName))
+	dst = append(dst, s.DataSum[:]...)
+	dst = binary.AppendUvarint(dst, s.Version)
+	dst = appendField(dst, s.Prep)
+	binary.BigEndian.PutUint32(dst[at:], crc32.ChecksumIEEE(dst[at+4:]))
+	return dst
+}
+
+// EncodeSnapshot renders a snapshot in the versioned format (appendSnapshot).
 func EncodeSnapshot(s *Snapshot) []byte {
-	header := core.PadPair([]byte(s.SchemeName), []byte(s.Notes))
-	meta := binary.AppendUvarint(append([]byte(nil), s.DataSum[:]...), s.Version)
-	body := core.PadPair(meta, s.Prep)
-	payload := core.PadPair(header, body)
-	out := make([]byte, 0, len(snapshotMagic)+4+len(payload))
-	out = append(out, snapshotMagic...)
-	out = binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
-	return append(out, payload...)
+	return appendSnapshot(make([]byte, 0, snapshotSize(s)), s)
 }
 
 // DecodeSnapshot parses the versioned format. Any deviation — wrong magic,
@@ -103,47 +117,32 @@ func DecodeSnapshot(b []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("store: unknown snapshot format version %d", verByte)
 	}
 	want := binary.BigEndian.Uint32(b[len(snapshotMagic):])
-	payload := b[len(snapshotMagic)+4:]
-	if got := crc32.ChecksumIEEE(payload); got != want {
+	r := fields{b: b[len(snapshotMagic)+4:], what: "snapshot"}
+	if got := crc32.ChecksumIEEE(r.b); got != want {
 		return nil, fmt.Errorf("store: snapshot checksum mismatch (want %08x, got %08x)", want, got)
 	}
-	header, body, err := core.UnpadPair(payload)
-	if err != nil {
-		return nil, fmt.Errorf("store: corrupt snapshot payload: %w", err)
+	s := &Snapshot{SchemeName: string(r.field())}
+	copy(s.DataSum[:], r.next(uint64(len(s.DataSum))))
+	s.Version = r.uvarint()
+	s.Prep = append([]byte(nil), r.field()...)
+	if err := r.end(); err != nil {
+		return nil, err
 	}
-	scheme, notes, err := core.UnpadPair(header)
-	if err != nil {
-		return nil, fmt.Errorf("store: corrupt snapshot header: %w", err)
-	}
-	meta, prep, err := core.UnpadPair(body)
-	if err != nil {
-		return nil, fmt.Errorf("store: corrupt snapshot body: %w", err)
-	}
-	s := &Snapshot{
-		SchemeName: string(scheme),
-		Notes:      string(notes),
-		Prep:       append([]byte(nil), prep...),
-	}
-	if len(meta) < len(s.DataSum) {
-		return nil, fmt.Errorf("store: data checksum is %d bytes, want %d", len(meta), len(s.DataSum))
-	}
-	copy(s.DataSum[:], meta)
-	rest := meta[len(s.DataSum):]
-	ver, k := binary.Uvarint(rest)
-	if k <= 0 || k != len(rest) {
-		return nil, fmt.Errorf("store: corrupt snapshot maintenance version")
-	}
-	s.Version = ver
 	return s, nil
 }
 
 // SaveFS writes a snapshot atomically (see WriteFileAtomicFS); the checksum
-// in the encoding catches torn files from less careful writers.
+// in the encoding catches torn files from less careful writers. No server
+// path writes a standalone snapshot any more — a dataset's file is the
+// manifest (Store.Checkpoint) — so bench/ladder.go, which times the codec
+// on its own, is its one caller until ROADMAP item 2.
 func SaveFS(fsys FS, path string, s *Snapshot) error {
 	return WriteFileAtomicFS(fsys, path, EncodeSnapshot(s))
 }
 
-// LoadFS reads and validates a snapshot file.
+// LoadFS reads and validates a snapshot file written by SaveFS; like SaveFS,
+// its one caller is bench/ladder.go until ROADMAP item 2. A dataset's file
+// is read by Load.
 func LoadFS(fsys FS, path string) (*Snapshot, error) {
 	b, err := fsys.ReadFile(path)
 	if err != nil {
@@ -160,8 +159,8 @@ func LoadFS(fsys FS, path string) (*Snapshot, error) {
 	return s, nil
 }
 
-// CorruptArtifactError marks a persisted artifact (snapshot, shard
-// manifest or delta log) that failed structural validation — wrong magic,
+// CorruptArtifactError marks a persisted artifact (a dataset's file or its
+// delta log) that failed structural validation — wrong magic,
 // checksum mismatch, an undecodable body, or a Π its scheme will not
 // Prepare — as opposed to a transient I/O error reading it. The registry
 // responds by renaming the artifact at Path to *.quarantine and rebuilding
@@ -178,16 +177,3 @@ func (e *CorruptArtifactError) Unwrap() error { return e.Err }
 
 // SumData digests raw data for snapshot freshness checks.
 func SumData(data []byte) DataChecksum { return sha256.Sum256(data) }
-
-// NewSnapshot renders one member's ⟨Π, version⟩ of scheme's artifact, over
-// the data sum digests, as a persistable snapshot — the one place the notes
-// are spelled, so a plain store's snapshot and a shard member's encode alike.
-func NewSnapshot(scheme *core.Scheme, sum DataChecksum, version uint64, prep []byte) *Snapshot {
-	return &Snapshot{
-		SchemeName: scheme.Name(),
-		Notes:      scheme.PreprocessNote + " / " + scheme.AnswerNote,
-		DataSum:    sum,
-		Version:    version,
-		Prep:       prep,
-	}
-}

@@ -13,7 +13,6 @@ import (
 func FuzzDecodeSnapshot(f *testing.F) {
 	valid := EncodeSnapshot(&Snapshot{
 		SchemeName: "point-selection/sorted-keys",
-		Notes:      "O(|D| log |D|) / O(log |D|)",
 		DataSum:    SumData([]byte("data")),
 		Prep:       []byte{1, 2, 3},
 	})
@@ -34,6 +33,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(encodeLegacySnapshot(&Snapshot{SchemeName: "point-selection/sorted-keys", Version: 3, Prep: sorted}, snapshotMagicV3))
 	f.Add(encodeLegacySnapshot(&Snapshot{SchemeName: "point-selection/sorted-keys", Version: 3, Prep: sorted}, snapshotMagicV2))
 	f.Add(encodeLegacySnapshot(&Snapshot{SchemeName: "legacy", Prep: []byte{1, 2, 3}}, snapshotMagicV1))
+	f.Add(encodeLegacySnapshot(&Snapshot{SchemeName: "point-selection/sorted-keys", Prep: sorted}, snapshotMagicV4))
 	// The snapshot frames any Π: a maintained one far along, and 8-byte key
 	// records (whose layout only the scheme's readers refuse).
 	f.Add(EncodeSnapshot(&Snapshot{SchemeName: "point-selection/sorted-keys", Version: 1 << 40, Prep: sorted}))
@@ -51,7 +51,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoding a decoded snapshot failed to decode: %v", err)
 		}
-		if re.SchemeName != s.SchemeName || re.Notes != s.Notes ||
+		if re.SchemeName != s.SchemeName ||
 			re.DataSum != s.DataSum || !bytes.Equal(re.Prep, s.Prep) {
 			t.Fatalf("round trip changed fields: %+v vs %+v", re, s)
 		}

@@ -13,13 +13,14 @@ import (
 
 // Layout is how a dataset's Π is laid out over its members, and all that a
 // partitioned dataset adds to a plain one: where a delta goes, what a query
-// answers through, and which file a checkpoint writes. Plain is the
+// answers through, and what the file's layout field holds. Plain is the
 // one-member layout; internal/shard's ShardedStore is the partitioned one.
 // The hooks run at build, load and Stage, where no query waits — never per
 // query.
 type Layout interface {
 	// Open builds the view every query answers through from a persisted
-	// summary and the members' prepared answerers.
+	// summary and the members' prepared answerers, refusing a member count
+	// or a summary the layout does not hold.
 	Open(summary []byte, members []core.Answerer) (core.Answerer, error)
 	// Route maps one delta to the members it lands on: member index → the
 	// local deltas for that member's Π, in application order, each in the
@@ -34,23 +35,26 @@ type Layout interface {
 	// Merge is the stage a call through the view is timed under, once per
 	// Ask or AskBatch — never per probe — or nil for a view that is not timed.
 	Merge() *obs.Histogram
-	// Path is the file under dir that a checkpoint of dataset id writes.
-	Path(dir, id string) string
-	// Encode renders one committed value of scheme's dataset, registered from
-	// data digesting to sum, as that file.
-	Encode(scheme *core.Scheme, sum DataChecksum, c *Committed) []byte
+	// Encode renders the layout's own bytes — the file's layout field, which a
+	// registration's LayoutDecoder reads back.
+	Encode() []byte
 	// Describe names the layout where a registration asks for another one.
 	Describe() string
 }
 
 // Plain is the one-member layout: every delta goes to member 0, there is no
 // summary, the view is member 0's answerer (so a query is one probe of the
-// scheme's prepared form), and a checkpoint writes member 0's snapshot.
+// scheme's prepared form), and the layout field is empty.
 var Plain Layout = plain{}
 
 type plain struct{}
 
-func (plain) Open(_ []byte, members []core.Answerer) (core.Answerer, error) { return members[0], nil }
+func (plain) Open(summary []byte, members []core.Answerer) (core.Answerer, error) {
+	if len(members) != 1 || len(summary) != 0 {
+		return nil, fmt.Errorf("store: %d members and a %d-byte summary in the plain layout, want one and none", len(members), len(summary))
+	}
+	return members[0], nil
+}
 
 func (plain) Route(delta []byte, _ core.Answerer) (map[int][][]byte, error) {
 	return map[int][][]byte{0: {delta}}, nil
@@ -62,11 +66,7 @@ func (plain) Carry(_ []byte, _ core.Answerer, _ [][]byte, members []core.Answere
 
 func (plain) Merge() *obs.Histogram { return nil }
 
-func (plain) Path(dir, id string) string { return SnapshotPath(dir, id) }
-
-func (plain) Encode(scheme *core.Scheme, _ DataChecksum, c *Committed) []byte {
-	return EncodeSnapshot(c.Snapshot(scheme, 0))
-}
+func (plain) Encode() []byte { return nil }
 
 func (plain) Describe() string { return "unsharded" }
 
@@ -161,7 +161,7 @@ func (c *Committed) View() core.Answerer { return c.view }
 // scheme's artifact.
 func (c *Committed) Snapshot(scheme *core.Scheme, i int) *Snapshot {
 	m := c.members[i]
-	return NewSnapshot(scheme, m.Sum, c.version, m.Prep)
+	return &Snapshot{SchemeName: scheme.Name(), DataSum: m.Sum, Version: c.version, Prep: m.Prep}
 }
 
 // prepareMembers decodes the Π of every member marked in todo (every member
@@ -334,20 +334,13 @@ func (st *Store) Stage(ctx context.Context, deltas [][]byte) (func(version uint6
 	}, nil
 }
 
-// encode renders c as the file a checkpoint writes and memoises its size.
-func (st *Store) encode(c *Committed) []byte {
-	file := c.layout.Encode(st.Scheme, st.DataSum, c)
-	c.snapSize.Store(int64(len(file)))
-	return file
-}
-
 // Checkpoint implements DeltaDataset: the committed value rewritten, by one
 // atomic rename (and directory fsync), as the file a restarted registry
 // loads — until the rename lands the file on disk is the previous
 // checkpoint, whole.
 func (st *Store) Checkpoint(fsys FS, dir string) error {
 	c := st.load()
-	return WriteFileAtomicFS(fsys, c.layout.Path(dir, st.ID), st.encode(c))
+	return WriteFileAtomicFS(fsys, DatasetPath(dir, st.ID), st.encode(c))
 }
 
 // Key is the registration the store answers for.

@@ -43,7 +43,7 @@ import (
 var logMagic = []byte("PITRACTL\x02")
 
 // LogPath is the canonical delta-log path for a dataset ID, next to its
-// snapshot (SnapshotPath) with the ".pitract-log" suffix.
+// file (DatasetPath) with the ".pitract-log" suffix.
 func LogPath(dir, id string) string {
 	return filepath.Join(dir, url.PathEscape(id)+".pitract-log")
 }

@@ -241,9 +241,10 @@ var (
 // --- sharded stores (internal/shard) --------------------------------------------
 //
 // A sharded store is the registry's one store kind laid out over n parts:
-// the value BuildShardedStore, RegisterSharded and LoadShardedStore return
-// is a *store.Store (Ask, AskBatch, Version and the rest are that store's)
-// with the partition's facts beside it, and its snapshot is the manifest.
+// the value BuildShardedStore and RegisterSharded return is a *store.Store
+// (Ask, AskBatch, Version and the rest are that store's) with the
+// partition's facts beside it, and its file is a plain dataset's format with
+// one member per shard.
 
 // NewHashPartitioner spreads keys by 64-bit FNV-1a hash modulo the shard
 // count — balanced for any distribution; range queries fan out.
@@ -284,14 +285,11 @@ var (
 	PartitionerByName = shard.PartitionerByName
 )
 
-// LoadSnapshot reads and validates a snapshot file on the real disk.
-func LoadSnapshot(path string) (*store.Snapshot, error) { return store.LoadFS(store.OSFS, path) }
-
-// LoadShardedStore reopens a sharded dataset persisted under dir on the real
-// disk — one file, the manifest with every shard's snapshot inside — verifying
-// the manifest's CRC and each snapshot's own; damage fails with a clean error.
-func LoadShardedStore(dir, id string, scheme *Scheme) (*shard.ShardedStore, error) {
-	return shard.LoadShardedFS(store.OSFS, dir, id, scheme)
+// LoadDataset reopens the dataset persisted under dir as id on the real
+// disk — plain or sharded, one file either way — verifying the file's CRC and
+// every member snapshot's own; damage fails with a clean error.
+func LoadDataset(dir, id string, scheme *Scheme) (store.Dataset, error) {
+	return store.Load(store.OSFS, dir, id, scheme, nil, shard.LayoutDecoder(scheme))
 }
 
 // --- the PRAM engine (internal/pram) -------------------------------------------

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -266,12 +265,16 @@ func TestFacadeServingFlow(t *testing.T) {
 	if pd2, _ := st2.View(); !st2.Loaded || len(pd2) == 0 || !bytes.Equal(pd, pd2) {
 		t.Fatal("a restarted registry did not reload the identical snapshot")
 	}
-	snap, err := LoadSnapshot(filepath.Join(dir, "rel.pitract")) // the snapshot of id "rel"
+	loaded, err := LoadDataset(dir, "rel", scheme) // the file of id "rel"
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.SchemeName != scheme.Name() || !bytes.Equal(snap.Prep, pd) {
-		t.Fatal("LoadSnapshot disagrees with the registry")
+	plain, ok := loaded.(interface{ View() ([]byte, uint64) })
+	if !ok || loaded.SchemeName() != scheme.Name() || !loaded.WasLoaded() || loaded.ShardCount() != 1 {
+		t.Fatalf("LoadDataset returned a %T of %s", loaded, loaded.SchemeName())
+	}
+	if lpd, _ := plain.View(); !bytes.Equal(lpd, pd) {
+		t.Fatal("LoadDataset disagrees with the registry")
 	}
 
 	reg := NewStoreRegistry("")
@@ -368,7 +371,7 @@ func TestFacadeShardingFlow(t *testing.T) {
 	if _, err := RegisterSharded(reg, "g", scheme, NewHashPartitioner(), 2, d); err != nil {
 		t.Fatal(err)
 	}
-	reloaded, err := LoadShardedStore(dir, "g", scheme)
+	reloaded, err := LoadDataset(dir, "g", scheme)
 	if err != nil {
 		t.Fatal(err)
 	}
