@@ -400,10 +400,13 @@ serving:
   snapshot and reloaded on restart instead of recomputed. With -shards N
   (or per-request ?shards=N), a dataset is partitioned across N
   preprocessed stores and queries are routed to the owning shard or fanned
-  out and merged. PATCH /v1/datasets/{id} maintains registered datasets in
-  place under deltas (Π(D ⊕ ∆D), versioned, logged write-ahead and
-  re-snapshotted atomically — every batch, or every N batches with
-  -checkpoint-every N: faster PATCHes, a longer log replay after a crash).
+  out and merged. Only point-selection/sorted-keys (point and range
+  queries), list-membership/sorted and reachability/closure-matrix|labels
+  shard; -shards serves the rest unsharded, ?shards=N on them is a 400.
+  PATCH /v1/datasets/{id} maintains registered datasets in place under
+  deltas (Π(D ⊕ ∆D), versioned, logged write-ahead and re-snapshotted
+  atomically — every batch, or every N batches with -checkpoint-every N:
+  faster PATCHes, a longer log replay after a crash).
   With -cache-bytes N, the server memoizes hot verdicts of traversal
   schemes — the ones whose answer step walks D (reachability/bfs-per-query,
   point-selection/scan) — in a sharded in-memory LRU with singleflight

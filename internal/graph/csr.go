@@ -155,10 +155,6 @@ func expand(off, dst []int32, mark []uint32, q []int32, head, tail int, mine, ot
 // from src, src included — one traversal for a whole closure row.
 func (c *CSR) ReachFrom(src int, row []uint64) { c.reachSet(c.off, c.dst, src, row) }
 
-// ReachTo sets bit u of col for every vertex u that reaches dst, dst
-// included — ReachFrom over the in-arcs.
-func (c *CSR) ReachTo(dst int, col []uint64) { c.reachSet(c.roff, c.rdst, dst, col) }
-
 func (c *CSR) reachSet(off, dst []int32, s int, set []uint64) {
 	sc := c.pool.Get().(*scratch)
 	stack := sc.fq[:0] // a vertex is pushed once, when its bit is first set

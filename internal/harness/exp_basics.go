@@ -81,7 +81,7 @@ func C1RangeSelection(s Scale) (*Table, error) {
 		Title:   "range selection: scan vs sorted-key index",
 		Columns: []string{"rows", "scan ns/query", "indexed ns/query", "speedup"},
 	}
-	idxScheme := schemes.RangeSelectionScheme()
+	idxScheme := schemes.PointSelectionScheme() // its RangeQuery
 	lang := schemes.RangeSelectionLanguage()
 	var idxSeries []core.Measurement
 	for _, n := range s.sizes([]int{1 << 8, 1 << 10, 1 << 12, 1 << 14},

@@ -17,7 +17,7 @@ func F2Landscape(Scale) (*Table, error) {
 		{Name: "point selection (Q1)", PaperRef: "Example 1, §4(1)", Class: core.ClassPiT0Q,
 			Scheme: schemes.PointSelectionScheme(), Notes: "B⁺-tree / sorted keys"},
 		{Name: "range selection", PaperRef: "§4(1)", Class: core.ClassPiT0Q,
-			Scheme: schemes.RangeSelectionScheme(), Notes: "sorted keys"},
+			Scheme: schemes.PointSelectionScheme(), Notes: "the same sorted keys, its RangeQuery"},
 		{Name: "list membership (L1)", PaperRef: "§4(2)", Class: core.ClassPiT0Q,
 			Scheme: schemes.ListMembershipScheme(),
 			Notes:  "sort + binary search; the sort itself is NC (pram.BitonicSort), so the class is NC end-to-end"},

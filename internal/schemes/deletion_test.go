@@ -64,7 +64,7 @@ func TestDeletionDifferential(t *testing.T) {
 		probes [][]byte
 	}{
 		{"point-selection/sorted-keys", PointSelectionScheme(), RelationFromKeys(keys), keyDeltas, keyProbes},
-		{"range-selection/sorted-keys", RangeSelectionScheme(), RelationFromKeys(keys), keyDeltas, rangeProbes},
+		{"range-selection/sorted-keys", PointSelectionScheme(), RelationFromKeys(keys), keyDeltas, rangeProbes},
 		{"list-membership/sorted", ListMembershipScheme(), EncodeList(keys), keyDeltas, keyProbes},
 		{"reachability/closure-matrix", ReachabilityScheme(), dg.Encode(), dgDeltas, pairProbes},
 		{"reachability/closure-matrix (undirected)", ReachabilityScheme(), ug.Encode(), dgDeltas, pairProbes},
@@ -161,7 +161,7 @@ func TestHostileTombstones(t *testing.T) {
 		canary []byte
 	}{
 		{"point-selection/sorted-keys", PointSelectionScheme(), RelationFromKeys([]int64{2, 4}), PointQuery(2)},
-		{"range-selection/sorted-keys", RangeSelectionScheme(), RelationFromKeys([]int64{2, 4}), RangeQuery(2, 4)},
+		{"range-selection/sorted-keys", PointSelectionScheme(), RelationFromKeys([]int64{2, 4}), RangeQuery(2, 4)},
 		{"list-membership/sorted", ListMembershipScheme(), EncodeList([]int64{2, 4}), PointQuery(2)},
 	}
 	for _, tc := range cases {

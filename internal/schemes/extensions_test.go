@@ -269,7 +269,6 @@ func TestMaintainedIsRebuiltBytes(t *testing.T) {
 	fixtures := map[string][]update{
 		"list-membership/sorted":      keys(EncodeList([]int64{2, 4, 6})),
 		"point-selection/sorted-keys": keys(RelationFromKeys([]int64{2, 4, 6})),
-		"range-selection/sorted-keys": keys(RelationFromKeys([]int64{2, 4, 6})),
 		"reachability/bfs-per-query":  edges,
 		"reachability/closure-matrix": edges,
 		"reachability/labels":         edges,
@@ -324,7 +323,6 @@ func TestKeysDeltaSortIsNotQuadratic(t *testing.T) {
 		d   []byte
 	}{
 		{PointSelectionScheme(), RelationFromKeys(base)},
-		{RangeSelectionScheme(), RelationFromKeys(base)},
 		{ListMembershipScheme(), EncodeList(base)},
 	} {
 		inc, d := tc.inc, tc.d

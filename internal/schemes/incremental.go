@@ -5,7 +5,7 @@ package schemes
 // re-preprocessing. Each scheme constructor sets its own ApplyDelta and ⊕
 // (ApplyUpdate) from this file; the instances are
 //
-//   - the sorted key file of the point/range-selection and list-membership
+//   - the sorted key file of the selection and list-membership
 //     schemes under insertions and deletions (a merge or a filter streamed
 //     into an exactly-sized new file in O(|Π| + |∆D|·b), versus O(|D|·b)
 //     re-sorting, b the key bytes that vary — see dedupSorted);

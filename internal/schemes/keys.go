@@ -822,34 +822,9 @@ func checkKeyCount(n uint64) error {
 	return nil
 }
 
-// keyProbe is a query's probe of a checked key file: answerPoint or
-// answerRange.
-type keyProbe func(f *keyFile, q []byte) (bool, error)
-
-// answerPoint is the point probe: is the key of PointQuery q in f.
-func answerPoint(f *keyFile, q []byte) (bool, error) {
-	c, err := DecodePointQuery(q)
-	if err != nil {
-		return false, err
-	}
-	x := biasKey(c)
-	i, v, err := f.nextGEQ(x)
-	return i < f.n && v == x, err
-}
-
-// answerRange is the range probe: is the first key ≥ lo at most hi.
-func answerRange(f *keyFile, q []byte) (bool, error) {
-	lo, hi, err := DecodeRangeQuery(q)
-	if err != nil || hi < lo {
-		return false, err
-	}
-	i, v, err := f.nextGEQ(biasKey(lo))
-	return i < f.n && v <= biasKey(hi), err
-}
-
-// prepare is the scheme's Prepare: the header and the sample table checked
-// once, over Π's own bytes.
-func (probe keyProbe) prepare(pd []byte) (core.Answerer, error) {
+// prepareKeys is the Prepare of the key schemes: the header and the sample
+// table checked once, over Π's own bytes.
+func prepareKeys(pd []byte) (core.Answerer, error) {
 	f, err := parseKeyFile(pd)
 	if err != nil {
 		return nil, err
@@ -857,17 +832,23 @@ func (probe keyProbe) prepare(pd []byte) (core.Answerer, error) {
 	if err := f.checkSamples(); err != nil {
 		return nil, err
 	}
-	return &keysAnswerer{f: f, probe: probe}, nil
+	return &keysAnswerer{f: f}, nil
 }
 
-// keysAnswerer is a key file's prepared form.
-type keysAnswerer struct {
-	f     keyFile
-	probe keyProbe
-}
+// keysAnswerer is a key file's prepared form. It answers both queries of
+// Example 1 over the one file, by one probe: is the first key ≥ lo at most
+// hi (a point query c is the range [c, c]).
+type keysAnswerer struct{ f keyFile }
 
 // Answer implements core.Answerer.
-func (a *keysAnswerer) Answer(q []byte) (bool, error) { return a.probe(&a.f, q) }
+func (a *keysAnswerer) Answer(q []byte) (bool, error) {
+	lo, hi, err := DecodeSelection(q)
+	if err != nil || hi < lo {
+		return false, err
+	}
+	i, v, err := a.f.nextGEQ(biasKey(lo))
+	return i < a.f.n && v <= biasKey(hi), err
+}
 
 // keyEdit is one key a delta adds or removes (biased), with its place in the
 // old file: the index it goes in at, or the index it is at.
@@ -879,8 +860,8 @@ type keyEdit struct{ x, at uint64 }
 // filter for a delete (an absent key is a no-op). Π is never expanded into a
 // key slice, and an edit that changes nothing returns pd itself: a streamed
 // O(|Π| + |∆D|·b) merge or filter against an O(|D|·b) re-sort, b the key
-// bytes that vary. The point, range and list schemes share the key file, so
-// this one function maintains all three.
+// bytes that vary. The selection and list schemes share the key file, so
+// this one function maintains both.
 func applyKeysDelta(pd, delta []byte) ([]byte, error) {
 	f, err := parseKeyFile(pd)
 	if err != nil {

@@ -56,22 +56,17 @@ func mustKeyFile(t testing.TB, keys []int64) []byte {
 	return pd
 }
 
-// checkProbes holds every point and range probe of pd's prepared forms to
+// checkProbes holds every point and range probe of pd's prepared form to
 // sort.Search over keys (ascending, distinct): each key, its neighbours, the
 // ends of int64, and ranges that are empty (lo > hi), start below the
 // minimum or end above the maximum.
 func checkProbes(t *testing.T, pd []byte, keys []int64) {
 	t.Helper()
-	point, rng := PointSelectionScheme(), RangeSelectionScheme()
-	prepPoint, err := point.Prepare(pd)
+	prep, err := PointSelectionScheme().Prepare(pd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prepRange, err := rng.Prepare(pd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ask := func(prep core.Answerer, q []byte, want bool, what string) {
+	ask := func(q []byte, want bool, what string) {
 		t.Helper()
 		if got, err := prep.Answer(q); err != nil || got != want {
 			t.Fatalf("%s over %d keys: prepared (%v, %v), want %v", what, len(keys), got, err, want)
@@ -90,11 +85,11 @@ func checkProbes(t *testing.T, pd []byte, keys []int64) {
 	}
 	for i, c := range cands {
 		v, ok := nextGEQ(c)
-		ask(prepPoint, PointQuery(c), ok && v == c, "point")
+		ask(PointQuery(c), ok && v == c, "point")
 		d := cands[(i+1)%len(cands)]
 		for _, r := range [][2]int64{{c, c}, {c, d}, {d, c}, {math.MinInt64, c}, {c, math.MaxInt64}} {
 			v, ok := nextGEQ(r[0])
-			ask(prepRange, RangeQuery(r[0], r[1]), r[0] <= r[1] && ok && v <= r[1], "range")
+			ask(RangeQuery(r[0], r[1]), r[0] <= r[1] && ok && v <= r[1], "range")
 		}
 	}
 }
@@ -416,7 +411,7 @@ func FuzzSortedKeysDecode(f *testing.F) {
 				k, ok := first(qs[i])
 				return ok && k == qs[i]
 			}},
-			{RangeSelectionScheme(), func(i int) []byte { return RangeQuery(qs[i], qs[(i+1)%len(qs)]) }, func(i int) bool {
+			{PointSelectionScheme(), func(i int) []byte { return RangeQuery(qs[i], qs[(i+1)%len(qs)]) }, func(i int) bool {
 				lo, hi := qs[i], qs[(i+1)%len(qs)]
 				k, ok := first(lo)
 				return lo <= hi && ok && k <= hi

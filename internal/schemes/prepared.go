@@ -31,7 +31,7 @@ import (
 // --- local reach: the typed seam under sharded reachability ---------------------
 
 // LocalReach is the typed, allocation-free face of a prepared reachability
-// answerer (closure, labels, BFS): the same verdicts as Answer, without a
+// answerer (closure, labels): the same verdicts as Answer, without a
 // query to encode, decode, or range-check. internal/shard reads it — the
 // same-shard verdict through Reach, the per-vertex portal reach rows and
 // the portal overlay through the two bulk reads — so sharded reachability
@@ -113,19 +113,6 @@ func (a *bfsAnswerer) Answer(q []byte) (bool, error) {
 	}
 	return a.g.Reachable(u, v), nil
 }
-
-// Nodes implements LocalReach.
-func (a *bfsAnswerer) Nodes() int { return a.g.N() }
-
-// Reach implements LocalReach: one bidirectional search.
-func (a *bfsAnswerer) Reach(u, v int) bool { return a.g.Reachable(u, v) }
-
-// ReachFrom implements LocalReach: one traversal of the out-arcs marks the
-// whole row.
-func (a *bfsAnswerer) ReachFrom(u int, row []uint64) { a.g.ReachFrom(u, row) }
-
-// ReachTo implements LocalReach: one traversal of the in-arcs.
-func (a *bfsAnswerer) ReachTo(v int, col []uint64) { a.g.ReachTo(v, col) }
 
 // prepareBFS decodes the graph once, so a query pays the search and not a
 // re-decode of O(|V|+|E|) bytes.

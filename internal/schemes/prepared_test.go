@@ -39,11 +39,11 @@ func preparedCases(t *testing.T) map[string]preparedCase {
 	for k := int64(-3); k < 40; k += 7 {
 		selQueries = append(selQueries, PointQuery(k))
 	}
-	selQueries = append(selQueries, []byte{1, 2}, nil) // malformed
+	selQueries = append(selQueries, []byte{1, 2, 3}, nil) // neither one key nor two
 
 	rangeQueries := [][]byte{
 		RangeQuery(0, 10), RangeQuery(10, 0), RangeQuery(-50, 600),
-		RangeQuery(77, 77), []byte{9}, nil,
+		RangeQuery(77, 77), []byte{9, 9, 9}, nil,
 	}
 
 	pairQueries := func(n int) [][]byte {
@@ -63,7 +63,7 @@ func preparedCases(t *testing.T) map[string]preparedCase {
 	return map[string]preparedCase{
 		"point-sorted": {PointSelectionScheme(), SelectionLanguage(), rel.Encode(), selQueries},
 		"point-scan":   {PointSelectionScanScheme(), SelectionLanguage(), rel.Encode(), selQueries},
-		"range":        {RangeSelectionScheme(), RangeSelectionLanguage(), rel.Encode(), rangeQueries},
+		"range":        {PointSelectionScheme(), RangeSelectionLanguage(), rel.Encode(), rangeQueries},
 		"list":         {ListMembershipScheme(), ListMembershipLanguage(), list, selQueries},
 		"closure-dir":  {ReachabilityScheme(), reach, dg.Encode(), pairQueries(48)},
 		"closure-und":  {ReachabilityScheme(), reach, ug.Encode(), pairQueries(40)},
@@ -227,13 +227,13 @@ func TestPreparedProbeAllocs(t *testing.T) {
 // TestLocalReachMatchesAnswer pins the typed seam under sharded
 // reachability against the Answer it shadows: Reach, and every bit of
 // every ReachFrom row and ReachTo column, equals the encoded-query verdict
-// — for all three reachability answerers, directed and undirected.
+// — for both answerers sharded reachability reads, directed and undirected.
 func TestLocalReachMatchesAnswer(t *testing.T) {
 	cases := preparedCases(t)
 	// Rows longer than one word, at a width that is not a multiple of 64:
 	// the closure's realigning row copy crosses word boundaries.
 	cases["closure-wide"] = preparedCase{scheme: ReachabilityScheme(), data: graph.RandomDirected(130, 170, 4).Encode()}
-	for _, name := range []string{"closure-dir", "closure-und", "closure-wide", "labels-dir", "labels-und", "bfs"} {
+	for _, name := range []string{"closure-dir", "closure-und", "closure-wide", "labels-dir", "labels-und"} {
 		tc := cases[name]
 		pd, err := tc.scheme.Preprocess(tc.data)
 		if err != nil {
@@ -293,7 +293,6 @@ func TestSortedKeyPrepareIsConstant(t *testing.T) {
 		data   []byte
 	}{
 		{PointSelectionScheme(), RelationFromKeys(keys)},
-		{RangeSelectionScheme(), RelationFromKeys(keys)},
 		{ListMembershipScheme(), EncodeList(keys)},
 		{BDSScheme(), graph.RandomConnectedUndirected(n, 2*n, 9).Encode()},
 	} {

@@ -33,7 +33,6 @@ func Catalog() []*core.Scheme {
 	return []*core.Scheme{
 		PointSelectionScheme(),
 		PointSelectionScanScheme(),
-		RangeSelectionScheme(),
 		ListMembershipScheme(),
 		ReachabilityScheme(),
 		ReachabilityLabelsScheme(),
@@ -74,6 +73,21 @@ func DecodeRangeQuery(q []byte) (lo, hi int64, err error) {
 	return int64(vs[0] - (1 << 63)), int64(vs[1] - (1 << 63)), nil
 }
 
+// DecodeSelection parses a query of either selection — a PointQuery c, read
+// as the range [c, c], or a RangeQuery [lo, hi] — for the key file's probe
+// and its shard route. Any other string is refused, naming both forms.
+func DecodeSelection(q []byte) (lo, hi int64, err error) {
+	a, k := binary.Uvarint(q)
+	b, k2 := a, 0
+	if k > 0 && k < len(q) {
+		b, k2 = binary.Uvarint(q[k:])
+	}
+	if k <= 0 || k2 < 0 || k+k2 != len(q) {
+		return 0, 0, fmt.Errorf("schemes: a %d-byte query is neither a point query (one key) nor a range query (two keys)", len(q))
+	}
+	return int64(a - 1<<63), int64(b - 1<<63), nil
+}
+
 // SelectionLanguage is S1 from Example 3: ⟨D, (A, c)⟩ with D a relation and
 // the answer "∃t ∈ D: t[key] = c", decided by the reference scan.
 func SelectionLanguage() core.Language {
@@ -94,8 +108,9 @@ func SelectionLanguage() core.Language {
 }
 
 // PointSelectionScheme preprocesses the relation into a sorted key file and
-// answers point selections by one probe of it — Example 1's B⁺-tree access
-// path in string form: a few linear passes of preprocessing (the key column
+// answers both selections of Example 1 by one probe of it — a PointQuery
+// (A, c) and a RangeQuery (A, [lo, hi]): the B⁺-tree access path in string
+// form. Preprocessing is a few linear passes (the key column
 // read out of D's bytes whole tuples at a time, sorted, laid out), then a
 // sample, a few words of high bits and a search of one bucket per answer.
 // Each pass runs in a few parts per P over a D of half a megabyte and more
@@ -103,8 +118,8 @@ func SelectionLanguage() core.Language {
 //
 // The sort (dedupSorted) is O(|D|) through a bitmap when the keys span fewer
 // than 64 values a key, and O(|D|·b) otherwise, b ≤ 8 the key bytes that
-// vary — the bound the PreprocessNote of this scheme, the range scheme and
-// list membership states.
+// vary — the bound the PreprocessNote of this scheme and list membership
+// states.
 func PointSelectionScheme() *core.Scheme {
 	return &core.Scheme{
 		SchemeName: "point-selection/sorted-keys",
@@ -115,7 +130,7 @@ func PointSelectionScheme() *core.Scheme {
 			}
 			return keyFileBytes(dedupSorted(keys))
 		},
-		Prepare:        keyProbe(answerPoint).prepare,
+		Prepare:        prepareKeys,
 		ApplyDelta:     applyKeysDelta,
 		ApplyUpdate:    applyRelationKeys,
 		PreprocessNote: "O(|D|) through the bitmap, or O(|D|·b) by radix sort, b ≤ 8 varying key bytes",
@@ -139,7 +154,8 @@ func PointSelectionScanScheme() *core.Scheme {
 	}
 }
 
-// RangeSelectionLanguage decides range selections by the reference scan.
+// RangeSelectionLanguage decides range selections by the reference scan:
+// the oracle of PointSelectionScheme's RangeQuery.
 func RangeSelectionLanguage() core.Language {
 	return core.LanguageFunc{
 		LangName: "range-selection",
@@ -154,20 +170,6 @@ func RangeSelectionLanguage() core.Language {
 			}
 			return rel.ScanRangeSelect("key", relation.Int(lo), relation.Int(hi))
 		},
-	}
-}
-
-// RangeSelectionScheme answers range selections on the point scheme's sorted
-// key file.
-func RangeSelectionScheme() *core.Scheme {
-	return &core.Scheme{
-		SchemeName:     "range-selection/sorted-keys",
-		Preprocess:     PointSelectionScheme().Preprocess,
-		Prepare:        keyProbe(answerRange).prepare,
-		ApplyDelta:     applyKeysDelta,
-		ApplyUpdate:    applyRelationKeys,
-		PreprocessNote: "O(|D|) through the bitmap, or O(|D|·b) by radix sort, b ≤ 8 varying key bytes",
-		AnswerNote:     keysAnswerNote,
 	}
 }
 
@@ -240,7 +242,7 @@ func ListMembershipScheme() *core.Scheme {
 			}
 			return keyFileBytes(dedupSorted(list))
 		},
-		Prepare:        keyProbe(answerPoint).prepare,
+		Prepare:        prepareKeys,
 		ApplyDelta:     applyKeysDelta,
 		ApplyUpdate:    applyListKeys,
 		PreprocessNote: "O(|M|) through the bitmap, or O(|M|·b) by radix sort, b ≤ 8 varying key bytes",

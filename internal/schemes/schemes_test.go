@@ -43,6 +43,8 @@ func TestPointSelectionSchemes(t *testing.T) {
 	verifyScheme(t, PointSelectionScanScheme(), SelectionLanguage(), d, queries)
 }
 
+// TestRangeSelectionScheme: range selection is the sorted-key scheme's second
+// query, held to the range language.
 func TestRangeSelectionScheme(t *testing.T) {
 	rel := relation.Generate(relation.GenConfig{Rows: 300, Seed: 5, KeyMax: 300})
 	d := rel.Encode()
@@ -53,7 +55,7 @@ func TestRangeSelectionScheme(t *testing.T) {
 		hi := lo + rng.Int63n(40) - 5 // sometimes inverted
 		queries = append(queries, RangeQuery(lo, hi))
 	}
-	verifyScheme(t, RangeSelectionScheme(), RangeSelectionLanguage(), d, queries)
+	verifyScheme(t, PointSelectionScheme(), RangeSelectionLanguage(), d, queries)
 }
 
 func TestListMembershipScheme(t *testing.T) {
@@ -254,7 +256,6 @@ func TestTraversalDeclarations(t *testing.T) {
 	constructors := map[string]func() *core.Scheme{
 		"PointSelectionScheme":     PointSelectionScheme,
 		"PointSelectionScanScheme": PointSelectionScanScheme,
-		"RangeSelectionScheme":     RangeSelectionScheme,
 		"ListMembershipScheme":     ListMembershipScheme,
 		"ReachabilityScheme":       ReachabilityScheme,
 		"ReachabilityLabelsScheme": ReachabilityLabelsScheme,

@@ -51,11 +51,11 @@ func hotPathCases(t *testing.T) map[string]hotPathCase {
 	for k := int64(-2); k < 210; k += 13 {
 		point = append(point, schemes.PointQuery(k))
 	}
-	point = append(point, []byte{3}) // malformed
+	point = append(point, []byte{3, 3, 3}) // neither one key nor two
 
 	ranges := [][]byte{
 		schemes.RangeQuery(0, 50), schemes.RangeQuery(50, 0),
-		schemes.RangeQuery(190, 400), schemes.RangeQuery(-10, -1), []byte{3},
+		schemes.RangeQuery(190, 400), schemes.RangeQuery(-10, -1), []byte{3, 3, 3},
 	}
 
 	pairs := func(n int) [][]byte {
@@ -78,7 +78,7 @@ func hotPathCases(t *testing.T) map[string]hotPathCase {
 	return map[string]hotPathCase{
 		"point-selection/sorted-keys": {schemes.PointSelectionScheme(), rel.Encode(), point, keysDelta},
 		"point-selection/scan":        {schemes.PointSelectionScanScheme(), rel.Encode(), point, nil},
-		"range-selection/sorted-keys": {schemes.RangeSelectionScheme(), rel.Encode(), ranges, keysDelta},
+		"range-selection/sorted-keys": {schemes.PointSelectionScheme(), rel.Encode(), ranges, keysDelta}, // its RangeQuery
 		"list-membership/sorted":      {schemes.ListMembershipScheme(), list, point, keysDelta},
 		"reachability/closure-matrix": {schemes.ReachabilityScheme(), dg.Encode(), pairs(36), edgeDeltas},
 		"reachability/bfs-per-query":  {schemes.ReachabilityBFSScheme(), dg.Encode(), pairs(36), edgeDeltas},
@@ -168,7 +168,7 @@ func TestCachedVsUncachedDifferential(t *testing.T) {
 			checkDataset(t, "unsharded", st, st, c, tc.queries)
 
 			var ss *shard.ShardedStore
-			if shard.ForScheme(name) != nil {
+			if shard.ForScheme(tc.scheme.Name()) != nil {
 				ss, err = shard.RegisterSharded(reg, "sharded", tc.scheme, shard.HashPartitioner{}, 3, tc.data)
 				if err != nil {
 					t.Fatal(err)
@@ -184,7 +184,7 @@ func TestCachedVsUncachedDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				checkDataset(t, "unsharded+patch", st, st, c, tc.queries)
-				if ss != nil && shardedDeltaCapable(name) {
+				if ss != nil {
 					if _, err := reg.ApplyDelta("sharded", tc.deltas); err != nil {
 						t.Fatal(err)
 					}
@@ -213,17 +213,6 @@ func TestCachedVsUncachedDifferential(t *testing.T) {
 			}
 		})
 	}
-}
-
-// shardedDeltaCapable reports whether the scheme's sharded form routes
-// deltas.
-func shardedDeltaCapable(name string) bool {
-	for _, s := range shard.DeltaCapableSchemes() {
-		if s == name {
-			return true
-		}
-	}
-	return false
 }
 
 // TestCacheRaceWithPatch hammers one cached dataset with concurrent
@@ -462,8 +451,10 @@ func TestCacheStagesRecordedUnderQueryBudget(t *testing.T) {
 }
 
 // TestCachePlacementFollowsTheScheme pins the placement rule over the whole
-// catalog, plain and sharded: the answer cache fronts a dataset iff its
-// scheme declares a per-query traversal. A repeat query on an index-probe
+// catalog, plain and under a server-wide default of two shards — which the
+// two traversal baselines, having no sharded form, fall back from to one:
+// the answer cache fronts a dataset iff its scheme declares a per-query
+// traversal. A repeat query on an index-probe
 // dataset moves no cache counter — it is answered by the prepared probe,
 // which costs less than the lookup would — and a repeat query on a
 // traversal dataset is a hit. DatasetInfo.cached reports the same decision.
@@ -477,19 +468,31 @@ func TestCachePlacementFollowsTheScheme(t *testing.T) {
 			t.Fatalf("catalog scheme %q has no workload in this test", name)
 		}
 		for _, shards := range []int{1, 2} {
-			if shards > 1 && shard.ForScheme(name) == nil {
-				continue
+			if shards > 1 && shard.ForScheme(name) == nil && !sch.Traversal {
+				continue // the same unsharded registration as shards=1
 			}
 			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
 				srv := New(store.NewRegistry(""), nil)
 				c := cache.New(1 << 20)
 				srv.SetAnswerCache(c)
+				// The server-wide default: a baseline, which has no sharded
+				// form, is served unsharded under it — and still cached.
+				if err := srv.SetDefaultSharding(shards, "hash"); err != nil {
+					t.Fatal(err)
+				}
 				ts := httptest.NewServer(srv)
 				defer ts.Close()
 				var info DatasetInfo
-				if code := postJSON(t, ts.Client(), fmt.Sprintf("%s/v1/datasets?shards=%d", ts.URL, shards),
+				if code := postJSON(t, ts.Client(), ts.URL+"/v1/datasets",
 					RegisterRequest{ID: "d", Scheme: name, Data: tc.data}, &info); code != http.StatusOK {
 					t.Fatalf("register status %d", code)
+				}
+				want := 1
+				if shard.ForScheme(name) != nil {
+					want = shards
+				}
+				if info.Shards != want {
+					t.Fatalf("registered on %d shards, want %d", info.Shards, want)
 				}
 				ds, _ := srv.Registry().GetDataset("d")
 				if fronted := srv.answerPath(ds) != ds; fronted != sch.Traversal {

@@ -199,11 +199,6 @@ func TestPatchErrorTaxonomy(t *testing.T) {
 	}, nil); code != http.StatusOK {
 		t.Fatalf("register scan: status %d", code)
 	}
-	if code := postJSON(t, client, ts.URL+"/v1/datasets?shards=2", RegisterRequest{
-		ID: "gbfs", Scheme: "reachability/bfs-per-query", Data: smallGraph().Encode(),
-	}, nil); code != http.StatusOK {
-		t.Fatalf("register sharded bfs: status %d", code)
-	}
 	if code := postJSON(t, client, ts.URL+"/v1/datasets", RegisterRequest{
 		ID: "g", Scheme: "reachability/closure-matrix", Data: smallGraph().Encode(),
 	}, nil); code != http.StatusOK {
@@ -223,7 +218,6 @@ func TestPatchErrorTaxonomy(t *testing.T) {
 		{"empty-batch", "/v1/datasets/m", nil, http.StatusBadRequest},
 		{"hostile-delta", "/v1/datasets/m", [][]byte{{0xff, 0xff, 0xff}}, http.StatusConflict},
 		{"no-incremental-form", "/v1/datasets/scan", [][]byte{schemes.KeysDelta([]int64{2})}, http.StatusConflict},
-		{"sharded-without-delta-routing", "/v1/datasets/gbfs", [][]byte{schemes.EdgeDelta(0, 1)}, http.StatusConflict},
 		{"delete-absent-edge", "/v1/datasets/g", [][]byte{schemes.EdgeDeleteDelta(0, 3)}, http.StatusConflict},
 		{"hostile-tombstone", "/v1/datasets/m", [][]byte{{0xff, 0xff, 0xff, 0x00, 0x02, 0x80}}, http.StatusConflict},
 		{"bad-path", "/v1/datasets/", [][]byte{schemes.KeysDelta([]int64{1})}, http.StatusNotFound},

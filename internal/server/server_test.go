@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -671,4 +672,44 @@ func TestOverCapClosureRegistrationRefused(t *testing.T) {
 		QueryRequest{Dataset: "ok", Query: schemes.NodePairQuery(0, 3)}, &qr); code != http.StatusOK || !qr.Answer {
 		t.Fatalf("query after the refusals: status %d, answer %v", code, qr.Answer)
 	}
+}
+
+// TestBaselinesAreServedUnshardedOnly: the two no-preprocessing baselines
+// have no sharded form. An explicit ?shards=2 on one is a 400 that lists the
+// schemes that do; under a server-wide default of 4 shards the same
+// registration is served unsharded.
+func TestBaselinesAreServedUnshardedOnly(t *testing.T) {
+	reg := RegisterRequest{ID: "g", Scheme: "reachability/bfs-per-query", Data: graph.Path(4, true).Encode()}
+	t.Run("explicit", func(t *testing.T) {
+		ts := httptest.NewServer(New(store.NewRegistry(""), nil))
+		defer ts.Close()
+		var e struct {
+			Error string `json:"error"`
+		}
+		code := postJSON(t, ts.Client(), ts.URL+"/v1/datasets?shards=2", reg, &e)
+		if want := fmt.Sprintf("(shardable: %v)", shard.ShardableSchemes()); code != http.StatusBadRequest || !strings.Contains(e.Error, want) {
+			t.Fatalf("status %d %q, want 400 naming %s", code, e.Error, want)
+		}
+	})
+	t.Run("default", func(t *testing.T) {
+		srv := New(store.NewRegistry(""), nil)
+		if err := srv.SetDefaultSharding(4, "hash"); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
+		b, err := json.Marshal(reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Post(ts.URL+"/v1/datasets", "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte(`"shards":1`)) {
+			t.Fatalf("status %d %s, want 200 with \"shards\":1", resp.StatusCode, body)
+		}
+	})
 }

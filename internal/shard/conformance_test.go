@@ -48,9 +48,9 @@ func conformanceFamilies() []conformanceFamily {
 	for i := range keys {
 		keys[i] = int64(7*i%97) - 20
 	}
-	var ranges [][]byte
+	var selections [][]byte
 	for lo := int64(-25); lo < 100; lo += 9 {
-		ranges = append(ranges, schemes.RangeQuery(lo, lo), schemes.RangeQuery(lo, lo+5), schemes.RangeQuery(lo, lo+60))
+		selections = append(selections, schemes.PointQuery(lo), schemes.RangeQuery(lo, lo), schemes.RangeQuery(lo, lo+5), schemes.RangeQuery(lo, lo+60))
 	}
 	withMalformed := func(good [][]byte, bad ...[]byte) [][]byte {
 		out := append([][]byte(nil), good[:len(good)/2]...)
@@ -68,14 +68,14 @@ func conformanceFamilies() []conformanceFamily {
 				[]byte{}, []byte{0x80}, schemes.NodePairQuery(0, g.N()+5), append(schemes.NodePairQuery(0, 1), 1)),
 		},
 		{
-			// A scheme without one: the router is its view — lo == hi routes,
-			// a range spanning hash shards fans out.
-			name: "routed", scheme: schemes.RangeSelectionScheme(), part: HashPartitioner{},
+			// A scheme without one: the router is its view — a point query
+			// and lo == hi route, a range spanning hash shards fans out.
+			name: "routed", scheme: schemes.PointSelectionScheme(), part: HashPartitioner{},
 			data:       schemes.RelationFromKeys(keys),
 			patches:    [][]byte{schemes.KeysDelta([]int64{-23, 31}), schemes.KeysDeleteDelta([]int64{keys[3], keys[4]})},
-			wellFormed: ranges,
-			queries: withMalformed(ranges,
-				[]byte{}, []byte{0x80}, schemes.PointQuery(3), append(schemes.RangeQuery(1, 2), 1)),
+			wellFormed: selections,
+			queries: withMalformed(selections,
+				[]byte{}, []byte{0x80}, append(schemes.PointQuery(3), 0x80), append(schemes.RangeQuery(1, 2), 1)),
 		},
 	}
 }

@@ -81,7 +81,7 @@ func shardCrashSchemes() []shardCrashScheme {
 
 	return []shardCrashScheme{
 		{"point-selection/sorted-keys", schemes.PointSelectionScheme(), keyData, keyBatches(), keyProbes},
-		{"range-selection/sorted-keys", schemes.RangeSelectionScheme(), keyData, keyBatches(), rangeProbes},
+		{"range-selection/sorted-keys", schemes.PointSelectionScheme(), keyData, keyBatches(), rangeProbes}, // its RangeQuery
 		{"list-membership/sorted", schemes.ListMembershipScheme(),
 			schemes.EncodeList([]int64{2, 4, 6, 8, 10, 400, 402, 404}), keyBatches(), keyProbes},
 		{"reachability/closure-matrix", schemes.ReachabilityScheme(), g.Encode(), edgeBatches, pairProbes},

@@ -4,15 +4,12 @@ package shard
 // sharded datasets verdict-equivalent to a from-scratch unsharded
 // preprocessing of the updated data (the same oracle the unsharded suite
 // uses), across partitioners, shard counts, and a persistence
-// reload → continue-patching cycle; plus the clean-refusal regression for
-// sharded forms without delta routing.
+// reload → continue-patching cycle.
 
 import (
 	"bytes"
 	"context"
 	"math/rand"
-	"os"
-	"strings"
 	"sync"
 	"testing"
 
@@ -105,7 +102,7 @@ func shardDeltaCases(seed int64) []shardDeltaCase {
 	return []shardDeltaCase{
 		{"point-selection/sorted-keys", schemes.PointSelectionScheme(),
 			schemes.RelationFromKeys(keys), keyDeltas, keyProbes},
-		{"range-selection/sorted-keys", schemes.RangeSelectionScheme(),
+		{"range-selection/sorted-keys", schemes.PointSelectionScheme(), // its RangeQuery
 			schemes.RelationFromKeys(keys), keyDeltas, rangeProbes},
 		{"list-membership/sorted", schemes.ListMembershipScheme(),
 			schemes.EncodeList(keys), keyDeltas, keyProbes},
@@ -353,51 +350,6 @@ func TestShardedSummaryMaintainedIsRebuilt(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestShardedDeltaUnsupportedCleanRefusal is the regression for the PATCH
-// conflict path: a sharded dataset whose scheme has no sharded delta
-// routing refuses with a clean error — no panic, the registry entry still
-// answers, the version stays 0, and the persisted manifest is untouched.
-func TestShardedDeltaUnsupportedCleanRefusal(t *testing.T) {
-	dir := t.TempDir()
-	reg := store.NewRegistry(dir)
-	g := graph.CommunityGraph(2, 6, 8, 11)
-	scheme := schemes.ReachabilityBFSScheme()
-	ss, err := RegisterSharded(reg, "g", scheme, HashPartitioner{}, 2, g.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	manifestBefore, err := os.ReadFile(store.DatasetPath(dir, "g"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	before, err := ss.Answer(schemes.NodePairQuery(0, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	_, err = reg.ApplyDelta("g", [][]byte{schemes.EdgeDelta(0, 2)})
-	if err == nil {
-		t.Fatal("sharded BFS accepted a delta")
-	}
-	if want := "no sharded delta routing"; !strings.Contains(err.Error(), want) {
-		t.Fatalf("refusal %q does not explain itself (want %q)", err, want)
-	}
-	if ss.Version() != 0 {
-		t.Fatalf("refused delta bumped the version to %d", ss.Version())
-	}
-	after, err := ss.Answer(schemes.NodePairQuery(0, 1))
-	if err != nil || after != before {
-		t.Fatalf("registry entry disturbed by refused delta: %v, %v", after, err)
-	}
-	manifestAfter, err := os.ReadFile(store.DatasetPath(dir, "g"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(manifestBefore) != string(manifestAfter) {
-		t.Fatal("refused delta rewrote the manifest")
 	}
 }
 

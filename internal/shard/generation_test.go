@@ -681,7 +681,7 @@ func TestOlderSortedKeyLayoutOnDiskIsRebuilt(t *testing.T) {
 			old = binary.BigEndian.AppendUint64(old, uint64(k)^1<<63)
 		}
 		var le *core.LayoutError
-		for _, s := range []*core.Scheme{schemes.PointSelectionScheme(), schemes.RangeSelectionScheme(), schemes.ListMembershipScheme()} {
+		for _, s := range []*core.Scheme{schemes.PointSelectionScheme(), schemes.ListMembershipScheme()} {
 			if _, err := s.Answer(old, schemes.PointQuery(5)); !errors.As(err, &le) {
 				t.Errorf("%s Answer: %v, want a LayoutError", s.Name(), err)
 			}

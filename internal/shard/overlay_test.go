@@ -226,7 +226,7 @@ func FuzzOverlaySummary(f *testing.F) {
 			p = RangePartitioner{}
 		}
 		n := 2 + int(h>>2)%3
-		scheme := []*core.Scheme{schemes.ReachabilityScheme(), schemes.ReachabilityLabelsScheme(), schemes.ReachabilityBFSScheme()}[int(h>>4)%3]
+		scheme := []*core.Scheme{schemes.ReachabilityScheme(), schemes.ReachabilityLabelsScheme()}[int(h>>4)%2]
 
 		asn, _, summary, err := splitReach(g.Encode(), p, n)
 		if err != nil {
@@ -287,7 +287,7 @@ func lowerPortalCap(t *testing.T, limit int) {
 // cap is refused before the overlay closure is allocated, and a PATCH that
 // would lift a registered dataset's overlay over it is refused whole —
 // nothing applied, version unchanged, every verdict as before — for both
-// schemes that take sharded deltas.
+// sharded reachability schemes.
 func TestOverlayPortalCap(t *testing.T) {
 	if maxPortals != graph.MaxClosureVertices {
 		t.Fatalf("the overlay cap is %d, not graph.MaxClosureVertices", maxPortals)
@@ -347,7 +347,7 @@ func TestOverlayPortalCap(t *testing.T) {
 
 	// Registration: the same graph under a cap its two portals exceed.
 	lowerPortalCap(t, 1)
-	_, err := RegisterSharded(store.NewRegistry(""), "g", schemes.ReachabilityBFSScheme(), RangePartitioner{}, 2, g.Encode())
+	_, err := RegisterSharded(store.NewRegistry(""), "g", schemes.ReachabilityScheme(), RangePartitioner{}, 2, g.Encode())
 	if err == nil || !strings.Contains(err.Error(), "1-vertex closure limit") {
 		t.Fatalf("registration with 2 portals under a cap of 1: %v, want the cap error", err)
 	}

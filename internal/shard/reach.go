@@ -717,25 +717,12 @@ func maintainReach(view core.Answerer, _ Assignment, deltas [][]byte, shards []c
 	return encodeReachSummary(rs), rs, nil
 }
 
-// reachabilitySharding wires the graph split, the portal overlay, and the
-// prepared view that answers every query (prepareReach). It serves the
-// closure-matrix scheme, the labels scheme and the BFS-per-query baseline
-// alike: the view only needs schemes.LocalReach, which all three prepared
-// answerers implement.
-//
-// withDeltas enables sharded edge-delta maintenance. It is on for the
-// closure-matrix and labels schemes, whose per-shard maintenance and
-// overlay rebuild both stay far below a re-preprocess. The BFS baseline
-// keeps it off: its "preprocessed" shard artifact is the raw subgraph, so
-// every overlay rebuild read is a full O(|V|+|E|) traversal and
-// maintenance would cost more than re-registering — the
-// bounded-incrementality contract the delta path exists for does not
-// hold, and PATCH refuses with a clean conflict instead.
-func reachabilitySharding(withDeltas bool) *Sharding {
-	sh := &Sharding{Split: splitReach, Prepare: prepareReach}
-	if withDeltas {
-		sh.SplitDelta = splitReachDelta
-		sh.Maintain = maintainReach
-	}
-	return sh
+// reachabilitySharding wires the graph split, the portal overlay, the
+// prepared view that answers every query (prepareReach) and its edge-delta
+// maintenance. It serves the closure-matrix and labels schemes alike: the
+// view only needs schemes.LocalReach, which both prepared answerers
+// implement, and their per-shard maintenance and overlay rebuild both stay
+// far below a re-preprocess.
+func reachabilitySharding() *Sharding {
+	return &Sharding{Split: splitReach, Prepare: prepareReach, SplitDelta: splitReachDelta, Maintain: maintainReach}
 }

@@ -146,7 +146,7 @@ func communityWithIsolated() *graph.Graph {
 
 // TestRowsMergeDifferential: rows-merge ≡ probing-merge ≡ unsharded
 // closure on random directed and undirected graphs and a community graph ×
-// {closure, labels, bfs} × {hash, range} × n ∈ {2, 4}, after every batch of
+// {closure, labels} × {hash, range} × n ∈ {2, 4}, after every batch of
 // a mixed insert/delete sequence (inserts of present edges included) that
 // creates and retires a portal, and across save → reload. Hash partitioning
 // interleaves portal indices across shards (consecutive overlay indices
@@ -164,7 +164,7 @@ func TestRowsMergeDifferential(t *testing.T) {
 	}
 	for _, shape := range shapes {
 		base, nv := shape.g, shape.g.N()
-		for _, scheme := range []*core.Scheme{schemes.ReachabilityScheme(), schemes.ReachabilityLabelsScheme(), schemes.ReachabilityBFSScheme()} {
+		for _, scheme := range []*core.Scheme{schemes.ReachabilityScheme(), schemes.ReachabilityLabelsScheme()} {
 			for _, p := range []Partitioner{HashPartitioner{}, RangePartitioner{}} {
 				for _, n := range []int{2, 4} {
 					t.Run(fmt.Sprintf("%s/%s/%s/n=%d", shape.name, scheme.Name(), p.Name(), n), func(t *testing.T) {
@@ -186,11 +186,6 @@ func TestRowsMergeDifferential(t *testing.T) {
 							}
 							assertRowsProbingClosure(t, ss, cur, step)
 						}
-						if ss.Sharding.SplitDelta == nil {
-							reload("reloaded") // BFS: no delta routing, the static check is the suite
-							return
-						}
-
 						// The scripted vertex: no cross edge at registration, so the
 						// batch that gives it one must create a portal and the batch
 						// that takes it away must retire it. Random batches keep off it.

@@ -1,11 +1,11 @@
 package shard
 
-// Per-scheme Sharding descriptors for the key-partitioned case studies:
-// point/range selection over relations and list membership. All three cut
-// the dataset by element key, so a point query routes straight to the
-// shard owning its key, and a range query routes when the assignment keeps
-// contiguous ranges together (range partitioning) or fans out with an OR
-// merge otherwise.
+// The table of sharded forms, and the one form of the key-partitioned case
+// studies: selection over relations (point and range queries on one sorted
+// key file) and list membership. Both cut the dataset by element key, so a
+// point query routes straight to the shard owning its key, and a range query
+// routes when the assignment keeps contiguous ranges together (range
+// partitioning) or fans out with an OR merge otherwise.
 
 import (
 	"fmt"
@@ -17,21 +17,18 @@ import (
 	"pitract/internal/schemes"
 )
 
-// sharded is the one table of sharded forms, by scheme name. Schemes absent
-// from it have none (e.g. BDS visit orders and CVP gate tables are global
-// artifacts with no meaningful data partition). The scan baseline has no
-// incremental form, so its sharded form routes no deltas either; the labels
-// scheme shards exactly like the closure matrix (the sharded form only needs
-// local reach probes — each shard just answers by label intersection instead
-// of a matrix probe); see reachabilitySharding on the BFS baseline.
+// sharded is the one table of sharded forms, by scheme name: one form per Π
+// family, and every form routes deltas. Schemes absent from it have none —
+// BDS visit orders and CVP gate tables are global artifacts with no
+// meaningful data partition, and the two no-preprocessing baselines
+// (point-selection/scan, reachability/bfs-per-query) are served unsharded
+// only. The labels scheme shards exactly like the closure matrix: the view
+// only needs local reach probes.
 var sharded = map[string]func() *Sharding{
-	"list-membership/sorted":      listMembershipSharding,
-	"point-selection/scan":        func() *Sharding { return pointSelectionSharding(false) },
-	"point-selection/sorted-keys": func() *Sharding { return pointSelectionSharding(true) },
-	"range-selection/sorted-keys": rangeSelectionSharding,
-	"reachability/bfs-per-query":  func() *Sharding { return reachabilitySharding(false) },
-	"reachability/closure-matrix": func() *Sharding { return reachabilitySharding(true) },
-	"reachability/labels":         func() *Sharding { return reachabilitySharding(true) },
+	"list-membership/sorted":      func() *Sharding { return keySharding(splitList) },
+	"point-selection/sorted-keys": func() *Sharding { return keySharding(splitRelation) },
+	"reachability/closure-matrix": reachabilitySharding,
+	"reachability/labels":         reachabilitySharding,
 }
 
 // ForScheme returns the Sharding descriptor for a scheme name, or nil when
@@ -47,12 +44,6 @@ func ForScheme(name string) *Sharding {
 // error messages and docs.
 func ShardableSchemes() []string {
 	return slices.Sorted(maps.Keys(sharded))
-}
-
-// DeltaCapableSchemes lists the scheme names whose sharded form routes
-// deltas (a subset of ShardableSchemes), for error messages and docs.
-func DeltaCapableSchemes() []string {
-	return slices.DeleteFunc(ShardableSchemes(), func(name string) bool { return sharded[name]().SplitDelta == nil })
 }
 
 // splitRelation is the Split hook of the relation schemes: tuples are
@@ -122,76 +113,53 @@ func splitKeysDelta(delta []byte, asn Assignment, _ core.Answerer) (map[int][][]
 	return out, nil
 }
 
-// routePoint routes a point (or membership) query to the shard owning its key.
-func routePoint(q []byte, asn Assignment) (int, error) {
-	c, err := schemes.DecodePointQuery(q)
+// keySharding is the sharded form of the key-file schemes, which cut the
+// dataset by element key and differ only in how split reads D. Every delta
+// is a key batch, routed key by key (splitKeysDelta). A point query routes
+// to the shard owning its key. A range query routes when one shard owns the
+// whole range — range partitioning keeps ranges contiguous — and otherwise
+// fans out unchanged, each shard searching its own keys, and the verdicts OR
+// together: the natural merge for an existential query.
+func keySharding(split func(data []byte, p Partitioner, n int) (Assignment, [][]byte, []byte, error)) *Sharding {
+	return &Sharding{Split: split, SplitDelta: splitKeysDelta, Route: routeKeys}
+}
+
+// routeKeys is the key forms' Route. A point query c is the range [c, c],
+// and a range with hi ≤ lo holds at most lo, so both go to lo's owner.
+func routeKeys(q []byte, asn Assignment) (int, error) {
+	lo, hi, err := schemes.DecodeSelection(q)
 	if err != nil {
 		return 0, err
 	}
-	return asn.Shard(c), nil
+	if hi <= lo {
+		return asn.Shard(lo), nil
+	}
+	if ro, ok := asn.(RangeOwner); ok {
+		if s := ro.OwnerOfRange(lo, hi); s >= 0 {
+			return s, nil
+		}
+	}
+	return -1, nil // spans shards: fan out, OR the verdicts
 }
 
-// pointSelectionSharding: point queries always route — the owning shard is
-// the one the query key hashes or ranges to — so no fan-out and no merge.
-func pointSelectionSharding(withDeltas bool) *Sharding {
-	sh := &Sharding{Split: splitRelation, Route: routePoint}
-	if withDeltas {
-		sh.SplitDelta = splitKeysDelta
+// splitList is list membership's Split: the elements are their own keys.
+func splitList(data []byte, p Partitioner, n int) (Assignment, [][]byte, []byte, error) {
+	list, err := schemes.DecodeList(data)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("keys: %w", err)
 	}
-	return sh
-}
-
-// rangeSelectionSharding: a [lo, hi] query routes when one shard owns the
-// whole range (range partitioning keeps ranges contiguous); otherwise it
-// fans out unchanged — each shard scans/searches its own keys — and the
-// verdicts OR together, the natural merge for an existential query.
-func rangeSelectionSharding() *Sharding {
-	return &Sharding{
-		Split:      splitRelation,
-		SplitDelta: splitKeysDelta,
-		Route: func(q []byte, asn Assignment) (int, error) {
-			lo, hi, err := schemes.DecodeRangeQuery(q)
-			if err != nil {
-				return 0, err
-			}
-			if lo == hi {
-				return asn.Shard(lo), nil
-			}
-			if ro, ok := asn.(RangeOwner); ok {
-				if s := ro.OwnerOfRange(lo, hi); s >= 0 {
-					return s, nil
-				}
-			}
-			return -1, nil // spans shards: fan out, OR the verdicts
-		},
+	asn, err := p.Plan(list, n)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-}
-
-// listMembershipSharding: like point selection, with list datasets — the
-// elements are their own keys.
-func listMembershipSharding() *Sharding {
-	return &Sharding{
-		SplitDelta: splitKeysDelta,
-		Route:      routePoint,
-		Split: func(data []byte, p Partitioner, n int) (Assignment, [][]byte, []byte, error) {
-			list, err := schemes.DecodeList(data)
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("keys: %w", err)
-			}
-			asn, err := p.Plan(list, n)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			parts := make([][]int64, asn.Shards())
-			for _, v := range list {
-				s := asn.Shard(v)
-				parts[s] = append(parts[s], v)
-			}
-			out := make([][]byte, len(parts))
-			for i, part := range parts {
-				out[i] = schemes.EncodeList(part)
-			}
-			return asn, out, nil, nil
-		},
+	parts := make([][]int64, asn.Shards())
+	for _, v := range list {
+		s := asn.Shard(v)
+		parts[s] = append(parts[s], v)
 	}
+	out := make([][]byte, len(parts))
+	for i, part := range parts {
+		out[i] = schemes.EncodeList(part)
+	}
+	return asn, out, nil, nil
 }

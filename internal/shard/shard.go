@@ -92,9 +92,7 @@ type Sharding struct {
 	// the summary). view is the dataset's prepared view *as of the start of
 	// the delta batch* — SplitDelta must only depend on
 	// summary state deltas cannot change (the vertex universe and
-	// relabelling, not derived connectivity). Nil SplitDelta means the
-	// sharded form has no delta routing: PATCH is refused with a clean error
-	// and the dataset stays exactly as it was.
+	// relabelling, not derived connectivity). Every sharded form has one.
 	SplitDelta func(delta []byte, asn Assignment, view core.Answerer) (map[int][][]byte, error)
 	// Maintain carries a scheme's own view over one delta batch, once the
 	// batch's local deltas are applied: it starts from the committed view
@@ -176,13 +174,8 @@ func (ss *ShardedStore) Open(summary []byte, shards []core.Answerer) (core.Answe
 	return view, nil
 }
 
-// Route implements store.Layout through the scheme's SplitDelta. A sharded
-// form with no delta routing refuses every delta.
+// Route implements store.Layout through the scheme's SplitDelta.
 func (ss *ShardedStore) Route(delta []byte, view core.Answerer) (map[int][][]byte, error) {
-	if ss.Sharding.SplitDelta == nil {
-		return nil, fmt.Errorf("shard: scheme %s has no sharded delta routing; re-register unsharded to maintain it",
-			ss.Scheme.Name())
-	}
 	return ss.Sharding.SplitDelta(delta, ss.Asn, view)
 }
 

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -27,9 +29,10 @@ type diffWorkload struct {
 	crossShard func(q []byte, asn Assignment) bool
 }
 
-// assembleWorkloads builds the workload list: five shardable schemes over
-// three dataset kinds, with query mixes that include cross-shard answers,
-// empty ranges, and malformed/out-of-range queries.
+// assembleWorkloads builds the workload list: the four shardable schemes over
+// three dataset kinds — the sorted keys twice, once per query kind — with
+// query mixes that include cross-shard answers, empty ranges, and
+// malformed/out-of-range queries.
 func assembleWorkloads(t *testing.T) []diffWorkload {
 	t.Helper()
 	rng := rand.New(rand.NewSource(4242))
@@ -93,10 +96,9 @@ func assembleWorkloads(t *testing.T) []diffWorkload {
 
 	return []diffWorkload{
 		{"point-selection", schemes.PointSelectionScheme(), relData, pointQs, nil},
-		{"range-selection", schemes.RangeSelectionScheme(), relData, rangeQs, rangeCross},
+		{"range-selection", schemes.PointSelectionScheme(), relData, rangeQs, rangeCross},
 		{"list-membership", schemes.ListMembershipScheme(), schemes.EncodeList(list), listQs, nil},
 		{"reachability", schemes.ReachabilityScheme(), g.Encode(), reachQs, reachCross},
-		{"reachability-bfs", schemes.ReachabilityBFSScheme(), g.Encode(), reachQs, reachCross},
 		{"reachability-labels", schemes.ReachabilityLabelsScheme(), g.Encode(), reachQs, reachCross},
 	}
 }
@@ -307,15 +309,100 @@ func TestRegisterShardedMemoization(t *testing.T) {
 	}
 }
 
-// TestShardedNotShardable: schemes without a sharded form are refused with
-// a helpful error.
+// TestShardedNotShardable: schemes without a sharded form — the global
+// artifacts and the two no-preprocessing baselines — are refused with a
+// helpful error, and ForScheme invents none.
 func TestShardedNotShardable(t *testing.T) {
 	reg := store.NewRegistry("")
-	if _, err := RegisterSharded(reg, "b", schemes.BDSScheme(), HashPartitioner{}, 2, nil); err == nil {
-		t.Fatal("BDS has no sharded form and must be refused")
+	g := graph.CommunityGraph(2, 8, 4, 1).Encode()
+	for _, tc := range []struct {
+		scheme *core.Scheme
+		data   []byte
+	}{
+		{schemes.BDSScheme(), nil},
+		{schemes.PointSelectionScanScheme(), schemes.RelationFromKeys([]int64{2, 4, 6})},
+		{schemes.ReachabilityBFSScheme(), g},
+	} {
+		t.Run(tc.scheme.Name(), func(t *testing.T) {
+			if _, err := RegisterSharded(reg, "b", tc.scheme, HashPartitioner{}, 2, tc.data); err == nil {
+				t.Fatal("a scheme with no sharded form was registered sharded")
+			}
+			if ForScheme(tc.scheme.Name()) != nil {
+				t.Fatal("ForScheme invented a sharded form")
+			}
+		})
 	}
-	if ForScheme("bds/visit-order") != nil {
-		t.Fatal("ForScheme must not invent a sharding for BDS")
+	if want := []string{"list-membership/sorted", "point-selection/sorted-keys", "reachability/closure-matrix", "reachability/labels"}; !slices.Equal(ShardableSchemes(), want) {
+		t.Fatalf("ShardableSchemes() = %v, want %v", ShardableSchemes(), want)
+	}
+	for _, name := range ShardableSchemes() {
+		if ForScheme(name).SplitDelta == nil {
+			t.Errorf("%s: the sharded form routes no deltas", name)
+		}
+	}
+}
+
+// TestShardedMixedSelectionBatch: one batch of point and range queries
+// against a 4-shard range-partitioned relation — the two query kinds of the
+// one sorted-key scheme, routed and fanned out side by side — gets each
+// verdict its language gives, and a query of three keys is refused sharded
+// and unsharded alike.
+func TestShardedMixedSelectionBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	keys := make([]int64, 400)
+	for i := range keys {
+		keys[i] = int64(rng.Intn(2000)) - 500
+	}
+	data := schemes.RelationFromKeys(keys)
+	scheme := schemes.PointSelectionScheme()
+	ss, err := Build("d", scheme, ForScheme(scheme.Name()), RangePartitioner{}, 4, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch [][]byte
+	var langs []core.Language
+	for i := 0; i < 200; i++ {
+		lo := int64(rng.Intn(2200)) - 600
+		if i%2 == 0 {
+			batch, langs = append(batch, schemes.PointQuery(lo)), append(langs, schemes.SelectionLanguage())
+		} else {
+			batch, langs = append(batch, schemes.RangeQuery(lo, lo+int64(rng.Intn(300))-20)), append(langs, schemes.RangeSelectionLanguage())
+		}
+	}
+	got, err := ss.AnswerBatch(batch, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{} // language and verdict
+	for i, q := range batch {
+		want, err := langs[i].Contains(data, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i] != want {
+			t.Fatalf("query %d (%s): sharded %v, the language says %v", i, langs[i].Name(), got[i], want)
+		}
+		seen[fmt.Sprintf("%s %v", langs[i].Name(), want)] = true
+	}
+	if len(seen) != 4 {
+		t.Fatalf("verdicts seen %v: the batch must hold both verdicts of both kinds", seen)
+	}
+	three := core.EncodeUint64(1, 2, 3)
+	pd, err := scheme.Preprocess(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unsharded, err := scheme.Prepare(pd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, a := range map[string]core.Answerer{"sharded": ss.Committed().View(), "unsharded": unsharded} {
+		if _, err := a.Answer(three); err == nil || !strings.Contains(err.Error(), "neither a point query (one key) nor a range query (two keys)") {
+			t.Errorf("%s: a three-key query: %v, want a refusal naming both query kinds", name, err)
+		}
+	}
+	if _, err := ss.AnswerBatch(append(batch[:2:2], three), 2); err == nil {
+		t.Error("a batch holding a three-key query was answered")
 	}
 }
 

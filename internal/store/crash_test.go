@@ -42,9 +42,10 @@ type crashScheme struct {
 	probes  [][]byte
 }
 
-// crashSchemes covers the four delta-capable schemes with mixed-kind
-// batches: inserts, deletes of original and of freshly inserted elements,
-// re-insertion of deleted ones, and an idempotent no-op tombstone.
+// crashSchemes covers the sorted-key scheme under both of its queries, list
+// membership and the closure matrix with mixed-kind batches: inserts, deletes
+// of original and of freshly inserted elements, re-insertion of deleted ones,
+// and an idempotent no-op tombstone.
 func crashSchemes() []crashScheme {
 	keyData := schemes.RelationFromKeys([]int64{2, 4, 6, 8, 10})
 	keyBatches := func() [][][]byte {
@@ -88,7 +89,8 @@ func crashSchemes() []crashScheme {
 			data: keyData, batches: keyBatches(), probes: keyProbes,
 		},
 		{
-			name: "range-selection/sorted-keys", inc: schemes.RangeSelectionScheme(),
+			// The sorted-key scheme's RangeQuery.
+			name: "range-selection/sorted-keys", inc: schemes.PointSelectionScheme(),
 			data: keyData, batches: keyBatches(), probes: rangeProbes,
 		},
 		{
@@ -550,4 +552,55 @@ func TestCrashReplayGapIsAnError(t *testing.T) {
 	if !strings.Contains(err.Error(), "missing") {
 		t.Fatalf("gap error %q does not name the missing batch", err)
 	}
+}
+
+// TestQuarantinedCheckpointWithLogTail: a corrupt checkpoint whose delta log
+// starts above version 0 — two PATCHes checkpointed, a third only logged —
+// is rebuilt at version 0 with the log quarantined beside it, not left to
+// fail the registration and every restart after it; the next restart loads
+// the rebuild clean.
+func TestQuarantinedCheckpointWithLogTail(t *testing.T) {
+	cs := crashSchemes()[0]
+	f := faultfs.New()
+	reg := store.NewRegistryMedium(&store.Medium{Dir: crashDir, FS: f, CheckpointEvery: 1})
+	if _, err := reg.Register(crashID, cs.inc, cs.data); err != nil {
+		t.Fatal(err)
+	}
+	for i, batch := range cs.batches[:3] {
+		if i == 2 {
+			reg.SetCheckpointEvery(100) // the third PATCH is only logged
+		}
+		if _, err := reg.ApplyDelta(crashID, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path, logPath := store.DatasetPath(crashDir, crashID), store.LogPath(crashDir, crashID)
+	if b, ok := f.DurableBytes(path); !ok || !f.CorruptByte(path, len(b)/2) {
+		t.Fatal("no checkpoint to corrupt")
+	}
+	f.Restart()
+	reg2 := store.NewRegistryMedium(&store.Medium{Dir: crashDir, FS: f, CheckpointEvery: 100})
+	st, err := reg2.Register(crashID, cs.inc, cs.data)
+	if err != nil {
+		t.Fatalf("the first restart did not register: %v", err)
+	}
+	if st.WasLoaded() || st.Version() != 0 || reg2.QuarantineCount() != 2 {
+		t.Fatalf("loaded=%v version=%d quarantines=%d, want a rebuild at 0 and two quarantines", st.WasLoaded(), st.Version(), reg2.QuarantineCount())
+	}
+	for _, p := range []string{store.QuarantinePath(path), store.QuarantinePath(logPath)} {
+		if _, ok := f.DurableBytes(p); !ok {
+			t.Errorf("%s was not kept", p)
+		}
+	}
+	assertOracle(t, cs, st, cs.data, "the first restart")
+	f.Restart()
+	reg3 := store.NewRegistryMedium(&store.Medium{Dir: crashDir, FS: f, CheckpointEvery: 100})
+	if st, err = reg3.Register(crashID, cs.inc, cs.data); err != nil {
+		t.Fatalf("the second restart did not register: %v", err)
+	}
+	if !st.WasLoaded() || st.Version() != 0 || reg3.QuarantineCount() != 0 || reg3.PreprocessCount() != 0 {
+		t.Fatalf("the second restart: loaded=%v version=%d quarantines=%d preprocess=%d, want a clean load at 0",
+			st.WasLoaded(), st.Version(), reg3.QuarantineCount(), reg3.PreprocessCount())
+	}
+	assertOracle(t, cs, st, cs.data, "the second restart")
 }

@@ -116,7 +116,8 @@ func deltaCases(seed int64) []deltaCase {
 			data: schemes.RelationFromKeys(keys), deltas: keyDeltas(), probes: keyProbes(),
 		},
 		{
-			scheme: "range-selection/sorted-keys", inc: schemes.RangeSelectionScheme(),
+			// The sorted-key scheme's RangeQuery.
+			scheme: "range-selection/sorted-keys", inc: schemes.PointSelectionScheme(),
 			data: schemes.RelationFromKeys(keys), deltas: keyDeltas(), probes: rangeProbes(),
 		},
 		{

@@ -273,7 +273,10 @@ func transient(err error) bool {
 //     for forensics), the dataset rebuilt and checkpointed (tolerating a
 //     still-flaky medium with the same backoff), and the surviving log —
 //     acknowledged batches for this same data, starting at the rebuilt
-//     version 0 — replayed instead of discarded.
+//     version 0 — replayed instead of discarded. A log that cannot be
+//     replayed — one that starts above version 0, its earlier versions
+//     checkpointed only into the corrupt artifact — is quarantined too, and
+//     the rebuild served.
 //
 // PreprocessCount and LoadCount move by the dataset's ShardCount.
 func (r *Registry) Recover(id string, load func(fsys FS, dir string) (DeltaDataset, error), build func() (DeltaDataset, error)) (DeltaDataset, error) {
@@ -323,10 +326,18 @@ func (r *Registry) Recover(id string, load func(fsys FS, dir string) (DeltaDatas
 		return nil, &PersistError{Err: err}
 	}
 	obsSnapshotSave.Since(saveStart)
-	if quarantined {
-		err = r.replayLog(ds)
-	} else {
+	if !quarantined {
 		err = RemoveLog(fsys, LogPath(dir, id))
+	} else if err = r.replayLog(ds); err != nil && !errors.As(err, new(*PersistError)) {
+		// The log cannot be replayed over the rebuild — its first record
+		// starts above 0 when the versions below it lived only in the
+		// quarantined artifact. It is quarantined beside it, and the rebuild,
+		// checkpointed as far as any replay got, is served: left in place it
+		// would fail every later restart the same way.
+		r.quarantineArtifact(fsys, LogPath(dir, id), id)
+		if err = checkpoint(ds, fsys, dir); err != nil {
+			err = &PersistError{Err: err}
+		}
 	}
 	if err != nil {
 		return nil, fmt.Errorf("store: register %q: %w", id, err)

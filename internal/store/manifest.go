@@ -284,6 +284,7 @@ func Load(fsys FS, dir, id string, scheme *core.Scheme, want func() Key, decode 
 			return nil, err
 		}
 		st.Loaded = true
+		st.load().snapSize.Store(int64(len(b))) // the file just read is the value's checkpoint
 		return st, nil
 	})
 	if errors.Is(err, ErrStale) {

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"pitract/internal/core"
+	"pitract/internal/obs"
 	"pitract/internal/schemes"
 )
 
@@ -147,7 +148,82 @@ func TestSnapshotBytesMemoized(t *testing.T) {
 	if after == before || after != exact() {
 		t.Fatalf("after a PATCH SnapshotBytes = %d (was %d), the encoded file is %d bytes", after, before, exact())
 	}
+
+	// A reload memoises the size of the file it read, plain and over two
+	// members: the first scrape after a restart encodes nothing.
+	scheme := schemes.PointSelectionScheme()
+	for _, tc := range []struct {
+		name   string
+		layout Layout
+		parts  [][]int64
+	}{
+		{"plain", Plain, [][]int64{keys}},
+		{"2-shard", twoMembers{}, [][]int64{keys[:len(keys)/2], keys[len(keys)/2:]}},
+	} {
+		layout := tc.layout
+		t.Run("reload/"+tc.name, func(t *testing.T) {
+			var members []Member
+			for _, part := range tc.parts {
+				d := schemes.RelationFromKeys(part)
+				members = append(members, Member{Prep: sortedPrep(part), Sum: SumData(d)})
+			}
+			built, err := Open("d", scheme, SumData(nil), layout, 3, nil, members)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			if err := built.Checkpoint(OSFS, dir); err != nil {
+				t.Fatal(err)
+			}
+			ds, err := Load(OSFS, dir, "d", scheme, nil, func(_ []byte, open func(Layout) (*Store, error)) (DeltaDataset, error) {
+				return open(layout)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := ds.(*Store)
+			fi, err := os.Stat(DatasetPath(dir, "d"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if memo := st.load().snapSize.Load(); memo != fi.Size() {
+				t.Fatalf("the reload memoised %d bytes, its file is %d", memo, fi.Size())
+			}
+			if allocs := testing.AllocsPerRun(20, func() { st.SnapshotBytes() }); allocs != 0 {
+				t.Fatalf("a scrape after the reload allocates %.0f times: it re-encodes Π", allocs)
+			}
+			c := st.Committed()
+			m := &Manifest{SchemeName: scheme.Name(), DataSum: st.DataSum, Layout: layout.Encode(), Version: c.Version()}
+			for i := range c.Members() {
+				m.Members = append(m.Members, EncodeSnapshot(c.Snapshot(scheme, i)))
+			}
+			if got, want := st.SnapshotBytes(), len(EncodeManifest(m)); int64(got) != fi.Size() || got != want {
+				t.Fatalf("SnapshotBytes = %d, the file is %d bytes, EncodeManifest %d", got, fi.Size(), want)
+			}
+		})
+	}
 }
+
+// twoMembers is a two-member layout, enough for a test in this package to
+// persist and reload a store of more than one member: the view is member
+// 0's answerer and every delta goes there.
+type twoMembers struct{}
+
+func (twoMembers) Open(_ []byte, members []core.Answerer) (core.Answerer, error) {
+	return members[0], nil
+}
+
+func (twoMembers) Route(delta []byte, _ core.Answerer) (map[int][][]byte, error) {
+	return map[int][][]byte{0: {delta}}, nil
+}
+
+func (twoMembers) Carry(summary []byte, _ core.Answerer, _ [][]byte, members []core.Answerer) ([]byte, core.Answerer, error) {
+	return summary, members[0], nil
+}
+
+func (twoMembers) Merge() *obs.Histogram { return nil }
+func (twoMembers) Encode() []byte        { return []byte{2} }
+func (twoMembers) Describe() string      { return "2-member" }
 
 // plainFile is a plain store's file built from the codec's parts: its one
 // member's snapshot inside a manifest with no layout field and no summary.

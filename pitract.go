@@ -275,11 +275,9 @@ var (
 	RegisterSharded = shard.RegisterSharded
 	// ShardingForScheme returns a scheme's sharded form, or nil when the
 	// scheme has none (BDS visit orders and CVP gate tables are global
-	// artifacts).
+	// artifacts, and the two no-preprocessing baselines are served
+	// unsharded only).
 	ShardingForScheme = shard.ForScheme
-	// DeltaCapableSchemes lists the scheme names whose sharded form also
-	// routes deltas (PATCH on a sharded dataset).
-	DeltaCapableSchemes = shard.DeltaCapableSchemes
 	// PartitionerByName resolves "hash"/"range" (the HTTP API's
 	// ?partitioner values and the CLI's -partitioner flag).
 	PartitionerByName = shard.PartitionerByName
