@@ -17,11 +17,19 @@
 //     iterated to a fixpoint.
 //
 // This follows the spirit of Fan et al., "Query preserving graph
-// compression" (SIGMOD 2012) [16], which the paper cites; their
-// reachability-equivalence relation is coarser (it also merges chains), at
-// the price of a more intricate query translation. The twin relation keeps
-// the translation a two-case lookup while still shrinking community-shaped
-// graphs dramatically — the SCC step alone removes every community core.
+// compression" (SIGMOD 2012) [16], which the paper cites. Their
+// reachability-equivalence relation — the same ancestors and the same
+// descendants — is coarser: it also merges acyclic vertices whose neighbours
+// differ but whose ancestor and descendant sets agree (v with in-neighbours
+// a and b where a → b, beside w with in-neighbour b alone), though never two
+// vertices of one chain, since each is the other's ancestor or descendant.
+// graph.NewCondensedClosure computes exactly that relation for the
+// closure-matrix scheme, with the same two-case translation (the same vertex,
+// or a bit). Deciding it takes every ancestor and descendant set, which is
+// the closure; the twin relation reads neighbour sets only, so the labels
+// scheme compresses a graph without paying |Vc|² bits, and it still shrinks
+// community-shaped graphs dramatically — the SCC step alone removes every
+// community core.
 package compress
 
 import (

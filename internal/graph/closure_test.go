@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+
+	"pitract/internal/graph/reachref"
 )
 
 // closureRef is the test-only reference closure: one Graph.BFS per vertex,
@@ -76,13 +78,27 @@ func (c *Closure) AppendDense(dst []byte) []byte {
 }
 
 // condensedRef is the reference emitter of the condensed wire form, from the
-// per-vertex reference alone: classes are mutual reachability, numbered by
-// smallest member; bit d of row c says c's smallest member reaches d's.
+// per-vertex reference alone: reachref's classes and rows behind k and the
+// packed ids.
 func condensedRef(reach [][]bool) []byte {
-	n := len(reach)
-	class := make([]int, n)
-	var smallest []int // smallest[c] = smallest member of class c
-	for v := 0; v < n; v++ {
+	class, k := reachref.Classes(reach)
+	return wireRef(reach, class, k)
+}
+
+// wireRef emits the wire form of the given classes: k, the packed ids, and
+// reachref's rows over them.
+func wireRef(reach [][]bool, class []int, k int) []byte {
+	b := append(binary.LittleEndian.AppendUint32(nil, uint32(k)), packedRef(class, k)...)
+	return append(b, reachref.Rows(reach, class, k)...)
+}
+
+// stronglyConnectedRef emits the form the closure had over strongly connected
+// classes alone — mutual reachability, numbered by smallest member — which a
+// graph with nothing to merge must still emit byte for byte.
+func stronglyConnectedRef(reach [][]bool) []byte {
+	class := make([]int, len(reach))
+	var smallest []int
+	for v := range class {
 		class[v] = -1
 		for c, s := range smallest {
 			if reach[v][s] && reach[s][v] {
@@ -94,18 +110,7 @@ func condensedRef(reach [][]bool) []byte {
 			smallest = append(smallest, v)
 		}
 	}
-	k := len(smallest)
-	words := (k + 63) / 64
-	b := append(binary.LittleEndian.AppendUint32(nil, uint32(k)), packedRef(class, k)...)
-	rows := make([]byte, 8*k*words)
-	for c, s := range smallest {
-		for d, t := range smallest {
-			if reach[s][t] {
-				rows[8*c*words+d/8] |= 1 << (d % 8)
-			}
-		}
-	}
-	return append(b, rows...)
+	return wireRef(reach, class, len(smallest))
 }
 
 // packedRef is the reference emitter of the packed class ids: bits(k−1) bits
@@ -128,7 +133,8 @@ func packedRef(class []int, k int) []byte {
 }
 
 // checkCondensed holds one graph's condensed closure to the reference: Reach,
-// both bulk reads (with nothing set at or above n), the wire bytes, and the
+// both bulk reads (with nothing set at or above n), the classes, the wire
+// bytes — the strongly connected classes' bytes when nothing merges — and the
 // round trip through the decoder and the undecoded probe.
 func checkCondensed(t *testing.T, name string, g *Graph, want [][]bool) {
 	t.Helper()
@@ -142,6 +148,10 @@ func checkCondensed(t *testing.T, name string, g *Graph, want [][]bool) {
 		t.Fatalf("%s: wire form differs from the per-vertex reference's", name)
 	}
 	wire = wire[6:]
+	class, k := reachref.Classes(want)
+	if scc := stronglyConnectedRef(want); k == int(binary.LittleEndian.Uint32(scc)) && !bytes.Equal(wire, scc) {
+		t.Fatalf("%s: nothing merges, yet the form differs from the strongly connected classes'", name)
+	}
 	if framed, err := FrameCondensedClosure(append(slices.Clone(wire), "behind"...), n); err != nil || !bytes.Equal(framed, wire) {
 		t.Fatalf("%s: FrameCondensedClosure cut %d bytes, %v; the form is %d bytes", name, len(framed), err, len(wire))
 	}
@@ -167,8 +177,8 @@ func checkCondensed(t *testing.T, name string, g *Graph, want [][]bool) {
 					t.Fatalf("%s: (%d,%d): reference %v/%v, Reach %v, ReachFrom bit %v, ReachTo bit %v",
 						name, u, v, want[u][v], want[v][u], cc.Reach(u, v), bit(row), bit(col))
 				}
-				if (cc.Class(u) == cc.Class(v)) != (want[u][v] && want[v][u]) {
-					t.Fatalf("%s: vertices %d and %d in classes %d and %d", name, u, v, cc.Class(u), cc.Class(v))
+				if (cc.Class(u) == cc.Class(v)) != (class[u] == class[v]) {
+					t.Fatalf("%s: vertices %d and %d in classes %d and %d, reference %d and %d", name, u, v, cc.Class(u), cc.Class(v), class[u], class[v])
 				}
 			}
 			if r := uint(n & 63); r != 0 && (row[n>>6]|col[n>>6])>>r != 0 {
@@ -276,6 +286,111 @@ func TestClosureIgnoresNormalization(t *testing.T) {
 	checkClosure(t, "unnormalized", g)
 }
 
+// TestClosureMergesAcyclicClasses pins the quotient on a hand-built graph:
+// two sources into one strongly connected component share a class, and so do
+// two sinks out of it; two vertices with the same successor but different
+// ancestors stay apart. Inside a merged class a vertex reaches itself and not
+// its class-mate, in Reach, in both bulk reads and in the undecoded probe; the
+// class's own row bit is clear while a component's and a lone vertex's are
+// set.
+func TestClosureMergesAcyclicClasses(t *testing.T) {
+	// 0, 3 → {1, 2} → 4, 5; 6 → 7 → 9 and 8 → 9.
+	g := New(10, true)
+	for _, e := range [][2]int{{0, 1}, {3, 1}, {1, 2}, {2, 1}, {2, 4}, {2, 5}, {6, 7}, {7, 9}, {8, 9}} {
+		g.MustAddEdge(e[0], e[1])
+	}
+	c, err := NewCondensedClosure(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int{0, 1, 1, 0, 2, 2, 3, 4, 5, 6}
+	for v, cl := range want {
+		if c.Class(v) != cl {
+			t.Fatalf("vertex %d in class %d, want %d (classes %v)", v, c.Class(v), cl, want)
+		}
+	}
+	if c.Classes() != 7 {
+		t.Fatalf("%d classes, want 7", c.Classes())
+	}
+	wire := c.AppendWire(nil)
+	for _, p := range []struct {
+		u, v int
+		want bool
+	}{{0, 0, true}, {0, 3, false}, {3, 0, false}, {4, 5, false}, {5, 4, false}, {0, 5, true}, {1, 2, true}, {2, 1, true}, {7, 8, false}, {6, 9, true}} {
+		probe, err := ProbeCondensedClosure(wire, g.N(), p.u, p.v)
+		if c.Reach(p.u, p.v) != p.want || probe != p.want || err != nil {
+			t.Fatalf("(%d,%d): Reach %v, probe %v %v; want %v", p.u, p.v, c.Reach(p.u, p.v), probe, err, p.want)
+		}
+	}
+	set := func(f func(int, []uint64), v int) uint64 {
+		row := make([]uint64, 1)
+		f(v, row)
+		return row[0]
+	}
+	if from := set(c.ReachFrom, 0); from != 1<<0|1<<1|1<<2|1<<4|1<<5 {
+		t.Fatalf("ReachFrom(0) = %b, want 0, 1, 2, 4, 5 and not its class-mate 3", from)
+	}
+	if to := set(c.ReachTo, 5); to != 1<<0|1<<1|1<<2|1<<3|1<<5 {
+		t.Fatalf("ReachTo(5) = %b, want 0, 1, 2, 3, 5 and not its class-mate 4", to)
+	}
+	if from := set(c.ReachFromClass, 0); from != 1<<1|1<<2|1<<4|1<<5 {
+		t.Fatalf("ReachFromClass(0) = %b, want what both sources reach: 1, 2, 4, 5", from)
+	}
+	for cl, own := range []bool{false, true, false, true, true, true, true} {
+		if got := c.rows[cl*c.words]>>cl&1 != 0; got != own {
+			t.Fatalf("class %d's own bit is %v, want %v", cl, got, own)
+		}
+	}
+}
+
+// TestClosureNothingToMergeKeepsBytes: a graph whose classes are its
+// strongly connected components emits the form it had before acyclic
+// vertices merged, pinned as bytes: a chain through one component with a
+// shortcut, where no two vertices share their descendants, and a graph where
+// two do (0 and 1 both reach only 2) but their ancestors differ (3 → 0), so
+// the ancestor columns are read and nothing merges.
+func TestClosureNothingToMergeKeepsBytes(t *testing.T) {
+	for _, c := range []struct {
+		n      int
+		edges  [][2]int
+		pinned string
+	}{
+		{6, [][2]int{{0, 1}, {1, 2}, {2, 1}, {2, 3}, {0, 3}, {4, 0}, {3, 5}},
+			"0500000048340200000000001700000000000000160000000000000014000000000000001f000000000000001000000000000000"},
+		{4, [][2]int{{0, 2}, {1, 2}, {3, 0}},
+			"04000000e4000000000000000500000000000000060000000000000004000000000000000d00000000000000"},
+	} {
+		g := New(c.n, true)
+		for _, e := range c.edges {
+			g.MustAddEdge(e[0], e[1])
+		}
+		cc, err := NewCondensedClosure(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", cc.AppendWire(nil)); got != c.pinned {
+			t.Fatalf("%v: wire form\n%s\nwant\n%s", c.edges, got, c.pinned)
+		}
+	}
+}
+
+// TestTranspose64: the block transpose against the bit-at-a-time one.
+func TestTranspose64(t *testing.T) {
+	var a, want [64]uint64
+	for i := range a {
+		a[i] = uint64(i+1) * 0x9E3779B97F4A7C15
+	}
+	for i := range 64 {
+		for j := range 64 {
+			want[j] |= a[i] >> j & 1 << i
+		}
+	}
+	transpose64(&a)
+	if a != want {
+		t.Fatal("transpose64 differs from the bit-at-a-time transpose")
+	}
+}
+
 // TestAppendDense: the emitter against the bit-at-a-time loop at every row
 // alignment — n a multiple of 8, of 64, one off either, and 0 — appended
 // behind a prefix that must survive.
@@ -315,9 +430,11 @@ func TestCheckClosureSize(t *testing.T) {
 }
 
 // FuzzClosure: any bytes Decode accepts close, under the kernel, to exactly
-// what one BFS per vertex finds, with RowEqual and the wire bytes consistent;
-// and any bytes, read as class ids, round-trip through the packed wire form at
-// every id width an edge case lives at.
+// what one BFS per vertex finds, with RowEqual and the wire bytes consistent,
+// and Class(u) = Class(v) exactly when u and v have the same strict ancestors
+// and strict descendants (reachref); and any bytes, read as class ids,
+// round-trip through the packed wire form at every id width an edge case
+// lives at.
 func FuzzClosure(f *testing.F) {
 	for _, g := range kernelGraphs() {
 		f.Add(g.Encode())
@@ -447,39 +564,61 @@ func BenchmarkClosure(b *testing.B) {
 	}
 }
 
-// BenchmarkCondensedClosure: what the serving path runs on the workload's
-// graph — build, emit, decode — beside the size of what it emits.
+// BenchmarkCondensedClosure: what the serving path runs — build, emit,
+// decode — on the benchmark workload's graph and on two larger random graphs
+// of the same four arcs per vertex, where the SCC count (and so the kernel's
+// rows) grows faster than the vertex count. Each leg reports the wire form's
+// bytes and its class count beside the time, so the size a change moves is
+// read off the same run. It calls only what the closure over strongly
+// connected classes alone also had, so it runs unchanged at a commit from
+// before acyclic classes merged.
 func BenchmarkCondensedClosure(b *testing.B) {
-	g := RandomDirected(4096, 16384, 1)
-	c, err := NewCondensedClosure(g)
-	if err != nil {
-		b.Fatal(err)
+	for _, shape := range []struct {
+		name string
+		g    *Graph
+	}{
+		{"workload", RandomDirected(4096, 16384, 1)},
+		{"random65536", RandomDirected(1<<16, 1<<18, 1)},
+		{"random262144", RandomDirected(1<<18, 1<<20, 1)},
+	} {
+		g := shape.g
+		c, err := NewCondensedClosure(g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		wire := c.AppendWire(nil)
+		report := func(b *testing.B) {
+			b.ReportMetric(float64(len(wire)), "wire-B")
+			b.ReportMetric(float64(c.Classes()), "classes")
+		}
+		b.Run(shape.name+"/build", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewCondensedClosure(g); err != nil {
+					b.Fatal(err)
+				}
+			}
+			report(b)
+		})
+		b.Run(shape.name+"/emit", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(wire)))
+			for i := 0; i < b.N; i++ {
+				if len(c.AppendWire(wire[:0])) != len(wire) {
+					b.Fatal("length")
+				}
+			}
+			report(b)
+		})
+		b.Run(shape.name+"/decode", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(wire)))
+			for i := 0; i < b.N; i++ {
+				if _, err := DecodeCondensedClosure(wire, g.N()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			report(b)
+		})
 	}
-	wire := c.AppendWire(nil)
-	b.Run("build", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := NewCondensedClosure(g); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("emit", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(wire)))
-		for i := 0; i < b.N; i++ {
-			if len(c.AppendWire(wire[:0])) != len(wire) {
-				b.Fatal("length")
-			}
-		}
-	})
-	b.Run("decode", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(wire)))
-		for i := 0; i < b.N; i++ {
-			if _, err := DecodeCondensedClosure(wire, g.N()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

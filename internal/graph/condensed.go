@@ -7,20 +7,25 @@ import (
 	"slices"
 )
 
-// The closure over the condensation. Vertices of one strongly connected
-// component reach, and are reached by, exactly the same vertices, so all-pairs
+// The closure over the reachability-equivalence classes. Vertices with the
+// same ancestors and the same descendants answer every reachability query
+// alike — the relation of Fan, Li, Wang and Wu ("Query Preserving Graph
+// Compression", SIGMOD 2012): the members of one strongly connected
+// component, and acyclic vertices that no path joins but that share both
+// sets (two sources into one component, two sinks out of it). So all-pairs
 // reachability is a class id per vertex plus a k×k bit matrix over the k
-// classes — "only the information relevant to the queries" (the paper's §4(5)).
-// CondensedClosure is that value and the only persisted closure: the
-// closure-matrix scheme's Π and the sharded portal overlay both store its wire
-// form. Closure, the n×n matrix internal/inc and internal/compress keep in
-// memory, is expanded from the same kernel.
+// classes — "only the information relevant to the queries" (the paper's
+// §4(5)). CondensedClosure is that value and the only persisted closure: the
+// closure-matrix scheme's Π and the sharded portal overlay both store its
+// wire form. Closure, the n×n matrix internal/inc and internal/compress keep
+// in memory, is expanded from the same SCC kernel.
 
 // MaxClosureVertices caps the condensation a serving path will close: the
-// rows are k·⌈k/64⌉ words over the k classes whatever the edge count (512 MB
-// here), and a vertex — a class of its own until an edge says otherwise —
-// costs a payload no bytes. It is also why a class id is a uint16: every id
-// is below the class count, which is at most 1<<16.
+// SCC rows, built before classes merge, are k·⌈k/64⌉ words over the k
+// strongly connected components whatever the edge count (512 MB here), and a
+// vertex costs a payload no bytes. It is also why a class id is a uint16:
+// every id is below the class count, which is at most the component count
+// and so at most 1<<16.
 const MaxClosureVertices = 1 << 16
 
 // checkClosureSize refuses a class count — or a lower bound on one — above
@@ -82,7 +87,8 @@ func closeClasses(g *Graph, comp []int, k int) *condensation {
 		fill[c]++
 	}
 
-	cd.rows = make([]uint64, k*cd.words)
+	// Room for ⌈k/64⌉·64 rows, so merge can transpose them as a square.
+	cd.rows = make([]uint64, k*cd.words, cd.words<<6*cd.words)
 	for _, c := range canon {
 		row := cd.rows[int(c)*cd.words:][:cd.words]
 		row[c>>6] |= 1 << (c & 63)
@@ -137,10 +143,14 @@ func NewClosure(g *Graph) *Closure {
 	return c
 }
 
-// CondensedClosure is all-pairs reachability stored over the condensation:
-// class[v] and k rows of ⌈k/64⌉ words, bit d of row c set iff class c reaches
-// class d (reflexively). Building it is the PTIME preprocessing of Example 3;
-// Reach is the O(1) answering step. It is immutable once built or decoded.
+// CondensedClosure is all-pairs reachability stored over the
+// reachability-equivalence classes: class[v] and k rows of ⌈k/64⌉ words, bit
+// d of row c set iff every member of class c reaches every member of class d
+// (reflexively). A class is a strongly connected component, whose own bit is
+// set, or acyclic vertices no path joins, whose own bit is clear when there
+// are two or more of them — so every reader answers u = v before it reads a
+// bit. Building it is the PTIME preprocessing of Example 3; Reach is the O(1)
+// answering step. It is immutable once built or decoded.
 type CondensedClosure struct {
 	class []uint16
 	k     int
@@ -148,11 +158,14 @@ type CondensedClosure struct {
 	rows  []uint64
 }
 
-// NewCondensedClosure closes g over its condensation, refusing one of more
-// than MaxClosureVertices classes. It checks twice, both before the rows
-// exist: a class of s > 1 vertices holds at least s − 1 of the edges, so
-// k ≥ |V| − |E| turns a payload that claims millions of edgeless vertices away
-// before SCC allocates for them; then k itself.
+// NewCondensedClosure closes g over its reachability-equivalence classes,
+// refusing a graph of more than MaxClosureVertices strongly connected
+// components. It checks twice, both before the SCC rows exist: a component of
+// s > 1 vertices holds at least s − 1 of the edges, so the count is at least
+// |V| − |E|, which turns a payload that claims millions of edgeless vertices
+// away before SCC allocates for them; then the count itself. The SCC kernel
+// closes the components, merge folds acyclic ones with equal ancestors and
+// descendants, and a graph with nothing to merge keeps the kernel's rows.
 func NewCondensedClosure(g *Graph) (*CondensedClosure, error) {
 	g.Normalize()
 	if err := checkClosureSize(g.n - g.m); err != nil {
@@ -163,32 +176,228 @@ func NewCondensedClosure(g *Graph) (*CondensedClosure, error) {
 		return nil, err
 	}
 	cd := closeClasses(g, comp, k)
-	class := make([]uint16, g.n)
-	for v, c := range cd.class {
-		class[v] = uint16(c)
+	id, k := cd.merge()
+	c := &CondensedClosure{class: make([]uint16, g.n), k: k, words: (k + 63) / 64, rows: cd.rows}
+	for v, sc := range cd.class {
+		c.class[v] = uint16(id[sc])
 	}
-	return &CondensedClosure{class: class, k: cd.k, words: cd.words, rows: cd.rows}, nil
+	if k < cd.k {
+		c.rows = cd.project(id, k)
+	}
+	return c, nil
+}
+
+// merge finds the reachability-equivalence classes over the SCC classes: two
+// one-vertex components join when their strict descendant sets (the row
+// without its own bit) are equal and so are their strict ancestor sets (the
+// column without it). Members of such a class never reach one another — a
+// vertex that reaches another has it among its strict descendants and the
+// other does not. Components are grouped by descendants first; only when two
+// share them are the rows transposed in place and grouped by ancestors, so
+// the merge needs no memory of the rows' size. It returns every SCC class's
+// merged id — classes numbered by smallest member, which is their first SCC
+// class's, so in SCC order — and the merged count. The rows are left as they
+// were when nothing merged, and transposed for project otherwise.
+func (cd *condensation) merge() (id []int32, k int) {
+	w := cd.words
+	row := func(c int32) []uint64 { return cd.rows[int(c)*w:][:w] }
+	var single []int32 // the one-vertex components, ascending
+	for c := range int32(cd.k) {
+		if cd.start[c+1]-cd.start[c] == 1 {
+			single = append(single, c)
+			row(c)[c>>6] &^= 1 << (c & 63) // strict until the groups are found
+		}
+	}
+	leader := make([]int32, cd.k) // the smallest SCC class c merges with
+	for c := range leader {
+		leader[c] = int32(c)
+	}
+	byDesc := firstEqual(len(single), func(i int) []uint64 { return row(single[i]) })
+	shared := make([]int32, len(single))
+	for _, f := range byDesc {
+		shared[f]++
+	}
+	var cand []int32 // positions in single of those sharing their descendants
+	for i, f := range byDesc {
+		if shared[f] > 1 {
+			cand = append(cand, int32(i))
+		}
+	}
+	if len(cand) > 0 {
+		cd.transpose() // row c is now column c: c's strict ancestors
+		byAnc := firstEqual(len(cand), func(j int) []uint64 { return row(single[cand[j]]) })
+		keys := make([]uint64, 2*len(cand))
+		for j, i := range cand {
+			keys[2*j], keys[2*j+1] = uint64(byDesc[i]), uint64(byAnc[j])
+		}
+		byKey := firstEqual(len(cand), func(j int) []uint64 { return keys[2*j:][:2] })
+		for j, f := range byKey {
+			leader[single[cand[j]]] = single[cand[f]]
+		}
+	}
+	for _, c := range single {
+		row(c)[c>>6] |= 1 << (c & 63)
+	}
+	id = make([]int32, cd.k)
+	for c, l := range leader {
+		if l == int32(c) {
+			id[c] = int32(k)
+			k++
+		} else {
+			id[c] = id[l]
+		}
+	}
+	if len(cand) > 0 && k == cd.k {
+		cd.transpose()
+	}
+	return id, k
+}
+
+// firstEqual returns, for each i < n, the smallest j ≤ i whose key is equal
+// to i's. Keys are bucketed by a hash of their words — head holds a bucket's
+// latest distinct key, next the one before it — and compared whole within a
+// bucket.
+func firstEqual(n int, key func(int) []uint64) []int32 {
+	first, next := make([]int32, n), make([]int32, n)
+	head := make(map[uint64]int32, n)
+	for i := range n {
+		ki := key(i)
+		h := uint64(len(ki))
+		for _, x := range ki {
+			h = (h ^ x) * 0x9E3779B97F4A7C15
+			h ^= h >> 29
+		}
+		first[i] = int32(i)
+		j, ok := head[h]
+		for ; ok && j >= 0; j = next[j] {
+			if slices.Equal(key(int(j)), ki) {
+				first[i] = j
+				break
+			}
+		}
+		if first[i] == int32(i) {
+			next[i] = -1
+			if ok {
+				next[i] = head[h]
+			}
+			head[h] = int32(i)
+		}
+	}
+	return first
+}
+
+// transpose transposes the rows in place as the square bit matrix of
+// ⌈k/64⌉·64 rows their capacity holds — bit d of row c trades places with
+// bit c of row d — one pair of 64×64 blocks at a time, skipping a pair with
+// no bit set. The rows past k are zero before and after.
+func (cd *condensation) transpose() {
+	w := cd.words
+	m := cd.rows[:w<<6*w]
+	var a, b [64]uint64
+	for r := range w {
+		for c := r; c < w; c++ {
+			nonzero := uint64(0)
+			for i := range 64 {
+				a[i], b[i] = m[(r<<6+i)*w+c], m[(c<<6+i)*w+r]
+				nonzero |= a[i] | b[i]
+			}
+			if nonzero == 0 {
+				continue
+			}
+			transpose64(&a)
+			transpose64(&b)
+			for i := range 64 {
+				m[(c<<6+i)*w+r], m[(r<<6+i)*w+c] = a[i], b[i]
+			}
+		}
+	}
+}
+
+// transpose64 transposes a 64×64 bit block in place — bit j of a[i] trades
+// places with bit i of a[j] — by swapping off-diagonal sub-blocks of 32, 16,
+// …, 1 bits in turn.
+func transpose64(a *[64]uint64) {
+	m := uint64(0x00000000FFFFFFFF) // the low s bits of every 2s
+	for s := 32; s != 0; s >>= 1 {
+		for base := 0; base < 64; base += 2 * s {
+			for i := base; i < base+s; i++ {
+				t := (a[i]>>s ^ a[i+s]) & m
+				a[i] ^= t << s
+				a[i+s] ^= t
+			}
+		}
+		m ^= m << (s >> 1)
+	}
+}
+
+// project lays out the rows over the k merged classes from the rows merge
+// left transposed: bit i of merged row j is set iff the first SCC class of j
+// reaches the first SCC class of i — members of one class share both sets, so
+// any one answers for all — and a class of two or more acyclic vertices, none
+// of which reaches another, clears its own bit.
+func (cd *condensation) project(id []int32, k int) []uint64 {
+	w := (k + 63) / 64
+	rows := make([]uint64, k*w)
+	first := make([]uint64, cd.words) // the first SCC class of every merged class
+	size := make([]int32, k)          // SCC classes per merged class
+	for c, i := range id {
+		if size[i] == 0 {
+			first[c>>6] |= 1 << (c & 63)
+		}
+		size[i]++
+	}
+	for c, i := range id {
+		if first[c>>6]>>(c&63)&1 == 0 {
+			continue
+		}
+		for wi, x := range cd.rows[c*cd.words:][:cd.words] { // what reaches c
+			for x &= first[wi]; x != 0; x &= x - 1 {
+				j := id[wi<<6+bits.TrailingZeros64(x)]
+				rows[int(j)*w+int(i>>6)] |= 1 << (i & 63)
+			}
+		}
+	}
+	for i, n := range size {
+		if n > 1 {
+			rows[i*w+i>>6] &^= 1 << (i & 63)
+		}
+	}
+	return rows
 }
 
 // N reports the vertex count.
 func (c *CondensedClosure) N() int { return len(c.class) }
 
-// Classes reports k, the number of strongly connected classes.
+// Classes reports k, the number of reachability-equivalence classes: at most
+// the number of strongly connected components, which MaxClosureVertices caps.
 func (c *CondensedClosure) Classes() int { return c.k }
 
-// Class reports v's class: vertices of one class share every row and column.
+// Class reports v's class: vertices of one class have the same ancestors and
+// the same descendants, so they share every row and column. Class-mates reach
+// each other when the class is a strongly connected component, and never
+// when it is acyclic.
 func (c *CondensedClosure) Class(v int) int { return int(c.class[v]) }
 
-// Reach answers a reachability query in O(1): two loads and a bit test.
+// Reach answers a reachability query in O(1): u = v, or two loads and a bit
+// test.
 func (c *CondensedClosure) Reach(u, v int) bool {
 	d := c.class[v]
-	return c.rows[int(c.class[u])*c.words+int(d>>6)]>>(d&63)&1 != 0
+	return u == v || c.rows[int(c.class[u])*c.words+int(d>>6)]>>(d&63)&1 != 0
 }
 
 // ReachFrom sets bit v of row for every v that u reaches: u's class row,
-// expanded over the members.
+// expanded over the members, and u itself.
 func (c *CondensedClosure) ReachFrom(u int, row []uint64) {
-	from := c.rows[int(c.class[u])*c.words:][:c.words]
+	c.ReachFromClass(c.Class(u), row)
+	row[u>>6] |= 1 << (u & 63)
+}
+
+// ReachFromClass sets bit v of row for every v that every member of class cl
+// reaches: its row, expanded over the members — which include cl's own only
+// when it is strongly connected. It is what the class's members share, so a
+// caller may expand it once for all of them.
+func (c *CondensedClosure) ReachFromClass(cl int, row []uint64) {
+	from := c.rows[cl*c.words:][:c.words]
 	for v, d := range c.class {
 		if from[d>>6]>>(d&63)&1 != 0 {
 			row[v>>6] |= 1 << (v & 63)
@@ -197,7 +406,7 @@ func (c *CondensedClosure) ReachFrom(u int, row []uint64) {
 }
 
 // ReachTo sets bit u of col for every u that reaches v: the column of v's
-// class, expanded over the members.
+// class, expanded over the members, and v itself.
 func (c *CondensedClosure) ReachTo(v int, col []uint64) {
 	d := c.class[v]
 	to := c.rows[d>>6:]
@@ -206,6 +415,7 @@ func (c *CondensedClosure) ReachTo(v int, col []uint64) {
 			col[u>>6] |= 1 << (u & 63)
 		}
 	}
+	col[v>>6] |= 1 << (v & 63)
 }
 
 // The wire form, little-endian throughout:
@@ -341,8 +551,8 @@ func DecodeCondensedClosure(b []byte, n int) (*CondensedClosure, error) {
 // ProbeCondensedClosure answers reach(u, v) straight off a form framed over n
 // vertices, for a caller holding bytes nobody has decoded: the frame has
 // checked the class count and the length, so the probe reads two w-bit class
-// ids, checks each below k, and tests one bit — never the ids it does not
-// read. u and v must lie in [0, n).
+// ids, checks each below k, and answers u = v or one bit — never the ids it
+// does not read. u and v must lie in [0, n).
 func ProbeCondensedClosure(c CondensedWire, n, u, v int) (bool, error) {
 	k := int(binary.LittleEndian.Uint32(c))
 	w := idWidth(k)
@@ -355,5 +565,5 @@ func ProbeCondensedClosure(c CondensedWire, n, u, v int) (bool, error) {
 		return false, classError(v, cv, k)
 	}
 	bit := cu*((k+63)/64)<<6 + cv
-	return ids[idsLen(n, w)+bit>>3]>>(bit&7)&1 != 0, nil
+	return u == v || ids[idsLen(n, w)+bit>>3]>>(bit&7)&1 != 0, nil
 }

@@ -1,7 +1,8 @@
 package schemes
 
 // The closure-matrix scheme's Π is built by graph.NewCondensedClosure
-// (condensation, word-wide row unions over the classes) and laid out by its
+// (condensation, word-wide row unions over the components, acyclic vertices
+// with equal ancestors and descendants merged) and laid out by its
 // AppendWire. These tests hold the bytes to a reference build — one search per
 // vertex, one bit at a time — through Preprocess and through every maintained
 // step, fuzz the decoder, and pin the class cap that sizes the rows before
@@ -18,43 +19,25 @@ import (
 
 	"pitract/internal/core"
 	"pitract/internal/graph"
+	"pitract/internal/graph/reachref"
 )
 
-// condensedRef is the reference condensation, from one Graph.BFS per vertex:
-// classes are mutual reachability, numbered by smallest member; bit d of class
-// row c (⌈k/64⌉ words a row) is set, one bit at a time, when c's smallest
-// member reaches d's.
+// condensedRef is the reference quotient, from one Graph.BFS per vertex:
+// reachref's classes — equal strict ancestor and strict descendant sets,
+// numbered by smallest member — and its rows, bit d of class row c (⌈k/64⌉
+// words a row) set, one bit at a time, when every member of c reaches every
+// member of d.
 func condensedRef(g *graph.Graph) (class []int, k int, rows []byte) {
-	n := g.N()
-	reach := make([][]int, n)
+	reach := make([][]bool, g.N())
 	for u := range reach {
-		_, reach[u] = g.BFS(u)
-	}
-	class = make([]int, n)
-	var smallest []int
-	for v := range class {
-		class[v] = -1
-		for c, s := range smallest {
-			if reach[v][s] >= 0 && reach[s][v] >= 0 {
-				class[v] = c
-			}
-		}
-		if class[v] < 0 {
-			class[v] = len(smallest)
-			smallest = append(smallest, v)
+		_, dist := g.BFS(u)
+		reach[u] = make([]bool, g.N())
+		for v, d := range dist {
+			reach[u][v] = d >= 0
 		}
 	}
-	k = len(smallest)
-	stride := 8 * ((k + 63) / 64)
-	rows = make([]byte, k*stride)
-	for c, s := range smallest {
-		for d, t := range smallest {
-			if reach[s][t] >= 0 {
-				rows[c*stride+d/8] |= 1 << (d % 8)
-			}
-		}
-	}
-	return class, k, rows
+	class, k = reachref.Classes(reach)
+	return class, k, reachref.Rows(reach, class, k)
 }
 
 // closureHeaderRef is the header of g's Π under the given layout bits.

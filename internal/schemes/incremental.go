@@ -211,10 +211,14 @@ func editGraph(g *graph.Graph, kind core.DeltaKind, u, v int) (bool, error) {
 // retractions are cheap when connectivity survives: every old path through
 // the arc reroutes along the surviving u⇝v path. That takes the graph, so a
 // delete decodes the arc file and searches it. In both cases the closure is
-// bitwise unchanged and the edited arc file is spliced onto the old head.
-// Otherwise classes may have merged or split, and Π is rebuilt from the graph
-// by the kernel Preprocess runs. Class ids are canonical and the arc file a
-// function of the edge set, so either way the result is byte-equal to
+// bitwise unchanged and the edited arc file is spliced onto the old head:
+// every class — a strongly connected component, or acyclic vertices with the
+// same ancestors and descendants — is a function of the reachability
+// relation, which did not move. Otherwise classes may have merged or split,
+// and Π is rebuilt from the graph by the kernel Preprocess runs; an insert
+// between two members of one acyclic class is one such, since neither reaches
+// the other and the probe reads false. Class ids are canonical and the arc
+// file a function of the edge set, so either way the result is byte-equal to
 // Preprocess(D ⊕ ∆D).
 //
 // What the rebuild costs is what the matrix costs (BenchmarkClosureApplyDelta;

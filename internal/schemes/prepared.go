@@ -44,18 +44,21 @@ type LocalReach interface {
 	// Reach reports whether u reaches v (reflexively).
 	Reach(u, v int) bool
 	// ReachFrom sets bit v of row for every v that u reaches, u itself
-	// included.
+	// included. For the closure that is u's class row and u: a vertex
+	// sharing u's class only because it has u's ancestors and descendants
+	// is not reached, and its bit stays clear.
 	ReachFrom(u int, row []uint64)
 	// ReachTo sets bit u of col for every u that reaches v, v itself
-	// included.
+	// included — and, as for ReachFrom, no acyclic class-mate of v.
 	ReachTo(v int, col []uint64)
 }
 
 // --- reachability closure matrix ---------------------------------------------
 
-// closureAnswerer is the validated closure over the condensation, decoded
-// once; each probe is a bounds check, two class loads and a bit test. Reach,
-// ReachFrom and ReachTo are graph.CondensedClosure's own.
+// closureAnswerer is the validated closure over the reachability-equivalence
+// classes, decoded once; each probe is a bounds check, u = v or two class
+// loads and a bit test. Reach, ReachFrom and ReachTo are
+// graph.CondensedClosure's own.
 type closureAnswerer struct {
 	*graph.CondensedClosure
 }

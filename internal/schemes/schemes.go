@@ -312,6 +312,13 @@ func ReachabilityLanguage() core.Language {
 // core.LayoutError that says to re-register, never guessed at (a registry
 // that finds one in its data dir quarantines the snapshot and rebuilds).
 //
+// The wire form is stored over the reachability-equivalence classes: a
+// strongly connected component, or acyclic vertices with the same ancestors
+// and the same descendants, whose own row bit is clear when there are two or
+// more of them — so the probe answers u = v before it reads a bit. The layout
+// bits did not change when acyclic vertices began to merge: a payload written
+// before reads as a quotient in which nothing merged, with the same answers.
+//
 // The arc file is the graph (arcs.go): keys.go's sorted key file over the arc
 // ids u·n + v, with u < v for an undirected edge. It is a function of the edge
 // set, so Π stays a function of the graph.
@@ -360,13 +367,14 @@ func closureParts(pd []byte) (n int, cond graph.CondensedWire, arcs ArcFile, err
 	return n, cond, arcs, nil
 }
 
-// closureBytes lays out Π: the header, the closure of g over its condensation
-// as graph.CondensedClosure.AppendWire emits it, and g's arc file. Class ids
-// are canonical and the arc file a function of the edge set, so the bytes are
-// a function of g alone. NewCondensedClosure sizes the rows before it
-// allocates them — vertices cost a payload no bytes — and its refusal is
-// pointed somewhere: a graph of too many classes for the matrix is what the
-// labels scheme is for.
+// closureBytes lays out Π: the header, the closure of g over its
+// reachability-equivalence classes as graph.CondensedClosure.AppendWire emits
+// it, and g's arc file. Classes are a function of the reachability relation,
+// numbered canonically, and the arc file a function of the edge set, so the
+// bytes are a function of g alone. NewCondensedClosure sizes the SCC rows
+// before it allocates them — vertices cost a payload no bytes — and its
+// refusal is pointed somewhere: a graph of too many strongly connected
+// components for the matrix is what the labels scheme is for.
 func closureBytes(g *graph.Graph) ([]byte, error) {
 	c, err := graph.NewCondensedClosure(g)
 	if err != nil {
@@ -387,8 +395,10 @@ func closureBytes(g *graph.Graph) ([]byte, error) {
 
 // ReachabilityScheme precomputes the all-pairs matrix ("we may precompute a
 // matrix that records the reachability between all pairs of nodes") — stored
-// over the condensation, one row per strongly connected class — and answers in
-// O(1): two class loads and a bit test.
+// over the reachability-equivalence classes, one row per strongly connected
+// component or per set of acyclic vertices with equal ancestors and
+// descendants — and answers in O(1): u = v, or two class loads and a bit
+// test.
 func ReachabilityScheme() *core.Scheme {
 	return &core.Scheme{
 		SchemeName: "reachability/closure-matrix",
@@ -402,7 +412,7 @@ func ReachabilityScheme() *core.Scheme {
 		Prepare:        prepareClosure,
 		ApplyDelta:     applyClosureDelta,
 		ApplyUpdate:    applyEdgeToGraph,
-		PreprocessNote: "O(|V|+|E|) condensation + O(|E_c|·k/64) word ORs over the k classes; Π is ⌈n·w/8⌉ + k²/8 bytes (w = ⌈log₂ k⌉) + an Elias–Fano arc file",
+		PreprocessNote: "O(|V|+|E|) condensation + O(|E_c|·k/64) word ORs over the k components + O(k²/64) to merge acyclic ones; Π is ⌈n·w/8⌉ + k_eq²/8 bytes over k_eq merged classes (w = ⌈log₂ k_eq⌉) + an Elias–Fano arc file",
 		AnswerNote:     "O(1)",
 	}
 }

@@ -1,13 +1,15 @@
 package shard
 
 // The portal overlay is built once per local class — the portals of one
-// shard that reach each other inside it — and stored over its condensation:
-// at Split through the shards' frozen subgraphs (buildReachSummary, classes
-// from each subgraph's SCCs), at PATCH through their prepared answerers
-// (buildRows, classes from one search each way). These tests hold the summary
+// shard that reach each other inside it — at Split through the shards'
+// frozen subgraphs (buildReachSummary, classes from each subgraph's SCCs),
+// at PATCH through their prepared answerers (buildRows, classes from one
+// search each way), and its closure is stored over its
+// reachability-equivalence classes. These tests hold the summary
 // bytes to a reference build — one whole-graph BFS per portal and an arc per
-// reaching portal pair, one search per overlay vertex, classes and class rows
-// one bit at a time — on shapes whose shards hold one class of many portals,
+// reaching portal pair, one search per overlay vertex, classes (equal strict
+// ancestors and descendants, internal/graph/reachref) and class rows one bit
+// at a time — on shapes whose shards hold one class of many portals,
 // only singleton classes, or both, and pin the cap on the portal count.
 
 import (
@@ -19,14 +21,16 @@ import (
 
 	"pitract/internal/core"
 	"pitract/internal/graph"
+	"pitract/internal/graph/reachref"
 	"pitract/internal/schemes"
 	"pitract/internal/store"
 )
 
 // reachSummaryRef is the reference summary: portals and overlay arcs from one
 // Graph.BFS per portal on its induced subgraph, the overlay closed by one
-// Graph.BFS per overlay vertex — classes are mutual reachability, numbered by
-// smallest member — and the class ids and rows packed one bit at a time,
+// Graph.BFS per overlay vertex — classes are reachref's, equal strict
+// ancestor and descendant sets numbered by smallest member — and the class
+// ids and rows packed one bit at a time,
 // behind the vertex count, the orientation and the cross edges' arc file.
 func reachSummaryRef(g *graph.Graph, asn Assignment) []byte {
 	shardOf, local, counts := vertexShards(g.N(), asn)
@@ -66,25 +70,15 @@ func reachSummaryRef(g *graph.Graph, asn Assignment) []byte {
 		}
 	}
 	P := len(portals)
-	reach := make([][]int, P)
+	reach := make([][]bool, P)
 	for i := range reach {
-		_, reach[i] = overlay.BFS(i)
-	}
-	class := make([]int, P)
-	var smallest []int
-	for i := range class {
-		class[i] = -1
-		for c, s := range smallest {
-			if reach[i][s] >= 0 && reach[s][i] >= 0 {
-				class[i] = c
-			}
-		}
-		if class[i] < 0 {
-			class[i] = len(smallest)
-			smallest = append(smallest, i)
+		_, dist := overlay.BFS(i)
+		reach[i] = make([]bool, P)
+		for j, d := range dist {
+			reach[i][j] = d >= 0
 		}
 	}
-	k := len(smallest)
+	class, k := reachref.Classes(reach)
 	w := 0
 	for 1<<w < k {
 		w++
@@ -98,15 +92,7 @@ func reachSummaryRef(g *graph.Graph, asn Assignment) []byte {
 		}
 	}
 	packed := append(binary.LittleEndian.AppendUint32(nil, uint32(k)), ids...)
-	stride := 8 * ((k + 63) / 64)
-	rows := make([]byte, k*stride)
-	for c, s := range smallest {
-		for d, t := range smallest {
-			if reach[s][t] >= 0 {
-				rows[c*stride+d/8] |= 1 << (d % 8)
-			}
-		}
-	}
+	rows := reachref.Rows(reach, class, k)
 	packed = append(packed, rows...)
 	// n ‖ orientation ‖ the cross edges' arc file, length-prefixed ‖ the
 	// overlay; nothing the assignment determines.

@@ -14,8 +14,10 @@ package shard
 //     portal-to-portal reachability of an edge per reaching pair, from one
 //     search per class;
 //   - the overlay's reflexive transitive closure is stored in the summary,
-//     over its condensation (graph.CondensedClosure — the value and the
-//     bytes the closure-matrix scheme stores).
+//     over its reachability-equivalence classes (graph.CondensedClosure —
+//     the value and the bytes the closure-matrix scheme stores), so
+//     portals with the same overlay ancestors and descendants share a row
+//     even when no path joins them.
 //
 // Any path u ⇝ v decomposes into within-shard segments joined at cross
 // edges, so
@@ -62,7 +64,7 @@ package shard
 // row indices — plus two words per portal and distinct·⌈P/64⌉ words, where
 // distinct ≤ 2·(local SCC count) + 1. The worst case (every vertex its own SCC
 // with its own portal set) is 2·n·P bits, next to the overlay closure itself
-// (P·⌈log₂ k⌉ bits + k² bits over its k classes) and the arc file (about
+// (P·⌈log₂ k⌉ bits + k² bits over its k merged classes) and the arc file (about
 // L + 2 bits a cross edge, L = ⌊log₂(n²/C)⌋ for C of them, read in place).
 // Building them reads each shard once per local class: with K_s ≤ P_s
 // classes among shard s's P_s portals, one bulk read of n_s bits each way per
@@ -357,10 +359,11 @@ func (rs *reachSummary) buildRows(shards []core.Answerer, overlay *graph.Graph) 
 }
 
 // widenRows writes the global row of every distinct local row: an in row
-// sets its portals' own bits; an out row ORs in the overlay row of each of
-// its portals — expanded once per overlay class, by the first row that needs
-// it — skipping a portal whose bit is already set, since a row that holds it
-// holds everything it reaches.
+// sets its portals' own bits; an out row ORs in what each of its portals
+// reaches in the overlay — its class's row, expanded once per overlay class
+// by the first row that needs it, and the portal's own bit, which a class of
+// acyclic portals does not share — skipping a portal whose bit is already
+// set, since a row that holds it holds everything it reaches.
 func (rs *reachSummary) widenRows(pending []pendingRow) {
 	rs.rows = make([]uint64, (1+len(pending))*rs.words)
 	overlayRows := make([][]uint64, rs.overlay.Classes())
@@ -380,11 +383,12 @@ func (rs *reachSummary) widenRows(pending []pendingRow) {
 				c := rs.overlay.Class(pi)
 				if overlayRows[c] == nil {
 					overlayRows[c] = make([]uint64, rs.words)
-					rs.overlay.ReachFrom(pi, overlayRows[c])
+					rs.overlay.ReachFromClass(c, overlayRows[c])
 				}
 				for wi, w := range overlayRows[c] {
 					row[wi] |= w
 				}
+				row[pi>>6] |= 1 << (pi & 63)
 			}
 		}
 	}

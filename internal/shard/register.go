@@ -83,11 +83,11 @@ func RegisterShardedContext(ctx context.Context, r *store.Registry, id string, s
 		return nil, fmt.Errorf("shard: register %q: scheme %s has no sharded form (shardable: %v)",
 			id, scheme.Name(), ShardableSchemes())
 	}
-	sum := store.SumData(data)
-	want := func() store.Key { return store.Key{Scheme: scheme.Name(), Sum: sum, Layout: describe(n, p.Name())} }
+	sum := store.SumBeside(data)
+	want := func() store.Key { return store.Key{Scheme: scheme.Name(), Sum: sum(), Layout: describe(n, p.Name())} }
 	ds, err := r.RegisterAs(ctx, id, scheme, want, LayoutDecoder(scheme),
 		func() (store.DeltaDataset, error) {
-			ss, err := Build(id, scheme, sh, p, n, data)
+			ss, err := build(id, scheme, sh, p, n, data, sum)
 			if err != nil {
 				return nil, err
 			}

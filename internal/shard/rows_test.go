@@ -273,6 +273,35 @@ func TestRowsMergeDifferential(t *testing.T) {
 	}
 }
 
+// TestRowsMergedOverlayClass: a portal overlay whose closure merges two
+// acyclic portals — vertices 0 and 1 of shard 0 (range, two shards), with no
+// ancestors and the same cross edge successor 4 — into one class. The class
+// row is what both portals reach, not either portal itself, so a portal's
+// row must add its own bit to it; a row expanded for one portal and reused
+// for its class-mate answers 1 ⇝ 0 (or 0 ⇝ 1) true. Every pair's sharded
+// verdict must equal the unsharded closure's, under both reach schemes.
+func TestRowsMergedOverlayClass(t *testing.T) {
+	// Shard 0 = {0, 1, 2, 3}: 2 → 1 and 3 → 0 inside it; shard 1 = {4..7}: 4 → 5.
+	g := graph.New(8, true)
+	for _, e := range [][2]int{{0, 4}, {1, 4}, {2, 1}, {3, 0}, {4, 5}} {
+		g.MustAddEdge(e[0], e[1])
+	}
+	for _, scheme := range []*core.Scheme{schemes.ReachabilityScheme(), schemes.ReachabilityLabelsScheme()} {
+		ss, err := RegisterSharded(store.NewRegistry(t.TempDir()), "g", scheme, RangePartitioner{}, 2, g.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := decodeReachSummary(ss.Committed().Summary(), ss.Asn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rs.portals) != 3 || rs.overlay.Classes() != 2 || rs.overlay.Class(0) != rs.overlay.Class(1) {
+			t.Fatalf("%s: portals %v in %d overlay classes; the fixture wants 0 and 1 merged", scheme.Name(), rs.portals, rs.overlay.Classes())
+		}
+		assertRowsProbingClosure(t, ss, g, scheme.Name())
+	}
+}
+
 // TestRowsAreInterned: every vertex of one local SCC shares both rows, so
 // a graph of strongly connected communities holds a handful of distinct
 // rows, not two per vertex.

@@ -211,6 +211,13 @@ func describe(n int, partitioner string) string { return fmt.Sprintf("%d-shard %
 // part concurrently, and opens the sharded store over them. It does not
 // persist anything; RegisterSharded adds the file.
 func Build(id string, scheme *core.Scheme, sh *Sharding, p Partitioner, n int, data []byte) (*ShardedStore, error) {
+	return build(id, scheme, sh, p, n, data, func() store.DataChecksum { return store.SumData(data) })
+}
+
+// build is Build with the digest of data supplied by the caller: a
+// registration hashes data once, beside the split (store.SumBeside), and
+// both its catalog key and the store opened here take that one sum.
+func build(id string, scheme *core.Scheme, sh *Sharding, p Partitioner, n int, data []byte, sum func() store.DataChecksum) (*ShardedStore, error) {
 	if scheme == nil || sh == nil {
 		return nil, fmt.Errorf("shard: build %q: nil scheme or sharding", id)
 	}
@@ -256,7 +263,7 @@ func Build(id string, scheme *core.Scheme, sh *Sharding, p Partitioner, n int, d
 	// The members' prepared forms and the summary view (reachability: the
 	// portal reach rows) are part of registration, not of the first query.
 	ss := &ShardedStore{Sharding: sh, Asn: asn, Partitioner: p.Name()}
-	if ss.Store, err = store.Open(id, scheme, store.SumData(data), ss, 0, summary, members); err != nil {
+	if ss.Store, err = store.Open(id, scheme, sum(), ss, 0, summary, members); err != nil {
 		return nil, fmt.Errorf("shard: build %q: %w", id, err)
 	}
 	return ss, nil

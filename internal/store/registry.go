@@ -348,7 +348,7 @@ func (r *Registry) RegisterContext(ctx context.Context, id string, scheme *core.
 	if scheme == nil {
 		return nil, fmt.Errorf("store: register %q: nil scheme", id)
 	}
-	sum := sumBeside(data)
+	sum := SumBeside(data)
 	want := func() Key { return Key{Scheme: scheme.Name(), Sum: sum(), Layout: Plain.Describe()} }
 	ds, err := r.RegisterAs(ctx, id, scheme, want, DecodePlain,
 		func() (DeltaDataset, error) {
@@ -374,12 +374,13 @@ func (r *Registry) RegisterContext(ctx context.Context, id string, scheme *core.
 	return st, nil
 }
 
-// sumBeside starts SumData(data) on a goroutine of its own and returns the
-// wait for it: a registration hashes D beside its build — a snapshot load or
-// Preprocess — and joins where it first compares or stores the sum. The
-// goroutine ends with its hash; the channel's one slot lets it end even when
-// the registration gives up first and never waits.
-func sumBeside(data []byte) func() DataChecksum {
+// SumBeside starts SumData(data) on a goroutine of its own and returns the
+// wait for it: a registration, plain or sharded, hashes D once, beside its
+// build — a snapshot load, Preprocess, or a split and the parts' Preprocess —
+// and joins where it first compares or stores the sum. The goroutine ends
+// with its hash; the channel's one slot lets it end even when the
+// registration gives up first and never waits.
+func SumBeside(data []byte) func() DataChecksum {
 	c := make(chan DataChecksum, 1)
 	go func() { c <- SumData(data) }()
 	return sync.OnceValue(func() DataChecksum { return <-c })
