@@ -8,7 +8,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -24,6 +23,7 @@ import (
 	"pitract/internal/schemes"
 	"pitract/internal/shard"
 	"pitract/internal/store"
+	"pitract/internal/store/faultfs"
 )
 
 // patchJSON issues a PATCH with a PatchRequest and decodes the response.
@@ -529,24 +529,23 @@ func TestPatchPersistFailureIs500(t *testing.T) {
 			t.Fatalf("register%s on a blocked medium left a catalog entry", q)
 		}
 	}
-	// Build the entry through the registry seam directly so that only
+	// A dataset registered on a medium that then fails every write: only
 	// maintenance persistence is under test below.
-	st := &store.Store{ID: "d", Scheme: schemes.PointSelectionScheme()}
-	prep, err := st.Scheme.Preprocess(schemes.RelationFromKeys([]int64{2, 4}))
-	if err != nil {
+	f := faultfs.New()
+	reg = store.NewRegistryMedium(&store.Medium{Dir: "/data", FS: f})
+	if _, err := reg.Register("d", schemes.PointSelectionScheme(), schemes.RelationFromKeys([]int64{2, 4})); err != nil {
 		t.Fatal(err)
 	}
-	st.Prep = prep
-	if _, err := reg.RegisterDatasetContext(context.Background(), "d", nil, func() (store.Dataset, error) { return st, nil }); err != nil {
-		t.Fatal(err)
-	}
+	f.FailAfterWrites(0)
+	faulty := httptest.NewServer(New(reg, nil))
+	defer faulty.Close()
 
-	if code := patchJSON(t, client, ts.URL+"/v1/datasets/d",
+	if code := patchJSON(t, faulty.Client(), faulty.URL+"/v1/datasets/d",
 		[][]byte{schemes.KeysDelta([]int64{9})}, &e); code != http.StatusInternalServerError {
 		t.Fatalf("persist failure: status %d (%q), want 500", code, e.Error)
 	}
 	var q QueryResponse
-	if code := postJSON(t, client, ts.URL+"/v1/query", QueryRequest{
+	if code := postJSON(t, faulty.Client(), faulty.URL+"/v1/query", QueryRequest{
 		Dataset: "d", Query: schemes.PointQuery(9),
 	}, &q); code != http.StatusOK || q.Answer || q.Version != 0 {
 		t.Fatalf("failed persist leaked state: %d %+v", code, q)

@@ -811,10 +811,9 @@ func (s *Server) handleDatasetByID(w http.ResponseWriter, r *http.Request) {
 				writeError(w, r, http.StatusInternalServerError, "%v", err)
 			default:
 				// Everything else — a scheme with no incremental form, a
-				// sharded form without delta routing, a hostile delta
-				// payload — is a conflict with the dataset's current state;
-				// the dataset, its registry entry, and its snapshot are
-				// untouched.
+				// hostile delta payload — is a conflict with the dataset's
+				// current state; the dataset, its registry entry, and its
+				// snapshot are untouched.
 				writeError(w, r, http.StatusConflict, "%v", err)
 			}
 			return

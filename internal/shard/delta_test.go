@@ -1,15 +1,26 @@
 package shard
 
-// Sharded delta maintenance: the differential suite pins PATCH-maintained
-// sharded datasets verdict-equivalent to a from-scratch unsharded
-// preprocessing of the updated data (the same oracle the unsharded suite
-// uses), across partitioners, shard counts, and a persistence
-// reload → continue-patching cycle.
+// The maintenance suite of the write side, one table per protocol whose rows
+// are layouts (crash_test.go has the crash tables and the oracle):
+//
+//   - TestMaintainedVsRebuiltDifferential: a Registry.ApplyDelta-maintained
+//     dataset, plain or split by hash or range into 2 or 3 parts, equals the
+//     oracle — a from-scratch, unsharded Preprocess(D ⊕ ∆D) — after every
+//     delta of random sequences and across a save → reload →
+//     continue-patching cycle.
+//   - TestConcurrentDeltasAndQueries: PATCH races queries under the race
+//     detector, and no reader observes a torn Π.
+//
+// Then the contracts only a sharded dataset has: the portal summary under
+// cross-shard deltas, the empty batch on the exported seam, and the figures
+// read from one committed value.
 
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -19,65 +30,66 @@ import (
 	"pitract/internal/store"
 )
 
-// shardDeltaCase is one sharded maintenance scenario.
-type shardDeltaCase struct {
-	scheme string
-	inc    *core.Scheme
-	data   []byte
-	deltas [][]byte
-	probes [][]byte
-}
-
-func shardDeltaCases(seed int64) []shardDeltaCase {
+// deltaScenarios builds the differential scenarios from one seed, one delta
+// per batch, so that every version is a step the oracle checks.
+func deltaScenarios(seed int64) []scenario {
 	rng := rand.New(rand.NewSource(seed))
-	keys := make([]int64, 40)
+	keys := make([]int64, 48)
 	for i := range keys {
-		keys[i] = int64(rng.Intn(300) * 2)
+		keys[i] = int64(rng.Intn(200) * 2)
 	}
-	// Mixed kinds, with the fixed prefix covering delete-present,
-	// absent-tombstone, re-insert, and delete-again on both sides
-	// of the reload boundary (half = 4); the random tail keeps the
-	// cross-shard routing honest (tombstones are idempotent, so random
-	// delete targets are safe).
-	keyDeltas := [][]byte{
-		schemes.KeysDeleteDelta([]int64{keys[0], keys[1], 900_001}),
-		schemes.KeysDelta([]int64{keys[0], keys[2]}),
-		schemes.KeysDeleteDelta([]int64{keys[0]}),
-	}
-	for len(keyDeltas) < 8 {
-		batch := make([]int64, 1+rng.Intn(4))
-		for j := range batch {
-			batch[j] = int64(rng.Intn(700))
+	keyDeltas := func() [][][]byte {
+		// The fixed prefix spans the full dynamism story — delete present
+		// keys alongside an absent tombstone, re-insert one, delete it
+		// again — and the random tail mixes both kinds (tombstones are
+		// idempotent, so random delete targets are safe). Eight deltas put
+		// delete/re-insert on both sides of the save→reload boundary
+		// (half = 4).
+		ds := [][][]byte{
+			{schemes.KeysDeleteDelta([]int64{keys[0], keys[1], 900_001})},
+			{schemes.KeysDelta([]int64{keys[0], keys[2]})},
+			{schemes.KeysDeleteDelta([]int64{keys[0]})},
 		}
-		if rng.Intn(3) == 1 {
-			keyDeltas = append(keyDeltas, schemes.KeysDeleteDelta(batch))
-		} else {
-			keyDeltas = append(keyDeltas, schemes.KeysDelta(batch))
+		for len(ds) < 8 {
+			batch := make([]int64, 1+rng.Intn(4))
+			for j := range batch {
+				batch[j] = int64(rng.Intn(500)) // mix of fresh, duplicate, odd, even
+			}
+			if rng.Intn(3) == 1 {
+				ds = append(ds, [][]byte{schemes.KeysDeleteDelta(batch)})
+			} else {
+				ds = append(ds, [][]byte{schemes.KeysDelta(batch)})
+			}
 		}
+		return ds
 	}
-	keyProbes := make([][]byte, 0, 150)
-	for c := int64(0); c < 150; c++ {
-		keyProbes = append(keyProbes, schemes.PointQuery(rng.Int63n(750)))
+	keyProbes := func() [][]byte {
+		ps := make([][]byte, 0, 120)
+		for c := int64(0); c < 120; c++ {
+			ps = append(ps, schemes.PointQuery(4*c+rng.Int63n(5)))
+		}
+		return ps
 	}
 	rangeProbes := make([][]byte, 0, 60)
 	for i := 0; i < 60; i++ {
-		lo := rng.Int63n(700)
-		rangeProbes = append(rangeProbes, schemes.RangeQuery(lo, lo+rng.Int63n(12)))
+		lo := rng.Int63n(500)
+		rangeProbes = append(rangeProbes, schemes.RangeQuery(lo, lo+rng.Int63n(8)))
 	}
-	// A community graph keeps some structure per shard but guarantees
-	// cross-shard edges, so deltas exercise both local closure maintenance
-	// and portal-overlay rebuilds.
-	g := graph.CommunityGraph(4, 8, 14, seed+5)
-	// Edge deletes must target present edges, so they retract edges this
-	// sequence itself inserted on pairs absent from the base graph —
-	// insert, delete, re-insert, delete again, spanning the
-	// reload boundary and (under range partitioning) crossing shards.
-	usedPairs := map[[2]int]bool{}
+	// A community graph keeps some structure per shard but has cross-shard
+	// edges, so deltas exercise both local closure maintenance and the
+	// portal summary.
+	g := graph.CommunityGraph(4, 10, 16, seed)
+	// Edge retraction of an absent edge is an error (unlike key
+	// tombstones), so deletes target edges this sequence itself inserted,
+	// on pairs absent from the base graph — insert, delete, re-insert,
+	// delete again, with the save→reload boundary (half = 4) in the middle
+	// of the churn.
+	used := map[[2]int]bool{}
 	freshPair := func() (int, int) {
 		for {
 			u, v := rng.Intn(g.N()), rng.Intn(g.N())
-			if u != v && !g.HasEdge(u, v) && !usedPairs[[2]int{u, v}] {
-				usedPairs[[2]int{u, v}] = true
+			if u != v && !g.HasEdge(u, v) && !used[[2]int{u, v}] {
+				used[[2]int{u, v}] = true
 				return u, v
 			}
 		}
@@ -85,121 +97,270 @@ func shardDeltaCases(seed int64) []shardDeltaCase {
 	u1, v1 := freshPair()
 	u2, v2 := freshPair()
 	u3, v3 := freshPair()
-	edgeDeltas := [][]byte{
-		schemes.EdgeDelta(u1, v1),
-		schemes.EdgeDelta(u2, v2),
-		schemes.EdgeDeleteDelta(u1, v1),
-		schemes.EdgeDelta(u1, v1), // re-insert across the reload boundary
-		schemes.EdgeDeleteDelta(u2, v2),
-		schemes.EdgeDeleteDelta(u1, v1),
-		schemes.EdgeDelta(u3, v3),
-		schemes.EdgeDelta(u3, v3), // insert of a present edge: no-op
+	edgeDeltas := [][][]byte{
+		{schemes.EdgeDelta(u1, v1)},
+		{schemes.EdgeDelta(u2, v2)},
+		{schemes.EdgeDeleteDelta(u1, v1)},
+		{schemes.EdgeDelta(u1, v1)}, // re-insert across the reload boundary
+		{schemes.EdgeDeleteDelta(u2, v2)},
+		{schemes.EdgeDeleteDelta(u1, v1)}, // delete the re-inserted edge again
+		{schemes.EdgeDelta(u3, v3)},
+		{schemes.EdgeDelta(u3, v3)}, // insert of a present edge: no-op
 	}
-	pairProbes := make([][]byte, 0, 256)
-	for i := 0; i < 256; i++ {
+	pairProbes := make([][]byte, 0, 200)
+	for i := 0; i < 200; i++ {
 		pairProbes = append(pairProbes, schemes.NodePairQuery(rng.Intn(g.N()), rng.Intn(g.N())))
 	}
-	return []shardDeltaCase{
-		{"point-selection/sorted-keys", schemes.PointSelectionScheme(),
-			schemes.RelationFromKeys(keys), keyDeltas, keyProbes},
-		{"range-selection/sorted-keys", schemes.PointSelectionScheme(), // its RangeQuery
-			schemes.RelationFromKeys(keys), keyDeltas, rangeProbes},
-		{"list-membership/sorted", schemes.ListMembershipScheme(),
-			schemes.EncodeList(keys), keyDeltas, keyProbes},
-		{"reachability/closure-matrix", schemes.ReachabilityScheme(),
-			g.Encode(), edgeDeltas, pairProbes},
-		{"reachability/labels", schemes.ReachabilityLabelsScheme(),
-			g.Encode(), edgeDeltas, pairProbes},
+	return []scenario{
+		{"point-selection/sorted-keys", schemes.PointSelectionScheme(), schemes.RelationFromKeys(keys), keyDeltas(), keyProbes()},
+		{"range-selection/sorted-keys", schemes.PointSelectionScheme(), schemes.RelationFromKeys(keys), keyDeltas(), rangeProbes}, // its RangeQuery
+		{"list-membership/sorted", schemes.ListMembershipScheme(), schemes.EncodeList(keys), keyDeltas(), keyProbes()},
+		{"reachability/closure-matrix", schemes.ReachabilityScheme(), g.Encode(), edgeDeltas, pairProbes},
+		{"reachability/bfs-per-query", schemes.ReachabilityBFSScheme(), g.Encode(), edgeDeltas, pairProbes},
+		{"reachability/labels", schemes.ReachabilityLabelsScheme(), g.Encode(), edgeDeltas, pairProbes},
+		undirectedReachScenario(seed),
 	}
 }
 
-// assertShardedEquivalent compares the maintained sharded dataset against
-// a from-scratch unsharded preprocessing of the updated raw data.
-func assertShardedEquivalent(t *testing.T, tc shardDeltaCase, ds store.Dataset, updated []byte, step int) {
-	t.Helper()
-	fresh, err := tc.inc.Preprocess(updated)
-	if err != nil {
-		t.Fatalf("step %d: fresh preprocess: %v", step, err)
+// undirectedReachScenario pins the orientation-flag path: ⊕ on an undirected
+// graph inserts a symmetric edge, so the maintained closure must OR both
+// arcs — a directed-only maintenance diverges on the reverse direction.
+func undirectedReachScenario(seed int64) scenario {
+	rng := rand.New(rand.NewSource(seed + 17))
+	// Two disconnected undirected components, so edge deltas genuinely
+	// create new two-way reachability across them.
+	g := graph.New(24, false)
+	for v := 1; v < 12; v++ {
+		g.MustAddEdge(v, rng.Intn(v))
 	}
-	got, err := ds.AnswerBatch(tc.probes, 2)
-	if err != nil {
-		t.Fatalf("step %d: maintained batch: %v", step, err)
+	for v := 13; v < 24; v++ {
+		g.MustAddEdge(v, 12+rng.Intn(v-12))
 	}
-	for pi, q := range tc.probes {
-		want, err := tc.inc.Answer(fresh, q)
-		if err != nil {
-			t.Fatalf("step %d probe %d: rebuilt answer: %v", step, pi, err)
+	a, b := rng.Intn(12), 12+rng.Intn(12)
+	other := func() (int, int) {
+		for {
+			u, v := rng.Intn(12), 12+rng.Intn(12)
+			if u != a || v != b {
+				return u, v
+			}
 		}
-		if got[pi] != want {
-			t.Fatalf("step %d probe %d: sharded maintained %v, unsharded rebuilt %v", step, pi, got[pi], want)
-		}
 	}
+	o1u, o1v := other()
+	o2u, o2v := other()
+	deltas := [][][]byte{
+		{schemes.EdgeDelta(a, b)},
+		{schemes.EdgeDelta(o1u, o1v)},
+		{schemes.EdgeDeleteDelta(b, a)}, // reversed orientation: undirected delete
+		{schemes.EdgeDelta(a, b)},       // re-bridge the components
+		{schemes.EdgeDeleteDelta(a, b)},
+		{schemes.EdgeDelta(o2u, o2v)},
+	}
+	probes := make([][]byte, 0, 200)
+	for i := 0; i < 200; i++ {
+		probes = append(probes, schemes.NodePairQuery(rng.Intn(24), rng.Intn(24)))
+	}
+	return scenario{"reachability/closure-matrix (undirected)", schemes.ReachabilityScheme(), g.Encode(), deltas, probes}
 }
 
-// TestShardedMaintainedVsRebuiltDifferential runs the sharded differential
-// suite: every delta-capable scheme × hash/range × 2/3 shards, maintained
-// through Registry.ApplyDelta, checked against the unsharded oracle after
-// every delta and across a reload → continue-patching cycle.
-func TestShardedMaintainedVsRebuiltDifferential(t *testing.T) {
-	for _, tc := range shardDeltaCases(904) {
-		for _, p := range []Partitioner{HashPartitioner{}, RangePartitioner{}} {
-			for _, n := range []int{2, 3} {
-				t.Run(tc.scheme+"/"+p.Name()+"/"+string(rune('0'+n)), func(t *testing.T) {
+// TestMaintainedVsRebuiltDifferential runs the differential scenarios of two
+// seeds in every layout a scheme has — plain, and split by hash or range
+// into 2 or 3 parts — checking the maintained dataset against the oracle
+// after every delta, and across a restart that must reload the maintained
+// file (no Preprocess) and keep accepting deltas.
+func TestMaintainedVsRebuiltDifferential(t *testing.T) {
+	layouts := []layout{{"plain", nil, 1},
+		{"hash/2", HashPartitioner{}, 2}, {"hash/3", HashPartitioner{}, 3},
+		{"range/2", RangePartitioner{}, 2}, {"range/3", RangePartitioner{}, 3}}
+	for _, seed := range []int64{1207, 904} {
+		for _, sc := range deltaScenarios(seed) {
+			for _, l := range layouts {
+				if l.p != nil && ForScheme(sc.inc.Name()) == nil {
+					continue // a scheme served unsharded only
+				}
+				t.Run(fmt.Sprintf("seed-%d/%s/%s", seed, sc.name, l.name), func(t *testing.T) {
+					states, half := sc.states(t), len(sc.batches)/2
 					dir := t.TempDir()
 					reg := store.NewRegistry(dir)
-					if _, err := RegisterSharded(reg, "d", tc.inc, p, n, tc.data); err != nil {
+					if _, err := l.register(reg, "d", sc.inc, sc.data); err != nil {
 						t.Fatal(err)
 					}
-					updated := tc.data
-					var err error
-					half := len(tc.deltas) / 2
-					for i, delta := range tc.deltas[:half] {
-						v, err2 := reg.ApplyDelta("d", [][]byte{delta})
-						if err2 != nil {
-							t.Fatalf("delta %d: %v", i, err2)
-						}
-						if v != uint64(i+1) {
-							t.Fatalf("delta %d: version %d, want %d", i, v, i+1)
-						}
-						if updated, err = tc.inc.ApplyUpdate(updated, delta); err != nil {
-							t.Fatalf("delta %d: ⊕: %v", i, err)
+					for i, b := range sc.batches[:half] {
+						if v, err := reg.ApplyDelta("d", b); err != nil || v != uint64(i+1) {
+							t.Fatalf("delta %d: version %d, %v; want %d", i, v, err, i+1)
 						}
 						ds, _ := reg.GetDataset("d")
-						assertShardedEquivalent(t, tc, ds, updated, i)
+						assertOracle(t, sc, ds, states[i+1], fmt.Sprintf("step %d", i))
 					}
 
-					// Restart over the same directory: the maintained
-					// checkpoint must reload (no Preprocess), with its
-					// version, and keep accepting deltas.
 					reg2 := store.NewRegistry(dir)
-					ss, err := RegisterSharded(reg2, "d", tc.inc, p, n, tc.data)
+					ds, err := l.register(reg2, "d", sc.inc, sc.data)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !ss.WasLoaded() {
-						t.Fatal("restart did not reload the maintained shards")
+					if !ds.WasLoaded() || reg2.PreprocessCount() != 0 || ds.Version() != uint64(half) || ds.ShardCount() != l.n {
+						t.Fatalf("restart: loaded=%v, %d Preprocess calls, version %d, %d shards; want a load of %d shards at %d with none",
+							ds.WasLoaded(), reg2.PreprocessCount(), ds.Version(), ds.ShardCount(), l.n, half)
 					}
-					if reg2.PreprocessCount() != 0 {
-						t.Fatalf("restart ran %d Preprocess calls, want 0", reg2.PreprocessCount())
-					}
-					if ss.Version() != uint64(half) {
-						t.Fatalf("reloaded version %d, want %d", ss.Version(), half)
-					}
-					assertShardedEquivalent(t, tc, ss, updated, half)
-					for i, delta := range tc.deltas[half:] {
-						if _, err := reg2.ApplyDelta("d", [][]byte{delta}); err != nil {
-							t.Fatalf("post-reload delta %d: %v", i, err)
+					assertOracle(t, sc, ds, states[half], "reloaded")
+					for i, b := range sc.batches[half:] {
+						if v, err := reg2.ApplyDelta("d", b); err != nil || v != uint64(half+i+1) {
+							t.Fatalf("post-reload delta %d: version %d, %v; want %d", i, v, err, half+i+1)
 						}
-						if updated, err = tc.inc.ApplyUpdate(updated, delta); err != nil {
-							t.Fatalf("post-reload delta %d: ⊕: %v", i, err)
-						}
-						assertShardedEquivalent(t, tc, ss, updated, half+i)
-					}
-					if ss.Version() != uint64(len(tc.deltas)) {
-						t.Fatalf("final version %d, want %d", ss.Version(), len(tc.deltas))
+						assertOracle(t, sc, ds, states[half+i+1], fmt.Sprintf("step %d", half+i))
 					}
 				})
 			}
+		}
+	}
+}
+
+// ask answers qs one by one when j is even and as one batch when it is odd,
+// so both faces of the answer seam race the writer.
+func ask(ds store.Dataset, j int, qs [][]byte) ([]bool, error) {
+	if j%2 == 1 {
+		return ds.AnswerBatch(qs, 2)
+	}
+	out := make([]bool, len(qs))
+	for i, q := range qs {
+		ok, err := ds.Answer(q)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = ok
+	}
+	return out, nil
+}
+
+// TestConcurrentDeltasAndQueries races one PATCH writer against readers
+// under the race detector, in every layout. Each race's batch i flips the
+// verdicts of its queries from before to after, for good: a reader that read
+// a version at which batch i had committed must see after, and one whose
+// query sat between two equal version reads — no commit in between — must
+// see exactly the verdicts of that version. Versions must be monotonic, and
+// a sharded reach dataset must serve the rows derived from the summary it
+// serves: a reader pairing a new summary with old rows (or the reverse) sees
+// them disagree.
+func TestConcurrentDeltasAndQueries(t *testing.T) {
+	const readers, reads = 3, 400
+	keys := make([]int64, 64)
+	for i := range keys {
+		keys[i] = int64(2 * i)
+	}
+	races := []struct {
+		name          string
+		inc           *core.Scheme
+		data          []byte
+		batches       int
+		batch, query  func(i int) [][]byte
+		before, after []bool
+	}{
+		// Batch i inserts key 1001+2i.
+		{"inserts", schemes.PointSelectionScheme(), schemes.RelationFromKeys(keys), 40,
+			func(i int) [][]byte { return [][]byte{schemes.KeysDelta([]int64{int64(1001 + 2*i)})} },
+			func(i int) [][]byte { return [][]byte{schemes.PointQuery(int64(1001 + 2*i))} },
+			[]bool{false}, []bool{true}},
+		// Batch i atomically inserts key 1001+2i and deletes original key 2i:
+		// a deleted key reappearing — a torn merge, a tombstone lost in the
+		// shard routing, a torn swap — is what this race exists to catch.
+		{"mixed-keys", schemes.PointSelectionScheme(), schemes.RelationFromKeys(keys), 40,
+			func(i int) [][]byte {
+				return [][]byte{schemes.KeysDelta([]int64{int64(1001 + 2*i)}), schemes.KeysDeleteDelta([]int64{int64(2 * i)})}
+			},
+			func(i int) [][]byte {
+				return [][]byte{schemes.PointQuery(int64(1001 + 2*i)), schemes.PointQuery(int64(2 * i))}
+			},
+			[]bool{false, true}, []bool{true, false}},
+		// Batch k inserts the chain edge k→k+1 and the back edge k+1→0 and
+		// deletes batch k-1's back edge k→0 — creating and retiring portals
+		// as it goes — so 0 ⇝ k+1 and k+1 ⇝ 0 hold exactly once batch k
+		// committed.
+		{"mixed-reach", schemes.ReachabilityScheme(), graph.New(20, true).Encode(), 18,
+			func(k int) [][]byte {
+				batch := [][]byte{schemes.EdgeDelta(k, k+1), schemes.EdgeDelta(k+1, 0)}
+				if k > 0 {
+					batch = append(batch, schemes.EdgeDeleteDelta(k, 0))
+				}
+				return batch
+			},
+			func(k int) [][]byte { return [][]byte{schemes.NodePairQuery(0, k+1), schemes.NodePairQuery(k+1, 0)} },
+			[]bool{false, false}, []bool{true, true}},
+	}
+	layouts := []layout{{"plain", nil, 1}, {"hash", HashPartitioner{}, 3}, {"range", RangePartitioner{}, 3}}
+	for _, rc := range races {
+		for _, l := range layouts {
+			t.Run(rc.name+"/"+l.name, func(t *testing.T) {
+				reg := store.NewRegistry("") // memory-only: the race is in the swap, not the file
+				ds, err := l.register(reg, "d", rc.inc, rc.data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				committed := make([]uint64, rc.batches) // the version batch i commits at
+				for i, v := 0, uint64(0); i < rc.batches; i++ {
+					v += uint64(len(rc.batch(i)))
+					committed[i] = v
+				}
+				var wg sync.WaitGroup
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < rc.batches; i++ {
+						if v, err := reg.ApplyDelta("d", rc.batch(i)); err != nil || v != committed[i] {
+							t.Errorf("batch %d: version %d, %v (want %d)", i, v, err, committed[i])
+							return
+						}
+					}
+				}()
+				for r := 0; r < readers; r++ {
+					wg.Add(1)
+					go func(r int) {
+						defer wg.Done()
+						rng := rand.New(rand.NewSource(int64(r)))
+						var last uint64
+						for j := 0; j < reads; j++ {
+							i := rng.Intn(rc.batches)
+							before := ds.Version()
+							if before < last {
+								t.Errorf("version went backwards: %d after %d", before, last)
+								return
+							}
+							last = before
+							ans, err := ask(ds, j, rc.query(i))
+							if err != nil {
+								t.Errorf("query: %v", err)
+								return
+							}
+							want := rc.after
+							if before < committed[i] {
+								if ds.Version() != before {
+									continue // a commit landed during the query
+								}
+								want = rc.before
+							}
+							if !slices.Equal(ans, want) {
+								t.Errorf("at version %d, batch %d (committed at %d): verdicts %v, want %v", before, i, committed[i], ans, want)
+								return
+							}
+							if ss, ok := ds.(*ShardedStore); ok {
+								c := ss.Committed()
+								if rs, ok := c.View().(*reachSummary); ok && !bytes.Equal(encodeReachSummary(rs), c.Summary()) {
+									t.Error("the served rows were not derived from the served summary")
+									return
+								}
+							}
+						}
+					}(r)
+				}
+				wg.Wait()
+				if got, want := ds.Version(), committed[rc.batches-1]; got != want {
+					t.Fatalf("final version %d, want %d", got, want)
+				}
+				// After the race every batch's verdicts stuck.
+				for i := 0; i < rc.batches; i++ {
+					if ans, err := ds.AnswerBatch(rc.query(i), 2); err != nil || !slices.Equal(ans, rc.after) {
+						t.Fatalf("after the race, batch %d: verdicts %v (%v), want %v", i, ans, err, rc.after)
+					}
+				}
+			})
 		}
 	}
 }
@@ -371,225 +532,6 @@ func TestShardedEmptyBatchIsNoOp(t *testing.T) {
 	}
 	if _, err := load(store.OSFS, dir, "d", inc); err != nil {
 		t.Fatalf("empty batch broke the persisted checkpoint: %v", err)
-	}
-}
-
-// TestShardedConcurrentDeltasAndQueries races sharded ApplyDelta against
-// fan-out batch queries under the race detector: verdicts must always come
-// from a fully applied version (key visible once the version says so), and
-// versions must be monotonic.
-func TestShardedConcurrentDeltasAndQueries(t *testing.T) {
-	reg := store.NewRegistry("")
-	keys := make([]int64, 48)
-	for i := range keys {
-		keys[i] = int64(2 * i)
-	}
-	ss, err := RegisterSharded(reg, "d", schemes.PointSelectionScheme(), HashPartitioner{}, 3,
-		schemes.RelationFromKeys(keys))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const deltas = 24
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < deltas; i++ {
-			if _, err := reg.ApplyDelta("d", [][]byte{schemes.KeysDelta([]int64{int64(1001 + 2*i)})}); err != nil {
-				t.Errorf("delta %d: %v", i, err)
-				return
-			}
-		}
-	}()
-	for r := 0; r < 3; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(r) + 99))
-			var last uint64
-			for j := 0; j < 200; j++ {
-				i := rng.Intn(deltas)
-				v := ss.Version()
-				if v < last {
-					t.Errorf("version went backwards: %d after %d", v, last)
-					return
-				}
-				last = v
-				ans, err := ss.AnswerBatch([][]byte{schemes.PointQuery(int64(1001 + 2*i))}, 2)
-				if err != nil {
-					t.Errorf("query: %v", err)
-					return
-				}
-				if v >= uint64(i+1) && !ans[0] {
-					t.Errorf("version %d claims delta %d applied but its key is invisible", v, i)
-					return
-				}
-			}
-		}(r)
-	}
-	wg.Wait()
-	if got := ss.Version(); got != deltas {
-		t.Fatalf("final version %d, want %d", got, deltas)
-	}
-}
-
-// TestShardedConcurrentMixedDeltasAndQueries is the sharded twin of the
-// store-level mixed race: batch i atomically inserts key 1001+2i and
-// tombstones original key 2i, and any fan-out query observing version
-// ≥ 2(i+1) must see the insert and must NOT see the deleted key — a
-// tombstone lost in the shard routing or a torn generation swap would
-// resurrect it.
-func TestShardedConcurrentMixedDeltasAndQueries(t *testing.T) {
-	reg := store.NewRegistry("")
-	keys := make([]int64, 48)
-	for i := range keys {
-		keys[i] = int64(2 * i)
-	}
-	ss, err := RegisterSharded(reg, "d", schemes.PointSelectionScheme(), RangePartitioner{}, 3,
-		schemes.RelationFromKeys(keys))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const deltas = 24
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < deltas; i++ {
-			batch := [][]byte{
-				schemes.KeysDelta([]int64{int64(1001 + 2*i)}),
-				schemes.KeysDeleteDelta([]int64{int64(2 * i)}),
-			}
-			if _, err := reg.ApplyDelta("d", batch); err != nil {
-				t.Errorf("batch %d: %v", i, err)
-				return
-			}
-		}
-	}()
-	for r := 0; r < 3; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(r) + 77))
-			var last uint64
-			for j := 0; j < 200; j++ {
-				i := rng.Intn(deltas)
-				v := ss.Version()
-				if v < last {
-					t.Errorf("version went backwards: %d after %d", v, last)
-					return
-				}
-				last = v
-				if v < uint64(2*(i+1)) {
-					continue // batch i not committed yet
-				}
-				ans, err := ss.AnswerBatch([][]byte{
-					schemes.PointQuery(int64(1001 + 2*i)),
-					schemes.PointQuery(int64(2 * i)),
-				}, 2)
-				if err != nil {
-					t.Errorf("query: %v", err)
-					return
-				}
-				if !ans[0] {
-					t.Errorf("version %d claims batch %d applied but its inserted key is invisible", v, i)
-					return
-				}
-				if ans[1] {
-					t.Errorf("version %d claims batch %d applied but its deleted key %d reappeared", v, i, 2*i)
-					return
-				}
-			}
-		}(r)
-	}
-	wg.Wait()
-	if got := ss.Version(); got != 2*deltas {
-		t.Fatalf("final version %d, want %d", got, 2*deltas)
-	}
-	for i := 0; i < deltas; i++ {
-		ans, err := ss.AnswerBatch([][]byte{
-			schemes.PointQuery(int64(2 * i)),
-			schemes.PointQuery(int64(1001 + 2*i)),
-		}, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ans[0] {
-			t.Fatalf("deleted key %d reappeared after the race", 2*i)
-		}
-		if !ans[1] {
-			t.Fatalf("inserted key %d lost after the race", 1001+2*i)
-		}
-	}
-}
-
-// TestShardedConcurrentMixedReachDeltasAndQueries is the same race on the
-// one sharded form that carries a summary: mixed edge batches against
-// reachability queries. Batch k inserts the chain edge k→k+1 and the back
-// edge k+1→0 and deletes batch k-1's back edge k→0 — creating and
-// retiring portals as it goes — so at the version batch j committed,
-// 0 ⇝ k+1 and k+1 ⇝ 0 hold exactly for k ≤ j. A query bracketed by two
-// equal version reads must match that exactly, and at every instant the
-// served view must be the one derived from the served summary: a reader
-// pairing a new summary with old rows (or the reverse) sees them disagree.
-func TestShardedConcurrentMixedReachDeltasAndQueries(t *testing.T) {
-	const nv, batches = 20, 18
-	reg := store.NewRegistry("")
-	ss, err := RegisterSharded(reg, "g", schemes.ReachabilityScheme(), HashPartitioner{}, 3, graph.New(nv, true).Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	committed := func(j int) uint64 { return uint64(2 + 3*j) } // version after batch j
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for k := 0; k < batches; k++ {
-			batch := [][]byte{schemes.EdgeDelta(k, k+1), schemes.EdgeDelta(k+1, 0)}
-			if k > 0 {
-				batch = append(batch, schemes.EdgeDeleteDelta(k, 0))
-			}
-			if v, err := reg.ApplyDelta("g", batch); err != nil || v != committed(k) {
-				t.Errorf("batch %d: version %d, %v (want %d)", k, v, err, committed(k))
-				return
-			}
-		}
-	}()
-	for r := 0; r < 3; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(r) + 5))
-			for j := 0; j < 300; j++ {
-				k := rng.Intn(batches)
-				before := ss.Version()
-				ans, err := ss.AnswerBatch([][]byte{schemes.NodePairQuery(0, k+1), schemes.NodePairQuery(k+1, 0)}, 2)
-				if err != nil {
-					t.Errorf("query: %v", err)
-					return
-				}
-				if before >= committed(k) && !ans[0] {
-					t.Errorf("version %d has batch %d applied but 0 does not reach %d", before, k, k+1)
-					return
-				}
-				if before == ss.Version() {
-					want := before >= committed(k) // k ≤ j for the batch j at this version
-					if ans[0] != want || ans[1] != want {
-						t.Errorf("at version %d: 0⇝%d = %v, %d⇝0 = %v, want both %v", before, k+1, ans[0], k+1, ans[1], want)
-						return
-					}
-				}
-				c := ss.Committed()
-				if !bytes.Equal(encodeReachSummary(c.View().(*reachSummary)), c.Summary()) {
-					t.Error("the served rows were not derived from the served summary")
-					return
-				}
-			}
-		}(r)
-	}
-	wg.Wait()
-	if got := ss.Version(); got != committed(batches-1) {
-		t.Fatalf("final version %d, want %d", got, committed(batches-1))
 	}
 }
 

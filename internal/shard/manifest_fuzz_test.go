@@ -168,7 +168,7 @@ func FuzzDecodeManifest(f *testing.F) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun: nobody else allocates
 	keys := keyFixture(f)
 	valid := checkpointBytes(keys)
-	cs := shardCrashSchemes()[3] // reachability: a manifest with a summary
+	cs := crashScenarios()[3] // reachability: a manifest with a summary
 	reach, err := Build("d", cs.inc, ForScheme(cs.name), RangePartitioner{}, 2, cs.data)
 	if err != nil {
 		f.Fatal(err)

@@ -25,7 +25,7 @@ import (
 )
 
 func TestCorruptionRecoveryConformance(t *testing.T) {
-	path, logPath := store.DatasetPath(shardCrashDir, shardCrashID), store.LogPath(shardCrashDir, shardCrashID)
+	path, logPath := store.DatasetPath(crashDir, crashID), store.LogPath(crashDir, crashID)
 	// Two hostile logs a torn crash cannot produce: a foreign file under the
 	// log's name, and a CRC-valid record whose body does not parse.
 	hostileBody := []byte{0x00, 0x05} // count 5, zero bytes remain
@@ -38,8 +38,8 @@ func TestCorruptionRecoveryConformance(t *testing.T) {
 
 	for _, k := range writeKinds() {
 		t.Run(k.name, func(t *testing.T) {
-			states := shardOracleStates(t, k.cs)
-			acked := uint64(len(k.cs.batches[0]) + len(k.cs.batches[1]))
+			states := k.sc.states(t)
+			acked := uint64(len(k.sc.batches[0]) + len(k.sc.batches[1]))
 
 			// serve registers the dataset at the given cadence and applies
 			// the scenario's first two batches, both acknowledged.
@@ -47,8 +47,8 @@ func TestCorruptionRecoveryConformance(t *testing.T) {
 				t.Helper()
 				f := faultfs.New()
 				reg, _ := k.open(t, f, cadence)
-				for _, b := range k.cs.batches[:2] {
-					if _, err := reg.ApplyDelta(shardCrashID, b); err != nil {
+				for _, b := range k.sc.batches[:2] {
+					if _, err := reg.ApplyDelta(crashID, b); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -63,11 +63,11 @@ func TestCorruptionRecoveryConformance(t *testing.T) {
 				if ds.Version() != acked || ds.WasLoaded() != loaded {
 					t.Fatalf("restart: version %d loaded=%v, want %d loaded=%v", ds.Version(), ds.WasLoaded(), acked, loaded)
 				}
-				assertShardOracle(t, k.cs, ds, states[acked], "restart over the damage")
+				assertOracle(t, k.sc, ds, states[acked], "restart over the damage")
 				if q, r := reg.QuarantineCount(), reg.ReplayCount(); q != 1 || r != replays {
 					t.Fatalf("restart: %d quarantines, %d replays; want 1, %d", q, r, replays)
 				}
-				if st := reg.HealthStates()[shardCrashID]; st != store.HealthQuarantined {
+				if st := reg.HealthStates()[crashID]; st != store.HealthQuarantined {
 					t.Fatalf("restart: health %v, want quarantined", st)
 				}
 				if got, ok := f.DurableBytes(store.QuarantinePath(quarantined)); !ok || string(got) != string(want) {
@@ -79,7 +79,7 @@ func TestCorruptionRecoveryConformance(t *testing.T) {
 					t.Fatalf("second restart: loaded=%v version=%d replays=%d quarantines=%d; want true, %d, 0, 0",
 						ds2.WasLoaded(), ds2.Version(), reg2.ReplayCount(), reg2.QuarantineCount(), acked)
 				}
-				assertShardOracle(t, k.cs, ds2, states[acked], "second restart")
+				assertOracle(t, k.sc, ds2, states[acked], "second restart")
 			}
 
 			// A damaged checkpoint under a log holding both acknowledged
@@ -136,7 +136,7 @@ func TestCorruptionRecoveryConformance(t *testing.T) {
 				if r, p, q := reg.ReplayCount(), reg.PreprocessCount(), reg.QuarantineCount(); r != 2 || p != 0 || q != 0 {
 					t.Fatalf("%s: %d replays, %d preprocesses, %d quarantines; want 2, 0, 0", why, r, p, q)
 				}
-				assertShardOracle(t, k.cs, ds, states[acked], why)
+				assertOracle(t, k.sc, ds, states[acked], why)
 			}
 			// Reads that fail fewer times than Recover retries: the restart is
 			// indistinguishable from one on a healthy medium.
@@ -155,7 +155,7 @@ func TestCorruptionRecoveryConformance(t *testing.T) {
 				f.Restart()
 				image := durableImage(t, f)
 				f.FailReads(1 << 30)
-				reg := store.NewRegistryMedium(&store.Medium{Dir: shardCrashDir, FS: f, CheckpointEvery: 100})
+				reg := store.NewRegistryMedium(&store.Medium{Dir: crashDir, FS: f, CheckpointEvery: 100})
 				_, err := k.register(reg)
 				if !errors.Is(err, faultfs.ErrInjected) {
 					t.Fatalf("register over an unreadable medium = %v, want the injected read error", err)

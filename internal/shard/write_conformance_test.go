@@ -27,10 +27,9 @@ import (
 // dataset: how to register it, and the Π its Prepare can be made to refuse.
 // Every kind persists the one file at store.DatasetPath (fileArtifacts).
 type writeKind struct {
-	name     string
-	cs       shardCrashScheme
-	register func(reg *store.Registry) (store.Dataset, error)
-	faults   []prepareFault
+	name string
+	run
+	faults []prepareFault
 }
 
 // prepareFaults makes a scheme's Prepare refuse what no CRC or layout check
@@ -90,50 +89,32 @@ var fileArtifacts = []struct {
 // writeKinds are the three kinds of the write-side tables, over the crash
 // suites' scenarios (mixed insert/delete batches and their probes).
 func writeKinds() []writeKind {
-	scenarios := shardCrashSchemes()
+	scenarios := crashScenarios()
 	point, reach := scenarios[0], scenarios[3]
 	faults := []*prepareFaults{{}, {}, {}}
 	refuse := func(name string, pf *prepareFaults) prepareFault {
 		return prepareFault{name, func() { pf.refuse.Store(1) }}
 	}
-	sharded := func(cs shardCrashScheme, p Partitioner, pf *prepareFaults) func(*store.Registry) (store.Dataset, error) {
-		return func(reg *store.Registry) (store.Dataset, error) {
-			return RegisterSharded(reg, shardCrashID, pf.scheme(cs.inc), p, shardCrashN, cs.data)
-		}
-	}
+	plain, hash, rng := crashLayouts[0], crashLayouts[1], crashLayouts[2]
 	return []writeKind{
-		{"plain", point, func(reg *store.Registry) (store.Dataset, error) {
-			return reg.Register(shardCrashID, faults[0].scheme(point.inc), point.data)
-		}, []prepareFault{refuse("pi", faults[0])}},
-		{"routed-sharded", point, sharded(point, HashPartitioner{}, faults[1]),
-			[]prepareFault{refuse("member", faults[1])}},
-		{"view-sharded", reach, sharded(reach, RangePartitioner{}, faults[2]),
+		{"plain", plain.run(point, faults[0].scheme(point.inc)), []prepareFault{refuse("pi", faults[0])}},
+		{"routed-sharded", hash.run(point, faults[1].scheme(point.inc)), []prepareFault{refuse("member", faults[1])}},
+		{"view-sharded", rng.run(reach, faults[2].scheme(reach.inc)),
 			[]prepareFault{refuse("member", faults[2]), {"view", func() { faults[2].hide.Store(1) }}}},
 	}
-}
-
-// open registers the kind's dataset on a fresh registry over f.
-func (k writeKind) open(t *testing.T, f *faultfs.FS, cadence int) (*store.Registry, store.Dataset) {
-	t.Helper()
-	reg := store.NewRegistryMedium(&store.Medium{Dir: shardCrashDir, FS: f, CheckpointEvery: cadence})
-	ds, err := k.register(reg)
-	if err != nil {
-		t.Fatalf("register: %v", err)
-	}
-	return reg, ds
 }
 
 // durableImage renders every durable file under the data directory, so a
 // refused batch can be shown to have left the medium byte-identical.
 func durableImage(t *testing.T, f *faultfs.FS) string {
 	t.Helper()
-	names, err := f.ReadDirNames(shardCrashDir)
+	names, err := f.ReadDirNames(crashDir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
 	for _, n := range names {
-		if bytes, ok := f.DurableBytes(shardCrashDir + "/" + n); ok {
+		if bytes, ok := f.DurableBytes(crashDir + "/" + n); ok {
 			fmt.Fprintf(&b, "%s=%x\n", n, bytes)
 		}
 	}
@@ -171,11 +152,11 @@ func TestWritePathConformance(t *testing.T) {
 	checkpointFails := obs.Default.Counter("pitract_checkpoint_failures_total", "")
 	for _, k := range writeKinds() {
 		t.Run(k.name, func(t *testing.T) {
-			states := shardOracleStates(t, k.cs)
-			b0, b1 := k.cs.batches[0], k.cs.batches[1]
+			states := k.sc.states(t)
+			b0, b1 := k.sc.batches[0], k.sc.batches[1]
 			v1 := uint64(len(b0))
 			v2 := v1 + uint64(len(b1))
-			logPath := store.LogPath(shardCrashDir, shardCrashID)
+			logPath := store.LogPath(crashDir, crashID)
 
 			// untouched demands that a refused batch changed nothing: not the
 			// version, not a verdict, not a durable byte.
@@ -184,7 +165,7 @@ func TestWritePathConformance(t *testing.T) {
 				if got := ds.Version(); got != version {
 					t.Fatalf("refused batch moved the version to %d, want %d", got, version)
 				}
-				assertShardOracle(t, k.cs, ds, states[version], "after refusal")
+				assertOracle(t, k.sc, ds, states[version], "after refusal")
 				if got := durableImage(t, f); got != image {
 					t.Fatalf("refused batch changed the durable image:\n got %s\nwant %s", got, image)
 				}
@@ -192,11 +173,11 @@ func TestWritePathConformance(t *testing.T) {
 
 			t.Run("acknowledged", func(t *testing.T) {
 				reg, ds := k.open(t, faultfs.New(), 1)
-				v, err := reg.ApplyDelta(shardCrashID, b0)
+				v, err := reg.ApplyDelta(crashID, b0)
 				if err != nil || v != v1 || ds.Version() != v1 {
 					t.Fatalf("batch acknowledged (%d, %v), dataset at %d; want version %d", v, err, ds.Version(), v1)
 				}
-				assertShardOracle(t, k.cs, ds, states[v1], "acknowledged")
+				assertOracle(t, k.sc, ds, states[v1], "acknowledged")
 			})
 
 			t.Run("malformed-delta", func(t *testing.T) {
@@ -206,7 +187,7 @@ func TestWritePathConformance(t *testing.T) {
 				batch := [][]byte{b0[0], {0xff, 0xff, 0xff}}
 				// The reference bytes are a plain in-memory store's of the same
 				// scheme: every kind stages through the one Store.Stage.
-				plain, err := store.NewRegistry("").Register("d", k.cs.inc, k.cs.data)
+				plain, err := store.NewRegistry("").Register("d", k.sc.inc, k.sc.data)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -214,8 +195,8 @@ func TestWritePathConformance(t *testing.T) {
 				if ref == nil || !strings.HasPrefix(ref.Error(), "store: delta 1: ") || !strings.HasSuffix(ref.Error(), " (nothing applied)") {
 					t.Fatalf("reference refusal %v does not name delta 1 with nothing applied", ref)
 				}
-				want := fmt.Sprintf("store: apply delta to %q: %v", shardCrashID, ref)
-				_, err = reg.ApplyDelta(shardCrashID, batch)
+				want := fmt.Sprintf("store: apply delta to %q: %v", crashID, ref)
+				_, err = reg.ApplyDelta(crashID, batch)
 				if err == nil || err.Error() != want {
 					t.Fatalf("malformed delta at index 1:\n got %v\nwant %s", err, want)
 				}
@@ -237,7 +218,7 @@ func TestWritePathConformance(t *testing.T) {
 					reg, ds := k.open(t, f, 1)
 					image := durableImage(t, f)
 					pf.arm()
-					_, err := reg.ApplyDelta(shardCrashID, b1)
+					_, err := reg.ApplyDelta(crashID, b1)
 					var be *store.BudgetError
 					var pe *store.PersistError
 					if err == nil || !strings.HasSuffix(err.Error(), "(nothing applied)") || errors.As(err, &be) || errors.As(err, &pe) {
@@ -252,17 +233,17 @@ func TestWritePathConformance(t *testing.T) {
 			for _, pf := range k.faults {
 				t.Run("prepare-refuses-registration-"+pf.name, func(t *testing.T) {
 					f := faultfs.New()
-					reg := store.NewRegistryMedium(&store.Medium{Dir: shardCrashDir, FS: f, CheckpointEvery: 1})
+					reg := store.NewRegistryMedium(&store.Medium{Dir: crashDir, FS: f, CheckpointEvery: 1})
 					pf.arm()
 					_, err := k.register(reg)
 					var pe *store.PersistError
 					if err == nil || errors.As(err, &pe) {
 						t.Fatalf("registration whose Π Prepare refuses = %v, want a conflict", err)
 					}
-					if _, ok := reg.GetDataset(shardCrashID); ok || reg.Len() != 0 {
+					if _, ok := reg.GetDataset(crashID); ok || reg.Len() != 0 {
 						t.Fatal("a refused registration left a catalog entry")
 					}
-					for _, path := range []string{store.DatasetPath(shardCrashDir, shardCrashID), logPath} {
+					for _, path := range []string{store.DatasetPath(crashDir, crashID), logPath} {
 						if _, ok := f.DurableBytes(path); ok {
 							t.Fatalf("a refused registration wrote %s", path)
 						}
@@ -276,7 +257,7 @@ func TestWritePathConformance(t *testing.T) {
 				image := durableImage(t, f)
 				ctx := &expiringCtx{Context: context.Background()}
 				ctx.checks.Store(1) // live before delta 0, expired before delta 1
-				_, err := reg.ApplyDeltaContext(ctx, shardCrashID, [][]byte{b0[0], b1[0]})
+				_, err := reg.ApplyDeltaContext(ctx, crashID, [][]byte{b0[0], b1[0]})
 				var be *store.BudgetError
 				if !errors.As(err, &be) || !errors.Is(err, context.Canceled) {
 					t.Fatalf("expired batch = %v, want a BudgetError wrapping context.Canceled", err)
@@ -289,17 +270,17 @@ func TestWritePathConformance(t *testing.T) {
 				reg, ds := k.open(t, f, 1)
 				image := durableImage(t, f)
 				f.FailAfterWrites(writesSoFar(f))
-				_, err := reg.ApplyDelta(shardCrashID, b0)
+				_, err := reg.ApplyDelta(crashID, b0)
 				var pe *store.PersistError
 				if !errors.As(err, &pe) {
 					t.Fatalf("failed log append = %v, want a PersistError", err)
 				}
 				untouched(t, f, ds, 0, image)
 				f.FailAfterWrites(-1)
-				if v, err := reg.ApplyDelta(shardCrashID, b0); err != nil || v != v1 {
+				if v, err := reg.ApplyDelta(crashID, b0); err != nil || v != v1 {
 					t.Fatalf("PATCH after the fault cleared = (%d, %v), want version %d", v, err, v1)
 				}
-				assertShardOracle(t, k.cs, ds, states[v1], "after retry")
+				assertOracle(t, k.sc, ds, states[v1], "after retry")
 			})
 
 			t.Run("checkpoint-fails-after-durable-append", func(t *testing.T) {
@@ -307,18 +288,18 @@ func TestWritePathConformance(t *testing.T) {
 				reg, ds := k.open(t, f, 1)
 				fails := checkpointFails.Value()
 				f.FailAfterWrites(writesSoFar(f) + 1) // the append lands, the checkpoint's first write fails
-				if v, err := reg.ApplyDelta(shardCrashID, b0); err != nil || v != v1 {
+				if v, err := reg.ApplyDelta(crashID, b0); err != nil || v != v1 {
 					t.Fatalf("durable append + failed checkpoint = (%d, %v), want acknowledged version %d", v, err, v1)
 				}
 				if got := checkpointFails.Value() - fails; got != 1 {
 					t.Fatalf("pitract_checkpoint_failures_total moved by %d, want 1", got)
 				}
-				assertShardOracle(t, k.cs, ds, states[v1], "acknowledged over a failed checkpoint")
+				assertOracle(t, k.sc, ds, states[v1], "acknowledged over a failed checkpoint")
 				if _, ok := f.DurableBytes(logPath); !ok {
 					t.Fatal("failed checkpoint left no delta log: the acknowledged batch is nowhere durable")
 				}
 				f.FailAfterWrites(-1)
-				if v, err := reg.ApplyDelta(shardCrashID, b1); err != nil || v != v2 {
+				if v, err := reg.ApplyDelta(crashID, b1); err != nil || v != v2 {
 					t.Fatalf("next batch = (%d, %v), want version %d", v, err, v2)
 				}
 				if _, ok := f.DurableBytes(logPath); ok {
@@ -332,14 +313,14 @@ func TestWritePathConformance(t *testing.T) {
 					t.Fatalf("restart: loaded=%v version=%d replays=%d, want true, %d, 0",
 						ds2.WasLoaded(), ds2.Version(), reg2.ReplayCount(), v2)
 				}
-				assertShardOracle(t, k.cs, ds2, states[v2], "restart over the retried checkpoint")
+				assertOracle(t, k.sc, ds2, states[v2], "restart over the retried checkpoint")
 			})
 
 			t.Run("restart-replays-the-log", func(t *testing.T) {
 				f := faultfs.New()
 				reg, _ := k.open(t, f, 100)
 				for _, b := range [][][]byte{b0, b1} {
-					if _, err := reg.ApplyDelta(shardCrashID, b); err != nil {
+					if _, err := reg.ApplyDelta(crashID, b); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -349,7 +330,7 @@ func TestWritePathConformance(t *testing.T) {
 					t.Fatalf("restart: loaded=%v version=%d replays=%d, want true, %d, 2",
 						ds2.WasLoaded(), ds2.Version(), reg2.ReplayCount(), v2)
 				}
-				assertShardOracle(t, k.cs, ds2, states[v2], "restart over the log")
+				assertOracle(t, k.sc, ds2, states[v2], "restart over the log")
 			})
 		})
 	}

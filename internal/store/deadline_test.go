@@ -1,15 +1,14 @@
 package store
 
 // The graceful-degradation suite for the store layer: AnswerWithin must
-// abandon answers at the deadline with a typed DeadlineError (never
-// blocking the serving path behind a stalled scheme), and the registry
-// must quarantine a corrupt snapshot, rebuild from source, and replay the
-// surviving delta log.
+// abandon answers at the deadline with a typed DeadlineError, never
+// blocking the serving path behind a stalled scheme. (Quarantining a corrupt
+// file, rebuilding from source and replaying the surviving delta log is a
+// row of internal/shard's TestCrashRecovery, in every layout.)
 
 import (
 	"context"
 	"errors"
-	"os"
 	"testing"
 	"time"
 
@@ -107,96 +106,4 @@ func TestAnswerWithinAbandonsStalledAnswer(t *testing.T) {
 		t.Fatalf("AnswerWithin took %v to abandon a stalled answer under a 30ms budget", elapsed)
 	}
 	close(gate) // let the zombie drain
-}
-
-// TestQuarantineRebuildReplaysSurvivingLog pins the quarantine-and-heal
-// protocol end to end on a real directory: a snapshot corrupted on disk
-// is renamed aside as *.quarantine (kept for forensics), the dataset is
-// rebuilt from source rather than erroring permanently, the surviving
-// write-ahead delta log — acknowledged batches for this same data — is
-// replayed on top, and the healed snapshot serves the next restart as a
-// clean load.
-func TestQuarantineRebuildReplaysSurvivingLog(t *testing.T) {
-	dir := t.TempDir()
-	data := schemes.RelationFromKeys([]int64{2, 4, 6})
-
-	reg := NewRegistry(dir)
-	reg.SetCheckpointEvery(100) // keep the delta log alive across the corruption
-	if _, err := reg.Register("d", schemes.PointSelectionScheme(), data); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := reg.ApplyDelta("d", [][]byte{schemes.KeysDelta([]int64{9})}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Corrupt one byte of the snapshot body — the CRC must catch it.
-	path := DatasetPath(dir, "d")
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0xFF
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Restart: the corrupt artifact is quarantined, Π rebuilt from source,
-	// and the log replayed — the acknowledged delta is not lost.
-	reg2 := NewRegistry(dir)
-	reg2.SetCheckpointEvery(100)
-	st2, err := reg2.Register("d", schemes.PointSelectionScheme(), data)
-	if err != nil {
-		t.Fatalf("re-register over a corrupt snapshot: %v", err)
-	}
-	if st2.WasLoaded() {
-		t.Fatal("dataset claims to be snapshot-loaded over a corrupt snapshot")
-	}
-	if v := st2.Version(); v != 1 {
-		t.Fatalf("rebuilt dataset at version %d, want 1 (log replayed)", v)
-	}
-	if n := reg2.ReplayCount(); n != 1 {
-		t.Fatalf("ReplayCount %d after rebuild, want 1", n)
-	}
-	if n := reg2.QuarantineCount(); n != 1 {
-		t.Fatalf("QuarantineCount %d after rebuild, want 1", n)
-	}
-	for _, tc := range []struct {
-		key  int64
-		want bool
-	}{{2, true}, {9, true}, {3, false}} {
-		got, err := st2.Answer(schemes.PointQuery(tc.key))
-		if err != nil || got != tc.want {
-			t.Fatalf("healed dataset: key %d = (%v, %v), want (%v, nil)", tc.key, got, err, tc.want)
-		}
-	}
-
-	// The corrupt bytes survive for forensics under *.quarantine.
-	qpath := QuarantinePath(path)
-	qraw, err := os.ReadFile(qpath)
-	if err != nil {
-		t.Fatalf("quarantined artifact missing: %v", err)
-	}
-	if string(qraw) != string(raw) {
-		t.Fatal("quarantined artifact is not the corrupt bytes verbatim")
-	}
-
-	// The heal rewrote a valid snapshot: the next restart loads cleanly at
-	// the replayed version.
-	reg3 := NewRegistry(dir)
-	st3, err := reg3.Register("d", schemes.PointSelectionScheme(), data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st3.WasLoaded() {
-		t.Fatal("post-heal restart did not load the healed snapshot")
-	}
-	if v := st3.Version(); v != 1 {
-		t.Fatalf("post-heal restart at version %d, want 1", v)
-	}
-	if got, err := st3.Answer(schemes.PointQuery(9)); err != nil || !got {
-		t.Fatalf("post-heal restart: key 9 = (%v, %v), want (true, nil)", got, err)
-	}
-	if reg3.QuarantineCount() != 0 {
-		t.Fatal("clean restart reported a quarantine")
-	}
 }

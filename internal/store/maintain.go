@@ -83,6 +83,8 @@ type DeltaDataset interface {
 	Checkpoint(fsys FS, dir string) error
 	// Maint returns the dataset's maintenance state (embed a Maintenance).
 	Maint() *Maintenance
+	// Key is the registration the dataset answers for.
+	Key() Key
 }
 
 // ApplyDeltas maintains ds under a batch of deltas, atomically — every

@@ -89,9 +89,8 @@ type Dataset interface {
 // file so a restarted process reloads Π(D) instead of recomputing it.
 //
 // Plain registration goes through Register and sharded registration through
-// internal/shard; both ride RegisterAs — one compatibility check over one
-// Recover — and RegisterDatasetContext carries the one-catalog-entry,
-// one-build-per-ID guarantee for any Dataset implementation.
+// internal/shard; both ride RegisterAs — one catalog entry and one build per
+// ID, one compatibility check, one Recover.
 //
 // The registry is safe for concurrent use; Answer paths never hold the
 // registry lock (the preprocessed bytes are immutable).
@@ -117,7 +116,7 @@ type Registry struct {
 // again.
 type regEntry struct {
 	done chan struct{}
-	ds   Dataset
+	ds   DeltaDataset
 	err  error
 	// abandoned (guarded by the registry mutex) marks a build whose
 	// admitting registration ran out of budget: the build finishes — it
@@ -168,65 +167,6 @@ func NewRegistryMedium(med *Medium) *Registry {
 // it is not synchronized against in-flight maintenance.
 func (r *Registry) SetCheckpointEvery(n int) { r.med.CheckpointEvery = n }
 
-// RegisterDatasetContext returns the dataset registered under id, building
-// it on first call. compat is consulted when id already has a completed
-// entry: it decides whether the existing dataset satisfies this registration
-// (nil accepts anything). build runs at most once per id across any number
-// of concurrent registrations; a failed or panicking build is not memoized,
-// so a later corrected attempt can retry.
-//
-// This is the generic seam RegisterAs rides: one catalog entry per ID, one
-// build per ID, and Get/Answer paths that never observe a half-built
-// dataset.
-//
-// It runs under a request budget: when ctx expires before the build
-// completes, the call returns a *BudgetError and the in-flight build is
-// abandoned — it runs to completion (Preprocess cannot be interrupted
-// mid-flight) but its result is dropped instead of memoized, so a
-// budget-exceeded registration leaves no catalog entry and the id stays free
-// for a retried (or better-budgeted) attempt. A waiter
-// whose ctx expires while someone else's build is in flight gives up
-// without abandoning that build — the budget belongs to the registration
-// that started it.
-func (r *Registry) RegisterDatasetContext(ctx context.Context, id string, compat func(Dataset) error, build func() (Dataset, error)) (Dataset, error) {
-	if build == nil {
-		return nil, fmt.Errorf("store: register %q: nil build function", id)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, &BudgetError{Op: "register", ID: id, Err: err}
-	}
-	r.mu.Lock()
-	if e, ok := r.entries[id]; ok {
-		r.mu.Unlock()
-		select {
-		case <-e.done:
-		case <-ctx.Done():
-			return nil, &BudgetError{Op: "register", ID: id, Err: ctx.Err()}
-		}
-		if e.err != nil {
-			return nil, e.err
-		}
-		if compat != nil {
-			if err := compat(e.ds); err != nil {
-				return nil, err
-			}
-		}
-		return e.ds, nil
-	}
-	e := &regEntry{done: make(chan struct{}), breaker: NewBreaker(r.breakerCfg)}
-	r.entries[id] = e
-	r.mu.Unlock()
-
-	go r.runBuild(e, id, build)
-	select {
-	case <-e.done:
-		return e.ds, e.err
-	case <-ctx.Done():
-		r.abandon(e, id)
-		return nil, &BudgetError{Op: "register", ID: id, Err: ctx.Err()}
-	}
-}
-
 // runBuild executes one registration's build and commits (or drops) its
 // result. The deferred block must run even if build panics (a scheme
 // Preprocess on hostile data can, e.g. makeslice out of range): otherwise
@@ -236,7 +176,7 @@ func (r *Registry) RegisterDatasetContext(ctx context.Context, id string, compat
 // (memoize vs drop) and close(e.done) happen under the registry mutex, so
 // it cannot race an abandon from the admitting registration's expired
 // budget.
-func (r *Registry) runBuild(e *regEntry, id string, build func() (Dataset, error)) {
+func (r *Registry) runBuild(e *regEntry, id string, build func() (DeltaDataset, error)) {
 	defer func() {
 		if p := recover(); p != nil {
 			e.err = fmt.Errorf("store: register %q: build panicked: %v", id, p)
@@ -304,29 +244,60 @@ func (k Key) Mismatch(got Key) error {
 
 // RegisterAs is the registration every layout rides: the dataset registered
 // under id, built on first call by Recover — over Load, which reads the
-// dataset's file under the layout decode names, and build. An id already
-// held is returned only when it is held under the key want names; anything
-// else is an error rather than a silent answer-path swap or a stale Π(D)
-// served as fresh, and a file of another key is stale. want is called where
-// the key is first compared, so a registration can digest its data beside
-// the load.
+// dataset's file under the layout decode names, and build. The build runs at
+// most once per id across any number of concurrent registrations, and
+// Get/Answer paths never observe a half-built dataset; a failed or panicking
+// build is not memoized, so a later corrected attempt can retry. An id
+// already held is returned only when it is held under the key want names;
+// anything else is an error rather than a silent answer-path swap or a stale
+// Π(D) served as fresh, and a file of another key is stale. want is called
+// where the key is first compared, so a registration can digest its data
+// beside the load.
+//
+// It runs under a request budget: when ctx expires before the build
+// completes, the call returns a *BudgetError and the in-flight build is
+// abandoned — it runs to completion (Preprocess cannot be interrupted
+// mid-flight) but its result is dropped instead of memoized, so a
+// budget-exceeded registration leaves no catalog entry and the id stays free
+// for a retried (or better-budgeted) attempt. A waiter whose ctx expires
+// while someone else's build is in flight gives up without abandoning that
+// build — the budget belongs to the registration that started it.
 func (r *Registry) RegisterAs(ctx context.Context, id string, scheme *core.Scheme, want func() Key, decode LayoutDecoder, build func() (DeltaDataset, error)) (Dataset, error) {
-	return r.RegisterDatasetContext(ctx, id,
-		func(d Dataset) error {
-			held, ok := d.(interface{ Key() Key })
-			if !ok {
-				return fmt.Errorf("store: dataset %q is registered as a %T", id, d)
-			}
-			if err := want().Mismatch(held.Key()); err != nil {
-				return fmt.Errorf("store: dataset %q already registered with %w", id, err)
-			}
-			return nil
-		},
-		func() (Dataset, error) {
-			return r.Recover(id, func(fsys FS, dir string) (DeltaDataset, error) {
-				return Load(fsys, dir, id, scheme, want, decode)
-			}, build)
-		})
+	if err := ctx.Err(); err != nil {
+		return nil, &BudgetError{Op: "register", ID: id, Err: err}
+	}
+	r.mu.Lock()
+	if e, ok := r.entries[id]; ok {
+		r.mu.Unlock()
+		select {
+		case <-e.done:
+		case <-ctx.Done():
+			return nil, &BudgetError{Op: "register", ID: id, Err: ctx.Err()}
+		}
+		if e.err != nil {
+			return nil, e.err
+		}
+		if err := want().Mismatch(e.ds.Key()); err != nil {
+			return nil, fmt.Errorf("store: dataset %q already registered with %w", id, err)
+		}
+		return e.ds, nil
+	}
+	e := &regEntry{done: make(chan struct{}), breaker: NewBreaker(r.breakerCfg)}
+	r.entries[id] = e
+	r.mu.Unlock()
+
+	go r.runBuild(e, id, func() (DeltaDataset, error) {
+		return r.Recover(id, func(fsys FS, dir string) (DeltaDataset, error) {
+			return Load(fsys, dir, id, scheme, want, decode)
+		}, build)
+	})
+	select {
+	case <-e.done:
+		return e.ds, e.err
+	case <-ctx.Done():
+		r.abandon(e, id)
+		return nil, &BudgetError{Op: "register", ID: id, Err: ctx.Err()}
+	}
 }
 
 // Register returns the plain store for id, creating it on first call:
@@ -342,7 +313,7 @@ func (r *Registry) Register(id string, scheme *core.Scheme, data []byte) (*Store
 // RegisterContext is Register under a request budget: when ctx expires
 // before preprocessing completes the call returns a *BudgetError and the
 // build is abandoned — it finishes but is not memoized, so no catalog
-// entry remains (see RegisterDatasetContext). The HTTP layer threads each
+// entry remains (see RegisterAs). The HTTP layer threads each
 // registration request's deadline through here.
 func (r *Registry) RegisterContext(ctx context.Context, id string, scheme *core.Scheme, data []byte) (*Store, error) {
 	if scheme == nil {
@@ -447,10 +418,9 @@ func (e *PersistError) Unwrap() error { return e.Err }
 // lock.
 // The batch is atomic — every delta commits together with a bumped
 // monotonic version and an atomically rewritten snapshot (when the
-// registry is persistent), or nothing changes at all: a malformed delta, a
-// scheme without an incremental form, or a sharded dataset without delta
-// routing each leave the registry entry, the served Π, and the on-disk
-// snapshot exactly as they were. Returns the dataset's new maintenance
+// registry is persistent), or nothing changes at all: a malformed delta or a
+// scheme without an incremental form each leave the registry entry, the
+// served Π, and the on-disk snapshot exactly as they were. Returns the dataset's new maintenance
 // version.
 //
 // Concurrent queries are never blocked on maintenance — staging, I/O or the
@@ -474,11 +444,8 @@ func (r *Registry) ApplyDeltaContext(ctx context.Context, id string, deltas [][]
 	if len(deltas) == 0 {
 		return ds.Version(), fmt.Errorf("store: dataset %q: empty delta batch", id)
 	}
-	dd, ok := ds.(DeltaDataset)
-	if !ok {
-		return ds.Version(), fmt.Errorf("store: dataset %q does not support in-place maintenance", id)
-	}
-	v, err := ApplyDeltas(ctx, dd, deltas, r.med)
+	// Every catalog entry is a DeltaDataset: RegisterAs builds it.
+	v, err := ApplyDeltas(ctx, ds.(DeltaDataset), deltas, r.med)
 	if err != nil {
 		var be *BudgetError
 		if errors.As(err, &be) {
