@@ -34,7 +34,6 @@ package compress
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"pitract/internal/graph"
@@ -85,15 +84,12 @@ func Compress(g *graph.Graph) (*Compressed, error) {
 // (nil, nil) when no class has more than one member.
 func mergeFalseTwins(dag *graph.Graph) (*graph.Graph, []int) {
 	n := dag.N()
-	// Build in-neighbour lists from the out-lists.
+	// Build in-neighbour lists from the out-lists, ascending since u is.
 	ins := make([][]int32, n)
 	for u := 0; u < n; u++ {
 		for _, v := range dag.Neighbors(u) {
 			ins[v] = append(ins[v], int32(u))
 		}
-	}
-	for v := range ins {
-		sort.Slice(ins[v], func(i, j int) bool { return ins[v][i] < ins[v][j] })
 	}
 	// Group by (in-list, out-list) signature.
 	sig := make(map[string][]int, n)
@@ -125,13 +121,10 @@ func mergeFalseTwins(dag *graph.Graph) (*graph.Graph, []int) {
 	if !any {
 		return nil, nil
 	}
-	merged := graph.New(classes, true)
-	seen := make(map[[2]int]bool)
+	merged := graph.New(classes, true) // repeated arcs dropped by Normalize
 	for u := 0; u < n; u++ {
 		for _, v := range dag.Neighbors(u) {
-			cu, cv := classOf[u], classOf[int(v)]
-			if cu != cv && !seen[[2]int{cu, cv}] {
-				seen[[2]int{cu, cv}] = true
+			if cu, cv := classOf[u], classOf[int(v)]; cu != cv {
 				merged.MustAddEdge(cu, cv)
 			}
 		}

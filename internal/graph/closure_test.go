@@ -447,7 +447,7 @@ func FuzzClosure(f *testing.F) {
 		if err != nil || g.N() > 1<<8 {
 			return
 		}
-		checkClosure(t, fmt.Sprintf("graph %x", b), g)
+		checkClosure(t, fmt.Sprintf("graph %x", b), g.Graph())
 	})
 }
 
@@ -569,9 +569,10 @@ func BenchmarkClosure(b *testing.B) {
 // of the same four arcs per vertex, where the SCC count (and so the kernel's
 // rows) grows faster than the vertex count. Each leg reports the wire form's
 // bytes and its class count beside the time, so the size a change moves is
-// read off the same run. It calls only what the closure over strongly
-// connected classes alone also had, so it runs unchanged at a commit from
-// before acyclic classes merged.
+// read off the same run. build starts from the CSR graph.Decode hands the
+// serving path; before Decode returned one, the same legs timed
+// NewCondensedClosure on the generated graph, which is how a commit from
+// then compares.
 func BenchmarkCondensedClosure(b *testing.B) {
 	for _, shape := range []struct {
 		name string
@@ -581,8 +582,8 @@ func BenchmarkCondensedClosure(b *testing.B) {
 		{"random65536", RandomDirected(1<<16, 1<<18, 1)},
 		{"random262144", RandomDirected(1<<18, 1<<20, 1)},
 	} {
-		g := shape.g
-		c, err := NewCondensedClosure(g)
+		g := shape.g.Freeze() // what Decode hands the serving path
+		c, err := g.CondensedClosure()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -594,7 +595,7 @@ func BenchmarkCondensedClosure(b *testing.B) {
 		b.Run(shape.name+"/build", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := NewCondensedClosure(g); err != nil {
+				if _, err := g.CondensedClosure(); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -29,7 +29,7 @@ import (
 const MaxClosureVertices = 1 << 16
 
 // checkClosureSize refuses a class count — or a lower bound on one — above
-// MaxClosureVertices. NewCondensedClosure asks it twice, both before the rows
+// MaxClosureVertices. CondensedClosure asks it twice, both before the rows
 // exist.
 func checkClosureSize(classes int) error {
 	if classes > MaxClosureVertices {
@@ -41,8 +41,8 @@ func checkClosureSize(classes int) error {
 // condensation is the kernel's output: the classes, their closed rows, and
 // the member lists both consumers need to expand a class row over vertices.
 type condensation struct {
-	class          []int // class[v], numbered by smallest member vertex
-	k, words       int   // class count and ⌈k/64⌉, the row stride
+	class          []int32 // class[v], numbered by smallest member vertex
+	k, words       int     // class count and ⌈k/64⌉, the row stride
 	rows           []uint64
 	start, members []int32 // members[start[c]:start[c+1]]: class c, ascending
 }
@@ -58,7 +58,7 @@ type condensation struct {
 // since a finished row that contains it contains everything it reaches. That
 // is O(|V|+|E|) for the components plus at most |E_c|·⌈k/64⌉ word ORs over the
 // arcs E_c of the condensation; the only memory beyond the rows is O(|V|).
-func closeClasses(g *Graph, comp []int, k int) *condensation {
+func closeClasses(g *CSR, comp []int32, k int) *condensation {
 	n := g.n
 	canon := make([]int32, k) // Tarjan id → canonical id; also the walk order
 	for t := range canon {
@@ -74,7 +74,7 @@ func closeClasses(g *Graph, comp []int, k int) *condensation {
 	cd := &condensation{class: comp, k: k, words: (k + 63) / 64}
 	cd.start = make([]int32, k+1)
 	for v, t := range comp {
-		comp[v] = int(canon[t])
+		comp[v] = canon[t]
 		cd.start[comp[v]+1]++
 	}
 	for c := 0; c < k; c++ {
@@ -93,12 +93,12 @@ func closeClasses(g *Graph, comp []int, k int) *condensation {
 		row := cd.rows[int(c)*cd.words:][:cd.words]
 		row[c>>6] |= 1 << (c & 63)
 		for _, u := range cd.members[cd.start[c]:cd.start[c+1]] {
-			for _, v := range g.adj[u] {
+			for _, v := range g.dst[g.off[u]:g.off[u+1]] {
 				d := comp[v]
 				if row[d>>6]>>(d&63)&1 != 0 {
 					continue
 				}
-				for i, w := range cd.rows[d*cd.words:][:cd.words] {
+				for i, w := range cd.rows[int(d)*cd.words:][:cd.words] {
 					row[i] |= w
 				}
 			}
@@ -116,8 +116,9 @@ func closeClasses(g *Graph, comp []int, k int) *condensation {
 // (docs/perf/BENCH_21.md §5). No cap is applied; library callers size their
 // own graphs.
 func NewClosure(g *Graph) *Closure {
-	comp, k := g.SCC()
-	cd := closeClasses(g, comp, k)
+	csr := g.Freeze()
+	comp, k := csr.SCC()
+	cd := closeClasses(csr, comp, k)
 	n := g.n
 	c := &Closure{n: n, words: (n + 63) / 64}
 	if cd.k == n {
@@ -158,7 +159,10 @@ type CondensedClosure struct {
 	rows  []uint64
 }
 
-// NewCondensedClosure closes g over its reachability-equivalence classes,
+// NewCondensedClosure is CSR.CondensedClosure for a graph built edge by edge.
+func NewCondensedClosure(g *Graph) (*CondensedClosure, error) { return g.Freeze().CondensedClosure() }
+
+// CondensedClosure closes g over its reachability-equivalence classes,
 // refusing a graph of more than MaxClosureVertices strongly connected
 // components. It checks twice, both before the SCC rows exist: a component of
 // s > 1 vertices holds at least s − 1 of the edges, so the count is at least
@@ -166,9 +170,8 @@ type CondensedClosure struct {
 // away before SCC allocates for them; then the count itself. The SCC kernel
 // closes the components, merge folds acyclic ones with equal ancestors and
 // descendants, and a graph with nothing to merge keeps the kernel's rows.
-func NewCondensedClosure(g *Graph) (*CondensedClosure, error) {
-	g.Normalize()
-	if err := checkClosureSize(g.n - g.m); err != nil {
+func (g *CSR) CondensedClosure() (*CondensedClosure, error) {
+	if err := checkClosureSize(g.n - g.M()); err != nil {
 		return nil, err
 	}
 	comp, k := g.SCC()

@@ -1,17 +1,21 @@
 package graph
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sync"
 )
 
 // CSR is an immutable two-way adjacency in compressed sparse row form: the
 // out-neighbours of x are dst[off[x]:off[x+1]], its in-neighbours
-// rdst[roff[x]:roff[x+1]], both ascending. An undirected graph is its own
-// reverse and shares one direction. It is the prepared form of the
-// search-per-query baseline: ≈ 8·(|V|+|E|) bytes, safe for concurrent askers.
+// rdst[roff[x]:roff[x+1]], both ascending and without repeats. An undirected
+// graph is its own reverse and shares one direction. Decode returns it and
+// every serving reader walks it: ≈ 8·(|V|+|E|) bytes, safe for concurrent
+// askers.
 type CSR struct {
 	n          int
+	directed   bool
 	off, dst   []int32
 	roff, rdst []int32
 	pool       sync.Pool // *scratch, sized for this CSR
@@ -27,45 +31,68 @@ type scratch struct {
 	fq, bq []int32
 }
 
-// Freeze flattens the graph into a CSR. The graph may be mutated afterwards;
-// the CSR shares no memory with it. Offsets are int32: a graph of more than
-// 2³¹−1 arcs (over 4 GiB encoded, which Decode would have had to be handed
-// whole) panics.
-func (g *Graph) Freeze() *CSR {
-	g.Normalize()
-	arcs := 0
-	for _, l := range g.adj {
-		arcs += len(l)
-	}
+// checkArcs refuses an arc count the int32 offsets cannot hold: a graph of
+// more than 2³¹−1 arcs, over 4 GiB encoded.
+func checkArcs(arcs int) error {
 	if arcs > math.MaxInt32 {
-		panic("graph: too many arcs for a CSR")
+		return fmt.Errorf("graph: %d arcs exceed the %d a CSR holds", arcs, math.MaxInt32)
 	}
-	n := g.n
-	c := &CSR{n: n, off: make([]int32, n+1), dst: make([]int32, 0, arcs)}
-	for u, l := range g.adj {
-		c.dst = append(c.dst, l...)
-		c.off[u+1] = int32(len(c.dst))
+	return nil
+}
+
+// rows starts a CSR on n vertices: zeroed offsets, in which the caller counts
+// every vertex's out-arcs at off[x+1] and in-arcs at roff[x+1] — one array
+// when undirected, whose reverse is itself.
+func rows(n int, directed bool) *CSR {
+	c := &CSR{n: n, directed: directed, off: make([]int32, n+1)}
+	c.roff = c.off
+	if directed {
+		c.roff = make([]int32, n+1)
 	}
-	c.roff, c.rdst = c.off, c.dst
-	if g.directed {
-		c.roff, c.rdst = make([]int32, n+1), make([]int32, arcs)
-		for _, v := range c.dst {
-			c.roff[v+1]++
-		}
-		for x := 0; x < n; x++ {
+	return c
+}
+
+// cursors turns the counts into the start of every row, the cursors an arc
+// u→v is filled at — v at off[u] and u at roff[v], each advanced — and
+// allocates the arcs.
+func (c *CSR) cursors() (off, dst, roff, rdst []int32) {
+	for x := range c.n {
+		c.off[x+1] += c.off[x]
+	}
+	c.dst = make([]int32, c.off[c.n])
+	c.rdst = c.dst
+	if c.directed {
+		for x := range c.n {
 			c.roff[x+1] += c.roff[x]
 		}
-		// Filling in ascending source order leaves every in-list sorted;
-		// the cursor of x ends at the start of x+1, so shifting the cursors
-		// up one slot restores the offsets.
-		for u := 0; u < n; u++ {
-			for _, v := range c.dst[c.off[u]:c.off[u+1]] {
-				c.rdst[c.roff[v]] = int32(u)
-				c.roff[v]++
+		c.rdst = make([]int32, len(c.dst))
+	}
+	return c.off, c.dst, c.roff, c.rdst
+}
+
+// finish shifts the cursors, each of which ended at the start of the next
+// row, back up into offsets. Rows filled from edges that did not arrive
+// sorted are sorted instead, and the graph is filled again from its edges,
+// each once and now in order.
+func (c *CSR) finish(sorted bool) *CSR {
+	n := c.n
+	shift := func(off []int32) { copy(off[1:], off[:n]); off[0] = 0 }
+	shift(c.off)
+	if c.directed {
+		shift(c.roff)
+	}
+	if !sorted {
+		var edges [][2]int32
+		for u := range int32(n) {
+			row := c.dst[c.off[u]:c.off[u+1]]
+			slices.Sort(row)
+			for i, v := range row {
+				if (i == 0 || v != row[i-1]) && (c.directed || u < v) {
+					edges = append(edges, [2]int32{u, v})
+				}
 			}
 		}
-		copy(c.roff[1:], c.roff[:n])
-		c.roff[0] = 0
+		return FromArcs(n, c.directed, edges)
 	}
 	c.pool.New = func() any {
 		q := make([]int32, 2*n)
@@ -74,8 +101,83 @@ func (g *Graph) Freeze() *CSR {
 	return c
 }
 
+// FromArcs builds the CSR of the graph on n vertices with the given edges, in
+// any order and with repeats, an undirected edge either way round. Endpoints
+// must lie in [0, n), and no edge may be a self-loop.
+func FromArcs(n int, directed bool, edges [][2]int32) *CSR {
+	c, sorted, prev := rows(n, directed), true, int64(-1)
+	for _, e := range edges {
+		key := int64(e[0])<<32 | int64(e[1]) // as Decode orders them
+		sorted, prev = sorted && key > prev && (directed || e[0] < e[1]), key
+		c.off[e[0]+1]++
+		c.roff[e[1]+1]++
+	}
+	off, dst, roff, rdst := c.cursors()
+	for _, e := range edges {
+		dst[off[e[0]]] = e[1]
+		off[e[0]]++
+		rdst[roff[e[1]]] = e[0]
+		roff[e[1]]++
+	}
+	return c.finish(sorted)
+}
+
+// Freeze builds the CSR of a graph built edge by edge, for a library caller;
+// the serving paths get theirs from Decode. The graph may be mutated
+// afterwards: the CSR shares no memory with it.
+func (g *Graph) Freeze() *CSR {
+	edges := make([][2]int32, 0, g.M())
+	for _, e := range g.Edges() {
+		edges = append(edges, [2]int32{int32(e[0]), int32(e[1])})
+	}
+	return FromArcs(g.n, g.directed, edges)
+}
+
+// flat lays the adjacency lists out as CSR rows, ascending.
+func (g *Graph) flat() (off, dst []int32) {
+	g.Normalize()
+	off = make([]int32, 1, g.n+1)
+	for _, l := range g.adj {
+		dst = append(dst, l...)
+		off = append(off, int32(len(dst)))
+	}
+	return off, dst
+}
+
+// Graph returns a mutable copy, for a caller that edits the graph edge by
+// edge: its adjacency lists are cut, capped, from one copy of the arcs, so a
+// later AddEdge reallocates a list instead of overwriting the next one.
+func (c *CSR) Graph() *Graph {
+	g := &Graph{n: c.n, directed: c.directed, m: c.M(), adj: make([][]int32, c.n), sorted: true}
+	arcs := slices.Clone(c.dst)
+	for x := range g.adj {
+		if a, b := c.off[x], c.off[x+1]; a < b {
+			g.adj[x] = arcs[a:b:b]
+		}
+	}
+	return g
+}
+
 // N reports the vertex count.
 func (c *CSR) N() int { return c.n }
+
+// M reports the edge count (undirected edges counted once).
+func (c *CSR) M() int {
+	if c.directed {
+		return len(c.dst)
+	}
+	return len(c.dst) / 2
+}
+
+// Directed reports edge orientation.
+func (c *CSR) Directed() bool { return c.directed }
+
+// Neighbors returns the ascending out-neighbours of v. The slice aliases the
+// CSR and must not be mutated.
+func (c *CSR) Neighbors(v int) []int32 { return c.dst[c.off[v]:c.off[v+1]:c.off[v+1]] }
+
+// Encode serializes the graph as Graph.Encode does.
+func (c *CSR) Encode() []byte { return encode(c.n, c.directed, c.Neighbors) }
 
 // stamps returns two fresh mark values, clearing the marks when the stamp
 // space is about to wrap so a stale mark can never equal a live one.

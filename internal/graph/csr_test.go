@@ -63,19 +63,23 @@ func TestReachableMatchesBFS(t *testing.T) {
 }
 
 // TestFreezeIsIndependentOfTheGraph: a CSR keeps answering for the graph it
-// was frozen from after that graph is mutated.
+// was frozen from after that graph is mutated, and so does the decoded CSR
+// the graph was copied from.
 func TestFreezeIsIndependentOfTheGraph(t *testing.T) {
-	g, err := Decode(Path(4, true).Encode()) // lists cut from one backing array
+	d, err := Decode(Path(4, true).Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := d.Graph() // lists cut from one backing array
 	c := g.Freeze()
 	if err := g.RemoveEdge(1, 2); err != nil {
 		t.Fatal(err)
 	}
 	g.MustAddEdge(3, 0)
-	if !c.Reachable(0, 3) || c.Reachable(3, 0) {
-		t.Fatal("CSR changed with the graph it was frozen from")
+	for _, c := range []*CSR{c, d} {
+		if !c.Reachable(0, 3) || c.Reachable(3, 0) {
+			t.Fatal("CSR changed with the graph it was frozen from or copied to")
+		}
 	}
 	if g.Reachable(0, 3) || !g.Reachable(3, 0) {
 		t.Fatal("graph mutation lost")
@@ -133,7 +137,7 @@ func TestReachableEpochWrap(t *testing.T) {
 	}
 }
 
-// FuzzReachable: any bytes Decode accepts, frozen, must answer a few pairs
+// FuzzReachable: any bytes Decode accepts must answer a few pairs
 // exactly as Graph.BFS does.
 func FuzzReachable(f *testing.F) {
 	for _, g := range kernelGraphs() {
@@ -141,11 +145,11 @@ func FuzzReachable(f *testing.F) {
 	}
 	f.Add([]byte{3, 1, 3, 2, 1, 0, 2, 2, 1}, uint16(0), uint16(1)) // unsorted, with a repeat
 	f.Fuzz(func(t *testing.T, b []byte, a, z uint16) {
-		g, err := Decode(b)
-		if err != nil || g.N() == 0 || g.N() > 1<<12 {
+		c, err := Decode(b)
+		if err != nil || c.N() == 0 || c.N() > 1<<12 {
 			return
 		}
-		c := g.Freeze()
+		g := c.Graph()
 		n := g.N()
 		for _, p := range [][2]int{{int(a) % n, int(z) % n}, {int(z) % n, int(a) % n}, {0, n - 1}, {n / 2, n / 3}} {
 			_, dist := g.BFS(p[0])

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -73,7 +76,9 @@ func rawGraph(n uint64, flag byte, m uint64, edges ...uint64) []byte {
 }
 
 // checkDecodeContract holds Decode to the reference on one input: the same
-// error string or the same graph, and a canonical re-encoding either way.
+// error string, or the CSR the reference's graph freezes to — all four arrays
+// — and a canonical re-encoding. It returns a mutable copy of what Decode
+// built.
 func checkDecodeContract(t *testing.T, b []byte) (*Graph, error) {
 	t.Helper()
 	got, err := Decode(b)
@@ -84,12 +89,13 @@ func checkDecodeContract(t *testing.T, b []byte) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	if got.N() != want.N() || got.M() != want.M() || got.Directed() != want.Directed() || !reflect.DeepEqual(got.Edges(), want.Edges()) {
+	ref := want.Freeze()
+	if got.N() != want.N() || got.M() != want.M() || got.Directed() != want.Directed() {
 		t.Fatalf("Decode(%x): graph differs from the reference (n %d/%d, m %d/%d)", b, got.N(), want.N(), got.M(), want.M())
 	}
-	for x := 0; x < got.N(); x++ {
-		if !reflect.DeepEqual(got.Neighbors(x), want.Neighbors(x)) {
-			t.Fatalf("Decode(%x): adjacency of %d is %v, reference %v", b, x, got.Neighbors(x), want.Neighbors(x))
+	for _, a := range [][2][]int32{{got.off, ref.off}, {got.dst, ref.dst}, {got.roff, ref.roff}, {got.rdst, ref.rdst}} {
+		if !slices.Equal(a[0], a[1]) {
+			t.Fatalf("Decode(%x): CSR arrays\n%v %v %v %v\nreference's Freeze\n%v %v %v %v", b, got.off, got.dst, got.roff, got.rdst, ref.off, ref.dst, ref.roff, ref.rdst)
 		}
 	}
 	enc := got.Encode()
@@ -100,7 +106,7 @@ func checkDecodeContract(t *testing.T, b []byte) (*Graph, error) {
 	if err != nil || !bytes.Equal(again.Encode(), enc) {
 		t.Fatalf("Decode(%x).Encode() is not a fixed point (%v)", b, err)
 	}
-	return got, nil
+	return got.Graph(), nil
 }
 
 // TestDecodeContract pins what Decode accepts beyond Encode's own output —
@@ -165,13 +171,15 @@ func TestDecodeContract(t *testing.T) {
 	}
 }
 
-// TestDecodedGraphStaysMutable: the adjacency lists of a decoded graph are
-// cut from one array; growing one must not write into its neighbour's.
+// TestDecodedGraphStaysMutable: a decoded graph converted for editing has
+// its adjacency lists cut from one array; growing one must not write into
+// its neighbour's, and the CSR it came from must not move.
 func TestDecodedGraphStaysMutable(t *testing.T) {
-	g, err := Decode(rawGraph(4, 1, 3, 0, 1, 1, 2, 2, 3))
+	c, err := Decode(rawGraph(4, 1, 3, 0, 1, 1, 2, 2, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := c.Graph()
 	g.MustAddEdge(0, 3)
 	g.MustAddEdge(0, 2)
 	if err := g.RemoveEdge(1, 2); err != nil {
@@ -180,6 +188,43 @@ func TestDecodedGraphStaysMutable(t *testing.T) {
 	want := [][2]int{{0, 1}, {0, 2}, {0, 3}, {2, 3}}
 	if !reflect.DeepEqual(g.Edges(), want) || g.M() != 4 {
 		t.Fatalf("edges %v (M %d), want %v", g.Edges(), g.M(), want)
+	}
+	if !slices.Equal(c.dst, []int32{1, 2, 3}) || !slices.Equal(c.off, []int32{0, 1, 2, 3, 3}) {
+		t.Fatalf("the decoded CSR moved with its editable copy: off %v dst %v", c.off, c.dst)
+	}
+}
+
+// TestDecodeMemoryPerVertex: a vertex costs the body nothing but its share of
+// one uvarint, so what Decode allocates per claimed vertex is the bound on a
+// hostile body's memory. A 2²⁰-vertex claim with no edges — four bytes — may
+// take at most 12 bytes a vertex: the offsets, and the reverse offsets of a
+// directed graph. Scaled, the six-byte 2²⁴-vertex body takes at most 192 MB.
+func TestDecodeMemoryPerVertex(t *testing.T) {
+	const n = 1 << 20
+	for _, flag := range []byte{0, 1} {
+		body := rawGraph(n, flag, 0)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		c, err := Decode(body)
+		runtime.ReadMemStats(&after)
+		if err != nil || c.N() != n {
+			t.Fatalf("flag %d: %v", flag, err)
+		}
+		if per := float64(after.TotalAlloc-before.TotalAlloc) / n; per > 12 {
+			t.Fatalf("flag %d: Decode allocated %.1f bytes per claimed vertex, want at most 12", flag, per)
+		}
+	}
+}
+
+// TestCheckArcs: an arc count past the int32 offsets is an error, not a
+// panic — the bound Decode applies once it has counted a body's arcs.
+func TestCheckArcs(t *testing.T) {
+	if err := checkArcs(math.MaxInt32); err != nil {
+		t.Fatalf("the limit itself refused: %v", err)
+	}
+	if err := checkArcs(math.MaxInt32 + 1); err == nil || err.Error() != "graph: 2147483648 arcs exceed the 2147483647 a CSR holds" {
+		t.Fatalf("one arc over the limit: %v", err)
 	}
 }
 
@@ -227,7 +272,7 @@ func TestEncodeOneSizedBuffer(t *testing.T) {
 }
 
 // FuzzDecodeGraph: on any bytes, Decode and the AddEdge-per-edge reference
-// agree on the error string or on the graph, and the re-encoding is canonical.
+// agree on the error string or on the CSR, and the re-encoding is canonical.
 func FuzzDecodeGraph(f *testing.F) {
 	for _, g := range kernelGraphs() {
 		f.Add(g.Encode())
@@ -240,7 +285,7 @@ func FuzzDecodeGraph(f *testing.F) {
 	f.Add([]byte{4, 1, 1, 0, 0x80})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if n, k := binary.Uvarint(b); k > 0 && n > 1<<16 && n <= MaxDecodeVertices {
-			return // a legal but huge vertex count: hundreds of MB of headers per input
+			return // a legal but huge vertex count: the reference's adjacency headers take hundreds of MB per input
 		}
 		checkDecodeContract(t, b)
 	})

@@ -32,27 +32,11 @@ func New(n int, directed bool) *Graph {
 	return &Graph{n: n, directed: directed, adj: make([][]int32, n), sorted: true}
 }
 
-// NewSized returns a graph with len(deg) vertices and no edges, where vertex
-// v has room for deg[v] arcs — an undirected edge is an arc at each end — in
-// one array cut into capped lists: AddEdge fills it without reallocating.
-func NewSized(directed bool, deg []int) *Graph {
-	g := New(len(deg), directed)
-	total := 0
-	for _, d := range deg {
-		total += d
-	}
-	arcs := make([]int32, total)
-	for v, d := range deg {
-		g.adj[v], arcs = arcs[:0:d], arcs[d:]
-	}
-	return g
-}
-
 // MaxDecodeVertices caps the vertex count Decode will accept. Vertices cost
 // no bytes in the wire format (only the varint count), so without a cap a
-// tiny buffer can demand an arbitrarily large adjacency allocation. 1<<24
-// is far above every workload in this repo while keeping the worst-case
-// allocation a few hundred MB instead of unbounded.
+// tiny buffer can demand an arbitrarily large offset allocation. 1<<24 is
+// far above every workload in this repo while keeping the worst case at
+// 128 MB of offsets (8 bytes a vertex, directed) instead of unbounded.
 const MaxDecodeVertices = 1 << 24
 
 // N reports the vertex count.
@@ -213,31 +197,36 @@ func (g *Graph) Edges() [][2]int {
 // --- codec -----------------------------------------------------------------
 
 // Encode serializes the graph as a self-delimiting byte string:
-// n, directed flag, edge count, then delta-free (u,v) varint pairs. The
-// adjacency lists are walked twice — once to count the edges and size the
-// output, once to write it — so the one allocation is the result.
+// n, directed flag, edge count, then delta-free (u,v) varint pairs.
 func (g *Graph) Encode() []byte {
 	g.Normalize()
+	return encode(g.n, g.directed, func(u int) []int32 { return g.adj[u] })
+}
+
+// encode writes the wire form from ascending adjacency rows, walking them
+// twice — once to count the edges and size the output, once to write it — so
+// the one allocation is the result. An undirected edge is its u < v arc.
+func encode(n int, directed bool, row func(int) []int32) []byte {
 	edges, size := 0, 0
-	for u, l := range g.adj {
-		for _, v := range l {
-			if g.directed || u < int(v) {
+	for u := range n {
+		for _, v := range row(u) {
+			if directed || u < int(v) {
 				edges++
 				size += uvarintLen(uint64(u)) + uvarintLen(uint64(v))
 			}
 		}
 	}
-	b := make([]byte, 0, uvarintLen(uint64(g.n))+1+uvarintLen(uint64(edges))+size)
-	b = binary.AppendUvarint(b, uint64(g.n))
-	if g.directed {
+	b := make([]byte, 0, uvarintLen(uint64(n))+1+uvarintLen(uint64(edges))+size)
+	b = binary.AppendUvarint(b, uint64(n))
+	if directed {
 		b = append(b, 1)
 	} else {
 		b = append(b, 0)
 	}
 	b = binary.AppendUvarint(b, uint64(edges))
-	for u, l := range g.adj {
-		for _, v := range l {
-			if g.directed || u < int(v) {
+	for u := range n {
+		for _, v := range row(u) {
+			if directed || u < int(v) {
 				b = binary.AppendUvarint(b, uint64(u))
 				b = binary.AppendUvarint(b, uint64(v))
 			}
@@ -249,107 +238,99 @@ func (g *Graph) Encode() []byte {
 // uvarintLen is the length of x's uvarint encoding.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
-// Decode parses a byte string produced by Encode. It also accepts edges in
-// any order and with repeats (sorted and deduplicated, like AddEdge +
-// Normalize). The edge list is read twice — once to validate it and count
-// degrees, once to fill a single backing array the adjacency lists are cut
-// from — and canonical input, whose lists arrive sorted, is not sorted again.
-func Decode(buf []byte) (*Graph, error) {
-	off := 0
-	next := func() (uint64, error) {
-		v, n := binary.Uvarint(buf[off:])
-		if n <= 0 {
-			return 0, fmt.Errorf("graph: corrupt varint at offset %d", off)
-		}
-		off += n
-		return v, nil
+// Decode parses a byte string produced by Encode into its CSR. It also
+// accepts edges in any order and with repeats, sorted and deduplicated as
+// AddEdge + Normalize would (CSR.finish). The edges are read twice, as the
+// loop below says; canonical input allocates nothing but the CSR.
+func Decode(buf []byte) (*CSR, error) {
+	corrupt := func(at int) error { return fmt.Errorf("graph: corrupt varint at offset %d", at) }
+	n64, at := binary.Uvarint(buf)
+	if at <= 0 {
+		return nil, corrupt(0)
 	}
-	n64, err := next()
-	if err != nil {
-		return nil, err
-	}
-	// Bound the vertex count before allocating adjacency headers: a hostile
+	// Bound the vertex count before allocating the offsets: a hostile
 	// dozen-byte buffer can claim 2^40 vertices and OOM-kill the process
 	// otherwise (the serve path feeds Decode attacker-controlled bytes).
 	if n64 > MaxDecodeVertices {
 		return nil, fmt.Errorf("graph: vertex count %d exceeds decode limit %d", n64, uint64(MaxDecodeVertices))
 	}
-	if off >= len(buf) {
+	if at >= len(buf) {
 		return nil, fmt.Errorf("graph: truncated before orientation flag")
 	}
-	directed := buf[off] == 1
-	off++
+	directed := buf[at] == 1
 	n := int(n64)
-	m64, err := next()
-	if err != nil {
-		return nil, err
+	m64, k := binary.Uvarint(buf[at+1:])
+	if k <= 0 {
+		return nil, corrupt(at + 1)
 	}
+	at += 1 + k
 	// Each encoded edge takes at least two bytes, so an edge count beyond
 	// half the remaining buffer is corrupt — reject it up front.
-	if m64 > uint64(len(buf)-off)/2 {
-		return nil, fmt.Errorf("graph: edge count %d exceeds remaining %d bytes", m64, len(buf)-off)
+	if m64 > uint64(len(buf)-at)/2 {
+		return nil, fmt.Errorf("graph: edge count %d exceeds remaining %d bytes", m64, len(buf)-at)
 	}
-	edges, m := off, int(m64)
+	edges, m := at, int(m64)
 
-	// Pass 1: every check, in stream order; pos[x+1] counts the arcs of x.
-	pos := make([]int, n+1)
-	for i := 0; i < m; i++ {
-		u64, err := next()
-		if err != nil {
+	// Two passes over the edges, the uvarints read inline (one or two bytes
+	// without a call). Pass 0 makes every check, in stream order, and counts
+	// the out-arcs of x at off[x+1] and its in-arcs at roff[x+1] (the same
+	// array when undirected, so an edge counts at both ends); sorted says
+	// whether every edge follows the one before it in (u, v) order, u < v when
+	// undirected — canonical input, whose rows pass 1 fills ascending and
+	// without repeats. Pass 1 puts every arc at the cursors of its two rows.
+	c, sorted := rows(n, directed), true
+	off, dst, roff, rdst := c.off, c.dst, c.roff, c.rdst
+	for pass := range 2 {
+		prev := uint64(0) // the last edge's u<<32 | v, below every edge's
+		at = edges
+		for range m {
+			var e [2]uint64
+			for j := range e {
+				if at < len(buf) && buf[at] < 0x80 {
+					e[j], at = uint64(buf[at]), at+1
+				} else if at+1 < len(buf) && buf[at+1] < 0x80 {
+					e[j], at = uint64(buf[at]&0x7f)|uint64(buf[at+1])<<7, at+2
+				} else if x, k := binary.Uvarint(buf[at:]); k > 0 {
+					e[j], at = x, at+k
+				} else {
+					return nil, corrupt(at)
+				}
+			}
+			u, v := e[0], e[1]
+			if pass == 1 {
+				dst[off[u]] = int32(v)
+				off[u]++
+				rdst[roff[v]] = int32(u)
+				roff[v]++
+				continue
+			}
+			if u >= n64 || v >= n64 {
+				return nil, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", int(u), int(v), n)
+			}
+			if u == v {
+				return nil, fmt.Errorf("graph: self-loop at %d", u)
+			}
+			sorted = sorted && u<<32|v > prev && (directed || u < v)
+			prev = u<<32 | v
+			off[u+1]++
+			roff[v+1]++
+		}
+		if pass == 1 {
+			break
+		}
+		if at != len(buf) {
+			return nil, fmt.Errorf("graph: %d trailing bytes", len(buf)-at)
+		}
+		arcs := m
+		if !directed {
+			arcs = 2 * m
+		}
+		if err := checkArcs(arcs); err != nil {
 			return nil, err
 		}
-		v64, err := next()
-		if err != nil {
-			return nil, err
-		}
-		u, v := int(u64), int(v64)
-		if u < 0 || u >= n || v < 0 || v >= n {
-			return nil, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, n)
-		}
-		if u == v {
-			return nil, fmt.Errorf("graph: self-loop at %d", u)
-		}
-		pos[u+1]++
-		if !directed {
-			pos[v+1]++
-		}
+		off, dst, roff, rdst = c.cursors()
 	}
-	if off != len(buf) {
-		return nil, fmt.Errorf("graph: %d trailing bytes", len(buf)-off)
-	}
-	for x := 0; x < n; x++ {
-		pos[x+1] += pos[x]
-	}
-
-	// Pass 2: pos[x] is the fill cursor of x; it ends at the start of x+1.
-	arcs := make([]int32, pos[n])
-	off = edges
-	for i := 0; i < m; i++ {
-		u64, _ := next()
-		v64, _ := next()
-		arcs[pos[u64]] = int32(v64)
-		pos[u64]++
-		if !directed {
-			arcs[pos[v64]] = int32(u64)
-			pos[v64]++
-		}
-	}
-	g := &Graph{n: n, directed: directed, m: m, adj: make([][]int32, n), sorted: true}
-	start := 0
-	for x := range g.adj {
-		if start == pos[x] {
-			continue // an isolated vertex keeps the nil list New gives it
-		}
-		// Capped, so a later AddEdge reallocates instead of overwriting the
-		// next vertex's list.
-		l := arcs[start:pos[x]:pos[x]]
-		for i := 1; i < len(l) && g.sorted; i++ {
-			g.sorted = l[i-1] < l[i]
-		}
-		g.adj[x], start = l, pos[x]
-	}
-	g.Normalize()
-	return g, nil
+	return c.finish(sorted), nil
 }
 
 // --- generators -------------------------------------------------------------

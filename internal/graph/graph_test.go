@@ -78,9 +78,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
-			back.Normalize()
 			g.Normalize()
-			if !reflect.DeepEqual(g, back) {
+			if !reflect.DeepEqual(g, back.Graph()) {
 				t.Fatalf("round trip mismatch (directed=%v trial=%d)", directed, trial)
 			}
 		}
@@ -215,7 +214,7 @@ func TestSCCMatchesReference(t *testing.T) {
 		comp, count := g.SCC()
 		same := sccRef(g)
 		for u := 0; u < n; u++ {
-			if comp[u] < 0 || comp[u] >= count {
+			if comp[u] < 0 || int(comp[u]) >= count {
 				t.Fatalf("component id out of range: %d", comp[u])
 			}
 			for v := 0; v < n; v++ {

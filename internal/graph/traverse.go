@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"slices"
 
 	"pitract/internal/pram"
@@ -74,71 +75,65 @@ func (c *Closure) RowEqual(u, v int) bool {
 	return slices.Equal(c.Row(u), c.Row(v))
 }
 
-// SCC computes strongly connected components with Tarjan's algorithm
-// (iterative, so deep graphs do not overflow the goroutine stack). It
-// returns the component id of every vertex and the number of components.
-// Component ids are in reverse topological order of the condensation
-// (Tarjan's natural output order).
-func (g *Graph) SCC() (comp []int, count int) {
-	g.Normalize()
-	n := g.n
-	comp = make([]int, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = -1
-	}
-	var stack []int32
-	next := 0
+// SCC computes strongly connected components with Tarjan's algorithm over
+// the flat arrays. It returns the component id of every vertex and the
+// number of components. Component ids are in reverse topological order of
+// the condensation (Tarjan's natural output order).
+func (c *CSR) SCC() (comp []int32, count int) { return tarjan(c.off, c.dst) }
 
-	type frame struct {
-		v    int32
-		edge int
-	}
+// SCC is CSR.SCC for a graph being built edge by edge.
+func (g *Graph) SCC() (comp []int32, count int) { return tarjan(g.flat()) }
+
+// tarjan is the one SCC kernel, iterative so deep graphs do not overflow the
+// goroutine stack, over CSR rows with int32 state: a vertex's visit number (0
+// until visited) beside its low-link, and call frames of a vertex and its
+// next arc. A vertex whose component is known gets the visit number done,
+// which lowers no low-link, so there is no on-stack array.
+func tarjan(off, dst []int32) (comp []int32, count int) {
+	const done = math.MaxInt32
+	type vertex struct{ index, low int32 }
+	type frame struct{ v, arc int32 }
+	n := len(off) - 1
+	vs := make([]vertex, n)
+	comp = make([]int32, n)
+	var stack []int32
 	var call []frame
-	for root := 0; root < n; root++ {
-		if index[root] >= 0 {
+	next := int32(0)
+	for root := range int32(n) {
+		if vs[root].index != 0 {
 			continue
 		}
-		call = append(call[:0], frame{int32(root), 0})
-		index[root], low[root] = next, next
 		next++
-		stack = append(stack, int32(root))
-		onStack[root] = true
+		vs[root] = vertex{next, next}
+		stack = append(stack, root)
+		call = append(call, frame{root, off[root]})
+	search:
 		for len(call) > 0 {
 			f := &call[len(call)-1]
 			v := f.v
-			if f.edge < len(g.adj[v]) {
-				w := g.adj[v][f.edge]
-				f.edge++
-				if index[w] < 0 {
-					index[w], low[w] = next, next
+			for end := off[v+1]; f.arc < end; {
+				w := dst[f.arc]
+				f.arc++
+				if vs[w].index == 0 {
 					next++
+					vs[w] = vertex{next, next}
 					stack = append(stack, w)
-					onStack[w] = true
-					call = append(call, frame{w, 0})
-				} else if onStack[w] && index[w] < low[v] {
-					low[v] = index[w]
+					call = append(call, frame{w, off[w]})
+					continue search
 				}
-				continue
+				vs[v].low = min(vs[v].low, vs[w].index)
 			}
 			call = call[:len(call)-1]
 			if len(call) > 0 {
 				p := call[len(call)-1].v
-				if low[v] < low[p] {
-					low[p] = low[v]
-				}
+				vs[p].low = min(vs[p].low, vs[v].low)
 			}
-			if low[v] == index[v] {
+			if vs[v].low == vs[v].index {
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp[w] = count
+					vs[w].index = done
+					comp[w] = int32(count)
 					if w == v {
 						break
 					}
@@ -151,17 +146,16 @@ func (g *Graph) SCC() (comp []int, count int) {
 }
 
 // Condense returns the condensation DAG of a directed graph: one vertex per
-// SCC, an edge between components when any member edge crosses them. The
-// comp array maps original vertices to condensation vertices.
+// SCC, an edge between components when any member edge crosses them (the
+// repeats Normalize drops). The comp array maps original vertices to
+// condensation vertices.
 func (g *Graph) Condense() (dag *Graph, comp []int) {
-	comp, count := g.SCC()
-	dag = New(count, true)
-	seen := make(map[[2]int]bool)
+	c32, count := g.SCC()
+	dag, comp = New(count, true), make([]int, g.n)
 	for u, l := range g.adj {
+		comp[u] = int(c32[u])
 		for _, v := range l {
-			cu, cv := comp[u], comp[int(v)]
-			if cu != cv && !seen[[2]int{cu, cv}] {
-				seen[[2]int{cu, cv}] = true
+			if cu, cv := int(c32[u]), int(c32[v]); cu != cv {
 				dag.MustAddEdge(cu, cv)
 			}
 		}

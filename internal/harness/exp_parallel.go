@@ -74,7 +74,7 @@ func X1ParallelPRAM(s Scale) (*Table, error) {
 // X2BatchAnswering serves a batch of reachability queries from one
 // prepared store, comparing the one-at-a-time loop against the
 // AnswerBatchPrepared worker pool — the pool the stores serve batches
-// through. A BFS-per-query answer is a bidirectional search over the frozen
+// through. A BFS-per-query answer is a bidirectional search over the decoded
 // CSR, under a microsecond on these random graphs; the closure scheme row
 // shows the overhead floor on O(1) answers.
 func X2BatchAnswering(s Scale) (*Table, error) {

@@ -60,10 +60,9 @@ func EncodeArcs(n int, directed bool, arcs [][2]int) ([]byte, error) {
 }
 
 // arcFileBytes lays out g's arcs as an arc file, pushed straight from the
-// adjacency lists in keyBlock runs: ascending lists walked in vertex order are
-// ascending ids. An undirected edge is its u < v arc, the tail of u's list.
-func arcFileBytes(g *graph.Graph) ([]byte, error) {
-	g.Normalize()
+// CSR rows in keyBlock runs: ascending rows walked in vertex order are
+// ascending ids. An undirected edge is its u < v arc, the tail of u's row.
+func arcFileBytes(g *graph.CSR) ([]byte, error) {
 	n, directed := g.N(), g.Directed()
 	out := func(u int) []int32 {
 		l := g.Neighbors(u)
@@ -182,21 +181,16 @@ func (a *ArcFile) Edit(u, v int, insert bool) (next ArcFile, had bool, err error
 	return next, had, err
 }
 
-// graph streams the file into the graph it encodes, twice: once to size
-// every adjacency list, once to fill them. Ids in ascending order keep every
-// list ascending, so the graph needs no Normalize.
-func (a *ArcFile) graph() (*graph.Graph, error) {
-	deg := make([]int, a.n)
+// graph streams the file into the CSR of the graph it encodes. Ids in
+// ascending order keep every row ascending, so none is sorted.
+func (a *ArcFile) graph() (*graph.CSR, error) {
+	edges := make([][2]int32, 0, a.Len())
 	err := a.Each(func(u, v int) error {
-		deg[u]++
-		if !a.directed {
-			deg[v]++
-		}
+		edges = append(edges, [2]int32{int32(u), int32(v)})
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	g := graph.NewSized(a.directed, deg)
-	return g, a.Each(g.AddEdge)
+	return graph.FromArcs(a.n, a.directed, edges), nil
 }

@@ -12,14 +12,15 @@ import (
 // any order and either orientation, is the closure's arcFileBytes of the
 // graph; Each streams the edges back; and every Edit — insert or delete,
 // present or absent — is byte for byte the file EncodeArcs lays out for the
-// edited edge set, with Has and the had result agreeing with the graph.
+// edited edge set, with Has and the had result agreeing with the graph; and
+// the edited file streams back (graph) into the edited graph.
 func TestArcFileSeam(t *testing.T) {
 	for _, directed := range []bool{true, false} {
 		rng := rand.New(rand.NewSource(29))
 		const n = 48
 		g := graph.New(n, directed)
 		for step := 0; step < 300; step++ {
-			want, err := arcFileBytes(g)
+			want, err := arcFileBytes(g.Freeze())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -74,7 +75,10 @@ func TestArcFileSeam(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if want, err = arcFileBytes(g); err != nil || !bytes.Equal(next.Bytes(), want) {
+			if edited, err := next.graph(); err != nil || !bytes.Equal(edited.Encode(), g.Encode()) {
+				t.Fatalf("directed=%v step %d: the edited file's graph is not the edited graph (%v)", directed, step, err)
+			}
+			if want, err = arcFileBytes(g.Freeze()); err != nil || !bytes.Equal(next.Bytes(), want) {
 				t.Fatalf("directed=%v step %d: Edit(%d,%d,%v) differs from the edited set's file (%v)", directed, step, u, v, insert, err)
 			}
 		}

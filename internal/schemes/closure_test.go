@@ -299,7 +299,7 @@ func arcFileCorruptions(tb testing.TB) map[string][]byte {
 		for v := 0; v < 4; v++ {
 			g.MustAddEdge(v, (v+1)%4)
 		}
-		pd, err := closureBytes(g)
+		pd, err := closureBytes(g.Freeze())
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -381,9 +381,11 @@ func TestClosureDeltaCanonical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("directed=%v step %d: ⊕: %v", directed, step, err)
 			}
-			if g, err = graph.Decode(d); err != nil {
+			c, err := graph.Decode(d)
+			if err != nil {
 				t.Fatal(err)
 			}
+			g = c.Graph()
 			next, err := inc.ApplyDelta(pd, delta)
 			if err != nil {
 				t.Fatalf("directed=%v step %d: %v", directed, step, err)
@@ -443,7 +445,7 @@ func FuzzClosureDecode(f *testing.F) {
 		if g.N() > 70 {
 			continue
 		}
-		pd, err := closureBytes(g)
+		pd, err := closureBytes(g.Freeze())
 		if err != nil {
 			f.Fatal(err)
 		}

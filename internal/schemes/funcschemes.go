@@ -194,7 +194,7 @@ func LCAFuncLanguage() core.FuncLanguage {
 	}
 }
 
-func adjOf(g *graph.Graph) [][]int {
+func adjOf(g *graph.CSR) [][]int {
 	adj := make([][]int, g.N())
 	for u := 0; u < g.N(); u++ {
 		for _, v := range g.Neighbors(u) {

@@ -240,39 +240,34 @@ func applyClosureDelta(pd, delta []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	insert := kind == core.DeltaInsert
-	splice := func() ([]byte, error) {
-		next, _, err := arcs.Edit(u, v, insert)
-		if err != nil {
-			return nil, err
-		}
-		head := pd[:8+len(cond)]
-		return append(append(make([]byte, 0, len(head)+len(next.Bytes())), head...), next.Bytes()...), nil
-	}
+	insert, holds := kind == core.DeltaInsert, false
 	if insert {
 		if has, err := arcs.Has(u, v); err != nil || has {
 			return pd, err
 		}
 		// Undirected reachability is symmetric: one probe decides both ways.
-		holds, err := graph.ProbeCondensedClosure(cond, n, u, v)
-		if err != nil {
+		if holds, err = graph.ProbeCondensedClosure(cond, n, u, v); err != nil {
 			return nil, fmt.Errorf("schemes: %w", err)
 		}
-		if holds {
-			return splice()
-		}
 	}
-	g, err := arcs.graph()
+	next, had, err := arcs.Edit(u, v, insert)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := editGraph(g, kind, u, v); err != nil {
-		return nil, err
+	if !insert && !had {
+		return nil, fmt.Errorf("graph: edge (%d,%d) not present", u, v)
 	}
-	if !insert && g.Reachable(u, v) {
-		return splice()
+	if !holds {
+		g, err := next.graph()
+		if err != nil {
+			return nil, err
+		}
+		if insert || !g.Reachable(u, v) {
+			return closureBytes(g)
+		}
 	}
-	return closureBytes(g)
+	head := pd[:8+len(cond)]
+	return append(append(make([]byte, 0, len(head)+len(next.Bytes())), head...), next.Bytes()...), nil
 }
 
 // applyEdgeToGraph decodes a graph, applies one edge delta, and re-encodes
@@ -281,10 +276,11 @@ func applyClosureDelta(pd, delta []byte) ([]byte, error) {
 // index-shaped to maintain, which is exactly why the baseline pays
 // O(|V|+|E|) per query forever.
 func applyEdgeToGraph(d, delta []byte) ([]byte, error) {
-	g, err := graph.Decode(d)
+	c, err := graph.Decode(d)
 	if err != nil {
 		return nil, err
 	}
+	g := c.Graph()
 	kind, u, v, err := DecodeEdgeDelta(delta, g.N())
 	if err != nil {
 		return nil, err

@@ -471,7 +471,7 @@ func preprocessLabels(d []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	rl, err := buildReachLabels(g)
+	rl, err := buildReachLabels(g.Graph())
 	if err != nil {
 		return nil, err
 	}
@@ -563,10 +563,11 @@ func applyLabelsDelta(pd, delta []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, err := graph.Decode(rl.graphEnc)
+	c, err := graph.Decode(rl.graphEnc)
 	if err != nil {
 		return nil, fmt.Errorf("schemes: labels graph appendix: %w", err)
 	}
+	g := c.Graph()
 	changed, err := editGraph(g, kind, u, v)
 	if err != nil {
 		return nil, err

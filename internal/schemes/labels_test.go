@@ -210,9 +210,11 @@ func TestLabelsMaintainedEqualsRebuilt(t *testing.T) {
 		if err != nil {
 			t.Fatalf("delta %d on raw graph: %v", i, err)
 		}
-		if maintained, err = graph.Decode(enc); err != nil {
+		c, err := graph.Decode(enc)
+		if err != nil {
 			t.Fatalf("delta %d: %v", i, err)
 		}
+		maintained = c.Graph()
 	}
 	rebuilt, err := inc.Preprocess(maintained.Encode())
 	if err != nil {

@@ -95,7 +95,7 @@ func prepareClosure(pd []byte) (core.Answerer, error) {
 
 // --- reachability BFS baseline ------------------------------------------------
 
-// bfsAnswerer holds the graph decoded once and frozen into a two-way CSR
+// bfsAnswerer holds the graph decoded once into its two-way CSR
 // (≈ 8·(|V|+|E|) bytes beside Π). A query is still a search — O(|V|+|E|) on a
 // long path, which is why the scheme keeps declaring Traversal — but a
 // bidirectional one on pooled scratch that stops when the two sides meet or
@@ -117,14 +117,14 @@ func (a *bfsAnswerer) Answer(q []byte) (bool, error) {
 	return a.g.Reachable(u, v), nil
 }
 
-// prepareBFS decodes the graph once, so a query pays the search and not a
-// re-decode of O(|V|+|E|) bytes.
+// prepareBFS decodes the graph once, straight into the CSR the search
+// walks, so a query pays the search and not a re-decode of O(|V|+|E|) bytes.
 func prepareBFS(pd []byte) (core.Answerer, error) {
 	g, err := graph.Decode(pd)
 	if err != nil {
 		return nil, err
 	}
-	return &bfsAnswerer{g: g.Freeze()}, nil
+	return &bfsAnswerer{g: g}, nil
 }
 
 // --- CVP gate values ----------------------------------------------------------

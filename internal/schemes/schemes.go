@@ -371,12 +371,12 @@ func closureParts(pd []byte) (n int, cond graph.CondensedWire, arcs ArcFile, err
 // reachability-equivalence classes as graph.CondensedClosure.AppendWire emits
 // it, and g's arc file. Classes are a function of the reachability relation,
 // numbered canonically, and the arc file a function of the edge set, so the
-// bytes are a function of g alone. NewCondensedClosure sizes the SCC rows
+// bytes are a function of g alone. CondensedClosure sizes the SCC rows
 // before it allocates them — vertices cost a payload no bytes — and its
 // refusal is pointed somewhere: a graph of too many strongly connected
 // components for the matrix is what the labels scheme is for.
-func closureBytes(g *graph.Graph) ([]byte, error) {
-	c, err := graph.NewCondensedClosure(g)
+func closureBytes(g *graph.CSR) ([]byte, error) {
+	c, err := g.CondensedClosure()
 	if err != nil {
 		return nil, fmt.Errorf("schemes: %w; register the graph under reachability/labels instead", err)
 	}
@@ -477,7 +477,7 @@ func BDSLanguage() core.Language {
 			if err != nil {
 				return false, err
 			}
-			return bds.AnswerNaive(g, u, v)
+			return bds.AnswerNaive(g.Graph(), u, v)
 		},
 	}
 }
@@ -502,7 +502,7 @@ func BDSScheme() *core.Scheme {
 			if err != nil {
 				return nil, err
 			}
-			idx, err := bds.NewIndex(g)
+			idx, err := bds.NewIndex(g.Graph())
 			if err != nil {
 				return nil, err
 			}

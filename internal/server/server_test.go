@@ -627,7 +627,8 @@ func TestServerDefaultSharding(t *testing.T) {
 // and the scheme that has none, plain and sharded (where a shard is still
 // over the limit), and the process must keep serving. The bodies here sit
 // just over the limit instead of at 2²⁴: the check is the same comparison,
-// and graph.Decode alone spends 0.5 s and 0.5 GB on the six-byte one (the CI
+// and graph.Decode alone spends ≈ 0.15 s and 128 MB of offsets on the
+// six-byte one, scaled from TestDecodeMemoryPerVertex's 2²⁰ (the CI
 // live-serve smoke posts that one to the shipped binary).
 func TestOverCapClosureRegistrationRefused(t *testing.T) {
 	srv := New(store.NewRegistry(""), nil)

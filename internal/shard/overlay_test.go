@@ -34,9 +34,14 @@ import (
 // behind the vertex count, the orientation and the cross edges' arc file.
 func reachSummaryRef(g *graph.Graph, asn Assignment) []byte {
 	shardOf, local, counts := vertexShards(g.N(), asn)
-	subs, err := inducedSubgraphs(g, shardOf, local, counts)
-	if err != nil {
-		panic(err)
+	subs := make([]*graph.Graph, len(counts))
+	for s, c := range counts {
+		subs[s] = graph.New(c, g.Directed())
+	}
+	for _, e := range g.Edges() {
+		if shardOf[e[0]] == shardOf[e[1]] {
+			subs[shardOf[e[0]]].MustAddEdge(int(local[e[0]]), int(local[e[1]]))
+		}
 	}
 	isPortal := make([]bool, g.N())
 	var cross [][2]int

@@ -261,7 +261,7 @@ type pendingRow struct {
 // same reads add each class's arcs to it (addClassArcs), and it is closed
 // into rs.overlay before any row is widened. A shard without a reach form,
 // or whose reads from a portal leave that portal out, fails the build.
-func (rs *reachSummary) buildRows(shards []core.Answerer, overlay *graph.Graph) error {
+func (rs *reachSummary) buildRows(shards []core.Answerer, overlay *[][2]int32) error {
 	counts := rs.counts
 	if len(shards) != len(counts) {
 		return fmt.Errorf("shard: %d shard answerers for an assignment over %d shards", len(shards), len(counts))
@@ -350,7 +350,7 @@ func (rs *reachSummary) buildRows(shards []core.Answerer, overlay *graph.Graph) 
 	}
 	if overlay != nil {
 		var err error
-		if rs.overlay, err = graph.NewCondensedClosure(overlay); err != nil {
+		if rs.overlay, err = graph.FromArcs(len(rs.portals), true, *overlay).CondensedClosure(); err != nil {
 			return err
 		}
 	}
@@ -470,27 +470,29 @@ func vertexShards(n int, asn Assignment) (shardOf []int32, local []uint32, count
 	return shardOf, local, counts
 }
 
-// inducedSubgraphs builds each shard's induced subgraph under the local
-// relabelling; edges crossing shards are dropped here and recovered by the
-// portal overlay.
-func inducedSubgraphs(g *graph.Graph, shardOf []int32, local []uint32, counts []int) ([]*graph.Graph, error) {
-	subs := make([]*graph.Graph, len(counts))
-	for i, c := range counts {
-		subs[i] = graph.New(c, g.Directed())
-	}
-	for _, e := range g.Edges() {
-		u, v := e[0], e[1]
-		if shardOf[u] != shardOf[v] {
-			continue
+// splitEdges cuts g's edges by shard in one pass over its arcs: each shard's
+// induced subgraph under the local relabelling — local ids rise with global
+// ones, so its rows arrive ascending — and the edges crossing shards, which
+// the portal overlay recovers.
+func splitEdges(g *graph.CSR, shardOf []int32, local []uint32, counts []int) (subs []*graph.CSR, cross [][2]int) {
+	edges := make([][][2]int32, len(counts))
+	for u := range g.N() {
+		s := shardOf[u]
+		for _, v := range g.Neighbors(u) {
+			switch {
+			case !g.Directed() && int(v) < u: // an undirected edge is its u < v arc
+			case shardOf[v] == s:
+				edges[s] = append(edges[s], [2]int32{int32(local[u]), int32(local[v])})
+			default:
+				cross = append(cross, [2]int{u, int(v)})
+			}
 		}
-		if err := subs[shardOf[u]].AddEdge(int(local[u]), int(local[v])); err != nil {
-			return nil, err
-		}
 	}
-	for _, s := range subs {
-		s.Normalize()
+	subs = make([]*graph.CSR, len(counts))
+	for s, c := range counts {
+		subs[s] = graph.FromArcs(c, g.Directed(), edges[s])
 	}
-	return subs, nil
+	return subs, cross
 }
 
 // splitReach is the Split hook: one decode, one relabelling, one set of
@@ -510,15 +512,12 @@ func splitReach(data []byte, p Partitioner, n int) (Assignment, [][]byte, []byte
 		return nil, nil, nil, err
 	}
 	shardOf, local, counts := vertexShards(g.N(), asn)
-	subs, err := inducedSubgraphs(g, shardOf, local, counts)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("split: %w", err)
-	}
+	subs, cross := splitEdges(g, shardOf, local, counts)
 	parts := make([][]byte, len(subs))
 	for i, s := range subs {
 		parts[i] = s.Encode()
 	}
-	summary, err := buildReachSummary(g, shardOf, local, counts, subs)
+	summary, err := buildReachSummary(g, shardOf, local, counts, subs, cross)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("split: %w", err)
 	}
@@ -526,14 +525,8 @@ func splitReach(data []byte, p Partitioner, n int) (Assignment, [][]byte, []byte
 }
 
 // buildReachSummary computes the portal overlay closure from the decoded
-// graph and its per-shard induced subgraphs.
-func buildReachSummary(g *graph.Graph, shardOf []int32, local []uint32, counts []int, subs []*graph.Graph) ([]byte, error) {
-	var cross [][2]int
-	for _, e := range g.Edges() {
-		if shardOf[e[0]] != shardOf[e[1]] {
-			cross = append(cross, e)
-		}
-	}
+// graph, its per-shard induced subgraphs and its cross-shard edges.
+func buildReachSummary(g *graph.CSR, shardOf []int32, local []uint32, counts []int, subs []*graph.CSR, cross [][2]int) ([]byte, error) {
 	file, err := schemes.EncodeArcs(g.N(), g.Directed(), cross)
 	if err != nil {
 		return nil, err
@@ -549,7 +542,7 @@ func buildReachSummary(g *graph.Graph, shardOf []int32, local []uint32, counts [
 	if err != nil {
 		return nil, err
 	}
-	// Within-shard portal reach is read off each shard's frozen subgraph once
+	// Within-shard portal reach is read off each shard's subgraph once
 	// per local class: the subgraph's SCCs group its portals, and one search
 	// from a class's first portal into one reused row gives the class's arcs,
 	// so building costs O(n_s/64) memory whatever scheme the shards are then
@@ -569,17 +562,17 @@ func buildReachSummary(g *graph.Graph, shardOf []int32, local []uint32, counts [
 			}
 			classes[classOf[c]-1] = append(classes[classOf[c]-1], j)
 		}
-		csr, mask := subs[s].Freeze(), rs.portalMask(s)
+		csr, mask := subs[s], rs.portalMask(s)
 		set := make([]uint64, (rs.counts[s]+63)/64)
 		var reached []int
 		for _, class := range classes {
 			clear(set)
 			csr.ReachFrom(int(rs.local[rs.portals[ps[class[0]]]]), set)
 			reached = mask.ranks(reached[:0], set, nil)
-			addClassArcs(overlay, ps, class, reached)
+			addClassArcs(&overlay, ps, class, reached)
 		}
 	}
-	if rs.overlay, err = graph.NewCondensedClosure(overlay); err != nil {
+	if rs.overlay, err = graph.FromArcs(len(rs.portals), true, overlay).CondensedClosure(); err != nil {
 		return nil, err
 	}
 	return encodeReachSummary(rs), nil
@@ -604,19 +597,20 @@ func checkPortals(portals int) error {
 // overlayGraph starts the portal overlay: the portal cap, checked before
 // anything is allocated for the closure, then one arc per cross edge (both
 // ways when undirected). The within-shard arcs are added per local class
-// (addClassArcs) by the caller, which closes it: over the shards' frozen
-// subgraphs at Split (buildReachSummary), over their prepared answerers at
-// PATCH (buildRows) — far below re-preprocessing the dataset either way.
-func (rs *reachSummary) overlayGraph() (*graph.Graph, error) {
+// (addClassArcs) by the caller, which closes it: over the
+// shards' subgraphs at Split (buildReachSummary), over their prepared
+// answerers at PATCH (buildRows) — far below re-preprocessing the dataset
+// either way. The arcs are portal indices, in any order, repeats allowed.
+func (rs *reachSummary) overlayGraph() ([][2]int32, error) {
 	if err := checkPortals(len(rs.portals)); err != nil {
 		return nil, err
 	}
-	overlay := graph.New(len(rs.portals), true)
+	var overlay [][2]int32
 	err := rs.cross.Each(func(u, v int) error {
-		pu, pv := rs.portalIndex(u), rs.portalIndex(v)
-		overlay.MustAddEdge(pu, pv)
+		pu, pv := int32(rs.portalIndex(u)), int32(rs.portalIndex(v))
+		overlay = append(overlay, [2]int32{pu, pv})
 		if !rs.directed {
-			overlay.MustAddEdge(pv, pu)
+			overlay = append(overlay, [2]int32{pv, pu})
 		}
 		return nil
 	})
@@ -630,14 +624,14 @@ func (rs *reachSummary) overlayGraph() (*graph.Graph, error) {
 // through the first, exactly the portals it reaches inside the shard, so the
 // overlay's closure — a function of reachability alone — is the one an arc
 // per reaching portal pair gives, from a fraction of the arcs.
-func addClassArcs(overlay *graph.Graph, ps, members, reached []int) {
-	first := ps[members[0]]
+func addClassArcs(overlay *[][2]int32, ps, members, reached []int) {
+	first := int32(ps[members[0]])
 	for _, j := range members[1:] {
-		overlay.MustAddEdge(ps[j], first)
+		*overlay = append(*overlay, [2]int32{int32(ps[j]), first})
 	}
 	for _, j := range reached {
 		if j != members[0] {
-			overlay.MustAddEdge(first, ps[j])
+			*overlay = append(*overlay, [2]int32{first, int32(ps[j])})
 		}
 	}
 }
@@ -715,7 +709,7 @@ func maintainReach(view core.Answerer, _ Assignment, deltas [][]byte, shards []c
 	if err != nil {
 		return nil, nil, fmt.Errorf("finish summary: %w", err)
 	}
-	if err := rs.buildRows(shards, overlay); err != nil {
+	if err := rs.buildRows(shards, &overlay); err != nil {
 		return nil, nil, fmt.Errorf("finish summary: %w", err)
 	}
 	return encodeReachSummary(rs), rs, nil
