@@ -66,8 +66,35 @@ func DecodeUint64(x []byte, want int) ([]uint64, error) {
 // DecodeUint64Into parses exactly len(out) unsigned integers into out — the
 // slice-free form the query decoders on the probe path use (a fixed-size
 // array on the caller's stack, so decoding a query allocates nothing).
+//
+// One- and two-byte values — a node id below 2¹⁴ — are read inline, as
+// graph.Decode reads its arcs; the first longer or malformed value hands the
+// rest to decodeUint64Rest, so the loop a node pair takes makes no call. The
+// values and the errors are the binary.Uvarint loop's (FuzzDecodeUint64),
+// non-minimal encodings included.
 func DecodeUint64Into(x []byte, out []uint64) error {
 	off := 0
+	for i := range out {
+		if off < len(x) && x[off] < 0x80 {
+			out[i], off = uint64(x[off]), off+1
+		} else if off+1 < len(x) && x[off+1] < 0x80 {
+			out[i], off = uint64(x[off]&0x7f)|uint64(x[off+1])<<7, off+2
+		} else {
+			return decodeUint64Rest(x, out[i:], off)
+		}
+	}
+	if off != len(x) {
+		return trailingBytes(len(x) - off)
+	}
+	return nil
+}
+
+// decodeUint64Rest is DecodeUint64Into from byte off of x on, through
+// binary.Uvarint. It and trailingBytes stay out of line, so the loop above
+// carries no fmt call.
+//
+//go:noinline
+func decodeUint64Rest(x []byte, out []uint64, off int) error {
 	for i := range out {
 		v, k := binary.Uvarint(x[off:])
 		if k <= 0 {
@@ -77,7 +104,10 @@ func DecodeUint64Into(x []byte, out []uint64) error {
 		out[i] = v
 	}
 	if off != len(x) {
-		return fmt.Errorf("core: %d trailing bytes", len(x)-off)
+		return trailingBytes(len(x) - off)
 	}
 	return nil
 }
+
+//go:noinline
+func trailingBytes(n int) error { return fmt.Errorf("core: %d trailing bytes", n) }

@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -50,6 +53,59 @@ func FuzzUnpadPair(f *testing.F) {
 		}
 		if !bytes.Equal(gd, d) || !bytes.Equal(gq, q) {
 			t.Fatalf("accepted split changed on re-encode: (%x,%x) -> (%x,%x)", d, q, gd, gq)
+		}
+	})
+}
+
+// referenceDecodeUint64 is DecodeUint64Into as the binary.Uvarint loop it
+// reads inline: the values and error text the fast form must keep.
+func referenceDecodeUint64(x []byte, out []uint64) error {
+	off := 0
+	for i := range out {
+		v, k := binary.Uvarint(x[off:])
+		if k <= 0 {
+			return fmt.Errorf("core: corrupt uint at %d", off)
+		}
+		off += k
+		out[i] = v
+	}
+	if off != len(x) {
+		return fmt.Errorf("core: %d trailing bytes", len(x)-off)
+	}
+	return nil
+}
+
+// FuzzDecodeUint64 holds DecodeUint64Into to the binary.Uvarint loop for
+// counts 0–4: the same values, or the same error text — truncated values,
+// trailing bytes, non-minimal encodings and overflow past ten bytes alike.
+func FuzzDecodeUint64(f *testing.F) {
+	for _, x := range [][]byte{
+		{},
+		{0x00},
+		{0x7f, 0x80, 0x01},
+		{0x80, 0x00},                   // non-minimal zero
+		{0x80, 0x80, 0x00},             // non-minimal, three bytes
+		{0xff, 0x7f, 0xff, 0xff, 0x03}, // two bytes, then three
+		{0x80},                         // truncated
+		{0x05, 0x06, 0x07},             // trailing byte for count 2
+		EncodeUint64(1<<63, 42),
+		EncodeUint64(^uint64(0)),
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02},       // overflows in the tenth byte
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, // eleven bytes
+		EncodeUint64(4095, 17), // a node pair of the closure mix
+	} {
+		for count := range uint8(5) {
+			f.Add(x, count)
+		}
+	}
+	f.Fuzz(func(t *testing.T, x []byte, count uint8) {
+		want, got := make([]uint64, count%5), make([]uint64, count%5)
+		werr, gerr := referenceDecodeUint64(x, want), DecodeUint64Into(x, got)
+		if (werr == nil) != (gerr == nil) || (werr != nil && werr.Error() != gerr.Error()) {
+			t.Fatalf("DecodeUint64Into(%x, %d): error %v, the Uvarint loop %v", x, len(got), gerr, werr)
+		}
+		if werr == nil && !slices.Equal(got, want) {
+			t.Fatalf("DecodeUint64Into(%x, %d) = %v, the Uvarint loop %v", x, len(got), got, want)
 		}
 	})
 }

@@ -484,7 +484,7 @@ func FuzzClosureDecode(f *testing.F) {
 // BenchmarkClosureApplyDelta: one PATCHed edge against a closure-matrix Π, by
 // what the edge does — an insert or a delete that changes no fact (the
 // appendix splice) and one that does (the rebuild) — on the benchmark
-// workload's graph (≈ 150 classes), where the matrix is small, and on DAGs,
+// workload's graph (22–31 classes), where the matrix is small, and on DAGs,
 // where every vertex is a class, k = n and the matrix is n² bits again. Each
 // case cycles through eight deltas sampled by a fixed seed, all applied to
 // the same Π. It uses nothing PR 21 added, so the same file times the parent;

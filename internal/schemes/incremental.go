@@ -224,7 +224,7 @@ func editGraph(g *graph.Graph, kind core.DeltaKind, u, v int) (bool, error) {
 // What the rebuild costs is what the matrix costs (BenchmarkClosureApplyDelta;
 // docs/perf/BENCH_21.md §5 has it beside the row maintenance it replaced, and
 // docs/perf/BENCH_28.md the arc file's splice): on the benchmark workload's
-// graph — 4096 vertices, ≈ 150 classes — a fact-changing edge is ≈ 2 ms; on a
+// graph — 4096 vertices, 22–31 classes — a fact-changing edge is ≈ 2 ms; on a
 // DAG every vertex is a class, the matrix is n² bits again, and the rebuild is
 // ≈ 5 ms at 4096 vertices and ≈ 60 ms at 16384 — no more than touching the
 // ancestor rows of an n²-bit matrix cost there, but not milliseconds. In

@@ -19,7 +19,9 @@ package server
 // is a 400, and the exact error text (FuzzBatchDecode holds the two equal).
 //
 // Each query string is scanned and base64-decoded in the same loop
-// (quotedBase64), over one 256-entry table, straight into that array.
+// (quotedBase64), over one 256-entry table, straight into that array. On
+// the serving path the array and the query headers are a pooled batchArena,
+// so a batch that decodes and answers allocates neither.
 //
 // A single-query body (decodeQuery; FuzzQueryDecode) and a registration
 // body (decodeRegister; FuzzRegisterDecode) take the same path through the
@@ -53,19 +55,29 @@ const maxPooledBody = 1 << 20
 // body and batch caps. Over the batch cap only the query count is taken —
 // by the one-pass decoder, or by declinedCount for a body it declines — with
 // nothing decoded or allocated. ok=false means the response was written.
-func (s *Server) decodeBatchBody(w http.ResponseWriter, r *http.Request) (req BatchRequest, ok bool) {
+//
+// A body the one-pass decoder takes is decoded into a pooled arena, which
+// comes back with the request: the queries live in it, and the caller hands
+// it back with release once nothing reads them. A declined body is decoded
+// by the reference into memory of its own, and arena is nil.
+func (s *Server) decodeBatchBody(w http.ResponseWriter, r *http.Request) (req BatchRequest, arena *batchArena, ok bool) {
 	buf, readErr := s.readBody(w, r)
 	defer putBody(buf)
 	max := s.env.limits.MaxBatchQueries
 	n, fast := 0, false
 	if readErr == nil {
-		if req, n, fast = decodeBatch(buf.Bytes(), max); !fast {
+		arena = arenaPool.Get().(*batchArena)
+		if req, n, fast = arena.decode(buf.Bytes(), max); !fast {
 			n = declinedCount(buf.Bytes(), max)
+		}
+		if !fast || n > max {
+			arena.release()
+			arena = nil
 		}
 	}
 	if !fast && n <= max {
 		if !s.decodeJSON(w, r, &replay{b: buf.Bytes(), err: readErr}, &req) {
-			return req, false
+			return req, nil, false
 		}
 		n = len(req.Queries)
 	}
@@ -75,9 +87,9 @@ func (s *Server) decodeBatchBody(w http.ResponseWriter, r *http.Request) (req Ba
 		s.env.note(r, rejectedBatch413)
 		writeError(w, r, http.StatusRequestEntityTooLarge,
 			"batch of %d queries exceeds the %d-query limit", n, max)
-		return req, false
+		return req, nil, false
 	}
-	return req, true
+	return req, arena, true
 }
 
 // decodeOnePass reads one request body under the envelope's byte cap and
@@ -182,14 +194,50 @@ func (p *replay) Read(dst []byte) (int, error) {
 	return n, nil
 }
 
-// decodeBatch is the one-pass decoder. ok=false declines the body. n is
-// the number of queries it carries; when n > max nothing was decoded and
-// req is empty.
-//
-// The decoded queries share one backing array allocated here and never
-// pooled: a deadline-abandoned worker or a cache fill may still read them
-// after the handler has returned.
+// decodeBatch is the one-pass decoder over an arena of its own, which the
+// collector reclaims with the request. The serving path decodes into a
+// pooled arena instead (decodeBatchBody).
 func decodeBatch(body []byte, max int) (req BatchRequest, n int, ok bool) {
+	var a batchArena
+	return a.decode(body, max)
+}
+
+// batchArena holds one decoded batch: its query headers, and the decoded
+// bytes of every query back to back, each query a slice of them capped at
+// its own length.
+//
+// A pooled arena belongs to one request, from decodeBatchBody until
+// handleQueryBatch releases it once the ask has returned: nothing reads the
+// queries after that, since every dataset's AskBatch joins its workers
+// before it returns and the answer cache copies a query's bytes into its
+// key. The one exception is a batch the deadline guard abandoned
+// (store.AskBatchOrAbandon): its worker still reads the queries, so its
+// arena is never released and is left to the collector. The body buffer is
+// never an arena: the queries are decoded out of it, so it goes back to
+// bodyPool as soon as the request is decoded.
+type batchArena struct {
+	heads   [][]byte
+	data    []byte
+	dataset string // the dataset id decoded last, kept while bodies repeat it
+}
+
+var arenaPool = sync.Pool{New: func() any { return new(batchArena) }}
+
+// release hands a back to arenaPool; a nil arena (the body was declined) is
+// nothing to hand back. Like a body buffer, an arena grown past
+// maxPooledBody, or past the default batch cap's headers, is left to the
+// collector.
+func (a *batchArena) release() {
+	if a != nil && cap(a.data) <= maxPooledBody && cap(a.heads) <= DefaultMaxBatchQueries {
+		arenaPool.Put(a)
+	}
+}
+
+// decode is the one-pass decoder. ok=false declines the body. n is the
+// number of queries it carries; when n > max nothing was decoded and req is
+// empty. The queries are decoded into a, which is grown to fit, and stay
+// valid until a decodes another body.
+func (a *batchArena) decode(body []byte, max int) (req BatchRequest, n int, ok bool) {
 	// A body has at most one query per comma, plus one. Only a body that
 	// could exceed the cap pays for a second walk: the first counts and
 	// validates, decoding every query over one scratch buffer, so a refusal
@@ -204,11 +252,18 @@ func decodeBatch(body []byte, max int) (req BatchRequest, n int, ok bool) {
 			return BatchRequest{}, n, true
 		}
 	}
-	w := wireWalk{b: body, keep: true, bound: n,
-		dst: make([]byte, base64.StdEncoding.DecodedLen(len(body)))}
+	if need := base64.StdEncoding.DecodedLen(len(body)); cap(a.data) < need {
+		a.data = make([]byte, need)
+	}
+	if a.heads == nil || cap(a.heads) < n {
+		// Non-nil even for n = 0: [] is an empty slice to the reference.
+		a.heads = make([][]byte, 0, n)
+	}
+	w := wireWalk{b: body, keep: true, heads: a.heads, dst: a.data[:cap(a.data)], last: a.dataset}
 	if !w.batch() {
 		return BatchRequest{}, 0, false
 	}
+	a.dataset = w.req.Dataset
 	return w.req, w.n, true
 }
 
@@ -219,11 +274,12 @@ type wireWalk struct {
 	i int
 
 	req   BatchRequest
-	n     int    // queries seen
-	keep  bool   // false: count and validate only
-	bound int    // keep: at least the number of queries in b
-	dst   []byte // keep: every query back to back; else: one query's scratch
-	off   int    // bytes of dst handed out
+	n     int      // queries seen
+	keep  bool     // false: count and validate only
+	heads [][]byte // keep: room for a header per query in b
+	dst   []byte   // keep: every query back to back; else: one query's scratch
+	off   int      // bytes of dst handed out
+	last  string   // the arena's last dataset id, reused when b repeats it
 }
 
 // ws skips JSON whitespace and returns the byte at the cursor (0 at the
@@ -443,7 +499,10 @@ func (w *wireWalk) batch() bool {
 			if !ok || seenDataset {
 				return false
 			}
-			seenDataset, w.req.Dataset = true, string(v)
+			seenDataset, w.req.Dataset = true, w.last
+			if string(v) != w.last {
+				w.req.Dataset = string(v)
+			}
 		case "queries":
 			if seenQueries || !w.queries() {
 				return false
@@ -552,7 +611,7 @@ func (w *wireWalk) queries() bool {
 	}
 	w.i++
 	if w.keep {
-		w.req.Queries = make([][]byte, 0, w.bound)
+		w.req.Queries = w.heads[:0]
 	}
 	if w.ws() == ']' {
 		w.i++
@@ -568,8 +627,8 @@ func (w *wireWalk) queries() bool {
 	}
 }
 
-// query reads one query: decoded into the shared backing array when the
-// walk keeps them, else read and checked over one scratch buffer.
+// query reads one query: decoded into the arena when the walk keeps them,
+// else read and checked over one scratch buffer.
 func (w *wireWalk) query() bool {
 	w.n++
 	if w.keep {

@@ -4,9 +4,10 @@ package server
 // is the reference: FuzzBatchDecode holds decodeBatch to "decline, or agree
 // exactly", TestBatchErrorBodiesUnchanged holds the HTTP face of every
 // malformed body to the bytes the reference handler prologue writes, and
-// the over-limit and aliasing tests pin the two resource properties the
-// decoder adds (a refused batch is never allocated; decoded queries never
-// live in pooled memory).
+// the over-limit and aliasing tests pin the resource properties the decoder
+// adds (a refused batch is never allocated; decoded queries never live in
+// the pooled body buffer, and the pooled arena they do live in is never
+// recycled under a worker that still reads it).
 
 import (
 	"bytes"
@@ -19,6 +20,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -459,6 +461,131 @@ func TestBatchQueriesNeverAliasPooledBody(t *testing.T) {
 	}
 }
 
+// TestAbandonedBatchKeepsItsArena: a served batch's queries live in a
+// pooled arena, and a batch abandoned at its deadline must keep its arena
+// out of the pool while its workers still read it. The abandoned batch's
+// workers park inside the scheme's Answer; later batches of the same shape
+// then run until at least two of them have decoded into an arena an earlier
+// batch handed back. The scheme keeps a pointer to every query it is asked,
+// which also keeps every arena alive, so a repeated address is a recycled
+// arena and never a reallocation — and none may be a parked query's. The
+// parked workers are released and must read exactly their own queries. Run
+// under -race: an arena recycled while it is read is also a data race with
+// the next batch's decode.
+func TestAbandonedBatchKeepsItsArena(t *testing.T) {
+	const workers = 4
+	var (
+		gate     = make(chan struct{})
+		entered  atomic.Int32
+		mu       sync.Mutex
+		parkedAt = map[*byte]bool{} // the parked batch's queries
+		askedAt  = map[*byte]bool{} // every later batch's queries
+		firsts   []*byte            // each later batch's first query, in order
+		seen     []string
+	)
+	cat := Catalog()
+	cat["test/park"] = &core.Scheme{
+		SchemeName: "test/park",
+		Preprocess: func(d []byte) ([]byte, error) { return d, nil },
+		Prepare: core.ProbeInPlace(func(_, q []byte) (bool, error) {
+			if len(q) == 0 {
+				return false, nil
+			}
+			if q[0] != 'A' {
+				mu.Lock()
+				askedAt[&q[0]] = true
+				if bytes.HasPrefix(q, []byte("B-query-000")) {
+					firsts = append(firsts, &q[0])
+				}
+				mu.Unlock()
+				return true, nil
+			}
+			mu.Lock()
+			parkedAt[&q[0]] = true
+			mu.Unlock()
+			entered.Add(1)
+			<-gate
+			mu.Lock()
+			seen = append(seen, string(q))
+			mu.Unlock()
+			return true, nil
+		}),
+	}
+	srv := New(store.NewRegistry(""), cat)
+	srv.SetLimits(Limits{QueryBudget: 50 * time.Millisecond})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	if code := postJSON(t, ts.Client(), ts.URL+"/v1/datasets", RegisterRequest{ID: "p", Scheme: "test/park"}, nil); code != http.StatusOK {
+		t.Fatalf("register status %d", code)
+	}
+
+	query := func(prefix byte, i int) string {
+		return fmt.Sprintf("%c-query-%03d-%s", prefix, i, strings.Repeat("x", 40))
+	}
+	batch := func(prefix byte) string {
+		req := BatchRequest{Dataset: "p", Parallelism: workers}
+		for i := 0; i < workers; i++ {
+			req.Queries = append(req.Queries, []byte(query(prefix, i)))
+		}
+		body, _ := json.Marshal(req)
+		return string(body)
+	}
+	if status, body := postRaw(t, ts, "/v1/query/batch", batch('A')); status != http.StatusGatewayTimeout {
+		t.Fatalf("parked batch: %d %s, want 504", status, body)
+	}
+	if entered.Load() == 0 {
+		t.Fatal("the batch was abandoned before any worker took a query: nothing to observe")
+	}
+	recycled := 0
+	for i := 0; recycled < 2; i++ {
+		if i == 256 {
+			t.Fatalf("%d batches decoded into only %d recycled arenas", i, recycled)
+		}
+		if status, body := postRaw(t, ts, "/v1/query/batch", batch('B')); status != http.StatusOK {
+			t.Fatalf("batch %d: %d %s", i, status, body)
+		}
+		mu.Lock()
+		if n := len(firsts); n >= 2 && slices.Contains(firsts[:n-1], firsts[n-1]) {
+			recycled++
+		}
+		mu.Unlock()
+	}
+	mu.Lock()
+	for p := range parkedAt {
+		if askedAt[p] {
+			mu.Unlock()
+			t.Fatal("a later batch decoded into the abandoned batch's arena")
+		}
+	}
+	mu.Unlock()
+	// Workers that had not taken a query by the deadline saw the expired
+	// context and took none, so entered is final here.
+	close(gate)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		mu.Lock()
+		n := len(seen)
+		mu.Unlock()
+		if n == int(entered.Load()) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("abandoned workers reported %d of %d queries", n, entered.Load())
+		}
+	}
+	own := map[string]bool{}
+	for i := 0; i < workers; i++ {
+		own[query('A', i)] = true
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, q := range seen {
+		if !own[q] {
+			t.Fatalf("abandoned worker read %q: not one of its own queries", q)
+		}
+		delete(own, q)
+	}
+}
+
 // registerCanonical is a registration body in the shape json.Marshal
 // emits; AQID is the three bytes 1, 2, 3.
 const registerCanonical = `{"id":"k","scheme":"test/id","data":"AQID"}`
@@ -662,7 +789,9 @@ func TestRegisterDecodeTakesTheFastPath(t *testing.T) {
 // BenchmarkBatchDecode is the wire-decode layer's own number: the
 // reference decoder against the one-pass decoder on canonical bodies of
 // 16-byte queries, and of the node pairs closure_batch_cached sends — 2 to
-// 4 bytes, every one a padded quantum (run with -benchmem).
+// 4 bytes, every one a padded quantum (run with -benchmem). onepass decodes
+// into fresh memory each time; arena is the serving path, a pooled arena
+// taken and handed back, which allocates nothing once the pool is warm.
 func BenchmarkBatchDecode(b *testing.B) {
 	bodies := []struct {
 		name string
@@ -690,6 +819,17 @@ func BenchmarkBatchDecode(b *testing.B) {
 				if _, _, ok := decodeBatch(body, DefaultMaxBatchQueries); !ok {
 					b.Fatal("declined")
 				}
+			}
+		})
+		b.Run("arena/"+c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for b.Loop() {
+				a := arenaPool.Get().(*batchArena)
+				if _, _, ok := a.decode(body, DefaultMaxBatchQueries); !ok {
+					b.Fatal("declined")
+				}
+				a.release()
 			}
 		})
 	}

@@ -1033,7 +1033,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
-	req, ok := s.decodeBatchBody(w, r)
+	req, arena, ok := s.decodeBatchBody(w, r)
 	if !ok {
 		return
 	}
@@ -1041,9 +1041,16 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	if parallelism > maxBatchParallelism {
 		parallelism = maxBatchParallelism
 	}
-	s.serveAnswer(w, r, req.Dataset, len(req.Queries), true, func(ctx context.Context, ds store.Dataset) (store.Verdicts, error) {
-		return store.AskBatchWithin(ctx, ds, req.Queries, parallelism)
+	abandoned := false
+	s.serveAnswer(w, r, req.Dataset, len(req.Queries), true, func(ctx context.Context, ds store.Dataset) (vs store.Verdicts, err error) {
+		vs, abandoned, err = store.AskBatchOrAbandon(ctx, ds, req.Queries, parallelism)
+		return vs, err
 	})
+	// The queries live in arena. An abandoned worker still reads them, so
+	// its arena is never reused; otherwise nothing reads them any more.
+	if !abandoned {
+		arena.release()
+	}
 }
 
 // serveAnswer is the one path both answer endpoints take once the body is

@@ -60,11 +60,13 @@ func deadlineError(op, id string, ctx context.Context, err error) error {
 
 // guard runs ask on its own goroutine and abandons it at the deadline:
 // the zombie finishes (and is cancelled cooperatively at its next
-// context check) but its result is dropped.
-func guard[T any](ctx context.Context, op, id string, ask func() (T, error)) (T, error) {
+// context check) but its result is dropped. abandoned reports exactly that
+// case — guard returned while ask was still running — and is the one
+// signal that ask's arguments are still being read.
+func guard[T any](ctx context.Context, op, id string, ask func() (T, error)) (v T, abandoned bool, err error) {
 	var zero T
 	if err := ctx.Err(); err != nil {
-		return zero, &DeadlineError{Op: op, ID: id, Err: err}
+		return zero, false, &DeadlineError{Op: op, ID: id, Err: err}
 	}
 	type result struct {
 		v   T
@@ -77,9 +79,9 @@ func guard[T any](ctx context.Context, op, id string, ask func() (T, error)) (T,
 	}()
 	select {
 	case res := <-ch:
-		return res.v, deadlineError(op, id, ctx, res.err)
+		return res.v, false, deadlineError(op, id, ctx, res.err)
 	case <-ctx.Done():
-		return zero, &DeadlineError{Op: op, ID: id, Err: ctx.Err()}
+		return zero, true, &DeadlineError{Op: op, ID: id, Err: ctx.Err()}
 	}
 }
 
@@ -93,14 +95,27 @@ func AskWithin(ctx context.Context, ds Dataset, q []byte) (Verdict, error) {
 	if unarmed(ctx) {
 		return ds.Ask(context.Background(), q)
 	}
-	return guard(ctx, "answer", ds.DatasetID(), func() (Verdict, error) { return ds.Ask(ctx, q) })
+	v, _, err := guard(ctx, "answer", ds.DatasetID(), func() (Verdict, error) { return ds.Ask(ctx, q) })
+	return v, err
 }
 
 // AskBatchWithin asks a batch within ctx's deadline. Without a deadline it
 // is exactly ds.AskBatch.
 func AskBatchWithin(ctx context.Context, ds Dataset, queries [][]byte, parallelism int) (Verdicts, error) {
+	vs, _, err := AskBatchOrAbandon(ctx, ds, queries, parallelism)
+	return vs, err
+}
+
+// AskBatchOrAbandon is AskBatchWithin for a caller that recycles the
+// memory of its queries. abandoned reports that the deadline guard gave up
+// on a batch still being answered: that worker goes on reading queries
+// after this returns, so their memory must not be reused. Otherwise
+// nothing reads them any more — every dataset's AskBatch joins the workers
+// it starts before it returns.
+func AskBatchOrAbandon(ctx context.Context, ds Dataset, queries [][]byte, parallelism int) (vs Verdicts, abandoned bool, err error) {
 	if unarmed(ctx) {
-		return ds.AskBatch(context.Background(), queries, parallelism)
+		vs, err = ds.AskBatch(context.Background(), queries, parallelism)
+		return vs, false, err
 	}
 	return guard(ctx, "batch", ds.DatasetID(), func() (Verdicts, error) {
 		return ds.AskBatch(ctx, queries, parallelism)

@@ -107,3 +107,37 @@ func TestAnswerWithinAbandonsStalledAnswer(t *testing.T) {
 	}
 	close(gate) // let the zombie drain
 }
+
+// TestAskBatchOrAbandonReportsAbandonment pins the one signal a caller that
+// recycles its queries' memory reads: abandoned is true only when the guard
+// returned while the batch was still being answered — not for a batch
+// answered in time, armed or not, nor for one refused before it started.
+func TestAskBatchOrAbandonReportsAbandonment(t *testing.T) {
+	gate := make(chan struct{})
+	st := &Store{ID: "d", Scheme: stallScheme(gate), Prep: []byte{1}}
+	queries := [][]byte{[]byte("q"), []byte("r")}
+
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, abandoned, err := AskBatchOrAbandon(expired, st, queries, 2); abandoned || err == nil {
+		t.Fatalf("expired upfront: abandoned %v, err %v; want false and a DeadlineError", abandoned, err)
+	}
+
+	stalled, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	_, abandoned, err := AskBatchOrAbandon(stalled, st, queries, 2)
+	var de *DeadlineError
+	if !abandoned || !errors.As(err, &de) {
+		t.Fatalf("stalled batch: abandoned %v, err %v; want true and a DeadlineError", abandoned, err)
+	}
+	close(gate) // the zombie drains; every later ask answers at once
+
+	armed, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	for _, ctx := range []context.Context{context.Background(), armed} {
+		vs, abandoned, err := AskBatchOrAbandon(ctx, st, queries, 2)
+		if abandoned || err != nil || len(vs.Answers) != len(queries) {
+			t.Fatalf("answered batch: abandoned %v, err %v, %d answers", abandoned, err, len(vs.Answers))
+		}
+	}
+}
