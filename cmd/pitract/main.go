@@ -169,7 +169,7 @@ func cmdServe(args []string) int {
 	maxBodyBytes := fs.Int64("max-body-bytes", 0, "request-body byte cap; larger bodies get 413 (0 = the 64 MiB default)")
 	maxBatch := fs.Int("max-batch", 0, "queries per /v1/query/batch request; larger batches get 413 (0 = the 4096 default)")
 	registerBudget := fs.Duration("register-budget", 0, "wall budget per registration or PATCH, e.g. 30s; over-budget work is abandoned with 503 (0 = none)")
-	queryBudgetMs := fs.Int64("query-budget-ms", 0, "wall budget per query or batch in milliseconds; over-budget answers are abandoned with 504 (0 = none)")
+	queryBudgetMs := fs.Int64("query-budget-ms", 0, "wall budget per query or batch in milliseconds; an overrun gets 504 at most one probe late, with no work left running (0 = none)")
 	retryAfter := fs.Duration("retry-after", 0, "delay advertised in 429 Retry-After headers (0 = the 1s default)")
 	logLevel := fs.String("log-level", "info", "structured log level: debug, info, warn, or error (debug logs every request)")
 	logFormat := fs.String("log-format", "text", "structured log format on stderr: text or json")
@@ -420,7 +420,8 @@ serving:
   -retry-after), and -register-budget abandons registrations or PATCHes
   that outrun their wall budget with 503 and no catalog side effects.
   -query-budget-ms gives each query or batch its own deadline: an
-  overrun is abandoned with 504 and the worker never blocks the pool.
+  overrun gets 504 at most one probe late, and none of its work is left
+  running.
   Each dataset carries a health circuit breaker — repeated serve-path
   failures trip it open (fast 503 + Retry-After until a backoff-paced
   probe heals it; see GET /healthz), and corrupt snapshots and delta

@@ -92,8 +92,10 @@ const answerChunk = 64
 // Workers claim the batch in increasing chunks and finish every chunk they
 // claim unless one of its own queries fails, so every index below a failure
 // has been answered (or has failed) by the time the pool drains: the error
-// reported is the lowest failing index, whatever the interleaving. The
-// calling goroutine is worker 0.
+// reported is the lowest failing index, whatever the interleaving. A probe
+// that panics fails its query ("… batch query <i>: panicked: …"), never the
+// process. The calling goroutine is worker 0, and the pool joins every
+// worker before it returns.
 func answerPool[T any](kind, label string, answer func(q []byte) (T, error), queries [][]byte, parallelism int) ([]T, error) {
 	results := make([]T, len(queries))
 	if parallelism <= 0 {
@@ -103,19 +105,7 @@ func answerPool[T any](kind, label string, answer func(q []byte) (T, error), que
 	if len(queries) > 0 {
 		chunk = min(answerChunk, (len(queries)+parallelism-1)/parallelism)
 	}
-	if chunks := (len(queries) + chunk - 1) / chunk; parallelism > chunks {
-		parallelism = chunks
-	}
-	if parallelism <= 1 {
-		for i, q := range queries {
-			got, err := answer(q)
-			if err != nil {
-				return nil, fmt.Errorf("%s %s: batch query %d: %w", kind, label, i, err)
-			}
-			results[i] = got
-		}
-		return results, nil
-	}
+	parallelism = max(1, min(parallelism, (len(queries)+chunk-1)/chunk))
 
 	type failure struct {
 		i   int
@@ -129,12 +119,19 @@ func answerPool[T any](kind, label string, answer func(q []byte) (T, error), que
 		fails = make([]failure, parallelism)
 	)
 	work := func(w int) {
+		i := 0 // the query being probed, which a panic fails
+		defer func() {
+			if p := recover(); p != nil {
+				fails[w] = failure{i, fmt.Errorf("panicked: %v", p)}
+				failed.Store(true)
+			}
+		}()
 		for !failed.Load() {
 			lo := int(next.Add(int64(chunk))) - chunk
 			if lo >= len(queries) {
 				return
 			}
-			for i := lo; i < min(lo+chunk, len(queries)); i++ {
+			for i = lo; i < min(lo+chunk, len(queries)); i++ {
 				got, err := answer(queries[i])
 				if err != nil {
 					fails[w] = failure{i, err}

@@ -315,3 +315,45 @@ func TestAnswerPoolSpreadsSmallBatches(t *testing.T) {
 		}
 	}
 }
+
+// TestAnswerPoolRecoversPanics pins that a probe's panic fails its query,
+// not the process: the batch reports "batch query i: panicked: …" at the
+// lowest failing index, whether the lowest is the panic or an error, and no
+// probe is still running once the pool has returned.
+func TestAnswerPoolRecoversPanics(t *testing.T) {
+	queries := make([][]byte, 300)
+	for i := range queries {
+		queries[i] = EncodeUint64(uint64(i))
+	}
+	for _, par := range []int{1, 4} {
+		for _, tc := range []struct {
+			panics, fails int
+			want          string
+		}{
+			{130, -1, "batch query 130: panicked: planted 130"},
+			{0, 299, "batch query 0: panicked: planted 0"},
+			{200, 65, "batch query 65: failed 65"},
+			{65, 200, "batch query 65: panicked: planted 65"},
+		} {
+			var running atomic.Int64
+			got, err := AnswerBatchPrepared(nil, "test/pool", AnswererFunc(func(q []byte) (bool, error) {
+				running.Add(1)
+				defer running.Add(-1)
+				vs, _ := DecodeUint64(q, 1)
+				switch int(vs[0]) {
+				case tc.panics:
+					panic(fmt.Sprintf("planted %d", vs[0]))
+				case tc.fails:
+					return false, fmt.Errorf("failed %d", vs[0])
+				}
+				return true, nil
+			}), queries, par)
+			if want := "scheme test/pool: " + tc.want; got != nil || err == nil || err.Error() != want {
+				t.Fatalf("par %d, panic at %d, error at %d: %d results, err %v; want %q", par, tc.panics, tc.fails, len(got), err, want)
+			}
+			if n := running.Load(); n != 0 {
+				t.Fatalf("par %d: %d probes still running after the pool returned", par, n)
+			}
+		}
+	}
+}

@@ -208,13 +208,11 @@ func decodeBatch(body []byte, max int) (req BatchRequest, n int, ok bool) {
 //
 // A pooled arena belongs to one request, from decodeBatchBody until
 // handleQueryBatch releases it once the ask has returned: nothing reads the
-// queries after that, since every dataset's AskBatch joins its workers
-// before it returns and the answer cache copies a query's bytes into its
-// key. The one exception is a batch the deadline guard abandoned
-// (store.AskBatchOrAbandon): its worker still reads the queries, so its
-// arena is never released and is left to the collector. The body buffer is
-// never an arena: the queries are decoded out of it, so it goes back to
-// bodyPool as soon as the request is decoded.
+// queries after that, since the ask runs on the request's goroutine, every
+// dataset's AskBatch joins its workers before it returns, and the answer
+// cache copies a query's bytes into its key. The body buffer is never an
+// arena: the queries are decoded out of it, so it goes back to bodyPool as
+// soon as the request is decoded.
 type batchArena struct {
 	heads   [][]byte
 	data    []byte
@@ -571,8 +569,7 @@ func decodeRegisterParts(body []byte, k int) (req RegisterRequest, ok bool) {
 //
 // declined on the terms a batch body is. The query is decoded by the batch
 // queries' kernel into an allocation of its own, never the pooled body:
-// under a query budget the deadline guard's goroutine may still read it
-// after the handler has returned.
+// the body goes back to the pool before the ask.
 func decodeQuery(body []byte) (req QueryRequest, ok bool) {
 	w := wireWalk{b: body}
 	var seenDataset, seenQuery bool

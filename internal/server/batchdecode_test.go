@@ -20,12 +20,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"pitract/internal/core"
 	"pitract/internal/schemes"
@@ -370,219 +366,6 @@ func TestOverLimitBatchRefusedBeforeAllocation(t *testing.T) {
 	body := []byte(overLimitBody(50000))
 	if n := testing.AllocsPerRun(20, func() { decodeBatch(body, 4) }); n > 2 {
 		t.Fatalf("count-only walk of 50000 elements: %.0f allocations", n)
-	}
-}
-
-// TestBatchQueriesNeverAliasPooledBody: a batch abandoned at its deadline
-// leaves a worker that still reads its queries after the handler has
-// returned and the body buffer has gone back to the pool. The worker parks
-// inside the scheme's Answer; 64 further batches then cycle the pool; the
-// parked worker is released and must read exactly the bytes it was sent.
-// Run under -race: a query aliasing pooled memory is also a data race with
-// the next request's body read.
-func TestBatchQueriesNeverAliasPooledBody(t *testing.T) {
-	const workers = 4
-	var (
-		gate    = make(chan struct{})
-		entered atomic.Int32
-		mu      sync.Mutex
-		seen    []string
-	)
-	cat := Catalog()
-	cat["test/park"] = &core.Scheme{
-		SchemeName: "test/park",
-		Preprocess: func(d []byte) ([]byte, error) { return d, nil },
-		Prepare: core.ProbeInPlace(func(_, q []byte) (bool, error) {
-			if len(q) > 0 && q[0] == 'A' {
-				entered.Add(1)
-				<-gate
-				mu.Lock()
-				seen = append(seen, string(q))
-				mu.Unlock()
-			}
-			return true, nil
-		}),
-	}
-	srv := New(store.NewRegistry(""), cat)
-	srv.SetLimits(Limits{QueryBudget: 50 * time.Millisecond})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	if code := postJSON(t, ts.Client(), ts.URL+"/v1/datasets", RegisterRequest{ID: "p", Scheme: "test/park"}, nil); code != http.StatusOK {
-		t.Fatalf("register status %d", code)
-	}
-
-	query := func(prefix byte, i int) string {
-		return fmt.Sprintf("%c-query-%03d-%s", prefix, i, strings.Repeat("x", 40))
-	}
-	batch := func(prefix byte) string {
-		req := BatchRequest{Dataset: "p", Parallelism: workers}
-		for i := 0; i < workers; i++ {
-			req.Queries = append(req.Queries, []byte(query(prefix, i)))
-		}
-		body, _ := json.Marshal(req)
-		return string(body)
-	}
-	if status, body := postRaw(t, ts, "/v1/query/batch", batch('A')); status != http.StatusGatewayTimeout {
-		t.Fatalf("parked batch: %d %s, want 504", status, body)
-	}
-	if entered.Load() == 0 {
-		t.Fatal("the batch was abandoned before any worker took a query: nothing to observe")
-	}
-	for i := 0; i < 64; i++ {
-		if status, body := postRaw(t, ts, "/v1/query/batch", batch('B')); status != http.StatusOK {
-			t.Fatalf("batch %d: %d %s", i, status, body)
-		}
-	}
-	// Workers that had not taken a query by the deadline saw the expired
-	// context and took none, so entered is final here.
-	close(gate)
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		mu.Lock()
-		n := len(seen)
-		mu.Unlock()
-		if n == int(entered.Load()) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("abandoned workers reported %d of %d queries", n, entered.Load())
-		}
-	}
-	own := map[string]bool{}
-	for i := 0; i < workers; i++ {
-		own[query('A', i)] = true
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for _, q := range seen {
-		if !own[q] {
-			t.Fatalf("abandoned worker read %q: not one of its own queries", q)
-		}
-		delete(own, q)
-	}
-}
-
-// TestAbandonedBatchKeepsItsArena: a served batch's queries live in a
-// pooled arena, and a batch abandoned at its deadline must keep its arena
-// out of the pool while its workers still read it. The abandoned batch's
-// workers park inside the scheme's Answer; later batches of the same shape
-// then run until at least two of them have decoded into an arena an earlier
-// batch handed back. The scheme keeps a pointer to every query it is asked,
-// which also keeps every arena alive, so a repeated address is a recycled
-// arena and never a reallocation — and none may be a parked query's. The
-// parked workers are released and must read exactly their own queries. Run
-// under -race: an arena recycled while it is read is also a data race with
-// the next batch's decode.
-func TestAbandonedBatchKeepsItsArena(t *testing.T) {
-	const workers = 4
-	var (
-		gate     = make(chan struct{})
-		entered  atomic.Int32
-		mu       sync.Mutex
-		parkedAt = map[*byte]bool{} // the parked batch's queries
-		askedAt  = map[*byte]bool{} // every later batch's queries
-		firsts   []*byte            // each later batch's first query, in order
-		seen     []string
-	)
-	cat := Catalog()
-	cat["test/park"] = &core.Scheme{
-		SchemeName: "test/park",
-		Preprocess: func(d []byte) ([]byte, error) { return d, nil },
-		Prepare: core.ProbeInPlace(func(_, q []byte) (bool, error) {
-			if len(q) == 0 {
-				return false, nil
-			}
-			if q[0] != 'A' {
-				mu.Lock()
-				askedAt[&q[0]] = true
-				if bytes.HasPrefix(q, []byte("B-query-000")) {
-					firsts = append(firsts, &q[0])
-				}
-				mu.Unlock()
-				return true, nil
-			}
-			mu.Lock()
-			parkedAt[&q[0]] = true
-			mu.Unlock()
-			entered.Add(1)
-			<-gate
-			mu.Lock()
-			seen = append(seen, string(q))
-			mu.Unlock()
-			return true, nil
-		}),
-	}
-	srv := New(store.NewRegistry(""), cat)
-	srv.SetLimits(Limits{QueryBudget: 50 * time.Millisecond})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	if code := postJSON(t, ts.Client(), ts.URL+"/v1/datasets", RegisterRequest{ID: "p", Scheme: "test/park"}, nil); code != http.StatusOK {
-		t.Fatalf("register status %d", code)
-	}
-
-	query := func(prefix byte, i int) string {
-		return fmt.Sprintf("%c-query-%03d-%s", prefix, i, strings.Repeat("x", 40))
-	}
-	batch := func(prefix byte) string {
-		req := BatchRequest{Dataset: "p", Parallelism: workers}
-		for i := 0; i < workers; i++ {
-			req.Queries = append(req.Queries, []byte(query(prefix, i)))
-		}
-		body, _ := json.Marshal(req)
-		return string(body)
-	}
-	if status, body := postRaw(t, ts, "/v1/query/batch", batch('A')); status != http.StatusGatewayTimeout {
-		t.Fatalf("parked batch: %d %s, want 504", status, body)
-	}
-	if entered.Load() == 0 {
-		t.Fatal("the batch was abandoned before any worker took a query: nothing to observe")
-	}
-	recycled := 0
-	for i := 0; recycled < 2; i++ {
-		if i == 256 {
-			t.Fatalf("%d batches decoded into only %d recycled arenas", i, recycled)
-		}
-		if status, body := postRaw(t, ts, "/v1/query/batch", batch('B')); status != http.StatusOK {
-			t.Fatalf("batch %d: %d %s", i, status, body)
-		}
-		mu.Lock()
-		if n := len(firsts); n >= 2 && slices.Contains(firsts[:n-1], firsts[n-1]) {
-			recycled++
-		}
-		mu.Unlock()
-	}
-	mu.Lock()
-	for p := range parkedAt {
-		if askedAt[p] {
-			mu.Unlock()
-			t.Fatal("a later batch decoded into the abandoned batch's arena")
-		}
-	}
-	mu.Unlock()
-	// Workers that had not taken a query by the deadline saw the expired
-	// context and took none, so entered is final here.
-	close(gate)
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		mu.Lock()
-		n := len(seen)
-		mu.Unlock()
-		if n == int(entered.Load()) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("abandoned workers reported %d of %d queries", n, entered.Load())
-		}
-	}
-	own := map[string]bool{}
-	for i := 0; i < workers; i++ {
-		own[query('A', i)] = true
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for _, q := range seen {
-		if !own[q] {
-			t.Fatalf("abandoned worker read %q: not one of its own queries", q)
-		}
-		delete(own, q)
 	}
 }
 

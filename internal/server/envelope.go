@@ -85,10 +85,10 @@ type Limits struct {
 	// lockstep. 0 selects DefaultRetryAfter.
 	RetryAfter time.Duration
 	// QueryBudget bounds the wall time of one query or batch: the
-	// request context's deadline is threaded through the store answer
-	// path (and the sharded fan-out), and work that outruns it is
-	// abandoned with 504 — the worker's result is dropped, never left
-	// holding the pool. 0 = no budget.
+	// request context's deadline is checked before every probe, on the
+	// request's own goroutine and its batch workers, so an overrun is
+	// answered 504 at most one probe late and none of its work is left
+	// running past the response. 0 = no budget.
 	QueryBudget time.Duration
 }
 
@@ -141,7 +141,7 @@ type Rejections struct {
 	// BudgetExceeded counts registrations and PATCHes abandoned with 503
 	// after outrunning RegisterBudget.
 	BudgetExceeded int64 `json:"budget_exceeded"`
-	// Deadline504 counts queries and batches abandoned with 504 after
+	// Deadline504 counts queries and batches answered 504 after
 	// outrunning QueryBudget.
 	Deadline504 int64 `json:"deadline_504"`
 	// Breaker503 counts requests refused fast because the dataset's

@@ -9,10 +9,13 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -52,9 +55,8 @@ func TestRetryAfterJitterBounds(t *testing.T) {
 // with an overall status — every dataset healthy, then one tripped open by
 // deadline 504s beside datasets that stay healthy.
 func TestHealthzHealthMap(t *testing.T) {
-	gate := make(chan struct{})
 	catalog := Catalog()
-	for name, sch := range stallCatalog(gate) {
+	for name, sch := range newSlowAnswerer(100 * time.Millisecond).catalog() {
 		catalog[name] = sch
 	}
 	srv := New(store.NewRegistry(""), catalog)
@@ -64,7 +66,6 @@ func TestHealthzHealthMap(t *testing.T) {
 	srv.SetLimits(Limits{QueryBudget: 20 * time.Millisecond})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	defer close(gate) // runs before the server closes: the abandoned answerers drain
 	client := ts.Client()
 
 	for _, id := range []string{"m", "m2"} {
@@ -118,12 +119,12 @@ func TestHealthzHealthMap(t *testing.T) {
 	// Two answers that outrun the query budget trip one dataset open: the
 	// node reads unhealthy and the map names that dataset alone.
 	if code := postJSON(t, client, ts.URL+"/v1/datasets", RegisterRequest{
-		ID: "s", Scheme: "test/stall", Data: []byte{1},
+		ID: "s", Scheme: "test/slow", Data: []byte{1},
 	}, nil); code != http.StatusOK {
 		t.Fatalf("register s status %d", code)
 	}
 	for i := 0; i < 2; i++ {
-		if code := postJSON(t, client, ts.URL+"/v1/query", QueryRequest{Dataset: "s", Query: []byte{2}}, nil); code != http.StatusGatewayTimeout {
+		if code := postJSON(t, client, ts.URL+"/v1/query", QueryRequest{Dataset: "s", Query: []byte("block")}, nil); code != http.StatusGatewayTimeout {
 			t.Fatalf("stalled query %d got status %d, want 504", i, code)
 		}
 	}
@@ -136,30 +137,45 @@ func TestHealthzHealthMap(t *testing.T) {
 	}
 }
 
-// stallCatalog returns a catalog with one scheme whose every answer blocks
-// until gate is closed — an answerer stalled past any query budget.
-// Verdict: first query byte is even.
-func stallCatalog(gate <-chan struct{}) map[string]*core.Scheme {
+// slowAnswerer backs the scheme test/slow, whose probe of the query
+// "block" sleeps for stall until fast is set: an answerer that outruns a
+// query budget by a bounded time, so every request it serves ends. Every
+// other query answers at once. Verdict: true. blocked counts the probes of
+// "block".
+type slowAnswerer struct {
+	stall   time.Duration
+	fast    atomic.Bool
+	blocked atomic.Int64
+}
+
+func newSlowAnswerer(stall time.Duration) *slowAnswerer { return &slowAnswerer{stall: stall} }
+
+func (a *slowAnswerer) catalog() map[string]*core.Scheme {
 	sch := &core.Scheme{
-		SchemeName: "test/stall",
+		SchemeName: "test/slow",
 		Preprocess: func(d []byte) ([]byte, error) { return d, nil },
 		Prepare: core.ProbeInPlace(func(pd, q []byte) (bool, error) {
-			<-gate
-			return len(q) > 0 && q[0]%2 == 0, nil
+			if string(q) == "block" {
+				a.blocked.Add(1)
+				if !a.fast.Load() {
+					time.Sleep(a.stall)
+				}
+			}
+			return true, nil
 		}),
 	}
 	return map[string]*core.Scheme{sch.SchemeName: sch}
 }
 
 // TestBreakerTripsRefusesAndHeals walks the full breaker cycle over
-// HTTP: repeated 504s (an answerer stalled past the query budget) trip
+// HTTP: repeated 504s (an answerer slower than the query budget) trip
 // the dataset open, an open breaker refuses fast with 503 + Retry-After
-// and turns /healthz unhealthy, and — once the stall clears — the first
-// admitted request past the backoff probes the exact path and closes the
-// breaker without any re-registration.
+// and turns /healthz unhealthy, and — once the answerer is fast again —
+// the first admitted request past the backoff probes the exact path and
+// closes the breaker without any re-registration.
 func TestBreakerTripsRefusesAndHeals(t *testing.T) {
-	gate := make(chan struct{})
-	srv := New(store.NewRegistry(""), stallCatalog(gate))
+	slow := newSlowAnswerer(100 * time.Millisecond)
+	srv := New(store.NewRegistry(""), slow.catalog())
 	srv.Registry().SetBreakerConfig(store.BreakerConfig{
 		Window: time.Second, DegradedAfter: 2, OpenAfter: 3,
 		Backoff: 200 * time.Millisecond, MaxBackoff: 800 * time.Millisecond,
@@ -167,13 +183,10 @@ func TestBreakerTripsRefusesAndHeals(t *testing.T) {
 	srv.SetLimits(Limits{QueryBudget: 20 * time.Millisecond})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	// Runs before ts.Close: the abandoned answerers drain.
-	release := sync.OnceFunc(func() { close(gate) })
-	defer release()
 	client := ts.Client()
 
 	if code := postJSON(t, client, ts.URL+"/v1/datasets", RegisterRequest{
-		ID: "d", Scheme: "test/stall", Data: []byte{1},
+		ID: "d", Scheme: "test/slow", Data: []byte{1},
 	}, nil); code != http.StatusOK {
 		t.Fatalf("register status %d", code)
 	}
@@ -183,15 +196,15 @@ func TestBreakerTripsRefusesAndHeals(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		var e errorResponse
 		if code := postJSON(t, client, ts.URL+"/v1/query", QueryRequest{
-			Dataset: "d", Query: []byte{2},
+			Dataset: "d", Query: []byte("block"),
 		}, &e); code != http.StatusGatewayTimeout {
-			t.Fatalf("query %d over a stalled answerer got status %d (%s), want 504", i, code, e.Error)
+			t.Fatalf("query %d over a slow answerer got status %d (%s), want 504", i, code, e.Error)
 		}
 	}
 
 	// Open: refused fast, Retry-After advertised, /healthz drains the node.
 	resp, err := client.Post(ts.URL+"/v1/query", "application/json",
-		strings.NewReader(`{"dataset":"d","query":"Ag=="}`))
+		strings.NewReader(`{"dataset":"d","query":"YmxvY2s="}`)) // "block"
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,16 +234,16 @@ func TestBreakerTripsRefusesAndHeals(t *testing.T) {
 		t.Fatalf("breaker_503 = %d, deadline_504 = %d; want 1, 3", st.Breaker503, st.Deadline504)
 	}
 
-	// Clear the stall and wait out the backoff: the next request is the
-	// half-open probe — it answers inside the budget now and closes the
+	// Make the answerer fast and wait out the backoff: the next request is
+	// the half-open probe — it answers inside the budget now and closes the
 	// breaker.
-	release()
+	slow.fast.Store(true)
 	time.Sleep(300 * time.Millisecond)
 	var qr QueryResponse
 	if code := postJSON(t, client, ts.URL+"/v1/query", QueryRequest{
-		Dataset: "d", Query: []byte{2},
+		Dataset: "d", Query: []byte("block"),
 	}, &qr); code != http.StatusOK {
-		t.Fatalf("probe after the stall cleared got status %d, want 200", code)
+		t.Fatalf("probe after the answerer turned fast got status %d, want 200", code)
 	}
 	if !qr.Answer {
 		t.Fatalf("probe answered %v, want true", qr.Answer)
@@ -306,17 +319,12 @@ func TestLabelsOverClosureCapAnswersWhileDegraded(t *testing.T) {
 
 // TestDegradedStateKeepsQueryBudget: every admitted ask runs under the
 // query budget, so a dataset whose breaker already reads degraded cannot
-// stall a request past -query-budget-ms — a query and a batch whose
-// answerer blocks come back 504 within the budget's bound.
+// answer a request inside -query-budget-ms — a query and a batch whose
+// answerer is slower than the budget come back 504 at most one probe late.
 func TestDegradedStateKeepsQueryBudget(t *testing.T) {
-	gate := make(chan struct{})
-	entered := make(chan struct{}, 4)
-	srv, ts := degradedServer(t, blockingCatalog(gate, entered), Limits{QueryBudget: 20 * time.Millisecond})
-	defer close(gate) // runs before the server closes: the abandoned answerers drain
-	// A request the budget does not bound would hang until the gate opens;
-	// the client gives up long before that.
+	srv, ts := degradedServer(t, newSlowAnswerer(100*time.Millisecond).catalog(), Limits{QueryBudget: 20 * time.Millisecond})
 	client := &http.Client{Timeout: 5 * time.Second}
-	degrade(t, srv, client, ts.URL, RegisterRequest{ID: "d", Scheme: "test/blocking", Data: []byte{1}})
+	degrade(t, srv, client, ts.URL, RegisterRequest{ID: "d", Scheme: "test/slow", Data: []byte{1}})
 
 	for name, send := range map[string]func(out interface{}) int{
 		"query": func(out interface{}) int {
@@ -339,15 +347,14 @@ func TestDegradedStateKeepsQueryBudget(t *testing.T) {
 }
 
 // TestQueryBudget504 pins the per-query deadline taxonomy: a query (and
-// a batch) that outruns QueryBudget is abandoned with a 504 naming the
+// a batch) that outruns QueryBudget is answered with a 504 naming the
 // budget, counted in the envelope stats, and the dataset keeps serving
 // in-budget queries afterwards. A deadline overrun is also a breaker
 // failure: two 504s degrade the dataset, a third opens it (fast 503 +
-// Retry-After), and once the stall clears the half-open probe heals it.
+// Retry-After), and once the answerer is fast the half-open probe heals it.
 func TestQueryBudget504(t *testing.T) {
-	gate := make(chan struct{})
-	entered := make(chan struct{}, 4)
-	srv := New(store.NewRegistry(""), blockingCatalog(gate, entered))
+	slow := newSlowAnswerer(150 * time.Millisecond)
+	srv := New(store.NewRegistry(""), slow.catalog())
 	srv.Registry().SetBreakerConfig(store.BreakerConfig{
 		DegradedAfter: 2, OpenAfter: 3, Backoff: 50 * time.Millisecond,
 	})
@@ -357,7 +364,7 @@ func TestQueryBudget504(t *testing.T) {
 	client := ts.Client()
 
 	if code := postJSON(t, client, ts.URL+"/v1/datasets", RegisterRequest{
-		ID: "d", Scheme: "test/blocking", Data: []byte{1},
+		ID: "d", Scheme: "test/slow", Data: []byte{1},
 	}, nil); code != http.StatusOK {
 		t.Fatalf("register status %d", code)
 	}
@@ -392,8 +399,8 @@ func TestQueryBudget504(t *testing.T) {
 		t.Fatalf("healthz after two 504s = status %d %+v, want 200 with dataset d degraded", code, hz)
 	}
 
-	// In-budget queries still serve: the deadline abandoned the stalled
-	// workers, it did not poison the dataset.
+	// In-budget queries still serve: the deadline failed the slow requests,
+	// it did not poison the dataset.
 	var qr QueryResponse
 	if code := postJSON(t, client, ts.URL+"/v1/query", QueryRequest{
 		Dataset: "d", Query: []byte("go"),
@@ -417,7 +424,7 @@ func TestQueryBudget504(t *testing.T) {
 		t.Fatalf("query after three 504s got status %d, Retry-After %q; want a 503 with Retry-After",
 			resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
-	if n := len(entered); n != 3 {
+	if n := slow.blocked.Load(); n != 3 {
 		t.Fatalf("%d queries entered the answerer, want 3: the open breaker let the refused one through", n)
 	}
 	if st := envStats(t, client, ts.URL); st.Deadline504 != 3 || st.Breaker503 != 1 {
@@ -427,17 +434,159 @@ func TestQueryBudget504(t *testing.T) {
 		t.Fatalf("healthz after three 504s = status %d %+v, want 503 with dataset d open", code, hz)
 	}
 
-	// Release the stall (draining the abandoned workers) and wait out the
-	// backoff: the query that used to overrun is the half-open probe.
-	close(gate)
-	for i := 0; i < 3; i++ {
-		<-entered
-	}
+	// Make the answerer fast and wait out the backoff: the query that used
+	// to overrun is the half-open probe.
+	slow.fast.Store(true)
 	time.Sleep(100 * time.Millisecond)
 	if code := postJSON(t, client, ts.URL+"/v1/query", stall, &qr); code != http.StatusOK || !qr.Answer {
 		t.Fatalf("probe after the stall cleared = status %d answer %v, want 200 true", code, qr.Answer)
 	}
 	if code := getJSON(t, client, ts.URL+"/healthz", &hz); code != http.StatusOK || hz.Health["d"] != "healthy" {
 		t.Fatalf("healthz after the probe = status %d %+v, want 200 and healthy", code, hz)
+	}
+}
+
+// countedProbes backs the scheme test/counted, whose every probe sleeps
+// 5ms while it counts the probes running at once (and their peak), and
+// whose probe of the query "panic" panics.
+type countedProbes struct{ running, peak atomic.Int64 }
+
+func (c *countedProbes) catalog() map[string]*core.Scheme {
+	sch := &core.Scheme{
+		SchemeName: "test/counted",
+		Preprocess: func(d []byte) ([]byte, error) { return d, nil },
+		Prepare: core.ProbeInPlace(func(_, q []byte) (bool, error) {
+			if string(q) == "panic" {
+				panic("planted panic")
+			}
+			n := c.running.Add(1)
+			defer c.running.Add(-1)
+			for p := c.peak.Load(); n > p && !c.peak.CompareAndSwap(p, n); p = c.peak.Load() {
+			}
+			time.Sleep(5 * time.Millisecond)
+			return true, nil
+		}),
+	}
+	return map[string]*core.Scheme{sch.SchemeName: sch}
+}
+
+// countedServer serves test/counted as dataset "d" under limits, with
+// breaker thresholds no test reaches. net/http's log of a recovered
+// handler panic is discarded.
+func countedServer(t *testing.T, c *countedProbes, limits Limits) *httptest.Server {
+	t.Helper()
+	srv := New(store.NewRegistry(""), c.catalog())
+	srv.Registry().SetBreakerConfig(store.BreakerConfig{Window: time.Minute, DegradedAfter: 1 << 30, OpenAfter: 1 << 30})
+	srv.SetLimits(limits)
+	ts := httptest.NewUnstartedServer(srv)
+	ts.Config.ErrorLog = log.New(io.Discard, "", 0)
+	ts.Start()
+	t.Cleanup(ts.Close)
+	if code := postJSON(t, ts.Client(), ts.URL+"/v1/datasets", RegisterRequest{ID: "d", Scheme: "test/counted"}, nil); code != http.StatusOK {
+		t.Fatalf("register status %d", code)
+	}
+	return ts
+}
+
+// TestAnswerWorkStaysWithinAdmission pins that -max-inflight bounds the
+// answer work running, not only the requests admitted: an ask runs on the
+// request that admitted it, so its 504 is written once its probe has
+// returned. Under a 1ms budget and 5ms probes, 16 clients sending single
+// queries and batches never have more than MaxInFlight probes running, and
+// in a sequential phase no probe is running when a 504 arrives. A single
+// query whose probe panics under the budget drops its own connection, and
+// the server answers the next query.
+func TestAnswerWorkStaysWithinAdmission(t *testing.T) {
+	var c countedProbes
+	ts := countedServer(t, &c, Limits{MaxInFlight: 2, QueryBudget: time.Millisecond})
+	client := ts.Client()
+	const (
+		single = `{"dataset":"d","query":"cQ=="}` // "q"
+		batch  = `{"dataset":"d","queries":["cQ==","cg==","cw=="],"parallelism":1}`
+	)
+	post := func(path, body string) (int, error) {
+		resp, err := client.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			return 0, err
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode, nil
+	}
+	ask := func(i int) (string, string) {
+		if i%2 == 0 {
+			return "/v1/query", single
+		}
+		return "/v1/query/batch", batch
+	}
+
+	var (
+		wg         sync.WaitGroup
+		overBudget atomic.Int64
+	)
+	for k := 0; k < 16; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				path, body := ask(k + i)
+				switch code, err := post(path, body); {
+				case err != nil:
+					t.Error(err)
+					return
+				case code == http.StatusGatewayTimeout:
+					overBudget.Add(1)
+				case code != http.StatusTooManyRequests:
+					t.Errorf("%s got status %d, want 504 or 429", path, code)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if p := c.peak.Load(); p > 2 {
+		t.Fatalf("%d probes ran at once under MaxInFlight 2: a 504 freed its slot while its work still ran", p)
+	}
+	if overBudget.Load() == 0 {
+		t.Fatal("no request was admitted: nothing to observe")
+	}
+
+	for i := 0; i < 6; i++ {
+		path, body := ask(i)
+		code, err := post(path, body)
+		if err != nil || code != http.StatusGatewayTimeout {
+			t.Fatalf("sequential %s: status %d, err %v; want 504", path, code, err)
+		}
+		if n := c.running.Load(); n != 0 {
+			t.Fatalf("sequential %s: %d probes still running when its 504 arrived", path, n)
+		}
+	}
+
+	if code, err := post("/v1/query", `{"dataset":"d","query":"cGFuaWM="}`); err == nil { // "panic"
+		t.Fatalf("a query whose probe panicked got status %d, want a dropped connection", code)
+	}
+	if code, err := post("/v1/query", single); err != nil || code != http.StatusGatewayTimeout {
+		t.Fatalf("query after a panicked probe: status %d, err %v; want 504", code, err)
+	}
+}
+
+// TestPanickingBatchProbeFailsTheBatch pins that a probe's panic in a batch
+// worker fails that batch, not the process: a parallelism-4 batch whose
+// every probe panics gets an error response naming its lowest query, and
+// the next batch is answered.
+func TestPanickingBatchProbeFailsTheBatch(t *testing.T) {
+	ts := countedServer(t, new(countedProbes), Limits{})
+	var e errorResponse
+	panics := []byte("panic")
+	if code := postJSON(t, ts.Client(), ts.URL+"/v1/query/batch", BatchRequest{
+		Dataset: "d", Queries: [][]byte{panics, panics, panics, panics}, Parallelism: 4,
+	}, &e); code != http.StatusUnprocessableEntity || !strings.Contains(e.Error, "batch query 0: panicked: planted panic") {
+		t.Fatalf("panicking batch got status %d (%s), want 422 naming query 0's panic", code, e.Error)
+	}
+	var br BatchResponse
+	if code := postJSON(t, ts.Client(), ts.URL+"/v1/query/batch", BatchRequest{
+		Dataset: "d", Queries: [][]byte{[]byte("q"), []byte("r")}, Parallelism: 4,
+	}, &br); code != http.StatusOK || len(br.Answers) != 2 {
+		t.Fatalf("batch after a panicked one got status %d, answers %v; want 200 with 2 answers", code, br.Answers)
 	}
 }

@@ -51,10 +51,10 @@
 // Retry-After, and registrations or delta batches that outrun their wall
 // budget are abandoned with 503 and no catalog side effects. Queries
 // carry their own deadline (Limits.QueryBudget, `pitract serve
-// -query-budget-ms`): an overrun is abandoned with 504. Each dataset is
-// fronted by a health circuit breaker — repeated serve-path failures trip
-// it open and further traffic is refused fast with 503 + Retry-After
-// until a backoff-paced probe succeeds. See docs/API.md for the full
+// -query-budget-ms`): an overrun gets 504 at most one probe late. Each
+// dataset is fronted by a health circuit breaker — repeated serve-path
+// failures trip it open and further traffic is refused fast with 503 +
+// Retry-After until a backoff-paced probe succeeds. See docs/API.md for the full
 // request/response reference and
 // docs/ARCHITECTURE.md for the fault-tolerance design.
 package server
@@ -261,11 +261,11 @@ var (
 	obsProbeLabel = obs.Stage(obs.StageProbeLabel)
 )
 
-// obsDeadlineExpired counts queries abandoned at the -query-budget-ms
+// obsDeadlineExpired counts queries that outran the -query-budget-ms
 // deadline; it feeds the breaker dashboards next to
 // pitract_breaker_trips_total.
 var obsDeadlineExpired = obs.Default.Counter("pitract_deadline_expired_total",
-	"Queries abandoned at the per-query deadline (HTTP 504).")
+	"Queries that outran the per-query deadline (HTTP 504).")
 
 // SetLogger installs a structured logger: one Debug line per request plus
 // Warn lines for requests past the slow-query threshold. nil (the default)
@@ -952,10 +952,10 @@ func (s *Server) workContext(r *http.Request) (context.Context, context.CancelFu
 }
 
 // queryContext derives the context one answer request runs under: the
-// request context (a disconnected client abandons its own query) bounded
+// request context (a disconnected client cancels its own query) bounded
 // by QueryBudget when one is configured. Without a budget it returns a
 // non-cancellable context, so AskWithin degenerates to the plain
-// answer call and the hot path stays guard-free.
+// answer call.
 func (s *Server) queryContext(r *http.Request) (context.Context, context.CancelFunc) {
 	if b := s.env.limits.QueryBudget; b > 0 {
 		return context.WithTimeout(r.Context(), b)
@@ -1041,16 +1041,12 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	if parallelism > maxBatchParallelism {
 		parallelism = maxBatchParallelism
 	}
-	abandoned := false
-	s.serveAnswer(w, r, req.Dataset, len(req.Queries), true, func(ctx context.Context, ds store.Dataset) (vs store.Verdicts, err error) {
-		vs, abandoned, err = store.AskBatchOrAbandon(ctx, ds, req.Queries, parallelism)
-		return vs, err
+	s.serveAnswer(w, r, req.Dataset, len(req.Queries), true, func(ctx context.Context, ds store.Dataset) (store.Verdicts, error) {
+		return store.AskBatchWithin(ctx, ds, req.Queries, parallelism)
 	})
-	// The queries live in arena. An abandoned worker still reads them, so
-	// its arena is never reused; otherwise nothing reads them any more.
-	if !abandoned {
-		arena.release()
-	}
+	// The queries live in arena, and nothing reads them once the ask has
+	// returned.
+	arena.release()
 }
 
 // serveAnswer is the one path both answer endpoints take once the body is

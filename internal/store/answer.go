@@ -3,11 +3,11 @@ package store
 // The answer seam. Every dataset — a Store, plain or sharded, and the cache
 // wrapper — answers through exactly two methods, Dataset.Ask and
 // Dataset.AskBatch, which take the caller's context as an argument and return the verdict(s) together with the maintenance version
-// they were computed at. Cancellation is cooperative (the context is
-// checked before every probe); AskWithin / AskBatchWithin add the hard
-// deadline guard on top, abandoning the worker goroutine at the deadline —
-// the result is dropped and the HTTP layer answers 504 immediately, so an
-// expired request is never left holding an envelope slot. AnswerWithin /
+// they were computed at. Cancellation is cooperative: the context is
+// checked before every probe, and every batch joins its workers before it
+// returns. AskWithin / AskBatchWithin run the ask on the caller's goroutine
+// and type an overrun as a DeadlineError, so an expired request returns at
+// most one probe late and leaves no work running. AnswerWithin /
 // AnswerBatchWithin are the faces that return bare verdicts.
 
 import (
@@ -46,80 +46,37 @@ func (e *DeadlineError) Error() string {
 
 func (e *DeadlineError) Unwrap() error { return e.Err }
 
-// deadlineError classifies err: a context-caused failure under an armed
-// ctx becomes a typed DeadlineError; anything else passes through.
-func deadlineError(op, id string, ctx context.Context, err error) error {
-	if err == nil {
-		return nil
+// deadlineError types the outcome of an ask of ds under ctx: an error
+// caused by ctx, or a verdict that finished after ctx expired, is a
+// DeadlineError; any other error passes through.
+func deadlineError(ctx context.Context, op string, ds Dataset, err error) error {
+	cerr := ctx.Err()
+	if cerr == nil || (err != nil && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled)) {
+		return err
 	}
-	if cerr := ctx.Err(); cerr != nil && (errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)) {
-		return &DeadlineError{Op: op, ID: id, Err: cerr}
-	}
-	return err
+	return &DeadlineError{Op: op, ID: ds.DatasetID(), Err: cerr}
 }
 
-// guard runs ask on its own goroutine and abandons it at the deadline:
-// the zombie finishes (and is cancelled cooperatively at its next
-// context check) but its result is dropped. abandoned reports exactly that
-// case — guard returned while ask was still running — and is the one
-// signal that ask's arguments are still being read.
-func guard[T any](ctx context.Context, op, id string, ask func() (T, error)) (v T, abandoned bool, err error) {
-	var zero T
-	if err := ctx.Err(); err != nil {
-		return zero, false, &DeadlineError{Op: op, ID: id, Err: err}
-	}
-	type result struct {
-		v   T
-		err error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		v, err := ask()
-		ch <- result{v, err}
-	}()
-	select {
-	case res := <-ch:
-		return res.v, false, deadlineError(op, id, ctx, res.err)
-	case <-ctx.Done():
-		return zero, true, &DeadlineError{Op: op, ID: id, Err: ctx.Err()}
-	}
-}
-
-// unarmed reports whether ctx can never expire — the zero-overhead path:
-// no guard goroutine, no channel, the dataset is asked directly.
-func unarmed(ctx context.Context) bool { return ctx == nil || ctx.Done() == nil }
-
-// AskWithin asks one query within ctx's deadline. Without a deadline (or
+// AskWithin asks one query within ctx's deadline, on the caller's
+// goroutine. A nil ctx is context.Background(); without a deadline (or
 // cancellation) it is exactly ds.Ask.
 func AskWithin(ctx context.Context, ds Dataset, q []byte) (Verdict, error) {
-	if unarmed(ctx) {
-		return ds.Ask(context.Background(), q)
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	v, _, err := guard(ctx, "answer", ds.DatasetID(), func() (Verdict, error) { return ds.Ask(ctx, q) })
-	return v, err
+	v, err := ds.Ask(ctx, q)
+	return v, deadlineError(ctx, "answer", ds, err)
 }
 
-// AskBatchWithin asks a batch within ctx's deadline. Without a deadline it
-// is exactly ds.AskBatch.
+// AskBatchWithin asks a batch within ctx's deadline, on the caller's
+// goroutine. A nil ctx is context.Background(); without a deadline it is
+// exactly ds.AskBatch.
 func AskBatchWithin(ctx context.Context, ds Dataset, queries [][]byte, parallelism int) (Verdicts, error) {
-	vs, _, err := AskBatchOrAbandon(ctx, ds, queries, parallelism)
-	return vs, err
-}
-
-// AskBatchOrAbandon is AskBatchWithin for a caller that recycles the
-// memory of its queries. abandoned reports that the deadline guard gave up
-// on a batch still being answered: that worker goes on reading queries
-// after this returns, so their memory must not be reused. Otherwise
-// nothing reads them any more — every dataset's AskBatch joins the workers
-// it starts before it returns.
-func AskBatchOrAbandon(ctx context.Context, ds Dataset, queries [][]byte, parallelism int) (vs Verdicts, abandoned bool, err error) {
-	if unarmed(ctx) {
-		vs, err = ds.AskBatch(context.Background(), queries, parallelism)
-		return vs, false, err
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	return guard(ctx, "batch", ds.DatasetID(), func() (Verdicts, error) {
-		return ds.AskBatch(ctx, queries, parallelism)
-	})
+	vs, err := ds.AskBatch(ctx, queries, parallelism)
+	return vs, deadlineError(ctx, "batch", ds, err)
 }
 
 // AnswerWithin answers one query within ctx's deadline. Without a

@@ -17,10 +17,10 @@ import (
 )
 
 // TestCachedBatchStopsProbingAfterDeadline pins that the cache wrapper
-// does not drop the context: a cached batch whose exact probes stall is
-// abandoned at the deadline AND stops probing — the miss sub-batch checks
-// ctx before every probe, so at most the probe already racing the expiry
-// still starts after the DeadlineError has been returned.
+// does not drop the context: a cached batch whose exact probes stall stops
+// at the deadline — the miss sub-batch checks ctx before every probe and
+// runs on the caller's goroutine, so no probe starts after the
+// DeadlineError has been returned.
 func TestCachedBatchStopsProbingAfterDeadline(t *testing.T) {
 	const probe = 10 * time.Millisecond
 	var calls atomic.Int64
@@ -46,9 +46,9 @@ func TestCachedBatchStopsProbingAfterDeadline(t *testing.T) {
 	if !errors.As(err, &de) || de.Op != "batch" {
 		t.Fatalf("stalled cached batch returned %v, want a batch DeadlineError", err)
 	}
-	time.Sleep(15 * probe) // an abandoned batch that kept its work would start ~15 more probes
-	if after := calls.Load() - atReturn; after > 1 {
-		t.Fatalf("%d exact probes started after the DeadlineError returned (%d before): the batch kept the work it was abandoned for",
+	time.Sleep(15 * probe) // a batch that kept its work would start ~15 more probes
+	if after := calls.Load() - atReturn; after > 0 {
+		t.Fatalf("%d exact probes started after the DeadlineError returned (%d before): the batch outlived its request",
 			after, atReturn)
 	}
 }
@@ -98,8 +98,8 @@ func TestCachedFillIsExactlyItsKeyedVersion(t *testing.T) {
 // TestAnswerSeamAllocs pins what the seam may cost. A background context
 // must stay the zero-overhead path — Store.Answer and an unarmed
 // AnswerWithin allocate nothing; a cached hit pays only the cache key; an
-// armed AnswerWithin pays the guard (closure, channel, goroutine, result)
-// and nothing else.
+// armed AnswerWithin asks on the caller's goroutine and allocates nothing
+// either.
 func TestAnswerSeamAllocs(t *testing.T) {
 	sch := schemes.PointSelectionScheme()
 	st := &Store{ID: "d", Scheme: sch, Prep: mustPreprocess(t, sch, schemes.RelationFromKeys([]int64{2, 4, 6}))}
@@ -120,7 +120,7 @@ func TestAnswerSeamAllocs(t *testing.T) {
 		{"AnswerWithin(background)", 0, func() { AnswerWithin(context.Background(), st, q) }},
 		{"AnswerWithin(nil)", 0, func() { AnswerWithin(nil, st, q) }}, //nolint:staticcheck // nil ctx is part of the contract
 		{"cached hit", 2, func() { cached.Answer(q) }},
-		{"AnswerWithin(armed)", 4, func() { AnswerWithin(armed, st, q) }},
+		{"AnswerWithin(armed)", 0, func() { AnswerWithin(armed, st, q) }},
 	} {
 		if got := testing.AllocsPerRun(200, tc.fn); got > tc.max {
 			t.Errorf("%s: %v allocs/op, want <= %v", tc.name, got, tc.max)

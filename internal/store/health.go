@@ -131,8 +131,8 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 }
 
 // probeTimeout bounds how long the single half-open probe slot stays
-// reserved for a probe that never reported back (e.g. its goroutine was
-// abandoned past a deadline): after it, the slot is re-issued.
+// reserved for a probe that never reported back (its handler panicked):
+// after it, the slot is re-issued.
 func (b *Breaker) probeTimeout() time.Duration {
 	if b.backoff > time.Second {
 		return b.backoff

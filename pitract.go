@@ -95,8 +95,8 @@
 //
 // The serving path degrades gracefully instead of falling over: every
 // query can carry a deadline (ServerLimits.QueryBudget, `pitract serve
-// -query-budget-ms`; overruns are abandoned with 504 and the late worker's
-// result dropped), each dataset is fronted by a health circuit breaker
+// -query-budget-ms`; an overrun gets 504 at most one probe late, with none
+// of its work left running), each dataset is fronted by a health circuit breaker
 // (repeated serve-path failures trip it open and traffic is refused fast
 // with 503 + Retry-After until a backoff-paced probe heals it), and corrupt
 // snapshots and delta logs are renamed aside (*.quarantine) and rebuilt
