@@ -41,7 +41,7 @@ func BenchmarkExperiment(b *testing.B) {
 // sharding overhead per query is visible next to the O(1) unsharded read.
 func BenchmarkOpShardedReachAnswer(b *testing.B) {
 	g := CommunityGraph(8, 128, 256, 9)
-	ss, err := BuildShardedStore("bench", ReachabilityScheme(), NewRangePartitioner(), 4, g.Encode())
+	ss, err := BuildShardedStore("bench", ReachabilityScheme(), 4, g.Encode())
 	if err != nil {
 		b.Fatal(err)
 	}

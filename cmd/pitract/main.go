@@ -161,8 +161,6 @@ func cmdServe(args []string) int {
 	}
 	addr := fs.String("addr", ":8080", "listen address")
 	data := fs.String("data", "", "snapshot directory for preprocessed stores (empty = in-memory only)")
-	shards := fs.Int("shards", 0, "default shard count for registered datasets (0 or 1 = unsharded; per-request ?shards=N overrides)")
-	partitioner := fs.String("partitioner", "hash", "default partitioner for sharded datasets: hash or range")
 	cacheBytes := fs.Int64("cache-bytes", 0, "answer-cache budget in bytes: memoize hot verdicts of traversal schemes (0 = no cache)")
 	maxInFlight := fs.Int("max-inflight", 0, "admitted work requests across the server; beyond it requests get 429 + Retry-After (0 = unlimited)")
 	maxInFlightDS := fs.Int("max-inflight-dataset", 0, "admitted work requests per dataset id (0 = unlimited)")
@@ -191,8 +189,8 @@ func cmdServe(args []string) int {
 		"-max-inflight": int64(*maxInFlight), "-max-inflight-dataset": int64(*maxInFlightDS),
 		"-max-body-bytes": *maxBodyBytes, "-max-batch": int64(*maxBatch),
 		"-register-budget": int64(*registerBudget), "-query-budget-ms": *queryBudgetMs,
-		"-retry-after": int64(*retryAfter), "-shards": int64(*shards),
-		"-slow-query-ms": *slowQueryMs, "-checkpoint-every": int64(*checkpointEvery),
+		"-retry-after": int64(*retryAfter), "-slow-query-ms": *slowQueryMs,
+		"-checkpoint-every": int64(*checkpointEvery),
 	} {
 		if v < 0 {
 			fmt.Fprintf(os.Stderr, "pitract serve: %s: want a non-negative value\n", name)
@@ -230,10 +228,6 @@ func cmdServe(args []string) int {
 		reg.SetCheckpointEvery(*checkpointEvery)
 	}
 	srv := pitract.NewServer(reg, nil)
-	if err := srv.SetDefaultSharding(*shards, *partitioner); err != nil {
-		fmt.Fprintf(os.Stderr, "pitract serve: %v\n", err)
-		return 2
-	}
 	if *cacheBytes > 0 {
 		srv.SetAnswerCache(pitract.NewAnswerCache(*cacheBytes))
 	}
@@ -278,9 +272,6 @@ func cmdServe(args []string) int {
 	persistence := "in-memory only (no -data directory)"
 	if *data != "" {
 		persistence = "snapshots under " + *data
-	}
-	if *shards > 1 {
-		persistence += fmt.Sprintf(", datasets %s-partitioned across %d shards by default", *partitioner, *shards)
 	}
 	if *cacheBytes > 0 {
 		persistence += fmt.Sprintf(", answer cache %d bytes", *cacheBytes)
@@ -370,8 +361,8 @@ func parseArgs(fs *flag.FlagSet, args []string) int {
 // serveSynopsis is the one list of `pitract serve` flags, printed by the
 // top-level usage and by `pitract serve -h`;
 // TestServeSynopsisNamesEveryFlag holds it to the flags cmdServe registers.
-const serveSynopsis = `pitract serve [-addr :8080] [-data DIR] [-shards N] [-partitioner hash|range]
-                [-cache-bytes N] [-max-inflight N] [-max-inflight-dataset N]
+const serveSynopsis = `pitract serve [-addr :8080] [-data DIR] [-cache-bytes N]
+                [-max-inflight N] [-max-inflight-dataset N]
                 [-max-body-bytes N] [-max-batch N] [-register-budget D]
                 [-query-budget-ms N] [-retry-after D] [-log-level L]
                 [-log-format F] [-slow-query-ms N] [-pprof-addr ADDR]
@@ -397,12 +388,12 @@ serving:
   'pitract serve' exposes the preprocess-once/answer-many API: register a
   dataset once (POST /v1/datasets), answer queries forever (POST /v1/query,
   /v1/query/batch). With -data DIR, Π(D) is persisted as a checksummed
-  snapshot and reloaded on restart instead of recomputed. With -shards N
-  (or per-request ?shards=N), a dataset is partitioned across N
-  preprocessed stores and queries are routed to the owning shard or fanned
-  out and merged. Only point-selection/sorted-keys (point and range
-  queries), list-membership/sorted and reachability/closure-matrix|labels
-  shard; -shards serves the rest unsharded, ?shards=N on them is a 400.
+  snapshot and reloaded on restart instead of recomputed. A registration
+  with ?shards=N cuts its dataset into N key ranges, each preprocessed on
+  its own, and queries are routed to the owning shard or fanned out and
+  merged. Only point-selection/sorted-keys (point and range queries),
+  list-membership/sorted and reachability/closure-matrix|labels shard;
+  ?shards=N on any other scheme is a 400.
   PATCH /v1/datasets/{id} maintains registered datasets in place under
   deltas (Π(D ⊕ ∆D), versioned, logged write-ahead and re-snapshotted
   atomically — every batch, or every N batches with -checkpoint-every N:

@@ -116,7 +116,7 @@ var apiExamples = []apiExample{
 	{
 		name:       "register-sharded",
 		method:     http.MethodPost,
-		path:       "/v1/datasets?shards=2&partitioner=hash",
+		path:       "/v1/datasets?shards=2",
 		reqBody:    `{"id":"m2","scheme":"list-membership/sorted","data":"AwIEBg=="}`,
 		wantStatus: http.StatusOK,
 		wantBody:   `{"id":"m2","scheme":"list-membership/sorted","prep_bytes":88,"loaded":false,"shards":2,"version":0}`,

@@ -30,6 +30,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -85,6 +86,11 @@ func AnswerBatchPrepared(ctx context.Context, label string, a Answerer, queries 
 // evenly instead, so a few costly probes still spread over the workers.
 const answerChunk = 64
 
+// ErrProbePanicked marks a batch query whose probe panicked ("… batch query
+// <i>: panicked: …"): a fault of the scheme, not of the query, which
+// errors.Is finds through every wrapping the stores add.
+var ErrProbePanicked = errors.New("panicked")
+
 // answerPool is the one worker pool behind every batch entry point —
 // verdicts for a Scheme, outputs for a FuncScheme; kind and label name the
 // scheme in error messages ("scheme <label>: batch query <i>: …").
@@ -93,9 +99,9 @@ const answerChunk = 64
 // claim unless one of its own queries fails, so every index below a failure
 // has been answered (or has failed) by the time the pool drains: the error
 // reported is the lowest failing index, whatever the interleaving. A probe
-// that panics fails its query ("… batch query <i>: panicked: …"), never the
-// process. The calling goroutine is worker 0, and the pool joins every
-// worker before it returns.
+// that panics fails its query with ErrProbePanicked, never the process. The
+// calling goroutine is worker 0, and the pool joins every worker before it
+// returns.
 func answerPool[T any](kind, label string, answer func(q []byte) (T, error), queries [][]byte, parallelism int) ([]T, error) {
 	results := make([]T, len(queries))
 	if parallelism <= 0 {
@@ -122,7 +128,7 @@ func answerPool[T any](kind, label string, answer func(q []byte) (T, error), que
 		i := 0 // the query being probed, which a panic fails
 		defer func() {
 			if p := recover(); p != nil {
-				fails[w] = failure{i, fmt.Errorf("panicked: %v", p)}
+				fails[w] = failure{i, fmt.Errorf("%w: %v", ErrProbePanicked, p)}
 				failed.Store(true)
 			}
 		}()

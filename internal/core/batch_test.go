@@ -354,6 +354,9 @@ func TestAnswerPoolRecoversPanics(t *testing.T) {
 			if n := running.Load(); n != 0 {
 				t.Fatalf("par %d: %d probes still running after the pool returned", par, n)
 			}
+			if panicked := strings.Contains(tc.want, "panicked"); errors.Is(err, ErrProbePanicked) != panicked {
+				t.Fatalf("par %d: errors.Is(%v, ErrProbePanicked) = %v, want %v", par, err, !panicked, panicked)
+			}
 		}
 	}
 }

@@ -169,7 +169,7 @@ func TestCachedVsUncachedDifferential(t *testing.T) {
 
 			var ss *shard.ShardedStore
 			if shard.ForScheme(tc.scheme.Name()) != nil {
-				ss, err = shard.RegisterSharded(reg, "sharded", tc.scheme, shard.HashPartitioner{}, 3, tc.data)
+				ss, err = shard.RegisterSharded(reg, "sharded", tc.scheme, 3, tc.data)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -205,7 +205,7 @@ func TestCachedVsUncachedDifferential(t *testing.T) {
 			}
 			checkDataset(t, "unsharded+reload", st, st2, c, tc.queries)
 			if ss != nil {
-				ss2, err := shard.RegisterSharded(reg2, "sharded", tc.scheme, shard.HashPartitioner{}, 3, tc.data)
+				ss2, err := shard.RegisterSharded(reg2, "sharded", tc.scheme, 3, tc.data)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -451,8 +451,7 @@ func TestCacheStagesRecordedUnderQueryBudget(t *testing.T) {
 }
 
 // TestCachePlacementFollowsTheScheme pins the placement rule over the whole
-// catalog, plain and under a server-wide default of two shards — which the
-// two traversal baselines, having no sharded form, fall back from to one:
+// catalog, plain and, for every scheme with a sharded form, on two shards:
 // the answer cache fronts a dataset iff its scheme declares a per-query
 // traversal. A repeat query on an index-probe
 // dataset moves no cache counter — it is answered by the prepared probe,
@@ -468,31 +467,22 @@ func TestCachePlacementFollowsTheScheme(t *testing.T) {
 			t.Fatalf("catalog scheme %q has no workload in this test", name)
 		}
 		for _, shards := range []int{1, 2} {
-			if shards > 1 && shard.ForScheme(name) == nil && !sch.Traversal {
-				continue // the same unsharded registration as shards=1
+			if shards > 1 && shard.ForScheme(name) == nil {
+				continue // no sharded form: ?shards=2 on it is a 400
 			}
 			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
 				srv := New(store.NewRegistry(""), nil)
 				c := cache.New(1 << 20)
 				srv.SetAnswerCache(c)
-				// The server-wide default: a baseline, which has no sharded
-				// form, is served unsharded under it — and still cached.
-				if err := srv.SetDefaultSharding(shards, "hash"); err != nil {
-					t.Fatal(err)
-				}
 				ts := httptest.NewServer(srv)
 				defer ts.Close()
 				var info DatasetInfo
-				if code := postJSON(t, ts.Client(), ts.URL+"/v1/datasets",
+				if code := postJSON(t, ts.Client(), fmt.Sprintf("%s/v1/datasets?shards=%d", ts.URL, shards),
 					RegisterRequest{ID: "d", Scheme: name, Data: tc.data}, &info); code != http.StatusOK {
 					t.Fatalf("register status %d", code)
 				}
-				want := 1
-				if shard.ForScheme(name) != nil {
-					want = shards
-				}
-				if info.Shards != want {
-					t.Fatalf("registered on %d shards, want %d", info.Shards, want)
+				if info.Shards != shards {
+					t.Fatalf("registered on %d shards, want %d", info.Shards, shards)
 				}
 				ds, _ := srv.Registry().GetDataset("d")
 				if fronted := srv.answerPath(ds) != ds; fronted != sch.Traversal {

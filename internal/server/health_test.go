@@ -571,17 +571,30 @@ func TestAnswerWorkStaysWithinAdmission(t *testing.T) {
 }
 
 // TestPanickingBatchProbeFailsTheBatch pins that a probe's panic in a batch
-// worker fails that batch, not the process: a parallelism-4 batch whose
-// every probe panics gets an error response naming its lowest query, and
-// the next batch is answered.
+// worker fails that batch, not the process, and is the server's fault, not
+// the client's: a parallelism-4 batch whose every probe panics gets a 500
+// naming its lowest query, each one is a failure of the dataset's breaker —
+// two of them degrade it — and the next batch is answered.
 func TestPanickingBatchProbeFailsTheBatch(t *testing.T) {
-	ts := countedServer(t, new(countedProbes), Limits{})
-	var e errorResponse
+	var c countedProbes
+	srv := New(store.NewRegistry(""), c.catalog())
+	srv.Registry().SetBreakerConfig(store.BreakerConfig{Window: time.Minute, DegradedAfter: 2, OpenAfter: 1 << 30})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	if code := postJSON(t, ts.Client(), ts.URL+"/v1/datasets", RegisterRequest{ID: "d", Scheme: "test/counted"}, nil); code != http.StatusOK {
+		t.Fatalf("register status %d", code)
+	}
 	panics := []byte("panic")
-	if code := postJSON(t, ts.Client(), ts.URL+"/v1/query/batch", BatchRequest{
-		Dataset: "d", Queries: [][]byte{panics, panics, panics, panics}, Parallelism: 4,
-	}, &e); code != http.StatusUnprocessableEntity || !strings.Contains(e.Error, "batch query 0: panicked: planted panic") {
-		t.Fatalf("panicking batch got status %d (%s), want 422 naming query 0's panic", code, e.Error)
+	for i := range 2 {
+		var e errorResponse
+		if code := postJSON(t, ts.Client(), ts.URL+"/v1/query/batch", BatchRequest{
+			Dataset: "d", Queries: [][]byte{panics, panics, panics, panics}, Parallelism: 4,
+		}, &e); code != http.StatusInternalServerError || !strings.Contains(e.Error, "batch query 0: panicked: planted panic") {
+			t.Fatalf("panicking batch %d got status %d (%s), want 500 naming query 0's panic", i, code, e.Error)
+		}
+	}
+	if st := srv.Registry().Breaker("d").State(); st != store.HealthDegraded {
+		t.Fatalf("breaker after two panicking batches reads %v, want degraded", st)
 	}
 	var br BatchResponse
 	if code := postJSON(t, ts.Client(), ts.URL+"/v1/query/batch", BatchRequest{

@@ -449,8 +449,8 @@ func TestPatchQueryRaceOverHTTP(t *testing.T) {
 }
 
 // TestPatchShardedOverHTTP exercises the sharded PATCH path end-to-end: a
-// hash-partitioned membership dataset accepts key deltas that split across
-// shards, and the verdicts and version reflect them.
+// membership dataset split into key ranges accepts key deltas that split
+// across shards, and the verdicts and version reflect them.
 func TestPatchShardedOverHTTP(t *testing.T) {
 	srv := New(store.NewRegistry(t.TempDir()), nil)
 	ts := httptest.NewServer(srv)

@@ -31,10 +31,9 @@
 // encoding.
 //
 // The answer paths are routed through store.Dataset, so a dataset
-// registered with ?shards=n (or under the CLI's -shards default) serves
-// /v1/query and /v1/query/batch from its internal/shard fan-out/merge
-// machinery with no client-visible difference except the shards field in
-// DatasetInfo. Every store answers through its prepared (decoded-once)
+// registered with ?shards=n serves /v1/query and /v1/query/batch from its
+// internal/shard fan-out/merge machinery with no client-visible difference
+// except the shards field in DatasetInfo. Every store answers through its prepared (decoded-once)
 // form, and with SetAnswerCache (the -cache-bytes flag) a version-keyed
 // verdict cache with singleflight coalescing sits in front of both answer
 // paths of the datasets whose scheme declares a per-query traversal —
@@ -162,12 +161,6 @@ type Server struct {
 	reg     *store.Registry
 	catalog map[string]*core.Scheme
 	mux     *http.ServeMux
-
-	// defaultShards is applied to registrations that do not carry an
-	// explicit ?shards parameter (0 or 1 = unsharded); defaultPartitioner
-	// names the partitioner used when ?partitioner is absent.
-	defaultShards      int
-	defaultPartitioner string
 
 	// stats maps a scheme name to its *schemeCounters; sync.Map keeps the
 	// read-mostly hot path (existing scheme, atomic bumps) lock-free.
@@ -383,27 +376,6 @@ func (s *Server) answerPath(ds store.Dataset) store.Dataset {
 	}
 	s.cachedViews.Store(id, cv)
 	return cv.view
-}
-
-// SetDefaultSharding sets the shard count and partitioner applied to
-// registrations without explicit ?shards/?partitioner parameters — the
-// server face of the CLI's -shards/-partitioner flags. shards 0 or 1 keeps
-// the unsharded default, a negative count is refused like ?shards=-1 is; an
-// empty partitioner selects "hash". Both are validated here so a typo
-// fails at startup, not at the first registration.
-func (s *Server) SetDefaultSharding(shards int, partitioner string) error {
-	if shards < 0 {
-		return fmt.Errorf("server: default shards %d: want a non-negative integer", shards)
-	}
-	if shards > maxShards {
-		return fmt.Errorf("server: default shards %d exceeds the cap %d", shards, maxShards)
-	}
-	if _, err := shard.PartitionerByName(partitioner); err != nil {
-		return err
-	}
-	s.defaultShards = shards
-	s.defaultPartitioner = partitioner
-	return nil
 }
 
 // Handler returns the HTTP handler (for httptest and embedding), including
@@ -830,35 +802,29 @@ func (s *Server) handleDatasetByID(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// shardingParams resolves the ?shards / ?partitioner query parameters
-// against the server defaults. explicit reports whether the client named
-// a shard count itself (a defaulted count may quietly fall back to
-// unsharded for schemes without a sharded form; an explicit one may not).
-// ok=false means the response was already written.
-func (s *Server) shardingParams(w http.ResponseWriter, r *http.Request) (shards int, p shard.Partitioner, explicit, ok bool) {
-	shards = s.defaultShards
+// shardingParams resolves the ?shards and ?partitioner query parameters: a
+// registration without ?shards is unsharded, and ?partitioner may only name
+// the one partitioner there is. ok=false means the response was already
+// written.
+func shardingParams(w http.ResponseWriter, r *http.Request) (shards int, ok bool) {
+	shards = 1
 	if raw := r.URL.Query().Get("shards"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil || n < 1 {
 			writeError(w, r, http.StatusBadRequest, "bad shards parameter %q: want a positive integer", raw)
-			return 0, nil, false, false
+			return 0, false
 		}
 		if n > maxShards {
 			writeError(w, r, http.StatusBadRequest, "shards %d exceeds the cap %d", n, maxShards)
-			return 0, nil, false, false
+			return 0, false
 		}
-		shards, explicit = n, true
+		shards = n
 	}
-	name := r.URL.Query().Get("partitioner")
-	if name == "" {
-		name = s.defaultPartitioner
-	}
-	p, err := shard.PartitionerByName(name)
-	if err != nil {
+	if _, err := shard.PartitionerByName(r.URL.Query().Get("partitioner")); err != nil {
 		writeError(w, r, http.StatusBadRequest, "%v", err)
-		return 0, nil, false, false
+		return 0, false
 	}
-	return shards, p, explicit, true
+	return shards, true
 }
 
 func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
@@ -877,20 +843,14 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 			writeError(w, r, http.StatusBadRequest, "unknown scheme %q (have %v)", req.Scheme, slices.Sorted(maps.Keys(s.catalog)))
 			return
 		}
-		shards, partitioner, explicit, ok := s.shardingParams(w, r)
+		shards, ok := shardingParams(w, r)
 		if !ok {
 			return
 		}
 		if shards > 1 && shard.ForScheme(req.Scheme) == nil {
-			// An explicit ?shards=N for an unshardable scheme is a client
-			// error; a server-wide -shards default must not make these
-			// schemes unregistrable, so it falls back to unsharded.
-			if explicit {
-				writeError(w, r, http.StatusBadRequest, "scheme %q has no sharded form (shardable: %v)",
-					req.Scheme, shard.ShardableSchemes())
-				return
-			}
-			shards = 1
+			writeError(w, r, http.StatusBadRequest, "scheme %q has no sharded form (shardable: %v)",
+				req.Scheme, shard.ShardableSchemes())
+			return
 		}
 		release, reason, admitted := s.env.admit(req.ID)
 		if !admitted {
@@ -903,7 +863,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 		var ds store.Dataset
 		var err error
 		if shards > 1 {
-			ds, err = shard.RegisterShardedContext(ctx, s.reg, req.ID, scheme, partitioner, shards, req.Data)
+			ds, err = shard.RegisterShardedContext(ctx, s.reg, req.ID, scheme, shards, req.Data)
 		} else {
 			ds, err = s.reg.RegisterContext(ctx, req.ID, scheme, req.Data)
 		}
@@ -981,18 +941,25 @@ func (s *Server) rejectBreaker(w http.ResponseWriter, r *http.Request, dataset s
 // answerFailure classifies an answer-path error for the wire and tells
 // the dataset's breaker what it proved. A deadline overrun is a 504 and a
 // breaker failure (a dataset too slow to answer inside its budget is
-// unhealthy); everything else — malformed queries, out-of-range ids —
-// stays the client's 422 and counts as a breaker success, because a
-// request that got as far as query classification proved the serve path
-// end to end. (A served dataset always holds a prepared answerer: a Π its
-// scheme will not Prepare is refused before it is committed.)
+// unhealthy); a batch probe that panicked is the server's 500 and a breaker
+// failure too (the scheme, not the query, is at fault); everything else —
+// malformed queries, out-of-range ids — stays the client's 422 and counts
+// as a breaker success, because a request that got as far as query
+// classification proved the serve path end to end. (A served dataset always
+// holds a prepared answerer: a Π its scheme will not Prepare is refused
+// before it is committed.)
 func (s *Server) answerFailure(w http.ResponseWriter, r *http.Request, br *store.Breaker, probe bool, err error) {
 	var de *store.DeadlineError
-	if errors.As(err, &de) {
+	switch {
+	case errors.As(err, &de):
 		br.OnFailure(probe)
 		s.env.note(r, deadline504)
 		obsDeadlineExpired.Inc()
 		writeError(w, r, http.StatusGatewayTimeout, "%v", err)
+		return
+	case errors.Is(err, core.ErrProbePanicked):
+		br.OnFailure(probe)
+		writeError(w, r, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	br.OnSuccess(probe)

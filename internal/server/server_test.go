@@ -3,13 +3,14 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"slices"
 	"strings"
 	"sync"
@@ -424,41 +425,39 @@ func TestServerShardedRegistrationAndServing(t *testing.T) {
 	}
 
 	for _, n := range []int{2, 4} {
-		for _, part := range []string{"hash", "range"} {
-			id := fmt.Sprintf("sharded-%d-%s", n, part)
-			var info DatasetInfo
-			url := fmt.Sprintf("%s/v1/datasets?shards=%d&partitioner=%s", ts.URL, n, part)
-			if code := postJSON(t, client, url, RegisterRequest{
-				ID: id, Scheme: "reachability/closure-matrix", Data: g.Encode(),
-			}, &info); code != http.StatusOK {
-				t.Fatalf("register %s: status %d", id, code)
+		id := fmt.Sprintf("sharded-%d-range", n)
+		var info DatasetInfo
+		url := fmt.Sprintf("%s/v1/datasets?shards=%d", ts.URL, n)
+		if code := postJSON(t, client, url, RegisterRequest{
+			ID: id, Scheme: "reachability/closure-matrix", Data: g.Encode(),
+		}, &info); code != http.StatusOK {
+			t.Fatalf("register %s: status %d", id, code)
+		}
+		if info.Shards != n {
+			t.Fatalf("%s: info reports %d shards, want %d", id, info.Shards, n)
+		}
+		if info.PrepBytes == 0 {
+			t.Errorf("%s: empty sharded artifact", id)
+		}
+		for i, q := range queries {
+			var qr QueryResponse
+			if code := postJSON(t, client, ts.URL+"/v1/query",
+				QueryRequest{Dataset: id, Query: q}, &qr); code != http.StatusOK {
+				t.Fatalf("%s query %d: status %d", id, i, code)
 			}
-			if info.Shards != n {
-				t.Fatalf("%s: info reports %d shards, want %d", id, info.Shards, n)
+			if qr.Answer != want[i] {
+				t.Fatalf("%s query %d: sharded %v, unsharded %v", id, i, qr.Answer, want[i])
 			}
-			if info.PrepBytes == 0 {
-				t.Errorf("%s: empty sharded artifact", id)
-			}
-			for i, q := range queries {
-				var qr QueryResponse
-				if code := postJSON(t, client, ts.URL+"/v1/query",
-					QueryRequest{Dataset: id, Query: q}, &qr); code != http.StatusOK {
-					t.Fatalf("%s query %d: status %d", id, i, code)
-				}
-				if qr.Answer != want[i] {
-					t.Fatalf("%s query %d: sharded %v, unsharded %v", id, i, qr.Answer, want[i])
-				}
-			}
-			var br BatchResponse
-			if code := postJSON(t, client, ts.URL+"/v1/query/batch", BatchRequest{
-				Dataset: id, Queries: queries, Parallelism: 4,
-			}, &br); code != http.StatusOK {
-				t.Fatalf("%s batch: status %d", id, code)
-			}
-			for i := range br.Answers {
-				if br.Answers[i] != want[i] {
-					t.Fatalf("%s batch query %d: sharded %v, unsharded %v", id, i, br.Answers[i], want[i])
-				}
+		}
+		var br BatchResponse
+		if code := postJSON(t, client, ts.URL+"/v1/query/batch", BatchRequest{
+			Dataset: id, Queries: queries, Parallelism: 4,
+		}, &br); code != http.StatusOK {
+			t.Fatalf("%s batch: status %d", id, code)
+		}
+		for i := range br.Answers {
+			if br.Answers[i] != want[i] {
+				t.Fatalf("%s batch query %d: sharded %v, unsharded %v", id, i, br.Answers[i], want[i])
 			}
 		}
 	}
@@ -500,6 +499,7 @@ func TestServerShardedParamErrors(t *testing.T) {
 		{"?shards=bogus", http.StatusBadRequest},
 		{"?shards=100000", http.StatusBadRequest},
 		{"?shards=2&partitioner=zodiac", http.StatusBadRequest},
+		{"?shards=2&partitioner=hash", http.StatusBadRequest},
 	} {
 		if code := postJSON(t, client, ts.URL+"/v1/datasets"+c.params, ok, &e); code != c.want {
 			t.Errorf("%s: status %d, want %d (%s)", c.params, code, c.want, e.Error)
@@ -561,65 +561,6 @@ func TestSchemeListsInErrorsSortedAndComplete(t *testing.T) {
 	}
 }
 
-// TestServerDefaultSharding: a server started with -shards style defaults
-// shards registrations that carry no explicit parameter.
-func TestServerDefaultSharding(t *testing.T) {
-	srv := New(store.NewRegistry(""), nil)
-	if err := srv.SetDefaultSharding(3, "range"); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.SetDefaultSharding(2, "zodiac"); err == nil {
-		t.Fatal("bad default partitioner must be rejected")
-	}
-	if err := srv.SetDefaultSharding(maxShards+1, ""); err == nil {
-		t.Fatal("default shards beyond the cap must be rejected")
-	}
-	// A negative count is refused as ?shards=-1 is, not clamped to
-	// "unsharded"; the refusal leaves the default set above in place (the
-	// registration below still comes back with 3 shards).
-	if err := srv.SetDefaultSharding(-1, "hash"); err == nil {
-		t.Fatal("negative default shards must be rejected")
-	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	client := ts.Client()
-
-	g := graph.CommunityGraph(3, 8, 12, 2)
-	var info DatasetInfo
-	if code := postJSON(t, client, ts.URL+"/v1/datasets", RegisterRequest{
-		ID: "g", Scheme: "reachability/closure-matrix", Data: g.Encode(),
-	}, &info); code != http.StatusOK {
-		t.Fatalf("register: status %d", code)
-	}
-	if info.Shards != 3 {
-		t.Fatalf("default sharding not applied: %d shards, want 3", info.Shards)
-	}
-	// The server-wide default must not make unshardable schemes
-	// unregistrable: BDS falls back to unsharded (explicit ?shards=2 on it
-	// stays a 400, covered in TestServerShardedParamErrors).
-	if code := postJSON(t, client, ts.URL+"/v1/datasets", RegisterRequest{
-		ID: "b", Scheme: "bds/visit-order", Data: graph.Path(6, false).Encode(),
-	}, &info); code != http.StatusOK {
-		t.Fatalf("unshardable scheme under a -shards default: status %d, want 200", code)
-	}
-	if info.Shards != 1 {
-		t.Fatalf("unshardable scheme registered with %d shards, want the unsharded fallback", info.Shards)
-	}
-	// An explicit ?shards=1 overrides the default back to unsharded.
-	if code := postJSON(t, client, ts.URL+"/v1/datasets?shards=1", RegisterRequest{
-		ID: "flat", Scheme: "reachability/closure-matrix", Data: g.Encode(),
-	}, &info); code != http.StatusOK {
-		t.Fatalf("register flat: status %d", code)
-	}
-	if info.Shards != 1 {
-		t.Fatalf("?shards=1 did not override the default: %d shards", info.Shards)
-	}
-	got, err := srv.Registry().GetDataset("g")
-	if !err || got.ShardCount() != 3 {
-		t.Fatalf("registry dataset: %v %v", got, err)
-	}
-}
-
 // TestOverCapClosureRegistrationRefused: vertices cost a payload no bytes, so
 // six bytes (80 80 80 08 01 00) can claim 2²⁴ of them — a 35 TB closure
 // matrix, an out-of-memory abort no recover() catches. The registration must
@@ -676,9 +617,8 @@ func TestOverCapClosureRegistrationRefused(t *testing.T) {
 }
 
 // TestBaselinesAreServedUnshardedOnly: the two no-preprocessing baselines
-// have no sharded form. An explicit ?shards=2 on one is a 400 that lists the
-// schemes that do; under a server-wide default of 4 shards the same
-// registration is served unsharded.
+// have no sharded form. ?shards=2 on one is a 400 that lists the schemes
+// that do.
 func TestBaselinesAreServedUnshardedOnly(t *testing.T) {
 	reg := RegisterRequest{ID: "g", Scheme: "reachability/bfs-per-query", Data: graph.Path(4, true).Encode()}
 	t.Run("explicit", func(t *testing.T) {
@@ -692,25 +632,114 @@ func TestBaselinesAreServedUnshardedOnly(t *testing.T) {
 			t.Fatalf("status %d %q, want 400 naming %s", code, e.Error, want)
 		}
 	})
-	t.Run("default", func(t *testing.T) {
-		srv := New(store.NewRegistry(""), nil)
-		if err := srv.SetDefaultSharding(4, "hash"); err != nil {
+}
+
+// TestPartitionerParamIsRangeOnly: ?partitioner= may name the one
+// partitioner there is. hash is a 400 naming range, range is a 200, and a
+// registration with ?shards=2 alone is split by range too.
+func TestPartitionerParamIsRangeOnly(t *testing.T) {
+	ts := httptest.NewServer(New(store.NewRegistry(""), nil))
+	defer ts.Close()
+	data := graph.Path(8, true).Encode()
+	var e struct {
+		Error string `json:"error"`
+	}
+	if code := postJSON(t, ts.Client(), ts.URL+"/v1/datasets?shards=2&partitioner=hash",
+		RegisterRequest{ID: "h", Scheme: "reachability/closure-matrix", Data: data}, &e); code != http.StatusBadRequest ||
+		!strings.Contains(e.Error, `unknown partitioner "hash" (have range)`) {
+		t.Fatalf("?partitioner=hash: status %d %q, want a 400 naming range", code, e.Error)
+	}
+	for id, params := range map[string]string{"r": "?shards=2&partitioner=range", "d": "?shards=2"} {
+		var info DatasetInfo
+		if code := postJSON(t, ts.Client(), ts.URL+"/v1/datasets"+params,
+			RegisterRequest{ID: id, Scheme: "reachability/closure-matrix", Data: data}, &info); code != http.StatusOK || info.Shards != 2 {
+			t.Fatalf("%s: status %d, %d shards; want 200 on 2", params, code, info.Shards)
+		}
+	}
+}
+
+// TestHashLayoutFileIsRebuiltAsRange: a data directory written by a version
+// that also split by hash holds a file whose layout field is the hash
+// partitioner's — name "hash", an 'h' assignment of n shards. It passes its
+// CRC and names the registration's scheme and data, but this version does
+// not read it: re-registering the same D with ?shards=3 quarantines the file
+// as it was, rebuilds the dataset split by range, answers every query as
+// Decide does, and the next restart loads the rebuilt file.
+func TestHashLayoutFileIsRebuiltAsRange(t *testing.T) {
+	dir := t.TempDir()
+	scheme := schemes.ListMembershipScheme()
+	keys := make([]int64, 48)
+	for i := range keys {
+		keys[i] = int64(5*i - 60)
+	}
+	data := schemes.EncodeList(keys)
+	layout := binary.AppendUvarint(nil, uint64(len("hash")))
+	layout = append(append(layout, "hash"...), 'h')
+	layout = binary.AppendUvarint(layout, 3)
+	m := &store.Manifest{SchemeName: scheme.Name(), DataSum: store.SumData(data), Layout: layout}
+	for s := range 3 { // a stand-in for the hash split: keys by residue
+		var own []int64
+		for _, k := range keys {
+			if int(uint64(k)%3) == s {
+				own = append(own, k)
+			}
+		}
+		part := schemes.EncodeList(own)
+		pd, err := scheme.Preprocess(part)
+		if err != nil {
 			t.Fatal(err)
 		}
+		m.Members = append(m.Members, store.EncodeSnapshot(&store.Snapshot{SchemeName: scheme.Name(), DataSum: store.SumData(part), Prep: pd}))
+	}
+	old := store.EncodeManifest(m)
+	path := store.DatasetPath(dir, "k")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var queries [][]byte
+	for k := int64(-70); k < 190; k += 3 {
+		queries = append(queries, schemes.PointQuery(k))
+	}
+	register := func(wantLoaded bool) {
+		t.Helper()
+		srv := New(store.NewRegistry(dir), nil)
 		ts := httptest.NewServer(srv)
 		defer ts.Close()
-		b, err := json.Marshal(reg)
-		if err != nil {
-			t.Fatal(err)
+		var info DatasetInfo
+		if code := postJSON(t, ts.Client(), ts.URL+"/v1/datasets?shards=3",
+			RegisterRequest{ID: "k", Scheme: scheme.Name(), Data: data}, &info); code != http.StatusOK ||
+			info.Shards != 3 || info.Loaded != wantLoaded {
+			t.Fatalf("register: status %d, %d shards, loaded %v; want 200 on 3, loaded %v", code, info.Shards, info.Loaded, wantLoaded)
 		}
-		resp, err := ts.Client().Post(ts.URL+"/v1/datasets", "application/json", bytes.NewReader(b))
-		if err != nil {
-			t.Fatal(err)
+		var br BatchResponse
+		if code := postJSON(t, ts.Client(), ts.URL+"/v1/query/batch", BatchRequest{Dataset: "k", Queries: queries}, &br); code != http.StatusOK {
+			t.Fatalf("batch: status %d", code)
 		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte(`"shards":1`)) {
-			t.Fatalf("status %d %s, want 200 with \"shards\":1", resp.StatusCode, body)
+		for i, q := range queries {
+			if want, err := scheme.Decide(data, q); err != nil || br.Answers[i] != want {
+				t.Fatalf("query %d: served %v, Decide %v (%v)", i, br.Answers[i], want, err)
+			}
 		}
-	})
+		wantQuarantines, wantPreprocess := int64(1), int64(3)
+		if wantLoaded {
+			wantQuarantines, wantPreprocess = 0, 0
+		}
+		if reg := srv.Registry(); reg.QuarantineCount() != wantQuarantines || reg.PreprocessCount() != wantPreprocess {
+			t.Fatalf("%d quarantines, %d preprocess calls; want %d and %d", reg.QuarantineCount(), reg.PreprocessCount(), wantQuarantines, wantPreprocess)
+		}
+	}
+	register(false)
+	if kept, err := os.ReadFile(store.QuarantinePath(path)); err != nil || !bytes.Equal(kept, old) {
+		t.Fatalf("the hash-layout file was not kept aside as it was: %v", err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilt, err := store.DecodeManifest(b)
+	if err != nil || !bytes.HasPrefix(rebuilt.Layout, []byte("\x05range"+"r")) {
+		t.Fatalf("rebuilt file's layout %q (%v), want the range layout", rebuilt.Layout, err)
+	}
+	register(true)
 }

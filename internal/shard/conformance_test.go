@@ -27,7 +27,6 @@ import (
 type conformanceFamily struct {
 	name    string
 	scheme  *core.Scheme
-	part    Partitioner
 	data    []byte
 	patches [][]byte // one delta per PATCH
 	// queries mixes well-formed and malformed queries; a batch of all of
@@ -60,7 +59,7 @@ func conformanceFamilies() []conformanceFamily {
 	return []conformanceFamily{
 		{
 			// A scheme with its own Prepare view (portal reach rows).
-			name: "view", scheme: schemes.ReachabilityLabelsScheme(), part: RangePartitioner{},
+			name: "view", scheme: schemes.ReachabilityLabelsScheme(),
 			data:       g.Encode(),
 			patches:    [][]byte{schemes.EdgeDelta(0, g.N()-1), schemes.EdgeDelta(g.N()-1, 1)},
 			wellFormed: pairs,
@@ -69,8 +68,8 @@ func conformanceFamilies() []conformanceFamily {
 		},
 		{
 			// A scheme without one: the router is its view — a point query
-			// and lo == hi route, a range spanning hash shards fans out.
-			name: "routed", scheme: schemes.PointSelectionScheme(), part: HashPartitioner{},
+			// and lo == hi route, a range spanning shards fans out.
+			name: "routed", scheme: schemes.PointSelectionScheme(),
 			data:       schemes.RelationFromKeys(keys),
 			patches:    [][]byte{schemes.KeysDelta([]int64{-23, 31}), schemes.KeysDeleteDelta([]int64{keys[3], keys[4]})},
 			wellFormed: selections,
@@ -94,7 +93,7 @@ func conformanceKinds(t *testing.T, fam conformanceFamily) []conformanceKind {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := RegisterSharded(shardReg, "d", fam.scheme, fam.part, 3, fam.data)
+	sharded, err := RegisterSharded(shardReg, "d", fam.scheme, 3, fam.data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 package shard
 
 // The crash suite of the write side, one table per protocol whose rows are
-// layouts: a plain dataset and one split by hash or by range are each one
+// layouts: a plain dataset and one split into key ranges are each one
 // store.Store, persisted as one file at store.DatasetPath with one
 // write-ahead log beside it (logging the original, unsplit deltas),
 // checkpointed on the medium's cadence and replayed at registration — so one
@@ -39,26 +39,30 @@ const (
 	crashID  = "d"
 	crashN   = 2   // the parts of a sharded crash layout
 	lazy     = 100 // a checkpoint cadence no scenario reaches: batches live in the log
+	// manyParts is the server's shard cap, the finest split a registration
+	// can ask for: the small datasets of these suites have fewer keys or
+	// vertices, so a part holds one element or none, every edge crosses and
+	// a range query fans out — the scattered cut, on any input.
+	manyParts = 64
 )
 
-// layout is one way to lay a dataset out: plain (no partitioner), or n
-// parts under a partitioner.
+// layout is one way to lay a dataset out: plain (n = 1), or n > 1 key
+// ranges.
 type layout struct {
 	name string
-	p    Partitioner
 	n    int
 }
 
 // crashLayouts are the rows of every crash table.
-var crashLayouts = []layout{{"plain", nil, 1}, {"hash", HashPartitioner{}, crashN}, {"range", RangePartitioner{}, crashN}}
+var crashLayouts = []layout{{"plain", 1}, {"range", crashN}, {"range/64", manyParts}}
 
 // register registers data under id in layout l: the one step where layouts
 // differ.
 func (l layout) register(reg *store.Registry, id string, inc *core.Scheme, data []byte) (store.Dataset, error) {
-	if l.p == nil {
+	if l.n == 1 {
 		return reg.Register(id, inc, data)
 	}
-	return RegisterSharded(reg, id, inc, l.p, l.n, data)
+	return RegisterSharded(reg, id, inc, l.n, data)
 }
 
 // run is scenario sc in layout l, registered under scheme inc: the

@@ -4,7 +4,7 @@ package shard
 // are layouts (crash_test.go has the crash tables and the oracle):
 //
 //   - TestMaintainedVsRebuiltDifferential: a Registry.ApplyDelta-maintained
-//     dataset, plain or split by hash or range into 2 or 3 parts, equals the
+//     dataset, plain or split into 2, 3 or 64 key ranges, equals the
 //     oracle — a from-scratch, unsharded Preprocess(D ⊕ ∆D) — after every
 //     delta of random sequences and across a save → reload →
 //     continue-patching cycle.
@@ -162,19 +162,58 @@ func undirectedReachScenario(seed int64) scenario {
 	return scenario{"reachability/closure-matrix (undirected)", schemes.ReachabilityScheme(), g.Encode(), deltas, probes}
 }
 
+// scatteredReachScenarios are the community scenarios of both sharded
+// reachability schemes on a graph whose members alternate between the two
+// halves of the key space (scatteredCommunity), so a split into key ranges
+// cuts through every community: most vertices are portals and the deltas
+// land on the cross-edge summary. Their own rng leaves deltaScenarios'
+// sequences as they were.
+func scatteredReachScenarios(seed int64) []scenario {
+	rng := rand.New(rand.NewSource(seed + 31))
+	g := scatteredCommunity(4, 10, 16, seed, 2)
+	fresh := func() (int, int) {
+		for {
+			u, v := rng.Intn(g.N()), rng.Intn(g.N())
+			if u != v && !g.HasEdge(u, v) {
+				return u, v
+			}
+		}
+	}
+	u1, v1 := fresh()
+	u2, v2 := fresh()
+	for u2 == u1 && v2 == v1 {
+		u2, v2 = fresh()
+	}
+	deltas := [][][]byte{
+		{schemes.EdgeDelta(u1, v1)},
+		{schemes.EdgeDelta(u2, v2)},
+		{schemes.EdgeDeleteDelta(u1, v1)},
+		{schemes.EdgeDelta(u1, v1)}, // re-insert across the reload boundary
+		{schemes.EdgeDeleteDelta(u2, v2)},
+		{schemes.EdgeDeleteDelta(u1, v1)},
+	}
+	probes := make([][]byte, 0, 200)
+	for i := 0; i < 200; i++ {
+		probes = append(probes, schemes.NodePairQuery(rng.Intn(g.N()), rng.Intn(g.N())))
+	}
+	return []scenario{
+		{"reachability/closure-matrix (scattered)", schemes.ReachabilityScheme(), g.Encode(), deltas, probes},
+		{"reachability/labels (scattered)", schemes.ReachabilityLabelsScheme(), g.Encode(), deltas, probes},
+	}
+}
+
 // TestMaintainedVsRebuiltDifferential runs the differential scenarios of two
-// seeds in every layout a scheme has — plain, and split by hash or range
-// into 2 or 3 parts — checking the maintained dataset against the oracle
+// seeds, and the scattered community scenarios, in every layout a scheme has
+// — plain, and split into 2, 3 or manyParts key ranges — checking the
+// maintained dataset against the oracle
 // after every delta, and across a restart that must reload the maintained
 // file (no Preprocess) and keep accepting deltas.
 func TestMaintainedVsRebuiltDifferential(t *testing.T) {
-	layouts := []layout{{"plain", nil, 1},
-		{"hash/2", HashPartitioner{}, 2}, {"hash/3", HashPartitioner{}, 3},
-		{"range/2", RangePartitioner{}, 2}, {"range/3", RangePartitioner{}, 3}}
+	layouts := []layout{{"plain", 1}, {"range/2", 2}, {"range/3", 3}, {"range/64", manyParts}}
 	for _, seed := range []int64{1207, 904} {
-		for _, sc := range deltaScenarios(seed) {
+		for _, sc := range append(deltaScenarios(seed), scatteredReachScenarios(seed)...) {
 			for _, l := range layouts {
-				if l.p != nil && ForScheme(sc.inc.Name()) == nil {
+				if l.n > 1 && ForScheme(sc.inc.Name()) == nil {
 					continue // a scheme served unsharded only
 				}
 				t.Run(fmt.Sprintf("seed-%d/%s/%s", seed, sc.name, l.name), func(t *testing.T) {
@@ -285,7 +324,7 @@ func TestConcurrentDeltasAndQueries(t *testing.T) {
 			func(k int) [][]byte { return [][]byte{schemes.NodePairQuery(0, k+1), schemes.NodePairQuery(k+1, 0)} },
 			[]bool{false, false}, []bool{true, true}},
 	}
-	layouts := []layout{{"plain", nil, 1}, {"hash", HashPartitioner{}, 3}, {"range", RangePartitioner{}, 3}}
+	layouts := []layout{{"plain", 1}, {"range", 3}, {"range/64", manyParts}}
 	for _, rc := range races {
 		for _, l := range layouts {
 			t.Run(rc.name+"/"+l.name, func(t *testing.T) {
@@ -378,7 +417,7 @@ func TestCrossShardEdgeDeltaConnects(t *testing.T) {
 	g.MustAddEdge(4, 5)
 	reg := store.NewRegistry(t.TempDir())
 	scheme := schemes.ReachabilityScheme()
-	ss, err := RegisterSharded(reg, "g", scheme, RangePartitioner{}, 2, g.Encode())
+	ss, err := RegisterSharded(reg, "g", scheme, 2, g.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +474,7 @@ func TestShardedSummaryMaintainedIsRebuilt(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := store.NewRegistry("")
-			ss, err := RegisterSharded(reg, "g", tc.scheme, RangePartitioner{}, 4, tc.g.Encode())
+			ss, err := RegisterSharded(reg, "g", tc.scheme, 4, tc.g.Encode())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -521,7 +560,7 @@ func TestShardedEmptyBatchIsNoOp(t *testing.T) {
 	dir := t.TempDir()
 	reg := store.NewRegistry(dir)
 	inc := schemes.PointSelectionScheme()
-	ss, err := RegisterSharded(reg, "d", inc, HashPartitioner{}, 2,
+	ss, err := RegisterSharded(reg, "d", inc, 2,
 		schemes.RelationFromKeys([]int64{2, 4, 6}))
 	if err != nil {
 		t.Fatal(err)
@@ -545,7 +584,7 @@ func TestShardedEmptyBatchIsNoOp(t *testing.T) {
 func TestShardedFiguresComeFromOneCommittedValue(t *testing.T) {
 	const nv, batches = 24, 40
 	reg := store.NewRegistry("")
-	ss, err := RegisterSharded(reg, "g", schemes.ReachabilityScheme(), RangePartitioner{}, 3, graph.New(nv, true).Encode())
+	ss, err := RegisterSharded(reg, "g", schemes.ReachabilityScheme(), 3, graph.New(nv, true).Encode())
 	if err != nil {
 		t.Fatal(err)
 	}

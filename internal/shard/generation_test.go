@@ -153,7 +153,6 @@ func TestShardGenerationBytesUnchanged(t *testing.T) {
 	cases := []struct {
 		name       string
 		scheme     *core.Scheme
-		p          Partitioner
 		data       []byte
 		batch      [][]byte
 		registered map[string]string
@@ -162,33 +161,31 @@ func TestShardGenerationBytesUnchanged(t *testing.T) {
 		{
 			name:   "keys",
 			scheme: schemes.ListMembershipScheme(),
-			p:      HashPartitioner{},
 			data:   schemes.EncodeList(keys),
 			// One key (one shard), then a run of keys spread over all three.
-			batch: [][]byte{schemes.KeysDelta([]int64{1001}), schemes.KeysDelta([]int64{-99, 3, 4, 5, 6, 2000})},
+			batch: [][]byte{schemes.KeysDelta([]int64{1001}), schemes.KeysDelta([]int64{-99, 3, 4, 5, 6, 100, 2000})},
 			registered: map[string]string{
-				"d.pitract":      "4ebfcdb1b5c8c02fddb2a012e3336a7346a814c53dd98b5e1e09b0467357271c",
-				"d.pitract#0":    "69bd03f6063b5c16e15fbc73df18e66f2101118565ef84733d8f80644f2d2def",
-				"d.pitract#1":    "e0248dda57577319405e3dc3ce7eccd45e1f591ba4fdd20c0168f6cef9517f9f",
-				"d.pitract#2":    "e6db78f3ccdba06f738f7768f6a822ead36b959759ffb88cdcb57de82387bff1",
-				"d.pitract#0.pi": "fa5a2c738e48e428ff2e446185173f99c5bc55fefa58ac15e7aab09efcf88347",
-				"d.pitract#1.pi": "24260ee506a5a390f207918e39af34ac0f22569d0aaa6c90440cd04ab4ee4af4",
-				"d.pitract#2.pi": "6f9163a646cf8acb29bc5a757becec44de469fcb540870f75020606ce7c02da7",
+				"d.pitract":      "a7c9307669ec1293c6f26dd93af88fa831c0efd7603b55faace0aa6eeccbb472",
+				"d.pitract#0":    "8c483146a6d3f446aee2c90d44113cc04962dd6a9938a23f0bdc55bca2cc6d58",
+				"d.pitract#1":    "69dd09498c0e307eede217ffcd9bfa3529b810060ee51b75352012f3101a9db0",
+				"d.pitract#2":    "67ca02a408fa5ca63b0d4b1ebfde7c31fd1b58acfef7b18a0002123996ad83e6",
+				"d.pitract#0.pi": "9169a9549ad622b2ae86097cc831d418a48543e63174431a3c72b1cd1b4f394d",
+				"d.pitract#1.pi": "e8902370e0f6a3d1b527ee6866d6b3646493f86eae83c514aa5b800c3f83eb63",
+				"d.pitract#2.pi": "43b7707b50a8777f24e4da2c37777cf654a8e314803e4bee9bf261345e086b09",
 			},
 			patched: map[string]string{
-				"d.pitract":      "9933bab30b6c3064343cd22c89aaf9a68315c54efce702448f805860820750cb",
-				"d.pitract#0":    "a41ea748953830b6d40dcd59e3e9c0ac70c4e28f09fece3de5913d6358329f8b",
-				"d.pitract#1":    "efee7ea5943df5d3c68a6aeaaff4b74f206e02b24353e22a352c6b130b779072",
-				"d.pitract#2":    "15bcd98dafb69e7c2421fe3852d2cc27974cb0fd63a4524860a6f7a84d6ebc0d",
-				"d.pitract#0.pi": "240d0d88333da41fa9f18d934e90767ea6439643e5e37a1c0960d5f915f7dcb4",
-				"d.pitract#1.pi": "c91b2838a532f6a9994fe888a74ed59cb4f546ae57bcc8c27f2a9af063ab02a3",
-				"d.pitract#2.pi": "6f9163a646cf8acb29bc5a757becec44de469fcb540870f75020606ce7c02da7",
+				"d.pitract":      "b604182e63b30fd3b74b2d54c572d1199bc1c08845e2b8c8fde28993252f4c6e",
+				"d.pitract#0":    "df6f9e08d38e2c241490c35957dc7fa6db7ece031d7d620b21aed7230d0f292d",
+				"d.pitract#1":    "fee4934f02378b4e2d9eb54c705d1b937899928ab575db963c39d8b4a6790412",
+				"d.pitract#2":    "2b0a8b4968595c06d22262743c17e5e68fc32b30f6d87128a980465ffc2950af",
+				"d.pitract#0.pi": "2c3fa6b5d728f65e50fe1d77ca0baa57225f6baa57edc7fefccfca70f8e88c2a",
+				"d.pitract#1.pi": "b8c372adec916f275285c7ff2d98a9a0af56ab586e94424fb72af9d3ce3e1c2e",
+				"d.pitract#2.pi": "d5c6a44ca66177c68c7a83afd79ac9d47f66a027ae57b0216860ec4912352c22",
 			},
 		},
 		{
 			name:   "graph",
 			scheme: schemes.ReachabilityScheme(),
-			p:      RangePartitioner{},
 			data:   g.Encode(),
 			batch:  [][]byte{schemes.EdgeDelta(1, 4), schemes.EdgeDelta(11, 12)},
 			registered: map[string]string{
@@ -217,7 +214,7 @@ func TestShardGenerationBytesUnchanged(t *testing.T) {
 			f := faultfs.New()
 			med := &store.Medium{Dir: dir, FS: f, CheckpointEvery: 1}
 			reg := store.NewRegistryMedium(med)
-			ss, err := RegisterSharded(reg, id, tc.scheme, tc.p, 3, tc.data)
+			ss, err := RegisterSharded(reg, id, tc.scheme, 3, tc.data)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -234,7 +231,7 @@ func TestShardGenerationBytesUnchanged(t *testing.T) {
 
 			f.Restart()
 			reg2 := store.NewRegistryMedium(med)
-			loaded, err := RegisterSharded(reg2, id, tc.scheme, tc.p, 3, tc.data)
+			loaded, err := RegisterSharded(reg2, id, tc.scheme, 3, tc.data)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -469,7 +466,7 @@ func TestOlderClosureLayoutOnDiskIsRebuilt(t *testing.T) {
 		t.Run(old.name, func(t *testing.T) {
 			scheme := schemes.ReachabilityScheme()
 			dir := t.TempDir()
-			built, err := RegisterSharded(store.NewRegistry(dir), "s", scheme, RangePartitioner{}, 3, data)
+			built, err := RegisterSharded(store.NewRegistry(dir), "s", scheme, 3, data)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -488,7 +485,7 @@ func TestOlderClosureLayoutOnDiskIsRebuilt(t *testing.T) {
 				t.Fatal(err)
 			}
 			reg := store.NewRegistry(dir)
-			ss, err := RegisterSharded(reg, "s", scheme, RangePartitioner{}, 3, data)
+			ss, err := RegisterSharded(reg, "s", scheme, 3, data)
 			if err != nil {
 				t.Fatalf("register over a %s manifest: %v", old.name, err)
 			}
@@ -501,7 +498,7 @@ func TestOlderClosureLayoutOnDiskIsRebuilt(t *testing.T) {
 			}
 			verify(t, ss)
 			reg2 := store.NewRegistry(dir)
-			ss2, err := RegisterSharded(reg2, "s", scheme, RangePartitioner{}, 3, data)
+			ss2, err := RegisterSharded(reg2, "s", scheme, 3, data)
 			if err != nil || !ss2.WasLoaded() || reg2.QuarantineCount() != 0 {
 				t.Fatalf("restart after the rebuild: loaded=%v quarantines=%d err=%v", ss2.WasLoaded(), reg2.QuarantineCount(), err)
 			}
@@ -512,7 +509,7 @@ func TestOlderClosureLayoutOnDiskIsRebuilt(t *testing.T) {
 	t.Run("sharded-v5", func(t *testing.T) {
 		scheme := schemes.ReachabilityScheme()
 		dir := t.TempDir()
-		if _, err := RegisterSharded(store.NewRegistry(dir), "s", scheme, RangePartitioner{}, 3, data); err != nil {
+		if _, err := RegisterSharded(store.NewRegistry(dir), "s", scheme, 3, data); err != nil {
 			t.Fatal(err)
 		}
 		file, err := os.ReadFile(store.DatasetPath(dir, "s"))
@@ -530,7 +527,7 @@ func TestOlderClosureLayoutOnDiskIsRebuilt(t *testing.T) {
 			t.Fatal(err)
 		}
 		reg := store.NewRegistry(dir)
-		ss, err := RegisterSharded(reg, "s", scheme, RangePartitioner{}, 3, data)
+		ss, err := RegisterSharded(reg, "s", scheme, 3, data)
 		if err != nil {
 			t.Fatalf("register beside a %s manifest: %v", "PITRACTM\x05", err)
 		}
@@ -542,7 +539,7 @@ func TestOlderClosureLayoutOnDiskIsRebuilt(t *testing.T) {
 		}
 		verify(t, ss)
 		reg2 := store.NewRegistry(dir)
-		ss2, err := RegisterSharded(reg2, "s", scheme, RangePartitioner{}, 3, data)
+		ss2, err := RegisterSharded(reg2, "s", scheme, 3, data)
 		if err != nil || !ss2.WasLoaded() || reg2.QuarantineCount() != 0 {
 			t.Fatalf("restart after the build: loaded=%v quarantines=%d err=%v", ss2.WasLoaded(), reg2.QuarantineCount(), err)
 		}
@@ -553,7 +550,7 @@ func TestOlderClosureLayoutOnDiskIsRebuilt(t *testing.T) {
 		// Labels members kept their bytes; only the summary's overlay moved.
 		scheme := schemes.ReachabilityLabelsScheme()
 		dir := t.TempDir()
-		built, err := RegisterSharded(store.NewRegistry(dir), "s", scheme, RangePartitioner{}, 3, data)
+		built, err := RegisterSharded(store.NewRegistry(dir), "s", scheme, 3, data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -581,7 +578,7 @@ func TestOlderClosureLayoutOnDiskIsRebuilt(t *testing.T) {
 		}
 
 		reg := store.NewRegistry(dir)
-		ss, err := RegisterSharded(reg, "s", scheme, RangePartitioner{}, 3, data)
+		ss, err := RegisterSharded(reg, "s", scheme, 3, data)
 		if err != nil {
 			t.Fatalf("register over an older-layout generation: %v", err)
 		}
@@ -590,7 +587,7 @@ func TestOlderClosureLayoutOnDiskIsRebuilt(t *testing.T) {
 		}
 		verify(t, ss)
 		reg2 := store.NewRegistry(dir)
-		ss2, err := RegisterSharded(reg2, "s", scheme, RangePartitioner{}, 3, data)
+		ss2, err := RegisterSharded(reg2, "s", scheme, 3, data)
 		if err != nil || !ss2.WasLoaded() || reg2.QuarantineCount() != 0 {
 			t.Fatalf("restart after the rebuild: loaded=%v quarantines=%d err=%v", ss2.WasLoaded(), reg2.QuarantineCount(), err)
 		}
@@ -724,7 +721,7 @@ func TestOlderSortedKeyLayoutOnDiskIsRebuilt(t *testing.T) {
 	t.Run("sharded", func(t *testing.T) {
 		scheme, data := schemes.ListMembershipScheme(), schemes.EncodeList(keys)
 		dir := t.TempDir()
-		ss, err := RegisterSharded(store.NewRegistry(dir), "s", scheme, HashPartitioner{}, 3, data)
+		ss, err := RegisterSharded(store.NewRegistry(dir), "s", scheme, 3, data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -755,7 +752,7 @@ func TestOlderSortedKeyLayoutOnDiskIsRebuilt(t *testing.T) {
 		}
 
 		reg := store.NewRegistry(dir)
-		ss2, err := RegisterSharded(reg, "s", scheme, HashPartitioner{}, 3, data)
+		ss2, err := RegisterSharded(reg, "s", scheme, 3, data)
 		if err != nil {
 			t.Fatalf("register over an older-format manifest: %v", err)
 		}
@@ -767,7 +764,7 @@ func TestOlderSortedKeyLayoutOnDiskIsRebuilt(t *testing.T) {
 		}
 		verify(t, ss2)
 		reg2 := store.NewRegistry(dir)
-		ss3, err := RegisterSharded(reg2, "s", scheme, HashPartitioner{}, 3, data)
+		ss3, err := RegisterSharded(reg2, "s", scheme, 3, data)
 		if err != nil || !ss3.WasLoaded() || reg2.PreprocessCount() != 0 || reg2.QuarantineCount() != 0 {
 			t.Fatalf("restart after the rebuild: loaded=%v preprocess=%d quarantines=%d err=%v", ss3.WasLoaded(), reg2.PreprocessCount(), reg2.QuarantineCount(), err)
 		}

@@ -31,7 +31,7 @@ func checkpointBytes(ss *ShardedStore) []byte {
 }
 
 // keyFixture is TestShardGenerationBytesUnchanged's key dataset — 64 keys in
-// three hash shards — as built, in memory.
+// three range shards — as built, in memory.
 func keyFixture(tb testing.TB) *ShardedStore {
 	tb.Helper()
 	keys := make([]int64, 64)
@@ -39,7 +39,7 @@ func keyFixture(tb testing.TB) *ShardedStore {
 		keys[i] = int64(7*i - 100)
 	}
 	scheme := schemes.ListMembershipScheme()
-	ss, err := Build("d", scheme, ForScheme(scheme.Name()), HashPartitioner{}, 3, schemes.EncodeList(keys))
+	ss, err := Build("d", scheme, ForScheme(scheme.Name()), RangePartitioner{}, 3, schemes.EncodeList(keys))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -236,15 +236,15 @@ func FuzzDecodeManifest(f *testing.F) {
 			// refuse or accept, never panic. A summary's vertex count costs it
 			// no bytes and the view 16 B a vertex, so only small graphs are
 			// decoded: each exec stays small.
-			var asn Assignment
+			var asn *Assignment
 			_, _ = LayoutDecoder(scheme)(m.Layout, func(l store.Layout) (*store.Store, error) {
 				if ss, ok := l.(*ShardedStore); ok {
-					asn = ss.Asn
+					asn = &ss.Asn
 				}
 				return nil, errors.New("decoded")
 			})
 			if n, k := binary.Uvarint(m.Summary); asn != nil && asn.Shards() == len(m.Members) && k > 0 && n <= 1<<16 {
-				_, _ = decodeReachSummary(m.Summary, asn)
+				_, _ = decodeReachSummary(m.Summary, *asn)
 			}
 		}
 	})

@@ -34,7 +34,7 @@ func load(fsys store.FS, dir, id string, scheme *core.Scheme) (store.DeltaDatase
 }
 
 func TestManifestRoundTrip(t *testing.T) {
-	layout := (&ShardedStore{Partitioner: "range", Asn: rangeAssignment{bounds: []int64{4}}}).Encode()
+	layout := (&ShardedStore{Partitioner: "range", Asn: Assignment{bounds: []int64{4}}}).Encode()
 	m := &store.Manifest{
 		SchemeName: "reachability/closure-matrix",
 		DataSum:    store.SumData([]byte("raw")),
@@ -60,7 +60,7 @@ func TestManifestRoundTrip(t *testing.T) {
 }
 
 func TestManifestRejectsCorruption(t *testing.T) {
-	m := &store.Manifest{SchemeName: "s", Layout: (&ShardedStore{Partitioner: "hash", Asn: hashAssignment{n: 2}}).Encode()}
+	m := &store.Manifest{SchemeName: "s", Layout: (&ShardedStore{Partitioner: "range", Asn: Assignment{bounds: []int64{4}}}).Encode()}
 	enc := store.EncodeManifest(m)
 	// A member count the bytes do not hold, under a CRC that vouches for it:
 	// refused at the first missing field, with nothing sized by the claim.
@@ -96,7 +96,7 @@ func shardedFixture(t *testing.T) (string, *graph.Graph, *core.Scheme) {
 	g := graph.CommunityGraph(3, 8, 12, 5)
 	scheme := schemes.ReachabilityScheme()
 	reg := store.NewRegistry(dir)
-	if _, err := RegisterSharded(reg, "g", scheme, RangePartitioner{}, 3, g.Encode()); err != nil {
+	if _, err := RegisterSharded(reg, "g", scheme, 3, g.Encode()); err != nil {
 		t.Fatal(err)
 	}
 	return dir, g, scheme
@@ -116,7 +116,7 @@ func TestShardedPersistenceReload(t *testing.T) {
 		return inner(d)
 	}
 	reg2 := store.NewRegistry(dir)
-	ss, err := RegisterSharded(reg2, "g", &counted, RangePartitioner{}, 3, g.Encode())
+	ss, err := RegisterSharded(reg2, "g", &counted, 3, g.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestShardedPersistenceReload(t *testing.T) {
 		}
 	}
 
-	// A different partitioner must not silently serve the old layout.
+	// A different shard count must not silently serve the old layout.
 	var calls2 atomic.Int64
 	counted2 := *schemes.ReachabilityScheme()
 	inner2 := counted2.Preprocess
@@ -147,12 +147,12 @@ func TestShardedPersistenceReload(t *testing.T) {
 		return inner2(d)
 	}
 	reg3 := store.NewRegistry(dir)
-	ss3, err := RegisterSharded(reg3, "g", &counted2, HashPartitioner{}, 3, g.Encode())
+	ss3, err := RegisterSharded(reg3, "g", &counted2, 4, g.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ss3.WasLoaded() || calls2.Load() != 3 {
-		t.Fatalf("partitioner change: loaded=%v calls=%d, want a fresh 3-shard build", ss3.WasLoaded(), calls2.Load())
+	if ss3.WasLoaded() || calls2.Load() != 4 {
+		t.Fatalf("shard count change: loaded=%v calls=%d, want a fresh 4-shard build", ss3.WasLoaded(), calls2.Load())
 	}
 }
 
@@ -176,7 +176,7 @@ func TestShardedRegistrationAtomicity(t *testing.T) {
 		}
 		return inner(d)
 	}
-	if _, err := RegisterSharded(reg, "g", &failing, RangePartitioner{}, 3, g.Encode()); err == nil {
+	if _, err := RegisterSharded(reg, "g", &failing, 3, g.Encode()); err == nil {
 		t.Fatal("partially failing build must error")
 	}
 	if _, ok := reg.GetDataset("g"); ok {
@@ -189,7 +189,7 @@ func TestShardedRegistrationAtomicity(t *testing.T) {
 	// Panicking Preprocess: same story, and the id must stay retryable.
 	panicking := *schemes.ReachabilityScheme()
 	panicking.Preprocess = func(d []byte) ([]byte, error) { panic("hostile") }
-	if _, err := RegisterSharded(reg, "g", &panicking, RangePartitioner{}, 3, g.Encode()); err == nil {
+	if _, err := RegisterSharded(reg, "g", &panicking, 3, g.Encode()); err == nil {
 		t.Fatal("panicking build must surface an error")
 	}
 	if _, ok := reg.GetDataset("g"); ok {
@@ -210,7 +210,7 @@ func TestShardedRegistrationAtomicity(t *testing.T) {
 	if _, err := load(store.OSFS, dir, "g", schemes.ReachabilityScheme()); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("a load without a file = %v, want not-exist", err)
 	}
-	ss, err := RegisterSharded(reg, "g", schemes.ReachabilityScheme(), RangePartitioner{}, 3, g.Encode())
+	ss, err := RegisterSharded(reg, "g", schemes.ReachabilityScheme(), 3, g.Encode())
 	if err != nil {
 		t.Fatalf("retry after failures: %v", err)
 	}
@@ -235,7 +235,7 @@ func TestShardedRegistrationAtomicity(t *testing.T) {
 	for i := 0; i < goroutines; i++ {
 		go func(i int) {
 			defer wg.Done()
-			stores[i], errs[i] = RegisterSharded(reg2, "g", &counting, HashPartitioner{}, 2, g.Encode())
+			stores[i], errs[i] = RegisterSharded(reg2, "g", &counting, 2, g.Encode())
 		}(i)
 	}
 	wg.Wait()
@@ -265,7 +265,7 @@ func TestShardedAndPlainSnapshotNamespacesDisjoint(t *testing.T) {
 	}
 
 	reg2 := store.NewRegistry(dir)
-	ss, err := RegisterSharded(reg2, "g", scheme, RangePartitioner{}, 3, g.Encode())
+	ss, err := RegisterSharded(reg2, "g", scheme, 3, g.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestShardedCorruptSnapshotFailsOpen(t *testing.T) {
 
 			// The registry rebuilds from data, keeping aside what was damaged.
 			reg := store.NewRegistry(dir)
-			ss, err := RegisterSharded(reg, "g", scheme, RangePartitioner{}, 3, g.Encode())
+			ss, err := RegisterSharded(reg, "g", scheme, 3, g.Encode())
 			if err != nil {
 				t.Fatalf("rebuild over a damaged manifest: %v", err)
 			}
@@ -427,7 +427,7 @@ func TestShardedSnapshotBytesIsTheCheckpointFile(t *testing.T) {
 	inc := schemes.PointSelectionScheme()
 	f := faultfs.New()
 	reg := store.NewRegistryMedium(&store.Medium{Dir: dir, FS: f, CheckpointEvery: 2})
-	ss, err := RegisterSharded(reg, id, inc, HashPartitioner{}, 4, schemes.RelationFromKeys([]int64{2, 4, 6, 8, 10, 12, 14, 16}))
+	ss, err := RegisterSharded(reg, id, inc, 4, schemes.RelationFromKeys([]int64{2, 4, 6, 8, 10, 12, 14, 16}))
 	if err != nil {
 		t.Fatal(err)
 	}

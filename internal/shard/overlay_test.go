@@ -117,7 +117,7 @@ func reachSummaryRef(g *graph.Graph, asn Assignment) []byte {
 
 // TestOverlaySummaryBytesUnchanged: the sharded summary (what the manifest
 // carries and PrepBytes counts) is byte for byte the reference's, on every
-// shape × partitioner × shard count — including a shard with one portal or
+// shape × shard count — including a shard with one portal or
 // none (skipped by the build) and portal counts off a byte boundary.
 func TestOverlaySummaryBytesUnchanged(t *testing.T) {
 	shapes := map[string]*graph.Graph{
@@ -136,15 +136,13 @@ func TestOverlaySummaryBytesUnchanged(t *testing.T) {
 		"scc-with-tail":   blockGraph(4, 16, 10, 24, 9),
 	}
 	for name, g := range shapes {
-		for _, p := range []Partitioner{HashPartitioner{}, RangePartitioner{}} {
-			for _, n := range []int{1, 2, 3, 4} {
-				asn, _, got, err := splitReach(g.Encode(), p, n)
-				if err != nil {
-					t.Fatalf("%s/%s/%d: %v", name, p.Name(), n, err)
-				}
-				if !bytes.Equal(got, reachSummaryRef(g, asn)) {
-					t.Fatalf("%s/%s/%d: summary differs from the per-portal-BFS build", name, p.Name(), n)
-				}
+		for _, n := range []int{1, 2, 3, 4} {
+			asn, _, got, err := splitReach(g.Encode(), n)
+			if err != nil {
+				t.Fatalf("%s/%d: %v", name, n, err)
+			}
+			if !bytes.Equal(got, reachSummaryRef(g, asn)) {
+				t.Fatalf("%s/%d: summary differs from the per-portal-BFS build", name, n)
 			}
 		}
 	}
@@ -186,13 +184,69 @@ func blockGraph(nb, size, scc, cross int, seed int64) *graph.Graph {
 	return g
 }
 
+// scatteredCommunity is CommunityGraph(c, s, cross, seed) with member i of
+// every community renumbered into key range i mod n of n equal ranges
+// (s a multiple of n): each community's cycle steps from range to range, so
+// a range split into n parts cuts through every community.
+func scatteredCommunity(c, s, cross int, seed int64, n int) *graph.Graph {
+	g := graph.CommunityGraph(c, s, cross, seed)
+	id := func(v int) int { com, i := v/s, v%s; return i%n*(c*s/n) + i/n*c + com }
+	h := graph.New(g.N(), g.Directed())
+	for _, e := range g.Edges() {
+		h.MustAddEdge(id(e[0]), id(e[1]))
+	}
+	h.Normalize()
+	return h
+}
+
+// TestScatteredCutMakesEveryPortalItsOwnClass reaches the worst case of the
+// per-class build and of the view's memory on the benchmark's community
+// graph: cut through every community, each of the four range shards holds
+// no local SCC of two portals, so every vertex is a portal and its own
+// local class, and the view interns 2·n + 1 rows. The same graph split
+// along its communities has four classes and nine rows.
+func TestScatteredCutMakesEveryPortalItsOwnClass(t *testing.T) {
+	for _, tc := range []struct {
+		name                   string
+		g                      *graph.Graph
+		portals, classes, rows int
+	}{
+		{"along", graph.CommunityGraph(8, 256, 512, 1), 672, 4, 9},
+		{"scattered", scatteredCommunity(8, 256, 512, 1, 4), 2048, 2048, 4097},
+	} {
+		ss, err := Build("g", schemes.ReachabilityScheme(), ForScheme("reachability/closure-matrix"), RangePartitioner{}, 4, tc.g.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs := ss.Committed().View().(*reachSummary)
+		csr, err := graph.Decode(tc.g.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs, _ := splitEdges(csr, rs.shardOf, rs.local, rs.counts)
+		classes := 0
+		for s, ps := range rs.byShard {
+			comp, _ := subs[s].SCC()
+			seen := map[int32]bool{}
+			for _, pi := range ps {
+				seen[comp[rs.local[rs.portals[pi]]]] = true
+			}
+			classes += len(seen)
+		}
+		if got := len(rs.rows) / rs.words; len(rs.portals) != tc.portals || classes != tc.classes || got != tc.rows {
+			t.Errorf("%s: %d portals in %d local classes, %d rows; want %d, %d, %d",
+				tc.name, len(rs.portals), classes, got, tc.portals, tc.classes, tc.rows)
+		}
+	}
+}
+
 // FuzzOverlaySummary: any graph of at most 48 vertices, directed or not,
-// split over two to four shards by either partitioner, gets the reference's
+// split into two to four key ranges, gets the reference's
 // summary bytes, the same bytes again when the overlay is rebuilt from the
 // members' prepared answerers (the PATCH path, on an empty batch), and every
 // pair's sharded verdict equal to the unsharded closure's. The first byte
-// picks orientation, partitioner, shard count and member scheme, the second
-// the vertex count; each further pair of bytes is an edge.
+// picks orientation (bit 0), shard count (bits 2–3) and member scheme (bit
+// 4), the second the vertex count; each further pair of bytes is an edge.
 func FuzzOverlaySummary(f *testing.F) {
 	f.Add([]byte{0x00, 12, 0, 1, 1, 2, 2, 0, 3, 4, 4, 5, 5, 3, 2, 3, 5, 6, 6, 7, 7, 8, 8, 6})
 	f.Add([]byte{0x07, 48, 0, 47, 5, 9, 9, 5, 12, 30, 30, 31, 31, 12, 40, 2})
@@ -212,21 +266,17 @@ func FuzzOverlaySummary(f *testing.F) {
 			}
 		}
 		g.Normalize()
-		var p Partitioner = HashPartitioner{}
-		if h&2 != 0 {
-			p = RangePartitioner{}
-		}
-		n := 2 + int(h>>2)%3
+		n := 2 + int(h>>2)%3 // bit 1 picked a partitioner when there were two
 		scheme := []*core.Scheme{schemes.ReachabilityScheme(), schemes.ReachabilityLabelsScheme()}[int(h>>4)%2]
 
-		asn, _, summary, err := splitReach(g.Encode(), p, n)
+		asn, _, summary, err := splitReach(g.Encode(), n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(summary, reachSummaryRef(g, asn)) {
-			t.Fatalf("%s/%d: summary differs from the per-portal-BFS build", p.Name(), n)
+			t.Fatalf("n=%d: summary differs from the per-portal-BFS build", n)
 		}
-		ss, err := Build("g", scheme, ForScheme(scheme.Name()), p, n, g.Encode())
+		ss, err := Build("g", scheme, ForScheme(scheme.Name()), RangePartitioner{}, n, g.Encode())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,14 +290,14 @@ func FuzzOverlaySummary(f *testing.F) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(rebuilt, summary) {
-			t.Fatalf("%s/%d: the overlay rebuilt from the members' answerers differs from the split's", p.Name(), n)
+			t.Fatalf("n=%d: the overlay rebuilt from the members' answerers differs from the split's", n)
 		}
 		want := graph.NewClosure(g)
 		for u := 0; u < nv; u++ {
 			for v := 0; v < nv; v++ {
 				got, err := ss.Answer(schemes.NodePairQuery(u, v))
 				if err != nil || got != want.Reach(u, v) {
-					t.Fatalf("%s/%d/%s: (%d,%d) = %v, %v; unsharded closure %v", p.Name(), n, scheme.Name(), u, v, got, err, want.Reach(u, v))
+					t.Fatalf("%d/%s: (%d,%d) = %v, %v; unsharded closure %v", n, scheme.Name(), u, v, got, err, want.Reach(u, v))
 				}
 			}
 		}
@@ -296,7 +346,7 @@ func TestOverlayPortalCap(t *testing.T) {
 	for _, scheme := range []*core.Scheme{schemes.ReachabilityScheme(), schemes.ReachabilityLabelsScheme()} {
 		t.Run(scheme.Name(), func(t *testing.T) {
 			reg := store.NewRegistry(t.TempDir())
-			ss, err := RegisterSharded(reg, "g", scheme, RangePartitioner{}, 2, g.Encode())
+			ss, err := RegisterSharded(reg, "g", scheme, 2, g.Encode())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -338,7 +388,7 @@ func TestOverlayPortalCap(t *testing.T) {
 
 	// Registration: the same graph under a cap its two portals exceed.
 	lowerPortalCap(t, 1)
-	_, err := RegisterSharded(store.NewRegistry(""), "g", schemes.ReachabilityScheme(), RangePartitioner{}, 2, g.Encode())
+	_, err := RegisterSharded(store.NewRegistry(""), "g", schemes.ReachabilityScheme(), 2, g.Encode())
 	if err == nil || !strings.Contains(err.Error(), "1-vertex closure limit") {
 		t.Fatalf("registration with 2 portals under a cap of 1: %v, want the cap error", err)
 	}

@@ -2,32 +2,11 @@ package shard
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
-)
 
-func TestHashAssignmentBalanceAndDeterminism(t *testing.T) {
-	p := HashPartitioner{}
-	asn, err := p.Plan(nil, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := make([]int, 4)
-	for k := int64(-5000); k < 5000; k++ {
-		s := asn.Shard(k)
-		if s < 0 || s >= 4 {
-			t.Fatalf("key %d assigned to shard %d", k, s)
-		}
-		if s != asn.Shard(k) {
-			t.Fatalf("key %d assignment not deterministic", k)
-		}
-		counts[s]++
-	}
-	for s, c := range counts {
-		if c < 1500 || c > 3500 {
-			t.Fatalf("hash shard %d holds %d of 10000 keys — badly unbalanced: %v", s, c, counts)
-		}
-	}
-}
+	"pitract/internal/schemes"
+)
 
 func TestRangeAssignmentContiguousAndBalanced(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
@@ -58,33 +37,55 @@ func TestRangeAssignmentContiguousAndBalanced(t *testing.T) {
 			t.Fatalf("range shard %d holds %d of 1000 keys: %v", s, c, counts)
 		}
 	}
-	// OwnerOfRange: single-bucket ranges route, spanning ranges do not.
-	ro := asn.(RangeOwner)
-	if got := ro.OwnerOfRange(-60000, 60000); got != -1 {
-		t.Fatalf("full-span range owned by shard %d, want -1", got)
+	// routeKeys: single-bucket ranges route, spanning ranges fan out.
+	if got, err := routeKeys(schemes.RangeQuery(-60000, 60000), asn); err != nil || got != -1 {
+		t.Fatalf("full-span range routed to shard %d (%v), want -1", got, err)
 	}
 	for _, k := range keys[:50] {
-		if got := ro.OwnerOfRange(k, k); got != asn.Shard(k) {
-			t.Fatalf("point range [%d,%d] owned by %d, want %d", k, k, got, asn.Shard(k))
+		if got, err := routeKeys(schemes.RangeQuery(k, k), asn); err != nil || got != asn.Shard(k) {
+			t.Fatalf("point range [%d,%d] routed to %d (%v), want %d", k, k, got, err, asn.Shard(k))
 		}
 	}
 }
 
+// TestRangePlanBounds pins Plan's bounds — the n-1 equidistant order
+// statistics of the keys, 0 for an empty key set — which the layout field
+// persists, so a change here would move every range-partitioned file.
+func TestRangePlanBounds(t *testing.T) {
+	for _, c := range []struct {
+		keys []int64
+		n    int
+		want []int64
+	}{
+		{nil, 1, []int64{}},
+		{nil, 3, []int64{0, 0}},
+		{[]int64{5}, 3, []int64{5, 5}},
+		{[]int64{9, -2, 3, 3, 200, 14, 0}, 3, []int64{0, 3}},
+		{[]int64{4, 3, 2, 1}, 4, []int64{1, 2, 3}},
+		{[]int64{7, 7, 7, 7, 7, 7}, 2, []int64{7}},
+	} {
+		asn, err := RangePartitioner{}.Plan(c.keys, c.n)
+		if err != nil || !slices.Equal(asn.bounds, c.want) {
+			t.Errorf("Plan(%v, %d) bounds %v (%v), want %v", c.keys, c.n, asn.bounds, err, c.want)
+		}
+	}
+	if _, err := (RangePartitioner{}).Plan(nil, 0); err == nil {
+		t.Error("Plan with 0 shards succeeded")
+	}
+}
+
 func TestAssignmentEncodeDecodeRoundTrip(t *testing.T) {
-	hashAsn, _ := HashPartitioner{}.Plan(nil, 7)
-	rangeAsn, _ := RangePartitioner{}.Plan([]int64{-9, -2, 0, 3, 3, 14, 200}, 3)
-	for _, asn := range []Assignment{hashAsn, rangeAsn} {
-		got, err := DecodeAssignment(asn.Encode())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Shards() != asn.Shards() {
-			t.Fatalf("decoded %d shards, want %d", got.Shards(), asn.Shards())
-		}
-		for k := int64(-300); k < 300; k++ {
-			if got.Shard(k) != asn.Shard(k) {
-				t.Fatalf("decoded assignment diverges at key %d", k)
-			}
+	asn, _ := RangePartitioner{}.Plan([]int64{-9, -2, 0, 3, 3, 14, 200}, 3)
+	got, err := DecodeAssignment(asn.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Shards() != asn.Shards() {
+		t.Fatalf("decoded %d shards, want %d", got.Shards(), asn.Shards())
+	}
+	for k := int64(-300); k < 300; k++ {
+		if got.Shard(k) != asn.Shard(k) {
+			t.Fatalf("decoded assignment diverges at key %d", k)
 		}
 	}
 }
@@ -94,13 +95,12 @@ func TestDecodeAssignmentRejectsHostileInput(t *testing.T) {
 		nil,
 		{},
 		{'x'},
-		{hashAssignmentTag},
-		{hashAssignmentTag, 0},          // n = 0
+		{'h', 2},                        // the hash assignment an earlier version wrote
 		{rangeAssignmentTag},            // no count
 		{rangeAssignmentTag, 0xff},      // truncated varint count
 		{rangeAssignmentTag, 200, 1, 2}, // count exceeds buffer
 		{rangeAssignmentTag, 2, 4, 2},   // bounds out of order
-		{hashAssignmentTag, 3, 9},       // trailing bytes
+		{rangeAssignmentTag, 1, 4, 9},   // trailing bytes
 	}
 	for i, b := range cases {
 		if _, err := DecodeAssignment(b); err == nil {
@@ -110,13 +110,14 @@ func TestDecodeAssignmentRejectsHostileInput(t *testing.T) {
 }
 
 func TestPartitionerByName(t *testing.T) {
-	for name, want := range map[string]string{"": "hash", "hash": "hash", "range": "range"} {
-		p, err := PartitionerByName(name)
-		if err != nil || p.Name() != want {
+	for _, name := range []string{"", "range"} {
+		if p, err := PartitionerByName(name); err != nil || p.Name() != "range" {
 			t.Fatalf("PartitionerByName(%q) = %v, %v", name, p, err)
 		}
 	}
-	if _, err := PartitionerByName("zodiac"); err == nil {
-		t.Fatal("unknown partitioner accepted")
+	for _, name := range []string{"hash", "zodiac"} {
+		if _, err := PartitionerByName(name); err == nil {
+			t.Fatalf("partitioner %q accepted", name)
+		}
 	}
 }

@@ -498,18 +498,18 @@ func splitEdges(g *graph.CSR, shardOf []int32, local []uint32, counts []int) (su
 // splitReach is the Split hook: one decode, one relabelling, one set of
 // induced subgraphs feeding both the per-shard parts and the portal-overlay
 // summary. Every vertex is its own partition key.
-func splitReach(data []byte, p Partitioner, n int) (Assignment, [][]byte, []byte, error) {
+func splitReach(data []byte, n int) (Assignment, [][]byte, []byte, error) {
 	g, err := graph.Decode(data)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("keys: %w", err)
+		return Assignment{}, nil, nil, fmt.Errorf("keys: %w", err)
 	}
 	keys := make([]int64, g.N())
 	for v := range keys {
 		keys[v] = int64(v)
 	}
-	asn, err := p.Plan(keys, n)
+	asn, err := RangePartitioner{}.Plan(keys, n)
 	if err != nil {
-		return nil, nil, nil, err
+		return Assignment{}, nil, nil, err
 	}
 	shardOf, local, counts := vertexShards(g.N(), asn)
 	subs, cross := splitEdges(g, shardOf, local, counts)
@@ -519,7 +519,7 @@ func splitReach(data []byte, p Partitioner, n int) (Assignment, [][]byte, []byte
 	}
 	summary, err := buildReachSummary(g, shardOf, local, counts, subs, cross)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("split: %w", err)
+		return Assignment{}, nil, nil, fmt.Errorf("split: %w", err)
 	}
 	return asn, parts, summary, nil
 }
@@ -589,7 +589,7 @@ var maxPortals = graph.MaxClosureVertices
 // closure is allocated.
 func checkPortals(portals int) error {
 	if portals > maxPortals {
-		return fmt.Errorf("shard: the portal overlay would hold %d cross-edge endpoints, over the %d-vertex closure limit (its closure takes P² bits); use fewer shards or the range partitioner", portals, maxPortals)
+		return fmt.Errorf("shard: the portal overlay would hold %d cross-edge endpoints, over the %d-vertex closure limit (its closure takes P² bits); use fewer shards", portals, maxPortals)
 	}
 	return nil
 }

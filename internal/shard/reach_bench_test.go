@@ -15,18 +15,17 @@ import (
 // Each is timed on the benchmark's shard_reach_batch graph — an 8 × 256
 // community graph with 512 random cross arcs, four range shards, one local
 // class of many portals per shard — and on shapes where every portal is a
-// class of its own: the same graph under hash partitioning, and a random
-// DAG. The file compiles against the commit before per-class reads too.
+// class of its own: the same graph cut through every community
+// (scatteredCommunity), and a random DAG.
 
 // benchShapes are the graphs the build benchmarks run on, by name.
 var benchShapes = []struct {
 	name string
 	g    func() *graph.Graph
-	p    Partitioner
 }{
-	{"community/range", func() *graph.Graph { return graph.CommunityGraph(8, 256, 512, 1) }, RangePartitioner{}},
-	{"community/hash", func() *graph.Graph { return graph.CommunityGraph(8, 256, 512, 1) }, HashPartitioner{}},
-	{"dag/range", func() *graph.Graph { return graph.RandomDAG(2048, 8192, 1) }, RangePartitioner{}},
+	{"community/range", func() *graph.Graph { return graph.CommunityGraph(8, 256, 512, 1) }},
+	{"community/scattered", func() *graph.Graph { return scatteredCommunity(8, 256, 512, 1, 4) }},
+	{"dag/range", func() *graph.Graph { return graph.RandomDAG(2048, 8192, 1) }},
 }
 
 // BenchmarkShardedRegister is one in-memory closure-matrix registration at
@@ -39,7 +38,7 @@ func BenchmarkShardedRegister(b *testing.B) {
 		data := sh.g().Encode()
 		b.Run(sh.name, func(b *testing.B) {
 			for b.Loop() {
-				if _, err := RegisterSharded(store.NewRegistry(""), "g", scheme, sh.p, 4, data); err != nil {
+				if _, err := RegisterSharded(store.NewRegistry(""), "g", scheme, 4, data); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -47,7 +46,7 @@ func BenchmarkShardedRegister(b *testing.B) {
 	}
 	b.Run("reload", func(b *testing.B) {
 		dir := b.TempDir()
-		ss, err := RegisterSharded(store.NewRegistry(""), "g", scheme, RangePartitioner{}, 4, benchShapes[0].g().Encode())
+		ss, err := RegisterSharded(store.NewRegistry(""), "g", scheme, 4, benchShapes[0].g().Encode())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -75,7 +74,7 @@ func BenchmarkShardedCrossDelta(b *testing.B) {
 				g = graph.RandomDAG(2048, 8192, 1)
 			}
 			reg := store.NewRegistry("")
-			ss, err := RegisterSharded(reg, "g", scheme, RangePartitioner{}, 4, g.Encode())
+			ss, err := RegisterSharded(reg, "g", scheme, 4, g.Encode())
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -25,7 +25,10 @@ func (ss *ShardedStore) Encode() []byte {
 // LayoutDecoder is the store.LayoutDecoder of scheme's datasets, plain or
 // partitioned: an empty layout field is store.Plain, and any other is the
 // partitioner and assignment ShardedStore.Encode wrote, served as a
-// ShardedStore over the scheme's sharded form.
+// ShardedStore over the scheme's sharded form. A partitioner other than
+// range — the hash layout an earlier version wrote — is refused, so the
+// file is quarantined and rebuilt like any layout this version does not
+// read.
 func LayoutDecoder(scheme *core.Scheme) store.LayoutDecoder {
 	return func(layout []byte, open func(store.Layout) (*store.Store, error)) (store.DeltaDataset, error) {
 		if len(layout) == 0 {
@@ -39,11 +42,14 @@ func LayoutDecoder(scheme *core.Scheme) store.LayoutDecoder {
 		if k <= 0 || uint64(len(layout)-k) < n {
 			return nil, fmt.Errorf("shard: corrupt partitioner name in the layout field")
 		}
+		if name := string(layout[k : k+int(n)]); name != (RangePartitioner{}).Name() {
+			return nil, fmt.Errorf("shard: unknown partitioner %q in the layout field", name)
+		}
 		asn, err := DecodeAssignment(layout[k+int(n):])
 		if err != nil {
 			return nil, err
 		}
-		ss := &ShardedStore{Sharding: sh, Asn: asn, Partitioner: string(layout[k : k+int(n)])}
+		ss := &ShardedStore{Sharding: sh, Asn: asn, Partitioner: RangePartitioner{}.Name()}
 		if ss.Store, err = open(ss); err != nil {
 			return nil, err
 		}
@@ -55,11 +61,12 @@ func LayoutDecoder(scheme *core.Scheme) store.LayoutDecoder {
 // one registry catalog entry — the sharded sibling of Registry.Register,
 // with the same exactly-once and persistence contract: concurrent
 // registrations share one build, a persistent registry reloads the dataset's
-// file when it matches (same scheme, same data digest, same partitioner and
-// shard count) instead of re-preprocessing, and re-registering with anything
-// incompatible is an error rather than a silent swap.
-func RegisterSharded(r *store.Registry, id string, scheme *core.Scheme, p Partitioner, n int, data []byte) (*ShardedStore, error) {
-	return RegisterShardedContext(context.Background(), r, id, scheme, p, n, data)
+// file when it matches (same scheme, same data digest, same shard count)
+// instead of re-preprocessing, and re-registering with anything
+// incompatible is an error rather than a silent swap. The split is by key
+// range (RangePartitioner).
+func RegisterSharded(r *store.Registry, id string, scheme *core.Scheme, n int, data []byte) (*ShardedStore, error) {
+	return RegisterShardedContext(context.Background(), r, id, scheme, n, data)
 }
 
 // RegisterShardedContext is RegisterSharded under a request budget: when
@@ -68,12 +75,9 @@ func RegisterSharded(r *store.Registry, id string, scheme *core.Scheme, p Partit
 // is not memoized — no catalog entry remains), exactly the
 // Registry.RegisterContext contract. The HTTP layer threads each sharded
 // registration's deadline through here.
-func RegisterShardedContext(ctx context.Context, r *store.Registry, id string, scheme *core.Scheme, p Partitioner, n int, data []byte) (*ShardedStore, error) {
+func RegisterShardedContext(ctx context.Context, r *store.Registry, id string, scheme *core.Scheme, n int, data []byte) (*ShardedStore, error) {
 	if scheme == nil {
 		return nil, fmt.Errorf("shard: register %q: nil scheme", id)
-	}
-	if p == nil {
-		p = HashPartitioner{}
 	}
 	if n < 1 {
 		return nil, fmt.Errorf("shard: register %q: shard count %d < 1", id, n)
@@ -84,10 +88,10 @@ func RegisterShardedContext(ctx context.Context, r *store.Registry, id string, s
 			id, scheme.Name(), ShardableSchemes())
 	}
 	sum := store.SumBeside(data)
-	want := func() store.Key { return store.Key{Scheme: scheme.Name(), Sum: sum(), Layout: describe(n, p.Name())} }
+	want := func() store.Key { return store.Key{Scheme: scheme.Name(), Sum: sum(), Layout: describe(n)} }
 	ds, err := r.RegisterAs(ctx, id, scheme, want, LayoutDecoder(scheme),
 		func() (store.DeltaDataset, error) {
-			ss, err := build(id, scheme, sh, p, n, data, sum)
+			ss, err := build(id, scheme, sh, n, data, sum)
 			if err != nil {
 				return nil, err
 			}

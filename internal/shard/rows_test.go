@@ -129,13 +129,10 @@ func sparseGraph(n, m int, directed bool, seed int64) *graph.Graph {
 	return g
 }
 
-// communityWithIsolated is CommunityGraph(4, 10, 24) — four strongly
-// connected communities of ten, so a range shard holds local classes of
-// several portals — plus four isolated vertices: under hash partitioning
-// every community vertex has a cross edge, and the scripted portal of
-// TestRowsMergeDifferential needs a vertex with none.
-func communityWithIsolated() *graph.Graph {
-	c := graph.CommunityGraph(4, 10, 24, 33)
+// withIsolated is c plus four isolated vertices: under a cut through every
+// community every community vertex has a cross edge, and the scripted
+// portal of TestRowsMergeDifferential needs a vertex with none.
+func withIsolated(c *graph.Graph) *graph.Graph {
 	g := graph.New(c.N()+4, true)
 	for _, e := range c.Edges() {
 		g.MustAddEdge(e[0], e[1])
@@ -145,14 +142,14 @@ func communityWithIsolated() *graph.Graph {
 }
 
 // TestRowsMergeDifferential: rows-merge ≡ probing-merge ≡ unsharded
-// closure on random directed and undirected graphs and a community graph ×
-// {closure, labels} × {hash, range} × n ∈ {2, 4}, after every batch of
-// a mixed insert/delete sequence (inserts of present edges included) that
-// creates and retires a portal, and across save → reload. Hash partitioning
-// interleaves portal indices across shards (consecutive overlay indices
-// belong to different shards), which the per-shard row builder must map
-// back correctly; the community graph's range shards hold local classes of
-// many portals, whose rows and overlay arcs are built per class.
+// closure on random directed and undirected graphs and a community graph,
+// split along its communities and through them, × {closure, labels} × n ∈
+// {2, 4, manyParts} key ranges, after every batch of a mixed insert/delete sequence
+// (inserts of present edges included) that creates and retires a portal,
+// and across save → reload. Split along its communities — four strongly
+// connected ones of ten — a shard holds local classes of many portals,
+// whose rows and overlay arcs are built per class; cut through them, most
+// portals are classes of their own.
 func TestRowsMergeDifferential(t *testing.T) {
 	shapes := []struct {
 		name string
@@ -160,114 +157,113 @@ func TestRowsMergeDifferential(t *testing.T) {
 	}{
 		{"directed=true", sparseGraph(40, 26, true, 31)},
 		{"directed=false", sparseGraph(40, 26, false, 31)},
-		{"community", communityWithIsolated()},
+		{"community", withIsolated(graph.CommunityGraph(4, 10, 24, 33))},
+		{"community-scattered", withIsolated(scatteredCommunity(4, 8, 24, 33, 4))},
 	}
 	for _, shape := range shapes {
 		base, nv := shape.g, shape.g.N()
 		for _, scheme := range []*core.Scheme{schemes.ReachabilityScheme(), schemes.ReachabilityLabelsScheme()} {
-			for _, p := range []Partitioner{HashPartitioner{}, RangePartitioner{}} {
-				for _, n := range []int{2, 4} {
-					t.Run(fmt.Sprintf("%s/%s/%s/n=%d", shape.name, scheme.Name(), p.Name(), n), func(t *testing.T) {
-						dir := t.TempDir()
-						reg := store.NewRegistry(dir)
-						ss, err := RegisterSharded(reg, "g", scheme, p, n, base.Encode())
+			for _, n := range []int{2, 4, manyParts} {
+				t.Run(fmt.Sprintf("%s/%s/range/n=%d", shape.name, scheme.Name(), n), func(t *testing.T) {
+					dir := t.TempDir()
+					reg := store.NewRegistry(dir)
+					ss, err := RegisterSharded(reg, "g", scheme, n, base.Encode())
+					if err != nil {
+						t.Fatal(err)
+					}
+					cur := base.Clone()
+					assertRowsProbingClosure(t, ss, cur, "registered")
+					reload := func(step string) {
+						ss, err = RegisterSharded(store.NewRegistry(dir), "g", scheme, n, base.Encode())
 						if err != nil {
 							t.Fatal(err)
 						}
-						cur := base.Clone()
-						assertRowsProbingClosure(t, ss, cur, "registered")
-						reload := func(step string) {
-							ss, err = RegisterSharded(store.NewRegistry(dir), "g", scheme, p, n, base.Encode())
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !ss.WasLoaded() {
-								t.Fatalf("%s: reload re-preprocessed", step)
-							}
-							assertRowsProbingClosure(t, ss, cur, step)
+						if !ss.WasLoaded() {
+							t.Fatalf("%s: reload re-preprocessed", step)
 						}
-						// The scripted vertex: no cross edge at registration, so the
-						// batch that gives it one must create a portal and the batch
-						// that takes it away must retire it. Random batches keep off it.
-						portals := portalSet(t, ss)
-						pu, pv := -1, -1
-						for u := 0; u < nv && pu < 0; u++ {
-							for v := 0; v < nv; v++ {
-								if !portals[u] && ss.Asn.Shard(int64(u)) != ss.Asn.Shard(int64(v)) && !cur.HasEdge(u, v) && !cur.HasEdge(v, u) {
-									pu, pv = u, v
-									break
+						assertRowsProbingClosure(t, ss, cur, step)
+					}
+					// The scripted vertex: no cross edge at registration, so the
+					// batch that gives it one must create a portal and the batch
+					// that takes it away must retire it. Random batches keep off it.
+					portals := portalSet(t, ss)
+					pu, pv := -1, -1
+					for u := 0; u < nv && pu < 0; u++ {
+						for v := 0; v < nv; v++ {
+							if !portals[u] && ss.Asn.Shard(int64(u)) != ss.Asn.Shard(int64(v)) && !cur.HasEdge(u, v) && !cur.HasEdge(v, u) {
+								pu, pv = u, v
+								break
+							}
+						}
+					}
+					if pu < 0 {
+						t.Fatal("no portal-free vertex with a cross-shard non-neighbour; pick another seed")
+					}
+					rng := rand.New(rand.NewSource(77))
+					randomBatch := func() [][]byte {
+						var batch [][]byte
+						for k := 1 + rng.Intn(3); k > 0; k-- {
+							u, v := rng.Intn(nv), rng.Intn(nv)
+							if u == v || u == pu || v == pu {
+								continue
+							}
+							switch present := cur.HasEdge(u, v); {
+							case present && rng.Intn(2) == 0:
+								batch = append(batch, schemes.EdgeDeleteDelta(u, v))
+								if err := cur.RemoveEdge(u, v); err != nil {
+									t.Fatal(err)
 								}
+							case present:
+								batch = append(batch, schemes.EdgeDelta(u, v)) // no-op
+							default:
+								batch = append(batch, schemes.EdgeDelta(u, v))
+								cur.MustAddEdge(u, v)
 							}
+							cur.Normalize()
 						}
-						if pu < 0 {
-							t.Fatal("no portal-free vertex with a cross-shard non-neighbour; pick another seed")
+						return batch
+					}
+					apply := func(step string, batch [][]byte) {
+						if len(batch) == 0 {
+							return
 						}
-						rng := rand.New(rand.NewSource(77))
-						randomBatch := func() [][]byte {
-							var batch [][]byte
-							for k := 1 + rng.Intn(3); k > 0; k-- {
-								u, v := rng.Intn(nv), rng.Intn(nv)
-								if u == v || u == pu || v == pu {
-									continue
-								}
-								switch present := cur.HasEdge(u, v); {
-								case present && rng.Intn(2) == 0:
-									batch = append(batch, schemes.EdgeDeleteDelta(u, v))
-									if err := cur.RemoveEdge(u, v); err != nil {
-										t.Fatal(err)
-									}
-								case present:
-									batch = append(batch, schemes.EdgeDelta(u, v)) // no-op
-								default:
-									batch = append(batch, schemes.EdgeDelta(u, v))
-									cur.MustAddEdge(u, v)
-								}
-								cur.Normalize()
-							}
-							return batch
+						ds, _ := reg.GetDataset("g")
+						if _, err := reg.ApplyDelta("g", batch); err != nil {
+							t.Fatalf("%s: %v", step, err)
 						}
-						apply := func(step string, batch [][]byte) {
-							if len(batch) == 0 {
-								return
-							}
-							ds, _ := reg.GetDataset("g")
-							if _, err := reg.ApplyDelta("g", batch); err != nil {
-								t.Fatalf("%s: %v", step, err)
-							}
-							ss = ds.(*ShardedStore)
-							assertRowsProbingClosure(t, ss, cur, step)
-						}
-						for i := 0; i < 3; i++ {
-							apply(fmt.Sprintf("random batch %d", i), randomBatch())
-						}
-						cur.MustAddEdge(pu, pv)
-						cur.Normalize()
-						apply("portal-creating batch", [][]byte{schemes.EdgeDelta(pu, pv)})
-						if !portalSet(t, ss)[pu] {
-							t.Fatalf("cross edge (%d,%d) did not make %d a portal", pu, pv, pu)
-						}
-						apply("random batch with the new portal", randomBatch())
+						ss = ds.(*ShardedStore)
+						assertRowsProbingClosure(t, ss, cur, step)
+					}
+					for i := 0; i < 3; i++ {
+						apply(fmt.Sprintf("random batch %d", i), randomBatch())
+					}
+					cur.MustAddEdge(pu, pv)
+					cur.Normalize()
+					apply("portal-creating batch", [][]byte{schemes.EdgeDelta(pu, pv)})
+					if !portalSet(t, ss)[pu] {
+						t.Fatalf("cross edge (%d,%d) did not make %d a portal", pu, pv, pu)
+					}
+					apply("random batch with the new portal", randomBatch())
 
-						// Restart over the same directory and keep patching the reloaded
-						// dataset: the rows are derived again from the persisted summary.
-						reg = store.NewRegistry(dir)
-						reload("reloaded mid-sequence")
-						if _, err := RegisterSharded(reg, "g", scheme, p, n, base.Encode()); err != nil {
-							t.Fatal(err)
-						}
-						if err := cur.RemoveEdge(pu, pv); err != nil {
-							t.Fatal(err)
-						}
-						apply("portal-retiring batch", [][]byte{schemes.EdgeDeleteDelta(pu, pv)})
-						if portalSet(t, ss)[pu] {
-							t.Fatalf("deleting its only cross edge left %d a portal", pu)
-						}
-						for i := 3; i < 6; i++ {
-							apply(fmt.Sprintf("random batch %d", i), randomBatch())
-						}
-						reload("reloaded at the end")
-					})
-				}
+					// Restart over the same directory and keep patching the reloaded
+					// dataset: the rows are derived again from the persisted summary.
+					reg = store.NewRegistry(dir)
+					reload("reloaded mid-sequence")
+					if _, err := RegisterSharded(reg, "g", scheme, n, base.Encode()); err != nil {
+						t.Fatal(err)
+					}
+					if err := cur.RemoveEdge(pu, pv); err != nil {
+						t.Fatal(err)
+					}
+					apply("portal-retiring batch", [][]byte{schemes.EdgeDeleteDelta(pu, pv)})
+					if portalSet(t, ss)[pu] {
+						t.Fatalf("deleting its only cross edge left %d a portal", pu)
+					}
+					for i := 3; i < 6; i++ {
+						apply(fmt.Sprintf("random batch %d", i), randomBatch())
+					}
+					reload("reloaded at the end")
+				})
 			}
 		}
 	}
@@ -287,7 +283,7 @@ func TestRowsMergedOverlayClass(t *testing.T) {
 		g.MustAddEdge(e[0], e[1])
 	}
 	for _, scheme := range []*core.Scheme{schemes.ReachabilityScheme(), schemes.ReachabilityLabelsScheme()} {
-		ss, err := RegisterSharded(store.NewRegistry(t.TempDir()), "g", scheme, RangePartitioner{}, 2, g.Encode())
+		ss, err := RegisterSharded(store.NewRegistry(t.TempDir()), "g", scheme, 2, g.Encode())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,10 +2,10 @@ package shard
 
 // The table of sharded forms, and the one form of the key-partitioned case
 // studies: selection over relations (point and range queries on one sorted
-// key file) and list membership. Both cut the dataset by element key, so a
+// key file) and list membership. Both cut the dataset into key ranges, so a
 // point query routes straight to the shard owning its key, and a range query
-// routes when the assignment keeps contiguous ranges together (range
-// partitioning) or fans out with an OR merge otherwise.
+// routes when one shard owns the whole range or fans out with an OR merge
+// otherwise.
 
 import (
 	"fmt"
@@ -50,26 +50,26 @@ func ShardableSchemes() []string {
 // partitioned on their int64 "key" attribute, each part keeping the schema
 // and tuple order. Every part is a valid dataset for the selection schemes
 // (possibly empty).
-func splitRelation(data []byte, p Partitioner, n int) (Assignment, [][]byte, []byte, error) {
+func splitRelation(data []byte, n int) (Assignment, [][]byte, []byte, error) {
 	rel, err := relation.Decode(data)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("keys: %w", err)
+		return Assignment{}, nil, nil, fmt.Errorf("keys: %w", err)
 	}
 	idx := rel.Schema.AttrIndex("key")
 	if idx < 0 {
-		return nil, nil, nil, fmt.Errorf("keys: shard: relation %q has no \"key\" attribute to partition on", rel.Schema.Name)
+		return Assignment{}, nil, nil, fmt.Errorf("keys: shard: relation %q has no \"key\" attribute to partition on", rel.Schema.Name)
 	}
 	if rel.Schema.Attrs[idx].Kind != relation.KindInt64 {
-		return nil, nil, nil, fmt.Errorf("keys: shard: relation %q attribute \"key\" is %v, want int64",
+		return Assignment{}, nil, nil, fmt.Errorf("keys: shard: relation %q attribute \"key\" is %v, want int64",
 			rel.Schema.Name, rel.Schema.Attrs[idx].Kind)
 	}
 	keys := make([]int64, rel.Len())
 	for i, t := range rel.Tuples {
 		keys[i] = t[idx].I
 	}
-	asn, err := p.Plan(keys, n)
+	asn, err := RangePartitioner{}.Plan(keys, n)
 	if err != nil {
-		return nil, nil, nil, err
+		return Assignment{}, nil, nil, err
 	}
 	parts := make([]*relation.Relation, asn.Shards())
 	for i := range parts {
@@ -77,7 +77,7 @@ func splitRelation(data []byte, p Partitioner, n int) (Assignment, [][]byte, []b
 	}
 	for i, t := range rel.Tuples {
 		if err := parts[asn.Shard(keys[i])].Append(t); err != nil {
-			return nil, nil, nil, fmt.Errorf("split: %w", err)
+			return Assignment{}, nil, nil, fmt.Errorf("split: %w", err)
 		}
 	}
 	out := make([][]byte, len(parts))
@@ -117,40 +117,37 @@ func splitKeysDelta(delta []byte, asn Assignment, _ core.Answerer) (map[int][][]
 // dataset by element key and differ only in how split reads D. Every delta
 // is a key batch, routed key by key (splitKeysDelta). A point query routes
 // to the shard owning its key. A range query routes when one shard owns the
-// whole range — range partitioning keeps ranges contiguous — and otherwise
-// fans out unchanged, each shard searching its own keys, and the verdicts OR
-// together: the natural merge for an existential query.
-func keySharding(split func(data []byte, p Partitioner, n int) (Assignment, [][]byte, []byte, error)) *Sharding {
+// whole range and otherwise fans out unchanged, each shard searching its own
+// keys, and the verdicts OR together: the natural merge for an existential
+// query.
+func keySharding(split func(data []byte, n int) (Assignment, [][]byte, []byte, error)) *Sharding {
 	return &Sharding{Split: split, SplitDelta: splitKeysDelta, Route: routeKeys}
 }
 
 // routeKeys is the key forms' Route. A point query c is the range [c, c],
-// and a range with hi ≤ lo holds at most lo, so both go to lo's owner.
+// and a range with hi ≤ lo holds at most lo, so both go to lo's owner; the
+// shards' ranges are contiguous, so lo and hi landing on one shard means
+// every key between them does too.
 func routeKeys(q []byte, asn Assignment) (int, error) {
 	lo, hi, err := schemes.DecodeSelection(q)
 	if err != nil {
 		return 0, err
 	}
-	if hi <= lo {
-		return asn.Shard(lo), nil
-	}
-	if ro, ok := asn.(RangeOwner); ok {
-		if s := ro.OwnerOfRange(lo, hi); s >= 0 {
-			return s, nil
-		}
+	if s := asn.Shard(lo); hi <= lo || s == asn.Shard(hi) {
+		return s, nil
 	}
 	return -1, nil // spans shards: fan out, OR the verdicts
 }
 
 // splitList is list membership's Split: the elements are their own keys.
-func splitList(data []byte, p Partitioner, n int) (Assignment, [][]byte, []byte, error) {
+func splitList(data []byte, n int) (Assignment, [][]byte, []byte, error) {
 	list, err := schemes.DecodeList(data)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("keys: %w", err)
+		return Assignment{}, nil, nil, fmt.Errorf("keys: %w", err)
 	}
-	asn, err := p.Plan(list, n)
+	asn, err := RangePartitioner{}.Plan(list, n)
 	if err != nil {
-		return nil, nil, nil, err
+		return Assignment{}, nil, nil, err
 	}
 	parts := make([][]int64, asn.Shards())
 	for _, v := range list {

@@ -9,8 +9,8 @@
 //
 // The moving parts:
 //
-//   - Partitioner (hash, range) freezes an Assignment of element keys to
-//     shards.
+//   - RangePartitioner freezes an Assignment of element keys to shards:
+//     contiguous key ranges of roughly equal population.
 //   - Sharding is the per-scheme bundle of five hooks: Split decodes the
 //     dataset once and returns the assignment, the n sub-datasets and the
 //     cross-shard summary (e.g. the reachability portal overlay); Prepare
@@ -63,14 +63,14 @@ var (
 // polylog work over the assignment and summary, never touch raw data).
 type Sharding struct {
 	// Split decodes data once, plans the assignment of its element keys to n
-	// shards with p, and re-encodes it as n sub-datasets — element i in part
-	// asn.Shard(key i), every part a dataset the scheme's Preprocess accepts —
-	// plus the cross-shard summary the manifest persists (e.g. the
-	// reachability portal-overlay closure; nil when the scheme needs none).
-	// The partitioner's errors pass through; the hook's own name their phase
+	// key ranges (RangePartitioner.Plan), and re-encodes it as n sub-datasets
+	// — element i in part asn.Shard(key i), every part a dataset the scheme's
+	// Preprocess accepts — plus the cross-shard summary the manifest persists
+	// (e.g. the reachability portal-overlay closure; nil when the scheme
+	// needs none). Plan's errors pass through; the hook's own name their phase
 	// ("keys: …" for a dataset that yields no keys, "split: …" for parts or a
 	// summary that cannot be built).
-	Split func(data []byte, p Partitioner, n int) (asn Assignment, parts [][]byte, summary []byte, err error)
+	Split func(data []byte, n int) (asn Assignment, parts [][]byte, summary []byte, err error)
 	// Prepare builds the dataset's prepared view from a persisted summary and
 	// the per-shard prepared answerers — at build and load, never per
 	// query (that would smuggle O(|D|) work into the NC answering budget) and
@@ -86,7 +86,7 @@ type Sharding struct {
 	// SplitDelta routes one dataset delta to the shards it lands on: the
 	// result maps a shard index to the local deltas (in application order)
 	// for that shard's Π, each in the scheme's own delta encoding —
-	// e.g. a key-insertion batch splits by partitioner into one per-shard
+	// e.g. a key-insertion batch splits by key range into one per-shard
 	// batch, and a same-shard edge insert becomes one relabelled local
 	// edge. An empty map is valid (a purely cross-shard delta touches only
 	// the summary). view is the dataset's prepared view *as of the start of
@@ -118,9 +118,8 @@ type ShardedStore struct {
 	Sharding *Sharding
 	// Asn is the frozen key→shard assignment.
 	Asn Assignment
-	// Partitioner names the partitioner that planned Asn ("hash", "range");
-	// persisted in the file's layout field so reloads only match
-	// like-partitioned files.
+	// Partitioner names the partitioner that planned Asn, as the file's
+	// layout field carries it ("range").
 	Partitioner string
 }
 
@@ -202,29 +201,30 @@ func (ss *ShardedStore) Merge() *obs.Histogram {
 }
 
 // Describe implements store.Layout.
-func (ss *ShardedStore) Describe() string { return describe(ss.Asn.Shards(), ss.Partitioner) }
+func (ss *ShardedStore) Describe() string { return describe(ss.Asn.Shards()) }
 
-// describe names an n-shard layout planned by the named partitioner.
-func describe(n int, partitioner string) string { return fmt.Sprintf("%d-shard %s", n, partitioner) }
+// describe names the layout of n key ranges.
+func describe(n int) string { return fmt.Sprintf("%d-shard range", n) }
 
-// Build cuts data into n parts with the partitioner, preprocesses every
-// part concurrently, and opens the sharded store over them. It does not
-// persist anything; RegisterSharded adds the file.
-func Build(id string, scheme *core.Scheme, sh *Sharding, p Partitioner, n int, data []byte) (*ShardedStore, error) {
-	return build(id, scheme, sh, p, n, data, func() store.DataChecksum { return store.SumData(data) })
+// Build cuts data into n key ranges, preprocesses every part concurrently,
+// and opens the sharded store over them. It does not persist anything;
+// RegisterSharded adds the file. The partitioner argument names the one
+// there is.
+func Build(id string, scheme *core.Scheme, sh *Sharding, _ RangePartitioner, n int, data []byte) (*ShardedStore, error) {
+	return build(id, scheme, sh, n, data, func() store.DataChecksum { return store.SumData(data) })
 }
 
 // build is Build with the digest of data supplied by the caller: a
 // registration hashes data once, beside the split (store.SumBeside), and
 // both its catalog key and the store opened here take that one sum.
-func build(id string, scheme *core.Scheme, sh *Sharding, p Partitioner, n int, data []byte, sum func() store.DataChecksum) (*ShardedStore, error) {
+func build(id string, scheme *core.Scheme, sh *Sharding, n int, data []byte, sum func() store.DataChecksum) (*ShardedStore, error) {
 	if scheme == nil || sh == nil {
 		return nil, fmt.Errorf("shard: build %q: nil scheme or sharding", id)
 	}
 	if n < 1 {
 		return nil, fmt.Errorf("shard: build %q: shard count %d < 1", id, n)
 	}
-	asn, parts, summary, err := sh.Split(data, p, n)
+	asn, parts, summary, err := sh.Split(data, n)
 	if err != nil {
 		return nil, fmt.Errorf("shard: build %q: %w", id, err)
 	}
@@ -262,7 +262,7 @@ func build(id string, scheme *core.Scheme, sh *Sharding, p Partitioner, n int, d
 	}
 	// The members' prepared forms and the summary view (reachability: the
 	// portal reach rows) are part of registration, not of the first query.
-	ss := &ShardedStore{Sharding: sh, Asn: asn, Partitioner: p.Name()}
+	ss := &ShardedStore{Sharding: sh, Asn: asn, Partitioner: RangePartitioner{}.Name()}
 	if ss.Store, err = store.Open(id, scheme, sum(), ss, 0, summary, members); err != nil {
 		return nil, fmt.Errorf("shard: build %q: %w", id, err)
 	}

@@ -30,7 +30,8 @@ type diffWorkload struct {
 }
 
 // assembleWorkloads builds the workload list: the four shardable schemes over
-// three dataset kinds — the sorted keys twice, once per query kind — with
+// four dataset kinds — the sorted keys twice, once per query kind, and the
+// community graph split along and through its communities — with
 // query mixes that include cross-shard answers, empty ranges, and
 // malformed/out-of-range queries.
 func assembleWorkloads(t *testing.T) []diffWorkload {
@@ -94,17 +95,24 @@ func assembleWorkloads(t *testing.T) []diffWorkload {
 		return asn.Shard(lo) != asn.Shard(hi)
 	}
 
+	// The same communities with their members alternating between the four
+	// quarters of the key space: a split into key ranges cuts through every
+	// one of them.
+	scattered := scatteredCommunity(4, 16, 40, 7, 4)
+
 	return []diffWorkload{
 		{"point-selection", schemes.PointSelectionScheme(), relData, pointQs, nil},
 		{"range-selection", schemes.PointSelectionScheme(), relData, rangeQs, rangeCross},
 		{"list-membership", schemes.ListMembershipScheme(), schemes.EncodeList(list), listQs, nil},
 		{"reachability", schemes.ReachabilityScheme(), g.Encode(), reachQs, reachCross},
 		{"reachability-labels", schemes.ReachabilityLabelsScheme(), g.Encode(), reachQs, reachCross},
+		{"reachability-scattered", schemes.ReachabilityScheme(), scattered.Encode(), reachQs, reachCross},
+		{"reachability-labels-scattered", schemes.ReachabilityLabelsScheme(), scattered.Encode(), reachQs, reachCross},
 	}
 }
 
 // TestShardedDifferential is the acceptance test for the sharded answering
-// path: for every shardable scheme, every partitioner, and n ∈ {2, 4},
+// path: for every shardable scheme split into n ∈ {2, 4, manyParts} key ranges,
 // every query — including queries whose answers span shards — must return
 // exactly the unsharded scheme's verdict (or error exactly when it
 // errors), both one at a time and through AnswerBatch.
@@ -128,64 +136,62 @@ func TestShardedDifferential(t *testing.T) {
 			oracles[i] = oracle{want: got, isErr: err != nil}
 		}
 
-		for _, p := range []Partitioner{HashPartitioner{}, RangePartitioner{}} {
-			for _, n := range []int{2, 4} {
-				name := fmt.Sprintf("%s/%s/n=%d", w.name, p.Name(), n)
-				t.Run(name, func(t *testing.T) {
-					ss, err := Build("d", w.scheme, ForScheme(w.scheme.Name()), p, n, w.data)
+		for _, n := range []int{2, 4, manyParts} {
+			name := fmt.Sprintf("%s/range/n=%d", w.name, n)
+			t.Run(name, func(t *testing.T) {
+				ss, err := Build("d", w.scheme, ForScheme(w.scheme.Name()), RangePartitioner{}, n, w.data)
+				if err != nil {
+					t.Fatalf("build: %v", err)
+				}
+				if ss.ShardCount() != n {
+					t.Fatalf("ShardCount = %d, want %d", ss.ShardCount(), n)
+				}
+
+				crossTrue := 0
+				var goodQs [][]byte
+				var goodWant []bool
+				for i, q := range w.queries {
+					got, err := ss.Answer(q)
+					if (err != nil) != oracles[i].isErr {
+						t.Fatalf("query %d: sharded err=%v, unsharded err=%v", i, err, oracles[i].isErr)
+					}
 					if err != nil {
-						t.Fatalf("build: %v", err)
+						continue
 					}
-					if ss.ShardCount() != n {
-						t.Fatalf("ShardCount = %d, want %d", ss.ShardCount(), n)
+					if got != oracles[i].want {
+						t.Fatalf("query %d: sharded %v, unsharded %v", i, got, oracles[i].want)
 					}
+					goodQs = append(goodQs, q)
+					goodWant = append(goodWant, got)
+					if w.crossShard != nil && got && w.crossShard(q, ss.Asn) {
+						crossTrue++
+					}
+				}
+				if w.crossShard != nil && crossTrue == 0 {
+					t.Fatalf("no true cross-shard answers exercised — workload does not cover spanning queries")
+				}
 
-					crossTrue := 0
-					var goodQs [][]byte
-					var goodWant []bool
-					for i, q := range w.queries {
-						got, err := ss.Answer(q)
-						if (err != nil) != oracles[i].isErr {
-							t.Fatalf("query %d: sharded err=%v, unsharded err=%v", i, err, oracles[i].isErr)
-						}
-						if err != nil {
-							continue
-						}
-						if got != oracles[i].want {
-							t.Fatalf("query %d: sharded %v, unsharded %v", i, got, oracles[i].want)
-						}
-						goodQs = append(goodQs, q)
-						goodWant = append(goodWant, got)
-						if w.crossShard != nil && got && w.crossShard(q, ss.Asn) {
-							crossTrue++
+				// The batch path must agree with the per-query path.
+				for _, par := range []int{1, 4} {
+					ans, err := ss.AnswerBatch(goodQs, par)
+					if err != nil {
+						t.Fatalf("batch (parallelism %d): %v", par, err)
+					}
+					for i := range ans {
+						if ans[i] != goodWant[i] {
+							t.Fatalf("batch query %d (parallelism %d): %v, want %v", i, par, ans[i], goodWant[i])
 						}
 					}
-					if w.crossShard != nil && crossTrue == 0 {
-						t.Fatalf("no true cross-shard answers exercised — workload does not cover spanning queries")
+				}
+				// A failing query anywhere in a batch aborts it, like
+				// core.Scheme.AnswerBatch.
+				if w.name == "reachability" {
+					bad := append(append([][]byte{}, goodQs[:3]...), []byte{0xff, 0xff})
+					if _, err := ss.AnswerBatch(bad, 2); err == nil {
+						t.Fatal("batch with a malformed query must fail")
 					}
-
-					// The batch path must agree with the per-query path.
-					for _, par := range []int{1, 4} {
-						ans, err := ss.AnswerBatch(goodQs, par)
-						if err != nil {
-							t.Fatalf("batch (parallelism %d): %v", par, err)
-						}
-						for i := range ans {
-							if ans[i] != goodWant[i] {
-								t.Fatalf("batch query %d (parallelism %d): %v, want %v", i, par, ans[i], goodWant[i])
-							}
-						}
-					}
-					// A failing query anywhere in a batch aborts it, like
-					// core.Scheme.AnswerBatch.
-					if w.name == "reachability" {
-						bad := append(append([][]byte{}, goodQs[:3]...), []byte{0xff, 0xff})
-						if _, err := ss.AnswerBatch(bad, 2); err == nil {
-							t.Fatal("batch with a malformed query must fail")
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
@@ -253,11 +259,11 @@ func TestRegisterShardedMemoization(t *testing.T) {
 	g := graph.CommunityGraph(3, 8, 10, 3)
 	scheme := schemes.ReachabilityScheme()
 
-	ss1, err := RegisterSharded(reg, "g", scheme, HashPartitioner{}, 2, g.Encode())
+	ss1, err := RegisterSharded(reg, "g", scheme, 2, g.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss2, err := RegisterSharded(reg, "g", scheme, HashPartitioner{}, 2, g.Encode())
+	ss2, err := RegisterSharded(reg, "g", scheme, 2, g.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,11 +273,8 @@ func TestRegisterShardedMemoization(t *testing.T) {
 	if got := reg.PreprocessCount(); got != 2 {
 		t.Fatalf("PreprocessCount = %d, want 2 (one per shard)", got)
 	}
-	if _, err := RegisterSharded(reg, "g", scheme, HashPartitioner{}, 4, g.Encode()); err == nil {
+	if _, err := RegisterSharded(reg, "g", scheme, 4, g.Encode()); err == nil {
 		t.Fatal("re-registering with a different shard count must error")
-	}
-	if _, err := RegisterSharded(reg, "g", scheme, RangePartitioner{}, 2, g.Encode()); err == nil {
-		t.Fatal("re-registering with a different partitioner must error, not silently serve the other layout")
 	}
 	if _, err := reg.Register("g", scheme, g.Encode()); err == nil {
 		t.Fatal("plain re-registration of a sharded id must error")
@@ -279,7 +282,7 @@ func TestRegisterShardedMemoization(t *testing.T) {
 
 	// The 1-shard corner: ShardCount()==1 on both types, so only the type
 	// may decide ownership — neither direction may panic.
-	if _, err := RegisterSharded(reg, "one", scheme, HashPartitioner{}, 1, g.Encode()); err != nil {
+	if _, err := RegisterSharded(reg, "one", scheme, 1, g.Encode()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := reg.Register("one", scheme, g.Encode()); err == nil {
@@ -288,7 +291,7 @@ func TestRegisterShardedMemoization(t *testing.T) {
 	if _, err := reg.Register("plain", scheme, g.Encode()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RegisterSharded(reg, "plain", scheme, HashPartitioner{}, 1, g.Encode()); err == nil {
+	if _, err := RegisterSharded(reg, "plain", scheme, 1, g.Encode()); err == nil {
 		t.Fatal("sharded re-registration of a plain id must error, not panic")
 	}
 	if _, ok := reg.Get("g"); ok {
@@ -324,7 +327,7 @@ func TestShardedNotShardable(t *testing.T) {
 		{schemes.ReachabilityBFSScheme(), g},
 	} {
 		t.Run(tc.scheme.Name(), func(t *testing.T) {
-			if _, err := RegisterSharded(reg, "b", tc.scheme, HashPartitioner{}, 2, tc.data); err == nil {
+			if _, err := RegisterSharded(reg, "b", tc.scheme, 2, tc.data); err == nil {
 				t.Fatal("a scheme with no sharded form was registered sharded")
 			}
 			if ForScheme(tc.scheme.Name()) != nil {
@@ -428,10 +431,10 @@ func TestStageTimingsPerLayout(t *testing.T) {
 	}{
 		{"plain", func(r *store.Registry) (store.Dataset, error) { return r.Register("d", reach, g.Encode()) }, pairs, false},
 		{"view-sharded", func(r *store.Registry) (store.Dataset, error) {
-			return RegisterSharded(r, "d", reach, RangePartitioner{}, 4, g.Encode())
+			return RegisterSharded(r, "d", reach, 4, g.Encode())
 		}, pairs, true},
 		{"routed-sharded", func(r *store.Registry) (store.Dataset, error) {
-			return RegisterSharded(r, "d", point, HashPartitioner{}, 3, keys)
+			return RegisterSharded(r, "d", point, 3, keys)
 		}, points, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -488,7 +491,7 @@ func TestSnapshotLoadTimesTheLoadOnly(t *testing.T) {
 	}{
 		{"plain", func(r *store.Registry, data []byte) (store.Dataset, error) { return r.Register("d", &slow, data) }},
 		{"sharded", func(r *store.Registry, data []byte) (store.Dataset, error) {
-			return RegisterSharded(r, "d", &slow, HashPartitioner{}, 2, data)
+			return RegisterSharded(r, "d", &slow, 2, data)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

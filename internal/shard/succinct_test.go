@@ -8,6 +8,7 @@ package shard
 // oracle; any divergence is a labels bug.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -146,52 +147,50 @@ func TestSuccinctVsDenseUnsharded(t *testing.T) {
 }
 
 // TestSuccinctVsDenseSharded runs the same differential over sharded
-// datasets: hash/range × n ∈ {2, 4}, reload via a fresh registry, then the
+// datasets split into n ∈ {2, 4, manyParts} key ranges, reload via a fresh registry, then the
 // PATCH run — the labels scheme rides the same scheme-agnostic sharded
 // form (local probes + portal overlay) as the dense one, so the two must
 // stay observably identical shard-for-shard too.
 func TestSuccinctVsDenseSharded(t *testing.T) {
 	g, probes, deltas := succinctFixture(47)
-	for _, p := range []Partitioner{HashPartitioner{}, RangePartitioner{}} {
-		for _, n := range []int{2, 4} {
-			t.Run(p.Name()+"/n="+string(rune('0'+n)), func(t *testing.T) {
-				dir := t.TempDir()
-				reg := store.NewRegistry(dir)
-				if _, err := RegisterSharded(reg, "dense", schemes.ReachabilityScheme(), p, n, g.Encode()); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := RegisterSharded(reg, "labels", schemes.ReachabilityLabelsScheme(), p, n, g.Encode()); err != nil {
-					t.Fatal(err)
-				}
-				dense, _ := reg.GetDataset("dense")
-				labels, _ := reg.GetDataset("labels")
-				assertSuccinctEqualsDense(t, dense, labels, probes, "initial")
+	for _, n := range []int{2, 4, manyParts} {
+		t.Run(fmt.Sprintf("range/n=%d", n), func(t *testing.T) {
+			dir := t.TempDir()
+			reg := store.NewRegistry(dir)
+			if _, err := RegisterSharded(reg, "dense", schemes.ReachabilityScheme(), n, g.Encode()); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := RegisterSharded(reg, "labels", schemes.ReachabilityLabelsScheme(), n, g.Encode()); err != nil {
+				t.Fatal(err)
+			}
+			dense, _ := reg.GetDataset("dense")
+			labels, _ := reg.GetDataset("labels")
+			assertSuccinctEqualsDense(t, dense, labels, probes, "initial")
 
-				reg2 := store.NewRegistry(dir)
-				if _, err := RegisterSharded(reg2, "dense", schemes.ReachabilityScheme(), p, n, g.Encode()); err != nil {
-					t.Fatal(err)
-				}
-				ls, err := RegisterSharded(reg2, "labels", schemes.ReachabilityLabelsScheme(), p, n, g.Encode())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ls.WasLoaded() || reg2.PreprocessCount() != 0 {
-					t.Fatalf("restart did not reload: loaded=%v preprocess=%d", ls.WasLoaded(), reg2.PreprocessCount())
-				}
-				dense, _ = reg2.GetDataset("dense")
-				labels, _ = reg2.GetDataset("labels")
-				assertSuccinctEqualsDense(t, dense, labels, probes, "reloaded")
+			reg2 := store.NewRegistry(dir)
+			if _, err := RegisterSharded(reg2, "dense", schemes.ReachabilityScheme(), n, g.Encode()); err != nil {
+				t.Fatal(err)
+			}
+			ls, err := RegisterSharded(reg2, "labels", schemes.ReachabilityLabelsScheme(), n, g.Encode())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ls.WasLoaded() || reg2.PreprocessCount() != 0 {
+				t.Fatalf("restart did not reload: loaded=%v preprocess=%d", ls.WasLoaded(), reg2.PreprocessCount())
+			}
+			dense, _ = reg2.GetDataset("dense")
+			labels, _ = reg2.GetDataset("labels")
+			assertSuccinctEqualsDense(t, dense, labels, probes, "reloaded")
 
-				for i, delta := range deltas {
-					if _, err := reg2.ApplyDelta("dense", [][]byte{delta}); err != nil {
-						t.Fatalf("dense delta %d: %v", i, err)
-					}
-					if _, err := reg2.ApplyDelta("labels", [][]byte{delta}); err != nil {
-						t.Fatalf("labels delta %d: %v", i, err)
-					}
-					assertSuccinctEqualsDense(t, dense, labels, probes, "patched")
+			for i, delta := range deltas {
+				if _, err := reg2.ApplyDelta("dense", [][]byte{delta}); err != nil {
+					t.Fatalf("dense delta %d: %v", i, err)
 				}
-			})
-		}
+				if _, err := reg2.ApplyDelta("labels", [][]byte{delta}); err != nil {
+					t.Fatalf("labels delta %d: %v", i, err)
+				}
+				assertSuccinctEqualsDense(t, dense, labels, probes, "patched")
+			}
+		})
 	}
 }

@@ -95,10 +95,10 @@ func writeKinds() []writeKind {
 	refuse := func(name string, pf *prepareFaults) prepareFault {
 		return prepareFault{name, func() { pf.refuse.Store(1) }}
 	}
-	plain, hash, rng := crashLayouts[0], crashLayouts[1], crashLayouts[2]
+	plain, rng := crashLayouts[0], crashLayouts[1]
 	return []writeKind{
 		{"plain", plain.run(point, faults[0].scheme(point.inc)), []prepareFault{refuse("pi", faults[0])}},
-		{"routed-sharded", hash.run(point, faults[1].scheme(point.inc)), []prepareFault{refuse("member", faults[1])}},
+		{"routed-sharded", rng.run(point, faults[1].scheme(point.inc)), []prepareFault{refuse("member", faults[1])}},
 		{"view-sharded", rng.run(reach, faults[2].scheme(reach.inc)),
 			[]prepareFault{refuse("member", faults[2]), {"view", func() { faults[2].hide.Store(1) }}}},
 	}

@@ -42,10 +42,10 @@
 // an experiment; docs/ARCHITECTURE.md maps each question to its workload
 // and metric rows.
 //
-// On top of that sits horizontal scaling: a dataset can be partitioned
-// across n preprocessed parts (BuildShardedStore, RegisterSharded, the
-// server's ?shards=N parameter, the CLI's -shards flag) with hash or range
-// partitioning — the same store, laid out over n members instead of one.
+// On top of that sits horizontal scaling: one registration can ask for its
+// dataset to be cut into n key ranges, each preprocessed on its own
+// (BuildShardedStore, RegisterSharded, the server's ?shards=N parameter) —
+// the same store, laid out over n members instead of one.
 // Queries route to the shard owning their answer, fan out to
 // every shard with the verdicts ORed, or — reachability — answer through a
 // view prepared over all of them (per-vertex portal reach rows);
@@ -60,7 +60,7 @@
 // checkpoint cadence), so restarts resume from the maintained Π at the
 // acknowledged version.
 // Sharded datasets route each delta to the shards it lands on (key batches
-// split by partitioner; reachability edge inserts update the owning
+// split by key range; reachability edge inserts update the owning
 // shard's closure and rebuild the portal overlay). A maintained-vs-rebuilt
 // differential suite pins ApplyDelta equivalent to preprocessing the
 // updated data from scratch.
@@ -246,26 +246,17 @@ var (
 // partition's facts beside it, and its file is a plain dataset's format with
 // one member per shard.
 
-// NewHashPartitioner spreads keys by 64-bit FNV-1a hash modulo the shard
-// count — balanced for any distribution; range queries fan out.
-func NewHashPartitioner() shard.Partitioner { return shard.HashPartitioner{} }
-
-// NewRangePartitioner cuts the sorted key space at quantile boundaries so
-// each shard owns a contiguous, roughly equal-population key range and
-// in-bucket range queries route to a single shard.
-func NewRangePartitioner() shard.Partitioner { return shard.RangePartitioner{} }
-
-// BuildShardedStore cuts data into n parts, preprocesses each
-// concurrently, and assembles a sharded store for the scheme (which must
+// BuildShardedStore cuts data into n key ranges of roughly equal
+// population, preprocesses each concurrently, and assembles a sharded store for the scheme (which must
 // have a sharded form — see ShardingForScheme). Nothing is persisted; use
 // RegisterSharded with a persistent registry for the manifest file.
-func BuildShardedStore(id string, scheme *Scheme, p shard.Partitioner, n int, data []byte) (*shard.ShardedStore, error) {
+func BuildShardedStore(id string, scheme *Scheme, n int, data []byte) (*shard.ShardedStore, error) {
 	sh := shard.ForScheme(scheme.Name())
 	if sh == nil {
 		return nil, fmt.Errorf("pitract: scheme %s has no sharded form (shardable: %v)",
 			scheme.Name(), shard.ShardableSchemes())
 	}
-	return shard.Build(id, scheme, sh, p, n, data)
+	return shard.Build(id, scheme, sh, shard.RangePartitioner{}, n, data)
 }
 
 var (
@@ -278,9 +269,6 @@ var (
 	// artifacts, and the two no-preprocessing baselines are served
 	// unsharded only).
 	ShardingForScheme = shard.ForScheme
-	// PartitionerByName resolves "hash"/"range" (the HTTP API's
-	// ?partitioner values and the CLI's -partitioner flag).
-	PartitionerByName = shard.PartitionerByName
 )
 
 // LoadDataset reopens the dataset persisted under dir as id on the real

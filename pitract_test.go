@@ -324,7 +324,7 @@ func TestFacadeShardingFlow(t *testing.T) {
 	scheme := ReachabilityScheme()
 	d := g.Encode()
 
-	ss, err := BuildShardedStore("g", scheme, NewRangePartitioner(), 3, d)
+	ss, err := BuildShardedStore("g", scheme, 3, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,13 +362,10 @@ func TestFacadeShardingFlow(t *testing.T) {
 	if ShardingForScheme("bds/visit-order") != nil {
 		t.Fatal("BDS must not have a sharded form")
 	}
-	if _, err := PartitionerByName("range"); err != nil {
-		t.Fatal(err)
-	}
 
 	dir := t.TempDir()
 	reg := NewStoreRegistry(dir)
-	if _, err := RegisterSharded(reg, "g", scheme, NewHashPartitioner(), 2, d); err != nil {
+	if _, err := RegisterSharded(reg, "g", scheme, 2, d); err != nil {
 		t.Fatal(err)
 	}
 	reloaded, err := LoadDataset(dir, "g", scheme)
