@@ -16,17 +16,15 @@
 // smallest unvisited node. BDS is P-complete, which is what makes it the
 // "hardest" member of ΠTP.
 //
-// The package provides the traversal itself, the Example 5 preprocessing
-// (run the search once, keep the visit-order list M), and both answering
-// paths the paper discusses: binary search over M in O(log |M|) and the
-// O(1) position-array readout. The Figure-1 pair of factorizations is wired
-// into the framework by internal/core.
+// The package provides the traversal itself — run once, its visit-order list
+// M is the Example 5 preprocessing, which internal/schemes lays out as the
+// O(1) position array — and the per-query search the preprocessing
+// replaces. The Figure-1 pair of factorizations is wired into the framework
+// by internal/core.
 package bds
 
 import (
-	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"pitract/internal/graph"
 )
@@ -75,120 +73,6 @@ func Search(g *graph.Graph) ([]int32, error) {
 		}
 	}
 	return order, nil
-}
-
-// Index is the Example 5 preprocessing output: the visit-order list M
-// together with a by-node lookup. It answers "is u visited before v" either
-// in O(1) (position array) or in O(log n) (binary search over the sorted
-// (node, position) pairs), matching the two costs the paper quotes.
-type Index struct {
-	order []int32 // M: order[i] = i-th visited node
-	pos   []int32 // pos[v] = position of node v in M
-	// byNode holds node ids sorted ascending; byNodePos[i] is the position
-	// of byNode[i]. Kept separately to honour the paper's "binary searches
-	// on M" answering path.
-	byNode    []int32
-	byNodePos []int32
-}
-
-// NewIndex preprocesses g by running the search once (PTIME in |G|).
-func NewIndex(g *graph.Graph) (*Index, error) {
-	order, err := Search(g)
-	if err != nil {
-		return nil, err
-	}
-	return newIndexFromOrder(order), nil
-}
-
-func newIndexFromOrder(order []int32) *Index {
-	n := len(order)
-	idx := &Index{order: order, pos: make([]int32, n)}
-	for i, v := range order {
-		idx.pos[v] = int32(i)
-	}
-	idx.byNode = make([]int32, n)
-	idx.byNodePos = make([]int32, n)
-	for v := 0; v < n; v++ {
-		idx.byNode[v] = int32(v)
-		idx.byNodePos[v] = idx.pos[v]
-	}
-	return idx
-}
-
-// Len reports the number of nodes.
-func (x *Index) Len() int { return len(x.order) }
-
-// Order returns the visit-order list M. The slice aliases the index.
-func (x *Index) Order() []int32 { return x.order }
-
-// Before answers the BDS question in O(1) via the position array.
-func (x *Index) Before(u, v int) (bool, error) {
-	if err := x.check(u, v); err != nil {
-		return false, err
-	}
-	return x.pos[u] < x.pos[v], nil
-}
-
-// BeforeBinarySearch answers via two O(log |M|) binary searches over the
-// node-sorted view of M — the access path Example 5 describes.
-func (x *Index) BeforeBinarySearch(u, v int) (bool, error) {
-	if err := x.check(u, v); err != nil {
-		return false, err
-	}
-	pu := x.lookup(int32(u))
-	pv := x.lookup(int32(v))
-	return pu < pv, nil
-}
-
-func (x *Index) lookup(node int32) int32 {
-	i := sort.Search(len(x.byNode), func(i int) bool { return x.byNode[i] >= node })
-	return x.byNodePos[i]
-}
-
-func (x *Index) check(u, v int) error {
-	n := len(x.order)
-	if u < 0 || u >= n || v < 0 || v >= n {
-		return fmt.Errorf("bds: query (%d,%d) out of range [0,%d)", u, v, n)
-	}
-	return nil
-}
-
-// Encode serializes the index (the list M) as bytes: it is the Π(D)
-// produced by the Figure-1 factorization Υ_BDS.
-func (x *Index) Encode() []byte {
-	b := binary.AppendUvarint(nil, uint64(len(x.order)))
-	for _, v := range x.order {
-		b = binary.AppendUvarint(b, uint64(v))
-	}
-	return b
-}
-
-// DecodeIndex parses an encoded index.
-func DecodeIndex(buf []byte) (*Index, error) {
-	off := 0
-	n64, k := binary.Uvarint(buf)
-	if k <= 0 {
-		return nil, fmt.Errorf("bds: corrupt index length")
-	}
-	off += k
-	order := make([]int32, n64)
-	seen := make([]bool, n64)
-	for i := range order {
-		v, k := binary.Uvarint(buf[off:])
-		if k <= 0 {
-			return nil, fmt.Errorf("bds: corrupt index entry %d", i)
-		}
-		off += k
-		if v >= n64 || seen[v] {
-			return nil, fmt.Errorf("bds: entry %d is not a permutation element", i)
-		}
-		seen[v] = true
-		order[i] = int32(v)
-	}
-	if off != len(buf) {
-		return nil, fmt.Errorf("bds: %d trailing bytes", len(buf)-off)
-	}
-	return newIndexFromOrder(order), nil
 }
 
 // AnswerNaive answers a single query with a full fresh search — the Υ′

@@ -1,10 +1,10 @@
 // Package btree implements an in-memory B⁺-tree over int64 keys.
 //
 // The tree is the preprocessing structure of the paper's Example 1: build it
-// once in PTIME over the selection column, then answer point and range
-// selection queries in O(log |D|) probes instead of scanning. Leaves are
-// chained for ordered range iteration; every key maps to the list of row ids
-// carrying it, so the tree also acts as a secondary index.
+// once in PTIME over the selection column, then answer point selection
+// queries in O(log |D|) probes instead of scanning. Leaves are chained for
+// ordered iteration; every key maps to the list of row ids carrying it, so
+// the tree also acts as a secondary index.
 //
 // The implementation counts node probes per lookup so that the experiment
 // harness can demonstrate the logarithmic access path directly, rather than
@@ -30,7 +30,6 @@ type Tree struct {
 	root   node
 	height int
 	keys   int // number of distinct keys
-	rows   int // number of (key, row) postings
 }
 
 type node interface {
@@ -76,14 +75,8 @@ func MustNew(order int) *Tree {
 // NewDefault returns an empty tree with DefaultOrder.
 func NewDefault() *Tree { return MustNew(DefaultOrder) }
 
-// Order reports the configured order.
-func (t *Tree) Order() int { return t.order }
-
 // Len reports the number of distinct keys.
 func (t *Tree) Len() int { return t.keys }
-
-// Postings reports the total number of (key, row) pairs stored.
-func (t *Tree) Postings() int { return t.rows }
 
 // Height reports the current tree height (1 for a lone leaf).
 func (t *Tree) Height() int { return t.height }
@@ -98,7 +91,6 @@ func (t *Tree) Insert(key int64, row int) {
 	if newKey {
 		t.keys++
 	}
-	t.rows++
 }
 
 func (l *leafNode) insert(key int64, row int, order int) (int64, node, bool, bool) {
@@ -185,88 +177,4 @@ func (t *Tree) ContainsProbes(key int64) (bool, int) {
 	l, probes := t.findLeaf(key)
 	i := sort.Search(len(l.keys), func(i int) bool { return l.keys[i] >= key })
 	return i < len(l.keys) && l.keys[i] == key, probes
-}
-
-// Lookup returns the row ids posted under key (nil when absent). The
-// returned slice aliases the index and must not be mutated.
-func (t *Tree) Lookup(key int64) []int {
-	l, _ := t.findLeaf(key)
-	i := sort.Search(len(l.keys), func(i int) bool { return l.keys[i] >= key })
-	if i < len(l.keys) && l.keys[i] == key {
-		return l.rows[i]
-	}
-	return nil
-}
-
-// RangeExists reports whether any key k with lo ≤ k ≤ hi is present —
-// the Boolean range-selection query of §4(1).
-func (t *Tree) RangeExists(lo, hi int64) bool {
-	if hi < lo {
-		return false
-	}
-	l, _ := t.findLeaf(lo)
-	for ; l != nil; l = l.next {
-		for _, k := range l.keys {
-			if k > hi {
-				return false
-			}
-			if k >= lo {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// AscendRange calls fn for every (key, rows) with lo ≤ key ≤ hi in
-// ascending order; fn returning false stops the scan.
-func (t *Tree) AscendRange(lo, hi int64, fn func(key int64, rows []int) bool) {
-	if hi < lo {
-		return
-	}
-	l, _ := t.findLeaf(lo)
-	for ; l != nil; l = l.next {
-		for i, k := range l.keys {
-			if k > hi {
-				return
-			}
-			if k >= lo && !fn(k, l.rows[i]) {
-				return
-			}
-		}
-	}
-}
-
-// Keys returns all distinct keys in ascending order.
-func (t *Tree) Keys() []int64 {
-	out := make([]int64, 0, t.keys)
-	l := t.leftmost()
-	for ; l != nil; l = l.next {
-		out = append(out, l.keys...)
-	}
-	return out
-}
-
-func (t *Tree) leftmost() *leafNode {
-	cur := t.root
-	for {
-		switch n := cur.(type) {
-		case *leafNode:
-			return n
-		case *innerNode:
-			cur = n.children[0]
-		}
-	}
-}
-
-// Bulk builds a tree of the given order from unsorted postings.
-func Bulk(order int, keys []int64) (*Tree, error) {
-	t, err := New(order)
-	if err != nil {
-		return nil, err
-	}
-	for row, k := range keys {
-		t.Insert(k, row)
-	}
-	return t, nil
 }

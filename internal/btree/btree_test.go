@@ -8,15 +8,48 @@ import (
 	"testing/quick"
 )
 
+// lookup returns the row ids posted under key (nil when absent).
+func (t *Tree) lookup(key int64) []int {
+	l, _ := t.findLeaf(key)
+	i := sort.Search(len(l.keys), func(i int) bool { return l.keys[i] >= key })
+	if i < len(l.keys) && l.keys[i] == key {
+		return l.rows[i]
+	}
+	return nil
+}
+
+// sortedKeys returns all distinct keys in ascending order, read along the
+// leaf chain.
+func (t *Tree) sortedKeys() []int64 {
+	out := make([]int64, 0, t.keys)
+	l := t.leftmost()
+	for ; l != nil; l = l.next {
+		out = append(out, l.keys...)
+	}
+	return out
+}
+
+func (t *Tree) leftmost() *leafNode {
+	cur := t.root
+	for {
+		switch n := cur.(type) {
+		case *leafNode:
+			return n
+		case *innerNode:
+			cur = n.children[0]
+		}
+	}
+}
+
 func TestNewValidatesOrder(t *testing.T) {
 	if _, err := New(2); err == nil {
 		t.Error("order 2 accepted")
 	}
 	tr, err := New(3)
-	if err != nil || tr.Order() != 3 {
+	if err != nil || tr.order != 3 {
 		t.Errorf("order 3 rejected: %v", err)
 	}
-	if NewDefault().Order() != DefaultOrder {
+	if NewDefault().order != DefaultOrder {
 		t.Error("NewDefault wrong order")
 	}
 }
@@ -36,11 +69,11 @@ func TestInsertLookupSmall(t *testing.T) {
 	for row, k := range keys {
 		tr.Insert(k, row)
 	}
-	if tr.Len() != 10 || tr.Postings() != 10 {
-		t.Fatalf("Len=%d Postings=%d, want 10,10", tr.Len(), tr.Postings())
+	if tr.Len() != 10 {
+		t.Fatalf("Len=%d, want 10", tr.Len())
 	}
 	for row, k := range keys {
-		got := tr.Lookup(k)
+		got := tr.lookup(k)
 		if len(got) != 1 || got[0] != row {
 			t.Fatalf("Lookup(%d) = %v, want [%d]", k, got, row)
 		}
@@ -48,7 +81,7 @@ func TestInsertLookupSmall(t *testing.T) {
 	if tr.Contains(42) {
 		t.Error("phantom key")
 	}
-	if tr.Lookup(42) != nil {
+	if tr.lookup(42) != nil {
 		t.Error("phantom lookup")
 	}
 }
@@ -58,16 +91,16 @@ func TestDuplicateKeysAccumulateRows(t *testing.T) {
 	for row := 0; row < 5; row++ {
 		tr.Insert(7, row)
 	}
-	if tr.Len() != 1 || tr.Postings() != 5 {
-		t.Fatalf("Len=%d Postings=%d, want 1,5", tr.Len(), tr.Postings())
+	if tr.Len() != 1 {
+		t.Fatalf("Len=%d, want 1", tr.Len())
 	}
-	if rows := tr.Lookup(7); len(rows) != 5 {
+	if rows := tr.lookup(7); len(rows) != 5 {
 		t.Fatalf("Lookup(7) = %v", rows)
 	}
 }
 
 // model-based property test: the tree must agree with a sorted-map model for
-// membership, ordered key iteration, and range existence.
+// membership and ordered key iteration.
 func TestAgainstModelQuick(t *testing.T) {
 	f := func(raw []int16, order8 uint8) bool {
 		order := MinOrder + int(order8)%62
@@ -86,7 +119,7 @@ func TestAgainstModelQuick(t *testing.T) {
 			want = append(want, k)
 		}
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		got := tr.Keys()
+		got := tr.sortedKeys()
 		if len(got) != len(want) {
 			return false
 		}
@@ -96,7 +129,7 @@ func TestAgainstModelQuick(t *testing.T) {
 			}
 		}
 		for k, rows := range model {
-			g := tr.Lookup(k)
+			g := tr.lookup(k)
 			if len(g) != len(rows) {
 				return false
 			}
@@ -125,7 +158,7 @@ func TestInsertionOrderInvariance(t *testing.T) {
 	for row, k := range shuffled {
 		tr2.Insert(k, row)
 	}
-	k1, k2 := tr1.Keys(), tr2.Keys()
+	k1, k2 := tr1.sortedKeys(), tr2.sortedKeys()
 	if len(k1) != len(k2) {
 		t.Fatalf("key counts differ: %d vs %d", len(k1), len(k2))
 	}
@@ -134,60 +167,6 @@ func TestInsertionOrderInvariance(t *testing.T) {
 			t.Fatalf("key order differs at %d", i)
 		}
 	}
-}
-
-func TestRangeExists(t *testing.T) {
-	tr := MustNew(4)
-	for row, k := range []int64{10, 20, 30, 40} {
-		tr.Insert(k, row)
-	}
-	cases := []struct {
-		lo, hi int64
-		want   bool
-	}{
-		{0, 9, false}, {0, 10, true}, {10, 10, true}, {11, 19, false},
-		{15, 35, true}, {41, 99, false}, {40, 40, true}, {50, 10, false},
-	}
-	for _, c := range cases {
-		if got := tr.RangeExists(c.lo, c.hi); got != c.want {
-			t.Errorf("RangeExists(%d,%d) = %v, want %v", c.lo, c.hi, got, c.want)
-		}
-	}
-}
-
-func TestAscendRange(t *testing.T) {
-	tr := MustNew(4)
-	for row := 0; row < 100; row++ {
-		tr.Insert(int64(row*2), row) // even keys 0..198
-	}
-	var got []int64
-	tr.AscendRange(10, 30, func(k int64, rows []int) bool {
-		got = append(got, k)
-		return true
-	})
-	want := []int64{10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30}
-	if len(got) != len(want) {
-		t.Fatalf("AscendRange keys = %v", got)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("AscendRange keys = %v", got)
-		}
-	}
-	// Early stop.
-	count := 0
-	tr.AscendRange(0, 198, func(int64, []int) bool {
-		count++
-		return count < 3
-	})
-	if count != 3 {
-		t.Fatalf("early stop visited %d", count)
-	}
-	// Inverted range visits nothing.
-	tr.AscendRange(5, 1, func(int64, []int) bool {
-		t.Fatal("inverted range visited a key")
-		return false
-	})
 }
 
 func TestHeightLogarithmic(t *testing.T) {
@@ -220,25 +199,12 @@ func TestProbesLogarithmic(t *testing.T) {
 	}
 }
 
-func TestBulk(t *testing.T) {
-	tr, err := Bulk(8, []int64{3, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != 3 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	if _, err := Bulk(1, nil); err == nil {
-		t.Fatal("Bulk accepted bad order")
-	}
-}
-
 func TestEmptyTree(t *testing.T) {
 	tr := NewDefault()
-	if tr.Contains(0) || tr.Lookup(0) != nil || tr.RangeExists(0, 10) {
+	if tr.Contains(0) || tr.lookup(0) != nil {
 		t.Error("empty tree claims membership")
 	}
-	if got := tr.Keys(); len(got) != 0 {
+	if got := tr.sortedKeys(); len(got) != 0 {
 		t.Errorf("Keys = %v", got)
 	}
 	if tr.Height() != 1 {

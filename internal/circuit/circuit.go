@@ -161,31 +161,5 @@ func (c *Circuit) EvalAll(inputs []bool) ([]bool, error) {
 	return vals, nil
 }
 
-// Depth returns the longest input-to-output path length. A layer-parallel
-// evaluator needs exactly Depth rounds, which is why deep circuits defeat
-// NC evaluation: for the Cook–Levin circuits of internal/tm the depth is
-// Θ(T), polynomial rather than polylog — the concrete face of CVP's
-// P-completeness.
-func (c *Circuit) Depth() int {
-	depth := make([]int, len(c.Gates))
-	max := 0
-	for i, g := range c.Gates {
-		d := 0
-		for _, in := range g.In {
-			if depth[in] > d {
-				d = depth[in]
-			}
-		}
-		if len(g.In) > 0 {
-			d++
-		}
-		depth[i] = d
-		if d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // Size reports the number of gates.
 func (c *Circuit) Size() int { return len(c.Gates) }

@@ -82,17 +82,6 @@ func TestValidateRejectsMalformed(t *testing.T) {
 	}
 }
 
-func TestDepth(t *testing.T) {
-	c := handBuilt()
-	if d := c.Depth(); d != 2 {
-		t.Fatalf("Depth = %d, want 2", d)
-	}
-	flat := &Circuit{NumInputs: 1, Gates: []Gate{{Kind: KindInput}}, Output: 0}
-	if d := flat.Depth(); d != 0 {
-		t.Fatalf("flat Depth = %d", d)
-	}
-}
-
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		c := Generate(GenConfig{Inputs: 1 + int(seed)%5, Gates: 30, Seed: seed})

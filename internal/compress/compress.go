@@ -23,7 +23,7 @@
 // differ but whose ancestor and descendant sets agree (v with in-neighbours
 // a and b where a → b, beside w with in-neighbour b alone), though never two
 // vertices of one chain, since each is the other's ancestor or descendant.
-// graph.NewCondensedClosure computes exactly that relation for the
+// CSR.CondensedClosure computes exactly that relation for the
 // closure-matrix scheme, with the same two-case translation (the same vertex,
 // or a bit). Deciding it takes every ancestor and descendant set, which is
 // the closure; the twin relation reads neighbour sets only, so the labels

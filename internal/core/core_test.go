@@ -122,13 +122,21 @@ func TestIdentityFactorization(t *testing.T) {
 	}
 }
 
-func TestEmptyDataFactorization(t *testing.T) {
-	f := EmptyDataFactorization()
-	if err := f.Check([]byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Rho([]byte("x"), []byte("q")); err == nil {
-		t.Fatal("empty-data ρ accepted a non-empty data part")
+// emptyDataFactorization returns the Theorem 9 factorization Υ0: the data
+// part is the empty string and the whole instance is the query part —
+// "preprocess nothing". It witnesses the separation of ΠT⁰Q from P: with
+// this factorization preprocessing sees only ε, so it cannot help.
+func emptyDataFactorization() *Factorization {
+	return &Factorization{
+		FactName: "empty-data",
+		Pi1:      func(x []byte) ([]byte, error) { return nil, nil },
+		Pi2:      func(x []byte) ([]byte, error) { return x, nil },
+		Rho: func(d, q []byte) ([]byte, error) {
+			if len(d) != 0 {
+				return nil, fmt.Errorf("core: empty-data factorization got a non-empty data part")
+			}
+			return q, nil
+		},
 	}
 }
 
@@ -253,18 +261,6 @@ func TestSchemeAnswerIsPrepareThenProbe(t *testing.T) {
 	}
 }
 
-func TestSchemeDecide(t *testing.T) {
-	s := paritySumScheme()
-	got, err := s.Decide([]byte{3}, []byte{1})
-	if err != nil || !got {
-		t.Fatalf("Decide = %v, %v", got, err)
-	}
-	got, err = s.Decide([]byte{3}, []byte{0})
-	if err != nil || got {
-		t.Fatalf("Decide = %v, %v", got, err)
-	}
-}
-
 // --- reductions -----------------------------------------------------------------
 
 func TestReductionVerify(t *testing.T) {
@@ -347,7 +343,7 @@ func TestLemma2Composition(t *testing.T) {
 	if err := r1.Verify(PairLanguage(l1, split), PairLanguage(l2, split), pairsOf(split, instances)); err != nil {
 		t.Fatalf("r1: %v", err)
 	}
-	if err := r2.Verify(PairLanguage(l2, paddedSplit), PairLanguage(l3, EmptyDataFactorization()),
+	if err := r2.Verify(PairLanguage(l2, paddedSplit), PairLanguage(l3, emptyDataFactorization()),
 		pairsOf(paddedSplit, instances)); err != nil {
 		// Note: S(L3) queries are padded L2 instances; sum parity of the
 		// padding prefix bytes shifts the parity, so β2 must be checked
@@ -359,7 +355,7 @@ func TestLemma2Composition(t *testing.T) {
 	fr := &FactorReduction{
 		From: l1, To: l3,
 		F1:  paddedSplit,
-		F2:  EmptyDataFactorization(),
+		F2:  emptyDataFactorization(),
 		Map: *composed,
 	}
 	if err := fr.Verify(instances); err != nil {

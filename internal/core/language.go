@@ -105,24 +105,6 @@ func IdentityFactorization() *Factorization {
 	}
 }
 
-// EmptyDataFactorization returns the Theorem 9 factorization Υ0: the data
-// part is the empty string and the whole instance is the query part —
-// "preprocess nothing". It witnesses the separation of ΠT⁰Q from P: with
-// this factorization preprocessing sees only ε, so it cannot help.
-func EmptyDataFactorization() *Factorization {
-	return &Factorization{
-		FactName: "empty-data",
-		Pi1:      func(x []byte) ([]byte, error) { return nil, nil },
-		Pi2:      func(x []byte) ([]byte, error) { return x, nil },
-		Rho: func(d, q []byte) ([]byte, error) {
-			if len(d) != 0 {
-				return nil, fmt.Errorf("core: empty-data factorization got a non-empty data part")
-			}
-			return q, nil
-		},
-	}
-}
-
 // PaddedFactorization builds Υ′ from Υ as in the proof of Lemma 2:
 // σ1(x) = σ2(x) = π1(x)@π2(x) and ρ′(y, y) = ρ(unpad(y)). Both parts carry
 // the whole pair, which is what lets two reductions with mismatched middle

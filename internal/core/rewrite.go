@@ -1,7 +1,5 @@
 package core
 
-import "fmt"
-
 // The remark below Definition 1: "One may consider a more general setting
 // by incorporating a query rewriting function λ: Q → Q′, and revise
 // Definition 1 such that (1) ⟨D,Q⟩ ∈ S iff ⟨Π(D), λ(Q)⟩ ∈ S′, and (2) S′
@@ -25,51 +23,6 @@ type RewritingScheme struct {
 
 // Name identifies the scheme.
 func (s *RewritingScheme) Name() string { return s.SchemeName }
-
-// Decide answers one pair end-to-end.
-func (s *RewritingScheme) Decide(d, q []byte) (bool, error) {
-	pd, err := s.Preprocess(d)
-	if err != nil {
-		return false, fmt.Errorf("rewriting scheme %s: preprocess: %w", s.SchemeName, err)
-	}
-	lq, err := s.Rewrite(q)
-	if err != nil {
-		return false, fmt.Errorf("rewriting scheme %s: rewrite: %w", s.SchemeName, err)
-	}
-	return s.Answer(pd, lq)
-}
-
-// VerifyAgainst checks the revised Definition 1 equivalence on concrete
-// pairs: ⟨d,q⟩ ∈ S iff Answer(Π(d), λ(q)).
-func (s *RewritingScheme) VerifyAgainst(lang Language, pairs []Pair) error {
-	cache := map[string][]byte{}
-	for i, p := range pairs {
-		want, err := lang.Contains(p.D, p.Q)
-		if err != nil {
-			return fmt.Errorf("rewriting scheme %s: language pair %d: %w", s.SchemeName, i, err)
-		}
-		pd, ok := cache[string(p.D)]
-		if !ok {
-			pd, err = s.Preprocess(p.D)
-			if err != nil {
-				return fmt.Errorf("rewriting scheme %s: preprocess pair %d: %w", s.SchemeName, i, err)
-			}
-			cache[string(p.D)] = pd
-		}
-		lq, err := s.Rewrite(p.Q)
-		if err != nil {
-			return fmt.Errorf("rewriting scheme %s: rewrite pair %d: %w", s.SchemeName, i, err)
-		}
-		got, err := s.Answer(pd, lq)
-		if err != nil {
-			return fmt.Errorf("rewriting scheme %s: answer pair %d: %w", s.SchemeName, i, err)
-		}
-		if got != want {
-			return fmt.Errorf("rewriting scheme %s: pair %d: scheme %v, language %v", s.SchemeName, i, got, want)
-		}
-	}
-	return nil
-}
 
 // Plain flattens the rewriting scheme into an ordinary Scheme by folding λ
 // into the answering step; correct as long as λ itself fits the answering

@@ -58,8 +58,8 @@ func (s *Scheme) Name() string { return s.SchemeName }
 // Answer decides one query against pd: Prepare, then one probe. It pays a
 // Prepare per call — the closure's rows decoded, the labels decoded, a key
 // file's samples checked — so anything that answers more than once against
-// one Π prepares once and probes the Answerer instead. It is kept for Decide
-// and one-shot callers. Prepare's error comes back unwrapped, so a refused Π
+// one Π prepares once and probes the Answerer instead. It is kept for
+// one-shot callers. Prepare's error comes back unwrapped, so a refused Π
 // reads the same here as at Prepare.
 func (s *Scheme) Answer(pd, q []byte) (bool, error) {
 	a, err := s.Prepare(pd)
@@ -67,17 +67,6 @@ func (s *Scheme) Answer(pd, q []byte) (bool, error) {
 		return false, err
 	}
 	return a.Answer(q)
-}
-
-// Decide answers one pair end-to-end (preprocessing included). Production
-// use preprocesses once and answers many times; Decide exists for
-// correctness checks.
-func (s *Scheme) Decide(d, q []byte) (bool, error) {
-	pd, err := s.Preprocess(d)
-	if err != nil {
-		return false, fmt.Errorf("scheme %s: preprocess: %w", s.SchemeName, err)
-	}
-	return s.Answer(pd, q)
 }
 
 // VerifyAgainst checks Definition 1's equivalence on concrete pairs: for

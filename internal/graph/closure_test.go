@@ -139,7 +139,7 @@ func packedRef(class []int, k int) []byte {
 func checkCondensed(t *testing.T, name string, g *Graph, want [][]bool) {
 	t.Helper()
 	n := g.N()
-	c, err := NewCondensedClosure(g)
+	c, err := g.Freeze().CondensedClosure()
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -196,14 +196,14 @@ func checkCondensed(t *testing.T, name string, g *Graph, want [][]bool) {
 }
 
 // checkClosure holds one graph's kernel closure to the reference on every
-// ⟨u,v⟩, on RowEqual, on the zero padding above n, and on the dense bytes —
+// ⟨u,v⟩, on the zero padding above n, and on the dense bytes —
 // the expanded matrix — then the condensed value it is expanded from.
 func checkClosure(t *testing.T, name string, g *Graph) {
 	t.Helper()
 	n := g.N()
 	c, want := NewClosure(g), closureRef(g)
-	if c.N() != n {
-		t.Fatalf("%s: closure over %d vertices, graph has %d", name, c.N(), n)
+	if c.n != n {
+		t.Fatalf("%s: closure over %d vertices, graph has %d", name, c.n, n)
 	}
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
@@ -213,17 +213,6 @@ func checkClosure(t *testing.T, name string, g *Graph) {
 		}
 		if r := uint(n & 63); r != 0 && c.Row(u)[n>>6]>>r != 0 {
 			t.Fatalf("%s: row %d has bits set at or above n", name, u)
-		}
-	}
-	for u := 0; u < n; u++ {
-		for _, v := range []int{0, u / 2, n - 1} {
-			same := true
-			for x := 0; x < n; x++ {
-				same = same && want[u][x] == want[v][x]
-			}
-			if got := c.RowEqual(u, v); got != same {
-				t.Fatalf("%s: RowEqual(%d,%d) = %v, reference rows equal: %v", name, u, v, got, same)
-			}
 		}
 	}
 	if got := c.AppendDense(nil); !bytes.Equal(got, denseRef(want)) {
@@ -299,7 +288,7 @@ func TestClosureMergesAcyclicClasses(t *testing.T) {
 	for _, e := range [][2]int{{0, 1}, {3, 1}, {1, 2}, {2, 1}, {2, 4}, {2, 5}, {6, 7}, {7, 9}, {8, 9}} {
 		g.MustAddEdge(e[0], e[1])
 	}
-	c, err := NewCondensedClosure(g)
+	c, err := g.Freeze().CondensedClosure()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +353,7 @@ func TestClosureNothingToMergeKeepsBytes(t *testing.T) {
 		for _, e := range c.edges {
 			g.MustAddEdge(e[0], e[1])
 		}
-		cc, err := NewCondensedClosure(g)
+		cc, err := g.Freeze().CondensedClosure()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -406,7 +395,7 @@ func TestAppendDense(t *testing.T) {
 	}
 }
 
-// TestCheckClosureSize: the cap is on classes. NewCondensedClosure refuses
+// TestCheckClosureSize: the cap is on classes. CSR.CondensedClosure refuses
 // edgeless vertices over it from |V| − |E| alone, and a path of one vertex
 // more than the cap — |V| − |E| = 1 — by its class count after SCC.
 func TestCheckClosureSize(t *testing.T) {
@@ -420,17 +409,17 @@ func TestCheckClosureSize(t *testing.T) {
 		"edgeless": New(MaxClosureVertices+1, true),
 		"path":     Path(MaxClosureVertices+1, true),
 	} {
-		if _, err := NewCondensedClosure(g); err == nil {
+		if _, err := g.Freeze().CondensedClosure(); err == nil {
 			t.Fatalf("%s: %d classes closed", name, g.N())
 		}
 	}
-	if c, err := NewCondensedClosure(Path(MaxClosureVertices+1, false)); err != nil || c.Classes() != 1 {
+	if c, err := Path(MaxClosureVertices+1, false).Freeze().CondensedClosure(); err != nil || c.Classes() != 1 {
 		t.Fatalf("an undirected path over the vertex count of the cap is one class: %v", err)
 	}
 }
 
 // FuzzClosure: any bytes Decode accepts close, under the kernel, to exactly
-// what one BFS per vertex finds, with RowEqual and the wire bytes consistent,
+// what one BFS per vertex finds, with the wire bytes consistent,
 // and Class(u) = Class(v) exactly when u and v have the same strict ancestors
 // and strict descendants (reachref); and any bytes, read as class ids,
 // round-trip through the packed wire form at every id width an edge case
@@ -555,7 +544,7 @@ func BenchmarkClosure(b *testing.B) {
 			b.Run(shape.name+"/"+build.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if build.f(shape.g).N() != shape.g.N() {
+					if build.f(shape.g).n != shape.g.N() {
 						b.Fatal("vertex count")
 					}
 				}
@@ -570,8 +559,8 @@ func BenchmarkClosure(b *testing.B) {
 // rows) grows faster than the vertex count. Each leg reports the wire form's
 // bytes and its class count beside the time, so the size a change moves is
 // read off the same run. build starts from the CSR graph.Decode hands the
-// serving path; before Decode returned one, the same legs timed
-// NewCondensedClosure on the generated graph, which is how a commit from
+// serving path; before Decode returned one, the same legs timed Freeze and
+// CSR.CondensedClosure on the generated graph, which is how a commit from
 // then compares.
 func BenchmarkCondensedClosure(b *testing.B) {
 	for _, shape := range []struct {

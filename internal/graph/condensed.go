@@ -159,9 +159,6 @@ type CondensedClosure struct {
 	rows  []uint64
 }
 
-// NewCondensedClosure is CSR.CondensedClosure for a graph built edge by edge.
-func NewCondensedClosure(g *Graph) (*CondensedClosure, error) { return g.Freeze().CondensedClosure() }
-
 // CondensedClosure closes g over its reachability-equivalence classes,
 // refusing a graph of more than MaxClosureVertices strongly connected
 // components. It checks twice, both before the SCC rows exist: a component of

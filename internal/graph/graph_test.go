@@ -170,27 +170,6 @@ func TestClosurePRAMMatchesBitset(t *testing.T) {
 	}
 }
 
-func TestRowEqual(t *testing.T) {
-	g := New(4, true)
-	g.MustAddEdge(0, 2)
-	g.MustAddEdge(1, 2)
-	g.MustAddEdge(2, 3)
-	c := NewClosure(g)
-	if c.RowEqual(0, 1) {
-		t.Error("rows 0,1 differ reflexively but compared equal")
-	}
-	// 0 reaches {0,2,3}, 1 reaches {1,2,3}: distinct. 2 and 3 differ too.
-	if c.RowEqual(2, 3) {
-		t.Error("rows 2,3 compared equal")
-	}
-	if !c.RowEqual(2, 2) {
-		t.Error("row not equal to itself")
-	}
-	if c.N() != 4 {
-		t.Errorf("N = %d", c.N())
-	}
-}
-
 // sccRef is a quadratic reference: u,v in one SCC iff mutually reachable —
 // by the per-vertex closureRef, since NewClosure is itself built on SCC.
 func sccRef(g *Graph) [][]bool {

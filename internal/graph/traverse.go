@@ -2,7 +2,6 @@ package graph
 
 import (
 	"math"
-	"slices"
 
 	"pitract/internal/pram"
 )
@@ -60,19 +59,11 @@ func (c *Closure) Reach(u, v int) bool {
 	return c.bits[u*c.words+v/64]&(1<<(v%64)) != 0
 }
 
-// N reports the vertex count.
-func (c *Closure) N() int { return c.n }
-
 // Row returns row u: ⌈n/64⌉ words, bit v set iff u reaches v, bits at and
 // above n zero. The slice aliases the closure, so a maintainer (internal/inc)
 // updates the matrix through it.
 func (c *Closure) Row(u int) []uint64 {
 	return c.bits[u*c.words : (u+1)*c.words : (u+1)*c.words]
-}
-
-// RowEqual reports whether vertices u and v reach exactly the same set.
-func (c *Closure) RowEqual(u, v int) bool {
-	return slices.Equal(c.Row(u), c.Row(v))
 }
 
 // SCC computes strongly connected components with Tarjan's algorithm over

@@ -20,7 +20,7 @@ func F2Landscape(Scale) (*Table, error) {
 			Scheme: schemes.PointSelectionScheme(), Notes: "the same sorted keys, its RangeQuery"},
 		{Name: "list membership (L1)", PaperRef: "§4(2)", Class: core.ClassPiT0Q,
 			Scheme: schemes.ListMembershipScheme(),
-			Notes:  "sort + binary search; the sort itself is NC (pram.BitonicSort), so the class is NC end-to-end"},
+			Notes:  "sort + binary search; the sort itself is NC (a bitonic network: O(log² n) PRAM rounds, internal/pram's sort test), so the class is NC end-to-end"},
 		{Name: "reachability (Q2)", PaperRef: "Example 3", Class: core.ClassPiT0Q,
 			Scheme: schemes.ReachabilityScheme(), Notes: "NL ⊆ NC; closure matrix gives O(1)"},
 		{Name: "minimum range queries", PaperRef: "§4(3)", Class: core.ClassPiT0Q,

@@ -183,16 +183,6 @@ func fitNote(label string, ms []core.Measurement) string {
 		label, fit.Growth, fit.Exponent, fit.LogLogR2)
 }
 
-// mustFit classifies and panics on error; experiments construct their
-// sweeps to satisfy Classify's preconditions.
-func mustFit(ms []core.Measurement) core.Fit {
-	fit, err := core.Classify(ms)
-	if err != nil {
-		panic(err)
-	}
-	return fit
-}
-
 // Experiment couples an id with its generator.
 type Experiment struct {
 	ID    string

@@ -52,9 +52,6 @@ func New(g *graph.Graph) (*Index, error) {
 	return &Index{n: g.N(), g: g.Clone(), reach: graph.NewClosure(g)}, nil
 }
 
-// N reports the vertex count.
-func (x *Index) N() int { return x.n }
-
 // Reach answers a reachability query in O(1) against the maintained index.
 func (x *Index) Reach(u, v int) (bool, error) {
 	if u < 0 || u >= x.n || v < 0 || v >= x.n {

@@ -130,8 +130,8 @@ func TestQueryAndInsertValidation(t *testing.T) {
 	if err := idx.InsertEdge(0, 9); err == nil {
 		t.Error("out-of-range edge accepted")
 	}
-	if idx.N() != 3 {
-		t.Errorf("N = %d", idx.N())
+	if idx.n != 3 {
+		t.Errorf("n = %d", idx.n)
 	}
 }
 

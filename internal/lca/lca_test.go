@@ -68,7 +68,8 @@ func TestTreeLCAProperties(t *testing.T) {
 			}
 		}
 		// No deeper common ancestor: depth(w) must equal the naive answer's.
-		if tree.Depth(w) != tree.Depth(NaiveLCA(parent, u, v)) {
+		depth := func(v int) int64 { return tree.depths[tree.first[v]] }
+		if depth(w) != depth(NaiveLCA(parent, u, v)) {
 			t.Fatalf("depth mismatch for (%d,%d)", u, v)
 		}
 	}

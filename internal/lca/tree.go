@@ -101,9 +101,6 @@ func (t *Tree) LCA(u, v int) (int, error) {
 	return int(t.tour[t.rmq.Query(i, j)]), nil
 }
 
-// Depth returns the depth of node v (root has depth 0).
-func (t *Tree) Depth(v int) int64 { return t.depths[t.first[v]] }
-
 // NaiveLCA walks parent pointers upward — the no-preprocessing baseline:
 // O(depth) per query.
 func NaiveLCA(parent []int, u, v int) int {

@@ -61,11 +61,3 @@ func (x *Index) ContainsProbes(e int64) (bool, int) {
 	}
 	return false, probes
 }
-
-// Sorted exposes the preprocessed list (aliasing; do not mutate). The core
-// framework serializes it across the factorization boundary.
-func (x *Index) Sorted() []int64 { return x.sorted }
-
-// FromSorted wraps an already-sorted slice as an index without copying;
-// callers must guarantee ascending order.
-func FromSorted(sorted []int64) *Index { return &Index{sorted: sorted} }

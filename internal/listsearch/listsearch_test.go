@@ -70,23 +70,6 @@ func TestEmptyList(t *testing.T) {
 	}
 }
 
-func TestFromSortedAndSorted(t *testing.T) {
-	idx := NewIndex([]int64{5, 1, 3})
-	s := idx.Sorted()
-	if len(s) != 3 || s[0] != 1 || s[2] != 5 {
-		t.Fatalf("Sorted = %v", s)
-	}
-	re := FromSorted(s)
-	for _, e := range []int64{1, 3, 5} {
-		if !re.Contains(e) {
-			t.Errorf("FromSorted missing %d", e)
-		}
-	}
-	if re.Contains(2) {
-		t.Error("FromSorted phantom member")
-	}
-}
-
 func TestDuplicatesHandled(t *testing.T) {
 	idx := NewIndex([]int64{7, 7, 7, 7})
 	if !idx.Contains(7) || idx.Contains(6) {

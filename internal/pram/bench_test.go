@@ -34,7 +34,7 @@ func benchSort(b *testing.B, opts ...Option) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BitonicSort(New(0, opts...), vals)
+		bitonicSort(New(0, opts...), vals)
 	}
 }
 

@@ -93,6 +93,16 @@ func boolMatSquareOr(m *Machine, n int) {
 	})
 }
 
+// ceilLog2 returns ⌈log2(n)⌉ for n ≥ 1, and 0 for n ≤ 1.
+func ceilLog2(n int) int {
+	k, v := 0, 1
+	for v < n {
+		v <<= 1
+		k++
+	}
+	return k
+}
+
 // TransitiveClosure computes the reflexive-transitive closure of adj by
 // ⌈log2 n⌉ repeated squarings, each O(log n) rounds: O(log² n) rounds total
 // with O(n³) processors — the NC² schedule quoted by the paper for

@@ -40,28 +40,6 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithGrain sets the minimum processor activations per parallel chunk
-// (default DefaultGrain). Lower it for kernels whose per-activation cost is
-// large; tests use a grain of 1 to force tiny programs onto the parallel
-// path.
-func WithGrain(g int) Option {
-	return func(m *Machine) {
-		if g < 1 {
-			g = 1
-		}
-		m.grain = g
-	}
-}
-
-// Workers reports the configured worker-goroutine count (1 when the
-// machine runs on the sequential executor).
-func (m *Machine) Workers() int {
-	if m.workers < 1 {
-		return 1
-	}
-	return m.workers
-}
-
 // parallelEligible reports whether a round of procs activations is worth
 // running on the worker pool.
 func (m *Machine) parallelEligible(procs int) bool {

@@ -3,13 +3,61 @@ package pram
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 )
+
+// withGrain sets the minimum processor activations per parallel chunk
+// (DefaultGrain by default).
+func withGrain(g int) Option {
+	return func(m *Machine) { m.grain = g }
+}
 
 // parallelOpts forces even tiny programs onto the parallel executor so the
 // differential tests exercise it regardless of round width.
 func parallelOpts(extra ...Option) []Option {
-	return append([]Option{WithWorkers(4), WithGrain(1)}, extra...)
+	return append([]Option{WithWorkers(4), withGrain(1)}, extra...)
+}
+
+// reduceSum folds vals into cell 0 with a binary tree of rounds: ⌈log2 n⌉
+// rounds, each half as wide as the one before.
+func reduceSum(m *Machine, vals []int64) int64 {
+	n := len(vals)
+	if n == 0 {
+		return 0
+	}
+	m.Grow(n)
+	copy(m.mem, vals)
+	for width := n; width > 1; width = (width + 1) / 2 {
+		half := (width + 1) / 2
+		m.MustStep(half, func(c Ctx) {
+			p := c.Proc()
+			v := c.Load(p)
+			if p+half < width {
+				v += c.Load(p + half)
+			}
+			c.Store(p, v)
+		})
+	}
+	return m.Load(0)
+}
+
+// pointerJump resolves, for every node of a forest given by parent
+// pointers (parent[i] == i marks a root), the root of its tree: each round
+// every processor reads at an address the data chose.
+func pointerJump(m *Machine, parent []int) []int64 {
+	n := len(parent)
+	m.Grow(n)
+	for i, p := range parent {
+		m.Store(i, int64(p))
+	}
+	for r := 0; r < ceilLog2(n)+1; r++ {
+		m.MustStep(n, func(c Ctx) {
+			p := c.Proc()
+			c.Store(p, c.Load(int(c.Load(p))))
+		})
+	}
+	return slices.Clone(m.mem[:n])
 }
 
 // diffMachines runs prog on a sequential oracle machine and a parallel
@@ -17,8 +65,8 @@ func parallelOpts(extra ...Option) []Option {
 // reported by prog), and equal round/work accounting.
 func diffMachines(t *testing.T, name string, prog func(m *Machine) interface{}) {
 	t.Helper()
-	seq := New(0, WithConflictDetection())
-	par := New(0, parallelOpts(WithConflictDetection())...)
+	seq := New(0, withConflictDetection())
+	par := New(0, parallelOpts(withConflictDetection())...)
 	wantOut := prog(seq)
 	gotOut := prog(par)
 
@@ -28,8 +76,8 @@ func diffMachines(t *testing.T, name string, prog func(m *Machine) interface{}) 
 	if seq.Size() != par.Size() {
 		t.Fatalf("%s: memory size diverged: sequential %d, parallel %d", name, seq.Size(), par.Size())
 	}
-	seqMem := seq.LoadSlice(0, seq.Size())
-	parMem := par.LoadSlice(0, par.Size())
+	seqMem := seq.mem
+	parMem := par.mem
 	for i := range seqMem {
 		if seqMem[i] != parMem[i] {
 			t.Fatalf("%s: memory cell %d diverged: sequential %d, parallel %d",
@@ -52,16 +100,6 @@ func assertDeepEqual(t *testing.T, name string, want, got interface{}) {
 				t.Fatalf("%s: output[%d] diverged: %d vs %d", name, i, w[i], g[i])
 			}
 		}
-	case []int:
-		g := got.([]int)
-		if len(w) != len(g) {
-			t.Fatalf("%s: output length diverged: %d vs %d", name, len(w), len(g))
-		}
-		for i := range w {
-			if w[i] != g[i] {
-				t.Fatalf("%s: output[%d] diverged: %d vs %d", name, i, w[i], g[i])
-			}
-		}
 	case *BoolMatrix:
 		if !w.Equal(got.(*BoolMatrix)) {
 			t.Fatalf("%s: closure matrices diverged", name)
@@ -69,10 +107,6 @@ func assertDeepEqual(t *testing.T, name string, want, got interface{}) {
 	case int64:
 		if w != got.(int64) {
 			t.Fatalf("%s: output diverged: %d vs %d", name, w, got)
-		}
-	case bool:
-		if w != got.(bool) {
-			t.Fatalf("%s: output diverged: %v vs %v", name, w, got)
 		}
 	default:
 		t.Fatalf("%s: unhandled output type %T", name, want)
@@ -97,23 +131,14 @@ func TestParallelMatchesSequentialOnAllPrograms(t *testing.T) {
 		}
 	}
 	adj := randMatrix(rng, 23, 0.12)
-	sorted := append([]int64(nil), vals...)
-	{
-		m := New(0)
-		sorted = BitonicSort(m, sorted)
-	}
 
 	cases := []struct {
 		name string
 		prog func(m *Machine) interface{}
 	}{
-		{"ReduceSum", func(m *Machine) interface{} { return ReduceSum(m, vals) }},
-		{"ReduceMax", func(m *Machine) interface{} { return ReduceMax(m, vals) }},
-		{"ReduceOr", func(m *Machine) interface{} { return ReduceOr(m, vals) }},
-		{"PrefixSum", func(m *Machine) interface{} { return PrefixSum(m, vals) }},
-		{"PointerJump", func(m *Machine) interface{} { return PointerJump(m, parent) }},
-		{"BitonicSort", func(m *Machine) interface{} { return BitonicSort(m, vals) }},
-		{"SearchSorted", func(m *Machine) interface{} { return SearchSorted(m, sorted, vals[3]) }},
+		{"ReduceSum", func(m *Machine) interface{} { return reduceSum(m, vals) }},
+		{"PointerJump", func(m *Machine) interface{} { return pointerJump(m, parent) }},
+		{"BitonicSort", func(m *Machine) interface{} { return bitonicSort(m, vals) }},
 		{"TransitiveClosure", func(m *Machine) interface{} { return TransitiveClosure(m, adj) }},
 	}
 	for _, tc := range cases {
@@ -147,7 +172,7 @@ func TestParallelDefaultGrainPath(t *testing.T) {
 // boundaries: with grain 1 every processor lands in its own chunk, so the
 // collision below is only visible to the cross-chunk writer-map merge.
 func TestParallelConflictDetection(t *testing.T) {
-	m := New(2, parallelOpts(WithConflictDetection())...)
+	m := New(2, parallelOpts(withConflictDetection())...)
 	m.Store(0, 42)
 	err := m.Step(4, func(c Ctx) { c.Store(0, int64(c.Proc())) })
 	if err != ErrWriteConflict {
@@ -168,7 +193,7 @@ func TestParallelConflictDetection(t *testing.T) {
 // TestParallelIntraChunkConflictDetection forces two processors into one
 // chunk so the conflict is latched inside a single sink.
 func TestParallelIntraChunkConflictDetection(t *testing.T) {
-	m := New(1, WithWorkers(2), WithGrain(2), WithConflictDetection())
+	m := New(1, WithWorkers(2), withGrain(2), withConflictDetection())
 	err := m.Step(4, func(c Ctx) { c.Store(0, int64(c.Proc())) })
 	if err != ErrWriteConflict {
 		t.Fatalf("err = %v, want ErrWriteConflict", err)
@@ -178,7 +203,7 @@ func TestParallelIntraChunkConflictDetection(t *testing.T) {
 // TestParallelSameProcRewriteLegal: one processor rewriting its own cell is
 // last-write-wins, not a conflict — also on the parallel path.
 func TestParallelSameProcRewriteLegal(t *testing.T) {
-	m := New(4, parallelOpts(WithConflictDetection())...)
+	m := New(4, parallelOpts(withConflictDetection())...)
 	if err := m.Step(4, func(c Ctx) {
 		c.Store(c.Proc(), 1)
 		c.Store(c.Proc(), int64(10+c.Proc()))
@@ -215,7 +240,7 @@ func TestParallelLastWriteWinsMatchesOracle(t *testing.T) {
 // the pre-round image (the n-cell rotation only works if it does).
 func TestParallelSynchronousSemantics(t *testing.T) {
 	const n = 64
-	m := New(n, parallelOpts(WithConflictDetection())...)
+	m := New(n, parallelOpts(withConflictDetection())...)
 	for i := 0; i < n; i++ {
 		m.Store(i, int64(i))
 	}
@@ -246,17 +271,14 @@ func TestParallelKernelPanicPropagates(t *testing.T) {
 }
 
 func TestWithWorkersDefaults(t *testing.T) {
-	if got := New(0, WithWorkers(0)).Workers(); got != runtime.GOMAXPROCS(0) {
+	if got := New(0, WithWorkers(0)).workers; got != runtime.GOMAXPROCS(0) {
 		t.Errorf("WithWorkers(0) → %d workers, want GOMAXPROCS=%d", got, runtime.GOMAXPROCS(0))
 	}
-	if got := New(0).Workers(); got != 1 {
-		t.Errorf("default machine has %d workers, want 1", got)
+	if New(0).parallelEligible(1 << 30) {
+		t.Error("a default machine runs rounds on the worker pool, want the sequential executor")
 	}
-	if got := New(0, WithWorkers(3)).Workers(); got != 3 {
+	if got := New(0, WithWorkers(3)).workers; got != 3 {
 		t.Errorf("WithWorkers(3) → %d workers", got)
-	}
-	if New(0, WithGrain(-5)).grain != 1 {
-		t.Error("WithGrain should clamp to ≥ 1")
 	}
 }
 

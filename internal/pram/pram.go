@@ -13,7 +13,8 @@
 // polylogarithmically in the input size while its processor count stays
 // polynomial. The simulator enforces CREW semantics (concurrent reads,
 // exclusive writes): two processors writing the same cell in one round is a
-// programming error and is detected when conflict checking is enabled.
+// programming error and is detected when conflict checking is enabled
+// (the package's tests enable it).
 //
 // All computation inside a round reads the memory image from the start of
 // the round; writes become visible only when the round commits. This gives
@@ -60,10 +61,6 @@ type Cost struct {
 	Rounds int   // synchronous parallel steps
 	Work   int64 // total processor activations
 }
-
-// Add returns the component-wise sum of two costs. Sequencing two PRAM
-// computations adds both their rounds and their work.
-func (c Cost) Add(d Cost) Cost { return Cost{c.Rounds + d.Rounds, c.Work + d.Work} }
 
 // String renders the cost in a compact human-readable form.
 func (c Cost) String() string { return fmt.Sprintf("rounds=%d work=%d", c.Rounds, c.Work) }
@@ -130,13 +127,6 @@ func (s *roundSink) store(proc, addr int, v int64) {
 // Option configures a Machine.
 type Option func(*Machine)
 
-// WithConflictDetection enables per-round detection of concurrent writes.
-// Detection costs extra host time, so benchmarks leave it off while tests
-// turn it on.
-func WithConflictDetection() Option {
-	return func(m *Machine) { m.detect = true }
-}
-
 // New returns a machine with size zeroed memory cells.
 func New(size int, opts ...Option) *Machine {
 	m := &Machine{mem: make([]int64, size), grain: DefaultGrain}
@@ -171,24 +161,8 @@ func (m *Machine) Load(addr int) int64 { return m.mem[addr] }
 // part of loading the input and is not charged as PRAM work.
 func (m *Machine) Store(addr int, v int64) { m.mem[addr] = v }
 
-// LoadSlice copies cells [base, base+n) into a fresh host slice.
-func (m *Machine) LoadSlice(base, n int) []int64 {
-	out := make([]int64, n)
-	copy(out, m.mem[base:base+n])
-	return out
-}
-
-// StoreSlice copies a host slice into cells starting at base.
-func (m *Machine) StoreSlice(base int, vals []int64) {
-	copy(m.mem[base:base+len(vals)], vals)
-}
-
-// Cost reports the resources consumed since construction or the last
-// ResetCost call.
+// Cost reports the resources consumed since construction.
 func (m *Machine) Cost() Cost { return Cost{Rounds: m.rounds, Work: m.work} }
-
-// ResetCost zeroes the round and work counters without touching memory.
-func (m *Machine) ResetCost() { m.rounds, m.work = 0, 0 }
 
 // Ctx gives a processor read access to the pre-round memory image and write
 // access to the post-round image. It is valid only for the duration of the

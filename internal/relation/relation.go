@@ -163,19 +163,6 @@ func (r *Relation) MustAppend(t Tuple) {
 	}
 }
 
-// Column returns a copy of the values in the named attribute.
-func (r *Relation) Column(attr string) ([]Value, error) {
-	idx := r.Schema.AttrIndex(attr)
-	if idx < 0 {
-		return nil, fmt.Errorf("relation %q: no attribute %q", r.Schema.Name, attr)
-	}
-	out := make([]Value, len(r.Tuples))
-	for i, t := range r.Tuples {
-		out[i] = t[idx]
-	}
-	return out, nil
-}
-
 // ScanPointSelect answers the paper's Q1 by a full scan: does some tuple t
 // have t[attr] = c? This is the no-preprocessing baseline of Example 1.
 func (r *Relation) ScanPointSelect(attr string, c Value) (bool, error) {

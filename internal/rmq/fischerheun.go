@@ -160,6 +160,3 @@ func (f *FischerHeun) Words() int {
 	}
 	return w
 }
-
-// BlockSize reports the block size in use.
-func (f *FischerHeun) BlockSize() int { return f.blockSize }

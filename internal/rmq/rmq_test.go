@@ -157,7 +157,7 @@ func TestEmptyArrayConstruction(t *testing.T) {
 func TestFischerHeunBlockSizeClamped(t *testing.T) {
 	a := make([]int64, 64)
 	f := NewFischerHeun(a, 100)
-	if f.BlockSize() > 15 {
-		t.Fatalf("block size %d exceeds signature capacity", f.BlockSize())
+	if f.blockSize > 15 {
+		t.Fatalf("block size %d exceeds signature capacity", f.blockSize)
 	}
 }

@@ -15,8 +15,6 @@ import (
 
 // Byte-size units.
 const (
-	KB float64 = 1e3
-	MB float64 = 1e6
 	GB float64 = 1e9
 	TB float64 = 1e12
 	PB float64 = 1e15

@@ -1,6 +1,6 @@
 package schemes
 
-// The closure-matrix scheme's Π is built by graph.NewCondensedClosure
+// The closure-matrix scheme's Π is built by CSR.CondensedClosure
 // (condensation, word-wide row unions over the components, acyclic vertices
 // with equal ancestors and descendants merged) and laid out by its
 // AppendWire. These tests hold the bytes to a reference build — one search per

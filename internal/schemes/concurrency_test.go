@@ -197,7 +197,7 @@ func TestPreparedBFSSharedByConcurrentAskers(t *testing.T) {
 				for i := 0; i < 600; i++ {
 					u, v := (i*7+w*13)%n, (i*11+w*29)%n
 					q := NodePairQuery(u, v)
-					want, err := ReachabilityLanguage().Contains(pd, q)
+					want, err := reachabilityLanguage().Contains(pd, q)
 					if err != nil {
 						t.Errorf("%s: reference (%d,%d): %v", name, u, v, err)
 						return

@@ -13,34 +13,10 @@ import (
 	"pitract/internal/core"
 	"pitract/internal/graph"
 	"pitract/internal/lca"
-	"pitract/internal/rmq"
 )
 
 // RangeQueryIJ encodes an (i, j) index-range query.
 func RangeQueryIJ(i, j int) []byte { return core.EncodeUint64(uint64(i), uint64(j)) }
-
-// RMQFuncLanguage is the reference function: the leftmost argmin of
-// A[i..j], computed by the naive scan.
-func RMQFuncLanguage() core.FuncLanguage {
-	return core.FuncLanguageFunc{
-		LangName: "RMQ",
-		Compute: func(d, q []byte) ([]byte, error) {
-			a, err := DecodeList(d)
-			if err != nil {
-				return nil, err
-			}
-			vs, err := core.DecodeUint64(q, 2)
-			if err != nil {
-				return nil, err
-			}
-			i, j := int(vs[0]), int(vs[1])
-			if i < 0 || j >= len(a) || i > j {
-				return nil, fmt.Errorf("schemes: RMQ query [%d,%d] out of bounds for n=%d", i, j, len(a))
-			}
-			return core.EncodeUint64(uint64(rmq.NewNaive(a).Query(i, j))), nil
-		},
-	}
-}
 
 // RMQ preprocessed layout (all fixed width for random access):
 //
@@ -168,29 +144,6 @@ func RMQFuncScheme() *core.FuncScheme {
 		},
 		PreprocessNote: "O(n log n)",
 		ApplyNote:      "O(1)",
-	}
-}
-
-// LCAFuncLanguage is the §4(4) reference: a representative LCA in a DAG,
-// recomputed per query.
-func LCAFuncLanguage() core.FuncLanguage {
-	return core.FuncLanguageFunc{
-		LangName: "DAG-LCA",
-		Compute: func(d, q []byte) ([]byte, error) {
-			g, err := graph.Decode(d)
-			if err != nil {
-				return nil, err
-			}
-			u, v, err := DecodeNodePairQuery(q)
-			if err != nil {
-				return nil, err
-			}
-			w, ok, err := lca.NaiveDAGLCA(adjOf(g), u, v)
-			if err != nil {
-				return nil, err
-			}
-			return encodeLCAAnswer(w, ok), nil
-		},
 	}
 }
 

@@ -221,15 +221,18 @@ func editGraph(g *graph.Graph, kind core.DeltaKind, u, v int) (bool, error) {
 // file a function of the edge set, so either way the result is byte-equal to
 // Preprocess(D ⊕ ∆D).
 //
-// What the rebuild costs is what the matrix costs (BenchmarkClosureApplyDelta;
-// docs/perf/BENCH_21.md §5 has it beside the row maintenance it replaced, and
-// docs/perf/BENCH_28.md the arc file's splice): on the benchmark workload's
-// graph — 4096 vertices, 22–31 classes — a fact-changing edge is ≈ 2 ms; on a
-// DAG every vertex is a class, the matrix is n² bits again, and the rebuild is
-// ≈ 5 ms at 4096 vertices and ≈ 60 ms at 16384 — no more than touching the
-// ancestor rows of an n²-bit matrix cost there, but not milliseconds. In
-// short: O(log) to find the arc and one O(1) probe (insert), O(|V|+|E|) to
-// decode and search (delete), a splice of the arc file; a rebuild over the
+// What the rebuild costs is what the matrix costs (BenchmarkClosureApplyDelta,
+// -benchtime 20x -count 3 on a 2-vCPU Xeon; docs/perf/BENCH_21.md §5 has it
+// beside the row maintenance it replaced, and docs/perf/BENCH_28.md the arc
+// file's splice): on the benchmark workload's graph — 4096 vertices, 22–31
+// classes — a fact-changing edge is 1.3–1.6 ms; on a DAG every vertex is a
+// class, the matrix is n² bits again, and the rebuild is 13–14 ms at 4096
+// vertices and 180–210 ms at 16384. Most of a DAG's rebuild is merge
+// transposing the rows and back (59 % of applyClosureDelta's CPU at 4096):
+// every sink has the same empty descendant row, so the ancestor pass runs on
+// any DAG with two sinks, and on these DAGs it merges nothing. In short:
+// O(log) to find the arc and one O(1) probe (insert), O(|V|+|E|) to decode
+// and search (delete), a splice of the arc file; a rebuild over the
 // condensation — the whole of Preprocess — only when a fact can have changed.
 func applyClosureDelta(pd, delta []byte) ([]byte, error) {
 	n, cond, arcs, err := closureParts(pd)

@@ -59,7 +59,7 @@ func preparedCases(t *testing.T) map[string]preparedCase {
 
 	gateQueries := [][]byte{GateQuery(0), GateQuery(5), GateQuery(63), GateQuery(64), GateQuery(1 << 20), []byte{7}, nil}
 
-	reach := ReachabilityLanguage()
+	reach := reachabilityLanguage()
 	return map[string]preparedCase{
 		"point-sorted": {PointSelectionScheme(), SelectionLanguage(), rel.Encode(), selQueries},
 		"point-scan":   {PointSelectionScanScheme(), SelectionLanguage(), rel.Encode(), selQueries},
@@ -110,7 +110,7 @@ func noPreprocessingCases(t *testing.T) map[string]preparedCase {
 		},
 	}
 	return map[string]preparedCase{
-		"bds-no-preprocessing": {BDSNoPreprocessScheme(), core.PairLanguage(BDSProblem(), core.EmptyDataFactorization()), nil, bdsQueries},
+		"bds-no-preprocessing": {BDSNoPreprocessScheme(), bdsEmptyData, nil, bdsQueries},
 		"cvp-empty-data":       {CVPNoPreprocessScheme(), outputGate, nil, cvpQueries},
 	}
 }

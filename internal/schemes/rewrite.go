@@ -81,7 +81,7 @@ func ViewRewritingScheme(defs []views.Def) *core.RewritingScheme {
 					return core.EncodeUint64(uint64(i), uint64(c)+(1<<63)), nil
 				}
 			}
-			return nil, &views.ErrNoView{Attr: "key", Lo: c, Hi: c}
+			return nil, &views.ErrNoView{Attr: "key", Value: c}
 		},
 		Answer: func(pd, lq []byte) (bool, error) {
 			vs, err := core.DecodeUint64(lq, 2)

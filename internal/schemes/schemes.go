@@ -278,28 +278,6 @@ func DecodeNodePairQuery(q []byte) (int, int, error) {
 	return int(vs[0]), int(vs[1]), nil
 }
 
-// ReachabilityLanguage is S2 from Example 3: ⟨G, (s, t)⟩ with the answer
-// "there is a path from s to t in G", decided by BFS.
-func ReachabilityLanguage() core.Language {
-	return core.LanguageFunc{
-		LangName: "S2-reachability",
-		Decide: func(d, q []byte) (bool, error) {
-			g, err := graph.Decode(d)
-			if err != nil {
-				return false, err
-			}
-			u, v, err := DecodeNodePairQuery(q)
-			if err != nil {
-				return false, err
-			}
-			if u < 0 || u >= g.N() || v < 0 || v >= g.N() {
-				return false, fmt.Errorf("schemes: node pair (%d,%d) out of range", u, v)
-			}
-			return g.Reachable(u, v), nil
-		},
-	}
-}
-
 // The closure payload:
 //
 //	header (8, big-endian) ‖ graph.CondensedClosure wire form ‖ arc file
@@ -482,11 +460,11 @@ func BDSLanguage() core.Language {
 	}
 }
 
-// posArrayBytes lays out pos[v] as n×4-byte records.
-func posArrayBytes(idx *bds.Index) []byte {
-	n := idx.Len()
-	b := make([]byte, 4*n)
-	for i, v := range idx.Order() {
+// posArrayBytes lays out pos[v] — v's position in the visit order — as
+// n×4-byte records.
+func posArrayBytes(order []int32) []byte {
+	b := make([]byte, 4*len(order))
+	for i, v := range order {
 		binary.BigEndian.PutUint32(b[int(v)*4:], uint32(i))
 	}
 	return b
@@ -502,11 +480,11 @@ func BDSScheme() *core.Scheme {
 			if err != nil {
 				return nil, err
 			}
-			idx, err := bds.NewIndex(g.Graph())
+			order, err := bds.Search(g.Graph())
 			if err != nil {
 				return nil, err
 			}
-			return posArrayBytes(idx), nil
+			return posArrayBytes(order), nil
 		},
 		Prepare: core.ProbeInPlace(func(pd, q []byte) (bool, error) {
 			u, v, err := DecodeNodePairQuery(q)

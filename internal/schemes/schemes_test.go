@@ -1,6 +1,7 @@
 package schemes
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -15,6 +16,35 @@ import (
 	"pitract/internal/relation"
 	"pitract/internal/tm"
 )
+
+// reachabilityLanguage is S2 from Example 3: ⟨G, (s, t)⟩ with the answer
+// "there is a path from s to t in G", decided by BFS.
+func reachabilityLanguage() core.Language {
+	return core.LanguageFunc{
+		LangName: "S2-reachability",
+		Decide: func(d, q []byte) (bool, error) {
+			g, err := graph.Decode(d)
+			if err != nil {
+				return false, err
+			}
+			u, v, err := DecodeNodePairQuery(q)
+			if err != nil {
+				return false, err
+			}
+			if u < 0 || u >= g.N() || v < 0 || v >= g.N() {
+				return false, fmt.Errorf("schemes: node pair (%d,%d) out of range", u, v)
+			}
+			return g.Reachable(u, v), nil
+		},
+	}
+}
+
+// bdsEmptyData is S(BDS, Υ0), Figure 1's Υ′ read as a language: the data
+// part is ε and the query the whole instance, so ρ returns the query.
+var bdsEmptyData = core.PairLanguage(BDSProblem(), &core.Factorization{
+	FactName: "empty-data",
+	Rho:      func(_, q []byte) ([]byte, error) { return q, nil },
+})
 
 func relationPairs(t *testing.T, rows int, seed int64) (d []byte, queries [][]byte) {
 	t.Helper()
@@ -94,8 +124,8 @@ func TestReachabilitySchemes(t *testing.T) {
 	for i := 0; i < 80; i++ {
 		queries = append(queries, NodePairQuery(rng.Intn(40), rng.Intn(40)))
 	}
-	verifyScheme(t, ReachabilityScheme(), ReachabilityLanguage(), d, queries)
-	verifyScheme(t, ReachabilityBFSScheme(), ReachabilityLanguage(), d, queries)
+	verifyScheme(t, ReachabilityScheme(), reachabilityLanguage(), d, queries)
+	verifyScheme(t, ReachabilityBFSScheme(), reachabilityLanguage(), d, queries)
 	// Out-of-range queries must error, not misanswer.
 	s := ReachabilityScheme()
 	pd, err := s.Preprocess(d)
@@ -120,7 +150,7 @@ func TestBDSSchemes(t *testing.T) {
 	// The Υ′ scheme answers over the empty-data factorization: pairs are
 	// (ε, whole-instance).
 	noPre := BDSNoPreprocessScheme()
-	lang := core.PairLanguage(BDSProblem(), core.EmptyDataFactorization())
+	lang := bdsEmptyData
 	var pairs []core.Pair
 	for _, q := range queries {
 		pairs = append(pairs, core.Pair{D: nil, Q: core.PadPair(d, q)})

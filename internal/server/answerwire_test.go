@@ -112,7 +112,7 @@ func serveQuery(body []byte, limit int64) (int, string) {
 		}),
 	}
 	srv := New(store.NewRegistry(""), map[string]*core.Scheme{scheme.Name(): scheme})
-	if _, err := srv.Registry().Register("k", scheme, nil); err != nil {
+	if _, err := srv.reg.Register("k", scheme, nil); err != nil {
 		panic(err)
 	}
 	srv.SetLimits(Limits{MaxBodyBytes: limit})

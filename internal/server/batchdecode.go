@@ -6,7 +6,8 @@ package server
 // for a 1024-query body that was the largest single cost of the request
 // once the probes themselves were cheap.
 //
-// decodeBatch recognises only the canonical shape a client library emits —
+// The batch decoder (batchArena.decode) recognises only the canonical shape
+// a client library emits —
 //
 //	{"dataset":"…","queries":["<std-base64>",…],"parallelism":n}
 //
@@ -194,14 +195,6 @@ func (p *replay) Read(dst []byte) (int, error) {
 	return n, nil
 }
 
-// decodeBatch is the one-pass decoder over an arena of its own, which the
-// collector reclaims with the request. The serving path decodes into a
-// pooled arena instead (decodeBatchBody).
-func decodeBatch(body []byte, max int) (req BatchRequest, n int, ok bool) {
-	var a batchArena
-	return a.decode(body, max)
-}
-
 // batchArena holds one decoded batch: its query headers, and the decoded
 // bytes of every query back to back, each query a slice of them capped at
 // its own length.
@@ -266,7 +259,7 @@ func (a *batchArena) decode(body []byte, max int) (req BatchRequest, n int, ok b
 }
 
 // wireWalk is the one-pass decoders' cursor over a body; the fields after
-// i are decodeBatch's.
+// i are the batch decoder's.
 type wireWalk struct {
 	b []byte
 	i int

@@ -34,6 +34,13 @@ const batchCanonical = `{"dataset":"m","queries":["goCAgICAgICAAQ==","iYCAgICAgI
 
 // batchDecodeSeeds is the committed corpus: every way a body can leave the
 // canonical shape, plus the canonical shape cut off at every byte.
+// decodeBatch runs the one-pass decoder over an arena of its own; the
+// serving path decodes into a pooled one (decodeBatchBody).
+func decodeBatch(body []byte, max int) (req BatchRequest, n int, ok bool) {
+	var a batchArena
+	return a.decode(body, max)
+}
+
 func batchDecodeSeeds() []string {
 	seeds := []string{
 		batchCanonical,

@@ -484,7 +484,7 @@ func TestCachePlacementFollowsTheScheme(t *testing.T) {
 				if info.Shards != shards {
 					t.Fatalf("registered on %d shards, want %d", info.Shards, shards)
 				}
-				ds, _ := srv.Registry().GetDataset("d")
+				ds, _ := srv.reg.GetDataset("d")
 				if fronted := srv.answerPath(ds) != ds; fronted != sch.Traversal {
 					t.Fatalf("answerPath fronts the dataset: %v; scheme declares Traversal: %v", fronted, sch.Traversal)
 				}

@@ -80,7 +80,7 @@ func TestEnvelopeOversizedBodies(t *testing.T) {
 			t.Fatalf("%s: 413 error %q does not name the %d-byte limit", tc.name, e.Error, bodyCap)
 		}
 	}
-	if n := srv.Registry().Len(); n != 0 {
+	if n := srv.reg.Len(); n != 0 {
 		t.Fatalf("oversized registration left %d catalog entries", n)
 	}
 	if st := envStats(t, client, ts.URL); st.RejectedBody413 != 3 {
@@ -404,7 +404,7 @@ func TestEnvelopeRegisterBudget(t *testing.T) {
 	close(gate)
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if _, ok := srv.Registry().GetDataset("d"); !ok {
+		if _, ok := srv.reg.GetDataset("d"); !ok {
 			break
 		}
 		if time.Now().After(deadline) {

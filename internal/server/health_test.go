@@ -60,7 +60,7 @@ func TestHealthzHealthMap(t *testing.T) {
 		catalog[name] = sch
 	}
 	srv := New(store.NewRegistry(""), catalog)
-	srv.Registry().SetBreakerConfig(store.BreakerConfig{
+	srv.reg.SetBreakerConfig(store.BreakerConfig{
 		Window: time.Minute, DegradedAfter: 1, OpenAfter: 2, Backoff: time.Minute,
 	})
 	srv.SetLimits(Limits{QueryBudget: 20 * time.Millisecond})
@@ -176,7 +176,7 @@ func (a *slowAnswerer) catalog() map[string]*core.Scheme {
 func TestBreakerTripsRefusesAndHeals(t *testing.T) {
 	slow := newSlowAnswerer(100 * time.Millisecond)
 	srv := New(store.NewRegistry(""), slow.catalog())
-	srv.Registry().SetBreakerConfig(store.BreakerConfig{
+	srv.reg.SetBreakerConfig(store.BreakerConfig{
 		Window: time.Second, DegradedAfter: 2, OpenAfter: 3,
 		Backoff: 200 * time.Millisecond, MaxBackoff: 800 * time.Millisecond,
 	})
@@ -258,7 +258,7 @@ func TestBreakerTripsRefusesAndHeals(t *testing.T) {
 func degradedServer(t *testing.T, catalog map[string]*core.Scheme, limits Limits) (*Server, *httptest.Server) {
 	t.Helper()
 	srv := New(store.NewRegistry(""), catalog)
-	srv.Registry().SetBreakerConfig(store.BreakerConfig{Window: time.Minute, DegradedAfter: 1, OpenAfter: 100})
+	srv.reg.SetBreakerConfig(store.BreakerConfig{Window: time.Minute, DegradedAfter: 1, OpenAfter: 100})
 	srv.SetLimits(limits)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
@@ -272,7 +272,7 @@ func degrade(t *testing.T, srv *Server, client *http.Client, base string, reg Re
 	if code := postJSON(t, client, base+"/v1/datasets", reg, nil); code != http.StatusOK {
 		t.Fatalf("register %s status %d", reg.ID, code)
 	}
-	br := srv.Registry().Breaker(reg.ID)
+	br := srv.reg.Breaker(reg.ID)
 	br.OnFailure(false)
 	if st := br.State(); st != store.HealthDegraded {
 		t.Fatalf("breaker of %s reads %v, want degraded", reg.ID, st)
@@ -355,7 +355,7 @@ func TestDegradedStateKeepsQueryBudget(t *testing.T) {
 func TestQueryBudget504(t *testing.T) {
 	slow := newSlowAnswerer(150 * time.Millisecond)
 	srv := New(store.NewRegistry(""), slow.catalog())
-	srv.Registry().SetBreakerConfig(store.BreakerConfig{
+	srv.reg.SetBreakerConfig(store.BreakerConfig{
 		DegradedAfter: 2, OpenAfter: 3, Backoff: 50 * time.Millisecond,
 	})
 	srv.SetLimits(Limits{QueryBudget: 40 * time.Millisecond})
@@ -476,7 +476,7 @@ func (c *countedProbes) catalog() map[string]*core.Scheme {
 func countedServer(t *testing.T, c *countedProbes, limits Limits) *httptest.Server {
 	t.Helper()
 	srv := New(store.NewRegistry(""), c.catalog())
-	srv.Registry().SetBreakerConfig(store.BreakerConfig{Window: time.Minute, DegradedAfter: 1 << 30, OpenAfter: 1 << 30})
+	srv.reg.SetBreakerConfig(store.BreakerConfig{Window: time.Minute, DegradedAfter: 1 << 30, OpenAfter: 1 << 30})
 	srv.SetLimits(limits)
 	ts := httptest.NewUnstartedServer(srv)
 	ts.Config.ErrorLog = log.New(io.Discard, "", 0)
@@ -578,7 +578,7 @@ func TestAnswerWorkStaysWithinAdmission(t *testing.T) {
 func TestPanickingBatchProbeFailsTheBatch(t *testing.T) {
 	var c countedProbes
 	srv := New(store.NewRegistry(""), c.catalog())
-	srv.Registry().SetBreakerConfig(store.BreakerConfig{Window: time.Minute, DegradedAfter: 2, OpenAfter: 1 << 30})
+	srv.reg.SetBreakerConfig(store.BreakerConfig{Window: time.Minute, DegradedAfter: 2, OpenAfter: 1 << 30})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	if code := postJSON(t, ts.Client(), ts.URL+"/v1/datasets", RegisterRequest{ID: "d", Scheme: "test/counted"}, nil); code != http.StatusOK {
@@ -593,7 +593,7 @@ func TestPanickingBatchProbeFailsTheBatch(t *testing.T) {
 			t.Fatalf("panicking batch %d got status %d (%s), want 500 naming query 0's panic", i, code, e.Error)
 		}
 	}
-	if st := srv.Registry().Breaker("d").State(); st != store.HealthDegraded {
+	if st := srv.reg.Breaker("d").State(); st != store.HealthDegraded {
 		t.Fatalf("breaker after two panicking batches reads %v, want degraded", st)
 	}
 	var br BatchResponse

@@ -148,7 +148,7 @@ func FuzzApplyDelta(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%s: file corrupted by hostile PATCH: %v", id, err)
 			}
-			ds, ok := srv.Registry().GetDataset(id)
+			ds, ok := srv.reg.GetDataset(id)
 			if !ok {
 				t.Fatal("registry entry lost")
 			}

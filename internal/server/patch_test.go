@@ -621,7 +621,7 @@ func TestStatsSnapshotBytesTracksPatch(t *testing.T) {
 		var total int64
 		for _, id := range []string{"plain", "sharded"} {
 			// The one file a checkpoint writes: the manifest, members inside.
-			ds, _ := srv.Registry().GetDataset(id)
+			ds, _ := srv.reg.GetDataset(id)
 			st, _ := ds.(*store.Store)
 			var layout []byte
 			if ss, ok := ds.(*shard.ShardedStore); ok {

@@ -282,9 +282,6 @@ func (s *Server) SetLimits(l Limits) {
 	s.applyTimeouts()
 }
 
-// Limits returns the active serving envelope (defaults resolved).
-func (s *Server) Limits() Limits { return s.env.limits }
-
 // applyTimeouts sizes the http.Server timeouts to the envelope. The
 // header read stays on a tight fuse and idle keep-alives are reaped, but
 // the read/write timeouts — which bound body transfer and the whole
@@ -303,9 +300,6 @@ func (s *Server) applyTimeouts() {
 	s.httpSrv.WriteTimeout = rw
 	s.httpSrv.IdleTimeout = 2 * time.Minute
 }
-
-// Registry returns the registry the server answers from.
-func (s *Server) Registry() *store.Registry { return s.reg }
 
 // SetAnswerCache gives the server a verdict cache and c's byte budget to
 // spend on the datasets whose scheme declares a per-query traversal

@@ -701,6 +701,10 @@ func TestHashLayoutFileIsRebuiltAsRange(t *testing.T) {
 	for k := int64(-70); k < 190; k += 3 {
 		queries = append(queries, schemes.PointQuery(k))
 	}
+	whole, err := scheme.Preprocess(data)
+	if err != nil {
+		t.Fatal(err)
+	}
 	register := func(wantLoaded bool) {
 		t.Helper()
 		srv := New(store.NewRegistry(dir), nil)
@@ -717,15 +721,15 @@ func TestHashLayoutFileIsRebuiltAsRange(t *testing.T) {
 			t.Fatalf("batch: status %d", code)
 		}
 		for i, q := range queries {
-			if want, err := scheme.Decide(data, q); err != nil || br.Answers[i] != want {
-				t.Fatalf("query %d: served %v, Decide %v (%v)", i, br.Answers[i], want, err)
+			if want, err := scheme.Answer(whole, q); err != nil || br.Answers[i] != want {
+				t.Fatalf("query %d: served %v, unsharded %v (%v)", i, br.Answers[i], want, err)
 			}
 		}
 		wantQuarantines, wantPreprocess := int64(1), int64(3)
 		if wantLoaded {
 			wantQuarantines, wantPreprocess = 0, 0
 		}
-		if reg := srv.Registry(); reg.QuarantineCount() != wantQuarantines || reg.PreprocessCount() != wantPreprocess {
+		if reg := srv.reg; reg.QuarantineCount() != wantQuarantines || reg.PreprocessCount() != wantPreprocess {
 			t.Fatalf("%d quarantines, %d preprocess calls; want %d and %d", reg.QuarantineCount(), reg.PreprocessCount(), wantQuarantines, wantPreprocess)
 		}
 	}

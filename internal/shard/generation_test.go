@@ -401,7 +401,7 @@ func TestOlderClosureLayoutOnDiskIsRebuilt(t *testing.T) {
 	// The uvarint layout: header (n under the appendix and condensed flags) ‖
 	// k ‖ a 2-byte id per vertex ‖ the rows, as today's form ends ‖ uvarint
 	// len ‖ the graph.
-	cc, err := graph.NewCondensedClosure(g)
+	cc, err := g.Freeze().CondensedClosure()
 	if err != nil {
 		t.Fatal(err)
 	}

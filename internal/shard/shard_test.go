@@ -306,7 +306,11 @@ func TestRegisterShardedMemoization(t *testing.T) {
 	if err != nil {
 		t.Fatalf("answer through dataset: %v", err)
 	}
-	want, err := scheme.Decide(g.Encode(), schemes.NodePairQuery(0, 1))
+	pd, err := scheme.Preprocess(g.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := scheme.Answer(pd, schemes.NodePairQuery(0, 1))
 	if err != nil || got != want {
 		t.Fatalf("dataset answer %v, direct %v (err %v)", got, want, err)
 	}

@@ -24,14 +24,13 @@ type scriptedDataset struct {
 	onAsk, onBatch func()
 }
 
-func (d *scriptedDataset) DatasetID() string        { return "scripted" }
-func (d *scriptedDataset) SchemeName() string       { return "scripted/scheme" }
-func (d *scriptedDataset) DataDigest() DataChecksum { return DataChecksum{} }
-func (d *scriptedDataset) PrepBytes() int           { return 0 }
-func (d *scriptedDataset) SnapshotBytes() int       { return 0 }
-func (d *scriptedDataset) ShardCount() int          { return 1 }
-func (d *scriptedDataset) WasLoaded() bool          { return false }
-func (d *scriptedDataset) Version() uint64          { return d.version.Load() }
+func (d *scriptedDataset) DatasetID() string  { return "scripted" }
+func (d *scriptedDataset) SchemeName() string { return "scripted/scheme" }
+func (d *scriptedDataset) PrepBytes() int     { return 0 }
+func (d *scriptedDataset) SnapshotBytes() int { return 0 }
+func (d *scriptedDataset) ShardCount() int    { return 1 }
+func (d *scriptedDataset) WasLoaded() bool    { return false }
+func (d *scriptedDataset) Version() uint64    { return d.version.Load() }
 func (d *scriptedDataset) Ask(ctx context.Context, q []byte) (Verdict, error) {
 	if d.onAsk != nil {
 		d.onAsk()

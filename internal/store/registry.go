@@ -46,9 +46,6 @@ type Dataset interface {
 	// SchemeName names the scheme that preprocessed — and answers against —
 	// the dataset.
 	SchemeName() string
-	// DataDigest is the SHA-256 of the raw data the dataset was built from;
-	// re-registration uses it to refuse serving a stale Π(D) as fresh.
-	DataDigest() DataChecksum
 	// PrepBytes reports the total size of the preprocessed artifact(s).
 	PrepBytes() int
 	// SnapshotBytes reports the encoded size of the dataset's file at its

@@ -354,9 +354,6 @@ func (st *Store) DatasetID() string { return st.ID }
 // SchemeName implements Dataset.
 func (st *Store) SchemeName() string { return st.Scheme.Name() }
 
-// DataDigest implements Dataset.
-func (st *Store) DataDigest() DataChecksum { return st.DataSum }
-
 // PrepBytes implements Dataset: the members' Π plus the summary.
 func (st *Store) PrepBytes() int {
 	c := st.load()

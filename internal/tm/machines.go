@@ -148,72 +148,7 @@ func ZeroNOneN() Clocked {
 	return Clocked{M: m, Bound: func(n int) int { return (n + 2) * (n + 3) }}
 }
 
-// ZeroNOneNRef reports whether the input is 0^a 1^a.
-func ZeroNOneNRef(in []bool) bool {
-	n := len(in)
-	if n%2 != 0 {
-		return false
-	}
-	for i := 0; i < n/2; i++ {
-		if in[i] {
-			return false
-		}
-	}
-	for i := n / 2; i < n; i++ {
-		if !in[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // SampleMachines returns all sample machines with their clocks.
 func SampleMachines() []Clocked {
 	return []Clocked{Parity(), ContainsOneOne(), DivisibleByThree(), Palindrome(), ZeroNOneN()}
-}
-
-// Reference predicates for testing the machines against plain Go logic.
-
-// ParityRef reports whether the input has an even number of 1 bits.
-func ParityRef(in []bool) bool {
-	ones := 0
-	for _, b := range in {
-		if b {
-			ones++
-		}
-	}
-	return ones%2 == 0
-}
-
-// ContainsOneOneRef reports whether the input contains two adjacent 1 bits.
-func ContainsOneOneRef(in []bool) bool {
-	for i := 0; i+1 < len(in); i++ {
-		if in[i] && in[i+1] {
-			return true
-		}
-	}
-	return false
-}
-
-// DivisibleByThreeRef reports whether the input, read MSB-first, encodes a
-// multiple of three (empty input encodes zero).
-func DivisibleByThreeRef(in []bool) bool {
-	v := 0
-	for _, b := range in {
-		v = (v * 2) % 3
-		if b {
-			v = (v + 1) % 3
-		}
-	}
-	return v == 0
-}
-
-// PalindromeRef reports whether the input is a palindrome.
-func PalindromeRef(in []bool) bool {
-	for i, j := 0, len(in)-1; i < j; i, j = i+1, j-1 {
-		if in[i] != in[j] {
-			return false
-		}
-	}
-	return true
 }

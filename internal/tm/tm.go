@@ -110,9 +110,6 @@ func (m *Machine) MustAdd(state int8, symbol int8, rule Rule) {
 	}
 }
 
-// Rule returns δ(state, symbol).
-func (m *Machine) Rule(state, symbol int8) Rule { return m.delta[state][symbol] }
-
 // Result reports a simulation outcome.
 type Result struct {
 	Accepted bool

@@ -130,80 +130,6 @@ func Decide(g *graph.Graph, k int) (bool, error) {
 	return searchEdges(ker.Edges, ker.Budget), nil
 }
 
-// BruteForce enumerates all vertex subsets of size ≤ k — the exponential
-// baseline, usable only for small graphs and small k.
-func BruteForce(g *graph.Graph, k int) (bool, error) {
-	if g.Directed() {
-		return false, fmt.Errorf("vc: vertex cover is defined on undirected graphs")
-	}
-	if k < 0 {
-		return false, fmt.Errorf("vc: negative budget %d", k)
-	}
-	edges := g.Edges()
-	if len(edges) == 0 {
-		return true, nil
-	}
-	n := g.N()
-	if k >= n {
-		return true, nil
-	}
-	// Enumerate k-subsets of vertices via combinations.
-	idx := make([]int, k)
-	for i := range idx {
-		idx[i] = i
-	}
-	covers := func() bool {
-		inSet := make(map[int]bool, k)
-		for _, v := range idx {
-			inSet[v] = true
-		}
-		for _, e := range edges {
-			if !inSet[e[0]] && !inSet[e[1]] {
-				return false
-			}
-		}
-		return true
-	}
-	if k == 0 {
-		return false, nil // edges exist but no budget
-	}
-	for {
-		if covers() {
-			return true, nil
-		}
-		// Advance combination.
-		i := k - 1
-		for i >= 0 && idx[i] == n-k+i {
-			i--
-		}
-		if i < 0 {
-			return false, nil
-		}
-		idx[i]++
-		for j := i + 1; j < k; j++ {
-			idx[j] = idx[j-1] + 1
-		}
-	}
-}
-
-// MinimumCoverSize returns the size of a minimum vertex cover (exponential;
-// test helper for small graphs only).
-func MinimumCoverSize(g *graph.Graph) (int, error) {
-	if g.Directed() {
-		return 0, fmt.Errorf("vc: vertex cover is defined on undirected graphs")
-	}
-	for k := 0; k <= g.N(); k++ {
-		ok, err := Decide(g, k)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			return k, nil
-		}
-	}
-	return g.N(), nil
-}
-
 // PlantCover returns a seeded undirected graph on n vertices whose edges
 // all touch a planted cover of the given size, so its minimum cover is at
 // most that size. Useful for workload generation with known answers.

@@ -6,7 +6,7 @@
 // class is Π-tractable.
 //
 // The concrete query class here is the paper's running example: Boolean
-// point and range selections on a relation (Q1 of Example 1 and §4(1)).
+// point selections on a relation (Q1 of Example 1).
 // Views are range partitions σ_{lo ≤ A ≤ hi}(R), each materialized with its
 // own B⁺-tree, so the rewritten query is an index probe on a structure much
 // smaller than D.
@@ -31,12 +31,6 @@ type Def struct {
 // Covers reports whether the view can answer a point query attr = c.
 func (d Def) Covers(attr string, c int64) bool {
 	return d.Attr == attr && d.Lo <= c && c <= d.Hi
-}
-
-// CoversRange reports whether the view can answer a range query
-// lo ≤ attr ≤ hi.
-func (d Def) CoversRange(attr string, lo, hi int64) bool {
-	return d.Attr == attr && d.Lo <= lo && hi <= d.Hi
 }
 
 // Materialized is one view extension: the matching rows plus an index.
@@ -85,17 +79,13 @@ func Materialize(r *relation.Relation, defs []Def) (*Set, error) {
 // paper this means the query cannot be answered using the views and would
 // need the original D.
 type ErrNoView struct {
-	Attr string
-	Lo   int64
-	Hi   int64
+	Attr  string
+	Value int64
 }
 
 // Error implements error.
 func (e *ErrNoView) Error() string {
-	if e.Lo == e.Hi {
-		return fmt.Sprintf("views: no view covers point %s = %d", e.Attr, e.Lo)
-	}
-	return fmt.Sprintf("views: no view covers range %d ≤ %s ≤ %d", e.Lo, e.Attr, e.Hi)
+	return fmt.Sprintf("views: no view covers point %s = %d", e.Attr, e.Value)
 }
 
 // AnswerPoint rewrites the Boolean point selection "∃t: t[attr] = c" over
@@ -106,17 +96,7 @@ func (s *Set) AnswerPoint(attr string, c int64) (bool, error) {
 			return m.idx.Contains(c), nil
 		}
 	}
-	return false, &ErrNoView{Attr: attr, Lo: c, Hi: c}
-}
-
-// AnswerRange rewrites the Boolean range selection over a covering view.
-func (s *Set) AnswerRange(attr string, lo, hi int64) (bool, error) {
-	for _, m := range s.views {
-		if m.Def.CoversRange(attr, lo, hi) {
-			return m.idx.RangeExists(lo, hi), nil
-		}
-	}
-	return false, &ErrNoView{Attr: attr, Lo: lo, Hi: hi}
+	return false, &ErrNoView{Attr: attr, Value: c}
 }
 
 // Views lists the materialized views.

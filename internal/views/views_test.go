@@ -39,41 +39,14 @@ func TestMaterializeAndAnswerPoint(t *testing.T) {
 	}
 }
 
-func TestAnswerRange(t *testing.T) {
-	r := sample()
-	// One wide view covers everything.
-	s, err := Materialize(r, []Def{{Name: "all", Attr: "amount", Lo: 0, Hi: 99}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		lo, hi int64
-		want   bool
-	}{
-		{0, 4, false}, {0, 5, true}, {18, 22, false}, {18, 23, true}, {92, 99, false},
-	}
-	for _, c := range cases {
-		got, err := s.AnswerRange("amount", c.lo, c.hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != c.want {
-			t.Errorf("range [%d,%d]: got %v want %v", c.lo, c.hi, got, c.want)
-		}
-	}
-}
-
 func TestUncoveredQueriesFail(t *testing.T) {
 	r := sample()
 	s, err := Materialize(r, []Def{{Name: "low", Attr: "amount", Lo: 0, Hi: 49}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.AnswerPoint("amount", 77); err == nil {
-		t.Fatal("uncovered point answered")
-	}
 	var nv *ErrNoView
-	_, err = s.AnswerRange("amount", 40, 60) // straddles the view boundary
+	_, err = s.AnswerPoint("amount", 77)
 	if !errors.As(err, &nv) {
 		t.Fatalf("want ErrNoView, got %v", err)
 	}

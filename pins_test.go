@@ -2,6 +2,7 @@ package pitract_test
 
 import (
 	"bufio"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -59,6 +60,43 @@ func TestPinnedTestsExist(t *testing.T) {
 	}
 }
 
+// ciFuzzLeg matches a CI step that fuzzes one target: its package and the
+// target the anchored -fuzz pattern names.
+var ciFuzzLeg = regexp.MustCompile(`go test \./(\S+) .*-fuzz '\^(\w+)\$'`)
+
+// TestCIFuzzLegsArePinned closes the gap a fuzz step leaves open: `go test
+// -fuzz` whose pattern matches no target prints "no fuzz tests to fuzz" and
+// exits 0, so a renamed or deleted target turns its CI leg into a silent
+// pass. Every `-fuzz '^X$'` leg of the workflow must name a target pinned
+// in .github/pinned-tests.txt, which TestPinnedTestsExist holds to the code.
+func TestCIFuzzLegsArePinned(t *testing.T) {
+	const workflow, list = ".github/workflows/ci.yml", ".github/pinned-tests.txt"
+	ci, err := os.ReadFile(workflow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned, err := os.ReadFile(list)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pins := map[string]bool{}
+	for _, line := range strings.Split(string(pinned), "\n") {
+		pins[strings.TrimSpace(line)] = true
+	}
+	legs := ciFuzzLeg.FindAllStringSubmatch(string(ci), -1)
+	if len(legs) == 0 {
+		t.Fatalf("%s has no -fuzz leg this test can read", workflow)
+	}
+	for _, leg := range legs {
+		dir, target := leg[1], leg[2]
+		t.Run(dir+"/"+target, func(t *testing.T) {
+			if !pins[dir+" "+target] {
+				t.Errorf("%s fuzzes %s in ./%s, which %s does not pin (a target that is gone would fuzz nothing and pass)", workflow, target, dir, list)
+			}
+		})
+	}
+}
+
 // testFuncs parses dir's _test.go files and returns their top-level
 // function names.
 func testFuncs(dir string) (map[string]bool, error) {
@@ -79,6 +117,36 @@ func testFuncs(dir string) (map[string]bool, error) {
 		}
 	}
 	return names, nil
+}
+
+// exportedDecls maps each exported top-level func, type, var and const
+// of f to the node that declares it: the FuncDecl, TypeSpec or ValueSpec.
+func exportedDecls(f *ast.File) map[string]ast.Node {
+	decls := map[string]ast.Node{}
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil && d.Name.IsExported() {
+				decls[d.Name.Name] = d
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					if s.Name.IsExported() {
+						decls[s.Name.Name] = s
+					}
+				case *ast.ValueSpec:
+					for _, name := range s.Names {
+						if name.IsExported() {
+							decls[name.Name] = s
+						}
+					}
+				}
+			}
+		}
+	}
+	return decls
 }
 
 // docFacadeMention matches a `pitract.X` citation in prose.
@@ -104,30 +172,7 @@ func TestFacadeNamesHaveUsers(t *testing.T) {
 		return parsed
 	}
 
-	exported := map[string]bool{}
-	for _, decl := range parse("pitract.go").Decls {
-		switch d := decl.(type) {
-		case *ast.FuncDecl:
-			if d.Recv == nil && d.Name.IsExported() {
-				exported[d.Name.Name] = true
-			}
-		case *ast.GenDecl:
-			for _, spec := range d.Specs {
-				switch s := spec.(type) {
-				case *ast.TypeSpec:
-					if s.Name.IsExported() {
-						exported[s.Name.Name] = true
-					}
-				case *ast.ValueSpec:
-					for _, name := range s.Names {
-						if name.IsExported() {
-							exported[name.Name] = true
-						}
-					}
-				}
-			}
-		}
-	}
+	exported := exportedDecls(parse("pitract.go"))
 
 	var clients []string // Go files outside internal/, bench/ and pitract.go
 	rootTests, err := filepath.Glob("*_test.go")
@@ -187,7 +232,7 @@ func TestFacadeNamesHaveUsers(t *testing.T) {
 		}
 		for _, m := range docFacadeMention.FindAllStringSubmatch(string(text), -1) {
 			used[m[1]] = true
-			if !exported[m[1]] {
+			if exported[m[1]] == nil {
 				t.Errorf("%s cites pitract.%s, which pitract.go does not export", doc, m[1])
 			}
 		}
@@ -197,5 +242,134 @@ func TestFacadeNamesHaveUsers(t *testing.T) {
 	if len(unused) > 0 {
 		t.Errorf("pitract.go exports %d names, %d of them named by nothing outside internal/, bench/ and pitract.go (delete them, or land the user in the same change):\n  %s",
 			len(exported), len(unused), strings.Join(unused, "\n  "))
+	}
+}
+
+// internalTestSupport are the packages under internal/ that exist for
+// tests: everything they export is there for a _test.go file.
+var internalTestSupport = []string{"internal/store/faultfs", "internal/graph/reachref"}
+
+// internalNamesWithoutUsers are the exported names under internal/ that
+// stay although no non-test file names them, each with its reason.
+var internalNamesWithoutUsers = map[string]string{
+	"internal/graph.Path": "the path fixture the tests of eight packages build graphs from; " +
+		"a copy per package would be more code, and graph's tests cannot import a helper package that imports graph",
+	"internal/schemes.EdgeDeleteDelta": "the delete half of the edge-delta encoding DecodeEdgeDelta reads, beside EdgeDelta; " +
+		"the delete tests of schemes, shard and server build their deltas with it, and only PATCH clients send one",
+	"internal/store.EncodeManifest": "DecodeManifest's inverse for a manifest already in memory; " +
+		"the tests of store, shard and server write dataset files with it, while serving streams members through encodeManifest",
+}
+
+// TestInternalNamesHaveUsers holds internal/ to TestFacadeNamesHaveUsers's
+// rule: each exported top-level func, type, var and const declared in a
+// non-test file under internal/ must be named by a non-test Go file of the
+// module or of bench/ — selected as pkg.Name by an importer, or as a bare
+// identifier in its own package outside its own declaration (a method's
+// receiver is not a use of its type). A name that only tests call moves
+// into their _test.go file, or goes with them.
+func TestInternalNamesHaveUsers(t *testing.T) {
+	fset := token.NewFileSet()
+	type source struct {
+		dir  string // slash-separated, relative to the module root
+		file *ast.File
+	}
+	var sources []source
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (name == "testdata" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		parsed, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err == nil {
+			sources = append(sources, source{filepath.ToSlash(filepath.Dir(path)), parsed})
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	declared := map[string]ast.Node{} // "internal/<pkg>.Name" → its declaration
+	packages := map[string][]string{} // package dir → the names it declares
+	for _, src := range sources {
+		if strings.HasPrefix(src.dir, "internal/") && !slices.Contains(internalTestSupport, src.dir) {
+			for name, decl := range exportedDecls(src.file) {
+				declared[src.dir+"."+name] = decl
+				packages[src.dir] = append(packages[src.dir], src.dir+"."+name)
+			}
+		}
+	}
+
+	used := map[string]bool{}
+	for _, src := range sources {
+		imported := map[string]string{} // local package name → package dir
+		for _, imp := range src.file.Imports {
+			dir, ok := strings.CutPrefix(strings.Trim(imp.Path.Value, `"`), "pitract/")
+			if !ok {
+				continue
+			}
+			local := dir[strings.LastIndex(dir, "/")+1:]
+			if imp.Name != nil {
+				local = imp.Name.Name
+			}
+			imported[local] = dir
+		}
+		var visit func(ast.Node) bool
+		visit = func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok && imported[x.Name] != "" {
+					used[imported[x.Name]+"."+n.Sel.Name] = true
+				}
+				ast.Inspect(n.X, visit) // not n.Sel: a field or method is not a package name
+				return false
+			case *ast.FuncDecl: // not n.Name nor n.Recv: a method neither uses its name nor its type
+				ast.Inspect(n.Type, visit)
+				if n.Body != nil {
+					ast.Inspect(n.Body, visit)
+				}
+				return false
+			case *ast.Field: // not n.Names: fields and parameters are not uses
+				ast.Inspect(n.Type, visit)
+				return false
+			case *ast.Ident:
+				key := src.dir + "." + n.Name
+				if decl := declared[key]; decl != nil && (n.Pos() < decl.Pos() || n.Pos() >= decl.End()) {
+					used[key] = true
+				}
+			}
+			return true
+		}
+		ast.Inspect(src.file, visit)
+	}
+
+	for name, reason := range internalNamesWithoutUsers {
+		if declared[name] == nil || used[name] || reason == "" {
+			t.Errorf("allowlisted %s is gone, has a user or has no reason: drop it from internalNamesWithoutUsers", name)
+		}
+	}
+	// One subtest a package, so a failure names the package the name is in.
+	for _, dir := range slices.Sorted(maps.Keys(packages)) {
+		t.Run(dir, func(t *testing.T) {
+			var unused []string
+			slices.Sort(packages[dir])
+			for _, name := range packages[dir] {
+				if !used[name] && internalNamesWithoutUsers[name] == "" {
+					unused = append(unused, fmt.Sprintf("%s (%s)", name, fset.Position(declared[name].Pos())))
+				}
+			}
+			if len(unused) > 0 {
+				t.Errorf("%d exported names are named by no non-test file (unexport them, move them into the _test.go that uses them, or delete them):\n  %s",
+					len(unused), strings.Join(unused, "\n  "))
+			}
+		})
 	}
 }
